@@ -1,19 +1,20 @@
 //! Borrowed, index-backed advice: the verifier's working form.
 //!
-//! PR 5 gave the wire layer a zero-copy [`AdviceView`]: every section a
-//! `Vec` in wire order, strings borrowing the input buffer. But the
-//! verifier still materialized a fully-owned [`Advice`] (`BTreeMap`s,
-//! `String`s, owned values) before preprocess/replay — an allocation
-//! per log entry and a resident copy of the whole advice. This module
-//! closes that gap. [`AdviceRef`] is a *logical map* form of the
-//! advice, built either
+//! The wire layer decodes advice into a zero-copy [`AdviceView`]: every
+//! section a `Vec` in wire order, strings borrowing the input buffer,
+//! logged values left as the validated bytes they occupy
+//! ([`crate::RawValue`]). [`AdviceRef`] is the *logical map* form the
+//! verifier audits over, built either
 //!
 //! * **borrowed**, straight from an [`AdviceView`]
 //!   ([`AdviceRef::from_view`]): strings stay `&str` slices of the wire
 //!   buffer (or the mmapped advice file), handler logs borrow the
 //!   view's entry vectors outright, and the only owned copies are the
-//!   [`Value`]s replay actually retains — interned through
-//!   [`kem::ValueInterner`] so repeated content costs an `Arc` bump; or
+//!   [`Value`]s replay actually retains — each built from its span
+//!   exactly once by a [`Materializer`], which shares strings through
+//!   [`kem::ValueInterner`]'s vocabulary and whole nested lists/maps
+//!   through its span-keyed memo, so repeated content (MOTD's
+//!   whole-map logs) costs an `Arc` bump; or
 //! * **owned**, from an [`Advice`] ([`AdviceRef::from_advice`]): cheap
 //!   borrows and `Arc` bumps, so the owned decoder stays alive as the
 //!   differential oracle against the borrowed path.
@@ -31,7 +32,7 @@ use std::collections::BTreeMap;
 use kem::{HandlerId, OpRef, RequestId, Value, ValueInterner, VarId};
 
 use crate::advice::{Advice, HandlerOp, KTxId, TxOpContents, TxOpType, TxPos, VarLogEntry};
-use crate::wire::{view_to_value, AdviceView, HandlerLogEntryView, HandlerOpView};
+use crate::wire::{AdviceView, HandlerLogEntryView, HandlerOpView, Materializer, TxOpContentsView};
 
 /// A sorted-unique `Vec<(K, V)>` exposing the read-side `BTreeMap` API
 /// the verifier uses (`get`, `contains_key`, ascending iteration).
@@ -245,8 +246,10 @@ impl<'a> AdviceRef<'a> {
     /// Builds the verifier form straight from a decoded [`AdviceView`] —
     /// the hot path. Strings stay borrowed; handler logs are borrowed
     /// wholesale; var-log / tx-log / nondet values are materialized
-    /// through `interner` (they are the copies replay retains).
+    /// from their spans through `interner` (they are the copies replay
+    /// retains), equal encoded sub-values sharing one build.
     pub fn from_view(view: &'a AdviceView<'a>, interner: &mut ValueInterner<'a>) -> AdviceRef<'a> {
+        let mut values = Materializer::new(interner);
         let tags = VecMap::from_wire(view.tags.clone());
         let handler_logs = VecMap::from_wire(
             view.handler_logs
@@ -265,7 +268,7 @@ impl<'a> AdviceRef<'a> {
                                 op.clone(),
                                 VarLogEntry {
                                     access: e.access,
-                                    value: e.value.as_ref().map(|v| view_to_value(v, interner)),
+                                    value: e.value.map(|v| values.value(v)),
                                     prec: e.prec.clone(),
                                 },
                             )
@@ -287,13 +290,11 @@ impl<'a> AdviceRef<'a> {
                             optype: e.optype,
                             key: e.key,
                             contents: match &e.contents {
-                                crate::wire::TxOpContentsView::None => TxContentsRef::None,
-                                crate::wire::TxOpContentsView::Put { value } => {
-                                    TxContentsRef::Put {
-                                        value: view_to_value(value, interner),
-                                    }
-                                }
-                                crate::wire::TxOpContentsView::Get { from } => {
+                                TxOpContentsView::None => TxContentsRef::None,
+                                TxOpContentsView::Put { value } => TxContentsRef::Put {
+                                    value: values.value(*value),
+                                },
+                                TxOpContentsView::Get { from } => {
                                     TxContentsRef::Get { from: from.clone() }
                                 }
                             },
@@ -306,7 +307,7 @@ impl<'a> AdviceRef<'a> {
         let nondet = VecMap::from_wire(
             view.nondet
                 .iter()
-                .map(|(op, v)| (op.clone(), view_to_value(v, interner)))
+                .map(|(op, v)| (op.clone(), values.value(*v)))
                 .collect(),
         );
         AdviceRef {

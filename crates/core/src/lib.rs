@@ -77,5 +77,8 @@ pub use verifier::{
 pub use wire::{
     advice_sizes, decode_advice, decode_advice_fast, decode_advice_fast_bounded,
     decode_advice_view, decode_advice_view_bounded, encode_advice, owned_decode_copy_bytes,
-    AdviceSizes, AdviceSource, AdviceView, BoundedDecodeError, DecodeStats, ValueView,
+    AdviceSizes, AdviceSource, AdviceView, BoundedDecodeError, DecodeStats, RawValue,
 };
+// What `tests/prop_wire.rs` pins the value path with.
+#[doc(hidden)]
+pub use wire::{decode_value_bounded, Materializer};

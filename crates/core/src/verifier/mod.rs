@@ -138,6 +138,10 @@ impl AuditOptions {
 /// Wall-clock breakdown of a successful audit's phases.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct PhaseTiming {
+    /// Decode: the bounded view decode of the advice bytes plus the
+    /// [`AdviceRef`] build (zero for the entry points handed an
+    /// already-decoded [`Advice`]).
+    pub decode: Duration,
     /// Preprocess: decode-independent advice checks, OpMap and base
     /// graph construction, isolation verification.
     pub preprocess: Duration,
@@ -155,13 +159,14 @@ pub struct PhaseTiming {
 impl PhaseTiming {
     /// Sum of all phases.
     pub fn total(&self) -> Duration {
-        self.preprocess + self.group_replay + self.graph_merge + self.cycle_check
+        self.decode + self.preprocess + self.group_replay + self.graph_merge + self.cycle_check
     }
 
     /// The phase breakdown as a JSON object (microsecond integers).
     pub fn to_json(&self) -> String {
         format!(
-            "{{\"preprocess_us\": {}, \"group_replay_us\": {}, \"graph_merge_us\": {}, \"cycle_check_us\": {}, \"total_us\": {}}}",
+            "{{\"decode_us\": {}, \"preprocess_us\": {}, \"group_replay_us\": {}, \"graph_merge_us\": {}, \"cycle_check_us\": {}, \"total_us\": {}}}",
+            self.decode.as_micros(),
             self.preprocess.as_micros(),
             self.group_replay.as_micros(),
             self.graph_merge.as_micros(),
@@ -178,7 +183,8 @@ impl std::fmt::Display for PhaseTiming {
         let ms = |d: Duration| d.as_secs_f64() * 1e3;
         write!(
             f,
-            "pre {:.2} | replay {:.2} | merge {:.2} | cycle {:.2} ms",
+            "decode {:.2} | pre {:.2} | replay {:.2} | merge {:.2} | cycle {:.2} ms",
+            ms(self.decode),
             ms(self.preprocess),
             ms(self.group_replay),
             ms(self.graph_merge),
@@ -265,13 +271,15 @@ pub fn audit_encoded_with_obs(
         // Zero-copy decode: the audit runs over a borrowed
         // [`AdviceRef`] built straight from the wire view, so the only
         // copies on the accept path are the values replay actually
-        // retains (interned `Value`s and map keys) — handler events,
-        // store keys, and the write order stay pointers into
+        // retains — each distinct encoded value built once, through the
+        // interner's string vocabulary and sub-value memo. Handler
+        // events, store keys, and the write order stay pointers into
         // `advice_bytes`. The view decoder reads the same bytes with
-        // the same budgets, so malformed advice rejects with the same
-        // positioned error the owned decoder gives (`decode_advice_fast`
+        // the same budgets as the owned decoder, so malformed advice
+        // rejects with the same positioned error (`decode_advice_fast`
         // stays alive as the differential oracle). The node budget caps
         // total declared collection elements across all sections.
+        let decode_start = Instant::now();
         let (view, decode_stats) =
             crate::wire::decode_advice_view_bounded(advice_bytes, opts.limits.decode_max_nodes)
                 .map_err(|e| match e {
@@ -301,9 +309,20 @@ pub fn audit_encoded_with_obs(
             "decode-advice",
             0,
             span,
-            &[("bytes", advice_bytes.len() as u64), ("copied", copied)],
+            &[
+                ("bytes", advice_bytes.len() as u64),
+                ("copied", copied),
+                ("values_shared", interner.values_shared),
+                ("values_built", interner.values_built),
+            ],
         );
-        audit_core(program, trace, &advice, isolation, opts, obs, false).map_err(|f| f.reason)
+        let decode = decode_start.elapsed();
+        audit_core(program, trace, &advice, isolation, opts, obs, false)
+            .map(|mut report| {
+                report.timing.decode = decode;
+                report
+            })
+            .map_err(|f| f.reason)
     })) {
         Ok(outcome) => outcome,
         Err(payload) => {

@@ -6,8 +6,29 @@
 //! codec (no external dependencies), round-trip property-tested, with a
 //! per-section size breakdown used by the benchmark harness (the paper
 //! reports, e.g., that variable logs are ~95% of MOTD advice, §6.3).
+//!
+//! Two decoders share one primitive layer ([`Decoder`]), so they read
+//! the same bytes with the same budgets and fail with the same
+//! positioned [`WireError`]:
+//!
+//! * [`decode_advice`] builds an owned [`Advice`] — the form the
+//!   encoder and the structural mutators work on, and the oracle;
+//! * [`decode_advice_view_bounded`] builds a borrowed [`AdviceView`] —
+//!   what every audit decodes. Strings stay slices of the input, and a
+//!   logged value stays the validated bytes it occupies
+//!   ([`RawValue`]): the decoder walks a value once to check it and
+//!   charge its nodes, and builds nothing.
+//!
+//! Values have **one** reader, [`Decoder::walk_value`], driven by a
+//! [`ValueSink`]: the owned decoder's sink builds a [`Value`], the
+//! view decoder's builds nothing, and [`Materializer`] — how
+//! [`crate::AdviceRef::from_view`] turns spans into the values replay
+//! retains — builds each distinct encoded sub-value once, through
+//! [`kem::ValueInterner`]'s string vocabulary and span-keyed memo
+//! (DESIGN.md §17).
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use kem::{FunctionId, HandlerId, OpRef, RequestId, Value, ValueInterner, VarId};
 
@@ -122,6 +143,11 @@ impl Encoder {
                 }
             }
         }
+    }
+
+    /// An already-encoded value, verbatim.
+    fn raw(&mut self, v: RawValue<'_>) {
+        self.buf.extend_from_slice(v.0);
     }
 
     fn rid(&mut self, r: RequestId) {
@@ -284,42 +310,85 @@ impl<'a> Decoder<'a> {
         self.str_ref(what).map(str::to_string)
     }
 
+    /// Decodes one value into an owned [`Value`] (the owned decoder's
+    /// value path, and what [`AdviceView::to_advice`] runs over a
+    /// validated span).
     fn value(&mut self) -> Result<Value, WireError> {
-        self.value_at_depth(0)
+        self.walk_value(&mut Owned, 0)
     }
 
-    /// Recursive value decoding with a nesting guard: crafted bytes
-    /// like `[[[[…` must not exhaust the verifier's stack.
-    fn value_at_depth(&mut self, depth: u32) -> Result<Value, WireError> {
+    /// Validates one value without building it and returns the bytes it
+    /// occupies: the borrowed decoder's value path.
+    fn raw_value(&mut self) -> Result<RawValue<'a>, WireError> {
+        let start = self.pos;
+        self.walk_value(&mut Skip, 0)?;
+        Ok(RawValue(&self.buf[start..self.pos]))
+    }
+
+    /// The one recursive walk over an encoded value. Every reader of
+    /// value bytes — owned decode, validating skip, memoized
+    /// materialization — is this function with a different
+    /// [`ValueSink`], so they all read the same primitives in the same
+    /// order: the same [`Decoder::len`] budget charges, the same UTF-8
+    /// checks, and on bad bytes the same positioned [`WireError`]. The
+    /// nesting guard keeps crafted bytes like `[[[[…` off the
+    /// verifier's stack.
+    fn walk_value<S: ValueSink<'a>>(
+        &mut self,
+        sink: &mut S,
+        depth: u32,
+    ) -> Result<S::Out, WireError> {
         const MAX_DEPTH: u32 = 64;
         if depth > MAX_DEPTH {
             return Err(self.err("value nesting too deep"));
         }
-        match self.u8("value tag")? {
-            0 => Ok(Value::Null),
-            1 => Ok(Value::Bool(self.u8("bool")? != 0)),
-            2 => Ok(Value::Int(self.i64("int")?)),
-            3 => Ok(Value::str(self.str_ref("str")?)),
-            4 => {
-                // Every element is at least one tag byte.
-                let n = self.len("list len", 1)?;
-                let mut l = Vec::with_capacity(n);
-                for _ in 0..n {
-                    l.push(self.value_at_depth(depth + 1)?);
+        let start = self.pos;
+        let tag = self.u8("value tag")?;
+        match tag {
+            0 => Ok(sink.leaf(Value::Null)),
+            1 => Ok(sink.leaf(Value::Bool(self.u8("bool")? != 0))),
+            2 => Ok(sink.leaf(Value::Int(self.i64("int")?))),
+            3 => Ok(sink.str(self.str_ref("str")?)),
+            4 | 5 => {
+                // Only containers *inside* a value are offered to the
+                // sink: a whole logged value repeats too rarely to be
+                // worth hashing (DESIGN.md §17).
+                let mark = if depth == 0 {
+                    None
+                } else {
+                    match sink.enter(self.buf, start) {
+                        Enter::Taken(out, end) => {
+                            self.pos = end;
+                            return Ok(out);
+                        }
+                        Enter::Walk(mark) => Some(mark),
+                    }
+                };
+                let out = if tag == 4 {
+                    // Every element is at least one tag byte.
+                    let n = self.len("list len", 1)?;
+                    let mut items = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        items.push(self.walk_value(sink, depth + 1)?);
+                    }
+                    sink.list(items)
+                } else {
+                    // Every entry is at least a key-length byte + value
+                    // tag. Duplicate wire keys resolve later-wins in
+                    // every sink that builds a map, exactly as the old
+                    // `BTreeMap::insert` loop did.
+                    let n = self.len("map len", 2)?;
+                    let mut entries = Vec::with_capacity(n);
+                    for _ in 0..n {
+                        let k = sink.key(self.str_ref("map key")?);
+                        entries.push((k, self.walk_value(sink, depth + 1)?));
+                    }
+                    sink.map(entries)
+                };
+                if let Some(mark) = mark {
+                    sink.leave(mark, self.pos, &out);
                 }
-                Ok(Value::from_vec(l))
-            }
-            5 => {
-                // Every entry is at least a key-length byte + value tag.
-                let n = self.len("map len", 2)?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k: std::sync::Arc<str> = std::sync::Arc::from(self.str_ref("map key")?);
-                    entries.push((k, self.value_at_depth(depth + 1)?));
-                }
-                // Duplicate wire keys resolve later-wins, exactly as
-                // the old `BTreeMap::insert` loop did.
-                Ok(Value::from_pairs(entries))
+                Ok(out)
             }
             _ => Err(self.err("value tag")),
         }
@@ -415,46 +484,242 @@ impl<'a> Decoder<'a> {
             index: self.u32v("tx index")?,
         })
     }
+}
 
-    fn value_view(&mut self) -> Result<ValueView<'a>, WireError> {
-        self.value_view_at_depth(0)
+/// What [`Decoder::walk_value`] hands the parts of a value to. `Out`
+/// is what a value becomes, `Key` what a map key becomes, and `Mark`
+/// what a sink carries from entering a nested container to leaving it.
+trait ValueSink<'a> {
+    type Out;
+    type Key;
+    type Mark;
+    /// A null, boolean or integer.
+    fn leaf(&mut self, v: Value) -> Self::Out;
+    fn str(&mut self, s: &'a str) -> Self::Out;
+    fn key(&mut self, k: &'a str) -> Self::Key;
+    fn list(&mut self, items: Vec<Self::Out>) -> Self::Out;
+    fn map(&mut self, entries: Vec<(Self::Key, Self::Out)>) -> Self::Out;
+    /// A list or map nested inside the value starts at `buf[start]`
+    /// (its tag byte, already read).
+    fn enter(&mut self, buf: &'a [u8], start: usize) -> Enter<Self::Out, Self::Mark>;
+    /// The container entered with `mark` ended at `buf[end]` as `out`.
+    fn leave(&mut self, mark: Self::Mark, end: usize, out: &Self::Out);
+}
+
+/// A sink's answer to a nested container.
+enum Enter<O, M> {
+    /// The sink already has the container, which ends at this offset:
+    /// the walk resumes there without reading it.
+    Taken(O, usize),
+    /// Walk it, and hand the mark back on leaving.
+    Walk(M),
+}
+
+/// Validates and builds nothing: every `Vec` the walk fills is of
+/// zero-sized items, so it never allocates.
+struct Skip;
+
+impl<'a> ValueSink<'a> for Skip {
+    type Out = ();
+    type Key = ();
+    type Mark = ();
+    fn leaf(&mut self, _: Value) {}
+    fn str(&mut self, _: &'a str) {}
+    fn key(&mut self, _: &'a str) {}
+    fn list(&mut self, _: Vec<()>) {}
+    fn map(&mut self, _: Vec<((), ())>) {}
+    fn enter(&mut self, _: &'a [u8], _: usize) -> Enter<(), ()> {
+        Enter::Walk(())
+    }
+    fn leave(&mut self, (): (), _: usize, (): &()) {}
+}
+
+/// Builds an owned [`Value`], every string a fresh copy.
+struct Owned;
+
+impl<'a> ValueSink<'a> for Owned {
+    type Out = Value;
+    type Key = Arc<str>;
+    type Mark = ();
+    fn leaf(&mut self, v: Value) -> Value {
+        v
+    }
+    fn str(&mut self, s: &'a str) -> Value {
+        Value::str(s)
+    }
+    fn key(&mut self, k: &'a str) -> Arc<str> {
+        Arc::from(k)
+    }
+    fn list(&mut self, items: Vec<Value>) -> Value {
+        Value::from_vec(items)
+    }
+    fn map(&mut self, entries: Vec<(Arc<str>, Value)>) -> Value {
+        Value::from_pairs(entries)
+    }
+    fn enter(&mut self, _: &'a [u8], _: usize) -> Enter<Value, ()> {
+        Enter::Walk(())
+    }
+    fn leave(&mut self, (): (), _: usize, _: &Value) {}
+}
+
+/// Skips a nested container and notes, in the order containers open,
+/// where it and every container inside it ends.
+struct RecordEnds<'e>(&'e mut Vec<usize>);
+
+impl<'a> ValueSink<'a> for RecordEnds<'_> {
+    type Out = ();
+    type Key = ();
+    /// The container's slot in the list of ends.
+    type Mark = usize;
+    fn leaf(&mut self, _: Value) {}
+    fn str(&mut self, _: &'a str) {}
+    fn key(&mut self, _: &'a str) {}
+    fn list(&mut self, _: Vec<()>) {}
+    fn map(&mut self, _: Vec<((), ())>) {}
+    fn enter(&mut self, _: &'a [u8], _: usize) -> Enter<(), usize> {
+        self.0.push(0);
+        Enter::Walk(self.0.len() - 1)
+    }
+    fn leave(&mut self, slot: usize, end: usize, (): &()) {
+        self.0[slot] = end;
+    }
+}
+
+/// The validated bytes of one encoded value: what the borrowed decoder
+/// keeps of a logged value. Only the validating walk makes one, so
+/// reading it back ([`RawValue::to_value`], [`Materializer::value`])
+/// cannot fail.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RawValue<'a>(&'a [u8]);
+
+const VALIDATED: &str = "a RawValue's bytes passed the validating walk";
+
+impl<'a> RawValue<'a> {
+    /// Validates the value encoded at the start of `bytes` — the walk,
+    /// budget charges and errors of the owned decoder
+    /// ([`decode_value_bounded`]), building nothing — and returns the
+    /// bytes it occupies. For tests: the decoder is the only product
+    /// code that makes a `RawValue`.
+    #[doc(hidden)]
+    pub fn validate(bytes: &'a [u8], max_nodes: u64) -> Result<RawValue<'a>, BoundedDecodeError> {
+        let mut d = Decoder::new(bytes);
+        d.node_budget = max_nodes;
+        d.raw_value().map_err(|e| bounded(e, max_nodes))
     }
 
-    /// Borrowed mirror of [`Decoder::value_at_depth`]: identical tag
-    /// walk, length budgets, and nesting guard, but strings stay
-    /// `&[u8]`-backed and maps keep wire order instead of being
-    /// materialized into a `BTreeMap`.
-    fn value_view_at_depth(&mut self, depth: u32) -> Result<ValueView<'a>, WireError> {
-        const MAX_DEPTH: u32 = 64;
-        if depth > MAX_DEPTH {
-            return Err(self.err("value nesting too deep"));
+    /// The encoded bytes.
+    #[doc(hidden)]
+    pub fn bytes(&self) -> &'a [u8] {
+        self.0
+    }
+
+    /// Decodes into an owned [`Value`] through the owned decoder's
+    /// value path.
+    pub fn to_value(&self) -> Value {
+        Decoder::new(self.0).value().expect(VALIDATED)
+    }
+}
+
+/// Decodes the value encoded at the start of `bytes` with the owned
+/// decoder's value path under a node budget, returning it and the
+/// number of bytes it occupied. The oracle [`RawValue::validate`] and
+/// [`Materializer::value`] are tested against.
+#[doc(hidden)]
+pub fn decode_value_bounded(
+    bytes: &[u8],
+    max_nodes: u64,
+) -> Result<(Value, usize), BoundedDecodeError> {
+    let mut d = Decoder::new(bytes);
+    d.node_budget = max_nodes;
+    match d.value() {
+        Ok(v) => Ok((v, d.pos)),
+        Err(e) => Err(bounded(e, max_nodes)),
+    }
+}
+
+/// Builds [`Value`]s from [`RawValue`]s, each distinct encoded
+/// sub-value once: strings and map keys go through `interner`'s
+/// vocabulary, and every list or map *nested* in a value is first
+/// looked up by its exact bytes in `interner`'s memo — a repeat is a
+/// clone of the container built the first time (one `Arc` bump), and
+/// its bytes are not decoded again.
+///
+/// To look a container up its end must be known before it is read, so
+/// the first container met in unexplored bytes is skipped once by
+/// [`RecordEnds`], which leaves the ends of it and of everything inside
+/// it in `ends`; the walk then takes them from there in the same
+/// order. Every byte is skipped at most once however deep it nests.
+pub struct Materializer<'i, 'a> {
+    interner: &'i mut ValueInterner<'a>,
+    /// Ends of the containers of the subtree being walked, in the
+    /// order they open; `ends[next..]` are the ones not yet reached.
+    ends: Vec<usize>,
+    next: usize,
+}
+
+impl<'i, 'a> Materializer<'i, 'a> {
+    /// A materializer sharing through `interner`.
+    pub fn new(interner: &'i mut ValueInterner<'a>) -> Self {
+        Materializer {
+            interner,
+            ends: Vec::new(),
+            next: 0,
         }
-        match self.u8("value tag")? {
-            0 => Ok(ValueView::Null),
-            1 => Ok(ValueView::Bool(self.u8("bool")? != 0)),
-            2 => Ok(ValueView::Int(self.i64("int")?)),
-            3 => Ok(ValueView::Str(self.str_ref("str")?)),
-            4 => {
-                // Every element is at least one tag byte.
-                let n = self.len("list len", 1)?;
-                let mut l = Vec::with_capacity(n);
-                for _ in 0..n {
-                    l.push(self.value_view_at_depth(depth + 1)?);
-                }
-                Ok(ValueView::List(l))
-            }
-            5 => {
-                // Every entry is at least a key-length byte + value tag.
-                let n = self.len("map len", 2)?;
-                let mut m = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = self.str_ref("map key")?;
-                    m.push((k, self.value_view_at_depth(depth + 1)?));
-                }
-                Ok(ValueView::Map(m))
-            }
-            _ => Err(self.err("value tag")),
+    }
+
+    /// The value `raw` encodes: equal to [`RawValue::to_value`], with
+    /// repeated content shared.
+    pub fn value(&mut self, raw: RawValue<'a>) -> Value {
+        Decoder::new(raw.0).walk_value(self, 0).expect(VALIDATED)
+    }
+}
+
+impl<'a> ValueSink<'a> for Materializer<'_, 'a> {
+    type Out = Value;
+    type Key = Arc<str>;
+    /// The container's memo key, kept for [`ValueInterner::remember`].
+    type Mark = kem::SpanKey<'a>;
+    fn leaf(&mut self, v: Value) -> Value {
+        v
+    }
+    fn str(&mut self, s: &'a str) -> Value {
+        self.interner.intern_value(s)
+    }
+    fn key(&mut self, k: &'a str) -> Arc<str> {
+        self.interner.intern(k)
+    }
+    fn list(&mut self, items: Vec<Value>) -> Value {
+        Value::from_vec(items)
+    }
+    fn map(&mut self, entries: Vec<(Arc<str>, Value)>) -> Value {
+        Value::from_pairs(entries)
+    }
+    fn enter(&mut self, buf: &'a [u8], start: usize) -> Enter<Value, kem::SpanKey<'a>> {
+        if self.next == self.ends.len() {
+            self.ends.clear();
+            self.next = 0;
+            let mut skip = Decoder::new(buf);
+            skip.pos = start;
+            skip.walk_value(&mut RecordEnds(&mut self.ends), 1)
+                .expect(VALIDATED);
         }
+        let end = self.ends[self.next];
+        self.next += 1;
+        let key = self.interner.span_key(&buf[start..end]);
+        match self.interner.shared(&key) {
+            Some(v) => {
+                // Its inner containers all end by `end`; the next one
+                // outside it ends later.
+                while self.ends.get(self.next).is_some_and(|e| *e <= end) {
+                    self.next += 1;
+                }
+                Enter::Taken(v, end)
+            }
+            None => Enter::Walk(key),
+        }
+    }
+    fn leave(&mut self, key: kem::SpanKey<'a>, _: usize, out: &Value) {
+        self.interner.remember(key, out);
     }
 }
 
@@ -840,25 +1105,6 @@ pub fn decode_advice(bytes: &[u8]) -> Result<Advice, WireError> {
     Ok(a)
 }
 
-/// A borrowed advice value: strings are `&[u8]`-backed slices of the
-/// wire buffer and maps keep wire order (canonical encodings are
-/// sorted, so re-encoding a decoded view is byte-identical).
-#[derive(Debug, Clone, PartialEq)]
-pub enum ValueView<'a> {
-    /// Absent value.
-    Null,
-    /// Boolean.
-    Bool(bool),
-    /// Signed integer.
-    Int(i64),
-    /// Borrowed string.
-    Str(&'a str),
-    /// List of values.
-    List(Vec<ValueView<'a>>),
-    /// Key-value map in wire order.
-    Map(Vec<(&'a str, ValueView<'a>)>),
-}
-
 /// Borrowed mirror of [`crate::advice::HandlerOp`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum HandlerOpView<'a> {
@@ -905,7 +1151,7 @@ pub struct VarLogEntryView<'a> {
     /// Read or write.
     pub access: AccessType,
     /// The logged value, if any.
-    pub value: Option<ValueView<'a>>,
+    pub value: Option<RawValue<'a>>,
     /// The alleged preceding write, if any.
     pub prec: Option<OpRef>,
 }
@@ -918,7 +1164,7 @@ pub enum TxOpContentsView<'a> {
     /// A `PUT`'s written value.
     Put {
         /// The value.
-        value: ValueView<'a>,
+        value: RawValue<'a>,
     },
     /// A `GET`'s dictating write.
     Get {
@@ -943,10 +1189,11 @@ pub struct TxLogEntryView<'a> {
 }
 
 /// A zero-copy view of decoded advice: every section is a `Vec` in wire
-/// order, strings and blobs borrow the input buffer, and handler ids
-/// are shared through a span-keyed memo. Produced by
-/// [`decode_advice_view`]; convert with [`AdviceView::to_advice`] or
-/// re-serialize with [`AdviceView::encode`].
+/// order, strings borrow the input buffer, values are the validated
+/// spans they occupy ([`RawValue`]), and handler ids are shared through
+/// a span-keyed memo. Produced by [`decode_advice_view`]; convert with
+/// [`AdviceView::to_advice`] or re-serialize with
+/// [`AdviceView::encode`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdviceView<'a> {
     /// Control-flow tags.
@@ -964,19 +1211,19 @@ pub struct AdviceView<'a> {
     /// Per-(request, handler) operation counts.
     pub opcounts: Vec<((RequestId, HandlerId), u32)>,
     /// Nondeterminism log.
-    pub nondet: Vec<(OpRef, ValueView<'a>)>,
+    pub nondet: Vec<(OpRef, RawValue<'a>)>,
 }
 
-/// What the borrowed decode + conversion actually materialized — the
-/// observable half of the zero-copy claim (the `decode_bytes_copied`
-/// metric and the bench harness's before/after comparison read these).
+/// What a borrowed decode materialized — the observable half of the
+/// zero-copy claim (the `decode_bytes_copied` metric reads these).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeStats {
-    /// String bytes copied out of the wire buffer into owned storage.
+    /// String bytes the view decode copied out of the wire buffer:
+    /// always 0 — what gets copied is counted where it happens, by the
+    /// interner [`crate::AdviceRef::from_view`] builds values through.
+    /// Kept only because `benchmark/src/adapter.rs` reads it and this
+    /// PR may not change that file; drop both together.
     pub bytes_copied: u64,
-    /// Value-string materializations avoided by interning (each one is
-    /// an allocation the owned decoder performs twice).
-    pub strings_interned: u64,
     /// Handler-id decodes served from the span memo (no allocation).
     pub hid_cache_hits: u64,
     /// Handler-id node chains actually built.
@@ -1059,7 +1306,7 @@ fn decode_advice_view_inner<'a>(
                 _ => return Err(d.err("access tag")),
             };
             let value = match d.u8("value opt")? {
-                1 => Some(d.value_view()?),
+                1 => Some(d.raw_value()?),
                 _ => None,
             };
             let prec = match d.u8("prec opt")? {
@@ -1103,7 +1350,7 @@ fn decode_advice_view_inner<'a>(
             let contents = match d.u8("contents tag")? {
                 0 => TxOpContentsView::None,
                 1 => TxOpContentsView::Put {
-                    value: d.value_view()?,
+                    value: d.raw_value()?,
                 },
                 2 => TxOpContentsView::Get {
                     from: match d.u8("from opt")? {
@@ -1153,7 +1400,7 @@ fn decode_advice_view_inner<'a>(
     a.nondet.reserve(n);
     for _ in 0..n {
         let op = d.opref_cached(cache)?;
-        let v = d.value_view()?;
+        let v = d.raw_value()?;
         a.nondet.push((op, v));
     }
 
@@ -1167,11 +1414,10 @@ fn decode_advice_view_inner<'a>(
 }
 
 /// Decodes through the borrowed path and converts to an owned
-/// [`Advice`], returning what the conversion materialized. This is the
-/// verifier's decode entry point: equal in outcome (value *and* error)
-/// to [`decode_advice`], but with handler ids shared through the span
-/// memo and value strings interned, so repeated advice content costs an
-/// `Arc` bump instead of a fresh copy.
+/// [`Advice`]: equal in outcome (value *and* error) to
+/// [`decode_advice`], with handler ids shared through the span memo.
+/// Audits do not use it (they never build an owned `Advice`); tests do,
+/// as the oracle for the borrowed path.
 pub fn decode_advice_fast(bytes: &[u8]) -> Result<(Advice, DecodeStats), WireError> {
     decode_advice_fast_bounded(bytes, u64::MAX).map_err(|e| match e {
         BoundedDecodeError::Malformed(e) => e,
@@ -1216,18 +1462,26 @@ impl std::fmt::Display for BoundedDecodeError {
 
 impl std::error::Error for BoundedDecodeError {}
 
+/// Sorts a metered decoder's error into the two bounded-decode verdicts.
+fn bounded(e: WireError, max_nodes: u64) -> BoundedDecodeError {
+    if e.what == NODE_BUDGET_LABEL {
+        BoundedDecodeError::NodesExhausted {
+            offset: e.offset,
+            limit: max_nodes,
+        }
+    } else {
+        BoundedDecodeError::Malformed(e)
+    }
+}
+
 /// [`decode_advice_fast`] with a cap on the total number of declared
-/// collection elements. Every decode in the audit path goes through
-/// this: the per-collection byte budget in [`Decoder::len`] stops a
-/// single huge length claim, and `max_nodes` stops death-by-a-thousand
-/// small collections across nesting levels.
+/// collection elements ([`decode_advice_view_bounded`]'s).
 pub fn decode_advice_fast_bounded(
     bytes: &[u8],
     max_nodes: u64,
 ) -> Result<(Advice, DecodeStats), BoundedDecodeError> {
-    let (view, mut stats) = decode_advice_view_bounded(bytes, max_nodes)?;
-    let advice = view.to_advice_with(&mut stats);
-    Ok((advice, stats))
+    let (view, stats) = decode_advice_view_bounded(bytes, max_nodes)?;
+    Ok((view.to_advice(), stats))
 }
 
 /// The budgeted decoder entry point every audit decode goes through:
@@ -1241,16 +1495,8 @@ pub fn decode_advice_view_bounded(
     max_nodes: u64,
 ) -> Result<(AdviceView<'_>, DecodeStats), BoundedDecodeError> {
     let mut cache = HidCache::default();
-    let view = match decode_advice_view_inner(bytes, &mut cache, max_nodes) {
-        Ok(v) => v,
-        Err(e) if e.what == NODE_BUDGET_LABEL => {
-            return Err(BoundedDecodeError::NodesExhausted {
-                offset: e.offset,
-                limit: max_nodes,
-            })
-        }
-        Err(e) => return Err(BoundedDecodeError::Malformed(e)),
-    };
+    let view = decode_advice_view_inner(bytes, &mut cache, max_nodes)
+        .map_err(|e| bounded(e, max_nodes))?;
     let stats = DecodeStats {
         hid_cache_hits: cache.hits,
         hid_cache_misses: cache.misses,
@@ -1259,40 +1505,14 @@ pub fn decode_advice_view_bounded(
     Ok((view, stats))
 }
 
-/// Materializes a borrowed value as an owned [`Value`], interning
-/// string content (values *and* map keys share one vocabulary) so
-/// repeated advice content costs an `Arc` bump instead of a fresh copy.
-pub(crate) fn view_to_value<'a>(v: &ValueView<'a>, interner: &mut ValueInterner<'a>) -> Value {
-    match v {
-        ValueView::Null => Value::Null,
-        ValueView::Bool(b) => Value::Bool(*b),
-        ValueView::Int(i) => Value::Int(*i),
-        ValueView::Str(s) => interner.intern_value(s),
-        ValueView::List(items) => {
-            Value::from_vec(items.iter().map(|i| view_to_value(i, interner)).collect())
-        }
-        ValueView::Map(entries) => Value::from_pairs(
-            entries
-                .iter()
-                .map(|(k, val)| (interner.intern(k), view_to_value(val, interner))),
-        ),
-    }
-}
-
 impl<'a> AdviceView<'a> {
     /// Converts to an owned [`Advice`]. Sections are inserted in wire
     /// order, so duplicate keys resolve exactly as [`decode_advice`]'s
-    /// map inserts do (later entry wins).
+    /// map inserts do (later entry wins), and every value span goes
+    /// through the owned decoder's value path ([`RawValue::to_value`]):
+    /// nothing here shares code with [`Materializer`], which is what
+    /// makes the result an oracle for it.
     pub fn to_advice(&self) -> Advice {
-        self.to_advice_with(&mut DecodeStats::default())
-    }
-
-    fn to_advice_with(&self, stats: &mut DecodeStats) -> Advice {
-        let mut interner = ValueInterner::new();
-        let copied_str = |s: &str, stats: &mut DecodeStats| -> String {
-            stats.bytes_copied += s.len() as u64;
-            s.to_string()
-        };
         let mut a = Advice::default();
         for (rid, tag) in &self.tags {
             a.tags.insert(*rid, *tag);
@@ -1305,18 +1525,18 @@ impl<'a> AdviceView<'a> {
                     opnum: e.opnum,
                     op: match e.op {
                         HandlerOpView::Register { event, function } => HandlerOp::Register {
-                            event: copied_str(event, stats),
+                            event: event.to_string(),
                             function,
                         },
                         HandlerOpView::Unregister { event, function } => HandlerOp::Unregister {
-                            event: copied_str(event, stats),
+                            event: event.to_string(),
                             function,
                         },
                         HandlerOpView::Emit { event } => HandlerOp::Emit {
-                            event: copied_str(event, stats),
+                            event: event.to_string(),
                         },
                         HandlerOpView::Check { event } => HandlerOp::Check {
-                            event: copied_str(event, stats),
+                            event: event.to_string(),
                         },
                     },
                 })
@@ -1330,7 +1550,7 @@ impl<'a> AdviceView<'a> {
                     op.clone(),
                     VarLogEntry {
                         access: e.access,
-                        value: e.value.as_ref().map(|v| view_to_value(v, &mut interner)),
+                        value: e.value.map(|v| v.to_value()),
                         prec: e.prec.clone(),
                     },
                 );
@@ -1344,11 +1564,11 @@ impl<'a> AdviceView<'a> {
                     hid: e.hid.clone(),
                     opnum: e.opnum,
                     optype: e.optype,
-                    key: e.key.map(|k| copied_str(k, stats)),
+                    key: e.key.map(str::to_string),
                     contents: match &e.contents {
                         TxOpContentsView::None => TxOpContents::None,
                         TxOpContentsView::Put { value } => TxOpContents::Put {
-                            value: view_to_value(value, &mut interner),
+                            value: value.to_value(),
                         },
                         TxOpContentsView::Get { from } => TxOpContents::Get { from: from.clone() },
                     },
@@ -1364,10 +1584,8 @@ impl<'a> AdviceView<'a> {
             a.opcounts.insert((*rid, hid.clone()), *count);
         }
         for (op, v) in &self.nondet {
-            a.nondet.insert(op.clone(), view_to_value(v, &mut interner));
+            a.nondet.insert(op.clone(), v.to_value());
         }
-        stats.bytes_copied += interner.bytes_copied;
-        stats.strings_interned += interner.hits;
         a
     }
 
@@ -1423,7 +1641,7 @@ impl<'a> AdviceView<'a> {
                 match &entry.value {
                     Some(v) => {
                         e.u8(1);
-                        encode_value_view(&mut e, v);
+                        e.raw(*v);
                     }
                     None => e.u8(0),
                 }
@@ -1461,7 +1679,7 @@ impl<'a> AdviceView<'a> {
                     TxOpContentsView::None => e.u8(0),
                     TxOpContentsView::Put { value } => {
                         e.u8(1);
-                        encode_value_view(&mut e, value);
+                        e.raw(*value);
                     }
                     TxOpContentsView::Get { from } => {
                         e.u8(2);
@@ -1495,51 +1713,17 @@ impl<'a> AdviceView<'a> {
         e.uvar(self.nondet.len() as u64);
         for (op, v) in &self.nondet {
             e.opref(op);
-            encode_value_view(&mut e, v);
+            e.raw(*v);
         }
         e.finish()
-    }
-}
-
-fn encode_value_view(e: &mut Encoder, v: &ValueView<'_>) {
-    match v {
-        ValueView::Null => e.u8(0),
-        ValueView::Bool(b) => {
-            e.u8(1);
-            e.u8(*b as u8);
-        }
-        ValueView::Int(i) => {
-            e.u8(2);
-            e.i64(*i);
-        }
-        ValueView::Str(s) => {
-            e.u8(3);
-            e.str(s);
-        }
-        ValueView::List(l) => {
-            e.u8(4);
-            e.uvar(l.len() as u64);
-            for item in l {
-                encode_value_view(e, item);
-            }
-        }
-        ValueView::Map(m) => {
-            e.u8(5);
-            e.uvar(m.len() as u64);
-            for (k, val) in m {
-                e.str(k);
-                encode_value_view(e, val);
-            }
-        }
     }
 }
 
 /// String bytes the *owned* decoder copies out of the wire buffer for
 /// `a`: event names and tx keys once (into their `String` fields),
 /// value strings once (straight into the `Arc<str>`), map keys once
-/// (into the persistent map's `Arc<str>` keys). The bench harness
-/// reports this against [`DecodeStats::bytes_copied`] as the
-/// before/after of the zero-copy decode.
+/// (into the persistent map's `Arc<str>` keys): what the borrowed
+/// path's interner count is compared against.
 pub fn owned_decode_copy_bytes(a: &Advice) -> u64 {
     fn value_bytes(v: &Value) -> u64 {
         match v {
@@ -1878,11 +2062,6 @@ mod tests {
             stats.hid_cache_hits > 0,
             "repeated handler ids must hit the span memo"
         );
-        assert!(
-            stats.strings_interned >= 3,
-            "the repeated value string must be interned, got {stats:?}"
-        );
-        assert!(stats.bytes_copied < owned_decode_copy_bytes(&a));
     }
 
     #[test]
@@ -1899,6 +2078,113 @@ mod tests {
             let view = decode_advice_view(&bytes[..cut]).unwrap_err();
             assert_eq!(owned, view, "cut at {cut}");
         }
+    }
+
+    fn encoded(v: &Value) -> Vec<u8> {
+        let mut e = Encoder::new();
+        e.value(v);
+        e.finish()
+    }
+
+    fn raw(bytes: &[u8]) -> RawValue<'_> {
+        RawValue::validate(bytes, u64::MAX).expect("test bytes are a valid value")
+    }
+
+    /// A map logged three times over, each copy sharing all but one of
+    /// its nested entries with the last — MOTD's shape.
+    fn overlapping_maps() -> Vec<Value> {
+        let entry = |i: i64| {
+            Value::map([
+                ("msg", Value::str(format!("message {i}"))),
+                ("tags", Value::list([Value::int(i), Value::str("pinned")])),
+            ])
+        };
+        (3..6)
+            .map(|n| Value::map((0..n).map(|i| (format!("day-{i}"), entry(i)))))
+            .collect()
+    }
+
+    #[test]
+    fn materializer_builds_each_distinct_nested_value_once() {
+        let values = overlapping_maps();
+        let bytes: Vec<Vec<u8>> = values.iter().map(encoded).collect();
+        let mut interner = ValueInterner::new();
+        let mut m = Materializer::new(&mut interner);
+        let built: Vec<Value> = bytes.iter().map(|b| m.value(raw(b))).collect();
+        assert_eq!(built, values);
+        // Five distinct entries, each holding one distinct list: ten
+        // builds. The 3 + 4 + 5 = 12 entries' other seven occurrences
+        // are memo hits, taken whole (their lists are never reached).
+        assert_eq!(interner.values_built, 10);
+        assert_eq!(interner.values_shared, 7);
+        // The logged maps themselves are top-level: never memoized, so
+        // an identical repeat is rebuilt, its entries all shared.
+        let again = Materializer::new(&mut interner).value(raw(&bytes[2]));
+        assert_eq!(again, values[2]);
+        assert_eq!(interner.values_built, 10);
+        assert_eq!(interner.values_shared, 12);
+        let (Value::Map(a), Value::Map(b)) = (&again, &built[2]) else {
+            panic!("maps");
+        };
+        assert!(!a.ptr_eq(b));
+        let (Some(Value::Map(ea)), Some(Value::Map(eb))) = (a.get("day-0"), b.get("day-0")) else {
+            panic!("nested maps");
+        };
+        assert!(ea.ptr_eq(eb), "equal encoded entries are one allocation");
+    }
+
+    #[test]
+    fn memo_hits_are_byte_confirmed_under_a_degenerate_hash() {
+        // Every span in one bucket: a table that trusted the hash would
+        // hand back the first value stored for every later lookup.
+        let values = overlapping_maps();
+        let bytes: Vec<Vec<u8>> = values.iter().map(encoded).collect();
+        let mut interner = ValueInterner::with_span_hash(|_| 0);
+        let mut m = Materializer::new(&mut interner);
+        for (b, v) in bytes.iter().zip(&values) {
+            assert_eq!(&m.value(raw(b)), v);
+        }
+        assert_eq!(interner.values_built, 10);
+        assert_eq!(interner.values_shared, 7);
+    }
+
+    #[test]
+    fn different_encodings_of_equal_values_are_separate_memo_entries() {
+        // [ {a: 1, b: 2}, {b: 2, a: 1}, {a: 1, b: 2} with a two-byte
+        // length ]: equal values, three byte strings. The memo is keyed
+        // by bytes, so none is a hit for another.
+        let canonical = [5, 2, 1, b'a', 2, 2, 1, b'b', 2, 4];
+        let unsorted = [5, 2, 1, b'b', 2, 4, 1, b'a', 2, 2];
+        let long_len = [5, 0x82, 0, 1, b'a', 2, 2, 1, b'b', 2, 4];
+        let mut bytes = vec![4, 4];
+        for span in [&canonical[..], &unsorted, &long_len, &canonical] {
+            bytes.extend_from_slice(span);
+        }
+        let mut interner = ValueInterner::new();
+        let v = Materializer::new(&mut interner).value(raw(&bytes));
+        let one = Value::map([("a", Value::int(1)), ("b", Value::int(2))]);
+        assert_eq!(v, Value::list(vec![one; 4]));
+        assert_eq!(v, raw(&bytes).to_value());
+        assert_eq!(interner.values_built, 3);
+        assert_eq!(interner.values_shared, 1);
+    }
+
+    #[test]
+    fn deep_repeats_are_skipped_once_not_once_per_level() {
+        // 60 levels of [[…[x]…]] twice in a list: the second copy is a
+        // hit at its outermost level, and the first is skipped by one
+        // recording pass — `ends` holds its 60 levels, not 60 + 59 + ….
+        let mut deep = Value::str("x");
+        for _ in 0..60 {
+            deep = Value::list([deep]);
+        }
+        let bytes = encoded(&Value::list([deep.clone(), deep.clone()]));
+        let mut interner = ValueInterner::new();
+        let mut m = Materializer::new(&mut interner);
+        assert_eq!(m.value(raw(&bytes)), Value::list([deep.clone(), deep]));
+        assert_eq!(m.ends.len(), 60);
+        assert_eq!(interner.values_built, 60);
+        assert_eq!(interner.values_shared, 1);
     }
 
     #[test]

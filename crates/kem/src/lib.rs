@@ -56,4 +56,4 @@ pub use runtime::{
     init_handler_id, run_server, RunOutput, Runtime, SchedPolicy, ServerConfig, INIT_FUNCTION,
 };
 pub use trace::{Trace, TraceEvent};
-pub use value::{Fnv, Value, ValueInterner};
+pub use value::{Fnv, SpanKey, Value, ValueInterner};

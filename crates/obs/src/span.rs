@@ -9,7 +9,7 @@
 //! `chrome://tracing` or <https://ui.perfetto.dev>.
 
 /// Maximum number of `(key, value)` arguments a span carries inline.
-pub const MAX_SPAN_ARGS: usize = 3;
+pub const MAX_SPAN_ARGS: usize = 4;
 
 /// One completed span. `Copy` and heap-free: names and argument keys
 /// are `'static`, values are integers.
@@ -186,7 +186,15 @@ mod tests {
 
     #[test]
     fn pack_args_drops_extras() {
-        let packed = Span::pack_args(&[("a", 1), ("b", 2), ("c", 3), ("d", 4)]);
-        assert_eq!(packed, [Some(("a", 1)), Some(("b", 2)), Some(("c", 3))]);
+        let packed = Span::pack_args(&[("a", 1), ("b", 2), ("c", 3), ("d", 4), ("e", 5)]);
+        assert_eq!(
+            packed,
+            [
+                Some(("a", 1)),
+                Some(("b", 2)),
+                Some(("c", 3)),
+                Some(("d", 4))
+            ]
+        );
     }
 }
