@@ -1,0 +1,151 @@
+//! Verdict pins across commits.
+//!
+//! The equivalence suites (`parallel_equivalence`, `bytecode_equivalence`,
+//! `borrowed_audit`, …) compare configurations of *one* commit with each
+//! other, so a refactor that changed a reject class everywhere at once
+//! would pass them all. This suite compares against a committed table
+//! (`tests/verdict_pins.tsv`): for every paper app × workload seed it
+//! pins the honest run's ACCEPT fingerprint (`groups/fuel/nodes/edges`)
+//! and, for every `Mutator` / `WireMutator` / `ExhaustMutator` × a few
+//! seeds, the verdict's [`RejectReason::kind`] and full message — the
+//! message names the coordinate a rejection reports, so "same class,
+//! different operation" is caught too.
+//!
+//! The table is data, not expectation: when a change is *meant* to move
+//! a verdict, run the suite, read the diff it prints, and replace the
+//! table with the `verdict_pins.actual.tsv` it writes to
+//! `CARGO_TARGET_TMPDIR`.
+
+use apps::App;
+use karousos::{
+    audit_encoded_with_options, encode_advice, run_instrumented_server, AuditOptions,
+    CollectorMode, ExhaustMutator, Limits, Mutation, Mutator, WireMutator,
+};
+use workload::{Experiment, Mix};
+
+const WORKLOAD_SEEDS: [u64; 2] = [5, 23];
+const STRUCTURED_SEEDS: u64 = 4;
+const WIRE_SEEDS: u64 = 6;
+const EXHAUST_SEEDS: u64 = 2;
+
+/// Budgets tight enough that the exhaustion vectors trip them on a
+/// 12-request fixture (the defaults would let `edge-explosion` through
+/// the volume gate and into gigabytes of graph).
+fn tight_limits() -> Limits {
+    Limits {
+        decode_max_nodes: 1 << 15,
+        dict_max_entries: 1 << 12,
+        graph_max_nodes: 1 << 14,
+        max_group_width: 11,
+        ..Limits::default()
+    }
+}
+
+fn verdict_columns(
+    program: &kem::Program,
+    trace: &kem::Trace,
+    bytes: &[u8],
+    isolation: kvstore::IsolationLevel,
+    limits: Limits,
+) -> String {
+    let opts = AuditOptions {
+        limits,
+        ..AuditOptions::default()
+    };
+    match audit_encoded_with_options(program, trace, bytes, isolation, opts) {
+        Ok(report) => format!(
+            "ACCEPT\tgroups={} fuel={} nodes={} edges={}",
+            report.reexec.groups, report.reexec.fuel_spent, report.graph_nodes, report.graph_edges
+        ),
+        Err(reason) => format!(
+            "{}\t{}",
+            reason.kind(),
+            reason.to_string().replace(['\n', '\t'], " ")
+        ),
+    }
+}
+
+fn actual_table() -> String {
+    let mut out = String::new();
+    for app in App::ALL {
+        for wseed in WORKLOAD_SEEDS {
+            let mix = if app == App::Wiki {
+                Mix::Wiki
+            } else {
+                Mix::RW_MIXES[1]
+            };
+            let mut exp = Experiment::paper_default(app, mix, 4, wseed);
+            exp.requests = 12;
+            let program = app.program();
+            let (run, advice) = run_instrumented_server(
+                &program,
+                &exp.inputs(),
+                &exp.server_config(),
+                CollectorMode::Karousos,
+            )
+            .expect("apps run cleanly");
+            let honest = encode_advice(&advice);
+            let mut row = |mutator: &str, mseed: u64, bytes: &[u8], limits: Limits| {
+                out.push_str(&format!(
+                    "{}\t{wseed}\t{mutator}\t{mseed}\t{}\n",
+                    app.name(),
+                    verdict_columns(&program, &run.trace, bytes, exp.isolation, limits)
+                ));
+            };
+            row("honest", 0, &honest, Limits::default());
+            let mut mutated = |m: Option<Mutation>, mseed: u64, limits: Limits| {
+                if let Some(m) = m {
+                    row(m.mutator, mseed, &m.bytes, limits);
+                }
+            };
+            for m in Mutator::ALL {
+                for mseed in 0..STRUCTURED_SEEDS {
+                    mutated(m.apply(&advice, mseed), mseed, Limits::default());
+                }
+            }
+            for m in WireMutator::ALL {
+                for mseed in 0..WIRE_SEEDS {
+                    mutated(m.apply(&honest, mseed), mseed, Limits::default());
+                }
+            }
+            for m in ExhaustMutator::ALL {
+                for mseed in 0..EXHAUST_SEEDS {
+                    mutated(m.apply(&advice, mseed), mseed, tight_limits());
+                }
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn verdicts_match_the_committed_table() {
+    let expected = include_str!("verdict_pins.tsv");
+    let actual = actual_table();
+    if actual == expected {
+        return;
+    }
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("verdict_pins.actual.tsv");
+    std::fs::write(&path, &actual).expect("the actual table is writable");
+    let (exp_lines, act_lines): (Vec<&str>, Vec<&str>) =
+        (expected.lines().collect(), actual.lines().collect());
+    let mut diff = String::new();
+    for i in 0..exp_lines.len().max(act_lines.len()) {
+        let (e, a) = (exp_lines.get(i), act_lines.get(i));
+        if e != a {
+            diff.push_str(&format!(
+                "line {}:\n  pinned: {}\n  actual: {}\n",
+                i + 1,
+                e.unwrap_or(&"<missing>"),
+                a.unwrap_or(&"<missing>")
+            ));
+        }
+    }
+    panic!(
+        "verdicts moved against tests/verdict_pins.tsv ({} rows pinned, {} produced; \
+         actual table written to {}):\n{diff}",
+        exp_lines.len(),
+        act_lines.len(),
+        path.display()
+    );
+}
