@@ -101,6 +101,10 @@ fn check_version_order(history: &History) -> Result<(), Violation> {
 
 /// Detects G1a and G1b aberrant reads by committed transactions.
 fn check_aberrant_reads(history: &History) -> Result<(), Violation> {
+    // Installed writes are exactly the version order entries; sorted
+    // once so each read's lookup is a search, not a scan of the order.
+    let mut installed = history.version_order.clone();
+    installed.sort_unstable();
     for (txn, rec) in &history.txns {
         if !rec.committed {
             continue;
@@ -123,9 +127,8 @@ fn check_aberrant_reads(history: &History) -> Result<(), Violation> {
                 return Err(Violation::G1a { reader });
             }
             // Reading a committed transaction's non-installed write is an
-            // intermediate read (G1b): installed writes are exactly the
-            // version order entries.
-            if !history.version_order.contains(w) {
+            // intermediate read (G1b).
+            if installed.binary_search(w).is_err() {
                 return Err(Violation::G1b { reader });
             }
         }

@@ -11,7 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use crate::history::{History, Op, TxnId};
+use crate::history::{History, Op, OpRef, TxnId};
 
 /// The kind of a DSG edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -81,12 +81,20 @@ impl Dsg {
                 }
             }
         }
-        for key in history.keys() {
-            let order = history.version_order_of(&key);
+        // The version order bucketed by key in one pass; entries that
+        // reference no operation belong to no key. (Filtering the whole
+        // order once per key is keys × writes, both advice-sized.)
+        let mut by_key: BTreeMap<&str, Vec<OpRef>> = BTreeMap::new();
+        for entry in &history.version_order {
+            if let Some(op) = history.op(*entry) {
+                by_key.entry(op.key()).or_default().push(*entry);
+            }
+        }
+        for (key, order) in &by_key {
             // A read of the initial (never-written) state anti-depends
             // on the installer of the key's first version.
             if let Some(first) = order.first() {
-                if let Some(rs) = init_readers.get(key.as_str()) {
+                if let Some(rs) = init_readers.get(key) {
                     for r in rs {
                         if *r != first.txn {
                             g.edges.insert((*r, first.txn, EdgeKind::AntiDepend));

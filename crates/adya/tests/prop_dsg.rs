@@ -1,6 +1,11 @@
 //! Property tests for the direct serialization graph.
 
-use adya::{check_isolation, Dsg, EdgeKind, HistoryBuilder, IsolationLevel, TxnId};
+use std::collections::{BTreeMap, BTreeSet};
+
+use adya::{
+    check_isolation, Dsg, EdgeKind, History, HistoryBuilder, IsolationLevel, Op, OpRef, TxnId,
+    Violation,
+};
 use proptest::prelude::*;
 
 /// A random sequential history: transactions run one at a time, each
@@ -41,8 +46,199 @@ fn serial_history(ops: Vec<(u8, bool, u8)>) -> adya::History {
     b.finish()
 }
 
+/// One generated operation: `(key, is_put, dictating write)`; the
+/// dictating write is `(txn, index)` drawn blind, so it may dangle,
+/// name a `GET`, or name an aborted or intermediate write.
+type GenOp = (u8, bool, Option<(u8, u8)>);
+
+/// An arbitrary — mostly *not* serial — history: transactions with
+/// blind reads, some committed, and a version order that starts from
+/// the store-shaped default and is then perturbed with dangling
+/// entries, `GET` entries, duplicates, swaps and removals.
+fn arbitrary_history(txns: Vec<(Vec<GenOp>, bool)>, edits: Vec<(u8, u8, u8, u8)>) -> History {
+    let mut b = HistoryBuilder::new();
+    for (t, (ops, committed)) in txns.iter().enumerate() {
+        let id = TxnId(t as u64);
+        b.touch(id);
+        for (key, is_put, from) in ops {
+            let key = format!("k{key}");
+            if *is_put {
+                b.put(id, &key);
+            } else {
+                b.get(id, &key, from.map(|(t, i)| (TxnId(t as u64), i as u32)));
+            }
+        }
+        if *committed {
+            b.commit(id);
+        }
+    }
+    let mut order = b.clone().finish().version_order;
+    for (action, pos, txn, index) in edits {
+        let entry = OpRef {
+            txn: TxnId(txn as u64),
+            index: index as u32,
+        };
+        let len = order.len();
+        let at = if len == 0 { 0 } else { pos as usize % len };
+        match action % 4 {
+            0 => order.insert(at, entry),
+            1 if len > 0 => order.insert(at, order[at]),
+            2 if len > 1 => order.swap(at, (at + 1) % len),
+            3 if len > 0 => {
+                order.remove(at);
+            }
+            _ => {}
+        }
+    }
+    b.set_version_order(order);
+    b.finish()
+}
+
+/// The DSG edge set as `Dsg::build` computed it before the version
+/// order was bucketed by key: for every key of the history, filter the
+/// whole version order down to that key's entries, then walk them.
+fn reference_edges(h: &History) -> BTreeSet<(TxnId, TxnId, EdgeKind)> {
+    let mut edges = BTreeSet::new();
+    let mut readers: BTreeMap<(TxnId, u32), Vec<TxnId>> = BTreeMap::new();
+    let mut init_readers: BTreeMap<&str, Vec<TxnId>> = BTreeMap::new();
+    for (txn, rec) in h.txns.iter().filter(|(_, rec)| rec.committed) {
+        for op in &rec.ops {
+            match op {
+                Op::Get { from: Some(w), .. } => {
+                    if w.txn != *txn && h.is_committed(w.txn) {
+                        edges.insert((w.txn, *txn, EdgeKind::ReadDepend));
+                    }
+                    readers.entry((w.txn, w.index)).or_default().push(*txn);
+                }
+                Op::Get { key, from: None } => {
+                    init_readers.entry(key.as_str()).or_default().push(*txn);
+                }
+                Op::Put { .. } => {}
+            }
+        }
+    }
+    for key in h.keys() {
+        let order = h.version_order_of(&key);
+        if let (Some(first), Some(rs)) = (order.first(), init_readers.get(key.as_str())) {
+            for r in rs.iter().filter(|r| **r != first.txn) {
+                edges.insert((*r, first.txn, EdgeKind::AntiDepend));
+            }
+        }
+        for pair in order.windows(2) {
+            let (w1, w2) = (pair[0], pair[1]);
+            if w1.txn != w2.txn {
+                edges.insert((w1.txn, w2.txn, EdgeKind::WriteDepend));
+            }
+            for r in readers.get(&(w1.txn, w1.index)).into_iter().flatten() {
+                if *r != w2.txn {
+                    edges.insert((*r, w2.txn, EdgeKind::AntiDepend));
+                }
+            }
+        }
+    }
+    edges
+}
+
+/// `check_isolation` with the aberrant-read test as it was before the
+/// installed writes were collected once: a scan of the version order
+/// per committed cross-transaction `GET`. The cycle tests run on the
+/// real `Dsg`, whose edge set the caller has already compared with
+/// [`reference_edges`].
+fn reference_check(h: &History, level: IsolationLevel) -> Result<(), Violation> {
+    for entry in &h.version_order {
+        let malformed = Violation::MalformedVersionOrder { entry: *entry };
+        let Some(Op::Put { key }) = h.op(*entry) else {
+            return Err(malformed);
+        };
+        if !h.is_committed(entry.txn) {
+            return Err(malformed);
+        }
+        if h.txns[&entry.txn].last_put_to(key) != Some(entry.index) {
+            return Err(Violation::NotFinalWrite { entry: *entry });
+        }
+    }
+    let dsg = Dsg::build(h);
+    let cycle = |kinds: &[EdgeKind]| dsg.find_cycle(kinds);
+    if level == IsolationLevel::ReadUncommitted {
+        return match cycle(&[EdgeKind::WriteDepend]) {
+            Some(witness) => Err(Violation::G0 { witness }),
+            None => Ok(()),
+        };
+    }
+    for (txn, rec) in h.txns.iter().filter(|(_, rec)| rec.committed) {
+        for (i, op) in rec.ops.iter().enumerate() {
+            let Op::Get { from: Some(w), .. } = op else {
+                continue;
+            };
+            let reader = OpRef {
+                txn: *txn,
+                index: i as u32,
+            };
+            if w.txn == *txn {
+                continue;
+            }
+            let Some(Op::Put { .. }) = h.op(*w) else {
+                return Err(Violation::G1b { reader });
+            };
+            if !h.is_committed(w.txn) {
+                return Err(Violation::G1a { reader });
+            }
+            if !h.version_order.contains(w) {
+                return Err(Violation::G1b { reader });
+            }
+        }
+    }
+    if let Some(witness) = cycle(&[EdgeKind::WriteDepend, EdgeKind::ReadDepend]) {
+        return Err(Violation::G1c { witness });
+    }
+    if level == IsolationLevel::Serializable {
+        if let Some(witness) = cycle(&[
+            EdgeKind::WriteDepend,
+            EdgeKind::ReadDepend,
+            EdgeKind::AntiDepend,
+        ]) {
+            return Err(Violation::G2 { witness });
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The bucketed `Dsg::build` and the sorted installed-write lookup
+    /// agree with the per-key filter and the per-read scan they
+    /// replaced, on histories whose version order may dangle, repeat
+    /// itself or name `GET`s.
+    #[test]
+    fn bucketed_version_order_matches_per_key_filter(
+        txns in prop::collection::vec(
+            (
+                prop::collection::vec(
+                    (0u8..3, any::<bool>(), prop::option::of((0u8..7, 0u8..5))),
+                    0..6,
+                ),
+                any::<bool>(),
+            ),
+            1..6,
+        ),
+        edits in prop::collection::vec((0u8..8, any::<u8>(), 0u8..7, 0u8..5), 0..6),
+    ) {
+        let h = arbitrary_history(txns, edits);
+        let built: BTreeSet<_> = Dsg::build(&h).edges().collect();
+        prop_assert_eq!(built, reference_edges(&h));
+        for level in [
+            IsolationLevel::ReadUncommitted,
+            IsolationLevel::ReadCommitted,
+            IsolationLevel::Serializable,
+        ] {
+            prop_assert_eq!(
+                check_isolation(&h, level).map(|_| ()),
+                reference_check(&h, level),
+                "level {:?}", level
+            );
+        }
+    }
 
     /// Serial histories pass all three levels.
     #[test]
