@@ -57,17 +57,22 @@ fn bench_rorder(c: &mut Criterion) {
 }
 
 fn bench_graph(c: &mut Criterion) {
-    use karousos::verifier::{GNode, Graph};
+    use karousos::verifier::{Coords, Graph};
+    use std::sync::Arc;
+    // One request whose single handler has 50k + 1 operations (they
+    // are consecutive node ids): the chain is its program order.
+    let hid = HandlerId::root(FunctionId(0));
+    let trace = [RequestId(0)];
+    let opcounts = [((RequestId(0), hid.clone()), 50_001)]
+        .into_iter()
+        .collect();
+    let coords = Arc::new(Coords::build(&trace, &opcounts).unwrap());
+    let first = coords.op_node(&OpRef::new(RequestId(0), hid, 1)).unwrap();
     c.bench_function("graph/cycle-detect-50k", |b| {
         b.iter(|| {
-            let mut g = Graph::new();
-            let hid = HandlerId::root(FunctionId(0));
+            let mut g = Graph::new(coords.clone());
             for i in 0..50_000u32 {
-                g.add_edge(
-                    GNode::op(RequestId(0), hid.clone(), i),
-                    GNode::op(RequestId(0), hid.clone(), i + 1),
-                    karousos::EdgeKind::Program,
-                );
+                g.add_edge(first + i, first + i + 1, karousos::EdgeKind::Program);
             }
             assert!(!g.has_cycle());
             g

@@ -86,6 +86,19 @@ impl<K: Ord, V> VecMap<K, V> {
             .map(|i| &self.0[i].1)
     }
 
+    /// The rank of `key` among the keys, ascending from zero.
+    #[inline]
+    pub fn position(&self, key: &K) -> Option<usize> {
+        self.0.binary_search_by(|(k, _)| k.cmp(key)).ok()
+    }
+
+    /// The entries, ascending by key: the entry at index `i` is the one
+    /// whose key has [`VecMap::position`] `i`.
+    #[inline]
+    pub fn as_slice(&self) -> &[(K, V)] {
+        &self.0
+    }
+
     /// Whether the key is present.
     #[inline]
     pub fn contains_key(&self, key: &K) -> bool {

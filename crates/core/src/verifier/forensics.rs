@@ -303,19 +303,25 @@ fn var_name(var: Option<VarId>) -> String {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::verifier::graph::GNode;
-    use kem::{FunctionId, HandlerId, RequestId};
+    use crate::verifier::coords::Coords;
+    use kem::{FunctionId, HandlerId, OpRef, RequestId};
 
-    fn hid() -> HandlerId {
-        HandlerId::root(FunctionId(0))
+    /// A graph over two requests with one single-op handler each, and
+    /// the node ids of those two operations.
+    fn two_ops() -> (Graph, u32, u32) {
+        let hid = HandlerId::root(FunctionId(0));
+        let trace = [RequestId(0), RequestId(1)];
+        let opcounts = trace.iter().map(|r| ((*r, hid.clone()), 1)).collect();
+        let coords = std::sync::Arc::new(Coords::build(&trace, &opcounts).unwrap());
+        let op = |r: &RequestId| coords.op_node(&OpRef::new(*r, hid.clone(), 1)).unwrap();
+        let (a, b) = (op(&trace[0]), op(&trace[1]));
+        (Graph::new(coords), a, b)
     }
 
     #[test]
     fn cycle_report_names_kinds_and_vars() {
-        let mut g = Graph::new();
-        let a = GNode::op(RequestId(0), hid(), 1);
-        let b = GNode::op(RequestId(1), hid(), 1);
-        g.add_var_edge(a.clone(), b.clone(), EdgeKind::VarWr, VarId(3));
+        let (mut g, a, b) = two_ops();
+        g.add_var_edge(a, b, EdgeKind::VarWr, VarId(3));
         g.add_edge(b, a, EdgeKind::HandlerLog);
         let report = cycle_report(&g).unwrap();
         assert_eq!(report.edges.len(), 2);
@@ -336,12 +342,8 @@ mod tests {
 
     #[test]
     fn acyclic_graph_has_no_report() {
-        let mut g = Graph::new();
-        g.add_edge(
-            GNode::op(RequestId(0), hid(), 1),
-            GNode::op(RequestId(1), hid(), 1),
-            EdgeKind::Time,
-        );
+        let (mut g, a, b) = two_ops();
+        g.add_edge(a, b, EdgeKind::Time);
         assert!(cycle_report(&g).is_none());
     }
 

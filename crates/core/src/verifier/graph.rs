@@ -1,8 +1,10 @@
 //! The execution graph `G` (§4.3, Fig. 14).
 //!
 //! Nodes are request boundaries (`(rid, 0)`, `(rid, ∞)`), handler
-//! boundaries, and individual operations `(rid, hid, opnum)`. Edges
-//! encode the alleged ordering: time precedence from the trace, program
+//! boundaries, and individual operations `(rid, hid, opnum)`, named by
+//! the dense ids of the audit's [`Coords`] — the graph stores edges
+//! only; which nodes exist, and what each id means, is arithmetic over
+//! the coordinates. Edges encode the alleged ordering: time precedence from the trace, program
 //! order, boundary edges around the response, activation edges,
 //! handler-log precedence, external-state write-read edges, and the
 //! internal-state WR/WW/RW edges added during postprocessing. The audit
@@ -16,52 +18,11 @@
 //! [`Graph::describe_cycle`].
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
-use kem::{HandlerId, RequestId, VarId};
+use kem::VarId;
 
-/// Position within a handler: start (`0`), an operation, or end (`∞`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HPos {
-    /// Handler start node `(rid, hid, 0)`.
-    Start,
-    /// The `opnum`-th operation (1-based).
-    Op(u32),
-    /// Handler end node `(rid, hid, ∞)`.
-    End,
-}
-
-/// A node of `G`.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
-pub enum GNode {
-    /// Request arrival `(rid, 0)`.
-    ReqStart(RequestId),
-    /// Response delivery `(rid, ∞)`.
-    ReqEnd(RequestId),
-    /// A handler-scoped node.
-    Handler {
-        /// The request.
-        rid: RequestId,
-        /// The handler.
-        hid: HandlerId,
-        /// Position within the handler.
-        pos: HPos,
-    },
-}
-
-impl GNode {
-    /// Convenience: an operation node.
-    pub fn op(rid: RequestId, hid: HandlerId, opnum: u32) -> Self {
-        GNode::Handler {
-            rid,
-            hid,
-            pos: if opnum == 0 {
-                HPos::Start
-            } else {
-                HPos::Op(opnum)
-            },
-        }
-    }
-}
+use crate::verifier::coords::Coords;
 
 /// Why an edge of `G` exists — one variant per edge source in the
 /// paper's construction (§4.3).
@@ -123,12 +84,25 @@ impl EdgeKind {
 /// Sentinel for "no inducing variable" in the packed edge record.
 const NO_VAR: u32 = u32::MAX;
 
+/// One stored edge: endpoints are node ids of the graph's [`Coords`].
 #[derive(Debug, Clone, Copy)]
-struct Edge {
+pub(crate) struct Edge {
     from: u32,
     to: u32,
     kind: EdgeKind,
     var: u32,
+}
+
+impl Edge {
+    /// An edge with no inducing variable.
+    pub(crate) fn new(from: u32, to: u32, kind: EdgeKind) -> Self {
+        Edge {
+            from,
+            to,
+            kind,
+            var: NO_VAR,
+        }
+    }
 }
 
 /// Outcome of the cycle-check DFS: the first back edge found (if any)
@@ -161,78 +135,60 @@ pub struct CycleEdge {
     pub var: Option<VarId>,
 }
 
-/// An interned directed graph with cycle detection.
+/// A directed graph over the node ids of one [`Coords`], with cycle
+/// detection. Endpoints handed to [`Graph::add_edge`] and
+/// [`Graph::add_var_edge`] must be ids of those coordinates (what
+/// [`Coords::op_node`], [`Coords::request_start`] and friends return);
+/// the traversals index their per-node arrays with them.
 #[derive(Debug, Default)]
 pub struct Graph {
-    ids: HashMap<GNode, u32>,
-    /// Interned nodes by id, for label rendering. `GNode` clones are
-    /// refcount bumps (the handler id is an `Arc` path), so keeping the
-    /// reverse index costs no per-node heap traffic — labels are
-    /// rendered lazily, only when diagnostics ask for them.
-    nodes: Vec<GNode>,
+    coords: Arc<Coords>,
     edges: Vec<Edge>,
 }
 
 impl Graph {
-    /// Creates an empty graph.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Interns `node`, returning its id.
-    pub fn add_node(&mut self, node: GNode) -> u32 {
-        let next = self.ids.len() as u32;
-        match self.ids.entry(node) {
-            std::collections::hash_map::Entry::Occupied(e) => *e.get(),
-            std::collections::hash_map::Entry::Vacant(e) => {
-                self.nodes.push(e.key().clone());
-                *e.insert(next)
-            }
+    /// Creates an edgeless graph over `coords`.
+    pub fn new(coords: Arc<Coords>) -> Self {
+        Graph {
+            coords,
+            edges: Vec::new(),
         }
     }
 
-    /// Whether `node` is present.
-    pub fn contains(&self, node: &GNode) -> bool {
-        self.ids.contains_key(node)
+    /// The coordinates that give this graph's node ids their meaning.
+    pub fn coords(&self) -> &Arc<Coords> {
+        &self.coords
     }
 
-    /// Adds a directed edge of the given kind, interning endpoints as
-    /// needed.
-    pub fn add_edge(&mut self, from: GNode, to: GNode, kind: EdgeKind) {
-        let f = self.add_node(from);
-        let t = self.add_node(to);
-        self.edges.push(Edge {
-            from: f,
-            to: t,
-            kind,
-            var: NO_VAR,
-        });
+    /// Adds a directed edge of the given kind.
+    pub fn add_edge(&mut self, from: u32, to: u32, kind: EdgeKind) {
+        self.edges.push(Edge::new(from, to, kind));
     }
 
     /// Adds an internal-state edge induced by accesses to `var`.
-    pub fn add_var_edge(&mut self, from: GNode, to: GNode, kind: EdgeKind, var: VarId) {
-        let f = self.add_node(from);
-        let t = self.add_node(to);
+    pub fn add_var_edge(&mut self, from: u32, to: u32, kind: EdgeKind, var: VarId) {
         self.edges.push(Edge {
-            from: f,
-            to: t,
+            from,
+            to,
             kind,
             var: var.0,
         });
     }
 
-    /// Reserves capacity for at least `nodes` more nodes and `edges`
-    /// more edges (sized from merge-phase fragment totals, so the bulk
-    /// edge merge does not rehash or reallocate per insertion).
-    pub fn reserve(&mut self, nodes: usize, edges: usize) {
-        self.ids.reserve(nodes);
-        self.nodes.reserve(nodes);
+    /// Appends a batch of edges in order.
+    pub(crate) fn append(&mut self, batch: &[Edge]) {
+        self.edges.extend_from_slice(batch);
+    }
+
+    /// Reserves capacity for at least `edges` more edges.
+    pub fn reserve(&mut self, edges: usize) {
         self.edges.reserve(edges);
     }
 
-    /// Number of nodes.
+    /// Number of nodes: every node of the coordinates, whether or not
+    /// an edge touches it.
     pub fn node_count(&self) -> usize {
-        self.ids.len()
+        self.coords.node_count()
     }
 
     /// Number of edges.
@@ -241,10 +197,10 @@ impl Graph {
     }
 
     /// Rendered label of node `id` (empty if out of range). Labels are
-    /// rendered on demand — only rejection diagnostics and `dot`
-    /// exports pay for them, never the accept path.
+    /// decoded from the id on demand — only rejection diagnostics and
+    /// `dot` exports pay for them, never the accept path.
     pub fn node_label(&self, id: u32) -> String {
-        self.nodes.get(id as usize).map(render).unwrap_or_default()
+        self.coords.label(id)
     }
 
     /// Number of edges of each kind, indexed like [`EdgeKind::ALL`].
@@ -265,8 +221,8 @@ impl Graph {
     pub fn to_dot(&self) -> String {
         use std::fmt::Write as _;
         let mut out = String::from("digraph G {\n  rankdir=LR;\n  node [shape=box,fontsize=9];\n");
-        for (i, node) in self.nodes.iter().enumerate() {
-            let _ = writeln!(out, "  n{i} [label=\"{}\"];", render(node));
+        for id in 0..self.node_count() as u32 {
+            let _ = writeln!(out, "  n{id} [label=\"{}\"];", self.node_label(id));
         }
         for e in &self.edges {
             let _ = writeln!(
@@ -284,7 +240,7 @@ impl Graph {
     /// CSR adjacency: `(offsets, targets)` built once per traversal
     /// (two exactly-sized allocations instead of one `Vec` per node).
     fn csr(&self) -> (Vec<u32>, Vec<u32>) {
-        let n = self.ids.len();
+        let n = self.node_count();
         let mut offsets: Vec<u32> = vec![0; n + 1];
         for e in &self.edges {
             offsets[e.from as usize + 1] += 1;
@@ -310,10 +266,10 @@ impl Graph {
     }
 
     /// Runs the cycle-check DFS, returning the first back edge found
-    /// (deterministic: DFS roots and CSR children are visited in
-    /// insertion order) together with the visit count.
+    /// (deterministic: DFS roots are visited in node-id order, CSR
+    /// children in edge insertion order) together with the visit count.
     pub fn probe_cycle(&self) -> CycleProbe {
-        let n = self.ids.len();
+        let n = self.node_count();
         let (offsets, targets) = self.csr();
         let children = |node: u32| -> &[u32] {
             &targets[offsets[node as usize] as usize..offsets[node as usize + 1] as usize]
@@ -379,7 +335,7 @@ impl Graph {
         if u == v {
             return Some(vec![u]);
         }
-        let n = self.ids.len();
+        let n = self.node_count();
         let (offsets, targets) = self.csr();
         // BFS shortest path v ⇝ u.
         let mut parent: Vec<u32> = vec![u32::MAX; n];
@@ -454,50 +410,51 @@ impl Graph {
     }
 }
 
-/// Human-readable node label.
-fn render(node: &GNode) -> String {
-    match node {
-        GNode::ReqStart(rid) => format!("{rid}:REQ"),
-        GNode::ReqEnd(rid) => format!("{rid}:RESP"),
-        GNode::Handler { rid, hid, pos } => match pos {
-            HPos::Start => format!("{rid} {hid} start"),
-            HPos::Op(n) => format!("{rid} {hid} op{n}"),
-            HPos::End => format!("{rid} {hid} end"),
-        },
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use kem::FunctionId;
+    use kem::{FunctionId, HandlerId, OpRef, RequestId};
 
     fn hid() -> HandlerId {
         HandlerId::root(FunctionId(0))
     }
 
+    /// Coordinates of `requests` requests, each with one root handler
+    /// of `count` operations.
+    fn coords(requests: u64, count: u32) -> Arc<Coords> {
+        let trace: Vec<RequestId> = (0..requests).map(RequestId).collect();
+        let opcounts = trace.iter().map(|r| ((*r, hid()), count)).collect();
+        Arc::new(Coords::build(&trace, &opcounts).unwrap())
+    }
+
+    /// Node id of the `opnum`-th operation of request `rid`.
+    fn op(c: &Coords, rid: u64, opnum: u32) -> u32 {
+        c.op_node(&OpRef::new(RequestId(rid), hid(), opnum))
+            .unwrap()
+    }
+
     #[test]
     fn acyclic_graph() {
-        let mut g = Graph::new();
+        let c = coords(1, 1);
+        let handler = &c.activations()[0];
+        let mut g = Graph::new(c.clone());
         g.add_edge(
-            GNode::ReqStart(RequestId(0)),
-            GNode::op(RequestId(0), hid(), 0),
+            c.request_start(RequestId(0)).unwrap(),
+            handler.start,
             EdgeKind::Boundary,
         );
+        g.add_edge(handler.start, op(&c, 0, 1), EdgeKind::Program);
         g.add_edge(
-            GNode::op(RequestId(0), hid(), 0),
-            GNode::op(RequestId(0), hid(), 1),
-            EdgeKind::Program,
-        );
-        g.add_edge(
-            GNode::op(RequestId(0), hid(), 1),
-            GNode::ReqEnd(RequestId(0)),
+            op(&c, 0, 1),
+            c.request_end(RequestId(0)).unwrap(),
             EdgeKind::Boundary,
         );
         assert!(!g.has_cycle());
         assert!(g.find_min_cycle().is_none());
-        assert_eq!(g.node_count(), 4);
+        // Both request boundaries plus the handler's start, op and end
+        // — the end node exists although no edge touches it.
+        assert_eq!(g.node_count(), 5);
         assert_eq!(g.edge_count(), 3);
         let counts = g.edge_kind_counts();
         assert_eq!(counts[EdgeKind::Boundary as usize], 2);
@@ -506,13 +463,12 @@ mod tests {
 
     #[test]
     fn detects_cycle() {
-        let mut g = Graph::new();
-        let a = GNode::op(RequestId(0), hid(), 1);
-        let b = GNode::op(RequestId(1), hid(), 1);
-        let c = GNode::op(RequestId(2), hid(), 1);
-        g.add_edge(a.clone(), b.clone(), EdgeKind::Time);
-        g.add_edge(b, c.clone(), EdgeKind::Time);
-        g.add_edge(c, a, EdgeKind::HandlerLog);
+        let c = coords(3, 1);
+        let mut g = Graph::new(c.clone());
+        let (a, b, d) = (op(&c, 0, 1), op(&c, 1, 1), op(&c, 2, 1));
+        g.add_edge(a, b, EdgeKind::Time);
+        g.add_edge(b, d, EdgeKind::Time);
+        g.add_edge(d, a, EdgeKind::HandlerLog);
         assert!(g.has_cycle());
         let probe = g.probe_cycle();
         assert!(probe.back_edge.is_some());
@@ -521,9 +477,10 @@ mod tests {
 
     #[test]
     fn self_loop_is_a_cycle() {
-        let mut g = Graph::new();
-        let a = GNode::ReqStart(RequestId(0));
-        g.add_edge(a.clone(), a, EdgeKind::Time);
+        let c = coords(1, 0);
+        let mut g = Graph::new(c.clone());
+        let a = c.request_start(RequestId(0)).unwrap();
+        g.add_edge(a, a, EdgeKind::Time);
         assert!(g.has_cycle());
         let cycle = g.find_min_cycle().unwrap();
         assert_eq!(cycle.len(), 1);
@@ -533,55 +490,33 @@ mod tests {
     }
 
     #[test]
-    fn interning_deduplicates() {
-        let mut g = Graph::new();
-        let id1 = g.add_node(GNode::op(RequestId(0), hid(), 3));
-        let id2 = g.add_node(GNode::op(RequestId(0), hid(), 3));
-        assert_eq!(id1, id2);
-        assert!(g.contains(&GNode::op(RequestId(0), hid(), 3)));
-    }
-
-    #[test]
-    fn op_zero_is_start() {
-        let n = GNode::op(RequestId(0), hid(), 0);
-        assert!(matches!(
-            n,
-            GNode::Handler {
-                pos: HPos::Start,
-                ..
-            }
-        ));
-    }
-
-    #[test]
     fn dot_export_names_nodes_and_edges() {
-        let mut g = Graph::new();
+        let c = coords(1, 1);
+        let mut g = Graph::new(c.clone());
         g.add_edge(
-            GNode::ReqStart(RequestId(0)),
-            GNode::op(RequestId(0), hid(), 1),
+            c.request_start(RequestId(0)).unwrap(),
+            op(&c, 0, 1),
             EdgeKind::Boundary,
         );
         let dot = g.to_dot();
         assert!(dot.starts_with("digraph G {"));
         assert!(dot.contains("r0:REQ"));
-        assert!(dot.contains("n0 -> n1 [label=\"boundary\"];"));
+        assert!(dot.contains("n0 -> n3 [label=\"boundary\"];"));
         assert!(dot.trim_end().ends_with('}'));
     }
 
     #[test]
     fn large_chain_no_stack_overflow() {
         // Iterative DFS must handle deep graphs.
-        let mut g = Graph::new();
+        let c = coords(1, 100_000);
+        let start = c.activations()[0].start;
+        let mut g = Graph::new(c);
         for i in 0..100_000u32 {
-            g.add_edge(
-                GNode::op(RequestId(0), hid(), i),
-                GNode::op(RequestId(0), hid(), i + 1),
-                EdgeKind::Program,
-            );
+            g.add_edge(start + i, start + i + 1, EdgeKind::Program);
         }
         assert!(!g.has_cycle());
-        let probe = g.probe_cycle();
-        assert_eq!(probe.visits, 100_001);
+        // Acyclic: every node is visited exactly once.
+        assert_eq!(g.probe_cycle().visits, g.node_count() as u64);
     }
 
     #[test]
@@ -589,8 +524,9 @@ mod tests {
         // A long cycle 0→1→2→3→0 with a shortcut 1→3 (and the DFS
         // back edge closing at 3→0): the reported cycle must use the
         // shortcut, not the long way round.
-        let mut g = Graph::new();
-        let node = |i: u64| GNode::op(RequestId(i), hid(), 1);
+        let c = coords(4, 1);
+        let mut g = Graph::new(c.clone());
+        let node = |i: u64| op(&c, i, 1);
         g.add_edge(node(0), node(1), EdgeKind::Time);
         g.add_edge(node(1), node(2), EdgeKind::Time);
         g.add_edge(node(2), node(3), EdgeKind::Time);
@@ -611,10 +547,10 @@ mod tests {
 
     #[test]
     fn var_edges_carry_their_variable() {
-        let mut g = Graph::new();
-        let a = GNode::op(RequestId(0), hid(), 1);
-        let b = GNode::op(RequestId(1), hid(), 1);
-        g.add_var_edge(a.clone(), b.clone(), EdgeKind::VarWr, VarId(7));
+        let c = coords(2, 1);
+        let mut g = Graph::new(c.clone());
+        let (a, b) = (op(&c, 0, 1), op(&c, 1, 1));
+        g.add_var_edge(a, b, EdgeKind::VarWr, VarId(7));
         g.add_edge(b, a, EdgeKind::Time);
         let cycle = g.find_min_cycle().unwrap();
         let edges = g.describe_cycle(&cycle);

@@ -8,21 +8,32 @@
 //! `adya` crate). The remaining cross-checks — that logged operations
 //! are actually produced by the program — happen during re-execution.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{HashMap, HashSet};
 
-use crate::advice::{KTxId, TxOpType, TxPos};
+use crate::advice::{TxOpType, TxPos};
 use crate::advice_ref::{AdviceRef, TxContentsRef};
 use crate::verifier::reject::RejectReason;
 
 /// Verifies the write order against the transaction logs and runs the
-/// per-level Adya checks. Keys borrow the advice bytes (`'a`) all the
-/// way through — this pass materializes nothing.
+/// per-level Adya checks. A transaction is named by its rank in
+/// `advice.tx_logs` (which is also its `adya::TxnId`): `committed` is
+/// indexed by it and `last_modification` is keyed by `(rank, key)`.
+/// Keys borrow the advice bytes (`'a`) all the way through — this pass
+/// materializes nothing.
 pub fn verify_isolation<'a>(
     advice: &AdviceRef<'a>,
-    committed: &HashSet<KTxId>,
-    last_modification: &HashMap<(KTxId, &'a str), u32>,
+    committed: &[bool],
+    last_modification: &HashMap<(u32, &'a str), u32>,
     isolation: kvstore::IsolationLevel,
 ) -> Result<(), RejectReason> {
+    let logs = advice.tx_logs.as_slice();
+    let rank_of = |pos: &TxPos| -> Option<u32> {
+        advice
+            .tx_logs
+            .position(&pos.tx)
+            .and_then(|r| u32::try_from(r).ok())
+    };
+
     // ExtractWriteOrderPerKey's validations (Fig. 17 lines 22–28), plus
     // a uniqueness check so length-equality implies bijection.
     if advice.write_order.len() != last_modification.len() {
@@ -30,17 +41,27 @@ pub fn verify_isolation<'a>(
             why: "length differs from last-modification count",
         });
     }
-    let mut seen: HashSet<&TxPos> = HashSet::new();
+    let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(advice.write_order.len());
     for pos in advice.write_order {
-        if !seen.insert(pos) {
+        // An entry naming no logged transaction fails the log lookup
+        // below on its first occurrence, so it is never also the
+        // second half of a duplicate.
+        let not_logged = RejectReason::WriteOrderMismatch {
+            why: "entry not in any log",
+        };
+        let Some(rank) = rank_of(pos) else {
+            return Err(not_logged);
+        };
+        if !seen.insert((rank, pos.index)) {
             return Err(RejectReason::WriteOrderMismatch {
                 why: "duplicate entry",
             });
         }
-        let Some(entry) = advice.tx_entry(pos) else {
-            return Err(RejectReason::WriteOrderMismatch {
-                why: "entry not in any log",
-            });
+        let entry = logs
+            .get(rank as usize)
+            .and_then(|(_, log)| log.get(pos.index as usize));
+        let Some(entry) = entry else {
+            return Err(not_logged);
         };
         if entry.optype != TxOpType::Put {
             return Err(RejectReason::WriteOrderMismatch {
@@ -52,7 +73,7 @@ pub fn verify_isolation<'a>(
                 why: "entry is a PUT without a key",
             });
         };
-        if last_modification.get(&(pos.tx.clone(), key)) != Some(&pos.index) {
+        if last_modification.get(&(rank, key)) != Some(&pos.index) {
             return Err(RejectReason::WriteOrderMismatch {
                 why: "entry is not a committed last modification",
             });
@@ -60,36 +81,34 @@ pub fn verify_isolation<'a>(
     }
 
     // Translate the alleged history into the adya crate's representation.
-    // Only PUT/GET entries become history operations; an index map keeps
-    // TxPos references aligned.
-    let tx_ids: BTreeMap<&KTxId, adya::TxnId> = advice
-        .tx_logs
-        .keys()
-        .enumerate()
-        .map(|(i, tx)| (tx, adya::TxnId(i as u64)))
+    // Only PUT/GET entries become history operations; an index map per
+    // transaction keeps TxPos references aligned.
+    let index_maps: Vec<Vec<Option<u32>>> = logs
+        .iter()
+        .map(|(_, log)| {
+            let mut next = 0u32;
+            log.iter()
+                .map(|entry| {
+                    matches!(entry.optype, TxOpType::Put | TxOpType::Get).then(|| {
+                        next += 1;
+                        next - 1
+                    })
+                })
+                .collect()
+        })
         .collect();
-    let mut index_maps: HashMap<&KTxId, Vec<Option<u32>>> = HashMap::new();
-    for (tx, log) in &advice.tx_logs {
-        let mut map = Vec::with_capacity(log.len());
-        let mut next = 0u32;
-        for entry in log {
-            if matches!(entry.optype, TxOpType::Put | TxOpType::Get) {
-                map.push(Some(next));
-                next += 1;
-            } else {
-                map.push(None);
-            }
-        }
-        index_maps.insert(tx, map);
-    }
     let translate = |pos: &TxPos| -> Option<(adya::TxnId, u32)> {
-        let idx = index_maps.get(&pos.tx)?.get(pos.index as usize)?.as_ref()?;
-        Some((*tx_ids.get(&pos.tx)?, *idx))
+        let rank = rank_of(pos)?;
+        let idx = index_maps
+            .get(rank as usize)?
+            .get(pos.index as usize)?
+            .as_ref()?;
+        Some((adya::TxnId(u64::from(rank)), *idx))
     };
 
     let mut builder = adya::HistoryBuilder::new();
-    for (tx, log) in &advice.tx_logs {
-        let id = tx_ids[tx];
+    for (rank, (tx, log)) in logs.iter().enumerate() {
+        let id = adya::TxnId(rank as u64);
         builder.touch(id);
         for entry in log {
             let key = || {
@@ -125,7 +144,7 @@ pub fn verify_isolation<'a>(
                 TxOpType::Start | TxOpType::Commit | TxOpType::Abort => {}
             }
         }
-        if committed.contains(tx) {
+        if committed.get(rank).copied().unwrap_or(false) {
             builder.commit(id);
         }
     }

@@ -11,6 +11,7 @@
 //! * acyclicity of the execution graph `G` after the per-variable
 //!   WR/WW/RW edges are embedded.
 
+mod coords;
 mod forensics;
 mod graph;
 mod isolation;
@@ -19,11 +20,12 @@ mod reexec;
 mod reject;
 mod vars;
 
+pub use coords::{Coords, GNode, HPos, NodeTable};
 pub use forensics::{
     cycle_report, AuditDiagnostics, AuditFailure, CostAttribution, CycleEdgeReport, CycleReport,
     TopGroupCost,
 };
-pub use graph::{CycleEdge, CycleProbe, EdgeKind, GNode, Graph, HPos};
+pub use graph::{CycleEdge, CycleProbe, EdgeKind, Graph};
 pub use preprocess::{
     preprocess, preprocess_staged, DeferredEdges, OpMapEntry, PreStaged, Preprocessed,
 };
@@ -585,7 +587,10 @@ fn edge_counter(kind: EdgeKind) -> CounterId {
 /// count (each advice opcount implies that many operation nodes, plus a
 /// begin/end pair per handler). Both are sums the verifier can compute
 /// in one cheap walk *before* committing to preprocess allocations, so
-/// flood advice rejects in O(advice) instead of O(allocated).
+/// flood advice rejects in O(advice) instead of O(allocated). The node
+/// sum is exactly what preprocess sizes its coordinate tables by
+/// (`coords.rs`), so this gate must run before `preprocess_staged` on
+/// every audit path.
 fn check_advice_volume(advice: &AdviceRef<'_>, limits: &Limits) -> Result<(), RejectReason> {
     let dict_entries: u64 = advice.var_logs.values().map(|l| l.len() as u64).sum();
     if dict_entries > limits.dict_max_entries {
@@ -810,7 +815,7 @@ fn audit_core_inner<'a>(
     }
 
     // Final graph budgets before the traversal commits to visiting
-    // every node the merged graph materialized.
+    // every node (the declared ones plus two per traced request).
     if let Err(reason) = check_graph_volume(graph.node_count(), graph.edge_count(), &opts.limits) {
         return Err(fail("postprocess", reason));
     }

@@ -6,55 +6,67 @@
 //! re-execution; classifies committed transactions; and runs isolation
 //! verification on the alleged transactional history.
 //!
+//! # Coordinates
+//!
+//! The first thing preprocess builds is the audit's [`Coords`]
+//! (`coords.rs`): from then on an operation is a node id, a handler
+//! activation is its rank in `advice.opcounts`, and a transaction is its
+//! rank in `advice.tx_logs`. The structures handed to re-execution are
+//! tables over those indices, and the graph's edges are id pairs.
+//!
 //! # Sharded execution
 //!
 //! Every section after the trace scan is *per-request decomposable*:
-//! each advice map is keyed by (or contains) the request id, and every
-//! `OpRef` a request's logs insert into the `OpMap` carries that same
-//! request id, so no two requests can collide there. [`preprocess_staged`]
-//! exploits this: requests are sharded over a scoped worker pool, each
-//! shard runs the six advice-driven sections for its request in serial
-//! section order, and the coordinator merges deterministically —
+//! each advice map is keyed by (or contains) the request id, a
+//! request's activations are one contiguous range of the coordinates,
+//! and every coordinate a request's logs put into the `OpMap` lies in
+//! that range, so no two requests can collide there.
+//! [`preprocess_staged`] exploits this: requests are sharded over a
+//! scoped worker pool, each shard runs the six advice-driven sections
+//! for its request in serial section order, and the coordinator merges
+//! deterministically —
 //!
 //! * **errors** by the lexicographic minimum of `(section, position)`,
 //!   where position is the request's rank in the section's serial
 //!   iteration order (ascending request id, except the
 //!   boundary-response section which follows trace order), so the
 //!   winning [`RejectReason`] is exactly the serial first error;
-//! * **edges** as per-shard fragments concatenated section-major in
-//!   those same orders, so nodes intern into `G` in the exact sequence
-//!   a serial walk produces (the cycle-check visit count is
-//!   insertion-order dependent and must stay bit-identical).
+//! * **edges** as one fragment per request, appended in ascending
+//!   request order. Node ids come from the coordinates, not from the
+//!   order edges arrive in, so the merge is a plain append.
 //!
 //! The edge fragments are returned as [`DeferredEdges`] rather than
 //! merged eagerly, which lets the pipelined audit overlap the merge
 //! with group replay; [`preprocess`] is the merge-immediately wrapper.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap};
+use std::ops::Range;
+use std::sync::Arc;
 
 use kem::{HandlerId, OpRef, Program, RequestId, Trace, TraceEvent};
 
-use crate::advice::{KTxId, TxOpType, TxPos};
+use crate::advice::{KTxId, TxOpType};
 use crate::advice_ref::{AdviceRef, TxContentsRef, TxEntryRef};
-use crate::verifier::graph::{EdgeKind, GNode, Graph, HPos};
+use crate::verifier::coords::{Activation, Coords, NodeTable};
+use crate::verifier::graph::{Edge, EdgeKind, Graph};
 use crate::verifier::isolation::verify_isolation;
 use crate::verifier::reject::RejectReason;
 use crate::wire::{HandlerLogEntryView, HandlerOpView};
 
 /// Where a re-executed operation's log entry lives.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum OpMapEntry {
     /// In the request's handler log, at `index`.
     HandlerLog {
         /// Position in the handler log.
-        index: usize,
+        index: u32,
     },
     /// In a transaction log, at `index`.
     TxLog {
-        /// The transaction.
-        tx: KTxId,
+        /// The transaction, by rank in `advice.tx_logs`.
+        tx: u32,
         /// Position in the transaction log (= `txnum`).
-        index: usize,
+        index: u32,
     },
 }
 
@@ -63,29 +75,30 @@ pub enum OpMapEntry {
 pub struct Preprocessed {
     /// The execution graph `G` (so far).
     pub graph: Graph,
-    /// Coordinate → log-entry location.
-    pub op_map: HashMap<OpRef, OpMapEntry>,
-    /// Emit coordinate → handlers it allegedly activates.
-    pub activated: HashMap<OpRef, Vec<HandlerId>>,
-    /// Check-operation coordinate → listener count implied by the
-    /// handler log's registration history at that point.
-    pub check_counts: HashMap<OpRef, i64>,
-    /// Allegedly committed transactions.
-    pub committed: HashSet<KTxId>,
+    /// The audit's coordinates, shared with `graph` (which the audit
+    /// takes out of this struct before re-execution starts).
+    pub coords: Arc<Coords>,
+    /// Operation node → log-entry location.
+    pub op_map: NodeTable<OpMapEntry>,
+    /// Emit node → handlers it allegedly activates.
+    pub activated: NodeTable<Vec<HandlerId>>,
+    /// Check-operation node → listener count implied by the handler
+    /// log's registration history at that point.
+    pub check_counts: NodeTable<i64>,
+    /// Whether each transaction, by rank in `advice.tx_logs`, allegedly
+    /// committed.
+    pub committed: Vec<bool>,
 }
 
-/// One edge awaiting insertion into `G`.
-type PendingEdge = (GNode, GNode, EdgeKind);
-
-/// Preprocess edge fragments not yet merged into `G`, stored in the
-/// exact order a serial [`preprocess`] would have inserted them.
-/// [`DeferredEdges::merge_into`] replays them; deferring the replay is
-/// what lets the pipelined audit overlap it with group replay (the
-/// re-executor reads `op_map`/`activated`/`check_counts`, never the
-/// graph, so the merge is safe to run concurrently with replay).
+/// Preprocess edge fragments not yet merged into `G`: one per request,
+/// ascending request id. [`DeferredEdges::merge_into`] appends them;
+/// deferring that is what lets the pipelined audit overlap it with
+/// group replay (the re-executor reads `op_map`/`activated`/
+/// `check_counts`, never the graph, so the merge is safe to run
+/// concurrently with replay).
 #[derive(Debug, Default)]
 pub struct DeferredEdges {
-    batches: Vec<Vec<PendingEdge>>,
+    batches: Vec<Vec<Edge>>,
 }
 
 impl DeferredEdges {
@@ -94,16 +107,12 @@ impl DeferredEdges {
         self.batches.iter().map(Vec::len).sum()
     }
 
-    /// Inserts every deferred edge into `g`, in serial preprocess
-    /// order, with capacity reserved up front (each edge introduces at
-    /// most two new nodes). Idempotent: batches are drained.
+    /// Appends every deferred edge to `g`, with capacity reserved up
+    /// front. Idempotent: batches are drained.
     pub fn merge_into(&mut self, g: &mut Graph) {
-        let total = self.edge_count();
-        g.reserve(total.saturating_mul(2), total);
+        g.reserve(self.edge_count());
         for batch in self.batches.drain(..) {
-            for (from, to, kind) in batch {
-                g.add_edge(from, to, kind);
-            }
+            g.append(&batch);
         }
     }
 }
@@ -137,41 +146,50 @@ pub fn preprocess<'a>(
 /// boundary-response section is the only one whose serial iteration
 /// follows trace order instead of ascending request id.
 const SEC_PROGRAM: usize = 0;
-const SEC_BOUNDARY_ROOT: usize = 1;
 const SEC_BOUNDARY_RESPONSE: usize = 2;
 const SEC_ACTIVATION: usize = 3;
 const SEC_HANDLER: usize = 4;
 const SEC_EXTERNAL: usize = 5;
-const SECTIONS: usize = 6;
 
-/// Everything one request's shard reads: borrowed slices of the advice
-/// maps, grouped by request id on the coordinator (cheap ascending
-/// walks over the sorted maps, no per-entry checks). `'x` is the advice
-/// storage — ultimately the wire bytes on the borrowed path.
+/// Everything one request's shard reads: its ranges of the sorted
+/// advice maps, found on the coordinator by one ascending walk. `'x` is
+/// the advice storage — ultimately the wire bytes on the borrowed path.
 struct RidWork<'x> {
     rid: RequestId,
-    in_trace: bool,
-    /// Rank in trace order, for the boundary-response section.
-    trace_pos: Option<usize>,
-    /// This request's `(hid, count)` entries, ascending `hid`.
-    opcounts: Vec<(&'x HandlerId, u32)>,
+    /// The request's arrival and delivery nodes; `None` for a request
+    /// only the advice names. Arrival nodes ascend in trace order.
+    boundary: Option<(u32, u32)>,
+    /// This request's activations (indices into the coordinates).
+    acts: Range<u32>,
     handler_log: Option<&'x [HandlerLogEntryView<'x>]>,
-    /// This request's transactions, ascending `KTxId`.
-    tx_logs: Vec<(&'x KTxId, &'x [TxEntryRef<'x>])>,
+    /// This request's transactions (ranks in `advice.tx_logs`).
+    txs: Range<u32>,
 }
 
-/// One request's preprocess output: per-section edge fragments, local
-/// map fragments, and the first error (tagged with its section).
+/// One request's preprocess output: its edge fragment, its entries of
+/// the node tables, and the first error (tagged with its section).
 #[derive(Default)]
 struct RidShard<'x> {
-    edges: [Vec<PendingEdge>; SECTIONS],
-    op_map: HashMap<OpRef, OpMapEntry>,
-    activated: Vec<(OpRef, Vec<HandlerId>)>,
-    check_counts: Vec<(OpRef, i64)>,
-    committed: Vec<KTxId>,
-    /// Keys borrow the advice bytes: no per-PUT `String` copies.
-    last_modification: Vec<((KTxId, &'x str), u32)>,
+    edges: Vec<Edge>,
+    op_map: Vec<(u32, OpMapEntry)>,
+    activated: Vec<(u32, Vec<HandlerId>)>,
+    check_counts: Vec<(u32, i64)>,
+    /// Ranks of the allegedly committed transactions.
+    committed: Vec<u32>,
+    /// `(tx rank, key) → index of the last PUT`, for committed
+    /// transactions. Keys borrow the advice bytes: no per-PUT `String`
+    /// copies.
+    last_modification: Vec<((u32, &'x str), u32)>,
     err: Option<(usize, RejectReason)>,
+}
+
+/// What every shard reads besides its own [`RidWork`].
+struct ShardCtx<'c, 'x> {
+    advice: &'x AdviceRef<'x>,
+    coords: &'c Coords,
+    /// Global registrations never change during a run; indexed by
+    /// event once, shared read-only by every shard.
+    global_by_event: HashMap<&'c str, Vec<kem::FunctionId>>,
 }
 
 /// [`preprocess`] with the advice-driven sections sharded per request
@@ -188,58 +206,15 @@ pub fn preprocess_staged<'a>(
         return Err(RejectReason::UnbalancedTrace);
     }
     let trace_order = trace.request_ids();
-    let trace_rids: HashSet<RequestId> = trace_order.iter().copied().collect();
+    let coords = Arc::new(Coords::build(&trace_order, &advice.opcounts)?);
 
     // Time precedence stays on the coordinator: it is a single cheap
     // chronological chain over the trusted trace.
-    let mut graph = Graph::new();
+    let mut graph = Graph::new(coords.clone());
     add_time_precedence_edges(&mut graph, trace);
 
-    // Shard universe: every request the advice mentions plus every
-    // request the trace contains, ascending.
-    let mut rid_set: BTreeSet<RequestId> = BTreeSet::new();
-    rid_set.extend(advice.opcounts.keys().map(|(r, _)| *r));
-    rid_set.extend(advice.handler_logs.keys().copied());
-    rid_set.extend(advice.tx_logs.keys().map(|t| t.rid));
-    rid_set.extend(trace_order.iter().copied());
+    let work = shard_work(advice, &coords, &trace_order);
 
-    let trace_pos: HashMap<RequestId, usize> = trace_order
-        .iter()
-        .enumerate()
-        .map(|(i, r)| (*r, i))
-        .collect();
-
-    let mut work: Vec<RidWork<'_>> = rid_set
-        .iter()
-        .map(|&rid| RidWork {
-            rid,
-            in_trace: trace_rids.contains(&rid),
-            trace_pos: trace_pos.get(&rid).copied(),
-            opcounts: Vec::new(),
-            handler_log: None,
-            tx_logs: Vec::new(),
-        })
-        .collect();
-    let index: HashMap<RequestId, usize> =
-        work.iter().enumerate().map(|(i, w)| (w.rid, i)).collect();
-    for ((rid, hid), count) in &advice.opcounts {
-        if let Some(&i) = index.get(rid) {
-            work[i].opcounts.push((hid, *count));
-        }
-    }
-    for (rid, log) in &advice.handler_logs {
-        if let Some(&i) = index.get(rid) {
-            work[i].handler_log = Some(log.as_ref());
-        }
-    }
-    for (tx, log) in &advice.tx_logs {
-        if let Some(&i) = index.get(&tx.rid) {
-            work[i].tx_logs.push((tx, log.as_slice()));
-        }
-    }
-
-    // Global registrations never change during a run; index them by
-    // event once, shared read-only by every shard.
     let mut global_by_event: HashMap<&str, Vec<kem::FunctionId>> = HashMap::new();
     for (e, f) in &program.global_registrations {
         global_by_event
@@ -247,17 +222,20 @@ pub fn preprocess_staged<'a>(
             .or_default()
             .push(kem::FunctionId(*f));
     }
+    let ctx = ShardCtx {
+        advice,
+        coords: &coords,
+        global_by_event,
+    };
 
     let nshards = work.len();
     let mut shards: Vec<RidShard<'a>> = if threads <= 1 || nshards <= 1 {
-        work.iter()
-            .map(|w| run_rid_shard(&global_by_event, advice, w))
-            .collect()
+        work.iter().map(|w| run_rid_shard(&ctx, w)).collect()
     } else {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let next = AtomicUsize::new(0);
         let work_ref = &work;
-        let global_ref = &global_by_event;
+        let ctx_ref = &ctx;
         let mut slots: Vec<Option<RidShard<'a>>> = Vec::new();
         slots.resize_with(nshards, || None);
         let workers = threads.min(nshards);
@@ -269,10 +247,8 @@ pub fn preprocess_staged<'a>(
                         let mut done: Vec<(usize, RidShard)> = Vec::new();
                         loop {
                             let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= nshards {
-                                break;
-                            }
-                            done.push((i, run_rid_shard(global_ref, advice, &work_ref[i])));
+                            let Some(w) = work_ref.get(i) else { break };
+                            done.push((i, run_rid_shard(ctx_ref, w)));
                         }
                         done
                     })
@@ -282,7 +258,9 @@ pub fn preprocess_staged<'a>(
                 match h.join() {
                     Ok(done) => {
                         for (i, shard) in done {
-                            slots[i] = Some(shard);
+                            if let Some(slot) = slots.get_mut(i) {
+                                *slot = Some(shard);
+                            }
                         }
                     }
                     Err(payload) => std::panic::resume_unwind(payload),
@@ -308,12 +286,11 @@ pub fn preprocess_staged<'a>(
     // request order for every section except boundary-response, whose
     // serial iteration is trace order.
     let mut best: Option<((usize, usize), RejectReason)> = None;
-    for (i, shard) in shards.iter().enumerate() {
+    for (i, (shard, w)) in shards.iter().zip(&work).enumerate() {
         if let Some((section, reason)) = &shard.err {
-            let pos = if *section == SEC_BOUNDARY_RESPONSE {
-                work[i].trace_pos.unwrap_or(i)
-            } else {
-                i
+            let pos = match w.boundary {
+                Some((arrival, _)) if *section == SEC_BOUNDARY_RESPONSE => arrival as usize,
+                _ => i,
             };
             let key = (*section, pos);
             if best.as_ref().is_none_or(|(k, _)| key < *k) {
@@ -325,37 +302,33 @@ pub fn preprocess_staged<'a>(
         return Err(reason);
     }
 
-    // Map merges: per-request key spaces are disjoint (every key
-    // carries its request id), so plain extends reproduce the serial
-    // maps exactly.
-    let mut op_map: HashMap<OpRef, OpMapEntry> =
-        HashMap::with_capacity(shards.iter().map(|s| s.op_map.len()).sum());
-    let mut activated: HashMap<OpRef, Vec<HandlerId>> = HashMap::new();
-    let mut check_counts: HashMap<OpRef, i64> = HashMap::new();
-    let mut committed: HashSet<KTxId> = HashSet::new();
-    let mut last_modification: HashMap<(KTxId, &'a str), u32> = HashMap::new();
+    // Table merges: per-request node ranges are disjoint, so scattering
+    // the fragments in shard order reproduces the serial tables.
+    let nodes = coords.node_count();
+    let entries = |len: fn(&RidShard<'a>) -> usize| shards.iter().map(len).sum::<usize>();
+    let mut op_map = NodeTable::new(nodes, entries(|s| s.op_map.len()));
+    let mut activated = NodeTable::new(nodes, entries(|s| s.activated.len()));
+    let mut check_counts = NodeTable::new(nodes, entries(|s| s.check_counts.len()));
+    let mut committed = vec![false; advice.tx_logs.len()];
+    let mut last_modification: HashMap<(u32, &'a str), u32> = HashMap::new();
+    let mut batches: Vec<Vec<Edge>> = Vec::with_capacity(nshards);
     for shard in &mut shards {
-        op_map.extend(shard.op_map.drain());
-        activated.extend(shard.activated.drain(..));
-        check_counts.extend(shard.check_counts.drain(..));
-        committed.extend(shard.committed.drain(..));
-        last_modification.extend(shard.last_modification.drain(..));
-    }
-
-    // Edge fragments, section-major in each section's serial order.
-    let mut batches: Vec<Vec<PendingEdge>> = Vec::with_capacity(SECTIONS * nshards);
-    for sec in 0..SECTIONS {
-        if sec == SEC_BOUNDARY_RESPONSE {
-            for rid in &trace_order {
-                if let Some(&i) = index.get(rid) {
-                    batches.push(std::mem::take(&mut shards[i].edges[sec]));
-                }
-            }
-        } else {
-            for shard in &mut shards {
-                batches.push(std::mem::take(&mut shard.edges[sec]));
+        for (node, entry) in shard.op_map.drain(..) {
+            op_map.insert(node, entry);
+        }
+        for (node, hids) in shard.activated.drain(..) {
+            activated.insert(node, hids);
+        }
+        for (node, count) in shard.check_counts.drain(..) {
+            check_counts.insert(node, count);
+        }
+        for tx in shard.committed.drain(..) {
+            if let Some(c) = committed.get_mut(tx as usize) {
+                *c = true;
             }
         }
+        last_modification.extend(shard.last_modification.drain(..));
+        batches.push(std::mem::take(&mut shard.edges));
     }
 
     verify_isolation(advice, &committed, &last_modification, isolation)?;
@@ -363,6 +336,7 @@ pub fn preprocess_staged<'a>(
     Ok(PreStaged {
         pre: Preprocessed {
             graph,
+            coords,
             op_map,
             activated,
             check_counts,
@@ -372,38 +346,104 @@ pub fn preprocess_staged<'a>(
     })
 }
 
+/// The shard universe — every request the advice mentions plus every
+/// request the trace contains, ascending — each with its ranges of the
+/// advice maps. All of them are sorted by request id first, so one
+/// cursor per map walks them in step.
+fn shard_work<'x>(
+    advice: &'x AdviceRef<'x>,
+    coords: &Coords,
+    trace_order: &[RequestId],
+) -> Vec<RidWork<'x>> {
+    let acts = coords.activations();
+    let logs = advice.handler_logs.as_slice();
+    let txs = advice.tx_logs.as_slice();
+    let mut rids: Vec<RequestId> = Vec::with_capacity(trace_order.len());
+    let mut mention = |rid: RequestId| {
+        if rids.last() != Some(&rid) {
+            rids.push(rid);
+        }
+    };
+    acts.iter().for_each(|a| mention(a.rid));
+    logs.iter().for_each(|(rid, _)| mention(*rid));
+    txs.iter().for_each(|(tx, _)| mention(tx.rid));
+    trace_order.iter().for_each(|rid| mention(*rid));
+    rids.sort_unstable();
+    rids.dedup();
+
+    let (mut a, mut l, mut t) = (0usize, 0usize, 0usize);
+    rids.into_iter()
+        .map(|rid| {
+            let a0 = a;
+            while acts.get(a).is_some_and(|act| act.rid == rid) {
+                a += 1;
+            }
+            let handler_log = match logs.get(l) {
+                Some((r, log)) if *r == rid => {
+                    l += 1;
+                    Some(log)
+                }
+                _ => None,
+            };
+            let t0 = t;
+            while txs.get(t).is_some_and(|(tx, _)| tx.rid == rid) {
+                t += 1;
+            }
+            RidWork {
+                rid,
+                boundary: coords.request_start(rid).zip(coords.request_end(rid)),
+                acts: a0 as u32..a as u32,
+                handler_log: handler_log.map(|log| log.as_slice()),
+                txs: t0 as u32..t as u32,
+            }
+        })
+        .collect()
+}
+
 /// Runs every advice-driven section for one request, in serial section
 /// order, stopping at the first error. Within a shard the first error
 /// found is its `(section, position)` minimum, because sections run in
 /// ascending order and the position (this request's rank) is fixed.
-fn run_rid_shard<'a>(
-    global_by_event: &HashMap<&str, Vec<kem::FunctionId>>,
-    advice: &AdviceRef<'a>,
-    work: &RidWork<'a>,
-) -> RidShard<'a> {
+fn run_rid_shard<'x>(ctx: &ShardCtx<'_, 'x>, work: &RidWork<'x>) -> RidShard<'x> {
     let mut shard = RidShard::default();
+    let acts = ctx
+        .coords
+        .activations()
+        .get(work.acts.start as usize..work.acts.end as usize)
+        .unwrap_or(&[]);
+    let txs = ctx
+        .advice
+        .tx_logs
+        .as_slice()
+        .get(work.txs.start as usize..work.txs.end as usize)
+        .unwrap_or(&[]);
     // Pre-size the hot fragments from the work item — the op counts
-    // fix every section's edge count up front, so each container does
-    // one exact allocation instead of doubling its way up. The
-    // remaining containers see at most a handful of pushes per
-    // request; their lazy first allocation is already the minimum.
-    let total_ops: usize = work.opcounts.iter().map(|(_, c)| *c as usize).sum();
+    // fix the program section's edge count up front, and every log
+    // entry adds at most one edge and one `OpMap` entry.
+    let program_edges: usize = acts.iter().map(|a| a.count as usize + 1).sum();
     let log_len = work.handler_log.map_or(0, <[_]>::len);
-    let tx_entries: usize = work.tx_logs.iter().map(|(_, log)| log.len()).sum();
-    shard.edges[SEC_PROGRAM].reserve_exact(total_ops + work.opcounts.len());
-    if log_len > 1 {
-        shard.edges[SEC_HANDLER].reserve_exact(log_len - 1);
-    }
-    shard.edges[SEC_EXTERNAL].reserve_exact(tx_entries);
-    shard.op_map.reserve(log_len + tx_entries);
+    let tx_entries: usize = txs.iter().map(|(_, log)| log.len()).sum();
+    shard
+        .edges
+        .reserve_exact(program_edges + 2 * acts.len() + 2 + log_len + tx_entries);
+    shard.op_map.reserve_exact(log_len + tx_entries);
     let result = (|| -> Result<(), (usize, RejectReason)> {
-        section_program(&mut shard, work).map_err(|e| (SEC_PROGRAM, e))?;
-        section_boundary_roots(&mut shard, work);
-        section_boundary_response(&mut shard, advice, work)
-            .map_err(|e| (SEC_BOUNDARY_RESPONSE, e))?;
-        section_activation(&mut shard, advice, work).map_err(|e| (SEC_ACTIVATION, e))?;
-        section_handler(&mut shard, global_by_event, advice, work).map_err(|e| (SEC_HANDLER, e))?;
-        section_external(&mut shard, advice, work).map_err(|e| (SEC_EXTERNAL, e))?;
+        section_program(&mut shard, work, acts).map_err(|e| (SEC_PROGRAM, e))?;
+        section_boundary_roots(&mut shard, work, acts);
+        section_boundary_response(&mut shard, ctx, work).map_err(|e| (SEC_BOUNDARY_RESPONSE, e))?;
+        section_activation(&mut shard, ctx, work, acts).map_err(|e| (SEC_ACTIVATION, e))?;
+        // The duplicate check of `CheckOpIsValid`, over this request's
+        // node range: handler log first, then transaction logs, the
+        // serial insertion order.
+        let first = acts.first().map_or(0, |a| a.start);
+        let span = acts.last().map_or(0, |a| a.end() + 1 - first);
+        let mut logged = Logged {
+            first,
+            seen: vec![false; span as usize],
+            near: 0,
+        };
+        section_handler(&mut shard, ctx, work, &mut logged).map_err(|e| (SEC_HANDLER, e))?;
+        section_external(&mut shard, ctx, work, txs, &mut logged).map_err(|e| (SEC_EXTERNAL, e))?;
         Ok(())
     })();
     if let Err(e) = result {
@@ -412,74 +452,85 @@ fn run_rid_shard<'a>(
     shard
 }
 
+/// Which nodes of one request's range already hold an `OpMap` entry.
+struct Logged {
+    /// The range's first node id.
+    first: u32,
+    seen: Vec<bool>,
+    /// Where the last logged operation's handler sits among the
+    /// request's activations (the next lookup's hint).
+    near: u32,
+}
+
+impl Logged {
+    /// Marks `node`; `false` if it was marked already (or lies outside
+    /// the request's range, which resolution never produces).
+    fn insert(&mut self, node: u32) -> bool {
+        let slot = node
+            .checked_sub(self.first)
+            .and_then(|i| self.seen.get_mut(i as usize));
+        match slot {
+            Some(seen) if !*seen => {
+                *seen = true;
+                true
+            }
+            _ => false,
+        }
+    }
+}
+
 /// Time precedence: the trusted trace is a chronological record of the
 /// boundary events, so chain them in order. This subsumes the
 /// `CreateTimePrecedenceGraph`/`SplitNodes` edges of Orochi (every
 /// "response before request" pair is connected transitively).
 fn add_time_precedence_edges(graph: &mut Graph, trace: &Trace) {
-    let mut prev: Option<GNode> = None;
+    let coords = graph.coords().clone();
+    let mut prev: Option<u32> = None;
     for ev in trace.events() {
         let node = match ev {
-            TraceEvent::Request { rid, .. } => GNode::ReqStart(*rid),
-            TraceEvent::Response { rid, .. } => GNode::ReqEnd(*rid),
+            TraceEvent::Request { rid, .. } => coords.request_start(*rid),
+            TraceEvent::Response { rid, .. } => coords.request_end(*rid),
         };
-        graph.add_node(node.clone());
+        // A balanced trace names only its own requests.
+        let Some(node) = node else { continue };
         if let Some(p) = prev {
-            graph.add_edge(p, node.clone(), EdgeKind::Time);
+            graph.add_edge(p, node, EdgeKind::Time);
         }
         prev = Some(node);
     }
 }
 
-/// `AddProgramEdges` (Fig. 14 lines 33–44), for one request.
-fn section_program(shard: &mut RidShard<'_>, work: &RidWork<'_>) -> Result<(), RejectReason> {
-    let rid = work.rid;
-    for (hid, count) in &work.opcounts {
-        if !work.in_trace {
-            return Err(RejectReason::UnknownRequest { rid });
+/// `AddProgramEdges` (Fig. 14 lines 33–44), for one request: each
+/// activation's nodes are consecutive ids, start to end.
+fn section_program(
+    shard: &mut RidShard<'_>,
+    work: &RidWork<'_>,
+    acts: &[Activation],
+) -> Result<(), RejectReason> {
+    for act in acts {
+        if work.boundary.is_none() {
+            return Err(RejectReason::UnknownRequest { rid: work.rid });
         }
-        let mut prev = GNode::Handler {
-            rid,
-            hid: (*hid).clone(),
-            pos: HPos::Start,
-        };
-        for i in 1..=*count {
-            let node = GNode::Handler {
-                rid,
-                hid: (*hid).clone(),
-                pos: HPos::Op(i),
-            };
-            shard.edges[SEC_PROGRAM].push((prev, node.clone(), EdgeKind::Program));
-            prev = node;
+        for node in act.start..act.end() {
+            shard
+                .edges
+                .push(Edge::new(node, node + 1, EdgeKind::Program));
         }
-        shard.edges[SEC_PROGRAM].push((
-            prev,
-            GNode::Handler {
-                rid,
-                hid: (*hid).clone(),
-                pos: HPos::End,
-            },
-            EdgeKind::Program,
-        ));
     }
     Ok(())
 }
 
 /// `AddBoundaryEdges` (Fig. 15), arrival half: request arrival precedes
 /// every root handler's start. No errors.
-fn section_boundary_roots(shard: &mut RidShard<'_>, work: &RidWork<'_>) {
-    let rid = work.rid;
-    for (hid, _) in &work.opcounts {
-        if hid.parent().is_none() {
-            shard.edges[SEC_BOUNDARY_ROOT].push((
-                GNode::ReqStart(rid),
-                GNode::Handler {
-                    rid,
-                    hid: (*hid).clone(),
-                    pos: HPos::Start,
-                },
-                EdgeKind::Boundary,
-            ));
+fn section_boundary_roots(shard: &mut RidShard<'_>, work: &RidWork<'_>, acts: &[Activation]) {
+    let Some((arrival, _)) = work.boundary else {
+        return;
+    };
+    for act in acts {
+        if act.hid.parent().is_none() {
+            shard
+                .edges
+                .push(Edge::new(arrival, act.start, EdgeKind::Boundary));
         }
     }
 }
@@ -487,50 +538,61 @@ fn section_boundary_roots(shard: &mut RidShard<'_>, work: &RidWork<'_>) {
 /// `AddBoundaryEdges` (Fig. 15), response half: the alleged emitting
 /// operation precedes response delivery, which precedes the rest of the
 /// emitter. Serial iteration is trace order, which the coordinator's
-/// merge reproduces via `trace_pos`.
+/// error selection reproduces via the arrival node.
 fn section_boundary_response(
     shard: &mut RidShard<'_>,
-    advice: &AdviceRef<'_>,
+    ctx: &ShardCtx<'_, '_>,
     work: &RidWork<'_>,
 ) -> Result<(), RejectReason> {
-    if work.trace_pos.is_none() {
+    let Some((_, delivery)) = work.boundary else {
         return Ok(());
-    }
+    };
     let rid = work.rid;
-    let Some((hid_r, opnum_r)) = advice.response_emitted_by.get(&rid) else {
+    let Some((hid_r, opnum_r)) = ctx.advice.response_emitted_by.get(&rid) else {
         return Err(RejectReason::BadResponseEmitter {
             rid,
             why: "missing",
         });
     };
-    let Some(count) = advice.opcounts.get(&(rid, hid_r.clone())) else {
+    let Some((_, emitter)) = find_act(ctx, work, hid_r, 0) else {
         return Err(RejectReason::BadResponseEmitter {
             rid,
             why: "emitter not in opcounts",
         });
     };
-    if *opnum_r > *count {
+    if *opnum_r > emitter.count {
         return Err(RejectReason::BadResponseEmitter {
             rid,
             why: "opnum out of range",
         });
     }
-    shard.edges[SEC_BOUNDARY_RESPONSE].push((
-        GNode::op(rid, hid_r.clone(), *opnum_r),
-        GNode::ReqEnd(rid),
-        EdgeKind::Boundary,
-    ));
-    let after = if *opnum_r == *count {
-        GNode::Handler {
-            rid,
-            hid: hid_r.clone(),
-            pos: HPos::End,
-        }
-    } else {
-        GNode::op(rid, hid_r.clone(), *opnum_r + 1)
-    };
-    shard.edges[SEC_BOUNDARY_RESPONSE].push((GNode::ReqEnd(rid), after, EdgeKind::Boundary));
+    // Position 0 is the emitter's start node and `count + 1` its end
+    // node, so the emitting position and the one after it are
+    // consecutive ids whatever `opnum_r` is.
+    let at = emitter.start + *opnum_r;
+    shard
+        .edges
+        .push(Edge::new(at, delivery, EdgeKind::Boundary));
+    shard
+        .edges
+        .push(Edge::new(delivery, at + 1, EdgeKind::Boundary));
     Ok(())
+}
+
+/// The activation of `hid` within this shard's request, with its offset
+/// into the request's activations. `near` is such an offset to try
+/// first ([`Coords::find_in`]).
+fn find_act<'c>(
+    ctx: &ShardCtx<'c, '_>,
+    work: &RidWork<'_>,
+    hid: &HandlerId,
+    near: u32,
+) -> Option<(u32, &'c Activation)> {
+    let i = ctx.coords.find_in(&work.acts, hid, near)?;
+    Some((
+        i - work.acts.start,
+        ctx.coords.activations().get(i as usize)?,
+    ))
 }
 
 /// Activation edges for every reported handler: the handler id encodes
@@ -541,113 +603,115 @@ fn section_boundary_response(
 /// are validated by re-execution itself.
 fn section_activation(
     shard: &mut RidShard<'_>,
-    advice: &AdviceRef<'_>,
+    ctx: &ShardCtx<'_, '_>,
     work: &RidWork<'_>,
+    acts: &[Activation],
 ) -> Result<(), RejectReason> {
     let rid = work.rid;
-    for (hid, _) in &work.opcounts {
-        let Some(parent) = hid.parent() else { continue };
-        let Some(parent_count) = advice.opcounts.get(&(rid, parent.clone())) else {
+    for act in acts {
+        if act.hid.parent().is_none() {
+            continue;
+        }
+        // The coordinates resolved every parent when they were built.
+        let activator = act
+            .parent
+            .and_then(|p| ctx.coords.activations().get(p as usize))
+            .and_then(|p| p.op(act.hid.opnum()));
+        let Some(activator) = activator else {
             return Err(RejectReason::BadActivationParent { rid });
         };
-        if hid.opnum() == 0 || hid.opnum() > *parent_count {
-            return Err(RejectReason::BadActivationParent { rid });
-        }
-        shard.edges[SEC_ACTIVATION].push((
-            GNode::op(rid, parent.clone(), hid.opnum()),
-            GNode::Handler {
-                rid,
-                hid: (*hid).clone(),
-                pos: HPos::Start,
-            },
-            EdgeKind::Activation,
-        ));
+        shard
+            .edges
+            .push(Edge::new(activator, act.start, EdgeKind::Activation));
     }
     Ok(())
 }
 
-/// `CheckOpIsValid` (Fig. 16 lines 58–61). The duplicate check runs
-/// against the shard's local `OpMap` fragment — equivalent to the
-/// serial global check because every `OpRef` a request's logs insert
-/// carries that request's id, and within a request the shard preserves
-/// the serial handler-log-before-tx-log insertion order.
-fn check_op_is_valid(
-    advice: &AdviceRef<'_>,
-    op_map: &HashMap<OpRef, OpMapEntry>,
-    op: &OpRef,
-) -> Result<(), RejectReason> {
-    let Some(count) = advice.opcounts.get(&(op.rid, op.hid.clone())) else {
-        return Err(RejectReason::InvalidLogOp {
-            at: op.clone(),
-            why: "handler not in opcounts",
-        });
+/// The range half of `CheckOpIsValid` (Fig. 16 lines 58–61), also the
+/// whole check for *referenced* operations (dictating writes, which are
+/// mapped by their own log): `(rid, hid, opnum)` must lie within a
+/// reported handler. Returns its node id.
+fn op_in_range(
+    act: Option<&Activation>,
+    rid: RequestId,
+    hid: &HandlerId,
+    opnum: u32,
+) -> Result<u32, RejectReason> {
+    let invalid = |why| RejectReason::InvalidLogOp {
+        at: OpRef::new(rid, hid.clone(), opnum),
+        why,
     };
-    if op.opnum < 1 || op.opnum > *count {
-        return Err(RejectReason::InvalidLogOp {
-            at: op.clone(),
-            why: "opnum out of range",
-        });
+    let act = act.ok_or_else(|| invalid("handler not in opcounts"))?;
+    act.op(opnum).ok_or_else(|| invalid("opnum out of range"))
+}
+
+/// `CheckOpIsValid` for an operation of this shard's own request:
+/// resolves it inside the request's activations and marks it logged.
+/// The duplicate check runs against the shard's own range —
+/// equivalent to a global check because every coordinate a request's
+/// logs insert carries that request's id.
+fn claim_op(
+    ctx: &ShardCtx<'_, '_>,
+    work: &RidWork<'_>,
+    logged: &mut Logged,
+    hid: &HandlerId,
+    opnum: u32,
+) -> Result<u32, RejectReason> {
+    // Consecutive log entries name the same handler or its
+    // continuation far more often than not.
+    let found = find_act(ctx, work, hid, logged.near);
+    if let Some((offset, _)) = found {
+        logged.near = offset;
     }
-    if op_map.contains_key(op) {
+    let node = op_in_range(found.map(|(_, act)| act), work.rid, hid, opnum)?;
+    if !logged.insert(node) {
         return Err(RejectReason::InvalidLogOp {
-            at: op.clone(),
+            at: OpRef::new(work.rid, hid.clone(), opnum),
             why: "duplicate log entry",
         });
     }
-    Ok(())
+    Ok(node)
 }
 
-/// Range-only validity for *referenced* operations (dictating writes):
-/// they must exist within a reported handler but have already been (or
-/// will be) mapped by their own log.
-fn check_op_in_range(advice: &AdviceRef<'_>, op: &OpRef) -> Result<(), RejectReason> {
-    let Some(count) = advice.opcounts.get(&(op.rid, op.hid.clone())) else {
-        return Err(RejectReason::InvalidLogOp {
-            at: op.clone(),
-            why: "handler not in opcounts",
-        });
-    };
-    if op.opnum < 1 || op.opnum > *count {
-        return Err(RejectReason::InvalidLogOp {
-            at: op.clone(),
-            why: "opnum out of range",
-        });
-    }
-    Ok(())
+/// A log position as an `OpMap` index. Logs are slices of decoded
+/// advice, far below `u32::MAX` entries under any decode budget; a
+/// longer one is refused rather than truncated.
+fn log_index(i: usize) -> Result<u32, RejectReason> {
+    u32::try_from(i).map_err(|_| RejectReason::MalformedAdvice {
+        what: "log longer than 2^32 entries".into(),
+    })
 }
 
 /// `AddHandlerRelatedEdges` (Fig. 16 lines 3–28), for one request.
 fn section_handler(
     shard: &mut RidShard<'_>,
-    global_by_event: &HashMap<&str, Vec<kem::FunctionId>>,
-    advice: &AdviceRef<'_>,
+    ctx: &ShardCtx<'_, '_>,
     work: &RidWork<'_>,
+    logged: &mut Logged,
 ) -> Result<(), RejectReason> {
     let Some(log) = work.handler_log else {
         return Ok(());
     };
     let rid = work.rid;
-    if !work.in_trace {
+    if work.boundary.is_none() {
         return Err(RejectReason::UnknownRequest { rid });
     }
     // Event names stay borrowed from the advice bytes: the registration
     // scan allocates nothing per entry.
     let mut registered: Vec<(&str, kem::FunctionId)> = Vec::new();
-    let mut prev: Option<OpRef> = None;
+    let mut prev: Option<u32> = None;
     for (i, entry) in log.iter().enumerate() {
-        let op = OpRef::new(rid, entry.hid.clone(), entry.opnum);
-        check_op_is_valid(advice, &shard.op_map, &op)?;
-        shard
-            .op_map
-            .insert(op.clone(), OpMapEntry::HandlerLog { index: i });
+        let node = claim_op(ctx, work, logged, &entry.hid, entry.opnum)?;
+        shard.op_map.push((
+            node,
+            OpMapEntry::HandlerLog {
+                index: log_index(i)?,
+            },
+        ));
         if let Some(p) = prev {
-            shard.edges[SEC_HANDLER].push((
-                GNode::op(p.rid, p.hid, p.opnum),
-                GNode::op(op.rid, op.hid.clone(), op.opnum),
-                EdgeKind::HandlerLog,
-            ));
+            shard.edges.push(Edge::new(p, node, EdgeKind::HandlerLog));
         }
-        prev = Some(op.clone());
+        prev = Some(node);
         match entry.op {
             HandlerOpView::Register { event, function } => {
                 registered.push((event, function));
@@ -659,31 +723,32 @@ fn section_handler(
                 // All functions registered for the event at this
                 // point: global registrations first, then the
                 // request's own, in registration order.
-                let globals = global_by_event.get(event).map(Vec::as_slice).unwrap_or(&[]);
-                let mut fns: Vec<kem::FunctionId> = globals.to_vec();
-                fns.extend(
-                    registered
-                        .iter()
-                        .filter(|(e, _)| *e == event)
-                        .map(|(_, f)| *f),
-                );
-                let mut hids = Vec::with_capacity(fns.len());
-                for f in fns {
+                let globals = ctx
+                    .global_by_event
+                    .get(event)
+                    .map(Vec::as_slice)
+                    .unwrap_or(&[]);
+                let own = registered
+                    .iter()
+                    .filter(|(e, _)| *e == event)
+                    .map(|(_, f)| *f);
+                let mut hids = Vec::with_capacity(globals.len());
+                for f in globals.iter().copied().chain(own) {
                     let hid = HandlerId::child(&entry.hid, f, entry.opnum);
-                    if !advice.opcounts.contains_key(&(rid, hid.clone())) {
+                    if find_act(ctx, work, &hid, logged.near).is_none() {
                         return Err(RejectReason::MissingActivatedHandler { rid });
                     }
                     hids.push(hid);
                 }
-                shard.activated.push((op, hids));
+                shard.activated.push((node, hids));
             }
             HandlerOpView::Check { event } => {
                 // The count a check op observes: global
                 // registrations plus this request's live ones for
                 // the event, at this point in the handler log.
-                let count = global_by_event.get(event).map_or(0, Vec::len)
+                let count = ctx.global_by_event.get(event).map_or(0, Vec::len)
                     + registered.iter().filter(|(e, _)| *e == event).count();
-                shard.check_counts.push((op, count as i64));
+                shard.check_counts.push((node, count as i64));
             }
         }
     }
@@ -691,129 +756,103 @@ fn section_handler(
 }
 
 /// `AddExternalStateEdges` (Fig. 16 lines 30–56), for one request's
-/// transactions (ascending `KTxId`), recording the committed set and
-/// `lastModification` entries.
-fn section_external<'a>(
-    shard: &mut RidShard<'a>,
-    advice: &AdviceRef<'a>,
-    work: &RidWork<'a>,
+/// transactions (ascending `KTxId`, i.e. ascending rank), recording the
+/// committed set and `lastModification` entries.
+fn section_external<'x>(
+    shard: &mut RidShard<'x>,
+    ctx: &ShardCtx<'_, 'x>,
+    work: &RidWork<'x>,
+    txs: &[(KTxId, Vec<TxEntryRef<'x>>)],
+    logged: &mut Logged,
 ) -> Result<(), RejectReason> {
-    for (tx, log) in &work.tx_logs {
-        let tx = *tx;
-        if !work.in_trace {
+    for (rank, (tx, log)) in (work.txs.start..).zip(txs) {
+        if work.boundary.is_none() {
             return Err(RejectReason::UnknownRequest { rid: tx.rid });
         }
+        let malformed = |why| RejectReason::TxLogMalformed {
+            tx: tx.clone(),
+            why,
+        };
         let Some(first) = log.first() else {
-            return Err(RejectReason::TxLogMalformed {
-                tx: tx.clone(),
-                why: "empty log",
-            });
+            return Err(malformed("empty log"));
         };
         if first.optype != TxOpType::Start || first.hid != tx.hid || first.opnum != tx.opnum {
-            return Err(RejectReason::TxLogMalformed {
-                tx: tx.clone(),
-                why: "first entry is not the tx_start",
-            });
+            return Err(malformed("first entry is not the tx_start"));
         }
         let is_committed = log.last().is_some_and(|e| e.optype == TxOpType::Commit);
         if is_committed {
-            shard.committed.push(tx.clone());
+            shard.committed.push(rank);
         }
 
         let mut my_writes: BTreeMap<&str, u32> = BTreeMap::new();
         for (i, entry) in log.iter().enumerate() {
             if i > 0 && entry.optype == TxOpType::Start {
-                return Err(RejectReason::TxLogMalformed {
-                    tx: tx.clone(),
-                    why: "tx_start after the first entry",
-                });
+                return Err(malformed("tx_start after the first entry"));
             }
             if i + 1 < log.len() && matches!(entry.optype, TxOpType::Commit | TxOpType::Abort) {
-                return Err(RejectReason::TxLogMalformed {
-                    tx: tx.clone(),
-                    why: "operations after commit/abort",
-                });
+                return Err(malformed("operations after commit/abort"));
             }
-            let op = OpRef::new(tx.rid, entry.hid.clone(), entry.opnum);
-            check_op_is_valid(advice, &shard.op_map, &op)?;
-            shard.op_map.insert(
-                op.clone(),
-                OpMapEntry::TxLog {
-                    tx: tx.clone(),
-                    index: i,
-                },
-            );
+            let index = log_index(i)?;
+            let node = claim_op(ctx, work, logged, &entry.hid, entry.opnum)?;
+            shard
+                .op_map
+                .push((node, OpMapEntry::TxLog { tx: rank, index }));
+            let at = || OpRef::new(tx.rid, entry.hid.clone(), entry.opnum);
 
             match entry.optype {
                 TxOpType::Get => {
                     let Some(key) = entry.key else {
-                        return Err(RejectReason::TxLogMalformed {
-                            tx: tx.clone(),
-                            why: "GET without key",
-                        });
+                        return Err(malformed("GET without key"));
                     };
                     let TxContentsRef::Get { from } = &entry.contents else {
-                        return Err(RejectReason::TxLogMalformed {
-                            tx: tx.clone(),
-                            why: "GET with non-GET contents",
-                        });
+                        return Err(malformed("GET with non-GET contents"));
                     };
                     if let Some(pos) = from {
-                        let Some(opw) = advice.tx_entry(pos) else {
-                            return Err(RejectReason::BadDictatingWrite { at: op });
+                        let Some(opw) = ctx.advice.tx_entry(pos) else {
+                            return Err(RejectReason::BadDictatingWrite { at: at() });
                         };
                         if opw.optype != TxOpType::Put || opw.key != Some(key) {
-                            return Err(RejectReason::BadDictatingWrite { at: op });
+                            return Err(RejectReason::BadDictatingWrite { at: at() });
                         }
-                        let w_op = OpRef::new(pos.tx.rid, opw.hid.clone(), opw.opnum);
-                        check_op_in_range(advice, &w_op)?;
+                        // The dictating write may be another request's.
+                        let writer = op_in_range(
+                            ctx.coords.find(pos.tx.rid, &opw.hid),
+                            pos.tx.rid,
+                            &opw.hid,
+                            opw.opnum,
+                        )?;
                         // Write-read edge: PUT → GET (§4.4; only WR, not
                         // WW/RW, for external state — see footnote 3).
-                        shard.edges[SEC_EXTERNAL].push((
-                            GNode::op(w_op.rid, w_op.hid, w_op.opnum),
-                            GNode::op(op.rid, op.hid.clone(), op.opnum),
-                            EdgeKind::ExternalWr,
-                        ));
+                        shard
+                            .edges
+                            .push(Edge::new(writer, node, EdgeKind::ExternalWr));
                     }
                     // Transactions observe their own writes.
-                    if let Some(&w_idx) = my_writes.get(key) {
-                        let expected = Some(TxPos {
-                            tx: tx.clone(),
-                            index: w_idx,
-                        });
-                        if *from != expected {
-                            return Err(RejectReason::SelfReadNotLastModification { at: op });
-                        }
-                    } else if let Some(pos) = from {
-                        if pos.tx == *tx {
-                            return Err(RejectReason::SelfReadNotLastModification { at: op });
-                        }
+                    let reads_own =
+                        |w_idx: u32| matches!(from, Some(p) if p.index == w_idx && p.tx == *tx);
+                    let self_read_ok = match my_writes.get(key) {
+                        Some(&w_idx) => reads_own(w_idx),
+                        None => !matches!(from, Some(p) if p.tx == *tx),
+                    };
+                    if !self_read_ok {
+                        return Err(RejectReason::SelfReadNotLastModification { at: at() });
                     }
                 }
                 TxOpType::Put => {
                     let Some(key) = entry.key else {
-                        return Err(RejectReason::TxLogMalformed {
-                            tx: tx.clone(),
-                            why: "PUT without key",
-                        });
+                        return Err(malformed("PUT without key"));
                     };
                     if !matches!(entry.contents, TxContentsRef::Put { .. }) {
-                        return Err(RejectReason::TxLogMalformed {
-                            tx: tx.clone(),
-                            why: "PUT with non-PUT contents",
-                        });
+                        return Err(malformed("PUT with non-PUT contents"));
                     }
-                    my_writes.insert(key, i as u32);
+                    my_writes.insert(key, index);
                     if is_committed {
-                        shard.last_modification.push(((tx.clone(), key), i as u32));
+                        shard.last_modification.push(((rank, key), index));
                     }
                 }
                 TxOpType::Start | TxOpType::Commit | TxOpType::Abort => {
                     if !matches!(entry.contents, TxContentsRef::None) {
-                        return Err(RejectReason::TxLogMalformed {
-                            tx: tx.clone(),
-                            why: "control entry with contents",
-                        });
+                        return Err(malformed("control entry with contents"));
                     }
                 }
             }

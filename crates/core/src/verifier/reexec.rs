@@ -20,27 +20,36 @@
 //! (which stays collapsed until values actually diverge) this makes
 //! replaying a uniform-group operation allocation-free: the per-request
 //! loop touches only pre-sized tables and `Arc`-backed values.
+//!
+//! Operations are named by the audit's coordinates (`coords.rs`). Each
+//! group member's activation of a handler is looked up once, when the
+//! handler is enqueued; from then on an operation is `start + opnum`,
+//! the `OpMap` and the listener counts are array reads, a transaction
+//! is its rank in `advice.tx_logs`, and what a group covered is a list
+//! of indices folded into whole-audit tables at the merge.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
+use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use kem::{
-    HandlerId, OpRef, Program, RExpr, RFunction, RStmt, RequestId, Trace, Value, VarId,
+    Exchange, HandlerId, OpRef, Program, RExpr, RFunction, RStmt, RequestId, Trace, Value, VarId,
     INIT_FUNCTION,
 };
 
 use obs::{CounterId, HistogramId, Obs, ObsShard};
 
-use crate::advice::{KTxId, TxOpType};
+use crate::advice::TxOpType;
 use crate::advice_ref::{AdviceRef, TxContentsRef, TxEntryRef};
 use crate::config::Limits;
 use crate::multivalue::MultiValue;
+use crate::verifier::coords::Coords;
 use crate::verifier::preprocess::{OpMapEntry, Preprocessed};
 use crate::verifier::reject::{RejectReason, ResourceKind};
 use crate::verifier::vars::VarStates;
-use crate::wire::HandlerOpView;
+use crate::wire::{HandlerLogEntryView, HandlerOpView};
 
 /// Iteration guard for `While` loops driven by (possibly forged) advice.
 /// Per-loop only — nested loops multiply, which is why the fuel meter
@@ -243,9 +252,12 @@ struct GroupRun {
     /// can detect locally, the sequential audit detects at the same
     /// point, so a cross-group error in an earlier event still wins.
     error: Option<RejectReason>,
-    executed: HashSet<(RequestId, HandlerId)>,
-    consumed: HashSet<OpRef>,
-    outputs: HashMap<RequestId, Value>,
+    /// Activation indices the group executed, in execution order.
+    executed: Vec<u32>,
+    /// `OpMap` nodes the group's operations consumed.
+    consumed: Vec<u32>,
+    /// Responses the group produced, in production order.
+    outputs: Vec<(RequestId, Value)>,
     stats: ReexecStats,
     /// The worker's telemetry shard (disabled — and heap-free — unless
     /// the audit was handed an enabled [`Obs`]).
@@ -367,16 +379,19 @@ pub struct ReExecutor<'a> {
     /// Per-request copies of non-loggable shared variables (assumed
     /// R-ordered, §5 — effectively request-local or init-constant).
     nonlog: HashMap<(VarId, RequestId), Value>,
-    /// Transaction-token table: token integer → transaction id.
-    tx_table: Vec<KTxId>,
-    tx_counters: HashMap<KTxId, u32>,
-    executed: HashSet<(RequestId, HandlerId)>,
-    /// Every OpMap coordinate a re-executed operation consumed; at the
-    /// end of re-execution this must cover the whole OpMap (§4.4:
-    /// "all operations in the transaction logs are produced during
+    /// Transaction-token table: token integer → transaction and how
+    /// far into its log re-execution has got.
+    tx_table: Vec<TxToken>,
+    /// Activation indices executed so far. Like `consumed` and
+    /// `outputs`, a list sized by what this executor touched; the
+    /// whole-audit tables are [`Coverage`]'s.
+    executed: Vec<u32>,
+    /// Every OpMap node a re-executed operation consumed; at the end
+    /// of re-execution these must cover the whole OpMap (§4.4: "all
+    /// operations in the transaction logs are produced during
     /// re-execution" — and likewise for handler logs).
-    consumed: HashSet<OpRef>,
-    outputs: HashMap<RequestId, Value>,
+    consumed: Vec<u32>,
+    outputs: Vec<(RequestId, Value)>,
     stats: ReexecStats,
     /// Telemetry handle; [`Obs::noop`] (zero-cost) unless installed
     /// via [`ReExecutor::with_obs`].
@@ -417,8 +432,59 @@ pub struct ReExecutor<'a> {
     vm_loops: Vec<u32>,
     vm_iters: Vec<(MultiValue, usize, usize)>,
     vm_locals: Vec<Option<MultiValue>>,
-    vm_counts: Vec<Option<u32>>,
+    vm_slots: Vec<Option<Slot>>,
+    /// The per-member activations of every handler enqueued so far,
+    /// back to back; a [`Pending`] names its run. Grows with what this
+    /// executor replays and is never searched.
+    pending_slots: Vec<Option<Slot>>,
 }
+
+/// One live transaction token: the transaction it names, by rank in
+/// `advice.tx_logs`, and the `txnum` of its latest re-executed
+/// operation.
+#[derive(Clone, Copy)]
+struct TxToken {
+    tx: u32,
+    txnum: u32,
+}
+
+/// Where one group member's activation of the running handler sits in
+/// the coordinates: its activation index, and operation `k` is node
+/// `start + k`.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Slot {
+    act: u32,
+    start: u32,
+    count: u32,
+}
+
+impl Slot {
+    /// The slot of activation index `act`.
+    fn of(coords: &Coords, act: u32) -> Option<Slot> {
+        let activation = coords.activations().get(act as usize)?;
+        Some(Slot {
+            act,
+            start: activation.start,
+            count: activation.count,
+        })
+    }
+}
+
+/// A handler activation waiting in a group's queue.
+struct Pending {
+    hid: HandlerId,
+    payload: MultiValue,
+    /// Each member's activation of `hid`, in group order, as a run of
+    /// [`ReExecutor::pending_slots`]: resolved when the handler was
+    /// enqueued — by whoever activated it, which is the one place a
+    /// member's `(rid, hid)` is looked up. `None` (the member's advice
+    /// reports no such activation) fails the handler's first bump or
+    /// its exit check, exactly as a per-bump lookup would.
+    slots: Range<usize>,
+}
+
+/// A group's queue of activated handlers.
+type Queue = VecDeque<Pending>;
 
 /// Pops an operand, failing closed (the compiler balances the stack,
 /// so underflow is a verifier bug, not bad advice).
@@ -429,8 +495,9 @@ fn vm_pop(stack: &mut Vec<MultiValue>) -> Result<MultiValue, RejectReason> {
 }
 
 /// Per-handler interpreter frame: slot-indexed locals over the
-/// slot-compiled body, plus each group member's reported opcount
-/// (fetched once per activation instead of once per bump).
+/// slot-compiled body, plus each group member's activation (resolved
+/// when the handler was enqueued; every operation is arithmetic on
+/// it).
 struct Frame<'p> {
     hid: HandlerId,
     idx: u32,
@@ -439,20 +506,107 @@ struct Frame<'p> {
     locals: Vec<Option<MultiValue>>,
     /// The slot-compiled function this frame executes.
     func: &'p RFunction,
-    /// `advice.opcounts[(rid, hid)]` per group member, in group order.
-    /// `None` (missing from the advice) fails the first bump or the
-    /// handler-exit check, exactly as a per-bump lookup would.
-    counts: Vec<Option<u32>>,
+    /// The activation `(rid, hid)` per group member, in group order
+    /// (see [`Pending::slots`]).
+    slots: Vec<Option<Slot>>,
 }
 
-/// One group's context: its requests, in trace order.
-struct Group {
+impl Frame<'_> {
+    /// Node id of member `i`'s current operation. Callers run after
+    /// [`ReExecutor::bump`] accepted `idx` for every member, so the
+    /// error is a verifier bug, not bad advice.
+    fn node(&self, i: usize) -> Result<u32, RejectReason> {
+        match self.slots.get(i).copied().flatten() {
+            Some(slot) if self.idx <= slot.count => Ok(slot.start + self.idx),
+            _ => Err(RejectReason::VerifierInternal {
+                what: "operation outside its activation".into(),
+            }),
+        }
+    }
+}
+
+/// One group's context: its requests, in trace order, and what each
+/// owns in the sorted advice — found once per group, so per-operation
+/// work never searches by request id.
+struct Group<'a> {
     rids: Vec<RequestId>,
+    /// Each member's rank in the trace's arrival order.
+    ranks: Vec<Option<u32>>,
+    /// Each member's activations, as a range of the coordinates.
+    slices: Vec<Range<u32>>,
+    /// Each member's handler log (empty when the advice has none).
+    handler_logs: Vec<&'a [HandlerLogEntryView<'a>]>,
 }
 
-impl Group {
+impl<'a> Group<'a> {
+    fn new(rids: Vec<RequestId>, advice: &'a AdviceRef<'a>, coords: &Coords) -> Self {
+        let ranks = rids.iter().map(|r| coords.trace_rank(*r)).collect();
+        let slices = rids.iter().map(|r| coords.activations_of(*r)).collect();
+        let handler_logs = rids
+            .iter()
+            .map(|r| {
+                advice
+                    .handler_logs
+                    .get(r)
+                    .map_or(&[][..], |log| log.as_slice())
+            })
+            .collect();
+        Group {
+            rids,
+            ranks,
+            slices,
+            handler_logs,
+        }
+    }
+
     fn n(&self) -> usize {
         self.rids.len()
+    }
+
+    /// Appends each member's activation of the request handler `hid`
+    /// to `out`, returning the run. All members of an honest group
+    /// have the same handler tree, so the offset that matched the
+    /// previous member is the next one's hint (see [`Coords::find_in`]
+    /// for the fallback).
+    fn resolve_root(
+        &self,
+        coords: &Coords,
+        hid: &HandlerId,
+        out: &mut Vec<Option<Slot>>,
+    ) -> Range<usize> {
+        let first = out.len();
+        let mut near = 0u32;
+        out.extend(self.slices.iter().map(|within| {
+            let act = coords.find_in(within, hid, near)?;
+            near = act - within.start;
+            Slot::of(coords, act)
+        }));
+        first..out.len()
+    }
+
+    /// [`Group::resolve_root`] for `hid`, a handler activated by the
+    /// running handler, whose per-member activations are `parents`:
+    /// found from the member's own parent activation, so an honest
+    /// group costs integer compares ([`Coords::find_child_in`]). The
+    /// first member's hint is where a first child sorts, right behind
+    /// its parent.
+    fn resolve_child(
+        &self,
+        coords: &Coords,
+        parents: &[Option<Slot>],
+        hid: &HandlerId,
+        out: &mut Vec<Option<Slot>>,
+    ) -> Range<usize> {
+        let first = out.len();
+        let mut near = None;
+        out.extend(self.slices.iter().zip(parents).map(|(within, parent)| {
+            let parent = (*parent)?;
+            let hint = near.unwrap_or(parent.act.saturating_sub(within.start));
+            let act = coords.find_child_in(within, parent.act, hid, hint)?;
+            near = Some(act - within.start);
+            Slot::of(coords, act)
+        }));
+        first..out.len()
     }
 }
 
@@ -475,12 +629,9 @@ impl<'a> ReExecutor<'a> {
             rng: rand::SeedableRng::seed_from_u64(0),
             nonlog: HashMap::new(),
             tx_table: Vec::new(),
-            tx_counters: HashMap::new(),
-            // Pre-size the coverage tables to their known final bounds
-            // so per-operation inserts never rehash mid-replay.
-            executed: HashSet::with_capacity(advice.opcounts.len()),
-            consumed: HashSet::with_capacity(pre.op_map.len()),
-            outputs: HashMap::with_capacity(advice.tags.len()),
+            executed: Vec::new(),
+            consumed: Vec::new(),
+            outputs: Vec::new(),
             stats: ReexecStats::default(),
             obs: Obs::noop(),
             limits: Limits::unlimited(),
@@ -497,7 +648,8 @@ impl<'a> ReExecutor<'a> {
             vm_loops: Vec::new(),
             vm_iters: Vec::new(),
             vm_locals: Vec::new(),
-            vm_counts: Vec::new(),
+            vm_slots: Vec::new(),
+            pending_slots: Vec::new(),
         }
     }
 
@@ -534,10 +686,9 @@ impl<'a> ReExecutor<'a> {
             rng: rand::SeedableRng::seed_from_u64(seed),
             nonlog: HashMap::new(),
             tx_table: Vec::new(),
-            tx_counters: HashMap::new(),
-            executed: HashSet::with_capacity(advice.opcounts.len()),
-            consumed: HashSet::with_capacity(pre.op_map.len()),
-            outputs: HashMap::with_capacity(advice.tags.len()),
+            executed: Vec::new(),
+            consumed: Vec::new(),
+            outputs: Vec::new(),
             stats: ReexecStats::default(),
             obs: Obs::noop(),
             limits: Limits::unlimited(),
@@ -556,7 +707,8 @@ impl<'a> ReExecutor<'a> {
             vm_loops: Vec::new(),
             vm_iters: Vec::new(),
             vm_locals: Vec::new(),
-            vm_counts: Vec::new(),
+            vm_slots: Vec::new(),
+            pending_slots: Vec::new(),
         }
     }
 
@@ -682,11 +834,8 @@ impl<'a> ReExecutor<'a> {
         Ok(())
     }
 
-    /// Draws the next handler from the active queue per the schedule.
-    fn next_active(
-        &mut self,
-        active: &mut VecDeque<(HandlerId, MultiValue)>,
-    ) -> Option<(HandlerId, MultiValue)> {
+    /// Draws the next handler from an active queue per the schedule.
+    fn next_active<T>(&mut self, active: &mut VecDeque<T>) -> Option<T> {
         match self.schedule {
             ReplaySchedule::Fifo => active.pop_front(),
             ReplaySchedule::Lifo => active.pop_back(),
@@ -759,6 +908,8 @@ impl<'a> ReExecutor<'a> {
         }
         let groups = self.advice.groups(&order);
         let ngroups = groups.len();
+        let exchanges = self.trace.exchanges();
+        let exchanges = exchanges.as_slice();
         let obs_handle = self.obs.clone();
         obs_handle.progress_replay_total(ngroups as u64);
         obs_handle.progress_phase(obs::Phase::Replay);
@@ -820,9 +971,7 @@ impl<'a> ReExecutor<'a> {
                 ex.bytecode = bytecode;
                 ex.arm_meter(&limits, Some(gidx as u64), 1);
                 let mut error = ex
-                    .run_group(Group {
-                        rids: rids.to_vec(),
-                    })
+                    .run_group(Group::new(rids.to_vec(), advice, &pre.coords), exchanges)
                     .err();
                 ex.stats.fuel_spent = ex.fuel_spent;
                 ex.stats.max_group_fuel = ex.fuel_spent;
@@ -911,9 +1060,9 @@ impl<'a> ReExecutor<'a> {
                         super::panic_message(payload.as_ref())
                     ),
                 }),
-                executed: HashSet::new(),
-                consumed: HashSet::new(),
-                outputs: HashMap::new(),
+                executed: Vec::new(),
+                consumed: Vec::new(),
+                outputs: Vec::new(),
                 stats: ReexecStats::default(),
                 obs: obs_handle.shard(lane),
                 panicked: true,
@@ -928,10 +1077,7 @@ impl<'a> ReExecutor<'a> {
             groups: ngroups,
             ..Default::default()
         };
-        let mut executed: HashSet<(RequestId, HandlerId)> =
-            HashSet::with_capacity(advice.opcounts.len());
-        let mut consumed: HashSet<OpRef> = HashSet::with_capacity(pre.op_map.len());
-        let mut outputs: HashMap<RequestId, Value> = HashMap::with_capacity(order.len());
+        let mut coverage = Coverage::new(&pre.coords, order.len());
         let mut timing = ReexecTiming::default();
 
         if threads <= 1 || ngroups <= 1 {
@@ -975,9 +1121,7 @@ impl<'a> ReExecutor<'a> {
                     advice,
                     &obs_handle,
                     &mut stats,
-                    &mut executed,
-                    &mut consumed,
-                    &mut outputs,
+                    &mut coverage,
                     &mut quarantine,
                     unit,
                 ) {
@@ -988,7 +1132,7 @@ impl<'a> ReExecutor<'a> {
             let pending = quarantine.finish(&obs_handle);
             merged?;
             pending?;
-            final_checks(trace, advice, pre, &order, &executed, &consumed, &outputs)?;
+            final_checks(exchanges, pre, &coverage)?;
             timing.state_merge = t_merge.elapsed();
             obs_handle.record_span(
                 "state-merge",
@@ -1098,9 +1242,7 @@ impl<'a> ReExecutor<'a> {
                         advice,
                         obs_ref,
                         &mut stats,
-                        &mut executed,
-                        &mut consumed,
-                        &mut outputs,
+                        &mut coverage,
                         &mut quarantine,
                         unit,
                     ) {
@@ -1117,7 +1259,7 @@ impl<'a> ReExecutor<'a> {
                     out = qres;
                 }
                 if out.is_ok() {
-                    out = final_checks(trace, advice, pre, &order, &executed, &consumed, &outputs);
+                    out = final_checks(exchanges, pre, &coverage);
                 }
                 merge_wall = t_merge.elapsed();
                 if out.is_ok() {
@@ -1214,9 +1356,7 @@ impl<'a> ReExecutor<'a> {
                 advice,
                 &obs_handle,
                 &mut stats,
-                &mut executed,
-                &mut consumed,
-                &mut outputs,
+                &mut coverage,
                 &mut quarantine,
                 unit,
             ) {
@@ -1227,7 +1367,7 @@ impl<'a> ReExecutor<'a> {
         let pending = quarantine.finish(&obs_handle);
         merged?;
         pending?;
-        final_checks(trace, advice, pre, &order, &executed, &consumed, &outputs)?;
+        final_checks(exchanges, pre, &coverage)?;
         timing.state_merge = t_merge.elapsed();
         obs_handle.record_span(
             "state-merge",
@@ -1255,77 +1395,40 @@ impl<'a> ReExecutor<'a> {
         let limits = self.limits;
         self.arm_meter(&limits, None, order.len() as u64);
         self.stats.groups = order.len();
-        // One global queue of (singleton group, handler, payload).
-        let mut active: VecDeque<(Group, HandlerId, MultiValue)> = VecDeque::new();
-        for rid in &order {
-            let g = Group { rids: vec![*rid] };
-            let Some(input) = self.trace.input_of(*rid).cloned() else {
-                return Err(RejectReason::UnbalancedTrace);
-            };
-            for &f in &self.program.request_handlers {
-                let hid = HandlerId::root(kem::FunctionId(f));
-                if !self.advice.opcounts.contains_key(&(*rid, hid.clone())) {
-                    return Err(RejectReason::GroupSetupMismatch {
-                        why: "request handler missing from opcounts",
-                    });
-                }
-                active.push_back((
-                    Group {
-                        rids: g.rids.clone(),
-                    },
-                    hid,
-                    MultiValue::uniform(input.clone()),
-                ));
-            }
+        let (advice, coords) = (self.advice, &self.pre.coords);
+        let exchanges = self.trace.exchanges();
+        let groups: Vec<Group<'a>> = order
+            .iter()
+            .map(|rid| Group::new(vec![*rid], advice, coords))
+            .collect();
+        // One global queue of (singleton group, activated handler).
+        let mut active: VecDeque<(usize, Pending)> = VecDeque::new();
+        for (gi, (x, g)) in exchanges.iter().zip(&groups).enumerate() {
+            let mut roots = Queue::new();
+            self.enqueue_roots(g, &mut roots, &MultiValue::uniform(x.input.clone()))?;
+            active.extend(roots.into_iter().map(|root| (gi, root)));
         }
         // Drain with the configured schedule; children go back into the
         // same global queue, so requests' handlers interleave freely.
-        while let Some((g, hid, payload)) = self.next_active_global(&mut active) {
-            let mut children: VecDeque<(HandlerId, MultiValue)> = VecDeque::new();
-            self.exec_handler(&g, &mut children, hid, payload)?;
-            for (hid, payload) in children {
-                active.push_back((
-                    Group {
-                        rids: g.rids.clone(),
-                    },
-                    hid,
-                    payload,
-                ));
-            }
+        while let Some((gi, pending)) = self.next_active(&mut active) {
+            let Some(g) = groups.get(gi) else { continue };
+            let mut children = Queue::new();
+            self.exec_handler(g, &mut children, pending)?;
+            active.extend(children.into_iter().map(|child| (gi, child)));
         }
-        final_checks(
-            self.trace,
-            self.advice,
-            self.pre,
-            &order,
+        let mut coverage = Coverage::new(coords, order.len());
+        coverage.absorb(
             &self.executed,
             &self.consumed,
-            &self.outputs,
-        )?;
+            std::mem::take(&mut self.outputs),
+        );
+        final_checks(&exchanges, self.pre, &coverage)?;
         self.stats.fuel_spent = self.fuel_spent;
         self.stats.max_group_fuel = self.fuel_spent;
         Ok(self.stats)
     }
 
-    fn next_active_global(
-        &mut self,
-        active: &mut VecDeque<(Group, HandlerId, MultiValue)>,
-    ) -> Option<(Group, HandlerId, MultiValue)> {
-        match self.schedule {
-            ReplaySchedule::Fifo => active.pop_front(),
-            ReplaySchedule::Lifo => active.pop_back(),
-            ReplaySchedule::Random { .. } => {
-                if active.is_empty() {
-                    None
-                } else {
-                    let i = rand::Rng::gen_range(&mut self.rng, 0..active.len());
-                    active.remove(i)
-                }
-            }
-        }
-    }
-
-    fn run_group(&mut self, g: Group) -> Result<(), RejectReason> {
+    fn run_group(&mut self, g: Group<'a>, trace: &[Exchange<'_>]) -> Result<(), RejectReason> {
         // Width cap: a forged control-flow tag that collapses many
         // requests into one group multiplies every MultiValue by the
         // group width, so an oversized group is rejected up front
@@ -1341,58 +1444,91 @@ impl<'a> ReExecutor<'a> {
         // (1) Initialize: inputs and the request handlers. The common
         // case — every member sent the same input — collapses without
         // materializing a per-request vector.
-        let mut first: Option<&Value> = None;
-        let mut inputs_equal = true;
-        for rid in &g.rids {
-            let Some(input) = self.trace.input_of(*rid) else {
+        let mut inputs: Vec<&Value> = Vec::with_capacity(g.n());
+        for rank in &g.ranks {
+            let Some(x) = rank.and_then(|r| trace.get(r as usize)) else {
                 return Err(RejectReason::UnbalancedTrace);
             };
-            match first {
-                None => first = Some(input),
-                Some(f) => inputs_equal &= f == input,
-            }
+            inputs.push(x.input);
         }
-        let payload = if inputs_equal {
-            MultiValue::uniform(first.cloned().unwrap_or(Value::Null))
-        } else {
-            let mut inputs: Vec<Value> = Vec::with_capacity(g.n());
-            for rid in &g.rids {
-                inputs.push(self.trace.input_of(*rid).cloned().unwrap_or(Value::Null));
+        let payload = match inputs.split_first() {
+            Some((first, rest)) if rest.iter().any(|input| input != first) => {
+                MultiValue::from_vec(inputs.into_iter().cloned().collect())
             }
-            MultiValue::from_vec(inputs)
+            Some((first, _)) => MultiValue::uniform((*first).clone()),
+            None => MultiValue::uniform(Value::Null),
         };
+        // Size the per-group lists by what this group can touch: its
+        // members' activations, responses and handler-log entries
+        // (transaction-log entries grow `consumed` as they come).
+        let (acts, logged) = g
+            .slices
+            .iter()
+            .zip(&g.handler_logs)
+            .fold((0, 0), |(acts, logged), (slice, log)| {
+                (acts + slice.len(), logged + log.len())
+            });
+        self.executed.reserve(acts);
+        self.pending_slots.reserve(acts);
+        self.consumed.reserve(logged);
+        self.outputs.reserve(g.n());
         // Pre-size the per-request non-loggable table to its worst
         // case so writes during replay never rehash it.
         self.nonlog
             .reserve(g.n().saturating_mul(self.program.vars.len()));
-        let mut active: VecDeque<(HandlerId, MultiValue)> = VecDeque::new();
-        for &f in &self.program.request_handlers {
-            let hid = HandlerId::root(kem::FunctionId(f));
-            for rid in &g.rids {
-                if !self.advice.opcounts.contains_key(&(*rid, hid.clone())) {
-                    return Err(RejectReason::GroupSetupMismatch {
-                        why: "request handler missing from opcounts",
-                    });
-                }
-            }
-            active.push_back((hid, payload.clone()));
-        }
+        let mut active = Queue::new();
+        self.enqueue_roots(&g, &mut active, &payload)?;
         // (2) Execute with SIMD-on-demand. The draw order is free:
         // anything respecting activation order (children enter the
         // queue only when activated) is a well-formed schedule.
-        while let Some((hid, payload)) = self.next_active(&mut active) {
-            self.exec_handler(&g, &mut active, hid, payload)?;
+        while let Some(pending) = self.next_active(&mut active) {
+            self.exec_handler(&g, &mut active, pending)?;
+        }
+        Ok(())
+    }
+
+    /// The first member (by position in its group) without an
+    /// activation in the enqueued run `slots`.
+    fn missing_member(&self, slots: &Range<usize>) -> Option<usize> {
+        let run = self.pending_slots.get(slots.clone()).unwrap_or(&[]);
+        run.iter().position(Option::is_none)
+    }
+
+    /// Enqueues the program's request handlers for every member of `g`.
+    fn enqueue_roots(
+        &mut self,
+        g: &Group<'a>,
+        active: &mut Queue,
+        payload: &MultiValue,
+    ) -> Result<(), RejectReason> {
+        for &f in &self.program.request_handlers {
+            let hid = HandlerId::root(kem::FunctionId(f));
+            let slots = g.resolve_root(&self.pre.coords, &hid, &mut self.pending_slots);
+            if self.missing_member(&slots).is_some() {
+                return Err(RejectReason::GroupSetupMismatch {
+                    why: "request handler missing from opcounts",
+                });
+            }
+            active.push_back(Pending {
+                hid,
+                payload: payload.clone(),
+                slots,
+            });
         }
         Ok(())
     }
 
     fn exec_handler(
         &mut self,
-        g: &Group,
-        active: &mut VecDeque<(HandlerId, MultiValue)>,
-        hid: HandlerId,
-        payload: MultiValue,
+        g: &Group<'a>,
+        active: &mut Queue,
+        pending: Pending,
     ) -> Result<(), RejectReason> {
+        let Pending {
+            hid,
+            payload,
+            slots: enqueued,
+        } = pending;
         let fid = hid.function();
         if fid == INIT_FUNCTION || fid.0 as usize >= self.program.functions.len() {
             return Err(RejectReason::ReexecError {
@@ -1401,9 +1537,6 @@ impl<'a> ReExecutor<'a> {
         }
         self.stats.handlers_executed += 1;
         self.stats.activations_covered += g.n() as u64;
-        for rid in &g.rids {
-            self.executed.insert((*rid, hid.clone()));
-        }
         let program = self.program;
         let Some(func) = program.resolved().functions.get(fid.0 as usize) else {
             // Resolved functions parallel `program.functions`, so this
@@ -1412,33 +1545,32 @@ impl<'a> ReExecutor<'a> {
                 message: format!("handler references unknown function {fid}"),
             });
         };
-        // On the VM path, frame slots and per-member opcounts come from
-        // reusable pools: handlers never nest, so each activation clears
-        // and refills the same buffers instead of allocating. (Error
-        // paths drop the pooled buffers with the frame — the group is
-        // finished then.) The tree-walk keeps its per-activation
-        // allocations: it is the preserved baseline the VM is measured
-        // against.
-        let (mut locals, mut counts) = if self.bytecode {
-            let mut locals = std::mem::take(&mut self.vm_locals);
-            locals.clear();
-            let mut counts = std::mem::take(&mut self.vm_counts);
-            counts.clear();
-            counts.reserve(g.n());
-            (locals, counts)
+        // On the VM path, frame locals and per-member activations come
+        // from reusable pools: handlers never nest, so each activation
+        // clears and refills the same buffers instead of allocating.
+        // (Error paths drop the pooled buffers with the frame — the
+        // group is finished then.) The tree-walk keeps its
+        // per-activation allocations: it is the preserved baseline the
+        // VM is measured against.
+        let (mut locals, mut slots) = if self.bytecode {
+            (
+                std::mem::take(&mut self.vm_locals),
+                std::mem::take(&mut self.vm_slots),
+            )
         } else {
             (Vec::new(), Vec::with_capacity(g.n()))
         };
+        locals.clear();
         locals.resize(func.n_slots as usize, None);
-        for rid in &g.rids {
-            counts.push(self.advice.opcounts.get(&(*rid, hid.clone())).copied());
-        }
+        slots.clear();
+        slots.extend_from_slice(self.pending_slots.get(enqueued).unwrap_or(&[]));
+        self.executed.extend(slots.iter().flatten().map(|s| s.act));
         let mut frame = Frame {
             hid,
             idx: 0,
             locals,
             func,
-            counts,
+            slots,
         };
         if let Some(s0) = frame.locals.get_mut(0) {
             *s0 = Some(payload);
@@ -1452,16 +1584,15 @@ impl<'a> ReExecutor<'a> {
         // (c) Handler exit: every request must have consumed exactly its
         // reported operation count.
         for (i, rid) in g.rids.iter().enumerate() {
-            match frame.counts.get(i).copied().flatten() {
-                Some(count) if count == frame.idx => {}
+            match frame.slots.get(i).copied().flatten() {
+                Some(slot) if slot.count == frame.idx => {}
                 _ => return Err(RejectReason::OpcountMismatch { rid: *rid }),
             }
         }
         if self.bytecode {
             frame.locals.clear();
             self.vm_locals = frame.locals;
-            frame.counts.clear();
-            self.vm_counts = frame.counts;
+            self.vm_slots = frame.slots;
         }
         Ok(())
     }
@@ -1475,8 +1606,8 @@ impl<'a> ReExecutor<'a> {
     /// `kem::bytecode`).
     fn exec_code(
         &mut self,
-        g: &Group,
-        active: &mut VecDeque<(HandlerId, MultiValue)>,
+        g: &Group<'a>,
+        active: &mut Queue,
         frame: &mut Frame<'_>,
         code: &kem::bytecode::FuncCode,
     ) -> Result<(), RejectReason> {
@@ -1500,8 +1631,8 @@ impl<'a> ReExecutor<'a> {
     #[allow(clippy::too_many_arguments)]
     fn dispatch(
         &mut self,
-        g: &Group,
-        active: &mut VecDeque<(HandlerId, MultiValue)>,
+        g: &Group<'a>,
+        active: &mut Queue,
         frame: &mut Frame<'_>,
         code: &kem::bytecode::FuncCode,
         stack: &mut Vec<MultiValue>,
@@ -1827,41 +1958,27 @@ impl<'a> ReExecutor<'a> {
                     let idx = self.bump(g, frame)?;
                     let program = self.program;
                     let event = program.resolved().interner.resolve(event);
-                    for rid in &g.rids {
-                        self.check_handler_op(*rid, &frame.hid, idx, &ExpectedOp::Emit { event })?;
-                        self.consumed
-                            .insert(OpRef::new(*rid, frame.hid.clone(), idx));
+                    for i in 0..n {
+                        self.consume_handler_op(g, frame, i, &ExpectedOp::Emit { event })?;
                     }
                     self.activate_handlers(g, active, frame, idx, payload)?;
                 }
                 Op::Register { event, function } => {
-                    let idx = self.bump(g, frame)?;
+                    self.bump(g, frame)?;
                     let program = self.program;
                     let event = program.resolved().interner.resolve(event);
-                    for rid in &g.rids {
-                        self.check_handler_op(
-                            *rid,
-                            &frame.hid,
-                            idx,
-                            &ExpectedOp::Register { event, function },
-                        )?;
-                        self.consumed
-                            .insert(OpRef::new(*rid, frame.hid.clone(), idx));
+                    let expected = ExpectedOp::Register { event, function };
+                    for i in 0..n {
+                        self.consume_handler_op(g, frame, i, &expected)?;
                     }
                 }
                 Op::Unregister { event, function } => {
-                    let idx = self.bump(g, frame)?;
+                    self.bump(g, frame)?;
                     let program = self.program;
                     let event = program.resolved().interner.resolve(event);
-                    for rid in &g.rids {
-                        self.check_handler_op(
-                            *rid,
-                            &frame.hid,
-                            idx,
-                            &ExpectedOp::Unregister { event, function },
-                        )?;
-                        self.consumed
-                            .insert(OpRef::new(*rid, frame.hid.clone(), idx));
+                    let expected = ExpectedOp::Unregister { event, function };
+                    for i in 0..n {
+                        self.consume_handler_op(g, frame, i, &expected)?;
                     }
                 }
                 Op::Respond => {
@@ -1871,7 +1988,7 @@ impl<'a> ReExecutor<'a> {
                             Some((h, i)) if *h == frame.hid && *i == frame.idx => {}
                             _ => return Err(RejectReason::ResponseEmitterMismatch { rid: *rid }),
                         }
-                        self.outputs.insert(*rid, val.clone());
+                        self.outputs.push((*rid, val.clone()));
                     }
                 }
                 // The token/key screening ops exist for the live
@@ -1880,34 +1997,7 @@ impl<'a> ReExecutor<'a> {
                 Op::TxToken | Op::RowKey => {}
                 Op::TxStart { on_done } => {
                     let ctx = vm_pop(stack)?;
-                    let idx = self.bump(g, frame)?;
-                    let mut payloads = Vec::with_capacity(n);
-                    for (i, rid) in g.rids.iter().enumerate() {
-                        let ktx = KTxId {
-                            rid: *rid,
-                            hid: frame.hid.clone(),
-                            opnum: idx,
-                        };
-                        let token = self.tx_table.len() as i64;
-                        self.tx_table.push(ktx.clone());
-                        self.tx_counters.insert(ktx.clone(), 0);
-                        let entry = self.check_state_op(*rid, &frame.hid, idx, &ktx, 0)?;
-                        self.consumed
-                            .insert(OpRef::new(*rid, frame.hid.clone(), idx));
-                        if entry.optype != TxOpType::Start {
-                            return Err(RejectReason::StateOpMismatch {
-                                at: OpRef::new(*rid, frame.hid.clone(), idx),
-                                why: "expected tx_start",
-                            });
-                        }
-                        let keys = tx_payload_keys();
-                        payloads.push(Value::from_pairs([
-                            (Arc::clone(&keys.ctx), ctx.get(i).clone()),
-                            (Arc::clone(&keys.ok), Value::Bool(true)),
-                            (Arc::clone(&keys.tx), Value::Int(token)),
-                        ]));
-                    }
-                    self.enqueue_continuation(g, active, frame, idx, on_done, payloads)?;
+                    self.exec_tx_start(g, active, frame, ctx, on_done)?;
                 }
                 Op::TxGet { on_done } => {
                     let ctx = vm_pop(stack)?;
@@ -1973,23 +2063,10 @@ impl<'a> ReExecutor<'a> {
                     )?;
                 }
                 Op::ListenerCount { slot, event } => {
-                    let idx = self.bump(g, frame)?;
+                    self.bump(g, frame)?;
                     let program = self.program;
                     let event = program.resolved().interner.resolve(event);
-                    let hid = frame.hid.clone();
-                    let mv = MultiValue::collect(n, |i| {
-                        let rid = g.rids[i];
-                        self.check_handler_op(rid, &hid, idx, &ExpectedOp::Check { event })?;
-                        let op = OpRef::new(rid, hid.clone(), idx);
-                        self.consumed.insert(op.clone());
-                        let Some(count) = self.pre.check_counts.get(&op) else {
-                            return Err(RejectReason::HandlerOpMismatch {
-                                at: op,
-                                why: "check op has no recomputed count",
-                            });
-                        };
-                        Ok(Value::Int(*count))
-                    })?;
+                    let mv = MultiValue::collect(n, |i| self.listener_count(g, frame, i, event))?;
                     if let Some(s) = frame.locals.get_mut(slot as usize) {
                         *s = Some(mv);
                     }
@@ -2025,11 +2102,11 @@ impl<'a> ReExecutor<'a> {
 
     /// Advances the operation counter, checking it stays within every
     /// group member's reported opcount (Fig. 18 line 43).
-    fn bump(&self, g: &Group, frame: &mut Frame<'_>) -> Result<u32, RejectReason> {
+    fn bump(&self, g: &Group<'a>, frame: &mut Frame<'_>) -> Result<u32, RejectReason> {
         frame.idx += 1;
         for (i, rid) in g.rids.iter().enumerate() {
-            match frame.counts.get(i).copied().flatten() {
-                Some(count) if frame.idx <= count => {}
+            match frame.slots.get(i).copied().flatten() {
+                Some(slot) if frame.idx <= slot.count => {}
                 _ => return Err(RejectReason::OpcountMismatch { rid: *rid }),
             }
         }
@@ -2038,8 +2115,8 @@ impl<'a> ReExecutor<'a> {
 
     fn exec_block<'f>(
         &mut self,
-        g: &Group,
-        active: &mut VecDeque<(HandlerId, MultiValue)>,
+        g: &Group<'a>,
+        active: &mut Queue,
         frame: &mut Frame<'f>,
         stmts: &'f [RStmt],
     ) -> Result<(), RejectReason> {
@@ -2051,8 +2128,8 @@ impl<'a> ReExecutor<'a> {
 
     fn exec_stmt<'f>(
         &mut self,
-        g: &Group,
-        active: &mut VecDeque<(HandlerId, MultiValue)>,
+        g: &Group<'a>,
+        active: &mut Queue,
         frame: &mut Frame<'f>,
         stmt: &'f RStmt,
     ) -> Result<(), RejectReason> {
@@ -2187,47 +2264,33 @@ impl<'a> ReExecutor<'a> {
                 let idx = self.bump(g, frame)?;
                 let program = self.program;
                 let event = program.resolved().interner.resolve(*event);
-                for rid in &g.rids {
-                    self.check_handler_op(*rid, &frame.hid, idx, &ExpectedOp::Emit { event })?;
-                    self.consumed
-                        .insert(OpRef::new(*rid, frame.hid.clone(), idx));
+                for i in 0..g.n() {
+                    self.consume_handler_op(g, frame, i, &ExpectedOp::Emit { event })?;
                 }
                 self.activate_handlers(g, active, frame, idx, payload)?;
             }
             RStmt::Register { event, function } => {
-                let idx = self.bump(g, frame)?;
+                self.bump(g, frame)?;
                 let program = self.program;
                 let event = program.resolved().interner.resolve(*event);
-                for rid in &g.rids {
-                    self.check_handler_op(
-                        *rid,
-                        &frame.hid,
-                        idx,
-                        &ExpectedOp::Register {
-                            event,
-                            function: *function,
-                        },
-                    )?;
-                    self.consumed
-                        .insert(OpRef::new(*rid, frame.hid.clone(), idx));
+                let expected = ExpectedOp::Register {
+                    event,
+                    function: *function,
+                };
+                for i in 0..g.n() {
+                    self.consume_handler_op(g, frame, i, &expected)?;
                 }
             }
             RStmt::Unregister { event, function } => {
-                let idx = self.bump(g, frame)?;
+                self.bump(g, frame)?;
                 let program = self.program;
                 let event = program.resolved().interner.resolve(*event);
-                for rid in &g.rids {
-                    self.check_handler_op(
-                        *rid,
-                        &frame.hid,
-                        idx,
-                        &ExpectedOp::Unregister {
-                            event,
-                            function: *function,
-                        },
-                    )?;
-                    self.consumed
-                        .insert(OpRef::new(*rid, frame.hid.clone(), idx));
+                let expected = ExpectedOp::Unregister {
+                    event,
+                    function: *function,
+                };
+                for i in 0..g.n() {
+                    self.consume_handler_op(g, frame, i, &expected)?;
                 }
             }
             RStmt::Respond(e) => {
@@ -2237,39 +2300,12 @@ impl<'a> ReExecutor<'a> {
                         Some((h, i)) if *h == frame.hid && *i == frame.idx => {}
                         _ => return Err(RejectReason::ResponseEmitterMismatch { rid: *rid }),
                     }
-                    self.outputs.insert(*rid, val.clone());
+                    self.outputs.push((*rid, val.clone()));
                 }
             }
             RStmt::TxStart { ctx, on_done } => {
                 let ctx = self.eval(g, frame, ctx)?;
-                let idx = self.bump(g, frame)?;
-                let mut payloads = Vec::with_capacity(g.n());
-                for (i, rid) in g.rids.iter().enumerate() {
-                    let ktx = KTxId {
-                        rid: *rid,
-                        hid: frame.hid.clone(),
-                        opnum: idx,
-                    };
-                    let token = self.tx_table.len() as i64;
-                    self.tx_table.push(ktx.clone());
-                    self.tx_counters.insert(ktx.clone(), 0);
-                    let entry = self.check_state_op(*rid, &frame.hid, idx, &ktx, 0)?;
-                    self.consumed
-                        .insert(OpRef::new(*rid, frame.hid.clone(), idx));
-                    if entry.optype != TxOpType::Start {
-                        return Err(RejectReason::StateOpMismatch {
-                            at: OpRef::new(*rid, frame.hid.clone(), idx),
-                            why: "expected tx_start",
-                        });
-                    }
-                    let keys = tx_payload_keys();
-                    payloads.push(Value::from_pairs([
-                        (Arc::clone(&keys.ctx), ctx.get(i).clone()),
-                        (Arc::clone(&keys.ok), Value::Bool(true)),
-                        (Arc::clone(&keys.tx), Value::Int(token)),
-                    ]));
-                }
-                self.enqueue_continuation(g, active, frame, idx, *on_done, payloads)?;
+                self.exec_tx_start(g, active, frame, ctx, *on_done)?;
             }
             RStmt::TxGet {
                 tx,
@@ -2335,25 +2371,10 @@ impl<'a> ReExecutor<'a> {
                 )?;
             }
             RStmt::ListenerCount { slot, event } => {
-                let idx = self.bump(g, frame)?;
+                self.bump(g, frame)?;
                 let program = self.program;
                 let event = program.resolved().interner.resolve(*event);
-                let hid = frame.hid.clone();
-                let mv = MultiValue::collect(g.n(), |i| {
-                    let rid = g.rids[i];
-                    self.check_handler_op(rid, &hid, idx, &ExpectedOp::Check { event })?;
-                    let op = OpRef::new(rid, hid.clone(), idx);
-                    self.consumed.insert(op.clone());
-                    // The observed count is recomputed by preprocessing
-                    // from the handler log's registration history.
-                    let Some(count) = self.pre.check_counts.get(&op) else {
-                        return Err(RejectReason::HandlerOpMismatch {
-                            at: op,
-                            why: "check op has no recomputed count",
-                        });
-                    };
-                    Ok(Value::Int(*count))
-                })?;
+                let mv = MultiValue::collect(g.n(), |i| self.listener_count(g, frame, i, event))?;
                 if let Some(s) = frame.locals.get_mut(*slot as usize) {
                     *s = Some(mv);
                 }
@@ -2395,8 +2416,8 @@ impl<'a> ReExecutor<'a> {
     /// so any order is faithful.
     fn activate_handlers(
         &mut self,
-        g: &Group,
-        active: &mut VecDeque<(HandlerId, MultiValue)>,
+        g: &Group<'a>,
+        active: &mut Queue,
         frame: &Frame<'_>,
         idx: u32,
         payload: MultiValue,
@@ -2406,12 +2427,11 @@ impl<'a> ReExecutor<'a> {
         // across the whole group so the comparison loop allocates at
         // most once, not once per request.
         let mut scratch: Vec<HandlerId> = Vec::new();
-        for rid in &g.rids {
-            let op = OpRef::new(*rid, frame.hid.clone(), idx);
+        for (i, rid) in g.rids.iter().enumerate() {
             let hids = self
                 .pre
                 .activated
-                .get(&op)
+                .get(frame.node(i)?)
                 .map(Vec::as_slice)
                 .unwrap_or(&[]);
             match &canonical {
@@ -2440,45 +2460,99 @@ impl<'a> ReExecutor<'a> {
             }
         }
         for hid in canonical.unwrap_or_default() {
-            active.push_back((hid, payload.clone()));
+            let coords = &self.pre.coords;
+            active.push_back(Pending {
+                slots: g.resolve_child(coords, &frame.slots, &hid, &mut self.pending_slots),
+                hid,
+                payload: payload.clone(),
+            });
         }
         Ok(())
     }
 
     /// `CheckStateOp` coordinate checks (Fig. 19 lines 5–7): the
-    /// re-executed operation must map to the `txnum`-th entry of the
-    /// verifier-computed transaction id. Returns the log entry.
-    fn check_state_op(
-        &self,
-        rid: RequestId,
-        hid: &HandlerId,
-        idx: u32,
-        ktx: &KTxId,
+    /// re-executed operation of member `i` must map to the `txnum`-th
+    /// entry of transaction `tx` — or, for `None`, of whichever
+    /// transaction the OpMap holds there. Consumes the node and returns
+    /// the transaction and the log entry.
+    fn consume_state_op(
+        &mut self,
+        g: &Group<'a>,
+        frame: &Frame<'_>,
+        i: usize,
+        tx: Option<u32>,
         txnum: u32,
-    ) -> Result<&'a TxEntryRef<'a>, RejectReason> {
-        let op = OpRef::new(rid, hid.clone(), idx);
-        match self.pre.op_map.get(&op) {
-            Some(OpMapEntry::TxLog { tx, index }) if tx == ktx && *index == txnum as usize => self
-                .advice
-                .tx_logs
-                .get(ktx)
-                .and_then(|log| log.get(txnum as usize))
-                .ok_or(RejectReason::MalformedAdviceAt {
-                    at: op,
-                    what: "transaction log position out of range",
-                }),
-            _ => Err(RejectReason::StateOpMismatch {
-                at: op,
-                why: "operation not logged at this transaction position",
-            }),
+    ) -> Result<(u32, &'a TxEntryRef<'a>), RejectReason> {
+        let node = frame.node(i)?;
+        let at = || OpRef::new(g.rids[i], frame.hid.clone(), frame.idx);
+        let advice = self.advice;
+        let found = match self.pre.op_map.get(node) {
+            Some(OpMapEntry::TxLog { tx: t, index })
+                if *index == txnum && tx.is_none_or(|tx| tx == *t) =>
+            {
+                *t
+            }
+            _ => {
+                return Err(RejectReason::StateOpMismatch {
+                    at: at(),
+                    why: "operation not logged at this transaction position",
+                })
+            }
+        };
+        let entry = advice
+            .tx_logs
+            .as_slice()
+            .get(found as usize)
+            .and_then(|(_, log)| log.get(txnum as usize))
+            .ok_or_else(|| RejectReason::MalformedAdviceAt {
+                at: at(),
+                what: "transaction log position out of range",
+            })?;
+        self.consumed.push(node);
+        Ok((found, entry))
+    }
+
+    /// `tx_start`: issues each member a token for the transaction
+    /// whose log begins at this operation. Shared by both interpreters.
+    fn exec_tx_start(
+        &mut self,
+        g: &Group<'a>,
+        active: &mut Queue,
+        frame: &mut Frame<'_>,
+        ctx: MultiValue,
+        on_done: kem::FunctionId,
+    ) -> Result<(), RejectReason> {
+        let idx = self.bump(g, frame)?;
+        let mut payloads = Vec::with_capacity(g.n());
+        for (i, rid) in g.rids.iter().enumerate() {
+            // Preprocess admits a transaction log only if its first
+            // entry sits at the transaction's own coordinate, so the
+            // transaction `(rid, hid, idx)` is the one — if any — whose
+            // entry 0 the OpMap holds at this node.
+            let (tx, entry) = self.consume_state_op(g, frame, i, None, 0)?;
+            let token = self.tx_table.len() as i64;
+            self.tx_table.push(TxToken { tx, txnum: 0 });
+            if entry.optype != TxOpType::Start {
+                return Err(RejectReason::StateOpMismatch {
+                    at: OpRef::new(*rid, frame.hid.clone(), idx),
+                    why: "expected tx_start",
+                });
+            }
+            let keys = tx_payload_keys();
+            payloads.push(Value::from_pairs([
+                (Arc::clone(&keys.ctx), ctx.get(i).clone()),
+                (Arc::clone(&keys.ok), Value::Bool(true)),
+                (Arc::clone(&keys.tx), Value::Int(token)),
+            ]));
         }
+        self.enqueue_continuation(g, active, frame, idx, on_done, payloads)
     }
 
     #[allow(clippy::too_many_arguments)]
     fn exec_tx_op<'f>(
         &mut self,
-        g: &Group,
-        active: &mut VecDeque<(HandlerId, MultiValue)>,
+        g: &Group<'a>,
+        active: &mut Queue,
         frame: &mut Frame<'f>,
         requested: TxOpType,
         tx: &'f RExpr,
@@ -2504,8 +2578,8 @@ impl<'a> ReExecutor<'a> {
     #[allow(clippy::too_many_arguments)]
     fn exec_tx_vals(
         &mut self,
-        g: &Group,
-        active: &mut VecDeque<(HandlerId, MultiValue)>,
+        g: &Group<'a>,
+        active: &mut Queue,
         frame: &mut Frame<'_>,
         requested: TxOpType,
         tx_v: MultiValue,
@@ -2519,30 +2593,26 @@ impl<'a> ReExecutor<'a> {
             self.note_dedup(k);
         }
         let mut payloads = Vec::with_capacity(g.n());
+        let advice = self.advice;
         for (i, rid) in g.rids.iter().enumerate() {
-            let at = OpRef::new(*rid, frame.hid.clone(), idx);
-            let ktx = tx_v
+            let at = || OpRef::new(*rid, frame.hid.clone(), idx);
+            let token = tx_v
                 .get(i)
                 .as_int()
-                .and_then(|t| self.tx_table.get(t as usize))
-                .cloned()
+                .and_then(|t| self.tx_table.get_mut(t as usize))
                 .ok_or_else(|| RejectReason::ReexecError {
                     message: "invalid transaction token".into(),
                 })?;
-            if ktx.rid != *rid {
+            let owner = advice.tx_logs.as_slice().get(token.tx as usize);
+            if owner.is_none_or(|(ktx, _)| ktx.rid != *rid) {
                 return Err(RejectReason::StateOpMismatch {
-                    at,
+                    at: at(),
                     why: "transaction belongs to a different request",
                 });
             }
-            let txnum = {
-                let c = self.tx_counters.entry(ktx.clone()).or_insert(0);
-                *c += 1;
-                *c
-            };
-            let entry = self.check_state_op(*rid, &frame.hid, idx, &ktx, txnum)?;
-            self.consumed
-                .insert(OpRef::new(*rid, frame.hid.clone(), idx));
+            token.txnum = token.txnum.saturating_add(1);
+            let TxToken { tx, txnum } = *token;
+            let (_, entry) = self.consume_state_op(g, frame, i, Some(tx), txnum)?;
             let keys = tx_payload_keys();
             let mut payload: Vec<(Arc<str>, Value)> = Vec::with_capacity(5);
             payload.push((Arc::clone(&keys.ctx), ctx_v.get(i).clone()));
@@ -2555,7 +2625,7 @@ impl<'a> ReExecutor<'a> {
                 if let (Some(logged), Some(kv)) = (entry.key, &key_v) {
                     if kv.get(i).as_str() != Some(logged) {
                         return Err(RejectReason::StateOpMismatch {
-                            at,
+                            at: at(),
                             why: "conflict record key mismatch",
                         });
                     }
@@ -2566,7 +2636,7 @@ impl<'a> ReExecutor<'a> {
             }
             if entry.optype != requested {
                 return Err(RejectReason::StateOpMismatch {
-                    at,
+                    at: at(),
                     why: "logged operation type differs",
                 });
             }
@@ -2578,13 +2648,13 @@ impl<'a> ReExecutor<'a> {
                         .ok_or_else(|| internal("GET re-executed without a key expression"))?;
                     if entry.key != kv.get(i).as_str() {
                         return Err(RejectReason::StateOpMismatch {
-                            at,
+                            at: at(),
                             why: "key mismatch",
                         });
                     }
                     let TxContentsRef::Get { from } = &entry.contents else {
                         return Err(RejectReason::MalformedAdviceAt {
-                            at,
+                            at: at(),
                             what: "GET with non-GET contents",
                         });
                     };
@@ -2597,13 +2667,13 @@ impl<'a> ReExecutor<'a> {
                         Some(pos) => {
                             let Some(w) = self.advice.tx_entry(pos) else {
                                 return Err(RejectReason::MalformedAdviceAt {
-                                    at,
+                                    at: at(),
                                     what: "dictating write outside any transaction log",
                                 });
                             };
                             let TxContentsRef::Put { value } = &w.contents else {
                                 return Err(RejectReason::MalformedAdviceAt {
-                                    at,
+                                    at: at(),
                                     what: "dictating write is not a PUT",
                                 });
                             };
@@ -2619,13 +2689,13 @@ impl<'a> ReExecutor<'a> {
                         .ok_or_else(|| internal("PUT re-executed without a key expression"))?;
                     if entry.key != kv.get(i).as_str() {
                         return Err(RejectReason::StateOpMismatch {
-                            at,
+                            at: at(),
                             why: "key mismatch",
                         });
                     }
                     let TxContentsRef::Put { value: logged } = &entry.contents else {
                         return Err(RejectReason::MalformedAdviceAt {
-                            at,
+                            at: at(),
                             what: "PUT with non-PUT contents",
                         });
                     };
@@ -2636,7 +2706,7 @@ impl<'a> ReExecutor<'a> {
                         .ok_or_else(|| internal("PUT re-executed without a value expression"))?;
                     if logged != vv.get(i) {
                         return Err(RejectReason::StateOpMismatch {
-                            at,
+                            at: at(),
                             why: "logged PUT value differs from re-execution",
                         });
                     }
@@ -2657,60 +2727,84 @@ impl<'a> ReExecutor<'a> {
     /// Enqueues the continuation handler of an asynchronous operation.
     fn enqueue_continuation(
         &mut self,
-        g: &Group,
-        active: &mut VecDeque<(HandlerId, MultiValue)>,
+        g: &Group<'a>,
+        active: &mut Queue,
         frame: &Frame<'_>,
         idx: u32,
         on_done: kem::FunctionId,
         payloads: Vec<Value>,
     ) -> Result<(), RejectReason> {
         let hid = HandlerId::child(&frame.hid, on_done, idx);
-        for rid in &g.rids {
-            if !self.advice.opcounts.contains_key(&(*rid, hid.clone())) {
-                return Err(RejectReason::StateOpMismatch {
-                    at: OpRef::new(*rid, frame.hid.clone(), idx),
-                    why: "continuation handler missing from opcounts",
-                });
-            }
+        let coords = &self.pre.coords;
+        let slots = g.resolve_child(coords, &frame.slots, &hid, &mut self.pending_slots);
+        if let Some(i) = self.missing_member(&slots) {
+            return Err(RejectReason::StateOpMismatch {
+                at: OpRef::new(g.rids[i], frame.hid.clone(), idx),
+                why: "continuation handler missing from opcounts",
+            });
         }
-        active.push_back((hid, MultiValue::from_vec(payloads)));
+        active.push_back(Pending {
+            hid,
+            payload: MultiValue::from_vec(payloads),
+            slots,
+        });
         Ok(())
     }
 
-    /// `CheckHandlerOp` (Fig. 19 lines 17–23).
-    fn check_handler_op(
-        &self,
-        rid: RequestId,
-        hid: &HandlerId,
-        idx: u32,
+    /// `CheckHandlerOp` (Fig. 19 lines 17–23) for member `i`'s current
+    /// operation: its node must map to a handler-log entry equal to
+    /// `expected`. Consumes the node and returns it.
+    fn consume_handler_op(
+        &mut self,
+        g: &Group<'a>,
+        frame: &Frame<'_>,
+        i: usize,
         expected: &ExpectedOp<'_>,
-    ) -> Result<(), RejectReason> {
-        let op = OpRef::new(rid, hid.clone(), idx);
-        match self.pre.op_map.get(&op) {
-            Some(OpMapEntry::HandlerLog { index }) => {
-                let Some(entry) = self
-                    .advice
-                    .handler_logs
-                    .get(&rid)
-                    .and_then(|log| log.get(*index))
-                else {
-                    return Err(RejectReason::MalformedAdviceAt {
-                        at: op,
-                        what: "handler log position out of range",
-                    });
-                };
-                if expected.matches(&entry.op) {
-                    Ok(())
-                } else {
-                    Err(RejectReason::HandlerOpMismatch {
-                        at: op,
-                        why: "logged handler op differs",
-                    })
-                }
-            }
-            _ => Err(RejectReason::HandlerOpMismatch {
-                at: op,
+    ) -> Result<u32, RejectReason> {
+        let node = frame.node(i)?;
+        let at = || OpRef::new(g.rids[i], frame.hid.clone(), frame.idx);
+        let Some(OpMapEntry::HandlerLog { index }) = self.pre.op_map.get(node) else {
+            return Err(RejectReason::HandlerOpMismatch {
+                at: at(),
                 why: "not in handler log",
+            });
+        };
+        let entry = g
+            .handler_logs
+            .get(i)
+            .and_then(|log| log.get(*index as usize));
+        let Some(entry) = entry else {
+            return Err(RejectReason::MalformedAdviceAt {
+                at: at(),
+                what: "handler log position out of range",
+            });
+        };
+        if !expected.matches(&entry.op) {
+            return Err(RejectReason::HandlerOpMismatch {
+                at: at(),
+                why: "logged handler op differs",
+            });
+        }
+        self.consumed.push(node);
+        Ok(node)
+    }
+
+    /// A listener-count check by member `i`: the handler-log check,
+    /// then the count preprocess recomputed from the log's
+    /// registration history at that point.
+    fn listener_count(
+        &mut self,
+        g: &Group<'a>,
+        frame: &Frame<'_>,
+        i: usize,
+        event: &str,
+    ) -> Result<Value, RejectReason> {
+        let node = self.consume_handler_op(g, frame, i, &ExpectedOp::Check { event })?;
+        match self.pre.check_counts.get(node) {
+            Some(count) => Ok(Value::Int(*count)),
+            None => Err(RejectReason::HandlerOpMismatch {
+                at: OpRef::new(g.rids[i], frame.hid.clone(), frame.idx),
+                why: "check op has no recomputed count",
             }),
         }
     }
@@ -2725,7 +2819,7 @@ impl<'a> ReExecutor<'a> {
 
     fn eval(
         &mut self,
-        g: &Group,
+        g: &Group<'a>,
         frame: &mut Frame<'_>,
         expr: &RExpr,
     ) -> Result<MultiValue, RejectReason> {
@@ -2898,15 +2992,12 @@ impl<'a> ReExecutor<'a> {
 /// coverage sets. Every merge path — sequential, barrier parallel, and
 /// streaming pipeline — consumes units through this one function in
 /// ascending group order, so their outcomes cannot drift.
-#[allow(clippy::too_many_arguments)]
 fn merge_unit(
     global: &mut VarStates,
     advice: &AdviceRef<'_>,
     obs_handle: &Obs,
     stats: &mut ReexecStats,
-    executed: &mut HashSet<(RequestId, HandlerId)>,
-    consumed: &mut HashSet<OpRef>,
-    outputs: &mut HashMap<RequestId, Value>,
+    coverage: &mut Coverage,
     quarantine: &mut Quarantine,
     unit: GroupRun,
 ) -> Result<(), RejectReason> {
@@ -2949,54 +3040,157 @@ fn merge_unit(
         return Err(quarantine.resolve(e));
     }
     stats.absorb(&unit.stats);
-    executed.extend(unit.executed);
-    consumed.extend(unit.consumed);
-    outputs.extend(unit.outputs);
+    coverage.absorb(&unit.executed, &unit.consumed, unit.outputs);
     Ok(())
 }
 
+/// What re-execution has covered so far, as tables over the audit's
+/// coordinates. Groups report what they touched as index lists
+/// ([`GroupRun`]); only this whole-audit record is sized by the trace.
+struct Coverage<'c> {
+    coords: &'c Coords,
+    /// By activation index: the handler was executed.
+    executed: Vec<bool>,
+    /// By node id: a re-executed operation consumed the node's `OpMap`
+    /// entry.
+    consumed: Vec<bool>,
+    /// By trace rank: the response re-execution produced.
+    outputs: Vec<Option<Value>>,
+}
+
+impl<'c> Coverage<'c> {
+    fn new(coords: &'c Coords, requests: usize) -> Self {
+        Coverage {
+            coords,
+            executed: vec![false; coords.activations().len()],
+            consumed: vec![false; coords.node_count()],
+            outputs: vec![None; requests],
+        }
+    }
+
+    /// Folds one executor's lists in. A later response of the same
+    /// request replaces an earlier one, as re-execution order had it.
+    fn absorb(&mut self, executed: &[u32], consumed: &[u32], outputs: Vec<(RequestId, Value)>) {
+        for act in executed {
+            if let Some(e) = self.executed.get_mut(*act as usize) {
+                *e = true;
+            }
+        }
+        for node in consumed {
+            if let Some(c) = self.consumed.get_mut(*node as usize) {
+                *c = true;
+            }
+        }
+        for (rid, value) in outputs {
+            let rank = self.coords.trace_rank(rid);
+            if let Some(out) = rank.and_then(|r| self.outputs.get_mut(r as usize)) {
+                *out = Some(value);
+            }
+        }
+    }
+}
+
 /// The whole-audit checks after every group replayed (Fig. 18 lines
-/// 62–64).
+/// 62–64). `trace` is the trace by request in arrival order, which is
+/// what trace ranks count.
 fn final_checks(
-    trace: &Trace,
-    advice: &AdviceRef<'_>,
+    trace: &[Exchange<'_>],
     pre: &Preprocessed,
-    order: &[RequestId],
-    executed: &HashSet<(RequestId, HandlerId)>,
-    consumed: &HashSet<OpRef>,
-    outputs: &HashMap<RequestId, Value>,
+    coverage: &Coverage<'_>,
 ) -> Result<(), RejectReason> {
     // (3): outputs must match the trace exactly.
-    for rid in order {
-        let Some(expected) = trace.output_of(*rid) else {
+    for (rank, x) in trace.iter().enumerate() {
+        let Some(expected) = x.output else {
             return Err(RejectReason::UnbalancedTrace);
         };
-        match outputs.get(rid) {
-            Some(got) if got == expected => {}
-            _ => return Err(RejectReason::OutputMismatch { rid: *rid }),
+        match coverage.outputs.get(rank) {
+            Some(Some(got)) if got == expected => {}
+            _ => return Err(RejectReason::OutputMismatch { rid: x.rid }),
         }
     }
     // Line 64: no advice handlers that we did not execute.
-    for (rid, hid) in advice.opcounts.keys() {
-        if !executed.contains(&(*rid, hid.clone())) {
-            return Err(RejectReason::HandlerNotExecuted { rid: *rid });
-        }
+    if let Some(act) = coverage.executed.iter().position(|e| !e) {
+        let rid = coverage.coords.activations().get(act).map(|a| a.rid);
+        return Err(match rid {
+            Some(rid) => RejectReason::HandlerNotExecuted { rid },
+            None => RejectReason::VerifierInternal {
+                what: "coverage table longer than the coordinates".into(),
+            },
+        });
     }
     // Every logged handler/state operation must have been produced
     // (and consumed) by re-execution — otherwise fabricated
     // transactions or handler ops could squat on coordinates that
     // re-execution occupies with variable accesses, which never
-    // consult the OpMap. The OpMap iterates in hash order, so report
-    // the smallest uncovered coordinate to keep the rejection
-    // deterministic.
-    let mut uncovered: Option<&OpRef> = None;
-    for op in pre.op_map.keys() {
-        if !consumed.contains(op) && uncovered.is_none_or(|m| op < m) {
-            uncovered = Some(op);
-        }
-    }
-    if let Some(op) = uncovered {
-        return Err(RejectReason::UnexecutedLogEntry { at: op.clone() });
+    // consult the OpMap. Node ids ascend in coordinate order, so the
+    // first uncovered node is the smallest uncovered coordinate.
+    let uncovered = pre
+        .op_map
+        .nodes()
+        .find(|node| coverage.consumed.get(*node as usize) != Some(&true));
+    if let Some(node) = uncovered {
+        return Err(match coverage.coords.op_ref(node) {
+            Some(at) => RejectReason::UnexecutedLogEntry { at },
+            None => RejectReason::VerifierInternal {
+                what: "OpMap entry at a node that is not an operation".into(),
+            },
+        });
     }
     Ok(())
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
+mod tests {
+    use super::*;
+    use crate::advice::Advice;
+    use kem::FunctionId;
+
+    /// A hostile group: members whose activation ranges differ in
+    /// length and order, so the previous member's offset is the wrong
+    /// hint for the next. Every member must still resolve exactly.
+    #[test]
+    fn members_with_different_handler_trees_resolve_through_the_fallback() {
+        let root = HandlerId::root(FunctionId(0));
+        let child = |f| HandlerId::child(&root, FunctionId(f), 1);
+        // r0: root, f1, f2.  r1: root, f2 (shorter).  r2: root, f0,
+        // f1, f2 (an extra handler shifts the rest).
+        let trees: [&[HandlerId]; 3] = [
+            &[root.clone(), child(1), child(2)],
+            &[root.clone(), child(2)],
+            &[root.clone(), child(0), child(1), child(2)],
+        ];
+        let rids: Vec<RequestId> = (0..3).map(RequestId).collect();
+        let opcounts = rids
+            .iter()
+            .zip(trees)
+            .flat_map(|(rid, tree)| tree.iter().map(|hid| ((*rid, hid.clone()), 1)))
+            .collect();
+        let coords = Coords::build(&rids, &opcounts).unwrap();
+        let advice = Advice::default();
+        let advice = AdviceRef::from_advice(&advice);
+        let g = Group::new(rids, &advice, &coords);
+
+        let acts = |slots: &[Option<Slot>]| -> Vec<Option<u32>> {
+            slots.iter().map(|s| s.map(|s| s.act)).collect()
+        };
+        let mut parents = Vec::new();
+        assert_eq!(g.resolve_root(&coords, &root, &mut parents), 0..3);
+        assert_eq!(acts(&parents), vec![Some(0), Some(3), Some(5)]);
+        for (slot, activation) in parents.iter().zip([0, 3, 5]) {
+            assert_eq!(*slot, Slot::of(&coords, activation));
+        }
+        let children = |parents: &[Option<Slot>], f| {
+            // Appended behind whatever the buffer already holds.
+            let mut out = vec![None];
+            assert_eq!(g.resolve_child(&coords, parents, &child(f), &mut out), 1..4);
+            acts(&out[1..])
+        };
+        assert_eq!(children(&parents, 2), vec![Some(2), Some(4), Some(8)]);
+        assert_eq!(children(&parents, 1), vec![Some(1), None, Some(7)]);
+        assert_eq!(children(&parents, 0), vec![None, None, Some(6)]);
+        // A member whose parent activation is unknown has no child.
+        let orphaned = [parents[0], None, parents[2]];
+        assert_eq!(children(&orphaned, 2), vec![Some(2), None, Some(8)]);
+    }
 }

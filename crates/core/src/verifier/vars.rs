@@ -26,7 +26,8 @@ use kem::{HandlerId, OpRef, RequestId, Value, VarId};
 
 use crate::advice::AccessType;
 use crate::advice_ref::VarLogRef;
-use crate::verifier::graph::{EdgeKind, GNode, Graph};
+use crate::verifier::coords::Coords;
+use crate::verifier::graph::{EdgeKind, Graph};
 use crate::verifier::reject::RejectReason;
 
 /// Per-variable verifier state.
@@ -151,12 +152,12 @@ pub struct FeedCounters {
 }
 
 /// One variable's contribution to the execution graph: the WR / WW / RW
-/// edges its write chain implies, as operation-coordinate pairs tagged
-/// with their [`EdgeKind`]. Fragments are built independently per
-/// variable (optionally on worker threads) and merged into `G` in
+/// edges its write chain implies, as node-id pairs tagged with their
+/// [`EdgeKind`]. Fragments are built independently per variable
+/// (optionally on worker threads) and merged into `G` in
 /// ascending-`VarId` order, so the final graph — and any rejection — is
 /// identical regardless of how the assembly was sharded.
-type EdgeFragment = Vec<(OpRef, OpRef, EdgeKind)>;
+type EdgeFragment = Vec<(u32, u32, EdgeKind)>;
 
 impl VarStates {
     /// Creates empty state.
@@ -368,10 +369,11 @@ impl VarStates {
         // sequential walk is a plain iteration; untouched slots produce
         // empty fragments.
         let nvars = self.per.len();
+        let coords: &Coords = g.coords();
         let fragments: Vec<EdgeFragment> = if threads <= 1 || nvars <= 1 {
             let mut frags = Vec::with_capacity(nvars);
             for state in &self.per {
-                frags.push(var_fragment(state)?);
+                frags.push(var_fragment(state, coords)?);
             }
             frags
         } else {
@@ -392,7 +394,7 @@ impl VarStates {
                                 if i >= per.len() {
                                     break;
                                 }
-                                out.push((i, var_fragment(&per[i])));
+                                out.push((i, var_fragment(&per[i], coords)));
                             }
                             out
                         })
@@ -426,19 +428,11 @@ impl VarStates {
             frags
         };
 
-        // Merge in VarId order with capacity reserved from the fragment
-        // sizes (each edge introduces at most two new nodes).
-        let total_edges: usize = fragments.iter().map(Vec::len).sum();
-        g.reserve(total_edges.saturating_mul(2), total_edges);
-        for (i, frag) in fragments.iter().enumerate() {
-            let var = VarId(i as u32);
+        // Merge in VarId order.
+        g.reserve(fragments.iter().map(Vec::len).sum());
+        for (var, frag) in (0u32..).zip(&fragments) {
             for (from, to, kind) in frag {
-                g.add_var_edge(
-                    GNode::op(from.rid, from.hid.clone(), from.opnum),
-                    GNode::op(to.rid, to.hid.clone(), to.opnum),
-                    *kind,
-                    var,
-                );
+                g.add_var_edge(*from, *to, *kind, VarId(var));
             }
         }
         Ok(())
@@ -447,40 +441,61 @@ impl VarStates {
 
 /// Walks one variable's write chain from the initializer (Fig. 21
 /// `AddInternalStateEdges`), returning the WR / WW / RW edges it
-/// implies, or the chain-coverage rejection.
-fn var_fragment(state: &VarState) -> Result<EdgeFragment, RejectReason> {
+/// implies, or the chain-coverage rejection. Each operation on the
+/// chain is resolved to its node once.
+fn var_fragment(state: &VarState, coords: &Coords) -> Result<EdgeFragment, RejectReason> {
     let mut edges: EdgeFragment = Vec::new();
-    // An ordering edge is recorded unless an endpoint belongs to the
-    // trusted initialization activation (which precedes everything and
-    // cannot participate in a cycle).
-    let push = |edges: &mut EdgeFragment, from: &OpRef, to: &OpRef, kind: EdgeKind| {
-        if from.rid != RequestId::INIT && to.rid != RequestId::INIT {
-            edges.push((from.clone(), to.clone(), kind));
+    // The node of a chain operation; `None` for the trusted
+    // initialization activation, which precedes everything, cannot
+    // participate in a cycle and so gets no ordering edges. Every other
+    // operation on the chain was re-executed, which replay only does
+    // inside an activation the coordinates know, within its count.
+    let node = |op: &OpRef| -> Result<Option<u32>, RejectReason> {
+        if op.rid == RequestId::INIT {
+            return Ok(None);
+        }
+        match coords.op_node(op) {
+            Some(node) => Ok(Some(node)),
+            None => Err(RejectReason::VerifierInternal {
+                what: "internal-state edge endpoint outside the coordinates".into(),
+            }),
+        }
+    };
+    let push = |edges: &mut EdgeFragment, from: Option<u32>, to: Option<u32>, kind| {
+        if let (Some(from), Some(to)) = (from, to) {
+            edges.push((from, to, kind));
         }
     };
     let mut visited: HashSet<OpRef> = HashSet::new();
-    let mut cur = state.initializer.clone();
-    while let Some(w) = cur {
+    let mut reader_nodes: Vec<Option<u32>> = Vec::new();
+    let mut cur = match &state.initializer {
+        Some(w) => Some((w.clone(), node(w)?)),
+        None => None,
+    };
+    while let Some((w, w_node)) = cur {
         if !visited.insert(w.clone()) {
             return Err(RejectReason::VarChainBroken {
                 why: "write chain has a cycle",
             });
         }
-        let readers = state.read_observers.get(&w);
-        if let Some(readers) = readers {
-            for r in readers {
-                push(&mut edges, &w, r, EdgeKind::VarWr);
-            }
+        reader_nodes.clear();
+        for r in state.read_observers.get(&w).into_iter().flatten() {
+            reader_nodes.push(node(r)?);
         }
-        if let Some(w2) = state.write_observer.get(&w) {
-            if let Some(readers) = readers {
-                for r in readers {
-                    push(&mut edges, r, w2, EdgeKind::VarRw);
+        for r_node in &reader_nodes {
+            push(&mut edges, w_node, *r_node, EdgeKind::VarWr);
+        }
+        cur = match state.write_observer.get(&w) {
+            Some(w2) => {
+                let w2_node = node(w2)?;
+                for r_node in &reader_nodes {
+                    push(&mut edges, *r_node, w2_node, EdgeKind::VarRw);
                 }
+                push(&mut edges, w_node, w2_node, EdgeKind::VarWw);
+                Some((w2.clone(), w2_node))
             }
-            push(&mut edges, &w, w2, EdgeKind::VarWw);
-        }
-        cur = state.write_observer.get(&w).cloned();
+            None => None,
+        };
     }
     // Coverage: every re-executed write must be on the chain (otherwise
     // its log entry escaped simulate-and-check's ordering constraints),
@@ -767,7 +782,11 @@ mod tests {
         );
         vs.on_write(var(), w1, Value::int(1), Some(&log)).unwrap();
         vs.on_read(var(), r1, Some(&log)).unwrap();
-        let mut g = Graph::new();
+        let opcounts = [((RequestId(0), h0), 1), ((RequestId(1), h1), 1)]
+            .into_iter()
+            .collect();
+        let coords = Coords::build(&[RequestId(0), RequestId(1)], &opcounts).unwrap();
+        let mut g = Graph::new(std::sync::Arc::new(coords));
         vs.add_internal_state_edges(&mut g).unwrap();
         // WR edge from the write to the read (init-side edges skipped).
         assert_eq!(g.edge_count(), 1);
@@ -802,7 +821,7 @@ mod tests {
         // The read executes and observes the phantom; the phantom write
         // itself is never re-executed.
         vs.on_read(var(), r, Some(&log)).unwrap();
-        let mut g = Graph::new();
+        let mut g = Graph::default();
         let err = vs.add_internal_state_edges(&mut g).unwrap_err();
         assert!(matches!(err, RejectReason::VarChainBroken { .. }));
     }

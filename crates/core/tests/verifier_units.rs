@@ -77,19 +77,23 @@ fn op_map_locates_handler_log_entries() {
     let a = karousos::AdviceRef::from_advice(&a);
     let pre = preprocess(&p, &out.trace, &a, SER).unwrap();
     let hid = HandlerId::root(p.function_id("handle").unwrap());
+    // The tables are indexed by node id; the coordinates name the node
+    // of an operation.
+    let node = |opnum| {
+        pre.coords
+            .op_node(&OpRef::new(RequestId(0), hid.clone(), opnum))
+            .unwrap()
+    };
     assert_eq!(
-        pre.op_map.get(&OpRef::new(RequestId(0), hid.clone(), 1)),
+        pre.op_map.get(node(1)),
         Some(&OpMapEntry::HandlerLog { index: 0 })
     );
     assert_eq!(
-        pre.op_map.get(&OpRef::new(RequestId(0), hid.clone(), 2)),
+        pre.op_map.get(node(2)),
         Some(&OpMapEntry::HandlerLog { index: 1 })
     );
     // The emit's activation set contains the listener.
-    let activated = pre
-        .activated
-        .get(&OpRef::new(RequestId(0), hid, 2))
-        .unwrap();
+    let activated = pre.activated.get(node(2)).unwrap();
     assert_eq!(activated.len(), 1);
     assert_eq!(activated[0].function(), p.function_id("listener").unwrap());
 }
@@ -163,6 +167,104 @@ fn out_of_range_log_opnum_rejected() {
         ),
         "{err}"
     );
+}
+
+#[test]
+fn log_opnum_at_either_edge_of_the_count_rejected() {
+    // Position 0 is the handler's start node and `count + 1` its end
+    // node: neither is an operation a log entry can name.
+    let (p, t, a) = tiny_honest();
+    let hid = HandlerId::root(p.function_id("handle").unwrap());
+    let count = a.opcounts[&(RequestId(0), hid.clone())];
+    for opnum in [0, count + 1] {
+        let mut a = a.clone();
+        a.handler_logs.insert(
+            RequestId(0),
+            vec![HandlerLogEntry {
+                hid: hid.clone(),
+                opnum,
+                op: HandlerOp::Emit {
+                    event: "ghost".into(),
+                },
+            }],
+        );
+        let err = pp_err(&p, &t, &a, SER);
+        assert!(
+            matches!(
+                &err,
+                RejectReason::InvalidLogOp {
+                    at,
+                    why: "opnum out of range",
+                } if at.opnum == opnum
+            ),
+            "opnum {opnum}: {err}"
+        );
+    }
+}
+
+#[test]
+fn advice_for_a_request_outside_the_trace_rejected() {
+    let (p, t, mut a) = tiny_honest();
+    let hid = HandlerId::root(p.function_id("handle").unwrap());
+    a.opcounts.insert((RequestId(7), hid), 1);
+    assert_eq!(
+        pp_err(&p, &t, &a, SER),
+        RejectReason::UnknownRequest { rid: RequestId(7) }
+    );
+}
+
+#[test]
+fn activation_with_an_unreported_parent_rejected() {
+    let (p, t, mut a) = tiny_honest();
+    let f = p.function_id("handle").unwrap();
+    let ghost_parent = HandlerId::root(FunctionId(55));
+    a.opcounts
+        .insert((RequestId(0), HandlerId::child(&ghost_parent, f, 1)), 0);
+    let err = pp_err(&p, &t, &a, SER);
+    assert!(
+        matches!(err, RejectReason::BadActivationParent { .. }),
+        "{err}"
+    );
+}
+
+#[test]
+fn declared_node_totals_stop_at_the_budget_or_at_u32() {
+    use karousos::{audit_with_options, AuditOptions, Limits, ResourceKind};
+    let (p, t, mut a) = tiny_honest();
+    let exhausted = |a: &Advice, limits: Limits| {
+        let opts = AuditOptions {
+            limits,
+            ..AuditOptions::default()
+        };
+        match audit_with_options(&p, &t, a, SER, opts).unwrap_err() {
+            RejectReason::ResourceExhausted {
+                resource: ResourceKind::GraphNodes,
+                spent,
+                limit,
+                ..
+            } => (spent, limit),
+            other => panic!("expected the graph-node verdict, got {other}"),
+        }
+    };
+    // Forged counts past the node budget: the volume gate answers
+    // before any table sized by the declared total exists.
+    for count in a.opcounts.values_mut() {
+        *count = 1 << 20;
+    }
+    let budget = Limits {
+        graph_max_nodes: 1 << 10,
+        ..Limits::default()
+    };
+    assert_eq!(exhausted(&a, budget), ((1 << 20) + 2, 1 << 10));
+    // With every budget lifted, a total that does not fit the node id
+    // type is still a typed reject, not a wrapped index.
+    let hid = HandlerId::root(p.function_id("handle").unwrap());
+    a.opcounts.insert((RequestId(0), hid.clone()), u32::MAX);
+    a.opcounts
+        .insert((RequestId(0), HandlerId::child(&hid, FunctionId(0), 1)), 7);
+    let (spent, limit) = exhausted(&a, Limits::unlimited());
+    assert_eq!(limit, u64::from(u32::MAX));
+    assert_eq!(spent, 2 + (u64::from(u32::MAX) + 2) + (7 + 2));
 }
 
 #[test]

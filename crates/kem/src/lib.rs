@@ -55,5 +55,5 @@ pub use resolve::{RExpr, RFunction, RStmt, Resolved};
 pub use runtime::{
     init_handler_id, run_server, RunOutput, Runtime, SchedPolicy, ServerConfig, INIT_FUNCTION,
 };
-pub use trace::{Trace, TraceEvent};
+pub use trace::{Exchange, Trace, TraceEvent};
 pub use value::{Fnv, SpanKey, Value, ValueInterner};

@@ -7,7 +7,7 @@
 //! reproduction the simulated runtime produces it at the server
 //! boundary, which is the same observation point.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, HashMap};
 
 use crate::ids::RequestId;
 use crate::value::Value;
@@ -38,6 +38,18 @@ impl TraceEvent {
             TraceEvent::Request { rid, .. } | TraceEvent::Response { rid, .. } => *rid,
         }
     }
+}
+
+/// One request's side of the trace: what arrived and what was
+/// delivered for it.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Exchange<'t> {
+    /// Request id.
+    pub rid: RequestId,
+    /// Input data.
+    pub input: &'t Value,
+    /// Output data (`None` if no response follows the request).
+    pub output: Option<&'t Value>,
 }
 
 /// A chronological request/response trace.
@@ -91,6 +103,34 @@ impl Trace {
                 _ => None,
             })
             .collect()
+    }
+
+    /// Every request with its input and response, in arrival order —
+    /// entry `i` belongs to `request_ids()[i]`. One pass over the
+    /// events; [`Trace::input_of`] and [`Trace::output_of`] scan them
+    /// once per call. On a balanced trace the two views agree.
+    pub fn exchanges(&self) -> Vec<Exchange<'_>> {
+        let requests = self.events.len() / 2;
+        let mut out: Vec<Exchange<'_>> = Vec::with_capacity(requests);
+        let mut rank: HashMap<RequestId, usize> = HashMap::with_capacity(requests);
+        for e in &self.events {
+            match e {
+                TraceEvent::Request { rid, input } => {
+                    rank.entry(*rid).or_insert(out.len());
+                    out.push(Exchange {
+                        rid: *rid,
+                        input,
+                        output: None,
+                    });
+                }
+                TraceEvent::Response { rid, output } => {
+                    if let Some(x) = rank.get(rid).and_then(|r| out.get_mut(*r)) {
+                        x.output.get_or_insert(output);
+                    }
+                }
+            }
+        }
+        out
     }
 
     /// The input of `rid`, if present.
@@ -162,6 +202,13 @@ mod tests {
         assert_eq!(t.input_of(rid(1)), Some(&Value::int(2)));
         assert_eq!(t.output_of(rid(0)), Some(&Value::int(10)));
         assert_eq!(t.responses().len(), 2);
+        let exchanges = t.exchanges();
+        assert_eq!(exchanges.len(), 2);
+        for (x, rid) in exchanges.iter().zip(t.request_ids()) {
+            assert_eq!(x.rid, rid);
+            assert_eq!(Some(x.input), t.input_of(rid));
+            assert_eq!(x.output, t.output_of(rid));
+        }
     }
 
     #[test]

@@ -16,16 +16,19 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Wraps the system allocator, counting allocation events (calls to
-/// `alloc`/`realloc`, not bytes) while `COUNTING` is enabled.
+/// `alloc`/`realloc`) and the bytes they request while `COUNTING` is
+/// enabled.
 struct CountingAlloc;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
+static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 static COUNTING: AtomicBool = AtomicBool::new(false);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+            ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
         System.alloc(layout)
     }
@@ -37,6 +40,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         if COUNTING.load(Ordering::Relaxed) {
             ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
+            ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
         System.realloc(ptr, layout, new_size)
     }
@@ -52,11 +56,22 @@ static SERIAL: Mutex<()> = Mutex::new(());
 /// Counts allocation events during `f`. Not reentrant; callers hold
 /// `SERIAL` so the global flag cannot be flipped concurrently.
 fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let (out, events, _bytes) = count_allocs_and_bytes(f);
+    (out, events)
+}
+
+/// [`count_allocs`], also returning the bytes those events requested.
+fn count_allocs_and_bytes<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     ALLOC_EVENTS.store(0, Ordering::SeqCst);
+    ALLOC_BYTES.store(0, Ordering::SeqCst);
     COUNTING.store(true, Ordering::SeqCst);
     let out = f();
     COUNTING.store(false, Ordering::SeqCst);
-    (out, ALLOC_EVENTS.load(Ordering::SeqCst))
+    (
+        out,
+        ALLOC_EVENTS.load(Ordering::SeqCst),
+        ALLOC_BYTES.load(Ordering::SeqCst),
+    )
 }
 
 use kem::{dsl, ServerConfig, Value};
@@ -267,6 +282,61 @@ fn stacks_group_replay_allocation_budget() {
         per_op_vm <= 8.0,
         "stacks bytecode replay exceeded the per-op allocation ceiling: \
          {per_op_vm:.3} allocs/op (ceiling 8.0)"
+    );
+}
+
+/// Bytes allocated by replay must grow no faster than the trace. Every
+/// request is given its own control-flow tag (grouping is the server's
+/// choice; splitting is always accepted), so groups grow with
+/// requests: any per-group structure sized by the whole trace — the
+/// coverage tables were once pre-sized to every activation and every
+/// logged operation — then costs groups × requests, and doubling the
+/// requests roughly quadruples the bytes. Byte counts, like event
+/// counts, are deterministic.
+#[test]
+fn stacks_replay_bytes_scale_with_requests() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    use apps::App;
+    use workload::{Experiment, Mix};
+
+    let replay_bytes = |requests: usize| {
+        let mut exp = Experiment::paper_default(App::Stacks, Mix::RW_MIXES[0], 8, 11);
+        exp.requests = requests;
+        let program = App::Stacks.program();
+        let (out, mut advice) = karousos::run_instrumented_server(
+            &program,
+            &exp.inputs(),
+            &exp.server_config(),
+            karousos::CollectorMode::Karousos,
+        )
+        .expect("stacks run succeeds");
+        for (tag, unique) in advice.tags.values_mut().zip(0..) {
+            *tag = unique;
+        }
+        let advice = karousos::AdviceRef::from_advice(&advice);
+        let pre = karousos::verifier::preprocess(&program, &out.trace, &advice, exp.isolation)
+            .expect("preprocess accepts honest advice");
+        let mut vars = karousos::verifier::VarStates::new();
+        karousos::verifier::init_vars(&program, &mut vars);
+        let (stats, _events, bytes) = count_allocs_and_bytes(|| {
+            karousos::verifier::ReExecutor::new(&program, &out.trace, &advice, &pre, &mut vars)
+                .run()
+        });
+        (bytes, stats.expect("replay accepts honest advice").groups)
+    };
+    let _ = replay_bytes(50);
+    let (bytes_n, groups_n) = replay_bytes(200);
+    let (bytes_2n, groups_2n) = replay_bytes(400);
+    let growth = bytes_2n as f64 / bytes_n as f64;
+    eprintln!(
+        "stacks replay, one group per request: {bytes_n} B / {groups_n} groups at 200 \
+         requests, {bytes_2n} B / {groups_2n} groups at 400 ({growth:.2}x)"
+    );
+    assert_eq!((groups_n, groups_2n), (200, 400));
+    assert!(
+        growth <= 2.5,
+        "replay bytes grow faster than the trace: {bytes_n} B at 200 requests, \
+         {bytes_2n} B at 400 ({growth:.2}x, bound 2.5x)"
     );
 }
 
