@@ -1,7 +1,7 @@
 //! Minimal JSON parser and draft-07-subset schema validator.
 //!
 //! The harness validates its own machine-readable exports — metrics
-//! registries, ledgers, BENCH_PR*.json — without a serde dependency
+//! registries, ledgers — without a serde dependency
 //! (the build environment has no registry access). The validator
 //! implements exactly the subset the checked-in schemas use: `type`,
 //! `required`, `properties`, `additionalProperties: false`, `items`,

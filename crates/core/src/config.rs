@@ -11,7 +11,6 @@
 //! | variable | meaning | default |
 //! |---|---|---|
 //! | `KAROUSOS_VERIFY_THREADS` | replay/graph worker count (`0` = one per core) | `1` |
-//! | `KAROUSOS_PIPELINE` | pipelined audit (`0`/`off`/`false`/empty disable) | on |
 //! | `KAROUSOS_BYTECODE` | bytecode-VM replay (`0`/`off`/`false`/empty fall back to the tree-walk) | on |
 //! | `KAROUSOS_OBS` | instrumented path for plain entry points (empty/`0` off) | off |
 //! | `KAROUSOS_ADVICE_MMAP` | file-backed audits memory-map the advice file (empty/`0` off) | off |
@@ -32,11 +31,9 @@
 /// `KAROUSOS_VERIFY_THREADS`: worker count for group replay and
 /// sharded graph assembly.
 pub const ENV_VERIFY_THREADS: &str = "KAROUSOS_VERIFY_THREADS";
-/// `KAROUSOS_PIPELINE`: toggles the pipelined audit (default on).
-pub const ENV_PIPELINE: &str = "KAROUSOS_PIPELINE";
 /// `KAROUSOS_BYTECODE`: toggles bytecode-VM replay in both the live
-/// runtime and the verifier (default on; off falls back to the
-/// tree-walking interpreters). Same contract as `KAROUSOS_PIPELINE`.
+/// runtime and the verifier (default on; `0`/`off`/`false`/empty fall
+/// back to the tree-walking interpreters).
 /// Defined in `kem::bytecode` because the gate also governs the live
 /// server, which cannot depend on this crate; re-exported here so the
 /// verifier side reads it from the same module as every other gate.
@@ -95,8 +92,7 @@ pub struct Limits {
     /// Deterministic per-group replay step budget: one unit per
     /// statement executed and per expression node evaluated. Counted
     /// inside the single-threaded per-group interpreter, so the spend
-    /// — and the verdict — is bit-identical at every threads×pipeline
-    /// configuration.
+    /// — and the verdict — is bit-identical at every thread count.
     pub replay_fuel: u64,
     /// Per-group wall-clock deadline in milliseconds. The only
     /// machine-dependent budget (documented in DESIGN.md §10): it
@@ -140,7 +136,8 @@ impl Default for Limits {
 
 impl Limits {
     /// Every budget disabled — the pre-governance verifier behaviour.
-    /// `bench-pr6` audits against this to price the metering overhead.
+    /// `tests/alloc_regression.rs` audits against this to show that
+    /// metering allocates nothing.
     pub fn unlimited() -> Self {
         Limits {
             replay_fuel: u64::MAX,
@@ -184,19 +181,6 @@ pub fn parse_threads(raw: Option<&str>) -> usize {
         .unwrap_or(1)
 }
 
-/// Parses an on-by-default switch (the `KAROUSOS_PIPELINE` contract):
-/// missing → on; empty, `0`, `off`, or `false` (case-insensitive) →
-/// off; anything else → on.
-pub fn parse_switch_default_on(raw: Option<&str>) -> bool {
-    match raw {
-        None => true,
-        Some(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v.is_empty() || v == "0" || v == "off" || v == "false")
-        }
-    }
-}
-
 /// Parses an off-by-default switch (the `KAROUSOS_OBS` contract):
 /// missing, empty, or `0` → off; anything else → on.
 pub fn parse_switch_default_off(raw: Option<&str>) -> bool {
@@ -226,11 +210,6 @@ pub fn verify_threads_from_env() -> usize {
     parse_threads(env_var(ENV_VERIFY_THREADS).as_deref())
 }
 
-/// Reads `KAROUSOS_PIPELINE` (see [`parse_switch_default_on`]).
-pub fn pipeline_from_env() -> bool {
-    parse_switch_default_on(env_var(ENV_PIPELINE).as_deref())
-}
-
 /// Reads `KAROUSOS_OBS` (see [`parse_switch_default_off`]).
 pub fn obs_from_env() -> bool {
     parse_switch_default_off(env_var(ENV_OBS).as_deref())
@@ -242,8 +221,7 @@ pub fn advice_mmap_from_env() -> bool {
 }
 
 /// Reads `KAROUSOS_BYTECODE` (see
-/// [`kem::bytecode::parse_bytecode_switch`]; same contract as
-/// [`parse_switch_default_on`]).
+/// [`kem::bytecode::parse_bytecode_switch`]).
 pub fn bytecode_from_env() -> bool {
     kem::bytecode::bytecode_from_env()
 }
@@ -281,17 +259,6 @@ mod tests {
         assert_eq!(parse_threads(Some(" 8 ")), 8);
         assert_eq!(parse_threads(Some("0")), 0); // = one per core
         assert_eq!(parse_threads(Some("bogus")), 1);
-    }
-
-    #[test]
-    fn karousos_pipeline_parse() {
-        assert!(parse_switch_default_on(None));
-        assert!(!parse_switch_default_on(Some("")));
-        assert!(!parse_switch_default_on(Some("0")));
-        assert!(!parse_switch_default_on(Some("OFF")));
-        assert!(!parse_switch_default_on(Some("false")));
-        assert!(parse_switch_default_on(Some("1")));
-        assert!(parse_switch_default_on(Some("on")));
     }
 
     #[test]

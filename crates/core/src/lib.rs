@@ -69,14 +69,12 @@ pub use rorder::{r_concurrent, r_ordered, r_precedes};
 pub use verifier::{
     audit, audit_encoded, audit_encoded_with_obs, audit_encoded_with_options,
     audit_file_with_options, audit_forensic, audit_source_with_obs, audit_with_obs,
-    audit_with_options, audit_with_schedule, cycle_report, ooo_audit, ooo_audit_with_options,
-    AuditDiagnostics, AuditFailure, AuditOptions, AuditReport, CycleEdgeReport, CycleProbe,
-    CycleReport, EdgeKind, FeedCounters, PhaseTiming, ReexecStats, RejectReason, ReplaySchedule,
-    ResourceKind,
+    audit_with_options, cycle_report, ooo_audit, ooo_audit_with_options, AuditDiagnostics,
+    AuditFailure, AuditOptions, AuditReport, CycleEdgeReport, CycleProbe, CycleReport, EdgeKind,
+    FeedCounters, PhaseTiming, ReexecStats, RejectReason, ReplaySchedule, ResourceKind,
 };
 pub use wire::{
-    advice_sizes, decode_advice, decode_advice_fast, decode_advice_fast_bounded,
-    decode_advice_view, decode_advice_view_bounded, encode_advice, owned_decode_copy_bytes,
+    advice_sizes, decode_advice, decode_advice_view, decode_advice_view_bounded, encode_advice,
     AdviceSizes, AdviceSource, AdviceView, BoundedDecodeError, DecodeStats, RawValue,
 };
 // What `tests/prop_wire.rs` pins the value path with.

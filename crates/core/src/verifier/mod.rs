@@ -56,17 +56,11 @@ pub struct AuditOptions {
     /// The order each group's active queue is drained in (Lemma-1
     /// experiments; deployments use FIFO).
     pub schedule: ReplaySchedule,
-    /// Pipelined audit: shard the preprocess sections per request and
-    /// overlap the deferred graph-edge merge (and the streaming state
-    /// merge) with group replay. Off replays the strictly
-    /// barrier-separated phases; verdicts and metrics are bit-identical
-    /// either way — only wall-clock scheduling changes.
-    pub pipeline: bool,
     /// Resource budgets (DESIGN.md §10). The fuel budget is counted
     /// deterministically, so like the other knobs it cannot make
-    /// verdicts diverge across the threads×pipeline matrix; the
-    /// wall-clock deadline is the one machine-dependent exception and
-    /// defaults far above any honest group.
+    /// verdicts diverge across thread counts; the wall-clock deadline
+    /// is the one machine-dependent exception and defaults far above
+    /// any honest group.
     pub limits: Limits,
     /// Bytecode-VM replay (DESIGN.md §11): dispatch each group over
     /// the program's compiled opcode stream instead of walking the
@@ -88,7 +82,6 @@ impl Default for AuditOptions {
         AuditOptions {
             threads: 1,
             schedule: ReplaySchedule::Fifo,
-            pipeline: true,
             limits: Limits::default(),
             bytecode: true,
             advice_mmap: false,
@@ -107,17 +100,15 @@ impl AuditOptions {
 
     /// Options from the environment (the full variable table lives in
     /// [`crate::config`]): `KAROUSOS_VERIFY_THREADS` sets the worker
-    /// count (default `1`; `0` = one per core), `KAROUSOS_PIPELINE`
-    /// toggles the pipelined audit (`0`/`off`/`false` disable it;
-    /// default on), `KAROUSOS_BYTECODE` toggles bytecode-VM replay
-    /// (same contract, default on), and `KAROUSOS_LIMITS_*` override
-    /// individual resource budgets. This is what the plain [`audit`] /
+    /// count (default `1`; `0` = one per core), `KAROUSOS_BYTECODE`
+    /// toggles bytecode-VM replay (`0`/`off`/`false` disable it;
+    /// default on), and `KAROUSOS_LIMITS_*` override individual
+    /// resource budgets. This is what the plain [`audit`] /
     /// [`audit_encoded`] entry points use, so the whole test suite can
     /// be rerun against any point of the matrix by exporting the
     /// variables.
     pub fn from_env() -> Self {
         AuditOptions {
-            pipeline: crate::config::pipeline_from_env(),
             limits: Limits::from_env(),
             bytecode: crate::config::bytecode_from_env(),
             advice_mmap: crate::config::advice_mmap_from_env(),
@@ -147,11 +138,14 @@ pub struct PhaseTiming {
     /// Preprocess: decode-independent advice checks, OpMap and base
     /// graph construction, isolation verification.
     pub preprocess: Duration,
-    /// Group replay: interpreting every re-execution group (the
-    /// parallel section when `threads > 1`).
+    /// Group replay: the re-execution section's wall clock net of the
+    /// state merge — interpreting every group, the deferred-edge merge
+    /// that overlaps it and, when `threads > 1`, the coordinator's
+    /// waits for its workers.
     pub group_replay: Duration,
     /// Graph merge: replaying variable-access streams into the global
-    /// dictionaries, final whole-audit checks, and embedding the
+    /// dictionaries and the final whole-audit checks (the coordinator's
+    /// time inside the merge, never its waits), plus embedding the
     /// per-variable WR/WW/RW edges into `G`.
     pub graph_merge: Duration,
     /// The single post-merge acyclicity check over `G`.
@@ -159,7 +153,9 @@ pub struct PhaseTiming {
 }
 
 impl PhaseTiming {
-    /// Sum of all phases.
+    /// Sum of all phases. The phases are disjoint stretches of the
+    /// calling thread's time, so this never exceeds the audit's wall
+    /// clock at any thread count.
     pub fn total(&self) -> Duration {
         self.decode + self.preprocess + self.group_replay + self.graph_merge + self.cycle_check
     }
@@ -278,9 +274,10 @@ pub fn audit_encoded_with_obs(
         // events, store keys, and the write order stay pointers into
         // `advice_bytes`. The view decoder reads the same bytes with
         // the same budgets as the owned decoder, so malformed advice
-        // rejects with the same positioned error (`decode_advice_fast`
-        // stays alive as the differential oracle). The node budget caps
-        // total declared collection elements across all sections.
+        // rejects with the same positioned error (`decode_advice` and
+        // `AdviceView::to_advice` stay alive as the differential
+        // oracles). The node budget caps total declared collection
+        // elements across all sections.
         let decode_start = Instant::now();
         let (view, decode_stats) =
             crate::wire::decode_advice_view_bounded(advice_bytes, opts.limits.decode_max_nodes)
@@ -319,7 +316,7 @@ pub fn audit_encoded_with_obs(
             ],
         );
         let decode = decode_start.elapsed();
-        audit_core(program, trace, &advice, isolation, opts, obs, false)
+        audit_core(program, trace, &advice, isolation, opts, obs, Mode::Grouped)
             .map(|mut report| {
                 report.timing.decode = decode;
                 report
@@ -443,7 +440,7 @@ pub fn ooo_audit(
 
 /// [`ooo_audit`] with explicit [`AuditOptions`]. Replay itself is
 /// ungrouped (and therefore serial); `threads` parallelizes the
-/// per-variable graph assembly.
+/// preprocess sections and the per-variable graph assembly.
 pub fn ooo_audit_with_options(
     program: &Program,
     trace: &Trace,
@@ -451,55 +448,17 @@ pub fn ooo_audit_with_options(
     isolation: kvstore::IsolationLevel,
     opts: AuditOptions,
 ) -> Result<AuditReport, RejectReason> {
-    let threads = opts.effective_threads();
-    let mut timing = PhaseTiming::default();
-    let advice = &AdviceRef::from_advice(advice);
-    check_advice_volume(advice, &opts.limits)?;
-    let t = Instant::now();
-    let mut staged = preprocess_staged(program, trace, advice, isolation, threads)?;
-    staged.deferred.merge_into(&mut staged.pre.graph);
-    let pre = staged.pre;
-    timing.preprocess = t.elapsed();
-    let mut vars = VarStates::new();
-    init_vars(program, &mut vars);
-    let t = Instant::now();
-    let reexec = ReExecutor::new(program, trace, advice, &pre, &mut vars)
-        .with_schedule(opts.schedule)
-        .with_limits(opts.limits)
-        .with_bytecode(opts.bytecode)
-        .run_ungrouped()?;
-    timing.group_replay = t.elapsed();
-    let mut graph = pre.graph;
-    let t = Instant::now();
-    vars.add_internal_state_edges_sharded(&mut graph, threads)?;
-    timing.graph_merge = t.elapsed();
-    check_graph_volume(graph.node_count(), graph.edge_count(), &opts.limits)?;
-    let t = Instant::now();
-    if graph.has_cycle() {
-        return Err(RejectReason::CycleInG);
-    }
-    timing.cycle_check = t.elapsed();
-    Ok(AuditReport {
-        reexec,
-        graph_nodes: graph.node_count(),
-        graph_edges: graph.edge_count(),
-        timing,
-    })
-}
-
-/// [`audit`] with an explicit replay schedule (Lemma-1 experiments).
-pub fn audit_with_schedule(
-    program: &Program,
-    trace: &Trace,
-    advice: &Advice,
-    isolation: kvstore::IsolationLevel,
-    schedule: ReplaySchedule,
-) -> Result<AuditReport, RejectReason> {
-    let opts = AuditOptions {
-        schedule,
-        ..AuditOptions::from_env()
-    };
-    audit_with_options(program, trace, advice, isolation, opts)
+    let advice = AdviceRef::from_advice(advice);
+    audit_core(
+        program,
+        trace,
+        &advice,
+        isolation,
+        opts,
+        &env_obs(),
+        Mode::Ungrouped,
+    )
+    .map_err(|f| f.reason)
 }
 
 /// [`audit`] with explicit [`AuditOptions`] (Fig. 14 `Audit`, with
@@ -512,7 +471,16 @@ pub fn audit_with_options(
     opts: AuditOptions,
 ) -> Result<AuditReport, RejectReason> {
     let advice = AdviceRef::from_advice(advice);
-    audit_core(program, trace, &advice, isolation, opts, &env_obs(), false).map_err(|f| f.reason)
+    audit_core(
+        program,
+        trace,
+        &advice,
+        isolation,
+        opts,
+        &env_obs(),
+        Mode::Grouped,
+    )
+    .map_err(|f| f.reason)
 }
 
 /// [`audit_with_options`] recording spans and metrics into an explicit
@@ -528,7 +496,7 @@ pub fn audit_with_obs(
     obs: &Obs,
 ) -> Result<AuditReport, RejectReason> {
     let advice = AdviceRef::from_advice(advice);
-    audit_core(program, trace, &advice, isolation, opts, obs, false).map_err(|f| f.reason)
+    audit_core(program, trace, &advice, isolation, opts, obs, Mode::Grouped).map_err(|f| f.reason)
 }
 
 /// [`audit_with_options`] with REJECT forensics: on rejection the
@@ -544,7 +512,15 @@ pub fn audit_forensic(
     obs: &Obs,
 ) -> Result<AuditReport, Box<AuditFailure>> {
     let advice = AdviceRef::from_advice(advice);
-    audit_core(program, trace, &advice, isolation, opts, obs, true)
+    audit_core(
+        program,
+        trace,
+        &advice,
+        isolation,
+        opts,
+        obs,
+        Mode::GroupedForensic,
+    )
 }
 
 /// Whether `KAROUSOS_OBS` asks the plain entry points to exercise the
@@ -651,11 +627,26 @@ fn fail(phase: &'static str, reason: RejectReason) -> Box<AuditFailure> {
     })
 }
 
-/// The shared implementation behind every grouped-audit entry point:
-/// phases are timed, spanned, and metered through `obs`, and failures
-/// are wrapped in [`AuditFailure`] (cycle forensics only when
-/// `forensic` — extracting the minimal cycle costs an extra traversal,
-/// so the plain entry points skip it and return the bare reason).
+/// What an entry point asks of the one core. How it re-executes is
+/// the only thing [`audit`] and [`ooo_audit`] (Lemma 3's two sides) do
+/// differently.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Mode {
+    /// Re-execution batched by control-flow tag (Fig. 18), groups
+    /// spread over the workers: the production audit.
+    Grouped,
+    /// [`Mode::Grouped`], and a cyclic `G` is searched for a minimal
+    /// cycle to report. That costs an extra traversal, so the plain
+    /// entry points skip it and return the bare reason.
+    GroupedForensic,
+    /// `OOOExec` (Fig. 22): every request on its own, tags ignored,
+    /// one queue on the calling thread.
+    Ungrouped,
+}
+
+/// The shared implementation behind every audit entry point: phases
+/// are timed, spanned, and metered through `obs`, and failures are
+/// wrapped in [`AuditFailure`].
 ///
 /// This wrapper owns the progress heartbeat's terminal transitions
 /// and, on rejection, attaches cost attribution from the ledger: a
@@ -668,10 +659,10 @@ fn audit_core(
     isolation: kvstore::IsolationLevel,
     opts: AuditOptions,
     obs: &Obs,
-    forensic: bool,
+    mode: Mode,
 ) -> Result<AuditReport, Box<AuditFailure>> {
     obs.progress_phase(obs::Phase::Preprocess);
-    let mut res = audit_core_inner(program, trace, advice, isolation, opts, obs, forensic);
+    let mut res = audit_core_inner(program, trace, advice, isolation, opts, obs, mode);
     match &mut res {
         Ok(_) => obs.progress_phase(obs::Phase::Done),
         Err(failure) => {
@@ -692,7 +683,7 @@ fn audit_core_inner<'a>(
     isolation: kvstore::IsolationLevel,
     opts: AuditOptions,
     obs: &Obs,
-    forensic: bool,
+    mode: Mode,
 ) -> Result<AuditReport, Box<AuditFailure>> {
     let threads = opts.effective_threads();
     let mut timing = PhaseTiming::default();
@@ -705,8 +696,8 @@ fn audit_core_inner<'a>(
 
     // Preprocess (includes isolation-level verification): the
     // advice-driven sections run sharded per request; the edge
-    // fragments come back deferred so the pipelined audit can overlap
-    // their merge into `G` with group replay.
+    // fragments come back deferred so that their merge into `G` can
+    // overlap group replay.
     let t = Instant::now();
     let span = obs.span_start();
     let staged = match preprocess_staged(program, trace, advice, isolation, threads) {
@@ -717,14 +708,6 @@ fn audit_core_inner<'a>(
         mut pre,
         mut deferred,
     } = staged;
-    if !opts.pipeline {
-        // Unpipelined: merge the deferred edges here, inside the
-        // preprocess phase, as the barrier-separated audit always has.
-        let espan = obs.span_start();
-        let edges = deferred.edge_count() as u64;
-        deferred.merge_into(&mut pre.graph);
-        obs.record_span("edge-merge", 0, espan, &[("edges", edges)]);
-    }
     obs.record_span("preprocess", 0, span, &[]);
     timing.preprocess = t.elapsed();
 
@@ -754,32 +737,39 @@ fn audit_core_inner<'a>(
     let mut vars = VarStates::new();
     init_vars(program, &mut vars);
 
-    // ReExec: workers replay whole groups. Unpipelined, the serial tail
-    // re-applies their variable-access streams in group order after a
-    // barrier; pipelined, the coordinator first merges the deferred
-    // preprocess edges into `G` (replay never reads the graph) and then
-    // streams each group's unit into the global state as it lands —
-    // same units, same ascending order, same checks.
+    // ReExec. The coordinator merges the deferred preprocess edges into
+    // `G` while replay runs (replay never reads the graph). Grouped,
+    // workers replay whole groups and each group's unit streams into
+    // the global state in ascending order as it lands.
     let mut graph = std::mem::take(&mut pre.graph);
     let executor = ReExecutor::new(program, trace, advice, &pre, &mut vars)
         .with_schedule(opts.schedule)
         .with_limits(opts.limits)
         .with_bytecode(opts.bytecode)
         .with_obs(obs.clone());
-    let (reexec, reexec_timing) = if opts.pipeline {
-        let graph_ref = &mut graph;
-        let deferred_ref = &mut deferred;
-        let overlap_obs = obs.clone();
-        executor.run_pipelined(threads, move || {
-            let espan = overlap_obs.span_start();
-            let edges = deferred_ref.edge_count() as u64;
-            deferred_ref.merge_into(graph_ref);
-            overlap_obs.record_span("edge-merge", 0, espan, &[("edges", edges)]);
-        })
-    } else {
-        executor.run_threaded(threads)
-    }
-    .map_err(|reason| fail("reexec", reason))?;
+    let mut merge_edges = {
+        let (graph, deferred, obs) = (&mut graph, &mut deferred, obs.clone());
+        move || {
+            let espan = obs.span_start();
+            let edges = deferred.edge_count() as u64;
+            deferred.merge_into(graph);
+            obs.record_span("edge-merge", 0, espan, &[("edges", edges)]);
+        }
+    };
+    let replayed = match mode {
+        Mode::Grouped | Mode::GroupedForensic => executor.run_pipelined(threads, merge_edges),
+        Mode::Ungrouped => {
+            let t = Instant::now();
+            merge_edges();
+            let stats = executor.run_ungrouped();
+            let timing = ReexecTiming {
+                group_replay: t.elapsed(),
+                ..Default::default()
+            };
+            stats.map(|stats| (stats, timing))
+        }
+    };
+    let (reexec, reexec_timing) = replayed.map_err(|reason| fail("reexec", reason))?;
     timing.group_replay = reexec_timing.group_replay;
 
     obs.count(CounterId::GroupsFormed, reexec.groups as u64);
@@ -829,7 +819,7 @@ fn audit_core_inner<'a>(
     if probe.back_edge.is_some() {
         let reason = RejectReason::CycleInG;
         let mut diagnostics = AuditDiagnostics::from_reason("postprocess", &reason);
-        if forensic {
+        if mode == Mode::GroupedForensic {
             diagnostics.cycle = cycle_report(&graph);
         }
         return Err(Box::new(AuditFailure {

@@ -36,8 +36,8 @@
 //!   order edges arrive in, so the merge is a plain append.
 //!
 //! The edge fragments are returned as [`DeferredEdges`] rather than
-//! merged eagerly, which lets the pipelined audit overlap the merge
-//! with group replay; [`preprocess`] is the merge-immediately wrapper.
+//! merged eagerly, which lets the audit overlap the merge with group
+//! replay; [`preprocess`] is the merge-immediately wrapper.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -92,8 +92,8 @@ pub struct Preprocessed {
 
 /// Preprocess edge fragments not yet merged into `G`: one per request,
 /// ascending request id. [`DeferredEdges::merge_into`] appends them;
-/// deferring that is what lets the pipelined audit overlap it with
-/// group replay (the re-executor reads `op_map`/`activated`/
+/// deferring that is what lets the audit overlap it with group
+/// replay (the re-executor reads `op_map`/`activated`/
 /// `check_counts`, never the graph, so the merge is safe to run
 /// concurrently with replay).
 #[derive(Debug, Default)]
@@ -125,7 +125,7 @@ pub struct PreStaged {
     /// The preprocessed structures.
     pub pre: Preprocessed,
     /// Edge fragments to merge into `pre.graph` (eagerly, or overlapped
-    /// with group replay by the pipelined audit).
+    /// with group replay by the audit).
     pub deferred: DeferredEdges,
 }
 

@@ -91,8 +91,8 @@ fn tx_payload_keys() -> &'static TxPayloadKeys {
 /// Arms a one-shot injected panic in the worker that replays group `g`
 /// (`-1` disarms). Exercises the replay supervisor from integration
 /// tests: the panic must become a quarantined
-/// [`RejectReason::VerifierInternal`] verdict without deadlocking any
-/// merge path or killing the process.
+/// [`RejectReason::VerifierInternal`] verdict without deadlocking the
+/// merge or killing the process.
 #[doc(hidden)]
 pub fn inject_group_panic_for_tests(g: i64) {
     INJECT_PANIC.store(g, Ordering::SeqCst);
@@ -134,7 +134,7 @@ pub struct ReexecStats {
     /// Replay fuel spent (one unit per statement executed and per
     /// expression node evaluated). Counted inside the single-threaded
     /// per-group interpreter, so the total is bit-identical at every
-    /// threads×pipeline configuration.
+    /// thread count.
     pub fuel_spent: u64,
     /// The hungriest single group's fuel spend — the number the
     /// `fuel_headroom` gauge is measured against.
@@ -154,14 +154,18 @@ impl ReexecStats {
     }
 }
 
-/// Wall-clock breakdown of [`ReExecutor::run_threaded`].
+/// Wall-clock breakdown of [`ReExecutor::run_pipelined`], defined the
+/// same way at every thread count: the two fields sum to the call's
+/// wall clock.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReexecTiming {
-    /// Group replay: interpreting every group (in parallel when
-    /// `threads > 1`).
+    /// Group replay: the call's wall clock net of `state_merge` — the
+    /// overlapped side job, interpreting the groups (one thread) or
+    /// waiting for the workers that do (several).
     pub group_replay: Duration,
-    /// State merge: re-applying each group's recorded variable accesses
-    /// to the global dictionaries, plus the whole-audit final checks.
+    /// State merge: the coordinator's time re-applying each group's
+    /// recorded variable accesses to the global dictionaries and
+    /// running the whole-audit final checks. Never its waits.
     pub state_merge: Duration,
 }
 
@@ -700,7 +704,7 @@ impl<'a> ReExecutor<'a> {
             next_deadline_poll: DEADLINE_POLL_INTERVAL,
             group: None,
             // Group workers inherit the coordinator's choice in
-            // `run_impl`; this default only covers direct use.
+            // `run_pipelined`; this default only covers direct use.
             bytecode: true,
             vm_ops: 0,
             vm_stack: Vec::new(),
@@ -851,55 +855,37 @@ impl<'a> ReExecutor<'a> {
     }
 
     /// Runs re-execution over all groups (Fig. 18), performing the
-    /// final whole-audit checks (lines 62–64).
+    /// final whole-audit checks (lines 62–64), on the calling thread.
     pub fn run(self) -> Result<ReexecStats, RejectReason> {
-        self.run_threaded(1).map(|(stats, _)| stats)
+        self.run_pipelined(1, || ()).map(|(stats, _)| stats)
     }
 
-    /// [`ReExecutor::run`] with group replay spread over `threads`
-    /// workers.
+    /// Grouped re-execution over `threads` workers with an overlapped
+    /// side job and a *streaming* merge.
     ///
     /// Groups are independent by construction — same handler tree,
     /// disjoint requests — so each worker interprets whole groups with
     /// its own local replay state, recording its shared-variable
-    /// accesses. The serial merge phase then re-applies those streams
-    /// to the global state in ascending group order, which makes the
-    /// outcome (verdict, [`RejectReason`], statistics) bit-identical to
-    /// `threads = 1`: that path runs the very same worker-and-merge
-    /// code, just on one thread.
-    pub fn run_threaded(self, threads: usize) -> Result<(ReexecStats, ReexecTiming), RejectReason> {
-        self.run_impl(threads, None::<fn()>)
-    }
-
-    /// [`ReExecutor::run_threaded`] with an overlapped side job and a
-    /// *streaming* merge: `overlap` runs on the coordinator thread
-    /// while workers replay groups, and each group's recorded unit is
-    /// merged into the global state as soon as it lands — still in
-    /// ascending group order — instead of after a full-replay barrier.
-    /// The audit uses the side job to build `G`'s deferred preprocess
-    /// edges concurrently with group replay.
+    /// accesses. The calling thread is the coordinator: it runs
+    /// `overlap` while the workers replay (the audit builds `G`'s
+    /// deferred preprocess edges there; replay never reads the graph),
+    /// then merges each group's recorded unit into the global state as
+    /// soon as it lands, in ascending group order ([`Merge::run`]).
     ///
-    /// Outcome equivalence with [`ReExecutor::run_threaded`]: workers
-    /// run the same per-group code, the merge consumes units in the
-    /// same ascending order through the same [`merge_unit`] checks, and
-    /// `overlap` touches no replay state — so verdicts, errors, and
-    /// statistics are bit-identical; only the wall-clock overlap
-    /// differs. On a single thread the overlap degenerates to running
-    /// the side job before replay.
+    /// With one thread (or a single group) there are no workers: the
+    /// side job runs first, then the coordinator replays each group
+    /// itself and merges it before replaying the next. Either way every
+    /// unit comes from the same per-group code and is consumed by the
+    /// same merge in the same order, and `overlap` touches no replay
+    /// state — so the outcome (verdict, [`RejectReason`], statistics)
+    /// is bit-identical at every thread count; only the wall clock
+    /// differs.
     pub fn run_pipelined<F: FnOnce() + Send>(
         self,
         threads: usize,
         overlap: F,
     ) -> Result<(ReexecStats, ReexecTiming), RejectReason> {
-        self.run_impl(threads, Some(overlap))
-    }
-
-    fn run_impl<F: FnOnce() + Send>(
-        self,
-        threads: usize,
-        overlap: Option<F>,
-    ) -> Result<(ReexecStats, ReexecTiming), RejectReason> {
-        let t_replay = Instant::now();
+        let t_section = Instant::now();
         let order = self.trace.request_ids();
         for rid in &order {
             if !self.advice.tags.contains_key(rid) {
@@ -1069,108 +1055,49 @@ impl<'a> ReExecutor<'a> {
             })
         };
 
-        // Merge state shared by all three paths (sequential, barrier
-        // parallel, streaming parallel); every unit goes through
-        // [`merge_unit`] in ascending group order, which is what keeps
-        // their outcomes bit-identical.
-        let mut stats = ReexecStats {
-            groups: ngroups,
-            ..Default::default()
+        let merge = Merge {
+            global,
+            advice,
+            obs: &obs_handle,
+            stats: ReexecStats {
+                groups: ngroups,
+                ..Default::default()
+            },
+            coverage: Coverage::new(&pre.coords, order.len()),
+            quarantine: Quarantine::default(),
         };
-        let mut coverage = Coverage::new(&pre.coords, order.len());
-        let mut timing = ReexecTiming::default();
+        // Smallest group index known to have failed: workers skip
+        // groups strictly beyond it (the merge stops there), but
+        // never groups before it, which the merge still needs.
+        let failed_floor = AtomicUsize::new(usize::MAX);
 
-        if threads <= 1 || ngroups <= 1 {
-            // The pipelined overlap degenerates to overlap-first on a
-            // single thread: the side job runs to completion, then the
-            // groups replay exactly as in the unpipelined audit.
-            if let Some(side) = overlap {
-                side();
-            }
-            let mut units: Vec<Option<GroupRun>> = Vec::with_capacity(ngroups);
-            let mut failed = false;
-            for (gidx, rids) in groups.iter().enumerate() {
-                // The merge never looks past the first *hard*-failing
-                // group, so neither does the replay; quarantined groups
-                // don't stop it (graceful degradation).
-                if failed {
-                    units.push(None);
-                    continue;
-                }
-                let unit = run_unit(gidx, rids, 0);
-                failed = unit.error.as_ref().is_some_and(|e| !e.quarantines());
-                if failed {
-                    obs_handle.progress_floor(gidx as u64);
-                }
-                units.push(Some(unit));
-            }
-            timing.group_replay = t_replay.elapsed();
-            let t_merge = Instant::now();
-            let t_merge_span = obs_handle.span_start();
-            let mut quarantine = Quarantine::default();
-            let mut merged: Result<(), RejectReason> = Ok(());
-            for slot in units {
-                let Some(unit) = slot else {
-                    merged = Err(RejectReason::VerifierInternal {
-                        what: "group skipped before the first failing group".into(),
-                    });
-                    break;
-                };
-                if let Err(e) = merge_unit(
-                    global,
-                    advice,
-                    &obs_handle,
-                    &mut stats,
-                    &mut coverage,
-                    &mut quarantine,
-                    unit,
-                ) {
-                    merged = Err(e);
-                    break;
-                }
-            }
-            let pending = quarantine.finish(&obs_handle);
-            merged?;
-            pending?;
-            final_checks(exchanges, pre, &coverage)?;
-            timing.state_merge = t_merge.elapsed();
-            obs_handle.record_span(
-                "state-merge",
-                0,
-                t_merge_span,
-                &[("groups", ngroups as u64)],
-            );
-            return Ok((stats, timing));
-        }
-
-        if let Some(side) = overlap {
-            // Streaming pipeline: workers publish finished units on a
-            // shared board; the coordinator runs the side job, then
-            // merges units in ascending group order as they land, so
-            // the side job and the merge both overlap replay.
+        let merged = if threads <= 1 || ngroups <= 1 {
+            overlap();
+            // The merge never looks past the first *hard*-failing
+            // group, so neither does the replay; quarantined groups
+            // don't stop it (graceful degradation).
+            merge.run(ngroups, exchanges, pre, &failed_floor, |gidx| {
+                Ok(run_unit(gidx, &groups[gidx], 0))
+            })
+        } else {
+            // Workers publish finished units on a shared board; the
+            // coordinator takes them off it in ascending group order,
+            // so the side job and the merge both overlap replay.
             use std::sync::{Condvar, Mutex};
             let next = AtomicUsize::new(0);
-            // Smallest group index known to have failed: workers skip
-            // groups strictly beyond it (the merge stops there), but
-            // never groups before it, which the merge still needs.
-            let failed_floor = AtomicUsize::new(usize::MAX);
             let workers = threads.min(ngroups);
             let workers_alive = AtomicUsize::new(workers);
             let groups_ref = &groups;
             let run_unit_ref = &run_unit;
             let obs_ref = &obs_handle;
-            let board: Mutex<Vec<Option<GroupRun>>> = Mutex::new({
-                let mut v: Vec<Option<GroupRun>> = Vec::new();
-                v.resize_with(ngroups, || None);
-                v
-            });
+            let board: Mutex<Vec<Option<GroupRun>>> =
+                Mutex::new((0..ngroups).map(|_| None).collect());
             let ready = Condvar::new();
             let poisoned = || RejectReason::VerifierInternal {
                 what: "group result board poisoned".into(),
             };
 
-            let mut merge_wall = Duration::ZERO;
-            let merged: Result<(), RejectReason> = std::thread::scope(|s| {
+            std::thread::scope(|s| {
                 for w in 0..workers {
                     // Lane 0 is the coordinator; workers get 1..=n.
                     let lane = w as u32 + 1;
@@ -1207,174 +1134,37 @@ impl<'a> ReExecutor<'a> {
                     });
                 }
 
-                // Coordinator: the overlapped side job first (the audit
-                // merges G's deferred preprocess edges here), then the
-                // in-order streaming merge.
-                side();
-                let t_merge = Instant::now();
-                let t_merge_span = obs_handle.span_start();
-                let mut quarantine = Quarantine::default();
-                let mut out: Result<(), RejectReason> = Ok(());
-                'merge: for gidx in 0..ngroups {
-                    let unit = {
-                        let mut slots = board.lock().map_err(|_| poisoned())?;
-                        loop {
-                            if let Some(u) = slots[gidx].take() {
-                                break u;
-                            }
-                            if workers_alive.load(Ordering::Relaxed) == 0 {
-                                // Every worker exited without filling
-                                // this slot: fail closed instead of
-                                // waiting forever.
-                                out = Err(RejectReason::VerifierInternal {
-                                    what: "group worker exited without reporting".into(),
-                                });
-                                break 'merge;
-                            }
-                            let (guard, _) = ready
-                                .wait_timeout(slots, Duration::from_millis(20))
-                                .map_err(|_| poisoned())?;
-                            slots = guard;
+                overlap();
+                merge.run(ngroups, exchanges, pre, &failed_floor, |gidx| {
+                    let mut slots = board.lock().map_err(|_| poisoned())?;
+                    loop {
+                        if let Some(unit) = slots[gidx].take() {
+                            return Ok(unit);
                         }
-                    };
-                    if let Err(e) = merge_unit(
-                        global,
-                        advice,
-                        obs_ref,
-                        &mut stats,
-                        &mut coverage,
-                        &mut quarantine,
-                        unit,
-                    ) {
-                        // Nothing past this group will merge; let the
-                        // in-flight workers drain.
-                        failed_floor.fetch_min(gidx, Ordering::Relaxed);
-                        obs_ref.progress_floor(gidx as u64);
-                        out = Err(e);
-                        break 'merge;
+                        if workers_alive.load(Ordering::Relaxed) == 0 {
+                            // Every worker exited without filling this
+                            // slot: fail closed instead of waiting
+                            // forever.
+                            return Err(RejectReason::VerifierInternal {
+                                what: "group worker exited without reporting".into(),
+                            });
+                        }
+                        let (guard, _) = ready
+                            .wait_timeout(slots, Duration::from_millis(20))
+                            .map_err(|_| poisoned())?;
+                        slots = guard;
                     }
-                }
-                let qres = quarantine.finish(obs_ref);
-                if out.is_ok() {
-                    out = qres;
-                }
-                if out.is_ok() {
-                    out = final_checks(exchanges, pre, &coverage);
-                }
-                merge_wall = t_merge.elapsed();
-                if out.is_ok() {
-                    obs_handle.record_span(
-                        "state-merge",
-                        0,
-                        t_merge_span,
-                        &[("groups", ngroups as u64)],
-                    );
-                }
-                out
-            });
-            merged?;
-            // Replay, side job, and merge overlapped: group_replay is
-            // the whole scope's wall clock and state_merge the merge
-            // loop's share of it (the two no longer sum to a phase
-            // total).
-            timing.group_replay = t_replay.elapsed();
-            timing.state_merge = merge_wall;
-            return Ok((stats, timing));
-        }
-
-        let next = AtomicUsize::new(0);
-        // Smallest group index known to have failed: workers skip
-        // groups strictly beyond it (the merge stops there), but
-        // never groups before it, which the merge still needs.
-        let failed_floor = AtomicUsize::new(usize::MAX);
-        let groups_ref = &groups;
-        let run_unit_ref = &run_unit;
-        let workers = threads.min(ngroups);
-        let mut slots: Vec<Option<GroupRun>> = Vec::new();
-        slots.resize_with(ngroups, || None);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    // Lane 0 is the coordinator; workers get 1..=n.
-                    let lane = w as u32 + 1;
-                    let (next, failed_floor) = (&next, &failed_floor);
-                    let obs_ref = &obs_handle;
-                    s.spawn(move || {
-                        let mut done: Vec<(usize, GroupRun)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= ngroups {
-                                break;
-                            }
-                            if i > failed_floor.load(Ordering::Relaxed) {
-                                continue;
-                            }
-                            let unit = run_unit_ref(i, &groups_ref[i], lane);
-                            // Quarantined groups don't lower the floor:
-                            // the merge skips them and keeps going.
-                            if unit.error.as_ref().is_some_and(|e| !e.quarantines()) {
-                                failed_floor.fetch_min(i, Ordering::Relaxed);
-                                obs_ref.progress_floor(i as u64);
-                            }
-                            done.push((i, unit));
-                        }
-                        done
-                    })
                 })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(done) => {
-                        for (i, unit) in done {
-                            slots[i] = Some(unit);
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        timing.group_replay = t_replay.elapsed();
-
-        // Merge, in ascending group order (the sequential replay
-        // order). Re-applying each group's accesses to the global state
-        // runs the cross-group checks at the same event position the
-        // sequential audit would, so the first error — replayed or
-        // group-local — is the sequential audit's error.
-        let t_merge = Instant::now();
-        let t_merge_span = obs_handle.span_start();
-        let mut quarantine = Quarantine::default();
-        let mut merged: Result<(), RejectReason> = Ok(());
-        for slot in slots {
-            let Some(unit) = slot else {
-                merged = Err(RejectReason::VerifierInternal {
-                    what: "group skipped before the first failing group".into(),
-                });
-                break;
-            };
-            if let Err(e) = merge_unit(
-                global,
-                advice,
-                &obs_handle,
-                &mut stats,
-                &mut coverage,
-                &mut quarantine,
-                unit,
-            ) {
-                merged = Err(e);
-                break;
-            }
-        }
-        let pending = quarantine.finish(&obs_handle);
-        merged?;
-        pending?;
-        final_checks(exchanges, pre, &coverage)?;
-        timing.state_merge = t_merge.elapsed();
-        obs_handle.record_span(
-            "state-merge",
-            0,
-            t_merge_span,
-            &[("groups", ngroups as u64)],
-        );
+            })
+        };
+        let (stats, state_merge) = merged?;
+        // The two sum to the section: whatever the coordinator did not
+        // spend merging — the side job, replaying (one thread) or
+        // waiting for units (several) — is group replay.
+        let timing = ReexecTiming {
+            group_replay: t_section.elapsed().saturating_sub(state_merge),
+            state_merge,
+        };
         Ok((stats, timing))
     }
 
@@ -2984,64 +2774,120 @@ impl<'a> ReExecutor<'a> {
     }
 }
 
-/// Applies one group's recorded unit to the global merge state, in the
-/// shared serial order: replay the event stream through the global
-/// variable states (running the cross-group checks at the same event
-/// position the sequential audit would), absorb the worker's telemetry
-/// shard, surface the group's own error, then fold its statistics and
-/// coverage sets. Every merge path — sequential, barrier parallel, and
-/// streaming pipeline — consumes units through this one function in
-/// ascending group order, so their outcomes cannot drift.
-fn merge_unit(
-    global: &mut VarStates,
-    advice: &AdviceRef<'_>,
-    obs_handle: &Obs,
-    stats: &mut ReexecStats,
-    coverage: &mut Coverage,
-    quarantine: &mut Quarantine,
-    unit: GroupRun,
-) -> Result<(), RejectReason> {
-    // A quarantined group contributes telemetry only: its events,
-    // stats, and coverage are discarded (they describe an aborted
-    // replay), and the merge moves on so the remaining groups still
-    // produce verdicts. The recorded verdict surfaces from
-    // `Quarantine::finish` after the merge loop.
-    if unit.error.as_ref().is_some_and(RejectReason::quarantines) {
-        obs_handle.absorb(unit.obs);
-        quarantine.groups += 1;
-        if unit.panicked {
-            quarantine.panics += 1;
+/// The serial half of a grouped run: the global state every group's
+/// unit is folded into, in ascending group order.
+///
+/// Re-applying a group's accesses to the global dictionaries runs the
+/// cross-group checks at the same event position a one-thread audit
+/// hits them, so the first error — replayed or group-local — does not
+/// depend on how the units were produced. There is one merge for every
+/// thread count: only where [`Merge::run`] gets its next unit differs.
+struct Merge<'m> {
+    global: &'m mut VarStates,
+    advice: &'m AdviceRef<'m>,
+    obs: &'m Obs,
+    stats: ReexecStats,
+    coverage: Coverage<'m>,
+    quarantine: Quarantine,
+}
+
+impl Merge<'_> {
+    /// Merges units `0..ngroups` as `next_unit` hands them over (it may
+    /// run the group on the spot or block until a worker has), then
+    /// reports the pending quarantine verdict and runs the whole-audit
+    /// final checks. Returns the statistics and the time spent merging
+    /// and checking — never the time spent inside `next_unit`.
+    ///
+    /// A failed merge lowers `failed_floor` to its group so that
+    /// workers still in flight drain instead of replaying groups
+    /// nothing will merge.
+    fn run(
+        mut self,
+        ngroups: usize,
+        trace: &[Exchange<'_>],
+        pre: &Preprocessed,
+        failed_floor: &AtomicUsize,
+        mut next_unit: impl FnMut(usize) -> Result<GroupRun, RejectReason>,
+    ) -> Result<(ReexecStats, Duration), RejectReason> {
+        let span = self.obs.span_start();
+        let mut busy = Duration::ZERO;
+        let mut merged: Result<(), RejectReason> = Ok(());
+        for gidx in 0..ngroups {
+            let outcome = next_unit(gidx).and_then(|unit| {
+                let t = Instant::now();
+                let outcome = self.merge_unit(unit);
+                busy += t.elapsed();
+                outcome
+            });
+            if let Err(e) = outcome {
+                failed_floor.fetch_min(gidx, Ordering::Relaxed);
+                self.obs.progress_floor(gidx as u64);
+                merged = Err(e);
+                break;
+            }
         }
-        if quarantine.first.is_none() {
-            quarantine.first = unit.error;
-        }
-        return Ok(());
+        let pending = self.quarantine.finish(self.obs);
+        merged?;
+        pending?;
+        let t = Instant::now();
+        final_checks(trace, pre, &self.coverage)?;
+        busy += t.elapsed();
+        // The span is the merge loop's extent, waits included.
+        self.obs
+            .record_span("state-merge", 0, span, &[("groups", ngroups as u64)]);
+        Ok((self.stats, busy))
     }
-    for ev in &unit.events {
-        match ev {
-            VarEvent::Read { var, op } => {
-                if let Err(e) = global.on_read(*var, op.clone(), advice.var_logs.get(var)) {
-                    return Err(quarantine.resolve(e));
+
+    /// Applies one group's recorded unit to the global merge state:
+    /// replay the event stream through the global variable states,
+    /// absorb the worker's telemetry shard, surface the group's own
+    /// error, then fold its statistics and coverage lists.
+    fn merge_unit(&mut self, unit: GroupRun) -> Result<(), RejectReason> {
+        // A quarantined group contributes telemetry only: its events,
+        // stats, and coverage are discarded (they describe an aborted
+        // replay), and the merge moves on so the remaining groups still
+        // produce verdicts. The recorded verdict surfaces from
+        // `Quarantine::finish` after the merge loop.
+        if unit.error.as_ref().is_some_and(RejectReason::quarantines) {
+            self.obs.absorb(unit.obs);
+            self.quarantine.groups += 1;
+            if unit.panicked {
+                self.quarantine.panics += 1;
+            }
+            if self.quarantine.first.is_none() {
+                self.quarantine.first = unit.error;
+            }
+            return Ok(());
+        }
+        let var_logs = &self.advice.var_logs;
+        for ev in &unit.events {
+            match ev {
+                VarEvent::Read { var, op } => {
+                    if let Err(e) = self.global.on_read(*var, op.clone(), var_logs.get(var)) {
+                        return Err(self.quarantine.resolve(e));
+                    }
+                }
+                VarEvent::Write { var, op, value } => {
+                    if let Err(e) =
+                        self.global
+                            .on_write(*var, op.clone(), value.clone(), var_logs.get(var))
+                    {
+                        return Err(self.quarantine.resolve(e));
+                    }
                 }
             }
-            VarEvent::Write { var, op, value } => {
-                if let Err(e) =
-                    global.on_write(*var, op.clone(), value.clone(), advice.var_logs.get(var))
-                {
-                    return Err(quarantine.resolve(e));
-                }
-            }
         }
+        // Absorbed before the error check so a failing group's replay span
+        // still appears in the exported trace.
+        self.obs.absorb(unit.obs);
+        if let Some(e) = unit.error {
+            return Err(self.quarantine.resolve(e));
+        }
+        self.stats.absorb(&unit.stats);
+        self.coverage
+            .absorb(&unit.executed, &unit.consumed, unit.outputs);
+        Ok(())
     }
-    // Absorbed before the error check so a failing group's replay span
-    // still appears in the exported trace.
-    obs_handle.absorb(unit.obs);
-    if let Some(e) = unit.error {
-        return Err(quarantine.resolve(e));
-    }
-    stats.absorb(&unit.stats);
-    coverage.absorb(&unit.executed, &unit.consumed, unit.outputs);
-    Ok(())
 }
 
 /// What re-execution has covered so far, as tables over the audit's

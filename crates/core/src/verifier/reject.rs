@@ -273,7 +273,7 @@ pub enum RejectReason {
     /// ceiling (a denial-of-audit attempt), so the audit terminated
     /// with this typed verdict instead of hanging or ballooning. The
     /// fuel variant is deterministic — the budget is counted
-    /// identically at every threads×pipeline configuration.
+    /// identically at every thread count.
     ResourceExhausted {
         /// Which budget ran out.
         resource: ResourceKind,

@@ -182,7 +182,7 @@ impl Encoder {
 }
 
 /// The [`WireError::what`] label reported when a decode exceeds its
-/// node budget ([`decode_advice_fast_bounded`]). A sentinel so callers
+/// node budget ([`decode_advice_view_bounded`]). A sentinel so callers
 /// can distinguish budget exhaustion (a resource verdict) from
 /// structural malformation (a malformed-advice verdict).
 pub const NODE_BUDGET_LABEL: &str = "decode node budget";
@@ -1413,23 +1413,6 @@ fn decode_advice_view_inner<'a>(
     Ok(a)
 }
 
-/// Decodes through the borrowed path and converts to an owned
-/// [`Advice`]: equal in outcome (value *and* error) to
-/// [`decode_advice`], with handler ids shared through the span memo.
-/// Audits do not use it (they never build an owned `Advice`); tests do,
-/// as the oracle for the borrowed path.
-pub fn decode_advice_fast(bytes: &[u8]) -> Result<(Advice, DecodeStats), WireError> {
-    decode_advice_fast_bounded(bytes, u64::MAX).map_err(|e| match e {
-        BoundedDecodeError::Malformed(e) => e,
-        // Unreachable with a u64::MAX budget, but keep the error
-        // positioned rather than panicking.
-        BoundedDecodeError::NodesExhausted { offset, .. } => WireError {
-            offset,
-            what: NODE_BUDGET_LABEL,
-        },
-    })
-}
-
 /// How a bounded decode failed: structurally malformed bytes, or
 /// well-formed bytes that declared more than the budget allows. The
 /// two are different verdicts — malformation is the server lying about
@@ -1474,22 +1457,11 @@ fn bounded(e: WireError, max_nodes: u64) -> BoundedDecodeError {
     }
 }
 
-/// [`decode_advice_fast`] with a cap on the total number of declared
-/// collection elements ([`decode_advice_view_bounded`]'s).
-pub fn decode_advice_fast_bounded(
-    bytes: &[u8],
-    max_nodes: u64,
-) -> Result<(Advice, DecodeStats), BoundedDecodeError> {
-    let (view, stats) = decode_advice_view_bounded(bytes, max_nodes)?;
-    Ok((view.to_advice(), stats))
-}
-
 /// The budgeted decoder entry point every audit decode goes through:
 /// borrowed view out, no owned materialization. The per-collection byte
 /// budget in [`Decoder::len`] stops a single huge length claim, and
 /// `max_nodes` stops death-by-a-thousand small collections across
-/// nesting levels. [`decode_advice_fast_bounded`] is this plus the
-/// owned conversion; the verifier's accept path uses the view directly.
+/// nesting levels.
 pub fn decode_advice_view_bounded(
     bytes: &[u8],
     max_nodes: u64,
@@ -1717,53 +1689,6 @@ impl<'a> AdviceView<'a> {
         }
         e.finish()
     }
-}
-
-/// String bytes the *owned* decoder copies out of the wire buffer for
-/// `a`: event names and tx keys once (into their `String` fields),
-/// value strings once (straight into the `Arc<str>`), map keys once
-/// (into the persistent map's `Arc<str>` keys): what the borrowed
-/// path's interner count is compared against.
-pub fn owned_decode_copy_bytes(a: &Advice) -> u64 {
-    fn value_bytes(v: &Value) -> u64 {
-        match v {
-            Value::Str(s) => s.len() as u64,
-            Value::List(l) => l.iter().map(value_bytes).sum(),
-            Value::Map(m) => m.iter().map(|(k, v)| k.len() as u64 + value_bytes(v)).sum(),
-            _ => 0,
-        }
-    }
-    let mut total = 0u64;
-    for log in a.handler_logs.values() {
-        for e in log {
-            let (HandlerOp::Register { event, .. }
-            | HandlerOp::Unregister { event, .. }
-            | HandlerOp::Emit { event }
-            | HandlerOp::Check { event }) = &e.op;
-            total += event.len() as u64;
-        }
-    }
-    for log in a.var_logs.values() {
-        for e in log.values() {
-            if let Some(v) = &e.value {
-                total += value_bytes(v);
-            }
-        }
-    }
-    for log in a.tx_logs.values() {
-        for e in log {
-            if let Some(k) = &e.key {
-                total += k.len() as u64;
-            }
-            if let TxOpContents::Put { value } = &e.contents {
-                total += value_bytes(value);
-            }
-        }
-    }
-    for v in a.nondet.values() {
-        total += value_bytes(v);
-    }
-    total
 }
 
 /// Where the encoded advice bytes live while the audit runs: an
@@ -2053,11 +1978,9 @@ mod tests {
         a.opcounts.insert((RequestId(0), child), 4);
 
         let bytes = encode_advice(&a);
-        let view = decode_advice_view(&bytes).unwrap();
+        let (view, stats) = decode_advice_view_bounded(&bytes, u64::MAX).unwrap();
         assert_eq!(view.encode(), bytes, "view re-encode is byte-identical");
         assert_eq!(view.to_advice(), a, "view conversion equals owned decode");
-        let (fast, stats) = decode_advice_fast(&bytes).unwrap();
-        assert_eq!(fast, a);
         assert!(
             stats.hid_cache_hits > 0,
             "repeated handler ids must hit the span memo"

@@ -52,7 +52,7 @@ use std::fmt::Write as _;
 /// `KAROUSOS_BYTECODE`: toggles bytecode dispatch (default on).
 pub const ENV_BYTECODE: &str = "KAROUSOS_BYTECODE";
 
-/// Parses the `KAROUSOS_BYTECODE` contract (same as `KAROUSOS_PIPELINE`):
+/// Parses the `KAROUSOS_BYTECODE` contract:
 /// missing → on; empty, `0`, `off`, or `false` (case-insensitive) →
 /// off; anything else → on.
 pub fn parse_bytecode_switch(raw: Option<&str>) -> bool {

@@ -4,8 +4,8 @@
 //! `ObsShard`; the coordinator absorbs shards in ascending group order
 //! (the same merge discipline as the metrics and the per-variable edge
 //! fragments), so the assembled [`CostLedger`] is bit-identical at any
-//! threads × pipeline × bytecode configuration — for its
-//! *deterministic* columns. Two columns are machine-dependent by
+//! threads × bytecode configuration — for its *deterministic*
+//! columns. Two columns are machine-dependent by
 //! nature and excluded from that contract: `wall_us` (wall clock) and
 //! `alloc_events` (depends on which worker's scratch pools a group
 //! happened to reuse). [`GroupCost::deterministic_key`] names the
@@ -55,8 +55,8 @@ pub struct GroupCost {
 }
 
 impl GroupCost {
-    /// The columns pinned bit-identical across the threads × pipeline
-    /// × bytecode matrix. `bytecode_ops` is pinned only across cells
+    /// The columns pinned bit-identical across the threads × bytecode
+    /// matrix. `bytecode_ops` is pinned only across cells
     /// with the same interpreter (the tree-walk dispatches none), so
     /// it is excluded here and compared per-interpreter by the tests.
     pub fn deterministic_key(&self) -> [u64; 10] {

@@ -71,7 +71,7 @@ pub enum CounterId {
     SpansDropped,
     /// Replay fuel spent across all groups (one unit per statement
     /// executed and expression node evaluated; deterministic at every
-    /// threads×pipeline configuration).
+    /// thread count).
     ReplayFuelSpent,
     /// Bytecode instructions dispatched by the VM replay loop across
     /// all groups (zero when `KAROUSOS_BYTECODE` selects the

@@ -7,7 +7,7 @@
 //! symbols keep the hot loop allocation-free: if a change reintroduces
 //! per-request `String`/`BTreeMap` traffic, this test fails CI.
 //!
-//! Run with `--release` for the numbers quoted in BENCH_PR3.json; the
+//! Run with `--release` for the numbers quoted in EXPERIMENTS.md; the
 //! assertion bound holds in both profiles because allocation counts,
 //! unlike wall-clock, are deterministic and container-stable.
 
@@ -352,7 +352,7 @@ fn stacks_replay_bytes_scale_with_requests() {
 ///   the interner's string vocabulary and sub-value memo) must stay
 ///   >= 6x below.
 ///
-/// `decode_advice_fast` (view decode + owned conversion) is the
+/// `AdviceView::to_advice` (the view's owned conversion) is the
 /// differential oracle, not a fast path: its values go through the
 /// owned decoder's value path, so it only has to agree with
 /// `decode_advice`.
@@ -392,8 +392,10 @@ fn decode_phase_allocation_budget() {
     let owned = owned.expect("owned decode accepts");
     let (_, view_allocs) = count_allocs(|| karousos::decode_advice_view(&bytes).map(|_| ()));
     let (_, borrowed_allocs) = count_allocs(borrowed);
-    let (fast, _) = karousos::decode_advice_fast(&bytes).expect("fast decode accepts");
-    assert_eq!(fast, owned, "decoders disagree on honest advice");
+    let converted = karousos::decode_advice_view(&bytes)
+        .expect("view decode accepts")
+        .to_advice();
+    assert_eq!(converted, owned, "decoders disagree on honest advice");
 
     eprintln!(
         "decode allocs: owned {owned_allocs}, view {view_allocs} ({:.1}x fewer), \
@@ -522,12 +524,12 @@ fn handler_heavy_program() -> kem::Program {
 /// End-to-end audit allocation budget: the borrowed accept path
 /// (`audit_encoded_*` = view decode + `AdviceRef::from_view` +
 /// preprocess + replay + postprocess) versus the owned paths
-/// (`decode_advice` / `decode_advice_fast` into an owned `Advice`,
-/// then the same audit). All produce identical verdicts
+/// (`decode_advice` / `decode_advice_view` + `to_advice` into an owned
+/// `Advice`, then the same audit). All produce identical verdicts
 /// (tests/borrowed_audit.rs); this test pins the *cost* difference at
 /// 600 requests: the borrowed path must allocate >= 3x fewer events
 /// than auditing from a plainly-decoded `Advice` and >= 2x fewer than
-/// the view-then-owned `decode_advice_fast`, because the only copies it makes are
+/// the view-then-owned conversion, because the only copies it makes are
 /// the values replay actually retains.
 #[test]
 fn end_to_end_borrowed_audit_allocation_budget() {
@@ -550,7 +552,6 @@ fn end_to_end_borrowed_audit_allocation_budget() {
     drop(advice);
     let opts = karousos::AuditOptions {
         threads: 1,
-        pipeline: false,
         bytecode: true,
         ..Default::default()
     };
@@ -565,7 +566,9 @@ fn end_to_end_borrowed_audit_allocation_budget() {
             .expect("owned audit accepts honest advice")
     };
     let fast_audit = || {
-        let (owned, _) = karousos::decode_advice_fast(&bytes).expect("fast decode accepts");
+        let owned = karousos::decode_advice_view(&bytes)
+            .expect("view decode accepts")
+            .to_advice();
         karousos::audit_with_options(&program, &out.trace, &owned, cfg.isolation, opts)
             .expect("fast-decoded audit accepts honest advice")
     };
@@ -605,5 +608,57 @@ fn end_to_end_borrowed_audit_allocation_budget() {
         allocs_borrowed.saturating_mul(2) <= allocs_fast,
         "borrowed audit path regressed: {allocs_borrowed} allocs vs \
          fast-decoded {allocs_fast} (pin: >= 2x fewer end-to-end)"
+    );
+}
+
+/// Resource governance costs no allocation: the fuel and deadline meter
+/// is two counters and an `Instant` charged inline, and every volume
+/// gate is a sum over what is already decoded. So an honest audit under
+/// the default budgets allocates no more than with every budget off.
+#[test]
+fn metering_is_allocation_free() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    use apps::App;
+    use workload::{Experiment, Mix};
+
+    let mut exp = Experiment::paper_default(App::Wiki, Mix::Wiki, 8, 11);
+    exp.requests = 120;
+    let program = App::Wiki.program();
+    let (out, advice) = karousos::run_instrumented_server(
+        &program,
+        &exp.inputs(),
+        &exp.server_config(),
+        karousos::CollectorMode::Karousos,
+    )
+    .expect("wiki run succeeds");
+    let bytes = karousos::encode_advice(&advice);
+    drop(advice);
+    // One thread: worker scheduling perturbs counts by a handful of
+    // allocations, the inline path is deterministic.
+    let audit_allocs = |limits: karousos::Limits| {
+        let opts = karousos::AuditOptions {
+            limits,
+            ..Default::default()
+        };
+        let audit = || {
+            karousos::audit_encoded_with_obs(
+                &program,
+                &out.trace,
+                &bytes,
+                exp.isolation,
+                opts,
+                &obs::Obs::noop(),
+            )
+            .expect("honest advice is accepted")
+        };
+        let _ = audit();
+        count_allocs(audit).1
+    };
+    let metered = audit_allocs(karousos::Limits::default());
+    let unmetered = audit_allocs(karousos::Limits::unlimited());
+    assert!(
+        metered <= unmetered,
+        "metering allocates: {metered} events under the default limits vs \
+         {unmetered} with every budget off"
     );
 }

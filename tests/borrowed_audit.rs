@@ -2,9 +2,9 @@
 //!
 //! The deployed verifier now audits straight from the wire view — an
 //! [`karousos::AdviceRef`] borrowing the advice bytes — and never
-//! materializes an owned `Advice` on the accept path. The owned decoder
-//! (`decode_advice_fast`) stays alive purely as the oracle these tests
-//! compare against: for every point of the threads × pipeline ×
+//! materializes an owned `Advice` on the accept path. The owned
+//! conversion (`AdviceView::to_advice`) stays alive purely as the
+//! oracle these tests compare against: for every point of the threads ×
 //! bytecode matrix, on honest advice and across the hostile wire
 //! mutation corpus, the two paths must produce byte-identical verdicts,
 //! statistics, and fuel bills.
@@ -12,7 +12,7 @@
 use apps::App;
 use karousos::verifier::{AuditOptions, RejectReason};
 use karousos::{
-    audit_encoded_with_options, audit_with_options, decode_advice_fast, encode_advice, AuditReport,
+    audit_encoded_with_options, audit_with_options, decode_advice_view, encode_advice, AuditReport,
     WireMutator,
 };
 use kem::{Program, Trace};
@@ -23,15 +23,12 @@ use workload::{Experiment, Mix};
 fn matrix() -> Vec<AuditOptions> {
     let mut out = Vec::new();
     for threads in [1usize, 4] {
-        for pipeline in [false, true] {
-            for bytecode in [false, true] {
-                out.push(AuditOptions {
-                    threads,
-                    pipeline,
-                    bytecode,
-                    ..Default::default()
-                });
-            }
+        for bytecode in [false, true] {
+            out.push(AuditOptions {
+                threads,
+                bytecode,
+                ..Default::default()
+            });
         }
     }
     out
@@ -71,10 +68,8 @@ fn owned_oracle(
     isolation: IsolationLevel,
     opts: AuditOptions,
 ) -> Outcome {
-    match decode_advice_fast(bytes) {
-        Ok((advice, _stats)) => {
-            Outcome::of(audit_with_options(program, trace, &advice, isolation, opts))
-        }
+    match decode_advice_view(bytes).map(|view| view.to_advice()) {
+        Ok(advice) => Outcome::of(audit_with_options(program, trace, &advice, isolation, opts)),
         Err(e) => Outcome::Reject(RejectReason::MalformedAdvice {
             what: e.to_string(),
         }),
@@ -100,16 +95,16 @@ fn assert_equivalent(
         assert_eq!(
             borrowed, oracle,
             "{label}: borrowed path diverges from owned oracle at \
-             threads={} pipeline={} bytecode={}",
-            opts.threads, opts.pipeline, opts.bytecode
+             threads={} bytecode={}",
+            opts.threads, opts.bytecode
         );
         match &first {
             None => first = Some(borrowed),
             Some(f) => assert_eq!(
                 f, &borrowed,
                 "{label}: verdict changed across the matrix at \
-                 threads={} pipeline={} bytecode={}",
-                opts.threads, opts.pipeline, opts.bytecode
+                 threads={} bytecode={}",
+                opts.threads, opts.bytecode
             ),
         }
     }
@@ -158,18 +153,16 @@ fn hostile_mutations_verdict_identically() {
     let (program, trace, honest, isolation) = prepare(App::Motd, Mix::RW_MIXES[1], 12);
 
     // Hostile sweep on the two extreme matrix points only (serial
-    // tree-walk and parallel pipelined bytecode): the honest test
+    // tree-walk and parallel bytecode): the honest test
     // already pins the full matrix, and each mutation is audited twice.
     let configs = [
         AuditOptions {
             threads: 1,
-            pipeline: false,
             bytecode: false,
             ..Default::default()
         },
         AuditOptions {
             threads: 4,
-            pipeline: true,
             bytecode: true,
             ..Default::default()
         },
@@ -195,8 +188,8 @@ fn hostile_mutations_verdict_identically() {
                 assert_eq!(
                     borrowed, oracle,
                     "{} seed {seed}: borrowed path diverges from owned oracle \
-                     (threads={} pipeline={} bytecode={})",
-                    mutation.mutator, opts.threads, opts.pipeline, opts.bytecode
+                     (threads={} bytecode={})",
+                    mutation.mutator, opts.threads, opts.bytecode
                 );
                 per_config.push(borrowed);
             }

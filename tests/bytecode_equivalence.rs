@@ -3,7 +3,7 @@
 //! The bytecode VM (DESIGN.md §11) is a drop-in replacement for the
 //! tree-walk: same verdicts, same statistics (including the
 //! bit-identical fuel bill), same `RejectReason` payloads, at every
-//! threads×pipeline point. This harness pins that equivalence three
+//! thread count. This harness pins that equivalence three
 //! ways: over randomly generated programs (a seeded grammar covering
 //! every non-transactional opcode), over honest runs of the paper
 //! applications at every isolation level (transactions included), and
@@ -32,24 +32,20 @@ fn comparable(r: Result<AuditReport, RejectReason>) -> Outcome {
 fn baseline() -> AuditOptions {
     AuditOptions {
         threads: 1,
-        pipeline: false,
         bytecode: false,
         ..AuditOptions::default()
     }
 }
 
-/// threads{1,4} × pipeline{off,on} × bytecode{off,on}.
+/// threads{1,4} × bytecode{off,on}.
 fn matrix() -> Vec<AuditOptions> {
     let mut configs = Vec::new();
     for threads in [1usize, 4] {
-        for pipeline in [false, true] {
-            for bytecode in [false, true] {
-                configs.push(AuditOptions {
-                    pipeline,
-                    bytecode,
-                    ..AuditOptions::with_threads(threads)
-                });
-            }
+        for bytecode in [false, true] {
+            configs.push(AuditOptions {
+                bytecode,
+                ..AuditOptions::with_threads(threads)
+            });
         }
     }
     configs
@@ -75,8 +71,8 @@ fn assert_matrix_agrees(
         ));
         assert_eq!(
             sequential, cell,
-            "{label}: tree-walk baseline vs threads={} pipeline={} bytecode={} disagree",
-            opts.threads, opts.pipeline, opts.bytecode
+            "{label}: tree-walk baseline vs threads={} bytecode={} disagree",
+            opts.threads, opts.bytecode
         );
     }
     sequential

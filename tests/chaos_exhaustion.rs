@@ -2,7 +2,7 @@
 //! exhaustion vector in the [`ExhaustMutator`] catalogue must terminate
 //! with a structured REJECT under a tight budget — never a hang, an
 //! OOM, or an abort — and the verdict must be identical at every
-//! threads×pipeline configuration. Honest advice must stay ACCEPTed
+//! threads×bytecode configuration. Honest advice must stay ACCEPTed
 //! under the default limits.
 
 use karousos::{
@@ -76,21 +76,12 @@ fn honest(program: &Program, inputs: &[Value], seed: u64) -> (RunOutput, Advice)
 }
 
 /// The full determinism matrix: the quarantine verdict (like any other
-/// verdict) must be bit-identical across worker counts, pipeline
-/// modes, and replay interpreters (tree-walk and bytecode VM). For
+/// verdict) must be bit-identical across worker counts and replay
+/// interpreters (tree-walk and bytecode VM). For
 /// `ResourceExhausted` that includes the `(group, spent, limit)`
 /// payload — the VM's batched fuel charging must trip at exactly the
 /// unit the tree-walk would.
-const MATRIX: [(usize, bool, bool); 8] = [
-    (1, false, false),
-    (1, false, true),
-    (1, true, false),
-    (1, true, true),
-    (4, false, false),
-    (4, false, true),
-    (4, true, false),
-    (4, true, true),
-];
+const MATRIX: [(usize, bool); 4] = [(1, false), (1, true), (4, false), (4, true)];
 
 fn audit_matrix(
     program: &Program,
@@ -100,9 +91,8 @@ fn audit_matrix(
 ) -> Vec<Result<(), RejectReason>> {
     MATRIX
         .iter()
-        .map(|&(threads, pipeline, bytecode)| {
+        .map(|&(threads, bytecode)| {
             let opts = AuditOptions {
-                pipeline,
                 bytecode,
                 limits,
                 ..AuditOptions::with_threads(threads)
@@ -133,11 +123,11 @@ fn assert_contained(
         .unwrap_or_else(|| panic!("{} found nothing to mutate", m.name()));
     let verdicts = audit_matrix(program, out, &mutation.bytes, limits);
     let first = verdicts[0].clone();
-    for (v, &(threads, pipeline, bytecode)) in verdicts.iter().zip(MATRIX.iter()) {
+    for (v, &(threads, bytecode)) in verdicts.iter().zip(MATRIX.iter()) {
         assert_eq!(
             *v,
             first,
-            "{}: verdict diverged at threads={threads} pipeline={pipeline} bytecode={bytecode}",
+            "{}: verdict diverged at threads={threads} bytecode={bytecode}",
             m.name()
         );
     }

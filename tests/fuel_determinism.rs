@@ -1,7 +1,7 @@
 //! Fuel accounting is a function of the advice, not of the verifier's
 //! execution configuration: the same (advice, limits) pair must yield
 //! an identical verdict — and for accepted runs, an identical total
-//! fuel bill — at every threads×pipeline combination. This is what
+//! fuel bill — at every thread count. This is what
 //! makes `ResourceExhausted { resource: ReplayFuel }` a reproducible
 //! audit verdict rather than a scheduling accident.
 
@@ -13,7 +13,7 @@ use karousos::{
 use proptest::prelude::*;
 use workload::{Experiment, Mix};
 
-const MATRIX: [(usize, bool); 4] = [(1, false), (1, true), (4, false), (4, true)];
+const MATRIX: [usize; 2] = [1, 4];
 
 fn matrix_verdicts(
     program: &kem::Program,
@@ -24,9 +24,8 @@ fn matrix_verdicts(
 ) -> Vec<Result<u64, RejectReason>> {
     MATRIX
         .iter()
-        .map(|&(threads, pipeline)| {
+        .map(|&threads| {
             let opts = AuditOptions {
-                pipeline,
                 limits,
                 ..AuditOptions::with_threads(threads)
             };
@@ -62,15 +61,14 @@ proptest! {
         let verdicts = matrix_verdicts(
             &program, &out.trace, &bytes, exp.isolation, Limits::default(),
         );
-        for (v, (threads, pipeline)) in verdicts.iter().zip(MATRIX) {
+        for (v, threads) in verdicts.iter().zip(MATRIX) {
             match v {
                 Ok(fuel) => prop_assert!(
                     *fuel > 0,
                     "{app:?} seed={seed}: zero fuel billed for a non-empty replay"
                 ),
                 Err(e) => return Err(TestCaseError::fail(format!(
-                    "{app:?} seed={seed} threads={threads} pipeline={pipeline} \
-                     rejected honest run: {e}"
+                    "{app:?} seed={seed} threads={threads} rejected honest run: {e}"
                 ))),
             }
         }

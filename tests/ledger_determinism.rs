@@ -1,8 +1,8 @@
 //! Cost-ledger determinism: the per-group attribution rows are an
 //! *audit artifact*, so their deterministic columns must be
 //! bit-identical across every execution strategy — worker threads
-//! {1, 4} × phase ordering {barrier, pipelined} × interpreter
-//! {tree-walk, bytecode} — exactly like verdicts and metrics. The
+//! {1, 4} × interpreter {tree-walk, bytecode} — exactly like verdicts
+//! and metrics. The
 //! advisory columns (wall-clock, allocation events) and the
 //! per-interpreter `bytecode_ops` column are excluded from the
 //! deterministic key by construction; this file pins both halves of
@@ -41,12 +41,10 @@ fn ledger_for(
     advice: &karousos::Advice,
     iso: kvstore::IsolationLevel,
     threads: usize,
-    pipeline: bool,
     bytecode: bool,
 ) -> obs::CostLedger {
     let obs = Obs::enabled();
     let mut opts = AuditOptions::with_threads(threads);
-    opts.pipeline = pipeline;
     opts.bytecode = bytecode;
     audit_with_obs(program, &out.trace, advice, iso, opts, &obs)
         .expect("honest advice must be accepted");
@@ -54,57 +52,54 @@ fn ledger_for(
 }
 
 #[test]
-fn ledger_bit_identical_across_threads_pipeline_bytecode() {
+fn ledger_bit_identical_across_threads_bytecode() {
     let (program, out, advice, iso) = wiki_run();
     let mut reference: Option<obs::CostLedger> = None;
     for threads in [1usize, 4] {
-        for pipeline in [false, true] {
-            for bytecode in [false, true] {
-                let ledger = ledger_for(&program, &out, &advice, iso, threads, pipeline, bytecode);
-                assert!(!ledger.groups.is_empty(), "wiki audit must record groups");
-                // Rows arrive in ascending group order in every
-                // configuration (shards are absorbed in merge order).
-                for w in ledger.groups.windows(2) {
-                    assert!(
-                        w[0].group < w[1].group,
-                        "ledger rows out of order: {} then {}",
-                        w[0].group,
-                        w[1].group
+        for bytecode in [false, true] {
+            let ledger = ledger_for(&program, &out, &advice, iso, threads, bytecode);
+            assert!(!ledger.groups.is_empty(), "wiki audit must record groups");
+            // Rows arrive in ascending group order in every
+            // configuration (shards are absorbed in merge order).
+            for w in ledger.groups.windows(2) {
+                assert!(
+                    w[0].group < w[1].group,
+                    "ledger rows out of order: {} then {}",
+                    w[0].group,
+                    w[1].group
+                );
+            }
+            // bytecode_ops is the per-interpreter column: zero
+            // under the tree-walk, populated under the VM.
+            let vm_ops: u64 = ledger.groups.iter().map(|g| g.bytecode_ops).sum();
+            if bytecode {
+                assert!(vm_ops > 0, "VM replay must meter bytecode ops");
+            } else {
+                assert_eq!(vm_ops, 0, "tree-walk replay must not meter bytecode ops");
+            }
+            match &reference {
+                None => reference = Some(ledger),
+                Some(r) => {
+                    let keys: Vec<[u64; 10]> = ledger
+                        .groups
+                        .iter()
+                        .map(|g| g.deterministic_key())
+                        .collect();
+                    let ref_keys: Vec<[u64; 10]> =
+                        r.groups.iter().map(|g| g.deterministic_key()).collect();
+                    assert_eq!(
+                        ref_keys, keys,
+                        "ledger diverged at threads={threads} bytecode={bytecode}"
                     );
-                }
-                // bytecode_ops is the per-interpreter column: zero
-                // under the tree-walk, populated under the VM.
-                let vm_ops: u64 = ledger.groups.iter().map(|g| g.bytecode_ops).sum();
-                if bytecode {
-                    assert!(vm_ops > 0, "VM replay must meter bytecode ops");
-                } else {
-                    assert_eq!(vm_ops, 0, "tree-walk replay must not meter bytecode ops");
-                }
-                match &reference {
-                    None => reference = Some(ledger),
-                    Some(r) => {
-                        let keys: Vec<[u64; 10]> = ledger
-                            .groups
-                            .iter()
-                            .map(|g| g.deterministic_key())
-                            .collect();
-                        let ref_keys: Vec<[u64; 10]> =
-                            r.groups.iter().map(|g| g.deterministic_key()).collect();
-                        assert_eq!(
-                            ref_keys, keys,
-                            "ledger diverged at threads={threads} pipeline={pipeline} \
-                             bytecode={bytecode}"
-                        );
-                        // Totals over the deterministic columns agree
-                        // too (fuel, ops, feeds, var accesses).
-                        let (rt, lt) = (r.totals(), ledger.totals());
-                        assert_eq!(rt.groups, lt.groups);
-                        assert_eq!(rt.requests, lt.requests);
-                        assert_eq!(rt.fuel, lt.fuel);
-                        assert_eq!(rt.ops, lt.ops);
-                        assert_eq!(rt.dict_feeds, lt.dict_feeds);
-                        assert_eq!(rt.var_accesses, lt.var_accesses);
-                    }
+                    // Totals over the deterministic columns agree
+                    // too (fuel, ops, feeds, var accesses).
+                    let (rt, lt) = (r.totals(), ledger.totals());
+                    assert_eq!(rt.groups, lt.groups);
+                    assert_eq!(rt.requests, lt.requests);
+                    assert_eq!(rt.fuel, lt.fuel);
+                    assert_eq!(rt.ops, lt.ops);
+                    assert_eq!(rt.dict_feeds, lt.dict_feeds);
+                    assert_eq!(rt.var_accesses, lt.var_accesses);
                 }
             }
         }
@@ -116,8 +111,8 @@ fn bytecode_ops_identical_across_schedules_within_interpreter() {
     let (program, out, advice, iso) = wiki_run();
     // The column is per-interpreter, not per-schedule: both VM cells
     // at different thread counts must meter identically.
-    let a = ledger_for(&program, &out, &advice, iso, 1, false, true);
-    let b = ledger_for(&program, &out, &advice, iso, 4, true, true);
+    let a = ledger_for(&program, &out, &advice, iso, 1, true);
+    let b = ledger_for(&program, &out, &advice, iso, 4, true);
     let ops = |l: &obs::CostLedger| l.groups.iter().map(|g| g.bytecode_ops).collect::<Vec<_>>();
     assert_eq!(ops(&a), ops(&b));
 }

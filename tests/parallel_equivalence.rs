@@ -1,11 +1,10 @@
 //! Determinism keystone for the parallel verifier: an audit's outcome
 //! — verdict, statistics, and on rejection the exact [`RejectReason`]
-//! — must be independent of the worker-thread count AND of the
-//! pipelined-audit toggle. Workers replay whole groups with local
-//! state and the merge phase re-applies their variable-access streams
-//! in ascending group order (barrier or streaming), while the sharded
-//! preprocess and deferred edge merge reproduce the serial section
-//! order exactly; so every `(threads, pipeline)` point runs the same
+//! — must be independent of the worker-thread count. Workers replay
+//! whole groups with local state and the merge re-applies their
+//! variable-access streams in ascending group order as they land,
+//! while the sharded preprocess and deferred edge merge reproduce the
+//! serial section order exactly; so every thread count runs the same
 //! logical event sequence. This test pins that equivalence across
 //! every app, every isolation level, and a broad sample of
 //! hostile-advice mutations.
@@ -18,30 +17,16 @@ use karousos::{
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
 
-/// The full audit matrix: every thread count crossed with the
-/// pipelined-audit toggle. `(1, pipeline: false)` is the strictly
-/// barrier-separated serial audit every other point must match.
+/// The full audit matrix: every thread count. `threads: 1` — no
+/// workers, each group replayed and merged on the calling thread — is
+/// the serial audit every other point must match.
 fn matrix() -> Vec<AuditOptions> {
-    let mut configs = Vec::new();
-    for pipeline in [false, true] {
-        for threads in [1, 2, 4, 8] {
-            configs.push(AuditOptions {
-                threads,
-                pipeline,
-                ..AuditOptions::default()
-            });
-        }
-    }
-    configs
+    [1, 2, 4, 8].map(AuditOptions::with_threads).to_vec()
 }
 
-/// The serial barrier-separated baseline.
+/// The serial baseline.
 fn baseline() -> AuditOptions {
-    AuditOptions {
-        threads: 1,
-        pipeline: false,
-        ..AuditOptions::default()
-    }
+    AuditOptions::with_threads(1)
 }
 
 /// The comparable portion of an audit outcome (timing excluded: it is
@@ -101,10 +86,9 @@ fn honest_audits_agree_across_thread_counts() {
                 assert_eq!(
                     sequential,
                     parallel,
-                    "{} at {isolation}: serial baseline vs threads={} pipeline={} disagree",
+                    "{} at {isolation}: serial baseline vs threads={} disagree",
                     app.name(),
-                    opts.threads,
-                    opts.pipeline
+                    opts.threads
                 );
             }
         }
@@ -144,10 +128,9 @@ fn hostile_audits_agree_across_thread_counts() {
                 assert_eq!(
                     sequential,
                     parallel,
-                    "{label} on {} at {isolation}: serial baseline vs threads={} pipeline={} disagree",
+                    "{label} on {} at {isolation}: serial baseline vs threads={} disagree",
                     app.name(),
-                    opts.threads,
-                    opts.pipeline
+                    opts.threads
                 );
             }
             checked += 1;
@@ -190,18 +173,43 @@ fn auto_thread_count_resolves_and_agrees() {
         IsolationLevel::Serializable,
         baseline(),
     ));
-    for pipeline in [false, true] {
-        let auto = comparable(audit_with_options(
-            &program,
-            &trace,
-            &advice,
-            IsolationLevel::Serializable,
-            AuditOptions {
-                threads: 0,
-                pipeline,
-                ..AuditOptions::default()
-            },
-        ));
-        assert_eq!(sequential, auto, "auto threads, pipeline={pipeline}");
+    let auto = comparable(audit_with_options(
+        &program,
+        &trace,
+        &advice,
+        IsolationLevel::Serializable,
+        AuditOptions::with_threads(0),
+    ));
+    assert_eq!(sequential, auto, "auto threads");
+}
+
+#[test]
+fn phase_timings_never_exceed_the_audit() {
+    // The phases are disjoint stretches of the calling thread's time
+    // (the state merge is its time inside the merge, never its waits
+    // for workers), so they cannot sum past the wall clock around the
+    // call — at one thread or at four.
+    let mut exp = Experiment::paper_default(App::Wiki, Mix::Wiki, 8, 1);
+    exp.requests = 120;
+    let program = App::Wiki.program();
+    let (out, advice) = run_instrumented_server(
+        &program,
+        &exp.inputs(),
+        &exp.server_config(),
+        CollectorMode::Karousos,
+    )
+    .expect("wiki runs cleanly");
+    let bytes = encode_advice(&advice);
+    for threads in [1, 4] {
+        let opts = AuditOptions::with_threads(threads);
+        let start = std::time::Instant::now();
+        let report = audit_encoded_with_options(&program, &out.trace, &bytes, exp.isolation, opts);
+        let wall = start.elapsed();
+        let timing = report.expect("honest wiki advice is accepted").timing;
+        assert!(
+            timing.total() <= wall,
+            "threads={threads}: phases sum to {:?} inside a {wall:?} audit ({timing})",
+            timing.total()
+        );
     }
 }

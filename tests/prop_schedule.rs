@@ -7,7 +7,9 @@
 //! statistics) and for tampered advice (all schedules REJECT).
 
 use apps::App;
-use karousos::{audit_with_schedule, run_instrumented_server, CollectorMode, ReplaySchedule};
+use karousos::{
+    audit_with_options, run_instrumented_server, AuditOptions, CollectorMode, ReplaySchedule,
+};
 use proptest::prelude::*;
 use workload::{Experiment, Mix};
 
@@ -41,7 +43,8 @@ proptest! {
 
         let mut verdicts = Vec::new();
         for schedule in SCHEDULES {
-            let r = audit_with_schedule(&program, &out.trace, &advice, exp.isolation, schedule);
+            let opts = AuditOptions { schedule, ..AuditOptions::from_env() };
+            let r = audit_with_options(&program, &out.trace, &advice, exp.isolation, opts);
             match r {
                 Ok(report) => verdicts.push((
                     true,
@@ -83,9 +86,9 @@ proptest! {
             *output = kem::Value::str("forged");
         }
         for schedule in SCHEDULES {
+            let opts = AuditOptions { schedule, ..AuditOptions::from_env() };
             prop_assert!(
-                audit_with_schedule(&program, &out.trace, &advice, exp.isolation, schedule)
-                    .is_err(),
+                audit_with_options(&program, &out.trace, &advice, exp.isolation, opts).is_err(),
                 "schedule {schedule:?} accepted a forged trace"
             );
         }

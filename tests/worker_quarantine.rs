@@ -54,12 +54,11 @@ fn panicking_worker_is_quarantined_and_other_groups_finish() {
         run_instrumented_server(&program, &inputs, &cfg, CollectorMode::Karousos).unwrap();
     let bytes = encode_advice(&advice);
 
-    for (threads, pipeline) in [(1, false), (1, true), (4, false), (4, true)] {
+    for threads in [1, 4] {
         // Arm the one-shot latch: the worker replaying group 0 panics.
         karousos::verifier::inject_group_panic_for_tests(0);
         let obs = Obs::enabled();
         let opts = AuditOptions {
-            pipeline,
             limits: Limits::default(),
             ..AuditOptions::with_threads(threads)
         };
@@ -75,33 +74,31 @@ fn panicking_worker_is_quarantined_and_other_groups_finish() {
             Err(RejectReason::VerifierInternal { ref what }) => {
                 assert!(
                     what.contains("injected"),
-                    "threads={threads} pipeline={pipeline}: unexpected payload {what:?}"
+                    "threads={threads}: unexpected payload {what:?}"
                 );
             }
-            other => panic!(
-                "threads={threads} pipeline={pipeline}: expected quarantine verdict, got {other:?}"
-            ),
+            other => panic!("threads={threads}: expected quarantine verdict, got {other:?}"),
         }
         let shard = obs.metrics_snapshot();
         assert_eq!(
             shard.counter(CounterId::GroupsQuarantined),
             1,
-            "threads={threads} pipeline={pipeline}"
+            "threads={threads}"
         );
         assert!(
             shard.counter(CounterId::PanicsCaught) >= 1,
-            "threads={threads} pipeline={pipeline}"
+            "threads={threads}"
         );
         // Graceful degradation: the surviving group still replayed —
         // its per-group fuel sample landed in the histogram even
         // though group 0 died before reporting.
         assert!(
             shard.histogram_count(HistogramId::GroupFuelSpent) >= 1,
-            "threads={threads} pipeline={pipeline}: surviving group never replayed"
+            "threads={threads}: surviving group never replayed"
         );
         assert!(
             shard.counter(CounterId::ReplayFuelSpent) > 0,
-            "threads={threads} pipeline={pipeline}: no fuel accounted for surviving group"
+            "threads={threads}: no fuel accounted for surviving group"
         );
     }
 
