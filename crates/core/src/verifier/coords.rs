@@ -117,6 +117,10 @@ pub struct Coords {
     by_rid: Vec<(RequestId, u32)>,
     /// One per `opcounts` entry, ascending `(rid, hid)`.
     acts: Vec<Activation>,
+    /// `(rid, index of its first activation)`, one per request
+    /// `opcounts` reports, ascending: a request's activations end where
+    /// the next request's begin.
+    first_act: Vec<(RequestId, u32)>,
     /// `2·R + Σ(count + 2)`.
     nodes: u32,
 }
@@ -129,7 +133,8 @@ impl Coords {
         trace_order: &[RequestId],
         opcounts: &VecMap<(RequestId, HandlerId), u32>,
     ) -> Result<Coords, RejectReason> {
-        let mut acts = Vec::with_capacity(opcounts.len());
+        let mut acts: Vec<Activation> = Vec::with_capacity(opcounts.len());
+        let mut first_act: Vec<(RequestId, u32)> = Vec::with_capacity(trace_order.len());
         // The next free node id; `None` once the declared total no
         // longer fits.
         let mut next = u32::try_from(trace_order.len())
@@ -137,6 +142,10 @@ impl Coords {
             .and_then(|r| r.checked_mul(2));
         for ((rid, hid), count) in opcounts {
             let Some(start) = next else { break };
+            if first_act.last().is_none_or(|(last, _)| last != rid) {
+                // At most `u32::MAX / 2` activations fit the node total.
+                first_act.push((*rid, acts.len() as u32));
+            }
             acts.push(Activation {
                 rid: *rid,
                 hid: hid.clone(),
@@ -187,6 +196,7 @@ impl Coords {
             trace_order: trace_order.to_vec(),
             by_rid,
             acts,
+            first_act,
             nodes,
         })
     }
@@ -221,9 +231,12 @@ impl Coords {
 
     /// The activation indices of `rid`: one contiguous range.
     pub(crate) fn activations_of(&self, rid: RequestId) -> Range<u32> {
-        let lo = self.acts.partition_point(|a| a.rid < rid);
-        let hi = self.acts.partition_point(|a| a.rid <= rid);
-        lo as u32..hi as u32
+        let Ok(i) = self.first_act.binary_search_by_key(&rid, |(r, _)| *r) else {
+            return 0..0;
+        };
+        let first = |i: usize| self.first_act.get(i).map(|(_, first)| *first);
+        let end = first(i + 1).unwrap_or(self.acts.len() as u32);
+        first(i).unwrap_or(end)..end
     }
 
     /// Finds `hid` among the activations `within` (one request's range,
@@ -275,6 +288,17 @@ impl Coords {
         self.find(op.rid, &op.hid)?.op(op.opnum)
     }
 
+    /// The activation that owns node `id` (its start node, one of its
+    /// operations or its end node); `None` for a request-boundary node
+    /// and past the last node.
+    pub(crate) fn activation_of(&self, id: u32) -> Option<&Activation> {
+        if id >= self.nodes {
+            return None;
+        }
+        let before = self.acts.partition_point(|a| a.start <= id);
+        self.acts.get(before.checked_sub(1)?)
+    }
+
     /// Decodes a node id.
     pub fn node(&self, id: u32) -> Option<GNode> {
         if id >= self.nodes {
@@ -288,11 +312,7 @@ impl Coords {
                 GNode::ReqEnd(rid)
             });
         }
-        let act = self.acts.get(
-            self.acts
-                .partition_point(|a| a.start <= id)
-                .checked_sub(1)?,
-        )?;
+        let act = self.activation_of(id)?;
         let pos = id - act.start;
         Some(GNode::Handler {
             rid: act.rid,
@@ -320,6 +340,33 @@ impl Coords {
     /// Rendered label of node `id` (empty if out of range).
     pub fn label(&self, id: u32) -> String {
         self.node(id).map(|n| n.to_string()).unwrap_or_default()
+    }
+}
+
+/// Resolves a run of coordinates that tend to sit near one another — a
+/// sorted log's keys, or the writes its entries point at — to node ids:
+/// each is looked for in the request, and at the offset, where the
+/// previous one was found ([`Coords::find_in`]).
+#[derive(Debug, Default)]
+pub(crate) struct Nearby {
+    rid: Option<RequestId>,
+    /// The activations of `rid`.
+    within: Range<u32>,
+    /// Offset into `within` of the last match. Kept across requests:
+    /// the next request often has the same handler tree.
+    near: u32,
+}
+
+impl Nearby {
+    /// [`Coords::op_node`] of `op`.
+    pub(crate) fn op_node(&mut self, coords: &Coords, op: &OpRef) -> Option<u32> {
+        if self.rid != Some(op.rid) {
+            self.rid = Some(op.rid);
+            self.within = coords.activations_of(op.rid);
+        }
+        let act = coords.find_in(&self.within, &op.hid, self.near)?;
+        self.near = act - self.within.start;
+        coords.acts.get(act as usize)?.op(op.opnum)
     }
 }
 
@@ -547,6 +594,9 @@ mod tests {
             for (i, act) in acts.iter().enumerate() {
                 let within = c.activations_of(act.rid);
                 prop_assert!(within.contains(&(i as u32)));
+                prop_assert_eq!(within.len(), acts.iter().filter(|a| a.rid == act.rid).count());
+                prop_assert_eq!(c.activation_of(act.start).map(|a| a.start), Some(act.start));
+                prop_assert_eq!(c.activation_of(act.end()).map(|a| a.start), Some(act.start));
                 let parent = act.hid.parent().and_then(|p| scan(&within, p));
                 prop_assert_eq!(act.parent, parent);
                 // Look every handler up in every request's range: the
@@ -563,6 +613,12 @@ mod tests {
                     }
                 }
             }
+            // Request ids are drawn from `0..12`: one nothing reports
+            // has no activations, and neither has a boundary node.
+            prop_assert!(c.activations_of(RequestId(12)).is_empty());
+            prop_assert!(c.activations_of(RequestId::INIT).is_empty());
+            prop_assert!(c.activation_of(0).is_none() || trace.is_empty());
+            prop_assert!(c.activation_of(c.node_count() as u32).is_none());
         }
     }
 

@@ -18,6 +18,7 @@ mod isolation;
 mod preprocess;
 mod reexec;
 mod reject;
+mod var_index;
 mod vars;
 
 pub use coords::{Coords, GNode, HPos, NodeTable};
@@ -33,6 +34,7 @@ pub use preprocess::{
 pub use reexec::inject_group_panic_for_tests;
 pub use reexec::{ReExecutor, ReexecStats, ReexecTiming, ReplaySchedule};
 pub use reject::{RejectReason, ResourceKind};
+pub use var_index::VarIndex;
 pub use vars::{FeedCounters, VarStates};
 
 use std::time::{Duration, Instant};
@@ -143,8 +145,8 @@ pub struct PhaseTiming {
     /// that overlaps it and, when `threads > 1`, the coordinator's
     /// waits for its workers.
     pub group_replay: Duration,
-    /// Graph merge: replaying variable-access streams into the global
-    /// dictionaries and the final whole-audit checks (the coordinator's
+    /// Graph merge: applying the groups' variable-access streams to the
+    /// global state and the final whole-audit checks (the coordinator's
     /// time inside the merge, never its waits), plus embedding the
     /// per-variable WR/WW/RW edges into `G`.
     pub graph_merge: Duration,

@@ -12,7 +12,8 @@
 //! (`coords.rs`): from then on an operation is a node id, a handler
 //! activation is its rank in `advice.opcounts`, and a transaction is its
 //! rank in `advice.tx_logs`. The structures handed to re-execution are
-//! tables over those indices, and the graph's edges are id pairs.
+//! tables over those indices, the variable logs are indexed by them
+//! (`var_index.rs`), and the graph's edges are id pairs.
 //!
 //! # Sharded execution
 //!
@@ -46,11 +47,12 @@ use std::sync::Arc;
 use kem::{HandlerId, OpRef, Program, RequestId, Trace, TraceEvent};
 
 use crate::advice::{KTxId, TxOpType};
-use crate::advice_ref::{AdviceRef, TxContentsRef, TxEntryRef};
-use crate::verifier::coords::{Activation, Coords, NodeTable};
+use crate::advice_ref::{AdviceRef, TxContentsRef, TxEntryRef, VecMap};
+use crate::verifier::coords::{Activation, Coords, Nearby, NodeTable};
 use crate::verifier::graph::{Edge, EdgeKind, Graph};
 use crate::verifier::isolation::verify_isolation;
 use crate::verifier::reject::RejectReason;
+use crate::verifier::var_index::VarIndex;
 use crate::wire::{HandlerLogEntryView, HandlerOpView};
 
 /// Where a re-executed operation's log entry lives.
@@ -88,6 +90,12 @@ pub struct Preprocessed {
     /// Whether each transaction, by rank in `advice.tx_logs`, allegedly
     /// committed.
     pub committed: Vec<bool>,
+    /// `advice.var_logs` by id: which entry an operation node is logged
+    /// at, and which write each entry points at.
+    pub var_index: VarIndex,
+    /// Operation node → position in `advice.nondet` of the value
+    /// recorded there.
+    pub nondet: VecMap<u32, u32>,
 }
 
 /// Preprocess edge fragments not yet merged into `G`: one per request,
@@ -333,6 +341,10 @@ pub fn preprocess_staged<'a>(
 
     verify_isolation(advice, &committed, &last_modification, isolation)?;
 
+    // Last, so that an audit preprocess rejects does not pay for them.
+    let var_index = VarIndex::build(coords.clone(), &advice.var_logs)?;
+    let nondet = nondet_by_node(advice, &coords);
+
     Ok(PreStaged {
         pre: Preprocessed {
             graph,
@@ -341,9 +353,27 @@ pub fn preprocess_staged<'a>(
             activated,
             check_counts,
             committed,
+            var_index,
+            nondet,
         },
         deferred: DeferredEdges { batches },
     })
+}
+
+/// `advice.nondet` by the node of each entry's coordinate. Replay asks
+/// only about operations it executes, so an entry at a coordinate
+/// `opcounts` does not cover is left out: nothing can ask for it. The
+/// log ascends like the activations do, so each entry is looked for
+/// where the previous one was found.
+fn nondet_by_node(advice: &AdviceRef<'_>, coords: &Coords) -> VecMap<u32, u32> {
+    let mut nearby = Nearby::default();
+    let by_node = advice
+        .nondet
+        .keys()
+        .zip(0u32..)
+        .filter_map(|(op, position)| Some((nearby.op_node(coords, op)?, position)))
+        .collect();
+    VecMap::from_wire(by_node)
 }
 
 /// The shard universe — every request the advice mentions plus every

@@ -24,11 +24,13 @@
 //! Operations are named by the audit's coordinates (`coords.rs`). Each
 //! group member's activation of a handler is looked up once, when the
 //! handler is enqueued; from then on an operation is `start + opnum`,
-//! the `OpMap` and the listener counts are array reads, a transaction
-//! is its rank in `advice.tx_logs`, and what a group covered is a list
-//! of indices folded into whole-audit tables at the merge.
+//! the `OpMap` and the listener counts are array reads, a variable
+//! access hands its node to the variable state (`vars.rs`), a
+//! transaction is its rank in `advice.tx_logs`, and what a group
+//! covered is a list of indices folded into whole-audit tables at the
+//! merge.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::{Arc, OnceLock};
@@ -48,7 +50,8 @@ use crate::multivalue::MultiValue;
 use crate::verifier::coords::Coords;
 use crate::verifier::preprocess::{OpMapEntry, Preprocessed};
 use crate::verifier::reject::{RejectReason, ResourceKind};
-use crate::verifier::vars::VarStates;
+use crate::verifier::var_index::{VarIndex, VarLog};
+use crate::verifier::vars::{GroupAccesses, GroupVars, VarStates};
 use crate::wire::{HandlerLogEntryView, HandlerOpView};
 
 /// Iteration guard for `While` loops driven by (possibly forged) advice.
@@ -163,28 +166,10 @@ pub struct ReexecTiming {
     /// overlapped side job, interpreting the groups (one thread) or
     /// waiting for the workers that do (several).
     pub group_replay: Duration,
-    /// State merge: the coordinator's time re-applying each group's
-    /// recorded variable accesses to the global dictionaries and
+    /// State merge: the coordinator's time applying each group's
+    /// resolved variable accesses to the global state and
     /// running the whole-audit final checks. Never its waits.
     pub state_merge: Duration,
-}
-
-/// One recorded shared-variable access from a group's replay.
-///
-/// Workers apply accesses to a group-local [`VarStates`] (seeded with
-/// the trusted initialization writes only); the merge phase then
-/// re-applies the streams to the *global* state in ascending group
-/// order. Cross-group checks — a dictating write's logged value versus
-/// what its group's re-execution produced, chain overwrite conflicts —
-/// fire during that replay at exactly the event position the
-/// sequential audit hits them, so verdict and reason are independent of
-/// worker scheduling.
-#[derive(Debug, Clone)]
-enum VarEvent {
-    /// A re-executed read of `var` at `op`.
-    Read { var: VarId, op: OpRef },
-    /// A re-executed write of `value` to `var` at `op`.
-    Write { var: VarId, op: OpRef, value: Value },
 }
 
 /// Where a re-executor sends its shared-variable accesses.
@@ -192,67 +177,39 @@ enum VarBackend<'a> {
     /// Operate directly on the global state (the out-of-order path and
     /// unit tests).
     Global(&'a mut VarStates),
-    /// Grouped worker: apply to a group-local copy and record the event
-    /// stream for the merge replay.
-    Recording {
-        /// Group-local state, cloned from the post-initialization
-        /// global state. A group's unlogged reads only ever consult
-        /// writes by their own request's ancestors or the trusted
-        /// initialization — both present here — so the values fed to
-        /// the interpreter match the sequential audit's exactly.
-        local: VarStates,
-        /// Accesses in group program order.
-        events: Vec<VarEvent>,
-    },
+    /// Grouped worker: resolve against the group's own state and record
+    /// the accesses for the merge.
+    Recording(GroupVars),
 }
 
 impl VarBackend<'_> {
-    fn on_read(
-        &mut self,
-        var: VarId,
-        op: OpRef,
-        log: Option<&crate::advice_ref::VarLogRef>,
-    ) -> Result<Value, RejectReason> {
+    fn on_read(&mut self, var: VarId, node: u32, log: &VarLog<'_>) -> Result<Value, RejectReason> {
         match self {
-            VarBackend::Global(vars) => vars.on_read(var, op, log),
-            VarBackend::Recording { local, events } => {
-                events.push(VarEvent::Read {
-                    var,
-                    op: op.clone(),
-                });
-                local.on_read(var, op, log)
-            }
+            VarBackend::Global(vars) => vars.on_read(var, node, log),
+            VarBackend::Recording(group) => group.on_read(var, node, log),
         }
     }
 
     fn on_write(
         &mut self,
         var: VarId,
-        op: OpRef,
+        node: u32,
         value: Value,
-        log: Option<&crate::advice_ref::VarLogRef>,
+        log: &VarLog<'_>,
     ) -> Result<(), RejectReason> {
         match self {
-            VarBackend::Global(vars) => vars.on_write(var, op, value, log),
-            VarBackend::Recording { local, events } => {
-                events.push(VarEvent::Write {
-                    var,
-                    op: op.clone(),
-                    value: value.clone(),
-                });
-                local.on_write(var, op, value, log)
-            }
+            VarBackend::Global(vars) => vars.on_write(var, node, value, log),
+            VarBackend::Recording(group) => group.on_write(var, node, value, log),
         }
     }
 }
 
 /// What one group's replay produced, before the merge phase.
 struct GroupRun {
-    /// Shared-variable accesses in group program order (recorded up to
-    /// and including the erroring access, if any).
-    events: Vec<VarEvent>,
+    /// The group's shared-variable accesses.
+    accesses: GroupAccesses,
     /// The group-local error, if replay failed. Ordered *after* the
-    /// group's recorded events during the merge: every error a worker
+    /// group's recorded accesses during the merge: every error a worker
     /// can detect locally, the sequential audit detects at the same
     /// point, so a cross-group error in an earlier event still wins.
     error: Option<RejectReason>,
@@ -381,8 +338,11 @@ pub struct ReExecutor<'a> {
     schedule: ReplaySchedule,
     rng: rand::rngs::SmallRng,
     /// Per-request copies of non-loggable shared variables (assumed
-    /// R-ordered, §5 — effectively request-local or init-constant).
-    nonlog: HashMap<(VarId, RequestId), Value>,
+    /// R-ordered, §5 — effectively request-local or init-constant): by
+    /// variable, then by the request's [`Group::nonlog_slot`]. A
+    /// variable's row appears with its first write and is as long as
+    /// the members this executor replays.
+    nonlog: Vec<Vec<Option<Value>>>,
     /// Transaction-token table: token integer → transaction and how
     /// far into its log re-execution has got.
     tx_table: Vec<TxToken>,
@@ -540,6 +500,10 @@ struct Group<'a> {
     slices: Vec<Range<u32>>,
     /// Each member's handler log (empty when the advice has none).
     handler_logs: Vec<&'a [HandlerLogEntryView<'a>]>,
+    /// Where member 0's copies of the non-loggable variables sit in the
+    /// executor's table; member `i`'s sit `i` further. `0` when the
+    /// executor replays this group only.
+    nonlog_slot: usize,
 }
 
 impl<'a> Group<'a> {
@@ -560,6 +524,7 @@ impl<'a> Group<'a> {
             ranks,
             slices,
             handler_logs,
+            nonlog_slot: 0,
         }
     }
 
@@ -623,6 +588,9 @@ impl<'a> ReExecutor<'a> {
         pre: &'a Preprocessed,
         vars: &'a mut VarStates,
     ) -> Self {
+        // The initialization writes were recorded before the audit had
+        // coordinates; from here on they are ids like every access.
+        vars.bind(&pre.var_index);
         ReExecutor {
             program,
             trace,
@@ -631,7 +599,7 @@ impl<'a> ReExecutor<'a> {
             vars: VarBackend::Global(vars),
             schedule: ReplaySchedule::Fifo,
             rng: rand::SeedableRng::seed_from_u64(0),
-            nonlog: HashMap::new(),
+            nonlog: Vec::new(),
             tx_table: Vec::new(),
             executed: Vec::new(),
             consumed: Vec::new(),
@@ -657,9 +625,9 @@ impl<'a> ReExecutor<'a> {
         }
     }
 
-    /// A per-group worker executor: group-local variable state (cloned
-    /// from the post-initialization global state), group-local
-    /// transaction-token table, and — for `Random` schedules — an RNG
+    /// A per-group worker executor: group-local variable state
+    /// ([`VarStates::group_vars`]), group-local transaction-token
+    /// table, and — for `Random` schedules — an RNG
     /// derived from the seed and the group index, so draw sequences
     /// never depend on how groups are distributed over workers.
     fn for_group(
@@ -667,7 +635,7 @@ impl<'a> ReExecutor<'a> {
         trace: &'a Trace,
         advice: &'a AdviceRef<'a>,
         pre: &'a Preprocessed,
-        init_vars: VarStates,
+        vars: GroupVars,
         schedule: ReplaySchedule,
         gidx: usize,
     ) -> Self {
@@ -682,13 +650,10 @@ impl<'a> ReExecutor<'a> {
             trace,
             advice,
             pre,
-            vars: VarBackend::Recording {
-                local: init_vars,
-                events: Vec::new(),
-            },
+            vars: VarBackend::Recording(vars),
             schedule,
             rng: rand::SeedableRng::seed_from_u64(seed),
-            nonlog: HashMap::new(),
+            nonlog: Vec::new(),
             tx_table: Vec::new(),
             executed: Vec::new(),
             consumed: Vec::new(),
@@ -913,9 +878,9 @@ impl<'a> ReExecutor<'a> {
                 what: "grouped run started on a recording backend".into(),
             });
         };
-        // Post-initialization snapshot each group's local state starts
-        // from (the trusted initialization writes only).
-        let init_vars: VarStates = global.clone();
+        // What each group's local state starts from: the trusted
+        // initialization writes, shared and not copied.
+        let init_vars: GroupVars = global.group_vars();
 
         let run_unit = |gidx: usize, rids: &[RequestId], lane: u32| -> GroupRun {
             // Supervisor boundary: a panicking group must not take a
@@ -950,7 +915,7 @@ impl<'a> ReExecutor<'a> {
                     trace,
                     advice,
                     pre,
-                    init_vars.clone(),
+                    init_vars.fresh(),
                     schedule,
                     gidx,
                 );
@@ -982,31 +947,19 @@ impl<'a> ReExecutor<'a> {
                     );
                     shard.observe(HistogramId::GroupReplayUs, dur);
                 }
-                // Group-local dictionary-feed counts, read before the
-                // event stream is moved out of the backend.
-                let feeds = match &ex.vars {
-                    VarBackend::Recording { local, .. } => local.feeds(),
-                    VarBackend::Global(_) => Default::default(),
-                };
-                let events = match ex.vars {
-                    VarBackend::Recording { events, .. } => events,
+                let accesses = match ex.vars {
+                    VarBackend::Recording(group) => group.finish(),
                     // Statically impossible; losing the event stream would
                     // silently weaken the merge checks, so fail closed.
                     VarBackend::Global(_) => {
                         error = Some(RejectReason::VerifierInternal {
                             what: "group worker lost its event stream".into(),
                         });
-                        Vec::new()
+                        GroupAccesses::default()
                     }
                 };
                 if shard.is_enabled() {
-                    let (mut var_reads, mut var_writes) = (0u64, 0u64);
-                    for ev in &events {
-                        match ev {
-                            VarEvent::Read { .. } => var_reads += 1,
-                            VarEvent::Write { .. } => var_writes += 1,
-                        }
-                    }
+                    let (var_reads, var_writes, feeds) = accesses.tally();
                     shard.record_group_cost(obs::GroupCost {
                         group: gidx as u64,
                         requests: rids.len() as u64,
@@ -1028,7 +981,7 @@ impl<'a> ReExecutor<'a> {
                 // shard (a noop handle makes this an early return).
                 obs_handle.progress_group_replayed(ex.fuel_spent);
                 GroupRun {
-                    events,
+                    accesses,
                     error,
                     executed: ex.executed,
                     consumed: ex.consumed,
@@ -1039,7 +992,7 @@ impl<'a> ReExecutor<'a> {
                 }
             }));
             supervised.unwrap_or_else(|payload| GroupRun {
-                events: Vec::new(),
+                accesses: GroupAccesses::default(),
                 error: Some(RejectReason::VerifierInternal {
                     what: format!(
                         "group {gidx} replay worker panicked: {}",
@@ -1058,6 +1011,7 @@ impl<'a> ReExecutor<'a> {
         let merge = Merge {
             global,
             advice,
+            var_index: &pre.var_index,
             obs: &obs_handle,
             stats: ReexecStats {
                 groups: ngroups,
@@ -1187,9 +1141,15 @@ impl<'a> ReExecutor<'a> {
         self.stats.groups = order.len();
         let (advice, coords) = (self.advice, &self.pre.coords);
         let exchanges = self.trace.exchanges();
+        // One executor replays every singleton group, so each gets its
+        // own slot of the non-loggable table: its place in the trace.
         let groups: Vec<Group<'a>> = order
             .iter()
-            .map(|rid| Group::new(vec![*rid], advice, coords))
+            .enumerate()
+            .map(|(nonlog_slot, rid)| Group {
+                nonlog_slot,
+                ..Group::new(vec![*rid], advice, coords)
+            })
             .collect();
         // One global queue of (singleton group, activated handler).
         let mut active: VecDeque<(usize, Pending)> = VecDeque::new();
@@ -1262,10 +1222,6 @@ impl<'a> ReExecutor<'a> {
         self.pending_slots.reserve(acts);
         self.consumed.reserve(logged);
         self.outputs.reserve(g.n());
-        // Pre-size the per-request non-loggable table to its worst
-        // case so writes during replay never rehash it.
-        self.nonlog
-            .reserve(g.n().saturating_mul(self.program.vars.len()));
         let mut active = Queue::new();
         self.enqueue_roots(&g, &mut active, &payload)?;
         // (2) Execute with SIMD-on-demand. The draw order is free:
@@ -1457,30 +1413,12 @@ impl<'a> ReExecutor<'a> {
                     }
                 },
                 Op::SharedRead { var, loggable } => {
-                    if loggable {
-                        let idx = self.bump(g, frame)?;
-                        let advice = self.advice;
-                        let log = advice.var_logs.get(&var);
-                        let hid = frame.hid.clone();
-                        let mv = MultiValue::collect(n, |i| {
-                            self.vars
-                                .on_read(var, OpRef::new(g.rids[i], hid.clone(), idx), log)
-                        })?;
-                        self.note_dedup(&mv);
-                        stack.push(mv);
+                    let mv = if loggable {
+                        self.read_logged(g, frame, var)?
                     } else {
-                        let program = self.program;
-                        let init = &program.var(var).init;
-                        let mv = MultiValue::collect(n, |i| {
-                            Ok::<_, RejectReason>(
-                                self.nonlog
-                                    .get(&(var, g.rids[i]))
-                                    .cloned()
-                                    .unwrap_or_else(|| init.clone()),
-                            )
-                        })?;
-                        stack.push(mv);
-                    }
+                        self.read_nonlog(g, var)?
+                    };
+                    stack.push(mv);
                 }
                 Op::Bin(op) => {
                     let b = vm_pop(stack)?;
@@ -1623,21 +1561,9 @@ impl<'a> ReExecutor<'a> {
                 Op::SharedWrite { var, loggable } => {
                     let v = vm_pop(stack)?;
                     if loggable {
-                        let idx = self.bump(g, frame)?;
-                        self.note_dedup(&v);
-                        let log = self.advice.var_logs.get(&var);
-                        for (rid, val) in g.rids.iter().zip(v.iter(n)) {
-                            self.vars.on_write(
-                                var,
-                                OpRef::new(*rid, frame.hid.clone(), idx),
-                                val.clone(),
-                                log,
-                            )?;
-                        }
+                        self.write_logged(g, frame, var, &v)?;
                     } else {
-                        for (rid, val) in g.rids.iter().zip(v.iter(n)) {
-                            self.nonlog.insert((var, *rid), val.clone());
-                        }
+                        self.write_nonlog(g, var, &v);
                     }
                 }
                 Op::Branch { else_target } => {
@@ -1862,24 +1788,7 @@ impl<'a> ReExecutor<'a> {
                     }
                 }
                 Op::Nondet { slot, kind } => {
-                    let idx = self.bump(g, frame)?;
-                    let hid = frame.hid.clone();
-                    let mv = MultiValue::collect(n, |i| {
-                        let op = OpRef::new(g.rids[i], hid.clone(), idx);
-                        let Some(v) = self.advice.nondet.get(&op) else {
-                            return Err(RejectReason::MissingNondet { at: op });
-                        };
-                        let plausible = match kind {
-                            kem::NondetKind::Counter => v.as_int().is_some_and(|i| i >= 1),
-                            kem::NondetKind::Random { bound } => {
-                                v.as_int().is_some_and(|i| (0..bound.max(1)).contains(&i))
-                            }
-                        };
-                        if !plausible {
-                            return Err(RejectReason::ImplausibleNondet { at: op });
-                        }
-                        Ok(v.clone())
-                    })?;
+                    let mv = self.read_nondet(g, frame, kind)?;
                     if let Some(s) = frame.locals.get_mut(slot as usize) {
                         *s = Some(mv);
                     }
@@ -1940,23 +1849,10 @@ impl<'a> ReExecutor<'a> {
                 value,
             } => {
                 let v = self.eval(g, frame, value)?;
-                let var = *var;
                 if *loggable {
-                    let idx = self.bump(g, frame)?;
-                    self.note_dedup(&v);
-                    let log = self.advice.var_logs.get(&var);
-                    for (rid, val) in g.rids.iter().zip(v.iter(g.n())) {
-                        self.vars.on_write(
-                            var,
-                            OpRef::new(*rid, frame.hid.clone(), idx),
-                            val.clone(),
-                            log,
-                        )?;
-                    }
+                    self.write_logged(g, frame, *var, &v)?;
                 } else {
-                    for (rid, val) in g.rids.iter().zip(v.iter(g.n())) {
-                        self.nonlog.insert((var, *rid), val.clone());
-                    }
+                    self.write_nonlog(g, *var, &v);
                 }
             }
             RStmt::If {
@@ -2170,28 +2066,7 @@ impl<'a> ReExecutor<'a> {
                 }
             }
             RStmt::Nondet { slot, kind } => {
-                let idx = self.bump(g, frame)?;
-                let hid = frame.hid.clone();
-                let mv = MultiValue::collect(g.n(), |i| {
-                    let op = OpRef::new(g.rids[i], hid.clone(), idx);
-                    let Some(v) = self.advice.nondet.get(&op) else {
-                        return Err(RejectReason::MissingNondet { at: op });
-                    };
-                    // Basic well-formedness of recorded nondeterminism
-                    // (§5): the value must be type- and range-plausible
-                    // for its source. Karousos gives no stronger
-                    // guarantee about nondeterministic values.
-                    let plausible = match kind {
-                        kem::NondetKind::Counter => v.as_int().is_some_and(|i| i >= 1),
-                        kem::NondetKind::Random { bound } => {
-                            v.as_int().is_some_and(|i| (0..*bound.max(&1)).contains(&i))
-                        }
-                    };
-                    if !plausible {
-                        return Err(RejectReason::ImplausibleNondet { at: op });
-                    }
-                    Ok(v.clone())
-                })?;
+                let mv = self.read_nondet(g, frame, *kind)?;
                 if let Some(s) = frame.locals.get_mut(*slot as usize) {
                     *s = Some(mv);
                 }
@@ -2599,6 +2474,118 @@ impl<'a> ReExecutor<'a> {
         }
     }
 
+    /// A nondeterministic operation by every member: each is fed the
+    /// value the advice recorded at its node. Shared by both
+    /// interpreters.
+    fn read_nondet(
+        &mut self,
+        g: &Group<'a>,
+        frame: &mut Frame<'_>,
+        kind: kem::NondetKind,
+    ) -> Result<MultiValue, RejectReason> {
+        self.bump(g, frame)?;
+        let (pre, advice) = (self.pre, self.advice);
+        MultiValue::collect(g.n(), |i| {
+            let at = || OpRef::new(g.rids[i], frame.hid.clone(), frame.idx);
+            let recorded = pre
+                .nondet
+                .get(&frame.node(i)?)
+                .and_then(|position| advice.nondet.as_slice().get(*position as usize));
+            let Some((_, v)) = recorded else {
+                return Err(RejectReason::MissingNondet { at: at() });
+            };
+            // Basic well-formedness of recorded nondeterminism (§5):
+            // the value must be type- and range-plausible for its
+            // source. Karousos gives no stronger guarantee about
+            // nondeterministic values.
+            let plausible = match kind {
+                kem::NondetKind::Counter => v.as_int().is_some_and(|i| i >= 1),
+                kem::NondetKind::Random { bound } => {
+                    v.as_int().is_some_and(|i| (0..bound.max(1)).contains(&i))
+                }
+            };
+            if !plausible {
+                return Err(RejectReason::ImplausibleNondet { at: at() });
+            }
+            Ok(v.clone())
+        })
+    }
+
+    /// The log of `var`, read by node id.
+    fn var_log(&self, var: VarId) -> VarLog<'a> {
+        self.pre.var_index.log(&self.advice.var_logs, var)
+    }
+
+    /// A read of the loggable variable `var` by every member: one
+    /// operation, fed per member from the log or the dictionary
+    /// (Fig. 20). Shared by both interpreters.
+    fn read_logged(
+        &mut self,
+        g: &Group<'a>,
+        frame: &mut Frame<'_>,
+        var: VarId,
+    ) -> Result<MultiValue, RejectReason> {
+        self.bump(g, frame)?;
+        let log = self.var_log(var);
+        let mv = MultiValue::collect(g.n(), |i| self.vars.on_read(var, frame.node(i)?, &log))?;
+        self.note_dedup(&mv);
+        Ok(mv)
+    }
+
+    /// A write of `v` to the loggable variable `var` by every member
+    /// (Fig. 21). Shared by both interpreters.
+    fn write_logged(
+        &mut self,
+        g: &Group<'a>,
+        frame: &mut Frame<'_>,
+        var: VarId,
+        v: &MultiValue,
+    ) -> Result<(), RejectReason> {
+        self.bump(g, frame)?;
+        self.note_dedup(v);
+        let log = self.var_log(var);
+        for (i, val) in v.iter(g.n()).enumerate() {
+            self.vars.on_write(var, frame.node(i)?, val.clone(), &log)?;
+        }
+        Ok(())
+    }
+
+    /// Every member's copy of the non-loggable variable `var`: what the
+    /// member last wrote, else the declared initial value.
+    fn read_nonlog(&self, g: &Group<'a>, var: VarId) -> Result<MultiValue, RejectReason> {
+        let init = &self.program.var(var).init;
+        let row = self
+            .nonlog
+            .get(var.0 as usize)
+            .map_or(&[][..], Vec::as_slice);
+        let copies = row.get(g.nonlog_slot..).unwrap_or(&[]);
+        MultiValue::collect(g.n(), |i| {
+            Ok(copies
+                .get(i)
+                .and_then(Option::as_ref)
+                .unwrap_or(init)
+                .clone())
+        })
+    }
+
+    /// Sets every member's copy of the non-loggable variable `var`. The
+    /// table grows to the program's variables and the executor's
+    /// members, both trusted sizes.
+    fn write_nonlog(&mut self, g: &Group<'a>, var: VarId, v: &MultiValue) {
+        let slot = var.0 as usize;
+        if slot >= self.nonlog.len() {
+            self.nonlog.resize_with(slot + 1, Vec::new);
+        }
+        let row = &mut self.nonlog[slot];
+        let end = g.nonlog_slot + g.n();
+        if row.len() < end {
+            row.resize(end, None);
+        }
+        for (copy, val) in row[g.nonlog_slot..end].iter_mut().zip(v.iter(g.n())) {
+            *copy = Some(val.clone());
+        }
+    }
+
     fn note_dedup(&mut self, mv: &MultiValue) {
         if mv.is_uniform() {
             self.stats.uniform_ops += 1;
@@ -2629,29 +2616,10 @@ impl<'a> ReExecutor<'a> {
                 }
             },
             RExpr::SharedRead { var, loggable } => {
-                let var = *var;
                 if *loggable {
-                    let idx = self.bump(g, frame)?;
-                    let advice = self.advice;
-                    let log = advice.var_logs.get(&var);
-                    let hid = frame.hid.clone();
-                    let mv = MultiValue::collect(g.n(), |i| {
-                        self.vars
-                            .on_read(var, OpRef::new(g.rids[i], hid.clone(), idx), log)
-                    })?;
-                    self.note_dedup(&mv);
-                    mv
+                    self.read_logged(g, frame, *var)?
                 } else {
-                    let program = self.program;
-                    let init = &program.var(var).init;
-                    MultiValue::collect(g.n(), |i| {
-                        Ok::<_, RejectReason>(
-                            self.nonlog
-                                .get(&(var, g.rids[i]))
-                                .cloned()
-                                .unwrap_or_else(|| init.clone()),
-                        )
-                    })?
+                    self.read_nonlog(g, *var)?
                 }
             }
             RExpr::Bin(op, a, b) => {
@@ -2777,14 +2745,15 @@ impl<'a> ReExecutor<'a> {
 /// The serial half of a grouped run: the global state every group's
 /// unit is folded into, in ascending group order.
 ///
-/// Re-applying a group's accesses to the global dictionaries runs the
+/// Applying a group's resolved accesses to the global state runs the
 /// cross-group checks at the same event position a one-thread audit
-/// hits them, so the first error — replayed or group-local — does not
+/// hits them, so the first error — applied or group-local — does not
 /// depend on how the units were produced. There is one merge for every
 /// thread count: only where [`Merge::run`] gets its next unit differs.
 struct Merge<'m> {
     global: &'m mut VarStates,
     advice: &'m AdviceRef<'m>,
+    var_index: &'m VarIndex,
     obs: &'m Obs,
     stats: ReexecStats,
     coverage: Coverage<'m>,
@@ -2839,9 +2808,9 @@ impl Merge<'_> {
     }
 
     /// Applies one group's recorded unit to the global merge state:
-    /// replay the event stream through the global variable states,
-    /// absorb the worker's telemetry shard, surface the group's own
-    /// error, then fold its statistics and coverage lists.
+    /// apply the event stream to the global variable states, absorb the
+    /// worker's telemetry shard, surface the group's own error, then
+    /// fold its statistics and coverage lists.
     fn merge_unit(&mut self, unit: GroupRun) -> Result<(), RejectReason> {
         // A quarantined group contributes telemetry only: its events,
         // stats, and coverage are discarded (they describe an aborted
@@ -2859,23 +2828,11 @@ impl Merge<'_> {
             }
             return Ok(());
         }
-        let var_logs = &self.advice.var_logs;
-        for ev in &unit.events {
-            match ev {
-                VarEvent::Read { var, op } => {
-                    if let Err(e) = self.global.on_read(*var, op.clone(), var_logs.get(var)) {
-                        return Err(self.quarantine.resolve(e));
-                    }
-                }
-                VarEvent::Write { var, op, value } => {
-                    if let Err(e) =
-                        self.global
-                            .on_write(*var, op.clone(), value.clone(), var_logs.get(var))
-                    {
-                        return Err(self.quarantine.resolve(e));
-                    }
-                }
-            }
+        let merged = self
+            .global
+            .merge_group(unit.accesses, self.var_index, &self.advice.var_logs);
+        if let Err(e) = merged {
+            return Err(self.quarantine.resolve(e));
         }
         // Absorbed before the error check so a failing group's replay span
         // still appears in the exported trace.

@@ -3,127 +3,92 @@
 //! For each loggable variable the verifier maintains, while
 //! re-executing:
 //!
-//! * the **variable dictionary** (`var_dict`): every value written,
-//!   indexed by the writing operation — used to feed unlogged reads via
+//! * the **variable dictionary**: every value written, indexed by the
+//!   writing operation — used to feed unlogged reads via
 //!   `FindNearestRPrecedingWrite`;
-//! * **`read_observers`**: for each write, the reads that observed it
-//!   (from the variable log for logged reads, from the dictionary for
-//!   unlogged ones);
-//! * **`write_observer`**: for each write, the single write that
-//!   overwrote it;
-//! * the **`initializer`**: the first write in the alleged history.
+//! * the **observers** of each write: the reads that observed it (from
+//!   the variable log for logged reads, from the dictionary for
+//!   unlogged ones) and the single write that overwrote it;
+//! * the **first write** of the alleged history.
 //!
 //! After re-execution, [`VarStates::add_internal_state_edges`] embeds
 //! the per-variable history into the execution graph `G` as WR, WW, and
-//! RW edges, *and* checks that the write chain from the initializer
+//! RW edges, *and* checks that the write chain from the first write
 //! covers exactly the writes that were re-executed — without this
 //! coverage check, a server could park forged writes outside the chain
 //! where no simulate-and-check would ever touch them.
+//!
+//! # Operations are ids
+//!
+//! An operation is named by its id in the audit's [`VarIndex`]: the
+//! node id the coordinates give it, or an id past the nodes for a
+//! coordinate `opcounts` does not cover (`var_index.rs`). Replay hands
+//! over the node it is executing, the index turns the log's `prec`s
+//! into ids once per audit, and everything here is keyed by `u32`. An
+//! `OpRef` is decoded from the coordinates only to render a rejection.
+//!
+//! # Two halves
+//!
+//! `OnRead` and `OnWrite` are each split where the work stops depending
+//! on one group only:
+//!
+//! * **resolve** ([`VarStates::resolve_read`],
+//!   [`VarStates::resolve_write`]) consults the log and a dictionary
+//!   and decides what the access is fed and which write it observed or
+//!   overwrote. A group's replay runs it against the group's own state:
+//!   the log is the same everywhere, and `FindNearestRPrecedingWrite`
+//!   only ever reaches writes of the access's own request (one group
+//!   replays a whole request) and the initialization.
+//! * **apply** ([`VarStates::apply_read`], [`VarStates::apply_write`])
+//!   records the outcome and runs the checks another group can fail:
+//!   one overwriting write per write, one first write, and a logged
+//!   value against the dictating write if that write has run
+//!   *anywhere*. The merge runs it on the whole-audit state, in group
+//!   order, at the position the access has in its group's stream.
+//!
+//! [`VarStates::on_read`] and [`VarStates::on_write`] are the two
+//! halves back to back on one state, which is Figs. 20–21 as printed
+//! and what the ungrouped `OOOAudit` replay calls. A grouped replay
+//! runs them apart: [`GroupVars`] resolves a group's accesses and
+//! records them, [`VarStates::merge_group`] applies the record.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use kem::{HandlerId, OpRef, RequestId, Value, VarId};
+use kem::{OpRef, Value, VarId};
 
 use crate::advice::AccessType;
-use crate::advice_ref::VarLogRef;
+use crate::advice_ref::{VarLogRef, VecMap};
 use crate::verifier::coords::Coords;
 use crate::verifier::graph::{EdgeKind, Graph};
 use crate::verifier::reject::RejectReason;
+use crate::verifier::var_index::{VarIndex, VarLog, NONE};
 
-/// Per-variable verifier state.
-#[derive(Debug, Default, Clone)]
-pub struct VarState {
-    /// Written values: `(rid, hid) → [(opnum, value)]`, opnums ascending.
-    dict: HashMap<(RequestId, HandlerId), Vec<(u32, Value)>>,
-    /// write → reads that observed it.
-    read_observers: BTreeMap<OpRef, Vec<OpRef>>,
-    /// write → the write that overwrote it.
-    write_observer: BTreeMap<OpRef, OpRef>,
-    /// The alleged first write.
-    initializer: Option<OpRef>,
-    /// Every write actually re-executed (for chain coverage).
-    executed_writes: HashSet<OpRef>,
+/// What is attached to one write: who read it and who overwrote it.
+#[derive(Debug, Default)]
+struct Observers {
+    /// The reads that observed the write, in the order they were
+    /// applied.
+    readers: Vec<u32>,
+    /// The write that overwrote it.
+    overwritten_by: Option<u32>,
 }
 
-/// Inserts `(opnum, value)` into an opnum-ascending write list, keeping
-/// the ascending invariant even for out-of-order insertions (re-executed
-/// opnums are monotonic per handler, so the fast path is a push).
-fn dict_insert(writes: &mut Vec<(u32, Value)>, opnum: u32, value: Value) {
-    match writes.last() {
-        Some((last, _)) if *last >= opnum => {
-            let i = writes.partition_point(|(n, _)| *n < opnum);
-            writes.insert(i, (opnum, value));
-        }
-        _ => writes.push((opnum, value)),
-    }
-}
-
-impl VarState {
-    /// Records the trusted initialization write (the verifier runs the
-    /// initialization phase itself; Fig. 14 line 20).
-    fn initialize(&mut self, op: OpRef, value: Value) {
-        dict_insert(
-            self.dict.entry((op.rid, op.hid.clone())).or_default(),
-            op.opnum,
-            value,
-        );
-        self.executed_writes.insert(op.clone());
-        self.initializer = Some(op);
-    }
-
-    /// `FindNearestRPrecedingWrite`: the latest write (under `<_R`) that
-    /// precedes `(rid, hid, opnum)`, found by binary-searching this
-    /// handler's earlier writes (the per-handler list is opnum-ordered),
-    /// then each ancestor's writes, then the initialization
-    /// activation's.
-    fn find_nearest_r_preceding(
-        &self,
-        rid: RequestId,
-        hid: &HandlerId,
-        opnum: u32,
-    ) -> Option<(OpRef, Value)> {
-        // Writes by this very handler, before this op: the last entry
-        // with an opnum strictly below `opnum`.
-        if let Some(writes) = self.dict.get(&(rid, hid.clone())) {
-            let i = writes.partition_point(|(n, _)| *n < opnum);
-            if i > 0 {
-                let (n, v) = &writes[i - 1];
-                return Some((OpRef::new(rid, hid.clone(), *n), v.clone()));
-            }
-        }
-        // Nearest ancestor with any write: all of an ancestor's ops
-        // R-precede all of a descendant's (the ancestor ran to
-        // completion first), so take its last write.
-        let mut cur = hid.parent();
-        while let Some(a) = cur {
-            if let Some(writes) = self.dict.get(&(rid, a.clone())) {
-                if let Some((n, v)) = writes.last() {
-                    return Some((OpRef::new(rid, a.clone(), *n), v.clone()));
-                }
-            }
-            cur = a.parent();
-        }
-        // The initialization activation is everyone's ancestor.
-        let init = (RequestId::INIT, kem::init_handler_id());
-        if rid != RequestId::INIT {
-            if let Some(writes) = self.dict.get(&init) {
-                if let Some((n, v)) = writes.last() {
-                    return Some((OpRef::new(init.0, init.1.clone(), *n), v.clone()));
-                }
-            }
-        }
-        None
-    }
-
-    /// The value the re-executed (or trusted-initialization) write at
-    /// exactly `op` produced, if that write has run.
-    fn dict_value(&self, op: &OpRef) -> Option<&Value> {
-        let writes = self.dict.get(&(op.rid, op.hid.clone()))?;
-        writes
-            .binary_search_by_key(&op.opnum, |(n, _)| *n)
-            .ok()
-            .map(|i| &writes[i].1)
-    }
+/// Per-variable verifier state. Keys are ids of the audit's
+/// [`VarIndex`]; a write that ran is a node id.
+#[derive(Debug, Default)]
+struct VarState {
+    /// The value of every write that was re-executed, by node. Node ids
+    /// ascend in `(rid, hid, opnum)` order and an activation's
+    /// operations are consecutive, so "the last write of a handler
+    /// before an operation" is the last key of a range.
+    dict: BTreeMap<u32, Value>,
+    /// By write: its observers. The write may be one that has not run
+    /// (yet, or ever) and is only named by a log.
+    observers: BTreeMap<u32, Observers>,
+    /// The alleged first write, for a variable the program does not
+    /// initialize.
+    first: Option<u32>,
 }
 
 /// All per-variable states, indexed densely by [`VarId`].
@@ -132,8 +97,16 @@ impl VarState {
 /// same resolve pass that interns identifiers), so a `Vec` slot per
 /// variable replaces hashing on the replay hot path; untouched slots
 /// stay `Default` and contribute nothing to the graph.
-#[derive(Debug, Default, Clone)]
+#[derive(Debug, Default)]
 pub struct VarStates {
+    /// Initialization writes recorded before the audit had coordinates
+    /// (`init_vars` runs on a fresh state); [`VarStates::bind`] gives
+    /// them ids.
+    unbound: Vec<(VarId, OpRef, Value)>,
+    /// By variable: the id and value of its trusted initialization
+    /// write. The one thing every group's state shares with the
+    /// whole-audit state, so it is shared and not copied.
+    init: Arc<Vec<Option<(u32, Value)>>>,
     per: Vec<VarState>,
     feeds: FeedCounters,
 }
@@ -149,6 +122,174 @@ pub struct FeedCounters {
     pub dict_feeds: u64,
     /// Reads satisfied by a logged var-log entry.
     pub logged_reads: u64,
+}
+
+/// How a resolved read was fed, and what is left to check.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Fed {
+    /// From the dictionary: the read is not logged.
+    Dict,
+    /// From the log, and the dictating write had already run where the
+    /// read was resolved: its value was compared there.
+    Log,
+    /// From the log entry at this position, whose write had not run
+    /// where the read was resolved. Another group may have run it: the
+    /// apply half compares.
+    LogUnchecked(u32),
+}
+
+/// A re-executed read, resolved.
+#[derive(Debug, Clone, Copy)]
+struct ReadEvent {
+    var: VarId,
+    /// The read's node.
+    node: u32,
+    /// The write it observed.
+    from: u32,
+    fed: Fed,
+}
+
+/// A re-executed write, resolved.
+#[derive(Debug, Clone)]
+struct WriteEvent {
+    var: VarId,
+    /// The write's node.
+    node: u32,
+    value: Value,
+    /// The write it overwrote; `None` if it claims to be the first.
+    prec: Option<u32>,
+}
+
+/// One shared-variable access of a group's replay, as far as the group
+/// could decide it: what it is at, what it was fed from or overwrote.
+#[derive(Debug)]
+enum VarEvent {
+    /// A re-executed read.
+    Read(ReadEvent),
+    /// A re-executed write.
+    Write(WriteEvent),
+    /// The access the group's own state refused, which ended the
+    /// group's replay: the merge reports it here, behind whatever an
+    /// earlier event of the stream fails against another group.
+    Refused(RejectReason),
+}
+
+/// The variable state of one group's replay
+/// ([`VarStates::group_vars`]): the trusted initialization writes plus
+/// the writes the group re-executes, and the record of its accesses.
+///
+/// A group's unlogged reads only ever consult writes by their own
+/// request's ancestors or the initialization — both present here — so
+/// the values fed to the interpreter match the sequential audit's
+/// exactly; and a chain conflict between two of the group's own writes
+/// stops the group where the sequential audit stops.
+#[doc(hidden)]
+#[derive(Debug)]
+pub struct GroupVars {
+    local: VarStates,
+    /// Accesses in group program order.
+    events: Vec<VarEvent>,
+}
+
+/// A finished group's accesses in group program order, up to and
+/// including the refused one if one ended the replay
+/// ([`GroupVars::finish`]).
+///
+/// [`VarStates::merge_group`] applies the streams to the whole-audit
+/// state in ascending group order. Cross-group checks — a dictating
+/// write's logged value versus what its group's re-execution produced,
+/// chain overwrite conflicts — fire there at exactly the event position
+/// the sequential audit hits them, so verdict and reason are
+/// independent of worker scheduling.
+#[doc(hidden)]
+#[derive(Debug, Default)]
+pub struct GroupAccesses(Vec<VarEvent>);
+
+impl GroupVars {
+    /// An empty state for another group of the same audit.
+    pub(crate) fn fresh(&self) -> GroupVars {
+        self.local.group_vars()
+    }
+
+    /// [`VarStates::on_read`] as far as this group decides it.
+    pub fn on_read(
+        &mut self,
+        var: VarId,
+        node: u32,
+        log: &VarLog<'_>,
+    ) -> Result<Value, RejectReason> {
+        let resolved = self.local.resolve_read(var, node, log);
+        self.record(resolved.map(|(value, event)| (value, VarEvent::Read(event))))
+    }
+
+    /// [`VarStates::on_write`] as far as this group decides it. The
+    /// write takes its place in the group's own chain too.
+    pub fn on_write(
+        &mut self,
+        var: VarId,
+        node: u32,
+        value: Value,
+        log: &VarLog<'_>,
+    ) -> Result<(), RejectReason> {
+        let resolved = self.local.resolve_write(var, node, value, log);
+        let applied = resolved.and_then(|event| {
+            self.local.apply_write(event.clone())?;
+            Ok(((), VarEvent::Write(event)))
+        });
+        self.record(applied)
+    }
+
+    /// Appends an access to the stream: the resolved event, or the
+    /// refusal.
+    fn record<T>(
+        &mut self,
+        access: Result<(T, VarEvent), RejectReason>,
+    ) -> Result<T, RejectReason> {
+        match access {
+            Ok((out, event)) => {
+                self.events.push(event);
+                Ok(out)
+            }
+            Err(e) => {
+                self.events.push(VarEvent::Refused(e.clone()));
+                Err(e)
+            }
+        }
+    }
+
+    /// Ends the group's replay: its state is dropped, its accesses go
+    /// to the merge.
+    pub fn finish(self) -> GroupAccesses {
+        GroupAccesses(self.events)
+    }
+}
+
+impl GroupAccesses {
+    /// `(reads, writes)` the group re-executed, and how the reads were
+    /// fed.
+    pub(crate) fn tally(&self) -> (u64, u64, FeedCounters) {
+        let (mut reads, mut writes, mut feeds) = (0, 0, FeedCounters::default());
+        for event in &self.0 {
+            match event {
+                VarEvent::Read(read) => {
+                    reads += 1;
+                    feeds.count(read.fed);
+                }
+                VarEvent::Write(_) => writes += 1,
+                VarEvent::Refused(_) => {}
+            }
+        }
+        (reads, writes, feeds)
+    }
+}
+
+impl FeedCounters {
+    fn count(&mut self, fed: Fed) {
+        match fed {
+            Fed::Dict => self.dict_feeds += 1,
+            Fed::Log | Fed::LogUnchecked(_) => self.logged_reads += 1,
+        }
+    }
 }
 
 /// One variable's contribution to the execution graph: the WR / WW / RW
@@ -172,6 +313,92 @@ impl VarStates {
         self.feeds
     }
 
+    /// Runs the trusted initialization write of `var` (the verifier
+    /// runs the initialization phase itself; Fig. 14 line 20). A
+    /// variable has one; it takes effect at [`VarStates::bind`].
+    pub fn on_initialize(&mut self, var: VarId, op: OpRef, value: Value) {
+        self.unbound.push((var, op, value));
+    }
+
+    /// Gives the initialization writes recorded so far their ids in
+    /// `index`. [`crate::verifier::ReExecutor::new`] does this for the
+    /// state it is handed; a test driving [`VarStates::on_read`] and
+    /// [`VarStates::on_write`] itself does it before the first access
+    /// (an access on a state with unbound writes is refused).
+    #[doc(hidden)]
+    pub fn bind(&mut self, index: &VarIndex) {
+        if self.unbound.is_empty() {
+            return;
+        }
+        let init = Arc::make_mut(&mut self.init);
+        for (var, op, value) in self.unbound.drain(..) {
+            let id = index.id_of(&op).unwrap_or_else(|| index.unnamed_id());
+            let slot = var.0 as usize;
+            if slot >= init.len() {
+                init.resize(slot + 1, None);
+            }
+            if let Some(entry) = init.get_mut(slot) {
+                *entry = Some((id, value));
+            }
+        }
+    }
+
+    /// An empty state for one group's replay: it knows the
+    /// initialization writes and will learn the group's own writes,
+    /// which is all [`VarStates::resolve_read`] and
+    /// [`VarStates::resolve_write`] consult for a group's accesses.
+    /// Costs a reference count; grows with what the group touches.
+    #[doc(hidden)]
+    pub fn group_vars(&self) -> GroupVars {
+        GroupVars {
+            local: VarStates {
+                unbound: Vec::new(),
+                init: Arc::clone(&self.init),
+                per: Vec::new(),
+                feeds: FeedCounters::default(),
+            },
+            events: Vec::new(),
+        }
+    }
+
+    /// Applies one group's accesses to this, the whole-audit state, in
+    /// the order the group made them; the first one another group makes
+    /// fail — or the one the group itself refused — is the verdict.
+    /// `index` and `var_logs` are what the group resolved against.
+    #[doc(hidden)]
+    pub fn merge_group(
+        &mut self,
+        accesses: GroupAccesses,
+        index: &VarIndex,
+        var_logs: &VecMap<VarId, VarLogRef>,
+    ) -> Result<(), RejectReason> {
+        self.bound()?;
+        // The group resolved each access; what is left is what another
+        // group can fail — and a write's value moves into the
+        // dictionary, it is not copied out of the stream.
+        for event in accesses.0 {
+            match event {
+                VarEvent::Read(read) => self.apply_read(&read, &index.log(var_logs, read.var))?,
+                VarEvent::Write(write) => self.apply_write(write)?,
+                VarEvent::Refused(e) => return Err(e),
+            }
+        }
+        Ok(())
+    }
+
+    /// Refuses to work on a state whose initialization writes were
+    /// never given ids: it would answer as if the program initialized
+    /// nothing.
+    fn bound(&self) -> Result<(), RejectReason> {
+        if self.unbound.is_empty() {
+            Ok(())
+        } else {
+            Err(RejectReason::VerifierInternal {
+                what: "variable access before the initialization writes were bound".into(),
+            })
+        }
+    }
+
     /// The state slot for `var`, growing the dense table on first
     /// touch (ids are dense, so the table tops out at the program's
     /// variable count).
@@ -183,91 +410,167 @@ impl VarStates {
         &mut self.per[i]
     }
 
-    /// Runs the trusted initialization write of `var`.
-    pub fn on_initialize(&mut self, var: VarId, op: OpRef, value: Value) {
-        self.state_mut(var).initialize(op, value);
+    fn init_of(&self, var: VarId) -> Option<(u32, &Value)> {
+        let (id, value) = self.init.get(var.0 as usize)?.as_ref()?;
+        Some((*id, value))
+    }
+
+    /// The value the write `id` produced, if it has run here: a
+    /// re-executed write of this state, or the trusted initialization
+    /// (which `OnWrite` never simulate-and-checks).
+    fn value_of(&self, var: VarId, id: u32) -> Option<&Value> {
+        let executed = self.per.get(var.0 as usize).and_then(|s| s.dict.get(&id));
+        executed.or_else(|| {
+            self.init_of(var)
+                .filter(|(init, _)| *init == id)
+                .map(|(_, value)| value)
+        })
+    }
+
+    /// `FindNearestRPrecedingWrite`: the latest write (under `<_R`)
+    /// that precedes the operation at `node` — the last write of its
+    /// own handler below it, else the last write of the nearest
+    /// ancestor that wrote at all (an ancestor ran to completion before
+    /// its descendants started, so all of its operations R-precede),
+    /// else the initialization, everyone's ancestor.
+    ///
+    /// Ancestors are followed through [`Activation::parent`] — the
+    /// activation index the coordinates resolved `hid.parent()` to —
+    /// not through handler ids. That reaches every ancestor that can
+    /// have written: a write is in the dictionary only if its handler
+    /// was executed, replay executes a handler only from a slot it
+    /// resolved when the handler was enqueued, a request handler has no
+    /// parent, and any other handler is enqueued from its activator's
+    /// own resolved slot and accepted only if its `parent` link is that
+    /// slot's activation (`Coords::find_child_in`). So by induction an
+    /// executed activation's links lead through executed activations up
+    /// to its request handler, and an activation the advice leaves
+    /// unlinked was never executed and wrote nothing.
+    ///
+    /// [`Activation::parent`]: crate::verifier::coords::Activation
+    fn nearest_preceding(&self, var: VarId, node: u32, coords: &Coords) -> Option<(u32, &Value)> {
+        let dict = self.per.get(var.0 as usize).map(|state| &state.dict);
+        if let Some(dict) = dict.filter(|dict| !dict.is_empty()) {
+            let acts = coords.activations();
+            // The handler being searched and the node its search stops
+            // below: the operation itself, then each ancestor's end.
+            let mut scope = coords.activation_of(node).map(|act| (act, node));
+            while let Some((act, below)) = scope {
+                let first_op = act.start.saturating_add(1);
+                if first_op < below {
+                    if let Some((id, value)) = dict.range(first_op..below).next_back() {
+                        return Some((*id, value));
+                    }
+                }
+                scope = act
+                    .parent
+                    .and_then(|parent| acts.get(parent as usize))
+                    .map(|parent| (parent, parent.end()));
+            }
+        }
+        self.init_of(var)
     }
 
     /// Re-executes a read (Fig. 20 `OnRead`), returning the value to
-    /// feed the program.
+    /// feed the program. `log` is the variable's log
+    /// ([`VarIndex::log`]).
     pub fn on_read(
         &mut self,
         var: VarId,
-        op: OpRef,
-        log: Option<&VarLogRef>,
+        node: u32,
+        log: &VarLog<'_>,
     ) -> Result<Value, RejectReason> {
-        let logged = log.and_then(|l| l.get(&op));
-        if logged.is_some() {
-            self.feeds.logged_reads += 1;
-        } else {
-            self.feeds.dict_feeds += 1;
-        }
-        let state = self.state_mut(var);
-        if let Some(entry) = logged {
-            // Logged read: the dictating write must itself be logged;
-            // feed its value.
-            if entry.access != AccessType::Read {
-                return Err(RejectReason::VarLogMismatch {
-                    at: op,
-                    why: "re-executed read logged as write",
-                });
-            }
-            let Some(prec) = &entry.prec else {
-                return Err(RejectReason::VarLogMismatch {
-                    at: op,
-                    why: "logged read lacks dictating write",
-                });
-            };
-            let Some(w) = log.and_then(|l| l.get(prec)) else {
-                return Err(RejectReason::VarLogMismatch {
-                    at: op,
-                    why: "dictating write not in log",
-                });
-            };
-            if w.access != AccessType::Write {
-                return Err(RejectReason::VarLogMismatch {
-                    at: op,
-                    why: "dictating entry is not a write",
-                });
-            }
-            let Some(value) = &w.value else {
-                return Err(RejectReason::VarLogMismatch {
-                    at: op,
-                    why: "dictating write has no value",
-                });
-            };
-            // If the dictating write has already run (always true for
-            // the trusted initialization writes, which are never
-            // simulate-and-checked by OnWrite), its logged value must
-            // match what execution actually produced — otherwise the
-            // server could park poisoned values at coordinates that
-            // re-execution never validates.
-            if let Some(actual) = state.dict_value(prec) {
-                if actual != value {
-                    return Err(RejectReason::VarLogMismatch {
-                        at: op,
-                        why: "dictating write's logged value differs from execution",
-                    });
-                }
-            }
-            state
-                .read_observers
-                .entry(prec.clone())
-                .or_default()
-                .push(op);
-            Ok(value.clone())
-        } else {
+        let (value, event) = self.resolve_read(var, node, log)?;
+        self.apply_read(&event, log)?;
+        Ok(value)
+    }
+
+    /// The half of `OnRead` that one group decides: the value to feed
+    /// and the write the read observed.
+    fn resolve_read(
+        &self,
+        var: VarId,
+        node: u32,
+        log: &VarLog<'_>,
+    ) -> Result<(Value, ReadEvent), RejectReason> {
+        self.bound()?;
+        let event = |from, fed| ReadEvent {
+            var,
+            node,
+            from,
+            fed,
+        };
+        let Some((position, entry)) = log.entry_at(node) else {
             // Unlogged read: it was R-ordered with its dictating write,
             // which therefore has already been re-executed; find it in
             // the dictionary.
-            let Some((w, value)) = state.find_nearest_r_preceding(op.rid, &op.hid, op.opnum) else {
+            let Some((from, value)) = self.nearest_preceding(var, node, log.coords()) else {
                 return Err(RejectReason::VarChainBroken {
                     why: "unlogged read has no R-preceding write",
                 });
             };
-            state.read_observers.entry(w).or_default().push(op);
-            Ok(value)
+            return Ok((value.clone(), event(from, Fed::Dict)));
+        };
+        // Logged read: the dictating write must itself be logged; feed
+        // its value.
+        if entry.access != AccessType::Read {
+            return Err(log.mismatch(node, "re-executed read logged as write"));
         }
+        let (from, dictating) = log.prec(position);
+        if from == NONE {
+            return Err(log.mismatch(node, "logged read lacks dictating write"));
+        }
+        let Some(w) = log.entry(dictating) else {
+            return Err(log.mismatch(node, "dictating write not in log"));
+        };
+        if w.access != AccessType::Write {
+            return Err(log.mismatch(node, "dictating entry is not a write"));
+        }
+        let Some(value) = &w.value else {
+            return Err(log.mismatch(node, "dictating write has no value"));
+        };
+        // If the dictating write has already run (always true for the
+        // trusted initialization writes, which are never
+        // simulate-and-checked by OnWrite), its logged value must match
+        // what execution actually produced — otherwise the server could
+        // park poisoned values at coordinates that re-execution never
+        // validates.
+        let fed = match self.value_of(var, from) {
+            Some(actual) if actual != value => {
+                return Err(log.mismatch(
+                    node,
+                    "dictating write's logged value differs from execution",
+                ));
+            }
+            Some(_) => Fed::Log,
+            None => Fed::LogUnchecked(dictating),
+        };
+        Ok((value.clone(), event(from, fed)))
+    }
+
+    /// The half of `OnRead` that needs every group before it: counts
+    /// the feed, compares a logged value against a dictating write the
+    /// resolving state had not seen run, and records the observer.
+    fn apply_read(&mut self, event: &ReadEvent, log: &VarLog<'_>) -> Result<(), RejectReason> {
+        self.feeds.count(event.fed);
+        if let Fed::LogUnchecked(dictating) = event.fed {
+            if let Some(actual) = self.value_of(event.var, event.from) {
+                let logged = log.entry(dictating).and_then(|w| w.value.as_ref());
+                if logged != Some(actual) {
+                    return Err(log.mismatch(
+                        event.node,
+                        "dictating write's logged value differs from execution",
+                    ));
+                }
+            }
+        }
+        let observers = &mut self.state_mut(event.var).observers;
+        observers
+            .entry(event.from)
+            .or_default()
+            .readers
+            .push(event.node);
+        Ok(())
     }
 
     /// Re-executes a write (Fig. 21 `OnWrite`): simulate-and-check
@@ -276,76 +579,89 @@ impl VarStates {
     pub fn on_write(
         &mut self,
         var: VarId,
-        op: OpRef,
+        node: u32,
         value: Value,
-        log: Option<&VarLogRef>,
+        log: &VarLog<'_>,
     ) -> Result<(), RejectReason> {
-        let state = self.state_mut(var);
-        dict_insert(
-            state.dict.entry((op.rid, op.hid.clone())).or_default(),
-            op.opnum,
-            value.clone(),
-        );
-        state.executed_writes.insert(op.clone());
+        let event = self.resolve_write(var, node, value, log)?;
+        self.apply_write(event)
+    }
 
-        let logged = log.and_then(|l| l.get(&op));
-        let prec: Option<OpRef> = match logged {
-            Some(entry) => {
+    /// The half of `OnWrite` that one group decides: simulate-and-check
+    /// against the log, and the write this one overwrote.
+    fn resolve_write(
+        &self,
+        var: VarId,
+        node: u32,
+        value: Value,
+        log: &VarLog<'_>,
+    ) -> Result<WriteEvent, RejectReason> {
+        self.bound()?;
+        let logged_prec = match log.entry_at(node) {
+            Some((position, entry)) => {
                 if entry.access != AccessType::Write {
-                    return Err(RejectReason::VarLogMismatch {
-                        at: op,
-                        why: "re-executed write logged as read",
-                    });
+                    return Err(log.mismatch(node, "re-executed write logged as read"));
                 }
                 // Simulate-and-check: the re-executed value must equal
                 // the logged one, validating whatever fed or will feed
                 // logged reads (§4.3).
                 if entry.value.as_ref() != Some(&value) {
-                    return Err(RejectReason::VarLogMismatch {
-                        at: op,
-                        why: "logged write value differs from re-execution",
-                    });
+                    return Err(log.mismatch(node, "logged write value differs from re-execution"));
                 }
-                match &entry.prec {
-                    Some(p) => Some(p.clone()),
-                    // Backfilled write: the log doesn't say what it
-                    // overwrote; find it like an unlogged write so the
-                    // chain stays connected.
-                    None => state
-                        .find_nearest_r_preceding(op.rid, &op.hid, op.opnum)
-                        .map(|(w, _)| w)
-                        .filter(|w| *w != op),
-                }
+                Some(log.prec(position).0).filter(|prec| *prec != NONE)
             }
-            None => state
-                .find_nearest_r_preceding(op.rid, &op.hid, op.opnum)
-                .map(|(w, _)| w)
-                .filter(|w| *w != op),
+            None => None,
         };
-        match prec {
-            Some(p) => {
+        // An unlogged write, and a backfilled one (logged lazily, so
+        // the log doesn't say what it overwrote), overwrote the nearest
+        // R-preceding write: find it so the chain stays connected.
+        let prec = logged_prec.or_else(|| {
+            self.nearest_preceding(var, node, log.coords())
+                .map(|(id, _)| id)
+        });
+        Ok(WriteEvent {
+            var,
+            node,
+            value,
+            prec,
+        })
+    }
+
+    /// The half of `OnWrite` that needs every group before it: the
+    /// dictionary entry, and the write's place in the chain.
+    fn apply_write(&mut self, event: WriteEvent) -> Result<(), RejectReason> {
+        let initialized = self.init_of(event.var).is_some();
+        let state = self.state_mut(event.var);
+        // Replay executes an operation once. Advice that makes it run a
+        // handler twice gets the first value kept, as the per-handler
+        // write lists kept it; the chain checks below refuse the second
+        // write unless it claims to overwrite something else.
+        state.dict.entry(event.node).or_insert(event.value);
+        match event.prec {
+            Some(prec) => {
                 // Two handlers cannot overwrite the same value.
-                if state.write_observer.contains_key(&p) {
+                let observers = state.observers.entry(prec).or_default();
+                if observers.overwritten_by.is_some() {
                     return Err(RejectReason::VarChainBroken {
                         why: "two writes overwrite the same write",
                     });
                 }
-                state.write_observer.insert(p, op);
+                observers.overwritten_by = Some(event.node);
             }
             None => {
-                if state.initializer.is_some() {
+                if initialized || state.first.is_some() {
                     return Err(RejectReason::VarChainBroken {
                         why: "two writes claim to be the first",
                     });
                 }
-                state.initializer = Some(op);
+                state.first = Some(event.node);
             }
         }
         Ok(())
     }
 
     /// Postprocessing (Fig. 21 `AddInternalStateEdges`): walks each
-    /// variable's write chain from the initializer, adding WR / WW / RW
+    /// variable's write chain from the first write, adding WR / WW / RW
     /// edges to `G`, and checks the chain covers exactly the
     /// re-executed writes.
     pub fn add_internal_state_edges(&self, g: &mut Graph) -> Result<(), RejectReason> {
@@ -369,17 +685,22 @@ impl VarStates {
         // sequential walk is a plain iteration; untouched slots produce
         // empty fragments.
         let nvars = self.per.len();
-        let coords: &Coords = g.coords();
+        let nodes = u32::try_from(g.node_count()).unwrap_or(u32::MAX);
+        let fragment = |var: usize, state: &VarState| {
+            let init = self.init.get(var).and_then(Option::as_ref);
+            var_fragment(state, init.map(|(id, _)| *id), nodes)
+        };
         let fragments: Vec<EdgeFragment> = if threads <= 1 || nvars <= 1 {
             let mut frags = Vec::with_capacity(nvars);
-            for state in &self.per {
-                frags.push(var_fragment(state, coords)?);
+            for (var, state) in self.per.iter().enumerate() {
+                frags.push(fragment(var, state)?);
             }
             frags
         } else {
             use std::sync::atomic::{AtomicUsize, Ordering};
             let next = AtomicUsize::new(0);
             let per = &self.per;
+            let fragment = &fragment;
             let mut slots: Vec<Option<Result<EdgeFragment, RejectReason>>> = Vec::new();
             slots.resize_with(nvars, || None);
             let workers = threads.min(nvars);
@@ -391,10 +712,8 @@ impl VarStates {
                                 Vec::new();
                             loop {
                                 let i = next.fetch_add(1, Ordering::Relaxed);
-                                if i >= per.len() {
-                                    break;
-                                }
-                                out.push((i, var_fragment(&per[i], coords)));
+                                let Some(state) = per.get(i) else { break };
+                                out.push((i, fragment(i, state)));
                             }
                             out
                         })
@@ -439,88 +758,91 @@ impl VarStates {
     }
 }
 
-/// Walks one variable's write chain from the initializer (Fig. 21
+/// Walks one variable's write chain from its first write (Fig. 21
 /// `AddInternalStateEdges`), returning the WR / WW / RW edges it
-/// implies, or the chain-coverage rejection. Each operation on the
-/// chain is resolved to its node once.
-fn var_fragment(state: &VarState, coords: &Coords) -> Result<EdgeFragment, RejectReason> {
+/// implies, or the chain-coverage rejection. `init` is the id of the
+/// variable's initialization write; ids from `nodes` up are not nodes
+/// of `G`.
+///
+/// Every write on the chain has run: the chain starts at the
+/// initialization (or at a re-executed write that found nothing before
+/// it) and continues through `overwritten_by`, which only a re-executed
+/// write sets, to itself. So the chain covers the re-executed writes
+/// exactly when it is as long as there are such writes, and it has a
+/// cycle exactly when it gets longer — no visited set is kept.
+fn var_fragment(
+    state: &VarState,
+    init: Option<u32>,
+    nodes: u32,
+) -> Result<EdgeFragment, RejectReason> {
     let mut edges: EdgeFragment = Vec::new();
-    // The node of a chain operation; `None` for the trusted
-    // initialization activation, which precedes everything, cannot
-    // participate in a cycle and so gets no ordering edges. Every other
-    // operation on the chain was re-executed, which replay only does
-    // inside an activation the coordinates know, within its count.
-    let node = |op: &OpRef| -> Result<Option<u32>, RejectReason> {
-        if op.rid == RequestId::INIT {
-            return Ok(None);
-        }
-        match coords.op_node(op) {
-            Some(node) => Ok(Some(node)),
-            None => Err(RejectReason::VerifierInternal {
+    // The trusted initialization precedes everything, cannot
+    // participate in a cycle and so gets no ordering edges; it is the
+    // only write on the chain that is not a node.
+    let in_g = |id: u32| id < nodes;
+    // Readers and overwriting writes were re-executed, which replay
+    // only does at a node; an id handed to `on_read` / `on_write` that
+    // is none fails closed here instead of indexing `G` out of range.
+    let endpoint = |id: u32| {
+        if in_g(id) {
+            Ok(id)
+        } else {
+            Err(RejectReason::VerifierInternal {
                 what: "internal-state edge endpoint outside the coordinates".into(),
-            }),
+            })
         }
     };
-    let push = |edges: &mut EdgeFragment, from: Option<u32>, to: Option<u32>, kind| {
-        if let (Some(from), Some(to)) = (from, to) {
-            edges.push((from, to, kind));
-        }
-    };
-    let mut visited: HashSet<OpRef> = HashSet::new();
-    let mut reader_nodes: Vec<Option<u32>> = Vec::new();
-    let mut cur = match &state.initializer {
-        Some(w) => Some((w.clone(), node(w)?)),
-        None => None,
-    };
-    while let Some((w, w_node)) = cur {
-        if !visited.insert(w.clone()) {
+    let executed = state.dict.len() + usize::from(init.is_some());
+    let (mut chain_len, mut chain_observed) = (0usize, 0usize);
+    let mut cur = init.or(state.first);
+    while let Some(w) = cur {
+        chain_len += 1;
+        if chain_len > executed {
             return Err(RejectReason::VarChainBroken {
                 why: "write chain has a cycle",
             });
         }
-        reader_nodes.clear();
-        for r in state.read_observers.get(&w).into_iter().flatten() {
-            reader_nodes.push(node(r)?);
-        }
-        for r_node in &reader_nodes {
-            push(&mut edges, w_node, *r_node, EdgeKind::VarWr);
-        }
-        cur = match state.write_observer.get(&w) {
-            Some(w2) => {
-                let w2_node = node(w2)?;
-                for r_node in &reader_nodes {
-                    push(&mut edges, *r_node, w2_node, EdgeKind::VarRw);
-                }
-                push(&mut edges, w_node, w2_node, EdgeKind::VarWw);
-                Some((w2.clone(), w2_node))
-            }
-            None => None,
+        let Some(observers) = state.observers.get(&w) else {
+            break;
         };
+        chain_observed += 1;
+        if in_g(w) {
+            for r in &observers.readers {
+                edges.push((w, endpoint(*r)?, EdgeKind::VarWr));
+            }
+        }
+        if let Some(w2) = observers.overwritten_by {
+            let w2 = endpoint(w2)?;
+            for r in &observers.readers {
+                edges.push((endpoint(*r)?, w2, EdgeKind::VarRw));
+            }
+            if in_g(w) {
+                edges.push((w, w2, EdgeKind::VarWw));
+            }
+        }
+        cur = observers.overwritten_by;
     }
     // Coverage: every re-executed write must be on the chain (otherwise
     // its log entry escaped simulate-and-check's ordering constraints),
     // and no alleged observer may hang off a write that is not on the
     // chain.
-    for w in &state.executed_writes {
-        if !visited.contains(w) {
-            return Err(RejectReason::VarChainBroken {
-                why: "re-executed write not covered by the write chain",
-            });
-        }
+    if chain_len != executed {
+        return Err(RejectReason::VarChainBroken {
+            why: "re-executed write not covered by the write chain",
+        });
     }
-    for key in state.read_observers.keys() {
-        if !visited.contains(key) {
-            return Err(RejectReason::VarChainBroken {
-                why: "read observes a write outside the chain",
-            });
-        }
-    }
-    for key in state.write_observer.keys() {
-        if !visited.contains(key) {
-            return Err(RejectReason::VarChainBroken {
-                why: "write observer attached outside the chain",
-            });
-        }
+    if chain_observed != state.observers.len() {
+        // Every write that ran is on the chain, so what is left over is
+        // attached to writes that never ran.
+        let ran = |id: &u32| state.dict.contains_key(id) || Some(*id) == init;
+        let mut off_chain = state.observers.iter().filter(|(id, _)| !ran(id));
+        return Err(RejectReason::VarChainBroken {
+            why: if off_chain.any(|(_, o)| !o.readers.is_empty()) {
+                "read observes a write outside the chain"
+            } else {
+                "write observer attached outside the chain"
+            },
+        });
     }
     Ok(edges)
 }
@@ -530,7 +852,8 @@ fn var_fragment(state: &VarState, coords: &Coords) -> Result<EdgeFragment, Rejec
 mod tests {
     use super::*;
     use crate::advice::VarLogEntry;
-    use kem::{init_handler_id, FunctionId};
+    use crate::advice_ref::{VarLogRef, VecMap};
+    use kem::{init_handler_id, FunctionId, HandlerId, RequestId};
 
     fn init_op() -> OpRef {
         OpRef::new(RequestId::INIT, init_handler_id(), 1)
@@ -540,32 +863,123 @@ mod tests {
         VarId(0)
     }
 
+    /// The coordinates of a few handler activations, the log of
+    /// [`var`], and a state bound to both.
+    struct Fixture {
+        coords: Arc<Coords>,
+        logs: VecMap<VarId, VarLogRef>,
+        index: VarIndex,
+        vs: VarStates,
+    }
+
+    impl Fixture {
+        /// `acts` are `(rid, hid, opcount)`; requests are traced in
+        /// ascending id order. `init` is the value of the trusted
+        /// initialization write, if the variable has one.
+        fn new(acts: &[(u64, &HandlerId, u32)], log: VarLogRef, init: Option<i64>) -> Self {
+            let opcounts: VecMap<(RequestId, HandlerId), u32> = acts
+                .iter()
+                .map(|(rid, hid, count)| ((RequestId(*rid), (*hid).clone()), *count))
+                .collect();
+            let mut trace: Vec<RequestId> = opcounts.keys().map(|(rid, _)| *rid).collect();
+            trace.dedup();
+            let coords = Arc::new(Coords::build(&trace, &opcounts).unwrap());
+            let logs: VecMap<VarId, VarLogRef> = [(var(), log)].into_iter().collect();
+            let index = VarIndex::build(coords.clone(), &logs).unwrap();
+            let mut vs = VarStates::new();
+            if let Some(value) = init {
+                vs.on_initialize(var(), init_op(), Value::int(value));
+            }
+            vs.bind(&index);
+            Fixture {
+                coords,
+                logs,
+                index,
+                vs,
+            }
+        }
+
+        fn node(&self, rid: u64, hid: &HandlerId, opnum: u32) -> u32 {
+            self.coords
+                .op_node(&OpRef::new(RequestId(rid), hid.clone(), opnum))
+                .unwrap()
+        }
+
+        fn read(&mut self, rid: u64, hid: &HandlerId, opnum: u32) -> Result<Value, RejectReason> {
+            let node = self.node(rid, hid, opnum);
+            self.vs
+                .on_read(var(), node, &self.index.log(&self.logs, var()))
+        }
+
+        fn write(
+            &mut self,
+            rid: u64,
+            hid: &HandlerId,
+            opnum: u32,
+            value: i64,
+        ) -> Result<(), RejectReason> {
+            let node = self.node(rid, hid, opnum);
+            let log = self.index.log(&self.logs, var());
+            self.vs.on_write(var(), node, Value::int(value), &log)
+        }
+
+        fn edges(&self) -> Result<Graph, RejectReason> {
+            let mut g = Graph::new(self.coords.clone());
+            self.vs.add_internal_state_edges(&mut g)?;
+            Ok(g)
+        }
+    }
+
+    fn op(rid: u64, hid: &HandlerId, opnum: u32) -> OpRef {
+        OpRef::new(RequestId(rid), hid.clone(), opnum)
+    }
+
+    fn write_entry(value: i64, prec: Option<OpRef>) -> VarLogEntry {
+        VarLogEntry {
+            access: AccessType::Write,
+            value: Some(Value::int(value)),
+            prec,
+        }
+    }
+
+    fn read_entry(prec: OpRef) -> VarLogEntry {
+        VarLogEntry {
+            access: AccessType::Read,
+            value: None,
+            prec: Some(prec),
+        }
+    }
+
     #[test]
     fn unlogged_read_fed_from_init() {
-        let mut vs = VarStates::new();
-        vs.on_initialize(var(), init_op(), Value::int(5));
         let h = HandlerId::root(FunctionId(0));
-        let r = OpRef::new(RequestId(0), h, 1);
-        let v = vs.on_read(var(), r, None).unwrap();
-        assert_eq!(v, Value::int(5));
+        let mut fx = Fixture::new(&[(0, &h, 1)], VarLogRef::new(), Some(5));
+        assert_eq!(fx.read(0, &h, 1).unwrap(), Value::int(5));
+    }
+
+    #[test]
+    fn access_before_bind_is_refused() {
+        // A state whose initialization writes have no ids yet would
+        // answer as if the program initialized nothing; it refuses.
+        let h = HandlerId::root(FunctionId(0));
+        let mut fx = Fixture::new(&[(0, &h, 2)], VarLogRef::new(), None);
+        fx.vs.on_initialize(var(), init_op(), Value::int(5));
+        let internal =
+            |r: Result<(), RejectReason>| matches!(r, Err(RejectReason::VerifierInternal { .. }));
+        assert!(internal(fx.read(0, &h, 1).map(|_| ())));
+        assert!(internal(fx.write(0, &h, 1, 9)));
+        let group = fx.vs.group_vars().finish();
+        assert!(internal(fx.vs.merge_group(group, &fx.index, &fx.logs)));
+        fx.vs.bind(&fx.index);
+        assert_eq!(fx.read(0, &h, 1).unwrap(), Value::int(5));
     }
 
     #[test]
     fn unlogged_read_prefers_same_handler_write() {
-        let mut vs = VarStates::new();
-        vs.on_initialize(var(), init_op(), Value::int(5));
         let h = HandlerId::root(FunctionId(0));
-        vs.on_write(
-            var(),
-            OpRef::new(RequestId(0), h.clone(), 1),
-            Value::int(9),
-            None,
-        )
-        .unwrap();
-        let v = vs
-            .on_read(var(), OpRef::new(RequestId(0), h, 2), None)
-            .unwrap();
-        assert_eq!(v, Value::int(9));
+        let mut fx = Fixture::new(&[(0, &h, 2)], VarLogRef::new(), Some(5));
+        fx.write(0, &h, 1, 9).unwrap();
+        assert_eq!(fx.read(0, &h, 2).unwrap(), Value::int(9));
     }
 
     #[test]
@@ -577,140 +991,159 @@ mod tests {
         // 3 (logged: it overwrote request 0's write, cross-request ⇒
         // R-concurrent); then request 0's child reads (unlogged: the
         // dictating write is its ancestor's) and must see 7, not 3.
-        let mut vs = VarStates::new();
-        vs.on_initialize(var(), init_op(), Value::int(0));
         let root_a = HandlerId::root(FunctionId(0));
         let root_b = HandlerId::root(FunctionId(1));
-        let w_a = OpRef::new(RequestId(0), root_a.clone(), 1);
-        vs.on_write(var(), w_a.clone(), Value::int(7), None)
-            .unwrap();
-        let mut log = VarLogRef::new();
-        let w_b = OpRef::new(RequestId(1), root_b.clone(), 1);
-        log.insert(
-            w_b.clone(),
-            VarLogEntry {
-                access: AccessType::Write,
-                value: Some(Value::int(3)),
-                prec: Some(w_a),
-            },
-        );
-        vs.on_write(var(), w_b, Value::int(3), Some(&log)).unwrap();
         let child = HandlerId::child(&root_a, FunctionId(2), 2);
-        let v = vs
-            .on_read(var(), OpRef::new(RequestId(0), child, 1), None)
-            .unwrap();
-        assert_eq!(v, Value::int(7));
+        let mut log = VarLogRef::new();
+        log.insert(op(1, &root_b, 1), write_entry(3, Some(op(0, &root_a, 1))));
+        let mut fx = Fixture::new(
+            &[(0, &root_a, 2), (0, &child, 1), (1, &root_b, 1)],
+            log,
+            Some(0),
+        );
+        fx.write(0, &root_a, 1, 7).unwrap();
+        fx.write(1, &root_b, 1, 3).unwrap();
+        assert_eq!(fx.read(0, &child, 1).unwrap(), Value::int(7));
     }
 
     #[test]
     fn nearest_r_preceding_write_is_latest_strictly_before() {
-        // Pins `FindNearestRPrecedingWrite` (Figs. 20/21) under the
-        // binary-searched dictionary: among several same-handler writes
+        // Pins `FindNearestRPrecedingWrite` (Figs. 20/21) on the
+        // node-ordered dictionary: among several same-handler writes
         // the dictating one is the *latest* with opnum strictly below
         // the read — never the read's own opnum, never a later write.
-        let mut vs = VarStates::new();
-        vs.on_initialize(var(), init_op(), Value::int(0));
         let h = HandlerId::root(FunctionId(0));
+        let mut fx = Fixture::new(&[(0, &h, 10)], VarLogRef::new(), Some(0));
         for (opnum, val) in [(2, 20), (5, 50), (9, 90)] {
-            vs.on_write(
-                var(),
-                OpRef::new(RequestId(0), h.clone(), opnum),
-                Value::int(val),
-                None,
-            )
-            .unwrap();
+            fx.write(0, &h, opnum, val).unwrap();
         }
-        let read_at = |vs: &mut VarStates, opnum: u32| {
-            vs.on_read(var(), OpRef::new(RequestId(0), h.clone(), opnum), None)
-                .unwrap()
-        };
+        let mut read_at = |opnum: u32| fx.read(0, &h, opnum).unwrap();
         // Before any same-handler write: falls through to init.
-        assert_eq!(read_at(&mut vs, 1), Value::int(0));
+        assert_eq!(read_at(1), Value::int(0));
         // Between writes: the latest strictly-preceding one.
-        assert_eq!(read_at(&mut vs, 3), Value::int(20));
-        assert_eq!(read_at(&mut vs, 4), Value::int(20));
-        assert_eq!(read_at(&mut vs, 6), Value::int(50));
+        assert_eq!(read_at(3), Value::int(20));
+        assert_eq!(read_at(4), Value::int(20));
+        assert_eq!(read_at(6), Value::int(50));
         // At a write's own opnum: strictly-before, so the previous one.
-        assert_eq!(read_at(&mut vs, 5), Value::int(20));
-        assert_eq!(read_at(&mut vs, 9), Value::int(50));
+        assert_eq!(read_at(5), Value::int(20));
+        assert_eq!(read_at(9), Value::int(50));
         // Past the last write.
-        assert_eq!(read_at(&mut vs, 10), Value::int(90));
+        assert_eq!(read_at(10), Value::int(90));
     }
 
     #[test]
-    fn dict_insert_keeps_opnum_order_for_out_of_order_insertions() {
-        let mut writes: Vec<(u32, Value)> = Vec::new();
-        for n in [4u32, 1, 9, 6] {
-            dict_insert(&mut writes, n, Value::int(n as i64));
+    fn dictionary_finds_the_latest_write_whatever_order_the_writes_ran_in() {
+        // Groups replay handlers in queue order, not coordinate order:
+        // a dictionary filled newest handler first still answers by
+        // position. Siblings are R-concurrent, so their writes are
+        // logged, each over the one that ran before it.
+        let root = HandlerId::root(FunctionId(0));
+        let kids: Vec<HandlerId> = (1..=3)
+            .map(|k| HandlerId::child(&root, FunctionId(k), k))
+            .collect();
+        let values = [10, 20, 30];
+        let newest_first = [2usize, 1, 0];
+        let mut log = VarLogRef::new();
+        let mut overwritten = op(0, &root, 4);
+        for k in newest_first {
+            let at = op(0, &kids[k], 2);
+            log.insert(at.clone(), write_entry(values[k], Some(overwritten)));
+            overwritten = at;
         }
-        let opnums: Vec<u32> = writes.iter().map(|(n, _)| *n).collect();
-        assert_eq!(opnums, vec![1, 4, 6, 9]);
+        let mut acts = vec![(0, &root, 4)];
+        acts.extend(kids.iter().map(|kid| (0, kid, 3)));
+        let mut fx = Fixture::new(&acts, log, Some(-1));
+        fx.write(0, &root, 4, 40).unwrap();
+        for k in newest_first {
+            // Whichever sibling wrote before it, an unlogged read is
+            // fed its ancestor's write.
+            assert_eq!(fx.read(0, &kids[k], 1).unwrap(), Value::int(40));
+            fx.write(0, &kids[k], 2, values[k]).unwrap();
+        }
+        for (kid, value) in kids.iter().zip(values) {
+            assert_eq!(fx.read(0, kid, 3).unwrap(), Value::int(value));
+        }
+        fx.edges().unwrap();
+    }
+
+    #[test]
+    fn unlinked_activations_never_ran_so_the_ancestor_walk_misses_nothing() {
+        // `nearest_preceding` climbs `Activation::parent`. The
+        // coordinates link every activation whose parent the advice
+        // reports; one whose parent is missing stays unlinked — and
+        // replay cannot have executed it (it is enqueued only from its
+        // parent's resolved slot), so it has no writes to miss. An
+        // unlogged read inside it falls through to the initialization,
+        // exactly as the walk over `hid.parent()` did with an empty
+        // dictionary for the unreported parent.
+        let root = HandlerId::root(FunctionId(0));
+        let ghost_parent = HandlerId::child(&root, FunctionId(7), 1);
+        let orphan = HandlerId::child(&ghost_parent, FunctionId(8), 1);
+        let linked = HandlerId::child(&root, FunctionId(1), 1);
+        let mut fx = Fixture::new(
+            &[(0, &root, 1), (0, &linked, 1), (0, &orphan, 1)],
+            VarLogRef::new(),
+            Some(0),
+        );
+        let acts = fx.coords.activations();
+        assert_eq!(acts.len(), 3);
+        for act in acts {
+            let reported_parent = act.hid.parent().and_then(|p| fx.coords.find(act.rid, p));
+            assert_eq!(
+                act.parent.map(|p| &acts[p as usize].hid),
+                reported_parent.map(|p| &p.hid),
+                "{}: linked exactly when the parent is reported",
+                act.hid
+            );
+        }
+        fx.write(0, &root, 1, 11).unwrap();
+        assert_eq!(fx.read(0, &linked, 1).unwrap(), Value::int(11));
+        assert_eq!(fx.read(0, &orphan, 1).unwrap(), Value::int(0));
     }
 
     #[test]
     fn logged_read_fed_from_log() {
-        let mut vs = VarStates::new();
-        vs.on_initialize(var(), init_op(), Value::int(0));
         let h = HandlerId::root(FunctionId(0));
-        let w_op = OpRef::new(RequestId(1), h.clone(), 1);
-        let r_op = OpRef::new(RequestId(0), h.clone(), 1);
         let mut log = VarLogRef::new();
-        log.insert(
-            w_op.clone(),
-            VarLogEntry {
-                access: AccessType::Write,
-                value: Some(Value::int(42)),
-                prec: None,
-            },
+        log.insert(op(1, &h, 1), write_entry(42, None));
+        log.insert(op(0, &h, 1), read_entry(op(1, &h, 1)));
+        let mut fx = Fixture::new(&[(0, &h, 1), (1, &h, 1)], log, Some(0));
+        assert_eq!(fx.read(0, &h, 1).unwrap(), Value::int(42));
+        assert_eq!(
+            fx.vs.feeds(),
+            FeedCounters {
+                dict_feeds: 0,
+                logged_reads: 1
+            }
         );
-        log.insert(
-            r_op.clone(),
-            VarLogEntry {
-                access: AccessType::Read,
-                value: None,
-                prec: Some(w_op),
-            },
-        );
-        let v = vs.on_read(var(), r_op, Some(&log)).unwrap();
-        assert_eq!(v, Value::int(42));
     }
 
     #[test]
     fn logged_read_with_missing_dictating_write_rejected() {
-        let mut vs = VarStates::new();
+        // The dictating write is a coordinate of a request the advice
+        // reports no handler for, and has no entry of its own.
         let h = HandlerId::root(FunctionId(0));
-        let r_op = OpRef::new(RequestId(0), h.clone(), 1);
         let mut log = VarLogRef::new();
-        log.insert(
-            r_op.clone(),
-            VarLogEntry {
-                access: AccessType::Read,
-                value: None,
-                prec: Some(OpRef::new(RequestId(9), h, 1)),
-            },
+        log.insert(op(0, &h, 1), read_entry(op(9, &h, 1)));
+        let mut fx = Fixture::new(&[(0, &h, 1)], log, None);
+        let err = fx.read(0, &h, 1).unwrap_err();
+        assert!(
+            matches!(
+                &err,
+                RejectReason::VarLogMismatch { at, why: "dictating write not in log" }
+                    if *at == op(0, &h, 1)
+            ),
+            "{err}"
         );
-        let err = vs.on_read(var(), r_op, Some(&log)).unwrap_err();
-        assert!(matches!(err, RejectReason::VarLogMismatch { .. }));
     }
 
     #[test]
     fn simulate_and_check_rejects_wrong_logged_value() {
-        let mut vs = VarStates::new();
-        vs.on_initialize(var(), init_op(), Value::int(0));
         let h = HandlerId::root(FunctionId(0));
-        let w_op = OpRef::new(RequestId(0), h, 1);
         let mut log = VarLogRef::new();
-        log.insert(
-            w_op.clone(),
-            VarLogEntry {
-                access: AccessType::Write,
-                value: Some(Value::int(999)), // forged
-                prec: Some(init_op()),
-            },
-        );
-        let err = vs
-            .on_write(var(), w_op, Value::int(1), Some(&log))
-            .unwrap_err();
+        log.insert(op(0, &h, 1), write_entry(999, Some(init_op()))); // forged
+        let mut fx = Fixture::new(&[(0, &h, 1)], log, Some(0));
+        let err = fx.write(0, &h, 1, 1).unwrap_err();
         assert!(matches!(
             err,
             RejectReason::VarLogMismatch {
@@ -722,107 +1155,133 @@ mod tests {
 
     #[test]
     fn double_overwrite_rejected() {
-        let mut vs = VarStates::new();
-        vs.on_initialize(var(), init_op(), Value::int(0));
         let h0 = HandlerId::root(FunctionId(0));
         let h1 = HandlerId::root(FunctionId(1));
         let mut log = VarLogRef::new();
-        for (rid, h) in [(RequestId(0), &h0), (RequestId(1), &h1)] {
-            log.insert(
-                OpRef::new(rid, h.clone(), 1),
-                VarLogEntry {
-                    access: AccessType::Write,
-                    value: Some(Value::int(1)),
-                    prec: Some(init_op()), // both claim to overwrite init
-                },
-            );
+        for (rid, h) in [(0, &h0), (1, &h1)] {
+            // Both claim to overwrite init.
+            log.insert(op(rid, h, 1), write_entry(1, Some(init_op())));
         }
-        vs.on_write(
-            var(),
-            OpRef::new(RequestId(0), h0, 1),
-            Value::int(1),
-            Some(&log),
-        )
-        .unwrap();
-        let err = vs
-            .on_write(
-                var(),
-                OpRef::new(RequestId(1), h1, 1),
-                Value::int(1),
-                Some(&log),
-            )
-            .unwrap_err();
-        assert!(matches!(err, RejectReason::VarChainBroken { .. }));
+        let mut fx = Fixture::new(&[(0, &h0, 1), (1, &h1, 1)], log, Some(0));
+        fx.write(0, &h0, 1, 1).unwrap();
+        let err = fx.write(1, &h1, 1, 1).unwrap_err();
+        assert!(matches!(
+            err,
+            RejectReason::VarChainBroken {
+                why: "two writes overwrite the same write"
+            }
+        ));
+    }
+
+    #[test]
+    fn second_first_write_rejected() {
+        // No initialization: the first unlogged write opens the chain,
+        // and a backfilled write of another request that also found
+        // nothing before it cannot open it again.
+        let h = HandlerId::root(FunctionId(0));
+        let mut log = VarLogRef::new();
+        log.insert(op(1, &h, 1), write_entry(2, None));
+        let mut fx = Fixture::new(&[(0, &h, 1), (1, &h, 1)], log, None);
+        fx.write(0, &h, 1, 1).unwrap();
+        let err = fx.write(1, &h, 1, 2).unwrap_err();
+        assert!(matches!(
+            err,
+            RejectReason::VarChainBroken {
+                why: "two writes claim to be the first"
+            }
+        ));
     }
 
     #[test]
     fn chain_edges_and_coverage() {
-        let mut vs = VarStates::new();
-        vs.on_initialize(var(), init_op(), Value::int(0));
         let h0 = HandlerId::root(FunctionId(0));
         let h1 = HandlerId::root(FunctionId(1));
-        let w1 = OpRef::new(RequestId(0), h0.clone(), 1);
         let mut log = VarLogRef::new();
-        log.insert(
-            w1.clone(),
-            VarLogEntry {
-                access: AccessType::Write,
-                value: Some(Value::int(1)),
-                prec: Some(init_op()),
-            },
-        );
-        let r1 = OpRef::new(RequestId(1), h1.clone(), 1);
-        log.insert(
-            r1.clone(),
-            VarLogEntry {
-                access: AccessType::Read,
-                value: None,
-                prec: Some(w1.clone()),
-            },
-        );
-        vs.on_write(var(), w1, Value::int(1), Some(&log)).unwrap();
-        vs.on_read(var(), r1, Some(&log)).unwrap();
-        let opcounts = [((RequestId(0), h0), 1), ((RequestId(1), h1), 1)]
-            .into_iter()
-            .collect();
-        let coords = Coords::build(&[RequestId(0), RequestId(1)], &opcounts).unwrap();
-        let mut g = Graph::new(std::sync::Arc::new(coords));
-        vs.add_internal_state_edges(&mut g).unwrap();
+        log.insert(op(0, &h0, 1), write_entry(1, Some(init_op())));
+        log.insert(op(1, &h1, 1), read_entry(op(0, &h0, 1)));
+        let mut fx = Fixture::new(&[(0, &h0, 1), (1, &h1, 1)], log, Some(0));
+        fx.write(0, &h0, 1, 1).unwrap();
+        fx.read(1, &h1, 1).unwrap();
         // WR edge from the write to the read (init-side edges skipped).
-        assert_eq!(g.edge_count(), 1);
+        assert_eq!(fx.edges().unwrap().edge_count(), 1);
     }
 
     #[test]
     fn uncovered_write_rejected() {
         // A forged read observing a write that was never re-executed:
         // coverage must fail.
-        let mut vs = VarStates::new();
-        vs.on_initialize(var(), init_op(), Value::int(0));
         let h = HandlerId::root(FunctionId(0));
-        let phantom = OpRef::new(RequestId(7), h.clone(), 3);
-        let r = OpRef::new(RequestId(0), h.clone(), 1);
+        let phantom = op(7, &h, 3);
         let mut log = VarLogRef::new();
-        log.insert(
-            phantom.clone(),
-            VarLogEntry {
-                access: AccessType::Write,
-                value: Some(Value::int(66)),
-                prec: None,
-            },
-        );
-        log.insert(
-            r.clone(),
-            VarLogEntry {
-                access: AccessType::Read,
-                value: None,
-                prec: Some(phantom),
-            },
-        );
+        log.insert(phantom.clone(), write_entry(66, None));
+        log.insert(op(0, &h, 1), read_entry(phantom));
+        let mut fx = Fixture::new(&[(0, &h, 1)], log, Some(0));
         // The read executes and observes the phantom; the phantom write
         // itself is never re-executed.
-        vs.on_read(var(), r, Some(&log)).unwrap();
-        let mut g = Graph::default();
-        let err = vs.add_internal_state_edges(&mut g).unwrap_err();
-        assert!(matches!(err, RejectReason::VarChainBroken { .. }));
+        fx.read(0, &h, 1).unwrap();
+        let err = fx.edges().unwrap_err();
+        assert!(matches!(
+            err,
+            RejectReason::VarChainBroken {
+                why: "read observes a write outside the chain"
+            }
+        ));
+    }
+
+    #[test]
+    fn overwritten_write_that_never_ran_breaks_the_chain() {
+        // A write logged as overwriting a coordinate outside
+        // `opcounts`: it is off the chain that starts at init, and the
+        // dangling observer is reported only if every re-executed
+        // write were covered — here the write itself is not.
+        let h = HandlerId::root(FunctionId(0));
+        let ghost = op(0, &HandlerId::child(&h, FunctionId(9), 1), 1);
+        let mut log = VarLogRef::new();
+        log.insert(op(0, &h, 1), write_entry(1, Some(ghost)));
+        let mut fx = Fixture::new(&[(0, &h, 1)], log, Some(0));
+        fx.write(0, &h, 1, 1).unwrap();
+        let err = fx.edges().unwrap_err();
+        assert!(matches!(
+            err,
+            RejectReason::VarChainBroken {
+                why: "re-executed write not covered by the write chain"
+            }
+        ));
+    }
+
+    #[test]
+    fn one_coordinate_keyed_in_two_logs_is_two_entries() {
+        // Variable 0's log says the operation is a write of 1 over
+        // init; variable 1's log keys the same coordinate as a read.
+        // Each variable sees its own entry.
+        let h = HandlerId::root(FunctionId(0));
+        let other = VarId(1);
+        let mut log0 = VarLogRef::new();
+        log0.insert(op(0, &h, 1), write_entry(1, Some(init_op())));
+        let mut log1 = VarLogRef::new();
+        log1.insert(op(0, &h, 1), read_entry(op(0, &h, 1)));
+        let opcounts: VecMap<(RequestId, HandlerId), u32> =
+            [((RequestId(0), h.clone()), 1)].into_iter().collect();
+        let coords = Arc::new(Coords::build(&[RequestId(0)], &opcounts).unwrap());
+        let logs: VecMap<VarId, VarLogRef> = [(var(), log0), (other, log1)].into_iter().collect();
+        let index = VarIndex::build(coords.clone(), &logs).unwrap();
+        let mut vs = VarStates::new();
+        vs.on_initialize(var(), init_op(), Value::int(0));
+        vs.bind(&index);
+        let node = coords.op_node(&op(0, &h, 1)).unwrap();
+        vs.on_write(var(), node, Value::int(1), &index.log(&logs, var()))
+            .unwrap();
+        let err = vs
+            .on_write(other, node, Value::int(1), &index.log(&logs, other))
+            .unwrap_err();
+        assert!(matches!(
+            err,
+            RejectReason::VarLogMismatch {
+                why: "re-executed write logged as read",
+                ..
+            }
+        ));
+        // A variable the advice has no log for reads as unlogged.
+        assert!(index.log(&logs, VarId(2)).entry_at(node).is_none());
     }
 }

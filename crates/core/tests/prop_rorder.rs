@@ -7,8 +7,10 @@
 //! replay that respects activation order and program order, returns
 //! exactly the dictating write.
 
-use karousos::verifier::VarStates;
-use karousos::{r_concurrent, r_ordered, r_precedes};
+use std::sync::Arc;
+
+use karousos::verifier::{Coords, VarIndex, VarStates};
+use karousos::{r_concurrent, r_ordered, r_precedes, VarLogRef, VecMap};
 use kem::{init_handler_id, FunctionId, HandlerId, OpRef, RequestId, Value, VarId};
 use proptest::prelude::*;
 
@@ -113,9 +115,26 @@ proptest! {
     ) {
         let hids = build_hids(&spec);
         let var = VarId(0);
+        // The variable state names operations by the audit's
+        // coordinates: every generated handler is reported with room
+        // for the write opnums (1..4) and the read (9), and nothing is
+        // logged.
+        let opcounts: VecMap<(RequestId, HandlerId), u32> = hids
+            .iter()
+            .map(|(rid, hid)| ((*rid, hid.clone()), 9))
+            .collect();
+        let mut trace: Vec<RequestId> = hids.iter().map(|(rid, _)| *rid).collect();
+        trace.sort();
+        trace.dedup();
+        let coords = Arc::new(Coords::build(&trace, &opcounts).unwrap());
+        let logs: VecMap<VarId, VarLogRef> = VecMap::new();
+        let index = VarIndex::build(coords.clone(), &logs).unwrap();
+        let log = index.log(&logs, var);
+        let node = |op: &OpRef| coords.op_node(op).expect("every handler is reported");
         let mut vs = VarStates::new();
         let init = OpRef::new(RequestId::INIT, init_handler_id(), 1);
         vs.on_initialize(var, init.clone(), Value::int(-1));
+        vs.bind(&index);
 
         // Apply writes (unlogged) in the given order, dropping any that
         // would be R-concurrent with the chain head — the lemma only
@@ -127,7 +146,7 @@ proptest! {
             let op = OpRef::new(*rid, hid.clone(), *opnum);
             let head = &applied.last().expect("init applied").0;
             if r_precedes(head, &op) {
-                vs.on_write(var, op.clone(), Value::int(i as i64), None).unwrap();
+                vs.on_write(var, node(&op), Value::int(i as i64), &log).unwrap();
                 applied.push((op, i as i64));
             }
         }
@@ -143,7 +162,7 @@ proptest! {
             .map(|(_, v)| *v);
         match expected {
             Some(v) => {
-                let got = vs.on_read(var, read, None).unwrap();
+                let got = vs.on_read(var, node(&read), &log).unwrap();
                 prop_assert_eq!(got, Value::int(v));
             }
             None => {

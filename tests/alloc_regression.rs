@@ -333,6 +333,17 @@ fn stacks_replay_bytes_scale_with_requests() {
          requests, {bytes_2n} B / {groups_2n} groups at 400 ({growth:.2}x)"
     );
     assert_eq!((groups_n, groups_2n), (200, 400));
+    // Measured: 889 800 B and 1 813 037 B (2.04x). While every group
+    // started from a clone of the post-initialization `VarStates`:
+    // 1 307 856 B and 2 644 101 B (2.02x). A group's variable state is
+    // now the shared initialization writes plus the writes the group
+    // makes — no table over all nodes took the clone's place, or the
+    // ratio would have moved towards 4.
+    assert!(
+        bytes_n <= 1_000_000,
+        "replay of 200 single-request stacks groups requested {bytes_n} B (budget 1000000; \
+         measured 889800, 1307856 with a `VarStates` clone per group)"
+    );
     assert!(
         growth <= 2.5,
         "replay bytes grow faster than the trace: {bytes_n} B at 200 requests, \
@@ -469,22 +480,102 @@ fn motd_write_heavy_audit_allocation_scaling() {
     };
     let (at_200, at_400) = (audit_allocs(200), audit_allocs(400));
     let growth = at_400 as f64 / at_200 as f64;
+    // What doubling the trace adds beyond doubling the count: whatever
+    // grows with n cancels, the n²/32 map nodes are left.
+    let beyond_linear = at_400.saturating_sub(2 * at_200);
     eprintln!(
-        "motd write-heavy audit allocs: {at_200} at 200 requests, {at_400} at 400 ({growth:.2}x)"
+        "motd write-heavy audit allocs: {at_200} at 200 requests, {at_400} at 400 \
+         ({growth:.2}x, {beyond_linear} beyond linear)"
     );
 
-    // Measured: 11639 and 28559 (2.45x). Before values were
-    // span-backed and memoized: 65031 and 237113 (3.65x) — every entry
-    // of every logged map built twice.
+    // Measured: 9338 and 24103 (2.58x, 5427 beyond linear). Before
+    // values were span-backed and memoized: 65031 and 237113 (3.65x,
+    // 107051 beyond linear) — every entry of every logged map built
+    // twice. Until variable state was indexed by node: 11212 and 27697
+    // (2.47x, 5273 beyond linear). What that removed grows a little
+    // slower than n — 986, 1874, 3594, 6967 events at 100, 200, 400,
+    // 800 requests — so both counts fell, their ratio rose because the
+    // n² part is now a larger share of a smaller total, and the part
+    // beyond linear rose by the 154 events the removed part fell short
+    // of doubling; at 800 → 1600 requests it is 74748 against 74458,
+    // the same n² within 0.4 %. The ratio therefore says nothing here;
+    // the part beyond linear is pinned at what the earlier 2.5x bound
+    // allowed the earlier count (0.5 × 11212).
     assert!(
         at_200 <= 16_000,
         "motd write-heavy audit exceeded its allocation budget at 200 \
          requests: {at_200} events (budget 16000)"
     );
     assert!(
-        growth <= 2.5,
+        at_400 <= 26_000,
+        "motd write-heavy audit exceeded its allocation budget at 400 \
+         requests: {at_400} events (budget 26000; measured 24103)"
+    );
+    assert!(
+        beyond_linear <= 5_600,
         "motd write-heavy audit allocations grow like the number of logged \
-         map entries again: {at_200} -> {at_400} ({growth:.2}x, pin <= 2.5x)"
+         map entries again: {at_200} -> {at_400}, {beyond_linear} events beyond \
+         twice the count at 200 (pin <= 5600; measured 5427)"
+    );
+}
+
+/// The whole `threads = 1` audit of the paper's headline app at paper
+/// scale (wiki, 600 requests), wire bytes to verdict: allocation events
+/// and requested bytes. Variable state is where this audit's
+/// bookkeeping was: the machine-stable companion to the `wiki-mix`
+/// timing in `benchmark/`.
+#[test]
+fn wiki_audit_allocation_budget() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    use apps::App;
+    use workload::{Experiment, Mix};
+
+    let exp = Experiment::paper_default(App::Wiki, Mix::Wiki, 8, 11);
+    let program = App::Wiki.program();
+    let (out, advice) = karousos::run_instrumented_server(
+        &program,
+        &exp.inputs(),
+        &exp.server_config(),
+        karousos::CollectorMode::Karousos,
+    )
+    .expect("wiki run succeeds");
+    let bytes = karousos::encode_advice(&advice);
+    drop(advice);
+    // Explicit options and a noop handle: the count must not depend on
+    // `KAROUSOS_*`.
+    let audit = || {
+        karousos::audit_encoded_with_obs(
+            &program,
+            &out.trace,
+            &bytes,
+            exp.isolation,
+            karousos::AuditOptions::default(),
+            &obs::Obs::noop(),
+        )
+        .expect("honest advice is accepted")
+    };
+    let _ = audit();
+    let (_, events, requested) = count_allocs_and_bytes(audit);
+    eprintln!(
+        "wiki audit at {} requests, threads = 1: {events} allocation events, {requested} B requested",
+        exp.requests
+    );
+    // Measured: 71 054 events, 20 148 277 B. With variable state keyed
+    // by `OpRef` and every access applied twice (the parent of the
+    // coordinate-indexed state, commit 540c495): 83 725 events,
+    // 24 826 653 B — a cloned handler id per member per access, map
+    // nodes keyed by coordinates, a reader list per observed write in
+    // two states. The pins sit below the old numbers with a few percent
+    // of headroom for workload drift.
+    assert!(
+        events <= 75_000,
+        "wiki audit exceeded its allocation budget: {events} events (budget 75000; \
+         measured 71054, 83725 before variable state was indexed by node)"
+    );
+    assert!(
+        requested <= 21_500_000,
+        "wiki audit exceeded its byte budget: {requested} B requested (budget 21500000; \
+         measured 20148277, 24826653 before variable state was indexed by node)"
     );
 }
 
