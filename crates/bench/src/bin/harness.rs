@@ -21,11 +21,10 @@
 //! run and write the Chrome `trace_event` / metrics-registry JSON
 //! exports (open the trace in Perfetto or `chrome://tracing`). With no
 //! explicit subcommand, the capture is the whole job. `--prom-out` /
-//! `--prom-addr` (or `KAROUSOS_PROM_ADDR`) additionally run a live
-//! Prometheus text-format exporter for the duration of the capture —
-//! the file is atomically re-rendered every scrape interval and the
-//! address serves it over HTTP, so an external scraper watches the
-//! audit progress mid-flight.
+//! `--prom-addr` additionally run a live Prometheus text-format
+//! exporter for the duration of the capture — the file is atomically
+//! re-rendered every scrape interval and the address serves it over
+//! HTTP, so an external scraper watches the audit progress mid-flight.
 //!
 //! `--dump-bytecode <motd|stacks|wiki>` prints the compiled replay
 //! bytecode of every function in the app's program (DESIGN.md §11) and
@@ -97,9 +96,8 @@ struct Opts {
     /// Prometheus text-format destination (`--prom-out`); enables
     /// telemetry capture and a live background exporter for the run.
     prom_out: Option<String>,
-    /// Prometheus HTTP listen address (`--prom-addr`, falling back to
-    /// `KAROUSOS_PROM_ADDR`); enables telemetry capture and a live
-    /// background exporter for the run.
+    /// Prometheus HTTP listen address (`--prom-addr`); enables
+    /// telemetry capture and a live background exporter for the run.
     prom_addr: Option<String>,
     /// `diff`: fail when any relative delta exceeds this percentage.
     threshold_pct: Option<f64>,
@@ -109,8 +107,8 @@ struct Opts {
     /// `--dump-bytecode <app>`: print the compiled replay bytecode of
     /// every function in the named app's program and exit.
     dump_bytecode: Option<String>,
-    /// `--advice-mmap` (or `KAROUSOS_ADVICE_MMAP=1`): file-based audit
-    /// paths map the advice file instead of reading it onto the heap.
+    /// `--advice-mmap`: file-based audit paths map the advice file
+    /// instead of reading it onto the heap.
     advice_mmap: bool,
 }
 
@@ -126,11 +124,11 @@ fn parse_args() -> Opts {
         obs_out: None,
         metrics_out: None,
         prom_out: None,
-        prom_addr: karousos::config::prom_addr_from_env(),
+        prom_addr: None,
         threshold_pct: None,
         positional: Vec::new(),
         dump_bytecode: None,
-        advice_mmap: karousos::config::advice_mmap_from_env(),
+        advice_mmap: false,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -1000,7 +998,7 @@ enum Capture {
     /// Runs workloads and does its own capture.
     Own,
     /// Reads the files named on the command line: never captures, even
-    /// when an export flag or `KAROUSOS_PROM_ADDR` is set.
+    /// when an export flag is set.
     Never,
 }
 

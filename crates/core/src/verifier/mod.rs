@@ -100,24 +100,6 @@ impl AuditOptions {
         }
     }
 
-    /// Options from the environment (the full variable table lives in
-    /// [`crate::config`]): `KAROUSOS_VERIFY_THREADS` sets the worker
-    /// count (default `1`; `0` = one per core), `KAROUSOS_BYTECODE`
-    /// toggles bytecode-VM replay (`0`/`off`/`false` disable it;
-    /// default on), and `KAROUSOS_LIMITS_*` override individual
-    /// resource budgets. This is what the plain [`audit`] /
-    /// [`audit_encoded`] entry points use, so the whole test suite can
-    /// be rerun against any point of the matrix by exporting the
-    /// variables.
-    pub fn from_env() -> Self {
-        AuditOptions {
-            limits: Limits::from_env(),
-            bytecode: crate::config::bytecode_from_env(),
-            advice_mmap: crate::config::advice_mmap_from_env(),
-            ..AuditOptions::with_threads(crate::config::verify_threads_from_env())
-        }
-    }
-
     /// The concrete worker count (`0` resolved to the core count).
     fn effective_threads(&self) -> usize {
         if self.threads == 0 {
@@ -230,7 +212,7 @@ pub fn audit_encoded(
         trace,
         advice_bytes,
         isolation,
-        AuditOptions::from_env(),
+        AuditOptions::default(),
     )
 }
 
@@ -242,7 +224,7 @@ pub fn audit_encoded_with_options(
     isolation: kvstore::IsolationLevel,
     opts: AuditOptions,
 ) -> Result<AuditReport, RejectReason> {
-    audit_encoded_with_obs(program, trace, advice_bytes, isolation, opts, &env_obs())
+    audit_encoded_with_obs(program, trace, advice_bytes, isolation, opts, &Obs::noop())
 }
 
 /// [`audit_encoded_with_options`] recording into an explicit [`Obs`]
@@ -357,8 +339,7 @@ pub fn audit_source_with_obs(
 }
 
 /// Audits from an advice file on disk, honoring `opts.advice_mmap`
-/// (set from `KAROUSOS_ADVICE_MMAP` by [`AuditOptions::from_env`], or
-/// by the harness `--advice-mmap` flag). An unreadable file is a
+/// (the harness sets it from `--advice-mmap`). An unreadable file is a
 /// rejection: the advice is part of the server's obligation, and a
 /// server that cannot produce it fails its audit.
 pub fn audit_file_with_options(
@@ -373,7 +354,7 @@ pub fn audit_file_with_options(
             what: format!("advice file unreadable: {e}"),
         }
     })?;
-    audit_source_with_obs(program, trace, &source, isolation, opts, &env_obs())
+    audit_source_with_obs(program, trace, &source, isolation, opts, &Obs::noop())
 }
 
 /// Best-effort extraction of a panic payload's message.
@@ -397,7 +378,7 @@ pub fn audit(
     advice: &Advice,
     isolation: kvstore::IsolationLevel,
 ) -> Result<AuditReport, RejectReason> {
-    audit_with_options(program, trace, advice, isolation, AuditOptions::from_env())
+    audit_with_options(program, trace, advice, isolation, AuditOptions::default())
 }
 
 /// Runs the trusted initialization phase: installs every loggable
@@ -435,7 +416,7 @@ pub fn ooo_audit(
 ) -> Result<AuditReport, RejectReason> {
     let opts = AuditOptions {
         schedule,
-        ..AuditOptions::from_env()
+        ..AuditOptions::default()
     };
     ooo_audit_with_options(program, trace, advice, isolation, opts)
 }
@@ -457,7 +438,7 @@ pub fn ooo_audit_with_options(
         &advice,
         isolation,
         opts,
-        &env_obs(),
+        &Obs::noop(),
         Mode::Ungrouped,
     )
     .map_err(|f| f.reason)
@@ -479,7 +460,7 @@ pub fn audit_with_options(
         &advice,
         isolation,
         opts,
-        &env_obs(),
+        &Obs::noop(),
         Mode::Grouped,
     )
     .map_err(|f| f.reason)
@@ -523,25 +504,6 @@ pub fn audit_forensic(
         obs,
         Mode::GroupedForensic,
     )
-}
-
-/// Whether `KAROUSOS_OBS` asks the plain entry points to exercise the
-/// instrumented path (any value other than empty/`0`). The recording
-/// handle is created per audit and dropped with it — this gate exists
-/// so the whole test suite can be rerun over the instrumented path by
-/// exporting the variable (the CI observability job does exactly
-/// that); programmatic consumers use [`audit_with_obs`] instead.
-fn obs_env_enabled() -> bool {
-    static ENABLED: std::sync::OnceLock<bool> = std::sync::OnceLock::new();
-    *ENABLED.get_or_init(crate::config::obs_from_env)
-}
-
-fn env_obs() -> Obs {
-    if obs_env_enabled() {
-        Obs::enabled()
-    } else {
-        Obs::noop()
-    }
 }
 
 /// The counter a given edge kind feeds.

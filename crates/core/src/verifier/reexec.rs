@@ -382,7 +382,7 @@ pub struct ReExecutor<'a> {
     /// Dispatch handler bodies over the program's compiled bytecode
     /// (DESIGN.md §11) instead of tree-walking the resolved AST. The
     /// two paths are observably identical; bytecode is the hot-path
-    /// default (`KAROUSOS_BYTECODE`).
+    /// default.
     bytecode: bool,
     /// Bytecode ops dispatched by this executor (fed to
     /// [`CounterId::BytecodeOps`] once per group, in merge order).
@@ -614,7 +614,7 @@ impl<'a> ReExecutor<'a> {
             deadline_ms: u64::MAX,
             next_deadline_poll: DEADLINE_POLL_INTERVAL,
             group: None,
-            bytecode: crate::config::bytecode_from_env(),
+            bytecode: true,
             vm_ops: 0,
             vm_stack: Vec::new(),
             vm_loops: Vec::new(),
@@ -711,9 +711,9 @@ impl<'a> ReExecutor<'a> {
 
     /// Selects bytecode dispatch (the default) or the tree-walking
     /// fallback for handler bodies. Verdicts, stats, digests, and fuel
-    /// bills are bit-identical either way; the gate exists for
-    /// differential testing and as a transition escape hatch
-    /// (`KAROUSOS_BYTECODE=0`).
+    /// bills are bit-identical either way; the switch exists for
+    /// differential testing ([`AuditOptions::bytecode`](crate::AuditOptions)
+    /// sets it for a whole audit).
     pub fn with_bytecode(mut self, bytecode: bool) -> Self {
         self.bytecode = bytecode;
         self

@@ -37,38 +37,16 @@
 //!   — including the exhaustion point and its `spent = limit + 1`
 //!   report — bit for bit.
 //!
-//! The `KAROUSOS_BYTECODE` environment gate (default on; parsed here
-//! because `kem` cannot see the verifier's config module — the
-//! verifier re-exports it in its env table) selects the dispatch loop
-//! or the tree-walking fallback at execution time; compilation always
-//! happens, it is one cheap pass per program.
+//! `ServerConfig.bytecode` (and the verifier's `AuditOptions.bytecode`)
+//! selects the dispatch loop or the tree-walking fallback at execution
+//! time, default on; compilation always happens, it is one cheap pass
+//! per program.
 
 use crate::ast::{BinOp, NondetKind};
 use crate::ids::{FunctionId, Interner, Sym, VarId};
 use crate::resolve::{RExpr, RFunction, RStmt, Resolved};
 use crate::value::Value;
 use std::fmt::Write as _;
-
-/// `KAROUSOS_BYTECODE`: toggles bytecode dispatch (default on).
-pub const ENV_BYTECODE: &str = "KAROUSOS_BYTECODE";
-
-/// Parses the `KAROUSOS_BYTECODE` contract:
-/// missing → on; empty, `0`, `off`, or `false` (case-insensitive) →
-/// off; anything else → on.
-pub fn parse_bytecode_switch(raw: Option<&str>) -> bool {
-    match raw {
-        None => true,
-        Some(v) => {
-            let v = v.trim().to_ascii_lowercase();
-            !(v.is_empty() || v == "0" || v == "off" || v == "false")
-        }
-    }
-}
-
-/// Reads `KAROUSOS_BYTECODE` (see [`parse_bytecode_switch`]).
-pub fn bytecode_from_env() -> bool {
-    parse_bytecode_switch(std::env::var(ENV_BYTECODE).ok().as_deref())
-}
 
 /// One fixed-width opcode. Value-producing ops push onto the operand
 /// stack; statement ops pop their operands (pushed left-to-right, so
@@ -882,16 +860,5 @@ mod tests {
         assert!(text.contains("loopbranch"));
         assert!(text.contains("sread v0 (loggable)"));
         assert!(text.contains("b0:"));
-    }
-
-    #[test]
-    fn karousos_bytecode_parse() {
-        assert!(parse_bytecode_switch(None));
-        assert!(!parse_bytecode_switch(Some("")));
-        assert!(!parse_bytecode_switch(Some("0")));
-        assert!(!parse_bytecode_switch(Some("OFF")));
-        assert!(!parse_bytecode_switch(Some("false")));
-        assert!(parse_bytecode_switch(Some("1")));
-        assert!(parse_bytecode_switch(Some("on")));
     }
 }

@@ -95,8 +95,7 @@ pub struct ServerConfig {
     /// Dispatch handler bodies over the compiled bytecode
     /// ([`crate::bytecode`]) instead of tree-walking the resolved AST.
     /// Both paths are observably identical (hooks, opnums, errors,
-    /// fuel); the default follows `KAROUSOS_BYTECODE` (on unless
-    /// explicitly disabled).
+    /// fuel); on by default.
     pub bytecode: bool,
 }
 
@@ -108,7 +107,7 @@ impl Default for ServerConfig {
             policy: SchedPolicy::Random { seed: 0 },
             loop_limit: 1_000_000,
             fuel_limit: u64::MAX,
-            bytecode: crate::bytecode::bytecode_from_env(),
+            bytecode: true,
         }
     }
 }

@@ -74,8 +74,8 @@ pub enum CounterId {
     /// thread count).
     ReplayFuelSpent,
     /// Bytecode instructions dispatched by the VM replay loop across
-    /// all groups (zero when `KAROUSOS_BYTECODE` selects the
-    /// tree-walk).
+    /// all groups (zero when `AuditOptions.bytecode` is off and the
+    /// tree-walk replays).
     BytecodeOps,
     /// Groups quarantined to a `ResourceExhausted`/`VerifierInternal`
     /// verdict instead of stopping the whole audit.

@@ -13,7 +13,8 @@
 //!   re-renders an `Obs` handle to a file (write-temp + atomic rename,
 //!   so a scraper never reads a torn page) and optionally serves the
 //!   page over a tiny blocking-free HTTP listener
-//!   (`KAROUSOS_PROM_ADDR`), making a long audit scrapable mid-flight.
+//!   (the harness's `--prom-addr`), making a long audit scrapable
+//!   mid-flight.
 
 use std::io::{Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};

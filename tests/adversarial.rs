@@ -2,11 +2,16 @@
 //!
 //! Each test mutates an honest `(trace, advice)` pair — or hand-crafts
 //! advice, as a malicious server would — and asserts the audit rejects,
-//! checking *which* defense fired where the paper pins it down.
+//! checking *which* defense fired where the paper pins it down. Every
+//! audit runs at each point of the shared matrix (`tests/common`): the
+//! same defense must fire however the audit is run.
+
+mod common;
 
 use apps::App;
+use common::audit_matrix;
 use karousos::advice::{AccessType, VarLogEntry};
-use karousos::{audit, run_instrumented_server, Advice, CollectorMode, RejectReason, TxOpType};
+use karousos::{run_instrumented_server, Advice, CollectorMode, RejectReason, TxOpType};
 use kem::dsl::*;
 use kem::{HandlerId, OpRef, Program, ProgramBuilder, RequestId, Trace, Value};
 use kvstore::IsolationLevel;
@@ -36,7 +41,7 @@ fn honest(app: App, mix: Mix, n: usize, concurrency: usize, seed: u64) -> (Progr
 #[test]
 fn baseline_honest_accepts() {
     let (p, t, a) = honest(App::Stacks, Mix::Mixed, 25, 4, 9);
-    audit(&p, &t, &a, SER).unwrap();
+    audit_matrix(&p, &t, &a, SER).unwrap();
 }
 
 #[test]
@@ -48,7 +53,7 @@ fn tampered_output_rejected() {
             break;
         }
     }
-    assert!(audit(&p, &t, &a, SER).is_err());
+    assert!(audit_matrix(&p, &t, &a, SER).is_err());
 }
 
 #[test]
@@ -68,7 +73,7 @@ fn swapped_inputs_rejected() {
             idx += 1;
         }
     }
-    assert!(audit(&p, &t, &a, SER).is_err());
+    assert!(audit_matrix(&p, &t, &a, SER).is_err());
 }
 
 #[test]
@@ -82,7 +87,7 @@ fn forged_var_log_value_rejected() {
         .find(|e| e.access == AccessType::Write && e.value.is_some())
         .expect("write-heavy MOTD logs writes");
     entry.value = Some(Value::str("poison"));
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(
         matches!(
             err,
@@ -105,7 +110,7 @@ fn dropped_var_log_entry_rejected() {
         (*var, log.keys().next().unwrap().clone())
     };
     a.var_logs.get_mut(&var).unwrap().remove(&key);
-    assert!(audit(&p, &t, &a, SER).is_err());
+    assert!(audit_matrix(&p, &t, &a, SER).is_err());
 }
 
 #[test]
@@ -113,7 +118,7 @@ fn inflated_opcount_rejected() {
     let (p, t, mut a) = honest(App::Motd, Mix::Mixed, 10, 1, 4);
     let key = a.opcounts.keys().next().unwrap().clone();
     *a.opcounts.get_mut(&key).unwrap() += 1;
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(matches!(err, RejectReason::OpcountMismatch { .. }), "{err}");
 }
 
@@ -127,7 +132,7 @@ fn deflated_opcount_rejected() {
         .map(|(k, _)| k.clone())
         .expect("some handler has ops");
     *a.opcounts.get_mut(&key).unwrap() -= 1;
-    assert!(audit(&p, &t, &a, SER).is_err());
+    assert!(audit_matrix(&p, &t, &a, SER).is_err());
 }
 
 #[test]
@@ -138,7 +143,7 @@ fn phantom_handler_rejected() {
     let phantom = HandlerId::child(parent, kem::FunctionId(0), 1);
     let rid = *rid;
     a.opcounts.insert((rid, phantom), 0);
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(
         matches!(
             err,
@@ -160,7 +165,7 @@ fn advice_for_unknown_request_rejected() {
         .map(|(k, c)| (k.clone(), *c))
         .unwrap();
     a.opcounts.insert((RequestId(999), hid), count);
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(matches!(err, RejectReason::UnknownRequest { .. }), "{err}");
 }
 
@@ -177,7 +182,7 @@ fn wrong_response_emitter_rejected() {
         .map(|(_, h)| h.clone())
         .expect("stacks requests have several handlers");
     a.response_emitted_by.insert(rid, (other, 0));
-    assert!(audit(&p, &t, &a, SER).is_err());
+    assert!(audit_matrix(&p, &t, &a, SER).is_err());
 }
 
 #[test]
@@ -185,7 +190,7 @@ fn missing_nondet_rejected() {
     let (p, t, mut a) = honest(App::Wiki, Mix::Wiki, 15, 2, 8);
     let key = a.nondet.keys().next().unwrap().clone();
     a.nondet.remove(&key);
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(matches!(err, RejectReason::MissingNondet { .. }), "{err}");
 }
 
@@ -194,7 +199,7 @@ fn tampered_nondet_rejected() {
     let (p, t, mut a) = honest(App::Wiki, Mix::Wiki, 15, 2, 8);
     let key = a.nondet.keys().next().unwrap().clone();
     a.nondet.insert(key, Value::int(123_456));
-    assert!(audit(&p, &t, &a, SER).is_err());
+    assert!(audit_matrix(&p, &t, &a, SER).is_err());
 }
 
 #[test]
@@ -209,7 +214,7 @@ fn forged_put_value_rejected() {
     if let karousos::TxOpContents::Put { value } = &mut entry.contents {
         *value = Value::str("poison");
     }
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(
         matches!(
             err,
@@ -226,7 +231,7 @@ fn truncated_write_order_rejected() {
     let (p, t, mut a) = honest(App::Stacks, Mix::WriteHeavy, 20, 1, 10);
     assert!(!a.write_order.is_empty());
     a.write_order.pop();
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(
         matches!(err, RejectReason::WriteOrderMismatch { .. }),
         "{err}"
@@ -249,7 +254,7 @@ fn reordered_write_order_rejected() {
         .map(|v| (v[0], v[1]))
         .expect("some dump reported twice");
     a.write_order.swap(i, j);
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(
         matches!(
             err,
@@ -277,7 +282,7 @@ fn aborted_transaction_claimed_committed_rejected() {
         let last = log.last_mut().unwrap();
         last.optype = TxOpType::Commit;
         last.key = None;
-        assert!(audit(&p, &t, &a, SER).is_err());
+        assert!(audit_matrix(&p, &t, &a, SER).is_err());
         return;
     }
     panic!("no schedule with an aborted transaction found");
@@ -293,7 +298,7 @@ fn merged_groups_reject_on_divergence() {
     for tag in a.tags.values_mut() {
         *tag = 1;
     }
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(
         matches!(
             err,
@@ -311,7 +316,7 @@ fn fully_split_groups_still_accept() {
     for (i, tag) in a.tags.values_mut().enumerate() {
         *tag = 10_000 + i as u64;
     }
-    let report = audit(&p, &t, &a, SER).unwrap();
+    let report = audit_matrix(&p, &t, &a, SER).unwrap();
     assert_eq!(report.reexec.groups, 20);
 }
 
@@ -319,7 +324,7 @@ fn fully_split_groups_still_accept() {
 fn unbalanced_trace_rejected() {
     let (p, mut t, a) = honest(App::Motd, Mix::Mixed, 10, 1, 14);
     t.push_response(RequestId(0), Value::str("extra"));
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert_eq!(err, RejectReason::UnbalancedTrace);
 }
 
@@ -404,7 +409,7 @@ fn fig5_cross_reads_from_the_future_rejected() {
     );
     a.var_logs.insert(p.var_id("x").unwrap(), log);
 
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert_eq!(
         err,
         RejectReason::CycleInG,

@@ -2,8 +2,11 @@
 //! continuations, and the behaviours that are deliberately *tolerated*
 //! (over-logging that constrains nothing).
 
+mod common;
+
 use apps::App;
-use karousos::{audit, run_instrumented_server, Advice, CollectorMode, RejectReason, TxOpType};
+use common::audit_matrix;
+use karousos::{run_instrumented_server, Advice, CollectorMode, RejectReason, TxOpType};
 use kem::{HandlerId, Program, RequestId, Trace};
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
@@ -49,11 +52,11 @@ fn swapped_handler_log_entries_rejected() {
         CollectorMode::Karousos,
     )
     .unwrap();
-    audit(&p, &out.trace, &a, SER).expect("honest baseline accepts");
+    audit_matrix(&p, &out.trace, &a, SER).expect("honest baseline accepts");
     let log = a.handler_logs.values_mut().next().expect("one request");
     assert!(log.len() >= 2 && log[0].hid == log[1].hid);
     log.swap(0, 1);
-    let err = audit(&p, &out.trace, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &out.trace, &a, SER).unwrap_err();
     assert!(
         matches!(
             err,
@@ -78,7 +81,7 @@ fn swapped_tx_log_entries_rejected() {
         .find(|l| l.len() >= 3)
         .expect("report transactions have ≥3 ops");
     log.swap(1, 2);
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(
         matches!(
             err,
@@ -100,7 +103,7 @@ fn dropped_tx_log_entry_rejected() {
         .find(|l| l.len() >= 3)
         .expect("report transactions have ≥3 ops");
     log.remove(1);
-    assert!(audit(&p, &t, &a, SER).is_err());
+    assert!(audit_matrix(&p, &t, &a, SER).is_err());
 }
 
 #[test]
@@ -143,7 +146,7 @@ fn redirected_dictating_write_rejected() {
         // scenario is vacuous — skip rather than assert.
         return;
     }
-    assert!(audit(&p, &t, &a, SER).is_err());
+    assert!(audit_matrix(&p, &t, &a, SER).is_err());
 }
 
 #[test]
@@ -159,7 +162,7 @@ fn phantom_db_continuation_rejected() {
         .expect("transactions exist");
     let phantom = HandlerId::child(&entry.hid, kem::FunctionId(2), entry.opnum);
     a.opcounts.insert((tx.rid, phantom), 0);
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(
         matches!(
             err,
@@ -182,7 +185,7 @@ fn stolen_tag_causes_divergence() {
     let (t1, t2) = (*tags.next().unwrap(), *tags.next().unwrap());
     let victim = by_tag[&t2][0];
     a.tags.insert(victim, t1);
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(
         matches!(
             err,
@@ -202,7 +205,7 @@ fn off_by_one_response_emitter_rejected() {
     let (hid, opnum) = a.response_emitted_by.get(&rid).unwrap().clone();
     let shifted = opnum.saturating_sub(1);
     a.response_emitted_by.insert(rid, (hid, shifted));
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(
         matches!(err, RejectReason::ResponseEmitterMismatch { .. }),
         "{err}"
@@ -228,7 +231,7 @@ fn unused_extra_nondet_entries_are_tolerated() {
     // Still rejected — but only because the phantom coordinate's
     // handler is unknown? No: nondet entries are not validated against
     // opcounts (they are consulted by coordinate). The audit accepts.
-    audit(&p, &t, &a, SER).expect("unconsulted nondet entries are harmless");
+    audit_matrix(&p, &t, &a, SER).expect("unconsulted nondet entries are harmless");
 }
 
 #[test]
@@ -242,7 +245,7 @@ fn var_log_read_turned_into_write_rejected() {
         .expect("mixed MOTD logs reads");
     entry.access = karousos::AccessType::Write;
     entry.value = Some(kem::Value::int(7));
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(
         matches!(
             err,
@@ -258,7 +261,7 @@ fn write_order_with_foreign_entry_rejected() {
     let (p, t, mut a) = honest(App::Stacks, Mix::WriteHeavy, 20, 1, 10);
     let dup = a.write_order[0].clone();
     a.write_order.push(dup);
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(
         matches!(err, RejectReason::WriteOrderMismatch { .. }),
         "{err}"
@@ -272,7 +275,7 @@ fn implausible_nondet_rejected() {
     let (p, t, mut a) = honest(App::Wiki, Mix::Wiki, 10, 1, 11);
     let key = a.nondet.keys().next().unwrap().clone();
     a.nondet.insert(key, kem::Value::str("not a timestamp"));
-    let err = audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &t, &a, SER).unwrap_err();
     assert!(
         matches!(err, RejectReason::ImplausibleNondet { .. }),
         "{err}"
@@ -297,7 +300,7 @@ fn out_of_range_random_rejected() {
     a.nondet.insert(key, kem::Value::int(10_000)); // bound is 10
                                                    // The trace must be tampered consistently or the output check also
                                                    // fires; either way, rejection.
-    let err = audit(&p, &out.trace, &a, SER).unwrap_err();
+    let err = audit_matrix(&p, &out.trace, &a, SER).unwrap_err();
     assert!(
         matches!(
             err,
@@ -330,7 +333,7 @@ fn forged_initialization_value_rejected() {
     .unwrap();
     // Honest: the single read is R-ordered after init, nothing logged.
     assert_eq!(a.var_log_entries(), 0);
-    audit(&p, &out.trace, &a, SER).expect("honest baseline accepts");
+    audit_matrix(&p, &out.trace, &a, SER).expect("honest baseline accepts");
 
     // The attack: log a fake init write with a poisoned value, point
     // the read at it, and tamper the response to match.
@@ -358,7 +361,7 @@ fn forged_initialization_value_rejected() {
     if let Some(kem::TraceEvent::Response { output, .. }) = out.trace.events_mut().last_mut() {
         *output = kem::Value::str("HACKED");
     }
-    let err = audit(&p, &out.trace, &a, SER)
+    let err = audit_matrix(&p, &out.trace, &a, SER)
         .expect_err("a forged initialization value must not be accepted");
     assert!(
         matches!(
@@ -395,7 +398,7 @@ fn fabricated_transaction_squatting_on_var_coordinates_rejected() {
         CollectorMode::Karousos,
     )
     .unwrap();
-    audit(&p, &out.trace, &a, SER).expect("honest baseline accepts");
+    audit_matrix(&p, &out.trace, &a, SER).expect("honest baseline accepts");
 
     // Fabricate a committed transaction occupying coordinates 1–2 of
     // the (real) request handler.
@@ -424,7 +427,7 @@ fn fabricated_transaction_squatting_on_var_coordinates_rejected() {
             },
         ],
     );
-    let err = audit(&p, &out.trace, &a, SER)
+    let err = audit_matrix(&p, &out.trace, &a, SER)
         .expect_err("a transaction never produced by re-execution must be rejected");
     assert!(
         matches!(err, RejectReason::UnexecutedLogEntry { .. }),

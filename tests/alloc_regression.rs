@@ -12,21 +12,37 @@
 //! unlike wall-clock, are deterministic and container-stable.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
 /// Wraps the system allocator, counting allocation events (calls to
-/// `alloc`/`realloc`) and the bytes they request while `COUNTING` is
-/// enabled.
+/// `alloc`/`realloc`) and the bytes they request on threads whose
+/// `COUNTING` flag is set.
 struct CountingAlloc;
 
 static ALLOC_EVENTS: AtomicU64 = AtomicU64::new(0);
 static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
+
+thread_local! {
+    /// Per-thread opt-in: only the measuring thread counts, so what
+    /// libtest's own threads allocate meanwhile (spawning the next
+    /// test, capturing output) lands in nobody's window. Every pin
+    /// audits at `threads = 1`; one that needed workers would set the
+    /// flag inside the scope it spawns. `const`-initialised and without
+    /// a destructor, so reading it from the allocator allocates nothing.
+    static COUNTING: Cell<bool> = const { Cell::new(false) };
+}
+
+fn counting() -> bool {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    COUNTING.try_with(Cell::get).unwrap_or(false)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
             ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         }
@@ -38,7 +54,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        if COUNTING.load(Ordering::Relaxed) {
+        if counting() {
             ALLOC_EVENTS.fetch_add(1, Ordering::Relaxed);
             ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         }
@@ -49,12 +65,13 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Serializes the tests in this file: the counting flag is global, so
-/// two `#[test]` fns measuring concurrently would double-count.
+/// Serializes the tests in this file: the counters are global, so two
+/// `#[test]` fns measuring concurrently would add into each other's
+/// totals.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Counts allocation events during `f`. Not reentrant; callers hold
-/// `SERIAL` so the global flag cannot be flipped concurrently.
+/// Counts allocation events on the calling thread during `f`. Not
+/// reentrant; callers hold `SERIAL` so no other thread is counting.
 fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let (out, events, _bytes) = count_allocs_and_bytes(f);
     (out, events)
@@ -64,9 +81,9 @@ fn count_allocs<T>(f: impl FnOnce() -> T) -> (T, u64) {
 fn count_allocs_and_bytes<T>(f: impl FnOnce() -> T) -> (T, u64, u64) {
     ALLOC_EVENTS.store(0, Ordering::SeqCst);
     ALLOC_BYTES.store(0, Ordering::SeqCst);
-    COUNTING.store(true, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(true));
     let out = f();
-    COUNTING.store(false, Ordering::SeqCst);
+    COUNTING.with(|c| c.set(false));
     (
         out,
         ALLOC_EVENTS.load(Ordering::SeqCst),
@@ -462,8 +479,8 @@ fn motd_write_heavy_audit_allocation_scaling() {
         .expect("motd run succeeds");
         let bytes = karousos::encode_advice(&advice);
         drop(advice);
-        // Explicit options and a noop handle: the count must not depend
-        // on `KAROUSOS_*`.
+        // Default options, noop handle: what a plain `audit_encoded`
+        // runs.
         let audit = || {
             karousos::audit_encoded_with_obs(
                 &program,
@@ -541,8 +558,7 @@ fn wiki_audit_allocation_budget() {
     .expect("wiki run succeeds");
     let bytes = karousos::encode_advice(&advice);
     drop(advice);
-    // Explicit options and a noop handle: the count must not depend on
-    // `KAROUSOS_*`.
+    // Default options, noop handle: what a plain `audit_encoded` runs.
     let audit = || {
         karousos::audit_encoded_with_obs(
             &program,

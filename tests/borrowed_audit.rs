@@ -4,81 +4,26 @@
 //! [`karousos::AdviceRef`] borrowing the advice bytes — and never
 //! materializes an owned `Advice` on the accept path. The owned
 //! conversion (`AdviceView::to_advice`) stays alive purely as the
-//! oracle these tests compare against: for every point of the threads ×
-//! bytecode matrix, on honest advice and across the hostile wire
-//! mutation corpus, the two paths must produce byte-identical verdicts,
-//! statistics, and fuel bills.
+//! oracle these tests compare against: for every point of the shared
+//! matrix (`tests/common`), on honest advice and across the hostile
+//! wire mutation corpus, the two paths must produce byte-identical
+//! verdicts, statistics, and fuel bills.
+
+mod common;
 
 use apps::App;
-use karousos::verifier::{AuditOptions, RejectReason};
-use karousos::{
-    audit_encoded_with_options, audit_with_options, decode_advice_view, encode_advice, AuditReport,
-    WireMutator,
-};
+use common::{audit_points, matrix, Outcome};
+use karousos::{decode_advice_view, encode_advice, RejectReason, WireMutator};
 use kem::{Program, Trace};
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
 
-/// The full knob matrix the equivalence must hold over.
-fn matrix() -> Vec<AuditOptions> {
-    let mut out = Vec::new();
-    for threads in [1usize, 4] {
-        for bytecode in [false, true] {
-            out.push(AuditOptions {
-                threads,
-                bytecode,
-                ..Default::default()
-            });
-        }
-    }
-    out
-}
-
-/// The comparable slice of a verdict: everything except wall-clock.
-#[derive(Debug, PartialEq)]
-enum Outcome {
-    Accept {
-        reexec: karousos::ReexecStats,
-        graph_nodes: usize,
-        graph_edges: usize,
-    },
-    Reject(RejectReason),
-}
-
-impl Outcome {
-    fn of(r: Result<AuditReport, RejectReason>) -> Outcome {
-        match r {
-            Ok(rep) => Outcome::Accept {
-                reexec: rep.reexec,
-                graph_nodes: rep.graph_nodes,
-                graph_edges: rep.graph_edges,
-            },
-            Err(reason) => Outcome::Reject(reason),
-        }
-    }
-}
-
-/// Runs the owned oracle: decode to owned `Advice` exactly as the old
-/// accept path did, then audit it. Decode failures map to the same
-/// rejection the encoded entry point produces.
-fn owned_oracle(
-    program: &Program,
-    trace: &Trace,
-    bytes: &[u8],
-    isolation: IsolationLevel,
-    opts: AuditOptions,
-) -> Outcome {
-    match decode_advice_view(bytes).map(|view| view.to_advice()) {
-        Ok(advice) => Outcome::of(audit_with_options(program, trace, &advice, isolation, opts)),
-        Err(e) => Outcome::Reject(RejectReason::MalformedAdvice {
-            what: e.to_string(),
-        }),
-    }
-}
-
-/// Asserts borrowed == oracle at every matrix point, and that every
-/// matrix point agrees with the first (knobs cannot change verdicts).
-/// Returns the agreed outcome.
+/// Audits `bytes` over the shared matrix twice — borrowed, straight
+/// from the wire, and through the owned oracle: decode to an owned
+/// `Advice` exactly as the old accept path did, then audit that (a
+/// decode failure maps to the rejection the encoded entry point
+/// produces). Each path must agree with itself at every point and the
+/// two with each other. Returns the agreed outcome.
 fn assert_equivalent(
     program: &Program,
     trace: &Trace,
@@ -86,29 +31,19 @@ fn assert_equivalent(
     isolation: IsolationLevel,
     label: &str,
 ) -> Outcome {
-    let mut first: Option<Outcome> = None;
-    for opts in matrix() {
-        let borrowed = Outcome::of(audit_encoded_with_options(
-            program, trace, bytes, isolation, opts,
-        ));
-        let oracle = owned_oracle(program, trace, bytes, isolation, opts);
-        assert_eq!(
-            borrowed, oracle,
-            "{label}: borrowed path diverges from owned oracle at \
-             threads={} bytecode={}",
-            opts.threads, opts.bytecode
-        );
-        match &first {
-            None => first = Some(borrowed),
-            Some(f) => assert_eq!(
-                f, &borrowed,
-                "{label}: verdict changed across the matrix at \
-                 threads={} bytecode={}",
-                opts.threads, opts.bytecode
-            ),
-        }
-    }
-    first.expect("matrix is non-empty")
+    let points = &matrix();
+    let borrowed = audit_points(program, trace, bytes, isolation, points, label);
+    let oracle = match decode_advice_view(bytes).map(|view| view.to_advice()) {
+        Ok(advice) => audit_points(program, trace, &advice, isolation, points, label),
+        Err(e) => Err(RejectReason::MalformedAdvice {
+            what: e.to_string(),
+        }),
+    };
+    assert_eq!(
+        borrowed, oracle,
+        "{label}: borrowed path diverges from owned oracle"
+    );
+    borrowed
 }
 
 fn prepare(app: App, mix: Mix, requests: usize) -> (Program, Trace, Vec<u8>, IsolationLevel) {
@@ -137,7 +72,7 @@ fn honest_apps_accept_identically() {
         let (program, trace, bytes, isolation) = prepare(app, mix, n);
         let outcome = assert_equivalent(&program, &trace, &bytes, isolation, app.name());
         assert!(
-            matches!(outcome, Outcome::Accept { .. }),
+            outcome.is_ok(),
             "{}: honest advice rejected: {outcome:?}",
             app.name()
         );
@@ -152,22 +87,6 @@ fn honest_apps_accept_identically() {
 fn hostile_mutations_verdict_identically() {
     let (program, trace, honest, isolation) = prepare(App::Motd, Mix::RW_MIXES[1], 12);
 
-    // Hostile sweep on the two extreme matrix points only (serial
-    // tree-walk and parallel bytecode): the honest test
-    // already pins the full matrix, and each mutation is audited twice.
-    let configs = [
-        AuditOptions {
-            threads: 1,
-            bytecode: false,
-            ..Default::default()
-        },
-        AuditOptions {
-            threads: 4,
-            bytecode: true,
-            ..Default::default()
-        },
-    ];
-
     let mut compared = 0usize;
     let mut rejected = 0usize;
     for m in WireMutator::ALL {
@@ -175,30 +94,9 @@ fn hostile_mutations_verdict_identically() {
             let Some(mutation) = m.apply(&honest, seed) else {
                 continue;
             };
-            let mut per_config: Vec<Outcome> = Vec::new();
-            for opts in configs {
-                let borrowed = Outcome::of(audit_encoded_with_options(
-                    &program,
-                    &trace,
-                    &mutation.bytes,
-                    isolation,
-                    opts,
-                ));
-                let oracle = owned_oracle(&program, &trace, &mutation.bytes, isolation, opts);
-                assert_eq!(
-                    borrowed, oracle,
-                    "{} seed {seed}: borrowed path diverges from owned oracle \
-                     (threads={} bytecode={})",
-                    mutation.mutator, opts.threads, opts.bytecode
-                );
-                per_config.push(borrowed);
-            }
-            assert_eq!(
-                per_config[0], per_config[1],
-                "{} seed {seed}: verdict changed across the matrix",
-                mutation.mutator
-            );
-            if matches!(per_config[0], Outcome::Reject(_)) {
+            let label = format!("{} seed {seed}", mutation.mutator);
+            let outcome = assert_equivalent(&program, &trace, &mutation.bytes, isolation, &label);
+            if outcome.is_err() {
                 rejected += 1;
             }
             compared += 1;

@@ -1,81 +1,64 @@
-//! Differential equivalence of the two replay interpreters.
+//! Differential equivalence of the two interpreters, on both sides.
 //!
-//! The bytecode VM (DESIGN.md §11) is a drop-in replacement for the
-//! tree-walk: same verdicts, same statistics (including the
-//! bit-identical fuel bill), same `RejectReason` payloads, at every
-//! thread count. This harness pins that equivalence three
-//! ways: over randomly generated programs (a seeded grammar covering
-//! every non-transactional opcode), over honest runs of the paper
-//! applications at every isolation level (transactions included), and
-//! over a hostile corpus of several hundred structured and wire-level
-//! advice mutations.
+//! Verifier side: the bytecode VM (DESIGN.md §11) is a drop-in
+//! replacement for the tree-walk — same verdicts, same statistics
+//! (including the bit-identical fuel bill), same `RejectReason`
+//! payloads, at every point of the shared matrix (`tests/common`). This
+//! harness pins that equivalence three ways: over randomly generated
+//! programs (a seeded grammar covering every non-transactional opcode),
+//! over honest runs of the paper applications at every isolation level
+//! (transactions included), and over a hostile corpus of several
+//! hundred structured and wire-level advice mutations.
+//!
+//! Server side: `kem::runtime` has the same pair of interpreters behind
+//! `ServerConfig.bytecode`; the instrumented server must produce the
+//! same trace, the same advice bytes and the same step count under
+//! either ([`server_run`]), for the same programs.
+
+mod common;
 
 use apps::App;
+use common::{audit_points, matrix};
 use karousos::{
-    audit_encoded_with_options, audit_with_options, encode_advice, run_instrumented_server,
-    AuditOptions, AuditReport, CollectorMode, Mutator, RejectReason, WireMutator,
+    decode_advice, run_instrumented_server_encoded, CollectorMode, Mutator, WireMutator,
 };
 use kem::dsl::*;
-use kem::{Expr, Program, ProgramBuilder, SchedPolicy, ServerConfig, Stmt, Value};
+use kem::{Expr, Program, ProgramBuilder, RunOutput, SchedPolicy, ServerConfig, Stmt, Value};
 use kvstore::IsolationLevel;
 use proptest::prelude::*;
 use workload::{Experiment, Mix};
 
-/// The comparable portion of an audit outcome (timing excluded).
-type Outcome = Result<(karousos::ReexecStats, usize, usize), RejectReason>;
-
-fn comparable(r: Result<AuditReport, RejectReason>) -> Outcome {
-    r.map(|rep| (rep.reexec, rep.graph_nodes, rep.graph_edges))
-}
-
-/// Tree-walk serial baseline: every other cell must match it exactly.
-fn baseline() -> AuditOptions {
-    AuditOptions {
-        threads: 1,
-        bytecode: false,
-        ..AuditOptions::default()
-    }
-}
-
-/// threads{1,4} × bytecode{off,on}.
-fn matrix() -> Vec<AuditOptions> {
-    let mut configs = Vec::new();
-    for threads in [1usize, 4] {
-        for bytecode in [false, true] {
-            configs.push(AuditOptions {
-                bytecode,
-                ..AuditOptions::with_threads(threads)
-            });
-        }
-    }
-    configs
-}
-
-fn assert_matrix_agrees(
+/// Runs the instrumented server under both of `kem::runtime`'s
+/// interpreters, asserts that what they produce is byte-identical —
+/// trace, encoded advice, scheduler steps, activations — and returns
+/// the run.
+fn server_run(
     program: &Program,
-    trace: &kem::Trace,
-    bytes: &[u8],
-    isolation: IsolationLevel,
+    inputs: &[Value],
+    cfg: &ServerConfig,
     label: &str,
-) -> Outcome {
-    let sequential = comparable(audit_encoded_with_options(
-        program,
-        trace,
-        bytes,
-        isolation,
-        baseline(),
-    ));
-    for opts in matrix() {
-        let cell = comparable(audit_encoded_with_options(
-            program, trace, bytes, isolation, opts,
-        ));
-        assert_eq!(
-            sequential, cell,
-            "{label}: tree-walk baseline vs threads={} bytecode={} disagree",
-            opts.threads, opts.bytecode
-        );
-    }
-    sequential
+) -> (RunOutput, Vec<u8>) {
+    let run = |bytecode| {
+        let cfg = ServerConfig { bytecode, ..*cfg };
+        run_instrumented_server_encoded(program, inputs, &cfg, CollectorMode::Karousos)
+            .unwrap_or_else(|e| panic!("{label}: server error at bytecode={bytecode}: {e}"))
+    };
+    let (tree_walk, tree_walk_bytes) = run(false);
+    let (vm, vm_bytes) = run(true);
+    assert_eq!(
+        tree_walk.trace, vm.trace,
+        "{label}: server interpreters disagree on the trace"
+    );
+    assert!(
+        tree_walk_bytes == vm_bytes,
+        "{label}: server interpreters disagree on the advice bytes"
+    );
+    assert_eq!(
+        (tree_walk.steps, tree_walk.activations),
+        (vm.steps, vm.activations),
+        "{label}: server interpreters disagree on steps / activations"
+    );
+    (vm, vm_bytes)
 }
 
 // ---------------------------------------------------------------------
@@ -202,7 +185,7 @@ fn gen_program(seed: u64) -> Program {
 }
 
 proptest! {
-    // Each case runs a server plus a 9-cell audit matrix; keep the
+    // Each case runs two servers plus the audit matrix; keep the
     // count moderate (the grammar reaches every opcode within a few
     // dozen draws).
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -222,16 +205,15 @@ proptest! {
             policy: SchedPolicy::Random { seed: sched_seed },
             ..Default::default()
         };
-        let (out, advice) =
-            run_instrumented_server(&program, &inputs, &cfg, CollectorMode::Karousos)
-                .expect("generated programs run cleanly");
-        let bytes = encode_advice(&advice);
-        let verdict = assert_matrix_agrees(
+        let label = format!("generated program seed={seed}");
+        let (out, bytes) = server_run(&program, &inputs, &cfg, &label);
+        let verdict = audit_points(
             &program,
             &out.trace,
             &bytes,
             IsolationLevel::Serializable,
-            &format!("generated program seed={seed}"),
+            &matrix(),
+            &label,
         );
         prop_assert!(
             verdict.is_ok(),
@@ -357,16 +339,16 @@ fn container_heavy_programs_replay_identically() {
             policy: SchedPolicy::Random { seed: 61 + seed },
             ..Default::default()
         };
-        let (out, advice) =
-            run_instrumented_server(&program, &inputs, &cfg, CollectorMode::Karousos)
-                .expect("container-heavy programs run cleanly");
-        let honest_bytes = encode_advice(&advice);
-        let verdict = assert_matrix_agrees(
+        let label = format!("container-heavy seed={seed}");
+        let (out, honest_bytes) = server_run(&program, &inputs, &cfg, &label);
+        let advice = decode_advice(&honest_bytes).expect("honest advice decodes");
+        let verdict = audit_points(
             &program,
             &out.trace,
             &honest_bytes,
             IsolationLevel::Serializable,
-            &format!("container-heavy seed={seed}"),
+            &matrix(),
+            &label,
         );
         assert!(
             verdict.is_ok(),
@@ -378,11 +360,12 @@ fn container_heavy_programs_replay_identically() {
         for m in Mutator::ALL {
             for s in 0..2 {
                 if let Some(mutation) = m.apply(&advice, s) {
-                    let _ = assert_matrix_agrees(
+                    let _ = audit_points(
                         &program,
                         &out.trace,
                         &mutation.bytes,
                         IsolationLevel::Serializable,
+                        &matrix(),
                         &format!("{} on container-heavy seed={seed}", mutation.mutator),
                     );
                 }
@@ -391,11 +374,12 @@ fn container_heavy_programs_replay_identically() {
         for m in WireMutator::ALL {
             for s in 0..2 {
                 if let Some(mutation) = m.apply(&honest_bytes, s) {
-                    let _ = assert_matrix_agrees(
+                    let _ = audit_points(
                         &program,
                         &out.trace,
                         &mutation.bytes,
                         IsolationLevel::Serializable,
+                        &matrix(),
                         &format!("{} on container-heavy seed={seed}", mutation.mutator),
                     );
                 }
@@ -422,21 +406,9 @@ fn honest_apps_replay_identically_across_the_matrix() {
             exp.requests = 16;
             exp.isolation = isolation;
             let program = app.program();
-            let (out, advice) = run_instrumented_server(
-                &program,
-                &exp.inputs(),
-                &exp.server_config(),
-                CollectorMode::Karousos,
-            )
-            .expect("apps run cleanly");
-            let bytes = encode_advice(&advice);
-            let verdict = assert_matrix_agrees(
-                &program,
-                &out.trace,
-                &bytes,
-                isolation,
-                &format!("{} at {isolation}", app.name()),
-            );
+            let label = format!("{} at {isolation}", app.name());
+            let (out, bytes) = server_run(&program, &exp.inputs(), &exp.server_config(), &label);
+            let verdict = audit_points(&program, &out.trace, &bytes, isolation, &matrix(), &label);
             assert!(
                 verdict.is_ok(),
                 "honest {} run rejected at {isolation}: {:?}",
@@ -444,47 +416,6 @@ fn honest_apps_replay_identically_across_the_matrix() {
                 verdict
             );
         }
-    }
-}
-
-/// The structured audit entry point resolves `bytecode` from
-/// [`AuditOptions::from_env`]; both explicit settings must agree with
-/// it on a real app (guards the env-gate wiring end to end).
-#[test]
-fn explicit_bytecode_settings_agree_with_default() {
-    let app = App::Stacks;
-    let mut exp = Experiment::paper_default(app, Mix::RW_MIXES[1], 4, 67);
-    exp.requests = 12;
-    let program = app.program();
-    let (out, advice) = run_instrumented_server(
-        &program,
-        &exp.inputs(),
-        &exp.server_config(),
-        CollectorMode::Karousos,
-    )
-    .expect("apps run cleanly");
-    let default = comparable(audit_with_options(
-        &program,
-        &out.trace,
-        &advice,
-        IsolationLevel::Serializable,
-        AuditOptions::default(),
-    ));
-    for bytecode in [false, true] {
-        let explicit = comparable(audit_with_options(
-            &program,
-            &out.trace,
-            &advice,
-            IsolationLevel::Serializable,
-            AuditOptions {
-                bytecode,
-                ..AuditOptions::default()
-            },
-        ));
-        assert_eq!(
-            default, explicit,
-            "bytecode={bytecode} diverges from default"
-        );
     }
 }
 
@@ -508,21 +439,17 @@ fn hostile_corpus_replays_identically() {
         exp.requests = 12;
         exp.isolation = isolation;
         let program = app.program();
-        let (out, advice) = run_instrumented_server(
-            &program,
-            &exp.inputs(),
-            &exp.server_config(),
-            CollectorMode::Karousos,
-        )
-        .expect("apps run cleanly");
-        let honest_bytes = encode_advice(&advice);
+        let (out, honest_bytes) =
+            server_run(&program, &exp.inputs(), &exp.server_config(), app.name());
+        let advice = decode_advice(&honest_bytes).expect("honest advice decodes");
 
         let mut check = |bytes: &[u8], label: &str| {
-            let verdict = assert_matrix_agrees(
+            let verdict = audit_points(
                 &program,
                 &out.trace,
                 bytes,
                 isolation,
+                &matrix(),
                 &format!("{label} on {}", app.name()),
             );
             if verdict.is_err() {

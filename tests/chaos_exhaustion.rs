@@ -1,13 +1,16 @@
 //! Chaos harness for resource governance (DESIGN.md §10): every
 //! exhaustion vector in the [`ExhaustMutator`] catalogue must terminate
 //! with a structured REJECT under a tight budget — never a hang, an
-//! OOM, or an abort — and the verdict must be identical at every
-//! threads×bytecode configuration. Honest advice must stay ACCEPTed
-//! under the default limits.
+//! OOM, or an abort — and the verdict must be identical at every point
+//! of the shared matrix (`tests/common`). Honest advice must stay
+//! ACCEPTed under the default limits, and under tight ones.
 
+mod common;
+
+use common::{audit_at, audit_points, matrix_with, Outcome, THREADS};
 use karousos::{
-    audit_encoded_with_options, audit_with_options, encode_advice, run_instrumented_server, Advice,
-    AuditOptions, CollectorMode, ExhaustMutator, Limits, RejectReason,
+    audit_with_options, encode_advice, run_instrumented_server, Advice, AuditOptions,
+    CollectorMode, ExhaustMutator, Limits, RejectReason,
 };
 use kem::dsl::*;
 use kem::{Program, ProgramBuilder, RunOutput, SchedPolicy, ServerConfig, Value};
@@ -75,42 +78,31 @@ fn honest(program: &Program, inputs: &[Value], seed: u64) -> (RunOutput, Advice)
     run_instrumented_server(program, inputs, &cfg, CollectorMode::Karousos).unwrap()
 }
 
-/// The full determinism matrix: the quarantine verdict (like any other
-/// verdict) must be bit-identical across worker counts and replay
-/// interpreters (tree-walk and bytecode VM). For
-/// `ResourceExhausted` that includes the `(group, spent, limit)`
-/// payload — the VM's batched fuel charging must trip at exactly the
-/// unit the tree-walk would.
-const MATRIX: [(usize, bool); 4] = [(1, false), (1, true), (4, false), (4, true)];
-
-fn audit_matrix(
+/// Audits `bytes` under `limits` at every point of the shared matrix
+/// and returns the common outcome: the quarantine verdict (like any
+/// other verdict) must be bit-identical across worker counts, replay
+/// interpreters and telemetry. For `ResourceExhausted` that includes
+/// the `(group, spent, limit)` payload — the VM's batched fuel charging
+/// must trip at exactly the unit the tree-walk would.
+fn audit_under(
     program: &Program,
     out: &RunOutput,
     bytes: &[u8],
     limits: Limits,
-) -> Vec<Result<(), RejectReason>> {
-    MATRIX
-        .iter()
-        .map(|&(threads, bytecode)| {
-            let opts = AuditOptions {
-                bytecode,
-                limits,
-                ..AuditOptions::with_threads(threads)
-            };
-            audit_encoded_with_options(
-                program,
-                &out.trace,
-                bytes,
-                IsolationLevel::Serializable,
-                opts,
-            )
-            .map(|_| ())
-        })
-        .collect()
+    label: &str,
+) -> Outcome {
+    audit_points(
+        program,
+        &out.trace,
+        bytes,
+        IsolationLevel::Serializable,
+        &matrix_with(&THREADS, limits),
+        label,
+    )
 }
 
 /// Applies `m` to honest advice and audits under `limits`, asserting
-/// every matrix cell rejects identically with the expected verdict.
+/// every matrix point rejects identically with the expected verdict.
 fn assert_contained(
     program: &Program,
     out: &RunOutput,
@@ -121,17 +113,8 @@ fn assert_contained(
     let mutation = m
         .apply(advice, 7)
         .unwrap_or_else(|| panic!("{} found nothing to mutate", m.name()));
-    let verdicts = audit_matrix(program, out, &mutation.bytes, limits);
-    let first = verdicts[0].clone();
-    for (v, &(threads, bytecode)) in verdicts.iter().zip(MATRIX.iter()) {
-        assert_eq!(
-            *v,
-            first,
-            "{}: verdict diverged at threads={threads} bytecode={bytecode}",
-            m.name()
-        );
-    }
-    match (&first, m.expected()) {
+    let verdict = audit_under(program, out, &mutation.bytes, limits, m.name());
+    match (&verdict, m.expected()) {
         (Err(RejectReason::ResourceExhausted { resource, .. }), Some(want)) => {
             assert_eq!(
                 *resource,
@@ -154,11 +137,32 @@ fn assert_contained(
 fn loop_bomb_is_contained_by_fuel() {
     let program = spin_program();
     let (out, advice) = honest(&program, &vec![Value::Null; 6], 3);
-    // Honest replay under the default limits still ACCEPTs.
+    // Honest replay ACCEPTs under the default limits, and identically
+    // — same statistics, same fuel bill — under budgets tight enough
+    // to be a deployment's: a budget an honest run fits in is not
+    // observable.
     let honest_bytes = encode_advice(&advice);
-    for v in audit_matrix(&program, &out, &honest_bytes, Limits::default()) {
-        v.expect("honest spin advice must accept under default limits");
-    }
+    let default = audit_under(&program, &out, &honest_bytes, Limits::default(), "honest");
+    assert!(
+        default.is_ok(),
+        "honest spin advice must accept under default limits: {default:?}"
+    );
+    let tight = Limits {
+        replay_fuel: 1 << 23,
+        group_deadline_ms: 30_000,
+        ..Limits::default()
+    };
+    assert_eq!(
+        default,
+        audit_under(
+            &program,
+            &out,
+            &honest_bytes,
+            tight,
+            "honest, tight budgets"
+        ),
+        "tight budgets changed an honest outcome"
+    );
     let limits = Limits {
         replay_fuel: 200_000,
         ..Limits::default()
@@ -169,20 +173,18 @@ fn loop_bomb_is_contained_by_fuel() {
     // unit reports spent == limit + 1, and the VM's batched charging
     // must reproduce that value bit-for-bit.
     let mutation = ExhaustMutator::LoopBomb.apply(&advice, 7).unwrap();
-    for v in audit_matrix(&program, &out, &mutation.bytes, limits) {
-        match v {
-            Err(RejectReason::ResourceExhausted {
-                resource,
-                spent,
-                limit,
-                ..
-            }) => {
-                assert_eq!(resource, karousos::verifier::ResourceKind::ReplayFuel);
-                assert_eq!(limit, 200_000);
-                assert_eq!(spent, 200_001, "fuel trip must report limit + 1");
-            }
-            other => panic!("expected fuel verdict, got {other:?}"),
+    match audit_under(&program, &out, &mutation.bytes, limits, "loop bomb") {
+        Err(RejectReason::ResourceExhausted {
+            resource,
+            spent,
+            limit,
+            ..
+        }) => {
+            assert_eq!(resource, karousos::verifier::ResourceKind::ReplayFuel);
+            assert_eq!(limit, 200_000);
+            assert_eq!(spent, 200_001, "fuel trip must report limit + 1");
         }
+        other => panic!("expected fuel verdict, got {other:?}"),
     }
 }
 
@@ -193,18 +195,24 @@ fn loop_bomb_is_contained_by_deadline_when_fuel_is_unmetered() {
     let mutation = ExhaustMutator::LoopBomb.apply(&advice, 7).unwrap();
     // Fuel unmetered: only the wall clock can stop the spin. The
     // deadline verdict is machine-dependent in its `spent` field, so
-    // (unlike fuel) it is asserted per-cell, not across the matrix.
+    // (unlike fuel) it is asserted per point, not across the matrix.
     let limits = Limits {
         replay_fuel: u64::MAX,
         group_deadline_ms: 100,
         ..Limits::default()
     };
-    for v in audit_matrix(&program, &out, &mutation.bytes, limits) {
-        match v {
+    for point in matrix_with(&THREADS, limits) {
+        match audit_at(
+            &program,
+            &out.trace,
+            &mutation.bytes,
+            IsolationLevel::Serializable,
+            point,
+        ) {
             Err(RejectReason::ResourceExhausted { resource, .. }) => {
                 assert_eq!(resource, karousos::verifier::ResourceKind::GroupDeadline);
             }
-            other => panic!("expected deadline verdict, got {other:?}"),
+            other => panic!("expected deadline verdict at {point:?}, got {other:?}"),
         }
     }
 }

@@ -1,0 +1,162 @@
+//! The in-process audit matrix, defined once.
+//!
+//! An audit's outcome — verdict, statistics, fuel bill and, on
+//! rejection, the exact [`RejectReason`] — must not depend on how it
+//! was run: worker threads {1, 4} × replay interpreter {tree-walk,
+//! bytecode} × telemetry {noop, enabled}. [`audit_matrix`] runs every
+//! point, asserts they agree and returns the outcome they share, so a
+//! test written against it checks its expectation at all eight points
+//! instead of at whichever one the defaults pick.
+//! `AuditOptions::default()` with a noop handle — what the plain
+//! `audit` / `audit_encoded` run — is one of the points.
+
+// Every test binary compiles this module and uses part of it.
+#![allow(dead_code)]
+
+use karousos::{
+    audit_encoded_with_obs, audit_with_obs, Advice, AuditOptions, AuditReport, Limits, ReexecStats,
+    RejectReason,
+};
+use kem::{Program, Trace};
+use kvstore::IsolationLevel;
+use obs::Obs;
+
+/// What an ACCEPT reports, timing excluded: the one part of an
+/// [`AuditReport`] that legitimately varies run to run.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Accepted {
+    pub reexec: ReexecStats,
+    pub graph_nodes: usize,
+    pub graph_edges: usize,
+}
+
+/// The comparable portion of an audit outcome.
+pub type Outcome = Result<Accepted, RejectReason>;
+
+fn comparable(r: Result<AuditReport, RejectReason>) -> Outcome {
+    r.map(|rep| Accepted {
+        reexec: rep.reexec,
+        graph_nodes: rep.graph_nodes,
+        graph_edges: rep.graph_edges,
+    })
+}
+
+/// One way of running an audit.
+#[derive(Debug, Clone, Copy)]
+pub struct Point {
+    pub opts: AuditOptions,
+    /// Record into an enabled [`Obs`] handle instead of a noop one.
+    pub obs: bool,
+}
+
+/// The thread counts of the standard matrix.
+pub const THREADS: [usize; 2] = [1, 4];
+
+/// `threads` × bytecode {off, on} × obs {noop, enabled}, every point
+/// under `limits`.
+pub fn matrix_with(threads: &[usize], limits: Limits) -> Vec<Point> {
+    let mut points = Vec::new();
+    for &threads in threads {
+        for bytecode in [false, true] {
+            for obs in [false, true] {
+                let opts = AuditOptions {
+                    threads,
+                    bytecode,
+                    limits,
+                    ..AuditOptions::default()
+                };
+                points.push(Point { opts, obs });
+            }
+        }
+    }
+    points
+}
+
+/// The standard matrix: [`THREADS`] under the default limits.
+pub fn matrix() -> Vec<Point> {
+    matrix_with(&THREADS, Limits::default())
+}
+
+/// The advice as the audit is handed it: decoded, or in its wire form.
+#[derive(Clone, Copy)]
+pub enum AdviceIn<'a> {
+    Decoded(&'a Advice),
+    Encoded(&'a [u8]),
+}
+
+impl<'a> From<&'a Advice> for AdviceIn<'a> {
+    fn from(advice: &'a Advice) -> Self {
+        AdviceIn::Decoded(advice)
+    }
+}
+
+impl<'a> From<&'a [u8]> for AdviceIn<'a> {
+    fn from(bytes: &'a [u8]) -> Self {
+        AdviceIn::Encoded(bytes)
+    }
+}
+
+impl<'a> From<&'a Vec<u8>> for AdviceIn<'a> {
+    fn from(bytes: &'a Vec<u8>) -> Self {
+        AdviceIn::Encoded(bytes)
+    }
+}
+
+/// Audits at one point.
+pub fn audit_at<'a>(
+    program: &Program,
+    trace: &Trace,
+    advice: impl Into<AdviceIn<'a>>,
+    isolation: IsolationLevel,
+    point: Point,
+) -> Outcome {
+    let obs = if point.obs {
+        Obs::enabled()
+    } else {
+        Obs::noop()
+    };
+    comparable(match advice.into() {
+        AdviceIn::Decoded(advice) => {
+            audit_with_obs(program, trace, advice, isolation, point.opts, &obs)
+        }
+        AdviceIn::Encoded(bytes) => {
+            audit_encoded_with_obs(program, trace, bytes, isolation, point.opts, &obs)
+        }
+    })
+}
+
+/// Audits at every one of `points`, asserts that they agree and returns
+/// the common outcome. `label` names the input in the failure message.
+#[track_caller]
+pub fn audit_points<'a>(
+    program: &Program,
+    trace: &Trace,
+    advice: impl Into<AdviceIn<'a>>,
+    isolation: IsolationLevel,
+    points: &[Point],
+    label: &str,
+) -> Outcome {
+    let advice = advice.into();
+    let (first, rest) = points.split_first().expect("at least one point");
+    let common = audit_at(program, trace, advice, isolation, *first);
+    for point in rest {
+        let outcome = audit_at(program, trace, advice, isolation, *point);
+        assert_eq!(
+            common, outcome,
+            "{label}: outcome at {first:?} differs from outcome at {point:?}"
+        );
+    }
+    common
+}
+
+/// [`audit_points`] over the standard [`matrix`]: the drop-in for a
+/// plain `audit` / `audit_encoded` call in a test.
+#[track_caller]
+pub fn audit_matrix<'a>(
+    program: &Program,
+    trace: &Trace,
+    advice: impl Into<AdviceIn<'a>>,
+    isolation: IsolationLevel,
+) -> Outcome {
+    audit_points(program, trace, advice, isolation, &matrix(), "audit matrix")
+}

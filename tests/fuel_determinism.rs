@@ -1,44 +1,22 @@
 //! Fuel accounting is a function of the advice, not of the verifier's
 //! execution configuration: the same (advice, limits) pair must yield
 //! an identical verdict — and for accepted runs, an identical total
-//! fuel bill — at every thread count. This is what
-//! makes `ResourceExhausted { resource: ReplayFuel }` a reproducible
-//! audit verdict rather than a scheduling accident.
+//! fuel bill — at every point of the shared matrix (`tests/common`).
+//! This is what makes `ResourceExhausted { resource: ReplayFuel }` a
+//! reproducible audit verdict rather than a scheduling accident.
+
+mod common;
 
 use apps::App;
-use karousos::{
-    audit_encoded_with_options, encode_advice, run_instrumented_server, AuditOptions,
-    CollectorMode, ExhaustMutator, Limits, RejectReason,
-};
+use common::{audit_points, matrix, matrix_with, THREADS};
+use karousos::{encode_advice, run_instrumented_server, CollectorMode, ExhaustMutator, Limits};
 use proptest::prelude::*;
 use workload::{Experiment, Mix};
-
-const MATRIX: [usize; 2] = [1, 4];
-
-fn matrix_verdicts(
-    program: &kem::Program,
-    trace: &kem::Trace,
-    bytes: &[u8],
-    isolation: kvstore::IsolationLevel,
-    limits: Limits,
-) -> Vec<Result<u64, RejectReason>> {
-    MATRIX
-        .iter()
-        .map(|&threads| {
-            let opts = AuditOptions {
-                limits,
-                ..AuditOptions::with_threads(threads)
-            };
-            audit_encoded_with_options(program, trace, bytes, isolation, opts)
-                .map(|report| report.reexec.fuel_spent)
-        })
-        .collect()
-}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Honest advice: every configuration ACCEPTs and bills the same
+    /// Honest advice: every matrix point ACCEPTs and bills the same
     /// total fuel.
     #[test]
     fn honest_fuel_bill_is_config_independent(
@@ -58,27 +36,26 @@ proptest! {
             CollectorMode::Karousos,
         ).unwrap();
         let bytes = encode_advice(&advice);
-        let verdicts = matrix_verdicts(
-            &program, &out.trace, &bytes, exp.isolation, Limits::default(),
+        let verdict = audit_points(
+            &program,
+            &out.trace,
+            &bytes,
+            exp.isolation,
+            &matrix(),
+            &format!("{app:?} seed={seed}"),
         );
-        for (v, threads) in verdicts.iter().zip(MATRIX) {
-            match v {
-                Ok(fuel) => prop_assert!(
-                    *fuel > 0,
-                    "{app:?} seed={seed}: zero fuel billed for a non-empty replay"
-                ),
-                Err(e) => return Err(TestCaseError::fail(format!(
-                    "{app:?} seed={seed} threads={threads} rejected honest run: {e}"
-                ))),
-            }
+        match verdict {
+            Ok(accepted) => prop_assert!(
+                accepted.reexec.fuel_spent > 0,
+                "{app:?} seed={seed}: zero fuel billed for a non-empty replay"
+            ),
+            Err(e) => return Err(TestCaseError::fail(format!(
+                "{app:?} seed={seed} rejected honest run: {e}"
+            ))),
         }
-        prop_assert!(
-            verdicts.windows(2).all(|w| w[0] == w[1]),
-            "{app:?} seed={seed}: fuel bill diverged across configs: {verdicts:?}"
-        );
     }
 
-    /// Loop-bombed advice under a tight budget: every configuration
+    /// Loop-bombed advice under a tight budget: every matrix point
     /// REJECTs with the same `ResourceExhausted` verdict — same group,
     /// same spent, same limit.
     #[test]
@@ -102,10 +79,13 @@ proptest! {
             None => return Ok(()),
         };
         let limits = Limits { replay_fuel: fuel_budget, ..Limits::default() };
-        let verdicts = matrix_verdicts(&program, &out.trace, &bytes, exp.isolation, limits);
-        prop_assert!(
-            verdicts.windows(2).all(|w| w[0] == w[1]),
-            "seed={seed} budget={fuel_budget}: verdict diverged across configs: {verdicts:?}"
+        let _ = audit_points(
+            &program,
+            &out.trace,
+            &bytes,
+            exp.isolation,
+            &matrix_with(&THREADS, limits),
+            &format!("seed={seed} budget={fuel_budget}"),
         );
     }
 }

@@ -3,10 +3,14 @@
 //! Sweeps the three evaluation applications across request mixes,
 //! concurrency levels, scheduler seeds, isolation levels, and both
 //! collection modes (Karousos and Orochi-JS), running the full
-//! pipeline: instrumented server → (trace, advice) → audit.
+//! pipeline: instrumented server → (trace, advice) → audit, at every
+//! point of the shared matrix (`tests/common`).
+
+mod common;
 
 use apps::App;
-use karousos::{audit, run_instrumented_server, CollectorMode};
+use common::audit_matrix;
+use karousos::{run_instrumented_server, CollectorMode};
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
 
@@ -25,7 +29,7 @@ fn check(app: App, mix: Mix, n: usize, concurrency: usize, seed: u64, iso: Isola
                     mix.name()
                 )
             });
-        audit(&program, &out.trace, &advice, iso).unwrap_or_else(|e| {
+        audit_matrix(&program, &out.trace, &advice, iso).unwrap_or_else(|e| {
             panic!(
                 "{} {} c={concurrency} seed={seed} iso={iso} {mode:?}: rejected honest run: {e}",
                 app.name(),
@@ -139,7 +143,7 @@ fn wiki_extended_workload_accepts() {
             };
             for mode in [CollectorMode::Karousos, CollectorMode::OrochiJs] {
                 let (out, advice) = run_instrumented_server(&program, &inputs, &cfg, mode).unwrap();
-                audit(&program, &out.trace, &advice, iso).unwrap_or_else(|e| {
+                audit_matrix(&program, &out.trace, &advice, iso).unwrap_or_else(|e| {
                     panic!("extended wiki rejected (seed {seed}, {iso}, {mode:?}): {e}")
                 });
             }

@@ -7,7 +7,10 @@
 //! and (b) auditing at a stronger level REJECTs with an isolation
 //! violation.
 
-use karousos::{audit, run_instrumented_server, CollectorMode, RejectReason};
+mod common;
+
+use common::audit_matrix;
+use karousos::{run_instrumented_server, CollectorMode, RejectReason};
 use kem::dsl::*;
 use kem::{ProgramBuilder, RequestId, SchedPolicy, ServerConfig, Value};
 use kvstore::IsolationLevel;
@@ -84,7 +87,7 @@ fn weak_level_accepts_at_its_own_level() {
             };
             let (out, advice) =
                 run_instrumented_server(&p, &skew_inputs(), &cfg, CollectorMode::Karousos).unwrap();
-            audit(&p, &out.trace, &advice, iso).unwrap_or_else(|e| {
+            audit_matrix(&p, &out.trace, &advice, iso).unwrap_or_else(|e| {
                 panic!("honest {iso} run rejected at its own level (seed {seed}): {e}")
             });
         }
@@ -127,10 +130,10 @@ fn write_skew_under_rc_rejected_when_audited_as_serializable() {
             continue;
         }
         // (a) honest at RC.
-        audit(&p, &out.trace, &advice, IsolationLevel::ReadCommitted)
+        audit_matrix(&p, &out.trace, &advice, IsolationLevel::ReadCommitted)
             .expect("write skew is legal under read-committed");
         // (b) a lying deployer claiming serializability is caught.
-        let err = audit(&p, &out.trace, &advice, IsolationLevel::Serializable).unwrap_err();
+        let err = audit_matrix(&p, &out.trace, &advice, IsolationLevel::Serializable).unwrap_err();
         assert!(
             matches!(err, RejectReason::Isolation(adya::Violation::G2 { .. })),
             "expected G2, got {err}"
@@ -227,11 +230,11 @@ fn dirty_read_under_ru_rejected_when_audited_as_read_committed() {
             continue;
         }
         // Honest at RU.
-        audit(&p, &out.trace, &advice, IsolationLevel::ReadUncommitted)
+        audit_matrix(&p, &out.trace, &advice, IsolationLevel::ReadUncommitted)
             .expect("dirty reads are legal under read-uncommitted");
         // Claiming read-committed is caught: the committed reader read
         // from an aborted transaction (G1a).
-        let err = audit(&p, &out.trace, &advice, IsolationLevel::ReadCommitted).unwrap_err();
+        let err = audit_matrix(&p, &out.trace, &advice, IsolationLevel::ReadCommitted).unwrap_err();
         assert!(
             matches!(err, RejectReason::Isolation(adya::Violation::G1a { .. })),
             "expected G1a, got {err}"

@@ -1,13 +1,15 @@
 //! Cost-ledger determinism: the per-group attribution rows are an
 //! *audit artifact*, so their deterministic columns must be
-//! bit-identical across every execution strategy — worker threads
-//! {1, 4} × interpreter {tree-walk, bytecode} — exactly like verdicts
-//! and metrics. The
+//! bit-identical across every execution strategy — the telemetry-on
+//! points of the shared matrix (`tests/common`): worker threads ×
+//! interpreter — exactly like verdicts and metrics. The
 //! advisory columns (wall-clock, allocation events) and the
 //! per-interpreter `bytecode_ops` column are excluded from the
 //! deterministic key by construction; this file pins both halves of
 //! that contract, plus the power-of-two bucket classification the
 //! Prometheus histograms are built on.
+
+mod common;
 
 use apps::App;
 use karousos::{audit_with_obs, run_instrumented_server, AuditOptions, CollectorMode};
@@ -40,12 +42,9 @@ fn ledger_for(
     out: &kem::RunOutput,
     advice: &karousos::Advice,
     iso: kvstore::IsolationLevel,
-    threads: usize,
-    bytecode: bool,
+    opts: AuditOptions,
 ) -> obs::CostLedger {
     let obs = Obs::enabled();
-    let mut opts = AuditOptions::with_threads(threads);
-    opts.bytecode = bytecode;
     audit_with_obs(program, &out.trace, advice, iso, opts, &obs)
         .expect("honest advice must be accepted");
     obs.ledger_snapshot()
@@ -55,52 +54,48 @@ fn ledger_for(
 fn ledger_bit_identical_across_threads_bytecode() {
     let (program, out, advice, iso) = wiki_run();
     let mut reference: Option<obs::CostLedger> = None;
-    for threads in [1usize, 4] {
-        for bytecode in [false, true] {
-            let ledger = ledger_for(&program, &out, &advice, iso, threads, bytecode);
-            assert!(!ledger.groups.is_empty(), "wiki audit must record groups");
-            // Rows arrive in ascending group order in every
-            // configuration (shards are absorbed in merge order).
-            for w in ledger.groups.windows(2) {
-                assert!(
-                    w[0].group < w[1].group,
-                    "ledger rows out of order: {} then {}",
-                    w[0].group,
-                    w[1].group
-                );
-            }
-            // bytecode_ops is the per-interpreter column: zero
-            // under the tree-walk, populated under the VM.
-            let vm_ops: u64 = ledger.groups.iter().map(|g| g.bytecode_ops).sum();
-            if bytecode {
-                assert!(vm_ops > 0, "VM replay must meter bytecode ops");
-            } else {
-                assert_eq!(vm_ops, 0, "tree-walk replay must not meter bytecode ops");
-            }
-            match &reference {
-                None => reference = Some(ledger),
-                Some(r) => {
-                    let keys: Vec<[u64; 10]> = ledger
-                        .groups
-                        .iter()
-                        .map(|g| g.deterministic_key())
-                        .collect();
-                    let ref_keys: Vec<[u64; 10]> =
-                        r.groups.iter().map(|g| g.deterministic_key()).collect();
-                    assert_eq!(
-                        ref_keys, keys,
-                        "ledger diverged at threads={threads} bytecode={bytecode}"
-                    );
-                    // Totals over the deterministic columns agree
-                    // too (fuel, ops, feeds, var accesses).
-                    let (rt, lt) = (r.totals(), ledger.totals());
-                    assert_eq!(rt.groups, lt.groups);
-                    assert_eq!(rt.requests, lt.requests);
-                    assert_eq!(rt.fuel, lt.fuel);
-                    assert_eq!(rt.ops, lt.ops);
-                    assert_eq!(rt.dict_feeds, lt.dict_feeds);
-                    assert_eq!(rt.var_accesses, lt.var_accesses);
-                }
+    for point in common::matrix().into_iter().filter(|p| p.obs) {
+        let opts = point.opts;
+        let ledger = ledger_for(&program, &out, &advice, iso, opts);
+        assert!(!ledger.groups.is_empty(), "wiki audit must record groups");
+        // Rows arrive in ascending group order in every
+        // configuration (shards are absorbed in merge order).
+        for w in ledger.groups.windows(2) {
+            assert!(
+                w[0].group < w[1].group,
+                "ledger rows out of order: {} then {}",
+                w[0].group,
+                w[1].group
+            );
+        }
+        // bytecode_ops is the per-interpreter column: zero
+        // under the tree-walk, populated under the VM.
+        let vm_ops: u64 = ledger.groups.iter().map(|g| g.bytecode_ops).sum();
+        if opts.bytecode {
+            assert!(vm_ops > 0, "VM replay must meter bytecode ops");
+        } else {
+            assert_eq!(vm_ops, 0, "tree-walk replay must not meter bytecode ops");
+        }
+        match &reference {
+            None => reference = Some(ledger),
+            Some(r) => {
+                let keys: Vec<[u64; 10]> = ledger
+                    .groups
+                    .iter()
+                    .map(|g| g.deterministic_key())
+                    .collect();
+                let ref_keys: Vec<[u64; 10]> =
+                    r.groups.iter().map(|g| g.deterministic_key()).collect();
+                assert_eq!(ref_keys, keys, "ledger diverged at {opts:?}");
+                // Totals over the deterministic columns agree
+                // too (fuel, ops, feeds, var accesses).
+                let (rt, lt) = (r.totals(), ledger.totals());
+                assert_eq!(rt.groups, lt.groups);
+                assert_eq!(rt.requests, lt.requests);
+                assert_eq!(rt.fuel, lt.fuel);
+                assert_eq!(rt.ops, lt.ops);
+                assert_eq!(rt.dict_feeds, lt.dict_feeds);
+                assert_eq!(rt.var_accesses, lt.var_accesses);
             }
         }
     }
@@ -111,8 +106,8 @@ fn bytecode_ops_identical_across_schedules_within_interpreter() {
     let (program, out, advice, iso) = wiki_run();
     // The column is per-interpreter, not per-schedule: both VM cells
     // at different thread counts must meter identically.
-    let a = ledger_for(&program, &out, &advice, iso, 1, true);
-    let b = ledger_for(&program, &out, &advice, iso, 4, true);
+    let a = ledger_for(&program, &out, &advice, iso, AuditOptions::with_threads(1));
+    let b = ledger_for(&program, &out, &advice, iso, AuditOptions::with_threads(4));
     let ops = |l: &obs::CostLedger| l.groups.iter().map(|g| g.bytecode_ops).collect::<Vec<_>>();
     assert_eq!(ops(&a), ops(&b));
 }

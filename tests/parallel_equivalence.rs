@@ -9,32 +9,23 @@
 //! every app, every isolation level, and a broad sample of
 //! hostile-advice mutations.
 
+mod common;
+
 use apps::App;
+use common::{audit_at, audit_points, matrix_with, Point};
 use karousos::{
-    audit_encoded_with_options, audit_with_options, encode_advice, run_instrumented_server,
-    AuditOptions, AuditReport, CollectorMode, Mutator, RejectReason, WireMutator,
+    audit_encoded_with_options, encode_advice, run_instrumented_server, AuditOptions,
+    CollectorMode, Limits, Mutator, WireMutator,
 };
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
 
-/// The full audit matrix: every thread count. `threads: 1` — no
-/// workers, each group replayed and merged on the calling thread — is
-/// the serial audit every other point must match.
-fn matrix() -> Vec<AuditOptions> {
-    [1, 2, 4, 8].map(AuditOptions::with_threads).to_vec()
-}
-
-/// The serial baseline.
-fn baseline() -> AuditOptions {
-    AuditOptions::with_threads(1)
-}
-
-/// The comparable portion of an audit outcome (timing excluded: it is
-/// the one field that legitimately varies run to run).
-type Outcome = Result<(karousos::ReexecStats, usize, usize), RejectReason>;
-
-fn comparable(r: Result<AuditReport, RejectReason>) -> Outcome {
-    r.map(|rep| (rep.reexec, rep.graph_nodes, rep.graph_edges))
+/// The shared matrix over a wider thread list than the standard one.
+/// Its first point — `threads: 1`, no workers, each group replayed and
+/// merged on the calling thread — is the serial audit every other point
+/// must match.
+fn points() -> Vec<Point> {
+    matrix_with(&[1, 2, 4, 8], Limits::default())
 }
 
 fn honest_run(
@@ -63,34 +54,13 @@ fn honest_run(
 
 #[test]
 fn honest_audits_agree_across_thread_counts() {
+    let points = points();
     for app in App::ALL {
         for isolation in IsolationLevel::ALL {
             let (program, trace, advice) = honest_run(app, isolation, 42);
-            let sequential = comparable(audit_with_options(
-                &program,
-                &trace,
-                &advice,
-                isolation,
-                baseline(),
-            ));
-            assert!(
-                sequential.is_ok(),
-                "sequential audit rejected honest {} run at {isolation}: {:?}",
-                app.name(),
-                sequential
-            );
-            for opts in matrix() {
-                let parallel = comparable(audit_with_options(
-                    &program, &trace, &advice, isolation, opts,
-                ));
-                assert_eq!(
-                    sequential,
-                    parallel,
-                    "{} at {isolation}: serial baseline vs threads={} disagree",
-                    app.name(),
-                    opts.threads
-                );
-            }
+            let label = format!("{} at {isolation}", app.name());
+            let outcome = audit_points(&program, &trace, &advice, isolation, &points, &label);
+            assert!(outcome.is_ok(), "honest {label} run rejected: {outcome:?}");
         }
     }
 }
@@ -101,37 +71,22 @@ fn hostile_audits_agree_across_thread_counts() {
     // parallel audit must REJECT exactly when the sequential one does,
     // for exactly the same reason. (Seed count is bounded to keep this
     // test's mutation sample a few hundred strong but quick; the full
-    // 1000+ sweep runs in hostile_advice.rs under the CI thread
-    // matrix.)
+    // 1000+ sweep runs in hostile_advice.rs on the default options.)
+    // Thread axis only: bytecode_equivalence.rs sweeps the same kind of
+    // corpus over the interpreter and telemetry axes.
     const SEEDS: u64 = 6;
+    let mut points = points();
+    points.retain(|p| p.opts.bytecode && !p.obs);
     let mut checked = 0usize;
     let mut rejected = 0usize;
     for (i, (app, isolation)) in App::ALL.iter().zip(IsolationLevel::ALL).enumerate() {
         let (program, trace, advice) = honest_run(*app, isolation, 500 + i as u64);
         let honest_bytes = encode_advice(&advice);
 
-        let mut check = |bytes: &[u8], label: &str| {
-            let sequential = comparable(audit_encoded_with_options(
-                &program,
-                &trace,
-                bytes,
-                isolation,
-                baseline(),
-            ));
-            if sequential.is_err() {
+        let mut check = |bytes: &[u8], mutator: &str| {
+            let label = format!("{mutator} on {} at {isolation}", app.name());
+            if audit_points(&program, &trace, bytes, isolation, &points, &label).is_err() {
                 rejected += 1;
-            }
-            for opts in matrix() {
-                let parallel = comparable(audit_encoded_with_options(
-                    &program, &trace, bytes, isolation, opts,
-                ));
-                assert_eq!(
-                    sequential,
-                    parallel,
-                    "{label} on {} at {isolation}: serial baseline vs threads={} disagree",
-                    app.name(),
-                    opts.threads
-                );
             }
             checked += 1;
         };
@@ -166,21 +121,20 @@ fn auto_thread_count_resolves_and_agrees() {
     // `threads = 0` (one worker per core) is the deployment setting;
     // it must agree with the sequential path too.
     let (program, trace, advice) = honest_run(App::Stacks, IsolationLevel::Serializable, 7);
-    let sequential = comparable(audit_with_options(
-        &program,
-        &trace,
-        &advice,
-        IsolationLevel::Serializable,
-        baseline(),
-    ));
-    let auto = comparable(audit_with_options(
-        &program,
-        &trace,
-        &advice,
-        IsolationLevel::Serializable,
-        AuditOptions::with_threads(0),
-    ));
-    assert_eq!(sequential, auto, "auto threads");
+    let at = |threads| {
+        let point = Point {
+            opts: AuditOptions::with_threads(threads),
+            obs: false,
+        };
+        audit_at(
+            &program,
+            &trace,
+            &advice,
+            IsolationLevel::Serializable,
+            point,
+        )
+    };
+    assert_eq!(at(1), at(0), "auto threads");
 }
 
 #[test]

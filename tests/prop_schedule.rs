@@ -43,7 +43,7 @@ proptest! {
 
         let mut verdicts = Vec::new();
         for schedule in SCHEDULES {
-            let opts = AuditOptions { schedule, ..AuditOptions::from_env() };
+            let opts = AuditOptions { schedule, ..AuditOptions::default() };
             let r = audit_with_options(&program, &out.trace, &advice, exp.isolation, opts);
             match r {
                 Ok(report) => verdicts.push((
@@ -86,7 +86,7 @@ proptest! {
             *output = kem::Value::str("forged");
         }
         for schedule in SCHEDULES {
-            let opts = AuditOptions { schedule, ..AuditOptions::from_env() };
+            let opts = AuditOptions { schedule, ..AuditOptions::default() };
             prop_assert!(
                 audit_with_options(&program, &out.trace, &advice, exp.isolation, opts).is_err(),
                 "schedule {schedule:?} accepted a forged trace"
