@@ -4,8 +4,7 @@
 //! harness [subcommand] [--requests N] [--iters K] [--seed S] [--seeds E]
 //!         [--verify-threads T] [--advice-mmap]
 //!         [--obs-out trace.json] [--metrics-out metrics.json]
-//!         [--prom-out prom.txt] [--prom-addr 127.0.0.1:9464]
-//!         [--dump-bytecode app]
+//!         [--prom-out prom.txt] [--dump-bytecode app]
 //! harness diff <a.json> <b.json> [--threshold-pct X]
 //! harness validate-metrics <schema.json> <metrics.json>
 //! harness validate-json <file.json>
@@ -20,11 +19,11 @@
 //! `--obs-out` / `--metrics-out` capture one fully-instrumented wiki
 //! run and write the Chrome `trace_event` / metrics-registry JSON
 //! exports (open the trace in Perfetto or `chrome://tracing`). With no
-//! explicit subcommand, the capture is the whole job. `--prom-out` /
-//! `--prom-addr` additionally run a live Prometheus text-format
-//! exporter for the duration of the capture — the file is atomically
-//! re-rendered every scrape interval and the address serves it over
-//! HTTP, so an external scraper watches the audit progress mid-flight.
+//! explicit subcommand, the capture is the whole job. `--prom-out`
+//! additionally runs a live Prometheus text-format exporter for the
+//! duration of the capture — the file is atomically re-rendered every
+//! scrape interval, so a textfile collector watches the audit progress
+//! mid-flight.
 //!
 //! `--dump-bytecode <motd|stacks|wiki>` prints the compiled replay
 //! bytecode of every function in the app's program (DESIGN.md §11) and
@@ -33,8 +32,8 @@
 //! `--verify-threads T` (default 4, `0` = one per core) sets the worker
 //! count for the parallel Karousos audit; every verification table
 //! reports the single-threaded time, the parallel time, the speedup,
-//! and the per-phase breakdown (preprocess / group replay / graph merge
-//! / cycle check) of both.
+//! and the per-layer breakdown (`obs::Layer`, decode to teardown) of
+//! both.
 //!
 //! Wall-clock and memory claims are not made here: the standing
 //! benchmark (`benchmark/`, `BENCHMARK.json`) measures the deployed
@@ -96,9 +95,6 @@ struct Opts {
     /// Prometheus text-format destination (`--prom-out`); enables
     /// telemetry capture and a live background exporter for the run.
     prom_out: Option<String>,
-    /// Prometheus HTTP listen address (`--prom-addr`); enables
-    /// telemetry capture and a live background exporter for the run.
-    prom_addr: Option<String>,
     /// `diff`: fail when any relative delta exceeds this percentage.
     threshold_pct: Option<f64>,
     /// Positional arguments after the subcommand name (file paths for
@@ -124,7 +120,6 @@ fn parse_args() -> Opts {
         obs_out: None,
         metrics_out: None,
         prom_out: None,
-        prom_addr: None,
         threshold_pct: None,
         positional: Vec::new(),
         dump_bytecode: None,
@@ -185,14 +180,6 @@ fn parse_args() -> Opts {
                     std::process::exit(2);
                 };
                 opts.prom_out = Some(path.clone());
-                i += 2;
-            }
-            "--prom-addr" => {
-                let Some(addr) = args.get(i + 1) else {
-                    eprintln!("--prom-addr requires a listen address, e.g. 127.0.0.1:9464");
-                    std::process::exit(2);
-                };
-                opts.prom_addr = Some(addr.clone());
                 i += 2;
             }
             "--threshold-pct" => {
@@ -538,76 +525,67 @@ fn ablations(o: &Opts) {
     }
 }
 
-/// Captures one fully-instrumented run — advice collection plus the
-/// parallel audit of the encoded advice, as deployed — of the wiki
-/// workload and writes the exports named
-/// by `--obs-out` (Chrome `trace_event` JSON, loadable in Perfetto /
-/// `chrome://tracing`) and `--metrics-out` (metrics registry JSON with
-/// the final progress heartbeat and the per-group/per-request cost
-/// ledger). With `--prom-out` / `--prom-addr` a background exporter
-/// additionally publishes live Prometheus snapshots for the duration
-/// of the run. Returns the populated handle so `report` can print the
-/// attribution from the same run.
-fn obs_capture(o: &Opts) -> obs::Obs {
+/// One fully-instrumented run of a paper shape — advice collection plus
+/// the audit of the encoded advice, as deployed — into `obs`. Returns
+/// the audit's statistics and its wall clock measured around the call.
+fn instrumented_run(
+    app: App,
+    mix: Mix,
+    o: &Opts,
+    obs: &obs::Obs,
+) -> (karousos::AuditReport, std::time::Duration) {
     use karousos::{audit_encoded_with_obs, run_instrumented_server_with_obs, CollectorMode};
-    let mut exp = workload::Experiment::paper_default(App::Wiki, Mix::Wiki, 8, o.seed);
+    let mut exp = workload::Experiment::paper_default(app, mix, 8, o.seed);
     exp.requests = o.requests;
-    let program = App::Wiki.program();
-    let inputs = exp.inputs();
+    let program = app.program();
+    let cfg = exp.server_config();
+    let (out, advice) = run_instrumented_server_with_obs(
+        &program,
+        &exp.inputs(),
+        &cfg,
+        CollectorMode::Karousos,
+        obs,
+    )
+    .expect("app runs");
+    let bytes = karousos::encode_advice(&advice);
+    let opts = karousos::AuditOptions::with_threads(o.verify_threads);
+    let start = std::time::Instant::now();
+    let report = audit_encoded_with_obs(&program, &out.trace, &bytes, exp.isolation, opts, obs);
+    let wall = start.elapsed();
+    (report.expect("honest advice must be accepted"), wall)
+}
+
+/// Captures one instrumented wiki run and writes its snapshot's exports:
+/// `--obs-out` (Chrome `trace_event` JSON, loadable in Perfetto /
+/// `chrome://tracing`) and `--metrics-out` (the schema'd metrics JSON).
+/// With `--prom-out` a background exporter additionally publishes live
+/// Prometheus pages for the duration of the run. Returns the snapshot so
+/// `report` can print the attribution from the same run.
+fn obs_capture(o: &Opts) -> obs::Snapshot {
     let obs = obs::Obs::enabled();
-    let exporter = if o.prom_out.is_some() || o.prom_addr.is_some() {
-        match obs::PromExporter::start(
-            obs.clone(),
-            o.prom_out.as_ref().map(std::path::PathBuf::from),
-            o.prom_addr.as_deref(),
-            obs::DEFAULT_SCRAPE_INTERVAL,
-        ) {
-            Ok(ex) => {
-                if let Some(addr) = ex.local_addr() {
-                    println!("  serving live Prometheus metrics on http://{addr}/metrics");
-                }
-                Some(ex)
-            }
-            Err(e) => {
+    let exporter = o.prom_out.as_ref().map(|path| {
+        obs::PromExporter::start(obs.clone(), path.into(), obs::DEFAULT_SCRAPE_INTERVAL)
+            .unwrap_or_else(|e| {
                 eprintln!("failed to start Prometheus exporter: {e}");
                 std::process::exit(1);
-            }
-        }
-    } else {
-        None
-    };
+            })
+    });
     // Attribute allocation events to ledger rows (the advisory column;
     // the global allocator feeds the thread-local probe only while
     // this is on).
     obs::allocprobe::set_enabled(true);
-    let (out, advice) = run_instrumented_server_with_obs(
-        &program,
-        &inputs,
-        &exp.server_config(),
-        CollectorMode::Karousos,
-        &obs,
-    )
-    .expect("wiki app runs");
-    let report = audit_encoded_with_obs(
-        &program,
-        &out.trace,
-        &karousos::encode_advice(&advice),
-        exp.isolation,
-        karousos::AuditOptions::with_threads(o.verify_threads),
-        &obs,
-    )
-    .expect("honest advice must be accepted");
+    let (report, _) = instrumented_run(App::Wiki, Mix::Wiki, o, &obs);
     obs::allocprobe::set_enabled(false);
-    let progress = obs.progress_snapshot();
+    let snap = obs.snapshot();
     println!(
         "== telemetry capture: wiki mixed, {} requests, {} groups, {} spans, phase {} \
          ({}/{} groups replayed) ==",
         o.requests,
         report.reexec.groups,
-        obs.spans_snapshot().len(),
-        progress.phase.name(),
-        progress.groups_done,
-        progress.groups_total,
+        snap.spans.len(),
+        snap.progress.phase.name(),
+        snap.progress.groups_done,
+        snap.progress.groups_total,
     );
     if let Some(ex) = exporter {
         // Final render happens on stop, so the file always ends on the
@@ -617,30 +595,64 @@ fn obs_capture(o: &Opts) -> obs::Obs {
     if let Some(path) = &o.prom_out {
         println!("  wrote {path} (Prometheus text format 0.0.4)");
     }
-    if let Some(path) = &o.obs_out {
-        if let Err(e) = std::fs::write(path, obs.trace_json()) {
+    for (path, export, what) in [
+        (
+            &o.obs_out,
+            snap.to_chrome_trace(),
+            " (chrome://tracing / Perfetto)",
+        ),
+        (&o.metrics_out, snap.to_json(), ""),
+    ] {
+        let Some(path) = path else { continue };
+        if let Err(e) = std::fs::write(path, export) {
             eprintln!("failed to write {path}: {e}");
             std::process::exit(1);
         }
-        println!("  wrote {path} (chrome://tracing / Perfetto)");
+        println!("  wrote {path}{what}");
     }
-    if let Some(path) = &o.metrics_out {
-        if let Err(e) = std::fs::write(path, obs.metrics_json()) {
-            eprintln!("failed to write {path}: {e}");
-            std::process::exit(1);
-        }
-        println!("  wrote {path}");
-    }
-    obs
+    snap
 }
 
-/// `report`: one instrumented wiki run, then the cost attribution —
-/// where the audit's fuel, operations, and wall-clock actually went,
-/// by re-execution group, by handler tree (control-flow digest), and
-/// by served request.
+/// The layer table of the paper's three shapes, from each audit's
+/// snapshot: wall clock per layer and its share of the audit measured
+/// from outside, which the last row reconciles. Each shape is audited
+/// `--iters` times; the table is the run with the median wall clock.
+fn layer_tables(o: &Opts) {
+    println!(
+        "\n== audit layers ({} requests, {} verify threads, median of {}) ==",
+        o.requests, o.verify_threads, o.iters
+    );
+    for (app, mix) in [
+        (App::Wiki, Mix::Wiki),
+        (App::Motd, Mix::WriteHeavy),
+        (App::Stacks, Mix::ReadHeavy),
+    ] {
+        let mut runs: Vec<_> = (0..o.iters)
+            .map(|_| {
+                let obs = obs::Obs::enabled();
+                let (_, wall) = instrumented_run(app, mix, o, &obs);
+                (wall, obs.snapshot().layers)
+            })
+            .collect();
+        runs.sort_by_key(|(wall, _)| *wall);
+        let (wall, layers) = runs[runs.len() / 2];
+        let share = |d: std::time::Duration| d.as_secs_f64() * 100.0 / wall.as_secs_f64();
+        println!("\n  {} ({}): audit {} ms", app.name(), mix.name(), ms(wall));
+        let rows = layers.layers().map(|(layer, d)| (layer.name(), d));
+        for (name, d) in rows.chain([("all layers", layers.total())]) {
+            println!("    {name:<12} {:>9} ms {:>5.1} %", ms(d), share(d));
+        }
+    }
+}
+
+/// `report`: where an audit's wall clock goes, layer by layer, for the
+/// paper's three shapes; then one instrumented wiki run's cost
+/// attribution — where its fuel, operations, and wall-clock went, by
+/// re-execution group, by handler tree (control-flow digest), and by
+/// served request.
 fn report(o: &Opts) {
-    let obs = obs_capture(o);
-    let ledger = obs.ledger_snapshot();
+    layer_tables(o);
+    let ledger = obs_capture(o).ledger;
     let t = ledger.totals();
     println!(
         "\n== cost attribution: wiki mixed, {} requests ==",
@@ -659,31 +671,6 @@ fn report(o: &Opts) {
         t.wall_us,
         t.alloc_events,
     );
-    // Where the advice bytes went before any group ran: the
-    // `decode-advice` span (view decode + `AdviceRef` build).
-    if let Some(decode) = obs
-        .spans_snapshot()
-        .iter()
-        .find(|s| s.name == "decode-advice")
-    {
-        let arg = |key: &str| {
-            decode
-                .args
-                .iter()
-                .flatten()
-                .find(|(k, _)| *k == key)
-                .map_or(0, |(_, v)| *v)
-        };
-        println!(
-            "  decode: {} advice bytes in {} us; {} string bytes copied; \
-             {} nested values shared, {} built",
-            arg("bytes"),
-            decode.dur_us,
-            arg("copied"),
-            arg("values_shared"),
-            arg("values_built"),
-        );
-    }
 
     println!("\n  top groups by fuel:");
     println!(
@@ -1041,8 +1028,10 @@ subcommands! {
         "write the wiki advice to disk and require the read-backed, mapped and file-entry-point \
          audits to match the in-memory one";
     "report", Own, report,
-        "one instrumented wiki run, then its cost attribution: ledger totals, the most \
-         fuel-expensive groups, per-handler-tree totals, the most expensive served requests";
+        "the audit's layer table (wall, share, reconciliation against the measured audit) for \
+         MOTD, stacks and wiki, then one instrumented wiki run's cost attribution: ledger totals, \
+         the most fuel-expensive groups, per-handler-tree totals, the most expensive served \
+         requests";
     "diff", Never, diff,
         "`<a.json> <b.json> [--threshold-pct X]`: per-leaf deltas of two JSON exports; with a \
          threshold, exits nonzero when a relative delta exceeds it";

@@ -10,6 +10,7 @@
 //! Produced by [`crate::verifier::audit_forensic`].
 
 use kem::VarId;
+use obs::Layer;
 
 use crate::verifier::graph::{CycleEdge, EdgeKind, Graph};
 use crate::verifier::reject::RejectReason;
@@ -32,12 +33,27 @@ impl std::fmt::Display for AuditFailure {
 
 impl std::error::Error for AuditFailure {}
 
+/// A rejection on its way out of the audit, so the core can raise one
+/// with `?`. It is not yet placed in a layer (`phase` reads `idle`): the
+/// audit's outermost function places it when the failure reaches it.
+/// Boxed because an `AuditFailure` is ~150 bytes of diagnostics that
+/// every ACCEPTing call would otherwise reserve return-slot space for
+/// (clippy::result_large_err).
+impl From<RejectReason> for Box<AuditFailure> {
+    fn from(reason: RejectReason) -> Self {
+        let diagnostics = AuditDiagnostics::from_reason(Layer::Idle, &reason);
+        Box::new(AuditFailure {
+            reason,
+            diagnostics,
+        })
+    }
+}
+
 /// Serializable post-mortem of a rejected audit.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditDiagnostics {
-    /// The audit phase that rejected: `"decode"`, `"preprocess"`,
-    /// `"reexec"`, or `"postprocess"`.
-    pub phase: &'static str,
+    /// The layer the audit was in when it rejected.
+    pub phase: Layer,
     /// [`RejectReason::kind`] of the rejection.
     pub kind: &'static str,
     /// The rejection's human-readable message.
@@ -133,7 +149,7 @@ pub struct CycleEdgeReport {
 
 impl AuditDiagnostics {
     /// Diagnostics for a rejection with no cycle forensics.
-    pub fn from_reason(phase: &'static str, reason: &RejectReason) -> Self {
+    pub fn from_reason(phase: Layer, reason: &RejectReason) -> Self {
         AuditDiagnostics {
             phase,
             kind: reason.kind(),
@@ -148,11 +164,11 @@ impl AuditDiagnostics {
         match &self.cycle {
             Some(c) => format!(
                 "audit rejected in {}: {} (minimal cycle: {} edges)",
-                self.phase,
+                self.phase.name(),
                 self.reason,
                 c.edges.len()
             ),
-            None => format!("audit rejected in {}: {}", self.phase, self.reason),
+            None => format!("audit rejected in {}: {}", self.phase.name(), self.reason),
         }
     }
 
@@ -160,7 +176,7 @@ impl AuditDiagnostics {
     pub fn to_json(&self) -> String {
         let mut out = String::with_capacity(256);
         out.push_str("{\n");
-        out.push_str(&format!("  \"phase\": \"{}\",\n", esc(self.phase)));
+        out.push_str(&format!("  \"phase\": \"{}\",\n", self.phase.name()));
         out.push_str(&format!("  \"kind\": \"{}\",\n", esc(self.kind)));
         out.push_str(&format!("  \"reason\": \"{}\",\n", esc(&self.reason)));
         match &self.cycle {
@@ -350,7 +366,7 @@ mod tests {
     #[test]
     fn diagnostics_json_escapes_and_round_trips_shape() {
         let d = AuditDiagnostics {
-            phase: "postprocess",
+            phase: Layer::CycleCheck,
             kind: "CycleInG",
             reason: "execution graph has a \"cycle\"".to_string(),
             cycle: Some(CycleReport {
@@ -375,6 +391,7 @@ mod tests {
             }),
         };
         let json = d.to_json();
+        assert!(json.contains("\"phase\": \"cycle_check\""));
         assert!(json.contains("\\\"cycle\\\""));
         assert!(json.contains("\"kind\": \"wr\""));
         assert!(json.contains("\"var\": \"v3\""));
@@ -413,7 +430,7 @@ mod tests {
 
     #[test]
     fn from_reason_has_no_cycle() {
-        let d = AuditDiagnostics::from_reason("preprocess", &RejectReason::UnbalancedTrace);
+        let d = AuditDiagnostics::from_reason(Layer::Preprocess, &RejectReason::UnbalancedTrace);
         assert_eq!(d.kind, "UnbalancedTrace");
         assert!(d.cycle.is_none());
         assert!(d.to_json().contains("\"cycle\": null"));

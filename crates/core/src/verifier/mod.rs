@@ -27,6 +27,7 @@ pub use forensics::{
     TopGroupCost,
 };
 pub use graph::{CycleEdge, CycleProbe, EdgeKind, Graph};
+pub use obs::PhaseTiming;
 pub use preprocess::{
     preprocess, preprocess_staged, DeferredEdges, OpMapEntry, PreStaged, Preprocessed,
 };
@@ -37,10 +38,8 @@ pub use reject::{RejectReason, ResourceKind};
 pub use var_index::VarIndex;
 pub use vars::{FeedCounters, VarStates};
 
-use std::time::{Duration, Instant};
-
 use kem::{init_handler_id, OpRef, Program, RequestId, Trace, VarId};
-use obs::{CounterId, GaugeId, HistogramId, Obs};
+use obs::{CounterId, GaugeId, HistogramId, Layer, LayerClock, Obs};
 
 use crate::advice::Advice;
 use crate::advice_ref::AdviceRef;
@@ -112,69 +111,6 @@ impl AuditOptions {
     }
 }
 
-/// Wall-clock breakdown of a successful audit's phases.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct PhaseTiming {
-    /// Decode: the bounded view decode of the advice bytes plus the
-    /// [`AdviceRef`] build (zero for the entry points handed an
-    /// already-decoded [`Advice`]).
-    pub decode: Duration,
-    /// Preprocess: decode-independent advice checks, OpMap and base
-    /// graph construction, isolation verification.
-    pub preprocess: Duration,
-    /// Group replay: the re-execution section's wall clock net of the
-    /// state merge — interpreting every group, the deferred-edge merge
-    /// that overlaps it and, when `threads > 1`, the coordinator's
-    /// waits for its workers.
-    pub group_replay: Duration,
-    /// Graph merge: applying the groups' variable-access streams to the
-    /// global state and the final whole-audit checks (the coordinator's
-    /// time inside the merge, never its waits), plus embedding the
-    /// per-variable WR/WW/RW edges into `G`.
-    pub graph_merge: Duration,
-    /// The single post-merge acyclicity check over `G`.
-    pub cycle_check: Duration,
-}
-
-impl PhaseTiming {
-    /// Sum of all phases. The phases are disjoint stretches of the
-    /// calling thread's time, so this never exceeds the audit's wall
-    /// clock at any thread count.
-    pub fn total(&self) -> Duration {
-        self.decode + self.preprocess + self.group_replay + self.graph_merge + self.cycle_check
-    }
-
-    /// The phase breakdown as a JSON object (microsecond integers).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"decode_us\": {}, \"preprocess_us\": {}, \"group_replay_us\": {}, \"graph_merge_us\": {}, \"cycle_check_us\": {}, \"total_us\": {}}}",
-            self.decode.as_micros(),
-            self.preprocess.as_micros(),
-            self.group_replay.as_micros(),
-            self.graph_merge.as_micros(),
-            self.cycle_check.as_micros(),
-            self.total().as_micros()
-        )
-    }
-}
-
-impl std::fmt::Display for PhaseTiming {
-    /// One-line human-readable breakdown, shared by the bench harness
-    /// and the phase probe.
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let ms = |d: Duration| d.as_secs_f64() * 1e3;
-        write!(
-            f,
-            "decode {:.2} | pre {:.2} | replay {:.2} | merge {:.2} | cycle {:.2} ms",
-            ms(self.decode),
-            ms(self.preprocess),
-            ms(self.group_replay),
-            ms(self.graph_merge),
-            ms(self.cycle_check)
-        )
-    }
-}
-
 /// Statistics of a successful audit.
 #[derive(Debug, Clone, Copy)]
 pub struct AuditReport {
@@ -184,7 +120,7 @@ pub struct AuditReport {
     pub graph_nodes: usize,
     /// Edges in the final execution graph `G`.
     pub graph_edges: usize,
-    /// Per-phase wall-clock breakdown.
+    /// Wall clock per [`Layer`], teardown included.
     pub timing: PhaseTiming,
 }
 
@@ -237,18 +173,18 @@ pub fn audit_encoded_with_obs(
     opts: AuditOptions,
     obs: &Obs,
 ) -> Result<AuditReport, RejectReason> {
-    match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        let span = obs.span_start();
-        obs.progress_phase(obs::Phase::Decode);
+    let mut clock = LayerClock::start(obs, Layer::Decode);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         // Byte budget first: the cheapest check, applied before a
         // single advice byte is parsed.
         if advice_bytes.len() as u64 > opts.limits.decode_max_bytes {
-            return Err(RejectReason::ResourceExhausted {
+            let over = RejectReason::ResourceExhausted {
                 resource: ResourceKind::DecodeBytes,
                 group: None,
                 spent: advice_bytes.len() as u64,
                 limit: opts.limits.decode_max_bytes,
-            });
+            };
+            return Err(over.into());
         }
         // Zero-copy decode: the audit runs over a borrowed
         // [`AdviceRef`] built straight from the wire view, so the only
@@ -262,7 +198,6 @@ pub fn audit_encoded_with_obs(
         // `AdviceView::to_advice` stay alive as the differential
         // oracles). The node budget caps total declared collection
         // elements across all sections.
-        let decode_start = Instant::now();
         let (view, decode_stats) =
             crate::wire::decode_advice_view_bounded(advice_bytes, opts.limits.decode_max_nodes)
                 .map_err(|e| match e {
@@ -283,41 +218,41 @@ pub fn audit_encoded_with_obs(
                         }
                     }
                 })?;
+        clock.enter(Layer::AdviceRef, &[("bytes", advice_bytes.len() as u64)]);
         let mut interner = kem::ValueInterner::new();
         let advice = AdviceRef::from_view(&view, &mut interner);
         let copied = decode_stats.bytes_copied + interner.bytes_copied;
         obs.count(CounterId::BytesDecoded, advice_bytes.len() as u64);
         obs.count(CounterId::DecodeBytesCopied, copied);
-        obs.record_span(
-            "decode-advice",
-            0,
-            span,
+        clock.enter(
+            Layer::Preprocess,
             &[
-                ("bytes", advice_bytes.len() as u64),
                 ("copied", copied),
                 ("values_shared", interner.values_shared),
                 ("values_built", interner.values_built),
             ],
         );
-        let decode = decode_start.elapsed();
-        audit_core(program, trace, &advice, isolation, opts, obs, Mode::Grouped)
-            .map(|mut report| {
-                report.timing.decode = decode;
-                report
-            })
-            .map_err(|f| f.reason)
-    })) {
-        Ok(outcome) => outcome,
-        Err(payload) => {
-            // The backstop fired: record it (the fault-injection
-            // harness treats any crossing of this boundary as a
-            // verifier bug) and carry the payload into the forensics.
-            obs.count(CounterId::PanicsCaught, 1);
-            Err(RejectReason::VerifierInternal {
-                what: format!("audit panicked: {}", panic_message(&payload)),
-            })
-        }
-    }
+        audit_core_inner(
+            program,
+            trace,
+            &advice,
+            isolation,
+            opts,
+            &mut clock,
+            Mode::Grouped,
+        )
+        // The view, the interner and the advice drop here, in the layer
+        // the core left the clock in: teardown on ACCEPT.
+    }))
+    .unwrap_or_else(|payload| {
+        // The backstop fired: record it (the fault-injection harness
+        // treats any crossing of this boundary as a verifier bug) and
+        // carry the payload into the forensics.
+        obs.count(CounterId::PanicsCaught, 1);
+        let what = format!("audit panicked: {}", panic_message(&payload));
+        Err(RejectReason::VerifierInternal { what }.into())
+    });
+    conclude(clock, outcome).map_err(|f| f.reason)
 }
 
 /// Audits from an [`AdviceSource`] — in-memory bytes or a memory-mapped
@@ -580,17 +515,6 @@ fn check_graph_volume(nodes: usize, edges: usize, limits: &Limits) -> Result<(),
     Ok(())
 }
 
-// Failures are boxed: an `AuditFailure` is ~150 bytes of diagnostics
-// that every ACCEPTing call would otherwise reserve return-slot space
-// for (clippy::result_large_err).
-fn fail(phase: &'static str, reason: RejectReason) -> Box<AuditFailure> {
-    let diagnostics = AuditDiagnostics::from_reason(phase, &reason);
-    Box::new(AuditFailure {
-        reason,
-        diagnostics,
-    })
-}
-
 /// What an entry point asks of the one core. How it re-executes is
 /// the only thing [`audit`] and [`ooo_audit`] (Lemma 3's two sides) do
 /// differently.
@@ -608,14 +532,8 @@ enum Mode {
     Ungrouped,
 }
 
-/// The shared implementation behind every audit entry point: phases
-/// are timed, spanned, and metered through `obs`, and failures are
-/// wrapped in [`AuditFailure`].
-///
-/// This wrapper owns the progress heartbeat's terminal transitions
-/// and, on rejection, attaches cost attribution from the ledger: a
-/// REJECT then names not just why but what the audit spent getting
-/// there.
+/// The audit of already-decoded advice: the core between one
+/// [`LayerClock`] start and its [`conclude`].
 fn audit_core(
     program: &Program,
     trace: &Trace,
@@ -625,55 +543,66 @@ fn audit_core(
     obs: &Obs,
     mode: Mode,
 ) -> Result<AuditReport, Box<AuditFailure>> {
-    obs.progress_phase(obs::Phase::Preprocess);
-    let mut res = audit_core_inner(program, trace, advice, isolation, opts, obs, mode);
-    match &mut res {
-        Ok(_) => obs.progress_phase(obs::Phase::Done),
-        Err(failure) => {
-            obs.progress_phase(obs::Phase::Rejected);
-            if obs.is_enabled() && failure.diagnostics.attribution.is_none() {
-                failure.diagnostics.attribution =
-                    CostAttribution::from_ledger(&obs.ledger_snapshot());
-            }
-        }
-    }
-    res
+    let mut clock = LayerClock::start(obs, Layer::Preprocess);
+    let outcome = audit_core_inner(program, trace, advice, isolation, opts, &mut clock, mode);
+    conclude(clock, outcome)
 }
 
+/// Where every audit ends, whichever way it left the core — verdict,
+/// budget, malformed advice, panic backstop. Owns what only the
+/// outermost function can know: the layer a REJECT happened in (the one
+/// the clock stopped in), the heartbeat's terminal state, the timing
+/// with the drops that followed the verdict in it, and, on REJECT, what
+/// the audit spent getting there (cost attribution from the ledger).
+fn conclude(
+    clock: LayerClock<'_>,
+    outcome: Result<AuditReport, Box<AuditFailure>>,
+) -> Result<AuditReport, Box<AuditFailure>> {
+    let obs = clock.obs();
+    match outcome {
+        Ok(mut report) => {
+            report.timing = clock.finish(Layer::Done);
+            Ok(report)
+        }
+        Err(mut failure) => {
+            failure.diagnostics.phase = clock.layer();
+            clock.finish(Layer::Rejected);
+            if obs.is_enabled() {
+                failure.diagnostics.attribution =
+                    CostAttribution::from_ledger(&obs.snapshot().ledger);
+            }
+            Err(failure)
+        }
+    }
+}
+
+/// The layers every entry point shares, preprocess to teardown. Each
+/// boundary is one [`LayerClock::enter`]; a REJECT leaves through `?`
+/// with the clock still in the layer that found it.
 fn audit_core_inner<'a>(
     program: &Program,
     trace: &Trace,
     advice: &'a AdviceRef<'a>,
     isolation: kvstore::IsolationLevel,
     opts: AuditOptions,
-    obs: &Obs,
+    clock: &mut LayerClock<'_>,
     mode: Mode,
 ) -> Result<AuditReport, Box<AuditFailure>> {
+    let obs = clock.obs();
     let threads = opts.effective_threads();
-    let mut timing = PhaseTiming::default();
 
     // Volume budgets before preprocess commits to advice-proportional
     // allocations.
-    if let Err(reason) = check_advice_volume(advice, &opts.limits) {
-        return Err(fail("preprocess", reason));
-    }
+    check_advice_volume(advice, &opts.limits)?;
 
     // Preprocess (includes isolation-level verification): the
     // advice-driven sections run sharded per request; the edge
     // fragments come back deferred so that their merge into `G` can
     // overlap group replay.
-    let t = Instant::now();
-    let span = obs.span_start();
-    let staged = match preprocess_staged(program, trace, advice, isolation, threads) {
-        Ok(staged) => staged,
-        Err(reason) => return Err(fail("preprocess", reason)),
-    };
     let PreStaged {
         mut pre,
         mut deferred,
-    } = staged;
-    obs.record_span("preprocess", 0, span, &[]);
-    timing.preprocess = t.elapsed();
+    } = preprocess_staged(program, trace, advice, isolation, threads)?;
 
     // Advice-volume metrics (guarded: the sums cost a walk over the
     // advice, which the disabled path must not pay).
@@ -705,6 +634,7 @@ fn audit_core_inner<'a>(
     // `G` while replay runs (replay never reads the graph). Grouped,
     // workers replay whole groups and each group's unit streams into
     // the global state in ascending order as it lands.
+    clock.enter(Layer::Replay, &[]);
     let mut graph = std::mem::take(&mut pre.graph);
     let executor = ReExecutor::new(program, trace, advice, &pre, &mut vars)
         .with_schedule(opts.schedule)
@@ -720,21 +650,17 @@ fn audit_core_inner<'a>(
             obs.record_span("edge-merge", 0, espan, &[("edges", edges)]);
         }
     };
-    let replayed = match mode {
-        Mode::Grouped | Mode::GroupedForensic => executor.run_pipelined(threads, merge_edges),
+    let reexec = match mode {
+        Mode::Grouped | Mode::GroupedForensic => {
+            let (reexec, timing) = executor.run_pipelined(threads, merge_edges)?;
+            clock.carve(Layer::StateMerge, timing.state_merge);
+            reexec
+        }
         Mode::Ungrouped => {
-            let t = Instant::now();
             merge_edges();
-            let stats = executor.run_ungrouped();
-            let timing = ReexecTiming {
-                group_replay: t.elapsed(),
-                ..Default::default()
-            };
-            stats.map(|stats| (stats, timing))
+            executor.run_ungrouped()?
         }
     };
-    let (reexec, reexec_timing) = replayed.map_err(|reason| fail("reexec", reason))?;
-    timing.group_replay = reexec_timing.group_replay;
 
     obs.count(CounterId::GroupsFormed, reexec.groups as u64);
     obs.count(CounterId::UniformOps, reexec.uniform_ops);
@@ -744,14 +670,8 @@ fn audit_core_inner<'a>(
     obs.count(CounterId::LoggedReads, feeds.logged_reads);
 
     // Postprocess: embed internal-state edges, check acyclicity.
-    obs.progress_phase(obs::Phase::GraphMerge);
-    let t = Instant::now();
-    let span = obs.span_start();
-    if let Err(reason) = vars.add_internal_state_edges_sharded(&mut graph, threads) {
-        return Err(fail("postprocess", reason));
-    }
-    obs.record_span("graph-merge", 0, span, &[]);
-    timing.graph_merge = reexec_timing.state_merge + t.elapsed();
+    clock.enter(Layer::EdgeEmbed, &[("groups", reexec.groups as u64)]);
+    vars.add_internal_state_edges_sharded(&mut graph, threads)?;
 
     if obs.is_enabled() {
         let counts = graph.edge_kind_counts();
@@ -770,32 +690,25 @@ fn audit_core_inner<'a>(
 
     // Final graph budgets before the traversal commits to visiting
     // every node (the declared ones plus two per traced request).
-    if let Err(reason) = check_graph_volume(graph.node_count(), graph.edge_count(), &opts.limits) {
-        return Err(fail("postprocess", reason));
-    }
+    let (graph_nodes, graph_edges) = (graph.node_count(), graph.edge_count());
+    check_graph_volume(graph_nodes, graph_edges, &opts.limits)?;
 
-    obs.progress_phase(obs::Phase::CycleCheck);
-    let t = Instant::now();
-    let span = obs.span_start();
+    clock.enter(Layer::CycleCheck, &[("edges", graph_edges as u64)]);
     let probe = graph.probe_cycle();
     obs.count(CounterId::CycleCheckVisits, probe.visits);
-    obs.record_span("cycle-check", 0, span, &[("visits", probe.visits)]);
     if probe.back_edge.is_some() {
-        let reason = RejectReason::CycleInG;
-        let mut diagnostics = AuditDiagnostics::from_reason("postprocess", &reason);
+        let mut failure: Box<AuditFailure> = RejectReason::CycleInG.into();
         if mode == Mode::GroupedForensic {
-            diagnostics.cycle = cycle_report(&graph);
+            failure.diagnostics.cycle = cycle_report(&graph);
         }
-        return Err(Box::new(AuditFailure {
-            reason,
-            diagnostics,
-        }));
+        return Err(failure);
     }
-    timing.cycle_check = t.elapsed();
+    // Everything the audit built drops on the way out, from here.
+    clock.enter(Layer::Teardown, &[("visits", probe.visits)]);
     Ok(AuditReport {
         reexec,
-        graph_nodes: graph.node_count(),
-        graph_edges: graph.edge_count(),
-        timing,
+        graph_nodes,
+        graph_edges,
+        timing: PhaseTiming::default(),
     })
 }

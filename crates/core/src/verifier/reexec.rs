@@ -863,7 +863,6 @@ impl<'a> ReExecutor<'a> {
         let exchanges = exchanges.as_slice();
         let obs_handle = self.obs.clone();
         obs_handle.progress_replay_total(ngroups as u64);
-        obs_handle.progress_phase(obs::Phase::Replay);
         let (program, trace, advice, pre, schedule, limits, bytecode) = (
             self.program,
             self.trace,
@@ -2801,9 +2800,14 @@ impl Merge<'_> {
         let t = Instant::now();
         final_checks(trace, pre, &self.coverage)?;
         busy += t.elapsed();
-        // The span is the merge loop's extent, waits included.
+        // The span is the merge loop's extent, waits included; the
+        // layer's own time is `busy`.
+        let args = [
+            ("groups", ngroups as u64),
+            ("busy_us", busy.as_micros() as u64),
+        ];
         self.obs
-            .record_span("state-merge", 0, span, &[("groups", ngroups as u64)]);
+            .record_span(obs::Layer::StateMerge.name(), 0, span, &args);
         Ok((self.stats, busy))
     }
 

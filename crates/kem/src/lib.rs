@@ -32,7 +32,6 @@ mod hooks;
 mod ids;
 mod label;
 mod ops;
-pub mod pretty;
 pub mod pvalue;
 pub mod resolve;
 mod runtime;

@@ -23,8 +23,8 @@
 //!   per request.
 //!
 //! The resolved form is a parallel IR: the original string AST stays
-//! the source of truth for pretty-printing and digests of *programs*,
-//! while [`Resolved`] is what the interpreters execute.
+//! the source of truth for digests of *programs*, while [`Resolved`]
+//! is what the interpreters execute.
 
 use std::collections::{BTreeMap, HashMap};
 

@@ -11,8 +11,6 @@
 //! happened to reuse). [`GroupCost::deterministic_key`] names the
 //! pinned columns; `tests/ledger_determinism.rs` enforces the matrix.
 
-use crate::allocprobe;
-
 /// What one replay group cost the audit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct GroupCost {
@@ -48,9 +46,9 @@ pub struct GroupCost {
     /// Wall-clock microseconds the replay took (advisory: machine- and
     /// schedule-dependent).
     pub wall_us: u64,
-    /// Allocations observed by the thread-local [`allocprobe`] during
-    /// the replay (advisory: 0 unless a counting allocator feeds the
-    /// probe; depends on scratch-pool reuse across groups).
+    /// Allocations observed by the thread-local [`crate::allocprobe`]
+    /// during the replay (advisory: 0 unless a counting allocator feeds
+    /// the probe; depends on scratch-pool reuse across groups).
     pub alloc_events: u64,
 }
 
@@ -234,13 +232,6 @@ impl CostLedger {
         out.push_str("]}");
         out
     }
-}
-
-/// Samples the thread-local allocation probe (a no-op reading 0 unless
-/// a counting allocator is feeding [`allocprobe`]). Convenience
-/// re-export so ledger call sites don't import two modules.
-pub fn alloc_reading() -> u64 {
-    allocprobe::reading()
 }
 
 #[cfg(test)]

@@ -1,7 +1,7 @@
 //! `karousos-obs`: zero-dependency observability for the Karousos
 //! audit pipeline.
 //!
-//! Three pieces:
+//! Four pieces:
 //!
 //! 1. **Metrics registry** ([`metrics`]) — catalog-addressed
 //!    counters, gauges, and fixed-bucket histograms stored in inline
@@ -10,41 +10,47 @@
 //!    per-variable edge fragments).
 //! 2. **Span tracing** ([`span`]) — a heap-free [`Span`] record, a
 //!    ring-buffer recorder, and a Chrome `trace_event` exporter.
-//! 3. **The [`Obs`] handle** — `Obs::noop()` is the default
+//! 3. **Layers** ([`layer`]) — the one list of audit stages and the
+//!    [`LayerClock`] the audit moves through them with.
+//! 4. **The [`Obs`] handle** — `Obs::noop()` is the default
 //!    everywhere: it holds no allocation, and every record call is an
 //!    inlined early return, so the instrumented hot path costs
 //!    nothing when observability is off (the PR 3 alloc-regression
 //!    budget is enforced against this path). `Obs::enabled()` turns
 //!    on recording behind one `Arc<Mutex<_>>`; worker threads never
 //!    touch the lock — they record into private [`ObsShard`]s that
-//!    the coordinator absorbs in ascending group order.
+//!    the coordinator absorbs in ascending group order. Everything
+//!    recorded leaves through one [`Snapshot`], rendered three ways.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod allocprobe;
+pub mod layer;
 pub mod ledger;
 pub mod metrics;
 pub mod progress;
 pub mod prom;
 pub mod span;
 
+pub use layer::{Layer, LayerClock, PhaseTiming};
 pub use ledger::{CostLedger, GroupCost, LedgerTotals, RequestCost};
 pub use metrics::{
     bucket_bound, bucket_index, CounterId, GaugeId, HistogramId, MetricsShard, NUM_BUCKETS,
 };
-pub use progress::{Phase, Progress, ProgressSnapshot};
-pub use prom::{check_exposition, prometheus_text, PromExporter, DEFAULT_SCRAPE_INTERVAL};
-pub use span::{chrome_trace_json, Span, SpanRing, MAX_SPAN_ARGS};
+pub use progress::{Progress, ProgressSnapshot};
+pub use prom::{check_exposition, PromExporter, DEFAULT_SCRAPE_INTERVAL};
+pub use span::{Span, SpanRing, MAX_SPAN_ARGS};
 
 use std::sync::{Arc, Mutex};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 /// Default ring-buffer capacity (spans retained) for
 /// [`Obs::enabled`].
 pub const DEFAULT_SPAN_CAPACITY: usize = 16_384;
 
 struct Recorded {
+    layers: PhaseTiming,
     metrics: MetricsShard,
     spans: SpanRing,
     ledger: CostLedger,
@@ -97,6 +103,7 @@ impl Obs {
             inner: Some(Arc::new(Inner {
                 epoch: Instant::now(),
                 state: Mutex::new(Recorded {
+                    layers: PhaseTiming::default(),
                     metrics: MetricsShard::new(true),
                     spans: SpanRing::new(span_capacity),
                     ledger: CostLedger::default(),
@@ -207,36 +214,34 @@ impl Obs {
         dur_us
     }
 
-    /// Snapshot of the merged metrics (a disabled, empty shard when
-    /// the handle is noop). The span ring's drop count is folded into
-    /// the `spans_dropped` counter, so a saturated ring is visible in
-    /// every metrics surface, not just the JSON export.
-    pub fn metrics_snapshot(&self) -> MetricsShard {
-        match &self.inner {
-            Some(inner) => match inner.state.lock() {
-                Ok(st) => {
-                    let mut m = st.metrics;
-                    let dropped = st.spans.dropped();
-                    if dropped > 0 {
-                        m.count(CounterId::SpansDropped, dropped);
-                    }
-                    m
-                }
-                Err(_) => MetricsShard::new(false),
-            },
-            None => MetricsShard::new(false),
+    /// Everything recorded so far, read under one acquisition of the
+    /// state lock: the layer timing, the counters and the ledger of a
+    /// mid-flight snapshot are of the same instant. Empty (and the
+    /// metrics a disabled shard) when the handle is noop.
+    pub fn snapshot(&self) -> Snapshot {
+        let mut snap = Snapshot {
+            layers: PhaseTiming::default(),
+            metrics: MetricsShard::new(false),
+            progress: ProgressSnapshot::default(),
+            ledger: CostLedger::default(),
+            spans: Vec::new(),
+        };
+        if let Some(inner) = &self.inner {
+            if let Ok(st) = inner.state.lock() {
+                snap.layers = st.layers;
+                snap.metrics = st.metrics;
+                // A saturated ring is visible in every export.
+                snap.metrics
+                    .count(CounterId::SpansDropped, st.spans.dropped());
+                snap.progress = inner.progress.snapshot();
+                snap.ledger = st.ledger.clone();
+                snap.spans = st.spans.snapshot();
+            }
         }
-    }
-
-    /// Snapshot of the assembled cost ledger (empty when noop).
-    pub fn ledger_snapshot(&self) -> CostLedger {
-        match &self.inner {
-            Some(inner) => match inner.state.lock() {
-                Ok(st) => st.ledger.clone(),
-                Err(_) => CostLedger::default(),
-            },
-            None => CostLedger::default(),
-        }
+        // The ring holds spans in completion order, a layer after the
+        // spans nested in it; exports list them by start.
+        snap.spans.sort_by_key(|s| s.ts_us);
+        snap
     }
 
     /// Appends one served-request row to the ledger. The collector
@@ -249,13 +254,6 @@ impl Obs {
         }
     }
 
-    /// The live progress heartbeat (`None` when noop). Workers update
-    /// it through the convenience methods below; pollers snapshot it
-    /// without touching the metrics mutex.
-    pub fn progress(&self) -> Option<&Progress> {
-        self.inner.as_ref().map(|i| &i.progress)
-    }
-
     /// A point-in-time progress reading (all-zero idle when noop).
     pub fn progress_snapshot(&self) -> ProgressSnapshot {
         match &self.inner {
@@ -264,11 +262,36 @@ impl Obs {
         }
     }
 
-    /// Enter audit phase `phase` on the heartbeat.
+    /// [`LayerClock`]'s heartbeat move.
     #[inline]
-    pub fn progress_phase(&self, phase: Phase) {
+    pub(crate) fn progress_layer(&self, layer: Layer) {
         if let Some(inner) = &self.inner {
-            inner.progress.set_phase(phase);
+            inner.progress.set_phase(layer);
+        }
+    }
+
+    /// [`LayerClock`]'s sink: `own` more wall time in `layer` and, when
+    /// the layer ends here, its lane-0 span (start, extent, `args`).
+    pub(crate) fn layer_time(
+        &self,
+        layer: Layer,
+        own: Duration,
+        span: Option<(Instant, Duration)>,
+        args: &[(&'static str, u64)],
+    ) {
+        let Some(inner) = &self.inner else { return };
+        if let Ok(mut st) = inner.state.lock() {
+            st.layers.add(layer, own);
+            if let Some((start, extent)) = span {
+                st.spans.push(Span {
+                    name: layer.name(),
+                    cat: "audit",
+                    lane: 0,
+                    ts_us: start.duration_since(inner.epoch).as_micros() as u64,
+                    dur_us: extent.as_micros() as u64,
+                    args: Span::pack_args(args),
+                });
+            }
         }
     }
 
@@ -295,53 +318,53 @@ impl Obs {
             inner.progress.note_floor(group);
         }
     }
+}
 
-    /// The current state as one Prometheus text-format page (metrics,
-    /// progress heartbeat, ledger totals).
-    pub fn prometheus_text(&self) -> String {
-        prom::prometheus_text(
-            &self.metrics_snapshot(),
-            &self.progress_snapshot(),
-            Some(&self.ledger_snapshot().totals()),
-        )
-    }
+/// One reading of everything an [`Obs`] handle holds ([`Obs::snapshot`]),
+/// and the three exports rendered from it: [`Snapshot::to_json`] (the
+/// shape `schema/metrics.schema.json` pins), [`Snapshot::to_prometheus`]
+/// and [`Snapshot::to_chrome_trace`].
+#[derive(Debug, Clone)]
+pub struct Snapshot {
+    /// Wall clock per audit layer.
+    pub layers: PhaseTiming,
+    /// The merged metrics, with the span ring's drop count folded into
+    /// `spans_dropped`.
+    pub metrics: MetricsShard,
+    /// The progress heartbeat.
+    pub progress: ProgressSnapshot,
+    /// The per-group / per-request cost ledger.
+    pub ledger: CostLedger,
+    /// The retained spans, by start time.
+    pub spans: Vec<Span>,
+}
 
-    /// Snapshot of the retained spans in insertion order, including
-    /// the drop count folded into the `spans_dropped` counter of
-    /// [`Obs::metrics_snapshot`] exports.
-    pub fn spans_snapshot(&self) -> Vec<Span> {
-        match &self.inner {
-            Some(inner) => match inner.state.lock() {
-                Ok(st) => st.spans.snapshot(),
-                Err(_) => Vec::new(),
-            },
-            None => Vec::new(),
+impl Snapshot {
+    /// The metrics JSON export: the registry's sections, then
+    /// `"progress"`, `"ledger"` and `"layers"`.
+    pub fn to_json(&self) -> String {
+        let mut out = String::with_capacity(2048 + self.ledger.groups.len() * 160);
+        out.push_str("{\n");
+        self.metrics.write_json_sections(&mut out);
+        for (key, section) in [
+            ("progress", self.progress.to_json()),
+            ("ledger", self.ledger.to_json()),
+            ("layers", self.layers.to_json()),
+        ] {
+            out.push_str(&format!(",\n  \"{key}\": {section}"));
         }
-    }
-
-    /// Metrics JSON export: [`MetricsShard::to_json`]'s sections
-    /// (with the ring's drop count folded into `spans_dropped`) plus
-    /// `"progress"` and `"ledger"` — the full shape
-    /// `schema/metrics.schema.json` pins.
-    pub fn metrics_json(&self) -> String {
-        let shard_json = self.metrics_snapshot().to_json();
-        // `to_json` ends with "}\n"; splice the extra sections in
-        // before the closing brace.
-        let trimmed = shard_json.trim_end();
-        let base = trimmed.strip_suffix('}').unwrap_or(trimmed);
-        let mut out = String::with_capacity(shard_json.len() + 1024);
-        out.push_str(base.trim_end());
-        out.push_str(",\n  \"progress\": ");
-        out.push_str(&self.progress_snapshot().to_json());
-        out.push_str(",\n  \"ledger\": ");
-        out.push_str(&self.ledger_snapshot().to_json());
         out.push_str("\n}\n");
         out
     }
 
-    /// Chrome `trace_event` JSON export of the retained spans.
-    pub fn trace_json(&self) -> String {
-        chrome_trace_json(&self.spans_snapshot())
+    /// One Prometheus text-format 0.0.4 scrape page.
+    pub fn to_prometheus(&self) -> String {
+        prom::prometheus_text(self)
+    }
+
+    /// Chrome `trace_event` JSON of the retained spans.
+    pub fn to_chrome_trace(&self) -> String {
+        span::chrome_trace_json(&self.spans)
     }
 }
 
@@ -382,11 +405,6 @@ impl ObsShard {
     #[inline]
     pub fn is_enabled(&self) -> bool {
         self.metrics.is_enabled()
-    }
-
-    /// The lane this shard records under.
-    pub fn lane(&self) -> u32 {
-        self.lane
     }
 
     /// Add `n` to counter `c`.
@@ -434,11 +452,6 @@ impl ObsShard {
         dur_us
     }
 
-    /// Spans recorded into this shard so far.
-    pub fn spans(&self) -> &[Span] {
-        &self.spans
-    }
-
     /// Records one group's cost-ledger row (no-op when disabled). The
     /// rows land in the assembled [`CostLedger`] in absorb order — the
     /// verifier absorbs shards in ascending group order, which is what
@@ -447,11 +460,6 @@ impl ObsShard {
         if self.metrics.is_enabled() {
             self.group_costs.push(cost);
         }
-    }
-
-    /// Group-cost rows recorded into this shard so far.
-    pub fn group_costs(&self) -> &[GroupCost] {
-        &self.group_costs
     }
 }
 
@@ -472,8 +480,9 @@ mod tests {
         let st = shard.span_start();
         assert!(st.is_none());
         obs.absorb(shard);
-        assert_eq!(obs.metrics_snapshot().counter(CounterId::GroupsFormed), 0);
-        assert!(obs.spans_snapshot().is_empty());
+        let snap = obs.snapshot();
+        assert_eq!(snap.metrics.counter(CounterId::GroupsFormed), 0);
+        assert!(snap.spans.is_empty());
     }
 
     #[test]
@@ -489,24 +498,11 @@ mod tests {
         b.count(CounterId::DictFeeds, 5);
         obs.absorb(a);
         obs.absorb(b);
-        let m = obs.metrics_snapshot();
-        assert_eq!(m.counter(CounterId::DictFeeds), 7);
-        let spans = obs.spans_snapshot();
+        let Snapshot { metrics, spans, .. } = obs.snapshot();
+        assert_eq!(metrics.counter(CounterId::DictFeeds), 7);
         assert_eq!(spans.len(), 2);
         assert_eq!(spans[0].name, "preprocess");
         assert_eq!(spans[1].lane, 1);
         assert_eq!(spans[1].args[0], Some(("group", 0)));
-    }
-
-    #[test]
-    fn trace_json_is_emitted_for_enabled_handle() {
-        let obs = Obs::enabled();
-        let t = obs.span_start();
-        obs.record_span("cycle-check", 0, t, &[("visits", 42)]);
-        let json = obs.trace_json();
-        assert!(json.contains("\"cycle-check\""));
-        assert!(json.contains("\"visits\":42"));
-        let metrics = obs.metrics_json();
-        assert!(metrics.contains("\"cycle_check_visits\": 0"));
     }
 }

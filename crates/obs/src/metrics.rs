@@ -357,12 +357,12 @@ impl MetricsShard {
         self.sums[h as usize]
     }
 
-    /// Serialize the shard as a JSON object:
-    /// `{"counters": {...}, "gauges": {...}, "histogram_bounds": [...],
-    ///   "histograms": {"name": {"counts": [...], "total": n, "sum": n}}}`.
-    pub fn to_json(&self) -> String {
-        let mut out = String::with_capacity(1024);
-        out.push_str("{\n  \"counters\": {");
+    /// Appends the shard's four sections of the metrics JSON export,
+    /// without the enclosing braces:
+    /// `"counters": {...}, "gauges": {...}, "histogram_bounds": [...],
+    ///  "histograms": {"name": {"counts": [...], "total": n, "sum": n}}`.
+    pub(crate) fn write_json_sections(&self, out: &mut String) {
+        out.push_str("  \"counters\": {");
         for (i, c) in CounterId::ALL.iter().enumerate() {
             if i > 0 {
                 out.push(',');
@@ -408,8 +408,7 @@ impl MetricsShard {
                 self.histogram_sum(*h)
             ));
         }
-        out.push_str("\n  }\n}\n");
-        out
+        out.push_str("\n  }");
     }
 }
 
@@ -506,10 +505,11 @@ mod tests {
     }
 
     #[test]
-    fn to_json_mentions_every_instrument() {
+    fn json_sections_mention_every_instrument() {
         let mut s = MetricsShard::new(true);
         s.count(CounterId::EdgesTime, 3);
-        let json = s.to_json();
+        let mut json = String::new();
+        s.write_json_sections(&mut json);
         for c in CounterId::ALL {
             assert!(
                 json.contains(&format!("\"{}\"", c.name())),

@@ -3,7 +3,7 @@
 //! taking the obs mutex.
 //!
 //! The [`Progress`] struct is the scrape surface for a long-running
-//! audit: phase, groups replayed / total, fuel spent, and the
+//! audit: phase (a [`Layer`]), groups replayed / total, fuel spent, and the
 //! early-abort floor. Every field is a relaxed atomic — the counters
 //! are monotone within one audit (each worker only ever adds), so a
 //! mid-flight [`ProgressSnapshot`] is always consistent enough to
@@ -12,56 +12,7 @@
 
 use std::sync::atomic::{AtomicU64, AtomicU8, Ordering};
 
-/// The audit phase a [`Progress`] heartbeat reports.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-#[repr(u8)]
-pub enum Phase {
-    /// No audit has started on this handle.
-    Idle = 0,
-    /// Decoding wire-form advice.
-    Decode = 1,
-    /// Advice checks, OpMap and base-graph construction, isolation.
-    Preprocess = 2,
-    /// Group replay (the parallel section).
-    Replay = 3,
-    /// Variable-stream merge + internal-state edge embedding.
-    GraphMerge = 4,
-    /// The post-merge acyclicity traversal.
-    CycleCheck = 5,
-    /// The audit ACCEPTed.
-    Done = 6,
-    /// The audit REJECTed.
-    Rejected = 7,
-}
-
-impl Phase {
-    /// Stable lower-snake name (used in JSON and Prometheus exports).
-    pub fn name(self) -> &'static str {
-        match self {
-            Phase::Idle => "idle",
-            Phase::Decode => "decode",
-            Phase::Preprocess => "preprocess",
-            Phase::Replay => "replay",
-            Phase::GraphMerge => "graph_merge",
-            Phase::CycleCheck => "cycle_check",
-            Phase::Done => "done",
-            Phase::Rejected => "rejected",
-        }
-    }
-
-    fn from_u8(v: u8) -> Phase {
-        match v {
-            1 => Phase::Decode,
-            2 => Phase::Preprocess,
-            3 => Phase::Replay,
-            4 => Phase::GraphMerge,
-            5 => Phase::CycleCheck,
-            6 => Phase::Done,
-            7 => Phase::Rejected,
-            _ => Phase::Idle,
-        }
-    }
-}
+use crate::layer::Layer;
 
 /// Sentinel for "no early-abort floor": no group has hard-failed.
 const NO_FLOOR: u64 = u64::MAX;
@@ -87,7 +38,7 @@ impl Progress {
     /// A fresh heartbeat: idle, nothing replayed, no floor.
     pub fn new() -> Self {
         Progress {
-            phase: AtomicU8::new(Phase::Idle as u8),
+            phase: AtomicU8::new(Layer::Idle as u8),
             groups_total: AtomicU64::new(0),
             groups_done: AtomicU64::new(0),
             fuel_spent: AtomicU64::new(0),
@@ -96,7 +47,7 @@ impl Progress {
     }
 
     /// Enter `phase`.
-    pub fn set_phase(&self, phase: Phase) {
+    pub fn set_phase(&self, phase: Layer) {
         self.phase.store(phase as u8, Ordering::Relaxed);
     }
 
@@ -121,7 +72,7 @@ impl Progress {
     /// A consistent-enough point-in-time reading.
     pub fn snapshot(&self) -> ProgressSnapshot {
         ProgressSnapshot {
-            phase: Phase::from_u8(self.phase.load(Ordering::Relaxed)),
+            phase: Layer::from_u8(self.phase.load(Ordering::Relaxed)),
             groups_total: self.groups_total.load(Ordering::Relaxed),
             groups_done: self.groups_done.load(Ordering::Relaxed),
             fuel_spent: self.fuel_spent.load(Ordering::Relaxed),
@@ -136,8 +87,8 @@ impl Progress {
 /// A point-in-time reading of a [`Progress`] heartbeat.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ProgressSnapshot {
-    /// The phase the audit is in.
-    pub phase: Phase,
+    /// The layer the audit is in.
+    pub phase: Layer,
     /// Total replay groups (0 until replay starts).
     pub groups_total: u64,
     /// Groups that have finished replaying.
@@ -151,7 +102,7 @@ pub struct ProgressSnapshot {
 impl Default for ProgressSnapshot {
     fn default() -> Self {
         ProgressSnapshot {
-            phase: Phase::Idle,
+            phase: Layer::Idle,
             groups_total: 0,
             groups_done: 0,
             fuel_spent: 0,
@@ -185,12 +136,12 @@ mod tests {
     fn updates_accumulate_and_snapshot() {
         let p = Progress::new();
         assert_eq!(p.snapshot(), ProgressSnapshot::default());
-        p.set_phase(Phase::Replay);
+        p.set_phase(Layer::Replay);
         p.set_replay_total(4);
         p.group_replayed(10);
         p.group_replayed(32);
         let s = p.snapshot();
-        assert_eq!(s.phase, Phase::Replay);
+        assert_eq!(s.phase, Layer::Replay);
         assert_eq!(s.groups_total, 4);
         assert_eq!(s.groups_done, 2);
         assert_eq!(s.fuel_spent, 42);
@@ -209,7 +160,7 @@ mod tests {
     #[test]
     fn snapshot_json_shape() {
         let p = Progress::new();
-        p.set_phase(Phase::Done);
+        p.set_phase(Layer::Done);
         let j = p.snapshot().to_json();
         assert!(j.contains("\"phase\": \"done\""));
         assert!(j.contains("\"failed_floor\": null"));

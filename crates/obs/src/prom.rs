@@ -2,8 +2,8 @@
 //!
 //! Three pieces, all std-only:
 //!
-//! * [`prometheus_text`] renders a metrics snapshot + progress
-//!   heartbeat + ledger totals as Prometheus exposition format 0.0.4
+//! * [`Snapshot::to_prometheus`] renders metrics + progress heartbeat +
+//!   ledger totals + layer timing as Prometheus exposition format 0.0.4
 //!   (counters as `*_total`, histograms with cumulative `le` buckets).
 //! * [`check_exposition`] validates a rendered page (well-formed
 //!   families, numeric non-negative samples, cumulative buckets) —
@@ -11,23 +11,18 @@
 //!   `validate-prom` subcommand.
 //! * [`PromExporter`] is the background thread: it periodically
 //!   re-renders an `Obs` handle to a file (write-temp + atomic rename,
-//!   so a scraper never reads a torn page) and optionally serves the
-//!   page over a tiny blocking-free HTTP listener
-//!   (the harness's `--prom-addr`), making a long audit scrapable
-//!   mid-flight.
+//!   so a textfile collector never reads a torn page), making a long
+//!   audit scrapable mid-flight.
 
-use std::io::{Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crate::ledger::LedgerTotals;
-use crate::metrics::{bucket_bound, CounterId, GaugeId, HistogramId, MetricsShard};
-use crate::progress::ProgressSnapshot;
-use crate::Obs;
+use crate::layer::Layer;
+use crate::metrics::{bucket_bound, CounterId, GaugeId, HistogramId};
+use crate::{Obs, Snapshot};
 
 /// Metric-name prefix for every exported family.
 pub const PREFIX: &str = "karousos";
@@ -44,13 +39,10 @@ fn family(out: &mut String, name: &str, kind: &str, help: &str) {
     out.push('\n');
 }
 
-/// Renders one scrape page from a metrics snapshot, a progress
-/// heartbeat, and (optionally) ledger totals.
-pub fn prometheus_text(
-    metrics: &MetricsShard,
-    progress: &ProgressSnapshot,
-    ledger: Option<&LedgerTotals>,
-) -> String {
+/// Renders one scrape page: metrics, progress heartbeat, ledger totals
+/// and layer timing.
+pub(crate) fn prometheus_text(snap: &Snapshot) -> String {
+    let (metrics, progress) = (&snap.metrics, &snap.progress);
     let mut out = String::with_capacity(8192);
     for c in CounterId::ALL {
         let name = format!("{PREFIX}_{}_total", c.name());
@@ -80,12 +72,12 @@ pub fn prometheus_text(
     // Progress heartbeat: gauges (they reset per audit run, but are
     // monotone within one run — the mid-flight liveness signal).
     let phase = format!("{PREFIX}_progress_phase");
-    family(
-        &mut out,
-        &phase,
-        "gauge",
-        "audit phase (0 idle, 1 decode, 2 preprocess, 3 replay, 4 graph_merge, 5 cycle_check, 6 done, 7 rejected)",
-    );
+    let ordinals: Vec<String> = Layer::ALL
+        .iter()
+        .map(|l| format!("{} {}", *l as u8, l.name()))
+        .collect();
+    let help = format!("audit phase ({})", ordinals.join(", "));
+    family(&mut out, &phase, "gauge", &help);
     out.push_str(&format!("{phase} {}\n", progress.phase as u8));
     for (suffix, v) in [
         ("progress_groups_total", progress.groups_total),
@@ -107,20 +99,25 @@ pub fn prometheus_text(
         Some(g) => out.push_str(&format!("{floor} {g}\n")),
         None => out.push_str(&format!("{floor} -1\n")),
     }
-    if let Some(t) = ledger {
-        for (suffix, v) in [
-            ("ledger_groups", t.groups),
-            ("ledger_requests", t.requests),
-            ("ledger_fuel", t.fuel),
-            ("ledger_ops", t.ops),
-            ("ledger_dict_feeds", t.dict_feeds),
-            ("ledger_var_accesses", t.var_accesses),
-            ("ledger_alloc_events", t.alloc_events),
-        ] {
-            let name = format!("{PREFIX}_{suffix}");
-            family(&mut out, &name, "gauge", "cost-ledger column sum");
-            out.push_str(&format!("{name} {v}\n"));
-        }
+    let t = snap.ledger.totals();
+    for (suffix, v) in [
+        ("ledger_groups", t.groups),
+        ("ledger_requests", t.requests),
+        ("ledger_fuel", t.fuel),
+        ("ledger_ops", t.ops),
+        ("ledger_dict_feeds", t.dict_feeds),
+        ("ledger_var_accesses", t.var_accesses),
+        ("ledger_alloc_events", t.alloc_events),
+    ] {
+        let name = format!("{PREFIX}_{suffix}");
+        family(&mut out, &name, "gauge", "cost-ledger column sum");
+        out.push_str(&format!("{name} {v}\n"));
+    }
+    let name = format!("{PREFIX}_layer_wall_us");
+    family(&mut out, &name, "gauge", "wall clock per audit layer");
+    for (layer, wall) in snap.layers.layers() {
+        let (layer, us) = (layer.name(), wall.as_micros());
+        out.push_str(&format!("{name}{{layer=\"{layer}\"}} {us}\n"));
     }
     out
 }
@@ -283,86 +280,36 @@ pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 pub const DEFAULT_SCRAPE_INTERVAL: Duration = Duration::from_millis(250);
 
 /// Background exposition: one thread re-rendering an [`Obs`] handle to
-/// a file and/or a TCP listener until dropped or [`PromExporter::stop`]
-/// is called (both write one final page, so the file always ends on
-/// the run's last state).
+/// a file until dropped or [`PromExporter::stop`] is called (both write
+/// one final page, so the file always ends on the run's last state).
+#[derive(Debug)]
 pub struct PromExporter {
     stop: Arc<AtomicBool>,
     handle: Option<JoinHandle<()>>,
-    addr: Option<SocketAddr>,
-}
-
-impl std::fmt::Debug for PromExporter {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PromExporter")
-            .field("addr", &self.addr)
-            .finish()
-    }
 }
 
 impl PromExporter {
-    /// Starts the exporter. `file` is re-rendered every `interval`
-    /// with an atomic rename; `addr` (e.g. `127.0.0.1:0`) additionally
-    /// serves the page over HTTP. At least one sink must be given.
-    pub fn start(
-        obs: Obs,
-        file: Option<PathBuf>,
-        addr: Option<&str>,
-        interval: Duration,
-    ) -> std::io::Result<PromExporter> {
-        if file.is_none() && addr.is_none() {
-            return Err(std::io::Error::new(
-                std::io::ErrorKind::InvalidInput,
-                "prometheus exporter needs a file and/or a listen address",
-            ));
-        }
-        let listener = match addr {
-            Some(a) => {
-                let l = TcpListener::bind(a)?;
-                l.set_nonblocking(true)?;
-                Some(l)
-            }
-            None => None,
-        };
-        let bound = listener.as_ref().and_then(|l| l.local_addr().ok());
+    /// Starts the exporter: `file` is re-rendered every `interval` with
+    /// an atomic rename.
+    pub fn start(obs: Obs, file: PathBuf, interval: Duration) -> std::io::Result<PromExporter> {
         let stop = Arc::new(AtomicBool::new(false));
         let stop_flag = Arc::clone(&stop);
-        let tick = Duration::from_millis(20);
         let handle = std::thread::Builder::new()
             .name("prom-exporter".to_string())
-            .spawn(move || {
-                let mut since_render = interval; // render immediately
-                loop {
-                    let stopping = stop_flag.load(Ordering::Relaxed);
-                    if stopping || since_render >= interval {
-                        since_render = Duration::ZERO;
-                        if let Some(path) = &file {
-                            let _ = write_atomic(path, &obs.prometheus_text());
-                        }
-                    }
-                    if let Some(l) = &listener {
-                        while let Ok((stream, _)) = l.accept() {
-                            serve_one(stream, &obs.prometheus_text());
-                        }
-                    }
-                    if stopping {
-                        break;
-                    }
-                    std::thread::sleep(tick);
-                    since_render += tick;
+            .spawn(move || loop {
+                // Read before rendering, so the page written after a
+                // stop request is the last one.
+                let stopping = stop_flag.load(Ordering::SeqCst);
+                let _ = write_atomic(&file, &obs.snapshot().to_prometheus());
+                if stopping {
+                    break;
                 }
+                std::thread::park_timeout(interval);
             })?;
         Ok(PromExporter {
             stop,
             handle: Some(handle),
-            addr: bound,
         })
-    }
-
-    /// The bound listen address, when serving HTTP (useful with port
-    /// 0).
-    pub fn local_addr(&self) -> Option<SocketAddr> {
-        self.addr
     }
 
     /// Stops the exporter after one final render, joining the thread.
@@ -371,8 +318,9 @@ impl PromExporter {
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.handle.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -384,39 +332,30 @@ impl Drop for PromExporter {
     }
 }
 
-/// Answers one HTTP exchange with the rendered page (request bytes are
-/// drained best-effort and otherwise ignored — every path serves the
-/// metrics page).
-fn serve_one(mut stream: TcpStream, body: &str) {
-    let _ = stream.set_read_timeout(Some(Duration::from_millis(100)));
-    let mut buf = [0u8; 1024];
-    let _ = stream.read(&mut buf);
-    let response = format!(
-        "HTTP/1.1 200 OK\r\nContent-Type: text/plain; version=0.0.4; charset=utf-8\r\nContent-Length: {}\r\nConnection: close\r\n\r\n{}",
-        body.len(),
-        body
-    );
-    let _ = stream.write_all(response.as_bytes());
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::progress::Phase;
+    use crate::metrics::MetricsShard;
+    use crate::progress::ProgressSnapshot;
 
     fn page() -> String {
         let mut m = MetricsShard::new(true);
         m.count(CounterId::GroupsFormed, 5);
         m.observe(HistogramId::GroupSize, 3);
         m.observe(HistogramId::GroupSize, 900);
-        let p = ProgressSnapshot {
-            phase: Phase::Replay,
+        let progress = ProgressSnapshot {
+            phase: Layer::Replay,
             groups_total: 5,
             groups_done: 2,
             fuel_spent: 77,
             failed_floor: None,
         };
-        prometheus_text(&m, &p, Some(&LedgerTotals::default()))
+        let snap = Snapshot {
+            metrics: m,
+            progress,
+            ..Obs::noop().snapshot()
+        };
+        snap.to_prometheus()
     }
 
     #[test]
@@ -425,6 +364,8 @@ mod tests {
         assert!(text.contains("karousos_groups_formed_total 5"));
         assert!(text.contains("karousos_progress_groups_done 2"));
         assert!(text.contains("karousos_ledger_fuel 0"));
+        assert!(text.contains("karousos_progress_phase 4\n"));
+        assert!(text.contains("karousos_layer_wall_us{layer=\"teardown\"} 0"));
         check_exposition(&text).unwrap_or_else(|e| panic!("invalid exposition: {e}"));
     }
 
@@ -454,43 +395,5 @@ mod tests {
         assert!(check_exposition(noncumulative).is_err());
         let ok = "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_bucket{le=\"+Inf\"} 3\nh_sum 9\nh_count 3\n";
         check_exposition(ok).unwrap_or_else(|e| panic!("{e}"));
-    }
-
-    #[test]
-    fn exporter_serves_http_and_writes_file() {
-        let obs = Obs::enabled();
-        obs.count(CounterId::GroupsFormed, 2);
-        let dir = std::env::temp_dir().join(format!("karousos-prom-{}", std::process::id()));
-        let _ = std::fs::create_dir_all(&dir);
-        let path = dir.join("metrics.prom");
-        let exporter = PromExporter::start(
-            obs.clone(),
-            Some(path.clone()),
-            Some("127.0.0.1:0"),
-            Duration::from_millis(10),
-        )
-        .unwrap_or_else(|e| panic!("exporter start failed: {e}"));
-        let addr = exporter.local_addr().unwrap_or_else(|| panic!("no addr"));
-        // HTTP round trip.
-        let mut resp = String::new();
-        for _ in 0..50 {
-            if let Ok(mut s) = TcpStream::connect(addr) {
-                let _ = s.write_all(b"GET /metrics HTTP/1.1\r\nHost: x\r\n\r\n");
-                let mut body = String::new();
-                if s.read_to_string(&mut body).is_ok() && body.contains("karousos_") {
-                    resp = body;
-                    break;
-                }
-            }
-            std::thread::sleep(Duration::from_millis(10));
-        }
-        assert!(resp.starts_with("HTTP/1.1 200 OK"), "got {resp:?}");
-        assert!(resp.contains("karousos_groups_formed_total 2"));
-        exporter.stop();
-        let text = std::fs::read_to_string(&path)
-            .unwrap_or_else(|e| panic!("final page not written: {e}"));
-        check_exposition(&text).unwrap_or_else(|e| panic!("invalid file page: {e}"));
-        let _ = std::fs::remove_file(&path);
-        let _ = std::fs::remove_dir(&dir);
     }
 }

@@ -80,16 +80,6 @@ impl SpanRing {
         self.dropped
     }
 
-    /// Number of spans currently held.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether the ring holds no spans.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
     /// The retained spans in insertion order (oldest first).
     pub fn snapshot(&self) -> Vec<Span> {
         let mut out = Vec::with_capacity(self.buf.len());
@@ -103,7 +93,7 @@ impl SpanRing {
 /// format" wrapped in a `traceEvents` object), loadable in
 /// `chrome://tracing` and Perfetto. Each span becomes a complete
 /// (`"ph": "X"`) event; the lane becomes the `tid`.
-pub fn chrome_trace_json(spans: &[Span]) -> String {
+pub(crate) fn chrome_trace_json(spans: &[Span]) -> String {
     let mut out = String::with_capacity(64 + spans.len() * 96);
     out.push_str("{\"traceEvents\":[\n");
     for (i, s) in spans.iter().enumerate() {

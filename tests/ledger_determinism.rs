@@ -47,7 +47,7 @@ fn ledger_for(
     let obs = Obs::enabled();
     audit_with_obs(program, &out.trace, advice, iso, opts, &obs)
         .expect("honest advice must be accepted");
-    obs.ledger_snapshot()
+    obs.snapshot().ledger
 }
 
 #[test]

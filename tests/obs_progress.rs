@@ -1,16 +1,23 @@
 //! Live progress heartbeats and the Prometheus exporter: an audit
 //! observed mid-flight from another thread reports monotone progress
-//! through the phase sequence, the exporter's file sink ends on a
-//! well-formed exposition describing the completed run, and a REJECT
-//! carries the cost attribution of the work done up to the failure.
+//! through the layer sequence, the exporter's file sink ends on a
+//! well-formed exposition describing the completed run, a REJECT
+//! carries the cost attribution of the work done up to the failure and
+//! leaves the heartbeat on `rejected` whichever way the audit ended, and
+//! a snapshot reads counters and ledger at one instant.
 
 use apps::App;
 use karousos::{
-    audit_forensic, audit_with_obs, decode_advice, run_instrumented_server, AuditOptions,
-    CollectorMode, Mutator,
+    audit_encoded_with_obs, audit_forensic, audit_with_obs, decode_advice, encode_advice,
+    run_instrumented_server, AuditOptions, CollectorMode, Limits, Mutator,
 };
-use obs::{Obs, Phase};
+use obs::{CounterId, GroupCost, Layer, Obs};
 use workload::{Experiment, Mix};
+
+/// The panic-injection hook is a one-shot process-wide latch that any
+/// audit in this binary could consume: the test that arms it holds this
+/// exclusively, every other test that audits holds it shared.
+static PANIC_LATCH: std::sync::RwLock<()> = std::sync::RwLock::new(());
 
 fn wiki_run(
     requests: usize,
@@ -36,6 +43,7 @@ fn wiki_run(
 
 #[test]
 fn progress_is_monotone_and_reaches_done() {
+    let _shared = PANIC_LATCH.read().expect("latch lock");
     let (program, out, advice, iso) = wiki_run(200);
     let obs = Obs::enabled();
     let watcher_obs = obs.clone();
@@ -88,7 +96,7 @@ fn progress_is_monotone_and_reaches_done() {
 
     // Final heartbeat: the run completed.
     let last = snaps.last().expect("at least one snapshot");
-    assert_eq!(last.phase, Phase::Done);
+    assert_eq!(last.phase, Layer::Done);
     assert!(last.groups_total > 0);
     assert_eq!(last.groups_done, last.groups_total);
     assert!(last.fuel_spent > 0);
@@ -97,18 +105,15 @@ fn progress_is_monotone_and_reaches_done() {
 
 #[test]
 fn prom_file_sink_ends_on_completed_exposition() {
+    let _shared = PANIC_LATCH.read().expect("latch lock");
     let (program, out, advice, iso) = wiki_run(60);
     let obs = Obs::enabled();
     let dir = std::env::temp_dir().join(format!("karousos-prom-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("prom.txt");
-    let exporter = obs::PromExporter::start(
-        obs.clone(),
-        Some(path.clone()),
-        None,
-        std::time::Duration::from_millis(20),
-    )
-    .expect("exporter starts");
+    let interval = std::time::Duration::from_millis(20);
+    let exporter =
+        obs::PromExporter::start(obs.clone(), path.clone(), interval).expect("exporter starts");
     audit_with_obs(
         &program,
         &out.trace,
@@ -125,7 +130,7 @@ fn prom_file_sink_ends_on_completed_exposition() {
     // The final render happens on stop, after the audit: the file
     // describes the completed run.
     let progress = obs.progress_snapshot();
-    assert_eq!(progress.phase, Phase::Done);
+    assert_eq!(progress.phase, Layer::Done);
     let gauge = |name: &str| -> i64 {
         text.lines()
             .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
@@ -133,7 +138,7 @@ fn prom_file_sink_ends_on_completed_exposition() {
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| panic!("gauge {name} missing from exposition:\n{text}"))
     };
-    assert_eq!(gauge("karousos_progress_phase"), Phase::Done as u8 as i64);
+    assert_eq!(gauge("karousos_progress_phase"), Layer::Done as u8 as i64);
     assert_eq!(
         gauge("karousos_progress_groups_done"),
         progress.groups_total as i64
@@ -179,6 +184,7 @@ fn eventful() -> (
 
 #[test]
 fn rejected_audit_attaches_cost_attribution() {
+    let _shared = PANIC_LATCH.read().expect("latch lock");
     let (program, out, advice, iso) = eventful();
     // Reordering a handler log creates a cycle: the failure lands in
     // the postprocess cycle check, *after* group replay, so the ledger
@@ -214,7 +220,8 @@ fn rejected_audit_attaches_cost_attribution() {
         &obs,
     )
     .expect_err("reordered handler log must be rejected");
-    assert_eq!(obs.progress_snapshot().phase, Phase::Rejected);
+    assert_eq!(obs.progress_snapshot().phase, Layer::Rejected);
+    assert_eq!(failure.diagnostics.phase, Layer::CycleCheck);
     let attribution = failure
         .diagnostics
         .attribution
@@ -224,11 +231,106 @@ fn rejected_audit_attaches_cost_attribution() {
     assert!(attribution.groups_recorded > 0);
     assert!(!attribution.top_groups.is_empty());
     // The top group is the most fuel-expensive recorded row.
-    let ledger = obs.ledger_snapshot();
+    let ledger = obs.snapshot().ledger;
     let max_fuel = ledger.groups.iter().map(|g| g.fuel).max().unwrap_or(0);
     assert_eq!(attribution.top_groups[0].fuel, max_fuel);
     // And the serialized diagnostics carry the section.
     let json = failure.diagnostics.to_json();
     assert!(json.contains("\"attribution\""), "{json}");
     assert!(json.contains("\"top_groups\""), "{json}");
+}
+
+#[test]
+fn heartbeat_ends_on_rejected_for_every_exit() {
+    let _exclusive = PANIC_LATCH.write().expect("latch lock");
+    let (program, out, advice, iso) = wiki_run(60);
+    let bytes = encode_advice(&advice);
+    let rejects = |what: &str, advice_bytes: &[u8], limits: Limits, panic_in: i64, kind: &str| {
+        karousos::verifier::inject_group_panic_for_tests(panic_in);
+        let obs = Obs::enabled();
+        let opts = AuditOptions {
+            limits,
+            ..AuditOptions::default()
+        };
+        let verdict = audit_encoded_with_obs(&program, &out.trace, advice_bytes, iso, opts, &obs);
+        let reason = verdict.expect_err(what);
+        assert_eq!(reason.kind(), kind, "{what}: {reason}");
+        assert_eq!(obs.progress_snapshot().phase, Layer::Rejected, "{what}");
+    };
+    let roomy = Limits::default();
+    let (few_bytes, few_nodes) = (
+        Limits {
+            decode_max_bytes: 16,
+            ..roomy
+        },
+        Limits {
+            decode_max_nodes: 8,
+            ..roomy
+        },
+    );
+    let half = &bytes[..bytes.len() / 2];
+    rejects("truncated advice", half, roomy, -1, "MalformedAdvice");
+    rejects("byte budget", &bytes, few_bytes, -1, "ResourceExhausted");
+    rejects("node budget", &bytes, few_nodes, -1, "ResourceExhausted");
+    rejects("worker panic", &bytes, roomy, 0, "VerifierInternal");
+    // And the honest bytes end on `done`.
+    let obs = Obs::enabled();
+    audit_encoded_with_obs(
+        &program,
+        &out.trace,
+        &bytes,
+        iso,
+        AuditOptions::default(),
+        &obs,
+    )
+    .expect("honest advice must be accepted");
+    assert_eq!(obs.progress_snapshot().phase, Layer::Done);
+}
+
+#[test]
+fn snapshot_reads_counter_and_ledger_at_one_instant() {
+    // What the merge does per group, against a reader taking snapshots:
+    // a shard's fuel counter and its ledger row land under one
+    // acquisition of the state lock, and a snapshot is one acquisition,
+    // so no snapshot sees one without the other.
+    // The writer goes on until the reader has looked often enough, and
+    // not for ever if the reader's assertion has fired.
+    const ENOUGH: u64 = 300;
+    const GIVE_UP: u64 = 50_000;
+    let obs = Obs::enabled();
+    let taken = std::sync::atomic::AtomicU64::new(0);
+    let absorbed = std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let mut n = 0u64;
+            let looked = || taken.load(std::sync::atomic::Ordering::Relaxed);
+            while n < ENOUGH || (looked() < ENOUGH && n < GIVE_UP) {
+                n += 1;
+                let mut shard = obs.shard(1);
+                shard.count(CounterId::ReplayFuelSpent, n);
+                shard.record_group_cost(GroupCost {
+                    group: n,
+                    fuel: n,
+                    ..Default::default()
+                });
+                obs.absorb(shard);
+            }
+            n
+        });
+        while !writer.is_finished() {
+            let snap = obs.snapshot();
+            let (counter, ledger) = (
+                snap.metrics.counter(CounterId::ReplayFuelSpent),
+                snap.ledger.totals().fuel,
+            );
+            assert_eq!(counter, ledger, "after {} groups", snap.ledger.groups.len());
+            taken.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        }
+        writer.join().expect("writer thread joins")
+    });
+    let snap = obs.snapshot();
+    assert_eq!(snap.ledger.totals().fuel, absorbed * (absorbed + 1) / 2);
+    assert_eq!(
+        snap.metrics.counter(CounterId::ReplayFuelSpent),
+        snap.ledger.totals().fuel
+    );
 }

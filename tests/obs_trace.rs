@@ -6,136 +6,8 @@
 
 use apps::App;
 use karousos::{audit_with_obs, run_instrumented_server, AuditOptions, CollectorMode};
-use obs::{CounterId, GaugeId, HistogramId, Obs};
+use obs::{CounterId, GaugeId, HistogramId, Layer, Obs};
 use workload::{Experiment, Mix};
-
-/// Minimal recursive-descent JSON validator: enough to assert the
-/// exporters emit well-formed JSON without pulling in a parser crate.
-mod json {
-    pub fn validate(s: &str) -> Result<(), String> {
-        let b = s.as_bytes();
-        let mut i = 0;
-        value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing garbage at byte {i}"));
-        }
-        Ok(())
-    }
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && matches!(b[*i], b' ' | b'\t' | b'\n' | b'\r') {
-            *i += 1;
-        }
-    }
-
-    fn value(b: &[u8], i: &mut usize) -> Result<(), String> {
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b'{') => object(b, i),
-            Some(b'[') => array(b, i),
-            Some(b'"') => string(b, i),
-            Some(b't') => literal(b, i, "true"),
-            Some(b'f') => literal(b, i, "false"),
-            Some(b'n') => literal(b, i, "null"),
-            Some(c) if c.is_ascii_digit() || *c == b'-' => number(b, i),
-            other => Err(format!("unexpected {other:?} at byte {i}")),
-        }
-    }
-
-    fn literal(b: &[u8], i: &mut usize, lit: &str) -> Result<(), String> {
-        if b[*i..].starts_with(lit.as_bytes()) {
-            *i += lit.len();
-            Ok(())
-        } else {
-            Err(format!("bad literal at byte {i}"))
-        }
-    }
-
-    fn number(b: &[u8], i: &mut usize) -> Result<(), String> {
-        let start = *i;
-        if b.get(*i) == Some(&b'-') {
-            *i += 1;
-        }
-        while *i < b.len()
-            && (b[*i].is_ascii_digit() || matches!(b[*i], b'.' | b'e' | b'E' | b'+' | b'-'))
-        {
-            *i += 1;
-        }
-        let text = std::str::from_utf8(&b[start..*i]).map_err(|e| e.to_string())?;
-        text.parse::<f64>()
-            .map_err(|e| format!("bad number {text:?}: {e}"))?;
-        Ok(())
-    }
-
-    fn string(b: &[u8], i: &mut usize) -> Result<(), String> {
-        *i += 1; // opening quote
-        while *i < b.len() {
-            match b[*i] {
-                b'"' => {
-                    *i += 1;
-                    return Ok(());
-                }
-                b'\\' => *i += 2,
-                c if c < 0x20 => return Err(format!("raw control byte in string at {i}")),
-                _ => *i += 1,
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn object(b: &[u8], i: &mut usize) -> Result<(), String> {
-        *i += 1; // '{'
-        skip_ws(b, i);
-        if b.get(*i) == Some(&b'}') {
-            *i += 1;
-            return Ok(());
-        }
-        loop {
-            skip_ws(b, i);
-            if b.get(*i) != Some(&b'"') {
-                return Err(format!("object key must be a string at byte {i}"));
-            }
-            string(b, i)?;
-            skip_ws(b, i);
-            if b.get(*i) != Some(&b':') {
-                return Err(format!("missing ':' at byte {i}"));
-            }
-            *i += 1;
-            value(b, i)?;
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b',') => *i += 1,
-                Some(b'}') => {
-                    *i += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("unexpected {other:?} in object at byte {i}")),
-            }
-        }
-    }
-
-    fn array(b: &[u8], i: &mut usize) -> Result<(), String> {
-        *i += 1; // '['
-        skip_ws(b, i);
-        if b.get(*i) == Some(&b']') {
-            *i += 1;
-            return Ok(());
-        }
-        loop {
-            value(b, i)?;
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b',') => *i += 1,
-                Some(b']') => {
-                    *i += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("unexpected {other:?} in array at byte {i}")),
-            }
-        }
-    }
-}
 
 fn wiki_run() -> (
     kem::Program,
@@ -171,29 +43,40 @@ fn chrome_trace_is_valid_json_with_expected_spans() {
     )
     .expect("honest advice must be accepted");
 
-    let trace = obs.trace_json();
-    json::validate(&trace).expect("trace export must be valid JSON");
-    for needle in [
+    let snap = obs.snapshot();
+    let trace = snap.to_chrome_trace();
+    bench::json::parse(&trace).expect("trace export must be valid JSON");
+    let layers = [
+        Layer::Preprocess,
+        Layer::Replay,
+        Layer::StateMerge,
+        Layer::EdgeEmbed,
+        Layer::CycleCheck,
+        Layer::Teardown,
+    ];
+    let spans = layers.iter().map(|l| format!("\"name\":\"{}\"", l.name()));
+    let fixed = [
         "\"traceEvents\"",
         "\"displayTimeUnit\"",
-        "\"preprocess\"",
         "\"group-replay\"",
-        "\"state-merge\"",
-        "\"cycle-check\"",
         "\"ph\":\"X\"",
-    ] {
-        assert!(trace.contains(needle), "trace export missing {needle}");
+    ];
+    for needle in spans.chain(fixed.map(String::from)) {
+        assert!(trace.contains(&needle), "trace export missing {needle}");
     }
 
-    let metrics = obs.metrics_json();
-    json::validate(&metrics).expect("metrics export must be valid JSON");
+    let metrics = snap.to_json();
+    let parsed = bench::json::parse(&metrics).expect("metrics export must be valid JSON");
     assert!(metrics.contains("\"groups_formed\""));
-    // The export splices the final progress heartbeat and the cost
-    // ledger after the shard sections.
-    assert!(metrics.contains("\"progress\""), "{metrics}");
-    assert!(metrics.contains("\"phase\": \"done\""), "{metrics}");
-    assert!(metrics.contains("\"ledger\""), "{metrics}");
+    // After the registry's sections: the final progress heartbeat, the
+    // cost ledger and the layer timing.
+    let phase = parsed.at("progress/phase").and_then(|v| v.as_str());
+    assert_eq!(phase, Some("done"), "{metrics}");
     assert!(metrics.contains("\"first_rid\""), "{metrics}");
+    for layer in layers {
+        let key = format!("layers/{}_us", layer.name());
+        assert!(parsed.at(&key).is_some(), "{key} missing: {metrics}");
+    }
 }
 
 #[test]
@@ -211,11 +94,12 @@ fn overflowing_span_ring_counts_drops_in_metrics() {
         &obs,
     )
     .expect("honest advice must be accepted");
-    assert!(obs.spans_snapshot().len() <= 2);
-    let dropped = obs.metrics_snapshot().counter(CounterId::SpansDropped);
+    let snap = obs.snapshot();
+    assert!(snap.spans.len() <= 2);
+    let dropped = snap.metrics.counter(CounterId::SpansDropped);
     assert!(dropped > 0, "span overflow must surface in SpansDropped");
     // And the exported JSON carries the same number.
-    let metrics = obs.metrics_json();
+    let metrics = snap.to_json();
     assert!(
         metrics.contains(&format!("\"spans_dropped\": {dropped}")),
         "{metrics}"
@@ -236,11 +120,12 @@ fn span_timestamps_are_monotone_per_lane() {
     )
     .expect("honest advice must be accepted");
 
-    let spans = obs.spans_snapshot();
+    let snap = obs.snapshot();
+    let spans = &snap.spans;
     assert!(!spans.is_empty());
     let mut replay_spans = 0usize;
     let mut last_ts: std::collections::HashMap<u32, u64> = std::collections::HashMap::new();
-    for s in &spans {
+    for s in spans {
         let prev = last_ts.entry(s.lane).or_insert(0);
         assert!(
             s.ts_us >= *prev,
@@ -256,7 +141,7 @@ fn span_timestamps_are_monotone_per_lane() {
             assert!(s.args.iter().flatten().any(|(k, _)| *k == "size"));
         }
     }
-    let groups = obs.metrics_snapshot().counter(CounterId::GroupsFormed);
+    let groups = snap.metrics.counter(CounterId::GroupsFormed);
     assert!(groups > 1, "wiki workload should form several groups");
     assert_eq!(replay_spans as u64, groups, "one replay span per group");
 }
@@ -275,7 +160,7 @@ fn metrics_are_deterministic_across_thread_counts() {
             &obs,
         )
         .expect("honest advice must be accepted");
-        obs.metrics_snapshot()
+        obs.snapshot().metrics
     };
     let seq = snapshot(1);
     let par = snapshot(4);

@@ -14,8 +14,8 @@ mod common;
 use apps::App;
 use common::{audit_at, audit_points, matrix_with, Point};
 use karousos::{
-    audit_encoded_with_options, encode_advice, run_instrumented_server, AuditOptions,
-    CollectorMode, Limits, Mutator, WireMutator,
+    audit_encoded_with_obs, encode_advice, run_instrumented_server, AuditOptions, CollectorMode,
+    Limits, Mutator, WireMutator,
 };
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
@@ -139,10 +139,11 @@ fn auto_thread_count_resolves_and_agrees() {
 
 #[test]
 fn phase_timings_never_exceed_the_audit() {
-    // The phases are disjoint stretches of the calling thread's time
+    // The layers are disjoint stretches of the calling thread's time
     // (the state merge is its time inside the merge, never its waits
     // for workers), so they cannot sum past the wall clock around the
-    // call — at one thread or at four.
+    // call — at one thread or at four — and, teardown included, they
+    // cover it: what is left over is the call's prologue and epilogue.
     let mut exp = Experiment::paper_default(App::Wiki, Mix::Wiki, 8, 1);
     exp.requests = 120;
     let program = App::Wiki.program();
@@ -156,14 +157,29 @@ fn phase_timings_never_exceed_the_audit() {
     let bytes = encode_advice(&advice);
     for threads in [1, 4] {
         let opts = AuditOptions::with_threads(threads);
+        let obs = obs::Obs::enabled();
         let start = std::time::Instant::now();
-        let report = audit_encoded_with_options(&program, &out.trace, &bytes, exp.isolation, opts);
+        let report =
+            audit_encoded_with_obs(&program, &out.trace, &bytes, exp.isolation, opts, &obs);
         let wall = start.elapsed();
         let timing = report.expect("honest wiki advice is accepted").timing;
         assert!(
-            timing.total() <= wall,
-            "threads={threads}: phases sum to {:?} inside a {wall:?} audit ({timing})",
+            timing.total() <= wall && timing.total() * 2 >= wall,
+            "threads={threads}: layers sum to {:?} in a {wall:?} audit ({timing})",
             timing.total()
         );
+        // One list of layers: what the report times, the snapshot
+        // holds, the Chrome trace names and the heartbeat ends on are
+        // the same `Layer`s under the same names.
+        let snap = obs.snapshot();
+        assert_eq!(snap.layers, timing);
+        assert_eq!(snap.progress.phase, obs::Layer::Done);
+        let (trace, json) = (snap.to_chrome_trace(), timing.to_json());
+        for (layer, spent) in timing.layers() {
+            let name = layer.name();
+            assert!(!spent.is_zero(), "threads={threads}: no time in {name}");
+            assert!(trace.contains(&format!("\"name\":\"{name}\"")), "{name}");
+            assert!(json.contains(&format!("\"{name}_us\"")), "{name}: {json}");
+        }
     }
 }

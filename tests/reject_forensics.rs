@@ -119,7 +119,7 @@ fn cycle_forensics_name_the_mutated_operations() {
     assert_eq!(failure.reason, RejectReason::CycleInG);
     let d = &failure.diagnostics;
     assert_eq!(d.kind, "CycleInG");
-    assert_eq!(d.phase, "postprocess");
+    assert_eq!(d.phase, obs::Layer::CycleCheck);
 
     let cycle = d
         .cycle

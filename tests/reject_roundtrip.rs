@@ -253,16 +253,16 @@ fn quarantine_split_is_exactly_the_resource_and_internal_variants() {
 #[test]
 fn every_variant_exports_to_forensics_json() {
     for (reason, kind, _) in reasons() {
-        let diag = AuditDiagnostics::from_reason("reexec", &reason);
+        let diag = AuditDiagnostics::from_reason(obs::Layer::Replay, &reason);
         let json = diag.to_json();
         assert!(
             json.contains(&format!("\"kind\": \"{kind}\"")),
             "{kind}: kind missing from forensics JSON {json}"
         );
-        assert!(json.contains("\"phase\": \"reexec\""), "{kind}: {json}");
+        assert!(json.contains("\"phase\": \"replay\""), "{kind}: {json}");
         // The Display form rides along as the human-readable reason and
         // must be JSON-escaped into a parseable document.
-        json::validate(&json).unwrap_or_else(|e| panic!("{kind}: invalid JSON {json}: {e}"));
+        bench::json::parse(&json).unwrap_or_else(|e| panic!("{kind}: invalid JSON {json}: {e}"));
     }
 }
 
@@ -283,100 +283,5 @@ fn resource_kind_names_are_pinned() {
         assert_eq!(*kind, listed, "ALL order drifted");
         assert_eq!(kind.name(), *name);
         assert_eq!(kind.to_string(), *name);
-    }
-}
-
-/// Minimal JSON well-formedness validator (no serde in the workspace).
-mod json {
-    pub fn validate(s: &str) -> Result<(), String> {
-        let b = s.as_bytes();
-        let mut i = 0usize;
-        skip_value(b, &mut i)?;
-        skip_ws(b, &mut i);
-        if i != b.len() {
-            return Err(format!("trailing bytes at {i}"));
-        }
-        Ok(())
-    }
-
-    fn skip_ws(b: &[u8], i: &mut usize) {
-        while *i < b.len() && b[*i].is_ascii_whitespace() {
-            *i += 1;
-        }
-    }
-
-    fn skip_value(b: &[u8], i: &mut usize) -> Result<(), String> {
-        skip_ws(b, i);
-        match b.get(*i) {
-            Some(b'{') => skip_delimited(b, i, b'}', true),
-            Some(b'[') => skip_delimited(b, i, b']', false),
-            Some(b'"') => skip_string(b, i),
-            Some(_) => skip_scalar(b, i),
-            None => Err("unexpected end".to_string()),
-        }
-    }
-
-    fn skip_delimited(b: &[u8], i: &mut usize, close: u8, object: bool) -> Result<(), String> {
-        *i += 1;
-        skip_ws(b, i);
-        if b.get(*i) == Some(&close) {
-            *i += 1;
-            return Ok(());
-        }
-        loop {
-            if object {
-                skip_ws(b, i);
-                skip_string(b, i)?;
-                skip_ws(b, i);
-                if b.get(*i) != Some(&b':') {
-                    return Err(format!("expected ':' at {i}"));
-                }
-                *i += 1;
-            }
-            skip_value(b, i)?;
-            skip_ws(b, i);
-            match b.get(*i) {
-                Some(b',') => *i += 1,
-                Some(c) if *c == close => {
-                    *i += 1;
-                    return Ok(());
-                }
-                other => return Err(format!("expected ',' or close at {i}, got {other:?}")),
-            }
-        }
-    }
-
-    fn skip_string(b: &[u8], i: &mut usize) -> Result<(), String> {
-        if b.get(*i) != Some(&b'"') {
-            return Err(format!("expected string at {i}"));
-        }
-        *i += 1;
-        while let Some(&c) = b.get(*i) {
-            match c {
-                b'"' => {
-                    *i += 1;
-                    return Ok(());
-                }
-                b'\\' => *i += 2,
-                0x00..=0x1f => return Err(format!("raw control byte 0x{c:02x} at {i}")),
-                _ => *i += 1,
-            }
-        }
-        Err("unterminated string".to_string())
-    }
-
-    fn skip_scalar(b: &[u8], i: &mut usize) -> Result<(), String> {
-        let start = *i;
-        while *i < b.len() && !b",]}\t\r\n ".contains(&b[*i]) {
-            *i += 1;
-        }
-        let tok = &b[start..*i];
-        if tok == b"null" || tok == b"true" || tok == b"false" {
-            return Ok(());
-        }
-        let s = std::str::from_utf8(tok).map_err(|e| e.to_string())?;
-        s.parse::<f64>()
-            .map(|_| ())
-            .map_err(|_| format!("bad scalar {s:?} at {start}"))
     }
 }

@@ -79,7 +79,7 @@ fn panicking_worker_is_quarantined_and_other_groups_finish() {
             }
             other => panic!("threads={threads}: expected quarantine verdict, got {other:?}"),
         }
-        let shard = obs.metrics_snapshot();
+        let shard = obs.snapshot().metrics;
         assert_eq!(
             shard.counter(CounterId::GroupsQuarantined),
             1,
