@@ -281,17 +281,33 @@ fn print_verif_rows(label: &str, rows: &[VerificationRow]) {
 fn print_size_rows(label: &str, rows: &[AdviceSizeRow]) {
     println!("\n  {label}");
     println!(
-        "    {:>11} {:>12} {:>11} {:>10} {:>12}",
-        "concurrency", "karousos KB", "orochi KB", "k/o ratio", "var-log %"
+        "    {:>11} {:>12} {:>11} {:>10} {:>10} {:>7} | {:>10} {:>7} {:>7} {:>13} {:>10}",
+        "concurrency",
+        "karousos KB",
+        "orochi KB",
+        "k/o ratio",
+        "var-log %",
+        "pool %",
+        "pool nodes",
+        "refs",
+        "inline",
+        "logical nodes",
+        "wire nodes",
     );
     for r in rows {
         println!(
-            "    {:>11} {:>12} {:>11} {:>9.2}x {:>11}%",
+            "    {:>11} {:>12} {:>11} {:>9.2}x {:>9}% {:>6}% | {:>10} {:>7} {:>7} {:>13} {:>10}",
             r.concurrency,
             r.karousos / 1024,
             r.orochi / 1024,
             r.karousos as f64 / r.orochi.max(1) as f64,
-            r.var_log_share
+            r.var_log_share,
+            r.pool_share,
+            r.decode.pool_nodes,
+            r.decode.pool_refs,
+            r.decode.inline_containers,
+            r.decode.logical_nodes,
+            r.decode.wire_nodes,
         );
     }
 }
@@ -533,7 +549,7 @@ fn instrumented_run(
     mix: Mix,
     o: &Opts,
     obs: &obs::Obs,
-) -> (karousos::AuditReport, std::time::Duration) {
+) -> (karousos::AuditReport, std::time::Duration, Vec<u8>) {
     use karousos::{audit_encoded_with_obs, run_instrumented_server_with_obs, CollectorMode};
     let mut exp = workload::Experiment::paper_default(app, mix, 8, o.seed);
     exp.requests = o.requests;
@@ -552,7 +568,7 @@ fn instrumented_run(
     let start = std::time::Instant::now();
     let report = audit_encoded_with_obs(&program, &out.trace, &bytes, exp.isolation, opts, obs);
     let wall = start.elapsed();
-    (report.expect("honest advice must be accepted"), wall)
+    (report.expect("honest advice must be accepted"), wall, bytes)
 }
 
 /// Captures one instrumented wiki run and writes its snapshot's exports:
@@ -574,7 +590,7 @@ fn obs_capture(o: &Opts) -> obs::Snapshot {
     // the global allocator feeds the thread-local probe only while
     // this is on).
     obs::allocprobe::set_enabled(true);
-    let (report, _) = instrumented_run(App::Wiki, Mix::Wiki, o, &obs);
+    let (report, _, _) = instrumented_run(App::Wiki, Mix::Wiki, o, &obs);
     obs::allocprobe::set_enabled(false);
     let snap = obs.snapshot();
     println!(
@@ -630,14 +646,25 @@ fn layer_tables(o: &Opts) {
         let mut runs: Vec<_> = (0..o.iters)
             .map(|_| {
                 let obs = obs::Obs::enabled();
-                let (_, wall) = instrumented_run(app, mix, o, &obs);
-                (wall, obs.snapshot().layers)
+                let (_, wall, bytes) = instrumented_run(app, mix, o, &obs);
+                (wall, obs.snapshot().layers, bytes)
             })
             .collect();
-        runs.sort_by_key(|(wall, _)| *wall);
-        let (wall, layers) = runs[runs.len() / 2];
+        runs.sort_by_key(|(wall, _, _)| *wall);
+        let (wall, layers, bytes) = runs.swap_remove(runs.len() / 2);
         let share = |d: std::time::Duration| d.as_secs_f64() * 100.0 / wall.as_secs_f64();
         println!("\n  {} ({}): audit {} ms", app.name(), mix.name(), ms(wall));
+        let d = bench::decode_stats(&bytes);
+        println!(
+            "    advice {} B: {} pool nodes, {} refs, {} inline containers; {} logical / {} wire \
+             nodes",
+            bytes.len(),
+            d.pool_nodes,
+            d.pool_refs,
+            d.inline_containers,
+            d.logical_nodes,
+            d.wire_nodes
+        );
         let rows = layers.layers().map(|(layer, d)| (layer.name(), d));
         for (name, d) in rows.chain([("all layers", layers.total())]) {
             println!("    {name:<12} {:>9} ms {:>5.1} %", ms(d), share(d));

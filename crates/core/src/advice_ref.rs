@@ -12,9 +12,9 @@
 //!   view's entry vectors outright, and the only owned copies are the
 //!   [`Value`]s replay actually retains — each built from its span
 //!   exactly once by a [`Materializer`], which shares strings through
-//!   [`kem::ValueInterner`]'s vocabulary and whole nested lists/maps
-//!   through its span-keyed memo, so repeated content (MOTD's
-//!   whole-map logs) costs an `Arc` bump; or
+//!   [`kem::ValueInterner`]'s vocabulary and containers through the
+//!   view's value pool, so repeated content (MOTD's whole-map logs)
+//!   costs an `Arc` bump; or
 //! * **owned**, from an [`Advice`] ([`AdviceRef::from_advice`]): cheap
 //!   borrows and `Arc` bumps, so the owned decoder stays alive as the
 //!   differential oracle against the borrowed path.
@@ -259,10 +259,11 @@ impl<'a> AdviceRef<'a> {
     /// Builds the verifier form straight from a decoded [`AdviceView`] —
     /// the hot path. Strings stay borrowed; handler logs are borrowed
     /// wholesale; var-log / tx-log / nondet values are materialized
-    /// from their spans through `interner` (they are the copies replay
-    /// retains), equal encoded sub-values sharing one build.
+    /// from their spans (they are the copies replay retains): strings
+    /// through `interner`, and a reference into the view's value pool
+    /// as one `Arc` bump of the node it names.
     pub fn from_view(view: &'a AdviceView<'a>, interner: &mut ValueInterner<'a>) -> AdviceRef<'a> {
-        let mut values = Materializer::new(interner);
+        let mut values = Materializer::with_pool(interner, &view.pool);
         let tags = VecMap::from_wire(view.tags.clone());
         let handler_logs = VecMap::from_wire(
             view.handler_logs

@@ -34,9 +34,19 @@ pub struct Limits {
     pub group_deadline_ms: u64,
     /// Maximum advice wire size in bytes, checked before decoding.
     pub decode_max_bytes: u64,
-    /// Maximum total decoded advice entries (tags, log entries, write
-    /// order, emitters, opcounts, nondet records), charged from the
-    /// declared section lengths *before* any allocation is reserved.
+    /// Maximum total decoded advice elements — tags, log entries, write
+    /// order, emitters, opcounts, nondet records, handler-id path
+    /// steps, and the entries of every logged list and map — charged
+    /// from the declared lengths *before* any allocation is reserved.
+    /// The count is *logical*: a reference into the advice's value pool
+    /// (DESIGN.md §20) is charged what the container it names would
+    /// have declared written out in its place, at every reference, so
+    /// honest advice costs what its flat form did and a small pool
+    /// describing an enormous value exhausts the budget like an
+    /// enormous advice. What the pool section itself declares — its
+    /// node count, each node's width, lengths written inline in a node
+    /// — is held against the same number in a count of its own, so
+    /// nodes nothing refers to are not free.
     pub decode_max_nodes: u64,
     /// Maximum total advice log entries admitted into the verifier's
     /// dictionaries (handler + variable + transaction logs + nondet).

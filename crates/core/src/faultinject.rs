@@ -6,8 +6,9 @@
 //! over-allocating, or looping on crafted advice is a denial-of-audit.
 //! This module provides the mutation catalogue the hostile-advice
 //! harness drives: a deterministic, seeded set of *structured* mutators
-//! (operating on a decoded [`Advice`]) and *wire* mutators (operating
-//! on the encoded bytes).
+//! (operating on a decoded [`Advice`]), *wire* mutators (operating on
+//! the encoded bytes), and *pool* mutators (operating on the encoded
+//! value pool and the references into it).
 //!
 //! Every mutator carries a [`MutationClass`] stating what a correct
 //! verifier must do with its output:
@@ -29,11 +30,12 @@
 //! All randomness is an internal splitmix64 stream keyed by the caller's
 //! seed, so any failure reproduces from `(mutator, seed)` alone.
 
+use kem::pvalue::{CHUNK, MAX_CHECKED_HEIGHT};
 use kem::{FunctionId, HandlerId, OpRef, Program, RequestId, Trace, Value, VarId};
 
 use crate::advice::{Advice, KTxId, TxOpContents, TxOpType, TxPos};
 use crate::verifier::{audit_encoded, AuditReport, RejectReason};
-use crate::wire::encode_advice;
+use crate::wire::{decode_advice_view, encode_advice, put_uvar, AdviceView, TxOpContentsView};
 
 /// What a correct verifier must do with a mutation's output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -563,6 +565,13 @@ pub enum ExhaustMutator {
     /// would be as wide as the whole trace → the group-width cap trips
     /// → `ResourceExhausted` (`max_group_width`).
     OversizedMultivalue,
+    /// Replace one recorded nondet value with a list that holds one
+    /// list twice, which holds one list twice, … forty deep: forty pool
+    /// nodes on the wire describing 2^41 elements. A reference is
+    /// charged what its container holds, so the node budget trips while
+    /// the pool is read → `ResourceExhausted` (`decode_max_nodes`),
+    /// before anything can walk the value.
+    PoolBomb,
 }
 
 impl ExhaustMutator {
@@ -574,6 +583,7 @@ impl ExhaustMutator {
         ExhaustMutator::DictFlood,
         ExhaustMutator::EdgeExplosion,
         ExhaustMutator::OversizedMultivalue,
+        ExhaustMutator::PoolBomb,
     ];
 
     /// The mutator's name, for reporting.
@@ -585,6 +595,7 @@ impl ExhaustMutator {
             ExhaustMutator::DictFlood => "dict-flood",
             ExhaustMutator::EdgeExplosion => "edge-explosion",
             ExhaustMutator::OversizedMultivalue => "oversized-multivalue",
+            ExhaustMutator::PoolBomb => "pool-bomb",
         }
     }
 
@@ -598,7 +609,7 @@ impl ExhaustMutator {
         match self {
             ExhaustMutator::LoopBomb => Some(ResourceKind::ReplayFuel),
             ExhaustMutator::DeepRecursion => None,
-            ExhaustMutator::AllocBomb => Some(ResourceKind::DecodeNodes),
+            ExhaustMutator::AllocBomb | ExhaustMutator::PoolBomb => Some(ResourceKind::DecodeNodes),
             ExhaustMutator::DictFlood => Some(ResourceKind::DictEntries),
             ExhaustMutator::EdgeExplosion => Some(ResourceKind::GraphNodes),
             ExhaustMutator::OversizedMultivalue => Some(ResourceKind::GroupWidth),
@@ -685,6 +696,21 @@ impl ExhaustMutator {
                     *tag = shared;
                 }
                 format!("merged all {} requests into one group", a.tags.len())
+            }
+            ExhaustMutator::PoolBomb => {
+                let ops: Vec<OpRef> = a.nondet.keys().cloned().collect();
+                if ops.is_empty() {
+                    return None;
+                }
+                let op = ops[rng.below(ops.len())].clone();
+                // Forty allocations here too: each level shares the one
+                // below. Nothing may walk this value, only encode it.
+                let mut v = Value::from_vec(vec![Value::Null; 2]);
+                for _ in 1..40 {
+                    v = Value::from_vec(vec![v.clone(), v]);
+                }
+                a.nondet.insert(op.clone(), v);
+                format!("replaced nondet value at {op} with a 40-level doubling list")
             }
         };
         Some(Mutation {
@@ -783,16 +809,7 @@ impl WireMutator {
                 // it with 2^40, far beyond any buffer's element budget.
                 let first = skip_uvar(bytes)?;
                 let mut out = Vec::with_capacity(bytes.len() + 6);
-                let mut v: u64 = 1 << 40;
-                loop {
-                    let b = (v & 0x7f) as u8;
-                    v >>= 7;
-                    if v == 0 {
-                        out.push(b);
-                        break;
-                    }
-                    out.push(b | 0x80);
-                }
+                put_uvar(&mut out, 1 << 40);
                 out.extend_from_slice(&bytes[first..]);
                 (out, "declared 2^40 tags".to_string())
             }
@@ -804,6 +821,560 @@ impl WireMutator {
             bytes: out,
         })
     }
+}
+
+/// Value-pool mutators: operate on the encoded pool section and on the
+/// references into it (DESIGN.md §20). A pool node may name only nodes
+/// before it, holds 1 to 16 entries, keeps a map's keys ascending
+/// across its whole subtree, and roots a tree of at most 16 levels;
+/// each `Semantic` case here breaks one of those and must be
+/// `MalformedAdvice` at the node — except [`PoolMutator::SwapRef`] and
+/// the [`PoolMutator::TallTree`] that keeps to 16 levels, well-formed
+/// pools telling a different story, which must survive decoding to be
+/// caught by replay.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum PoolMutator {
+    /// Point a logged value's reference past the end of the pool →
+    /// `pool ref`.
+    DanglingRef,
+    /// Append a node that refers to itself, or to the node after it →
+    /// `pool ref`: a node is known only once it has been read, so no
+    /// cycle can be written down.
+    ForwardRef,
+    /// Append a node of width 0, or of width 17 → `pool node width`.
+    BadWidth,
+    /// Append two one-entry map leaves and a branch that lists them in
+    /// descending key order → `pool node key order`: each leaf is
+    /// sorted, the subtree is not.
+    UnsortedSiblings,
+    /// Append the same node twice. Nothing refers to either copy and
+    /// nothing requires a pool to be free of duplicates: must ACCEPT.
+    DuplicateNode,
+    /// Point a logged write's reference at a different pool node of the
+    /// same kind. Every reference is valid, so this decodes; the value
+    /// is not what re-execution writes → `VarLogMismatch` /
+    /// `StateOpMismatch`.
+    SwapRef,
+    /// Point a logged write's reference at an appended tree of null
+    /// entries in the worst shape a pool can describe: every node on
+    /// one root-to-leaf path full, every other as thin as a node may be,
+    /// and as tall as an assembled tree may be — or one level taller.
+    /// The first decodes and is not what re-execution writes; the second
+    /// is `pool node tree too deep`.
+    TallTree,
+    /// Re-cut a logged map into that shape, entry for entry, with the
+    /// full path where the next version's new key lands (for a list, at
+    /// the end): the program is fed the tree, its one update splits
+    /// every node on the path and the root, and the taller tree is
+    /// compared, entry by entry, with the next logged version. Content
+    /// is untouched and no shape is owed: must ACCEPT. Needs a container
+    /// of 241 entries; smaller advice has no target.
+    RecutTall,
+}
+
+/// A reference in a value position of the log sections: where its
+/// bytes are, and what it names.
+struct LoggedRef {
+    span: std::ops::Range<usize>,
+    id: usize,
+}
+
+/// Offset of `part`, a subslice of `bytes`, within it.
+fn offset_in(bytes: &[u8], part: &[u8]) -> usize {
+    (part.as_ptr() as usize).saturating_sub(bytes.as_ptr() as usize)
+}
+
+/// The references in logged write values (var-log writes and
+/// transactional `PUT`s), at any depth.
+fn logged_refs(bytes: &[u8], view: &AdviceView<'_>) -> Vec<LoggedRef> {
+    let writes = view
+        .var_logs
+        .iter()
+        .flat_map(|(_, log)| log.iter().filter_map(|(_, e)| e.value));
+    let puts = view
+        .tx_logs
+        .iter()
+        .flat_map(|(_, log)| log.iter())
+        .filter_map(|e| match &e.contents {
+            TxOpContentsView::Put { value } => Some(*value),
+            _ => None,
+        });
+    let mut refs = Vec::new();
+    for raw in writes.chain(puts) {
+        let at = offset_in(bytes, raw.bytes());
+        // The view validated these bytes, so the scan reaches the end.
+        let _ = refs_in(bytes, at, &mut refs);
+    }
+    refs
+}
+
+/// Collects the references in the value encoded at `bytes[at..]` and
+/// returns where it ends; `None` if the bytes are not a value.
+fn refs_in(bytes: &[u8], at: usize, refs: &mut Vec<LoggedRef>) -> Option<usize> {
+    let uvar = |at: usize| {
+        let rest = bytes.get(at..)?;
+        Some((read_uvar(rest)? as usize, at + skip_uvar(rest)?))
+    };
+    let body = at + 1;
+    match *bytes.get(at)? {
+        0 => Some(body),
+        1 => Some(body + 1),
+        2 => Some(uvar(body)?.1),
+        3 => {
+            let (len, end) = uvar(body)?;
+            end.checked_add(len)
+        }
+        tag @ (4 | 5) => {
+            let (n, mut at) = uvar(body)?;
+            for _ in 0..n {
+                if tag == 5 {
+                    let (len, end) = uvar(at)?;
+                    at = end.checked_add(len)?;
+                }
+                at = refs_in(bytes, at, refs)?;
+            }
+            Some(at)
+        }
+        6 => {
+            let (id, end) = uvar(body)?;
+            refs.push(LoggedRef { span: at..end, id });
+            Some(end)
+        }
+        _ => None,
+    }
+}
+
+/// `bytes` with the reference at `span` naming pool node `id`.
+fn with_ref(bytes: &[u8], span: &std::ops::Range<usize>, id: usize) -> Vec<u8> {
+    let mut out = bytes[..span.start].to_vec();
+    out.push(6);
+    put_uvar(&mut out, id as u64);
+    out.extend_from_slice(&bytes[span.end..]);
+    out
+}
+
+/// `bytes` with `nodes` appended to the pool.
+fn with_nodes(bytes: &[u8], view: &AdviceView<'_>, nodes: &[&[u8]]) -> Option<Vec<u8>> {
+    let start = offset_in(bytes, view.pool_bytes);
+    let count = skip_uvar(view.pool_bytes)?;
+    let mut out = bytes[..start].to_vec();
+    put_uvar(&mut out, (view.pool.len() + nodes.len()) as u64);
+    out.extend_from_slice(&view.pool_bytes[count..]);
+    for node in nodes {
+        out.extend_from_slice(node);
+    }
+    out.extend_from_slice(&bytes[start + view.pool_bytes.len()..]);
+    Some(out)
+}
+
+impl PoolMutator {
+    /// Every pool mutator.
+    pub const ALL: &'static [PoolMutator] = &[
+        PoolMutator::DanglingRef,
+        PoolMutator::ForwardRef,
+        PoolMutator::BadWidth,
+        PoolMutator::UnsortedSiblings,
+        PoolMutator::DuplicateNode,
+        PoolMutator::SwapRef,
+        PoolMutator::TallTree,
+        PoolMutator::RecutTall,
+    ];
+
+    /// The mutator's name, for reporting.
+    pub fn name(self) -> &'static str {
+        match self {
+            PoolMutator::DanglingRef => "pool-dangling-ref",
+            PoolMutator::ForwardRef => "pool-forward-ref",
+            PoolMutator::BadWidth => "pool-bad-width",
+            PoolMutator::UnsortedSiblings => "pool-unsorted-siblings",
+            PoolMutator::DuplicateNode => "pool-duplicate-node",
+            PoolMutator::SwapRef => "pool-swap-ref",
+            PoolMutator::TallTree => "pool-tall-tree",
+            PoolMutator::RecutTall => "pool-recut-tall",
+        }
+    }
+
+    /// What the audit must do with this mutator's output.
+    pub fn class(self) -> MutationClass {
+        match self {
+            PoolMutator::DuplicateNode | PoolMutator::RecutTall => MutationClass::Cosmetic,
+            _ => MutationClass::Semantic,
+        }
+    }
+
+    /// Applies this mutator to honest encoded advice with deterministic
+    /// randomness from `seed`. Returns `None` when the advice has
+    /// nothing this mutator targets (no logged value is a reference),
+    /// or is not decodable advice.
+    pub fn apply(self, bytes: &[u8], seed: u64) -> Option<Mutation> {
+        let mut rng = Rng::new(seed ^ fnv1a(self.name()));
+        let view = decode_advice_view(bytes).ok()?;
+        // The index the first appended node gets.
+        let next = view.pool.len() as u64;
+        // A one-entry list leaf or two-child map branch naming `ids`.
+        let naming = |head: &[u8], ids: &[u64]| {
+            let mut node = head.to_vec();
+            for id in ids {
+                put_uvar(&mut node, *id);
+            }
+            node
+        };
+        let (out, description) = match self {
+            PoolMutator::DanglingRef => {
+                let refs = logged_refs(bytes, &view);
+                let target = refs.get(rng.below(refs.len().max(1)))?;
+                let id = view.pool.len() + rng.below(1000);
+                (
+                    with_ref(bytes, &target.span, id),
+                    format!(
+                        "pointed the reference at byte {} past the pool, at node {id}",
+                        target.span.start
+                    ),
+                )
+            }
+            PoolMutator::ForwardRef => {
+                let ahead = rng.below(2) as u64;
+                // [ref next + ahead], then a node for it to be ahead of.
+                let first = naming(&[2, 1, 6], &[next + ahead]);
+                (
+                    with_nodes(bytes, &view, &[&first, &[2, 1, 0]])?,
+                    format!("appended a node referring to node {}", next + ahead),
+                )
+            }
+            PoolMutator::BadWidth => {
+                let wide = [&[2u8, 17][..], &[0; 17]].concat();
+                let (node, width) = if rng.below(2) == 0 {
+                    (&[0u8, 0][..], 0)
+                } else {
+                    (&wide[..], 17)
+                };
+                (
+                    with_nodes(bytes, &view, &[node])?,
+                    format!("appended a node of width {width}"),
+                )
+            }
+            PoolMutator::UnsortedSiblings => {
+                let branch = naming(&[1, 2], &[next, next + 1]);
+                let nodes: [&[u8]; 3] = [&[0, 1, 1, b'b', 0], &[0, 1, 1, b'a', 0], &branch];
+                (
+                    with_nodes(bytes, &view, &nodes)?,
+                    "appended a branch over leaves {b} and {a}, in that order".to_string(),
+                )
+            }
+            PoolMutator::DuplicateNode => {
+                let node: &[u8] = &[0, 1, 1, b'k', 2, (rng.next() & 0x3f) as u8];
+                (
+                    with_nodes(bytes, &view, &[node, node])?,
+                    "appended one unreferenced node twice".to_string(),
+                )
+            }
+            PoolMutator::SwapRef => {
+                let refs = logged_refs(bytes, &view);
+                let target = refs.get(rng.below(refs.len().max(1)))?;
+                let was = view.pool.get(target.id)?;
+                // Another node of the same kind that is a different
+                // value (two nodes can hold equal entries in differently
+                // cut trees).
+                let other = refs.iter().map(|r| r.id).find(|id| {
+                    view.pool.get(*id).is_some_and(|v| {
+                        std::mem::discriminant(v) == std::mem::discriminant(was) && v != was
+                    })
+                })?;
+                (
+                    with_ref(bytes, &target.span, other),
+                    format!(
+                        "pointed the reference at byte {} at node {other} instead of {}",
+                        target.span.start, target.id
+                    ),
+                )
+            }
+            PoolMutator::TallTree => {
+                let height = MAX_CHECKED_HEIGHT + rng.below(2);
+                let refs = logged_refs(bytes, &view);
+                let target = refs.get(rng.below(refs.len().max(1)))?;
+                let is_map = matches!(view.pool.get(target.id)?, Value::Map(_));
+                // Keyed `\x01…`, below anything a program inserts.
+                let entries: Vec<Vec<u8>> = (0..TreeWriter::fewest(height))
+                    .map(|i| match is_map {
+                        true => format!("\u{4}\u{1}{i:03}\0").into_bytes(),
+                        false => vec![0],
+                    })
+                    .collect();
+                let entries: Vec<&[u8]> = entries.iter().map(Vec::as_slice).collect();
+                let tree = TreeWriter::tall(is_map, &entries, next, height, entries.len() - 1)?;
+                (
+                    with_tree(bytes, &view, &tree, &target.span)?,
+                    format!(
+                        "pointed the reference at byte {} at a {height}-level tree with a full path",
+                        target.span.start
+                    ),
+                )
+            }
+            PoolMutator::RecutTall => {
+                let refs = logged_refs(bytes, &view);
+                let height = MAX_CHECKED_HEIGHT;
+                // The logged containers big enough to re-cut, each with
+                // the entry that the one update replay makes of it lands
+                // after.
+                let len = |v: &Value| match v {
+                    Value::List(l) => l.len(),
+                    Value::Map(m) => m.len(),
+                    _ => 0,
+                };
+                let targets: Vec<(&LoggedRef, usize)> = refs
+                    .iter()
+                    .filter(|r| view.pool.get(r.id).map_or(0, len) >= TreeWriter::fewest(height))
+                    .filter_map(|r| {
+                        let lands = match view.pool.get(r.id)? {
+                            Value::Map(m) => refs
+                                .iter()
+                                .find_map(|r| new_key_at(m, view.pool.get(r.id)?))?,
+                            list => len(list),
+                        };
+                        Some((r, lands.saturating_sub(1)))
+                    })
+                    .collect();
+                let (target, at) = *targets.get(rng.below(targets.len().max(1)))?;
+                let nodes = pool_node_spans(view.pool_bytes)?;
+                let mut entries = Vec::new();
+                entries_under(view.pool_bytes, &nodes, target.id, &mut entries)?;
+                let is_map = matches!(view.pool.get(target.id)?, Value::Map(_));
+                let tree = TreeWriter::tall(is_map, &entries, next, height, at)?;
+                (
+                    with_tree(bytes, &view, &tree, &target.span)?,
+                    format!(
+                        "re-cut node {}, {} entries, as a {height}-level tree with a full path to entry {at}",
+                        target.id,
+                        entries.len()
+                    ),
+                )
+            }
+        };
+        Some(Mutation {
+            mutator: self.name(),
+            class: self.class(),
+            description,
+            bytes: out,
+        })
+    }
+}
+
+/// If `next` is the map `m` with one more key, how many of `m`'s keys
+/// sort below it.
+fn new_key_at(m: &kem::PMap, next: &Value) -> Option<usize> {
+    let Value::Map(n) = next else { return None };
+    if n.len() != m.len() + 1 {
+        return None;
+    }
+    let at = n.keys().zip(m.keys()).take_while(|(a, b)| a == b).count();
+    n.keys().skip(at + 1).eq(m.keys().skip(at)).then_some(at)
+}
+
+/// `bytes` with the nodes of `tree` appended to the pool and the
+/// reference at `span` — in the logs, so after the pool — naming the
+/// last of them.
+fn with_tree(
+    bytes: &[u8],
+    view: &AdviceView<'_>,
+    tree: &TreeWriter<'_>,
+    span: &std::ops::Range<usize>,
+) -> Option<Vec<u8>> {
+    let nodes: Vec<&[u8]> = tree.nodes.iter().map(Vec::as_slice).collect();
+    let grown = with_nodes(bytes, view, &nodes)?;
+    let shift = grown.len() - bytes.len();
+    let root = view.pool.len() + nodes.len() - 1;
+    Some(with_ref(
+        &grown,
+        &(span.start + shift..span.end + shift),
+        root,
+    ))
+}
+
+/// Where each node of the pool section `pool` lies in it.
+fn pool_node_spans(pool: &[u8]) -> Option<Vec<std::ops::Range<usize>>> {
+    let mut at = skip_uvar(pool)?;
+    let mut spans = Vec::new();
+    for _ in 0..read_uvar(pool)? {
+        let start = at;
+        let (kind, width) = (*pool.get(at)?, *pool.get(at + 1)?);
+        at += 2;
+        for _ in 0..width {
+            at = entry_end(pool, kind, at)?;
+        }
+        spans.push(start..at);
+    }
+    Some(spans)
+}
+
+/// Where the entry of a pool node of `kind` at `bytes[at..]` ends: a
+/// leaf's value, with its key in a map, or a branch's child id.
+fn entry_end(bytes: &[u8], kind: u8, at: usize) -> Option<usize> {
+    let rest = bytes.get(at..)?;
+    match kind {
+        0 => {
+            let key = skip_uvar(rest)? + read_uvar(rest)? as usize;
+            refs_in(bytes, at.checked_add(key)?, &mut Vec::new())
+        }
+        2 => refs_in(bytes, at, &mut Vec::new()),
+        _ => Some(at + skip_uvar(rest)?),
+    }
+}
+
+/// The encoded entries of the container rooted at pool node `id`, in
+/// order: what its leaves hold, whatever the tree above them.
+fn entries_under<'a>(
+    pool: &'a [u8],
+    nodes: &[std::ops::Range<usize>],
+    id: usize,
+    out: &mut Vec<&'a [u8]>,
+) -> Option<()> {
+    let node = nodes.get(id)?;
+    let (kind, width) = (*pool.get(node.start)?, *pool.get(node.start + 1)?);
+    let mut at = node.start + 2;
+    for _ in 0..width {
+        let end = entry_end(pool, kind, at)?;
+        if kind == 0 || kind == 2 {
+            out.push(pool.get(at..end)?);
+        } else {
+            entries_under(pool, nodes, read_uvar(pool.get(at..)?)? as usize, out)?;
+        }
+        at = end;
+    }
+    Some(())
+}
+
+/// Writes pool nodes for a tree over encoded `entries`; the root is the
+/// last node written.
+struct TreeWriter<'e> {
+    leaf_kind: u8,
+    entries: &'e [&'e [u8]],
+    /// The id the first node written gets.
+    next: u64,
+    nodes: Vec<Vec<u8>>,
+}
+
+impl<'e> TreeWriter<'e> {
+    /// Fewest entries a `height`-level tree with one full path holds:
+    /// a full leaf, and fifteen one-entry siblings at each level above.
+    fn fewest(height: usize) -> usize {
+        CHUNK + (CHUNK - 1) * (height - 1)
+    }
+
+    /// The tree of `height` levels over `entries` whose path to entry
+    /// `at` is full and whose other nodes are as thin as the entries
+    /// left over allow; `None` if there are too few.
+    fn tall(
+        is_map: bool,
+        entries: &'e [&'e [u8]],
+        next: u64,
+        height: usize,
+        at: usize,
+    ) -> Option<TreeWriter<'e>> {
+        let mut w = TreeWriter {
+            leaf_kind: if is_map { 0 } else { 2 },
+            entries,
+            next,
+            nodes: Vec::new(),
+        };
+        if entries.len() < Self::fewest(height) || at >= entries.len() {
+            return None;
+        }
+        w.path(0..entries.len(), height, at);
+        Some(w)
+    }
+
+    fn push(&mut self, node: Vec<u8>) -> u64 {
+        self.nodes.push(node);
+        self.next + self.nodes.len() as u64 - 1
+    }
+
+    fn leaf(&mut self, entries: std::ops::Range<usize>) -> u64 {
+        let mut node = vec![self.leaf_kind, entries.len() as u8];
+        for e in &self.entries[entries] {
+            node.extend_from_slice(e);
+        }
+        self.push(node)
+    }
+
+    fn branch(&mut self, children: &[u64]) -> u64 {
+        let mut node = vec![self.leaf_kind + 1, children.len() as u8];
+        for id in children {
+            put_uvar(&mut node, *id);
+        }
+        self.push(node)
+    }
+
+    /// `entries` under `height` levels, in as few nodes as hold them: a
+    /// chain of one-child branches down to where they fan out.
+    fn packed(&mut self, entries: std::ops::Range<usize>, height: usize) -> u64 {
+        if height == 1 {
+            return self.leaf(entries);
+        }
+        let per_child = CHUNK.saturating_pow(height as u32 - 1);
+        let children: Vec<u64> = entries
+            .clone()
+            .step_by(per_child)
+            .map(|lo| {
+                self.packed(
+                    lo..entries.end.min(lo.saturating_add(per_child)),
+                    height - 1,
+                )
+            })
+            .collect();
+        self.branch(&children)
+    }
+
+    /// `entries` under `height` levels with the path to entry `at`
+    /// full: at each level the path's child takes the fewest entries
+    /// that keep it so, and fifteen siblings share the rest — one each,
+    /// below the root.
+    fn path(&mut self, entries: std::ops::Range<usize>, height: usize, at: usize) -> u64 {
+        if height == 1 {
+            return self.leaf(entries);
+        }
+        let outside = entries.len() - Self::fewest(height - 1);
+        // As many of them before the path as lie before `at`.
+        let left = outside.min(at - entries.start);
+        let right = outside - left;
+        let before = left.min(if right > 0 { CHUNK - 2 } else { CHUNK - 1 });
+        let (lo, hi) = (entries.start + left, entries.end - right);
+        let mut children = Vec::with_capacity(CHUNK);
+        self.siblings(entries.start..lo, before, height - 1, &mut children);
+        children.push(self.path(lo..hi, height - 1, at));
+        self.siblings(
+            hi..entries.end,
+            CHUNK - 1 - before,
+            height - 1,
+            &mut children,
+        );
+        self.branch(&children)
+    }
+
+    /// `count` packed subtrees sharing `entries`, the first few an
+    /// entry richer.
+    fn siblings(
+        &mut self,
+        entries: std::ops::Range<usize>,
+        count: usize,
+        height: usize,
+        out: &mut Vec<u64>,
+    ) {
+        let mut lo = entries.start;
+        for i in 0..count {
+            let hi = lo + entries.len() / count + usize::from(i < entries.len() % count);
+            out.push(self.packed(lo..hi, height));
+            lo = hi;
+        }
+    }
+}
+
+/// The varint starting at `bytes[0]`, or `None` if it runs off the end
+/// or past 64 bits.
+fn read_uvar(bytes: &[u8]) -> Option<u64> {
+    let len = skip_uvar(bytes)?;
+    bytes[..len].iter().rev().try_fold(0u64, |v, b| {
+        v.checked_mul(128).map(|v| v | (b & 0x7f) as u64)
+    })
 }
 
 /// Length of the varint starting at `bytes[0]`, or `None` if it runs
@@ -948,6 +1519,118 @@ mod tests {
                 .apply(&bytes, 1)
                 .unwrap_or_else(|| panic!("{} skipped", m.name()));
             assert_ne!(mutation.bytes, bytes, "{} was a no-op", m.name());
+        }
+    }
+
+    #[test]
+    fn every_pool_mutator_applies_and_lands_where_designed() {
+        // Two versions of a map holding the same entry: the entry is
+        // pooled, so both logged values hold a reference.
+        let mut a = sample_advice();
+        let shared = Value::map([("msg", Value::str("hello"))]);
+        let other = Value::map([("msg", Value::str("bye"))]);
+        let versions = [
+            Value::map([("mon", shared.clone())]),
+            Value::map([("mon", shared.clone()), ("tue", shared)]),
+            Value::map([("mon", other.clone()), ("tue", other)]),
+        ];
+        let hid = HandlerId::root(FunctionId(0));
+        for (i, v) in versions.into_iter().enumerate() {
+            a.var_logs.entry(VarId(0)).or_default().insert(
+                OpRef::new(RequestId(1), hid.clone(), i as u32 + 1),
+                crate::advice::VarLogEntry {
+                    access: crate::advice::AccessType::Write,
+                    value: Some(v),
+                    prec: None,
+                },
+            );
+        }
+        let bytes = encode_advice(&a);
+        for m in PoolMutator::ALL {
+            for seed in 0..4 {
+                if *m == PoolMutator::RecutTall {
+                    assert!(
+                        m.apply(&bytes, seed).is_none(),
+                        "nothing this big to re-cut"
+                    );
+                    continue;
+                }
+                let mutation = m
+                    .apply(&bytes, seed)
+                    .unwrap_or_else(|| panic!("{} skipped", m.name()));
+                assert_ne!(mutation.bytes, bytes, "{} was a no-op", m.name());
+                let decoded = crate::wire::decode_advice(&mutation.bytes);
+                match m {
+                    PoolMutator::DuplicateNode => assert_eq!(decoded.as_ref(), Ok(&a)),
+                    PoolMutator::SwapRef => {
+                        assert!(decoded.is_ok_and(|d| d != a), "{}", mutation.description)
+                    }
+                    PoolMutator::TallTree => match decoded {
+                        Ok(d) => assert!(d != a && mutation.description.contains("a 16-level")),
+                        Err(e) => assert_eq!(e.what, "pool node tree too deep"),
+                    },
+                    PoolMutator::RecutTall => unreachable!(),
+                    _ => {
+                        let e = decoded.expect_err(m.name());
+                        assert!(e.what.starts_with("pool "), "{}: {e}", m.name());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_recut_container_is_the_same_value_in_the_tallest_shape() {
+        // Versions of a growing map, as MOTD logs them; each new key
+        // lands somewhere in the middle.
+        let mut a = sample_advice();
+        let hid = HandlerId::root(FunctionId(0));
+        let mut m = kem::PMap::new();
+        for i in 0..300u32 {
+            let key = format!("{:03}", i.wrapping_mul(7919) % 1000);
+            m = m.insert(key.into(), Value::map([("n", Value::int(i as i64))]));
+            a.var_logs.entry(VarId(0)).or_default().insert(
+                OpRef::new(RequestId(1), hid.clone(), i + 1),
+                crate::advice::VarLogEntry {
+                    access: crate::advice::AccessType::Write,
+                    value: Some(Value::Map(m.clone())),
+                    prec: None,
+                },
+            );
+        }
+        let bytes = encode_advice(&a);
+        let height = |v: &Value| {
+            let Value::Map(m) = v else { return 0 };
+            let (mut node, mut levels) = (m.root(), 1);
+            while let Some(child) = node.children().last() {
+                (node, levels) = (child, levels + 1);
+            }
+            levels
+        };
+        for seed in 0..8 {
+            let mutation = PoolMutator::RecutTall.apply(&bytes, seed).expect("targets");
+            assert_ne!(mutation.bytes, bytes);
+            assert_eq!(crate::wire::decode_advice(&mutation.bytes).as_ref(), Ok(&a));
+            let view = decode_advice_view(&mutation.bytes).expect("decodes");
+            assert_eq!(view.pool.last().map(height), Some(MAX_CHECKED_HEIGHT));
+            // The path to where the next key lands is full: one insert
+            // and the tree is a level taller.
+            let recut = view.pool.last().cloned().expect("a root");
+            let log = &a.var_logs[&VarId(0)];
+            let next = log.values().filter_map(|e| e.value.as_ref()).find(|v| {
+                v.as_map()
+                    .is_some_and(|n| n.len() == recut.as_map().map_or(0, |m| m.len()) + 1)
+            });
+            let (Value::Map(recut), Some(Value::Map(next))) = (&recut, next) else {
+                panic!("maps");
+            };
+            let (key, value) = next
+                .iter()
+                .find(|(k, _)| !recut.contains_key(k))
+                .expect("a new key");
+            let grown = Value::Map(recut.insert(key.clone(), value.clone()));
+            assert_eq!(height(&grown), MAX_CHECKED_HEIGHT + 1);
+            assert_eq!(grown.as_map(), Some(next));
         }
     }
 

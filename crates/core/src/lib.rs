@@ -61,7 +61,7 @@ pub use collector::{
 pub use config::Limits;
 pub use faultinject::{
     honest_must_accept, ExhaustMutator, Mutation, MutationClass, MutationOutcome, Mutator,
-    WireMutator,
+    PoolMutator, WireMutator,
 };
 pub use lint::{lint_advice, LintWarning};
 pub use multivalue::{MultiValue, MultiValueIter};

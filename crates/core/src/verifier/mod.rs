@@ -189,10 +189,10 @@ pub fn audit_encoded_with_obs(
         // Zero-copy decode: the audit runs over a borrowed
         // [`AdviceRef`] built straight from the wire view, so the only
         // copies on the accept path are the values replay actually
-        // retains — each distinct encoded value built once, through the
-        // interner's string vocabulary and sub-value memo. Handler
-        // events, store keys, and the write order stay pointers into
-        // `advice_bytes`. The view decoder reads the same bytes with
+        // retains — each distinct container node built once, from the
+        // advice's value pool, and each distinct string once, through
+        // an interner's vocabulary. Handler events, store keys, and the
+        // write order stay pointers into `advice_bytes`. The view decoder reads the same bytes with
         // the same budgets as the owned decoder, so malformed advice
         // rejects with the same positioned error (`decode_advice` and
         // `AdviceView::to_advice` stay alive as the differential
@@ -218,7 +218,15 @@ pub fn audit_encoded_with_obs(
                         }
                     }
                 })?;
-        clock.enter(Layer::AdviceRef, &[("bytes", advice_bytes.len() as u64)]);
+        clock.enter(
+            Layer::AdviceRef,
+            &[
+                ("bytes", advice_bytes.len() as u64),
+                ("pool_nodes", decode_stats.pool_nodes),
+                ("logical_nodes", decode_stats.logical_nodes),
+                ("wire_nodes", decode_stats.wire_nodes),
+            ],
+        );
         let mut interner = kem::ValueInterner::new();
         let advice = AdviceRef::from_view(&view, &mut interner);
         let copied = decode_stats.bytes_copied + interner.bytes_copied;
@@ -228,8 +236,8 @@ pub fn audit_encoded_with_obs(
             Layer::Preprocess,
             &[
                 ("copied", copied),
-                ("values_shared", interner.values_shared),
-                ("values_built", interner.values_built),
+                ("pool_refs", decode_stats.pool_refs),
+                ("inline_containers", decode_stats.inline_containers),
             ],
         );
         audit_core_inner(

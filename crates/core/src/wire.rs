@@ -7,6 +7,33 @@
 //! per-section size breakdown used by the benchmark harness (the paper
 //! reports, e.g., that variable logs are ~95% of MOTD advice, §6.3).
 //!
+//! **Values and the value pool** (DESIGN.md §20). A logged value is a
+//! persistent tree ([`kem::pvalue`]), and successive versions of a
+//! variable share all but one root-to-leaf path of it. The format keeps
+//! that sharing: between the handler logs and the variable logs sits a
+//! *pool* of container nodes — map leaf, map branch, list leaf, list
+//! branch — in which node *i* names only nodes before it, and every
+//! value position holds a scalar, a container written out inline (when
+//! none of its nodes occurs twice), or a reference to a pool node:
+//!
+//! ```text
+//! advice := tags handler_logs pool var_logs tx_logs write_order
+//!           response_emitted_by opcounts nondet
+//! pool   := uvar(count) node*
+//! node   := 0 uvar(w) (str value){w}      map leaf, keys ascending
+//!         | 1 uvar(w) uvar(id){w}         map branch over earlier map nodes
+//!         | 2 uvar(w) value{w}            list leaf
+//!         | 3 uvar(w) uvar(id){w}         list branch over earlier list nodes
+//! value  := 0 | 1 bool | 2 zigzag | 3 str
+//!         | 4 uvar(n) value{n} | 5 uvar(n) (str value){n}
+//!         | 6 uvar(id)                    the container rooted at pool node id
+//! ```
+//!
+//! The encoder finds the sharing by node identity (the `Arc` pointer)
+//! and merges nodes whose encodings are equal, so each distinct node
+//! crosses the wire once; [`encode_advice`] stays a pure function of
+//! the advice.
+//!
 //! Two decoders share one primitive layer ([`Decoder`]), so they read
 //! the same bytes with the same budgets and fail with the same
 //! positioned [`WireError`]:
@@ -14,22 +41,30 @@
 //! * [`decode_advice`] builds an owned [`Advice`] — the form the
 //!   encoder and the structural mutators work on, and the oracle;
 //! * [`decode_advice_view_bounded`] builds a borrowed [`AdviceView`] —
-//!   what every audit decodes. Strings stay slices of the input, and a
-//!   logged value stays the validated bytes it occupies
-//!   ([`RawValue`]): the decoder walks a value once to check it and
-//!   charge its nodes, and builds nothing.
+//!   what every audit decodes. Strings stay slices of the input, a
+//!   logged value stays the validated bytes it occupies ([`RawValue`]),
+//!   and the pool is built once, every node through the checked
+//!   constructors of [`kem::pvalue`].
 //!
 //! Values have **one** reader, [`Decoder::walk_value`], driven by a
-//! [`ValueSink`]: the owned decoder's sink builds a [`Value`], the
-//! view decoder's builds nothing, and [`Materializer`] — how
-//! [`crate::AdviceRef::from_view`] turns spans into the values replay
-//! retains — builds each distinct encoded sub-value once, through
-//! [`kem::ValueInterner`]'s string vocabulary and span-keyed memo
-//! (DESIGN.md §17).
+//! [`ValueSink`]: the owned decoder's sink builds a [`Value`] of fresh
+//! strings, the view decoder's builds nothing, and [`Materializer`] —
+//! how the pool is built and how [`crate::AdviceRef::from_view`] turns
+//! spans into the values replay retains — shares strings through
+//! [`kem::ValueInterner`] and containers through the pool, where a
+//! reference is one `Arc` bump. The node budget charges a reference
+//! what the container it names would have cost inline
+//! ([`Decoder::charge`]), so it keeps counting *logical* elements; what
+//! the pool section itself declares is held against the same budget
+//! apart from them ([`Decoder::pool_wire`]).
 
+use std::borrow::Cow;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hasher;
+use std::ops::Range;
 use std::sync::Arc;
 
+use kem::pvalue::{ListNodeRef, MapNodeRef, PList, PMap, CHUNK};
 use kem::{FunctionId, HandlerId, OpRef, RequestId, Value, ValueInterner, VarId};
 
 use crate::advice::{
@@ -44,6 +79,11 @@ pub struct WireError {
     pub offset: usize,
     /// What was being decoded.
     pub what: &'static str,
+    /// The pool node being decoded, if the failure is inside the pool.
+    /// Four bytes, not eight: every read the decoder makes returns a
+    /// `Result` that is this wide, and at 40 bytes decoding pool-less
+    /// advice measured 10 % slower than at 32.
+    pub node: Option<u32>,
 }
 
 impl std::fmt::Display for WireError {
@@ -52,16 +92,104 @@ impl std::fmt::Display for WireError {
             f,
             "wire decode error at byte {}: {}",
             self.offset, self.what
-        )
+        )?;
+        match self.node {
+            Some(node) => write!(f, " (pool node {node})"),
+            None => Ok(()),
+        }
     }
 }
 
 impl std::error::Error for WireError {}
 
+/// Pool node kinds. The low bit says branch, the next says list.
+const MAP_LEAF: u8 = 0;
+const MAP_BRANCH: u8 = 1;
+const LIST_LEAF: u8 = 2;
+const LIST_BRANCH: u8 = 3;
+
+fn is_branch(kind: u8) -> bool {
+    kind & 1 == 1
+}
+
+/// The value tag of a reference to a pool node.
+const REF: u8 = 6;
+
+/// In an [`Encoder`]'s buffer, stands where a container goes until
+/// [`Encoder::finish`] decides how to write it: this byte, then the
+/// canonical node's index in eight bytes.
+const HOLE: u8 = 7;
+const HOLE_LEN: usize = 9;
+
+/// One distinct container node the encoder has met.
+#[derive(Debug)]
+struct CanonNode {
+    /// Its key in [`Canon::arena`]: the node's wire form — kind, width,
+    /// entries — with a hole for each child node or container entry.
+    key: Range<usize>,
+    /// Its holes in [`Canon::holes`].
+    holes: Range<usize>,
+    kind: u8,
+    /// Bytes of `key` before the first entry.
+    header: usize,
+    /// Entries in the subtree.
+    len: usize,
+    /// Value positions and canonical nodes that hold it.
+    uses: usize,
+    /// The next node whose key has the same hash.
+    same_hash: Option<usize>,
+}
+
+/// The distinct container nodes of everything an [`Encoder`] was given:
+/// found by `Arc` identity, merged when their keys are equal. A child
+/// is interned before its parent, so a node's holes name lower indices.
+#[derive(Debug, Default)]
+struct Canon {
+    nodes: Vec<CanonNode>,
+    arena: Vec<u8>,
+    /// `(offset in the key, canonical node)`, node by node.
+    holes: Vec<(usize, usize)>,
+    by_addr: HashMap<usize, usize>,
+    /// The latest node with each key hash; the rest chain through
+    /// [`CanonNode::same_hash`].
+    by_hash: HashMap<u64, usize>,
+}
+
+impl Canon {
+    fn holes_of(&self, c: usize) -> &[(usize, usize)] {
+        &self.holes[self.nodes[c].holes.clone()]
+    }
+}
+
 /// Byte-stream encoder.
+///
+/// Containers are not written where [`Encoder::value`] meets them: the
+/// buffer gets a hole naming the container's canonical root, and
+/// [`Encoder::finish`] — which by then knows every use of every node —
+/// fills it with the container inline or with a reference into the
+/// pool it writes at [`Encoder::pool_here`].
 #[derive(Debug, Default)]
 pub struct Encoder {
     buf: Vec<u8>,
+    /// `(offset in buf, canonical node)` of each hole, ascending.
+    holes: Vec<(usize, usize)>,
+    /// Where in `buf` the pool section goes. Without one, every
+    /// container is written inline.
+    pool_at: Option<usize>,
+    canon: Canon,
+}
+
+/// Appends `v` as a LEB128-style varint.
+pub(crate) fn put_uvar(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let byte = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(byte);
+            break;
+        }
+        out.push(byte | 0x80);
+    }
 }
 
 impl Encoder {
@@ -70,12 +198,7 @@ impl Encoder {
         Self::default()
     }
 
-    /// Finishes, returning the bytes.
-    pub fn finish(self) -> Vec<u8> {
-        self.buf
-    }
-
-    /// Bytes written so far.
+    /// Bytes written so far, each container counted as a hole.
     pub fn len(&self) -> usize {
         self.buf.len()
     }
@@ -90,16 +213,8 @@ impl Encoder {
     }
 
     /// LEB128-style varint; most advice integers are small.
-    fn uvar(&mut self, mut v: u64) {
-        loop {
-            let byte = (v & 0x7f) as u8;
-            v >>= 7;
-            if v == 0 {
-                self.buf.push(byte);
-                break;
-            }
-            self.buf.push(byte | 0x80);
-        }
+    fn uvar(&mut self, v: u64) {
+        put_uvar(&mut self.buf, v);
     }
 
     fn i64(&mut self, v: i64) {
@@ -112,7 +227,22 @@ impl Encoder {
         self.buf.extend_from_slice(s.as_bytes());
     }
 
+    /// The pool section goes here: before the first value.
+    fn pool_here(&mut self) {
+        debug_assert!(self.holes.is_empty(), "a reference must follow the pool");
+        self.pool_at = Some(self.buf.len());
+    }
+
+    /// A value in a log entry.
     fn value(&mut self, v: &Value) {
+        if let Some(root) = self.put_value(v) {
+            self.canon.nodes[root].uses += 1;
+        }
+    }
+
+    /// Writes a scalar or an empty container, or leaves a hole for a
+    /// container and returns its canonical root.
+    fn put_value(&mut self, v: &Value) -> Option<usize> {
         match v {
             Value::Null => self.u8(0),
             Value::Bool(b) => {
@@ -127,22 +257,135 @@ impl Encoder {
                 self.u8(3);
                 self.str(s);
             }
+            // All empty containers are one static node; a reference to
+            // it would be longer than writing it out.
+            Value::List(l) if l.is_empty() => self.buf.extend_from_slice(&[4, 0]),
+            Value::Map(m) if m.is_empty() => self.buf.extend_from_slice(&[5, 0]),
             Value::List(l) => {
-                self.u8(4);
-                self.uvar(l.len() as u64);
-                for item in l.iter() {
-                    self.value(item);
-                }
+                let root = self.list_node(l.root());
+                return Some(self.hole(root));
             }
             Value::Map(m) => {
-                self.u8(5);
-                self.uvar(m.len() as u64);
-                for (k, val) in m.iter() {
-                    self.str(k);
-                    self.value(val);
-                }
+                let root = self.map_node(m.root());
+                return Some(self.hole(root));
             }
         }
+        None
+    }
+
+    fn hole(&mut self, c: usize) -> usize {
+        self.holes.push((self.buf.len(), c));
+        self.u8(HOLE);
+        self.buf.extend_from_slice(&(c as u64).to_le_bytes());
+        c
+    }
+
+    /// The canonical node for the tree node at `addr`, of `kind`, `width`
+    /// wide and holding `len` entries. A node met before (the same
+    /// `Arc`) is not read again; a new one has its key assembled on top
+    /// of `buf` — `entries` writes what follows the width, children
+    /// first — and is then looked up by that key.
+    fn node(
+        &mut self,
+        addr: usize,
+        kind: u8,
+        width: usize,
+        len: usize,
+        entries: impl FnOnce(&mut Self),
+    ) -> usize {
+        if let Some(&c) = self.canon.by_addr.get(&addr) {
+            return c;
+        }
+        let (start, holes) = (self.buf.len(), self.holes.len());
+        self.u8(kind);
+        self.uvar(width as u64);
+        let header = self.buf.len() - start;
+        entries(self);
+        let c = self.intern(start, holes, kind, header, len);
+        self.canon.by_addr.insert(addr, c);
+        c
+    }
+
+    fn map_node(&mut self, n: MapNodeRef<'_>) -> usize {
+        match n.entries() {
+            Some(entries) => self.node(n.addr(), MAP_LEAF, entries.len(), n.len(), |e| {
+                for (k, v) in entries {
+                    e.str(k);
+                    e.put_value(v);
+                }
+            }),
+            None => self.node(n.addr(), MAP_BRANCH, n.children().len(), n.len(), |e| {
+                for child in n.children() {
+                    let c = e.map_node(child);
+                    e.hole(c);
+                }
+            }),
+        }
+    }
+
+    fn list_node(&mut self, n: ListNodeRef<'_>) -> usize {
+        match n.elements() {
+            Some(elements) => self.node(n.addr(), LIST_LEAF, elements.len(), n.len(), |e| {
+                for v in elements {
+                    e.put_value(v);
+                }
+            }),
+            None => self.node(n.addr(), LIST_BRANCH, n.children().len(), n.len(), |e| {
+                for child in n.children() {
+                    let c = e.list_node(child);
+                    e.hole(c);
+                }
+            }),
+        }
+    }
+
+    /// Takes the key assembled at `buf[start..]` (its holes at
+    /// `holes[holes_from..]`) off the buffer and returns the canonical
+    /// node with that key: an equal one met earlier, or a new one, which
+    /// then holds its children.
+    fn intern(
+        &mut self,
+        start: usize,
+        holes_from: usize,
+        kind: u8,
+        header: usize,
+        len: usize,
+    ) -> usize {
+        let canon = &mut self.canon;
+        let key = &self.buf[start..];
+        let mut hasher = std::collections::hash_map::DefaultHasher::new();
+        hasher.write(key);
+        let hash = hasher.finish();
+        let latest = canon.by_hash.get(&hash).copied();
+        let mut candidate = latest;
+        while let Some(c) = candidate {
+            if canon.arena[canon.nodes[c].key.clone()] == *key {
+                self.buf.truncate(start);
+                self.holes.truncate(holes_from);
+                return c;
+            }
+            candidate = canon.nodes[c].same_hash;
+        }
+        let c = canon.nodes.len();
+        let key_at = canon.arena.len();
+        canon.arena.extend_from_slice(key);
+        let holes_at = canon.holes.len();
+        for (offset, child) in self.holes.drain(holes_from..) {
+            canon.holes.push((offset - start, child));
+            canon.nodes[child].uses += 1;
+        }
+        canon.nodes.push(CanonNode {
+            key: key_at..canon.arena.len(),
+            holes: holes_at..canon.holes.len(),
+            kind,
+            header,
+            len,
+            uses: 0,
+            same_hash: latest,
+        });
+        canon.by_hash.insert(hash, c);
+        self.buf.truncate(start);
+        c
     }
 
     /// An already-encoded value, verbatim.
@@ -179,6 +422,186 @@ impl Encoder {
         self.ktx(&p.tx);
         self.uvar(p.index as u64);
     }
+
+    /// Finishes, returning the bytes.
+    pub fn finish(self) -> Vec<u8> {
+        let ends = [self.pool_at.unwrap_or(0), self.buf.len()];
+        self.finish_sections(&ends).0
+    }
+
+    /// Finishes a buffer whose sections end at the ascending offsets
+    /// `ends` (the last one `self.len()`, and the pool position a
+    /// section boundary): returns the bytes, the size each section came
+    /// to, and the pool section's.
+    fn finish_sections(self, ends: &[usize]) -> (Vec<u8>, Vec<usize>, usize) {
+        let mut fill = Fill::new(&self.canon, self.pool_at.is_some());
+        // References are numbered in the order values first need them,
+        // children before parents.
+        for &(_, root) in &self.holes {
+            fill.prepare(root);
+        }
+        let mut out = Vec::with_capacity(self.buf.len() + fill.pool.len());
+        let mut sizes = Vec::with_capacity(ends.len());
+        let mut pool_size = None;
+        let (mut at, mut holes) = (0, self.holes.as_slice());
+        for &end in ends {
+            if pool_size.is_none() && self.pool_at == Some(at) {
+                let before = out.len();
+                put_uvar(&mut out, fill.count as u64);
+                out.extend_from_slice(&fill.pool);
+                pool_size = Some(out.len() - before);
+            }
+            let before = out.len();
+            let within = holes.partition_point(|(offset, _)| *offset < end);
+            fill.splice(&self.buf[at..end], at, &holes[..within], false, &mut out);
+            holes = &holes[within..];
+            sizes.push(out.len() - before);
+            at = end;
+        }
+        (out, sizes, pool_size.unwrap_or(0))
+    }
+}
+
+/// The second pass of an encode: decides, now that every use of every
+/// canonical node is known, which containers go to the pool, and fills
+/// the holes.
+struct Fill<'c> {
+    canon: &'c Canon,
+    /// Whether there is a pool to refer to.
+    pooling: bool,
+    /// Per canonical node: some node of the tree under it is held
+    /// twice, so as a value it is a reference and its tree is pooled.
+    shared: Vec<bool>,
+    /// Per canonical node: something under it — in its tree or inside
+    /// its entries — is held twice, so writing it may name pool nodes.
+    deep: Vec<bool>,
+    /// Pool index of each canonical node already written to the pool.
+    index: Vec<Option<usize>>,
+    pool: Vec<u8>,
+    count: usize,
+}
+
+impl<'c> Fill<'c> {
+    fn new(canon: &'c Canon, pooling: bool) -> Self {
+        let n = canon.nodes.len();
+        let (mut shared, mut deep) = (vec![false; n], vec![false; n]);
+        for (c, node) in canon.nodes.iter().enumerate() {
+            let own = node.uses >= 2;
+            let below = canon.holes_of(c);
+            shared[c] = own || (is_branch(node.kind) && below.iter().any(|(_, k)| shared[*k]));
+            deep[c] = own || below.iter().any(|(_, k)| deep[*k]);
+        }
+        Fill {
+            canon,
+            pooling,
+            shared,
+            deep,
+            index: vec![None; n],
+            pool: Vec::new(),
+            count: 0,
+        }
+    }
+
+    fn is_ref(&self, c: usize) -> bool {
+        self.pooling && self.shared[c]
+    }
+
+    fn pool_index(&self, c: usize) -> usize {
+        self.index[c].expect("a node is pooled before anything names it")
+    }
+
+    /// Puts in the pool every node that writing the container rooted at
+    /// `c` will name.
+    fn prepare(&mut self, c: usize) {
+        if !self.pooling || !self.deep[c] {
+            return;
+        }
+        if self.shared[c] {
+            self.pooled(c);
+            return;
+        }
+        // An inline tree's nodes are not shared; what their entries
+        // hold may be.
+        let canon = self.canon;
+        for &(_, below) in canon.holes_of(c) {
+            self.prepare(below);
+        }
+    }
+
+    /// Writes node `c` to the pool, after everything it names.
+    fn pooled(&mut self, c: usize) {
+        if self.index[c].is_some() {
+            return;
+        }
+        let canon = self.canon;
+        let node = &canon.nodes[c];
+        let branch = is_branch(node.kind);
+        for &(_, below) in canon.holes_of(c) {
+            if branch {
+                self.pooled(below);
+            } else {
+                self.prepare(below);
+            }
+        }
+        let mut pool = std::mem::take(&mut self.pool);
+        let key = &canon.arena[node.key.clone()];
+        self.splice(key, 0, canon.holes_of(c), branch, &mut pool);
+        self.pool = pool;
+        self.index[c] = Some(self.count);
+        self.count += 1;
+    }
+
+    /// Appends `src` to `out` with its holes filled. `holes` hold
+    /// offsets from `base` bytes before `src`; in a branch they are
+    /// child nodes (bare pool indices), elsewhere values.
+    fn splice(
+        &self,
+        src: &[u8],
+        base: usize,
+        holes: &[(usize, usize)],
+        branch: bool,
+        out: &mut Vec<u8>,
+    ) {
+        let mut at = 0;
+        for &(offset, c) in holes {
+            let offset = offset - base;
+            out.extend_from_slice(&src[at..offset]);
+            at = offset + HOLE_LEN;
+            if branch {
+                put_uvar(out, self.pool_index(c) as u64);
+            } else {
+                self.value(c, out);
+            }
+        }
+        out.extend_from_slice(&src[at..]);
+    }
+
+    /// The container rooted at `c`, as a value.
+    fn value(&self, c: usize, out: &mut Vec<u8>) {
+        let node = &self.canon.nodes[c];
+        if self.is_ref(c) {
+            out.push(REF);
+            put_uvar(out, self.pool_index(c) as u64);
+        } else {
+            out.push(if node.kind < LIST_LEAF { 5 } else { 4 });
+            put_uvar(out, node.len as u64);
+            self.entries(c, out);
+        }
+    }
+
+    /// The entries of the tree under `c`, in order.
+    fn entries(&self, c: usize, out: &mut Vec<u8>) {
+        let node = &self.canon.nodes[c];
+        let holes = self.canon.holes_of(c);
+        if is_branch(node.kind) {
+            for &(_, child) in holes {
+                self.entries(child, out);
+            }
+        } else {
+            let key = &self.canon.arena[node.key.clone()];
+            self.splice(&key[node.header..], node.header, holes, false, out);
+        }
+    }
 }
 
 /// The [`WireError::what`] label reported when a decode exceeds its
@@ -187,6 +610,24 @@ impl Encoder {
 /// structural malformation (a malformed-advice verdict).
 pub const NODE_BUDGET_LABEL: &str = "decode node budget";
 
+/// Deepest a value may nest, through inline containers and pool
+/// references alike: keeps crafted bytes like `[[[[…` off the
+/// verifier's stack, in the decoder and in every recursive walk of the
+/// value after it.
+const MAX_VALUE_DEPTH: u32 = 64;
+
+/// What the decoder remembers of a pool node it has read: all that a
+/// reference to the node needs checked and charged, in O(1).
+#[derive(Debug, Clone, Copy)]
+struct PoolMeta {
+    /// Elements a reader of the container rooted here walks — what the
+    /// node budget would have been charged had it been written inline —
+    /// saturating.
+    logical: u64,
+    /// Levels of value nesting at and below the node's entries.
+    depth: u32,
+}
+
 /// Byte-stream decoder.
 #[derive(Debug)]
 pub struct Decoder<'a> {
@@ -194,11 +635,39 @@ pub struct Decoder<'a> {
     pos: usize,
     /// Total declared collection elements so far. Every collection
     /// length — sections, per-entry logs, nested value lists/maps,
-    /// handler-id paths — funnels through [`Decoder::len`], so this is
-    /// a faithful count of allocation-driving nodes.
+    /// handler-id paths — funnels through [`Decoder::len`], and every
+    /// pool reference adds what its container holds
+    /// ([`Decoder::charge`]), so this is a faithful count of the
+    /// elements anything walking the decoded advice will visit.
     nodes: u64,
     /// Cap on `nodes`; `u64::MAX` means unmetered.
     node_budget: u64,
+    /// The pool nodes read so far.
+    pool: Vec<PoolMeta>,
+    /// The pool node being read: positioned errors name it, and
+    /// lengths written inline in it go on the pool's account too.
+    node: Option<u32>,
+    /// Deepest value nesting reached since last reset.
+    deepest: u32,
+    /// Rereading a span the validating walk accepted: references were
+    /// checked and charged then, against a pool this decoder has not
+    /// read.
+    validated: bool,
+    counts: ValueCounts,
+}
+
+/// What a decode met in value positions.
+#[derive(Debug, Clone, Copy, Default)]
+struct ValueCounts {
+    refs: u64,
+    inline_containers: u64,
+    /// The part of `nodes` that references outside the pool charged:
+    /// elements described, not declared.
+    referred: u64,
+    /// Elements the pool section declares — its node count, every
+    /// node's width, every length written inline in a node — each once,
+    /// however often the node is referred to.
+    pool_wire: u64,
 }
 
 impl<'a> Decoder<'a> {
@@ -209,6 +678,11 @@ impl<'a> Decoder<'a> {
             pos: 0,
             nodes: 0,
             node_budget: u64::MAX,
+            pool: Vec::new(),
+            node: None,
+            deepest: 0,
+            validated: false,
+            counts: ValueCounts::default(),
         }
     }
 
@@ -217,11 +691,16 @@ impl<'a> Decoder<'a> {
         self.pos == self.buf.len()
     }
 
-    fn err(&self, what: &'static str) -> WireError {
+    fn err_at(&self, offset: usize, what: &'static str) -> WireError {
         WireError {
-            offset: self.pos,
+            offset,
             what,
+            node: self.node,
         }
+    }
+
+    fn err(&self, what: &'static str) -> WireError {
+        self.err_at(self.pos, what)
     }
 
     /// Bytes not yet consumed.
@@ -236,29 +715,56 @@ impl<'a> Decoder<'a> {
     /// caps `Vec::with_capacity` preallocation at what the input could
     /// deliver — a 5-byte advice claiming 2^60 entries errors here
     /// instead of reserving gigabytes.
-    fn len(&mut self, what: &'static str, min_elem_bytes: usize) -> Result<usize, WireError> {
+    fn count(&mut self, what: &'static str, min_elem_bytes: usize) -> Result<usize, WireError> {
         let start = self.pos;
         let n = self.uvar(what)? as usize;
-        let budget = self.remaining() / min_elem_bytes.max(1);
-        if n > budget {
+        if n > self.remaining() / min_elem_bytes.max(1) {
             // Report at the length's own position, not after it.
-            return Err(WireError {
-                offset: start,
-                what,
-            });
-        }
-        // Cumulative node budget: each declared element is a node the
-        // decoder will materialize. Dense advice can pack many small
-        // nodes per byte across nesting levels, so the per-collection
-        // byte bound above does not by itself cap total work.
-        self.nodes = self.nodes.saturating_add(n as u64);
-        if self.nodes > self.node_budget {
-            return Err(WireError {
-                offset: start,
-                what: NODE_BUDGET_LABEL,
-            });
+            return Err(self.err_at(start, what));
         }
         Ok(n)
+    }
+
+    /// [`Decoder::count`], charged to the node budget: each declared
+    /// element is a node the decoder will materialize. Dense advice can
+    /// pack many small nodes per byte across nesting levels, so the
+    /// per-collection byte bound does not by itself cap total work.
+    fn len(&mut self, what: &'static str, min_elem_bytes: usize) -> Result<usize, WireError> {
+        let start = self.pos;
+        let n = self.count(what, min_elem_bytes)?;
+        self.charge(n as u64, start)?;
+        Ok(n)
+    }
+
+    /// Holds `n` elements the pool section declares at `offset` against
+    /// the budget, in a count of the pool's own. The logical count pays
+    /// for a pool node where something refers to it, so a pool of nodes
+    /// nothing refers to would be free, and every one of them — leaf or
+    /// branch — is built. Outside the pool every element on the wire is
+    /// a logical one, so the two counts together bound what a decode
+    /// allocates by twice the budget.
+    fn pool_wire(&mut self, n: u64, offset: usize) -> Result<(), WireError> {
+        self.counts.pool_wire = self.counts.pool_wire.saturating_add(n);
+        if self.counts.pool_wire > self.node_budget {
+            return Err(self.err_at(offset, NODE_BUDGET_LABEL));
+        }
+        Ok(())
+    }
+
+    /// Adds `n` elements, declared at `offset`, to the cumulative node
+    /// count. A reference to a pool node is charged here with the
+    /// node's whole logical size, as if the container had been written
+    /// out in its place: honest advice costs what it cost before there
+    /// was a pool, and a small pool that *describes* something huge —
+    /// node k holding node k−1 twice, forty deep — is the same typed
+    /// exhaustion a physically huge advice gets, found in O(1) per
+    /// reference and before anything downstream can walk the value.
+    fn charge(&mut self, n: u64, offset: usize) -> Result<(), WireError> {
+        self.nodes = self.nodes.saturating_add(n);
+        if self.nodes > self.node_budget {
+            return Err(self.err_at(offset, NODE_BUDGET_LABEL));
+        }
+        Ok(())
     }
 
     fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
@@ -310,13 +816,6 @@ impl<'a> Decoder<'a> {
         self.str_ref(what).map(str::to_string)
     }
 
-    /// Decodes one value into an owned [`Value`] (the owned decoder's
-    /// value path, and what [`AdviceView::to_advice`] runs over a
-    /// validated span).
-    fn value(&mut self) -> Result<Value, WireError> {
-        self.walk_value(&mut Owned, 0)
-    }
-
     /// Validates one value without building it and returns the bytes it
     /// occupies: the borrowed decoder's value path.
     fn raw_value(&mut self) -> Result<RawValue<'a>, WireError> {
@@ -326,22 +825,20 @@ impl<'a> Decoder<'a> {
     }
 
     /// The one recursive walk over an encoded value. Every reader of
-    /// value bytes — owned decode, validating skip, memoized
-    /// materialization — is this function with a different
-    /// [`ValueSink`], so they all read the same primitives in the same
-    /// order: the same [`Decoder::len`] budget charges, the same UTF-8
-    /// checks, and on bad bytes the same positioned [`WireError`]. The
-    /// nesting guard keeps crafted bytes like `[[[[…` off the
-    /// verifier's stack.
+    /// value bytes — owned decode, validating skip, materialization —
+    /// is this function with a different [`ValueSink`], so they all
+    /// read the same primitives in the same order: the same
+    /// [`Decoder::len`] budget charges, the same UTF-8 checks, and on
+    /// bad bytes the same positioned [`WireError`].
     fn walk_value<S: ValueSink<'a>>(
         &mut self,
         sink: &mut S,
         depth: u32,
     ) -> Result<S::Out, WireError> {
-        const MAX_DEPTH: u32 = 64;
-        if depth > MAX_DEPTH {
+        if depth > MAX_VALUE_DEPTH {
             return Err(self.err("value nesting too deep"));
         }
+        self.deepest = self.deepest.max(depth);
         let start = self.pos;
         let tag = self.u8("value tag")?;
         match tag {
@@ -349,49 +846,173 @@ impl<'a> Decoder<'a> {
             1 => Ok(sink.leaf(Value::Bool(self.u8("bool")? != 0))),
             2 => Ok(sink.leaf(Value::Int(self.i64("int")?))),
             3 => Ok(sink.str(self.str_ref("str")?)),
-            4 | 5 => {
-                // Only containers *inside* a value are offered to the
-                // sink: a whole logged value repeats too rarely to be
-                // worth hashing (DESIGN.md §17).
-                let mark = if depth == 0 {
-                    None
-                } else {
-                    match sink.enter(self.buf, start) {
-                        Enter::Taken(out, end) => {
-                            self.pos = end;
-                            return Ok(out);
-                        }
-                        Enter::Walk(mark) => Some(mark),
-                    }
-                };
-                let out = if tag == 4 {
-                    // Every element is at least one tag byte.
-                    let n = self.len("list len", 1)?;
-                    let mut items = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        items.push(self.walk_value(sink, depth + 1)?);
-                    }
-                    sink.list(items)
-                } else {
-                    // Every entry is at least a key-length byte + value
-                    // tag. Duplicate wire keys resolve later-wins in
-                    // every sink that builds a map, exactly as the old
-                    // `BTreeMap::insert` loop did.
-                    let n = self.len("map len", 2)?;
-                    let mut entries = Vec::with_capacity(n);
-                    for _ in 0..n {
-                        let k = sink.key(self.str_ref("map key")?);
-                        entries.push((k, self.walk_value(sink, depth + 1)?));
-                    }
-                    sink.map(entries)
-                };
-                if let Some(mark) = mark {
-                    sink.leave(mark, self.pos, &out);
+            4 => {
+                // Every element is at least one tag byte.
+                let n = self.inline_len("list len", 1)?;
+                let mut items = Vec::with_capacity(n);
+                for _ in 0..n {
+                    items.push(self.walk_value(sink, depth + 1)?);
                 }
-                Ok(out)
+                Ok(sink.list(items))
+            }
+            5 => {
+                // Every entry is at least a key-length byte + value
+                // tag. Duplicate wire keys resolve later-wins in every
+                // sink that builds a map, exactly as a
+                // `BTreeMap::insert` loop would.
+                let n = self.inline_len("map len", 2)?;
+                let mut entries = Vec::with_capacity(n);
+                for _ in 0..n {
+                    let k = sink.key(self.str_ref("map key")?);
+                    entries.push((k, self.walk_value(sink, depth + 1)?));
+                }
+                Ok(sink.map(entries))
+            }
+            REF => {
+                let id = self.uvar("pool ref")? as usize;
+                if !self.validated {
+                    // A node may be named only after it was read: no
+                    // dangling, forward or self reference, so no cycle.
+                    let Some(&meta) = self.pool.get(id) else {
+                        return Err(self.err_at(start, "pool ref"));
+                    };
+                    if depth + meta.depth > MAX_VALUE_DEPTH {
+                        return Err(self.err_at(start, "value nesting too deep"));
+                    }
+                    self.deepest = self.deepest.max(depth + meta.depth);
+                    self.charge(meta.logical, start)?;
+                    self.counts.refs += 1;
+                    if self.node.is_none() {
+                        self.counts.referred = self.counts.referred.saturating_add(meta.logical);
+                    }
+                }
+                sink.pooled(id)
+                    .ok_or_else(|| self.err_at(start, "pool ref"))
             }
             _ => Err(self.err("value tag")),
         }
+    }
+
+    /// The declared length of a container written inline in a value.
+    /// Inside a pool node it is on the pool's account as well as the
+    /// node's.
+    fn inline_len(
+        &mut self,
+        what: &'static str,
+        min_elem_bytes: usize,
+    ) -> Result<usize, WireError> {
+        self.counts.inline_containers += 1;
+        let start = self.pos;
+        let n = self.len(what, min_elem_bytes)?;
+        if self.node.is_some() {
+            self.pool_wire(n as u64, start)?;
+        }
+        Ok(n)
+    }
+
+    /// Reads the pool section, building each node through `sink` and
+    /// the checked node constructors.
+    fn pool_section<S>(&mut self, sink: &mut S) -> Result<(), WireError>
+    where
+        S: ValueSink<'a, Out = Value, Key = Arc<str>>,
+    {
+        let start = self.pos;
+        // Every node is at least a kind, a width and one entry.
+        let n = self.count("pool len", 3)?;
+        self.pool_wire(n as u64, start)?;
+        self.pool.reserve(n);
+        sink.reserve(n);
+        for id in 0..n {
+            self.node = Some(u32::try_from(id).unwrap_or(u32::MAX));
+            let (node, meta) = self.pool_node(sink)?;
+            self.pool.push(meta);
+            sink.push(node);
+        }
+        self.node = None;
+        Ok(())
+    }
+
+    /// Reads one pool node. Its logical size is what its entries charge
+    /// the node budget while they are read — kept apart from the
+    /// advice's own count, which pays per reference instead.
+    fn pool_node<S>(&mut self, sink: &mut S) -> Result<(Value, PoolMeta), WireError>
+    where
+        S: ValueSink<'a, Out = Value, Key = Arc<str>>,
+    {
+        let start = self.pos;
+        let kind = self.u8("pool node kind")?;
+        if kind > LIST_BRANCH {
+            return Err(self.err_at(start, "pool node kind"));
+        }
+        let width = self.uvar("pool node width")? as usize;
+        if !(1..=CHUNK).contains(&width) {
+            return Err(self.err_at(start, "pool node width"));
+        }
+        self.pool_wire(width as u64, start)?;
+        let advice_nodes = std::mem::replace(&mut self.nodes, 0);
+        self.deepest = 0;
+        let node = if !is_branch(kind) {
+            self.charge(width as u64, start)?;
+            if kind == MAP_LEAF {
+                let mut entries = Vec::with_capacity(width);
+                for _ in 0..width {
+                    let k = sink.key(self.str_ref("map key")?);
+                    entries.push((k, self.walk_value(sink, 1)?));
+                }
+                PMap::checked_leaf(entries).map(Value::Map)
+            } else {
+                let mut values = Vec::with_capacity(width);
+                for _ in 0..width {
+                    values.push(self.walk_value(sink, 1)?);
+                }
+                PList::checked_leaf(values).map(Value::List)
+            }
+        } else if kind == MAP_BRANCH {
+            let mut children = Vec::with_capacity(width);
+            for _ in 0..width {
+                children.push(self.pool_child(sink, |c| match c {
+                    Value::Map(m) => Some(m),
+                    _ => None,
+                })?);
+            }
+            PMap::checked_branch(&children).map(Value::Map)
+        } else {
+            let mut children = Vec::with_capacity(width);
+            for _ in 0..width {
+                children.push(self.pool_child(sink, |c| match c {
+                    Value::List(l) => Some(l),
+                    _ => None,
+                })?);
+            }
+            PList::checked_branch(&children).map(Value::List)
+        };
+        let node = node.map_err(|e| self.err_at(start, e.what()))?;
+        let logical = std::mem::replace(&mut self.nodes, advice_nodes);
+        let meta = PoolMeta {
+            logical,
+            depth: self.deepest,
+        };
+        Ok((node, meta))
+    }
+
+    /// Reads a branch's next child: an earlier pool node of the
+    /// branch's own kind, charged like a reference to it.
+    fn pool_child<S, T>(
+        &mut self,
+        sink: &mut S,
+        of_kind: impl Fn(Value) -> Option<T>,
+    ) -> Result<T, WireError>
+    where
+        S: ValueSink<'a, Out = Value>,
+    {
+        let at = self.pos;
+        let id = self.uvar("pool child")? as usize;
+        let (Some(&meta), Some(child)) = (self.pool.get(id), sink.pooled(id)) else {
+            return Err(self.err_at(at, "pool child"));
+        };
+        self.deepest = self.deepest.max(meta.depth);
+        self.charge(meta.logical, at)?;
+        of_kind(child).ok_or_else(|| self.err_at(at, "pool child kind"))
     }
 
     fn rid(&mut self) -> Result<RequestId, WireError> {
@@ -487,60 +1108,55 @@ impl<'a> Decoder<'a> {
 }
 
 /// What [`Decoder::walk_value`] hands the parts of a value to. `Out`
-/// is what a value becomes, `Key` what a map key becomes, and `Mark`
-/// what a sink carries from entering a nested container to leaving it.
+/// is what a value becomes and `Key` what a map key becomes. A sink
+/// that builds values also holds the pool they refer to.
 trait ValueSink<'a> {
     type Out;
     type Key;
-    type Mark;
     /// A null, boolean or integer.
     fn leaf(&mut self, v: Value) -> Self::Out;
     fn str(&mut self, s: &'a str) -> Self::Out;
     fn key(&mut self, k: &'a str) -> Self::Key;
     fn list(&mut self, items: Vec<Self::Out>) -> Self::Out;
     fn map(&mut self, entries: Vec<(Self::Key, Self::Out)>) -> Self::Out;
-    /// A list or map nested inside the value starts at `buf[start]`
-    /// (its tag byte, already read).
-    fn enter(&mut self, buf: &'a [u8], start: usize) -> Enter<Self::Out, Self::Mark>;
-    /// The container entered with `mark` ended at `buf[end]` as `out`.
-    fn leave(&mut self, mark: Self::Mark, end: usize, out: &Self::Out);
-}
-
-/// A sink's answer to a nested container.
-enum Enter<O, M> {
-    /// The sink already has the container, which ends at this offset:
-    /// the walk resumes there without reading it.
-    Taken(O, usize),
-    /// Walk it, and hand the mark back on leaving.
-    Walk(M),
+    /// The container rooted at pool node `id`, if this sink's pool has
+    /// one.
+    fn pooled(&mut self, id: usize) -> Option<Self::Out>;
+    /// Room for `n` more pool nodes.
+    fn reserve(&mut self, n: usize);
+    /// The next pool node.
+    fn push(&mut self, node: Self::Out);
 }
 
 /// Validates and builds nothing: every `Vec` the walk fills is of
-/// zero-sized items, so it never allocates.
+/// zero-sized items, so it never allocates. What a reference refers to
+/// is the decoder's to check ([`PoolMeta`]).
 struct Skip;
 
 impl<'a> ValueSink<'a> for Skip {
     type Out = ();
     type Key = ();
-    type Mark = ();
     fn leaf(&mut self, _: Value) {}
     fn str(&mut self, _: &'a str) {}
     fn key(&mut self, _: &'a str) {}
     fn list(&mut self, _: Vec<()>) {}
     fn map(&mut self, _: Vec<((), ())>) {}
-    fn enter(&mut self, _: &'a [u8], _: usize) -> Enter<(), ()> {
-        Enter::Walk(())
+    fn pooled(&mut self, _: usize) -> Option<()> {
+        Some(())
     }
-    fn leave(&mut self, (): (), _: usize, (): &()) {}
+    fn reserve(&mut self, _: usize) {}
+    fn push(&mut self, (): ()) {}
 }
 
 /// Builds an owned [`Value`], every string a fresh copy.
-struct Owned;
+#[derive(Default)]
+struct Owned<'p> {
+    pool: Cow<'p, [Value]>,
+}
 
-impl<'a> ValueSink<'a> for Owned {
+impl<'a> ValueSink<'a> for Owned<'_> {
     type Out = Value;
     type Key = Arc<str>;
-    type Mark = ();
     fn leaf(&mut self, v: Value) -> Value {
         v
     }
@@ -556,50 +1172,32 @@ impl<'a> ValueSink<'a> for Owned {
     fn map(&mut self, entries: Vec<(Arc<str>, Value)>) -> Value {
         Value::from_pairs(entries)
     }
-    fn enter(&mut self, _: &'a [u8], _: usize) -> Enter<Value, ()> {
-        Enter::Walk(())
+    fn pooled(&mut self, id: usize) -> Option<Value> {
+        self.pool.get(id).cloned()
     }
-    fn leave(&mut self, (): (), _: usize, _: &Value) {}
-}
-
-/// Skips a nested container and notes, in the order containers open,
-/// where it and every container inside it ends.
-struct RecordEnds<'e>(&'e mut Vec<usize>);
-
-impl<'a> ValueSink<'a> for RecordEnds<'_> {
-    type Out = ();
-    type Key = ();
-    /// The container's slot in the list of ends.
-    type Mark = usize;
-    fn leaf(&mut self, _: Value) {}
-    fn str(&mut self, _: &'a str) {}
-    fn key(&mut self, _: &'a str) {}
-    fn list(&mut self, _: Vec<()>) {}
-    fn map(&mut self, _: Vec<((), ())>) {}
-    fn enter(&mut self, _: &'a [u8], _: usize) -> Enter<(), usize> {
-        self.0.push(0);
-        Enter::Walk(self.0.len() - 1)
+    fn reserve(&mut self, n: usize) {
+        self.pool.to_mut().reserve(n);
     }
-    fn leave(&mut self, slot: usize, end: usize, (): &()) {
-        self.0[slot] = end;
+    fn push(&mut self, node: Value) {
+        self.pool.to_mut().push(node);
     }
 }
 
 /// The validated bytes of one encoded value: what the borrowed decoder
 /// keeps of a logged value. Only the validating walk makes one, so
 /// reading it back ([`RawValue::to_value`], [`Materializer::value`])
-/// cannot fail.
+/// against the pool it was validated with cannot fail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RawValue<'a>(&'a [u8]);
 
 const VALIDATED: &str = "a RawValue's bytes passed the validating walk";
 
 impl<'a> RawValue<'a> {
-    /// Validates the value encoded at the start of `bytes` — the walk,
-    /// budget charges and errors of the owned decoder
-    /// ([`decode_value_bounded`]), building nothing — and returns the
-    /// bytes it occupies. For tests: the decoder is the only product
-    /// code that makes a `RawValue`.
+    /// Validates the value encoded at the start of `bytes`, against an
+    /// empty pool — the walk, budget charges and errors of the owned
+    /// decoder ([`decode_value_bounded`]), building nothing — and
+    /// returns the bytes it occupies. For tests: the decoder is the
+    /// only product code that makes a `RawValue`.
     #[doc(hidden)]
     pub fn validate(bytes: &'a [u8], max_nodes: u64) -> Result<RawValue<'a>, BoundedDecodeError> {
         let mut d = Decoder::new(bytes);
@@ -614,16 +1212,33 @@ impl<'a> RawValue<'a> {
     }
 
     /// Decodes into an owned [`Value`] through the owned decoder's
-    /// value path.
-    pub fn to_value(&self) -> Value {
-        Decoder::new(self.0).value().expect(VALIDATED)
+    /// value path, references resolved in `pool` (the
+    /// [`AdviceView::pool`] of the view this value came from).
+    pub fn to_value(&self, pool: &[Value]) -> Value {
+        let mut sink = Owned {
+            pool: Cow::Borrowed(pool),
+        };
+        Decoder::validated(self.0)
+            .walk_value(&mut sink, 0)
+            .expect(VALIDATED)
+    }
+}
+
+impl<'a> Decoder<'a> {
+    /// A decoder for reading a [`RawValue`]'s bytes back.
+    fn validated(buf: &'a [u8]) -> Self {
+        Decoder {
+            validated: true,
+            ..Decoder::new(buf)
+        }
     }
 }
 
 /// Decodes the value encoded at the start of `bytes` with the owned
-/// decoder's value path under a node budget, returning it and the
-/// number of bytes it occupied. The oracle [`RawValue::validate`] and
-/// [`Materializer::value`] are tested against.
+/// decoder's value path, against an empty pool and under a node budget,
+/// returning it and the number of bytes it occupied. The oracle
+/// [`RawValue::validate`] and [`Materializer::value`] are tested
+/// against.
 #[doc(hidden)]
 pub fn decode_value_bounded(
     bytes: &[u8],
@@ -631,54 +1246,49 @@ pub fn decode_value_bounded(
 ) -> Result<(Value, usize), BoundedDecodeError> {
     let mut d = Decoder::new(bytes);
     d.node_budget = max_nodes;
-    match d.value() {
+    match d.walk_value(&mut Owned::default(), 0) {
         Ok(v) => Ok((v, d.pos)),
         Err(e) => Err(bounded(e, max_nodes)),
     }
 }
 
-/// Builds [`Value`]s from [`RawValue`]s, each distinct encoded
-/// sub-value once: strings and map keys go through `interner`'s
-/// vocabulary, and every list or map *nested* in a value is first
-/// looked up by its exact bytes in `interner`'s memo — a repeat is a
-/// clone of the container built the first time (one `Arc` bump), and
-/// its bytes are not decoded again.
-///
-/// To look a container up its end must be known before it is read, so
-/// the first container met in unexplored bytes is skipped once by
-/// [`RecordEnds`], which leaves the ends of it and of everything inside
-/// it in `ends`; the walk then takes them from there in the same
-/// order. Every byte is skipped at most once however deep it nests.
+/// Builds the [`Value`]s an audit retains: strings and map keys go
+/// through `interner`'s vocabulary, and a reference is a clone of the
+/// pool node it names — one `Arc` bump, whatever the container holds.
+/// The view decoder builds the pool itself with one of these
+/// ([`Decoder::pool_section`]); [`crate::AdviceRef::from_view`] then
+/// reads each logged value's span back against that pool.
 pub struct Materializer<'i, 'a> {
     interner: &'i mut ValueInterner<'a>,
-    /// Ends of the containers of the subtree being walked, in the
-    /// order they open; `ends[next..]` are the ones not yet reached.
-    ends: Vec<usize>,
-    next: usize,
+    pool: Cow<'i, [Value]>,
 }
 
 impl<'i, 'a> Materializer<'i, 'a> {
-    /// A materializer sharing through `interner`.
+    /// A materializer with an empty pool.
     pub fn new(interner: &'i mut ValueInterner<'a>) -> Self {
+        Self::with_pool(interner, &[])
+    }
+
+    /// A materializer resolving references in `pool`.
+    pub fn with_pool(interner: &'i mut ValueInterner<'a>, pool: &'i [Value]) -> Self {
         Materializer {
             interner,
-            ends: Vec::new(),
-            next: 0,
+            pool: Cow::Borrowed(pool),
         }
     }
 
     /// The value `raw` encodes: equal to [`RawValue::to_value`], with
-    /// repeated content shared.
+    /// strings and pooled containers shared.
     pub fn value(&mut self, raw: RawValue<'a>) -> Value {
-        Decoder::new(raw.0).walk_value(self, 0).expect(VALIDATED)
+        Decoder::validated(raw.0)
+            .walk_value(self, 0)
+            .expect(VALIDATED)
     }
 }
 
 impl<'a> ValueSink<'a> for Materializer<'_, 'a> {
     type Out = Value;
     type Key = Arc<str>;
-    /// The container's memo key, kept for [`ValueInterner::remember`].
-    type Mark = kem::SpanKey<'a>;
     fn leaf(&mut self, v: Value) -> Value {
         v
     }
@@ -694,32 +1304,14 @@ impl<'a> ValueSink<'a> for Materializer<'_, 'a> {
     fn map(&mut self, entries: Vec<(Arc<str>, Value)>) -> Value {
         Value::from_pairs(entries)
     }
-    fn enter(&mut self, buf: &'a [u8], start: usize) -> Enter<Value, kem::SpanKey<'a>> {
-        if self.next == self.ends.len() {
-            self.ends.clear();
-            self.next = 0;
-            let mut skip = Decoder::new(buf);
-            skip.pos = start;
-            skip.walk_value(&mut RecordEnds(&mut self.ends), 1)
-                .expect(VALIDATED);
-        }
-        let end = self.ends[self.next];
-        self.next += 1;
-        let key = self.interner.span_key(&buf[start..end]);
-        match self.interner.shared(&key) {
-            Some(v) => {
-                // Its inner containers all end by `end`; the next one
-                // outside it ends later.
-                while self.ends.get(self.next).is_some_and(|e| *e <= end) {
-                    self.next += 1;
-                }
-                Enter::Taken(v, end)
-            }
-            None => Enter::Walk(key),
-        }
+    fn pooled(&mut self, id: usize) -> Option<Value> {
+        self.pool.get(id).cloned()
     }
-    fn leave(&mut self, key: kem::SpanKey<'a>, _: usize, out: &Value) {
-        self.interner.remember(key, out);
+    fn reserve(&mut self, n: usize) {
+        self.pool.to_mut().reserve(n);
+    }
+    fn push(&mut self, node: Value) {
+        self.pool.to_mut().push(node);
     }
 }
 
@@ -741,6 +1333,8 @@ pub struct AdviceSizes {
     pub tags: usize,
     /// Handler logs.
     pub handler_logs: usize,
+    /// The value pool: container nodes the later sections refer to.
+    pub pool: usize,
     /// Variable logs.
     pub var_logs: usize,
     /// Transaction logs.
@@ -760,6 +1354,7 @@ impl AdviceSizes {
     pub fn total(&self) -> usize {
         self.tags
             + self.handler_logs
+            + self.pool
             + self.var_logs
             + self.tx_logs
             + self.write_order
@@ -914,43 +1509,56 @@ fn encode_nondet(e: &mut Encoder, a: &Advice) {
     }
 }
 
+/// Encodes the full advice, and measures each section.
+fn encode_sections(a: &Advice) -> (Vec<u8>, AdviceSizes) {
+    let mut e = Encoder::new();
+    let mut ends = Vec::with_capacity(8);
+    for section in [
+        encode_tags,
+        encode_handler_logs,
+        encode_var_logs,
+        encode_tx_logs,
+        encode_write_order,
+        encode_response_emitted_by,
+        encode_opcounts,
+        encode_nondet,
+    ] {
+        if ends.len() == 2 {
+            e.pool_here();
+        }
+        section(&mut e, a);
+        ends.push(e.len());
+    }
+    let (bytes, sizes, pool) = e.finish_sections(&ends);
+    let sizes = AdviceSizes {
+        tags: sizes[0],
+        handler_logs: sizes[1],
+        pool,
+        var_logs: sizes[2],
+        tx_logs: sizes[3],
+        write_order: sizes[4],
+        response_emitted_by: sizes[5],
+        opcounts: sizes[6],
+        nondet: sizes[7],
+    };
+    (bytes, sizes)
+}
+
 /// Encodes the full advice.
 pub fn encode_advice(a: &Advice) -> Vec<u8> {
-    let mut e = Encoder::new();
-    encode_tags(&mut e, a);
-    encode_handler_logs(&mut e, a);
-    encode_var_logs(&mut e, a);
-    encode_tx_logs(&mut e, a);
-    encode_write_order(&mut e, a);
-    encode_response_emitted_by(&mut e, a);
-    encode_opcounts(&mut e, a);
-    encode_nondet(&mut e, a);
-    e.finish()
+    encode_sections(a).0
 }
 
 /// Measures each section's encoded size.
 pub fn advice_sizes(a: &Advice) -> AdviceSizes {
-    fn sized(f: impl FnOnce(&mut Encoder)) -> usize {
-        let mut e = Encoder::new();
-        f(&mut e);
-        e.len()
-    }
-    AdviceSizes {
-        tags: sized(|e| encode_tags(e, a)),
-        handler_logs: sized(|e| encode_handler_logs(e, a)),
-        var_logs: sized(|e| encode_var_logs(e, a)),
-        tx_logs: sized(|e| encode_tx_logs(e, a)),
-        write_order: sized(|e| encode_write_order(e, a)),
-        response_emitted_by: sized(|e| encode_response_emitted_by(e, a)),
-        opcounts: sized(|e| encode_opcounts(e, a)),
-        nondet: sized(|e| encode_nondet(e, a)),
-    }
+    encode_sections(a).1
 }
 
 /// Decodes advice previously produced by [`encode_advice`].
 pub fn decode_advice(bytes: &[u8]) -> Result<Advice, WireError> {
     let mut d = Decoder::new(bytes);
     let mut a = Advice::default();
+    let mut values = Owned::default();
 
     let n = d.len("tags len", 2)?;
     for _ in 0..n {
@@ -990,6 +1598,8 @@ pub fn decode_advice(bytes: &[u8]) -> Result<Advice, WireError> {
         a.handler_logs.insert(rid, log);
     }
 
+    d.pool_section(&mut values)?;
+
     let n = d.len("var logs len", 2)?;
     for _ in 0..n {
         let var = VarId(d.u32v("var id")?);
@@ -1004,7 +1614,7 @@ pub fn decode_advice(bytes: &[u8]) -> Result<Advice, WireError> {
                 _ => return Err(d.err("access tag")),
             };
             let value = match d.u8("value opt")? {
-                1 => Some(d.value()?),
+                1 => Some(d.walk_value(&mut values, 0)?),
                 _ => None,
             };
             let prec = match d.u8("prec opt")? {
@@ -1046,7 +1656,9 @@ pub fn decode_advice(bytes: &[u8]) -> Result<Advice, WireError> {
             };
             let contents = match d.u8("contents tag")? {
                 0 => TxOpContents::None,
-                1 => TxOpContents::Put { value: d.value()? },
+                1 => TxOpContents::Put {
+                    value: d.walk_value(&mut values, 0)?,
+                },
                 2 => TxOpContents::Get {
                     from: match d.u8("from opt")? {
                         1 => Some(d.txpos()?),
@@ -1092,15 +1704,12 @@ pub fn decode_advice(bytes: &[u8]) -> Result<Advice, WireError> {
     let n = d.len("nondet len", 6)?;
     for _ in 0..n {
         let op = d.opref()?;
-        let v = d.value()?;
+        let v = d.walk_value(&mut values, 0)?;
         a.nondet.insert(op, v);
     }
 
     if !d.done() {
-        return Err(WireError {
-            offset: d.pos,
-            what: "trailing bytes",
-        });
+        return Err(d.err("trailing bytes"));
     }
     Ok(a)
 }
@@ -1190,8 +1799,9 @@ pub struct TxLogEntryView<'a> {
 
 /// A zero-copy view of decoded advice: every section is a `Vec` in wire
 /// order, strings borrow the input buffer, values are the validated
-/// spans they occupy ([`RawValue`]), and handler ids are shared through
-/// a span-keyed memo. Produced by [`decode_advice_view`]; convert with
+/// spans they occupy ([`RawValue`]), handler ids are shared through a
+/// span-keyed memo, and the one thing built is the value pool those
+/// spans refer to. Produced by [`decode_advice_view`]; convert with
 /// [`AdviceView::to_advice`] or re-serialize with
 /// [`AdviceView::encode`].
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -1200,6 +1810,12 @@ pub struct AdviceView<'a> {
     pub tags: Vec<(RequestId, u64)>,
     /// Handler logs.
     pub handler_logs: Vec<(RequestId, Vec<HandlerLogEntryView<'a>>)>,
+    /// The value pool, built: `pool[id]` is the container rooted at
+    /// pool node `id`, sharing its subtrees with every other node that
+    /// names them.
+    pub pool: Vec<Value>,
+    /// The pool section's bytes, for [`AdviceView::encode`].
+    pub pool_bytes: &'a [u8],
     /// Variable logs.
     pub var_logs: Vec<(VarId, Vec<(OpRef, VarLogEntryView<'a>)>)>,
     /// Transaction logs.
@@ -1214,20 +1830,36 @@ pub struct AdviceView<'a> {
     pub nondet: Vec<(OpRef, RawValue<'a>)>,
 }
 
-/// What a borrowed decode materialized — the observable half of the
-/// zero-copy claim (the `decode_bytes_copied` metric reads these).
+/// What a borrowed decode materialized and met — the observable half
+/// of the zero-copy claim (the `decode_bytes_copied` metric reads
+/// `bytes_copied`) and of the value pool's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeStats {
-    /// String bytes the view decode copied out of the wire buffer:
-    /// always 0 — what gets copied is counted where it happens, by the
-    /// interner [`crate::AdviceRef::from_view`] builds values through.
-    /// Kept only because `benchmark/src/adapter.rs` reads it and this
-    /// PR may not change that file; drop both together.
+    /// String bytes the view decode copied out of the wire buffer: the
+    /// first occurrence of each string in the pool. Strings outside it
+    /// are copied by the interner [`crate::AdviceRef::from_view`]
+    /// builds values through, and counted there.
     pub bytes_copied: u64,
     /// Handler-id decodes served from the span memo (no allocation).
     pub hid_cache_hits: u64,
     /// Handler-id node chains actually built.
     pub hid_cache_misses: u64,
+    /// Container nodes in the value pool.
+    pub pool_nodes: u64,
+    /// Value positions holding a reference to a pool node.
+    pub pool_refs: u64,
+    /// Containers written out inline, in logs and inside pool nodes.
+    pub inline_containers: u64,
+    /// Elements charged to the node budget: every declared collection
+    /// length, a referenced container's at each reference.
+    pub logical_nodes: u64,
+    /// Declared collection elements on the wire: `logical_nodes` less
+    /// what references charged, and the pool's own — its node count,
+    /// each node's width, each length written inline in a node — once.
+    pub wire_nodes: u64,
+    /// The pool's own part of `wire_nodes`, which the node budget holds
+    /// besides `logical_nodes`: a decode needs the larger of the two.
+    pub pool_wire_nodes: u64,
 }
 
 /// Decodes advice into a borrowed [`AdviceView`] without copying
@@ -1238,18 +1870,17 @@ pub struct DecodeStats {
 /// the two decoders share the primitive layer and differ only in what
 /// they materialize, which the round-trip proptests pin.
 pub fn decode_advice_view(bytes: &[u8]) -> Result<AdviceView<'_>, WireError> {
-    let mut cache = HidCache::default();
-    decode_advice_view_inner(bytes, &mut cache, u64::MAX)
+    decode_advice_view_inner(bytes, u64::MAX).map(|(view, _)| view)
 }
 
-fn decode_advice_view_inner<'a>(
-    bytes: &'a [u8],
-    cache: &mut HidCache<'a>,
+fn decode_advice_view_inner(
+    bytes: &[u8],
     node_budget: u64,
-) -> Result<AdviceView<'a>, WireError> {
+) -> Result<(AdviceView<'_>, DecodeStats), WireError> {
     let mut d = Decoder::new(bytes);
     d.node_budget = node_budget;
     let mut a = AdviceView::default();
+    let cache = &mut HidCache::default();
 
     let n = d.len("tags len", 2)?;
     a.tags.reserve(n);
@@ -1290,6 +1921,16 @@ fn decode_advice_view_inner<'a>(
         }
         a.handler_logs.push((rid, log));
     }
+
+    // The pool's strings are shared among its nodes through a
+    // vocabulary of its own; `AdviceRef::from_view` has another for the
+    // strings outside it.
+    let pool_start = d.pos;
+    let mut strings = ValueInterner::new();
+    let mut pool = Materializer::new(&mut strings);
+    d.pool_section(&mut pool)?;
+    a.pool = pool.pool.into_owned();
+    a.pool_bytes = &bytes[pool_start..d.pos];
 
     let n = d.len("var logs len", 2)?;
     a.var_logs.reserve(n);
@@ -1405,12 +2046,23 @@ fn decode_advice_view_inner<'a>(
     }
 
     if !d.done() {
-        return Err(WireError {
-            offset: d.pos,
-            what: "trailing bytes",
-        });
+        return Err(d.err("trailing bytes"));
     }
-    Ok(a)
+    let stats = DecodeStats {
+        bytes_copied: strings.bytes_copied,
+        hid_cache_hits: cache.hits,
+        hid_cache_misses: cache.misses,
+        pool_nodes: a.pool.len() as u64,
+        pool_refs: d.counts.refs,
+        inline_containers: d.counts.inline_containers,
+        logical_nodes: d.nodes,
+        wire_nodes: d
+            .nodes
+            .saturating_sub(d.counts.referred)
+            .saturating_add(d.counts.pool_wire),
+        pool_wire_nodes: d.counts.pool_wire,
+    };
+    Ok((a, stats))
 }
 
 /// How a bounded decode failed: structurally malformed bytes, or
@@ -1466,24 +2118,15 @@ pub fn decode_advice_view_bounded(
     bytes: &[u8],
     max_nodes: u64,
 ) -> Result<(AdviceView<'_>, DecodeStats), BoundedDecodeError> {
-    let mut cache = HidCache::default();
-    let view = decode_advice_view_inner(bytes, &mut cache, max_nodes)
-        .map_err(|e| bounded(e, max_nodes))?;
-    let stats = DecodeStats {
-        hid_cache_hits: cache.hits,
-        hid_cache_misses: cache.misses,
-        ..Default::default()
-    };
-    Ok((view, stats))
+    decode_advice_view_inner(bytes, max_nodes).map_err(|e| bounded(e, max_nodes))
 }
 
 impl<'a> AdviceView<'a> {
     /// Converts to an owned [`Advice`]. Sections are inserted in wire
     /// order, so duplicate keys resolve exactly as [`decode_advice`]'s
     /// map inserts do (later entry wins), and every value span goes
-    /// through the owned decoder's value path ([`RawValue::to_value`]):
-    /// nothing here shares code with [`Materializer`], which is what
-    /// makes the result an oracle for it.
+    /// through the owned decoder's value path ([`RawValue::to_value`])
+    /// against this view's pool.
     pub fn to_advice(&self) -> Advice {
         let mut a = Advice::default();
         for (rid, tag) in &self.tags {
@@ -1522,7 +2165,7 @@ impl<'a> AdviceView<'a> {
                     op.clone(),
                     VarLogEntry {
                         access: e.access,
-                        value: e.value.map(|v| v.to_value()),
+                        value: e.value.map(|v| v.to_value(&self.pool)),
                         prec: e.prec.clone(),
                     },
                 );
@@ -1540,7 +2183,7 @@ impl<'a> AdviceView<'a> {
                     contents: match &e.contents {
                         TxOpContentsView::None => TxOpContents::None,
                         TxOpContentsView::Put { value } => TxOpContents::Put {
-                            value: value.to_value(),
+                            value: value.to_value(&self.pool),
                         },
                         TxOpContentsView::Get { from } => TxOpContents::Get { from: from.clone() },
                     },
@@ -1556,7 +2199,7 @@ impl<'a> AdviceView<'a> {
             a.opcounts.insert((*rid, hid.clone()), *count);
         }
         for (op, v) in &self.nondet {
-            a.nondet.insert(op.clone(), v.to_value());
+            a.nondet.insert(op.clone(), v.to_value(&self.pool));
         }
         a
     }
@@ -1599,6 +2242,12 @@ impl<'a> AdviceView<'a> {
                     }
                 }
             }
+        }
+        if self.pool_bytes.is_empty() {
+            // A view built by hand has no pool: an empty section.
+            e.uvar(0);
+        } else {
+            e.buf.extend_from_slice(self.pool_bytes);
         }
         e.uvar(self.var_logs.len() as u64);
         for (var, log) in &self.var_logs {
@@ -1896,7 +2545,7 @@ mod tests {
         }
         bytes.push(0); // innermost null
         let mut d = Decoder::new(&bytes);
-        let err = d.value().unwrap_err();
+        let err = owned(&mut d).unwrap_err();
         assert_eq!(err.what, "value nesting too deep");
     }
 
@@ -1925,7 +2574,7 @@ mod tests {
         // Value tag 4 (list) + declared length far beyond the buffer.
         let bytes = [4u8, 0xff, 0xff, 0xff, 0xff, 0x0f];
         let mut d = Decoder::new(&bytes);
-        let err = d.value().unwrap_err();
+        let err = owned(&mut d).unwrap_err();
         assert_eq!(err.what, "list len");
         assert_eq!(err.offset, 1);
     }
@@ -2003,111 +2652,371 @@ mod tests {
         }
     }
 
-    fn encoded(v: &Value) -> Vec<u8> {
-        let mut e = Encoder::new();
-        e.value(v);
-        e.finish()
+    fn owned(d: &mut Decoder<'_>) -> Result<Value, WireError> {
+        d.walk_value(&mut Owned::default(), 0)
     }
 
-    fn raw(bytes: &[u8]) -> RawValue<'_> {
-        RawValue::validate(bytes, u64::MAX).expect("test bytes are a valid value")
+    /// Advice holding nothing but `writes`, one variable's log.
+    fn writes(values: &[Value]) -> Advice {
+        let hid = HandlerId::root(FunctionId(0));
+        let mut a = Advice::default();
+        let log = a.var_logs.entry(VarId(0)).or_default();
+        for (i, v) in values.iter().enumerate() {
+            log.insert(
+                OpRef::new(RequestId(i as u64), hid.clone(), 1),
+                VarLogEntry {
+                    access: AccessType::Write,
+                    value: Some(v.clone()),
+                    prec: None,
+                },
+            );
+        }
+        a
     }
 
-    /// A map logged three times over, each copy sharing all but one of
-    /// its nested entries with the last — MOTD's shape.
-    fn overlapping_maps() -> Vec<Value> {
-        let entry = |i: i64| {
+    /// A map grown one entry at a time, every version kept — MOTD's
+    /// `motd_history`: each version shares all but one path with the
+    /// last.
+    fn grown_maps(n: usize) -> Vec<Value> {
+        let entry = |i: usize| {
             Value::map([
                 ("msg", Value::str(format!("message {i}"))),
-                ("tags", Value::list([Value::int(i), Value::str("pinned")])),
+                (
+                    "tags",
+                    Value::list([Value::int(i as i64), Value::str("pinned")]),
+                ),
             ])
         };
-        (3..6)
-            .map(|n| Value::map((0..n).map(|i| (format!("day-{i}"), entry(i)))))
+        let mut m = PMap::new();
+        (0..n)
+            .map(|i| {
+                m = m.insert(Arc::from(format!("day-{i:03}")), entry(i));
+                Value::Map(m.clone())
+            })
             .collect()
     }
 
     #[test]
-    fn materializer_builds_each_distinct_nested_value_once() {
-        let values = overlapping_maps();
-        let bytes: Vec<Vec<u8>> = values.iter().map(encoded).collect();
+    fn each_distinct_node_crosses_the_wire_once() {
+        let values = grown_maps(40);
+        let advice = writes(&values);
+        let bytes = encode_advice(&advice);
+        assert_eq!(decode_advice(&bytes).unwrap(), advice);
+        let (view, stats) = decode_advice_view_bounded(&bytes, u64::MAX).unwrap();
+        assert_eq!(view.to_advice(), advice);
+        assert_eq!(view.encode(), bytes);
+        // Written out in full, version k costs its k entries: 820
+        // entries of some 40 bytes each. The pool holds each of the 40
+        // entries once and one new path of nodes per version.
+        let flat: usize = values.iter().map(|v| v.approx_size()).sum();
+        assert!(
+            bytes.len() * 8 < flat,
+            "{} bytes vs {flat} flat",
+            bytes.len()
+        );
+        // One reference per logged version, and per entry of each new
+        // leaf — not per entry of each version.
+        assert!((80..600).contains(&stats.pool_refs), "{}", stats.pool_refs);
+        assert!(stats.pool_nodes < 40 * 4, "{} pool nodes", stats.pool_nodes);
+        // What the budget is charged is what the flat form declared:
+        // one log, 40 entries and their hid paths, then per version k
+        // its k entries, each a 2-entry map holding a 2-element list.
+        assert_eq!(stats.logical_nodes, 1 + 40 + 40 + 820 * (1 + 2 + 2));
+        assert!(stats.wire_nodes * 4 < stats.logical_nodes);
+    }
+
+    #[test]
+    fn sharing_survives_the_wire() {
+        let bytes = encode_advice(&writes(&grown_maps(80)));
+        let view = decode_advice_view(&bytes).unwrap();
         let mut interner = ValueInterner::new();
-        let mut m = Materializer::new(&mut interner);
-        let built: Vec<Value> = bytes.iter().map(|b| m.value(raw(b))).collect();
-        assert_eq!(built, values);
-        // Five distinct entries, each holding one distinct list: ten
-        // builds. The 3 + 4 + 5 = 12 entries' other seven occurrences
-        // are memo hits, taken whole (their lists are never reached).
-        assert_eq!(interner.values_built, 10);
-        assert_eq!(interner.values_shared, 7);
-        // The logged maps themselves are top-level: never memoized, so
-        // an identical repeat is rebuilt, its entries all shared.
-        let again = Materializer::new(&mut interner).value(raw(&bytes[2]));
-        assert_eq!(again, values[2]);
-        assert_eq!(interner.values_built, 10);
-        assert_eq!(interner.values_shared, 12);
-        let (Value::Map(a), Value::Map(b)) = (&again, &built[2]) else {
+        let mut m = Materializer::with_pool(&mut interner, &view.pool);
+        let decoded: Vec<Value> = view.var_logs[0]
+            .1
+            .iter()
+            .filter_map(|(_, e)| e.value.map(|raw| m.value(raw)))
+            .collect();
+        assert_eq!(decoded, grown_maps(80));
+        // Successive versions differ in one child of the root at most
+        // (two when a leaf splits); every other child is one allocation.
+        for pair in decoded.windows(2) {
+            let (Value::Map(a), Value::Map(b)) = (&pair[0], &pair[1]) else {
+                panic!("maps");
+            };
+            let before: Vec<usize> = a.root().children().map(|c| c.addr()).collect();
+            let kept = b
+                .root()
+                .children()
+                .filter(|c| before.contains(&c.addr()))
+                .count();
+            assert!(kept + 1 >= before.len(), "{kept} of {}", before.len());
+        }
+    }
+
+    #[test]
+    fn equal_nodes_built_apart_are_one_pool_node() {
+        // No `Arc` in common, equal content: the second is a reference
+        // to the first, and so is a third nested in a list.
+        let one = || Value::map([("a", Value::int(1)), ("b", Value::str("two"))]);
+        let advice = writes(&[one(), one(), Value::list([one(), Value::Null])]);
+        let bytes = encode_advice(&advice);
+        let (view, stats) = decode_advice_view_bounded(&bytes, u64::MAX).unwrap();
+        assert_eq!((stats.pool_nodes, stats.pool_refs), (1, 3));
+        assert_eq!(view.to_advice(), advice);
+        let (Value::Map(first), Some(Value::Map(nested))) = (
+            view.var_logs[0].1[0].1.value.unwrap().to_value(&view.pool),
+            view.var_logs[0].1[2]
+                .1
+                .value
+                .unwrap()
+                .to_value(&view.pool)
+                .as_list()
+                .and_then(|l| l.get(0).cloned()),
+        ) else {
             panic!("maps");
         };
-        assert!(!a.ptr_eq(b));
-        let (Some(Value::Map(ea)), Some(Value::Map(eb))) = (a.get("day-0"), b.get("day-0")) else {
-            panic!("nested maps");
-        };
-        assert!(ea.ptr_eq(eb), "equal encoded entries are one allocation");
+        assert!(first.ptr_eq(&nested));
     }
 
     #[test]
-    fn memo_hits_are_byte_confirmed_under_a_degenerate_hash() {
-        // Every span in one bucket: a table that trusted the hash would
-        // hand back the first value stored for every later lookup.
-        let values = overlapping_maps();
-        let bytes: Vec<Vec<u8>> = values.iter().map(encoded).collect();
-        let mut interner = ValueInterner::with_span_hash(|_| 0);
-        let mut m = Materializer::new(&mut interner);
-        for (b, v) in bytes.iter().zip(&values) {
-            assert_eq!(&m.value(raw(b)), v);
-        }
-        assert_eq!(interner.values_built, 10);
-        assert_eq!(interner.values_shared, 7);
+    fn containers_met_once_stay_inline() {
+        // Nothing repeats: the pool is its one-byte header, and the
+        // values are written as they always were.
+        let values = [
+            Value::map([("k", Value::list([Value::int(1), Value::int(2)]))]),
+            Value::list((0..40).map(Value::int)),
+            Value::empty_map(),
+            Value::empty_map(),
+        ];
+        let bytes = encode_advice(&writes(&values));
+        let (_, stats) = decode_advice_view_bounded(&bytes, u64::MAX).unwrap();
+        assert_eq!((stats.pool_nodes, stats.pool_refs), (0, 0));
+        assert_eq!(stats.inline_containers, 5);
+        assert_eq!(stats.logical_nodes, stats.wire_nodes);
+        let mut e = Encoder::new();
+        e.value(&values[1]);
+        let flat = e.finish();
+        assert_eq!(flat[..2], [4, 40]);
+        assert!(bytes.windows(flat.len()).any(|w| w == flat));
     }
 
     #[test]
-    fn different_encodings_of_equal_values_are_separate_memo_entries() {
-        // [ {a: 1, b: 2}, {b: 2, a: 1}, {a: 1, b: 2} with a two-byte
-        // length ]: equal values, three byte strings. The memo is keyed
-        // by bytes, so none is a hit for another.
-        let canonical = [5, 2, 1, b'a', 2, 2, 1, b'b', 2, 4];
-        let unsorted = [5, 2, 1, b'b', 2, 4, 1, b'a', 2, 2];
-        let long_len = [5, 0x82, 0, 1, b'a', 2, 2, 1, b'b', 2, 4];
-        let mut bytes = vec![4, 4];
-        for span in [&canonical[..], &unsorted, &long_len, &canonical] {
-            bytes.extend_from_slice(span);
+    fn encoding_is_a_function_of_the_advice() {
+        let a = encode_advice(&writes(&grown_maps(50)));
+        let b = encode_advice(&writes(&grown_maps(50)));
+        assert_eq!(a, b);
+        let sizes = advice_sizes(&writes(&grown_maps(50)));
+        assert_eq!(sizes.total(), a.len());
+        assert!(sizes.pool > sizes.var_logs);
+    }
+
+    /// Advice that is a pool of `nodes` and one nondet record holding
+    /// `value`.
+    fn pooled(nodes: &[&[u8]], value: &[u8]) -> Vec<u8> {
+        let mut bytes = vec![0, 0, nodes.len() as u8];
+        for node in nodes {
+            bytes.extend_from_slice(node);
         }
-        let mut interner = ValueInterner::new();
-        let v = Materializer::new(&mut interner).value(raw(&bytes));
-        let one = Value::map([("a", Value::int(1)), ("b", Value::int(2))]);
-        assert_eq!(v, Value::list(vec![one; 4]));
-        assert_eq!(v, raw(&bytes).to_value());
-        assert_eq!(interner.values_built, 3);
-        assert_eq!(interner.values_shared, 1);
+        bytes.extend_from_slice(&[0, 0, 0, 0, 0, 1]);
+        // (r0, h0, 1)
+        bytes.extend_from_slice(&[0, 1, 0, 0, 1]);
+        bytes.extend_from_slice(value);
+        bytes
+    }
+
+    /// Both decoders' outcome on `bytes`, which must be one outcome.
+    fn decode_both(bytes: &[u8], max_nodes: u64) -> Result<Advice, BoundedDecodeError> {
+        let view = decode_advice_view_bounded(bytes, max_nodes).map(|(v, _)| v.to_advice());
+        if max_nodes == u64::MAX {
+            let owned = decode_advice(bytes).map_err(BoundedDecodeError::Malformed);
+            assert_eq!(owned, view);
+        }
+        view
+    }
+
+    fn malformed(bytes: &[u8]) -> (usize, &'static str, Option<u32>) {
+        match decode_both(bytes, u64::MAX) {
+            Err(BoundedDecodeError::Malformed(e)) => (e.offset, e.what, e.node),
+            other => panic!("expected a malformed pool, got {other:?}"),
+        }
     }
 
     #[test]
-    fn deep_repeats_are_skipped_once_not_once_per_level() {
-        // 60 levels of [[…[x]…]] twice in a list: the second copy is a
-        // hit at its outermost level, and the first is skipped by one
-        // recording pass — `ends` holds its 60 levels, not 60 + 59 + ….
-        let mut deep = Value::str("x");
-        for _ in 0..60 {
-            deep = Value::list([deep]);
+    fn a_hand_built_pool_decodes() {
+        // 0: {a: 1}   1: {b: [0]}   2: branch(0, 1)   3: list [ref 2, ref 2]
+        let nodes: [&[u8]; 4] = [
+            &[MAP_LEAF, 1, 1, b'a', 2, 2],
+            &[MAP_LEAF, 1, 1, b'b', 4, 1, 2, 0],
+            &[MAP_BRANCH, 2, 0, 1],
+            &[LIST_LEAF, 2, REF, 2, REF, 2],
+        ];
+        let advice = decode_both(&pooled(&nodes, &[REF, 3]), u64::MAX).unwrap();
+        let both = Value::map([("a", Value::int(1)), ("b", Value::list([Value::int(0)]))]);
+        assert_eq!(
+            advice.nondet.values().next(),
+            Some(&Value::list([both.clone(), both]))
+        );
+        // nondet len + hid len, then the list's 2 + twice the map's
+        // (1 + 1 + the inner list's 1). On the wire: the first two, the
+        // pool's 4 nodes, their widths and the inner list's length.
+        let (_, stats) = decode_advice_view_bounded(&pooled(&nodes, &[REF, 3]), 11).unwrap();
+        assert_eq!(stats.logical_nodes, 2 + 2 + 2 * 3);
+        assert_eq!(stats.wire_nodes, 2 + 4 + (1 + 1 + 2 + 2) + 1);
+        // The pool's own elements run out at a node's width, before the
+        // node is built.
+        for (limit, offset) in [(10, 21), (8, 17)] {
+            assert_eq!(
+                decode_both(&pooled(&nodes, &[REF, 3]), limit),
+                Err(BoundedDecodeError::NodesExhausted { offset, limit })
+            );
         }
-        let bytes = encoded(&Value::list([deep.clone(), deep.clone()]));
-        let mut interner = ValueInterner::new();
-        let mut m = Materializer::new(&mut interner);
-        assert_eq!(m.value(raw(&bytes)), Value::list([deep.clone(), deep]));
-        assert_eq!(m.ends.len(), 60);
-        assert_eq!(interner.values_built, 60);
-        assert_eq!(interner.values_shared, 1);
+    }
+
+    #[test]
+    fn pool_nodes_nothing_refers_to_are_not_free() {
+        // A value that names no pool node: two logical elements. The
+        // pool's own — its 30 nodes and what each declares — are held
+        // against the budget apart from them, whatever the node's kind.
+        let leaf = [&[LIST_LEAF, 16][..], &[0; 16]].concat();
+        let holding_a_list: &[u8] = &[
+            LIST_LEAF, 1, 4, 15, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0,
+        ];
+        let mut branches: Vec<&[u8]> = vec![&[MAP_BRANCH, 1, 0]; 30];
+        branches[0] = &[MAP_LEAF, 1, 1, b'k', 0];
+        for (nodes, pool) in [
+            (vec![&leaf[..]; 30], 30 + 30 * 16),
+            (vec![holding_a_list; 30], 30 + 30 * (1 + 15)),
+            (branches, 30 + 30),
+        ] {
+            let bytes = pooled(&nodes, &[0]);
+            let (_, stats) = decode_advice_view_bounded(&bytes, pool).unwrap();
+            assert_eq!((stats.logical_nodes, stats.wire_nodes), (2, 2 + pool));
+            assert!(matches!(
+                decode_both(&bytes, pool - 1),
+                Err(BoundedDecodeError::NodesExhausted { .. })
+            ));
+        }
+        // The count is charged before room is made for that many nodes.
+        let mut flood = pooled(&[], &[0]);
+        flood[2] = 100;
+        flood.resize(400, 0);
+        assert!(matches!(
+            decode_both(&flood, 99),
+            Err(BoundedDecodeError::NodesExhausted {
+                offset: 2,
+                limit: 99
+            })
+        ));
+    }
+
+    #[test]
+    fn pool_violations_are_positioned_and_name_the_node() {
+        let leaf_a: &[u8] = &[MAP_LEAF, 1, 1, b'a', 0];
+        let leaf_b: &[u8] = &[MAP_LEAF, 1, 1, b'b', 0];
+        let list: &[u8] = &[LIST_LEAF, 1, 0];
+        // The pool starts at byte 3; `leaf_a` is 5 bytes.
+        for (nodes, value, expect) in [
+            // References: dangling, to itself, forward.
+            (vec![leaf_a], &[REF, 1][..], (19, "pool ref", None)),
+            (
+                vec![&[LIST_LEAF, 1, REF, 0][..]],
+                &[0][..],
+                (5, "pool ref", Some(0)),
+            ),
+            (
+                vec![&[MAP_BRANCH, 1, 1][..], leaf_a],
+                &[0],
+                (5, "pool child", Some(0)),
+            ),
+            // Widths.
+            (
+                vec![&[MAP_LEAF, 0][..]],
+                &[0],
+                (3, "pool node width", Some(0)),
+            ),
+            (
+                vec![&[LIST_BRANCH, 17][..]],
+                &[0],
+                (3, "pool node width", Some(0)),
+            ),
+            (vec![&[4, 1, 0][..]], &[0], (3, "pool node kind", Some(0))),
+            // Keys: within a leaf, and across siblings.
+            (
+                vec![&[MAP_LEAF, 2, 1, b'b', 0, 1, b'a', 0][..]],
+                &[0],
+                (3, "pool node key order", Some(0)),
+            ),
+            (
+                vec![leaf_b, leaf_a, &[MAP_BRANCH, 2, 0, 1][..]],
+                &[0],
+                (13, "pool node key order", Some(2)),
+            ),
+            (
+                vec![leaf_a, &[MAP_BRANCH, 2, 0, 0][..]],
+                &[0],
+                (8, "pool node key order", Some(1)),
+            ),
+            // Kinds and heights.
+            (
+                vec![leaf_a, list, &[MAP_BRANCH, 2, 0, 1][..]],
+                &[0],
+                (14, "pool child kind", Some(2)),
+            ),
+            (
+                vec![
+                    leaf_a,
+                    leaf_b,
+                    &[MAP_BRANCH, 1, 1][..],
+                    &[MAP_BRANCH, 2, 0, 2][..],
+                ],
+                &[0],
+                (16, "pool node children of unequal height", Some(3)),
+            ),
+        ] {
+            assert_eq!(malformed(&pooled(&nodes, value)), expect, "{nodes:?}");
+        }
+    }
+
+    #[test]
+    fn a_pool_that_describes_more_than_the_budget_is_exhaustion() {
+        // Node k is a list holding node k-1 twice: 40 nodes, 160 bytes,
+        // 2^41 elements.
+        let mut nodes: Vec<Vec<u8>> = vec![vec![LIST_LEAF, 2, 0, 0]];
+        for k in 1..40u8 {
+            nodes.push(vec![LIST_LEAF, 2, REF, k - 1, REF, k - 1]);
+        }
+        let nodes: Vec<&[u8]> = nodes.iter().map(Vec::as_slice).collect();
+        let bytes = pooled(&nodes, &[REF, 39]);
+        let limit = crate::Limits::default().decode_max_nodes;
+        let started = std::time::Instant::now();
+        assert!(matches!(
+            decode_both(&bytes, limit),
+            Err(BoundedDecodeError::NodesExhausted { .. })
+        ));
+        assert!(started.elapsed() < std::time::Duration::from_millis(10));
+        // Unmetered it decodes, in 40 allocations: the value is a DAG
+        // (and comparing two copies of it would take 2^41 steps).
+        let advice = decode_advice(&bytes).unwrap();
+        let mut v = advice.nondet.values().next().unwrap();
+        for _ in 0..39 {
+            v = v.as_list().unwrap().get(1).unwrap();
+        }
+        assert_eq!(v, &Value::list([Value::Null, Value::Null]));
+        // Nested past the guard through references, it is malformed at
+        // the reference that goes too deep.
+        let mut nodes: Vec<Vec<u8>> = vec![vec![LIST_LEAF, 1, 0]];
+        for k in 1..=64u8 {
+            nodes.push(vec![LIST_LEAF, 1, REF, k - 1]);
+        }
+        let nodes: Vec<&[u8]> = nodes.iter().map(Vec::as_slice).collect();
+        assert!(decode_both(&pooled(&nodes[..64], &[REF, 63]), u64::MAX).is_ok());
+        let (_, what, node) = malformed(&pooled(&nodes, &[REF, 63]));
+        assert_eq!((what, node), ("value nesting too deep", Some(64)));
+    }
+
+    #[test]
+    fn the_error_every_read_returns_stays_small() {
+        assert!(std::mem::size_of::<WireError>() <= 32);
     }
 
     #[test]
@@ -2118,8 +3027,8 @@ mod tests {
         e.value(&Value::Int(i64::MAX));
         let bytes = e.finish();
         let mut d = Decoder::new(&bytes);
-        assert_eq!(d.value().unwrap(), Value::Int(i64::MIN));
-        assert_eq!(d.value().unwrap(), Value::Int(-1));
-        assert_eq!(d.value().unwrap(), Value::Int(i64::MAX));
+        assert_eq!(owned(&mut d).unwrap(), Value::Int(i64::MIN));
+        assert_eq!(owned(&mut d).unwrap(), Value::Int(-1));
+        assert_eq!(owned(&mut d).unwrap(), Value::Int(i64::MAX));
     }
 }

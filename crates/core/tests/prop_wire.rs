@@ -411,11 +411,13 @@ fn hostile_wire_mutations_error_identically_on_both_decoders() {
 // ---------------------------------------------------------------------
 // Value-path equivalence. The borrowed decoder keeps a logged value as
 // the bytes a validating skip walked (`RawValue`), and the verifier
-// builds it later through the memoizing `Materializer`. Both must be
+// builds it later through the interning `Materializer`. Both must be
 // perfect stand-ins for the owned decoder's value path
 // (`decode_value_bounded`): the same acceptance, the same positioned
 // error or budget exhaustion, and for accepted bytes the same `Value`
-// — whether the memo has seen the content before or not.
+// — whether the interner has seen the strings before or not. (These
+// read values against an empty pool; the pool has its own section
+// below.)
 
 use karousos::{decode_value_bounded, BoundedDecodeError, Materializer, RawValue};
 
@@ -430,6 +432,8 @@ enum WireValue {
     Str(Vec<u8>),
     List(Vec<WireValue>),
     Map(Vec<(Vec<u8>, WireValue)>),
+    /// A reference to a pool node, whether or not there is one.
+    Ref(u64),
 }
 
 fn put_uvar(out: &mut Vec<u8>, mut v: u64) {
@@ -474,6 +478,10 @@ impl WireValue {
                     v.encode(out);
                 }
             }
+            WireValue::Ref(id) => {
+                out.push(6);
+                put_uvar(out, *id);
+            }
         }
     }
 
@@ -504,6 +512,7 @@ fn arb_wire_value() -> impl Strategy<Value = WireValue> {
         any::<i64>().prop_map(WireValue::Int),
         (-2i64..3).prop_map(WireValue::Int),
         arb_wire_str().prop_map(WireValue::Str),
+        (0u64..8).prop_map(WireValue::Ref),
     ];
     leaf.prop_recursive(4, 32, 4, |inner| {
         prop_oneof![
@@ -529,7 +538,7 @@ fn check_value_paths<'a>(
     ) {
         (Ok(raw), Ok((owned, consumed))) => {
             prop_assert_eq!(raw.bytes(), &bytes[..consumed]);
-            prop_assert_eq!(&raw.to_value(), &owned);
+            prop_assert_eq!(&raw.to_value(&[]), &owned);
             let cold = Materializer::new(&mut kem::ValueInterner::new()).value(raw);
             prop_assert_eq!(&cold, &owned);
             let mut m = Materializer::new(interner);
@@ -568,9 +577,11 @@ proptest! {
             .iter()
             .map(|b| decode_advice_view(b).expect("own encoding decodes as view"))
             .collect();
-        // One interner across all of them: later values meet a warm memo.
+        // One interner across all of them: later values meet a warm
+        // vocabulary. A lone value shares nothing, so it is inline.
         let mut interner = kem::ValueInterner::new();
         for (view, v) in views.iter().zip(&values) {
+            prop_assert!(view.pool.is_empty());
             let bytes = view.nondet[0].1.bytes();
             check_value_paths(bytes, u64::MAX, &mut interner)?;
             prop_assert_eq!(&Materializer::new(&mut interner).value(view.nondet[0].1), v);
@@ -583,8 +594,9 @@ proptest! {
         max_nodes in prop_oneof![Just(u64::MAX), 0u64..12],
     ) {
         // Duplicate and unsorted keys, broken UTF-8, non-boolean
-        // booleans, under a node budget that may trip mid-value, and
-        // truncated at every cut.
+        // booleans, references into a pool that is not there, under a
+        // node budget that may trip mid-value, and truncated at every
+        // cut.
         let encoded: Vec<Vec<u8>> = values.iter().map(WireValue::bytes).collect();
         let mut interner = kem::ValueInterner::new();
         for bytes in &encoded {
@@ -646,4 +658,368 @@ fn nesting_guard_trips_identically() {
             limit: 10
         })
     );
+}
+
+// ---------------------------------------------------------------------
+// The value pool. What the encoder writes must read back as what it was
+// given, byte-stably and with the sharing intact; and on *any* pool —
+// nodes of any kind and width, references anywhere — the two decoders
+// must agree on the advice, on the positioned error, and on what the
+// node budget is charged, which must be what the flat form of the same
+// values would have declared.
+
+use karousos::{decode_advice_view_bounded, AdviceView, DecodeStats};
+use kem::pvalue::PMap;
+use std::sync::Arc;
+
+/// How a logged variable changes from one write to the next.
+#[derive(Debug, Clone)]
+enum Step {
+    Insert(u8, Value),
+    Remove(u8),
+    /// Log the current version again.
+    Again,
+}
+
+fn arb_steps() -> impl Strategy<Value = Vec<Step>> {
+    prop::collection::vec(
+        prop_oneof![
+            6 => (0u8..60, arb_value()).prop_map(|(k, v)| Step::Insert(k, v)),
+            1 => (0u8..60).prop_map(Step::Remove),
+            1 => Just(Step::Again),
+        ],
+        1..80,
+    )
+}
+
+/// The versions `steps` take a map through, and advice logging each as
+/// one variable's write: successive values share all but a path.
+fn versions(steps: &[Step]) -> (Vec<Value>, Advice) {
+    let mut m = PMap::new();
+    let values: Vec<Value> = steps
+        .iter()
+        .map(|step| {
+            match step {
+                Step::Insert(k, v) => m = m.insert(Arc::from(format!("key-{k:02}")), v.clone()),
+                Step::Remove(k) => m = m.remove(&format!("key-{k:02}")),
+                Step::Again => {}
+            }
+            Value::Map(m.clone())
+        })
+        .collect();
+    let hid = HandlerId::root(FunctionId(0));
+    let mut a = Advice::default();
+    let log = a.var_logs.entry(VarId(0)).or_default();
+    for (i, v) in values.iter().enumerate() {
+        log.insert(
+            OpRef::new(RequestId(i as u64), hid.clone(), 1),
+            VarLogEntry {
+                access: AccessType::Write,
+                value: Some(v.clone()),
+                prec: None,
+            },
+        );
+    }
+    (values, a)
+}
+
+/// What the flat wire form of `v` declares: every container's length.
+fn flat_nodes(v: &Value) -> u64 {
+    match v {
+        Value::List(l) => l.len() as u64 + l.iter().map(flat_nodes).sum::<u64>(),
+        Value::Map(m) => m.len() as u64 + m.iter().map(|(_, v)| flat_nodes(v)).sum::<u64>(),
+        _ => 0,
+    }
+}
+
+fn view_of(bytes: &[u8]) -> (AdviceView<'_>, DecodeStats) {
+    decode_advice_view_bounded(bytes, u64::MAX).expect("own encoding decodes as view")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn shared_versions_round_trip_byte_stably(steps in arb_steps()) {
+        let (values, a) = versions(&steps);
+        let bytes = encode_advice(&a);
+        let decoded = decode_advice(&bytes).expect("own encoding decodes");
+        prop_assert_eq!(&decoded, &a);
+        // Decoding rebuilds the sharing, so encoding again finds it.
+        prop_assert_eq!(encode_advice(&decoded), bytes.clone());
+        let (view, stats) = view_of(&bytes);
+        prop_assert_eq!(view.encode(), bytes.clone());
+        prop_assert_eq!(view.to_advice(), a);
+        // Charged as the flat form would be: the log, its entries and
+        // their one-element hid paths, and every version in full.
+        let flat = 1 + 2 * values.len() as u64 + values.iter().map(flat_nodes).sum::<u64>();
+        prop_assert_eq!(stats.logical_nodes, flat);
+        prop_assert!(stats.wire_nodes <= flat);
+        prop_assert!(decode_advice_view_bounded(&bytes, flat).is_ok());
+        let one_short = decode_advice_view_bounded(&bytes, flat - 1);
+        let exhausted = matches!(one_short, Err(BoundedDecodeError::NodesExhausted { .. }));
+        prop_assert!(exhausted);
+    }
+
+    #[test]
+    fn sharing_survives_the_wire(steps in arb_steps()) {
+        let (values, a) = versions(&steps);
+        let bytes = encode_advice(&a);
+        let (view, _) = view_of(&bytes);
+        let mut interner = kem::ValueInterner::new();
+        let advice = karousos::AdviceRef::from_view(&view, &mut interner);
+        let log = advice.var_logs.get(&VarId(0)).expect("the log");
+        let decoded: Vec<&Value> = log.values().filter_map(|e| e.value.as_ref()).collect();
+        prop_assert_eq!(decoded.len(), values.len());
+        for (before, after) in values.windows(2).zip(decoded.windows(2)) {
+            let (Value::Map(b0), Value::Map(b1)) = (&before[0], &before[1]) else { unreachable!() };
+            let (Value::Map(a0), Value::Map(a1)) = (after[0], after[1]) else { unreachable!() };
+            // An unchanged version is the same allocation again ...
+            prop_assert!(!b0.ptr_eq(b1) || a0.ptr_eq(a1));
+            // ... and every child two successive versions shared at the
+            // server, they share at the verifier (which may share more:
+            // equal nodes built apart are one node on the wire).
+            let shared = |x: &PMap, y: &PMap| {
+                let xs: Vec<usize> = x.root().children().map(|c| c.addr()).collect();
+                y.root().children().filter(|c| xs.contains(&c.addr())).count()
+            };
+            prop_assert!(shared(b0, b1) <= shared(a0, a1));
+        }
+    }
+}
+
+/// A pool node as the wire sees it: any kind byte, any declared width,
+/// children and entries that may name anything.
+#[derive(Debug, Clone)]
+enum WireNode {
+    MapLeaf(Vec<(Vec<u8>, WireValue)>),
+    ListLeaf(Vec<WireValue>),
+    Branch {
+        list: bool,
+        children: Vec<u64>,
+    },
+    /// A kind byte no node has, or a width that is not the count of
+    /// what follows.
+    Raw(Vec<u8>),
+}
+
+impl WireNode {
+    fn encode(&self, out: &mut Vec<u8>) {
+        match self {
+            WireNode::MapLeaf(entries) => {
+                out.push(0);
+                put_uvar(out, entries.len() as u64);
+                for (k, v) in entries {
+                    put_uvar(out, k.len() as u64);
+                    out.extend_from_slice(k);
+                    v.encode(out);
+                }
+            }
+            WireNode::ListLeaf(values) => {
+                out.push(2);
+                put_uvar(out, values.len() as u64);
+                for v in values {
+                    v.encode(out);
+                }
+            }
+            WireNode::Branch { list, children } => {
+                out.push(if *list { 3 } else { 1 });
+                put_uvar(out, children.len() as u64);
+                for c in children {
+                    put_uvar(out, *c);
+                }
+            }
+            WireNode::Raw(bytes) => out.extend_from_slice(bytes),
+        }
+    }
+}
+
+/// Values for pool entries: shallow, and referring to low node indices
+/// so references usually resolve.
+fn arb_entry_value() -> impl Strategy<Value = WireValue> {
+    prop_oneof![
+        3 => (0u64..6).prop_map(WireValue::Ref),
+        2 => (-2i64..3).prop_map(WireValue::Int),
+        1 => arb_wire_str().prop_map(WireValue::Str),
+        1 => prop::collection::vec((0u64..6).prop_map(WireValue::Ref), 0..3).prop_map(WireValue::List),
+        1 => arb_wire_value(),
+    ]
+}
+
+fn arb_wire_node() -> impl Strategy<Value = WireNode> {
+    prop_oneof![
+        // Keys in generation order: sorted only by luck.
+        4 => prop::collection::vec((arb_wire_str(), arb_entry_value()), 0..4).prop_map(WireNode::MapLeaf),
+        // Sorted, distinct keys: a leaf the constructor takes.
+        4 => prop::collection::btree_map("[a-d]{1,2}", arb_entry_value(), 1..4).prop_map(|m| {
+            WireNode::MapLeaf(m.into_iter().map(|(k, v)| (k.into_bytes(), v)).collect())
+        }),
+        4 => prop::collection::vec(arb_entry_value(), 0..4).prop_map(WireNode::ListLeaf),
+        4 => (any::<bool>(), prop::collection::vec(0u64..6, 0..4))
+            .prop_map(|(list, children)| WireNode::Branch { list, children }),
+        1 => prop::collection::vec(prop_oneof![3 => 0u8..8, 1 => any::<u8>()], 1..6).prop_map(WireNode::Raw),
+        1 => (0u8..4, 17u8..40).prop_map(|(kind, width)| WireNode::Raw(vec![kind, width])),
+    ]
+}
+
+/// Advice bytes that are `nodes` and one nondet record holding `value`.
+fn pooled_bytes(nodes: &[WireNode], value: &WireValue) -> Vec<u8> {
+    let mut out = vec![0, 0];
+    put_uvar(&mut out, nodes.len() as u64);
+    for node in nodes {
+        node.encode(&mut out);
+    }
+    out.extend_from_slice(&[0, 0, 0, 0, 0, 1]);
+    out.extend_from_slice(&[0, 1, 0, 0, 1]);
+    value.encode(&mut out);
+    out
+}
+
+/// Both decoders on `bytes`: one advice or one positioned error, and
+/// under a budget, one exhaustion.
+fn check_pooled(bytes: &[u8]) -> Result<(), TestCaseError> {
+    let owned = decode_advice(bytes);
+    let view = decode_advice_view_bounded(bytes, u64::MAX);
+    match (&owned, &view) {
+        (Ok(owned), Ok((view, stats))) => {
+            // Small pools: comparing the values out in full is cheap.
+            prop_assert_eq!(owned, &view.to_advice());
+            let mut interner = kem::ValueInterner::new();
+            prop_assert_eq!(
+                karousos::AdviceRef::from_view(view, &mut interner),
+                karousos::AdviceRef::from_advice(owned)
+            );
+            prop_assert_eq!(view.encode(), bytes);
+            // The charge is the flat form's: the nondet section and its
+            // hid path, then every element a walk of the value visits
+            // — entries duplicate keys dropped from a map included, as
+            // they were declared. The budget must cover it, and what
+            // the pool itself declares (more, where nodes go
+            // unreferenced); a decode one short of that pins both counts.
+            let charged = stats.logical_nodes;
+            prop_assert!(charged >= 2 + owned.nondet.values().map(flat_nodes).sum::<u64>());
+            let need = charged.max(stats.pool_wire_nodes);
+            prop_assert!(decode_advice_view_bounded(bytes, need).is_ok());
+            let one_short = decode_advice_view_bounded(bytes, need - 1);
+            let exhausted = matches!(one_short, Err(BoundedDecodeError::NodesExhausted { .. }));
+            prop_assert!(exhausted);
+        }
+        (Err(oe), Err(BoundedDecodeError::Malformed(ve))) => {
+            prop_assert_eq!(oe, ve);
+            prop_assert!(oe.offset <= bytes.len());
+        }
+        (owned, view) => prop_assert!(
+            false,
+            "owned {:?} vs view {:?} disagree on acceptance",
+            owned.as_ref().err(),
+            view.as_ref().err()
+        ),
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn decoders_agree_on_arbitrary_pools(
+        nodes in prop::collection::vec(arb_wire_node(), 0..7),
+        value in arb_entry_value(),
+    ) {
+        check_pooled(&pooled_bytes(&nodes, &value))?;
+    }
+
+    #[test]
+    fn decoders_agree_on_truncated_and_flipped_pools(
+        nodes in prop::collection::vec(arb_wire_node(), 1..7),
+        value in arb_entry_value(),
+        at in 0.0f64..1.0,
+        bit in 0u8..8,
+    ) {
+        let mut bytes = pooled_bytes(&nodes, &value);
+        let pos = ((bytes.len() as f64) * at) as usize % bytes.len();
+        check_pooled(&bytes[..pos])?;
+        bytes[pos] ^= 1 << bit;
+        check_pooled(&bytes)?;
+    }
+}
+
+// ---------------------------------------------------------------------
+// Honest collector output: a program with MOTD's habits (a map that
+// grows by one entry a request, a list that grows by one element, both
+// logged whole every time) and a transactional PUT of the same values.
+
+use karousos::{run_instrumented_server_encoded, CollectorMode};
+use kem::dsl::*;
+use kem::{ProgramBuilder, SchedPolicy, ServerConfig};
+
+fn history_program() -> kem::Program {
+    let mut b = ProgramBuilder::new();
+    b.shared_var("history", Value::empty_map(), true);
+    b.shared_var("order", Value::empty_list(), true);
+    b.function(
+        "handle",
+        vec![
+            let_(
+                "entry",
+                mapv(vec![
+                    ("msg", field(payload(), "msg")),
+                    ("n", field(payload(), "n")),
+                ]),
+            ),
+            swrite(
+                "history",
+                map_insert(sread("history"), field(payload(), "key"), local("entry")),
+            ),
+            swrite("order", list_push(sread("order"), field(payload(), "key"))),
+            respond(len(sread("history"))),
+        ],
+    );
+    b.request_handler("handle");
+    b.build().expect("the program is well-formed")
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn honest_collector_output_is_byte_stable(
+        seed in 0u64..1000,
+        requests in 1usize..120,
+        concurrency in 1usize..6,
+    ) {
+        let program = history_program();
+        let inputs: Vec<Value> = (0..requests)
+            .map(|i| {
+                Value::map([
+                    ("key", Value::str(format!("day-{:03}", (i * 7) % 90))),
+                    ("msg", Value::str(format!("message {}", i % 5))),
+                    ("n", Value::int(i as i64)),
+                ])
+            })
+            .collect();
+        let cfg = ServerConfig {
+            concurrency,
+            policy: SchedPolicy::Random { seed },
+            ..ServerConfig::default()
+        };
+        let run = || {
+            run_instrumented_server_encoded(&program, &inputs, &cfg, CollectorMode::Karousos)
+                .expect("the program runs")
+        };
+        let ((out, bytes), (_, again)) = (run(), run());
+        // One seeded server, one byte string.
+        prop_assert_eq!(&bytes, &again);
+        // encode(decode(b)) == b, through both decoders.
+        let decoded = decode_advice(&bytes).expect("honest advice decodes");
+        prop_assert_eq!(encode_advice(&decoded), bytes.clone());
+        let (view, stats) = view_of(&bytes);
+        prop_assert_eq!(view.encode(), bytes.clone());
+        prop_assert_eq!(&view.to_advice(), &decoded);
+        if requests > 40 {
+            prop_assert!(stats.pool_nodes > 0 && stats.wire_nodes * 2 < stats.logical_nodes);
+        }
+        karousos::audit_encoded(&program, &out.trace, &bytes, cfg.isolation)
+            .expect("honest advice is accepted");
+    }
 }

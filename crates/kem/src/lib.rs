@@ -55,4 +55,4 @@ pub use runtime::{
     init_handler_id, run_server, RunOutput, Runtime, SchedPolicy, ServerConfig, INIT_FUNCTION,
 };
 pub use trace::{Exchange, Trace, TraceEvent};
-pub use value::{Fnv, SpanKey, Value, ValueInterner};
+pub use value::{Fnv, Value, ValueInterner};

@@ -36,6 +36,68 @@ use std::sync::{Arc, OnceLock};
 /// at log₁₆ n (3 levels cover 4096 entries).
 pub const CHUNK: usize = 16;
 
+/// Maximum tree height. Built trees shrink each level by up to
+/// `CHUNK`x, so height `h` requires on the order of `CHUNK^(h-1)`
+/// entries; 32 levels is unreachable for any container the resource
+/// governor admits (and far beyond addressable memory). The iterators'
+/// inline descent stacks hold this many frames.
+pub const MAX_DEPTH: usize = 32;
+
+/// Tallest tree the checked constructors accept. A tree assembled from
+/// nodes can be any shape the invariants allow — every node on one
+/// path full, say, so that a single `insert` or `push` splits them all
+/// and the tree is a level taller — and must never outgrow
+/// [`MAX_DEPTH`] afterwards, whatever is done to it. Half of it leaves
+/// room no run can use up: a tree grows only by splitting its root, a
+/// node made by a split (8 or 9 wide) or as a new root (2 wide) must
+/// gain 8 children — 8 splits one level down — before it splits again,
+/// and above the accepted root every node is one of those. One update
+/// splits at most one node per level, so the first level costs one
+/// update and reaching `g + 1` levels above the accepted height costs
+/// at least `15 * 8^(g-1)`: for the 17th, 5·10¹⁴. Honest trees are
+/// nowhere near the cap — splits leave nodes at least half full, so 16
+/// levels take 8¹⁵ entries.
+pub const MAX_CHECKED_HEIGHT: usize = MAX_DEPTH / 2;
+
+/// Why a checked node constructor ([`PMap::checked_leaf`],
+/// [`PMap::checked_branch`] and their [`PList`] twins) refused its
+/// parts. Each variant is an invariant the tree code relies on without
+/// re-checking (DESIGN.md §20).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum NodeError {
+    /// A node has no entries or children, or more than [`CHUNK`].
+    Width,
+    /// Map keys are not strictly ascending across the whole subtree.
+    KeyOrder,
+    /// A branch's children are not all of one height.
+    Height,
+    /// The tree would be taller than [`MAX_CHECKED_HEIGHT`].
+    Depth,
+    /// The subtree's entry count overflows `usize`.
+    Len,
+}
+
+impl NodeError {
+    /// A short label, for positioned decode errors.
+    pub fn what(self) -> &'static str {
+        match self {
+            NodeError::Width => "pool node width",
+            NodeError::KeyOrder => "pool node key order",
+            NodeError::Height => "pool node children of unequal height",
+            NodeError::Depth => "pool node tree too deep",
+            NodeError::Len => "pool node length overflow",
+        }
+    }
+}
+
+fn check_width(n: usize) -> Result<(), NodeError> {
+    if (1..=CHUNK).contains(&n) {
+        Ok(())
+    } else {
+        Err(NodeError::Width)
+    }
+}
+
 // ---------------------------------------------------------------------------
 // PMap: a counted B-tree keyed by Arc<str>
 // ---------------------------------------------------------------------------
@@ -68,6 +130,33 @@ impl MapNode {
             MapNode::Leaf(es) => es.first().map(|(k, _)| k),
             MapNode::Branch { keys, .. } => keys.first(),
         }
+    }
+
+    /// Maximum key of the subtree; `None` only for the empty root.
+    fn max_key(&self) -> Option<&Arc<str>> {
+        let mut node = self;
+        loop {
+            match node {
+                MapNode::Leaf(es) => return es.last().map(|(k, _)| k),
+                MapNode::Branch { children, .. } => node = children.last()?,
+            }
+        }
+    }
+
+    /// Levels from this node down to its leftmost leaf, which is every
+    /// leaf: all leaves of a tree sit at one depth (updates split and
+    /// collapse whole levels, and [`PMap::checked_branch`] refuses
+    /// children of unequal height).
+    fn height(&self) -> usize {
+        let (mut node, mut levels) = (self, 1);
+        while let MapNode::Branch { children, .. } = node {
+            match children.first() {
+                Some(child) => node = child,
+                None => break,
+            }
+            levels += 1;
+        }
+        levels
     }
 }
 
@@ -199,15 +288,7 @@ impl PMap {
     /// [`MAX_DEPTH`]), so digest/Display/Eq/Ord/Hash walks cost zero
     /// allocator events, matching the old `BTreeMap` iteration.
     pub fn iter(&self) -> MapIter<'_> {
-        let mut it = MapIter {
-            stack: [None; MAX_DEPTH],
-            depth: 0,
-        };
-        if self.root.len() != 0 {
-            it.stack[0] = Some((&*self.root, 0));
-            it.depth = 1;
-        }
-        it
+        MapIter::over(&self.root)
     }
 
     /// Iterates keys in ascending order.
@@ -251,6 +332,107 @@ impl PMap {
         PMap {
             root: build_map_tree(entries),
         }
+    }
+
+    /// A one-node map with exactly these leaf entries, or why they are
+    /// not a leaf: the width must be `1..=CHUNK` and the keys strictly
+    /// ascending (`get` and `insert` binary-search them). With
+    /// [`PMap::checked_branch`], the only way to assemble a map from
+    /// nodes rather than entries — what the advice decoder does with a
+    /// pool of shared nodes.
+    pub fn checked_leaf(entries: Vec<(Arc<str>, Value)>) -> Result<PMap, NodeError> {
+        check_width(entries.len())?;
+        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(NodeError::KeyOrder);
+        }
+        Ok(PMap {
+            root: Arc::new(MapNode::Leaf(entries)),
+        })
+    }
+
+    /// A map whose root is a branch over the roots of `children`,
+    /// shared by reference, or why they cannot be siblings: `1..=CHUNK`
+    /// non-empty children of one height (so every leaf stays at one
+    /// depth, at most [`MAX_CHECKED_HEIGHT`] — updates may deepen the
+    /// tree, and the iterators' stack holds [`MAX_DEPTH`]), each one's
+    /// keys wholly above the one before (`child_for` routes a key by the
+    /// children's minimum keys). Minimum keys and the entry count are
+    /// derived here, never taken from the caller.
+    pub fn checked_branch(children: &[PMap]) -> Result<PMap, NodeError> {
+        check_width(children.len())?;
+        let height = children[0].root.height();
+        if height >= MAX_CHECKED_HEIGHT {
+            return Err(NodeError::Depth);
+        }
+        let mut len = 0usize;
+        let mut keys = Vec::with_capacity(children.len());
+        let mut below: Option<&Arc<str>> = None;
+        for child in children {
+            // Only the empty map has no minimum key.
+            let min = child.root.min_key().ok_or(NodeError::Width)?;
+            if child.root.height() != height {
+                return Err(NodeError::Height);
+            }
+            if below.is_some_and(|max| max >= min) {
+                return Err(NodeError::KeyOrder);
+            }
+            below = child.root.max_key();
+            len = len.checked_add(child.len()).ok_or(NodeError::Len)?;
+            keys.push(Arc::clone(min));
+        }
+        Ok(PMap {
+            root: Arc::new(MapNode::Branch {
+                len,
+                keys,
+                children: children.iter().map(|c| Arc::clone(&c.root)).collect(),
+            }),
+        })
+    }
+
+    /// The root node, for walking the tree node by node.
+    pub fn root(&self) -> MapNodeRef<'_> {
+        MapNodeRef(&self.root)
+    }
+}
+
+/// One node of a [`PMap`]'s tree, borrowed: what a reader that cares
+/// where the node boundaries are — the advice encoder, which ships each
+/// shared node once — walks instead of the entries.
+#[derive(Debug, Clone, Copy)]
+pub struct MapNodeRef<'a>(&'a Arc<MapNode>);
+
+impl<'a> MapNodeRef<'a> {
+    /// The node's identity: equal for two references exactly when they
+    /// are one allocation, for as long as either is borrowed.
+    pub fn addr(self) -> usize {
+        Arc::as_ptr(self.0) as usize
+    }
+
+    /// Entries in the subtree.
+    pub fn len(self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the subtree is empty (only the empty map's root is).
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// A leaf's entries, ascending; `None` for a branch.
+    pub fn entries(self) -> Option<&'a [(Arc<str>, Value)]> {
+        match &**self.0 {
+            MapNode::Leaf(es) => Some(es),
+            MapNode::Branch { .. } => None,
+        }
+    }
+
+    /// A branch's children, in key order; none for a leaf.
+    pub fn children(self) -> impl ExactSizeIterator<Item = MapNodeRef<'a>> {
+        let children: &'a [Arc<MapNode>] = match &**self.0 {
+            MapNode::Leaf(_) => &[],
+            MapNode::Branch { children, .. } => children,
+        };
+        children.iter().map(MapNodeRef)
     }
 }
 
@@ -419,12 +601,6 @@ fn build_map_tree(entries: Vec<(Arc<str>, Value)>) -> Arc<MapNode> {
     level.pop().expect("non-empty input yields a root")
 }
 
-/// Maximum tree depth an iterator can descend. Built trees shrink each
-/// level by up to `CHUNK`x, so depth `d` requires on the order of
-/// `CHUNK^(d-1)` entries; 32 frames is unreachable for any container
-/// the resource governor admits (and far beyond addressable memory).
-const MAX_DEPTH: usize = 32;
-
 /// In-order borrowing iterator over a [`PMap`]. The descent stack is a
 /// fixed inline array so constructing and driving the iterator never
 /// touches the allocator.
@@ -434,6 +610,21 @@ pub struct MapIter<'a> {
     /// frames below `depth` are always `Some`.
     stack: [Option<(&'a MapNode, usize)>; MAX_DEPTH],
     depth: usize,
+}
+
+impl<'a> MapIter<'a> {
+    /// The entries of the subtree under `node`.
+    fn over(node: &'a MapNode) -> Self {
+        let mut it = MapIter {
+            stack: [None; MAX_DEPTH],
+            depth: 0,
+        };
+        if node.len() != 0 {
+            it.stack[0] = Some((node, 0));
+            it.depth = 1;
+        }
+        it
+    }
 }
 
 impl<'a> Iterator for MapIter<'a> {
@@ -480,12 +671,48 @@ impl Default for PMap {
 
 impl PartialEq for PMap {
     fn eq(&self, other: &Self) -> bool {
-        self.ptr_eq(other)
-            || (self.len() == other.len()
-                && self
-                    .iter()
-                    .zip(other.iter())
-                    .all(|((ka, va), (kb, vb))| ka == kb && va == vb))
+        map_nodes_eq(&self.root, &other.root)
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// Map entries and list elements this thread's `==` compared: what
+    /// skipping shared subtrees saves.
+    static ENTRY_COMPARES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
+}
+
+#[inline]
+fn count_compare() {
+    #[cfg(test)]
+    ENTRY_COMPARES.with(|c| c.set(c.get() + 1));
+}
+
+/// Content equality of two subtrees that compares what changed, not
+/// what is there: a version and its functional update share all but
+/// one root-to-leaf path, so where the two sides' node boundaries line
+/// up, a shared child is equal without being read. Where they do not
+/// line up (equal maps built in different ways), the entries are
+/// zipped as ever.
+fn map_nodes_eq(a: &Arc<MapNode>, b: &Arc<MapNode>) -> bool {
+    if Arc::ptr_eq(a, b) {
+        return true;
+    }
+    if a.len() != b.len() {
+        return false;
+    }
+    match (&**a, &**b) {
+        (MapNode::Branch { children: ca, .. }, MapNode::Branch { children: cb, .. })
+            if ca.len() == cb.len() && ca.iter().zip(cb).all(|(x, y)| x.len() == y.len()) =>
+        {
+            ca.iter().zip(cb).all(|(x, y)| map_nodes_eq(x, y))
+        }
+        _ => MapIter::over(a)
+            .zip(MapIter::over(b))
+            .all(|((ka, va), (kb, vb))| {
+                count_compare();
+                ka == kb && va == vb
+            }),
     }
 }
 
@@ -554,6 +781,19 @@ impl ListNode {
             ListNode::Leaf(vs) => vs.len(),
             ListNode::Branch { len, .. } => *len,
         }
+    }
+
+    /// Levels down to the leaves; see [`MapNode::height`].
+    fn height(&self) -> usize {
+        let (mut node, mut levels) = (self, 1);
+        while let ListNode::Branch { children, .. } = node {
+            match children.first() {
+                Some(child) => node = child,
+                None => break,
+            }
+            levels += 1;
+        }
+        levels
     }
 }
 
@@ -686,16 +926,7 @@ impl PList {
     /// Iterates elements in order. Allocation-free, like [`PMap::iter`]:
     /// the descent stack is inline.
     pub fn iter(&self) -> ListIter<'_> {
-        let mut it = ListIter {
-            stack: [None; MAX_DEPTH],
-            depth: 0,
-            remaining: self.len(),
-        };
-        if self.root.len() != 0 {
-            it.stack[0] = Some((&*self.root, 0));
-            it.depth = 1;
-        }
-        it
+        ListIter::over(&self.root)
     }
 
     /// Bulk-builds from a vector of values.
@@ -719,6 +950,87 @@ impl PList {
         PList {
             root: build_list_tree(level),
         }
+    }
+}
+
+impl PList {
+    /// A one-node list of exactly these `1..=CHUNK` elements; see
+    /// [`PMap::checked_leaf`].
+    pub fn checked_leaf(values: Vec<Value>) -> Result<PList, NodeError> {
+        check_width(values.len())?;
+        Ok(PList {
+            root: Arc::new(ListNode::Leaf(values)),
+        })
+    }
+
+    /// A list whose root is a branch over the roots of `children`, in
+    /// order and shared by reference: `1..=CHUNK` non-empty children of
+    /// one height; see [`PMap::checked_branch`].
+    pub fn checked_branch(children: &[PList]) -> Result<PList, NodeError> {
+        check_width(children.len())?;
+        let height = children[0].root.height();
+        if height >= MAX_CHECKED_HEIGHT {
+            return Err(NodeError::Depth);
+        }
+        let mut len = 0usize;
+        for child in children {
+            if child.is_empty() {
+                return Err(NodeError::Width);
+            }
+            if child.root.height() != height {
+                return Err(NodeError::Height);
+            }
+            len = len.checked_add(child.len()).ok_or(NodeError::Len)?;
+        }
+        Ok(PList {
+            root: Arc::new(ListNode::Branch {
+                len,
+                children: children.iter().map(|c| Arc::clone(&c.root)).collect(),
+            }),
+        })
+    }
+
+    /// The root node, for walking the tree node by node.
+    pub fn root(&self) -> ListNodeRef<'_> {
+        ListNodeRef(&self.root)
+    }
+}
+
+/// One node of a [`PList`]'s tree, borrowed; see [`MapNodeRef`].
+#[derive(Debug, Clone, Copy)]
+pub struct ListNodeRef<'a>(&'a Arc<ListNode>);
+
+impl<'a> ListNodeRef<'a> {
+    /// The node's identity; see [`MapNodeRef::addr`].
+    pub fn addr(self) -> usize {
+        Arc::as_ptr(self.0) as usize
+    }
+
+    /// Elements in the subtree.
+    pub fn len(self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the subtree is empty (only the empty list's root is).
+    pub fn is_empty(self) -> bool {
+        self.len() == 0
+    }
+
+    /// A leaf's elements; `None` for a branch.
+    pub fn elements(self) -> Option<&'a [Value]> {
+        match &**self.0 {
+            ListNode::Leaf(vs) => Some(vs),
+            ListNode::Branch { .. } => None,
+        }
+    }
+
+    /// A branch's children, in order; none for a leaf.
+    pub fn children(self) -> impl ExactSizeIterator<Item = ListNodeRef<'a>> {
+        let children: &'a [Arc<ListNode>] = match &**self.0 {
+            ListNode::Leaf(_) => &[],
+            ListNode::Branch { children, .. } => children,
+        };
+        children.iter().map(ListNodeRef)
     }
 }
 
@@ -810,6 +1122,22 @@ pub struct ListIter<'a> {
     remaining: usize,
 }
 
+impl<'a> ListIter<'a> {
+    /// The elements of the subtree under `node`.
+    fn over(node: &'a ListNode) -> Self {
+        let mut it = ListIter {
+            stack: [None; MAX_DEPTH],
+            depth: 0,
+            remaining: node.len(),
+        };
+        if node.len() != 0 {
+            it.stack[0] = Some((node, 0));
+            it.depth = 1;
+        }
+        it
+    }
+}
+
 impl<'a> Iterator for ListIter<'a> {
     type Item = &'a Value;
 
@@ -861,8 +1189,29 @@ impl Default for PList {
 
 impl PartialEq for PList {
     fn eq(&self, other: &Self) -> bool {
-        self.ptr_eq(other)
-            || (self.len() == other.len() && self.iter().zip(other.iter()).all(|(a, b)| a == b))
+        list_nodes_eq(&self.root, &other.root)
+    }
+}
+
+/// [`map_nodes_eq`] for lists: a list and its `push` share every node
+/// off the rightmost spine.
+fn list_nodes_eq(a: &Arc<ListNode>, b: &Arc<ListNode>) -> bool {
+    if Arc::ptr_eq(a, b) {
+        return true;
+    }
+    if a.len() != b.len() {
+        return false;
+    }
+    match (&**a, &**b) {
+        (ListNode::Branch { children: ca, .. }, ListNode::Branch { children: cb, .. })
+            if ca.len() == cb.len() && ca.iter().zip(cb).all(|(x, y)| x.len() == y.len()) =>
+        {
+            ca.iter().zip(cb).all(|(x, y)| list_nodes_eq(x, y))
+        }
+        _ => ListIter::over(a).zip(ListIter::over(b)).all(|(x, y)| {
+            count_compare();
+            x == y
+        }),
     }
 }
 
@@ -1030,6 +1379,174 @@ mod tests {
                 assert_eq!(c.get(i), Some(e), "get({i}) after concat {n}+{m}");
             }
         }
+    }
+
+    fn compares(f: impl FnOnce() -> bool) -> (bool, u64) {
+        let before = ENTRY_COMPARES.with(|c| c.get());
+        let equal = f();
+        (equal, ENTRY_COMPARES.with(|c| c.get()) - before)
+    }
+
+    #[test]
+    fn eq_reads_what_changed_not_what_is_there() {
+        // MOTD's shape: a 360-entry map, and what replay makes of it.
+        let mut base = PMap::new();
+        for i in 0..360 {
+            base = base.insert(k(&format!("day-{i:03}")), Value::int(i));
+        }
+        let depth = base.root.height() as u64;
+        assert_eq!(depth, 3);
+        let budget = 2 * CHUNK as u64 * depth;
+        // The same update made twice: equal, different path, every
+        // other node shared.
+        let (a, b) = (
+            base.insert(k("day-200"), Value::int(-1)),
+            base.insert(k("day-200"), Value::int(-1)),
+        );
+        assert!(!a.ptr_eq(&b));
+        let (equal, n) = compares(|| a == b);
+        assert!(equal);
+        assert!((1..=budget).contains(&n), "{n} entry comparisons");
+        // One value apart: unequal, found as cheaply.
+        let (equal, n) = compares(|| a == base);
+        assert!(!equal);
+        assert!((1..=budget).contains(&n), "{n} entry comparisons");
+        // Equal maps whose trees are cut differently line up nowhere:
+        // every entry is compared, and the answer is still right.
+        let bulk = PMap::from_pairs(a.iter().map(|(k, v)| (Arc::clone(k), v.clone())));
+        let (equal, n) = compares(|| a == bulk);
+        assert!(equal);
+        assert_eq!(n, 360);
+        // Lists: a push shares everything off the rightmost spine.
+        let list = PList::from_vec((0..360).map(Value::int).collect());
+        let (a, b) = (list.push(Value::Null), list.push(Value::Null));
+        let (equal, n) = compares(|| a == b);
+        assert!(equal);
+        assert!((1..=budget).contains(&n), "{n} element comparisons");
+    }
+
+    #[test]
+    fn checked_constructors_refuse_what_the_tree_code_relies_on() {
+        let leaf =
+            |keys: &[&str]| PMap::checked_leaf(keys.iter().map(|s| (k(s), Value::Null)).collect());
+        assert_eq!(leaf(&[]).unwrap_err(), NodeError::Width);
+        assert_eq!(leaf(&["b", "a"]).unwrap_err(), NodeError::KeyOrder);
+        assert_eq!(leaf(&["a", "a"]).unwrap_err(), NodeError::KeyOrder);
+        let wide: Vec<String> = (0..=CHUNK).map(|i| format!("k{i:02}")).collect();
+        let wide: Vec<&str> = wide.iter().map(String::as_str).collect();
+        assert_eq!(leaf(&wide).unwrap_err(), NodeError::Width);
+        let (ab, cd, bc) = (
+            leaf(&["a", "b"]).unwrap(),
+            leaf(&["c", "d"]).unwrap(),
+            leaf(&["b", "c"]).unwrap(),
+        );
+        let branch = PMap::checked_branch(&[ab.clone(), cd.clone()]).unwrap();
+        assert_eq!(branch.len(), 4);
+        assert_eq!(branch, leaf(&["a", "b", "c", "d"]).unwrap());
+        assert!(branch.insert(k("bb"), Value::Null).get("bb").is_some());
+        for (children, why) in [
+            (vec![], NodeError::Width),
+            (vec![cd.clone(), ab.clone()], NodeError::KeyOrder),
+            (vec![ab.clone(), bc], NodeError::KeyOrder),
+            (vec![ab.clone(), ab.clone()], NodeError::KeyOrder),
+            (vec![ab.clone(), PMap::new()], NodeError::Width),
+            (
+                vec![branch.clone(), leaf(&["x"]).unwrap()],
+                NodeError::Height,
+            ),
+            (vec![ab; CHUNK + 1], NodeError::Width),
+        ] {
+            assert_eq!(PMap::checked_branch(&children).unwrap_err(), why);
+        }
+        // A chain of one-child branches is a tree until it is as tall as
+        // an assembled tree may be.
+        let mut tall = cd;
+        for _ in 1..MAX_CHECKED_HEIGHT {
+            tall = PMap::checked_branch(&[tall]).unwrap();
+        }
+        assert_eq!(tall.iter().count(), 2);
+        assert_eq!(PMap::checked_branch(&[tall]).unwrap_err(), NodeError::Depth);
+
+        assert_eq!(PList::checked_leaf(vec![]).unwrap_err(), NodeError::Width);
+        let one = PList::checked_leaf(vec![Value::int(1)]).unwrap();
+        let two = PList::checked_branch(&[one.clone(), one.clone()]).unwrap();
+        assert_eq!(two, PList::from_vec(vec![Value::int(1); 2]));
+        assert_eq!(
+            PList::checked_branch(&[two.clone(), one.clone()]).unwrap_err(),
+            NodeError::Height
+        );
+        assert_eq!(
+            PList::checked_branch(&[one, PList::new()]).unwrap_err(),
+            NodeError::Width
+        );
+        let mut tall = two;
+        for _ in 2..MAX_CHECKED_HEIGHT {
+            tall = PList::checked_branch(&[tall]).unwrap();
+        }
+        assert_eq!(tall.iter().count(), 2);
+        assert_eq!(
+            PList::checked_branch(&[tall]).unwrap_err(),
+            NodeError::Depth
+        );
+    }
+
+    #[test]
+    fn the_tallest_accepted_tree_has_room_to_grow() {
+        // The worst shape the checked constructors let through: as tall
+        // as they allow, every node on the rightmost path full, every
+        // other node as thin as a node can be. One update past the end
+        // splits the whole path and the root.
+        let mut thin = PList::checked_leaf(vec![Value::Null]).unwrap();
+        let mut list = PList::checked_leaf(vec![Value::Null; CHUNK]).unwrap();
+        for _ in 1..MAX_CHECKED_HEIGHT {
+            let mut children = vec![thin.clone(); CHUNK - 1];
+            children.push(list);
+            list = PList::checked_branch(&children).unwrap();
+            thin = PList::checked_branch(&[thin]).unwrap();
+        }
+        assert_eq!(list.root.height(), MAX_CHECKED_HEIGHT);
+        let n = list.len();
+        let mut grown = list.clone();
+        for i in 0..200 {
+            grown = grown.push(Value::int(i));
+        }
+        assert_eq!(grown.root.height(), MAX_CHECKED_HEIGHT + 1);
+        assert_eq!(grown.iter().count(), n + 200);
+        assert_eq!(grown.get(n + 199), Some(&Value::int(199)));
+        assert_ne!(grown, list);
+        assert_eq!(grown.concat(&list).len(), 2 * n + 200);
+
+        let leaf = |level: usize, i: usize| {
+            PMap::checked_leaf(vec![(k(&format!("{level:02}.{i:02}")), Value::Null)]).unwrap()
+        };
+        let mut map = PMap::checked_leaf(
+            (0..CHUNK)
+                .map(|i| (k(&format!("00.{i:02}")), Value::Null))
+                .collect(),
+        )
+        .unwrap();
+        for level in 1..MAX_CHECKED_HEIGHT {
+            // Thin siblings of the path's height, all keyed above it.
+            let mut children = vec![map];
+            for i in 1..CHUNK {
+                let mut thin = leaf(level, i);
+                for _ in 1..level {
+                    thin = PMap::checked_branch(&[thin]).unwrap();
+                }
+                children.push(thin);
+            }
+            map = PMap::checked_branch(&children).unwrap();
+        }
+        assert_eq!(map.root.height(), MAX_CHECKED_HEIGHT);
+        let n = map.len();
+        // `00.00a` sorts into the full leaf at the bottom of the path.
+        let grown = map.insert(k("00.00a"), Value::int(1));
+        assert_eq!(grown.root.height(), MAX_CHECKED_HEIGHT + 1);
+        assert_eq!(grown.iter().count(), n + 1);
+        assert!(grown.keys().zip(grown.keys().skip(1)).all(|(a, b)| a < b));
+        assert_eq!(grown.get("00.00a"), Some(&Value::int(1)));
+        assert_ne!(grown, map);
+        assert_eq!(grown.remove("00.00a"), map);
     }
 
     #[test]

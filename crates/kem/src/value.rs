@@ -307,161 +307,30 @@ impl From<String> for Value {
     }
 }
 
-/// Hash of an encoded span: 8 bytes at a time through a folded 64×64
-/// multiply, keyed by two per-process random secrets. The memo below
-/// confirms every match by byte equality, so only its *speed* rests on
-/// this function — and an advice author who cannot see the secrets
-/// cannot aim spans at one bucket.
-fn seeded_span_hash(bytes: &[u8]) -> u64 {
-    use std::hash::BuildHasher;
-    static SECRETS: std::sync::OnceLock<(u64, u64)> = std::sync::OnceLock::new();
-    let (seed, mult) = *SECRETS.get_or_init(|| {
-        let s = std::collections::hash_map::RandomState::new();
-        (s.hash_one(0u8), s.hash_one(1u8) | 1)
-    });
-    #[inline]
-    fn fold(a: u64, b: u64) -> u64 {
-        let m = (a as u128) * (b as u128);
-        (m as u64) ^ ((m >> 64) as u64)
-    }
-    let mut h = seed ^ bytes.len() as u64;
-    let mut words = bytes.chunks_exact(8);
-    for w in &mut words {
-        let mut word = [0u8; 8];
-        word.copy_from_slice(w);
-        h = fold(h ^ u64::from_le_bytes(word), mult);
-    }
-    let rest = words.remainder();
-    if !rest.is_empty() {
-        let mut word = [0u8; 8];
-        word[..rest.len()].copy_from_slice(rest);
-        h = fold(h ^ u64::from_le_bytes(word), mult);
-    }
-    fold(h, seed | 1)
-}
-
-/// An encoded span with its hash, computed once: a [`ValueInterner`]
-/// memo miss hands the key back so the value built for it is recorded
-/// without hashing the bytes again. As a map key it hashes to the
-/// stored hash (growth never rereads the bytes) and is equal only to a
-/// key with the same hash *and* the same bytes.
-#[derive(Debug, Clone, Copy)]
-pub struct SpanKey<'a> {
-    span: &'a [u8],
-    hash: u64,
-}
-
-#[cfg(test)]
-thread_local! {
-    /// Span byte comparisons made by this thread's memo lookups: the
-    /// cost a hash-flooding input would inflate.
-    static BYTE_COMPARES: std::cell::Cell<u64> = const { std::cell::Cell::new(0) };
-}
-
-impl PartialEq for SpanKey<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        if self.hash != other.hash {
-            return false;
-        }
-        #[cfg(test)]
-        BYTE_COMPARES.with(|c| c.set(c.get() + 1));
-        self.span == other.span
-    }
-}
-
-impl Eq for SpanKey<'_> {}
-
-impl std::hash::Hash for SpanKey<'_> {
-    fn hash<H: std::hash::Hasher>(&self, state: &mut H) {
-        state.write_u64(self.hash);
-    }
-}
-
-/// Hands a [`SpanKey`]'s stored hash to the map unchanged.
-#[derive(Debug, Default)]
-struct StoredHash(u64);
-
-impl std::hash::Hasher for StoredHash {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-    fn write(&mut self, bytes: &[u8]) {
-        for b in bytes {
-            self.0 = self.0.rotate_left(8) ^ u64::from(*b);
-        }
-    }
-    fn write_u64(&mut self, hash: u64) {
-        self.0 = hash;
-    }
-}
-
-/// A [`Value`] interner over a borrowed, encoded source buffer.
+/// A string interner over a borrowed, encoded source buffer.
 ///
-/// Advice (and other wire payloads) repeat themselves at two grains. A
-/// small string vocabulary — map keys, event names, row values —
-/// recurs everywhere, so [`ValueInterner::intern`] hands every
-/// occurrence after the first the same `Arc<str>` for an atomic bump.
-/// And whole encoded sub-values recur (MOTD logs its entire map on
-/// every write, each differing from the last in one entry), so the
-/// interner also keeps a memo from an encoded list/map's exact bytes
-/// to the [`Value`] first built from them ([`ValueInterner::shared`] /
-/// [`ValueInterner::remember`]): a repeat is one `Arc` bump on the
-/// container's root instead of a rebuild. The memo is keyed by spans
-/// of the source buffer, hashed with a per-process seed, and confirms
-/// every match by byte equality. The lifetime `'a` is the source
-/// buffer (a wire buffer or an mmapped advice file).
-#[derive(Debug)]
+/// Advice (and other wire payloads) draw on a small string vocabulary —
+/// map keys, event names, row values — that recurs everywhere, so
+/// [`ValueInterner::intern`] hands every occurrence after the first the
+/// same `Arc<str>` for an atomic bump. (Repeated *containers* are not
+/// this type's business any more: the wire format ships each shared
+/// node once, DESIGN.md §20.) The lifetime `'a` is the source buffer (a
+/// wire buffer or an mmapped advice file).
+#[derive(Debug, Default)]
 pub struct ValueInterner<'a> {
     strings: std::collections::HashMap<&'a str, Arc<str>>,
-    values:
-        std::collections::HashMap<SpanKey<'a>, Value, std::hash::BuildHasherDefault<StoredHash>>,
-    hash: fn(&[u8]) -> u64,
     /// String bytes copied out of the source into owned storage
     /// (first occurrences only).
     pub bytes_copied: u64,
     /// String materializations avoided: occurrences served as `Arc`
     /// clones.
     pub hits: u64,
-    /// Encoded sub-values served from the memo as `Arc` clones.
-    pub values_shared: u64,
-    /// Encoded sub-values built and remembered (memo misses).
-    pub values_built: u64,
-}
-
-impl Default for ValueInterner<'_> {
-    fn default() -> Self {
-        Self::with_span_hash(seeded_span_hash)
-    }
 }
 
 impl<'a> ValueInterner<'a> {
     /// Creates an empty interner.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An interner whose memo hashes spans with `hash` instead of the
-    /// seeded default. Results never depend on the function (matches
-    /// are byte-confirmed); tests use a degenerate one to prove it.
-    #[doc(hidden)]
-    pub fn with_span_hash(hash: fn(&[u8]) -> u64) -> Self {
-        ValueInterner {
-            strings: Default::default(),
-            values: Default::default(),
-            hash,
-            bytes_copied: 0,
-            hits: 0,
-            values_shared: 0,
-            values_built: 0,
-        }
-    }
-
-    /// Hashes `span` for the memo lookups below.
-    pub fn span_key(&self, span: &'a [u8]) -> SpanKey<'a> {
-        SpanKey {
-            span,
-            hash: (self.hash)(span),
-        }
     }
 
     /// Interns `s`, returning a shared `Arc<str>`: a clone of the
@@ -480,20 +349,6 @@ impl<'a> ValueInterner<'a> {
     /// Interns `s` as a string [`Value`].
     pub fn intern_value(&mut self, s: &'a str) -> Value {
         Value::Str(self.intern(s))
-    }
-
-    /// The value remembered for exactly these encoded bytes, if any.
-    pub fn shared(&mut self, key: &SpanKey<'a>) -> Option<Value> {
-        let hit = self.values.get(key).cloned();
-        self.values_shared += hit.is_some() as u64;
-        hit
-    }
-
-    /// Remembers `value` as what `key`'s bytes decode to, after a
-    /// [`ValueInterner::shared`] miss on that key.
-    pub fn remember(&mut self, key: SpanKey<'a>, value: &Value) {
-        self.values_built += 1;
-        self.values.insert(key, value.clone());
     }
 }
 
@@ -618,69 +473,6 @@ mod more_tests {
         assert_eq!(i.hits, 1);
         assert_eq!(i.intern_value(&src[0..3]), Value::str("abc"));
         assert_eq!(i.hits, 2);
-    }
-
-    #[test]
-    fn value_memo_is_keyed_by_bytes_whatever_the_hash() {
-        for hash in [None, Some((|_| 7) as fn(&[u8]) -> u64)] {
-            let mut i = hash.map_or_else(ValueInterner::new, ValueInterner::with_span_hash);
-            // Forty spans through growth from an empty table; every
-            // one must come back as itself, and nothing else may.
-            let spans: Vec<[u8; 2]> = (0..40u8).map(|n| [n, n ^ 0x55]).collect();
-            for (n, span) in spans.iter().enumerate() {
-                let key = i.span_key(span);
-                assert_eq!(i.shared(&key), None);
-                i.remember(key, &Value::int(n as i64));
-            }
-            for (n, span) in spans.iter().enumerate() {
-                let key = i.span_key(span);
-                assert_eq!(i.shared(&key), Some(Value::int(n as i64)));
-            }
-            let key = i.span_key(&[0, 0]);
-            assert_eq!(i.shared(&key), None);
-            assert_eq!((i.values_built, i.values_shared), (40, 40));
-        }
-    }
-
-    /// Looks `n` distinct equal-length spans up (all misses), stores
-    /// them, and looks them up again (all hits); returns the span byte
-    /// comparisons that took.
-    fn flood_compares<'a>(mut i: ValueInterner<'a>, spans: &'a [[u8; 8]]) -> u64 {
-        let before = BYTE_COMPARES.with(|c| c.get());
-        for pass in 0..2 {
-            for (n, span) in spans.iter().enumerate() {
-                let key = i.span_key(span);
-                match i.shared(&key) {
-                    Some(v) => assert_eq!((pass, v), (1, Value::int(n as i64))),
-                    None => i.remember(key, &Value::int(n as i64)),
-                }
-            }
-        }
-        assert_eq!(
-            (i.values_built, i.values_shared),
-            (spans.len() as u64, spans.len() as u64)
-        );
-        BYTE_COMPARES.with(|c| c.get()) - before
-    }
-
-    #[test]
-    fn a_flood_of_distinct_equal_length_spans_costs_linear_byte_compares() {
-        // What hash flooding would inflate is the number of spans
-        // compared byte by byte. With the seeded hash that is one per
-        // hit however many distinct equal-length spans arrive ...
-        for n in [1_000u64, 8_000] {
-            let spans: Vec<[u8; 8]> = (0..n).map(u64::to_le_bytes).collect();
-            let compares = flood_compares(ValueInterner::new(), &spans);
-            assert!(
-                (n..=n + n / 100).contains(&compares),
-                "{compares} byte comparisons for {n} distinct spans"
-            );
-        }
-        // ... and the counter does see the flood when every span is
-        // sent to one bucket: the i-th lookup walks the i before it.
-        let spans: Vec<[u8; 8]> = (0..200u64).map(u64::to_le_bytes).collect();
-        let compares = flood_compares(ValueInterner::with_span_hash(|_| 7), &spans);
-        assert!(compares >= 200 * 199 / 2, "{compares}");
     }
 
     #[test]

@@ -373,11 +373,12 @@ fn stacks_replay_bytes_scale_with_requests() {
 ///
 /// * the borrowed **view** decoder (`decode_advice_view`) keeps a
 ///   logged value as its validated byte span and builds nothing for
-///   it, so it must stay >= 40x below the owned decoder in allocation
-///   events;
+///   it — only the value pool those spans refer to, each shared node
+///   once — so it must stay >= 40x below the owned decoder in
+///   allocation events;
 /// * the accept path's whole decode phase (view decode +
 ///   `AdviceRef::from_view`, which materializes each span once through
-///   the interner's string vocabulary and sub-value memo) must stay
+///   the interner's string vocabulary and the view's pool) must stay
 ///   >= 6x below.
 ///
 /// `AdviceView::to_advice` (the view's owned conversion) is the
@@ -433,9 +434,13 @@ fn decode_phase_allocation_budget() {
         bytes.len(),
     );
 
-    // Measured with span-backed values (PR 12): owned 18584, view 196
-    // (94.8x fewer; it was 1418 while the view still built a
-    // `ValueView` tree per value), view + AdviceRef 1546 (12.0x fewer).
+    // Measured with the value pool: owned 15212, view 301 (50.5x
+    // fewer), view + AdviceRef 1570 (9.7x fewer), 48904 wire bytes.
+    // With span-backed flat values (PR 12) the same advice was 63720
+    // bytes: owned 18584, view 196 (it was 1418 while the view still
+    // built a `ValueView` tree per value), view + AdviceRef 1546 — the
+    // pool moved a hundred-odd builds from `from_view` into the view
+    // decode and took a sixth off what the owned decoder builds.
     // The bounds leave headroom for workload drift while still failing
     // loudly if per-value trees or per-entry copying come back.
     assert!(
@@ -453,12 +458,13 @@ fn decode_phase_allocation_budget() {
 /// The paper's pathology (§6.2, EXPERIMENTS D3) end to end: MOTD
 /// write-heavy logs the whole message map on every write, so the
 /// advice holds ~n/2-entry maps n times over while only ~n *distinct*
-/// entries exist. The audit must build each distinct entry once
-/// (`ValueInterner`'s sub-value memo), which makes its allocation
-/// events grow with the number of map *nodes* rebuilt per logged write
-/// (n²/32: sixteen entries to a leaf) and not with the number of
-/// entries (n²/2). Pins the absolute count at 200 requests and the
-/// growth from 200 to 400 — the machine-stable companion to the
+/// entries exist. The wire format ships each distinct map *node* once
+/// (the value pool, DESIGN.md §20) and the audit builds it once, so
+/// allocation events grow with the nodes a write path-copies — the
+/// tree's height, log₁₆ n, per write — and neither with the entries
+/// logged (n²/2) nor with the nodes of every logged version (n²/32).
+/// Pins the absolute count at 200 and 400 requests and the growth
+/// between them — the machine-stable companion to the
 /// `motd-write-heavy` timing in `benchmark/`.
 #[test]
 fn motd_write_heavy_audit_allocation_scaling() {
@@ -498,41 +504,36 @@ fn motd_write_heavy_audit_allocation_scaling() {
     let (at_200, at_400) = (audit_allocs(200), audit_allocs(400));
     let growth = at_400 as f64 / at_200 as f64;
     // What doubling the trace adds beyond doubling the count: whatever
-    // grows with n cancels, the n²/32 map nodes are left.
+    // grows with n cancels, what grows faster is left.
     let beyond_linear = at_400.saturating_sub(2 * at_200);
     eprintln!(
         "motd write-heavy audit allocs: {at_200} at 200 requests, {at_400} at 400 \
          ({growth:.2}x, {beyond_linear} beyond linear)"
     );
 
-    // Measured: 9338 and 24103 (2.58x, 5427 beyond linear). Before
-    // values were span-backed and memoized: 65031 and 237113 (3.65x,
-    // 107051 beyond linear) — every entry of every logged map built
-    // twice. Until variable state was indexed by node: 11212 and 27697
-    // (2.47x, 5273 beyond linear). What that removed grows a little
-    // slower than n — 986, 1874, 3594, 6967 events at 100, 200, 400,
-    // 800 requests — so both counts fell, their ratio rose because the
-    // n² part is now a larger share of a smaller total, and the part
-    // beyond linear rose by the 154 events the removed part fell short
-    // of doubling; at 800 → 1600 requests it is 74748 against 74458,
-    // the same n² within 0.4 %. The ratio therefore says nothing here;
-    // the part beyond linear is pinned at what the earlier 2.5x bound
-    // allowed the earlier count (0.5 × 11212).
+    // Measured: 6980 and 14887 (2.13x, 927 beyond linear). With flat
+    // values, each distinct nested value memoized by its bytes and
+    // every logged map's nodes rebuilt (PR 12 .. PR 17): 9338 and 24103
+    // (2.58x, 5427 beyond linear); before that, 65031 and 237113. What
+    // is left beyond linear is the third tree level: the history map
+    // passes 256 entries between the two sizes, so a write past there
+    // copies — and the pool ships, and the decoder builds — one more
+    // node than a write before it.
     assert!(
-        at_200 <= 16_000,
+        at_200 <= 7_500,
         "motd write-heavy audit exceeded its allocation budget at 200 \
-         requests: {at_200} events (budget 16000)"
+         requests: {at_200} events (budget 7500; measured 6980)"
     );
     assert!(
-        at_400 <= 26_000,
+        at_400 <= 16_000,
         "motd write-heavy audit exceeded its allocation budget at 400 \
-         requests: {at_400} events (budget 26000; measured 24103)"
+         requests: {at_400} events (budget 16000; measured 14887)"
     );
     assert!(
-        beyond_linear <= 5_600,
+        beyond_linear <= 1_050,
         "motd write-heavy audit allocations grow like the number of logged \
-         map entries again: {at_200} -> {at_400}, {beyond_linear} events beyond \
-         twice the count at 200 (pin <= 5600; measured 5427)"
+         map nodes again: {at_200} -> {at_400}, {beyond_linear} events beyond \
+         twice the count at 200 (pin <= 1050; measured 927)"
     );
 }
 
@@ -581,17 +582,18 @@ fn wiki_audit_allocation_budget() {
     // coordinate-indexed state, commit 540c495): 83 725 events,
     // 24 826 653 B — a cloned handler id per member per access, map
     // nodes keyed by coordinates, a reader list per observed write in
-    // two states. The pins sit below the old numbers with a few percent
-    // of headroom for workload drift.
+    // two states. With the value pool (this advice is 0.65 MB, not
+    // 1.08): 69 609 events, 18 918 629 B. The pins sit below the old
+    // numbers with a few percent of headroom for workload drift.
     assert!(
-        events <= 75_000,
-        "wiki audit exceeded its allocation budget: {events} events (budget 75000; \
-         measured 71054, 83725 before variable state was indexed by node)"
+        events <= 73_500,
+        "wiki audit exceeded its allocation budget: {events} events (budget 73500; \
+         measured 69609, 71054 with flat values)"
     );
     assert!(
-        requested <= 21_500_000,
-        "wiki audit exceeded its byte budget: {requested} B requested (budget 21500000; \
-         measured 20148277, 24826653 before variable state was indexed by node)"
+        requested <= 20_000_000,
+        "wiki audit exceeded its byte budget: {requested} B requested (budget 20000000; \
+         measured 18918629, 20148277 with flat values)"
     );
 }
 

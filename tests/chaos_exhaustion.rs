@@ -293,6 +293,46 @@ fn oversized_multivalue_is_contained_by_the_width_cap() {
     );
 }
 
+/// Forty pool nodes describing 2^41 elements: the node budget charges
+/// each reference what its container holds, so the default budget trips
+/// while the pool is being read — in microseconds, not after a walk.
+#[test]
+fn pool_bomb_is_contained_by_the_node_budget() {
+    let program = spin_program();
+    let (out, advice) = honest(&program, &vec![Value::Null; 4], 31);
+    assert_contained(
+        &program,
+        &out,
+        &advice,
+        ExhaustMutator::PoolBomb,
+        Limits::default(),
+    );
+    let mutation = ExhaustMutator::PoolBomb.apply(&advice, 7).unwrap();
+    assert!(
+        mutation.bytes.len() < encode_advice(&advice).len() + 40 * 8,
+        "the bomb is small on the wire"
+    );
+    let started = std::time::Instant::now();
+    let verdict = karousos::audit_encoded(
+        &program,
+        &out.trace,
+        &mutation.bytes,
+        IsolationLevel::Serializable,
+    );
+    let took = started.elapsed();
+    assert!(
+        matches!(
+            verdict,
+            Err(RejectReason::ResourceExhausted {
+                resource: karousos::verifier::ResourceKind::DecodeNodes,
+                ..
+            })
+        ),
+        "{verdict:?}"
+    );
+    assert!(took < std::time::Duration::from_millis(10), "{took:?}");
+}
+
 /// The structured-audit path (decoded advice) honors limits too: the
 /// same loop bomb through [`audit_with_options`] instead of the
 /// encoded entry point.

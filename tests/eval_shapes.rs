@@ -151,9 +151,13 @@ fn motd_advice_is_mostly_variable_logs() {
         CollectorMode::Karousos,
     );
     let sizes = karousos::advice_sizes(&a);
+    // The logged values themselves sit in the value pool the variable
+    // logs refer to (MOTD logs values nowhere else: it has no
+    // transactions, and its nondet records are integers).
+    let logged = sizes.var_logs + sizes.pool;
     assert!(
-        sizes.var_logs * 100 / sizes.total().max(1) >= 80,
+        logged * 100 / sizes.total().max(1) >= 80,
         "var logs are only {}% of advice",
-        sizes.var_logs * 100 / sizes.total().max(1)
+        logged * 100 / sizes.total().max(1)
     );
 }

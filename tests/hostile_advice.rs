@@ -10,16 +10,17 @@
 //! thousands of deterministic seeded mutations from the
 //! `karousos::faultinject` catalogue — structured (drop / duplicate /
 //! reorder log entries, forge values and dictating writes, corrupt
-//! opcounts and emitters) and wire-level (truncation, bit flips,
-//! declared-length inflation) — and audits every mutant, checking each
-//! outcome against its mutation's contract.
+//! opcounts and emitters), wire-level (truncation, bit flips,
+//! declared-length inflation) and value-pool (dangling, forward and
+//! swapped references, malformed, duplicate and worst-shaped nodes) — and audits
+//! every mutant, checking each outcome against its mutation's contract.
 
 use std::collections::BTreeSet;
 
 use apps::App;
 use karousos::{
     audit_encoded, encode_advice, honest_must_accept, run_instrumented_server, CollectorMode,
-    MutationClass, MutationOutcome, Mutator, WireMutator,
+    MutationClass, MutationOutcome, Mutator, PoolMutator, WireMutator,
 };
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
@@ -117,6 +118,13 @@ fn hostile_advice_contract_holds_across_thousands_of_mutations() {
                 }
             }
         }
+        for m in PoolMutator::ALL {
+            for seed in 0..WIRE_SEEDS {
+                if let Some(mutation) = m.apply(&honest_bytes, seed) {
+                    check(mutation);
+                }
+            }
+        }
     }
 
     assert!(
@@ -207,6 +215,57 @@ fn semantic_mutations_trip_the_designed_defense() {
         RejectReason::OpcountMismatch { .. } | RejectReason::HandlerNotExecuted { .. }
     ));
 
+    // A pool that breaks the format is refused where it is read; a
+    // well-formed pool that tells another story gets to replay.
+    let pool_reject_seeded = |m: PoolMutator, seed: u64| {
+        let (program, out, mutation, isolation) = runs
+            .iter()
+            .find_map(|(program, out, advice, isolation)| {
+                m.apply(&encode_advice(advice), seed)
+                    .map(|mu| (program, out, mu, *isolation))
+            })
+            .unwrap_or_else(|| panic!("{} found no target in any app", m.name()));
+        audit_encoded(program, &out.trace, &mutation.bytes, isolation)
+            .expect_err("semantic mutation accepted")
+    };
+    let pool_reject = |m: PoolMutator| pool_reject_seeded(m, 3);
+    for (m, label) in [
+        (PoolMutator::DanglingRef, "pool ref"),
+        (PoolMutator::ForwardRef, "pool ref"),
+        (PoolMutator::BadWidth, "pool node width"),
+        (PoolMutator::UnsortedSiblings, "pool node key order"),
+    ] {
+        match pool_reject(m) {
+            RejectReason::MalformedAdvice { what } => {
+                assert!(what.contains(label), "{}: {what}", m.name())
+            }
+            other => panic!("{}: expected malformed advice, got {other}", m.name()),
+        }
+    }
+    assert!(matches!(
+        pool_reject(PoolMutator::SwapRef),
+        RejectReason::VarLogMismatch { .. } | RejectReason::StateOpMismatch { .. }
+    ));
+
+    // The tallest tree a pool may describe, every node on one path
+    // full, is taken in, fed to a program that updates it, and refused
+    // for what it holds; a level taller, it is refused where it is read.
+    let (mut grew, mut too_tall) = (0, 0);
+    for seed in 0..8 {
+        match pool_reject_seeded(PoolMutator::TallTree, seed) {
+            RejectReason::MalformedAdvice { what } => {
+                assert!(what.contains("pool node tree too deep"), "{what}");
+                too_tall += 1;
+            }
+            RejectReason::VarLogMismatch { .. } | RejectReason::StateOpMismatch { .. } => grew += 1,
+            other => panic!("pool-tall-tree: {other}"),
+        }
+    }
+    assert!(
+        grew > 0 && too_tall > 0,
+        "{grew} decoded, {too_tall} refused"
+    );
+
     let (program, out, advice, isolation) = &runs[0];
     let truncated = WireMutator::Truncate
         .apply(&encode_advice(advice), 3)
@@ -215,4 +274,40 @@ fn semantic_mutations_trip_the_designed_defense() {
         audit_encoded(program, &out.trace, &truncated.bytes, *isolation).unwrap_err(),
         RejectReason::MalformedAdvice { .. }
     ));
+}
+
+/// The shape of a pooled container is the server's to choose. The worst
+/// it can choose — as tall as a pool may describe, every node full on
+/// the path to where the program's next insert lands — is fed to replay,
+/// grows a level there, and is compared entry by entry with the next
+/// logged version: same entries, so ACCEPT, at every seed and without a
+/// `VerifierInternal` on the way.
+#[test]
+fn a_history_recut_as_tall_as_a_pool_allows_still_accepts() {
+    let mut exp = Experiment::paper_default(App::Motd, Mix::WriteHeavy, 4, 11);
+    exp.requests = 320;
+    let program = App::Motd.program();
+    let (out, advice) = run_instrumented_server(
+        &program,
+        &exp.inputs(),
+        &exp.server_config(),
+        CollectorMode::Karousos,
+    )
+    .expect("motd runs cleanly");
+    let honest = encode_advice(&advice);
+    honest_must_accept(&program, &out.trace, &honest, exp.isolation);
+    for seed in 0..6 {
+        let mutation = PoolMutator::RecutTall
+            .apply(&honest, seed)
+            .expect("a 241-entry history to re-cut");
+        let result = audit_encoded(&program, &out.trace, &mutation.bytes, exp.isolation);
+        assert!(
+            MutationOutcome::of(&result)
+                .violation(MutationClass::Cosmetic)
+                .is_none(),
+            "{}: {:?}",
+            mutation.description,
+            result.err().map(|r| r.to_string())
+        );
+    }
 }

@@ -343,3 +343,176 @@ fn functional_updates_leave_source_untouched() {
     assert_eq!(l.len(), Some(1));
     assert_eq!(l2.len(), Some(2));
 }
+
+// ---------------------------------------------------------------------------
+// Trees assembled node by node (the advice decoder's way in)
+// ---------------------------------------------------------------------------
+
+use kem::pvalue::{NodeError, PList, PMap, CHUNK};
+
+/// How to cut `n` entries into a tree: leaf widths and branch fan-outs
+/// (each cycled; mostly legal, sometimes 0 or past `CHUNK`), and two
+/// edits to the leaf sequence that break a map's key order and merely
+/// reorder or repeat a list's elements.
+#[derive(Clone, Debug)]
+struct Cut {
+    n: usize,
+    widths: Vec<usize>,
+    fanouts: Vec<usize>,
+    swap_leaves: Option<usize>,
+    repeat_leaf: Option<usize>,
+}
+
+fn arb_cut() -> impl Strategy<Value = Cut> {
+    let size = || prop_oneof![12 => 1usize..CHUNK + 1, 1 => Just(0usize), 1 => Just(CHUNK + 1)];
+    (
+        1usize..200,
+        prop::collection::vec(size(), 1..6),
+        prop::collection::vec(size(), 1..4),
+        prop_oneof![5 => Just(None), 1 => (0usize..12).prop_map(Some)],
+        prop_oneof![5 => Just(None), 1 => (0usize..12).prop_map(Some)],
+    )
+        .prop_map(|(n, widths, fanouts, swap_leaves, repeat_leaf)| Cut {
+            n,
+            widths,
+            fanouts,
+            swap_leaves,
+            repeat_leaf,
+        })
+}
+
+/// Cuts `items` into runs of the cycled `sizes`. A size of 0 yields an
+/// empty run and moves on; sizes that are all 0 yield one and stop.
+fn runs<T: Clone>(items: &[T], sizes: &[usize]) -> Vec<Vec<T>> {
+    let (mut out, mut at) = (Vec::new(), 0);
+    for size in sizes.iter().cycle() {
+        if at >= items.len() {
+            break;
+        }
+        let end = (at + size).min(items.len());
+        out.push(items[at..end].to_vec());
+        at = end;
+        if sizes.iter().all(|s| *s == 0) {
+            break;
+        }
+    }
+    out
+}
+
+/// Builds the tree `cut` describes through `leaf` and `branch`, with
+/// the entries each node ends up holding. Fan-outs of 0 or 1 would
+/// never converge, so after six levels whatever is left goes under one
+/// root.
+fn assemble<T: Clone, E: Clone>(
+    cut: &Cut,
+    entries: &[E],
+    leaf: impl Fn(Vec<E>) -> Result<T, NodeError>,
+    branch: impl Fn(&[T]) -> Result<T, NodeError>,
+) -> Result<(T, Vec<E>), NodeError> {
+    let mut leaves = runs(entries, &cut.widths);
+    if let Some(i) = cut.swap_leaves.filter(|i| i + 1 < leaves.len()) {
+        leaves.swap(i, i + 1);
+    }
+    if let Some(i) = cut.repeat_leaf.filter(|i| *i < leaves.len()) {
+        leaves.insert(i, leaves[i].clone());
+    }
+    let mut level = Vec::new();
+    for entries in leaves {
+        level.push((leaf(entries.clone())?, entries));
+    }
+    for depth in 0.. {
+        if level.len() == 1 && depth > 0 {
+            break;
+        }
+        let groups = if depth < 6 {
+            runs(&level, &cut.fanouts)
+        } else {
+            vec![level.clone()]
+        };
+        level = Vec::new();
+        for group in groups {
+            let nodes: Vec<T> = group.iter().map(|(node, _)| node.clone()).collect();
+            let held = group.into_iter().flat_map(|(_, held)| held).collect();
+            level.push((branch(&nodes)?, held));
+        }
+    }
+    Ok(level.pop().expect("one root"))
+}
+
+proptest! {
+    /// Whatever tree the checked map constructors accept is a map: it
+    /// reads, updates, iterates, digests and compares as the `BTreeMap`
+    /// of its entries does. And they accept exactly the trees whose
+    /// nodes are 1..=CHUNK wide and whose keys ascend.
+    #[test]
+    fn checked_map_trees_track_btreemap_oracle(cut in arb_cut(), probe in 0usize..400) {
+        let entries: Vec<(Arc<str>, Value)> = (0..cut.n)
+            .map(|i| (Arc::from(format!("k{:03}", 2 * i)), Value::int(i as i64)))
+            .collect();
+        let built = assemble(&cut, &entries, PMap::checked_leaf, PMap::checked_branch);
+        let legal = |sizes: &[usize]| sizes.iter().all(|s| (1..=CHUNK).contains(s));
+        let leaves = runs(&entries, &cut.widths).len();
+        let reordered = cut.swap_leaves.is_some_and(|i| i + 1 < leaves)
+            || cut.repeat_leaf.is_some_and(|i| i < leaves);
+        match built {
+            Err(NodeError::KeyOrder) => prop_assert!(reordered),
+            Err(NodeError::Width) => prop_assert!(!legal(&cut.widths) || !legal(&cut.fanouts)),
+            Err(other) => prop_assert!(false, "{other:?}"),
+            Ok((map, held)) => {
+                prop_assert!(!reordered);
+                let oracle: BTreeMap<String, Value> =
+                    held.iter().map(|(k, v)| (k.to_string(), v.clone())).collect();
+                prop_assert_eq!(map.len(), oracle.len());
+                prop_assert!(map.iter().map(|(k, v)| (k.to_string(), v.clone())).eq(oracle.clone()));
+                let subject = Value::Map(map.clone());
+                prop_assert_eq!(subject.digest(), oracle_map_digest(&oracle));
+                prop_assert_eq!(subject.to_string(), oracle_map_display(&oracle));
+                prop_assert_eq!(&subject, &Value::from_map(oracle.clone()));
+                // Present keys are even, so odd probes are absent.
+                let k = format!("k{probe:03}");
+                prop_assert_eq!(map.get(&k), oracle.get(&k));
+                let (inserted, mut with) = (map.insert(Arc::from(k.as_str()), Value::Null), oracle.clone());
+                with.insert(k.clone(), Value::Null);
+                prop_assert_eq!(&Value::Map(inserted.clone()), &Value::from_map(with.clone()));
+                with.remove(&k);
+                prop_assert_eq!(&Value::Map(inserted.remove(&k)), &Value::from_map(with));
+                let (first, mut without) = (held[0].0.to_string(), oracle);
+                without.remove(&first);
+                prop_assert_eq!(&Value::Map(map.remove(&first)), &Value::from_map(without));
+            }
+        }
+    }
+
+    /// The same for lists, where a repeated or reordered leaf is just
+    /// another list — one whose nodes form a DAG.
+    #[test]
+    fn checked_list_trees_track_vec_oracle(cut in arb_cut()) {
+        let elements: Vec<Value> = (0..cut.n as i64).map(Value::int).collect();
+        let built = assemble(&cut, &elements, PList::checked_leaf, PList::checked_branch);
+        let legal = |sizes: &[usize]| sizes.iter().all(|s| (1..=CHUNK).contains(s));
+        match built {
+            Err(NodeError::Width) => prop_assert!(!legal(&cut.widths) || !legal(&cut.fanouts)),
+            Err(other) => prop_assert!(false, "{other:?}"),
+            Ok((list, mut oracle)) => {
+                prop_assert_eq!(list.len(), oracle.len());
+                prop_assert!(list.iter().eq(oracle.iter()));
+                for (i, want) in oracle.iter().enumerate() {
+                    prop_assert_eq!(list.get(i), Some(want));
+                }
+                prop_assert_eq!(list.get(oracle.len()), None);
+                let subject = Value::List(list.clone());
+                prop_assert_eq!(subject.digest(), oracle_list_digest(&oracle));
+                prop_assert_eq!(subject.to_string(), oracle_list_display(&oracle));
+                prop_assert_eq!(&subject, &Value::from_vec(oracle.clone()));
+                oracle.push(Value::Null);
+                let pushed = list.push(Value::Null);
+                prop_assert_eq!(&Value::List(pushed.clone()), &Value::from_vec(oracle.clone()));
+                oracle.extend(oracle.clone());
+                prop_assert_eq!(
+                    &Value::List(pushed.concat(&pushed)),
+                    &Value::from_vec(oracle)
+                );
+            }
+        }
+    }
+}

@@ -6,8 +6,8 @@
 //! would pass them all. This suite compares against a committed table
 //! (`tests/verdict_pins.tsv`): for every paper app × workload seed it
 //! pins the honest run's ACCEPT fingerprint (`groups/fuel/nodes/edges`)
-//! and, for every `Mutator` / `WireMutator` / `ExhaustMutator` × a few
-//! seeds, the verdict's [`RejectReason::kind`] and full message — the
+//! and, for every `Mutator` / `WireMutator` / `ExhaustMutator` /
+//! `PoolMutator` × a few seeds, the verdict's [`RejectReason::kind`] and full message — the
 //! message names the coordinate a rejection reports, so "same class,
 //! different operation" is caught too.
 //!
@@ -19,7 +19,7 @@
 use apps::App;
 use karousos::{
     audit_encoded_with_options, encode_advice, run_instrumented_server, AuditOptions,
-    CollectorMode, ExhaustMutator, Limits, Mutation, Mutator, WireMutator,
+    CollectorMode, ExhaustMutator, Limits, Mutation, Mutator, PoolMutator, WireMutator,
 };
 use workload::{Experiment, Mix};
 
@@ -67,6 +67,9 @@ fn verdict_columns(
 
 fn actual_table() -> String {
     let mut out = String::new();
+    // The vectors that came with the value pool get their rows after
+    // everyone else's, so the rows pinned before them keep their place.
+    let mut pool_rows = String::new();
     for app in App::ALL {
         for wseed in WORKLOAD_SEEDS {
             let mix = if app == App::Wiki {
@@ -86,6 +89,11 @@ fn actual_table() -> String {
             .expect("apps run cleanly");
             let honest = encode_advice(&advice);
             let mut row = |mutator: &str, mseed: u64, bytes: &[u8], limits: Limits| {
+                let out = if mutator.starts_with("pool-") {
+                    &mut pool_rows
+                } else {
+                    &mut out
+                };
                 out.push_str(&format!(
                     "{}\t{wseed}\t{mutator}\t{mseed}\t{}\n",
                     app.name(),
@@ -113,9 +121,14 @@ fn actual_table() -> String {
                     mutated(m.apply(&advice, mseed), mseed, tight_limits());
                 }
             }
+            for m in PoolMutator::ALL {
+                for mseed in 0..WIRE_SEEDS {
+                    mutated(m.apply(&honest, mseed), mseed, Limits::default());
+                }
+            }
         }
     }
-    out
+    out + &pool_rows
 }
 
 #[test]
