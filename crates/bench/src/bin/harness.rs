@@ -476,7 +476,7 @@ fn errorbars(o: &Opts) {
 /// each quantified against the log-everything / sequence-tag / expanded
 /// alternative.
 fn ablations(o: &Opts) {
-    use karousos::{advice_sizes, audit, ooo_audit, ReplaySchedule};
+    use karousos::{advice_sizes, audit_encoded, ooo_audit};
     println!("== ablations ({} requests, concurrency 8) ==", o.requests);
     for (app, mix) in [
         (App::Motd, Mix::Mixed),
@@ -484,8 +484,8 @@ fn ablations(o: &Opts) {
         (App::Wiki, Mix::Wiki),
     ] {
         let p = bench::prepare(app, mix, o.requests, 8, o.seed);
-        let report_k = audit(&p.program, &p.trace, &p.karousos, p.exp.isolation).unwrap();
-        let report_o = audit(&p.program, &p.trace, &p.orochi, p.exp.isolation).unwrap();
+        let audit = |bytes| audit_encoded(&p.program, &p.trace, bytes, p.exp.isolation).unwrap();
+        let (report_k, report_o) = (audit(&p.karousos_bytes), audit(&p.orochi_bytes));
         let sk = advice_sizes(&p.karousos);
         let so = advice_sizes(&p.orochi);
         println!("\n  {} ({})", app.name(), mix.name());
@@ -519,16 +519,14 @@ fn ablations(o: &Opts) {
         );
         // What batching buys: the same verifier with grouping disabled
         // (the paper's OOOExec, Fig. 22).
-        let (t_batched, _) = bench::time_median(o.iters, || {
-            audit(&p.program, &p.trace, &p.karousos, p.exp.isolation).unwrap()
-        });
+        let (t_batched, _) = bench::time_median(o.iters, || audit(&p.karousos_bytes));
         let (t_ooo, _) = bench::time_median(o.iters, || {
             ooo_audit(
                 &p.program,
                 &p.trace,
-                &p.karousos,
+                &p.karousos_bytes,
                 p.exp.isolation,
-                ReplaySchedule::Fifo,
+                karousos::AuditOptions::default(),
             )
             .unwrap()
         });
@@ -916,12 +914,13 @@ fn mmap_smoke(o: &Opts) {
         advice_mmap: o.advice_mmap,
         ..karousos::AuditOptions::with_threads(o.verify_threads.max(1))
     };
-    let baseline = karousos::audit_encoded_with_options(
+    let baseline = karousos::audit_encoded_with_obs(
         &p.program,
         &p.trace,
         &p.karousos_bytes,
         p.exp.isolation,
         opts,
+        &Obs::noop(),
     )
     .expect("honest wiki advice must be accepted");
     println!(

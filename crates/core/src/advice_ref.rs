@@ -4,35 +4,32 @@
 //! section a `Vec` in wire order, strings borrowing the input buffer,
 //! logged values left as the validated bytes they occupy
 //! ([`crate::RawValue`]). [`AdviceRef`] is the *logical map* form the
-//! verifier audits over, built either
-//!
-//! * **borrowed**, straight from an [`AdviceView`]
-//!   ([`AdviceRef::from_view`]): strings stay `&str` slices of the wire
-//!   buffer (or the mmapped advice file), handler logs borrow the
-//!   view's entry vectors outright, and the only owned copies are the
-//!   [`Value`]s replay actually retains — each built from its span
-//!   exactly once by a [`Materializer`], which shares strings through
-//!   [`kem::ValueInterner`]'s vocabulary and containers through the
-//!   view's value pool, so repeated content (MOTD's whole-map logs)
-//!   costs an `Arc` bump; or
-//! * **owned**, from an [`Advice`] ([`AdviceRef::from_advice`]): cheap
-//!   borrows and `Arc` bumps, so the owned decoder stays alive as the
-//!   differential oracle against the borrowed path.
+//! verifier audits over, and [`AdviceRef::from_view`] is the one way to
+//! make one: strings stay `&str` slices of the wire buffer (or the
+//! mmapped advice file), handler logs borrow the view's entry vectors
+//! outright, and the only owned copies are the [`Value`]s replay
+//! actually retains — each built from its span exactly once by a
+//! [`Materializer`], which shares strings through
+//! [`kem::ValueInterner`]'s vocabulary and containers through the
+//! view's value pool, so repeated content (MOTD's whole-map logs) costs
+//! an `Arc` bump. Advice held as an [`crate::Advice`] gets here the way
+//! the server's does: [`crate::encode_advice`], then the decoder.
 //!
 //! Lookups go through [`VecMap`], a sorted-unique `Vec` with a
 //! `BTreeMap`-shaped read API. **Duplicate-key semantics**: the wire
-//! sections of hostile advice may repeat keys; the owned decoder's
-//! `BTreeMap::insert` makes the *later* entry win, and
-//! [`VecMap::from_wire`] reproduces exactly that (stable sort by key,
-//! keep the last occurrence of each run) — this is what keeps verdicts
-//! bit-identical between the two paths on the hostile corpus.
+//! sections of hostile advice may repeat keys; the later entry wins
+//! ([`VecMap::from_wire`]: stable sort by key, keep the last occurrence
+//! of each run), which is what inserting the entries into a `BTreeMap`
+//! in wire order does — and [`AdviceView::to_advice`] does exactly
+//! that, so advice decoded, edited and encoded again means what its
+//! bytes meant.
 
 use std::collections::BTreeMap;
 
 use kem::{HandlerId, OpRef, RequestId, Value, ValueInterner, VarId};
 
-use crate::advice::{Advice, HandlerOp, KTxId, TxOpContents, TxOpType, TxPos, VarLogEntry};
-use crate::wire::{AdviceView, HandlerLogEntryView, HandlerOpView, Materializer, TxOpContentsView};
+use crate::advice::{KTxId, TxOpType, TxPos, VarLogEntry};
+use crate::wire::{AdviceView, HandlerLogEntryView, Materializer, TxOpContentsView};
 
 /// A sorted-unique `Vec<(K, V)>` exposing the read-side `BTreeMap` API
 /// the verifier uses (`get`, `contains_key`, ascending iteration).
@@ -52,7 +49,7 @@ impl<K: Ord, V> VecMap<K, V> {
     /// honest encoder always produces it) is taken as-is with no extra
     /// work; otherwise the entries are stable-sorted by key and each
     /// run of equal keys collapses to its **last** occurrence —
-    /// `BTreeMap::insert` semantics, which the owned decode oracle has.
+    /// `BTreeMap::insert` semantics, which [`AdviceView::to_advice`] has.
     pub fn from_wire(mut entries: Vec<(K, V)>) -> Self {
         let ascending = entries.windows(2).all(|w| w[0].0 < w[1].0);
         if !ascending {
@@ -153,7 +150,7 @@ impl<'m, K: Ord, V> IntoIterator for &'m VecMap<K, V> {
 pub type VarLogRef = VecMap<OpRef, VarLogEntry>;
 
 /// Contents of a borrowed transaction-log entry: like
-/// [`TxOpContents`], but `PUT` values are interned [`Value`]s (a copy
+/// [`crate::advice::TxOpContents`], but `PUT` values are interned [`Value`]s (a copy
 /// replay retains) while everything else stays borrowed/shared.
 #[derive(Debug, Clone, PartialEq)]
 pub enum TxContentsRef {
@@ -187,59 +184,15 @@ pub struct TxEntryRef<'a> {
     pub contents: TxContentsRef,
 }
 
-/// One request's handler log: borrowed wholesale from the wire view on
-/// the hot path, or owned when rebuilt from decoded [`Advice`].
-///
-/// This is `Cow<'a, [HandlerLogEntryView<'a>]>` by shape, hand-rolled
-/// because `Cow`'s `ToOwned` projection makes it *invariant* in `'a` —
-/// and [`AdviceRef`] must stay covariant so the owned entry points can
-/// build one from a local and pass it where a shorter-lived borrow is
-/// expected. Dereferences to the entry slice.
-#[derive(Debug, Clone)]
-pub enum HandlerLog<'a> {
-    /// Entries borrowed from the decoded view (zero-copy path).
-    Borrowed(&'a [HandlerLogEntryView<'a>]),
-    /// Entries rebuilt from owned advice (oracle path).
-    Owned(Vec<HandlerLogEntryView<'a>>),
-}
-
-// Like `Cow`, equality is by contents, not by variant — the
-// differential tests compare a borrowed build against an owned one.
-impl PartialEq for HandlerLog<'_> {
-    fn eq(&self, other: &Self) -> bool {
-        self.as_slice() == other.as_slice()
-    }
-}
-
-impl<'a> HandlerLog<'a> {
-    /// The log entries, whichever variant holds them.
-    #[inline]
-    pub fn as_slice(&self) -> &[HandlerLogEntryView<'a>] {
-        match self {
-            HandlerLog::Borrowed(s) => s,
-            HandlerLog::Owned(v) => v,
-        }
-    }
-}
-
-impl<'a> std::ops::Deref for HandlerLog<'a> {
-    type Target = [HandlerLogEntryView<'a>];
-    #[inline]
-    fn deref(&self) -> &Self::Target {
-        self.as_slice()
-    }
-}
-
 /// The advice in the verifier's working form: logical maps over
-/// borrowed or shared storage. See the module docs for the two
-/// constructors and the duplicate-key argument.
+/// borrowed or shared storage. See the module docs for the
+/// duplicate-key argument.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdviceRef<'a> {
     /// Control-flow tag per request (§4.1).
     pub tags: VecMap<RequestId, u64>,
-    /// Handler logs per request; borrowed straight from the view when
-    /// built with [`AdviceRef::from_view`].
-    pub handler_logs: VecMap<RequestId, HandlerLog<'a>>,
+    /// Handler logs per request, borrowed straight from the view.
+    pub handler_logs: VecMap<RequestId, &'a [HandlerLogEntryView<'a>]>,
     /// Variable logs per loggable variable.
     pub var_logs: VecMap<VarId, VarLogRef>,
     /// Transaction logs.
@@ -256,8 +209,8 @@ pub struct AdviceRef<'a> {
 }
 
 impl<'a> AdviceRef<'a> {
-    /// Builds the verifier form straight from a decoded [`AdviceView`] —
-    /// the hot path. Strings stay borrowed; handler logs are borrowed
+    /// Builds the verifier form from a decoded [`AdviceView`]. Strings
+    /// stay borrowed; handler logs are borrowed
     /// wholesale; var-log / tx-log / nondet values are materialized
     /// from their spans (they are the copies replay retains): strings
     /// through `interner`, and a reference into the view's value pool
@@ -268,7 +221,7 @@ impl<'a> AdviceRef<'a> {
         let handler_logs = VecMap::from_wire(
             view.handler_logs
                 .iter()
-                .map(|(rid, log)| (*rid, HandlerLog::Borrowed(log.as_slice())))
+                .map(|(rid, log)| (*rid, log.as_slice()))
                 .collect(),
         );
         let var_logs = VecMap::from_wire(
@@ -336,96 +289,8 @@ impl<'a> AdviceRef<'a> {
         }
     }
 
-    /// Builds the verifier form from owned advice: borrows and `Arc`
-    /// bumps only. This is how the owned entry points (and the
-    /// differential oracle) reach the single shared audit path.
-    pub fn from_advice(a: &'a Advice) -> AdviceRef<'a> {
-        let handler_logs = a
-            .handler_logs
-            .iter()
-            .map(|(rid, log)| {
-                let entries: Vec<HandlerLogEntryView<'a>> = log
-                    .iter()
-                    .map(|e| HandlerLogEntryView {
-                        hid: e.hid.clone(),
-                        opnum: e.opnum,
-                        op: match &e.op {
-                            HandlerOp::Register { event, function } => HandlerOpView::Register {
-                                event: event.as_str(),
-                                function: *function,
-                            },
-                            HandlerOp::Unregister { event, function } => {
-                                HandlerOpView::Unregister {
-                                    event: event.as_str(),
-                                    function: *function,
-                                }
-                            }
-                            HandlerOp::Emit { event } => HandlerOpView::Emit {
-                                event: event.as_str(),
-                            },
-                            HandlerOp::Check { event } => HandlerOpView::Check {
-                                event: event.as_str(),
-                            },
-                        },
-                    })
-                    .collect();
-                (*rid, HandlerLog::Owned(entries))
-            })
-            .collect();
-        let tx_logs = a
-            .tx_logs
-            .iter()
-            .map(|(tx, log)| {
-                let entries: Vec<TxEntryRef<'a>> = log
-                    .iter()
-                    .map(|e| TxEntryRef {
-                        hid: e.hid.clone(),
-                        opnum: e.opnum,
-                        optype: e.optype,
-                        key: e.key.as_deref(),
-                        contents: match &e.contents {
-                            TxOpContents::None => TxContentsRef::None,
-                            TxOpContents::Put { value } => TxContentsRef::Put {
-                                value: value.clone(),
-                            },
-                            TxOpContents::Get { from } => TxContentsRef::Get { from: from.clone() },
-                        },
-                    })
-                    .collect();
-                (tx.clone(), entries)
-            })
-            .collect();
-        AdviceRef {
-            tags: a.tags.iter().map(|(k, v)| (*k, *v)).collect(),
-            handler_logs,
-            var_logs: a
-                .var_logs
-                .iter()
-                .map(|(var, log)| {
-                    (
-                        *var,
-                        log.iter().map(|(op, e)| (op.clone(), e.clone())).collect(),
-                    )
-                })
-                .collect(),
-            tx_logs,
-            write_order: &a.write_order,
-            response_emitted_by: a
-                .response_emitted_by
-                .iter()
-                .map(|(k, v)| (*k, v.clone()))
-                .collect(),
-            opcounts: a.opcounts.iter().map(|(k, v)| (k.clone(), *v)).collect(),
-            nondet: a
-                .nondet
-                .iter()
-                .map(|(k, v)| (k.clone(), v.clone()))
-                .collect(),
-        }
-    }
-
     /// Groups request ids by tag, preserving first-appearance order —
-    /// the same bucketing [`Advice::groups`] performs.
+    /// the same bucketing [`crate::Advice::groups`] performs.
     pub fn groups(&self, trace_order: &[RequestId]) -> Vec<Vec<RequestId>> {
         let mut order: Vec<u64> = Vec::new();
         let mut by_tag: BTreeMap<u64, Vec<RequestId>> = BTreeMap::new();
@@ -469,6 +334,7 @@ impl<'a> AdviceRef<'a> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::advice::{Advice, HandlerOp, TxOpContents};
     use crate::wire::{decode_advice, decode_advice_view, encode_advice};
     use kem::FunctionId;
 
@@ -561,51 +427,49 @@ mod tests {
         a
     }
 
-    /// The two constructors must agree: owned advice round-tripped
-    /// through the wire and rebuilt from the view equals the direct
-    /// owned build.
+    /// What `from_view` builds is the advice that was encoded.
     #[test]
-    fn from_view_equals_from_advice() {
+    fn from_view_builds_the_logical_maps() {
         let a = sample_advice();
         let bytes = encode_advice(&a);
         let view = decode_advice_view(&bytes).unwrap();
         let mut interner = ValueInterner::new();
-        let from_view = AdviceRef::from_view(&view, &mut interner);
-        let from_owned = AdviceRef::from_advice(&a);
-        assert_eq!(from_view, from_owned);
-        assert_eq!(from_view.var_log_entries(), 1);
-        assert_eq!(from_view.handler_log_entries(), 1);
-        assert_eq!(from_view.tx_log_entries(), 2);
-        assert!(from_view
+        let r = AdviceRef::from_view(&view, &mut interner);
+        assert_eq!(r.tags.get(&RequestId(1)), Some(&7));
+        assert_eq!(r.var_log_entries(), 1);
+        assert_eq!(r.handler_log_entries(), 1);
+        assert_eq!(r.tx_log_entries(), 2);
+        assert!(r
             .tx_entry(&a.write_order[0])
-            .is_some_and(|e| e.optype == TxOpType::Put));
+            .is_some_and(|e| e.optype == TxOpType::Put && e.key == Some("row")));
+        assert_eq!(r.nondet.values().next(), Some(&Value::str("rand")));
+        let order = [RequestId(1), RequestId(0), RequestId(9)];
+        assert_eq!(r.groups(&order), a.groups(&order));
     }
 
-    /// Duplicate outer keys in the wire sections must resolve exactly
-    /// like the owned decoder's `BTreeMap::insert` (later entry wins).
+    /// Duplicate outer keys in the wire sections resolve later-wins, and
+    /// to the same working form as the canonical re-encoding of the
+    /// decoded advice (`to_advice`'s `BTreeMap::insert`, then
+    /// `encode_advice`), which holds each key once.
     #[test]
-    fn duplicate_sections_resolve_like_owned_decode() {
-        let a = sample_advice();
-        let bytes = encode_advice(&a);
+    fn duplicate_sections_resolve_like_their_canonical_reencoding() {
+        let bytes = encode_advice(&sample_advice());
         let mut view = decode_advice_view(&bytes).unwrap();
         // Forge a duplicate tag (later wins) and a duplicate opcount.
         view.tags.push((RequestId(0), 99));
         let dup_opcount = view.opcounts[0].clone();
         view.opcounts.insert(0, ((dup_opcount.0.clone()), 1234));
-        let bytes2 = view.encode();
-        let owned = decode_advice(&bytes2).unwrap();
-        let view2 = decode_advice_view(&bytes2).unwrap();
-        let mut interner = ValueInterner::new();
-        let borrowed = AdviceRef::from_view(&view2, &mut interner);
-        assert_eq!(borrowed, AdviceRef::from_advice(&owned));
-        assert_eq!(borrowed.tags.get(&RequestId(0)), Some(&99));
-    }
-
-    #[test]
-    fn groups_match_owned_groups() {
-        let a = sample_advice();
-        let r = AdviceRef::from_advice(&a);
-        let order = [RequestId(1), RequestId(0), RequestId(9)];
-        assert_eq!(r.groups(&order), a.groups(&order));
+        let hostile = view.encode();
+        let canonical = encode_advice(&decode_advice(&hostile).unwrap());
+        assert_ne!(hostile, canonical);
+        let (hostile, canonical) = (
+            decode_advice_view(&hostile).unwrap(),
+            decode_advice_view(&canonical).unwrap(),
+        );
+        let (mut i1, mut i2) = (ValueInterner::new(), ValueInterner::new());
+        let from_wire = AdviceRef::from_view(&hostile, &mut i1);
+        assert_eq!(from_wire, AdviceRef::from_view(&canonical, &mut i2));
+        assert_eq!(from_wire.tags.get(&RequestId(0)), Some(&99));
+        assert_eq!(from_wire.opcounts.get(&dup_opcount.0), Some(&dup_opcount.1));
     }
 }

@@ -15,7 +15,7 @@
 //!   control-flow tags. [`run_instrumented_server`] wires it into the
 //!   `kem` runtime. [`CollectorMode::OrochiJs`] provides the paper's
 //!   Orochi-JS baseline on the same codebase.
-//! * **Verifier side** — [`audit`] runs
+//! * **Verifier side** — [`audit_encoded`] runs
 //!   `Preprocess → ReExec → Postprocess` (Figs. 14–21): graph
 //!   construction, Adya isolation verification of the alleged
 //!   transactional history, grouped SIMD-on-demand re-execution with
@@ -53,7 +53,7 @@ pub use advice::{
     AccessType, Advice, HandlerLogEntry, HandlerOp, KTxId, TxLogEntry, TxOpContents, TxOpType,
     TxPos, VarLog, VarLogEntry,
 };
-pub use advice_ref::{AdviceRef, HandlerLog, TxContentsRef, TxEntryRef, VarLogRef, VecMap};
+pub use advice_ref::{AdviceRef, TxContentsRef, TxEntryRef, VarLogRef, VecMap};
 pub use collector::{
     run_instrumented_server, run_instrumented_server_encoded, run_instrumented_server_with_obs,
     Collector, CollectorCounters, CollectorMode,
@@ -67,11 +67,10 @@ pub use lint::{lint_advice, LintWarning};
 pub use multivalue::{MultiValue, MultiValueIter};
 pub use rorder::{r_concurrent, r_ordered, r_precedes};
 pub use verifier::{
-    audit, audit_encoded, audit_encoded_with_obs, audit_encoded_with_options,
-    audit_file_with_options, audit_forensic, audit_source_with_obs, audit_with_obs,
-    audit_with_options, cycle_report, ooo_audit, ooo_audit_with_options, AuditDiagnostics,
-    AuditFailure, AuditOptions, AuditReport, CycleEdgeReport, CycleProbe, CycleReport, EdgeKind,
-    FeedCounters, PhaseTiming, ReexecStats, RejectReason, ReplaySchedule, ResourceKind,
+    audit, audit_encoded, audit_encoded_with_obs, audit_file_with_options, audit_forensic,
+    audit_source_with_obs, cycle_report, ooo_audit, AuditDiagnostics, AuditFailure, AuditOptions,
+    AuditReport, CycleEdgeReport, CycleProbe, CycleReport, EdgeKind, FeedCounters, PhaseTiming,
+    ReexecStats, RejectReason, ReplaySchedule, ResourceKind,
 };
 pub use wire::{
     advice_sizes, decode_advice, decode_advice_view, decode_advice_view_bounded, encode_advice,

@@ -1,8 +1,9 @@
 //! The Karousos verifier: `Audit = Preprocess → ReExec → Postprocess`
 //! (Fig. 14 lines 13–16).
 //!
-//! [`audit`] consumes the trusted trace and the untrusted advice and
-//! either ACCEPTs (returning statistics) or REJECTs with a typed
+//! [`audit_encoded`] consumes the trusted trace and the untrusted
+//! advice — as the bytes the server sent; there is no other audit —
+//! and either ACCEPTs (returning statistics) or REJECTs with a typed
 //! [`RejectReason`]. Soundness rests on the combination of:
 //!
 //! * re-execution producing exactly the traced outputs,
@@ -44,7 +45,7 @@ use obs::{CounterId, GaugeId, HistogramId, Layer, LayerClock, Obs};
 use crate::advice::Advice;
 use crate::advice_ref::AdviceRef;
 use crate::config::Limits;
-use crate::wire::AdviceSource;
+use crate::wire::{encode_advice, AdviceSource};
 
 /// Knobs for how an audit executes. None of them can change the
 /// verdict — a parallel audit produces bit-identical statistics and the
@@ -124,151 +125,45 @@ pub struct AuditReport {
     pub timing: PhaseTiming,
 }
 
-/// Audits from the advice's wire form: decodes, then runs [`audit`].
+/// Audits the advice's wire bytes (Fig. 14 `Audit`) under
+/// `AuditOptions::default()`, unobserved. This is what a deployed
+/// verifier does — the advice arrives as bytes from the untrusted
+/// server, and decoding (including its cost) is part of verification.
 ///
-/// This is what a deployed verifier does — the advice arrives as bytes
-/// from the untrusted server, and decoding (including its cost) is part
-/// of verification. Malformed bytes are a rejection.
-///
-/// The whole pipeline runs inside a `catch_unwind` boundary: the advice
-/// is attacker-controlled and a panic in the verifier would be a
-/// denial-of-audit, so any residual panic is converted into
-/// [`RejectReason::VerifierInternal`]. The audit path is written to be
-/// panic-free by construction (every advice-driven lookup is a typed
-/// rejection); this boundary is the backstop, and the fault-injection
-/// harness treats crossing it as a verifier bug.
+/// Returns statistics on ACCEPT; a [`RejectReason`] otherwise —
+/// malformed bytes are a rejection like any other.
 pub fn audit_encoded(
     program: &Program,
     trace: &Trace,
-    advice_bytes: &[u8],
+    bytes: &[u8],
     isolation: kvstore::IsolationLevel,
 ) -> Result<AuditReport, RejectReason> {
-    audit_encoded_with_options(
-        program,
-        trace,
-        advice_bytes,
-        isolation,
-        AuditOptions::default(),
-    )
+    let (opts, obs, mode) = (AuditOptions::default(), &Obs::noop(), Mode::Grouped);
+    let resident = bytes.len() as u64;
+    audit_bytes(program, trace, bytes, resident, isolation, opts, obs, mode).map_err(|f| f.reason)
 }
 
-/// [`audit_encoded`] with explicit [`AuditOptions`].
-pub fn audit_encoded_with_options(
-    program: &Program,
-    trace: &Trace,
-    advice_bytes: &[u8],
-    isolation: kvstore::IsolationLevel,
-    opts: AuditOptions,
-) -> Result<AuditReport, RejectReason> {
-    audit_encoded_with_obs(program, trace, advice_bytes, isolation, opts, &Obs::noop())
-}
-
-/// [`audit_encoded_with_options`] recording into an explicit [`Obs`]
-/// handle (decoded byte counts land in the `bytes_decoded` counter).
+/// [`audit_encoded`] with explicit [`AuditOptions`], recording spans
+/// and metrics into an explicit [`Obs`] handle. The handle cannot
+/// change the verdict: a noop handle takes early-return branches
+/// everywhere, and an enabled one only observes.
 pub fn audit_encoded_with_obs(
     program: &Program,
     trace: &Trace,
-    advice_bytes: &[u8],
+    bytes: &[u8],
     isolation: kvstore::IsolationLevel,
     opts: AuditOptions,
     obs: &Obs,
 ) -> Result<AuditReport, RejectReason> {
-    let mut clock = LayerClock::start(obs, Layer::Decode);
-    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-        // Byte budget first: the cheapest check, applied before a
-        // single advice byte is parsed.
-        if advice_bytes.len() as u64 > opts.limits.decode_max_bytes {
-            let over = RejectReason::ResourceExhausted {
-                resource: ResourceKind::DecodeBytes,
-                group: None,
-                spent: advice_bytes.len() as u64,
-                limit: opts.limits.decode_max_bytes,
-            };
-            return Err(over.into());
-        }
-        // Zero-copy decode: the audit runs over a borrowed
-        // [`AdviceRef`] built straight from the wire view, so the only
-        // copies on the accept path are the values replay actually
-        // retains — each distinct container node built once, from the
-        // advice's value pool, and each distinct string once, through
-        // an interner's vocabulary. Handler events, store keys, and the
-        // write order stay pointers into `advice_bytes`. The view decoder reads the same bytes with
-        // the same budgets as the owned decoder, so malformed advice
-        // rejects with the same positioned error (`decode_advice` and
-        // `AdviceView::to_advice` stay alive as the differential
-        // oracles). The node budget caps total declared collection
-        // elements across all sections.
-        let (view, decode_stats) =
-            crate::wire::decode_advice_view_bounded(advice_bytes, opts.limits.decode_max_nodes)
-                .map_err(|e| match e {
-                    crate::wire::BoundedDecodeError::NodesExhausted { offset: _, limit } => {
-                        RejectReason::ResourceExhausted {
-                            resource: ResourceKind::DecodeNodes,
-                            group: None,
-                            // The budget trips on the first node past
-                            // the cap; the true declared total is
-                            // unknown (and unaffordable to learn).
-                            spent: limit.saturating_add(1),
-                            limit,
-                        }
-                    }
-                    crate::wire::BoundedDecodeError::Malformed(e) => {
-                        RejectReason::MalformedAdvice {
-                            what: e.to_string(),
-                        }
-                    }
-                })?;
-        clock.enter(
-            Layer::AdviceRef,
-            &[
-                ("bytes", advice_bytes.len() as u64),
-                ("pool_nodes", decode_stats.pool_nodes),
-                ("logical_nodes", decode_stats.logical_nodes),
-                ("wire_nodes", decode_stats.wire_nodes),
-            ],
-        );
-        let mut interner = kem::ValueInterner::new();
-        let advice = AdviceRef::from_view(&view, &mut interner);
-        let copied = decode_stats.bytes_copied + interner.bytes_copied;
-        obs.count(CounterId::BytesDecoded, advice_bytes.len() as u64);
-        obs.count(CounterId::DecodeBytesCopied, copied);
-        clock.enter(
-            Layer::Preprocess,
-            &[
-                ("copied", copied),
-                ("pool_refs", decode_stats.pool_refs),
-                ("inline_containers", decode_stats.inline_containers),
-            ],
-        );
-        audit_core_inner(
-            program,
-            trace,
-            &advice,
-            isolation,
-            opts,
-            &mut clock,
-            Mode::Grouped,
-        )
-        // The view, the interner and the advice drop here, in the layer
-        // the core left the clock in: teardown on ACCEPT.
-    }))
-    .unwrap_or_else(|payload| {
-        // The backstop fired: record it (the fault-injection harness
-        // treats any crossing of this boundary as a verifier bug) and
-        // carry the payload into the forensics.
-        obs.count(CounterId::PanicsCaught, 1);
-        let what = format!("audit panicked: {}", panic_message(&payload));
-        Err(RejectReason::VerifierInternal { what }.into())
-    });
-    conclude(clock, outcome).map_err(|f| f.reason)
+    let (resident, mode) = (bytes.len() as u64, Mode::Grouped);
+    audit_bytes(program, trace, bytes, resident, isolation, opts, obs, mode).map_err(|f| f.reason)
 }
 
 /// Audits from an [`AdviceSource`] — in-memory bytes or a memory-mapped
 /// advice file. This is the entry point for traces too large to keep
-/// resident: combined with the borrowed decode path, a mapped audit
-/// touches advice pages on demand and retains only the values replay
-/// keeps. Records the source's heap-resident advice footprint in the
-/// `advice_bytes_resident` gauge (a mapped source reports `0`).
+/// resident: a mapped audit touches advice pages on demand, retains
+/// only the values replay keeps, and reports `0` in the
+/// `advice_bytes_resident` gauge.
 pub fn audit_source_with_obs(
     program: &Program,
     trace: &Trace,
@@ -277,8 +172,8 @@ pub fn audit_source_with_obs(
     opts: AuditOptions,
     obs: &Obs,
 ) -> Result<AuditReport, RejectReason> {
-    obs.gauge(GaugeId::AdviceBytesResident, source.resident_bytes());
-    audit_encoded_with_obs(program, trace, source.bytes(), isolation, opts, obs)
+    let (bytes, resident, mode) = (source.bytes(), source.resident_bytes(), Mode::Grouped);
+    audit_bytes(program, trace, bytes, resident, isolation, opts, obs, mode).map_err(|f| f.reason)
 }
 
 /// Audits from an advice file on disk, honoring `opts.advice_mmap`
@@ -297,31 +192,58 @@ pub fn audit_file_with_options(
             what: format!("advice file unreadable: {e}"),
         }
     })?;
-    audit_source_with_obs(program, trace, &source, isolation, opts, &Obs::noop())
+    let (bytes, resident) = (source.bytes(), source.resident_bytes());
+    let (obs, mode) = (&Obs::noop(), Mode::Grouped);
+    audit_bytes(program, trace, bytes, resident, isolation, opts, obs, mode).map_err(|f| f.reason)
 }
 
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
+/// [`audit_encoded_with_obs`] with REJECT forensics: on rejection the
+/// returned [`AuditFailure`] carries an [`AuditDiagnostics`] — for a
+/// cyclic execution graph that includes a minimal cycle whose every
+/// edge names its [`EdgeKind`] and inducing operations/variable.
+pub fn audit_forensic(
+    program: &Program,
+    trace: &Trace,
+    bytes: &[u8],
+    isolation: kvstore::IsolationLevel,
+    opts: AuditOptions,
+    obs: &Obs,
+) -> Result<AuditReport, Box<AuditFailure>> {
+    let (resident, mode) = (bytes.len() as u64, Mode::GroupedForensic);
+    audit_bytes(program, trace, bytes, resident, isolation, opts, obs, mode)
 }
 
-/// Audits `trace` against `advice` for `program`, deployed at
-/// `isolation` (Fig. 14 `Audit`).
-///
-/// Returns statistics on ACCEPT; a [`RejectReason`] otherwise.
+/// `OOOAudit` (Fig. 22): audits with *ungrouped*, out-of-order
+/// re-execution — the executor the paper's Completeness/Soundness
+/// proofs are stated over. Slower than [`audit_encoded`] (no batching),
+/// but it ignores the control-flow tags entirely, and Lemma 3 says the
+/// two must agree on every honest input. Replay itself is serial;
+/// `opts.threads` parallelizes the preprocess sections and the
+/// per-variable graph assembly.
+pub fn ooo_audit(
+    program: &Program,
+    trace: &Trace,
+    bytes: &[u8],
+    isolation: kvstore::IsolationLevel,
+    opts: AuditOptions,
+) -> Result<AuditReport, RejectReason> {
+    let (resident, obs, mode) = (bytes.len() as u64, &Obs::noop(), Mode::Ungrouped);
+    audit_bytes(program, trace, bytes, resident, isolation, opts, obs, mode).map_err(|f| f.reason)
+}
+
+/// [`audit_encoded`] for advice still in memory (the collector's
+/// output, a mutator's): encodes it and audits the bytes, so it passes
+/// the decoder and its budgets like advice that crossed the wire.
 pub fn audit(
     program: &Program,
     trace: &Trace,
     advice: &Advice,
     isolation: kvstore::IsolationLevel,
 ) -> Result<AuditReport, RejectReason> {
-    audit_with_options(program, trace, advice, isolation, AuditOptions::default())
+    let bytes = &encode_advice(advice);
+    let (opts, obs, mode) = (AuditOptions::default(), &Obs::noop(), Mode::Grouped);
+    let resident = bytes.len() as u64;
+    audit_bytes(program, trace, bytes, resident, isolation, opts, obs, mode).map_err(|f| f.reason)
 }
 
 /// Runs the trusted initialization phase: installs every loggable
@@ -343,110 +265,6 @@ pub fn init_vars(program: &Program, vars: &mut VarStates) {
             );
         }
     }
-}
-
-/// `OOOAudit` (Fig. 22): audits with *ungrouped*, out-of-order
-/// re-execution — the executor the paper's Completeness/Soundness
-/// proofs are stated over. Slower than [`audit`] (no batching), but it
-/// ignores the control-flow tags entirely, and Lemma 3 says the two
-/// must agree on every honest input.
-pub fn ooo_audit(
-    program: &Program,
-    trace: &Trace,
-    advice: &Advice,
-    isolation: kvstore::IsolationLevel,
-    schedule: ReplaySchedule,
-) -> Result<AuditReport, RejectReason> {
-    let opts = AuditOptions {
-        schedule,
-        ..AuditOptions::default()
-    };
-    ooo_audit_with_options(program, trace, advice, isolation, opts)
-}
-
-/// [`ooo_audit`] with explicit [`AuditOptions`]. Replay itself is
-/// ungrouped (and therefore serial); `threads` parallelizes the
-/// preprocess sections and the per-variable graph assembly.
-pub fn ooo_audit_with_options(
-    program: &Program,
-    trace: &Trace,
-    advice: &Advice,
-    isolation: kvstore::IsolationLevel,
-    opts: AuditOptions,
-) -> Result<AuditReport, RejectReason> {
-    let advice = AdviceRef::from_advice(advice);
-    audit_core(
-        program,
-        trace,
-        &advice,
-        isolation,
-        opts,
-        &Obs::noop(),
-        Mode::Ungrouped,
-    )
-    .map_err(|f| f.reason)
-}
-
-/// [`audit`] with explicit [`AuditOptions`] (Fig. 14 `Audit`, with
-/// group replay spread over `opts.threads` workers).
-pub fn audit_with_options(
-    program: &Program,
-    trace: &Trace,
-    advice: &Advice,
-    isolation: kvstore::IsolationLevel,
-    opts: AuditOptions,
-) -> Result<AuditReport, RejectReason> {
-    let advice = AdviceRef::from_advice(advice);
-    audit_core(
-        program,
-        trace,
-        &advice,
-        isolation,
-        opts,
-        &Obs::noop(),
-        Mode::Grouped,
-    )
-    .map_err(|f| f.reason)
-}
-
-/// [`audit_with_options`] recording spans and metrics into an explicit
-/// [`Obs`] handle. The handle cannot change the verdict: a noop handle
-/// takes early-return branches everywhere, and an enabled one only
-/// observes.
-pub fn audit_with_obs(
-    program: &Program,
-    trace: &Trace,
-    advice: &Advice,
-    isolation: kvstore::IsolationLevel,
-    opts: AuditOptions,
-    obs: &Obs,
-) -> Result<AuditReport, RejectReason> {
-    let advice = AdviceRef::from_advice(advice);
-    audit_core(program, trace, &advice, isolation, opts, obs, Mode::Grouped).map_err(|f| f.reason)
-}
-
-/// [`audit_with_options`] with REJECT forensics: on rejection the
-/// returned [`AuditFailure`] carries an [`AuditDiagnostics`] — for a
-/// cyclic execution graph that includes a minimal cycle whose every
-/// edge names its [`EdgeKind`] and inducing operations/variable.
-pub fn audit_forensic(
-    program: &Program,
-    trace: &Trace,
-    advice: &Advice,
-    isolation: kvstore::IsolationLevel,
-    opts: AuditOptions,
-    obs: &Obs,
-) -> Result<AuditReport, Box<AuditFailure>> {
-    let advice = AdviceRef::from_advice(advice);
-    audit_core(
-        program,
-        trace,
-        &advice,
-        isolation,
-        opts,
-        obs,
-        Mode::GroupedForensic,
-    )
 }
 
 /// The counter a given edge kind feeds.
@@ -523,9 +341,9 @@ fn check_graph_volume(nodes: usize, edges: usize, limits: &Limits) -> Result<(),
     Ok(())
 }
 
-/// What an entry point asks of the one core. How it re-executes is
-/// the only thing [`audit`] and [`ooo_audit`] (Lemma 3's two sides) do
-/// differently.
+/// What an entry point asks of the one root. How it re-executes is
+/// the only thing [`audit_encoded`] and [`ooo_audit`] (Lemma 3's two
+/// sides) do differently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// Re-execution batched by control-flow tag (Fig. 18), groups
@@ -540,23 +358,121 @@ enum Mode {
     Ungrouped,
 }
 
-/// The audit of already-decoded advice: the core between one
-/// [`LayerClock`] start and its [`conclude`].
-fn audit_core(
+/// The one audit, from wire bytes to verdict: every public entry point
+/// is a call to this. It owns the one [`LayerClock`], the byte and node
+/// budgets in front of the decoder, the `catch_unwind` backstop and the
+/// one [`conclude`], so no entry point reaches `preprocess_staged`
+/// without all four (DESIGN.md §4). `resident` is how many of `bytes`
+/// sit on the heap: all of them, or none when they are a mapped file.
+///
+/// The advice is attacker-controlled and a panic in the verifier would
+/// be a denial-of-audit, so any residual panic is converted into
+/// [`RejectReason::VerifierInternal`]. The audit path is written to be
+/// panic-free by construction (every advice-driven lookup is a typed
+/// rejection); the boundary is the backstop, and the fault-injection
+/// harness treats crossing it as a verifier bug.
+#[allow(clippy::too_many_arguments)]
+fn audit_bytes(
     program: &Program,
     trace: &Trace,
-    advice: &AdviceRef<'_>,
+    bytes: &[u8],
+    resident: u64,
     isolation: kvstore::IsolationLevel,
     opts: AuditOptions,
     obs: &Obs,
     mode: Mode,
 ) -> Result<AuditReport, Box<AuditFailure>> {
-    let mut clock = LayerClock::start(obs, Layer::Preprocess);
-    let outcome = audit_core_inner(program, trace, advice, isolation, opts, &mut clock, mode);
+    obs.gauge(GaugeId::AdviceBytesResident, resident);
+    let mut clock = LayerClock::start(obs, Layer::Decode);
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        // Byte budget first: the cheapest check, applied before a
+        // single advice byte is parsed.
+        if bytes.len() as u64 > opts.limits.decode_max_bytes {
+            let over = RejectReason::ResourceExhausted {
+                resource: ResourceKind::DecodeBytes,
+                group: None,
+                spent: bytes.len() as u64,
+                limit: opts.limits.decode_max_bytes,
+            };
+            return Err(over.into());
+        }
+        // Zero-copy decode: the audit runs over a borrowed
+        // [`AdviceRef`] built straight from the wire view, so the only
+        // copies on the accept path are the values replay actually
+        // retains — each distinct container node built once, from the
+        // advice's value pool, and each distinct string once, through
+        // an interner's vocabulary. Handler events, store keys, and the
+        // write order stay pointers into `bytes`. The node budget caps
+        // total declared collection elements across all sections.
+        let (view, decode_stats) = crate::wire::decode_advice_view_bounded(
+            bytes,
+            opts.limits.decode_max_nodes,
+        )
+        .map_err(|e| match e {
+            crate::wire::BoundedDecodeError::NodesExhausted { offset: _, limit } => {
+                RejectReason::ResourceExhausted {
+                    resource: ResourceKind::DecodeNodes,
+                    group: None,
+                    // The budget trips on the first node past
+                    // the cap; the true declared total is
+                    // unknown (and unaffordable to learn).
+                    spent: limit.saturating_add(1),
+                    limit,
+                }
+            }
+            crate::wire::BoundedDecodeError::Malformed(e) => RejectReason::MalformedAdvice {
+                what: e.to_string(),
+            },
+        })?;
+        clock.enter(
+            Layer::AdviceRef,
+            &[
+                ("bytes", bytes.len() as u64),
+                ("pool_nodes", decode_stats.pool_nodes),
+                ("logical_nodes", decode_stats.logical_nodes),
+                ("wire_nodes", decode_stats.wire_nodes),
+            ],
+        );
+        let mut interner = kem::ValueInterner::new();
+        let advice = AdviceRef::from_view(&view, &mut interner);
+        let copied = decode_stats.bytes_copied + interner.bytes_copied;
+        obs.count(CounterId::BytesDecoded, bytes.len() as u64);
+        obs.count(CounterId::DecodeBytesCopied, copied);
+        clock.enter(
+            Layer::Preprocess,
+            &[
+                ("copied", copied),
+                ("pool_refs", decode_stats.pool_refs),
+                ("inline_containers", decode_stats.inline_containers),
+            ],
+        );
+        audit_decoded(program, trace, &advice, isolation, opts, &mut clock, mode)
+        // The view, the interner and the advice drop here, in the layer
+        // the audit left the clock in: teardown on ACCEPT.
+    }))
+    .unwrap_or_else(|payload| {
+        // The backstop fired: record it (the fault-injection harness
+        // treats any crossing of this boundary as a verifier bug) and
+        // carry the payload into the forensics.
+        obs.count(CounterId::PanicsCaught, 1);
+        let what = format!("audit panicked: {}", panic_message(&payload));
+        Err(RejectReason::VerifierInternal { what }.into())
+    });
     conclude(clock, outcome)
 }
 
-/// Where every audit ends, whichever way it left the core — verdict,
+/// Best-effort extraction of a panic payload's message.
+fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
+    }
+}
+
+/// Where every audit ends, whichever way it left the root — verdict,
 /// budget, malformed advice, panic backstop. Owns what only the
 /// outermost function can know: the layer a REJECT happened in (the one
 /// the clock stopped in), the heartbeat's terminal state, the timing
@@ -584,10 +500,10 @@ fn conclude(
     }
 }
 
-/// The layers every entry point shares, preprocess to teardown. Each
-/// boundary is one [`LayerClock::enter`]; a REJECT leaves through `?`
-/// with the clock still in the layer that found it.
-fn audit_core_inner<'a>(
+/// The layers after the decode, preprocess to teardown. Each boundary
+/// is one [`LayerClock::enter`]; a REJECT leaves through `?` with the
+/// clock still in the layer that found it.
+fn audit_decoded<'a>(
     program: &Program,
     trace: &Trace,
     advice: &'a AdviceRef<'a>,

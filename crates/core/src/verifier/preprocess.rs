@@ -411,7 +411,7 @@ fn shard_work<'x>(
             let handler_log = match logs.get(l) {
                 Some((r, log)) if *r == rid => {
                     l += 1;
-                    Some(log)
+                    Some(*log)
                 }
                 _ => None,
             };
@@ -423,7 +423,7 @@ fn shard_work<'x>(
                 rid,
                 boundary: coords.request_start(rid).zip(coords.request_end(rid)),
                 acts: a0 as u32..a as u32,
-                handler_log: handler_log.map(|log| log.as_slice()),
+                handler_log,
                 txs: t0 as u32..t as u32,
             }
         })

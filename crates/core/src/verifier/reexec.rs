@@ -512,12 +512,7 @@ impl<'a> Group<'a> {
         let slices = rids.iter().map(|r| coords.activations_of(*r)).collect();
         let handler_logs = rids
             .iter()
-            .map(|r| {
-                advice
-                    .handler_logs
-                    .get(r)
-                    .map_or(&[][..], |log| log.as_slice())
-            })
+            .map(|r| advice.handler_logs.get(r).copied().unwrap_or(&[]))
             .collect();
         Group {
             rids,
@@ -2950,7 +2945,6 @@ fn final_checks(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::advice::Advice;
     use kem::FunctionId;
 
     /// A hostile group: members whose activation ranges differ in
@@ -2974,8 +2968,8 @@ mod tests {
             .flat_map(|(rid, tree)| tree.iter().map(|hid| ((*rid, hid.clone()), 1)))
             .collect();
         let coords = Coords::build(&rids, &opcounts).unwrap();
-        let advice = Advice::default();
-        let advice = AdviceRef::from_advice(&advice);
+        let view = crate::wire::AdviceView::default();
+        let advice = AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
         let g = Group::new(rids, &advice, &coords);
 
         let acts = |slots: &[Option<Slot>]| -> Vec<Option<u32>> {

@@ -128,24 +128,38 @@ fn mapped_audit_matches_in_memory_audit() {
     let f = TempFile::with_bytes("audit", &bytes);
 
     let opts = karousos::AuditOptions::default();
-    let baseline =
-        karousos::audit_encoded_with_options(&program, &out.trace, &bytes, cfg.isolation, opts)
-            .expect("in-memory audit accepts");
+    let baseline = karousos::audit_encoded(&program, &out.trace, &bytes, cfg.isolation)
+        .expect("in-memory audit accepts");
 
     for use_mmap in [false, true] {
         let source = AdviceSource::open(&f.0, use_mmap).expect("source opens");
+        let obs = obs::Obs::enabled();
         let report = karousos::audit_source_with_obs(
             &program,
             &out.trace,
             &source,
             cfg.isolation,
             opts,
-            &obs::Obs::noop(),
+            &obs,
         )
         .expect("source-backed audit accepts");
         assert_eq!(report.reexec, baseline.reexec, "use_mmap={use_mmap}");
         assert_eq!(report.graph_nodes, baseline.graph_nodes);
         assert_eq!(report.graph_edges, baseline.graph_edges);
+        // The residency gauge tells the backings apart: a mapped
+        // advice holds none of its bytes on the heap.
+        let resident = if source.is_mmap() {
+            0
+        } else {
+            bytes.len() as u64
+        };
+        assert_eq!(
+            obs.snapshot()
+                .metrics
+                .gauge_value(obs::GaugeId::AdviceBytesResident),
+            Some(resident),
+            "use_mmap={use_mmap}"
+        );
     }
 
     // The file-path entry point honors `advice_mmap` from the options.

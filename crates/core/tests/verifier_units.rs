@@ -3,18 +3,35 @@
 //! exercised directly through `preprocess`.
 
 use karousos::advice::{Advice, HandlerLogEntry, HandlerOp};
-use karousos::verifier::{preprocess, OpMapEntry, RejectReason};
-use karousos::{run_instrumented_server, CollectorMode};
+use karousos::verifier::{preprocess, OpMapEntry, Preprocessed, RejectReason};
+use karousos::{decode_advice_view, encode_advice, run_instrumented_server, CollectorMode};
 use kem::dsl::*;
 use kem::{FunctionId, HandlerId, OpRef, ProgramBuilder, RequestId, ServerConfig, Trace, Value};
 use kvstore::IsolationLevel;
 
 const SER: IsolationLevel = IsolationLevel::Serializable;
 
-/// Runs `preprocess` over owned advice (the verifier's working form is
-/// the borrowed [`karousos::AdviceRef`]) and returns the rejection.
+/// Runs `preprocess` over `a` the way an audit reaches it: encoded,
+/// decoded to a view, built into a [`karousos::AdviceRef`].
+fn pp(
+    p: &kem::Program,
+    t: &Trace,
+    a: &Advice,
+    iso: IsolationLevel,
+) -> Result<Preprocessed, RejectReason> {
+    let bytes = encode_advice(a);
+    let view = decode_advice_view(&bytes).expect("own encoding decodes");
+    let mut interner = kem::ValueInterner::new();
+    preprocess(
+        p,
+        t,
+        &karousos::AdviceRef::from_view(&view, &mut interner),
+        iso,
+    )
+}
+
 fn pp_err(p: &kem::Program, t: &Trace, a: &Advice, iso: IsolationLevel) -> RejectReason {
-    preprocess(p, t, &karousos::AdviceRef::from_advice(a), iso).unwrap_err()
+    pp(p, t, a, iso).unwrap_err()
 }
 
 /// Minimal program with one handler doing one loggable write.
@@ -41,8 +58,7 @@ fn tiny_honest() -> (kem::Program, Trace, Advice) {
 #[test]
 fn preprocess_builds_expected_graph() {
     let (p, t, a) = tiny_honest();
-    let a = karousos::AdviceRef::from_advice(&a);
-    let pre = preprocess(&p, &t, &a, SER).unwrap();
+    let pre = pp(&p, &t, &a, SER).unwrap();
     // Nodes: ReqStart, ReqEnd, handler Start/Op(1)/End = 5.
     assert_eq!(pre.graph.node_count(), 5);
     // Edges: time chain (1), boundary req→handler (1), program chain
@@ -74,8 +90,7 @@ fn op_map_locates_handler_log_entries() {
         CollectorMode::Karousos,
     )
     .unwrap();
-    let a = karousos::AdviceRef::from_advice(&a);
-    let pre = preprocess(&p, &out.trace, &a, SER).unwrap();
+    let pre = pp(&p, &out.trace, &a, SER).unwrap();
     let hid = HandlerId::root(p.function_id("handle").unwrap());
     // The tables are indexed by node id; the coordinates name the node
     // of an operation.
@@ -229,14 +244,15 @@ fn activation_with_an_unreported_parent_rejected() {
 
 #[test]
 fn declared_node_totals_stop_at_the_budget_or_at_u32() {
-    use karousos::{audit_with_options, AuditOptions, Limits, ResourceKind};
+    use karousos::{audit_encoded_with_obs, AuditOptions, Limits, ResourceKind};
     let (p, t, mut a) = tiny_honest();
     let exhausted = |a: &Advice, limits: Limits| {
         let opts = AuditOptions {
             limits,
             ..AuditOptions::default()
         };
-        match audit_with_options(&p, &t, a, SER, opts).unwrap_err() {
+        let noop = obs::Obs::noop();
+        match audit_encoded_with_obs(&p, &t, &encode_advice(a), SER, opts, &noop).unwrap_err() {
             RejectReason::ResourceExhausted {
                 resource: ResourceKind::GraphNodes,
                 spent,

@@ -151,7 +151,9 @@ fn replay_allocs(n: usize, bytecode: bool) -> (u64, u64) {
     let ops: u64 = advice.opcounts.values().map(|&c| c as u64).sum();
     assert!(ops > 0, "scenario must replay at least one op");
 
-    let advice = karousos::AdviceRef::from_advice(&advice);
+    let bytes = karousos::encode_advice(&advice);
+    let view = karousos::decode_advice_view(&bytes).expect("own encoding decodes");
+    let advice = karousos::AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
     let pre = karousos::verifier::preprocess(&program, &out.trace, &advice, cfg.isolation)
         .expect("preprocess accepts honest advice");
     let mut vars = karousos::verifier::VarStates::new();
@@ -252,7 +254,9 @@ fn stacks_group_replay_allocation_budget() {
     )
     .expect("stacks run succeeds");
     let ops: u64 = advice.opcounts.values().map(|&c| c as u64).sum();
-    let advice = karousos::AdviceRef::from_advice(&advice);
+    let bytes = karousos::encode_advice(&advice);
+    let view = karousos::decode_advice_view(&bytes).expect("own encoding decodes");
+    let advice = karousos::AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
     let pre = karousos::verifier::preprocess(&program, &out.trace, &advice, exp.isolation)
         .expect("preprocess accepts honest advice");
     let replay = |bytecode: bool| {
@@ -330,7 +334,9 @@ fn stacks_replay_bytes_scale_with_requests() {
         for (tag, unique) in advice.tags.values_mut().zip(0..) {
             *tag = unique;
         }
-        let advice = karousos::AdviceRef::from_advice(&advice);
+        let bytes = karousos::encode_advice(&advice);
+        let view = karousos::decode_advice_view(&bytes).expect("own encoding decodes");
+        let advice = karousos::AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
         let pre = karousos::verifier::preprocess(&program, &out.trace, &advice, exp.isolation)
             .expect("preprocess accepts honest advice");
         let mut vars = karousos::verifier::VarStates::new();
@@ -368,23 +374,16 @@ fn stacks_replay_bytes_scale_with_requests() {
     );
 }
 
-/// Decode-phase allocation budget, pinning the zero-copy gains rather
-/// than measuring them once. Two layers:
+/// Decode-phase allocation budget: what keeping the advice borrowed
+/// buys, pinned in absolute events. Two layers:
 ///
-/// * the borrowed **view** decoder (`decode_advice_view`) keeps a
-///   logged value as its validated byte span and builds nothing for
-///   it — only the value pool those spans refer to, each shared node
-///   once — so it must stay >= 40x below the owned decoder in
-///   allocation events;
-/// * the accept path's whole decode phase (view decode +
-///   `AdviceRef::from_view`, which materializes each span once through
-///   the interner's string vocabulary and the view's pool) must stay
-///   >= 6x below.
-///
-/// `AdviceView::to_advice` (the view's owned conversion) is the
-/// differential oracle, not a fast path: its values go through the
-/// owned decoder's value path, so it only has to agree with
-/// `decode_advice`.
+/// * the **view** decoder (`decode_advice_view`) keeps a logged value
+///   as its validated byte span and builds nothing for it — only the
+///   value pool those spans refer to, each shared node once — and
+///   shares handler ids through a span memo;
+/// * the audit's whole decode phase (view decode +
+///   `AdviceRef::from_view`) materializes each span once, through the
+///   interner's string vocabulary and the view's pool.
 ///
 /// Uses a wiki-style workload because its advice carries the repeated
 /// event names, handler ids, and string values the interner and
@@ -413,45 +412,34 @@ fn decode_phase_allocation_budget() {
         advice.var_log_entries()
     };
 
-    // Warm-up all paths (hash seeds, lazy statics).
-    let _ = karousos::decode_advice(&bytes).expect("decodes");
+    // Warm-up (hash seeds, lazy statics).
     let _ = borrowed();
 
-    let (owned, owned_allocs) = count_allocs(|| karousos::decode_advice(&bytes));
-    let owned = owned.expect("owned decode accepts");
     let (_, view_allocs) = count_allocs(|| karousos::decode_advice_view(&bytes).map(|_| ()));
     let (_, borrowed_allocs) = count_allocs(borrowed);
-    let converted = karousos::decode_advice_view(&bytes)
-        .expect("view decode accepts")
-        .to_advice();
-    assert_eq!(converted, owned, "decoders disagree on honest advice");
-
     eprintln!(
-        "decode allocs: owned {owned_allocs}, view {view_allocs} ({:.1}x fewer), \
-         view + AdviceRef {borrowed_allocs} ({:.1}x fewer); {} wire bytes",
-        owned_allocs as f64 / view_allocs.max(1) as f64,
-        owned_allocs as f64 / borrowed_allocs.max(1) as f64,
+        "decode allocs: view {view_allocs}, view + AdviceRef {borrowed_allocs}; {} wire bytes",
         bytes.len(),
     );
 
-    // Measured with the value pool: owned 15212, view 301 (50.5x
-    // fewer), view + AdviceRef 1570 (9.7x fewer), 48904 wire bytes.
-    // With span-backed flat values (PR 12) the same advice was 63720
-    // bytes: owned 18584, view 196 (it was 1418 while the view still
-    // built a `ValueView` tree per value), view + AdviceRef 1546 — the
-    // pool moved a hundred-odd builds from `from_view` into the view
-    // decode and took a sixth off what the owned decoder builds.
+    // Measured with the value pool: view 301, view + AdviceRef 1570,
+    // 48904 wire bytes. History: the owned section walk this file used
+    // to compare against (deleted; `decode_advice` is now the view
+    // decode plus `to_advice`) built the same advice in 15212 events,
+    // and with span-backed flat values (PR 12, 63720 bytes) in 18584
+    // against view 196 (1418 while the view still built a `ValueView`
+    // tree per value) and view + AdviceRef 1546 — the pool moved a
+    // hundred-odd builds from `from_view` into the view decode.
     // The bounds leave headroom for workload drift while still failing
     // loudly if per-value trees or per-entry copying come back.
     assert!(
-        view_allocs.saturating_mul(40) <= owned_allocs,
-        "zero-copy view decode regressed: {view_allocs} allocs vs owned \
-         {owned_allocs} (pin: >= 40x fewer)"
+        view_allocs <= 350,
+        "zero-copy view decode regressed: {view_allocs} allocs (pin: <= 350; measured 301)"
     );
     assert!(
-        borrowed_allocs.saturating_mul(6) <= owned_allocs,
-        "borrowed decode phase regressed: {borrowed_allocs} allocs vs owned \
-         {owned_allocs} (pin: >= 6x fewer)"
+        borrowed_allocs <= 1_750,
+        "borrowed decode phase regressed: {borrowed_allocs} allocs (pin: <= 1750; \
+         measured 1570)"
     );
 }
 
@@ -599,9 +587,9 @@ fn wiki_audit_allocation_budget() {
 
 /// A handler-log-heavy variant of [`uniform_program`]: five
 /// register/count/unregister rounds per request (plus one emit), so the
-/// advice is dominated by handler-log entries — the section the
-/// borrowed path keeps as wire-backed slices while an owned decode
-/// materializes a `String`-carrying `HandlerLogEntry` per entry.
+/// advice is dominated by handler-log entries — the section the audit
+/// keeps as wire-backed slices, where an owned `Advice` holds a
+/// `String`-carrying `HandlerLogEntry` per entry.
 fn handler_heavy_program() -> kem::Program {
     let mut b = kem::ProgramBuilder::new();
     b.shared_var("cfg", Value::int(7), false);
@@ -630,16 +618,12 @@ fn handler_heavy_program() -> kem::Program {
     b.build().expect("handler-heavy program builds")
 }
 
-/// End-to-end audit allocation budget: the borrowed accept path
-/// (`audit_encoded_*` = view decode + `AdviceRef::from_view` +
-/// preprocess + replay + postprocess) versus the owned paths
-/// (`decode_advice` / `decode_advice_view` + `to_advice` into an owned
-/// `Advice`, then the same audit). All produce identical verdicts
-/// (tests/borrowed_audit.rs); this test pins the *cost* difference at
-/// 600 requests: the borrowed path must allocate >= 3x fewer events
-/// than auditing from a plainly-decoded `Advice` and >= 2x fewer than
-/// the view-then-owned conversion, because the only copies it makes are
-/// the values replay actually retains.
+/// End-to-end audit allocation budget on handler-log-heavy advice at
+/// 600 requests, wire bytes to verdict (view decode +
+/// `AdviceRef::from_view` + preprocess + replay + postprocess): the
+/// only copies the audit makes are the values replay actually retains,
+/// so materializing an owned `Advice` on the way in — a `String` and a
+/// map node per entry — would show here at once.
 #[test]
 fn end_to_end_borrowed_audit_allocation_budget() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -659,64 +643,25 @@ fn end_to_end_borrowed_audit_allocation_budget() {
     .expect("server run succeeds");
     let bytes = karousos::encode_advice(&advice);
     drop(advice);
-    let opts = karousos::AuditOptions {
-        threads: 1,
-        bytecode: true,
-        ..Default::default()
+    let audit = || {
+        karousos::audit_encoded(&program, &out.trace, &bytes, cfg.isolation)
+            .expect("audit accepts honest advice")
     };
 
-    let borrowed_audit = || {
-        karousos::audit_encoded_with_options(&program, &out.trace, &bytes, cfg.isolation, opts)
-            .expect("borrowed audit accepts honest advice")
-    };
-    let owned_audit = || {
-        let owned = karousos::decode_advice(&bytes).expect("owned decode accepts");
-        karousos::audit_with_options(&program, &out.trace, &owned, cfg.isolation, opts)
-            .expect("owned audit accepts honest advice")
-    };
-    let fast_audit = || {
-        let owned = karousos::decode_advice_view(&bytes)
-            .expect("view decode accepts")
-            .to_advice();
-        karousos::audit_with_options(&program, &out.trace, &owned, cfg.isolation, opts)
-            .expect("fast-decoded audit accepts honest advice")
-    };
+    let _ = audit();
+    let (_, allocs) = count_allocs(audit);
+    eprintln!("end-to-end audit allocs at {n} requests: {allocs}");
 
-    // Warm-up all paths, then measure.
-    let warm_b = borrowed_audit();
-    let warm_o = owned_audit();
-    let warm_f = fast_audit();
-    assert_eq!(warm_b.reexec, warm_o.reexec, "paths disagree on stats");
-    assert_eq!(warm_b.reexec, warm_f.reexec, "paths disagree on stats");
-    let (report_b, allocs_borrowed) = count_allocs(borrowed_audit);
-    let (report_o, allocs_owned) = count_allocs(owned_audit);
-    let (_, allocs_fast) = count_allocs(fast_audit);
-    assert_eq!(report_b.reexec, report_o.reexec);
-
-    eprintln!(
-        "end-to-end audit allocs at {n} requests: owned {allocs_owned}, \
-         fast {allocs_fast} ({:.1}x fewer), borrowed {allocs_borrowed} \
-         ({:.1}x fewer)",
-        allocs_owned as f64 / allocs_fast.max(1) as f64,
-        allocs_owned as f64 / allocs_borrowed.max(1) as f64
-    );
-
-    // Measured at introduction: owned 43421, fast 20630, borrowed 9334
-    // (4.7x / 2.2x fewer) — the gap is the per-entry String/BTreeMap
-    // traffic of materializing `Advice`, which the borrowed path never
-    // pays: its handler logs stay borrowed wire slices, and its decode
-    // phase is 613 events against the fast decoder's 11305. The pins
-    // leave headroom for workload drift while failing loudly if owned
-    // materialization creeps back into the accept path.
+    // Measured: 6210. History: at introduction 9334, against 43421 for
+    // an audit that first decoded an owned `Advice` with the owned
+    // section walk and 20630 for one that converted the view — both
+    // routes are gone from the verifier (every audit starts at the
+    // bytes); the gap was the per-entry String/BTreeMap traffic of
+    // materializing `Advice`.
     assert!(
-        allocs_borrowed.saturating_mul(3) <= allocs_owned,
-        "borrowed audit path regressed: {allocs_borrowed} allocs vs owned \
-         {allocs_owned} (pin: >= 3x fewer end-to-end)"
-    );
-    assert!(
-        allocs_borrowed.saturating_mul(2) <= allocs_fast,
-        "borrowed audit path regressed: {allocs_borrowed} allocs vs \
-         fast-decoded {allocs_fast} (pin: >= 2x fewer end-to-end)"
+        allocs <= 6_900,
+        "handler-heavy audit exceeded its allocation budget: {allocs} events (budget 6900; \
+         measured 6210)"
     );
 }
 

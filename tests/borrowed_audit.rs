@@ -1,49 +1,58 @@
-//! Differential equivalence of the borrowed audit path.
+//! Advice means the same thing however it reaches the one audit.
 //!
-//! The deployed verifier now audits straight from the wire view — an
-//! [`karousos::AdviceRef`] borrowing the advice bytes — and never
-//! materializes an owned `Advice` on the accept path. The owned
-//! conversion (`AdviceView::to_advice`) stays alive purely as the
-//! oracle these tests compare against: for every point of the shared
-//! matrix (`tests/common`), on honest advice and across the hostile
-//! wire mutation corpus, the two paths must produce byte-identical
-//! verdicts, statistics, and fuel bills.
+//! Every audit is an audit of wire bytes, but advice gets to be bytes
+//! two ways: it arrives as them, or an editor — a mutator, a test, the
+//! tampered corpus of `benchmark/` — decodes them to an owned `Advice`
+//! and encodes that again. The two are different byte strings whenever
+//! the original was not canonical (a duplicated key, sections out of
+//! order), and they resolve duplicates with different code:
+//! `VecMap::from_wire` keeps the later entry of the wire bytes,
+//! `AdviceView::to_advice` inserts into `BTreeMap`s in wire order and
+//! `encode_advice` writes each key once. For every point of the shared
+//! matrix (`tests/common`), on honest advice, across the hostile wire
+//! mutation corpus and on a duplicated key in each keyed section, both
+//! must produce the same verdict, statistics, and fuel bill. And the
+//! seven entry points, which differ in what they are handed and what
+//! they report, must be that one audit.
 
 mod common;
 
 use apps::App;
-use common::{audit_points, matrix, Outcome};
-use karousos::{decode_advice_view, encode_advice, RejectReason, WireMutator};
+use common::{audit_points, comparable, matrix, Outcome, Point};
+use karousos::{
+    decode_advice, decode_advice_view, encode_advice, AdviceSource, AdviceView, AuditOptions,
+    Mutator, RawValue, RejectReason, WireMutator,
+};
 use kem::{Program, Trace};
 use kvstore::IsolationLevel;
+use obs::Obs;
 use workload::{Experiment, Mix};
 
-/// Audits `bytes` over the shared matrix twice — borrowed, straight
-/// from the wire, and through the owned oracle: decode to an owned
-/// `Advice` exactly as the old accept path did, then audit that (a
-/// decode failure maps to the rejection the encoded entry point
-/// produces). Each path must agree with itself at every point and the
-/// two with each other. Returns the agreed outcome.
+/// Audits `bytes` at every one of `points` twice — as they are, and as
+/// the canonical re-encoding of what they decode to (a decode failure
+/// maps to the rejection the audit of the bytes produces). Each must
+/// agree with itself at every point and the two with each other.
+/// Returns the agreed outcome.
 fn assert_equivalent(
     program: &Program,
     trace: &Trace,
     bytes: &[u8],
     isolation: IsolationLevel,
+    points: &[Point],
     label: &str,
 ) -> Outcome {
-    let points = &matrix();
-    let borrowed = audit_points(program, trace, bytes, isolation, points, label);
-    let oracle = match decode_advice_view(bytes).map(|view| view.to_advice()) {
+    let wire = audit_points(program, trace, bytes, isolation, points, label);
+    let canonical = match decode_advice(bytes) {
         Ok(advice) => audit_points(program, trace, &advice, isolation, points, label),
         Err(e) => Err(RejectReason::MalformedAdvice {
             what: e.to_string(),
         }),
     };
     assert_eq!(
-        borrowed, oracle,
-        "{label}: borrowed path diverges from owned oracle"
+        wire, canonical,
+        "{label}: the wire bytes and their canonical re-encoding diverge"
     );
-    borrowed
+    wire
 }
 
 fn prepare(app: App, mix: Mix, requests: usize) -> (Program, Trace, Vec<u8>, IsolationLevel) {
@@ -60,7 +69,7 @@ fn prepare(app: App, mix: Mix, requests: usize) -> (Program, Trace, Vec<u8>, Iso
     (program, out.trace, encode_advice(&advice), exp.isolation)
 }
 
-/// Honest advice from every paper app: both paths must ACCEPT with
+/// Honest advice from every paper app: both encodings must ACCEPT with
 /// identical statistics and fuel at every matrix point.
 #[test]
 fn honest_apps_accept_identically() {
@@ -70,7 +79,7 @@ fn honest_apps_accept_identically() {
         (App::Wiki, Mix::Wiki, 16),
     ] {
         let (program, trace, bytes, isolation) = prepare(app, mix, n);
-        let outcome = assert_equivalent(&program, &trace, &bytes, isolation, app.name());
+        let outcome = assert_equivalent(&program, &trace, &bytes, isolation, &matrix(), app.name());
         assert!(
             outcome.is_ok(),
             "{}: honest advice rejected: {outcome:?}",
@@ -81,8 +90,8 @@ fn honest_apps_accept_identically() {
 
 /// The hostile corpus: every wire mutator at many seeds. Whatever each
 /// mutation does — decode error, verifier rejection, or (for benign
-/// mutations) acceptance — both paths must agree exactly, including the
-/// positioned decode error text and the typed `RejectReason`.
+/// mutations) acceptance — both encodings must agree exactly, including
+/// the positioned decode error text and the typed `RejectReason`.
 #[test]
 fn hostile_mutations_verdict_identically() {
     let (program, trace, honest, isolation) = prepare(App::Motd, Mix::RW_MIXES[1], 12);
@@ -95,7 +104,8 @@ fn hostile_mutations_verdict_identically() {
                 continue;
             };
             let label = format!("{} seed {seed}", mutation.mutator);
-            let outcome = assert_equivalent(&program, &trace, &mutation.bytes, isolation, &label);
+            let bytes = &mutation.bytes;
+            let outcome = assert_equivalent(&program, &trace, bytes, isolation, &matrix(), &label);
             if outcome.is_err() {
                 rejected += 1;
             }
@@ -110,4 +120,131 @@ fn hostile_mutations_verdict_identically() {
         rejected >= 25,
         "only {rejected} mutations rejected; REJECT-side coverage too small"
     );
+}
+
+/// Appends a copy of `section`'s first entry, so its key is on the wire
+/// twice, and applies `forge` to the later copy (`forged_last`) or to
+/// the earlier one. `false` if the section is empty.
+fn duplicate_first<T: Clone>(section: &mut Vec<T>, forge: fn(&mut T), forged_last: bool) -> bool {
+    let Some(honest) = section.first().cloned() else {
+        return false;
+    };
+    let mut forged = honest.clone();
+    forge(&mut forged);
+    if forged_last {
+        section.push(forged);
+    } else {
+        section[0] = forged;
+        section.push(honest);
+    }
+    true
+}
+
+/// What `WireMutator` rarely produces and owned advice cannot hold: a
+/// key twice in one section. The later entry wins, in the wire bytes
+/// and in their canonical re-encoding alike — so the advice is honest
+/// when the honest copy is the later one, in every keyed section.
+#[test]
+fn duplicated_keys_verdict_identically() {
+    type Case = (&'static str, fn(&mut AdviceView<'_>, bool) -> bool);
+    let cases: [Case; 7] = [
+        ("tags", |v, last| {
+            duplicate_first(&mut v.tags, |e| e.1 += 1, last)
+        }),
+        ("handler_logs", |v, last| {
+            duplicate_first(&mut v.handler_logs, |e| e.1.clear(), last)
+        }),
+        ("var_logs", |v, last| {
+            duplicate_first(&mut v.var_logs, |e| e.1.clear(), last)
+        }),
+        ("tx_logs", |v, last| {
+            duplicate_first(&mut v.tx_logs, |e| e.1.clear(), last)
+        }),
+        ("response_emitted_by", |v, last| {
+            duplicate_first(&mut v.response_emitted_by, |e| e.1 .1 += 1, last)
+        }),
+        ("opcounts", |v, last| {
+            duplicate_first(&mut v.opcounts, |e| e.1 += 1, last)
+        }),
+        ("nondet", |v, last| {
+            let null = |e: &mut (_, RawValue<'_>)| {
+                e.1 = RawValue::validate(&[0], u64::MAX).expect("null is a value")
+            };
+            duplicate_first(&mut v.nondet, null, last)
+        }),
+    ];
+    let (program, trace, honest, isolation) = prepare(App::Wiki, Mix::Wiki, 16);
+    // How an audit is run is the other tests' axis; this one's is which
+    // copy of a key the advice means.
+    let defaults = &[Point {
+        opts: AuditOptions::default(),
+        obs: false,
+    }];
+    for (section, duplicate) in cases {
+        for forged_last in [false, true] {
+            let mut view = decode_advice_view(&honest).expect("honest advice decodes");
+            assert!(duplicate(&mut view, forged_last), "{section} is empty");
+            let label = format!("duplicated {section} key, forged_last={forged_last}");
+            let bytes = view.encode();
+            let outcome = assert_equivalent(&program, &trace, &bytes, isolation, defaults, &label);
+            assert!(forged_last || outcome.is_ok(), "{label}: {outcome:?}");
+        }
+    }
+}
+
+/// The seven entry points are one audit: on honest advice and — the
+/// grouped ones — on a `Semantic` wire mutation and a structured one,
+/// each gives the outcome `audit_encoded` gives. `ooo_audit` re-executes
+/// differently (Lemma 3), so its statistics are its own; it must build
+/// the same graph.
+#[test]
+fn entry_points_agree() {
+    let (program, trace, honest, isolation) = prepare(App::Wiki, Mix::Wiki, 16);
+    let advice = decode_advice(&honest).expect("honest advice decodes");
+    let truncated = WireMutator::Truncate.apply(&honest, 1).expect("applies");
+    let corrupt = Mutator::CorruptOpcount.apply(&advice, 1).expect("applies");
+    let (opts, noop) = (AuditOptions::default(), Obs::noop());
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("entry_points.advice");
+    for (label, bytes) in [
+        ("honest", &honest),
+        ("truncated", &truncated.bytes),
+        ("corrupt opcount", &corrupt.bytes),
+    ] {
+        let (p, t) = (&program, &trace);
+        let expected = comparable(karousos::audit_encoded(p, t, bytes, isolation));
+        assert_eq!(expected.is_ok(), label == "honest", "{label}: {expected:?}");
+        std::fs::write(&path, bytes).expect("scratch advice file is writable");
+        let source = AdviceSource::from_bytes(bytes.clone());
+        let mut outcomes = vec![
+            (
+                "audit_encoded_with_obs",
+                karousos::audit_encoded_with_obs(p, t, bytes, isolation, opts, &noop),
+            ),
+            (
+                "audit_source_with_obs",
+                karousos::audit_source_with_obs(p, t, &source, isolation, opts, &noop),
+            ),
+            (
+                "audit_file_with_options",
+                karousos::audit_file_with_options(p, t, &path, isolation, opts),
+            ),
+            (
+                "audit_forensic",
+                karousos::audit_forensic(p, t, bytes, isolation, opts, &noop).map_err(|f| f.reason),
+            ),
+        ];
+        if let Ok(decoded) = decode_advice(bytes) {
+            outcomes.push(("audit", karousos::audit(p, t, &decoded, isolation)));
+        }
+        for (entry_point, outcome) in outcomes {
+            assert_eq!(comparable(outcome), expected, "{label}: {entry_point}");
+        }
+        if let Ok(grouped) = expected {
+            let ooo = karousos::ooo_audit(p, t, bytes, isolation, opts).expect("Lemma 3");
+            assert_eq!(
+                (ooo.graph_nodes, ooo.graph_edges),
+                (grouped.graph_nodes, grouped.graph_edges)
+            );
+        }
+    }
 }

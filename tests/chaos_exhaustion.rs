@@ -9,7 +9,7 @@ mod common;
 
 use common::{audit_at, audit_points, matrix_with, Outcome, THREADS};
 use karousos::{
-    audit_with_options, encode_advice, run_instrumented_server, Advice, AuditOptions,
+    audit_encoded_with_obs, encode_advice, run_instrumented_server, Advice, AuditOptions,
     CollectorMode, ExhaustMutator, Limits, RejectReason,
 };
 use kem::dsl::*;
@@ -333,15 +333,15 @@ fn pool_bomb_is_contained_by_the_node_budget() {
     assert!(took < std::time::Duration::from_millis(10), "{took:?}");
 }
 
-/// The structured-audit path (decoded advice) honors limits too: the
-/// same loop bomb through [`audit_with_options`] instead of the
-/// encoded entry point.
+/// Advice that took an editor's route — bytes, decoded `Advice`,
+/// canonical bytes again — is metered like the bytes it came from: the
+/// same loop bomb, re-encoded before the audit.
 #[test]
 fn decoded_audit_path_is_fuel_metered_too() {
     let program = spin_program();
     let (out, advice) = honest(&program, &vec![Value::Null; 4], 29);
     let mutation = ExhaustMutator::LoopBomb.apply(&advice, 7).unwrap();
-    let mutated = karousos::decode_advice(&mutation.bytes).unwrap();
+    let mutated = encode_advice(&karousos::decode_advice(&mutation.bytes).unwrap());
     let opts = AuditOptions {
         limits: Limits {
             replay_fuel: 200_000,
@@ -349,12 +349,13 @@ fn decoded_audit_path_is_fuel_metered_too() {
         },
         ..AuditOptions::with_threads(1)
     };
-    match audit_with_options(
+    match audit_encoded_with_obs(
         &program,
         &out.trace,
         &mutated,
         IsolationLevel::Serializable,
         opts,
+        &obs::Obs::noop(),
     ) {
         Err(RejectReason::ResourceExhausted { resource, .. }) => {
             assert_eq!(resource, karousos::verifier::ResourceKind::ReplayFuel);

@@ -14,7 +14,7 @@
 #![allow(dead_code)]
 
 use karousos::{
-    audit_encoded_with_obs, audit_with_obs, Advice, AuditOptions, AuditReport, Limits, ReexecStats,
+    audit_encoded_with_obs, encode_advice, Advice, AuditOptions, AuditReport, Limits, ReexecStats,
     RejectReason,
 };
 use kem::{Program, Trace};
@@ -33,7 +33,7 @@ pub struct Accepted {
 /// The comparable portion of an audit outcome.
 pub type Outcome = Result<Accepted, RejectReason>;
 
-fn comparable(r: Result<AuditReport, RejectReason>) -> Outcome {
+pub fn comparable(r: Result<AuditReport, RejectReason>) -> Outcome {
     r.map(|rep| Accepted {
         reexec: rep.reexec,
         graph_nodes: rep.graph_nodes,
@@ -77,11 +77,21 @@ pub fn matrix() -> Vec<Point> {
     matrix_with(&THREADS, Limits::default())
 }
 
-/// The advice as the audit is handed it: decoded, or in its wire form.
+/// The advice as a test holds it: decoded, or in its wire form.
+/// Decoded advice is encoded first; the audit takes bytes.
 #[derive(Clone, Copy)]
 pub enum AdviceIn<'a> {
     Decoded(&'a Advice),
     Encoded(&'a [u8]),
+}
+
+impl<'a> AdviceIn<'a> {
+    fn bytes(self) -> std::borrow::Cow<'a, [u8]> {
+        match self {
+            AdviceIn::Decoded(advice) => encode_advice(advice).into(),
+            AdviceIn::Encoded(bytes) => bytes.into(),
+        }
+    }
 }
 
 impl<'a> From<&'a Advice> for AdviceIn<'a> {
@@ -115,14 +125,10 @@ pub fn audit_at<'a>(
     } else {
         Obs::noop()
     };
-    comparable(match advice.into() {
-        AdviceIn::Decoded(advice) => {
-            audit_with_obs(program, trace, advice, isolation, point.opts, &obs)
-        }
-        AdviceIn::Encoded(bytes) => {
-            audit_encoded_with_obs(program, trace, bytes, isolation, point.opts, &obs)
-        }
-    })
+    let bytes = advice.into().bytes();
+    comparable(audit_encoded_with_obs(
+        program, trace, &bytes, isolation, point.opts, &obs,
+    ))
 }
 
 /// Audits at every one of `points`, asserts that they agree and returns
@@ -136,7 +142,9 @@ pub fn audit_points<'a>(
     points: &[Point],
     label: &str,
 ) -> Outcome {
-    let advice = advice.into();
+    // Encoded once, not once a point.
+    let bytes = advice.into().bytes();
+    let advice = &bytes[..];
     let (first, rest) = points.split_first().expect("at least one point");
     let common = audit_at(program, trace, advice, isolation, *first);
     for point in rest {

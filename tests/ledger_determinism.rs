@@ -12,7 +12,9 @@
 mod common;
 
 use apps::App;
-use karousos::{audit_with_obs, run_instrumented_server, AuditOptions, CollectorMode};
+use karousos::{
+    audit_encoded_with_obs, run_instrumented_server_encoded, AuditOptions, CollectorMode,
+};
 use obs::Obs;
 use proptest::prelude::*;
 use workload::{Experiment, Mix};
@@ -20,14 +22,14 @@ use workload::{Experiment, Mix};
 fn wiki_run() -> (
     kem::Program,
     kem::RunOutput,
-    karousos::Advice,
+    Vec<u8>,
     kvstore::IsolationLevel,
 ) {
     let mut exp = Experiment::paper_default(App::Wiki, Mix::Wiki, 8, 5);
     exp.requests = 80;
     let program = App::Wiki.program();
     let inputs = exp.inputs();
-    let (out, advice) = run_instrumented_server(
+    let (out, advice) = run_instrumented_server_encoded(
         &program,
         &inputs,
         &exp.server_config(),
@@ -40,12 +42,12 @@ fn wiki_run() -> (
 fn ledger_for(
     program: &kem::Program,
     out: &kem::RunOutput,
-    advice: &karousos::Advice,
+    advice: &[u8],
     iso: kvstore::IsolationLevel,
     opts: AuditOptions,
 ) -> obs::CostLedger {
     let obs = Obs::enabled();
-    audit_with_obs(program, &out.trace, advice, iso, opts, &obs)
+    audit_encoded_with_obs(program, &out.trace, advice, iso, opts, &obs)
         .expect("honest advice must be accepted");
     obs.snapshot().ledger
 }

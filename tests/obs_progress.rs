@@ -8,8 +8,8 @@
 
 use apps::App;
 use karousos::{
-    audit_encoded_with_obs, audit_forensic, audit_with_obs, decode_advice, encode_advice,
-    run_instrumented_server, AuditOptions, CollectorMode, Limits, Mutator,
+    audit_encoded_with_obs, audit_forensic, run_instrumented_server,
+    run_instrumented_server_encoded, AuditOptions, CollectorMode, Limits, Mutator,
 };
 use obs::{CounterId, GroupCost, Layer, Obs};
 use workload::{Experiment, Mix};
@@ -24,14 +24,14 @@ fn wiki_run(
 ) -> (
     kem::Program,
     kem::RunOutput,
-    karousos::Advice,
+    Vec<u8>,
     kvstore::IsolationLevel,
 ) {
     let mut exp = Experiment::paper_default(App::Wiki, Mix::Wiki, 8, 7);
     exp.requests = requests;
     let program = App::Wiki.program();
     let inputs = exp.inputs();
-    let (out, advice) = run_instrumented_server(
+    let (out, advice) = run_instrumented_server_encoded(
         &program,
         &inputs,
         &exp.server_config(),
@@ -63,7 +63,7 @@ fn progress_is_monotone_and_reaches_done() {
         snaps
     });
 
-    audit_with_obs(
+    audit_encoded_with_obs(
         &program,
         &out.trace,
         &advice,
@@ -114,7 +114,7 @@ fn prom_file_sink_ends_on_completed_exposition() {
     let interval = std::time::Duration::from_millis(20);
     let exporter =
         obs::PromExporter::start(obs.clone(), path.clone(), interval).expect("exporter starts");
-    audit_with_obs(
+    audit_encoded_with_obs(
         &program,
         &out.trace,
         &advice,
@@ -193,13 +193,12 @@ fn rejected_audit_attaches_cost_attribution() {
     let m = (0..200)
         .find_map(|seed| {
             let m = Mutator::ReorderHandlerLog.apply(&advice, seed)?;
-            let a = decode_advice(&m.bytes).expect("mutated advice re-decodes");
             // Only keep a swap the cycle check (not an earlier replay
             // check) rejects, so replay completes first.
-            match audit_with_obs(
+            match audit_encoded_with_obs(
                 &program,
                 &out.trace,
-                &a,
+                &m.bytes,
                 iso,
                 AuditOptions::default(),
                 &Obs::noop(),
@@ -209,12 +208,11 @@ fn rejected_audit_attaches_cost_attribution() {
             }
         })
         .expect("some reorder seed must induce a cycle");
-    let mutated = decode_advice(&m.bytes).expect("mutated advice re-decodes");
     let obs = Obs::enabled();
     let failure = audit_forensic(
         &program,
         &out.trace,
-        &mutated,
+        &m.bytes,
         iso,
         AuditOptions::default(),
         &obs,
@@ -243,8 +241,7 @@ fn rejected_audit_attaches_cost_attribution() {
 #[test]
 fn heartbeat_ends_on_rejected_for_every_exit() {
     let _exclusive = PANIC_LATCH.write().expect("latch lock");
-    let (program, out, advice, iso) = wiki_run(60);
-    let bytes = encode_advice(&advice);
+    let (program, out, bytes, iso) = wiki_run(60);
     let rejects = |what: &str, advice_bytes: &[u8], limits: Limits, panic_in: i64, kind: &str| {
         karousos::verifier::inject_group_panic_for_tests(panic_in);
         let obs = Obs::enabled();

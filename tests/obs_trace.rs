@@ -5,21 +5,23 @@
 //! order, the same discipline as the verifier's edge fragments).
 
 use apps::App;
-use karousos::{audit_with_obs, run_instrumented_server, AuditOptions, CollectorMode};
+use karousos::{
+    audit_encoded_with_obs, run_instrumented_server_encoded, AuditOptions, CollectorMode,
+};
 use obs::{CounterId, GaugeId, HistogramId, Layer, Obs};
 use workload::{Experiment, Mix};
 
 fn wiki_run() -> (
     kem::Program,
     kem::RunOutput,
-    karousos::Advice,
+    Vec<u8>,
     kvstore::IsolationLevel,
 ) {
     let mut exp = Experiment::paper_default(App::Wiki, Mix::Wiki, 8, 3);
     exp.requests = 60;
     let program = App::Wiki.program();
     let inputs = exp.inputs();
-    let (out, advice) = run_instrumented_server(
+    let (out, advice) = run_instrumented_server_encoded(
         &program,
         &inputs,
         &exp.server_config(),
@@ -33,7 +35,7 @@ fn wiki_run() -> (
 fn chrome_trace_is_valid_json_with_expected_spans() {
     let (program, out, advice, iso) = wiki_run();
     let obs = Obs::enabled();
-    audit_with_obs(
+    audit_encoded_with_obs(
         &program,
         &out.trace,
         &advice,
@@ -85,7 +87,7 @@ fn overflowing_span_ring_counts_drops_in_metrics() {
     // Two span slots cannot hold the audit's span set; the overflow
     // must be counted, not silently discarded.
     let obs = Obs::with_capacity(2);
-    audit_with_obs(
+    audit_encoded_with_obs(
         &program,
         &out.trace,
         &advice,
@@ -110,7 +112,7 @@ fn overflowing_span_ring_counts_drops_in_metrics() {
 fn span_timestamps_are_monotone_per_lane() {
     let (program, out, advice, iso) = wiki_run();
     let obs = Obs::enabled();
-    audit_with_obs(
+    audit_encoded_with_obs(
         &program,
         &out.trace,
         &advice,
@@ -151,7 +153,7 @@ fn metrics_are_deterministic_across_thread_counts() {
     let (program, out, advice, iso) = wiki_run();
     let snapshot = |threads: usize| {
         let obs = Obs::enabled();
-        audit_with_obs(
+        audit_encoded_with_obs(
             &program,
             &out.trace,
             &advice,
@@ -189,6 +191,12 @@ fn metrics_are_deterministic_across_thread_counts() {
     );
     assert_eq!(seq.gauge_value(GaugeId::WorkerThreads), Some(1));
     assert_eq!(par.gauge_value(GaugeId::WorkerThreads), Some(4));
+    // Advice handed over as a buffer is resident in full; `0` is what
+    // a mapped file reports (`crates/core/tests/advice_source.rs`).
+    assert_eq!(
+        seq.gauge_value(GaugeId::AdviceBytesResident),
+        Some(advice.len() as u64)
+    );
 
     // The per-kind edge counters decompose the edge gauge exactly.
     let edge_sum: u64 = [

@@ -3,7 +3,10 @@
 //! (both REJECT) — across apps, schedules, and seeds.
 
 use apps::App;
-use karousos::{audit, ooo_audit, run_instrumented_server, CollectorMode, ReplaySchedule};
+use karousos::{
+    audit, encode_advice, ooo_audit, run_instrumented_server, Advice, AuditOptions, AuditReport,
+    CollectorMode, Limits, RejectReason, ReplaySchedule, ResourceKind,
+};
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
 
@@ -29,6 +32,20 @@ fn honest(
     (program, out.trace, advice)
 }
 
+/// `OOOAudit` of `a`'s encoding, draining its queue in `schedule` order.
+fn ooo_of(
+    p: &kem::Program,
+    t: &kem::Trace,
+    a: &Advice,
+    schedule: ReplaySchedule,
+) -> Result<AuditReport, RejectReason> {
+    let opts = AuditOptions {
+        schedule,
+        ..AuditOptions::default()
+    };
+    ooo_audit(p, t, &encode_advice(a), SER, opts)
+}
+
 #[test]
 fn ooo_audit_accepts_honest_runs() {
     for app in App::ALL {
@@ -44,7 +61,7 @@ fn ooo_audit_accepts_honest_runs() {
                 ReplaySchedule::Lifo,
                 ReplaySchedule::Random { seed: 31 },
             ] {
-                ooo_audit(&p, &t, &a, SER, schedule).unwrap_or_else(|e| {
+                ooo_of(&p, &t, &a, schedule).unwrap_or_else(|e| {
                     panic!(
                         "OOOAudit rejected honest {} run (seed {seed}, {schedule:?}): {e}",
                         app.name()
@@ -70,7 +87,7 @@ fn ooo_audit_agrees_with_batched_audit() {
         };
         let (p, t, a) = honest(app, mix, 25, 4, 7);
         let batched = audit(&p, &t, &a, SER).unwrap();
-        let ooo = ooo_audit(&p, &t, &a, SER, ReplaySchedule::Fifo).unwrap();
+        let ooo = ooo_of(&p, &t, &a, ReplaySchedule::Fifo).unwrap();
         assert_eq!(batched.graph_nodes, ooo.graph_nodes, "{}", app.name());
         assert_eq!(batched.graph_edges, ooo.graph_edges, "{}", app.name());
         assert_eq!(
@@ -96,7 +113,7 @@ fn ooo_audit_rejects_forgeries() {
         *output = kem::Value::str("forged");
     }
     for schedule in [ReplaySchedule::Fifo, ReplaySchedule::Random { seed: 5 }] {
-        assert!(ooo_audit(&p, &t, &a, SER, schedule).is_err());
+        assert!(ooo_of(&p, &t, &a, schedule).is_err());
     }
 }
 
@@ -108,5 +125,36 @@ fn ooo_audit_ignores_tags_entirely() {
     let (p, t, mut a) = honest(App::Motd, Mix::Mixed, 15, 2, 9);
     a.tags.clear();
     assert!(audit(&p, &t, &a, SER).is_err(), "batched audit needs tags");
-    ooo_audit(&p, &t, &a, SER, ReplaySchedule::Fifo).expect("OOOAudit succeeds without tags");
+    ooo_of(&p, &t, &a, ReplaySchedule::Fifo).expect("OOOAudit succeeds without tags");
+}
+
+/// `OOOAudit` starts at the bytes like every audit, so the decoder's
+/// budgets stand in front of it too.
+#[test]
+fn ooo_audit_decodes_under_the_budgets() {
+    let (p, t, a) = honest(App::Wiki, Mix::Wiki, 25, 4, 1);
+    let bytes = encode_advice(&a);
+    let (few_bytes, few_nodes) = (
+        Limits {
+            decode_max_bytes: 16,
+            ..Limits::default()
+        },
+        Limits {
+            decode_max_nodes: 8,
+            ..Limits::default()
+        },
+    );
+    for (limits, tripped) in [
+        (few_bytes, ResourceKind::DecodeBytes),
+        (few_nodes, ResourceKind::DecodeNodes),
+    ] {
+        let opts = AuditOptions {
+            limits,
+            ..AuditOptions::default()
+        };
+        match ooo_audit(&p, &t, &bytes, SER, opts) {
+            Err(RejectReason::ResourceExhausted { resource, .. }) => assert_eq!(resource, tripped),
+            other => panic!("expected {tripped:?} exhaustion, got {other:?}"),
+        }
+    }
 }

@@ -8,8 +8,10 @@
 
 use apps::App;
 use karousos::{
-    audit_with_options, run_instrumented_server, AuditOptions, CollectorMode, ReplaySchedule,
+    audit_encoded_with_obs, run_instrumented_server_encoded, AuditOptions, CollectorMode,
+    ReplaySchedule,
 };
+use obs::Obs;
 use proptest::prelude::*;
 use workload::{Experiment, Mix};
 
@@ -34,7 +36,7 @@ proptest! {
         let mut exp = Experiment::paper_default(app, mix, concurrency, seed);
         exp.requests = 20;
         let program = app.program();
-        let (out, advice) = run_instrumented_server(
+        let (out, advice) = run_instrumented_server_encoded(
             &program,
             &exp.inputs(),
             &exp.server_config(),
@@ -44,8 +46,8 @@ proptest! {
         let mut verdicts = Vec::new();
         for schedule in SCHEDULES {
             let opts = AuditOptions { schedule, ..AuditOptions::default() };
-            let r = audit_with_options(&program, &out.trace, &advice, exp.isolation, opts);
-            match r {
+            let noop = Obs::noop();
+            match audit_encoded_with_obs(&program, &out.trace, &advice, exp.isolation, opts, &noop) {
                 Ok(report) => verdicts.push((
                     true,
                     report.reexec.groups,
@@ -73,7 +75,7 @@ proptest! {
         let mut exp = Experiment::paper_default(App::Stacks, Mix::Mixed, 4, seed);
         exp.requests = 20;
         let program = App::Stacks.program();
-        let (mut out, advice) = run_instrumented_server(
+        let (mut out, advice) = run_instrumented_server_encoded(
             &program,
             &exp.inputs(),
             &exp.server_config(),
@@ -87,8 +89,10 @@ proptest! {
         }
         for schedule in SCHEDULES {
             let opts = AuditOptions { schedule, ..AuditOptions::default() };
+            let noop = Obs::noop();
             prop_assert!(
-                audit_with_options(&program, &out.trace, &advice, exp.isolation, opts).is_err(),
+                audit_encoded_with_obs(&program, &out.trace, &advice, exp.isolation, opts, &noop)
+                    .is_err(),
                 "schedule {schedule:?} accepted a forged trace"
             );
         }

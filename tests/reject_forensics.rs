@@ -5,8 +5,8 @@
 
 use apps::App;
 use karousos::{
-    audit_forensic, audit_with_options, decode_advice, run_instrumented_server, AuditOptions,
-    CollectorMode, EdgeKind, Mutator, RejectReason,
+    audit_encoded, audit_forensic, decode_advice, encode_advice, run_instrumented_server,
+    AuditOptions, CollectorMode, EdgeKind, Limits, Mutator, RejectReason,
 };
 use obs::Obs;
 use workload::{Experiment, Mix};
@@ -96,19 +96,16 @@ fn cycle_forensics_name_the_mutated_operations() {
     let (seed, mutation) = (0..200u64)
         .find_map(|seed| {
             let m = Mutator::ReorderHandlerLog.apply(&advice, seed)?;
-            let a = decode_advice(&m.bytes).expect("mutated advice re-decodes");
-            match audit_with_options(&program, &out.trace, &a, iso, AuditOptions::default()) {
+            match audit_encoded(&program, &out.trace, &m.bytes, iso) {
                 Err(RejectReason::CycleInG) => Some((seed, m)),
                 _ => None,
             }
         })
         .expect("some reorder seed must induce a cycle");
-    let mutated = decode_advice(&mutation.bytes).expect("mutated advice re-decodes");
-
     let failure = audit_forensic(
         &program,
         &out.trace,
-        &mutated,
+        &mutation.bytes,
         iso,
         AuditOptions::default(),
         &Obs::noop(),
@@ -146,6 +143,7 @@ fn cycle_forensics_name_the_mutated_operations() {
 
     // The report names the swapped operations (seed {seed} for
     // reproducibility in failure output).
+    let mutated = decode_advice(&mutation.bytes).expect("mutated advice re-decodes");
     let (rid, e1, e2) = swapped_entries(&advice, &mutated);
     for entry in [&e1, &e2] {
         let label = format!("{rid} {} op{}", entry.hid, entry.opnum);
@@ -168,7 +166,7 @@ fn cycle_forensics_name_the_mutated_operations() {
     let again = audit_forensic(
         &program,
         &out.trace,
-        &mutated,
+        &mutation.bytes,
         iso,
         AuditOptions::default(),
         &Obs::noop(),
@@ -183,11 +181,10 @@ fn non_cycle_rejections_carry_diagnostics_without_a_cycle() {
     let m = Mutator::CorruptOpcount
         .apply(&advice, 1)
         .expect("wiki advice has opcounts to corrupt");
-    let mutated = decode_advice(&m.bytes).expect("mutated advice re-decodes");
     let failure = audit_forensic(
         &program,
         &out.trace,
-        &mutated,
+        &m.bytes,
         iso,
         AuditOptions::default(),
         &Obs::noop(),
@@ -196,4 +193,35 @@ fn non_cycle_rejections_carry_diagnostics_without_a_cycle() {
     assert!(failure.diagnostics.cycle.is_none());
     assert_eq!(failure.diagnostics.kind, failure.reason.kind());
     assert!(failure.to_string().contains("audit rejected"));
+}
+
+/// Forensics start at the bytes, so a REJECT the decoder issues — a
+/// truncated buffer, one past `decode_max_bytes` — carries diagnostics
+/// too: found in the decode layer, and no cycle.
+#[test]
+fn decode_rejections_carry_diagnostics() {
+    let (program, out, advice, iso) = honest();
+    let bytes = encode_advice(&advice);
+    let few_bytes = Limits {
+        decode_max_bytes: 16,
+        ..Limits::default()
+    };
+    for (bytes, limits, kind) in [
+        (
+            &bytes[..bytes.len() / 2],
+            Limits::default(),
+            "MalformedAdvice",
+        ),
+        (&bytes[..], few_bytes, "ResourceExhausted"),
+    ] {
+        let opts = AuditOptions {
+            limits,
+            ..AuditOptions::default()
+        };
+        let failure = audit_forensic(&program, &out.trace, bytes, iso, opts, &Obs::noop())
+            .expect_err("the decoder must reject");
+        assert_eq!(failure.diagnostics.kind, kind);
+        assert_eq!(failure.diagnostics.phase, obs::Layer::Decode);
+        assert!(failure.diagnostics.cycle.is_none());
+    }
 }

@@ -28,9 +28,8 @@
 
 use apps::App;
 use karousos::{
-    audit_encoded_with_options, decode_advice, decode_advice_view, encode_advice,
-    ooo_audit_with_options, run_instrumented_server, AccessType, Advice, AuditOptions, AuditReport,
-    CollectorMode, RejectReason, VarLogEntry,
+    audit_encoded_with_obs, decode_advice_view, encode_advice, ooo_audit, run_instrumented_server,
+    AccessType, Advice, AuditOptions, AuditReport, CollectorMode, RejectReason, VarLogEntry,
 };
 use kem::{init_handler_id, FunctionId, HandlerId, OpRef, RequestId, Value, VarId};
 use workload::{Experiment, Mix};
@@ -87,26 +86,26 @@ impl Fixture {
     }
 
     /// The three verdicts of one advice: grouped on one and on four
-    /// threads (from the wire bytes, the deployed path) and ungrouped.
+    /// threads, and ungrouped.
     fn verdicts(&self, bytes: &[u8]) -> [(&'static str, String); 3] {
         let grouped = |threads| {
             let opts = AuditOptions {
                 threads,
                 ..AuditOptions::default()
             };
-            render(audit_encoded_with_options(
+            render(audit_encoded_with_obs(
                 &self.program,
                 &self.trace,
                 bytes,
                 self.isolation,
                 opts,
+                &obs::Obs::noop(),
             ))
         };
-        let owned = decode_advice(bytes).expect("edited advice still decodes");
-        let ooo = render(ooo_audit_with_options(
+        let ooo = render(ooo_audit(
             &self.program,
             &self.trace,
-            &owned,
+            bytes,
             self.isolation,
             AuditOptions::default(),
         ));

@@ -18,8 +18,8 @@
 
 use apps::App;
 use karousos::{
-    audit_encoded_with_options, encode_advice, run_instrumented_server, AuditOptions,
-    CollectorMode, ExhaustMutator, Limits, Mutation, Mutator, PoolMutator, WireMutator,
+    audit_encoded_with_obs, encode_advice, run_instrumented_server, AuditOptions, CollectorMode,
+    ExhaustMutator, Limits, Mutation, Mutator, PoolMutator, WireMutator,
 };
 use workload::{Experiment, Mix};
 
@@ -52,7 +52,7 @@ fn verdict_columns(
         limits,
         ..AuditOptions::default()
     };
-    match audit_encoded_with_options(program, trace, bytes, isolation, opts) {
+    match audit_encoded_with_obs(program, trace, bytes, isolation, opts, &obs::Obs::noop()) {
         Ok(report) => format!(
             "ACCEPT\tgroups={} fuel={} nodes={} edges={}",
             report.reexec.groups, report.reexec.fuel_spent, report.graph_nodes, report.graph_edges
