@@ -627,10 +627,13 @@ fn obs_capture(o: &Opts) -> obs::Snapshot {
     snap
 }
 
-/// The layer table of the paper's three shapes, from each audit's
+/// The layer table of the benchmark's four shapes, from each audit's
 /// snapshot: wall clock per layer and its share of the audit measured
-/// from outside, which the last row reconciles. Each shape is audited
-/// `--iters` times; the table is the run with the median wall clock.
+/// from outside, which the last row reconciles, and the share of the
+/// replay's fuel spent in fused windows (collapsed integer arithmetic:
+/// the part of the app the bytecode's operand fusion can help). Each
+/// shape is audited `--iters` times; the table is the run with the
+/// median wall clock.
 fn layer_tables(o: &Opts) {
     println!(
         "\n== audit layers ({} requests, {} verify threads, median of {}) ==",
@@ -640,16 +643,18 @@ fn layer_tables(o: &Opts) {
         (App::Wiki, Mix::Wiki),
         (App::Motd, Mix::WriteHeavy),
         (App::Stacks, Mix::ReadHeavy),
+        (App::Stacks, Mix::WriteHeavy),
     ] {
         let mut runs: Vec<_> = (0..o.iters)
             .map(|_| {
                 let obs = obs::Obs::enabled();
                 let (_, wall, bytes) = instrumented_run(app, mix, o, &obs);
-                (wall, obs.snapshot().layers, bytes)
+                let snap = obs.snapshot();
+                (wall, snap.layers, snap.ledger.totals(), bytes)
             })
             .collect();
-        runs.sort_by_key(|(wall, _, _)| *wall);
-        let (wall, layers, bytes) = runs.swap_remove(runs.len() / 2);
+        runs.sort_by_key(|(wall, ..)| *wall);
+        let (wall, layers, replay, bytes) = runs.swap_remove(runs.len() / 2);
         let share = |d: std::time::Duration| d.as_secs_f64() * 100.0 / wall.as_secs_f64();
         println!("\n  {} ({}): audit {} ms", app.name(), mix.name(), ms(wall));
         let d = bench::decode_stats(&bytes);
@@ -662,6 +667,13 @@ fn layer_tables(o: &Opts) {
             d.inline_containers,
             d.logical_nodes,
             d.wire_nodes
+        );
+        println!(
+            "    replay {} fuel in {} bytecode ops: {} fuel ({:.1} %) in fused windows",
+            replay.fuel,
+            replay.bytecode_ops,
+            replay.fused_fuel,
+            replay.fused_fuel as f64 * 100.0 / replay.fuel.max(1) as f64
         );
         let rows = layers.layers().map(|(layer, d)| (layer.name(), d));
         for (name, d) in rows.chain([("all layers", layers.total())]) {

@@ -101,32 +101,29 @@ impl MultiValue {
         })
     }
 
-    /// Applies a fallible unary operation, once if collapsed.
+    /// Applies a fallible unary operation, once if collapsed; per
+    /// member through [`MultiValue::collect`] otherwise, so a result
+    /// that re-collapses allocates nothing.
     pub fn map<E>(&self, mut f: impl FnMut(&Value) -> Result<Value, E>) -> Result<MultiValue, E> {
-        Ok(match self {
-            MultiValue::Uniform(v) => MultiValue::Uniform(f(v)?),
-            MultiValue::Per(vs) => {
-                MultiValue::from_vec(vs.iter().map(&mut f).collect::<Result<_, _>>()?)
-            }
-        })
+        match self {
+            MultiValue::Uniform(v) => Ok(MultiValue::Uniform(f(v)?)),
+            MultiValue::Per(vs) => MultiValue::collect(vs.len(), |i| f(&vs[i])),
+        }
     }
 
     /// Applies a fallible binary operation; computed once when both
-    /// operands are collapsed (SIMD-on-demand).
+    /// operands are collapsed (SIMD-on-demand), per member through
+    /// [`MultiValue::collect`] otherwise.
     pub fn zip<E>(
         &self,
         other: &MultiValue,
         n: usize,
         mut f: impl FnMut(&Value, &Value) -> Result<Value, E>,
     ) -> Result<MultiValue, E> {
-        Ok(match (self, other) {
-            (MultiValue::Uniform(a), MultiValue::Uniform(b)) => MultiValue::Uniform(f(a, b)?),
-            _ => MultiValue::from_vec(
-                (0..n)
-                    .map(|i| f(self.get(i), other.get(i)))
-                    .collect::<Result<_, _>>()?,
-            ),
-        })
+        match (self, other) {
+            (MultiValue::Uniform(a), MultiValue::Uniform(b)) => Ok(MultiValue::Uniform(f(a, b)?)),
+            _ => MultiValue::collect(n, |i| f(self.get(i), other.get(i))),
+        }
     }
 
     /// The group-wide truthiness if all requests agree, else `None`
@@ -271,6 +268,47 @@ mod tests {
         let got: Vec<&Value> = p.iter(2).collect();
         assert_eq!(got, vec![&Value::int(1), &Value::int(2)]);
         assert_eq!(MultiValue::uniform(Value::Null).iter(0).next(), None);
+    }
+
+    #[test]
+    fn map_and_zip_are_collect_over_the_members() {
+        // Same values as building the vector and collapsing it, members
+        // visited in order, evaluation stopped at the first error.
+        let per = MultiValue::Per(vec![Value::int(4), Value::int(6), Value::int(9)]);
+        let k = MultiValue::uniform(Value::int(2));
+        let mut seen = Vec::new();
+        let halves = per
+            .zip::<()>(&k, 3, |x, y| {
+                seen.push(x.clone());
+                Ok(Value::int(x.as_int().unwrap() / y.as_int().unwrap()))
+            })
+            .unwrap();
+        assert_eq!(
+            halves,
+            MultiValue::from_vec(vec![Value::int(2), Value::int(3), Value::int(4)])
+        );
+        assert_eq!(seen, per.to_vec(3));
+        // Expanded in, collapsed out (allocation-free: the pin is
+        // `tests/alloc_regression.rs`, which has the counting allocator).
+        let positive = |v: &Value| Ok::<_, ()>(Value::Bool(v.as_int().unwrap() > 0));
+        assert_eq!(
+            per.map(positive),
+            Ok(MultiValue::uniform(Value::Bool(true)))
+        );
+        assert_eq!(
+            k.zip::<()>(&per, 3, |x, y| Ok(Value::Bool(x.as_int() < y.as_int()))),
+            Ok(MultiValue::uniform(Value::Bool(true)))
+        );
+        let mut calls = 0;
+        let err = per.map(|v| {
+            calls += 1;
+            if v == &Value::int(6) {
+                Err("second member")
+            } else {
+                Ok(Value::Null)
+            }
+        });
+        assert_eq!((err, calls), (Err("second member"), 2));
     }
 
     #[test]

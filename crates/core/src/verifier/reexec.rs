@@ -387,6 +387,11 @@ pub struct ReExecutor<'a> {
     /// Bytecode ops dispatched by this executor (fed to
     /// [`CounterId::BytecodeOps`] once per group, in merge order).
     vm_ops: u64,
+    /// Of `vm_ops`, the ops inside windows that ran fused, and the fuel
+    /// those windows were charged: how much of a replay is collapsed
+    /// integer arithmetic (ledger columns beside `bytecode_ops`).
+    fused_ops: u64,
+    fused_fuel: u64,
     // Reusable bytecode scratch. Handlers run to completion (never
     // reentrantly), so one operand stack, loop-counter stack, iterator
     // stack, and frame-slot/opcount pools serve every activation of
@@ -456,6 +461,53 @@ fn vm_pop(stack: &mut Vec<MultiValue>) -> Result<MultiValue, RejectReason> {
     stack.pop().ok_or_else(|| RejectReason::VerifierInternal {
         what: "bytecode operand stack underflow".into(),
     })
+}
+
+/// Reads a bound local (the `Local` op, and the head of a fused
+/// `BinLC` window).
+#[inline]
+fn vm_local<'f>(frame: &'f Frame<'_>, slot: u32) -> Result<&'f MultiValue, RejectReason> {
+    match frame.locals.get(slot as usize).and_then(Option::as_ref) {
+        Some(v) => Ok(v),
+        None => Err(RejectReason::ReexecError {
+            message: format!("unknown local {}", frame.func.slot_name(slot)),
+        }),
+    }
+}
+
+/// `x op y` when a fused window may run in place: `x` collapsed, both
+/// integers, and the operator defined on them (`/ 0` and `% 0` are
+/// not). `None` sends the window down its plain ops, which produce the
+/// per-member values, the type error or the division error.
+#[inline]
+fn fused_bin(op: kem::BinOp, x: &MultiValue, y: &Value) -> Option<Value> {
+    match (x, y) {
+        (MultiValue::Uniform(Value::Int(x)), Value::Int(y)) => kem::int_binop(op, *x, *y),
+        _ => None,
+    }
+}
+
+/// The `LoopBranch` step once the group-wide condition is known: a
+/// taken branch counts the iteration against [`LOOP_LIMIT`], an untaken
+/// one retires the loop's counter.
+#[inline]
+fn vm_loop_step(loops: &mut Vec<u32>, taken: bool) -> Result<(), RejectReason> {
+    if !taken {
+        loops.pop();
+        return Ok(());
+    }
+    let Some(count) = loops.last_mut() else {
+        return Err(RejectReason::VerifierInternal {
+            what: "bytecode loop-counter underflow".into(),
+        });
+    };
+    *count += 1;
+    if *count > LOOP_LIMIT {
+        return Err(RejectReason::ReexecError {
+            message: "while loop exceeded iteration limit".into(),
+        });
+    }
+    Ok(())
 }
 
 /// Per-handler interpreter frame: slot-indexed locals over the
@@ -611,6 +663,8 @@ impl<'a> ReExecutor<'a> {
             group: None,
             bytecode: true,
             vm_ops: 0,
+            fused_ops: 0,
+            fused_fuel: 0,
             vm_stack: Vec::new(),
             vm_loops: Vec::new(),
             vm_iters: Vec::new(),
@@ -667,6 +721,8 @@ impl<'a> ReExecutor<'a> {
             // `run_pipelined`; this default only covers direct use.
             bytecode: true,
             vm_ops: 0,
+            fused_ops: 0,
+            fused_fuel: 0,
             vm_stack: Vec::new(),
             vm_loops: Vec::new(),
             vm_iters: Vec::new(),
@@ -963,6 +1019,8 @@ impl<'a> ReExecutor<'a> {
                         uniform_ops: ex.stats.uniform_ops,
                         expanded_ops: ex.stats.expanded_ops,
                         bytecode_ops: ex.vm_ops,
+                        fused_ops: ex.fused_ops,
+                        fused_fuel: ex.fused_fuel,
                         dict_feeds: feeds.dict_feeds,
                         logged_reads: feeds.logged_reads,
                         var_reads,
@@ -1398,14 +1456,31 @@ impl<'a> ReExecutor<'a> {
             self.vm_ops += 1;
             match code.ops[pc] {
                 Op::Const(i) => stack.push(MultiValue::uniform(code.consts[i as usize].clone())),
-                Op::Local(slot) => match frame.locals.get(slot as usize).and_then(Option::as_ref) {
-                    Some(v) => stack.push(v.clone()),
-                    None => {
-                        return Err(RejectReason::ReexecError {
-                            message: format!("unknown local {}", frame.func.slot_name(slot)),
-                        })
+                Op::Local(slot) => stack.push(vm_local(frame, slot)?.clone()),
+                // Fused windows (`kem::bytecode`, "Operand fusion"): run
+                // in place on collapsed integers, else act as the head
+                // op and let the window's plain tail follow.
+                Op::BinLC { slot, k, op, len } => {
+                    let x = vm_local(frame, slot)?;
+                    match fused_bin(op, x, &code.consts[k as usize]) {
+                        Some(v) => {
+                            pc = self.run_fused(code, pc, len, units, v, frame, stack, loops)?;
+                            continue;
+                        }
+                        None => stack.push(x.clone()),
                     }
-                },
+                }
+                Op::BinC { k, op, len } => {
+                    let y = &code.consts[k as usize];
+                    match stack.last().and_then(|x| fused_bin(op, x, y)) {
+                        Some(v) => {
+                            stack.pop();
+                            pc = self.run_fused(code, pc, len, units, v, frame, stack, loops)?;
+                            continue;
+                        }
+                        None => stack.push(MultiValue::uniform(y.clone())),
+                    }
+                }
                 Op::SharedRead { var, loggable } => {
                     let mv = if loggable {
                         self.read_logged(g, frame, var)?
@@ -1584,18 +1659,8 @@ impl<'a> ReExecutor<'a> {
                             context: "while condition".into(),
                         });
                     };
-                    if taken {
-                        let Some(iters_count) = loops.last_mut() else {
-                            return Err(underflow("bytecode loop-counter underflow"));
-                        };
-                        *iters_count += 1;
-                        if *iters_count > LOOP_LIMIT {
-                            return Err(RejectReason::ReexecError {
-                                message: "while loop exceeded iteration limit".into(),
-                            });
-                        }
-                    } else {
-                        loops.pop();
+                    vm_loop_step(loops, taken)?;
+                    if !taken {
                         pc = end as usize;
                         continue;
                     }
@@ -1791,6 +1856,58 @@ impl<'a> ReExecutor<'a> {
             }
             pc += 1;
         }
+    }
+
+    /// Finishes the fused window of `len` ops at `pc` whose operator
+    /// gave `v`, and returns the pc to continue at. The head's `units`
+    /// are spent and its local read has succeeded; what the plain ops
+    /// would still do is charge and count the rest of the window, op by
+    /// op — nothing fallible lies between those charges on this path,
+    /// so exhaustion strikes at the same unit with the same counts —
+    /// and then hand `v` to the window's last op: a `StoreLocal`, a
+    /// `LoopBranch`, or the `Bin` itself, whose result stays on the
+    /// stack.
+    #[allow(clippy::too_many_arguments)]
+    #[inline]
+    fn run_fused(
+        &mut self,
+        code: &kem::bytecode::FuncCode,
+        pc: usize,
+        len: u8,
+        units: u32,
+        v: Value,
+        frame: &mut Frame<'_>,
+        stack: &mut Vec<MultiValue>,
+        loops: &mut Vec<u32>,
+    ) -> Result<usize, RejectReason> {
+        use kem::bytecode::Op;
+        let end = pc + usize::from(len);
+        let mut fuel = u64::from(units);
+        for &units in &code.charges[pc + 1..end] {
+            if units > 0 {
+                self.charge_units(u64::from(units))?;
+                fuel += u64::from(units);
+            }
+            self.vm_ops += 1;
+        }
+        self.fused_ops += u64::from(len);
+        self.fused_fuel += fuel;
+        match code.ops[end - 1] {
+            Op::StoreLocal(dst) => {
+                if let Some(s) = frame.locals.get_mut(dst as usize) {
+                    *s = Some(MultiValue::Uniform(v));
+                }
+            }
+            Op::LoopBranch { end: exit } => {
+                let taken = v.truthy();
+                vm_loop_step(loops, taken)?;
+                if !taken {
+                    return Ok(exit as usize);
+                }
+            }
+            _ => stack.push(MultiValue::Uniform(v)),
+        }
+        Ok(end)
     }
 
     /// Advances the operation counter, checking it stays within every

@@ -41,6 +41,30 @@
 //! selects the dispatch loop or the tree-walking fallback at execution
 //! time, default on; compilation always happens, it is one cheap pass
 //! per program.
+//!
+//! # Operand fusion
+//!
+//! After lowering, [`fuse`] rewrites the *head* op of every window
+//! `Local; Const; Bin` and `Const; Bin` — each optionally ending in
+//! `StoreLocal` or `LoopBranch` — that has an integer constant and lies
+//! inside one basic block into [`Op::BinLC`] / [`Op::BinC`], which name
+//! the window's operands and its length. Nothing else moves: the
+//! window's other ops stay where they are, so `ops.len()`, `charges`,
+//! `blocks` and every jump target are those of the unfused lowering. A
+//! fused op is therefore a *guard*, never an obligation. An executor
+//! that sees collapsed integer operands on which the operator cannot
+//! fail may charge the window's units in the plain ops' order (the
+//! head's, then — after the fallible local read — each remaining op's:
+//! nothing fallible lies between them on that path), compute on the
+//! `i64`s, put the result where the window's last op would and continue
+//! after the window.
+//! Otherwise it does what the head op alone does — push the local, push
+//! the constant — and the untouched tail executes as it always did. The
+//! verifier's grouped dispatch takes the first path (a collapsed
+//! instruction at the plain interpreter's cost, the paper's §4.1); the
+//! server VM always takes the second, through an or-pattern on the head
+//! arm. Which windows exist was read off the dynamic window histogram
+//! of the four benchmark workloads (EXPERIMENTS.md, PR 21).
 
 use crate::ast::{BinOp, NondetKind};
 use crate::ids::{FunctionId, Interner, Sym, VarId};
@@ -210,6 +234,30 @@ pub enum Op {
         /// The nondeterminism source.
         kind: NondetKind,
     },
+    /// Head of a fused `Local(slot); Const(k); Bin(op)` window of `len`
+    /// ops (module docs, "Operand fusion"): an executor may run the
+    /// whole window on the two integers, or act as `Local(slot)`.
+    BinLC {
+        /// The window's `Local`.
+        slot: u32,
+        /// The window's `Const`, an [`Value::Int`].
+        k: u32,
+        /// The window's `Bin`.
+        op: BinOp,
+        /// Ops in the window: 3, or 4 when a `StoreLocal` / `LoopBranch`
+        /// takes the result.
+        len: u8,
+    },
+    /// Head of a fused `Const(k); Bin(op)` window of `len` ops, the left
+    /// operand being the stack top: run it whole, or act as `Const(k)`.
+    BinC {
+        /// The window's `Const`, an [`Value::Int`].
+        k: u32,
+        /// The window's `Bin`.
+        op: BinOp,
+        /// Ops in the window: 2, or 3 with a `StoreLocal` / `LoopBranch`.
+        len: u8,
+    },
     /// End of the handler body.
     Ret,
 }
@@ -265,6 +313,13 @@ pub fn compile(resolved: &Resolved) -> CodeSet {
 
 /// Compiles one resolved function body to flat bytecode.
 pub fn compile_function(func: &RFunction) -> FuncCode {
+    let mut code = lower(func);
+    fuse(&mut code);
+    code
+}
+
+/// Lowers a body to plain ops and finds its blocks; [`fuse`] runs next.
+fn lower(func: &RFunction) -> FuncCode {
     let mut c = Compiler::default();
     c.block(&func.body);
     c.emit(Op::Ret, 0);
@@ -273,6 +328,37 @@ pub fn compile_function(func: &RFunction) -> FuncCode {
     code.blocks = blocks;
     code.max_stack = c.max_stack;
     code
+}
+
+/// The operand-fusion pass (module docs): rewrites window heads in
+/// place, block by block, left to right, windows never overlapping.
+fn fuse(code: &mut FuncCode) {
+    let is_int = |k: u32| matches!(code.consts[k as usize], Value::Int(_));
+    // A `StoreLocal` / `LoopBranch` right after the `Bin` joins the window.
+    let with_tail = |rest: &[Op], n: u8| match rest.get(usize::from(n)) {
+        Some(Op::StoreLocal(_) | Op::LoopBranch { .. }) => n + 1,
+        _ => n,
+    };
+    for b in &code.blocks {
+        let mut pc = b.start as usize;
+        while pc < b.end as usize {
+            let rest = &code.ops[pc..b.end as usize];
+            let (head, len) = match *rest {
+                [Op::Local(slot), Op::Const(k), Op::Bin(op), ..] if is_int(k) => {
+                    let len = with_tail(rest, 3);
+                    (Op::BinLC { slot, k, op, len }, len)
+                }
+                [Op::Const(k), Op::Bin(op), ..] if is_int(k) => {
+                    let len = with_tail(rest, 2);
+                    (Op::BinC { k, op, len }, len)
+                }
+                [head, ..] => (head, 1),
+                [] => break,
+            };
+            code.ops[pc] = head;
+            pc += usize::from(len);
+        }
+    }
 }
 
 #[derive(Default)]
@@ -721,6 +807,19 @@ fn render_op(op: Op, code: &FuncCode, func: &RFunction, interner: &Interner) -> 
             format!("listeners {} {}", slot(s), sym(event))
         }
         Op::Nondet { slot: s, kind } => format!("nondet {} {kind:?}", slot(s)),
+        Op::BinLC {
+            slot: s,
+            k,
+            op: b,
+            len,
+        } => format!(
+            "fused×{len} local {} const {:?} bin {b:?}",
+            slot(s),
+            code.consts[k as usize]
+        ),
+        Op::BinC { k, op: b, len } => {
+            format!("fused×{len} const {:?} bin {b:?}", code.consts[k as usize])
+        }
         Op::Ret => "ret".into(),
     }
 }
@@ -747,7 +846,15 @@ mod tests {
         // then Const(2) — so the first Const carries 3 units.
         let (_p, code) = compile_one(vec![respond(add(lit(1i64), lit(2i64)))]);
         assert!(matches!(code.ops[0], Op::Const(_)));
-        assert!(matches!(code.ops[1], Op::Const(_)));
+        // `Const; Bin` on an int: the head names the window.
+        assert!(matches!(
+            code.ops[1],
+            Op::BinC {
+                op: BinOp::Add,
+                len: 2,
+                ..
+            }
+        ));
         assert!(matches!(code.ops[2], Op::Bin(BinOp::Add)));
         assert!(matches!(code.ops[3], Op::Respond));
         assert!(matches!(code.ops[4], Op::Ret));
@@ -838,6 +945,168 @@ mod tests {
         assert_eq!(code.charges.iter().sum::<u32>(), 13);
     }
 
+    /// A body with every window shape the pass knows, and the shapes
+    /// next to them that it must leave alone.
+    fn fusable_body() -> Vec<crate::ast::Stmt> {
+        vec![
+            let_("acc", len(field(payload(), "s"))),
+            let_("i", lit(0i64)),
+            while_(
+                lt(local("i"), lit(3i64)),
+                vec![
+                    let_(
+                        "acc",
+                        modulo(add(mul(local("acc"), lit(7i64)), lit(5i64)), lit(11i64)),
+                    ),
+                    let_("i", add(local("i"), lit(1i64))),
+                ],
+            ),
+            iff(
+                eq(local("acc"), lit(4i64)),
+                vec![swrite("x", sub(local("i"), lit(1i64)))],
+                vec![swrite("x", add(local("i"), local("acc")))],
+            ),
+            // Not windows: a string constant, a computed right operand.
+            let_("s", add(field(payload(), "s"), lit("!"))),
+            respond(add(local("acc"), len(local("s")))),
+        ]
+    }
+
+    #[test]
+    fn fusion_rewrites_window_heads_and_nothing_else() {
+        let (p, fused) = compile_one(fusable_body());
+        let plain = lower(&p.resolved().functions[0]);
+        assert_eq!(fused.ops.len(), plain.ops.len());
+        assert_eq!(fused.charges, plain.charges);
+        assert_eq!(fused.blocks, plain.blocks);
+        assert_eq!(fused.max_stack, plain.max_stack);
+        let mut shapes = std::collections::BTreeSet::new();
+        let mut pc = 0;
+        while pc < plain.ops.len() {
+            let window = match fused.ops[pc] {
+                Op::BinLC { slot, k, op, len } => {
+                    assert_eq!(
+                        plain.ops[pc..pc + 3],
+                        [Op::Local(slot), Op::Const(k), Op::Bin(op)]
+                    );
+                    shapes.insert(("LC", len));
+                    len
+                }
+                Op::BinC { k, op, len } => {
+                    assert_eq!(plain.ops[pc..pc + 2], [Op::Const(k), Op::Bin(op)]);
+                    shapes.insert(("C", len));
+                    len
+                }
+                // Everything else, jump targets included, is untouched.
+                op => {
+                    assert_eq!(op, plain.ops[pc]);
+                    1
+                }
+            } as usize;
+            // The tail stays in place, plain, inside the head's block.
+            assert_eq!(
+                fused.ops[pc + 1..pc + window],
+                plain.ops[pc + 1..pc + window]
+            );
+            assert!(fused
+                .blocks
+                .iter()
+                .all(|b| b.start as usize <= pc || b.start as usize >= pc + window));
+            if let Op::BinLC { len: 4, .. } | Op::BinC { len: 3, .. } = fused.ops[pc] {
+                assert!(matches!(
+                    plain.ops[pc + window - 1],
+                    Op::StoreLocal(_) | Op::LoopBranch { .. }
+                ));
+            }
+            pc += window;
+        }
+        // Every shape occurs: bare, stored, and as a loop condition.
+        let want = [("C", 2), ("C", 3), ("LC", 3), ("LC", 4)];
+        assert_eq!(shapes.into_iter().collect::<Vec<_>>(), want);
+        let loop_cond = fused
+            .ops
+            .iter()
+            .position(|o| matches!(o, Op::LoopEnter))
+            .unwrap()
+            + 1;
+        assert!(matches!(fused.ops[loop_cond], Op::BinLC { len: 4, .. }));
+        assert!(matches!(plain.ops[loop_cond + 3], Op::LoopBranch { .. }));
+    }
+
+    #[test]
+    fn a_window_never_crosses_a_block_leader() {
+        // `Local; Const; Bin; StoreLocal; Ret` under every way of
+        // cutting it into two blocks (the compiler never cuts inside an
+        // expression; the pass must not rely on that).
+        let ops = vec![
+            Op::Local(0),
+            Op::Const(0),
+            Op::Bin(BinOp::Add),
+            Op::StoreLocal(1),
+            Op::Ret,
+        ];
+        let fused_at = |leader: u32| {
+            let mut code = FuncCode {
+                ops: ops.clone(),
+                charges: vec![0; 5],
+                consts: vec![Value::Int(1)],
+                blocks: vec![
+                    Block {
+                        start: 0,
+                        end: leader,
+                    },
+                    Block {
+                        start: leader,
+                        end: 5,
+                    },
+                ],
+                ..FuncCode::default()
+            };
+            fuse(&mut code);
+            code.ops
+        };
+        let head = |len| Op::BinLC {
+            slot: 0,
+            k: 0,
+            op: BinOp::Add,
+            len,
+        };
+        // Leader at the Const: `Local` alone, then `Const; Bin; Store`.
+        let mut want = ops.clone();
+        want[1] = Op::BinC {
+            k: 0,
+            op: BinOp::Add,
+            len: 3,
+        };
+        assert_eq!(fused_at(1), want);
+        // Leader at the Bin: no window holds together.
+        assert_eq!(fused_at(2), ops);
+        // Leader at the StoreLocal: the window stops short of it.
+        let mut want = ops.clone();
+        want[0] = head(3);
+        assert_eq!(fused_at(3), want);
+        // Leader past the window: the whole of it.
+        let mut want = ops.clone();
+        want[0] = head(4);
+        assert_eq!(fused_at(4), want);
+    }
+
+    #[test]
+    fn a_non_integer_constant_is_not_fused() {
+        let (_p, code) = compile_one(vec![respond(add(field(payload(), "s"), lit("!")))]);
+        assert!(code
+            .ops
+            .iter()
+            .all(|o| !matches!(o, Op::BinLC { .. } | Op::BinC { .. })));
+    }
+
+    #[test]
+    fn fused_variants_fit_in_the_op_they_replace() {
+        // `Nondet` (a slot and an `i64` bound) sets the width, as it
+        // did before the fused variants existed.
+        assert_eq!(std::mem::size_of::<Op>(), 24);
+    }
+
     #[test]
     fn disassembly_renders_pools_and_blocks() {
         let mut b = ProgramBuilder::new();
@@ -858,6 +1127,7 @@ mod tests {
         assert!(text.contains("fn handle:"));
         assert!(text.contains("loopenter"));
         assert!(text.contains("loopbranch"));
+        assert!(text.contains("fused×4 local i const Int(2) bin Lt"));
         assert!(text.contains("sread v0 (loggable)"));
         assert!(text.contains("b0:"));
     }

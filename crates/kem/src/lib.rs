@@ -47,7 +47,7 @@ pub use ids::{FunctionId, HandlerId, Interner, OpRef, RequestId, Sym, VarId};
 pub use label::{Label, LabelAllocator};
 pub use ops::{
     eval_binop, eval_contains, eval_digest, eval_index, eval_keys, eval_len, eval_list_push,
-    eval_map_insert, eval_map_remove, eval_to_str,
+    eval_map_insert, eval_map_remove, eval_to_str, int_binop,
 };
 pub use pvalue::{PList, PMap};
 pub use resolve::{RExpr, RFunction, RStmt, Resolved};

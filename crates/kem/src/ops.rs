@@ -5,57 +5,75 @@
 //! functions, guaranteeing the two agree operation-for-operation — a
 //! prerequisite for audit Completeness.
 
+// Operands are attacker-reachable (request payloads): integer
+// arithmetic here is `wrapping_*` / `checked_*`, never a bare operator
+// that panics on overflow or `i64::MIN / -1`.
+#![deny(clippy::arithmetic_side_effects)]
+
 use crate::ast::BinOp;
 use crate::error::RuntimeError;
 use crate::value::Value;
 use std::sync::Arc;
 
+/// `x op y` over two ints, where every operator of the language is
+/// defined: `+ − × ÷ %` wrap (so `i64::MIN / -1` is `i64::MIN`, not a
+/// panic), comparisons are numeric, `And` / `Or` read nonzero as true.
+/// `None` exactly where [`eval_binop`] errors: `/ 0` and `% 0`. The one
+/// definition of integer arithmetic — [`eval_binop`] and the verifier's
+/// fused windows (`crate::bytecode`) both call it.
+#[inline]
+pub fn int_binop(op: BinOp, x: i64, y: i64) -> Option<Value> {
+    use BinOp::*;
+    Some(match op {
+        Add => Value::Int(x.wrapping_add(y)),
+        Sub => Value::Int(x.wrapping_sub(y)),
+        Mul => Value::Int(x.wrapping_mul(y)),
+        Div | Mod if y == 0 => return None,
+        // Past the guard `checked_*` is `None` only for `i64::MIN / -1`,
+        // whose quotient wraps to `i64::MIN` and whose remainder is 0.
+        Div => Value::Int(x.checked_div(y).unwrap_or(i64::MIN)),
+        Mod => Value::Int(x.checked_rem(y).unwrap_or(0)),
+        Eq => Value::Bool(x == y),
+        Ne => Value::Bool(x != y),
+        Lt => Value::Bool(x < y),
+        Le => Value::Bool(x <= y),
+        Gt => Value::Bool(x > y),
+        Ge => Value::Bool(x >= y),
+        And => Value::Bool(x != 0 && y != 0),
+        Or => Value::Bool(x != 0 || y != 0),
+    })
+}
+
 /// Evaluates a binary operator on two values.
 pub fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Result<Value, RuntimeError> {
     use BinOp::*;
+    if let (Value::Int(x), Value::Int(y)) = (a, b) {
+        return int_binop(op, *x, *y).ok_or_else(|| {
+            RuntimeError::new(if op == Div {
+                "division by zero"
+            } else {
+                "remainder by zero"
+            })
+        });
+    }
     Ok(match op {
         Add => match (a, b) {
-            (Value::Int(x), Value::Int(y)) => Value::Int(x.wrapping_add(*y)),
             (Value::Str(x), Value::Str(y)) => Value::str(format!("{x}{y}")),
             (Value::List(x), Value::List(y)) => Value::List(x.concat(y)),
             _ => return Err(RuntimeError::type_error("add", a)),
         },
-        Sub | Mul | Div | Mod => {
-            let (Some(x), Some(y)) = (a.as_int(), b.as_int()) else {
-                return Err(RuntimeError::type_error("arithmetic", a));
-            };
-            match op {
-                Sub => Value::Int(x.wrapping_sub(y)),
-                Mul => Value::Int(x.wrapping_mul(y)),
-                Div => {
-                    if y == 0 {
-                        return Err(RuntimeError::new("division by zero"));
-                    }
-                    Value::Int(x / y)
-                }
-                Mod => {
-                    if y == 0 {
-                        return Err(RuntimeError::new("remainder by zero"));
-                    }
-                    Value::Int(x % y)
-                }
-                _ => unreachable!(),
-            }
-        }
+        Sub | Mul | Div | Mod => return Err(RuntimeError::type_error("arithmetic", a)),
         Eq => Value::Bool(a == b),
         Ne => Value::Bool(a != b),
         Lt | Le | Gt | Ge => {
-            let ord = match (a, b) {
-                (Value::Int(x), Value::Int(y)) => x.cmp(y),
-                (Value::Str(x), Value::Str(y)) => x.cmp(y),
-                _ => return Err(RuntimeError::type_error("comparison", a)),
+            let (Value::Str(x), Value::Str(y)) = (a, b) else {
+                return Err(RuntimeError::type_error("comparison", a));
             };
             Value::Bool(match op {
-                Lt => ord.is_lt(),
-                Le => ord.is_le(),
-                Gt => ord.is_gt(),
-                Ge => ord.is_ge(),
-                _ => unreachable!(),
+                Lt => x < y,
+                Le => x <= y,
+                Gt => x > y,
+                _ => x >= y,
             })
         }
         And => Value::Bool(a.truthy() && b.truthy()),
@@ -148,6 +166,42 @@ pub fn eval_to_str(v: &Value) -> Value {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn integer_arithmetic_wraps_and_never_panics() {
+        use BinOp::*;
+        let bin = |op, x: i64, y: i64| eval_binop(op, &Value::int(x), &Value::int(y));
+        // `i64::MIN / -1` overflows: a bare `/` panics in release too.
+        assert_eq!(bin(Div, i64::MIN, -1).unwrap(), Value::int(i64::MIN));
+        assert_eq!(bin(Mod, i64::MIN, -1).unwrap(), Value::int(0));
+        assert_eq!(bin(Mul, i64::MAX, 2).unwrap(), Value::int(-2));
+        assert_eq!(bin(Div, 7, 2).unwrap(), Value::int(3));
+        assert_eq!(bin(Mod, -7, 2).unwrap(), Value::int(-1));
+        assert_eq!(bin(Div, 7, 0).unwrap_err().message, "division by zero");
+        assert_eq!(bin(Mod, 7, 0).unwrap_err().message, "remainder by zero");
+        // The shared definition declines exactly where `eval_binop` errors.
+        for op in [Add, Sub, Mul, Div, Mod, Eq, Ne, Lt, Le, Gt, Ge, And, Or] {
+            for (x, y) in [
+                (i64::MIN, -1),
+                (7, 0),
+                (0, 0),
+                (-3, 5),
+                (i64::MAX, i64::MAX),
+            ] {
+                assert_eq!(int_binop(op, x, y), bin(op, x, y).ok(), "{op:?} {x} {y}");
+            }
+        }
+        assert_eq!(
+            eval_binop(Sub, &Value::int(1), &Value::str("a"))
+                .unwrap_err()
+                .message,
+            "type error in arithmetic: got int"
+        );
+        assert_eq!(
+            eval_binop(Lt, &Value::str("a"), &Value::str("b")).unwrap(),
+            Value::Bool(true)
+        );
+    }
 
     #[test]
     fn index_semantics() {

@@ -458,14 +458,19 @@ impl<'p> Runtime<'p> {
                 self.burn_fuel_units(u64::from(units))?;
             }
             match code.ops[pc] {
-                Op::Const(i) => stack.push(code.consts[i as usize].clone()),
-                Op::Local(slot) => match frame.locals.get(slot as usize).and_then(Option::as_ref) {
-                    Some(v) => stack.push(v.clone()),
-                    None => {
-                        let name = frame.func.slot_name(slot);
-                        return Err(RuntimeError::new(format!("unknown local {name:?}")));
+                // A fused op (`bytecode`, "Operand fusion") is its head
+                // op here: single values have nothing to collapse, and
+                // the window's tail follows in place.
+                Op::Const(i) | Op::BinC { k: i, .. } => stack.push(code.consts[i as usize].clone()),
+                Op::Local(slot) | Op::BinLC { slot, .. } => {
+                    match frame.locals.get(slot as usize).and_then(Option::as_ref) {
+                        Some(v) => stack.push(v.clone()),
+                        None => {
+                            let name = frame.func.slot_name(slot);
+                            return Err(RuntimeError::new(format!("unknown local {name:?}")));
+                        }
                     }
-                },
+                }
                 Op::SharedRead { var, loggable } => {
                     let v = self.vars[var.0 as usize].clone();
                     if loggable {

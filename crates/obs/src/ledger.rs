@@ -33,6 +33,11 @@ pub struct GroupCost {
     pub expanded_ops: u64,
     /// Bytecode instructions dispatched (0 under the tree-walk).
     pub bytecode_ops: u64,
+    /// Of `bytecode_ops`, those inside fused windows that ran in place
+    /// on collapsed integers (`kem::bytecode`, "Operand fusion").
+    pub fused_ops: u64,
+    /// Of `fuel`, the units charged inside those windows.
+    pub fused_fuel: u64,
     /// Reads satisfied from the advice dictionary.
     pub dict_feeds: u64,
     /// Reads satisfied by a logged var-log entry.
@@ -54,9 +59,10 @@ pub struct GroupCost {
 
 impl GroupCost {
     /// The columns pinned bit-identical across the threads × bytecode
-    /// matrix. `bytecode_ops` is pinned only across cells
-    /// with the same interpreter (the tree-walk dispatches none), so
-    /// it is excluded here and compared per-interpreter by the tests.
+    /// matrix. `bytecode_ops`, `fused_ops` and `fused_fuel` are pinned
+    /// only across cells with the same interpreter (the tree-walk
+    /// dispatches none), so they are excluded here and compared
+    /// per-interpreter by the tests.
     pub fn deterministic_key(&self) -> [u64; 10] {
         [
             self.group,
@@ -76,9 +82,9 @@ impl GroupCost {
     pub fn to_json(&self) -> String {
         format!(
             "{{\"group\": {}, \"requests\": {}, \"first_rid\": {}, \"digest\": {}, \"fuel\": {}, \
-             \"uniform_ops\": {}, \"expanded_ops\": {}, \"bytecode_ops\": {}, \"dict_feeds\": {}, \
-             \"logged_reads\": {}, \"var_reads\": {}, \"var_writes\": {}, \"wall_us\": {}, \
-             \"alloc_events\": {}}}",
+             \"uniform_ops\": {}, \"expanded_ops\": {}, \"bytecode_ops\": {}, \"fused_ops\": {}, \
+             \"fused_fuel\": {}, \"dict_feeds\": {}, \"logged_reads\": {}, \"var_reads\": {}, \
+             \"var_writes\": {}, \"wall_us\": {}, \"alloc_events\": {}}}",
             self.group,
             self.requests,
             self.first_rid,
@@ -87,6 +93,8 @@ impl GroupCost {
             self.uniform_ops,
             self.expanded_ops,
             self.bytecode_ops,
+            self.fused_ops,
+            self.fused_fuel,
             self.dict_feeds,
             self.logged_reads,
             self.var_reads,
@@ -135,6 +143,8 @@ pub struct LedgerTotals {
     pub ops: u64,
     /// Total bytecode instructions.
     pub bytecode_ops: u64,
+    /// Total fuel charged inside fused windows.
+    pub fused_fuel: u64,
     /// Total dictionary feeds.
     pub dict_feeds: u64,
     /// Total recorded shared-variable accesses (reads + writes).
@@ -165,6 +175,7 @@ impl CostLedger {
             t.fuel += g.fuel;
             t.ops += g.uniform_ops + g.expanded_ops;
             t.bytecode_ops += g.bytecode_ops;
+            t.fused_fuel += g.fused_fuel;
             t.dict_feeds += g.dict_feeds;
             t.var_accesses += g.var_reads + g.var_writes;
             t.wall_us += g.wall_us;

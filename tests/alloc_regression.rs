@@ -298,11 +298,13 @@ fn stacks_group_replay_allocation_budget() {
     // allocations, O(CHUNK) copied bytes instead of O(n)), transaction
     // continuation payloads build single-leaf maps from interned keys,
     // and bulk map builds move their entry buffer straight into the
-    // leaf.
+    // leaf. With `MultiValue::map` / `zip` collapsed until the first
+    // divergent member (every tx continuation reads `payload.ok`, per
+    // member in, one `Bool` out): 4.328/op, from 4.829.
     assert!(
-        per_op_vm <= 8.0,
+        per_op_vm <= 4.55,
         "stacks bytecode replay exceeded the per-op allocation ceiling: \
-         {per_op_vm:.3} allocs/op (ceiling 8.0)"
+         {per_op_vm:.3} allocs/op (ceiling 4.55; measured 4.328)"
     );
 }
 
@@ -506,22 +508,27 @@ fn motd_write_heavy_audit_allocation_scaling() {
     // is left beyond linear is the third tree level: the history map
     // passes 256 entries between the two sizes, so a write past there
     // copies — and the pool ships, and the decoder builds — one more
-    // node than a write before it.
+    // node than a write before it. With per-member operands that
+    // re-collapse no longer building a vector first: 6838 and 14716
+    // (2.15x, 1040 beyond linear) — a saving per group and operation,
+    // not per request (142 events at 200, 171 at 400), so the part
+    // "beyond linear", which subtracts twice the smaller count, reads
+    // 113 higher while both counts fell.
     assert!(
-        at_200 <= 7_500,
+        at_200 <= 7_180,
         "motd write-heavy audit exceeded its allocation budget at 200 \
-         requests: {at_200} events (budget 7500; measured 6980)"
+         requests: {at_200} events (budget 7180; measured 6838)"
     );
     assert!(
-        at_400 <= 16_000,
+        at_400 <= 15_450,
         "motd write-heavy audit exceeded its allocation budget at 400 \
-         requests: {at_400} events (budget 16000; measured 14887)"
+         requests: {at_400} events (budget 15450; measured 14716)"
     );
     assert!(
-        beyond_linear <= 1_050,
+        beyond_linear <= 1_090,
         "motd write-heavy audit allocations grow like the number of logged \
          map nodes again: {at_200} -> {at_400}, {beyond_linear} events beyond \
-         twice the count at 200 (pin <= 1050; measured 927)"
+         twice the count at 200 (pin <= 1090; measured 1040)"
     );
 }
 
@@ -571,18 +578,43 @@ fn wiki_audit_allocation_budget() {
     // 24 826 653 B — a cloned handler id per member per access, map
     // nodes keyed by coordinates, a reader list per observed write in
     // two states. With the value pool (this advice is 0.65 MB, not
-    // 1.08): 69 609 events, 18 918 629 B. The pins sit below the old
-    // numbers with a few percent of headroom for workload drift.
+    // 1.08): 69 609 events, 18 918 629 B. With `MultiValue::map` /
+    // `zip` staying collapsed until the first divergent member (no
+    // vector of `n` results for an operand that re-collapses): 67 865
+    // events, 17 378 285 B. The pins are those plus 5 %.
     assert!(
-        events <= 73_500,
-        "wiki audit exceeded its allocation budget: {events} events (budget 73500; \
-         measured 69609, 71054 with flat values)"
+        events <= 71_250,
+        "wiki audit exceeded its allocation budget: {events} events (budget 71250; \
+         measured 67865, 69609 with a vector per expanded operand)"
     );
     assert!(
-        requested <= 20_000_000,
-        "wiki audit exceeded its byte budget: {requested} B requested (budget 20000000; \
-         measured 18918629, 20148277 with flat values)"
+        requested <= 18_250_000,
+        "wiki audit exceeded its byte budget: {requested} B requested (budget 18250000; \
+         measured 17378285, 18918629 with a vector per expanded operand)"
     );
+}
+
+/// `MultiValue::map` / `zip` over an expanded operand whose results
+/// agree — `payload.ok` on every tx continuation, a per-member id
+/// compared with a constant — stay collapsed from the first member on:
+/// no vector of `n` results built to find out they were all equal.
+#[test]
+fn expanded_in_collapsed_out_allocates_nothing() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    use karousos::MultiValue;
+    let per = MultiValue::Per((0..64).map(Value::int).collect());
+    let limit = MultiValue::uniform(Value::int(64));
+    let small = |x: &Value, y: &Value| Ok::<_, ()>(Value::Bool(x.as_int() < y.as_int()));
+    let (out, allocs) = count_allocs(|| {
+        (
+            per.map(|v| Ok::<_, ()>(Value::Bool(v.as_int().is_some()))),
+            per.zip(&limit, 64, small),
+            limit.zip(&per, 64, |y, x| small(x, y)),
+        )
+    });
+    let yes = Ok(MultiValue::uniform(Value::Bool(true)));
+    assert_eq!(out, (yes.clone(), yes.clone(), yes));
+    assert_eq!(allocs, 0, "a re-collapsing operand allocated");
 }
 
 /// A handler-log-heavy variant of [`uniform_program`]: five

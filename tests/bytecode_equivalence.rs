@@ -19,11 +19,15 @@ mod common;
 
 use apps::App;
 use common::{audit_points, matrix};
+use karousos::RejectReason;
 use karousos::{
     decode_advice, run_instrumented_server_encoded, CollectorMode, Mutator, WireMutator,
 };
 use kem::dsl::*;
-use kem::{Expr, Program, ProgramBuilder, RunOutput, SchedPolicy, ServerConfig, Stmt, Value};
+use kem::{
+    BinOp, Expr, Program, ProgramBuilder, RunOutput, SchedPolicy, ServerConfig, Stmt, Trace,
+    TraceEvent, Value,
+};
 use kvstore::IsolationLevel;
 use proptest::prelude::*;
 use workload::{Experiment, Mix};
@@ -221,6 +225,426 @@ proptest! {
             verdict
         );
     }
+}
+
+// ---------------------------------------------------------------------
+// Fused windows (`kem::bytecode`, "Operand fusion"): every shape the
+// pass rewrites, under every operator, with hostile operands at every
+// position. The verifier's VM runs a window in place only on collapsed
+// integers the operator is defined on; everything else must fall
+// through to the plain ops and so to exactly what the tree-walk does —
+// per-member values, type errors, `/ 0`, unbound locals, divergence.
+// Where the hostile input makes the *server* fail, both of its
+// interpreters must fail alike, and the audit side is reached by
+// replaying an honest run's advice against a trace carrying the hostile
+// inputs (what a lying server would have to get past).
+// ---------------------------------------------------------------------
+
+fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
+    Expr::Bin(op, Box::new(a), Box::new(b))
+}
+
+const ALL_BINOPS: [BinOp; 13] = [
+    BinOp::Add,
+    BinOp::Sub,
+    BinOp::Mul,
+    BinOp::Div,
+    BinOp::Mod,
+    BinOp::Eq,
+    BinOp::Ne,
+    BinOp::Lt,
+    BinOp::Le,
+    BinOp::Gt,
+    BinOp::Ge,
+    BinOp::And,
+    BinOp::Or,
+];
+
+/// `x op k` in every window shape: stored (`Local; Const; Bin;
+/// StoreLocal` into a slot that holds a payload field), chained onto a
+/// stack operand (`Const; Bin; StoreLocal`), bare in a list literal, and
+/// — never fused — with a (positive) local on the right. All behind
+/// `payload.go`, so an operator that cannot succeed still has an honest
+/// run.
+fn window_program(op: BinOp, k: i64) -> Program {
+    let w = |e: Expr| bin(op, e, lit(k));
+    let mut b = ProgramBuilder::new();
+    b.function(
+        "handle",
+        vec![
+            let_("x", field(payload(), "a")),
+            let_("y", field(payload(), "b")),
+            let_("d", add(field(payload(), "b"), lit(1i64))),
+            let_("t", lit(0i64)),
+            iff(
+                field(payload(), "go"),
+                vec![
+                    let_("y", w(local("x"))),
+                    let_("z", w(add(local("x"), lit(3i64)))),
+                    let_(
+                        "t",
+                        listv(vec![
+                            w(local("x")),
+                            w(mul(local("x"), lit(i64::MAX))),
+                            bin(op, local("x"), local("d")),
+                        ]),
+                    ),
+                ],
+                vec![],
+            ),
+            respond(listv(vec![local("y"), local("t")])),
+        ],
+    );
+    b.request_handler("handle");
+    b.build().expect("window program builds")
+}
+
+fn window_input(a: Value, b: i64, go: bool) -> Value {
+    Value::map([("a", a), ("b", Value::int(b)), ("go", Value::Bool(go))])
+}
+
+/// The trace a run would have had if request `i` had carried
+/// `inputs[i]`.
+fn with_inputs(trace: &Trace, inputs: &[Value]) -> Trace {
+    let mut swapped = trace.clone();
+    for ev in swapped.events_mut() {
+        if let TraceEvent::Request { rid, input } = ev {
+            *input = inputs[rid.0 as usize].clone();
+        }
+    }
+    swapped
+}
+
+/// Both server interpreters on inputs that may make the program fail:
+/// the same trace, or the same error.
+fn server_outcome(program: &Program, inputs: &[Value], label: &str) -> Result<Trace, String> {
+    let run = |bytecode| {
+        let cfg = ServerConfig {
+            bytecode,
+            ..ServerConfig::default()
+        };
+        run_instrumented_server_encoded(program, inputs, &cfg, CollectorMode::Karousos)
+            .map(|(out, bytes)| (out.trace, bytes))
+            .map_err(|e| e.message)
+    };
+    let (tree_walk, vm) = (run(false), run(true));
+    assert!(tree_walk == vm, "{label}: server interpreters disagree");
+    vm.map(|(trace, _)| trace)
+}
+
+/// The default audit's cost ledger, summed over its groups: `(fuel,
+/// bytecode_ops, fused_fuel, fused_ops)`.
+fn replay_costs(program: &Program, trace: &Trace, bytes: &[u8]) -> (u64, u64, u64, u64) {
+    let obs = obs::Obs::enabled();
+    karousos::audit_encoded_with_obs(
+        program,
+        trace,
+        bytes,
+        IsolationLevel::Serializable,
+        karousos::AuditOptions::default(),
+        &obs,
+    )
+    .expect("honest run accepted");
+    let rows = obs.snapshot().ledger.groups;
+    let sum = |col: fn(&obs::GroupCost) -> u64| rows.iter().map(col).sum::<u64>();
+    (
+        sum(|g| g.fuel),
+        sum(|g| g.bytecode_ops),
+        sum(|g| g.fused_fuel),
+        sum(|g| g.fused_ops),
+    )
+}
+
+#[test]
+fn fused_windows_with_hostile_operands_replay_identically() {
+    let extremes = [i64::MIN, 7, 0, -1, i64::MAX, 7];
+    for op in ALL_BINOPS {
+        for k in [0, -1, 3, i64::MAX] {
+            let program = window_program(op, k);
+            let label = format!("x {op:?} {k}");
+            let undefined = matches!(op, BinOp::Div | BinOp::Mod) && k == 0;
+            let audit = |trace: &Trace, bytes: &[u8], what: &str| {
+                audit_points(
+                    &program,
+                    trace,
+                    bytes,
+                    IsolationLevel::Serializable,
+                    &matrix(),
+                    &format!("{label}, {what}"),
+                )
+            };
+
+            // Per-member operands, first position and destination: one
+            // group (same control flow), every `x` and old `y` distinct.
+            let mixed: Vec<Value> = extremes
+                .iter()
+                .enumerate()
+                .map(|(i, a)| window_input(Value::int(*a), i as i64, !undefined))
+                .collect();
+            let (out, bytes) = server_run(&program, &mixed, &ServerConfig::default(), &label);
+            let verdict = audit(&out.trace, &bytes, "per-member operands");
+            assert!(verdict.is_ok(), "{label}: honest run rejected: {verdict:?}");
+
+            // Collapsed operands at the overflow corner (`i64::MIN / -1`,
+            // wrapping `*`): the windows run in place.
+            let uniform = vec![window_input(Value::int(i64::MIN), 5, !undefined); 3];
+            let (out, bytes) = server_run(&program, &uniform, &ServerConfig::default(), &label);
+            let verdict = audit(&out.trace, &bytes, "collapsed operands");
+            assert!(verdict.is_ok(), "{label}: honest run rejected: {verdict:?}");
+            if !undefined {
+                let (_, _, fused_fuel, _) = replay_costs(&program, &out.trace, &bytes);
+                assert!(fused_fuel > 0, "{label}: no window ran in place");
+            }
+
+            // The operator undefined on its operands: both servers stop
+            // with the typed error, and so does every replay.
+            if undefined {
+                let forced = vec![window_input(Value::int(i64::MIN), 5, true); 3];
+                let message = if op == BinOp::Div {
+                    "division by zero"
+                } else {
+                    "remainder by zero"
+                };
+                assert_eq!(
+                    server_outcome(&program, &forced, &label),
+                    Err(message.to_string())
+                );
+                assert_eq!(
+                    audit(&with_inputs(&out.trace, &forced), &bytes, "x op 0"),
+                    Err(RejectReason::ReexecError {
+                        message: message.into()
+                    })
+                );
+            }
+
+            // A string where the window wants its integer, in every
+            // member (collapsed) and in one (per-member).
+            for strings in [3, 1] {
+                let mut hostile = vec![window_input(Value::int(i64::MIN), 5, true); 3];
+                for input in hostile.iter_mut().take(strings) {
+                    *input = window_input(Value::str("s"), 5, true);
+                }
+                let served = server_outcome(&program, &hostile, &label);
+                let replayed = audit(
+                    &with_inputs(&out.trace, &hostile),
+                    &bytes,
+                    &format!("{strings} string operands"),
+                );
+                // `Str + Int`, `Str < Int`, …: a type error on both
+                // sides. (`==`, `!=`, `&&`, `||` take any operands; the
+                // replay then answers differently from the trace.)
+                assert!(replayed.is_err(), "{label}: {replayed:?}");
+                if let Err(message) = served {
+                    assert!(message.starts_with("type error"), "{label}: {message}");
+                    assert_eq!(replayed, Err(RejectReason::ReexecError { message }));
+                }
+            }
+        }
+    }
+}
+
+/// A loop of fused windows — `Local; Const; Bin; LoopBranch` at its
+/// head — whose trip count comes from the payload.
+fn counting_loop_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    b.function(
+        "handle",
+        vec![
+            let_("i", field(payload(), "a")),
+            let_("n", lit(0i64)),
+            while_(
+                lt(local("i"), lit(3i64)),
+                vec![
+                    let_(
+                        "n",
+                        modulo(add(mul(local("n"), lit(3i64)), lit(1i64)), lit(7i64)),
+                    ),
+                    let_("i", add(local("i"), lit(1i64))),
+                ],
+            ),
+            respond(listv(vec![local("n"), local("i")])),
+        ],
+    );
+    b.request_handler("handle");
+    b.build().expect("loop program builds")
+}
+
+#[test]
+fn a_fused_loop_condition_that_diverges_is_a_divergence() {
+    let program = counting_loop_program();
+    let input = |a: i64| Value::map([("a", Value::int(a))]);
+    // Two groups: four requests looping three times, two looping twice.
+    let honest: Vec<Value> = [0, 0, 1, 0, 1, 0].map(input).to_vec();
+    let (out, bytes) = server_run(&program, &honest, &ServerConfig::default(), "counting loop");
+    let audit = |trace: &Trace, what: &str| {
+        audit_points(
+            &program,
+            trace,
+            &bytes,
+            IsolationLevel::Serializable,
+            &matrix(),
+            what,
+        )
+    };
+    let verdict = audit(&out.trace, "counting loop");
+    assert_eq!(verdict.as_ref().map(|a| a.reexec.groups), Ok(2));
+    // Counted as the plain ops would be: a trip is 17 ops and 15 units,
+    // all but its `Jump` inside windows; the exit test 4 ops and 3
+    // units; 11 ops and 10 units outside the loop. Three trips in one
+    // group, two in the other.
+    assert_eq!(
+        replay_costs(&program, &out.trace, &bytes),
+        (58 + 43, 66 + 49, 48 + 33, 52 + 36)
+    );
+    // One member of the first group starts further along: the condition
+    // is per-member, the window declines, and the plain `LoopBranch`
+    // finds the members disagreeing after two trips.
+    let mut split = honest.clone();
+    split[3] = input(1);
+    assert_eq!(
+        audit(&with_inputs(&out.trace, &split), "loop condition diverges"),
+        Err(RejectReason::Divergence {
+            context: "while condition".into()
+        })
+    );
+    // The whole group loops once less than the server claimed: still
+    // collapsed, still fused, and no longer the traced response.
+    let short: Vec<Value> = [1, 1, 1, 1, 1, 1].map(input).to_vec();
+    assert!(audit(&with_inputs(&out.trace, &short), "loop runs short").is_err());
+}
+
+#[test]
+fn a_fused_loop_still_counts_against_the_iteration_limit() {
+    // The trip counter lives in `LoopBranch`, the tail of the window
+    // that decides this loop; with fuel unmetered it is what stops it.
+    let mut b = ProgramBuilder::new();
+    b.function(
+        "handle",
+        vec![
+            let_("i", lit(1i64)),
+            iff(field(payload(), "spin"), vec![let_("i", lit(0i64))], vec![]),
+            while_(eq(local("i"), lit(0i64)), vec![]),
+            respond(local("i")),
+        ],
+    );
+    b.request_handler("handle");
+    let program = b.build().expect("program builds");
+    let input = |spin: bool| Value::map([("spin", Value::Bool(spin))]);
+    let label = "iteration limit";
+    let (out, bytes) = server_run(&program, &[input(false)], &ServerConfig::default(), label);
+    let unmetered = karousos::Limits {
+        replay_fuel: u64::MAX,
+        ..karousos::Limits::default()
+    };
+    assert_eq!(
+        audit_points(
+            &program,
+            &with_inputs(&out.trace, &[input(true)]),
+            &bytes,
+            IsolationLevel::Serializable,
+            &common::matrix_with(&[1], unmetered),
+            label,
+        ),
+        Err(RejectReason::ReexecError {
+            message: "while loop exceeded iteration limit".into()
+        })
+    );
+}
+
+#[test]
+fn an_unbound_local_at_the_head_of_a_window_is_the_plain_error() {
+    // `z` is bound on one branch only; `z + 1` is a fused window whose
+    // head is the failing read.
+    let mut b = ProgramBuilder::new();
+    b.function(
+        "handle",
+        vec![
+            iff(field(payload(), "bind"), vec![let_("z", lit(5i64))], vec![]),
+            let_("y", add(local("z"), lit(1i64))),
+            respond(local("y")),
+        ],
+    );
+    b.request_handler("handle");
+    let program = b.build().expect("program builds");
+    let input = |bind: bool| Value::map([("bind", Value::Bool(bind))]);
+    let label = "unbound window head";
+    let (out, bytes) = server_run(
+        &program,
+        &[input(true), input(true)],
+        &ServerConfig::default(),
+        label,
+    );
+    let unbound = [input(false), input(false)];
+    let message = server_outcome(&program, &unbound, label).expect_err("z is unbound");
+    assert!(message.starts_with("unknown local"), "{message}");
+    let replayed = audit_points(
+        &program,
+        &with_inputs(&out.trace, &unbound),
+        &bytes,
+        IsolationLevel::Serializable,
+        &matrix(),
+        label,
+    );
+    assert_eq!(
+        replayed,
+        Err(RejectReason::ReexecError {
+            message: "unknown local z".into()
+        })
+    );
+}
+
+#[test]
+fn dividing_payload_fields_never_panics() {
+    // `a / b` and `a % b` straight from the request: the quotient of
+    // `i64::MIN / -1` does not fit, and a bare `/` panics on it in
+    // release builds too — the server, the sequential baseline and
+    // (behind `catch_unwind`) the audit all went down with it.
+    let mut b = ProgramBuilder::new();
+    b.function(
+        "handle",
+        vec![respond(listv(vec![
+            bin(BinOp::Div, field(payload(), "a"), field(payload(), "b")),
+            bin(BinOp::Mod, field(payload(), "a"), field(payload(), "b")),
+        ]))],
+    );
+    b.request_handler("handle");
+    let program = b.build().expect("program builds");
+    let input = |a: i64, b: i64| Value::map([("a", Value::int(a)), ("b", Value::int(b))]);
+    let label = "payload division";
+    let honest = [input(i64::MIN, -1), input(7, 2), input(i64::MIN, -1)];
+    let (out, bytes) = server_run(&program, &honest, &ServerConfig::default(), label);
+    assert_eq!(
+        out.trace.output_of(kem::RequestId(0)),
+        Some(&Value::list([Value::int(i64::MIN), Value::int(0)]))
+    );
+    assert_eq!(
+        out.trace.output_of(kem::RequestId(1)),
+        Some(&Value::list([Value::int(3), Value::int(1)]))
+    );
+    let audit = |trace: &Trace| {
+        audit_points(
+            &program,
+            trace,
+            &bytes,
+            IsolationLevel::Serializable,
+            &matrix(),
+            label,
+        )
+    };
+    let verdict = audit(&out.trace);
+    assert!(verdict.is_ok(), "honest division rejected: {verdict:?}");
+    // `7 / 0` is the typed error on the server and in every replay.
+    let by_zero = [input(i64::MIN, -1), input(7, 0), input(i64::MIN, -1)];
+    assert_eq!(
+        server_outcome(&program, &by_zero, label),
+        Err("division by zero".to_string())
+    );
+    assert_eq!(
+        audit(&with_inputs(&out.trace, &by_zero)),
+        Err(RejectReason::ReexecError {
+            message: "division by zero".into()
+        })
+    );
 }
 
 // ---------------------------------------------------------------------

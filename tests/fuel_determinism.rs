@@ -9,7 +9,13 @@ mod common;
 
 use apps::App;
 use common::{audit_points, matrix, matrix_with, THREADS};
-use karousos::{encode_advice, run_instrumented_server, CollectorMode, ExhaustMutator, Limits};
+use karousos::{
+    encode_advice, run_instrumented_server, run_instrumented_server_encoded, CollectorMode,
+    ExhaustMutator, Limits, RejectReason, ResourceKind,
+};
+use kem::dsl::*;
+use kem::{ProgramBuilder, ServerConfig, Value};
+use kvstore::IsolationLevel;
 use proptest::prelude::*;
 use workload::{Experiment, Mix};
 
@@ -88,4 +94,75 @@ proptest! {
             &format!("seed={seed} budget={fuel_budget}"),
         );
     }
+}
+
+/// Exhaustion at every unit of a small loop of fused windows
+/// (`kem::bytecode`, "Operand fusion"): a window is charged head first,
+/// then — after the local read — op by op, so whichever unit the budget
+/// ends on, the VM must stop where the tree-walk stops, with the same
+/// `spent == limit + 1`, and ACCEPT from the honest bill upwards.
+#[test]
+fn exhaustion_point_is_interpreter_independent_at_every_unit() {
+    let mut b = ProgramBuilder::new();
+    b.function(
+        "handle",
+        vec![
+            let_("n", len(field(payload(), "s"))),
+            let_("i", lit(0i64)),
+            while_(
+                lt(local("i"), lit(3i64)),
+                vec![
+                    let_(
+                        "n",
+                        modulo(add(mul(local("n"), lit(5i64)), lit(3i64)), lit(11i64)),
+                    ),
+                    let_("i", add(local("i"), lit(1i64))),
+                ],
+            ),
+            respond(add(local("n"), lit(1i64))),
+        ],
+    );
+    b.request_handler("handle");
+    let program = b.build().expect("program builds");
+    let inputs = vec![Value::map([("s", Value::str("ab"))]); 3];
+    let (out, bytes) = run_instrumented_server_encoded(
+        &program,
+        &inputs,
+        &ServerConfig::default(),
+        CollectorMode::Karousos,
+    )
+    .expect("the loop runs");
+    let audit = |replay_fuel: u64| {
+        let limits = Limits {
+            replay_fuel,
+            ..Limits::default()
+        };
+        audit_points(
+            &program,
+            &out.trace,
+            &bytes,
+            IsolationLevel::Serializable,
+            &matrix_with(&THREADS, limits),
+            &format!("replay_fuel={replay_fuel}"),
+        )
+    };
+    let bill = audit(u64::MAX)
+        .expect("honest run accepted")
+        .reexec
+        .fuel_spent;
+    // One group, three trips of 15 units and the straight-line rest.
+    assert!((50..200).contains(&bill), "bill {bill}");
+    for limit in 1..bill {
+        assert_eq!(
+            audit(limit),
+            Err(RejectReason::ResourceExhausted {
+                resource: ResourceKind::ReplayFuel,
+                group: Some(0),
+                spent: limit + 1,
+                limit,
+            }),
+            "replay_fuel={limit}"
+        );
+    }
+    assert_eq!(audit(bill).map(|a| a.reexec.fuel_spent), Ok(bill));
 }

@@ -4,8 +4,8 @@
 //! points of the shared matrix (`tests/common`): worker threads ×
 //! interpreter — exactly like verdicts and metrics. The
 //! advisory columns (wall-clock, allocation events) and the
-//! per-interpreter `bytecode_ops` column are excluded from the
-//! deterministic key by construction; this file pins both halves of
+//! per-interpreter `bytecode_ops` / `fused_ops` / `fused_fuel` columns
+//! are excluded from the deterministic key by construction; this file pins both halves of
 //! that contract, plus the power-of-two bucket classification the
 //! Prometheus histograms are built on.
 
@@ -73,10 +73,19 @@ fn ledger_bit_identical_across_threads_bytecode() {
         // bytecode_ops is the per-interpreter column: zero
         // under the tree-walk, populated under the VM.
         let vm_ops: u64 = ledger.groups.iter().map(|g| g.bytecode_ops).sum();
+        let fused_fuel = ledger.totals().fused_fuel;
         if opts.bytecode {
             assert!(vm_ops > 0, "VM replay must meter bytecode ops");
+            // Every handler runs the framework loop (`apps::middleware`):
+            // collapsed integer arithmetic, the fused windows' case. The
+            // columns are shares of their row's ops and fuel.
+            assert!(fused_fuel > 0, "VM replay must meter fused windows");
+            for g in &ledger.groups {
+                assert!(g.fused_ops <= g.bytecode_ops && g.fused_fuel <= g.fuel);
+            }
         } else {
             assert_eq!(vm_ops, 0, "tree-walk replay must not meter bytecode ops");
+            assert_eq!(fused_fuel, 0, "tree-walk replay runs no fused window");
         }
         match &reference {
             None => reference = Some(ledger),
@@ -106,11 +115,16 @@ fn ledger_bit_identical_across_threads_bytecode() {
 #[test]
 fn bytecode_ops_identical_across_schedules_within_interpreter() {
     let (program, out, advice, iso) = wiki_run();
-    // The column is per-interpreter, not per-schedule: both VM cells
+    // The columns are per-interpreter, not per-schedule: both VM cells
     // at different thread counts must meter identically.
     let a = ledger_for(&program, &out, &advice, iso, AuditOptions::with_threads(1));
     let b = ledger_for(&program, &out, &advice, iso, AuditOptions::with_threads(4));
-    let ops = |l: &obs::CostLedger| l.groups.iter().map(|g| g.bytecode_ops).collect::<Vec<_>>();
+    let ops = |l: &obs::CostLedger| {
+        l.groups
+            .iter()
+            .map(|g| (g.bytecode_ops, g.fused_ops, g.fused_fuel))
+            .collect::<Vec<_>>()
+    };
     assert_eq!(ops(&a), ops(&b));
 }
 
