@@ -1,7 +1,7 @@
 //! Per-level isolation checking: the phenomena tests.
 
 use crate::dsg::{Dsg, EdgeKind};
-use crate::history::{History, Op, OpRef, TxnId};
+use crate::history::{History, Kind, OpRef, TxnId};
 use crate::IsolationLevel;
 
 /// A detected isolation violation (an Adya phenomenon), or a malformed
@@ -76,61 +76,56 @@ impl std::error::Error for Violation {}
 
 /// Validates the version order itself: every entry must reference an
 /// existing `PUT` of a committed transaction, and must be that
-/// transaction's final write to the key.
-fn check_version_order(history: &History) -> Result<(), Violation> {
-    for entry in &history.version_order {
-        let op = history
-            .op(*entry)
-            .ok_or(Violation::MalformedVersionOrder { entry: *entry })?;
-        let key = match op {
-            Op::Put { key } => key.clone(),
-            Op::Get { .. } => return Err(Violation::MalformedVersionOrder { entry: *entry }),
+/// transaction's final write to the key. Returns, per operation of the
+/// flat array, whether the order installs it.
+fn check_version_order(history: &History) -> Result<Vec<bool>, Violation> {
+    let mut installed = vec![false; history.ops.len()];
+    for (entry, rank) in history.version_order().iter().zip(&history.order_ranks) {
+        let malformed = Violation::MalformedVersionOrder { entry: *entry };
+        let Some(at) = history.at(*rank, entry.index) else {
+            return Err(malformed);
         };
-        if !history.is_committed(entry.txn) {
-            return Err(Violation::MalformedVersionOrder { entry: *entry });
+        let Kind::Put { last } = history.ops[at].kind else {
+            return Err(malformed);
+        };
+        if !history.committed[*rank as usize] {
+            return Err(malformed);
         }
-        let final_index = history.txns[&entry.txn]
-            .last_put_to(&key)
-            .expect("a PUT to this key exists");
-        if final_index != entry.index {
+        if !last {
             return Err(Violation::NotFinalWrite { entry: *entry });
         }
+        installed[at] = true;
     }
-    Ok(())
+    Ok(installed)
 }
 
 /// Detects G1a and G1b aberrant reads by committed transactions.
-fn check_aberrant_reads(history: &History) -> Result<(), Violation> {
-    // Installed writes are exactly the version order entries; sorted
-    // once so each read's lookup is a search, not a scan of the order.
-    let mut installed = history.version_order.clone();
-    installed.sort_unstable();
-    for (txn, rec) in &history.txns {
-        if !rec.committed {
+/// `installed` is [`check_version_order`]'s answer.
+fn check_aberrant_reads(history: &History, installed: &[bool]) -> Result<(), Violation> {
+    for (rank, i, op) in history.committed_ops() {
+        let Kind::Get(Some((writer, index))) = op.kind else {
             continue;
+        };
+        let reader = OpRef {
+            txn: history.ids[rank],
+            index: i as u32,
+        };
+        if writer as usize == rank {
+            continue; // reads of own writes are always fine
         }
-        for (i, op) in rec.ops.iter().enumerate() {
-            let Op::Get { from: Some(w), .. } = op else {
-                continue;
-            };
-            let reader = OpRef {
-                txn: *txn,
-                index: i as u32,
-            };
-            if w.txn == *txn {
-                continue; // reads of own writes are always fine
-            }
-            let Some(Op::Put { .. }) = history.op(*w) else {
-                return Err(Violation::G1b { reader });
-            };
-            if !history.is_committed(w.txn) {
-                return Err(Violation::G1a { reader });
-            }
-            // Reading a committed transaction's non-installed write is an
-            // intermediate read (G1b).
-            if installed.binary_search(w).is_err() {
-                return Err(Violation::G1b { reader });
-            }
+        let put = history
+            .at(writer, index)
+            .filter(|at| matches!(history.ops[*at].kind, Kind::Put { .. }));
+        let Some(at) = put else {
+            return Err(Violation::G1b { reader });
+        };
+        if !history.committed[writer as usize] {
+            return Err(Violation::G1a { reader });
+        }
+        // Reading a committed transaction's non-installed write is an
+        // intermediate read (G1b).
+        if !installed[at] {
+            return Err(Violation::G1b { reader });
         }
     }
     Ok(())
@@ -145,39 +140,30 @@ fn check_aberrant_reads(history: &History) -> Result<(), Violation> {
 /// version order itself is validated first at every level.
 ///
 /// On success, returns the constructed [`Dsg`] for further inspection.
-pub fn check_isolation(history: &History, level: IsolationLevel) -> Result<Dsg, Violation> {
-    check_version_order(history)?;
+pub fn check_isolation(history: &History, level: IsolationLevel) -> Result<Dsg<'_>, Violation> {
+    use EdgeKind::{AntiDepend, ReadDepend, WriteDepend};
+    let installed = check_version_order(history)?;
     let dsg = Dsg::build(history);
-    match level {
-        IsolationLevel::ReadUncommitted => {
-            if let Some(witness) = dsg.find_cycle(&[EdgeKind::WriteDepend]) {
-                return Err(Violation::G0 { witness });
-            }
-        }
-        IsolationLevel::ReadCommitted => {
-            check_aberrant_reads(history)?;
-            if let Some(witness) = dsg.find_cycle(&[EdgeKind::WriteDepend, EdgeKind::ReadDepend]) {
-                return Err(Violation::G1c { witness });
-            }
-        }
-        IsolationLevel::Serializable => {
-            check_aberrant_reads(history)?;
-            if let Some(witness) = dsg.find_cycle(&[EdgeKind::WriteDepend, EdgeKind::ReadDepend]) {
-                return Err(Violation::G1c { witness });
-            }
-            if let Some(witness) = dsg.find_cycle(&[
-                EdgeKind::WriteDepend,
-                EdgeKind::ReadDepend,
-                EdgeKind::AntiDepend,
-            ]) {
-                return Err(Violation::G2 { witness });
-            }
+    if level == IsolationLevel::ReadUncommitted {
+        return match dsg.find_cycle(&[WriteDepend]) {
+            Some(witness) => Err(Violation::G0 { witness }),
+            None => Ok(dsg),
+        };
+    }
+    check_aberrant_reads(history, &installed)?;
+    if let Some(witness) = dsg.find_cycle(&[WriteDepend, ReadDepend]) {
+        return Err(Violation::G1c { witness });
+    }
+    if level == IsolationLevel::Serializable {
+        if let Some(witness) = dsg.find_cycle(&[WriteDepend, ReadDepend, AntiDepend]) {
+            return Err(Violation::G2 { witness });
         }
     }
     Ok(dsg)
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
     use crate::history::HistoryBuilder;

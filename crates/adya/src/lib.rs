@@ -37,13 +37,25 @@
 //! assert!(check_isolation(&history, IsolationLevel::Serializable).is_ok());
 //! ```
 
+// The checker runs on histories decoded from untrusted advice; a panic
+// here is a denial-of-audit, exactly as in the verifier that calls it.
+// Advice-sized references (a dictating write, a version-order entry) are
+// read with `.get`; plain indexing is kept for indices the builder
+// itself produced. Test modules allow these back.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
 mod check;
 mod dsg;
 mod history;
 
 pub use check::{check_isolation, Violation};
 pub use dsg::{Dsg, EdgeKind};
-pub use history::{History, HistoryBuilder, Op, OpRef, TxnId, TxnRecord};
+pub use history::{History, HistoryBuilder, OpRef, TxnId};
 
 /// The isolation level to check a history against.
 ///

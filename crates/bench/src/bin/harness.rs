@@ -547,7 +547,12 @@ fn instrumented_run(
     mix: Mix,
     o: &Opts,
     obs: &obs::Obs,
-) -> (karousos::AuditReport, std::time::Duration, Vec<u8>) {
+) -> (
+    karousos::AuditReport,
+    std::time::Duration,
+    Vec<u8>,
+    karousos::verifier::IsolationStats,
+) {
     use karousos::{audit_encoded_with_obs, run_instrumented_server_with_obs, CollectorMode};
     let mut exp = workload::Experiment::paper_default(app, mix, 8, o.seed);
     exp.requests = o.requests;
@@ -566,7 +571,9 @@ fn instrumented_run(
     let start = std::time::Instant::now();
     let report = audit_encoded_with_obs(&program, &out.trace, &bytes, exp.isolation, opts, obs);
     let wall = start.elapsed();
-    (report.expect("honest advice must be accepted"), wall, bytes)
+    let isolation = bench::isolation_stats(&program, &out.trace, &bytes, exp.isolation);
+    let report = report.expect("honest advice must be accepted");
+    (report, wall, bytes, isolation)
 }
 
 /// Captures one instrumented wiki run and writes its snapshot's exports:
@@ -588,7 +595,7 @@ fn obs_capture(o: &Opts) -> obs::Snapshot {
     // the global allocator feeds the thread-local probe only while
     // this is on).
     obs::allocprobe::set_enabled(true);
-    let (report, _, _) = instrumented_run(App::Wiki, Mix::Wiki, o, &obs);
+    let (report, ..) = instrumented_run(App::Wiki, Mix::Wiki, o, &obs);
     obs::allocprobe::set_enabled(false);
     let snap = obs.snapshot();
     println!(
@@ -629,9 +636,11 @@ fn obs_capture(o: &Opts) -> obs::Snapshot {
 
 /// The layer table of the benchmark's four shapes, from each audit's
 /// snapshot: wall clock per layer and its share of the audit measured
-/// from outside, which the last row reconciles, and the share of the
+/// from outside, which the last row reconciles, the share of the
 /// replay's fuel spent in fused windows (collapsed integer arithmetic:
-/// the part of the app the bytecode's operand fusion can help). Each
+/// the part of the app the bytecode's operand fusion can help), and how
+/// much isolation work the advice carries (none without transaction
+/// logs: the part preprocess spends in the Adya check). Each
 /// shape is audited `--iters` times; the table is the run with the
 /// median wall clock.
 fn layer_tables(o: &Opts) {
@@ -648,13 +657,13 @@ fn layer_tables(o: &Opts) {
         let mut runs: Vec<_> = (0..o.iters)
             .map(|_| {
                 let obs = obs::Obs::enabled();
-                let (_, wall, bytes) = instrumented_run(app, mix, o, &obs);
+                let (_, wall, bytes, isolation) = instrumented_run(app, mix, o, &obs);
                 let snap = obs.snapshot();
-                (wall, snap.layers, snap.ledger.totals(), bytes)
+                (wall, snap.layers, snap.ledger.totals(), bytes, isolation)
             })
             .collect();
         runs.sort_by_key(|(wall, ..)| *wall);
-        let (wall, layers, replay, bytes) = runs.swap_remove(runs.len() / 2);
+        let (wall, layers, replay, bytes, iso) = runs.swap_remove(runs.len() / 2);
         let share = |d: std::time::Duration| d.as_secs_f64() * 100.0 / wall.as_secs_f64();
         println!("\n  {} ({}): audit {} ms", app.name(), mix.name(), ms(wall));
         let d = bench::decode_stats(&bytes);
@@ -674,6 +683,17 @@ fn layer_tables(o: &Opts) {
             replay.bytecode_ops,
             replay.fused_fuel,
             replay.fused_fuel as f64 * 100.0 / replay.fuel.max(1) as f64
+        );
+        println!(
+            "    isolation {} transactions, {} state ops on {} keys, {} write-order entries: \
+             DSG edges {} ww / {} wr / {} rw",
+            iso.txns,
+            iso.state_ops,
+            iso.keys,
+            iso.write_order,
+            iso.edges[0],
+            iso.edges[1],
+            iso.edges[2]
         );
         let rows = layers.layers().map(|(layer, d)| (layer.name(), d));
         for (name, d) in rows.chain([("all layers", layers.total())]) {

@@ -7,166 +7,175 @@
 //! pass the level's phenomena checks (G0 / G1a / G1b / G1c / G2 via the
 //! `adya` crate). The remaining cross-checks — that logged operations
 //! are actually produced by the program — happen during re-execution.
-
-use std::collections::{HashMap, HashSet};
+//!
+//! Both read one table: the `adya::History` built from the logs marks
+//! each transaction's final `PUT` per key, so "is a committed last
+//! modification" is that mark on a committed transaction and the
+//! expected length of the write order is their count.
 
 use crate::advice::{TxOpType, TxPos};
 use crate::advice_ref::{AdviceRef, TxContentsRef};
 use crate::verifier::reject::RejectReason;
 
+/// How much isolation work an audit had: the size of the alleged
+/// history and of the direct serialization graph checked over it. All
+/// zero for an audit without transaction logs.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct IsolationStats {
+    /// Transactions (committed or not).
+    pub txns: usize,
+    /// `PUT` and `GET` operations, all transactions together.
+    pub state_ops: usize,
+    /// Distinct keys those operations touch.
+    pub keys: usize,
+    /// Entries of the write order.
+    pub write_order: usize,
+    /// Write-depend (`ww`), read-depend (`wr`) and anti-depend (`rw`)
+    /// edges of the DSG.
+    pub edges: [usize; 3],
+}
+
+/// The mark of a log entry that is no history operation.
+const NOT_AN_OP: u32 = u32::MAX;
+
 /// Verifies the write order against the transaction logs and runs the
 /// per-level Adya checks. A transaction is named by its rank in
-/// `advice.tx_logs` (which is also its `adya::TxnId`): `committed` is
-/// indexed by it and `last_modification` is keyed by `(rank, key)`.
-/// Keys borrow the advice bytes (`'a`) all the way through — this pass
-/// materializes nothing.
-pub fn verify_isolation<'a>(
-    advice: &AdviceRef<'a>,
+/// `advice.tx_logs` (which is also its `adya::TxnId`, and the index of
+/// its flag in `committed`). Keys borrow the advice bytes all the way
+/// into the history's key table — this pass copies no string, and
+/// allocates a number of tables that does not depend on the advice.
+pub fn verify_isolation(
+    advice: &AdviceRef<'_>,
     committed: &[bool],
-    last_modification: &HashMap<(u32, &'a str), u32>,
     isolation: kvstore::IsolationLevel,
-) -> Result<(), RejectReason> {
+) -> Result<IsolationStats, RejectReason> {
     let logs = advice.tx_logs.as_slice();
-    let rank_of = |pos: &TxPos| -> Option<u32> {
-        advice
-            .tx_logs
-            .position(&pos.tx)
-            .and_then(|r| u32::try_from(r).ok())
-    };
-
-    // ExtractWriteOrderPerKey's validations (Fig. 17 lines 22–28), plus
-    // a uniqueness check so length-equality implies bijection.
-    if advice.write_order.len() != last_modification.len() {
-        return Err(RejectReason::WriteOrderMismatch {
-            why: "length differs from last-modification count",
-        });
-    }
-    let mut seen: HashSet<(u32, u32)> = HashSet::with_capacity(advice.write_order.len());
-    for pos in advice.write_order {
-        // An entry naming no logged transaction fails the log lookup
-        // below on its first occurrence, so it is never also the
-        // second half of a duplicate.
-        let not_logged = RejectReason::WriteOrderMismatch {
-            why: "entry not in any log",
-        };
-        let Some(rank) = rank_of(pos) else {
-            return Err(not_logged);
-        };
-        if !seen.insert((rank, pos.index)) {
-            return Err(RejectReason::WriteOrderMismatch {
-                why: "duplicate entry",
-            });
-        }
-        let entry = logs
-            .get(rank as usize)
-            .and_then(|(_, log)| log.get(pos.index as usize));
-        let Some(entry) = entry else {
-            return Err(not_logged);
-        };
-        if entry.optype != TxOpType::Put {
-            return Err(RejectReason::WriteOrderMismatch {
-                why: "entry is not a PUT",
-            });
-        }
-        let Some(key) = entry.key else {
-            return Err(RejectReason::WriteOrderMismatch {
-                why: "entry is a PUT without a key",
-            });
-        };
-        if last_modification.get(&(rank, key)) != Some(&pos.index) {
-            return Err(RejectReason::WriteOrderMismatch {
-                why: "entry is not a committed last modification",
-            });
-        }
+    let mismatch = |why| RejectReason::WriteOrderMismatch { why };
+    if logs.is_empty() && advice.write_order.is_empty() {
+        // An audit without transactions builds no table.
+        return Ok(IsolationStats::default());
     }
 
-    // Translate the alleged history into the adya crate's representation.
-    // Only PUT/GET entries become history operations; an index map per
-    // transaction keeps TxPos references aligned.
-    let index_maps: Vec<Vec<Option<u32>>> = logs
-        .iter()
-        .map(|(_, log)| {
-            let mut next = 0u32;
-            log.iter()
-                .map(|entry| {
-                    matches!(entry.optype, TxOpType::Put | TxOpType::Get).then(|| {
-                        next += 1;
-                        next - 1
-                    })
-                })
-                .collect()
-        })
-        .collect();
-    let translate = |pos: &TxPos| -> Option<(adya::TxnId, u32)> {
-        let rank = rank_of(pos)?;
-        let idx = index_maps
-            .get(rank as usize)?
-            .get(pos.index as usize)?
-            .as_ref()?;
-        Some((adya::TxnId(u64::from(rank)), *idx))
+    // Only keyed PUT/GET entries become history operations: `op_of`,
+    // over all log entries (transaction `rank`'s start at
+    // `log_starts[rank]`), keeps TxPos references aligned.
+    let entries: usize = logs.iter().map(|(_, log)| log.len()).sum();
+    let mut log_starts = Vec::with_capacity(logs.len());
+    let mut op_of: Vec<u32> = Vec::with_capacity(entries);
+    for (_, log) in logs {
+        log_starts.push(op_of.len());
+        let mut next = 0u32;
+        op_of.extend(log.iter().map(|entry| {
+            if !matches!(entry.optype, TxOpType::Put | TxOpType::Get) || entry.key.is_none() {
+                return NOT_AN_OP;
+            }
+            next += 1;
+            next - 1
+        }));
+    }
+    // A position's rank, place in `op_of`, and log entry.
+    let locate = |pos: &TxPos| {
+        let rank = advice.tx_logs.position(&pos.tx)?;
+        let entry = logs.get(rank)?.1.get(pos.index as usize)?;
+        Some((rank, log_starts.get(rank)? + pos.index as usize, entry))
+    };
+    let translate = |pos: &TxPos| {
+        let (rank, at, _) = locate(pos)?;
+        let index = *op_of.get(at).filter(|index| **index != NOT_AN_OP)?;
+        Some((adya::TxnId(rank as u64), index))
     };
 
-    let mut builder = adya::HistoryBuilder::new();
+    // Translate the alleged history into the adya crate's
+    // representation. A log that does not translate is reported after
+    // the write order has been checked, so the first such error is kept
+    // and the entry fed without its dictating write or, having no key,
+    // skipped.
+    let mut untranslatable: Option<RejectReason> = None;
+    let mut builder = adya::HistoryBuilder::with_capacity(logs.len(), entries);
     for (rank, (tx, log)) in logs.iter().enumerate() {
         let id = adya::TxnId(rank as u64);
         builder.touch(id);
+        let malformed = |why| RejectReason::TxLogMalformed {
+            tx: tx.clone(),
+            why,
+        };
         for entry in log {
-            let key = || {
-                entry.key.ok_or(RejectReason::TxLogMalformed {
-                    tx: tx.clone(),
-                    why: "state operation without key",
-                })
+            let from = match (&entry.contents, entry.optype) {
+                (_, TxOpType::Start | TxOpType::Commit | TxOpType::Abort) => continue,
+                (_, TxOpType::Put) => None,
+                (TxContentsRef::Get { from }, TxOpType::Get) => from.as_ref().map(translate),
+                (_, TxOpType::Get) => {
+                    untranslatable.get_or_insert_with(|| malformed("GET with non-GET contents"));
+                    None
+                }
             };
-            match entry.optype {
-                TxOpType::Put => {
-                    builder.put(id, key()?);
-                }
-                TxOpType::Get => {
-                    let TxContentsRef::Get { from } = &entry.contents else {
-                        return Err(RejectReason::TxLogMalformed {
-                            tx: tx.clone(),
-                            why: "GET with non-GET contents",
-                        });
-                    };
-                    let from = match from {
-                        Some(pos) => {
-                            let Some(t) = translate(pos) else {
-                                return Err(RejectReason::WriteOrderMismatch {
-                                    why: "GET references untranslatable write",
-                                });
-                            };
-                            Some(t)
-                        }
-                        None => None,
-                    };
-                    builder.get(id, key()?, from);
-                }
-                TxOpType::Start | TxOpType::Commit | TxOpType::Abort => {}
+            if from == Some(None) {
+                untranslatable
+                    .get_or_insert_with(|| mismatch("GET references untranslatable write"));
             }
+            match entry.key {
+                Some(key) if entry.optype == TxOpType::Put => builder.put(id, key),
+                Some(key) => builder.get(id, key, from.flatten()),
+                None => {
+                    untranslatable.get_or_insert_with(|| malformed("state operation without key"));
+                    continue;
+                }
+            };
         }
         if committed.get(rank).copied().unwrap_or(false) {
             builder.commit(id);
         }
     }
-    let version_order = advice
-        .write_order
-        .iter()
-        .map(|pos| {
-            translate(pos)
-                .map(|(txn, index)| adya::OpRef { txn, index })
-                .ok_or(RejectReason::WriteOrderMismatch {
-                    why: "untranslatable entry",
-                })
-        })
-        .collect::<Result<Vec<_>, _>>()?;
-    builder.set_version_order(version_order);
+    // An entry that names no history operation cannot pass the checks
+    // below, so it never reaches the Adya check: any id no transaction
+    // has stands in for it.
+    let nowhere = (adya::TxnId(u64::MAX), 0);
+    let version_order = advice.write_order.iter().map(|pos| {
+        let (txn, index) = translate(pos).unwrap_or(nowhere);
+        adya::OpRef { txn, index }
+    });
+    builder.set_version_order(version_order.collect());
     let history = builder.finish();
+
+    // ExtractWriteOrderPerKey's validations (Fig. 17 lines 22–28), plus
+    // a uniqueness check so length-equality implies bijection.
+    if advice.write_order.len() != history.final_write_count() {
+        return Err(mismatch("length differs from last-modification count"));
+    }
+    let mut seen = vec![false; entries];
+    for (pos, write) in advice.write_order.iter().zip(history.version_order()) {
+        let Some((_, at, entry)) = locate(pos) else {
+            return Err(mismatch("entry not in any log"));
+        };
+        // `at` lies inside its log, so inside `seen`.
+        if std::mem::replace(&mut seen[at], true) {
+            return Err(mismatch("duplicate entry"));
+        }
+        if entry.optype != TxOpType::Put {
+            return Err(mismatch("entry is not a PUT"));
+        }
+        if entry.key.is_none() {
+            return Err(mismatch("entry is a PUT without a key"));
+        }
+        if !(history.is_committed(write.txn) && history.is_final_put(*write)) {
+            return Err(mismatch("entry is not a committed last modification"));
+        }
+    }
+    if let Some(reason) = untranslatable {
+        return Err(reason);
+    }
 
     let level = match isolation {
         kvstore::IsolationLevel::ReadUncommitted => adya::IsolationLevel::ReadUncommitted,
         kvstore::IsolationLevel::ReadCommitted => adya::IsolationLevel::ReadCommitted,
         kvstore::IsolationLevel::Serializable => adya::IsolationLevel::Serializable,
     };
-    adya::check_isolation(&history, level).map_err(RejectReason::Isolation)?;
-    Ok(())
+    let dsg = adya::check_isolation(&history, level).map_err(RejectReason::Isolation)?;
+    Ok(IsolationStats {
+        txns: logs.len(),
+        state_ops: history.op_count(),
+        keys: history.key_count(),
+        write_order: advice.write_order.len(),
+        edges: dsg.edge_counts(),
+    })
 }

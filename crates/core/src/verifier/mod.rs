@@ -28,6 +28,7 @@ pub use forensics::{
     TopGroupCost,
 };
 pub use graph::{CycleEdge, CycleProbe, EdgeKind, Graph};
+pub use isolation::{verify_isolation, IsolationStats};
 pub use obs::PhaseTiming;
 pub use preprocess::{
     preprocess, preprocess_staged, DeferredEdges, OpMapEntry, PreStaged, Preprocessed,

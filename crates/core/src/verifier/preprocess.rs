@@ -50,7 +50,7 @@ use crate::advice::{KTxId, TxOpType};
 use crate::advice_ref::{AdviceRef, TxContentsRef, TxEntryRef, VecMap};
 use crate::verifier::coords::{Activation, Coords, Nearby, NodeTable};
 use crate::verifier::graph::{Edge, EdgeKind, Graph};
-use crate::verifier::isolation::verify_isolation;
+use crate::verifier::isolation::{verify_isolation, IsolationStats};
 use crate::verifier::reject::RejectReason;
 use crate::verifier::var_index::VarIndex;
 use crate::wire::{HandlerLogEntryView, HandlerOpView};
@@ -90,6 +90,8 @@ pub struct Preprocessed {
     /// Whether each transaction, by rank in `advice.tx_logs`, allegedly
     /// committed.
     pub committed: Vec<bool>,
+    /// The size of the history and graph isolation verification checked.
+    pub isolation: IsolationStats,
     /// `advice.var_logs` by id: which entry an operation node is logged
     /// at, and which write each entry points at.
     pub var_index: VarIndex,
@@ -177,17 +179,13 @@ struct RidWork<'x> {
 /// One request's preprocess output: its edge fragment, its entries of
 /// the node tables, and the first error (tagged with its section).
 #[derive(Default)]
-struct RidShard<'x> {
+struct RidShard {
     edges: Vec<Edge>,
     op_map: Vec<(u32, OpMapEntry)>,
     activated: Vec<(u32, Vec<HandlerId>)>,
     check_counts: Vec<(u32, i64)>,
     /// Ranks of the allegedly committed transactions.
     committed: Vec<u32>,
-    /// `(tx rank, key) → index of the last PUT`, for committed
-    /// transactions. Keys borrow the advice bytes: no per-PUT `String`
-    /// copies.
-    last_modification: Vec<((u32, &'x str), u32)>,
     err: Option<(usize, RejectReason)>,
 }
 
@@ -237,14 +235,14 @@ pub fn preprocess_staged<'a>(
     };
 
     let nshards = work.len();
-    let mut shards: Vec<RidShard<'a>> = if threads <= 1 || nshards <= 1 {
+    let mut shards: Vec<RidShard> = if threads <= 1 || nshards <= 1 {
         work.iter().map(|w| run_rid_shard(&ctx, w)).collect()
     } else {
         use std::sync::atomic::{AtomicUsize, Ordering};
         let next = AtomicUsize::new(0);
         let work_ref = &work;
         let ctx_ref = &ctx;
-        let mut slots: Vec<Option<RidShard<'a>>> = Vec::new();
+        let mut slots: Vec<Option<RidShard>> = Vec::new();
         slots.resize_with(nshards, || None);
         let workers = threads.min(nshards);
         std::thread::scope(|s| {
@@ -313,12 +311,11 @@ pub fn preprocess_staged<'a>(
     // Table merges: per-request node ranges are disjoint, so scattering
     // the fragments in shard order reproduces the serial tables.
     let nodes = coords.node_count();
-    let entries = |len: fn(&RidShard<'a>) -> usize| shards.iter().map(len).sum::<usize>();
+    let entries = |len: fn(&RidShard) -> usize| shards.iter().map(len).sum::<usize>();
     let mut op_map = NodeTable::new(nodes, entries(|s| s.op_map.len()));
     let mut activated = NodeTable::new(nodes, entries(|s| s.activated.len()));
     let mut check_counts = NodeTable::new(nodes, entries(|s| s.check_counts.len()));
     let mut committed = vec![false; advice.tx_logs.len()];
-    let mut last_modification: HashMap<(u32, &'a str), u32> = HashMap::new();
     let mut batches: Vec<Vec<Edge>> = Vec::with_capacity(nshards);
     for shard in &mut shards {
         for (node, entry) in shard.op_map.drain(..) {
@@ -335,11 +332,10 @@ pub fn preprocess_staged<'a>(
                 *c = true;
             }
         }
-        last_modification.extend(shard.last_modification.drain(..));
         batches.push(std::mem::take(&mut shard.edges));
     }
 
-    verify_isolation(advice, &committed, &last_modification, isolation)?;
+    let isolation = verify_isolation(advice, &committed, isolation)?;
 
     // Last, so that an audit preprocess rejects does not pay for them.
     let var_index = VarIndex::build(coords.clone(), &advice.var_logs)?;
@@ -353,6 +349,7 @@ pub fn preprocess_staged<'a>(
             activated,
             check_counts,
             committed,
+            isolation,
             var_index,
             nondet,
         },
@@ -434,7 +431,7 @@ fn shard_work<'x>(
 /// order, stopping at the first error. Within a shard the first error
 /// found is its `(section, position)` minimum, because sections run in
 /// ascending order and the position (this request's rank) is fixed.
-fn run_rid_shard<'x>(ctx: &ShardCtx<'_, 'x>, work: &RidWork<'x>) -> RidShard<'x> {
+fn run_rid_shard<'x>(ctx: &ShardCtx<'_, 'x>, work: &RidWork<'x>) -> RidShard {
     let mut shard = RidShard::default();
     let acts = ctx
         .coords
@@ -533,7 +530,7 @@ fn add_time_precedence_edges(graph: &mut Graph, trace: &Trace) {
 /// `AddProgramEdges` (Fig. 14 lines 33–44), for one request: each
 /// activation's nodes are consecutive ids, start to end.
 fn section_program(
-    shard: &mut RidShard<'_>,
+    shard: &mut RidShard,
     work: &RidWork<'_>,
     acts: &[Activation],
 ) -> Result<(), RejectReason> {
@@ -552,7 +549,7 @@ fn section_program(
 
 /// `AddBoundaryEdges` (Fig. 15), arrival half: request arrival precedes
 /// every root handler's start. No errors.
-fn section_boundary_roots(shard: &mut RidShard<'_>, work: &RidWork<'_>, acts: &[Activation]) {
+fn section_boundary_roots(shard: &mut RidShard, work: &RidWork<'_>, acts: &[Activation]) {
     let Some((arrival, _)) = work.boundary else {
         return;
     };
@@ -570,7 +567,7 @@ fn section_boundary_roots(shard: &mut RidShard<'_>, work: &RidWork<'_>, acts: &[
 /// emitter. Serial iteration is trace order, which the coordinator's
 /// error selection reproduces via the arrival node.
 fn section_boundary_response(
-    shard: &mut RidShard<'_>,
+    shard: &mut RidShard,
     ctx: &ShardCtx<'_, '_>,
     work: &RidWork<'_>,
 ) -> Result<(), RejectReason> {
@@ -632,7 +629,7 @@ fn find_act<'c>(
 /// checks in [`section_handler`], and database-completion activations
 /// are validated by re-execution itself.
 fn section_activation(
-    shard: &mut RidShard<'_>,
+    shard: &mut RidShard,
     ctx: &ShardCtx<'_, '_>,
     work: &RidWork<'_>,
     acts: &[Activation],
@@ -714,7 +711,7 @@ fn log_index(i: usize) -> Result<u32, RejectReason> {
 
 /// `AddHandlerRelatedEdges` (Fig. 16 lines 3–28), for one request.
 fn section_handler(
-    shard: &mut RidShard<'_>,
+    shard: &mut RidShard,
     ctx: &ShardCtx<'_, '_>,
     work: &RidWork<'_>,
     logged: &mut Logged,
@@ -787,9 +784,10 @@ fn section_handler(
 
 /// `AddExternalStateEdges` (Fig. 16 lines 30–56), for one request's
 /// transactions (ascending `KTxId`, i.e. ascending rank), recording the
-/// committed set and `lastModification` entries.
+/// committed set (`lastModification` is read off the history that
+/// isolation verification builds).
 fn section_external<'x>(
-    shard: &mut RidShard<'x>,
+    shard: &mut RidShard,
     ctx: &ShardCtx<'_, 'x>,
     work: &RidWork<'x>,
     txs: &[(KTxId, Vec<TxEntryRef<'x>>)],
@@ -876,9 +874,6 @@ fn section_external<'x>(
                         return Err(malformed("PUT with non-PUT contents"));
                     }
                     my_writes.insert(key, index);
-                    if is_committed {
-                        shard.last_modification.push(((rank, key), index));
-                    }
                 }
                 TxOpType::Start | TxOpType::Commit | TxOpType::Abort => {
                     if !matches!(entry.contents, TxContentsRef::None) {

@@ -412,3 +412,222 @@ fn check_op_squatting_on_var_coordinate_rejected() {
         "{err}"
     );
 }
+
+/// Two sequential requests, each one committed transaction whose log
+/// is `[start, GET k, PUT k, PUT k, PUT j, commit]`: index 2 is a `PUT`
+/// that is not a last modification, 3 and 4 are the two that are.
+fn two_transactions() -> (kem::Program, Trace, Advice) {
+    let mut b = ProgramBuilder::new();
+    let next = |tx: fn(kem::Expr, kem::Expr, &str) -> kem::Stmt, then: &str| {
+        vec![tx(field(payload(), "tx"), field(payload(), "ctx"), then)]
+    };
+    b.function("handle", vec![tx_start(lit(0i64), "started")]);
+    b.function(
+        "started",
+        next(|tx, ctx, then| tx_get(tx, lit("k"), ctx, then), "got"),
+    );
+    b.function(
+        "got",
+        next(
+            |tx, ctx, then| tx_put(tx, lit("k"), lit(1i64), ctx, then),
+            "put1",
+        ),
+    );
+    b.function(
+        "put1",
+        next(
+            |tx, ctx, then| tx_put(tx, lit("k"), lit(2i64), ctx, then),
+            "put2",
+        ),
+    );
+    b.function(
+        "put2",
+        next(
+            |tx, ctx, then| tx_put(tx, lit("j"), lit(3i64), ctx, then),
+            "put3",
+        ),
+    );
+    b.function("put3", next(tx_commit, "done"));
+    b.function("done", vec![respond(lit("ok"))]);
+    b.request_handler("handle");
+    let p = b.build().unwrap();
+    let cfg = ServerConfig {
+        concurrency: 1,
+        ..ServerConfig::default()
+    };
+    let (out, a) = run_instrumented_server(
+        &p,
+        &[Value::Null, Value::Null],
+        &cfg,
+        CollectorMode::Karousos,
+    )
+    .unwrap();
+    (p, out.trace, a)
+}
+
+/// Deleting preprocess's `lastModification` map must not have moved a
+/// write-order verdict: each reason still fires, and of two defects the
+/// one that was reported before is reported now — the length before
+/// any entry, an earlier entry before a later one, an entry's own
+/// checks in their order, and every write-order defect before a log
+/// that does not translate, which in turn precedes the Adya check.
+#[test]
+fn write_order_reasons_fire_in_their_precedence() {
+    use karousos::advice::{TxOpContents, TxOpType, TxPos};
+    let (p, t, honest) = two_transactions();
+    pp(&p, &t, &honest, SER).unwrap();
+    let txs: Vec<_> = honest.tx_logs.keys().cloned().collect();
+    let at = |tx: usize, index: u32| TxPos {
+        tx: txs[tx].clone(),
+        index,
+    };
+    let mut stranger = txs[0].clone();
+    stranger.opnum += 100;
+    let nowhere = TxPos {
+        tx: stranger,
+        index: 3,
+    };
+    assert_eq!(
+        honest.write_order,
+        [at(0, 3), at(0, 4), at(1, 3), at(1, 4)],
+        "the fixture's honest write order"
+    );
+
+    // What isolation verification says of `a`, called the way
+    // preprocess calls it. Rows that leave the logs well-formed must
+    // get the same answer from the whole of preprocess.
+    let verdict = |a: &Advice, through_preprocess: bool| {
+        let bytes = encode_advice(a);
+        let view = decode_advice_view(&bytes).unwrap();
+        let advice = karousos::AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
+        let committed: Vec<bool> = (a.tx_logs.values())
+            .map(|log| log.last().is_some_and(|e| e.optype == TxOpType::Commit))
+            .collect();
+        let direct = karousos::verifier::verify_isolation(&advice, &committed, SER).unwrap_err();
+        if through_preprocess {
+            assert_eq!(direct, preprocess(&p, &t, &advice, SER).unwrap_err());
+        }
+        direct
+    };
+    let mismatch = |why| RejectReason::WriteOrderMismatch { why };
+    type Edit = Box<dyn Fn(&mut Advice)>;
+    let order = |order: Vec<TxPos>| -> Edit { Box::new(move |a| a.write_order = order.clone()) };
+    let log_entry = |tx: usize, index: usize, edit: fn(&mut karousos::advice::TxLogEntry)| {
+        let key = txs[tx].clone();
+        Box::new(move |a: &mut Advice| edit(&mut a.tx_logs.get_mut(&key).unwrap()[index])) as Edit
+    };
+    let drop_key = |tx, index| log_entry(tx, index, |e| e.key = None);
+    // A GET dictated by a `tx_start`: no history operation to point at.
+    let dangle_get = |tx| {
+        log_entry(tx, 1, |e| {
+            let TxOpContents::Get { from } = &mut e.contents else {
+                panic!("entry 1 is the GET")
+            };
+            let own = from
+                .clone()
+                .expect("the second transaction reads the first");
+            *from = Some(TxPos { index: 0, ..own });
+        })
+    };
+
+    let rows: Vec<(&str, Vec<Edit>, RejectReason, bool)> = vec![
+        (
+            "length, before an entry in no log",
+            vec![order(vec![
+                at(0, 3),
+                at(0, 4),
+                at(1, 3),
+                at(1, 4),
+                nowhere.clone(),
+            ])],
+            mismatch("length differs from last-modification count"),
+            true,
+        ),
+        (
+            "unknown transaction, before a duplicate",
+            vec![order(vec![nowhere.clone(), at(0, 4), at(0, 4), at(1, 4)])],
+            mismatch("entry not in any log"),
+            true,
+        ),
+        (
+            "index past the log, before a GET",
+            vec![order(vec![at(0, 9), at(0, 1), at(1, 3), at(1, 4)])],
+            mismatch("entry not in any log"),
+            true,
+        ),
+        (
+            "duplicate, before a GET",
+            vec![order(vec![at(0, 3), at(0, 3), at(1, 1), at(1, 4)])],
+            mismatch("duplicate entry"),
+            true,
+        ),
+        (
+            "GET, before a PUT that is not the last",
+            vec![order(vec![at(0, 1), at(0, 2), at(1, 3), at(1, 4)])],
+            mismatch("entry is not a PUT"),
+            true,
+        ),
+        (
+            "tx_start, before the same entry again",
+            vec![order(vec![at(0, 0), at(0, 0), at(1, 3), at(1, 4)])],
+            mismatch("entry is not a PUT"),
+            true,
+        ),
+        (
+            "PUT without key, before a PUT that is not the last and the untranslatable log",
+            vec![drop_key(0, 4), order(vec![at(0, 3), at(0, 4), at(1, 2)])],
+            mismatch("entry is a PUT without a key"),
+            false,
+        ),
+        (
+            "PUT that is not the last, before an untranslatable GET",
+            vec![
+                dangle_get(1),
+                order(vec![at(0, 3), at(0, 4), at(1, 2), at(1, 4)]),
+            ],
+            mismatch("entry is not a committed last modification"),
+            false,
+        ),
+        (
+            "last PUT of a transaction that did not commit",
+            vec![
+                log_entry(1, 5, |e| e.optype = TxOpType::Abort),
+                order(vec![at(0, 3), at(1, 3)]),
+            ],
+            mismatch("entry is not a committed last modification"),
+            false,
+        ),
+        (
+            "untranslatable GET, before a version order the Adya check refuses",
+            vec![
+                dangle_get(1),
+                order(vec![at(1, 3), at(0, 4), at(0, 3), at(1, 4)]),
+            ],
+            mismatch("GET references untranslatable write"),
+            false,
+        ),
+        (
+            "state operation without key, after a write order that checks out",
+            vec![drop_key(0, 1)],
+            RejectReason::TxLogMalformed {
+                tx: txs[0].clone(),
+                why: "state operation without key",
+            },
+            false,
+        ),
+    ];
+    for (what, edits, expected, through_preprocess) in rows {
+        let mut a = honest.clone();
+        for edit in &edits {
+            edit(&mut a);
+        }
+        assert_eq!(verdict(&a, through_preprocess), expected, "{what}");
+    }
+    // The last row's second defect on its own is the Adya check's.
+    let mut a = honest.clone();
+    a.write_order = vec![at(1, 3), at(0, 4), at(0, 3), at(1, 4)];
+    assert!(
+        matches!(verdict(&a, true), RejectReason::Isolation(_)),
+        "reordered installs of k"
+    );
+}

@@ -532,6 +532,68 @@ fn motd_write_heavy_audit_allocation_scaling() {
     );
 }
 
+/// Isolation verification (§4.4) builds a fixed number of tables over
+/// the alleged history — offsets, one flat operation array, counting
+/// sort buckets, one edge vector — whatever its size: the same events
+/// for 64 transactions as for 1 024, plus the key table's doublings.
+/// It used to cost several events per operation (a `String` per `PUT` /
+/// `GET`, a map node per transaction, a set node per edge). And an
+/// audit without transaction logs — MOTD — pays nothing at all.
+#[test]
+fn isolation_verification_allocation_budget() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    use apps::App;
+    use workload::{Experiment, Mix};
+
+    let verify_allocs = |app: App, requests: usize| {
+        let mut exp = Experiment::paper_default(app, Mix::WriteHeavy, 8, 11);
+        exp.requests = requests;
+        let program = app.program();
+        let (out, advice) = karousos::run_instrumented_server(
+            &program,
+            &exp.inputs(),
+            &exp.server_config(),
+            karousos::CollectorMode::Karousos,
+        )
+        .expect("run succeeds");
+        let bytes = karousos::encode_advice(&advice);
+        let view = karousos::decode_advice_view(&bytes).expect("own encoding decodes");
+        let advice = karousos::AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
+        let pre = karousos::verifier::preprocess(&program, &out.trace, &advice, exp.isolation)
+            .expect("preprocess accepts honest advice");
+        let verify =
+            || karousos::verifier::verify_isolation(&advice, &pre.committed, exp.isolation);
+        let _ = verify();
+        let (stats, allocs) = count_allocs(verify);
+        let stats = stats.expect("honest history passes");
+        assert_eq!(stats, pre.isolation);
+        (stats, allocs)
+    };
+    let (none, motd) = verify_allocs(App::Motd, 100);
+    assert_eq!(none, karousos::verifier::IsolationStats::default());
+    assert_eq!(motd, 0, "an audit without transaction logs allocated");
+
+    let (small, at_64) = verify_allocs(App::Stacks, 64);
+    let (large, at_1024) = verify_allocs(App::Stacks, 1024);
+    eprintln!("isolation verification allocs: {at_64} for {small:?}, {at_1024} for {large:?}");
+    assert!(small.txns >= 64 && large.txns >= 1024);
+    // The key table doubles from four buckets until it holds the
+    // history's keys: at most one event per doubling.
+    let doublings = |keys: usize| u64::from(keys.max(4).next_power_of_two().trailing_zeros());
+    // Measured: 33 events for 4 keys and 38 for 76 — 31 tables, the
+    // scratch buffer a stable sort of more than a few operations takes,
+    // and the key table's 2 and 6 (2^k buckets hold 7/8 of that).
+    assert!(
+        at_64 <= 32 + doublings(small.keys),
+        "isolation verification exceeded its allocation budget: {at_64} events for {small:?}"
+    );
+    assert!(
+        at_1024 <= 32 + doublings(large.keys),
+        "isolation verification allocations grow with the history: {at_1024} events for \
+         {large:?}, {at_64} for {small:?}"
+    );
+}
+
 /// The whole `threads = 1` audit of the paper's headline app at paper
 /// scale (wiki, 600 requests), wire bytes to verdict: allocation events
 /// and requested bytes. Variable state is where this audit's
@@ -581,16 +643,19 @@ fn wiki_audit_allocation_budget() {
     // 1.08): 69 609 events, 18 918 629 B. With `MultiValue::map` /
     // `zip` staying collapsed until the first divergent member (no
     // vector of `n` results for an operand that re-collapses): 67 865
-    // events, 17 378 285 B. The pins are those plus 5 %.
+    // events, 17 378 285 B. With isolation verification on a dense
+    // history (600 transactions; it was a `String` per state operation,
+    // a map node per transaction and a set node per DSG edge): 62 288
+    // events, 16 960 373 B. The pins are those plus 5 %.
     assert!(
-        events <= 71_250,
-        "wiki audit exceeded its allocation budget: {events} events (budget 71250; \
-         measured 67865, 69609 with a vector per expanded operand)"
+        events <= 65_400,
+        "wiki audit exceeded its allocation budget: {events} events (budget 65400; \
+         measured 62288, 67865 with the isolation checker on strings and maps)"
     );
     assert!(
-        requested <= 18_250_000,
-        "wiki audit exceeded its byte budget: {requested} B requested (budget 18250000; \
-         measured 17378285, 18918629 with a vector per expanded operand)"
+        requested <= 17_800_000,
+        "wiki audit exceeded its byte budget: {requested} B requested (budget 17800000; \
+         measured 16960373, 17378285 with the isolation checker on strings and maps)"
     );
 }
 

@@ -363,3 +363,91 @@ fn decoded_audit_path_is_fuel_metered_too() {
         other => panic!("expected fuel verdict, got {other:?}"),
     }
 }
+
+/// One committed transaction of an honest stacks run, widened the way
+/// an editor of the bytes would (view → `Advice` → bytes): `width`
+/// more `PUT`s to distinct keys, every one of them a last modification
+/// and listed in the write order, at operation numbers the inflated
+/// opcount covers — so nothing stops the advice before isolation
+/// verification meets the wide transaction.
+fn widen_one_transaction(bytes: &[u8], width: u32) -> Vec<u8> {
+    use karousos::advice::{TxLogEntry, TxOpContents, TxOpType, TxPos};
+    let mut advice = karousos::decode_advice_view(bytes).unwrap().to_advice();
+    let (tx, log) = advice
+        .tx_logs
+        .iter_mut()
+        .find(|(_, log)| log.last().is_some_and(|e| e.optype == TxOpType::Commit))
+        .expect("a committed transaction");
+    let commit = log.pop().unwrap();
+    let opcount = advice
+        .opcounts
+        .get_mut(&(tx.rid, commit.hid.clone()))
+        .unwrap();
+    for i in 0..width {
+        advice.write_order.push(TxPos {
+            tx: tx.clone(),
+            index: log.len() as u32,
+        });
+        log.push(TxLogEntry {
+            hid: commit.hid.clone(),
+            opnum: *opcount + 1 + i,
+            optype: TxOpType::Put,
+            key: Some(format!("wide-{i}")),
+            contents: TxOpContents::Put {
+                value: Value::Int(0),
+            },
+        });
+    }
+    *opcount += width;
+    log.push(commit);
+    encode_advice(&advice)
+}
+
+/// The version-order check found a transaction's final `PUT` to a key
+/// by rescanning its operations — `width²` string compares for the
+/// advice above, under no deadline (preprocess has none). Isolation
+/// verification now accepts the wide transaction in one pass, and the
+/// audit reaches its verdict — replay's, since the program never
+/// issued those writes — at every matrix point, at a width the
+/// quadratic check would have spent this job's wall on.
+#[test]
+fn wide_transaction_is_contained_by_linear_isolation_verification() {
+    let mut exp =
+        workload::Experiment::paper_default(apps::App::Stacks, workload::Mix::WriteHeavy, 1, 0);
+    exp.requests = 12;
+    let program = apps::App::Stacks.program();
+    let (out, advice) = run_instrumented_server(
+        &program,
+        &exp.inputs(),
+        &exp.server_config(),
+        CollectorMode::Karousos,
+    )
+    .unwrap();
+    let honest_bytes = encode_advice(&advice);
+    for width in [2_000, 16_000] {
+        let bytes = widen_one_transaction(&honest_bytes, width);
+        // Preprocess — isolation verification included — passes, on a
+        // history that has the wide transaction in it.
+        let view = karousos::decode_advice_view(&bytes).unwrap();
+        let mut interner = kem::ValueInterner::new();
+        let advice_ref = karousos::AdviceRef::from_view(&view, &mut interner);
+        let pre = karousos::verifier::preprocess(&program, &out.trace, &advice_ref, exp.isolation)
+            .unwrap_or_else(|e| panic!("width {width}: preprocess rejected: {e}"));
+        assert!(pre.isolation.state_ops > width as usize);
+        assert_eq!(
+            pre.isolation.write_order,
+            advice.write_order.len() + width as usize
+        );
+        let verdict = audit_under(
+            &program,
+            &out,
+            &bytes,
+            Limits::default(),
+            "wide transaction",
+        );
+        assert!(
+            matches!(verdict, Err(RejectReason::StateOpMismatch { .. })),
+            "width {width}: {verdict:?}"
+        );
+    }
+}
