@@ -2,10 +2,11 @@
 //!
 //! An audit is configured by the [`crate::AuditOptions`] it is handed
 //! and by nothing else: the plain entry points ([`crate::audit`],
-//! [`crate::audit_encoded`]) run `AuditOptions::default()`, the
-//! `*_with_options` entry points take whatever the caller constructed,
-//! and no code in this crate reads the process environment. A budget
-//! is changed by setting its [`Limits`] field.
+//! [`crate::audit_encoded`]) run `AuditOptions::default()`, the others
+//! ([`crate::audit_encoded_with_obs`], [`crate::ooo_audit`], …) take
+//! whatever the caller constructed, and no code in this crate reads the
+//! process environment. A budget is changed by setting its [`Limits`]
+//! field.
 
 /// Resource budgets for one audit (DESIGN.md §10 "Resource
 /// governance"). The advice is attacker-controlled, so every structure
@@ -21,10 +22,11 @@
 /// unlimited audit.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Limits {
-    /// Deterministic per-group replay step budget: one unit per
-    /// statement executed and per expression node evaluated. Counted
-    /// inside the single-threaded per-group interpreter, so the spend
-    /// — and the verdict — is bit-identical at every thread count.
+    /// Deterministic per-group replay fuel budget: one unit per
+    /// statement executed and per expression node evaluated of the
+    /// source program (`kem::bytecode`, "Fuel"). Counted inside the
+    /// single-threaded per-group dispatch loop, so the spend — and the
+    /// verdict — is bit-identical at every thread count.
     pub replay_fuel: u64,
     /// Per-group wall-clock deadline in milliseconds. The only
     /// machine-dependent budget (documented in DESIGN.md §10): it

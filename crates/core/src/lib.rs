@@ -34,7 +34,6 @@ pub mod advice_ref;
 pub mod collector;
 pub mod config;
 pub mod faultinject;
-pub mod lint;
 pub mod multivalue;
 pub mod rorder;
 // The verifier consumes attacker-controlled advice; a panic there is a
@@ -63,7 +62,6 @@ pub use faultinject::{
     honest_must_accept, ExhaustMutator, Mutation, MutationClass, MutationOutcome, Mutator,
     PoolMutator, WireMutator,
 };
-pub use lint::{lint_advice, LintWarning};
 pub use multivalue::{MultiValue, MultiValueIter};
 pub use rorder::{r_concurrent, r_ordered, r_precedes};
 pub use verifier::{

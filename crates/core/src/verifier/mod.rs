@@ -65,10 +65,9 @@ pub struct AuditOptions {
     /// is the one machine-dependent exception and defaults far above
     /// any honest group.
     pub limits: Limits,
-    /// Bytecode-VM replay (DESIGN.md §11): dispatch each group over
-    /// the program's compiled opcode stream instead of walking the
-    /// resolved AST. Off falls back to the tree-walk; verdicts,
-    /// statistics, and fuel bills are bit-identical either way.
+    /// Read by nothing: replay always runs on the bytecode VM. Kept for
+    /// `benchmark/src/adapter.rs`; removed by ROADMAP item 1 step 1.
+    #[doc(hidden)]
     pub bytecode: bool,
     /// Memory-map advice files instead of reading them into a buffer
     /// (file-backed entry points only; [`audit_encoded`] takes whatever
@@ -564,7 +563,6 @@ fn audit_decoded<'a>(
     let executor = ReExecutor::new(program, trace, advice, &pre, &mut vars)
         .with_schedule(opts.schedule)
         .with_limits(opts.limits)
-        .with_bytecode(opts.bytecode)
         .with_obs(obs.clone());
     let mut merge_edges = {
         let (graph, deferred, obs) = (&mut graph, &mut deferred, obs.clone());

@@ -12,8 +12,8 @@
 //! per-handler program order but nothing else — which is exactly the
 //! freedom the R-order formalizes.
 //!
-//! The interpreter runs the program's *resolved* form
-//! ([`kem::Resolved`], built once at program build time): locals are
+//! The pass is a dispatch loop over the program's compiled bytecode
+//! (`kem::bytecode`, built once at program build time): locals are
 //! frame **slot indices** over a `Vec`, shared-variable and function
 //! mentions carry their ids, and event names are interned symbols that
 //! resolve to `&str` borrows. Together with [`MultiValue::collect`]
@@ -33,12 +33,12 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kem::{
-    Exchange, HandlerId, OpRef, Program, RExpr, RFunction, RStmt, RequestId, Trace, Value, VarId,
-    INIT_FUNCTION,
+    tx_payload_keys, Exchange, HandlerId, OpRef, Program, RFunction, RequestId, Trace, Value,
+    VarId, INIT_FUNCTION,
 };
 
 use obs::{CounterId, HistogramId, Obs, ObsShard};
@@ -68,28 +68,6 @@ const DEADLINE_POLL_INTERVAL: u64 = 4096;
 /// Group index the next replay worker should panic in (test-only,
 /// armed by [`inject_group_panic_for_tests`]); `-1` means disarmed.
 static INJECT_PANIC: AtomicI64 = AtomicI64::new(-1);
-
-/// Interned keys for transaction continuation payloads, in the field
-/// order the payload builder pushes them. Cloning an `Arc<str>` is a
-/// refcount bump, not an allocation, so every payload shares these.
-struct TxPayloadKeys {
-    ctx: Arc<str>,
-    tx: Arc<str>,
-    ok: Arc<str>,
-    found: Arc<str>,
-    value: Arc<str>,
-}
-
-fn tx_payload_keys() -> &'static TxPayloadKeys {
-    static KEYS: OnceLock<TxPayloadKeys> = OnceLock::new();
-    KEYS.get_or_init(|| TxPayloadKeys {
-        ctx: Arc::from("ctx"),
-        tx: Arc::from("tx"),
-        ok: Arc::from("ok"),
-        found: Arc::from("found"),
-        value: Arc::from("value"),
-    })
-}
 
 /// Arms a one-shot injected panic in the worker that replays group `g`
 /// (`-1` disarms). Exercises the replay supervisor from integration
@@ -379,11 +357,6 @@ pub struct ReExecutor<'a> {
     next_deadline_poll: u64,
     /// The group this executor replays (`None` for ungrouped).
     group: Option<u64>,
-    /// Dispatch handler bodies over the program's compiled bytecode
-    /// (DESIGN.md §11) instead of tree-walking the resolved AST. The
-    /// two paths are observably identical; bytecode is the hot-path
-    /// default.
-    bytecode: bool,
     /// Bytecode ops dispatched by this executor (fed to
     /// [`CounterId::BytecodeOps`] once per group, in merge order).
     vm_ops: u64,
@@ -661,7 +634,6 @@ impl<'a> ReExecutor<'a> {
             deadline_ms: u64::MAX,
             next_deadline_poll: DEADLINE_POLL_INTERVAL,
             group: None,
-            bytecode: true,
             vm_ops: 0,
             fused_ops: 0,
             fused_fuel: 0,
@@ -717,9 +689,6 @@ impl<'a> ReExecutor<'a> {
             deadline_ms: u64::MAX,
             next_deadline_poll: DEADLINE_POLL_INTERVAL,
             group: None,
-            // Group workers inherit the coordinator's choice in
-            // `run_pipelined`; this default only covers direct use.
-            bytecode: true,
             vm_ops: 0,
             fused_ops: 0,
             fused_fuel: 0,
@@ -760,13 +729,10 @@ impl<'a> ReExecutor<'a> {
         self
     }
 
-    /// Selects bytecode dispatch (the default) or the tree-walking
-    /// fallback for handler bodies. Verdicts, stats, digests, and fuel
-    /// bills are bit-identical either way; the switch exists for
-    /// differential testing ([`AuditOptions::bytecode`](crate::AuditOptions)
-    /// sets it for a whole audit).
-    pub fn with_bytecode(mut self, bytecode: bool) -> Self {
-        self.bytecode = bytecode;
+    /// Does nothing: handlers always replay on the bytecode VM. Kept for
+    /// `benchmark/src/adapter.rs`; removed by ROADMAP item 1 step 1.
+    #[doc(hidden)]
+    pub fn with_bytecode(self, _: bool) -> Self {
         self
     }
 
@@ -790,51 +756,17 @@ impl<'a> ReExecutor<'a> {
         };
     }
 
-    /// Charges `n` fuel units. One unit per statement executed and per
-    /// expression node evaluated makes the spend a pure function of
-    /// the program and the advice — never of the worker layout — so a
-    /// [`ResourceKind::ReplayFuel`] verdict is deterministic. Every
-    /// [`DEADLINE_POLL_INTERVAL`] units the wall clock is polled
-    /// against the group deadline (that verdict is machine-dependent
-    /// by nature; see DESIGN.md §10).
+    /// Charges `n` fuel units: the charges `kem::bytecode::lower` folded
+    /// onto one op. One unit per statement executed and per expression
+    /// node evaluated makes the spend a pure function of the program and
+    /// the advice — never of the worker layout — so a
+    /// [`ResourceKind::ReplayFuel`] verdict is deterministic, and it
+    /// reports `spent == limit + 1`: where the first over-budget unit
+    /// stops the meter. Every [`DEADLINE_POLL_INTERVAL`] units the wall
+    /// clock is polled against the group deadline (that verdict is
+    /// machine-dependent by nature; see DESIGN.md §10).
     #[inline]
     fn charge(&mut self, n: u64) -> Result<(), RejectReason> {
-        self.fuel_spent = self.fuel_spent.saturating_add(n);
-        if self.fuel_spent > self.fuel_limit {
-            return Err(RejectReason::ResourceExhausted {
-                resource: ResourceKind::ReplayFuel,
-                group: self.group,
-                spent: self.fuel_spent,
-                limit: self.fuel_limit,
-            });
-        }
-        if self.fuel_spent >= self.next_deadline_poll {
-            self.next_deadline_poll = self.fuel_spent.saturating_add(DEADLINE_POLL_INTERVAL);
-            if let Some(deadline) = self.deadline {
-                let now = Instant::now();
-                if now > deadline {
-                    let over = now.duration_since(deadline).as_millis() as u64;
-                    return Err(RejectReason::ResourceExhausted {
-                        resource: ResourceKind::GroupDeadline,
-                        group: self.group,
-                        spent: self.deadline_ms.saturating_add(over),
-                        limit: self.deadline_ms,
-                    });
-                }
-            }
-        }
-        Ok(())
-    }
-
-    /// Charges `n` units with exactly the observable effect of `n`
-    /// consecutive [`Self::charge`]`(1)` calls — which is how the
-    /// tree-walk spends the entry charges the compiler folds onto one
-    /// op. The tree-walk performs no fallible action between those unit
-    /// charges, so only the exhaustion report is sensitive to the
-    /// batching: it must carry `spent == limit + 1`, the value the
-    /// first over-budget unit produces.
-    #[inline]
-    fn charge_units(&mut self, n: u64) -> Result<(), RejectReason> {
         let new = self.fuel_spent.saturating_add(n);
         if new > self.fuel_limit {
             self.fuel_spent = self.fuel_limit.saturating_add(1);
@@ -847,9 +779,26 @@ impl<'a> ReExecutor<'a> {
         }
         self.fuel_spent = new;
         if new >= self.next_deadline_poll {
-            // Delegate the (cold) deadline poll to the unit path.
-            self.next_deadline_poll = new;
-            return self.charge(0);
+            self.next_deadline_poll = new.saturating_add(DEADLINE_POLL_INTERVAL);
+            return self.poll_deadline();
+        }
+        Ok(())
+    }
+
+    #[cold]
+    fn poll_deadline(&self) -> Result<(), RejectReason> {
+        let Some(deadline) = self.deadline else {
+            return Ok(());
+        };
+        let now = Instant::now();
+        if now > deadline {
+            let over = now.duration_since(deadline).as_millis() as u64;
+            return Err(RejectReason::ResourceExhausted {
+                resource: ResourceKind::GroupDeadline,
+                group: self.group,
+                spent: self.deadline_ms.saturating_add(over),
+                limit: self.deadline_ms,
+            });
         }
         Ok(())
     }
@@ -914,14 +863,13 @@ impl<'a> ReExecutor<'a> {
         let exchanges = exchanges.as_slice();
         let obs_handle = self.obs.clone();
         obs_handle.progress_replay_total(ngroups as u64);
-        let (program, trace, advice, pre, schedule, limits, bytecode) = (
+        let (program, trace, advice, pre, schedule, limits) = (
             self.program,
             self.trace,
             self.advice,
             self.pre,
             self.schedule,
             self.limits,
-            self.bytecode,
         );
         let VarBackend::Global(global) = self.vars else {
             return Err(RejectReason::VerifierInternal {
@@ -969,7 +917,6 @@ impl<'a> ReExecutor<'a> {
                     schedule,
                     gidx,
                 );
-                ex.bytecode = bytecode;
                 ex.arm_meter(&limits, Some(gidx as u64), 1);
                 let mut error = ex
                     .run_group(Group::new(rids.to_vec(), advice, &pre.coords), exchanges)
@@ -1343,21 +1290,13 @@ impl<'a> ReExecutor<'a> {
                 message: format!("handler references unknown function {fid}"),
             });
         };
-        // On the VM path, frame locals and per-member activations come
-        // from reusable pools: handlers never nest, so each activation
-        // clears and refills the same buffers instead of allocating.
-        // (Error paths drop the pooled buffers with the frame — the
-        // group is finished then.) The tree-walk keeps its
-        // per-activation allocations: it is the preserved baseline the
-        // VM is measured against.
-        let (mut locals, mut slots) = if self.bytecode {
-            (
-                std::mem::take(&mut self.vm_locals),
-                std::mem::take(&mut self.vm_slots),
-            )
-        } else {
-            (Vec::new(), Vec::with_capacity(g.n()))
-        };
+        // Frame locals and per-member activations come from reusable
+        // pools: handlers never nest, so each activation clears and
+        // refills the same buffers instead of allocating. (Error paths
+        // drop the pooled buffers with the frame — the group is finished
+        // then.)
+        let mut locals = std::mem::take(&mut self.vm_locals);
+        let mut slots = std::mem::take(&mut self.vm_slots);
         locals.clear();
         locals.resize(func.n_slots as usize, None);
         slots.clear();
@@ -1373,12 +1312,8 @@ impl<'a> ReExecutor<'a> {
         if let Some(s0) = frame.locals.get_mut(0) {
             *s0 = Some(payload);
         }
-        if self.bytecode {
-            let code = &self.program.code().funcs[fid.0 as usize];
-            self.exec_code(g, active, &mut frame, code)?;
-        } else {
-            self.exec_block(g, active, &mut frame, &func.body)?;
-        }
+        let code = &self.program.code().funcs[fid.0 as usize];
+        self.exec_code(g, active, &mut frame, code)?;
         // (c) Handler exit: every request must have consumed exactly its
         // reported operation count.
         for (i, rid) in g.rids.iter().enumerate() {
@@ -1387,21 +1322,15 @@ impl<'a> ReExecutor<'a> {
                 _ => return Err(RejectReason::OpcountMismatch { rid: *rid }),
             }
         }
-        if self.bytecode {
-            frame.locals.clear();
-            self.vm_locals = frame.locals;
-            self.vm_slots = frame.slots;
-        }
+        frame.locals.clear();
+        self.vm_locals = frame.locals;
+        self.vm_slots = frame.slots;
         Ok(())
     }
 
-    /// Bytecode dispatch over one handler body: observably identical to
-    /// [`Self::exec_block`] over the same resolved function — the same
-    /// advice checks in the same order, the same bumps, the same
-    /// rejections with the same payloads and precedence, and the same
-    /// fuel sequence (the compiler attaches every tree-walk entry
-    /// charge to the first op of the charged node's subtree; see
-    /// `kem::bytecode`).
+    /// Replays one handler body for the whole group: the dispatch loop
+    /// over its compiled ops (`kem::bytecode`), on the executor's pooled
+    /// scratch.
     fn exec_code(
         &mut self,
         g: &Group<'a>,
@@ -1443,15 +1372,11 @@ impl<'a> ReExecutor<'a> {
         let n = g.n();
         let mut pc = 0usize;
         loop {
-            // The tree-walk spends these units one at a time on the
-            // descent to this op's action, but performs no fallible
-            // action in between — so a single batched add is
-            // observably identical (charge_units reports spent ==
-            // limit + 1 on the trip, as the first over-budget unit
-            // would).
+            // The fuel of every source node whose subtree begins at this
+            // op, due before the op acts.
             let units = code.charges[pc];
             if units > 0 {
-                self.charge_units(u64::from(units))?;
+                self.charge(u64::from(units))?;
             }
             self.vm_ops += 1;
             match code.ops[pc] {
@@ -1668,9 +1593,8 @@ impl<'a> ReExecutor<'a> {
                 Op::ForEnter => {
                     let l = vm_pop(stack)?;
                     // All members must iterate the same number of
-                    // times; non-list members reject before the
-                    // length-divergence verdict (tree-walk error
-                    // order).
+                    // times; a non-list member rejects before the
+                    // length-divergence verdict.
                     let len = match &l {
                         MultiValue::Uniform(v) => {
                             let Some(items) = v.as_list() else {
@@ -1885,7 +1809,7 @@ impl<'a> ReExecutor<'a> {
         let mut fuel = u64::from(units);
         for &units in &code.charges[pc + 1..end] {
             if units > 0 {
-                self.charge_units(u64::from(units))?;
+                self.charge(u64::from(units))?;
                 fuel += u64::from(units);
             }
             self.vm_ops += 1;
@@ -1921,269 +1845,6 @@ impl<'a> ReExecutor<'a> {
             }
         }
         Ok(frame.idx)
-    }
-
-    fn exec_block<'f>(
-        &mut self,
-        g: &Group<'a>,
-        active: &mut Queue,
-        frame: &mut Frame<'f>,
-        stmts: &'f [RStmt],
-    ) -> Result<(), RejectReason> {
-        for stmt in stmts {
-            self.exec_stmt(g, active, frame, stmt)?;
-        }
-        Ok(())
-    }
-
-    fn exec_stmt<'f>(
-        &mut self,
-        g: &Group<'a>,
-        active: &mut Queue,
-        frame: &mut Frame<'f>,
-        stmt: &'f RStmt,
-    ) -> Result<(), RejectReason> {
-        // One fuel unit per statement: advice-driven control flow
-        // (loops, recursion) burns fuel and hits the budget instead of
-        // spinning the verifier forever.
-        self.charge(1)?;
-        match stmt {
-            RStmt::Let(slot, e) => {
-                let v = self.eval(g, frame, e)?;
-                if let Some(s) = frame.locals.get_mut(*slot as usize) {
-                    *s = Some(v);
-                }
-            }
-            RStmt::SharedWrite {
-                var,
-                loggable,
-                value,
-            } => {
-                let v = self.eval(g, frame, value)?;
-                if *loggable {
-                    self.write_logged(g, frame, *var, &v)?;
-                } else {
-                    self.write_nonlog(g, *var, &v);
-                }
-            }
-            RStmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                let c = self.eval(g, frame, cond)?;
-                let Some(taken) = c.truthiness(g.n()) else {
-                    return Err(RejectReason::Divergence {
-                        context: "if condition".into(),
-                    });
-                };
-                let branch = if taken { then_branch } else { else_branch };
-                self.exec_block(g, active, frame, branch)?;
-            }
-            RStmt::While { cond, body } => {
-                let mut iters = 0u32;
-                loop {
-                    let c = self.eval(g, frame, cond)?;
-                    let Some(taken) = c.truthiness(g.n()) else {
-                        return Err(RejectReason::Divergence {
-                            context: "while condition".into(),
-                        });
-                    };
-                    if !taken {
-                        break;
-                    }
-                    iters += 1;
-                    if iters > LOOP_LIMIT {
-                        return Err(RejectReason::ReexecError {
-                            message: "while loop exceeded iteration limit".into(),
-                        });
-                    }
-                    self.exec_block(g, active, frame, body)?;
-                }
-            }
-            RStmt::ForEach { slot, list, body } => {
-                let l = self.eval(g, frame, list)?;
-                // All members must iterate the same number of times.
-                // Non-list members are rejected for the whole group
-                // before the length-divergence verdict, preserving the
-                // name-based interpreter's error order.
-                let len = match &l {
-                    MultiValue::Uniform(v) => {
-                        let Some(items) = v.as_list() else {
-                            return Err(RejectReason::ReexecError {
-                                message: "for-each over non-list".into(),
-                            });
-                        };
-                        items.len()
-                    }
-                    MultiValue::Per(vs) => {
-                        let mut lens = Vec::with_capacity(vs.len());
-                        for v in vs {
-                            let Some(items) = v.as_list() else {
-                                return Err(RejectReason::ReexecError {
-                                    message: "for-each over non-list".into(),
-                                });
-                            };
-                            lens.push(items.len());
-                        }
-                        if lens.windows(2).any(|w| w[0] != w[1]) {
-                            return Err(RejectReason::Divergence {
-                                context: "for-each length".into(),
-                            });
-                        }
-                        lens.first().copied().unwrap_or(0)
-                    }
-                };
-                let nth = |v: &Value, i: usize| -> Result<Value, RejectReason> {
-                    v.as_list()
-                        .and_then(|items| items.get(i).cloned())
-                        .ok_or_else(|| RejectReason::ReexecError {
-                            message: "for-each item out of range".into(),
-                        })
-                };
-                for item_idx in 0..len {
-                    let item = match &l {
-                        MultiValue::Uniform(v) => MultiValue::uniform(nth(v, item_idx)?),
-                        MultiValue::Per(vs) => MultiValue::from_vec(
-                            vs.iter()
-                                .map(|v| nth(v, item_idx))
-                                .collect::<Result<_, _>>()?,
-                        ),
-                    };
-                    if let Some(s) = frame.locals.get_mut(*slot as usize) {
-                        *s = Some(item);
-                    }
-                    self.exec_block(g, active, frame, body)?;
-                }
-            }
-            RStmt::Emit { event, payload } => {
-                let payload = self.eval(g, frame, payload)?;
-                let idx = self.bump(g, frame)?;
-                let program = self.program;
-                let event = program.resolved().interner.resolve(*event);
-                for i in 0..g.n() {
-                    self.consume_handler_op(g, frame, i, &ExpectedOp::Emit { event })?;
-                }
-                self.activate_handlers(g, active, frame, idx, payload)?;
-            }
-            RStmt::Register { event, function } => {
-                self.bump(g, frame)?;
-                let program = self.program;
-                let event = program.resolved().interner.resolve(*event);
-                let expected = ExpectedOp::Register {
-                    event,
-                    function: *function,
-                };
-                for i in 0..g.n() {
-                    self.consume_handler_op(g, frame, i, &expected)?;
-                }
-            }
-            RStmt::Unregister { event, function } => {
-                self.bump(g, frame)?;
-                let program = self.program;
-                let event = program.resolved().interner.resolve(*event);
-                let expected = ExpectedOp::Unregister {
-                    event,
-                    function: *function,
-                };
-                for i in 0..g.n() {
-                    self.consume_handler_op(g, frame, i, &expected)?;
-                }
-            }
-            RStmt::Respond(e) => {
-                let v = self.eval(g, frame, e)?;
-                for (rid, val) in g.rids.iter().zip(v.iter(g.n())) {
-                    match self.advice.response_emitted_by.get(rid) {
-                        Some((h, i)) if *h == frame.hid && *i == frame.idx => {}
-                        _ => return Err(RejectReason::ResponseEmitterMismatch { rid: *rid }),
-                    }
-                    self.outputs.push((*rid, val.clone()));
-                }
-            }
-            RStmt::TxStart { ctx, on_done } => {
-                let ctx = self.eval(g, frame, ctx)?;
-                self.exec_tx_start(g, active, frame, ctx, *on_done)?;
-            }
-            RStmt::TxGet {
-                tx,
-                key,
-                ctx,
-                on_done,
-            } => {
-                self.exec_tx_op(
-                    g,
-                    active,
-                    frame,
-                    TxOpType::Get,
-                    tx,
-                    Some(key),
-                    None,
-                    ctx,
-                    *on_done,
-                )?;
-            }
-            RStmt::TxPut {
-                tx,
-                key,
-                value,
-                ctx,
-                on_done,
-            } => {
-                self.exec_tx_op(
-                    g,
-                    active,
-                    frame,
-                    TxOpType::Put,
-                    tx,
-                    Some(key),
-                    Some(value),
-                    ctx,
-                    *on_done,
-                )?;
-            }
-            RStmt::TxCommit { tx, ctx, on_done } => {
-                self.exec_tx_op(
-                    g,
-                    active,
-                    frame,
-                    TxOpType::Commit,
-                    tx,
-                    None,
-                    None,
-                    ctx,
-                    *on_done,
-                )?;
-            }
-            RStmt::TxAbort { tx, ctx, on_done } => {
-                self.exec_tx_op(
-                    g,
-                    active,
-                    frame,
-                    TxOpType::Abort,
-                    tx,
-                    None,
-                    None,
-                    ctx,
-                    *on_done,
-                )?;
-            }
-            RStmt::ListenerCount { slot, event } => {
-                self.bump(g, frame)?;
-                let program = self.program;
-                let event = program.resolved().interner.resolve(*event);
-                let mv = MultiValue::collect(g.n(), |i| self.listener_count(g, frame, i, event))?;
-                if let Some(s) = frame.locals.get_mut(*slot as usize) {
-                    *s = Some(mv);
-                }
-            }
-            RStmt::Nondet { slot, kind } => {
-                let mv = self.read_nondet(g, frame, *kind)?;
-                if let Some(s) = frame.locals.get_mut(*slot as usize) {
-                    *s = Some(mv);
-                }
-            }
-        }
-        Ok(())
     }
 
     /// `ActivateHandlers` (Fig. 19 lines 29–34): the emit must activate
@@ -2289,7 +1950,7 @@ impl<'a> ReExecutor<'a> {
     }
 
     /// `tx_start`: issues each member a token for the transaction
-    /// whose log begins at this operation. Shared by both interpreters.
+    /// whose log begins at this operation.
     fn exec_tx_start(
         &mut self,
         g: &Group<'a>,
@@ -2324,33 +1985,9 @@ impl<'a> ReExecutor<'a> {
         self.enqueue_continuation(g, active, frame, idx, on_done, payloads)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn exec_tx_op<'f>(
-        &mut self,
-        g: &Group<'a>,
-        active: &mut Queue,
-        frame: &mut Frame<'f>,
-        requested: TxOpType,
-        tx: &'f RExpr,
-        key: Option<&'f RExpr>,
-        value: Option<&'f RExpr>,
-        ctx: &'f RExpr,
-        on_done: kem::FunctionId,
-    ) -> Result<(), RejectReason> {
-        let tx_v = self.eval(g, frame, tx)?;
-        let key_v = key.map(|k| self.eval(g, frame, k)).transpose()?;
-        let value_v = value.map(|v| self.eval(g, frame, v)).transpose()?;
-        let ctx_v = self.eval(g, frame, ctx)?;
-        self.exec_tx_vals(
-            g, active, frame, requested, tx_v, key_v, value_v, ctx_v, on_done,
-        )
-    }
-
-    /// The operand-independent tail of an asynchronous state operation:
-    /// token resolution, per-transaction sequencing, advice checks, and
-    /// continuation payload construction. Shared by the tree-walk
-    /// ([`Self::exec_tx_op`]) and the bytecode dispatch loop, which
-    /// evaluates the operands from its operand stack.
+    /// An asynchronous state operation other than `tx_start`, from its
+    /// evaluated operands: token resolution, per-transaction sequencing,
+    /// advice checks, and continuation payload construction.
     #[allow(clippy::too_many_arguments)]
     fn exec_tx_vals(
         &mut self,
@@ -2492,7 +2129,7 @@ impl<'a> ReExecutor<'a> {
                     payload.push((Arc::clone(&keys.ok), Value::Bool(true)));
                 }
                 TxOpType::Start => {
-                    return Err(internal("TxStart routed through exec_tx_op"));
+                    return Err(internal("TxStart routed through exec_tx_vals"));
                 }
             }
             payloads.push(Value::from_pairs(payload));
@@ -2586,8 +2223,7 @@ impl<'a> ReExecutor<'a> {
     }
 
     /// A nondeterministic operation by every member: each is fed the
-    /// value the advice recorded at its node. Shared by both
-    /// interpreters.
+    /// value the advice recorded at its node.
     fn read_nondet(
         &mut self,
         g: &Group<'a>,
@@ -2629,7 +2265,7 @@ impl<'a> ReExecutor<'a> {
 
     /// A read of the loggable variable `var` by every member: one
     /// operation, fed per member from the log or the dictionary
-    /// (Fig. 20). Shared by both interpreters.
+    /// (Fig. 20).
     fn read_logged(
         &mut self,
         g: &Group<'a>,
@@ -2644,7 +2280,7 @@ impl<'a> ReExecutor<'a> {
     }
 
     /// A write of `v` to the loggable variable `var` by every member
-    /// (Fig. 21). Shared by both interpreters.
+    /// (Fig. 21).
     fn write_logged(
         &mut self,
         g: &Group<'a>,
@@ -2703,153 +2339,6 @@ impl<'a> ReExecutor<'a> {
         } else {
             self.stats.expanded_ops += 1;
         }
-    }
-
-    fn eval(
-        &mut self,
-        g: &Group<'a>,
-        frame: &mut Frame<'_>,
-        expr: &RExpr,
-    ) -> Result<MultiValue, RejectReason> {
-        // One fuel unit per expression node, matching the statement
-        // charge in `exec_stmt`: together they meter every step the
-        // resolved interpreter takes, independent of thread count.
-        self.charge(1)?;
-        let wrap = |e: kem::RuntimeError| RejectReason::ReexecError { message: e.message };
-        Ok(match expr {
-            RExpr::Const(v) => MultiValue::uniform(v.clone()),
-            RExpr::Local(slot) => match frame.locals.get(*slot as usize).and_then(Option::as_ref) {
-                Some(v) => v.clone(),
-                None => {
-                    return Err(RejectReason::ReexecError {
-                        message: format!("unknown local {}", frame.func.slot_name(*slot)),
-                    })
-                }
-            },
-            RExpr::SharedRead { var, loggable } => {
-                if *loggable {
-                    self.read_logged(g, frame, *var)?
-                } else {
-                    self.read_nonlog(g, *var)?
-                }
-            }
-            RExpr::Bin(op, a, b) => {
-                // And/Or in the live interpreter are eager, so eager
-                // here too keeps operation counts aligned.
-                let a = self.eval(g, frame, a)?;
-                let b = self.eval(g, frame, b)?;
-                let op = *op;
-                a.zip(&b, g.n(), |x, y| kem::eval_binop(op, x, y))
-                    .map_err(wrap)?
-            }
-            RExpr::Not(a) => {
-                let a = self.eval(g, frame, a)?;
-                a.map(|v| Ok::<_, kem::RuntimeError>(Value::Bool(!v.truthy())))
-                    .map_err(wrap)?
-            }
-            RExpr::Field(a, name) => {
-                let a = self.eval(g, frame, a)?;
-                a.map(|v| Ok::<_, kem::RuntimeError>(v.field(name).cloned().unwrap_or(Value::Null)))
-                    .map_err(wrap)?
-            }
-            RExpr::Index(a, i) => {
-                let a = self.eval(g, frame, a)?;
-                let i = self.eval(g, frame, i)?;
-                a.zip(&i, g.n(), kem::eval_index).map_err(wrap)?
-            }
-            RExpr::Len(a) => {
-                let a = self.eval(g, frame, a)?;
-                a.map(kem::eval_len).map_err(wrap)?
-            }
-            RExpr::Contains(a, b) => {
-                let a = self.eval(g, frame, a)?;
-                let b = self.eval(g, frame, b)?;
-                a.zip(&b, g.n(), kem::eval_contains).map_err(wrap)?
-            }
-            RExpr::ListLit(items) => {
-                let evaluated: Vec<MultiValue> = items
-                    .iter()
-                    .map(|e| self.eval(g, frame, e))
-                    .collect::<Result<_, _>>()?;
-                if evaluated.iter().all(MultiValue::is_uniform) {
-                    MultiValue::uniform(Value::from_vec(
-                        evaluated.iter().map(|m| m.get(0).clone()).collect(),
-                    ))
-                } else {
-                    MultiValue::from_vec(
-                        (0..g.n())
-                            .map(|i| {
-                                Value::from_vec(
-                                    evaluated.iter().map(|m| m.get(i).clone()).collect(),
-                                )
-                            })
-                            .collect(),
-                    )
-                }
-            }
-            RExpr::MapLit(pairs) => {
-                let mut evaluated = Vec::with_capacity(pairs.len());
-                for (k, e) in pairs {
-                    evaluated.push((k.clone(), self.eval(g, frame, e)?));
-                }
-                if evaluated.iter().all(|(_, m)| m.is_uniform()) {
-                    MultiValue::uniform(kem::Value::from_pairs(
-                        evaluated.iter().map(|(k, m)| (k.clone(), m.get(0).clone())),
-                    ))
-                } else {
-                    MultiValue::from_vec(
-                        (0..g.n())
-                            .map(|i| {
-                                kem::Value::from_pairs(
-                                    evaluated.iter().map(|(k, m)| (k.clone(), m.get(i).clone())),
-                                )
-                            })
-                            .collect(),
-                    )
-                }
-            }
-            RExpr::MapInsert(m, k, v) => {
-                let m = self.eval(g, frame, m)?;
-                let k = self.eval(g, frame, k)?;
-                let v = self.eval(g, frame, v)?;
-                if m.is_uniform() && k.is_uniform() && v.is_uniform() {
-                    MultiValue::uniform(
-                        kem::eval_map_insert(m.get(0), k.get(0), v.get(0)).map_err(wrap)?,
-                    )
-                } else {
-                    MultiValue::from_vec(
-                        (0..g.n())
-                            .map(|i| kem::eval_map_insert(m.get(i), k.get(i), v.get(i)))
-                            .collect::<Result<_, _>>()
-                            .map_err(wrap)?,
-                    )
-                }
-            }
-            RExpr::MapRemove(m, k) => {
-                let m = self.eval(g, frame, m)?;
-                let k = self.eval(g, frame, k)?;
-                m.zip(&k, g.n(), kem::eval_map_remove).map_err(wrap)?
-            }
-            RExpr::ListPush(l, v) => {
-                let l = self.eval(g, frame, l)?;
-                let v = self.eval(g, frame, v)?;
-                l.zip(&v, g.n(), kem::eval_list_push).map_err(wrap)?
-            }
-            RExpr::Keys(m) => {
-                let m = self.eval(g, frame, m)?;
-                m.map(kem::eval_keys).map_err(wrap)?
-            }
-            RExpr::Digest(e) => {
-                let v = self.eval(g, frame, e)?;
-                v.map(|x| Ok::<_, kem::RuntimeError>(kem::eval_digest(x)))
-                    .map_err(wrap)?
-            }
-            RExpr::ToStr(e) => {
-                let v = self.eval(g, frame, e)?;
-                v.map(|x| Ok::<_, kem::RuntimeError>(kem::eval_to_str(x)))
-                    .map_err(wrap)?
-            }
-        })
     }
 }
 

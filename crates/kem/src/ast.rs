@@ -286,15 +286,14 @@ pub struct Program {
     resolved: std::sync::Arc<crate::resolve::Resolved>,
     /// Flat bytecode for every resolved body (DESIGN.md §11), compiled
     /// once at build time alongside the resolve pass. Both executors
-    /// dispatch over this when bytecode mode is on.
+    /// dispatch over this.
     code: std::sync::Arc<crate::bytecode::CodeSet>,
 }
 
 impl Program {
     /// The resolve pass's output: slot-compiled bodies, the program's
     /// [`Interner`](crate::Interner), and interned global
-    /// registrations. This is the form the runtime and the verifier's
-    /// group replay execute.
+    /// registrations: what [`Program::code`] was compiled from.
     pub fn resolved(&self) -> &crate::resolve::Resolved {
         &self.resolved
     }

@@ -1,46 +1,45 @@
-//! Flat bytecode for resolved KJS bodies: the replay hot path.
+//! Flat bytecode for resolved KJS bodies: what handlers run on.
 //!
-//! The resolve pass (DESIGN.md §7) removed name lookups from the
-//! interpreters; this module removes the tree walk itself. Every
-//! [`RFunction`] body is lowered once, at program build time, to a
-//! dense stream of fixed-width [`Op`]s organized into basic blocks —
-//! the representation Miden-VM's MAST calls a `BasicBlockNode`, and
-//! the shape Orochi's argument for cheap re-execution assumes: the
-//! auditor replays orders of magnitude more operations than the server
-//! executes live, so each replayed operation must cost a few array
-//! indexes, not a recursive `match` over boxed AST nodes.
+//! The resolve pass (DESIGN.md §7) removed name lookups from handler
+//! bodies; this module removes the tree. Every [`RFunction`] body is
+//! lowered once, at program build time, to a dense stream of
+//! fixed-width [`Op`]s organized into basic blocks — the representation
+//! Miden-VM's MAST calls a `BasicBlockNode`, and the shape Orochi's
+//! argument for cheap re-execution assumes: the auditor replays orders
+//! of magnitude more operations than the server executes live, so each
+//! replayed operation must cost a few array indexes, not a recursive
+//! `match` over boxed AST nodes.
 //!
-//! Both executors dispatch over the same stream: [`crate::Runtime`]
-//! (server-side trace collection) interprets ops over single
-//! [`Value`]s, and the verifier's grouped re-executor interprets the
-//! identical ops over multivalues. The compiler is therefore pinned to
-//! the tree-walking interpreters' observable semantics:
+//! There is one interpreter, with two dispatch loops over the same
+//! stream: [`crate::Runtime`] (server-side trace collection) runs the
+//! ops over single [`Value`]s, and the verifier's grouped re-executor
+//! runs the identical ops over multivalues. `lower` is the only
+//! reader of the resolved tree ([`RStmt`], [`RExpr`]), and what it
+//! emits defines the language's observable semantics:
 //!
 //! * **Operand order.** Children compile left-to-right and ops execute
-//!   post-order — exactly the order the tree-walk performs actions
-//!   (hooks, opnum bumps, advice checks), so opnums, digests, and
-//!   error precedence are bit-identical.
+//!   post-order, so a node's actions (hooks, opnum bumps, advice
+//!   checks) happen after its operands', left operand first. `And` and
+//!   `Or` are ordinary [`Op::Bin`]s: both operands are always
+//!   evaluated. Opnums, digests and error precedence follow.
 //! * **Control-flow digests.** The collector digests the sequence of
 //!   `on_branch` bits per handler. [`Op::Branch`], [`Op::LoopBranch`]
-//!   and [`Op::ForNext`] fire the same hooks in the same order, so the
-//!   branch bit-string — which is precisely a canonical encoding of
-//!   the basic-block path the handler takes — is unchanged, and with
-//!   it every control-flow digest and Karousos tag.
-//! * **Fuel.** The tree-walk charges one unit at statement entry and
-//!   one at every expression-node entry (pre-order), while actions
-//!   happen post-order. The compiler emits a parallel *charge table*:
-//!   each node's unit is attached to the first op of that node's
-//!   subtree. Because the tree-walk's charge points between two
-//!   consecutive actions are exactly the entry charges on the descent
-//!   to the next acting node, charging `charges[pc]` units one at a
-//!   time before an op's action reproduces the tree-walk fuel sequence
-//!   — including the exhaustion point and its `spent = limit + 1`
-//!   report — bit for bit.
-//!
-//! `ServerConfig.bytecode` (and the verifier's `AuditOptions.bytecode`)
-//! selects the dispatch loop or the tree-walking fallback at execution
-//! time, default on; compilation always happens, it is one cheap pass
-//! per program.
+//!   and [`Op::ForNext`] fire one hook per decision, in order, so the
+//!   branch bit-string is precisely a canonical encoding of the
+//!   basic-block path the handler takes; every control-flow digest and
+//!   Karousos tag is a function of it.
+//! * **Fuel.** Fuel is defined on the *source program*: one unit per
+//!   statement executed and one per expression node evaluated, a
+//!   `While`'s condition counted once per test, its statement once. It
+//!   is due at node entry, before any of the node's operands act.
+//!   `lower` emits a parallel *charge table* that attaches each node's
+//!   unit to the first op of that node's subtree, so `charges[pc]` is
+//!   the fuel of every node entered between the previous op's action
+//!   and this one's, and a dispatch loop charges it, whole, before the
+//!   op acts. Nothing fallible lies between those entries, so an
+//!   exhausted budget stops the handler before the op whose entry
+//!   overran it and reports `spent = limit + 1` — where the first
+//!   over-budget unit stops the meter. [`fuse`] moves no charge.
 //!
 //! # Operand fusion
 //!
@@ -61,8 +60,8 @@
 //! Otherwise it does what the head op alone does — push the local, push
 //! the constant — and the untouched tail executes as it always did. The
 //! verifier's grouped dispatch takes the first path (a collapsed
-//! instruction at the plain interpreter's cost, the paper's §4.1); the
-//! server VM always takes the second, through an or-pattern on the head
+//! instruction at a single value's cost, the paper's §4.1); the
+//! server's always takes the second, through an or-pattern on the head
 //! arm. Which windows exist was read off the dynamic window histogram
 //! of the four benchmark workloads (EXPERIMENTS.md, PR 21).
 
@@ -90,7 +89,8 @@ pub enum Op {
         /// Whether the access is visible to auditing.
         loggable: bool,
     },
-    /// Pop `b`, `a`; push `a op b` (eager, like the tree walk).
+    /// Pop `b`, `a`; push `a op b` (`And` / `Or` included: no
+    /// short-circuit).
     Bin(BinOp),
     /// Pop `a`; push `!truthy(a)`.
     Not,
@@ -154,9 +154,8 @@ pub enum Op {
         /// First op after the loop.
         end: u32,
     },
-    /// `ForEach` prologue: pop the list, validate it (non-list and
-    /// cross-member length checks keep the tree-walk's error order),
-    /// push an iterator.
+    /// `ForEach` prologue: pop the list, validate it (a non-list
+    /// member, then members of different lengths), push an iterator.
     ForEnter,
     /// Block terminator heading a `ForEach` body: bind the next item
     /// to `slot` and fall through, or pop the iterator and jump.
@@ -279,9 +278,8 @@ pub struct Block {
 pub struct FuncCode {
     /// The opcode stream; always terminated by [`Op::Ret`].
     pub ops: Vec<Op>,
-    /// Parallel fuel-charge table: `charges[pc]` units are charged one
-    /// at a time before `ops[pc]` acts (see the module docs for why
-    /// this reproduces the tree-walk fuel sequence exactly).
+    /// Parallel fuel-charge table: `charges[pc]` units are charged
+    /// before `ops[pc]` acts (module docs, "Fuel").
     pub charges: Vec<u32>,
     /// Constant pool ([`Op::Const`]).
     pub consts: Vec<Value>,
@@ -416,11 +414,10 @@ impl Compiler {
     }
 
     fn stmt(&mut self, stmt: &RStmt) {
-        // The statement's one entry charge lands on the first op the
-        // statement emits — the deepest-leftmost leaf of its first
-        // expression, or the statement op itself when it has none —
-        // mirroring the tree-walk, which charges the statement before
-        // descending into its first expression.
+        // The statement's one unit lands on the first op the statement
+        // emits — the deepest-leftmost leaf of its first expression, or
+        // the statement op itself when it has none: it is due before
+        // anything of the statement acts.
         let start = self.here() as usize;
         match stmt {
             RStmt::Let(slot, e) => {
@@ -575,10 +572,9 @@ impl Compiler {
     }
 
     fn expr(&mut self, e: &RExpr) {
-        // Like statements: the node's entry charge attaches to the
-        // first op of its subtree, so a descent's worth of entry
-        // charges accumulates on the next acting op exactly as the
-        // tree-walk spends it.
+        // Like statements: the node's unit attaches to the first op of
+        // its subtree, so a descent's worth of entries accumulates on
+        // the next acting op.
         let start = self.here() as usize;
         match e {
             RExpr::Const(v) => {
@@ -842,8 +838,9 @@ mod tests {
 
     #[test]
     fn straight_line_compiles_post_order_with_preorder_charges() {
-        // respond(1 + 2): tree-walk charges stmt, Bin, Const(1),
-        // then Const(2) — so the first Const carries 3 units.
+        // respond(1 + 2): the stmt, the Bin and Const(1) are entered
+        // before anything acts, then Const(2) — so the first Const
+        // carries 3 units.
         let (_p, code) = compile_one(vec![respond(add(lit(1i64), lit(2i64)))]);
         assert!(matches!(code.ops[0], Op::Const(_)));
         // `Const; Bin` on an int: the head names the window.
@@ -859,7 +856,7 @@ mod tests {
         assert!(matches!(code.ops[3], Op::Respond));
         assert!(matches!(code.ops[4], Op::Ret));
         assert_eq!(code.charges, vec![3, 1, 0, 0, 0]);
-        // Total charge equals the tree-walk bill: 1 stmt + 3 nodes.
+        // Total charge is the source's bill: 1 stmt + 3 nodes.
         assert_eq!(code.charges.iter().sum::<u32>(), 4);
         assert_eq!(code.max_stack, 2);
         assert_eq!(code.blocks.len(), 1);
@@ -930,7 +927,7 @@ mod tests {
     }
 
     #[test]
-    fn total_charges_match_tree_walk_node_count() {
+    fn total_charges_match_source_node_count() {
         // A body mixing most statement kinds: the summed charge table
         // must equal statements + expression nodes on the path — here
         // verified statically for the straight-line subset.

@@ -30,7 +30,6 @@ pub mod bytecode;
 mod error;
 mod hooks;
 mod ids;
-mod label;
 mod ops;
 pub mod pvalue;
 pub mod resolve;
@@ -44,7 +43,6 @@ pub use ast::{
 pub use error::RuntimeError;
 pub use hooks::{ExecHooks, NoopHooks, TxOpKind, TxOpRecord};
 pub use ids::{FunctionId, HandlerId, Interner, OpRef, RequestId, Sym, VarId};
-pub use label::{Label, LabelAllocator};
 pub use ops::{
     eval_binop, eval_contains, eval_digest, eval_index, eval_keys, eval_len, eval_list_push,
     eval_map_insert, eval_map_remove, eval_to_str, int_binop,
@@ -52,7 +50,8 @@ pub use ops::{
 pub use pvalue::{PList, PMap};
 pub use resolve::{RExpr, RFunction, RStmt, Resolved};
 pub use runtime::{
-    init_handler_id, run_server, RunOutput, Runtime, SchedPolicy, ServerConfig, INIT_FUNCTION,
+    init_handler_id, run_server, tx_payload_keys, RunOutput, Runtime, SchedPolicy, ServerConfig,
+    TxPayloadKeys, INIT_FUNCTION,
 };
 pub use trace::{Exchange, Trace, TraceEvent};
 pub use value::{Fnv, Value, ValueInterner};

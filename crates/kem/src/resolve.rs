@@ -24,7 +24,7 @@
 //!
 //! The resolved form is a parallel IR: the original string AST stays
 //! the source of truth for digests of *programs*, while [`Resolved`]
-//! is what the interpreters execute.
+//! is what [`crate::bytecode`] compiles and nothing else reads.
 
 use std::collections::{BTreeMap, HashMap};
 

@@ -28,22 +28,32 @@ use crate::ast::{NondetKind, Program};
 use crate::error::RuntimeError;
 use crate::hooks::{ExecHooks, TxOpKind, TxOpRecord};
 use crate::ids::{FunctionId, HandlerId, RequestId, Sym, VarId};
-use crate::resolve::{RExpr, RFunction, RStmt, Resolved};
+use crate::resolve::{RFunction, Resolved};
 use crate::trace::Trace;
 use crate::value::Value;
 
-/// Interned keys for transactional continuation payloads. Cloning an
+/// The keys of a transactional continuation's payload: what the store
+/// hands an `on_done` handler, and so what applications read. The
+/// runtime builds the payload under these keys and the verifier's replay
+/// rebuilds it under the same ones, key for key. Interned: cloning an
 /// `Arc<str>` is a refcount bump, not an allocation, so every payload
-/// the store hands to a continuation shares these five strings.
-struct TxPayloadKeys {
-    ctx: Arc<str>,
-    tx: Arc<str>,
-    ok: Arc<str>,
-    found: Arc<str>,
-    value: Arc<str>,
+/// shares these five strings.
+#[derive(Debug)]
+pub struct TxPayloadKeys {
+    /// `ctx`: the issuing statement's context value, forwarded.
+    pub ctx: Arc<str>,
+    /// `tx`: the transaction token.
+    pub tx: Arc<str>,
+    /// `ok`: `false` when the operation conflicted and aborted.
+    pub ok: Arc<str>,
+    /// `found`: whether a `GET`'s key existed.
+    pub found: Arc<str>,
+    /// `value`: what a `GET` read (`null` when not found).
+    pub value: Arc<str>,
 }
 
-fn tx_payload_keys() -> &'static TxPayloadKeys {
+/// The one [`TxPayloadKeys`].
+pub fn tx_payload_keys() -> &'static TxPayloadKeys {
     static KEYS: OnceLock<TxPayloadKeys> = OnceLock::new();
     KEYS.get_or_init(|| TxPayloadKeys {
         ctx: Arc::from("ctx"),
@@ -86,16 +96,16 @@ pub struct ServerConfig {
     pub policy: SchedPolicy,
     /// Guard against runaway `While` loops (iterations per loop).
     pub loop_limit: u32,
-    /// Total interpreter steps (statements + expression nodes) the run
-    /// may execute before erroring out. `u64::MAX` means unmetered —
-    /// the live server trusts its own program; harnesses that execute
+    /// Total interpreter fuel the run may burn before erroring out: one
+    /// unit per statement executed and per expression node evaluated
+    /// ([`crate::bytecode`], "Fuel"). `u64::MAX` means unmetered — the
+    /// live server trusts its own program; harnesses that execute
     /// adversarial or generated programs set a budget so a loop bomb
     /// terminates deterministically instead of spinning.
     pub fuel_limit: u64,
-    /// Dispatch handler bodies over the compiled bytecode
-    /// ([`crate::bytecode`]) instead of tree-walking the resolved AST.
-    /// Both paths are observably identical (hooks, opnums, errors,
-    /// fuel); on by default.
+    /// Read by nothing: handlers always run on the bytecode VM. Kept for
+    /// `benchmark/src/adapter.rs`; removed by ROADMAP item 1 step 1.
+    #[doc(hidden)]
     pub bytecode: bool,
 }
 
@@ -254,25 +264,12 @@ impl<'p> Runtime<'p> {
         }
     }
 
-    /// Burns one unit of interpreter fuel; errors once the configured
-    /// budget is exhausted. Charged per statement and per expression
-    /// node, mirroring the verifier's replay meter.
+    /// Burns `n` units of interpreter fuel — the charges `lower` folded
+    /// onto one op — and errors once the configured budget is exhausted,
+    /// leaving the meter at `limit + 1`: where the first over-budget unit
+    /// stops it.
     #[inline]
-    fn burn_fuel(&mut self) -> Result<(), RuntimeError> {
-        self.fuel = self.fuel.saturating_add(1);
-        if self.fuel > self.cfg.fuel_limit {
-            return Err(RuntimeError::new("interpreter fuel budget exhausted"));
-        }
-        Ok(())
-    }
-
-    /// Batched [`Self::burn_fuel`]: the compiler folds consecutive
-    /// entry charges onto one op with no fallible action in between,
-    /// so adding them at once is observably identical — including the
-    /// post-trip fuel value of `limit + 1` that the first over-budget
-    /// unit would leave behind.
-    #[inline]
-    fn burn_fuel_units(&mut self, n: u64) -> Result<(), RuntimeError> {
+    fn burn_fuel(&mut self, n: u64) -> Result<(), RuntimeError> {
         let new = self.fuel.saturating_add(n);
         if new > self.cfg.fuel_limit {
             self.fuel = self.cfg.fuel_limit.saturating_add(1);
@@ -392,12 +389,8 @@ impl<'p> Runtime<'p> {
             // Slot 0 is always `payload` (pre-assigned by the resolver).
             *s0 = Some(act.payload);
         }
-        if self.cfg.bytecode {
-            let code = &self.program.code().funcs[act.function.0 as usize];
-            self.exec_code(&mut frame, code, hooks)?;
-        } else {
-            self.exec_block(&mut frame, &func.body, hooks)?;
-        }
+        let code = &self.program.code().funcs[act.function.0 as usize];
+        self.exec_code(&mut frame, code, hooks)?;
         hooks.on_handler_end(frame.rid, &frame.hid, frame.opnum);
         // `self.fuel` is cumulative across the interleaved run, so the
         // delta is exactly this activation's burn (activations run to
@@ -406,12 +399,8 @@ impl<'p> Runtime<'p> {
         Ok(())
     }
 
-    /// Bytecode dispatch over one handler body: observably identical to
-    /// [`Self::exec_block`] over the same resolved function — same
-    /// hooks in the same order, same opnums, same errors with the same
-    /// messages and precedence, same fuel sequence (the compiler's
-    /// charge table attaches every tree-walk entry charge to the first
-    /// op of the charged node's subtree; see [`crate::bytecode`]).
+    /// Runs one handler body: the dispatch loop over its compiled ops
+    /// ([`crate::bytecode`]), on the runtime's pooled scratch.
     fn exec_code<H: ExecHooks>(
         &mut self,
         frame: &mut Frame<'_>,
@@ -450,12 +439,11 @@ impl<'p> Runtime<'p> {
         };
         let mut pc = 0usize;
         loop {
-            // The tree-walk spends these units one at a time on the
-            // descent to this op's action, with no fallible action in
-            // between — one batched add is observably identical.
+            // The fuel of every source node whose subtree begins at this
+            // op, due before the op acts.
             let units = code.charges[pc];
             if units > 0 {
-                self.burn_fuel_units(u64::from(units))?;
+                self.burn_fuel(u64::from(units))?;
             }
             match code.ops[pc] {
                 // A fused op (`bytecode`, "Operand fusion") is its head
@@ -681,9 +669,9 @@ impl<'p> Runtime<'p> {
                     self.in_flight -= 1;
                 }
                 Op::TxToken => {
-                    // The tree-walk validates the token between operand
-                    // evaluations; peek (the terminal tx op still needs
-                    // it) and fail with the identical error.
+                    // The token is validated between operand evaluations:
+                    // a bad one fails before the key or the context is
+                    // evaluated. Peek — the terminal tx op still needs it.
                     let tx_v = stack.last().expect("compiler balances the operand stack");
                     if tx_v.as_int().is_none() {
                         return Err(RuntimeError::type_error("transaction token", tx_v));
@@ -770,10 +758,9 @@ impl<'p> Runtime<'p> {
         }
     }
 
-    /// Queues a non-start transactional op from already-evaluated
-    /// operands (the bytecode path's tail of [`Self::queue_tx_op`];
-    /// the type checks repeat the tree-walk's conversions verbatim,
-    /// though [`Op::TxToken`]/[`Op::RowKey`] already screened them).
+    /// Queues a non-start transactional op from its evaluated operands
+    /// (the conversions cannot fail here: `Op::TxToken` / `Op::RowKey`
+    /// screened the token and the key on the way).
     #[allow(clippy::too_many_arguments)]
     fn queue_tx_vals(
         &mut self,
@@ -797,299 +784,6 @@ impl<'p> Runtime<'p> {
             ),
             None => None,
         };
-        frame.opnum += 1;
-        self.pending_db.push_back(PendingDb {
-            rid: frame.rid,
-            parent: frame.hid.clone(),
-            opnum: frame.opnum,
-            kind,
-            txn: Some(txn),
-            key,
-            value,
-            ctx,
-            on_done,
-        });
-        Ok(())
-    }
-
-    fn exec_block<'f, H: ExecHooks>(
-        &mut self,
-        frame: &mut Frame<'f>,
-        stmts: &'f [RStmt],
-        hooks: &mut H,
-    ) -> Result<(), RuntimeError> {
-        for stmt in stmts {
-            self.exec_stmt(frame, stmt, hooks)?;
-        }
-        Ok(())
-    }
-
-    fn exec_stmt<'f, H: ExecHooks>(
-        &mut self,
-        frame: &mut Frame<'f>,
-        stmt: &'f RStmt,
-        hooks: &mut H,
-    ) -> Result<(), RuntimeError> {
-        self.burn_fuel()?;
-        match stmt {
-            RStmt::Let(slot, e) => {
-                let v = self.eval(frame, e, hooks)?;
-                frame.locals[*slot as usize] = Some(v);
-            }
-            RStmt::SharedWrite {
-                var,
-                loggable,
-                value,
-            } => {
-                let v = self.eval(frame, value, hooks)?;
-                if *loggable {
-                    frame.opnum += 1;
-                    hooks.on_var_write(*var, frame.rid, &frame.hid, frame.opnum, &v);
-                }
-                self.vars[var.0 as usize] = v;
-            }
-            RStmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                let taken = self.eval(frame, cond, hooks)?.truthy();
-                hooks.on_branch(frame.rid, &frame.hid, taken);
-                let branch = if taken { then_branch } else { else_branch };
-                self.exec_block(frame, branch, hooks)?;
-            }
-            RStmt::While { cond, body } => {
-                let mut iters = 0u32;
-                loop {
-                    let taken = self.eval(frame, cond, hooks)?.truthy();
-                    hooks.on_branch(frame.rid, &frame.hid, taken);
-                    if !taken {
-                        break;
-                    }
-                    iters += 1;
-                    if iters > self.cfg.loop_limit {
-                        return Err(RuntimeError::new("while loop exceeded iteration limit"));
-                    }
-                    self.exec_block(frame, body, hooks)?;
-                }
-            }
-            RStmt::ForEach { slot, list, body } => {
-                let list_v = self.eval(frame, list, hooks)?;
-                if list_v.as_list().is_none() {
-                    return Err(RuntimeError::type_error("for-each", &list_v));
-                }
-                let mut idx = 0usize;
-                // Iterate the owned snapshot by index: no `to_vec`
-                // clone of the whole list up front.
-                while let Some(item) = list_v.as_list().and_then(|l| l.get(idx)).cloned() {
-                    hooks.on_branch(frame.rid, &frame.hid, true);
-                    frame.locals[*slot as usize] = Some(item);
-                    self.exec_block(frame, body, hooks)?;
-                    idx += 1;
-                }
-                hooks.on_branch(frame.rid, &frame.hid, false);
-            }
-            RStmt::Emit { event, payload } => {
-                let payload = self.eval(frame, payload, hooks)?;
-                frame.opnum += 1;
-                let fns = self.registered_for(frame.rid, *event);
-                let activations: Vec<Activation> = fns
-                    .iter()
-                    .map(|&f| Activation {
-                        rid: frame.rid,
-                        hid: HandlerId::child(&frame.hid, f, frame.opnum),
-                        function: f,
-                        payload: payload.clone(),
-                    })
-                    .collect();
-                let hids: Vec<HandlerId> = activations.iter().map(|a| a.hid.clone()).collect();
-                let event_name = self.resolved.interner.resolve(*event);
-                hooks.on_emit(frame.rid, &frame.hid, frame.opnum, event_name, &hids);
-                if !activations.is_empty() {
-                    self.pending_events.push_back(PendingEvent { activations });
-                }
-            }
-            RStmt::Register { event, function } => {
-                let f = *function;
-                frame.opnum += 1;
-                let resolved = self.resolved;
-                let regs = self.request_regs.entry(frame.rid).or_default();
-                if regs.iter().any(|(e, g)| e == event && *g == f)
-                    || resolved
-                        .global_regs
-                        .iter()
-                        .any(|(e, g)| e == event && *g == f)
-                {
-                    let fname = self
-                        .program
-                        .functions
-                        .get(f.0 as usize)
-                        .map_or("?", |fun| fun.name.as_str());
-                    let ename = resolved.interner.resolve(*event);
-                    return Err(RuntimeError::new(format!(
-                        "function {fname:?} already registered for event {ename:?}"
-                    )));
-                }
-                regs.push((*event, f));
-                let event_name = resolved.interner.resolve(*event);
-                hooks.on_register(frame.rid, &frame.hid, frame.opnum, event_name, f);
-            }
-            RStmt::Unregister { event, function } => {
-                let f = *function;
-                frame.opnum += 1;
-                if let Some(regs) = self.request_regs.get_mut(&frame.rid) {
-                    regs.retain(|(e, g)| !(e == event && *g == f));
-                }
-                let event_name = self.resolved.interner.resolve(*event);
-                hooks.on_unregister(frame.rid, &frame.hid, frame.opnum, event_name, f);
-            }
-            RStmt::Respond(e) => {
-                let v = self.eval(frame, e, hooks)?;
-                match self.responded.get_mut(&frame.rid) {
-                    Some(done) if !*done => *done = true,
-                    Some(_) => {
-                        return Err(RuntimeError::new(format!(
-                            "request {} responded twice",
-                            frame.rid
-                        )))
-                    }
-                    None => {
-                        return Err(RuntimeError::new(format!(
-                            "response for unknown request {}",
-                            frame.rid
-                        )))
-                    }
-                }
-                hooks.on_respond(frame.rid, &frame.hid, frame.opnum, &v);
-                self.trace.push_response(frame.rid, v);
-                self.in_flight -= 1;
-            }
-            RStmt::TxStart { ctx, on_done } => {
-                let ctx = self.eval(frame, ctx, hooks)?;
-                let on_done = *on_done;
-                frame.opnum += 1;
-                self.pending_db.push_back(PendingDb {
-                    rid: frame.rid,
-                    parent: frame.hid.clone(),
-                    opnum: frame.opnum,
-                    kind: TxOpKind::Start,
-                    txn: None,
-                    key: None,
-                    value: None,
-                    ctx,
-                    on_done,
-                });
-            }
-            RStmt::TxGet {
-                tx,
-                key,
-                ctx,
-                on_done,
-            } => {
-                self.queue_tx_op(
-                    frame,
-                    TxOpKind::Get,
-                    tx,
-                    Some(key),
-                    None,
-                    ctx,
-                    *on_done,
-                    hooks,
-                )?;
-            }
-            RStmt::TxPut {
-                tx,
-                key,
-                value,
-                ctx,
-                on_done,
-            } => {
-                self.queue_tx_op(
-                    frame,
-                    TxOpKind::Put,
-                    tx,
-                    Some(key),
-                    Some(value),
-                    ctx,
-                    *on_done,
-                    hooks,
-                )?;
-            }
-            RStmt::TxCommit { tx, ctx, on_done } => {
-                self.queue_tx_op(
-                    frame,
-                    TxOpKind::Commit,
-                    tx,
-                    None,
-                    None,
-                    ctx,
-                    *on_done,
-                    hooks,
-                )?;
-            }
-            RStmt::TxAbort { tx, ctx, on_done } => {
-                self.queue_tx_op(frame, TxOpKind::Abort, tx, None, None, ctx, *on_done, hooks)?;
-            }
-            RStmt::ListenerCount { slot, event } => {
-                frame.opnum += 1;
-                let count = self.registered_for(frame.rid, *event).len() as i64;
-                let event_name = self.resolved.interner.resolve(*event);
-                hooks.on_check_op(frame.rid, &frame.hid, frame.opnum, event_name, count);
-                frame.locals[*slot as usize] = Some(Value::Int(count));
-            }
-            RStmt::Nondet { slot, kind } => {
-                frame.opnum += 1;
-                let generated = match kind {
-                    NondetKind::Counter => {
-                        self.nondet_counter += 1;
-                        Value::Int(self.nondet_counter)
-                    }
-                    NondetKind::Random { bound } => {
-                        Value::Int(self.nondet_rng.gen_range(0..(*bound).max(1)))
-                    }
-                };
-                let v = hooks
-                    .on_nondet(frame.rid, &frame.hid, frame.opnum, &generated)
-                    .unwrap_or(generated);
-                frame.locals[*slot as usize] = Some(v);
-            }
-        }
-        Ok(())
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn queue_tx_op<'f, H: ExecHooks>(
-        &mut self,
-        frame: &mut Frame<'f>,
-        kind: TxOpKind,
-        tx: &'f RExpr,
-        key: Option<&'f RExpr>,
-        value: Option<&'f RExpr>,
-        ctx: &'f RExpr,
-        on_done: FunctionId,
-        hooks: &mut H,
-    ) -> Result<(), RuntimeError> {
-        let tx_v = self.eval(frame, tx, hooks)?;
-        let txn = tx_v
-            .as_int()
-            .map(|i| TxnId(i as u64))
-            .ok_or_else(|| RuntimeError::type_error("transaction token", &tx_v))?;
-        let key = match key {
-            Some(k) => {
-                let kv = self.eval(frame, k, hooks)?;
-                Some(
-                    kv.as_str()
-                        .map(str::to_string)
-                        .ok_or_else(|| RuntimeError::type_error("row key", &kv))?,
-                )
-            }
-            None => None,
-        };
-        let value = match value {
-            Some(v) => Some(self.eval(frame, v, hooks)?),
-            None => None,
-        };
-        let ctx = self.eval(frame, ctx, hooks)?;
         frame.opnum += 1;
         self.pending_db.push_back(PendingDb {
             rid: frame.rid,
@@ -1220,98 +914,6 @@ impl<'p> Runtime<'p> {
         }
         out
     }
-
-    fn eval<'f, H: ExecHooks>(
-        &mut self,
-        frame: &mut Frame<'f>,
-        expr: &'f RExpr,
-        hooks: &mut H,
-    ) -> Result<Value, RuntimeError> {
-        self.burn_fuel()?;
-        Ok(match expr {
-            RExpr::Const(v) => v.clone(),
-            RExpr::Local(slot) => match frame.locals.get(*slot as usize).and_then(Option::as_ref) {
-                Some(v) => v.clone(),
-                None => {
-                    let name = frame.func.slot_name(*slot);
-                    return Err(RuntimeError::new(format!("unknown local {name:?}")));
-                }
-            },
-            RExpr::SharedRead { var, loggable } => {
-                let v = self.vars[var.0 as usize].clone();
-                if *loggable {
-                    frame.opnum += 1;
-                    hooks.on_var_read(*var, frame.rid, &frame.hid, frame.opnum, &v);
-                }
-                v
-            }
-            RExpr::Bin(op, a, b) => {
-                let a = self.eval(frame, a, hooks)?;
-                let b = self.eval(frame, b, hooks)?;
-                crate::ops::eval_binop(*op, &a, &b)?
-            }
-            RExpr::Not(a) => Value::Bool(!self.eval(frame, a, hooks)?.truthy()),
-            RExpr::Field(a, name) => {
-                let a = self.eval(frame, a, hooks)?;
-                a.field(name).cloned().unwrap_or(Value::Null)
-            }
-            RExpr::Index(a, i) => {
-                let a = self.eval(frame, a, hooks)?;
-                let i = self.eval(frame, i, hooks)?;
-                crate::ops::eval_index(&a, &i)?
-            }
-            RExpr::Len(a) => {
-                let a = self.eval(frame, a, hooks)?;
-                crate::ops::eval_len(&a)?
-            }
-            RExpr::Contains(a, b) => {
-                let a = self.eval(frame, a, hooks)?;
-                let b = self.eval(frame, b, hooks)?;
-                crate::ops::eval_contains(&a, &b)?
-            }
-            RExpr::ListLit(items) => Value::from_vec(
-                items
-                    .iter()
-                    .map(|e| self.eval(frame, e, hooks))
-                    .collect::<Result<_, _>>()?,
-            ),
-            RExpr::MapLit(pairs) => {
-                let mut entries = Vec::with_capacity(pairs.len());
-                for (k, e) in pairs {
-                    entries.push((k.clone(), self.eval(frame, e, hooks)?));
-                }
-                Value::from_pairs(entries)
-            }
-            RExpr::MapInsert(m, k, v) => {
-                let m_v = self.eval(frame, m, hooks)?;
-                let k_v = self.eval(frame, k, hooks)?;
-                let v_v = self.eval(frame, v, hooks)?;
-                crate::ops::eval_map_insert(&m_v, &k_v, &v_v)?
-            }
-            RExpr::MapRemove(m, k) => {
-                let m_v = self.eval(frame, m, hooks)?;
-                let k_v = self.eval(frame, k, hooks)?;
-                crate::ops::eval_map_remove(&m_v, &k_v)?
-            }
-            RExpr::ListPush(l, v) => {
-                let l_v = self.eval(frame, l, hooks)?;
-                let v_v = self.eval(frame, v, hooks)?;
-                crate::ops::eval_list_push(&l_v, &v_v)?
-            }
-            RExpr::Keys(m) => {
-                let m_v = self.eval(frame, m, hooks)?;
-                crate::ops::eval_keys(&m_v)?
-            }
-            RExpr::Digest(e) => {
-                let v = self.eval(frame, e, hooks)?;
-                crate::ops::eval_digest(&v)
-            }
-            RExpr::ToStr(e) => {
-                let v = self.eval(frame, e, hooks)?;
-                crate::ops::eval_to_str(&v)
-            }
-        })
-    }
 }
 
 #[cfg(test)]
@@ -1334,6 +936,13 @@ mod tests {
 
     fn run_simple(program: &Program, inputs: &[Value]) -> RunOutput {
         run_server(program, inputs, &ServerConfig::default(), &mut NoopHooks).unwrap()
+    }
+
+    #[test]
+    fn tx_payload_keys_are_the_names_applications_read() {
+        let k = tx_payload_keys();
+        let names = [&k.ctx, &k.tx, &k.ok, &k.found, &k.value].map(|key| &**key);
+        assert_eq!(names, ["ctx", "tx", "ok", "found", "value"]);
     }
 
     #[test]

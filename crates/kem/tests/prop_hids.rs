@@ -1,11 +1,7 @@
-//! Equivalence of the two `A`-relation encodings: handler-id paths
-//! (this codebase's representation) and the paper's §5 labels.
-//!
-//! For random activation trees, `label(h).is_prefix_of(label(h'))`
-//! must agree with `hid(h).is_ancestor_of(hid(h'))`, and both
-//! activator computations must agree.
+//! Properties of handler-id paths, the `A`-relation encoding the wire
+//! format and the verifier rely on, over random activation forests.
 
-use kem::{FunctionId, HandlerId, Label, LabelAllocator};
+use kem::{FunctionId, HandlerId};
 use proptest::prelude::*;
 
 /// A random forest: node i attaches to an earlier node or is a root.
@@ -21,19 +17,14 @@ fn arb_forest(n: usize) -> impl Strategy<Value = Vec<Option<usize>>> {
     })
 }
 
-fn materialize(parents: &[Option<usize>]) -> (Vec<HandlerId>, Vec<Label>) {
-    let mut alloc = LabelAllocator::new();
+fn materialize(parents: &[Option<usize>]) -> Vec<HandlerId> {
     let mut hids: Vec<HandlerId> = Vec::with_capacity(parents.len());
-    let mut labels: Vec<Label> = Vec::with_capacity(parents.len());
     // Track per-parent child counts for handler-id opnums, mirroring
     // the runtime's emit opnums.
     let mut child_count: Vec<u32> = vec![0; parents.len()];
     for (i, parent) in parents.iter().enumerate() {
         match parent {
-            None => {
-                hids.push(HandlerId::root(FunctionId(i as u32)));
-                labels.push(alloc.alloc_root());
-            }
+            None => hids.push(HandlerId::root(FunctionId(i as u32))),
             Some(p) => {
                 child_count[*p] += 1;
                 hids.push(HandlerId::child(
@@ -41,44 +32,32 @@ fn materialize(parents: &[Option<usize>]) -> (Vec<HandlerId>, Vec<Label>) {
                     FunctionId(i as u32),
                     child_count[*p],
                 ));
-                labels.push(alloc.alloc_child(&labels[*p]));
             }
         }
     }
-    (hids, labels)
+    hids
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
+    /// `parent` is the forest's edge and `is_ancestor_of` (the `A`
+    /// test) its strict transitive closure.
     #[test]
-    fn labels_and_paths_agree_on_a(parents in arb_forest(12)) {
-        let (hids, labels) = materialize(&parents);
+    fn hid_ancestry_is_the_forest(parents in arb_forest(12)) {
+        let hids = materialize(&parents);
         for i in 0..hids.len() {
+            prop_assert_eq!(hids[i].parent(), parents[i].map(|p| &hids[p]));
             for j in 0..hids.len() {
+                let mut up = parents[j];
+                while up.is_some_and(|u| u != i) {
+                    up = up.and_then(|u| parents[u]);
+                }
                 prop_assert_eq!(
                     hids[i].is_ancestor_of(&hids[j]),
-                    labels[i].is_prefix_of(&labels[j]),
+                    up == Some(i),
                     "nodes {} and {}", i, j
                 );
-            }
-        }
-    }
-
-    #[test]
-    fn labels_and_paths_agree_on_activator(parents in arb_forest(12)) {
-        let (hids, labels) = materialize(&parents);
-        for i in 0..hids.len() {
-            let hid_parent_idx = parents[i];
-            match hid_parent_idx {
-                None => {
-                    prop_assert!(hids[i].parent().is_none());
-                    prop_assert!(labels[i].activator().is_none());
-                }
-                Some(p) => {
-                    prop_assert_eq!(hids[i].parent(), Some(&hids[p]));
-                    prop_assert_eq!(labels[i].activator(), Some(labels[p].clone()));
-                }
             }
         }
     }
@@ -86,8 +65,7 @@ proptest! {
     /// Handler-id path round-trips survive arbitrary forests.
     #[test]
     fn hid_path_round_trip(parents in arb_forest(12)) {
-        let (hids, _) = materialize(&parents);
-        for hid in &hids {
+        for hid in &materialize(&parents) {
             prop_assert_eq!(&HandlerId::from_path(&hid.path()).unwrap(), hid);
         }
     }
@@ -96,7 +74,7 @@ proptest! {
     /// relation: ancestors sort before descendants.
     #[test]
     fn hid_order_extends_ancestry(parents in arb_forest(12)) {
-        let (hids, _) = materialize(&parents);
+        let hids = materialize(&parents);
         for i in 0..hids.len() {
             for j in 0..hids.len() {
                 if hids[i].is_ancestor_of(&hids[j]) {

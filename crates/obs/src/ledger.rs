@@ -4,10 +4,9 @@
 //! `ObsShard`; the coordinator absorbs shards in ascending group order
 //! (the same merge discipline as the metrics and the per-variable edge
 //! fragments), so the assembled [`CostLedger`] is bit-identical at any
-//! threads × bytecode configuration — for its *deterministic*
-//! columns. Two columns are machine-dependent by
-//! nature and excluded from that contract: `wall_us` (wall clock) and
-//! `alloc_events` (depends on which worker's scratch pools a group
+//! thread count — for its *deterministic* columns. Two columns are
+//! machine-dependent by nature and excluded from that contract:
+//! `wall_us` (wall clock) and `alloc_events` (depends on which worker's scratch pools a group
 //! happened to reuse). [`GroupCost::deterministic_key`] names the
 //! pinned columns; `tests/ledger_determinism.rs` enforces the matrix.
 
@@ -31,7 +30,7 @@ pub struct GroupCost {
     pub uniform_ops: u64,
     /// Operations expanded per member.
     pub expanded_ops: u64,
-    /// Bytecode instructions dispatched (0 under the tree-walk).
+    /// Bytecode instructions dispatched.
     pub bytecode_ops: u64,
     /// Of `bytecode_ops`, those inside fused windows that ran in place
     /// on collapsed integers (`kem::bytecode`, "Operand fusion").
@@ -58,12 +57,9 @@ pub struct GroupCost {
 }
 
 impl GroupCost {
-    /// The columns pinned bit-identical across the threads × bytecode
-    /// matrix. `bytecode_ops`, `fused_ops` and `fused_fuel` are pinned
-    /// only across cells with the same interpreter (the tree-walk
-    /// dispatches none), so they are excluded here and compared
-    /// per-interpreter by the tests.
-    pub fn deterministic_key(&self) -> [u64; 10] {
+    /// The columns pinned bit-identical across thread counts: all but
+    /// the advisory `wall_us` and `alloc_events`.
+    pub fn deterministic_key(&self) -> [u64; 13] {
         [
             self.group,
             self.requests,
@@ -72,6 +68,9 @@ impl GroupCost {
             self.fuel,
             self.uniform_ops,
             self.expanded_ops,
+            self.bytecode_ops,
+            self.fused_ops,
+            self.fused_fuel,
             self.dict_feeds,
             self.logged_reads,
             self.var_reads + self.var_writes,

@@ -73,9 +73,8 @@ pub enum CounterId {
     /// executed and expression node evaluated; deterministic at every
     /// thread count).
     ReplayFuelSpent,
-    /// Bytecode instructions dispatched by the VM replay loop across
-    /// all groups (zero when `AuditOptions.bytecode` is off and the
-    /// tree-walk replays).
+    /// Bytecode instructions dispatched by the replay loop across all
+    /// groups.
     BytecodeOps,
     /// Groups quarantined to a `ResourceExhausted`/`VerifierInternal`
     /// verdict instead of stopping the whole audit.

@@ -80,10 +80,9 @@ fn honest(program: &Program, inputs: &[Value], seed: u64) -> (RunOutput, Advice)
 
 /// Audits `bytes` under `limits` at every point of the shared matrix
 /// and returns the common outcome: the quarantine verdict (like any
-/// other verdict) must be bit-identical across worker counts, replay
-/// interpreters and telemetry. For `ResourceExhausted` that includes
-/// the `(group, spent, limit)` payload — the VM's batched fuel charging
-/// must trip at exactly the unit the tree-walk would.
+/// other verdict) must be bit-identical across worker counts and
+/// telemetry. For `ResourceExhausted` that includes the `(group, spent,
+/// limit)` payload.
 fn audit_under(
     program: &Program,
     out: &RunOutput,
@@ -168,10 +167,10 @@ fn loop_bomb_is_contained_by_fuel() {
         ..Limits::default()
     };
     assert_contained(&program, &out, &advice, ExhaustMutator::LoopBomb, limits);
-    // The fuel payload must be exact, not merely matrix-identical: the
-    // tree-walk charges one unit at a time so the first over-budget
-    // unit reports spent == limit + 1, and the VM's batched charging
-    // must reproduce that value bit-for-bit.
+    // The fuel payload must be exact, not merely matrix-identical: fuel
+    // is counted a unit at a time on the source program, so the first
+    // over-budget unit reports spent == limit + 1, whatever batch of
+    // charges the VM was adding when it tripped.
     let mutation = ExhaustMutator::LoopBomb.apply(&advice, 7).unwrap();
     match audit_under(&program, &out, &mutation.bytes, limits, "loop bomb") {
         Err(RejectReason::ResourceExhausted {

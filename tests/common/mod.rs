@@ -2,13 +2,12 @@
 //!
 //! An audit's outcome — verdict, statistics, fuel bill and, on
 //! rejection, the exact [`RejectReason`] — must not depend on how it
-//! was run: worker threads {1, 4} × replay interpreter {tree-walk,
-//! bytecode} × telemetry {noop, enabled}. [`audit_matrix`] runs every
-//! point, asserts they agree and returns the outcome they share, so a
-//! test written against it checks its expectation at all eight points
-//! instead of at whichever one the defaults pick.
-//! `AuditOptions::default()` with a noop handle — what the plain
-//! `audit` / `audit_encoded` run — is one of the points.
+//! was run: worker threads {1, 4} × telemetry {noop, enabled}.
+//! [`audit_matrix`] runs every point, asserts they agree and returns the
+//! outcome they share, so a test written against it checks its
+//! expectation at all four points instead of at whichever one the
+//! defaults pick. `AuditOptions::default()` with a noop handle — what the
+//! plain `audit` / `audit_encoded` run — is one of the points.
 
 // Every test binary compiles this module and uses part of it.
 #![allow(dead_code)]
@@ -17,7 +16,7 @@ use karousos::{
     audit_encoded_with_obs, encode_advice, Advice, AuditOptions, AuditReport, Limits, ReexecStats,
     RejectReason,
 };
-use kem::{Program, Trace};
+use kem::{BinOp, Expr, Program, Trace};
 use kvstore::IsolationLevel;
 use obs::Obs;
 
@@ -52,21 +51,17 @@ pub struct Point {
 /// The thread counts of the standard matrix.
 pub const THREADS: [usize; 2] = [1, 4];
 
-/// `threads` × bytecode {off, on} × obs {noop, enabled}, every point
-/// under `limits`.
+/// `threads` × obs {noop, enabled}, every point under `limits`.
 pub fn matrix_with(threads: &[usize], limits: Limits) -> Vec<Point> {
     let mut points = Vec::new();
     for &threads in threads {
-        for bytecode in [false, true] {
-            for obs in [false, true] {
-                let opts = AuditOptions {
-                    threads,
-                    bytecode,
-                    limits,
-                    ..AuditOptions::default()
-                };
-                points.push(Point { opts, obs });
-            }
+        for obs in [false, true] {
+            let opts = AuditOptions {
+                threads,
+                limits,
+                ..AuditOptions::default()
+            };
+            points.push(Point { opts, obs });
         }
     }
     points
@@ -167,4 +162,79 @@ pub fn audit_matrix<'a>(
     isolation: IsolationLevel,
 ) -> Outcome {
     audit_points(program, trace, advice, isolation, &matrix(), "audit matrix")
+}
+
+/// An outcome in the columns the pinned tables under `tests/` use:
+/// `ACCEPT` and its fingerprint, or the reject kind and full message —
+/// the message names the coordinate a rejection reports.
+pub fn verdict_columns(outcome: &Outcome) -> String {
+    match outcome {
+        Ok(a) => format!(
+            "ACCEPT\tgroups={} fuel={} nodes={} edges={}",
+            a.reexec.groups, a.reexec.fuel_spent, a.graph_nodes, a.graph_edges
+        ),
+        Err(reason) => format!(
+            "{}\t{}",
+            reason.kind(),
+            reason.to_string().replace(['\n', '\t'], " ")
+        ),
+    }
+}
+
+/// Holds the rows a test produced against the `pinned` rows of
+/// `tests/<table>.tsv`. On a difference, writes `<table>.actual.tsv`
+/// (`table` may carry a `.section` suffix) to `CARGO_TARGET_TMPDIR` and
+/// panics with the rows that moved.
+#[track_caller]
+pub fn assert_pinned(table: &str, pinned: &str, actual: &str) {
+    if pinned == actual {
+        return;
+    }
+    let path =
+        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join(format!("{table}.actual.tsv"));
+    std::fs::write(&path, actual).expect("the actual rows are writable");
+    let (pinned, actual): (Vec<&str>, Vec<&str>) =
+        (pinned.lines().collect(), actual.lines().collect());
+    let mut diff = String::new();
+    for i in 0..pinned.len().max(actual.len()) {
+        let (p, a) = (pinned.get(i), actual.get(i));
+        if p != a {
+            let (p, a) = (p.unwrap_or(&"<missing>"), a.unwrap_or(&"<missing>"));
+            diff.push_str(&format!("row {}:\n  pinned: {p}\n  actual: {a}\n", i + 1));
+        }
+    }
+    panic!(
+        "rows moved against tests/{table} ({} pinned, {} produced; actual rows written to {}):\n{diff}",
+        pinned.len(),
+        actual.len(),
+        path.display()
+    );
+}
+
+/// Deterministic splitmix64 for program generators: each seed names one
+/// program.
+pub struct Rng(pub u64);
+
+impl Rng {
+    pub fn below(&mut self, n: u64) -> u64 {
+        self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+        let z = (self.0 ^ (self.0 >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+        let z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+        (z ^ (z >> 31)) % n
+    }
+
+    pub fn pick<T: Clone>(&mut self, options: &[T]) -> T {
+        options[self.below(options.len() as u64) as usize].clone()
+    }
+
+    /// Between `lo` and `hi` draws of `one`, concatenated.
+    pub fn several<T>(&mut self, lo: u64, hi: u64, one: impl Fn(&mut Rng) -> Vec<T>) -> Vec<T> {
+        let n = lo + self.below(hi - lo + 1);
+        (0..n).flat_map(|_| one(self)).collect()
+    }
+}
+
+/// `a op b`, for the operators `kem::dsl` has no helper for.
+pub fn bin(op: BinOp, a: Expr, b: Expr) -> Expr {
+    Expr::Bin(op, Box::new(a), Box::new(b))
 }

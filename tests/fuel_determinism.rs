@@ -99,8 +99,9 @@ proptest! {
 /// Exhaustion at every unit of a small loop of fused windows
 /// (`kem::bytecode`, "Operand fusion"): a window is charged head first,
 /// then — after the local read — op by op, so whichever unit the budget
-/// ends on, the VM must stop where the tree-walk stops, with the same
-/// `spent == limit + 1`, and ACCEPT from the honest bill upwards.
+/// ends on, the replay must stop there, reporting `spent == limit + 1`
+/// (where the first over-budget unit stops the meter), and ACCEPT from
+/// the honest bill upwards.
 #[test]
 fn exhaustion_point_is_interpreter_independent_at_every_unit() {
     let mut b = ProgramBuilder::new();

@@ -1,13 +1,12 @@
 //! Cost-ledger determinism: the per-group attribution rows are an
 //! *audit artifact*, so their deterministic columns must be
 //! bit-identical across every execution strategy — the telemetry-on
-//! points of the shared matrix (`tests/common`): worker threads ×
-//! interpreter — exactly like verdicts and metrics. The
-//! advisory columns (wall-clock, allocation events) and the
-//! per-interpreter `bytecode_ops` / `fused_ops` / `fused_fuel` columns
-//! are excluded from the deterministic key by construction; this file pins both halves of
-//! that contract, plus the power-of-two bucket classification the
-//! Prometheus histograms are built on.
+//! points of the shared matrix (`tests/common`), one per worker-thread
+//! count — exactly like verdicts and metrics. The advisory columns
+//! (wall-clock, allocation events) are excluded from the deterministic
+//! key by construction; this file pins both halves of that contract,
+//! plus the power-of-two bucket classification the Prometheus histograms
+//! are built on.
 
 mod common;
 
@@ -70,62 +69,39 @@ fn ledger_bit_identical_across_threads_bytecode() {
                 w[1].group
             );
         }
-        // bytecode_ops is the per-interpreter column: zero
-        // under the tree-walk, populated under the VM.
-        let vm_ops: u64 = ledger.groups.iter().map(|g| g.bytecode_ops).sum();
-        let fused_fuel = ledger.totals().fused_fuel;
-        if opts.bytecode {
-            assert!(vm_ops > 0, "VM replay must meter bytecode ops");
-            // Every handler runs the framework loop (`apps::middleware`):
-            // collapsed integer arithmetic, the fused windows' case. The
-            // columns are shares of their row's ops and fuel.
-            assert!(fused_fuel > 0, "VM replay must meter fused windows");
-            for g in &ledger.groups {
-                assert!(g.fused_ops <= g.bytecode_ops && g.fused_fuel <= g.fuel);
-            }
-        } else {
-            assert_eq!(vm_ops, 0, "tree-walk replay must not meter bytecode ops");
-            assert_eq!(fused_fuel, 0, "tree-walk replay runs no fused window");
+        // Every handler runs the framework loop (`apps::middleware`):
+        // collapsed integer arithmetic, the fused windows' case. The
+        // fused columns are shares of their row's ops and fuel.
+        assert!(ledger.totals().fused_fuel > 0, "no fused window metered");
+        for g in &ledger.groups {
+            assert!(g.bytecode_ops > 0, "group {} metered no ops", g.group);
+            assert!(g.fused_ops <= g.bytecode_ops && g.fused_fuel <= g.fuel);
         }
         match &reference {
             None => reference = Some(ledger),
             Some(r) => {
-                let keys: Vec<[u64; 10]> = ledger
+                let keys: Vec<[u64; 13]> = ledger
                     .groups
                     .iter()
                     .map(|g| g.deterministic_key())
                     .collect();
-                let ref_keys: Vec<[u64; 10]> =
+                let ref_keys: Vec<[u64; 13]> =
                     r.groups.iter().map(|g| g.deterministic_key()).collect();
                 assert_eq!(ref_keys, keys, "ledger diverged at {opts:?}");
                 // Totals over the deterministic columns agree
-                // too (fuel, ops, feeds, var accesses).
+                // too (fuel, ops, fused windows, feeds, var accesses).
                 let (rt, lt) = (r.totals(), ledger.totals());
                 assert_eq!(rt.groups, lt.groups);
                 assert_eq!(rt.requests, lt.requests);
                 assert_eq!(rt.fuel, lt.fuel);
                 assert_eq!(rt.ops, lt.ops);
+                assert_eq!(rt.bytecode_ops, lt.bytecode_ops);
+                assert_eq!(rt.fused_fuel, lt.fused_fuel);
                 assert_eq!(rt.dict_feeds, lt.dict_feeds);
                 assert_eq!(rt.var_accesses, lt.var_accesses);
             }
         }
     }
-}
-
-#[test]
-fn bytecode_ops_identical_across_schedules_within_interpreter() {
-    let (program, out, advice, iso) = wiki_run();
-    // The columns are per-interpreter, not per-schedule: both VM cells
-    // at different thread counts must meter identically.
-    let a = ledger_for(&program, &out, &advice, iso, AuditOptions::with_threads(1));
-    let b = ledger_for(&program, &out, &advice, iso, AuditOptions::with_threads(4));
-    let ops = |l: &obs::CostLedger| {
-        l.groups
-            .iter()
-            .map(|g| (g.bytecode_ops, g.fused_ops, g.fused_fuel))
-            .collect::<Vec<_>>()
-    };
-    assert_eq!(ops(&a), ops(&b));
 }
 
 proptest! {

@@ -72,11 +72,10 @@ fn hostile_audits_agree_across_thread_counts() {
     // for exactly the same reason. (Seed count is bounded to keep this
     // test's mutation sample a few hundred strong but quick; the full
     // 1000+ sweep runs in hostile_advice.rs on the default options.)
-    // Thread axis only: bytecode_equivalence.rs sweeps the same kind of
-    // corpus over the interpreter and telemetry axes.
+    // The thread axis, and one telemetry-on point.
     const SEEDS: u64 = 6;
     let mut points = points();
-    points.retain(|p| p.opts.bytecode && !p.obs);
+    points.retain(|p| !p.obs || p.opts.threads == 4);
     let mut checked = 0usize;
     let mut rejected = 0usize;
     for (i, (app, isolation)) in App::ALL.iter().zip(IsolationLevel::ALL).enumerate() {

@@ -26,6 +26,8 @@
 //! `var_coords_hostile.actual.tsv` the failing run writes to
 //! `CARGO_TARGET_TMPDIR`. `VerifierInternal` is never a verdict to pin.
 
+mod common;
+
 use apps::App;
 use karousos::{
     audit_encoded_with_obs, decode_advice_view, encode_advice, ooo_audit, run_instrumented_server,
@@ -356,33 +358,9 @@ fn actual_table() -> String {
 
 #[test]
 fn hostile_var_coordinates_keep_their_verdicts() {
-    let expected = include_str!("var_coords_hostile.tsv");
-    let actual = actual_table();
-    if actual == expected {
-        return;
-    }
-    let path =
-        std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("var_coords_hostile.actual.tsv");
-    std::fs::write(&path, &actual).expect("the actual table is writable");
-    let (exp_lines, act_lines): (Vec<&str>, Vec<&str>) =
-        (expected.lines().collect(), actual.lines().collect());
-    let mut diff = String::new();
-    for i in 0..exp_lines.len().max(act_lines.len()) {
-        let (e, a) = (exp_lines.get(i), act_lines.get(i));
-        if e != a {
-            diff.push_str(&format!(
-                "line {}:\n  pinned: {}\n  actual: {}\n",
-                i + 1,
-                e.unwrap_or(&"<missing>"),
-                a.unwrap_or(&"<missing>")
-            ));
-        }
-    }
-    panic!(
-        "verdicts moved against tests/var_coords_hostile.tsv ({} rows pinned, {} produced; \
-         actual table written to {}):\n{diff}",
-        exp_lines.len(),
-        act_lines.len(),
-        path.display()
+    common::assert_pinned(
+        "var_coords_hostile",
+        include_str!("var_coords_hostile.tsv"),
+        &actual_table(),
     );
 }

@@ -16,6 +16,8 @@
 //! table with the `verdict_pins.actual.tsv` it writes to
 //! `CARGO_TARGET_TMPDIR`.
 
+mod common;
+
 use apps::App;
 use karousos::{
     audit_encoded_with_obs, encode_advice, run_instrumented_server, AuditOptions, CollectorMode,
@@ -52,17 +54,8 @@ fn verdict_columns(
         limits,
         ..AuditOptions::default()
     };
-    match audit_encoded_with_obs(program, trace, bytes, isolation, opts, &obs::Obs::noop()) {
-        Ok(report) => format!(
-            "ACCEPT\tgroups={} fuel={} nodes={} edges={}",
-            report.reexec.groups, report.reexec.fuel_spent, report.graph_nodes, report.graph_edges
-        ),
-        Err(reason) => format!(
-            "{}\t{}",
-            reason.kind(),
-            reason.to_string().replace(['\n', '\t'], " ")
-        ),
-    }
+    let report = audit_encoded_with_obs(program, trace, bytes, isolation, opts, &obs::Obs::noop());
+    common::verdict_columns(&common::comparable(report))
 }
 
 fn actual_table() -> String {
@@ -133,32 +126,9 @@ fn actual_table() -> String {
 
 #[test]
 fn verdicts_match_the_committed_table() {
-    let expected = include_str!("verdict_pins.tsv");
-    let actual = actual_table();
-    if actual == expected {
-        return;
-    }
-    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("verdict_pins.actual.tsv");
-    std::fs::write(&path, &actual).expect("the actual table is writable");
-    let (exp_lines, act_lines): (Vec<&str>, Vec<&str>) =
-        (expected.lines().collect(), actual.lines().collect());
-    let mut diff = String::new();
-    for i in 0..exp_lines.len().max(act_lines.len()) {
-        let (e, a) = (exp_lines.get(i), act_lines.get(i));
-        if e != a {
-            diff.push_str(&format!(
-                "line {}:\n  pinned: {}\n  actual: {}\n",
-                i + 1,
-                e.unwrap_or(&"<missing>"),
-                a.unwrap_or(&"<missing>")
-            ));
-        }
-    }
-    panic!(
-        "verdicts moved against tests/verdict_pins.tsv ({} rows pinned, {} produced; \
-         actual table written to {}):\n{diff}",
-        exp_lines.len(),
-        act_lines.len(),
-        path.display()
+    common::assert_pinned(
+        "verdict_pins",
+        include_str!("verdict_pins.tsv"),
+        &actual_table(),
     );
 }
