@@ -54,7 +54,8 @@ impl Pins {
 
     /// Runs the instrumented server and pins what it did — scheduler
     /// steps, activations, an FNV of the trace (requests and responses,
-    /// in the order they happened) and of the advice bytes — or the
+    /// in the order they happened) and of the advice it decodes to (its
+    /// `Debug` rendering: the advice, not its wire encoding) — or the
     /// error it stopped with.
     fn serve(
         &mut self,
@@ -77,7 +78,8 @@ impl Pins {
                         trace.write_u64(word);
                     }
                 }
-                advice.write(bytes);
+                let decoded = decode_advice(bytes).expect("honest advice decodes");
+                advice.write(format!("{decoded:?}").as_bytes());
                 let (steps, acts) = (out.steps, out.activations);
                 let (trace, advice) = (trace.finish(), advice.finish());
                 self.row(
