@@ -168,7 +168,7 @@ fn duplicated_keys_verdict_identically() {
         }),
         ("nondet", |v, last| {
             let null = |e: &mut (_, RawValue<'_>)| {
-                e.1 = RawValue::validate(&[0], u64::MAX).expect("null is a value")
+                e.1 = RawValue::validate(&[0], &[], u64::MAX).expect("null is a value")
             };
             duplicate_first(&mut v.nondet, null, last)
         }),

@@ -371,7 +371,7 @@ fn decoded_audit_path_is_fuel_metered_too() {
 /// verification meets the wide transaction.
 fn widen_one_transaction(bytes: &[u8], width: u32) -> Vec<u8> {
     use karousos::advice::{TxLogEntry, TxOpContents, TxOpType, TxPos};
-    let mut advice = karousos::decode_advice_view(bytes).unwrap().to_advice();
+    let mut advice = karousos::decode_advice(bytes).unwrap();
     let (tx, log) = advice
         .tx_logs
         .iter_mut()
