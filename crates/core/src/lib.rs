@@ -60,7 +60,7 @@ pub use collector::{
 pub use config::Limits;
 pub use faultinject::{
     honest_must_accept, ExhaustMutator, Mutation, MutationClass, MutationOutcome, Mutator,
-    PoolMutator, WireMutator,
+    PoolMutator, TableMutator, WireMutator,
 };
 pub use multivalue::{MultiValue, MultiValueIter};
 pub use rorder::{r_concurrent, r_ordered, r_precedes};

@@ -7,7 +7,7 @@
 //! (`tests/verdict_pins.tsv`): for every paper app × workload seed it
 //! pins the honest run's ACCEPT fingerprint (`groups/fuel/nodes/edges`)
 //! and, for every `Mutator` / `WireMutator` / `ExhaustMutator` /
-//! `PoolMutator` × a few seeds, the verdict's [`RejectReason::kind`] and full message — the
+//! `PoolMutator` / `TableMutator` × a few seeds, the verdict's [`RejectReason::kind`] and full message — the
 //! message names the coordinate a rejection reports, so "same class,
 //! different operation" is caught too.
 //!
@@ -21,7 +21,7 @@ mod common;
 use apps::App;
 use karousos::{
     audit_encoded_with_obs, encode_advice, run_instrumented_server, AuditOptions, CollectorMode,
-    ExhaustMutator, Limits, Mutation, Mutator, PoolMutator, WireMutator,
+    ExhaustMutator, Limits, Mutation, Mutator, PoolMutator, TableMutator, WireMutator,
 };
 use workload::{Experiment, Mix};
 
@@ -29,6 +29,7 @@ const WORKLOAD_SEEDS: [u64; 2] = [5, 23];
 const STRUCTURED_SEEDS: u64 = 4;
 const WIRE_SEEDS: u64 = 6;
 const EXHAUST_SEEDS: u64 = 2;
+const TABLE_SEEDS: u64 = 3;
 
 /// Budgets tight enough that the exhaustion vectors trip them on a
 /// 12-request fixture (the defaults would let `edge-explosion` through
@@ -60,9 +61,10 @@ fn verdict_columns(
 
 fn actual_table() -> String {
     let mut out = String::new();
-    // The vectors that came with the value pool get their rows after
-    // everyone else's, so the rows pinned before them keep their place.
-    let mut pool_rows = String::new();
+    // The vectors that came with the value pool, and then with the
+    // tables, get their rows after everyone else's, so the rows pinned
+    // before them keep their place.
+    let (mut pool_rows, mut table_rows) = (String::new(), String::new());
     for app in App::ALL {
         for wseed in WORKLOAD_SEEDS {
             let mix = if app == App::Wiki {
@@ -84,6 +86,8 @@ fn actual_table() -> String {
             let mut row = |mutator: &str, mseed: u64, bytes: &[u8], limits: Limits| {
                 let out = if mutator.starts_with("pool-") {
                     &mut pool_rows
+                } else if mutator.starts_with("table-") {
+                    &mut table_rows
                 } else {
                     &mut out
                 };
@@ -119,9 +123,14 @@ fn actual_table() -> String {
                     mutated(m.apply(&honest, mseed), mseed, Limits::default());
                 }
             }
+            for m in TableMutator::ALL {
+                for mseed in 0..TABLE_SEEDS {
+                    mutated(m.apply(&honest, mseed), mseed, Limits::default());
+                }
+            }
         }
     }
-    out + &pool_rows
+    out + &pool_rows + &table_rows
 }
 
 #[test]
