@@ -668,9 +668,11 @@ fn layer_tables(o: &Opts) {
         println!("\n  {} ({}): audit {} ms", app.name(), mix.name(), ms(wall));
         let d = bench::decode_stats(&bytes);
         println!(
-            "    advice {} B: {} pool nodes, {} refs, {} inline containers; {} logical / {} wire \
-             nodes",
+            "    advice {} B: {} strings, {} handler ids; {} pool nodes, {} refs, {} inline \
+             containers; {} logical / {} wire nodes",
             bytes.len(),
+            d.strings,
+            d.hids,
             d.pool_nodes,
             d.pool_refs,
             d.inline_containers,
