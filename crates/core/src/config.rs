@@ -47,8 +47,9 @@ pub struct Limits {
     /// describing an enormous value exhausts the budget like an
     /// enormous advice. What the pool section itself declares — its
     /// node count, each node's width, lengths written inline in a node
-    /// — is held against the same number in a count of its own, so
-    /// nodes nothing refers to are not free.
+    /// — is held against the same number in a count of its own, and so
+    /// are the entries of the string and handler-id tables, so nodes
+    /// and entries nothing refers to are not free.
     pub decode_max_nodes: u64,
     /// Maximum total advice log entries admitted into the verifier's
     /// dictionaries (handler + variable + transaction logs + nondet).

@@ -400,10 +400,11 @@ fn audit_bytes(
         // [`AdviceRef`] built straight from the wire view, so the only
         // copies on the accept path are the values replay actually
         // retains — each distinct container node built once, from the
-        // advice's value pool, and each distinct string once, through
-        // an interner's vocabulary. Handler events, store keys, and the
+        // advice's value pool, and each distinct string a value names
+        // once, by the decode. Handler events, store keys, and the
         // write order stay pointers into `bytes`. The node budget caps
-        // total declared collection elements across all sections.
+        // total declared collection elements across all sections, and
+        // what the tables and the pool declare apart from them.
         let (view, decode_stats) = crate::wire::decode_advice_view_bounded(
             bytes,
             opts.limits.decode_max_nodes,
@@ -433,9 +434,12 @@ fn audit_bytes(
                 ("wire_nodes", decode_stats.wire_nodes),
             ],
         );
-        let mut interner = kem::ValueInterner::new();
-        let advice = AdviceRef::from_view(&view, &mut interner);
-        let copied = decode_stats.bytes_copied + interner.bytes_copied;
+        let advice = AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
+        if let Some(e) = &advice.malformed {
+            let what = e.to_string();
+            return Err(RejectReason::MalformedAdvice { what }.into());
+        }
+        let copied = decode_stats.bytes_copied;
         obs.count(CounterId::BytesDecoded, bytes.len() as u64);
         obs.count(CounterId::DecodeBytesCopied, copied);
         clock.enter(
