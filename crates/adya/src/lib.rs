@@ -37,6 +37,7 @@
 //! assert!(check_isolation(&history, IsolationLevel::Serializable).is_ok());
 //! ```
 
+#![forbid(unsafe_code)]
 // The checker runs on histories decoded from untrusted advice; a panic
 // here is a denial-of-audit, exactly as in the verifier that calls it.
 // Advice-sized references (a dictating write, a version-order entry) are

@@ -65,10 +65,10 @@ pub use faultinject::{
 pub use multivalue::{MultiValue, MultiValueIter};
 pub use rorder::{r_concurrent, r_ordered, r_precedes};
 pub use verifier::{
-    audit, audit_encoded, audit_encoded_with_obs, audit_file_with_options, audit_forensic,
-    audit_source_with_obs, cycle_report, ooo_audit, AuditDiagnostics, AuditFailure, AuditOptions,
-    AuditReport, CycleEdgeReport, CycleProbe, CycleReport, EdgeKind, FeedCounters, PhaseTiming,
-    ReexecStats, RejectReason, ReplaySchedule, ResourceKind,
+    audit, audit_encoded, audit_encoded_with_obs, audit_forensic, audit_source_with_obs,
+    cycle_report, ooo_audit, AuditDiagnostics, AuditFailure, AuditOptions, AuditReport,
+    CycleEdgeReport, CycleProbe, CycleReport, EdgeKind, FeedCounters, PhaseTiming, ReexecStats,
+    RejectReason, ReplaySchedule, ResourceKind,
 };
 pub use wire::{
     advice_sizes, decode_advice, decode_advice_view, decode_advice_view_bounded, encode_advice,

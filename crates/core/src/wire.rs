@@ -2257,82 +2257,38 @@ impl<'a> AdviceView<'a> {
     }
 }
 
-/// Where the encoded advice bytes live while the audit runs: an
-/// in-memory buffer, or a read-only memory-mapped advice file.
-///
-/// The verifier only ever sees `&[u8]` (via [`AdviceSource::bytes`]);
-/// the variants differ in *residency*. `Memory` holds a heap copy of
-/// the whole report; `Mmap` keeps the bytes on disk and lets the page
-/// cache fault them in as the decode walks, so the audit's resident
-/// footprint no longer includes the advice. The bytes-resident gauge
-/// ([`AdviceSource::resident_bytes`]) reports exactly this difference.
+/// The encoded advice bytes an audit runs over, held in one heap
+/// buffer: handed over in memory, or read whole from an advice file.
+/// The verifier only ever sees `&[u8]` (via [`AdviceSource::bytes`]).
 #[derive(Debug)]
-pub enum AdviceSource {
-    /// The advice is a heap buffer (the default, and the only option
-    /// for advice that never touched disk).
-    Memory(Vec<u8>),
-    /// The advice is a read-only, page-aligned, private mapping of a
-    /// file. Unmapped when the source drops.
-    Mmap(kmmap::Mmap),
-}
+pub struct AdviceSource(Vec<u8>);
 
 impl AdviceSource {
     /// Wraps an in-memory advice buffer.
     pub fn from_bytes(bytes: Vec<u8>) -> AdviceSource {
-        AdviceSource::Memory(bytes)
+        AdviceSource(bytes)
     }
 
-    /// Opens an advice file. With `use_mmap` the file is memory-mapped
-    /// read-only; if the platform or the mapping refuses (non-unix,
-    /// exotic filesystems), this **falls back to reading** the file
-    /// into memory — the contract is "bytes of the file", and the
-    /// caller can check [`AdviceSource::is_mmap`] to see which backing
-    /// it got. Without `use_mmap` the file is simply read.
-    pub fn open(path: &std::path::Path, use_mmap: bool) -> std::io::Result<AdviceSource> {
-        if use_mmap {
-            match std::fs::File::open(path).and_then(|f| kmmap::Mmap::map_readonly(&f)) {
-                Ok(map) => return Ok(AdviceSource::Mmap(map)),
-                Err(_) => {
-                    // Explicit fallback-to-read path: any mapping
-                    // failure degrades to a plain read of the same
-                    // bytes, never to a hard error.
-                }
-            }
-        }
-        Ok(AdviceSource::Memory(std::fs::read(path)?))
+    /// Reads an advice file into memory. The `bool` is read by nothing
+    /// (a parameter cannot be `#[doc(hidden)]`): kept for
+    /// `benchmark/src/adapter.rs`, removed by ROADMAP item 1 step 1.
+    pub fn open(path: &std::path::Path, _: bool) -> std::io::Result<AdviceSource> {
+        Ok(AdviceSource(std::fs::read(path)?))
     }
 
     /// The encoded advice bytes.
     pub fn bytes(&self) -> &[u8] {
-        match self {
-            AdviceSource::Memory(b) => b,
-            AdviceSource::Mmap(m) => m.as_slice(),
-        }
-    }
-
-    /// Whether the backing is a memory mapping.
-    pub fn is_mmap(&self) -> bool {
-        matches!(self, AdviceSource::Mmap(_))
+        &self.0
     }
 
     /// Length of the advice in bytes.
     pub fn len(&self) -> usize {
-        self.bytes().len()
+        self.0.len()
     }
 
     /// Whether the advice is empty.
     pub fn is_empty(&self) -> bool {
-        self.bytes().is_empty()
-    }
-
-    /// Heap-resident bytes attributable to holding the advice: the full
-    /// buffer for `Memory`, zero for `Mmap` (pages are clean, file-backed
-    /// and evictable). Feeds the `advice_bytes_resident` gauge.
-    pub fn resident_bytes(&self) -> u64 {
-        match self {
-            AdviceSource::Memory(b) => b.len() as u64,
-            AdviceSource::Mmap(_) => 0,
-        }
+        self.0.is_empty()
     }
 }
 

@@ -1,7 +1,6 @@
-//! `AdviceSource`: the in-memory / memory-mapped backing behind the
-//! file-based audit entry points. The mapped and read paths must hand
-//! the decoder identical bytes — and therefore identical verdicts —
-//! with the mapped path reporting a zero heap-resident footprint.
+//! `AdviceSource`: the heap buffer an audit runs over, handed over in
+//! memory or read from an advice file. Both must give the decoder the
+//! same bytes, and therefore the same verdict.
 
 use karousos::advice::Advice;
 use karousos::{encode_advice, AdviceSource};
@@ -33,75 +32,45 @@ fn sample_bytes() -> Vec<u8> {
     a.tags.insert(RequestId(0), 42);
     a.nondet.insert(
         OpRef::new(RequestId(0), HandlerId::root(FunctionId(1)), 1),
-        Value::str("mapped"),
+        Value::str("sample"),
     );
     encode_advice(&a)
 }
 
 #[test]
-fn mmap_and_read_paths_yield_identical_bytes() {
+fn open_reads_the_files_bytes() {
     let bytes = sample_bytes();
     let f = TempFile::with_bytes("roundtrip", &bytes);
-
-    let read = AdviceSource::open(&f.0, false).expect("read path opens");
-    assert!(!read.is_mmap());
+    let read = AdviceSource::open(&f.0, false).expect("advice file opens");
     assert_eq!(read.bytes(), &bytes[..]);
     assert_eq!(read.len(), bytes.len());
-    assert_eq!(read.resident_bytes(), bytes.len() as u64);
-
-    let mapped = AdviceSource::open(&f.0, true).expect("mmap path opens");
-    assert_eq!(mapped.bytes(), &bytes[..]);
-    assert_eq!(mapped.len(), bytes.len());
-    if mapped.is_mmap() {
-        // On platforms with the mmap shim, mapped pages are not heap
-        // bytes.
-        assert_eq!(mapped.resident_bytes(), 0);
-    } else {
-        // Explicit fallback-to-read path: same bytes, heap-resident.
-        assert_eq!(mapped.resident_bytes(), bytes.len() as u64);
-    }
-}
-
-#[cfg(unix)]
-#[test]
-fn mmap_actually_maps_on_unix() {
-    let bytes = sample_bytes();
-    let f = TempFile::with_bytes("maps", &bytes);
-    let mapped = AdviceSource::open(&f.0, true).expect("mmap path opens");
-    assert!(mapped.is_mmap(), "unix open(use_mmap=true) must map");
 }
 
 #[test]
 fn empty_file_is_a_valid_source() {
     let f = TempFile::with_bytes("empty", &[]);
-    for use_mmap in [false, true] {
-        let s = AdviceSource::open(&f.0, use_mmap).expect("empty file opens");
-        assert!(s.is_empty());
-        assert_eq!(s.bytes(), &[] as &[u8]);
-        assert_eq!(s.resident_bytes(), 0);
-    }
+    let s = AdviceSource::open(&f.0, false).expect("empty file opens");
+    assert!(s.is_empty());
+    assert_eq!(s.bytes(), &[] as &[u8]);
 }
 
 #[test]
-fn missing_file_is_an_error_not_a_fallback() {
+fn missing_file_is_an_error() {
     let path = std::env::temp_dir().join(format!("karousos-advice-missing-{}", std::process::id()));
-    assert!(AdviceSource::open(&path, true).is_err());
     assert!(AdviceSource::open(&path, false).is_err());
 }
 
 #[test]
-fn from_bytes_is_memory_backed() {
+fn from_bytes_holds_the_buffer() {
     let bytes = sample_bytes();
     let s = AdviceSource::from_bytes(bytes.clone());
-    assert!(!s.is_mmap());
     assert_eq!(s.bytes(), &bytes[..]);
-    assert_eq!(s.resident_bytes(), bytes.len() as u64);
 }
 
-/// End to end: auditing through a mapped source must give the same
-/// verdict and statistics as the in-memory encoded entry point.
+/// End to end: auditing an advice file read from disk must give the
+/// same verdict and statistics as the in-memory encoded entry point.
 #[test]
-fn mapped_audit_matches_in_memory_audit() {
+fn source_audit_matches_in_memory_audit() {
     use kem::dsl;
 
     let mut b = kem::ProgramBuilder::new();
@@ -127,52 +96,28 @@ fn mapped_audit_matches_in_memory_audit() {
     let bytes = encode_advice(&advice);
     let f = TempFile::with_bytes("audit", &bytes);
 
-    let opts = karousos::AuditOptions::default();
     let baseline = karousos::audit_encoded(&program, &out.trace, &bytes, cfg.isolation)
         .expect("in-memory audit accepts");
 
-    for use_mmap in [false, true] {
-        let source = AdviceSource::open(&f.0, use_mmap).expect("source opens");
-        let obs = obs::Obs::enabled();
+    // `advice_mmap` and `open`'s `bool` are read by nothing: either
+    // value audits the same heap buffer.
+    for advice_mmap in [false, true] {
+        let source = AdviceSource::open(&f.0, advice_mmap).expect("source opens");
+        let opts = karousos::AuditOptions {
+            advice_mmap,
+            ..karousos::AuditOptions::default()
+        };
         let report = karousos::audit_source_with_obs(
             &program,
             &out.trace,
             &source,
             cfg.isolation,
             opts,
-            &obs,
+            &obs::Obs::noop(),
         )
         .expect("source-backed audit accepts");
-        assert_eq!(report.reexec, baseline.reexec, "use_mmap={use_mmap}");
+        assert_eq!(report.reexec, baseline.reexec, "advice_mmap={advice_mmap}");
         assert_eq!(report.graph_nodes, baseline.graph_nodes);
         assert_eq!(report.graph_edges, baseline.graph_edges);
-        // The residency gauge tells the backings apart: a mapped
-        // advice holds none of its bytes on the heap.
-        let resident = if source.is_mmap() {
-            0
-        } else {
-            bytes.len() as u64
-        };
-        assert_eq!(
-            obs.snapshot()
-                .metrics
-                .gauge_value(obs::GaugeId::AdviceBytesResident),
-            Some(resident),
-            "use_mmap={use_mmap}"
-        );
     }
-
-    // The file-path entry point honors `advice_mmap` from the options.
-    let report = karousos::audit_file_with_options(
-        &program,
-        &out.trace,
-        &f.0,
-        cfg.isolation,
-        karousos::AuditOptions {
-            advice_mmap: true,
-            ..opts
-        },
-    )
-    .expect("file-backed audit accepts");
-    assert_eq!(report.reexec, baseline.reexec);
 }

@@ -43,6 +43,8 @@
 //! store.commit(tx2).unwrap();
 //! ```
 
+#![forbid(unsafe_code)]
+
 mod binlog;
 mod error;
 mod history;

@@ -165,20 +165,15 @@ pub enum GaugeId {
     /// (`limits.replay_fuel - max(per-group fuel spent)`) — how close
     /// the audit came to a `ResourceExhausted` verdict.
     FuelHeadroom,
-    /// Heap-resident bytes of the advice the audit ran over: the wire
-    /// size for an in-memory buffer, `0` for a memory-mapped advice
-    /// file (mapped pages are the page cache's, not the heap's).
-    AdviceBytesResident,
 }
 
 impl GaugeId {
     /// Every gauge, in catalog order.
-    pub const ALL: [GaugeId; 5] = [
+    pub const ALL: [GaugeId; 4] = [
         GaugeId::GraphNodes,
         GaugeId::GraphEdges,
         GaugeId::WorkerThreads,
         GaugeId::FuelHeadroom,
-        GaugeId::AdviceBytesResident,
     ];
 
     /// Number of gauges in the catalog.
@@ -191,7 +186,6 @@ impl GaugeId {
             GaugeId::GraphEdges => "graph_edges",
             GaugeId::WorkerThreads => "worker_threads",
             GaugeId::FuelHeadroom => "fuel_headroom",
-            GaugeId::AdviceBytesResident => "advice_bytes_resident",
         }
     }
 }

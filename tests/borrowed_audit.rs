@@ -12,7 +12,7 @@
 //! matrix (`tests/common`), on honest advice, across the hostile wire
 //! mutation corpus and on a duplicated key in each keyed section, both
 //! must produce the same verdict, statistics, and fuel bill. And the
-//! seven entry points, which differ in what they are handed and what
+//! six entry points, which differ in what they are handed and what
 //! they report, must be that one audit.
 
 mod common;
@@ -192,7 +192,7 @@ fn duplicated_keys_verdict_identically() {
     }
 }
 
-/// The seven entry points are one audit: on honest advice and — the
+/// The six entry points are one audit: on honest advice and — the
 /// grouped ones — on a `Semantic` wire mutation and a structured one,
 /// each gives the outcome `audit_encoded` gives. `ooo_audit` re-executes
 /// differently (Lemma 3), so its statistics are its own; it must build
@@ -215,6 +215,7 @@ fn entry_points_agree() {
         assert_eq!(expected.is_ok(), label == "honest", "{label}: {expected:?}");
         std::fs::write(&path, bytes).expect("scratch advice file is writable");
         let source = AdviceSource::from_bytes(bytes.clone());
+        let file = AdviceSource::open(&path, false).expect("scratch advice file is readable");
         let mut outcomes = vec![
             (
                 "audit_encoded_with_obs",
@@ -225,8 +226,8 @@ fn entry_points_agree() {
                 karousos::audit_source_with_obs(p, t, &source, isolation, opts, &noop),
             ),
             (
-                "audit_file_with_options",
-                karousos::audit_file_with_options(p, t, &path, isolation, opts),
+                "audit_source_with_obs over open",
+                karousos::audit_source_with_obs(p, t, &file, isolation, opts, &noop),
             ),
             (
                 "audit_forensic",

@@ -191,12 +191,6 @@ fn metrics_are_deterministic_across_thread_counts() {
     );
     assert_eq!(seq.gauge_value(GaugeId::WorkerThreads), Some(1));
     assert_eq!(par.gauge_value(GaugeId::WorkerThreads), Some(4));
-    // Advice handed over as a buffer is resident in full; `0` is what
-    // a mapped file reports (`crates/core/tests/advice_source.rs`).
-    assert_eq!(
-        seq.gauge_value(GaugeId::AdviceBytesResident),
-        Some(advice.len() as u64)
-    );
 
     // The per-kind edge counters decompose the edge gauge exactly.
     let edge_sum: u64 = [
