@@ -29,8 +29,9 @@
 //! bytecode of every function in the app's program (DESIGN.md §11) and
 //! exits — the artifact both the runtime and the verifier dispatch.
 //!
-//! `--verify-threads T` (default 4, `0` = one per core) sets the worker
-//! count for the parallel Karousos audit; every verification table
+//! `--verify-threads T` (default 4, `0` = one per core) sets the thread
+//! count of the parallel Karousos audit, the calling thread included
+//! (`T − 1` workers are spawned); every verification table
 //! reports the single-threaded time, the parallel time, the speedup,
 //! and the per-layer breakdown (`obs::Layer`, decode to teardown) of
 //! both.
@@ -1073,13 +1074,14 @@ fn main() {
     if capture == Capture::Never {
         return run(&o);
     }
-    if o.verify_threads != 1
+    if o.verify_threads > 1
         && std::thread::available_parallelism().map_or(1, std::num::NonZeroUsize::get) == 1
     {
         eprintln!(
-            "warning: --verify-threads {} requested but only one core is available; \
-             parallel verification will add thread overhead without speedup",
-            o.verify_threads
+            "warning: --verify-threads {} spawns {} worker(s) beside the calling thread \
+             but only one core is available; they add thread overhead without speedup",
+            o.verify_threads,
+            o.verify_threads - 1
         );
     }
     if capture == Capture::First

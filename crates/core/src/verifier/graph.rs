@@ -257,15 +257,9 @@ impl Graph {
         (offsets, targets)
     }
 
-    /// Whether the graph contains a directed cycle (iterative DFS).
-    ///
-    /// This runs once per audit, over the fully merged graph, and is
-    /// the postprocessing phase's dominant cost on large workloads.
-    pub fn has_cycle(&self) -> bool {
-        self.probe_cycle().back_edge.is_some()
-    }
-
-    /// Runs the cycle-check DFS, returning the first back edge found
+    /// Runs the cycle-check DFS (iterative: once per audit, over the
+    /// fully merged graph, the postprocessing phase's dominant cost on
+    /// large workloads), returning the first back edge found
     /// (deterministic: DFS roots are visited in node-id order, CSR
     /// children in edge insertion order) together with the visit count.
     pub fn probe_cycle(&self) -> CycleProbe {
@@ -450,7 +444,7 @@ mod tests {
             c.request_end(RequestId(0)).unwrap(),
             EdgeKind::Boundary,
         );
-        assert!(!g.has_cycle());
+        assert!(g.probe_cycle().back_edge.is_none());
         assert!(g.find_min_cycle().is_none());
         // Both request boundaries plus the handler's start, op and end
         // — the end node exists although no edge touches it.
@@ -469,7 +463,6 @@ mod tests {
         g.add_edge(a, b, EdgeKind::Time);
         g.add_edge(b, d, EdgeKind::Time);
         g.add_edge(d, a, EdgeKind::HandlerLog);
-        assert!(g.has_cycle());
         let probe = g.probe_cycle();
         assert!(probe.back_edge.is_some());
         assert!(probe.visits >= 3);
@@ -481,7 +474,7 @@ mod tests {
         let mut g = Graph::new(c.clone());
         let a = c.request_start(RequestId(0)).unwrap();
         g.add_edge(a, a, EdgeKind::Time);
-        assert!(g.has_cycle());
+        assert!(g.probe_cycle().back_edge.is_some());
         let cycle = g.find_min_cycle().unwrap();
         assert_eq!(cycle.len(), 1);
         let edges = g.describe_cycle(&cycle);
@@ -514,7 +507,7 @@ mod tests {
         for i in 0..100_000u32 {
             g.add_edge(start + i, start + i + 1, EdgeKind::Program);
         }
-        assert!(!g.has_cycle());
+        assert!(g.probe_cycle().back_edge.is_none());
         // Acyclic: every node is visited exactly once.
         assert_eq!(g.probe_cycle().visits, g.node_count() as u64);
     }

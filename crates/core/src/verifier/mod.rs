@@ -16,6 +16,7 @@ mod coords;
 mod forensics;
 mod graph;
 mod isolation;
+mod pool;
 mod preprocess;
 mod reexec;
 mod reject;
@@ -30,9 +31,7 @@ pub use forensics::{
 pub use graph::{CycleEdge, CycleProbe, EdgeKind, Graph};
 pub use isolation::{verify_isolation, IsolationStats};
 pub use obs::PhaseTiming;
-pub use preprocess::{
-    preprocess, preprocess_staged, DeferredEdges, OpMapEntry, PreStaged, Preprocessed,
-};
+pub use preprocess::{preprocess_staged, DeferredEdges, OpMapEntry, PreStaged, Preprocessed};
 #[doc(hidden)]
 pub use reexec::inject_group_panic_for_tests;
 pub use reexec::{ReExecutor, ReexecStats, ReexecTiming, ReplaySchedule};
@@ -53,8 +52,9 @@ use crate::wire::{encode_advice, AdviceSource};
 /// same [`RejectReason`] as `threads = 1`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AuditOptions {
-    /// Worker threads for group replay and sharded graph assembly:
-    /// `1` is fully sequential, `0` means one per available core.
+    /// Threads for preprocess, group replay and graph assembly, the
+    /// calling one included: `1` is fully sequential, `0` means one per
+    /// available core.
     pub threads: usize,
     /// The order each group's active queue is drained in (Lemma-1
     /// experiments; deployments use FIFO).
@@ -88,7 +88,7 @@ impl Default for AuditOptions {
 }
 
 impl AuditOptions {
-    /// Options with an explicit worker count.
+    /// Options with an explicit thread count.
     pub fn with_threads(threads: usize) -> Self {
         AuditOptions {
             threads,
@@ -96,7 +96,7 @@ impl AuditOptions {
         }
     }
 
-    /// The concrete worker count (`0` resolved to the core count).
+    /// The concrete thread count (`0` resolved to the core count).
     fn effective_threads(&self) -> usize {
         if self.threads == 0 {
             std::thread::available_parallelism()
@@ -315,7 +315,7 @@ fn check_graph_volume(nodes: usize, edges: usize, limits: &Limits) -> Result<(),
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// Re-execution batched by control-flow tag (Fig. 18), groups
-    /// spread over the workers: the production audit.
+    /// spread over the threads: the production audit.
     Grouped,
     /// [`Mode::Grouped`], and a cyclic `G` is searched for a minimal
     /// cycle to report. That costs an extra traversal, so the plain
@@ -522,9 +522,9 @@ fn audit_decoded<'a>(
     let mut vars = VarStates::new();
     init_vars(program, &mut vars);
 
-    // ReExec. The coordinator merges the deferred preprocess edges into
-    // `G` while replay runs (replay never reads the graph). Grouped,
-    // workers replay whole groups and each group's unit streams into
+    // ReExec. The calling thread merges the deferred preprocess edges
+    // into `G` while replay runs (replay never reads the graph).
+    // Grouped, each group is replayed whole and its unit streams into
     // the global state in ascending order as it lands.
     clock.enter(Layer::Replay, &[]);
     let mut graph = std::mem::take(&mut pre.graph);

@@ -22,10 +22,10 @@
 //! request's activations are one contiguous range of the coordinates,
 //! and every coordinate a request's logs put into the `OpMap` lies in
 //! that range, so no two requests can collide there.
-//! [`preprocess_staged`] exploits this: requests are sharded over a
-//! scoped worker pool, each shard runs the six advice-driven sections
-//! for its request in serial section order, and the coordinator merges
-//! deterministically —
+//! [`preprocess_staged`] exploits this: requests are sharded over the
+//! verifier's worker pool (`pool.rs`), each shard runs the six
+//! advice-driven sections for its request in serial section order, and
+//! the calling thread merges deterministically —
 //!
 //! * **errors** by the lexicographic minimum of `(section, position)`,
 //!   where position is the request's rank in the section's serial
@@ -38,7 +38,7 @@
 //!
 //! The edge fragments are returned as [`DeferredEdges`] rather than
 //! merged eagerly, which lets the audit overlap the merge with group
-//! replay; [`preprocess`] is the merge-immediately wrapper.
+//! replay; [`DeferredEdges::merge_into`] merges them on the spot.
 
 use std::collections::{BTreeMap, HashMap};
 use std::ops::Range;
@@ -51,6 +51,7 @@ use crate::advice_ref::{AdviceRef, TxContentsRef, TxEntryRef, VecMap};
 use crate::verifier::coords::{Activation, Coords, Nearby, NodeTable};
 use crate::verifier::graph::{Edge, EdgeKind, Graph};
 use crate::verifier::isolation::{verify_isolation, IsolationStats};
+use crate::verifier::pool;
 use crate::verifier::reject::RejectReason;
 use crate::verifier::var_index::VarIndex;
 use crate::wire::{HandlerLogEntryView, HandlerOpView};
@@ -139,19 +140,6 @@ pub struct PreStaged {
     pub deferred: DeferredEdges,
 }
 
-/// Runs `Preprocess`. `isolation` is the level the store is deployed at
-/// (known to the principal).
-pub fn preprocess<'a>(
-    program: &Program,
-    trace: &Trace,
-    advice: &'a AdviceRef<'a>,
-    isolation: kvstore::IsolationLevel,
-) -> Result<Preprocessed, RejectReason> {
-    let mut staged = preprocess_staged(program, trace, advice, isolation, 1)?;
-    staged.deferred.merge_into(&mut staged.pre.graph);
-    Ok(staged.pre)
-}
-
 /// Advice-driven sections, in serial execution order. The
 /// boundary-response section is the only one whose serial iteration
 /// follows trace order instead of ascending request id.
@@ -162,8 +150,9 @@ const SEC_HANDLER: usize = 4;
 const SEC_EXTERNAL: usize = 5;
 
 /// Everything one request's shard reads: its ranges of the sorted
-/// advice maps, found on the coordinator by one ascending walk. `'x` is
-/// the advice storage — ultimately the wire bytes on the borrowed path.
+/// advice maps, found on the calling thread by one ascending walk. `'x`
+/// is the advice storage — ultimately the wire bytes on the borrowed
+/// path.
 struct RidWork<'x> {
     rid: RequestId,
     /// The request's arrival and delivery nodes; `None` for a request
@@ -198,9 +187,11 @@ struct ShardCtx<'c, 'x> {
     global_by_event: HashMap<&'c str, Vec<kem::FunctionId>>,
 }
 
-/// [`preprocess`] with the advice-driven sections sharded per request
-/// over `threads` workers and the edge merge deferred (see the module
-/// docs for the determinism argument).
+/// Runs `Preprocess`. `isolation` is the level the store is deployed at
+/// (known to the principal). The advice-driven sections run sharded per
+/// request over `threads` threads, the calling thread included (`1`
+/// runs every shard on it, spawning nothing), and the edge merge is
+/// deferred (see the module docs for the determinism argument).
 pub fn preprocess_staged<'a>(
     program: &Program,
     trace: &Trace,
@@ -214,7 +205,7 @@ pub fn preprocess_staged<'a>(
     let trace_order = trace.request_ids();
     let coords = Arc::new(Coords::build(&trace_order, &advice.opcounts)?);
 
-    // Time precedence stays on the coordinator: it is a single cheap
+    // Time precedence stays on the calling thread: it is a single cheap
     // chronological chain over the trusted trace.
     let mut graph = Graph::new(coords.clone());
     add_time_precedence_edges(&mut graph, trace);
@@ -235,57 +226,8 @@ pub fn preprocess_staged<'a>(
     };
 
     let nshards = work.len();
-    let mut shards: Vec<RidShard> = if threads <= 1 || nshards <= 1 {
-        work.iter().map(|w| run_rid_shard(&ctx, w)).collect()
-    } else {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let next = AtomicUsize::new(0);
-        let work_ref = &work;
-        let ctx_ref = &ctx;
-        let mut slots: Vec<Option<RidShard>> = Vec::new();
-        slots.resize_with(nshards, || None);
-        let workers = threads.min(nshards);
-        std::thread::scope(|s| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    let next = &next;
-                    s.spawn(move || {
-                        let mut done: Vec<(usize, RidShard)> = Vec::new();
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            let Some(w) = work_ref.get(i) else { break };
-                            done.push((i, run_rid_shard(ctx_ref, w)));
-                        }
-                        done
-                    })
-                })
-                .collect();
-            for h in handles {
-                match h.join() {
-                    Ok(done) => {
-                        for (i, shard) in done {
-                            if let Some(slot) = slots.get_mut(i) {
-                                *slot = Some(shard);
-                            }
-                        }
-                    }
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-        });
-        let mut out = Vec::with_capacity(nshards);
-        for slot in slots {
-            match slot {
-                Some(shard) => out.push(shard),
-                None => {
-                    return Err(RejectReason::VerifierInternal {
-                        what: "preprocess shard missing after sharded run".into(),
-                    })
-                }
-            }
-        }
-        out
-    };
+    let run = |i: usize| Ok(run_rid_shard(&ctx, &work[i]));
+    let mut shards = pool::collect(threads, nshards, &run)?;
 
     // First error in serial order: lexicographic minimum of
     // (section, position). Position is the shard's rank in ascending
@@ -564,7 +506,7 @@ fn section_boundary_roots(shard: &mut RidShard, work: &RidWork<'_>, acts: &[Acti
 
 /// `AddBoundaryEdges` (Fig. 15), response half: the alleged emitting
 /// operation precedes response delivery, which precedes the rest of the
-/// emitter. Serial iteration is trace order, which the coordinator's
+/// emitter. Serial iteration is trace order, which the calling thread's
 /// error selection reproduces via the arrival node.
 fn section_boundary_response(
     shard: &mut RidShard,

@@ -48,6 +48,7 @@ use crate::advice_ref::{AdviceRef, TxContentsRef, TxEntryRef};
 use crate::config::Limits;
 use crate::multivalue::MultiValue;
 use crate::verifier::coords::Coords;
+use crate::verifier::pool;
 use crate::verifier::preprocess::{OpMapEntry, Preprocessed};
 use crate::verifier::reject::{RejectReason, ResourceKind};
 use crate::verifier::var_index::{VarIndex, VarLog};
@@ -141,10 +142,10 @@ impl ReexecStats {
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ReexecTiming {
     /// Group replay: the call's wall clock net of `state_merge` — the
-    /// overlapped side job, interpreting the groups (one thread) or
-    /// waiting for the workers that do (several).
+    /// overlapped side job, the groups the calling thread interprets
+    /// and its waits for the ones spawned workers do.
     pub group_replay: Duration,
-    /// State merge: the coordinator's time applying each group's
+    /// State merge: the calling thread's time applying each group's
     /// resolved variable accesses to the global state and
     /// running the whole-audit final checks. Never its waits.
     pub state_merge: Duration,
@@ -820,31 +821,21 @@ impl<'a> ReExecutor<'a> {
     }
 
     /// Runs re-execution over all groups (Fig. 18), performing the
-    /// final whole-audit checks (lines 62–64), on the calling thread.
-    pub fn run(self) -> Result<ReexecStats, RejectReason> {
-        self.run_pipelined(1, || ()).map(|(stats, _)| stats)
-    }
-
-    /// Grouped re-execution over `threads` workers with an overlapped
-    /// side job and a *streaming* merge.
+    /// final whole-audit checks (lines 62–64), on `threads` threads —
+    /// the calling one included — through the verifier's worker pool
+    /// (`pool.rs`).
     ///
     /// Groups are independent by construction — same handler tree,
-    /// disjoint requests — so each worker interprets whole groups with
-    /// its own local replay state, recording its shared-variable
-    /// accesses. The calling thread is the coordinator: it runs
-    /// `overlap` while the workers replay (the audit builds `G`'s
-    /// deferred preprocess edges there; replay never reads the graph),
-    /// then merges each group's recorded unit into the global state as
-    /// soon as it lands, in ascending group order ([`Merge::run`]).
-    ///
-    /// With one thread (or a single group) there are no workers: the
-    /// side job runs first, then the coordinator replays each group
-    /// itself and merges it before replaying the next. Either way every
-    /// unit comes from the same per-group code and is consumed by the
-    /// same merge in the same order, and `overlap` touches no replay
-    /// state — so the outcome (verdict, [`RejectReason`], statistics)
-    /// is bit-identical at every thread count; only the wall clock
-    /// differs.
+    /// disjoint requests — so each is replayed whole with its own local
+    /// state, recording its shared-variable accesses. The calling thread
+    /// runs `overlap` first (the audit merges `G`'s deferred preprocess
+    /// edges there; replay never reads the graph), then merges each
+    /// group's unit into the global state in ascending group order
+    /// ([`Merge::run`]), replaying a group itself whenever the unit it
+    /// needs has not arrived. Every unit comes from the same per-group
+    /// code and meets the same merge in the same order, so the outcome
+    /// (verdict, [`RejectReason`], statistics) is bit-identical at every
+    /// thread count; only the wall clock differs.
     pub fn run_pipelined<F: FnOnce() + Send>(
         self,
         threads: usize,
@@ -880,9 +871,14 @@ impl<'a> ReExecutor<'a> {
         // initialization writes, shared and not copied.
         let init_vars: GroupVars = global.group_vars();
 
-        let run_unit = |gidx: usize, rids: &[RequestId], lane: u32| -> GroupRun {
+        // Smallest group index known to have failed: the pool skips
+        // groups strictly beyond it (the merge stops there), but never
+        // groups before it, which the merge still needs.
+        let failed_floor = AtomicUsize::new(usize::MAX);
+        let run_unit = |gidx: usize, lane: u32| -> GroupRun {
+            let rids = groups[gidx].as_slice();
             // Supervisor boundary: a panicking group must not take a
-            // worker thread (or the whole audit) down — it becomes a
+            // thread (or the whole audit) down — it becomes a
             // quarantined [`RejectReason::VerifierInternal`] unit and
             // the remaining groups keep replaying.
             let supervised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
@@ -990,7 +986,7 @@ impl<'a> ReExecutor<'a> {
                     panicked: false,
                 }
             }));
-            supervised.unwrap_or_else(|payload| GroupRun {
+            let unit = supervised.unwrap_or_else(|payload| GroupRun {
                 accesses: GroupAccesses::default(),
                 error: Some(RejectReason::VerifierInternal {
                     what: format!(
@@ -1004,7 +1000,14 @@ impl<'a> ReExecutor<'a> {
                 stats: ReexecStats::default(),
                 obs: obs_handle.shard(lane),
                 panicked: true,
-            })
+            });
+            // Only hard (semantic) errors lower the floor: quarantined
+            // groups don't stop the groups behind them.
+            if unit.error.as_ref().is_some_and(|e| !e.quarantines()) {
+                failed_floor.fetch_min(gidx, Ordering::Relaxed);
+                obs_handle.progress_floor(gidx as u64);
+            }
+            unit
         };
 
         let merge = Merge {
@@ -1019,101 +1022,14 @@ impl<'a> ReExecutor<'a> {
             coverage: Coverage::new(&pre.coords, order.len()),
             quarantine: Quarantine::default(),
         };
-        // Smallest group index known to have failed: workers skip
-        // groups strictly beyond it (the merge stops there), but
-        // never groups before it, which the merge still needs.
-        let failed_floor = AtomicUsize::new(usize::MAX);
-
-        let merged = if threads <= 1 || ngroups <= 1 {
+        let merged = pool::ordered(threads, ngroups, &failed_floor, &run_unit, |pool| {
             overlap();
-            // The merge never looks past the first *hard*-failing
-            // group, so neither does the replay; quarantined groups
-            // don't stop it (graceful degradation).
-            merge.run(ngroups, exchanges, pre, &failed_floor, |gidx| {
-                Ok(run_unit(gidx, &groups[gidx], 0))
-            })
-        } else {
-            // Workers publish finished units on a shared board; the
-            // coordinator takes them off it in ascending group order,
-            // so the side job and the merge both overlap replay.
-            use std::sync::{Condvar, Mutex};
-            let next = AtomicUsize::new(0);
-            let workers = threads.min(ngroups);
-            let workers_alive = AtomicUsize::new(workers);
-            let groups_ref = &groups;
-            let run_unit_ref = &run_unit;
-            let obs_ref = &obs_handle;
-            let board: Mutex<Vec<Option<GroupRun>>> =
-                Mutex::new((0..ngroups).map(|_| None).collect());
-            let ready = Condvar::new();
-            let poisoned = || RejectReason::VerifierInternal {
-                what: "group result board poisoned".into(),
-            };
-
-            std::thread::scope(|s| {
-                for w in 0..workers {
-                    // Lane 0 is the coordinator; workers get 1..=n.
-                    let lane = w as u32 + 1;
-                    let (next, failed_floor, workers_alive) =
-                        (&next, &failed_floor, &workers_alive);
-                    let (board, ready) = (&board, &ready);
-                    s.spawn(move || {
-                        loop {
-                            let i = next.fetch_add(1, Ordering::Relaxed);
-                            if i >= ngroups {
-                                break;
-                            }
-                            if i > failed_floor.load(Ordering::Relaxed) {
-                                continue;
-                            }
-                            // run_unit is supervised: a panicking group
-                            // reports a quarantined unit instead of
-                            // stalling the streaming merge on an empty
-                            // slot. Only hard (semantic) errors lower
-                            // the floor — quarantined groups don't stop
-                            // the groups behind them.
-                            let unit = run_unit_ref(i, &groups_ref[i], lane);
-                            if unit.error.as_ref().is_some_and(|e| !e.quarantines()) {
-                                failed_floor.fetch_min(i, Ordering::Relaxed);
-                                obs_ref.progress_floor(i as u64);
-                            }
-                            if let Ok(mut slots) = board.lock() {
-                                slots[i] = Some(unit);
-                            }
-                            ready.notify_all();
-                        }
-                        workers_alive.fetch_sub(1, Ordering::Relaxed);
-                        ready.notify_all();
-                    });
-                }
-
-                overlap();
-                merge.run(ngroups, exchanges, pre, &failed_floor, |gidx| {
-                    let mut slots = board.lock().map_err(|_| poisoned())?;
-                    loop {
-                        if let Some(unit) = slots[gidx].take() {
-                            return Ok(unit);
-                        }
-                        if workers_alive.load(Ordering::Relaxed) == 0 {
-                            // Every worker exited without filling this
-                            // slot: fail closed instead of waiting
-                            // forever.
-                            return Err(RejectReason::VerifierInternal {
-                                what: "group worker exited without reporting".into(),
-                            });
-                        }
-                        let (guard, _) = ready
-                            .wait_timeout(slots, Duration::from_millis(20))
-                            .map_err(|_| poisoned())?;
-                        slots = guard;
-                    }
-                })
-            })
-        };
+            merge.run(ngroups, exchanges, pre, |gidx| pool.take(gidx))
+        });
         let (stats, state_merge) = merged?;
-        // The two sum to the section: whatever the coordinator did not
-        // spend merging — the side job, replaying (one thread) or
-        // waiting for units (several) — is group replay.
+        // The two sum to the section: whatever the calling thread did
+        // not spend merging — the side job, the groups it replayed and
+        // its waits for the rest — is group replay.
         let timing = ReexecTiming {
             group_replay: t_section.elapsed().saturating_sub(state_merge),
             state_merge,
@@ -1125,8 +1041,8 @@ impl<'a> ReExecutor<'a> {
     /// grouping — every request is its own singleton group and all
     /// requests' handler activations share one global queue, drained in
     /// any well-formed order. This is the executor the paper's proofs
-    /// reason about; [`ReExecutor::run`] is the batched production
-    /// variant shown equivalent to it by Lemma 3.
+    /// reason about; [`ReExecutor::run_pipelined`] is the batched
+    /// production variant shown equivalent to it by Lemma 3.
     ///
     /// Control-flow tags are ignored (OOOAudit does not group), so this
     /// also audits advice from servers that decline to tag.
@@ -2348,8 +2264,7 @@ impl<'a> ReExecutor<'a> {
 /// Applying a group's resolved accesses to the global state runs the
 /// cross-group checks at the same event position a one-thread audit
 /// hits them, so the first error — applied or group-local — does not
-/// depend on how the units were produced. There is one merge for every
-/// thread count: only where [`Merge::run`] gets its next unit differs.
+/// depend on which thread produced the units.
 struct Merge<'m> {
     global: &'m mut VarStates,
     advice: &'m AdviceRef<'m>,
@@ -2362,20 +2277,15 @@ struct Merge<'m> {
 
 impl Merge<'_> {
     /// Merges units `0..ngroups` as `next_unit` hands them over (it may
-    /// run the group on the spot or block until a worker has), then
+    /// replay the group on the spot or wait until a worker has), then
     /// reports the pending quarantine verdict and runs the whole-audit
     /// final checks. Returns the statistics and the time spent merging
     /// and checking — never the time spent inside `next_unit`.
-    ///
-    /// A failed merge lowers `failed_floor` to its group so that
-    /// workers still in flight drain instead of replaying groups
-    /// nothing will merge.
     fn run(
         mut self,
         ngroups: usize,
         trace: &[Exchange<'_>],
         pre: &Preprocessed,
-        failed_floor: &AtomicUsize,
         mut next_unit: impl FnMut(usize) -> Result<GroupRun, RejectReason>,
     ) -> Result<(ReexecStats, Duration), RejectReason> {
         let span = self.obs.span_start();
@@ -2389,7 +2299,6 @@ impl Merge<'_> {
                 outcome
             });
             if let Err(e) = outcome {
-                failed_floor.fetch_min(gidx, Ordering::Relaxed);
                 self.obs.progress_floor(gidx as u64);
                 merged = Err(e);
                 break;

@@ -11,10 +11,10 @@
 //!   unlogged ones) and the single write that overwrote it;
 //! * the **first write** of the alleged history.
 //!
-//! After re-execution, [`VarStates::add_internal_state_edges`] embeds
-//! the per-variable history into the execution graph `G` as WR, WW, and
-//! RW edges, *and* checks that the write chain from the first write
-//! covers exactly the writes that were re-executed — without this
+//! After re-execution, [`VarStates::add_internal_state_edges_sharded`]
+//! embeds the per-variable history into the execution graph `G` as WR,
+//! WW, and RW edges, *and* checks that the write chain from the first
+//! write covers exactly the writes that were re-executed — without this
 //! coverage check, a server could park forged writes outside the chain
 //! where no simulate-and-check would ever touch them.
 //!
@@ -61,6 +61,7 @@ use crate::advice::AccessType;
 use crate::advice_ref::{VarLogRef, VecMap};
 use crate::verifier::coords::Coords;
 use crate::verifier::graph::{EdgeKind, Graph};
+use crate::verifier::pool;
 use crate::verifier::reject::RejectReason;
 use crate::verifier::var_index::{VarIndex, VarLog, NONE};
 
@@ -295,7 +296,7 @@ impl FeedCounters {
 /// One variable's contribution to the execution graph: the WR / WW / RW
 /// edges its write chain implies, as node-id pairs tagged with their
 /// [`EdgeKind`]. Fragments are built independently per variable
-/// (optionally on worker threads) and merged into `G` in
+/// (on the verifier's worker pool) and merged into `G` in
 /// ascending-`VarId` order, so the final graph — and any rejection — is
 /// identical regardless of how the assembly was sharded.
 type EdgeFragment = Vec<(u32, u32, EdgeKind)>;
@@ -663,89 +664,24 @@ impl VarStates {
     /// Postprocessing (Fig. 21 `AddInternalStateEdges`): walks each
     /// variable's write chain from the first write, adding WR / WW / RW
     /// edges to `G`, and checks the chain covers exactly the
-    /// re-executed writes.
-    pub fn add_internal_state_edges(&self, g: &mut Graph) -> Result<(), RejectReason> {
-        self.add_internal_state_edges_sharded(g, 1)
-    }
-
-    /// [`VarStates::add_internal_state_edges`], with the per-variable
-    /// fragment construction sharded over `threads` worker threads.
-    ///
-    /// Determinism: variables are processed in ascending `VarId` order
-    /// for both error selection (the first broken chain in that order
-    /// rejects, regardless of which worker found it) and fragment
-    /// merging (edges enter `G` in the same order a single-threaded
-    /// walk would produce).
+    /// re-executed writes. The per-variable fragments are built on
+    /// `threads` threads, the calling one included, and taken in
+    /// ascending `VarId` order: the first broken chain in that order
+    /// rejects, and edges enter `G` in the same order at every thread
+    /// count.
     pub fn add_internal_state_edges_sharded(
         &self,
         g: &mut Graph,
         threads: usize,
     ) -> Result<(), RejectReason> {
-        // The dense table is already in ascending-`VarId` order, so the
-        // sequential walk is a plain iteration; untouched slots produce
-        // empty fragments.
-        let nvars = self.per.len();
+        // The dense table is already in ascending-`VarId` order;
+        // untouched slots produce empty fragments.
         let nodes = u32::try_from(g.node_count()).unwrap_or(u32::MAX);
-        let fragment = |var: usize, state: &VarState| {
+        let fragment = |var: usize| {
             let init = self.init.get(var).and_then(Option::as_ref);
-            var_fragment(state, init.map(|(id, _)| *id), nodes)
+            var_fragment(&self.per[var], init.map(|(id, _)| *id), nodes)
         };
-        let fragments: Vec<EdgeFragment> = if threads <= 1 || nvars <= 1 {
-            let mut frags = Vec::with_capacity(nvars);
-            for (var, state) in self.per.iter().enumerate() {
-                frags.push(fragment(var, state)?);
-            }
-            frags
-        } else {
-            use std::sync::atomic::{AtomicUsize, Ordering};
-            let next = AtomicUsize::new(0);
-            let per = &self.per;
-            let fragment = &fragment;
-            let mut slots: Vec<Option<Result<EdgeFragment, RejectReason>>> = Vec::new();
-            slots.resize_with(nvars, || None);
-            let workers = threads.min(nvars);
-            std::thread::scope(|s| {
-                let handles: Vec<_> = (0..workers)
-                    .map(|_| {
-                        s.spawn(|| {
-                            let mut out: Vec<(usize, Result<EdgeFragment, RejectReason>)> =
-                                Vec::new();
-                            loop {
-                                let i = next.fetch_add(1, Ordering::Relaxed);
-                                let Some(state) = per.get(i) else { break };
-                                out.push((i, fragment(i, state)));
-                            }
-                            out
-                        })
-                    })
-                    .collect();
-                for h in handles {
-                    match h.join() {
-                        Ok(results) => {
-                            for (i, res) in results {
-                                slots[i] = Some(res);
-                            }
-                        }
-                        Err(payload) => std::panic::resume_unwind(payload),
-                    }
-                }
-            });
-            // First error in VarId order wins — same as the sequential
-            // walk, independent of worker scheduling.
-            let mut frags = Vec::with_capacity(nvars);
-            for slot in slots {
-                match slot {
-                    Some(Ok(frag)) => frags.push(frag),
-                    Some(Err(e)) => return Err(e),
-                    None => {
-                        return Err(RejectReason::VerifierInternal {
-                            what: "edge fragment missing after sharded assembly".into(),
-                        })
-                    }
-                }
-            }
-            frags
-        };
+        let fragments = pool::collect(threads, self.per.len(), &fragment)?;
 
         // Merge in VarId order.
         g.reserve(fragments.iter().map(Vec::len).sum());
@@ -925,7 +861,7 @@ mod tests {
 
         fn edges(&self) -> Result<Graph, RejectReason> {
             let mut g = Graph::new(self.coords.clone());
-            self.vs.add_internal_state_edges(&mut g)?;
+            self.vs.add_internal_state_edges_sharded(&mut g, 1)?;
             Ok(g)
         }
     }

@@ -776,7 +776,7 @@ proptest! {
                 let feeds: FeedCounters = new.feeds();
                 prop_assert_eq!(feeds, old.feeds());
                 let mut g_new = Graph::new(coords.clone());
-                prop_assert_eq!(&new.add_internal_state_edges(&mut g_new), &embedded);
+                prop_assert_eq!(&new.add_internal_state_edges_sharded(&mut g_new, 1), &embedded);
                 if embedded.is_ok() {
                     // `to_dot` lists every edge as `from -> to [kind]`,
                     // in insertion order.

@@ -1,9 +1,9 @@
 //! Unit-level checks of the verifier's preprocessing: graph structure,
 //! OpMap construction, and the individual REJECT sites of Figs. 14–16,
-//! exercised directly through `preprocess`.
+//! exercised directly through `preprocess_staged`.
 
 use karousos::advice::{Advice, HandlerLogEntry, HandlerOp};
-use karousos::verifier::{preprocess, OpMapEntry, Preprocessed, RejectReason};
+use karousos::verifier::{preprocess_staged, OpMapEntry, Preprocessed, RejectReason};
 use karousos::{decode_advice_view, encode_advice, run_instrumented_server, CollectorMode};
 use kem::dsl::*;
 use kem::{FunctionId, HandlerId, OpRef, ProgramBuilder, RequestId, ServerConfig, Trace, Value};
@@ -11,8 +11,9 @@ use kvstore::IsolationLevel;
 
 const SER: IsolationLevel = IsolationLevel::Serializable;
 
-/// Runs `preprocess` over `a` the way an audit reaches it: encoded,
-/// decoded to a view, built into a [`karousos::AdviceRef`].
+/// Runs preprocess over `a` the way an audit reaches it — encoded,
+/// decoded to a view, built into a [`karousos::AdviceRef`] — on the
+/// calling thread, with its deferred edges merged into `G`.
 fn pp(
     p: &kem::Program,
     t: &Trace,
@@ -22,12 +23,10 @@ fn pp(
     let bytes = encode_advice(a);
     let view = decode_advice_view(&bytes).expect("own encoding decodes");
     let mut interner = kem::ValueInterner::new();
-    preprocess(
-        p,
-        t,
-        &karousos::AdviceRef::from_view(&view, &mut interner),
-        iso,
-    )
+    let advice = karousos::AdviceRef::from_view(&view, &mut interner);
+    let mut staged = preprocess_staged(p, t, &advice, iso, 1)?;
+    staged.deferred.merge_into(&mut staged.pre.graph);
+    Ok(staged.pre)
 }
 
 fn pp_err(p: &kem::Program, t: &Trace, a: &Advice, iso: IsolationLevel) -> RejectReason {
@@ -64,7 +63,7 @@ fn preprocess_builds_expected_graph() {
     // Edges: time chain (1), boundary req→handler (1), program chain
     // start→op1→end (2), respond boundary op1→reqEnd→handlerEnd (2).
     assert_eq!(pre.graph.edge_count(), 6);
-    assert!(!pre.graph.has_cycle());
+    assert!(pre.graph.probe_cycle().back_edge.is_none());
     assert!(pre.op_map.is_empty(), "no handler/tx logs for this program");
     assert!(pre.committed.is_empty());
 }
@@ -505,7 +504,8 @@ fn write_order_reasons_fire_in_their_precedence() {
             .collect();
         let direct = karousos::verifier::verify_isolation(&advice, &committed, SER).unwrap_err();
         if through_preprocess {
-            assert_eq!(direct, preprocess(&p, &t, &advice, SER).unwrap_err());
+            let staged = preprocess_staged(&p, &t, &advice, SER, 1);
+            assert_eq!(direct, staged.unwrap_err());
         }
         direct
     };

@@ -50,9 +50,9 @@ layers! {
     /// construction, isolation verification, trusted initialization.
     Preprocess => "preprocess",
     /// Group replay and what overlaps it: the deferred-edge merge and,
-    /// with several threads, the coordinator's waits for its workers.
+    /// with several threads, the calling thread's waits for workers.
     Replay => "replay",
-    /// The coordinator's time applying each group's variable accesses
+    /// The calling thread's time applying each group's variable accesses
     /// to the global state and running the whole-audit final checks. It
     /// is interleaved with replay, so the heartbeat reads `replay`
     /// throughout and this layer's time is carved out of that one's.

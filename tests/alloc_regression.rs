@@ -143,12 +143,15 @@ fn counted_replay(
     let bytes = karousos::encode_advice(advice);
     let view = karousos::decode_advice_view(&bytes).expect("own encoding decodes");
     let advice = karousos::AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
-    let pre = karousos::verifier::preprocess(program, trace, &advice, isolation)
-        .expect("preprocess accepts honest advice");
+    let pre = karousos::verifier::preprocess_staged(program, trace, &advice, isolation, 1)
+        .expect("preprocess accepts honest advice")
+        .pre;
     let mut vars = karousos::verifier::VarStates::new();
     karousos::verifier::init_vars(program, &mut vars);
     let (stats, events, bytes) = count_allocs_and_bytes(|| {
-        karousos::verifier::ReExecutor::new(program, trace, &advice, &pre, &mut vars).run()
+        karousos::verifier::ReExecutor::new(program, trace, &advice, &pre, &mut vars)
+            .run_pipelined(1, || ())
+            .map(|(stats, _)| stats)
     });
     (stats.expect("replay accepts honest advice"), events, bytes)
 }
@@ -510,8 +513,10 @@ fn isolation_verification_allocation_budget() {
         let bytes = karousos::encode_advice(&advice);
         let view = karousos::decode_advice_view(&bytes).expect("own encoding decodes");
         let advice = karousos::AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
-        let pre = karousos::verifier::preprocess(&program, &out.trace, &advice, exp.isolation)
-            .expect("preprocess accepts honest advice");
+        let pre =
+            karousos::verifier::preprocess_staged(&program, &out.trace, &advice, exp.isolation, 1)
+                .expect("preprocess accepts honest advice")
+                .pre;
         let verify =
             || karousos::verifier::verify_isolation(&advice, &pre.committed, exp.isolation);
         let _ = verify();

@@ -430,8 +430,16 @@ fn wide_transaction_is_contained_by_linear_isolation_verification() {
         let view = karousos::decode_advice_view(&bytes).unwrap();
         let mut interner = kem::ValueInterner::new();
         let advice_ref = karousos::AdviceRef::from_view(&view, &mut interner);
-        let pre = karousos::verifier::preprocess(&program, &out.trace, &advice_ref, exp.isolation)
-            .unwrap_or_else(|e| panic!("width {width}: preprocess rejected: {e}"));
+        let staged = karousos::verifier::preprocess_staged(
+            &program,
+            &out.trace,
+            &advice_ref,
+            exp.isolation,
+            1,
+        );
+        let pre = staged
+            .unwrap_or_else(|e| panic!("width {width}: preprocess rejected: {e}"))
+            .pre;
         assert!(pre.isolation.state_ops > width as usize);
         assert_eq!(
             pre.isolation.write_order,
