@@ -117,6 +117,9 @@ pub struct Coords {
     by_rid: Vec<(RequestId, u32)>,
     /// One per `opcounts` entry, ascending `(rid, hid)`.
     acts: Vec<Activation>,
+    /// `acts[i].start`, ascending: what [`Coords::activation_of`]
+    /// searches, four bytes an activation.
+    starts: Vec<u32>,
     /// `(rid, index of its first activation)`, one per request
     /// `opcounts` reports, ascending: a request's activations end where
     /// the next request's begin.
@@ -192,10 +195,12 @@ impl Coords {
             .map(|(rid, rank)| (*rid, rank))
             .collect();
         by_rid.sort_unstable();
+        let starts = acts.iter().map(|act| act.start).collect();
         Ok(Coords {
             trace_order: trace_order.to_vec(),
             by_rid,
             acts,
+            starts,
             first_act,
             nodes,
         })
@@ -295,7 +300,7 @@ impl Coords {
         if id >= self.nodes {
             return None;
         }
-        let before = self.acts.partition_point(|a| a.start <= id);
+        let before = self.starts.partition_point(|start| *start <= id);
         self.acts.get(before.checked_sub(1)?)
     }
 

@@ -909,7 +909,7 @@ impl<'a> ReExecutor<'a> {
                     trace,
                     advice,
                     pre,
-                    init_vars.fresh(),
+                    init_vars.fresh(pre.var_index.entries_of(rids)),
                     schedule,
                     gidx,
                 );

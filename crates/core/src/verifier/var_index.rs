@@ -19,10 +19,10 @@
 //!   never becomes an endpoint in `G`.
 //!
 //! Per entry the index keeps the id of its `prec` and the position of
-//! the entry that `prec` is the key of, and per log the entries' own
-//! ids in ascending order — sixteen bytes an entry, nothing per node.
-//! Lookups are per variable: the same coordinate keyed in two
-//! variables' logs is two entries in two tables.
+//! the entry that `prec` is the key of, per log the entries' own ids in
+//! ascending order, and per request its entry count — sixteen bytes an
+//! entry, nothing per node. Lookups are per variable: the same
+//! coordinate keyed in two variables' logs is two entries in two tables.
 //!
 //! Resolution walks each log in key order. Keys ascend in
 //! `(rid, hid, opnum)` and so do the activations, so a key is nearly
@@ -36,7 +36,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use kem::{OpRef, VarId};
+use kem::{OpRef, RequestId, VarId};
 
 use crate::advice::{AccessType, VarLogEntry};
 use crate::advice_ref::{VarLogRef, VecMap};
@@ -69,6 +69,8 @@ pub struct VarIndex {
     logs: Vec<LogIndex>,
     /// The coordinates outside `opcounts` that some log names.
     outside: BTreeMap<OpRef, u32>,
+    /// By request, ascending: the entries keyed at its coordinates.
+    keyed: Vec<(RequestId, u32)>,
 }
 
 impl VarIndex {
@@ -87,6 +89,7 @@ impl VarIndex {
             coords,
             logs: Vec::with_capacity(var_logs.len()),
             outside: BTreeMap::new(),
+            keyed: Vec::new(),
         };
         for log in var_logs.values() {
             let entries = log.as_slice();
@@ -94,6 +97,11 @@ impl VarIndex {
             let mut prec = Vec::with_capacity(entries.len());
             let (mut key_hint, mut prec_hint) = (Nearby::default(), Nearby::default());
             for ((key, entry), position) in entries.iter().zip(0u32..) {
+                // Keys ascend, so a request's keys are one run.
+                match index.keyed.last_mut() {
+                    Some((rid, n)) if *rid == key.rid => *n = n.saturating_add(1),
+                    _ => index.keyed.push((key.rid, 1)),
+                }
                 by_id.push((index.resolve(key, &mut key_hint)?, position));
                 prec.push(match &entry.prec {
                     Some(p) => (index.resolve(p, &mut prec_hint)?, NONE),
@@ -111,6 +119,14 @@ impl VarIndex {
             }
             index.logs.push(LogIndex { by_id, prec });
         }
+        index.keyed.sort_unstable_by_key(|(rid, _)| *rid);
+        index.keyed.dedup_by(|(rid, n), (kept, total)| {
+            let same = rid == kept;
+            if same {
+                *total = total.saturating_add(*n);
+            }
+            same
+        });
         Ok(index)
     }
 
@@ -158,6 +174,16 @@ impl VarIndex {
     pub(crate) fn unnamed_id(&self) -> u32 {
         // `resolve` keeps the id space below `NONE - 1`.
         u32::try_from(self.id_space()).unwrap_or(NONE - 1)
+    }
+
+    /// How many entries the logs key at coordinates of `rids`.
+    pub(crate) fn entries_of(&self, rids: &[RequestId]) -> usize {
+        let keyed = |rid: &RequestId| {
+            let at = self.keyed.binary_search_by_key(rid, |(r, _)| *r).ok();
+            at.and_then(|at| self.keyed.get(at))
+                .map_or(0, |(_, n)| *n as usize)
+        };
+        rids.iter().map(keyed).sum()
     }
 
     /// The log of `var`, as re-execution reads it. `var_logs` must be

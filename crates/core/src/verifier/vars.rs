@@ -1,58 +1,39 @@
-//! Verifier-side program-variable machinery (§4.2–§4.3, Figs. 20–21).
+//! Verifier-side program-variable machinery (§4.2–§4.3, Figs. 20–21):
+//! per loggable variable, the writes that ran (which feed unlogged reads
+//! via `FindNearestRPrecedingWrite`), the reads that observed each write
+//! and the one write that overwrote it, and the alleged first write.
+//! [`VarStates::add_internal_state_edges_sharded`] embeds each history
+//! into `G` as WR, WW and RW edges, *and* checks that the write chain
+//! covers exactly the re-executed writes — otherwise a server could park
+//! forged writes where no simulate-and-check would touch them.
 //!
-//! For each loggable variable the verifier maintains, while
-//! re-executing:
+//! An operation is named by its id in the audit's [`VarIndex`]: its node
+//! id, or an id past the nodes for a coordinate `opcounts` does not
+//! cover. An `OpRef` is decoded only to render a rejection.
 //!
-//! * the **variable dictionary**: every value written, indexed by the
-//!   writing operation — used to feed unlogged reads via
-//!   `FindNearestRPrecedingWrite`;
-//! * the **observers** of each write: the reads that observed it (from
-//!   the variable log for logged reads, from the dictionary for
-//!   unlogged ones) and the single write that overwrote it;
-//! * the **first write** of the alleged history.
+//! `OnRead` and `OnWrite` are split where the work stops depending on
+//! one group, and each half has its own store (DESIGN.md §19):
 //!
-//! After re-execution, [`VarStates::add_internal_state_edges_sharded`]
-//! embeds the per-variable history into the execution graph `G` as WR,
-//! WW, and RW edges, *and* checks that the write chain from the first
-//! write covers exactly the writes that were re-executed — without this
-//! coverage check, a server could park forged writes outside the chain
-//! where no simulate-and-check would ever touch them.
-//!
-//! # Operations are ids
-//!
-//! An operation is named by its id in the audit's [`VarIndex`]: the
-//! node id the coordinates give it, or an id past the nodes for a
-//! coordinate `opcounts` does not cover (`var_index.rs`). Replay hands
-//! over the node it is executing, the index turns the log's `prec`s
-//! into ids once per audit, and everything here is keyed by `u32`. An
-//! `OpRef` is decoded from the coordinates only to render a rejection.
-//!
-//! # Two halves
-//!
-//! `OnRead` and `OnWrite` are each split where the work stops depending
-//! on one group only:
-//!
-//! * **resolve** ([`VarStates::resolve_read`],
-//!   [`VarStates::resolve_write`]) consults the log and a dictionary
-//!   and decides what the access is fed and which write it observed or
-//!   overwrote. A group's replay runs it against the group's own state:
-//!   the log is the same everywhere, and `FindNearestRPrecedingWrite`
-//!   only ever reaches writes of the access's own request (one group
-//!   replays a whole request) and the initialization.
+//! * **resolve** ([`Ran`]) consults the log and the writes that ran
+//!   where the access is resolved — per variable an ordered map
+//!   ([`Written`]) for `FindNearestRPrecedingWrite` to range-query — and
+//!   decides what the access is fed and which write it observed or
+//!   overwrote. A group resolves against its own writes: the log is the
+//!   same everywhere, and the nearest preceding write is one of the
+//!   access's own request (a group replays whole requests) or the
+//!   initialization.
 //! * **apply** ([`VarStates::apply_read`], [`VarStates::apply_write`])
-//!   records the outcome and runs the checks another group can fail:
-//!   one overwriting write per write, one first write, and a logged
-//!   value against the dictating write if that write has run
-//!   *anywhere*. The merge runs it on the whole-audit state, in group
-//!   order, at the position the access has in its group's stream.
+//!   records the outcome in the whole-audit [`WriteTable`] and runs the
+//!   checks another group can fail. The merge applies each group's
+//!   stream in group order ([`VarStates::merge_group`]);
+//!   [`VarStates::on_read`] / [`VarStates::on_write`] run the halves
+//!   back to back, as Figs. 20–21 print them, for the ungrouped replay.
 //!
-//! [`VarStates::on_read`] and [`VarStates::on_write`] are the two
-//! halves back to back on one state, which is Figs. 20–21 as printed
-//! and what the ungrouped `OOOAudit` replay calls. A grouped replay
-//! runs them apart: [`GroupVars`] resolves a group's accesses and
-//! records them, [`VarStates::merge_group`] applies the record.
+//! A write that passes simulate-and-check keeps the log entry's value,
+//! which the advice holds anyway, not the re-executed copy proved equal
+//! to it: a later compare against it is a pointer compare.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use kem::{OpRef, Value, VarId};
@@ -65,50 +46,166 @@ use crate::verifier::pool;
 use crate::verifier::reject::RejectReason;
 use crate::verifier::var_index::{VarIndex, VarLog, NONE};
 
-/// What is attached to one write: who read it and who overwrote it.
-#[derive(Debug, Default)]
-struct Observers {
-    /// The reads that observed the write, in the order they were
-    /// applied.
-    readers: Vec<u32>,
-    /// The write that overwrote it.
-    overwritten_by: Option<u32>,
+/// By variable: the id and value of its trusted initialization write.
+type Inits = Vec<Option<(u32, Value)>>;
+
+fn init_of(init: &Inits, var: VarId) -> Option<&(u32, Value)> {
+    init.get(var.0 as usize)?.as_ref()
 }
 
-/// Per-variable verifier state. Keys are ids of the audit's
-/// [`VarIndex`]; a write that ran is a node id.
+const OVERWRITTEN_TWICE: RejectReason = RejectReason::VarChainBroken {
+    why: "two writes overwrite the same write",
+};
+const FIRST_TWICE: RejectReason = RejectReason::VarChainBroken {
+    why: "two writes claim to be the first",
+};
+
+/// One variable's writes that ran where its accesses are resolved.
 #[derive(Debug, Default)]
-struct VarState {
-    /// The value of every write that was re-executed, by node. Node ids
-    /// ascend in `(rid, hid, opnum)` order and an activation's
-    /// operations are consecutive, so "the last write of a handler
-    /// before an operation" is the last key of a range.
-    dict: BTreeMap<u32, Value>,
-    /// By write: its observers. The write may be one that has not run
-    /// (yet, or ever) and is only named by a log.
-    observers: BTreeMap<u32, Observers>,
-    /// The alleged first write, for a variable the program does not
-    /// initialize.
+struct Written {
+    /// Their values, by node. An activation's operations are
+    /// consecutive ids, so "the last write of a handler before an
+    /// operation" is the last key of a range.
+    values: BTreeMap<u32, Value>,
+    /// A group's own chain step: the writes its writes overwrote, and
+    /// whether one of them claimed to be the first.
+    overwritten: BTreeSet<u32>,
+    first: bool,
+}
+
+fn written_mut(written: &mut Vec<Written>, var: VarId) -> &mut Written {
+    let i = var.0 as usize;
+    if i >= written.len() {
+        written.resize_with(i + 1, Written::default);
+    }
+    &mut written[i]
+}
+
+/// The apply half's store: a record per `(variable, id)` the merge met,
+/// reached through a dense table over the id space. An id's records are
+/// chained: at most one per variable of the program.
+#[derive(Debug, Default)]
+struct WriteTable {
+    /// By id: its newest record, [`NONE`] for none. Sized to the id
+    /// space ([`VarStates::bind`]) at the first record.
+    head: Vec<u32>,
+    ids: usize,
+    records: Vec<Record>,
+    /// Every applied read — the record it observed and its node — in
+    /// apply order.
+    reads: Vec<(u32, u32)>,
+    /// By variable.
+    chains: Vec<Chain>,
+}
+
+/// What the merge knows of one write.
+#[derive(Debug)]
+struct Record {
+    var: VarId,
+    id: u32,
+    /// The id's record for another variable; [`NONE`] ends the chain.
+    next: u32,
+    /// The value the write produced, if it ran.
+    value: Option<Value>,
+    /// The write that overwrote it; [`NONE`] for none.
+    overwritten_by: u32,
+    observed: bool,
+}
+
+impl Record {
+    /// Whether a reader or an overwriting write hangs off the write.
+    fn attached(&self) -> bool {
+        self.observed || self.overwritten_by != NONE
+    }
+}
+
+/// One variable's chain, as far as the merge built it.
+#[derive(Debug, Default, Clone, Copy)]
+struct Chain {
+    /// The alleged first write, for a variable nothing initializes.
     first: Option<u32>,
+    /// Writes that ran, and records something is attached to.
+    ran: usize,
+    attached: usize,
 }
 
-/// All per-variable states, indexed densely by [`VarId`].
-///
-/// Variable ids are dense indices assigned at program build time (the
-/// same resolve pass that interns identifiers), so a `Vec` slot per
-/// variable replaces hashing on the replay hot path; untouched slots
-/// stay `Default` and contribute nothing to the graph.
+impl WriteTable {
+    /// The record of `(var, id)` and its position, if the merge met it.
+    fn find(&self, var: VarId, id: u32) -> Option<(u32, &Record)> {
+        let mut at = *self.head.get(id as usize)?;
+        while let Some(record) = self.records.get(at as usize) {
+            if record.var == var {
+                return Some((at, record));
+            }
+            at = record.next;
+        }
+        None
+    }
+
+    /// The record of `(var, id)`, made on first touch, its position and
+    /// the variable's chain.
+    fn touch(&mut self, var: VarId, id: u32) -> (u32, &mut Record, &mut Chain) {
+        let slot = id as usize;
+        if slot >= self.head.len() {
+            self.head.resize(self.ids.max(slot + 1), NONE);
+        }
+        let at = match self.find(var, id) {
+            Some((at, _)) => at,
+            None => {
+                let next = std::mem::replace(&mut self.head[slot], self.records.len() as u32);
+                self.records.push(Record {
+                    var,
+                    id,
+                    next,
+                    value: None,
+                    overwritten_by: NONE,
+                    observed: false,
+                });
+                self.records.len() as u32 - 1
+            }
+        };
+        let v = var.0 as usize;
+        if v >= self.chains.len() {
+            self.chains.resize(v + 1, Chain::default());
+        }
+        (at, &mut self.records[at as usize], &mut self.chains[v])
+    }
+
+    /// The reads counting-sorted by record: record `at`'s readers, in
+    /// apply order, are `nodes[starts[at]..starts[at + 1]]`.
+    fn readers(&self) -> (Vec<u32>, Vec<u32>) {
+        let mut starts = vec![0u32; self.records.len() + 1];
+        for (at, _) in &self.reads {
+            starts[*at as usize + 1] += 1;
+        }
+        let mut sum = 0;
+        for start in &mut starts {
+            sum += *start;
+            *start = sum;
+        }
+        let (mut fill, mut nodes) = (starts.clone(), vec![0u32; self.reads.len()]);
+        for (at, reader) in &self.reads {
+            let next = &mut fill[*at as usize];
+            nodes[*next as usize] = *reader;
+            *next += 1;
+        }
+        (starts, nodes)
+    }
+}
+
+/// All per-variable state of an audit (see the module docs). Variable
+/// ids are dense indices assigned at program build time, so a `Vec`
+/// slot per variable replaces hashing on the replay hot path.
 #[derive(Debug, Default)]
 pub struct VarStates {
-    /// Initialization writes recorded before the audit had coordinates
-    /// (`init_vars` runs on a fresh state); [`VarStates::bind`] gives
-    /// them ids.
+    /// Initialization writes recorded before the audit had coordinates;
+    /// [`VarStates::bind`] gives them ids.
     unbound: Vec<(VarId, OpRef, Value)>,
-    /// By variable: the id and value of its trusted initialization
-    /// write. The one thing every group's state shares with the
-    /// whole-audit state, so it is shared and not copied.
-    init: Arc<Vec<Option<(u32, Value)>>>,
-    per: Vec<VarState>,
+    /// Shared with every group's state, not copied.
+    init: Arc<Inits>,
+    /// By variable: filled only by [`VarStates::on_write`].
+    written: Vec<Written>,
+    table: WriteTable,
     feeds: FeedCounters,
 }
 
@@ -134,82 +231,69 @@ enum Fed {
     /// read was resolved: its value was compared there.
     Log,
     /// From the log entry at this position, whose write had not run
-    /// where the read was resolved. Another group may have run it: the
-    /// apply half compares.
+    /// where the read was resolved: the apply half compares.
     LogUnchecked(u32),
 }
 
-/// A re-executed read, resolved.
+/// A re-executed read, resolved: at `node`, observing `from`.
 #[derive(Debug, Clone, Copy)]
 struct ReadEvent {
     var: VarId,
-    /// The read's node.
     node: u32,
-    /// The write it observed.
     from: u32,
     fed: Fed,
 }
 
-/// A re-executed write, resolved.
+/// A re-executed write, resolved: at `node`, overwriting `prec`, or
+/// claiming to be the first.
 #[derive(Debug, Clone)]
 struct WriteEvent {
     var: VarId,
-    /// The write's node.
     node: u32,
     value: Value,
-    /// The write it overwrote; `None` if it claims to be the first.
     prec: Option<u32>,
 }
 
 /// One shared-variable access of a group's replay, as far as the group
-/// could decide it: what it is at, what it was fed from or overwrote.
+/// could decide it.
 #[derive(Debug)]
 enum VarEvent {
-    /// A re-executed read.
     Read(ReadEvent),
-    /// A re-executed write.
     Write(WriteEvent),
-    /// The access the group's own state refused, which ended the
-    /// group's replay: the merge reports it here, behind whatever an
-    /// earlier event of the stream fails against another group.
+    /// The access the group refused, which ended its replay: the merge
+    /// reports it behind what earlier events fail against other groups.
     Refused(RejectReason),
 }
 
-/// The variable state of one group's replay
-/// ([`VarStates::group_vars`]): the trusted initialization writes plus
-/// the writes the group re-executes, and the record of its accesses.
-///
-/// A group's unlogged reads only ever consult writes by their own
-/// request's ancestors or the initialization — both present here — so
-/// the values fed to the interpreter match the sequential audit's
-/// exactly; and a chain conflict between two of the group's own writes
-/// stops the group where the sequential audit stops.
+/// The variable state of one group's replay: the shared initialization
+/// writes, the writes the group re-executes, and its accesses. A chain
+/// conflict between two of the group's own writes stops the group where
+/// the sequential audit stops.
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct GroupVars {
-    local: VarStates,
+    init: Arc<Inits>,
+    written: Vec<Written>,
     /// Accesses in group program order.
     events: Vec<VarEvent>,
 }
 
-/// A finished group's accesses in group program order, up to and
-/// including the refused one if one ended the replay
-/// ([`GroupVars::finish`]).
-///
-/// [`VarStates::merge_group`] applies the streams to the whole-audit
-/// state in ascending group order. Cross-group checks — a dictating
-/// write's logged value versus what its group's re-execution produced,
-/// chain overwrite conflicts — fire there at exactly the event position
-/// the sequential audit hits them, so verdict and reason are
-/// independent of worker scheduling.
+/// A finished group's accesses, up to the refused one if one ended the
+/// replay. The merge applies them in ascending group order, so verdict
+/// and reason do not depend on worker scheduling.
 #[doc(hidden)]
 #[derive(Debug, Default)]
 pub struct GroupAccesses(Vec<VarEvent>);
 
 impl GroupVars {
-    /// An empty state for another group of the same audit.
-    pub(crate) fn fresh(&self) -> GroupVars {
-        self.local.group_vars()
+    /// An empty state for another group of the same audit, its stream
+    /// reserved for `events` accesses.
+    pub(crate) fn fresh(&self, events: usize) -> GroupVars {
+        GroupVars {
+            init: Arc::clone(&self.init),
+            written: Vec::new(),
+            events: Vec::with_capacity(events),
+        }
     }
 
     /// [`VarStates::on_read`] as far as this group decides it.
@@ -219,12 +303,12 @@ impl GroupVars {
         node: u32,
         log: &VarLog<'_>,
     ) -> Result<Value, RejectReason> {
-        let resolved = self.local.resolve_read(var, node, log);
+        let resolved = Ran::of(&self.written, &self.init, var).resolve_read(var, node, log);
         self.record(resolved.map(|(value, event)| (value, VarEvent::Read(event))))
     }
 
-    /// [`VarStates::on_write`] as far as this group decides it. The
-    /// write takes its place in the group's own chain too.
+    /// [`VarStates::on_write`] as far as this group decides it, with the
+    /// checks of [`VarStates::apply_write`] on the group's own writes.
     pub fn on_write(
         &mut self,
         var: VarId,
@@ -232,16 +316,29 @@ impl GroupVars {
         value: Value,
         log: &VarLog<'_>,
     ) -> Result<(), RejectReason> {
-        let resolved = self.local.resolve_write(var, node, value, log);
-        let applied = resolved.and_then(|event| {
-            self.local.apply_write(event.clone())?;
+        let resolved = Ran::of(&self.written, &self.init, var).resolve_write(var, node, value, log);
+        let initialized = init_of(&self.init, var).is_some();
+        let written = written_mut(&mut self.written, var);
+        let stepped = resolved.and_then(|event| {
+            written
+                .values
+                .entry(node)
+                .or_insert_with(|| event.value.clone());
+            match event.prec {
+                Some(prec) => {
+                    if !written.overwritten.insert(prec) {
+                        return Err(OVERWRITTEN_TWICE);
+                    }
+                }
+                None if initialized || written.first => return Err(FIRST_TWICE),
+                None => written.first = true,
+            }
             Ok(((), VarEvent::Write(event)))
         });
-        self.record(applied)
+        self.record(stepped)
     }
 
-    /// Appends an access to the stream: the resolved event, or the
-    /// refusal.
+    /// Appends the resolved event, or the refusal.
     fn record<T>(
         &mut self,
         access: Result<(T, VarEvent), RejectReason>,
@@ -258,16 +355,14 @@ impl GroupVars {
         }
     }
 
-    /// Ends the group's replay: its state is dropped, its accesses go
-    /// to the merge.
+    /// Ends the group's replay: its accesses go to the merge.
     pub fn finish(self) -> GroupAccesses {
         GroupAccesses(self.events)
     }
 }
 
 impl GroupAccesses {
-    /// `(reads, writes)` the group re-executed, and how the reads were
-    /// fed.
+    /// `(reads, writes)` the group re-executed, and how reads were fed.
     pub(crate) fn tally(&self) -> (u64, u64, FeedCounters) {
         let (mut reads, mut writes, mut feeds) = (0, 0, FeedCounters::default());
         for event in &self.0 {
@@ -293,12 +388,8 @@ impl FeedCounters {
     }
 }
 
-/// One variable's contribution to the execution graph: the WR / WW / RW
-/// edges its write chain implies, as node-id pairs tagged with their
-/// [`EdgeKind`]. Fragments are built independently per variable
-/// (on the verifier's worker pool) and merged into `G` in
-/// ascending-`VarId` order, so the final graph — and any rejection — is
-/// identical regardless of how the assembly was sharded.
+/// One variable's WR / WW / RW edges, merged into `G` in ascending
+/// `VarId` order whatever the sharding.
 type EdgeFragment = Vec<(u32, u32, EdgeKind)>;
 
 impl VarStates {
@@ -322,12 +413,11 @@ impl VarStates {
     }
 
     /// Gives the initialization writes recorded so far their ids in
-    /// `index`. [`crate::verifier::ReExecutor::new`] does this for the
-    /// state it is handed; a test driving [`VarStates::on_read`] and
-    /// [`VarStates::on_write`] itself does it before the first access
-    /// (an access on a state with unbound writes is refused).
+    /// `index`, and the write table its id space. `ReExecutor::new` does
+    /// this; an access on a state with unbound writes is refused.
     #[doc(hidden)]
     pub fn bind(&mut self, index: &VarIndex) {
+        self.table.ids = index.unnamed_id() as usize + 1;
         if self.unbound.is_empty() {
             return;
         }
@@ -338,26 +428,16 @@ impl VarStates {
             if slot >= init.len() {
                 init.resize(slot + 1, None);
             }
-            if let Some(entry) = init.get_mut(slot) {
-                *entry = Some((id, value));
-            }
+            init[slot] = Some((id, value));
         }
     }
 
-    /// An empty state for one group's replay: it knows the
-    /// initialization writes and will learn the group's own writes,
-    /// which is all [`VarStates::resolve_read`] and
-    /// [`VarStates::resolve_write`] consult for a group's accesses.
-    /// Costs a reference count; grows with what the group touches.
+    /// An empty state for one group's replay.
     #[doc(hidden)]
     pub fn group_vars(&self) -> GroupVars {
         GroupVars {
-            local: VarStates {
-                unbound: Vec::new(),
-                init: Arc::clone(&self.init),
-                per: Vec::new(),
-                feeds: FeedCounters::default(),
-            },
+            init: Arc::clone(&self.init),
+            written: Vec::new(),
             events: Vec::new(),
         }
     }
@@ -374,9 +454,6 @@ impl VarStates {
         var_logs: &VecMap<VarId, VarLogRef>,
     ) -> Result<(), RejectReason> {
         self.bound()?;
-        // The group resolved each access; what is left is what another
-        // group can fail — and a write's value moves into the
-        // dictionary, it is not copied out of the stream.
         for event in accesses.0 {
             match event {
                 VarEvent::Read(read) => self.apply_read(&read, &index.log(var_logs, read.var))?,
@@ -387,9 +464,8 @@ impl VarStates {
         Ok(())
     }
 
-    /// Refuses to work on a state whose initialization writes were
-    /// never given ids: it would answer as if the program initialized
-    /// nothing.
+    /// Refuses a state whose initialization writes were never given
+    /// ids: it would answer as if the program initialized nothing.
     fn bound(&self) -> Result<(), RejectReason> {
         if self.unbound.is_empty() {
             Ok(())
@@ -400,32 +476,143 @@ impl VarStates {
         }
     }
 
-    /// The state slot for `var`, growing the dense table on first
-    /// touch (ids are dense, so the table tops out at the program's
-    /// variable count).
-    fn state_mut(&mut self, var: VarId) -> &mut VarState {
-        let i = var.0 as usize;
-        if i >= self.per.len() {
-            self.per.resize_with(i + 1, VarState::default);
+    /// Re-executes a read (Fig. 20 `OnRead`), returning the value to
+    /// feed the program. `log` is [`VarIndex::log`] of `var`.
+    pub fn on_read(
+        &mut self,
+        var: VarId,
+        node: u32,
+        log: &VarLog<'_>,
+    ) -> Result<Value, RejectReason> {
+        self.bound()?;
+        let (value, event) =
+            Ran::of(&self.written, &self.init, var).resolve_read(var, node, log)?;
+        self.apply_read(&event, log)?;
+        Ok(value)
+    }
+
+    /// The half of `OnRead` that needs every group before it: counts
+    /// the feed, compares a logged value against a dictating write the
+    /// resolving state had not seen run, and records the reader.
+    fn apply_read(&mut self, event: &ReadEvent, log: &VarLog<'_>) -> Result<(), RejectReason> {
+        self.feeds.count(event.fed);
+        if let Fed::LogUnchecked(dictating) = event.fed {
+            let init = Ran::of(&[], &self.init, event.var).value_of(event.from);
+            let ran = self.table.find(event.var, event.from);
+            let actual = ran.and_then(|(_, record)| record.value.as_ref()).or(init);
+            let logged = log.entry(dictating).and_then(|w| w.value.as_ref());
+            if actual.is_some_and(|actual| logged != Some(actual)) {
+                return Err(log.mismatch(
+                    event.node,
+                    "dictating write's logged value differs from execution",
+                ));
+            }
         }
-        &mut self.per[i]
+        let (at, record, chain) = self.table.touch(event.var, event.from);
+        chain.attached += usize::from(!record.attached());
+        record.observed = true;
+        self.table.reads.push((at, event.node));
+        Ok(())
     }
 
-    fn init_of(&self, var: VarId) -> Option<(u32, &Value)> {
-        let (id, value) = self.init.get(var.0 as usize)?.as_ref()?;
-        Some((*id, value))
+    /// Re-executes a write (Fig. 21 `OnWrite`): simulate-and-check
+    /// against the log, record the dictionary entry, and maintain the
+    /// write chain.
+    pub fn on_write(
+        &mut self,
+        var: VarId,
+        node: u32,
+        value: Value,
+        log: &VarLog<'_>,
+    ) -> Result<(), RejectReason> {
+        self.bound()?;
+        let event = Ran::of(&self.written, &self.init, var).resolve_write(var, node, value, log)?;
+        let written = written_mut(&mut self.written, var);
+        written
+            .values
+            .entry(node)
+            .or_insert_with(|| event.value.clone());
+        self.apply_write(event)
     }
 
-    /// The value the write `id` produced, if it has run here: a
-    /// re-executed write of this state, or the trusted initialization
-    /// (which `OnWrite` never simulate-and-checks).
-    fn value_of(&self, var: VarId, id: u32) -> Option<&Value> {
-        let executed = self.per.get(var.0 as usize).and_then(|s| s.dict.get(&id));
-        executed.or_else(|| {
-            self.init_of(var)
-                .filter(|(init, _)| *init == id)
-                .map(|(_, value)| value)
-        })
+    /// The half of `OnWrite` that needs every group before it: the
+    /// write's value, and its place in the chain.
+    fn apply_write(&mut self, event: WriteEvent) -> Result<(), RejectReason> {
+        let initialized = init_of(&self.init, event.var).is_some();
+        let (_, record, chain) = self.table.touch(event.var, event.node);
+        // Advice that makes replay run a handler twice gets the first
+        // value kept; the chain checks refuse the second write.
+        if record.value.is_none() {
+            record.value = Some(event.value);
+            chain.ran += 1;
+        }
+        match event.prec {
+            Some(prec) => {
+                // Two handlers cannot overwrite the same value.
+                let (_, record, chain) = self.table.touch(event.var, prec);
+                if record.overwritten_by != NONE {
+                    return Err(OVERWRITTEN_TWICE);
+                }
+                chain.attached += usize::from(!record.attached());
+                record.overwritten_by = event.node;
+            }
+            None if initialized || chain.first.is_some() => return Err(FIRST_TWICE),
+            None => chain.first = Some(event.node),
+        }
+        Ok(())
+    }
+
+    /// Postprocessing (Fig. 21 `AddInternalStateEdges`): each
+    /// variable's chain's edges, and its coverage check, built on
+    /// `threads` threads and taken in ascending `VarId` order, so the
+    /// first broken chain and the edge order are those of one thread.
+    pub fn add_internal_state_edges_sharded(
+        &self,
+        g: &mut Graph,
+        threads: usize,
+    ) -> Result<(), RejectReason> {
+        let nodes = u32::try_from(g.node_count()).unwrap_or(u32::MAX);
+        let readers = self.table.readers();
+        let fragment = |var: usize| {
+            let init = self.init.get(var).and_then(Option::as_ref);
+            let init = init.map(|(id, _)| *id);
+            var_fragment(&self.table, &readers, VarId(var as u32), init, nodes)
+        };
+        // A variable the merge never met has an empty fragment.
+        let fragments = pool::collect(threads, self.table.chains.len(), &fragment)?;
+
+        // Merge in VarId order.
+        g.reserve(fragments.iter().map(Vec::len).sum());
+        for (var, frag) in (0u32..).zip(&fragments) {
+            for (from, to, kind) in frag {
+                g.add_var_edge(*from, *to, *kind, VarId(var));
+            }
+        }
+        Ok(())
+    }
+}
+
+/// The resolve half for one variable: the writes that ran where the
+/// access is resolved, and the initialization.
+#[derive(Clone, Copy)]
+struct Ran<'s> {
+    written: Option<&'s BTreeMap<u32, Value>>,
+    init: Option<&'s (u32, Value)>,
+}
+
+impl<'s> Ran<'s> {
+    fn of(written: &'s [Written], init: &'s Inits, var: VarId) -> Self {
+        Ran {
+            written: written.get(var.0 as usize).map(|w| &w.values),
+            init: init_of(init, var),
+        }
+    }
+
+    /// The value the write `id` produced, if it ran here (the trusted
+    /// initialization always has).
+    fn value_of(self, id: u32) -> Option<&'s Value> {
+        let executed = self.written.and_then(|written| written.get(&id));
+        executed.or_else(|| self.init.filter(|(init, _)| *init == id).map(|(_, v)| v))
     }
 
     /// `FindNearestRPrecedingWrite`: the latest write (under `<_R`)
@@ -433,25 +620,12 @@ impl VarStates {
     /// own handler below it, else the last write of the nearest
     /// ancestor that wrote at all (an ancestor ran to completion before
     /// its descendants started, so all of its operations R-precede),
-    /// else the initialization, everyone's ancestor.
-    ///
-    /// Ancestors are followed through [`Activation::parent`] — the
-    /// activation index the coordinates resolved `hid.parent()` to —
-    /// not through handler ids. That reaches every ancestor that can
-    /// have written: a write is in the dictionary only if its handler
-    /// was executed, replay executes a handler only from a slot it
-    /// resolved when the handler was enqueued, a request handler has no
-    /// parent, and any other handler is enqueued from its activator's
-    /// own resolved slot and accepted only if its `parent` link is that
-    /// slot's activation (`Coords::find_child_in`). So by induction an
-    /// executed activation's links lead through executed activations up
-    /// to its request handler, and an activation the advice leaves
-    /// unlinked was never executed and wrote nothing.
-    ///
-    /// [`Activation::parent`]: crate::verifier::coords::Activation
-    fn nearest_preceding(&self, var: VarId, node: u32, coords: &Coords) -> Option<(u32, &Value)> {
-        let dict = self.per.get(var.0 as usize).map(|state| &state.dict);
-        if let Some(dict) = dict.filter(|dict| !dict.is_empty()) {
+    /// else the initialization, everyone's ancestor. Ancestors are
+    /// followed through `Activation::parent`, which reaches every
+    /// ancestor that can have written (DESIGN.md §19, and
+    /// `unlinked_activations_never_ran_so_the_ancestor_walk_misses_nothing`).
+    fn nearest_preceding(self, node: u32, coords: &Coords) -> Option<(u32, &'s Value)> {
+        if let Some(written) = self.written.filter(|written| !written.is_empty()) {
             let acts = coords.activations();
             // The handler being searched and the node its search stops
             // below: the operation itself, then each ancestor's end.
@@ -459,7 +633,7 @@ impl VarStates {
             while let Some((act, below)) = scope {
                 let first_op = act.start.saturating_add(1);
                 if first_op < below {
-                    if let Some((id, value)) = dict.range(first_op..below).next_back() {
+                    if let Some((id, value)) = written.range(first_op..below).next_back() {
                         return Some((*id, value));
                     }
                 }
@@ -469,32 +643,17 @@ impl VarStates {
                     .map(|parent| (parent, parent.end()));
             }
         }
-        self.init_of(var)
-    }
-
-    /// Re-executes a read (Fig. 20 `OnRead`), returning the value to
-    /// feed the program. `log` is the variable's log
-    /// ([`VarIndex::log`]).
-    pub fn on_read(
-        &mut self,
-        var: VarId,
-        node: u32,
-        log: &VarLog<'_>,
-    ) -> Result<Value, RejectReason> {
-        let (value, event) = self.resolve_read(var, node, log)?;
-        self.apply_read(&event, log)?;
-        Ok(value)
+        self.init.map(|(id, value)| (*id, value))
     }
 
     /// The half of `OnRead` that one group decides: the value to feed
     /// and the write the read observed.
     fn resolve_read(
-        &self,
+        self,
         var: VarId,
         node: u32,
         log: &VarLog<'_>,
     ) -> Result<(Value, ReadEvent), RejectReason> {
-        self.bound()?;
         let event = |from, fed| ReadEvent {
             var,
             node,
@@ -503,9 +662,8 @@ impl VarStates {
         };
         let Some((position, entry)) = log.entry_at(node) else {
             // Unlogged read: it was R-ordered with its dictating write,
-            // which therefore has already been re-executed; find it in
-            // the dictionary.
-            let Some((from, value)) = self.nearest_preceding(var, node, log.coords()) else {
+            // which has therefore run; find it.
+            let Some((from, value)) = self.nearest_preceding(node, log.coords()) else {
                 return Err(RejectReason::VarChainBroken {
                     why: "unlogged read has no R-preceding write",
                 });
@@ -530,13 +688,10 @@ impl VarStates {
         let Some(value) = &w.value else {
             return Err(log.mismatch(node, "dictating write has no value"));
         };
-        // If the dictating write has already run (always true for the
-        // trusted initialization writes, which are never
-        // simulate-and-checked by OnWrite), its logged value must match
-        // what execution actually produced — otherwise the server could
-        // park poisoned values at coordinates that re-execution never
-        // validates.
-        let fed = match self.value_of(var, from) {
+        // A dictating write that has run (the initialization always
+        // has) must have logged what it produced — otherwise the server
+        // could park poisoned values where replay never validates them.
+        let fed = match self.value_of(from) {
             Some(actual) if actual != value => {
                 return Err(log.mismatch(
                     node,
@@ -549,77 +704,36 @@ impl VarStates {
         Ok((value.clone(), event(from, fed)))
     }
 
-    /// The half of `OnRead` that needs every group before it: counts
-    /// the feed, compares a logged value against a dictating write the
-    /// resolving state had not seen run, and records the observer.
-    fn apply_read(&mut self, event: &ReadEvent, log: &VarLog<'_>) -> Result<(), RejectReason> {
-        self.feeds.count(event.fed);
-        if let Fed::LogUnchecked(dictating) = event.fed {
-            if let Some(actual) = self.value_of(event.var, event.from) {
-                let logged = log.entry(dictating).and_then(|w| w.value.as_ref());
-                if logged != Some(actual) {
-                    return Err(log.mismatch(
-                        event.node,
-                        "dictating write's logged value differs from execution",
-                    ));
-                }
-            }
-        }
-        let observers = &mut self.state_mut(event.var).observers;
-        observers
-            .entry(event.from)
-            .or_default()
-            .readers
-            .push(event.node);
-        Ok(())
-    }
-
-    /// Re-executes a write (Fig. 21 `OnWrite`): simulate-and-check
-    /// against the log, record the dictionary entry, and maintain the
-    /// write chain.
-    pub fn on_write(
-        &mut self,
-        var: VarId,
-        node: u32,
-        value: Value,
-        log: &VarLog<'_>,
-    ) -> Result<(), RejectReason> {
-        let event = self.resolve_write(var, node, value, log)?;
-        self.apply_write(event)
-    }
-
     /// The half of `OnWrite` that one group decides: simulate-and-check
     /// against the log, and the write this one overwrote.
     fn resolve_write(
-        &self,
+        self,
         var: VarId,
         node: u32,
         value: Value,
         log: &VarLog<'_>,
     ) -> Result<WriteEvent, RejectReason> {
-        self.bound()?;
-        let logged_prec = match log.entry_at(node) {
+        let (value, logged_prec) = match log.entry_at(node) {
             Some((position, entry)) => {
                 if entry.access != AccessType::Write {
                     return Err(log.mismatch(node, "re-executed write logged as read"));
                 }
                 // Simulate-and-check: the re-executed value must equal
                 // the logged one, validating whatever fed or will feed
-                // logged reads (§4.3).
-                if entry.value.as_ref() != Some(&value) {
+                // logged reads (§4.3). The logged value is kept.
+                let Some(logged) = entry.value.as_ref().filter(|logged| **logged == value) else {
                     return Err(log.mismatch(node, "logged write value differs from re-execution"));
-                }
-                Some(log.prec(position).0).filter(|prec| *prec != NONE)
+                };
+                let prec = Some(log.prec(position).0).filter(|prec| *prec != NONE);
+                (logged.clone(), prec)
             }
-            None => None,
+            None => (value, None),
         };
         // An unlogged write, and a backfilled one (logged lazily, so
         // the log doesn't say what it overwrote), overwrote the nearest
         // R-preceding write: find it so the chain stays connected.
-        let prec = logged_prec.or_else(|| {
-            self.nearest_preceding(var, node, log.coords())
-                .map(|(id, _)| id)
-        });
+        let prec =
+            logged_prec.or_else(|| self.nearest_preceding(node, log.coords()).map(|(id, _)| id));
         Ok(WriteEvent {
             var,
             node,
@@ -627,87 +741,21 @@ impl VarStates {
             prec,
         })
     }
-
-    /// The half of `OnWrite` that needs every group before it: the
-    /// dictionary entry, and the write's place in the chain.
-    fn apply_write(&mut self, event: WriteEvent) -> Result<(), RejectReason> {
-        let initialized = self.init_of(event.var).is_some();
-        let state = self.state_mut(event.var);
-        // Replay executes an operation once. Advice that makes it run a
-        // handler twice gets the first value kept, as the per-handler
-        // write lists kept it; the chain checks below refuse the second
-        // write unless it claims to overwrite something else.
-        state.dict.entry(event.node).or_insert(event.value);
-        match event.prec {
-            Some(prec) => {
-                // Two handlers cannot overwrite the same value.
-                let observers = state.observers.entry(prec).or_default();
-                if observers.overwritten_by.is_some() {
-                    return Err(RejectReason::VarChainBroken {
-                        why: "two writes overwrite the same write",
-                    });
-                }
-                observers.overwritten_by = Some(event.node);
-            }
-            None => {
-                if initialized || state.first.is_some() {
-                    return Err(RejectReason::VarChainBroken {
-                        why: "two writes claim to be the first",
-                    });
-                }
-                state.first = Some(event.node);
-            }
-        }
-        Ok(())
-    }
-
-    /// Postprocessing (Fig. 21 `AddInternalStateEdges`): walks each
-    /// variable's write chain from the first write, adding WR / WW / RW
-    /// edges to `G`, and checks the chain covers exactly the
-    /// re-executed writes. The per-variable fragments are built on
-    /// `threads` threads, the calling one included, and taken in
-    /// ascending `VarId` order: the first broken chain in that order
-    /// rejects, and edges enter `G` in the same order at every thread
-    /// count.
-    pub fn add_internal_state_edges_sharded(
-        &self,
-        g: &mut Graph,
-        threads: usize,
-    ) -> Result<(), RejectReason> {
-        // The dense table is already in ascending-`VarId` order;
-        // untouched slots produce empty fragments.
-        let nodes = u32::try_from(g.node_count()).unwrap_or(u32::MAX);
-        let fragment = |var: usize| {
-            let init = self.init.get(var).and_then(Option::as_ref);
-            var_fragment(&self.per[var], init.map(|(id, _)| *id), nodes)
-        };
-        let fragments = pool::collect(threads, self.per.len(), &fragment)?;
-
-        // Merge in VarId order.
-        g.reserve(fragments.iter().map(Vec::len).sum());
-        for (var, frag) in (0u32..).zip(&fragments) {
-            for (from, to, kind) in frag {
-                g.add_var_edge(*from, *to, *kind, VarId(var));
-            }
-        }
-        Ok(())
-    }
 }
 
-/// Walks one variable's write chain from its first write (Fig. 21
-/// `AddInternalStateEdges`), returning the WR / WW / RW edges it
-/// implies, or the chain-coverage rejection. `init` is the id of the
-/// variable's initialization write; ids from `nodes` up are not nodes
-/// of `G`.
+/// Walks one variable's write chain from its first write, returning the
+/// edges it implies or the coverage rejection. `init` is the id of its
+/// initialization write; ids from `nodes` up are not nodes of `G`.
 ///
-/// Every write on the chain has run: the chain starts at the
-/// initialization (or at a re-executed write that found nothing before
-/// it) and continues through `overwritten_by`, which only a re-executed
-/// write sets, to itself. So the chain covers the re-executed writes
-/// exactly when it is as long as there are such writes, and it has a
-/// cycle exactly when it gets longer — no visited set is kept.
+/// Every write on the chain has run: it starts at the initialization or
+/// at a re-executed write and continues through `overwritten_by`, which
+/// only a re-executed write sets. So the chain covers the re-executed
+/// writes exactly when it is as long, and has a cycle exactly when it
+/// gets longer — no visited set is kept.
 fn var_fragment(
-    state: &VarState,
+    table: &WriteTable,
+    (starts, readers): &(Vec<u32>, Vec<u32>),
+    var: VarId,
     init: Option<u32>,
     nodes: u32,
 ) -> Result<EdgeFragment, RejectReason> {
@@ -716,9 +764,8 @@ fn var_fragment(
     // participate in a cycle and so gets no ordering edges; it is the
     // only write on the chain that is not a node.
     let in_g = |id: u32| id < nodes;
-    // Readers and overwriting writes were re-executed, which replay
-    // only does at a node; an id handed to `on_read` / `on_write` that
-    // is none fails closed here instead of indexing `G` out of range.
+    // Readers and overwriting writes ran at nodes; an id that is none
+    // fails closed here instead of indexing `G` out of range.
     let endpoint = |id: u32| {
         if in_g(id) {
             Ok(id)
@@ -728,9 +775,11 @@ fn var_fragment(
             })
         }
     };
-    let executed = state.dict.len() + usize::from(init.is_some());
-    let (mut chain_len, mut chain_observed) = (0usize, 0usize);
-    let mut cur = init.or(state.first);
+    let chain = table.chains.get(var.0 as usize).copied();
+    let chain = chain.unwrap_or_default();
+    let executed = chain.ran + usize::from(init.is_some());
+    let (mut chain_len, mut chain_attached) = (0usize, 0usize);
+    let mut cur = init.or(chain.first);
     while let Some(w) = cur {
         chain_len += 1;
         if chain_len > executed {
@@ -738,42 +787,44 @@ fn var_fragment(
                 why: "write chain has a cycle",
             });
         }
-        let Some(observers) = state.observers.get(&w) else {
+        let Some((at, record)) = table.find(var, w).filter(|(_, r)| r.attached()) else {
             break;
         };
-        chain_observed += 1;
+        chain_attached += 1;
+        let at = at as usize;
+        let observed = &readers[starts[at] as usize..starts[at + 1] as usize];
         if in_g(w) {
-            for r in &observers.readers {
+            for r in observed {
                 edges.push((w, endpoint(*r)?, EdgeKind::VarWr));
             }
         }
-        if let Some(w2) = observers.overwritten_by {
+        cur = Some(record.overwritten_by).filter(|w2| *w2 != NONE);
+        if let Some(w2) = cur {
             let w2 = endpoint(w2)?;
-            for r in &observers.readers {
+            for r in observed {
                 edges.push((endpoint(*r)?, w2, EdgeKind::VarRw));
             }
             if in_g(w) {
                 edges.push((w, w2, EdgeKind::VarWw));
             }
         }
-        cur = observers.overwritten_by;
     }
     // Coverage: every re-executed write must be on the chain (otherwise
     // its log entry escaped simulate-and-check's ordering constraints),
-    // and no alleged observer may hang off a write that is not on the
-    // chain.
+    // and nothing may hang off a write that is not on the chain.
     if chain_len != executed {
         return Err(RejectReason::VarChainBroken {
             why: "re-executed write not covered by the write chain",
         });
     }
-    if chain_observed != state.observers.len() {
+    if chain_attached != chain.attached {
         // Every write that ran is on the chain, so what is left over is
         // attached to writes that never ran.
-        let ran = |id: &u32| state.dict.contains_key(id) || Some(*id) == init;
-        let mut off_chain = state.observers.iter().filter(|(id, _)| !ran(id));
+        let ran = |r: &Record| r.value.is_some() || Some(r.id) == init;
+        let mut off_chain =
+            (table.records.iter()).filter(|r| r.var == var && r.attached() && !ran(r));
         return Err(RejectReason::VarChainBroken {
-            why: if off_chain.any(|(_, o)| !o.readers.is_empty()) {
+            why: if off_chain.any(|r| r.observed) {
                 "read observes a write outside the chain"
             } else {
                 "write observer attached outside the chain"
@@ -789,7 +840,7 @@ mod tests {
     use super::*;
     use crate::advice::VarLogEntry;
     use crate::advice_ref::{VarLogRef, VecMap};
-    use kem::{init_handler_id, FunctionId, HandlerId, RequestId};
+    use kem::{init_handler_id, FunctionId, HandlerId, PMap, RequestId};
 
     fn init_op() -> OpRef {
         OpRef::new(RequestId::INIT, init_handler_id(), 1)
@@ -1055,6 +1106,58 @@ mod tests {
     }
 
     #[test]
+    fn checked_write_keeps_the_logged_value() {
+        // Simulate-and-check proves the re-executed map equal to the
+        // logged one. The state keeps the advice's map, not the copy,
+        // and an unlogged read behind the write in its handler is fed
+        // that same map — on one state, and in a group and its merge.
+        let h = HandlerId::root(FunctionId(0));
+        let map = || Value::map([("k", Value::int(1))]);
+        let mut log = VarLogRef::new();
+        let entry = VarLogEntry {
+            access: AccessType::Write,
+            value: Some(map()),
+            prec: Some(init_op()),
+        };
+        log.insert(op(0, &h, 1), entry);
+        let logged = |fx: &Fixture| {
+            let entry = fx.logs.get(&var()).and_then(|log| log.get(&op(0, &h, 1)));
+            match entry.and_then(|e| e.value.as_ref()) {
+                Some(Value::Map(m)) => Some(m.clone()),
+                _ => None,
+            }
+        };
+        let shared = |value: Option<&Value>, logged: Option<PMap>| match (value, logged) {
+            (Some(Value::Map(v)), Some(logged)) => v.ptr_eq(&logged),
+            _ => false,
+        };
+        let kept = |fx: &Fixture, node| {
+            let record = fx.vs.table.find(var(), node);
+            shared(record.and_then(|(_, r)| r.value.as_ref()), logged(fx))
+        };
+
+        let mut fx = Fixture::new(&[(0, &h, 2)], log.clone(), Some(0));
+        let (write, read) = (fx.node(0, &h, 1), fx.node(0, &h, 2));
+        let log0 = fx.index.log(&fx.logs, var());
+        fx.vs.on_write(var(), write, map(), &log0).unwrap();
+        assert!(!shared(Some(&map()), logged(&fx)), "a fresh map is a copy");
+        assert!(kept(&fx, write));
+        let fed = fx.read(0, &h, 2).unwrap();
+        assert!(shared(Some(&fed), logged(&fx)));
+
+        let mut fx = Fixture::new(&[(0, &h, 2)], log, Some(0));
+        let log0 = fx.index.log(&fx.logs, var());
+        let mut group = fx.vs.group_vars();
+        group.on_write(var(), write, map(), &log0).unwrap();
+        let fed = group.on_read(var(), read, &log0).unwrap();
+        assert!(shared(Some(&fed), logged(&fx)));
+        fx.vs
+            .merge_group(group.finish(), &fx.index, &fx.logs)
+            .unwrap();
+        assert!(kept(&fx, write));
+    }
+
+    #[test]
     fn logged_read_with_missing_dictating_write_rejected() {
         // The dictating write is a coordinate of a request the advice
         // reports no handler for, and has no entry of its own.
@@ -1107,6 +1210,37 @@ mod tests {
                 why: "two writes overwrite the same write"
             }
         ));
+    }
+
+    #[test]
+    fn a_group_refuses_a_conflict_between_its_own_writes() {
+        // The group stops at the access the sequential audit stops at,
+        // not only at the merge: it would otherwise replay on and bill
+        // fuel the sequential audit never spends.
+        let h = HandlerId::root(FunctionId(0));
+        let mut log = VarLogRef::new();
+        for opnum in [1, 2] {
+            log.insert(op(0, &h, opnum), write_entry(1, Some(init_op())));
+        }
+        let fx = Fixture::new(&[(0, &h, 2)], log, Some(0));
+        let log = fx.index.log(&fx.logs, var());
+        let mut group = fx.vs.group_vars();
+        group
+            .on_write(var(), fx.node(0, &h, 1), Value::int(1), &log)
+            .unwrap();
+        let second = group.on_write(var(), fx.node(0, &h, 2), Value::int(1), &log);
+        assert_eq!(second, Err(OVERWRITTEN_TWICE));
+
+        // Siblings that find no write before them, with nothing
+        // initialized: each claims to be the first.
+        let kids = [1, 2].map(|k| HandlerId::child(&h, FunctionId(k), k));
+        let acts = [(0, &h, 1), (0, &kids[0], 1), (0, &kids[1], 1)];
+        let fx = Fixture::new(&acts, VarLogRef::new(), None);
+        let log = fx.index.log(&fx.logs, var());
+        let mut group = fx.vs.group_vars();
+        let mut write = |kid| group.on_write(var(), fx.node(0, kid, 1), Value::int(1), &log);
+        assert_eq!(write(&kids[0]), Ok(()));
+        assert_eq!(write(&kids[1]), Err(FIRST_TWICE));
     }
 
     #[test]

@@ -467,22 +467,28 @@ fn motd_write_heavy_audit_allocation_scaling() {
     // (2.15x, 1040 beyond linear) — a saving per group and operation,
     // not per request (142 events at 200, 171 at 400), so the part
     // "beyond linear", which subtracts twice the smaller count, reads
-    // 113 higher while both counts fell.
+    // 113 higher while both counts fell. With the merge's write table
+    // (no ordered map per variable, no reader vector per write) and a
+    // checked write keeping the logged map: 6156 and 13359 (2.17x,
+    // 1047 beyond linear). The pins are those plus 5 %.
     assert!(
-        at_200 <= 7_180,
+        at_200 <= 6_463,
         "motd write-heavy audit exceeded its allocation budget at 200 \
-         requests: {at_200} events (budget 7180; measured 6838)"
+         requests: {at_200} events (budget 6463; measured 6156, 6838 with \
+         ordered maps in the merge)"
     );
     assert!(
-        at_400 <= 15_450,
+        at_400 <= 14_026,
         "motd write-heavy audit exceeded its allocation budget at 400 \
-         requests: {at_400} events (budget 15450; measured 14716)"
+         requests: {at_400} events (budget 14026; measured 13359, 14716 with \
+         ordered maps in the merge)"
     );
     assert!(
-        beyond_linear <= 1_090,
+        beyond_linear <= 1_099,
         "motd write-heavy audit allocations grow like the number of logged \
          map nodes again: {at_200} -> {at_400}, {beyond_linear} events beyond \
-         twice the count at 200 (pin <= 1090; measured 1040)"
+         twice the count at 200 (pin <= 1099; measured 1047, 1040 with ordered \
+         maps in the merge)"
     );
 }
 
@@ -602,16 +608,108 @@ fn wiki_audit_allocation_budget() {
     // events, 17 378 285 B. With isolation verification on a dense
     // history (600 transactions; it was a `String` per state operation,
     // a map node per transaction and a set node per DSG edge): 62 288
-    // events, 16 960 373 B. The pins are those plus 5 %.
+    // events, 16 960 373 B. With the merge's write table in place of two
+    // ordered maps per variable and a reader vector per observed write,
+    // and group streams reserved from the logged entries: 55 140 events,
+    // 16 748 341 B. The pins are those plus 5 %.
     assert!(
-        events <= 65_400,
-        "wiki audit exceeded its allocation budget: {events} events (budget 65400; \
-         measured 62288, 67865 with the isolation checker on strings and maps)"
+        events <= 57_897,
+        "wiki audit exceeded its allocation budget: {events} events (budget 57897; \
+         measured 55140, 62288 with ordered maps in the merge)"
     );
     assert!(
-        requested <= 17_800_000,
-        "wiki audit exceeded its byte budget: {requested} B requested (budget 17800000; \
-         measured 16960373, 17378285 with the isolation checker on strings and maps)"
+        requested <= 17_585_000,
+        "wiki audit exceeded its byte budget: {requested} B requested (budget 17585000; \
+         measured 16748341, 16960373 with ordered maps in the merge)"
+    );
+}
+
+/// The merge's write table is indexed by id, and the advice decides how
+/// many ids there are: every coordinate outside `opcounts` that a
+/// variable log names gets one. So an audit's requested bytes must grow
+/// linearly with what the advice names. Honest wiki advice gets one
+/// logged write's `prec` pointed at a coordinate outside `opcounts` —
+/// rejected only once every group has merged and the chains are walked
+/// — plus K, then 4K, entries keyed at and pointing to further outside
+/// coordinates.
+#[test]
+fn write_table_grows_linearly_with_what_the_advice_names() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    use apps::App;
+    use karousos::{AccessType, RejectReason, VarLogEntry};
+    use kem::{FunctionId, HandlerId, OpRef};
+    use workload::{Experiment, Mix};
+
+    let mut exp = Experiment::paper_default(App::Wiki, Mix::Wiki, 8, 11);
+    exp.requests = 60;
+    let program = App::Wiki.program();
+    let (out, honest) = karousos::run_instrumented_server(
+        &program,
+        &exp.inputs(),
+        &exp.server_config(),
+        karousos::CollectorMode::Karousos,
+    )
+    .expect("wiki run succeeds");
+    let (var, key) = honest
+        .var_logs
+        .iter()
+        .find_map(|(var, log)| {
+            let write = |e: &VarLogEntry| e.access == AccessType::Write && e.prec.is_some();
+            let (key, _) = log.iter().find(|(_, e)| write(e))?;
+            Some((*var, key.clone()))
+        })
+        .expect("wiki logs a write that names what it overwrote");
+    // Coordinates under a handler no wiki run reports.
+    let outside = |function: u32, opnum: u32| {
+        let hid = HandlerId::child(&key.hid, FunctionId(function), 77);
+        OpRef::new(key.rid, hid, opnum)
+    };
+    let audit = |names: u32| {
+        let mut advice = honest.clone();
+        let log = advice.var_logs.get_mut(&var).expect("the target's log");
+        log.get_mut(&key).expect("the target entry").prec = Some(outside(4_000, 1));
+        for opnum in 1..=names {
+            let entry = VarLogEntry {
+                access: AccessType::Write,
+                value: Some(Value::int(0)),
+                prec: Some(outside(4_002, opnum)),
+            };
+            log.insert(outside(4_001, opnum), entry);
+        }
+        let bytes = karousos::encode_advice(&advice);
+        let audit = || {
+            karousos::audit_encoded_with_obs(
+                &program,
+                &out.trace,
+                &bytes,
+                exp.isolation,
+                karousos::AuditOptions::default(),
+                &obs::Obs::noop(),
+            )
+            .expect_err("a write overwriting nothing that ran is rejected")
+        };
+        let _ = audit();
+        let (reason, _, requested) = count_allocs_and_bytes(audit);
+        (reason, requested)
+    };
+    const K: u32 = 4_000;
+    let (small, at_k) = audit(K);
+    let (large, at_4k) = audit(4 * K);
+    let growth = at_4k as f64 / at_k as f64;
+    eprintln!(
+        "wiki audit naming {K} / {} outside coordinate pairs: {at_k} B / {at_4k} B requested \
+         ({growth:.2}x)",
+        4 * K
+    );
+    let uncovered = RejectReason::VarChainBroken {
+        why: "re-executed write not covered by the write chain",
+    };
+    assert_eq!((&small, &large), (&uncovered, &uncovered));
+    assert!(
+        growth <= 4.5,
+        "audit bytes grow faster than the ids the advice names: {at_k} B at {K} pairs, \
+         {at_4k} B at {} ({growth:.2}x, bound 4.5x)",
+        4 * K
     );
 }
 
@@ -705,17 +803,19 @@ fn end_to_end_borrowed_audit_allocation_budget() {
     let (_, allocs) = count_allocs(audit);
     eprintln!("end-to-end audit allocs at {n} requests: {allocs}");
 
-    // Measured: 6209 (6210 before the string and handler-id tables);
-    // pinned at measured + 5 %. History: at introduction 9334, against 43421 for
-    // an audit that first decoded an owned `Advice` with the owned
-    // section walk and 20630 for one that converted the view — both
-    // routes are gone from the verifier (every audit starts at the
-    // bytes); the gap was the per-entry String/BTreeMap traffic of
-    // materializing `Advice`.
+    // Measured: 6212; pinned at measured + 5 %. 6209 before the merge's
+    // write table (its reader index is two vectors even when no
+    // variable is loggable) and the coordinates' activation-start index;
+    // 6210 before the string and handler-id tables. History: at
+    // introduction 9334, against 43421 for an audit that first decoded
+    // an owned `Advice` with the owned section walk and 20630 for one
+    // that converted the view — both routes are gone from the verifier
+    // (every audit starts at the bytes); the gap was the per-entry
+    // String/BTreeMap traffic of materializing `Advice`.
     assert!(
-        allocs <= 6_520,
-        "handler-heavy audit exceeded its allocation budget: {allocs} events (budget 6520; \
-         measured 6209)"
+        allocs <= 6_522,
+        "handler-heavy audit exceeded its allocation budget: {allocs} events (budget 6522; \
+         measured 6212, 6209 before the write table)"
     );
 }
 
