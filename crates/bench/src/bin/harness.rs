@@ -4,11 +4,10 @@
 //! harness [subcommand] [--requests N] [--iters K] [--seed S] [--seeds E]
 //!         [--verify-threads T]
 //!         [--obs-out trace.json] [--metrics-out metrics.json]
-//!         [--prom-out prom.txt] [--dump-bytecode app]
+//!         [--dump-bytecode app]
 //! harness diff <a.json> <b.json> [--threshold-pct X]
 //! harness validate-metrics <schema.json> <metrics.json>
 //! harness validate-json <file.json>
-//! harness validate-prom <prom.txt>
 //! ```
 //!
 //! The subcommands, what each does and the paper figure it regenerates
@@ -19,11 +18,7 @@
 //! `--obs-out` / `--metrics-out` capture one fully-instrumented wiki
 //! run and write the Chrome `trace_event` / metrics-registry JSON
 //! exports (open the trace in Perfetto or `chrome://tracing`). With no
-//! explicit subcommand, the capture is the whole job. `--prom-out`
-//! additionally runs a live Prometheus text-format exporter for the
-//! duration of the capture — the file is atomically re-rendered every
-//! scrape interval, so a textfile collector watches the audit progress
-//! mid-flight.
+//! explicit subcommand, the capture is the whole job.
 //!
 //! `--dump-bytecode <motd|stacks|wiki>` prints the compiled replay
 //! bytecode of every function in the app's program (DESIGN.md §11) and
@@ -93,9 +88,6 @@ struct Opts {
     /// Metrics JSON destination (`--metrics-out`); enables telemetry
     /// capture for the run.
     metrics_out: Option<String>,
-    /// Prometheus text-format destination (`--prom-out`); enables
-    /// telemetry capture and a live background exporter for the run.
-    prom_out: Option<String>,
     /// `diff`: fail when any relative delta exceeds this percentage.
     threshold_pct: Option<f64>,
     /// Positional arguments after the subcommand name (file paths for
@@ -117,7 +109,6 @@ fn parse_args() -> Opts {
         verify_threads: 4,
         obs_out: None,
         metrics_out: None,
-        prom_out: None,
         threshold_pct: None,
         positional: Vec::new(),
         dump_bytecode: None,
@@ -169,14 +160,6 @@ fn parse_args() -> Opts {
                     std::process::exit(2);
                 };
                 opts.metrics_out = Some(path.clone());
-                i += 2;
-            }
-            "--prom-out" => {
-                let Some(path) = args.get(i + 1) else {
-                    eprintln!("--prom-out requires a file path");
-                    std::process::exit(2);
-                };
-                opts.prom_out = Some(path.clone());
                 i += 2;
             }
             "--threshold-pct" => {
@@ -572,18 +555,10 @@ fn instrumented_run(
 /// Captures one instrumented wiki run and writes its snapshot's exports:
 /// `--obs-out` (Chrome `trace_event` JSON, loadable in Perfetto /
 /// `chrome://tracing`) and `--metrics-out` (the schema'd metrics JSON).
-/// With `--prom-out` a background exporter additionally publishes live
-/// Prometheus pages for the duration of the run. Returns the snapshot so
-/// `report` can print the attribution from the same run.
+/// Returns the snapshot so `report` can print the attribution from the
+/// same run.
 fn obs_capture(o: &Opts) -> obs::Snapshot {
     let obs = obs::Obs::enabled();
-    let exporter = o.prom_out.as_ref().map(|path| {
-        obs::PromExporter::start(obs.clone(), path.into(), obs::DEFAULT_SCRAPE_INTERVAL)
-            .unwrap_or_else(|e| {
-                eprintln!("failed to start Prometheus exporter: {e}");
-                std::process::exit(1);
-            })
-    });
     // Attribute allocation events to ledger rows (the advisory column;
     // the global allocator feeds the thread-local probe only while
     // this is on).
@@ -601,14 +576,6 @@ fn obs_capture(o: &Opts) -> obs::Snapshot {
         snap.progress.groups_done,
         snap.progress.groups_total,
     );
-    if let Some(ex) = exporter {
-        // Final render happens on stop, so the file always ends on the
-        // completed run.
-        ex.stop();
-    }
-    if let Some(path) = &o.prom_out {
-        println!("  wrote {path} (Prometheus text format 0.0.4)");
-    }
     for (path, export, what) in [
         (
             &o.obs_out,
@@ -882,24 +849,6 @@ fn validate_json_cmd(o: &Opts) {
     println!("{path}: valid JSON");
 }
 
-/// `validate-prom <prom.txt>`: the file is a well-formed Prometheus
-/// text-format 0.0.4 exposition (TYPE lines, cumulative `le` buckets,
-/// counter/gauge sign conventions).
-fn validate_prom_cmd(o: &Opts) {
-    let [path] = o.positional.as_slice() else {
-        eprintln!("usage: harness validate-prom <prom.txt>");
-        std::process::exit(2);
-    };
-    let text = read_or_die(path);
-    match obs::check_exposition(&text) {
-        Ok(()) => println!("{path}: well-formed Prometheus exposition"),
-        Err(e) => {
-            eprintln!("{path}: bad exposition: {e}");
-            std::process::exit(1);
-        }
-    }
-}
-
 /// `file-smoke`: the large-trace disk round-trip. Writes the wiki
 /// advice (`--requests`, default 600; CI runs 10000) to a scratch
 /// file, reads it back through [`karousos::AdviceSource::open`], audits
@@ -993,7 +942,7 @@ fn all(o: &Opts) {
 }
 
 /// When a subcommand runs relative to the `--obs-out` / `--metrics-out`
-/// / `--prom-out` telemetry capture.
+/// telemetry capture.
 #[derive(Clone, Copy, PartialEq)]
 enum Capture {
     /// Runs workloads: a requested capture happens first.
@@ -1054,8 +1003,6 @@ subcommands! {
     "validate-metrics", Never, validate_metrics_cmd,
         "`<schema.json> <metrics.json>`: the export conforms to the checked-in schema";
     "validate-json", Never, validate_json_cmd, "`<file.json>`: the file parses as JSON";
-    "validate-prom", Never, validate_prom_cmd,
-        "`<prom.txt>`: the file is a well-formed Prometheus exposition";
 }
 
 fn main() {
@@ -1084,9 +1031,7 @@ fn main() {
             o.verify_threads - 1
         );
     }
-    if capture == Capture::First
-        && (o.obs_out.is_some() || o.metrics_out.is_some() || o.prom_out.is_some())
-    {
+    if capture == Capture::First && (o.obs_out.is_some() || o.metrics_out.is_some()) {
         obs_capture(&o);
         // Without an explicit subcommand, the capture is the whole job.
         if !o.figure_explicit {

@@ -244,6 +244,5 @@ mod tests {
             metrics.contains("\"layers\": {\"decode_us\": 0"),
             "{metrics}"
         );
-        crate::check_exposition(&snap.to_prometheus()).unwrap_or_else(|e| panic!("{e}"));
     }
 }

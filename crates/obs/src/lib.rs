@@ -20,7 +20,9 @@
 //!    on recording behind one `Arc<Mutex<_>>`; worker threads never
 //!    touch the lock — they record into private [`ObsShard`]s that
 //!    the coordinator absorbs in ascending group order. Everything
-//!    recorded leaves through one [`Snapshot`], rendered three ways.
+//!    recorded leaves through one [`Snapshot`], rendered two ways: the
+//!    metrics JSON and the Chrome trace. The crate renders strings; it
+//!    starts no thread and touches no file.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -30,7 +32,6 @@ pub mod layer;
 pub mod ledger;
 pub mod metrics;
 pub mod progress;
-pub mod prom;
 pub mod span;
 
 pub use layer::{Layer, LayerClock, PhaseTiming};
@@ -39,7 +40,6 @@ pub use metrics::{
     bucket_bound, bucket_index, CounterId, GaugeId, HistogramId, MetricsShard, NUM_BUCKETS,
 };
 pub use progress::{Progress, ProgressSnapshot};
-pub use prom::{check_exposition, PromExporter, DEFAULT_SCRAPE_INTERVAL};
 pub use span::{Span, SpanRing, MAX_SPAN_ARGS};
 
 use std::sync::{Arc, Mutex};
@@ -321,9 +321,9 @@ impl Obs {
 }
 
 /// One reading of everything an [`Obs`] handle holds ([`Obs::snapshot`]),
-/// and the three exports rendered from it: [`Snapshot::to_json`] (the
-/// shape `schema/metrics.schema.json` pins), [`Snapshot::to_prometheus`]
-/// and [`Snapshot::to_chrome_trace`].
+/// and the two exports rendered from it: [`Snapshot::to_json`] (the
+/// shape `schema/metrics.schema.json` pins) and
+/// [`Snapshot::to_chrome_trace`].
 #[derive(Debug, Clone)]
 pub struct Snapshot {
     /// Wall clock per audit layer.
@@ -355,11 +355,6 @@ impl Snapshot {
         }
         out.push_str("\n}\n");
         out
-    }
-
-    /// One Prometheus text-format 0.0.4 scrape page.
-    pub fn to_prometheus(&self) -> String {
-        prom::prometheus_text(self)
     }
 
     /// Chrome `trace_event` JSON of the retained spans.

@@ -2,7 +2,7 @@
 //! update as groups replay and that any thread can snapshot without
 //! taking the obs mutex.
 //!
-//! The [`Progress`] struct is the scrape surface for a long-running
+//! The [`Progress`] struct is what a poller reads of a long-running
 //! audit: phase (a [`Layer`]), groups replayed / total, fuel spent, and the
 //! early-abort floor. Every field is a relaxed atomic — the counters
 //! are monotone within one audit (each worker only ever adds), so a

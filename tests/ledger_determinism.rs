@@ -5,7 +5,7 @@
 //! count — exactly like verdicts and metrics. The advisory columns
 //! (wall-clock, allocation events) are excluded from the deterministic
 //! key by construction; this file pins both halves of that contract,
-//! plus the power-of-two bucket classification the Prometheus histograms
+//! plus the power-of-two bucket classification the registry's histograms
 //! are built on.
 
 mod common;

@@ -1,10 +1,8 @@
-//! Live progress heartbeats and the Prometheus exporter: an audit
-//! observed mid-flight from another thread reports monotone progress
-//! through the layer sequence, the exporter's file sink ends on a
-//! well-formed exposition describing the completed run, a REJECT
-//! carries the cost attribution of the work done up to the failure and
-//! leaves the heartbeat on `rejected` whichever way the audit ended, and
-//! a snapshot reads counters and ledger at one instant.
+//! Live progress heartbeats: an audit observed mid-flight from another
+//! thread reports monotone progress through the layer sequence, a
+//! REJECT carries the cost attribution of the work done up to the
+//! failure and leaves the heartbeat on `rejected` whichever way the
+//! audit ended, and a snapshot reads counters and ledger at one instant.
 
 use apps::App;
 use karousos::{
@@ -101,51 +99,6 @@ fn progress_is_monotone_and_reaches_done() {
     assert_eq!(last.groups_done, last.groups_total);
     assert!(last.fuel_spent > 0);
     assert_eq!(last.failed_floor, None);
-}
-
-#[test]
-fn prom_file_sink_ends_on_completed_exposition() {
-    let _shared = PANIC_LATCH.read().expect("latch lock");
-    let (program, out, advice, iso) = wiki_run(60);
-    let obs = Obs::enabled();
-    let dir = std::env::temp_dir().join(format!("karousos-prom-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("temp dir");
-    let path = dir.join("prom.txt");
-    let interval = std::time::Duration::from_millis(20);
-    let exporter =
-        obs::PromExporter::start(obs.clone(), path.clone(), interval).expect("exporter starts");
-    audit_encoded_with_obs(
-        &program,
-        &out.trace,
-        &advice,
-        iso,
-        AuditOptions::with_threads(2),
-        &obs,
-    )
-    .expect("honest advice must be accepted");
-    exporter.stop();
-
-    let text = std::fs::read_to_string(&path).expect("exporter wrote the file");
-    obs::check_exposition(&text).expect("file sink must be a well-formed exposition");
-    // The final render happens on stop, after the audit: the file
-    // describes the completed run.
-    let progress = obs.progress_snapshot();
-    assert_eq!(progress.phase, Layer::Done);
-    let gauge = |name: &str| -> i64 {
-        text.lines()
-            .find(|l| l.starts_with(name) && l.as_bytes().get(name.len()) == Some(&b' '))
-            .and_then(|l| l.split_whitespace().nth(1))
-            .and_then(|v| v.parse().ok())
-            .unwrap_or_else(|| panic!("gauge {name} missing from exposition:\n{text}"))
-    };
-    assert_eq!(gauge("karousos_progress_phase"), Layer::Done as u8 as i64);
-    assert_eq!(
-        gauge("karousos_progress_groups_done"),
-        progress.groups_total as i64
-    );
-    assert_eq!(gauge("karousos_progress_failed_floor"), -1);
-    assert!(text.contains("karousos_ledger_fuel"));
-    let _ = std::fs::remove_dir_all(&dir);
 }
 
 /// A program whose handler logs have reorderable same-handler entries

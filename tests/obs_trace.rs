@@ -74,6 +74,11 @@ fn chrome_trace_is_valid_json_with_expected_spans() {
     // cost ledger and the layer timing.
     let phase = parsed.at("progress/phase").and_then(|v| v.as_str());
     assert_eq!(phase, Some("done"), "{metrics}");
+    let progress = |key: &str| parsed.at(&format!("progress/{key}"));
+    let total = progress("groups_total").and_then(|v| v.as_f64());
+    assert!(total > Some(0.0), "{metrics}");
+    assert_eq!(progress("groups_done").and_then(|v| v.as_f64()), total);
+    assert_eq!(progress("failed_floor"), Some(&bench::json::Value::Null));
     assert!(metrics.contains("\"first_rid\""), "{metrics}");
     for layer in layers {
         let key = format!("layers/{}_us", layer.name());
