@@ -924,13 +924,9 @@ fn dump_bytecode(app_name: &str) {
         std::process::exit(2);
     };
     let program = app.program();
-    let resolved = program.resolved();
     let code = program.code();
-    for (func, fc) in resolved.functions.iter().zip(code.funcs.iter()) {
-        print!(
-            "{}",
-            kem::bytecode::disassemble(fc, func, &resolved.interner)
-        );
+    for fc in &code.funcs {
+        print!("{}", kem::bytecode::disassemble(fc, &code.interner));
     }
 }
 

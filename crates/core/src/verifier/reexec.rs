@@ -37,8 +37,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kem::{
-    tx_payload_keys, Exchange, HandlerId, OpRef, Program, RFunction, RequestId, Trace, Value,
-    VarId, INIT_FUNCTION,
+    tx_payload_keys, Exchange, HandlerId, OpRef, Program, RequestId, Trace, Value, VarId,
+    INIT_FUNCTION,
 };
 
 use obs::{CounterId, HistogramId, Obs, ObsShard};
@@ -494,8 +494,8 @@ struct Frame<'p> {
     /// Locals by resolved slot; `None` until first bound, so
     /// read-before-bind still errors with the source-level name.
     locals: Vec<Option<MultiValue>>,
-    /// The slot-compiled function this frame executes.
-    func: &'p RFunction,
+    /// The compiled function this frame executes.
+    func: &'p kem::bytecode::FuncCode,
     /// The activation `(rid, hid)` per group member, in group order
     /// (see [`Pending::slots`]).
     slots: Vec<Option<Slot>>,
@@ -612,39 +612,8 @@ impl<'a> ReExecutor<'a> {
         // The initialization writes were recorded before the audit had
         // coordinates; from here on they are ids like every access.
         vars.bind(&pre.var_index);
-        ReExecutor {
-            program,
-            trace,
-            advice,
-            pre,
-            vars: VarBackend::Global(vars),
-            schedule: ReplaySchedule::Fifo,
-            rng: rand::SeedableRng::seed_from_u64(0),
-            nonlog: Vec::new(),
-            tx_table: Vec::new(),
-            executed: Vec::new(),
-            consumed: Vec::new(),
-            outputs: Vec::new(),
-            stats: ReexecStats::default(),
-            obs: Obs::noop(),
-            limits: Limits::unlimited(),
-            fuel_spent: 0,
-            fuel_limit: u64::MAX,
-            max_group_width: u64::MAX,
-            deadline: None,
-            deadline_ms: u64::MAX,
-            next_deadline_poll: DEADLINE_POLL_INTERVAL,
-            group: None,
-            vm_ops: 0,
-            fused_ops: 0,
-            fused_fuel: 0,
-            vm_stack: Vec::new(),
-            vm_loops: Vec::new(),
-            vm_iters: Vec::new(),
-            vm_locals: Vec::new(),
-            vm_slots: Vec::new(),
-            pending_slots: Vec::new(),
-        }
+        let vars = VarBackend::Global(vars);
+        Self::init(program, trace, advice, pre, vars, ReplaySchedule::Fifo, 0)
     }
 
     /// A per-group worker executor: group-local variable state
@@ -667,12 +636,27 @@ impl<'a> ReExecutor<'a> {
             }
             _ => 0,
         };
+        let vars = VarBackend::Recording(vars);
+        Self::init(program, trace, advice, pre, vars, schedule, seed)
+    }
+
+    /// The one initializer: everything but the variable backend, the
+    /// schedule and the RNG seed starts empty, unlimited and silent.
+    fn init(
+        program: &'a Program,
+        trace: &'a Trace,
+        advice: &'a AdviceRef<'a>,
+        pre: &'a Preprocessed,
+        vars: VarBackend<'a>,
+        schedule: ReplaySchedule,
+        seed: u64,
+    ) -> Self {
         ReExecutor {
             program,
             trace,
             advice,
             pre,
-            vars: VarBackend::Recording(vars),
+            vars,
             schedule,
             rng: rand::SeedableRng::seed_from_u64(seed),
             nonlog: Vec::new(),
@@ -1199,8 +1183,8 @@ impl<'a> ReExecutor<'a> {
         self.stats.handlers_executed += 1;
         self.stats.activations_covered += g.n() as u64;
         let program = self.program;
-        let Some(func) = program.resolved().functions.get(fid.0 as usize) else {
-            // Resolved functions parallel `program.functions`, so this
+        let Some(func) = program.code().funcs.get(fid.0 as usize) else {
+            // Compiled functions parallel `program.functions`, so this
             // is unreachable after the bounds check above; fail closed.
             return Err(RejectReason::ReexecError {
                 message: format!("handler references unknown function {fid}"),
@@ -1228,8 +1212,7 @@ impl<'a> ReExecutor<'a> {
         if let Some(s0) = frame.locals.get_mut(0) {
             *s0 = Some(payload);
         }
-        let code = &self.program.code().funcs[fid.0 as usize];
-        self.exec_code(g, active, &mut frame, code)?;
+        self.exec_code(g, active, &mut frame, func)?;
         // (c) Handler exit: every request must have consumed exactly its
         // reported operation count.
         for (i, rid) in g.rids.iter().enumerate() {
@@ -1572,7 +1555,7 @@ impl<'a> ReExecutor<'a> {
                     let payload = vm_pop(stack)?;
                     let idx = self.bump(g, frame)?;
                     let program = self.program;
-                    let event = program.resolved().interner.resolve(event);
+                    let event = program.code().interner.resolve(event);
                     for i in 0..n {
                         self.consume_handler_op(g, frame, i, &ExpectedOp::Emit { event })?;
                     }
@@ -1581,7 +1564,7 @@ impl<'a> ReExecutor<'a> {
                 Op::Register { event, function } => {
                     self.bump(g, frame)?;
                     let program = self.program;
-                    let event = program.resolved().interner.resolve(event);
+                    let event = program.code().interner.resolve(event);
                     let expected = ExpectedOp::Register { event, function };
                     for i in 0..n {
                         self.consume_handler_op(g, frame, i, &expected)?;
@@ -1590,7 +1573,7 @@ impl<'a> ReExecutor<'a> {
                 Op::Unregister { event, function } => {
                     self.bump(g, frame)?;
                     let program = self.program;
-                    let event = program.resolved().interner.resolve(event);
+                    let event = program.code().interner.resolve(event);
                     let expected = ExpectedOp::Unregister { event, function };
                     for i in 0..n {
                         self.consume_handler_op(g, frame, i, &expected)?;
@@ -1680,7 +1663,7 @@ impl<'a> ReExecutor<'a> {
                 Op::ListenerCount { slot, event } => {
                     self.bump(g, frame)?;
                     let program = self.program;
-                    let event = program.resolved().interner.resolve(event);
+                    let event = program.code().interner.resolve(event);
                     let mv = MultiValue::collect(n, |i| self.listener_count(g, frame, i, event))?;
                     if let Some(s) = frame.locals.get_mut(slot as usize) {
                         *s = Some(mv);

@@ -145,7 +145,7 @@ mod model {
     /// All per-variable states, indexed densely by [`VarId`].
     ///
     /// Variable ids are dense indices assigned at program build time (the
-    /// same resolve pass that interns identifiers), so a `Vec` slot per
+    /// same lowering that interns identifiers), so a `Vec` slot per
     /// variable replaces hashing on the replay hot path; untouched slots
     /// stay `Default` and contribute nothing to the graph.
     #[derive(Debug, Default)]

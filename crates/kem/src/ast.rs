@@ -280,26 +280,16 @@ pub struct Program {
     pub global_registrations: Vec<(String, u32)>,
     fn_by_name: BTreeMap<String, u32>,
     var_by_name: BTreeMap<String, u32>,
-    /// Output of the resolve pass (interned symbols, slot-compiled
-    /// bodies), computed once at build time. Shared so `Program` clones
-    /// stay cheap.
-    resolved: std::sync::Arc<crate::resolve::Resolved>,
-    /// Flat bytecode for every resolved body (DESIGN.md §11), compiled
-    /// once at build time alongside the resolve pass. Both executors
-    /// dispatch over this.
+    /// The program compiled once at build time (DESIGN.md §11): every
+    /// body as bytecode with its names resolved, the interner and the
+    /// interned global registrations. Both executors dispatch over
+    /// this; shared so `Program` clones stay cheap.
     code: std::sync::Arc<crate::bytecode::CodeSet>,
 }
 
 impl Program {
-    /// The resolve pass's output: slot-compiled bodies, the program's
-    /// [`Interner`](crate::Interner), and interned global
-    /// registrations: what [`Program::code`] was compiled from.
-    pub fn resolved(&self) -> &crate::resolve::Resolved {
-        &self.resolved
-    }
-
-    /// The compiled bytecode ([`crate::bytecode::CodeSet`]), parallel
-    /// to [`Resolved::functions`](crate::resolve::Resolved::functions).
+    /// The compiled program ([`crate::bytecode::CodeSet`]); its
+    /// functions are indexed like [`Program::functions`].
     pub fn code(&self) -> &crate::bytecode::CodeSet {
         &self.code
     }
@@ -440,20 +430,14 @@ impl ProgramBuilder {
             .iter()
             .map(|(e, n)| Ok((e.clone(), resolve_fn(n)?)))
             .collect::<Result<Vec<_>, BuildError>>()?;
-
-        // Validate all references inside bodies.
-        for f in &self.functions {
-            validate_stmts(&f.body, &fn_by_name, &var_by_name)?;
-        }
-        // Resolve pass: intern identifiers, compile locals to slots.
-        let resolved = crate::resolve::resolve_program(
+        // One walk per body checks every reference in it and compiles it.
+        let code = crate::bytecode::compile(
             &self.functions,
             &self.vars,
             &global_registrations,
             &fn_by_name,
             &var_by_name,
         )?;
-        let code = crate::bytecode::compile(&resolved);
         Ok(Program {
             functions: self.functions,
             vars: self.vars,
@@ -461,125 +445,8 @@ impl ProgramBuilder {
             global_registrations,
             fn_by_name,
             var_by_name,
-            resolved: std::sync::Arc::new(resolved),
             code: std::sync::Arc::new(code),
         })
-    }
-}
-
-fn validate_stmts(
-    stmts: &[Stmt],
-    fns: &BTreeMap<String, u32>,
-    vars: &BTreeMap<String, u32>,
-) -> Result<(), BuildError> {
-    let check_fn = |n: &String| -> Result<(), BuildError> {
-        if fns.contains_key(n) {
-            Ok(())
-        } else {
-            Err(BuildError::UnknownFunction(n.clone()))
-        }
-    };
-    for s in stmts {
-        match s {
-            Stmt::Let(_, e) | Stmt::SharedWrite(_, e) | Stmt::Respond(e) => {
-                if let Stmt::SharedWrite(v, _) = s {
-                    if !vars.contains_key(v) {
-                        return Err(BuildError::UnknownVar(v.clone()));
-                    }
-                }
-                validate_expr(e, vars)?;
-            }
-            Stmt::If {
-                cond,
-                then_branch,
-                else_branch,
-            } => {
-                validate_expr(cond, vars)?;
-                validate_stmts(then_branch, fns, vars)?;
-                validate_stmts(else_branch, fns, vars)?;
-            }
-            Stmt::While { cond, body } => {
-                validate_expr(cond, vars)?;
-                validate_stmts(body, fns, vars)?;
-            }
-            Stmt::ForEach { list, body, .. } => {
-                validate_expr(list, vars)?;
-                validate_stmts(body, fns, vars)?;
-            }
-            Stmt::Emit { payload, .. } => validate_expr(payload, vars)?,
-            Stmt::Register { function, .. } | Stmt::Unregister { function, .. } => {
-                check_fn(function)?;
-            }
-            Stmt::TxStart { ctx, on_done } => {
-                validate_expr(ctx, vars)?;
-                check_fn(on_done)?;
-            }
-            Stmt::TxGet {
-                tx,
-                key,
-                ctx,
-                on_done,
-            } => {
-                validate_expr(tx, vars)?;
-                validate_expr(key, vars)?;
-                validate_expr(ctx, vars)?;
-                check_fn(on_done)?;
-            }
-            Stmt::TxPut {
-                tx,
-                key,
-                value,
-                ctx,
-                on_done,
-            } => {
-                validate_expr(tx, vars)?;
-                validate_expr(key, vars)?;
-                validate_expr(value, vars)?;
-                validate_expr(ctx, vars)?;
-                check_fn(on_done)?;
-            }
-            Stmt::TxCommit { tx, ctx, on_done } | Stmt::TxAbort { tx, ctx, on_done } => {
-                validate_expr(tx, vars)?;
-                validate_expr(ctx, vars)?;
-                check_fn(on_done)?;
-            }
-            Stmt::ListenerCount { .. } | Stmt::Nondet { .. } => {}
-        }
-    }
-    Ok(())
-}
-
-fn validate_expr(e: &Expr, vars: &BTreeMap<String, u32>) -> Result<(), BuildError> {
-    match e {
-        Expr::Const(_) | Expr::Local(_) => Ok(()),
-        Expr::SharedRead(v) => {
-            if vars.contains_key(v) {
-                Ok(())
-            } else {
-                Err(BuildError::UnknownVar(v.clone()))
-            }
-        }
-        Expr::Bin(_, a, b)
-        | Expr::Index(a, b)
-        | Expr::Contains(a, b)
-        | Expr::MapRemove(a, b)
-        | Expr::ListPush(a, b) => {
-            validate_expr(a, vars)?;
-            validate_expr(b, vars)
-        }
-        Expr::Not(a)
-        | Expr::Field(a, _)
-        | Expr::Len(a)
-        | Expr::Keys(a)
-        | Expr::Digest(a)
-        | Expr::ToStr(a) => validate_expr(a, vars),
-        Expr::MapInsert(a, b, c) => {
-            validate_expr(a, vars)?;
-            validate_expr(b, vars)?;
-            validate_expr(c, vars)
-        }
-        Expr::ListLit(items) => items.iter().try_for_each(|i| validate_expr(i, vars)),
-        Expr::MapLit(pairs) => pairs.iter().try_for_each(|(_, v)| validate_expr(v, vars)),
     }
 }
 
@@ -959,6 +826,27 @@ mod tests {
         );
         b.request_handler("f");
         assert!(matches!(b.build(), Err(BuildError::UnknownVar(_))));
+    }
+
+    #[test]
+    fn first_unknown_name_in_body_order_wins() {
+        // The else-branch of the first function is met before any later
+        // function, so its unknown variable is the error, not the
+        // unknown continuation after it.
+        let mut b = ProgramBuilder::new();
+        b.function(
+            "f",
+            vec![
+                iff(lit(true), vec![], vec![swrite("ghost", lit(1))]),
+                tx_start(null(), "nowhere"),
+            ],
+        );
+        b.function("g", vec![register("ev", "missing")]);
+        b.request_handler("f");
+        assert_eq!(
+            b.build().unwrap_err(),
+            BuildError::UnknownVar("ghost".into())
+        );
     }
 
     #[test]

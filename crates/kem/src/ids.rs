@@ -273,7 +273,7 @@ impl fmt::Display for HandlerId {
 
 /// An interned identifier: a dense index into an [`Interner`].
 ///
-/// The resolve pass (see [`crate::resolve`]) interns every identifier a
+/// Lowering (see [`crate::bytecode`]) interns every identifier a
 /// program mentions — event names, function names, local and shared
 /// variable names — so the hot loops of both the runtime and the
 /// verifier compare/hash a `u32` instead of a `String`.
@@ -287,7 +287,7 @@ impl fmt::Display for Sym {
 }
 
 /// A string interner: maps identifier strings to dense [`Sym`] ids and
-/// back. Built once per program by the resolve pass; lookups after that
+/// back. Built once per program by lowering; lookups after that
 /// are array indexing ([`Interner::resolve`]) or one hash of the string
 /// ([`Interner::get`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -319,7 +319,7 @@ impl Interner {
     }
 
     /// The string a [`Sym`] stands for. Total: an unknown sym (which a
-    /// correct resolve pass never produces) resolves to `""` rather
+    /// correct lowering never produces) resolves to `""` rather
     /// than panicking.
     pub fn resolve(&self, sym: Sym) -> &str {
         self.names.get(sym.0 as usize).map_or("", String::as_str)

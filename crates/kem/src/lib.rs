@@ -13,6 +13,9 @@
 //!
 //! * [`Value`] and the KJS language ([`Expr`], [`Stmt`], [`Program`],
 //!   [`dsl`]) — the "core of JavaScript" applications are written in;
+//! * [`bytecode`] — each function body compiled once, at
+//!   [`ProgramBuilder::build`], straight from the AST to flat ops with
+//!   every name resolved: what both the server and the verifier run;
 //! * [`HandlerId`] — hash-consed activation paths implementing `A`;
 //! * [`run_server`] — the dispatch loop with a seeded scheduler, a
 //!   closed-loop admission window, and an embedded transactional store
@@ -32,7 +35,6 @@ mod hooks;
 mod ids;
 mod ops;
 pub mod pvalue;
-pub mod resolve;
 mod runtime;
 mod trace;
 mod value;
@@ -48,7 +50,6 @@ pub use ops::{
     eval_map_insert, eval_map_remove, eval_to_str, int_binop,
 };
 pub use pvalue::{PList, PMap};
-pub use resolve::{RExpr, RFunction, RStmt, Resolved};
 pub use runtime::{
     init_handler_id, run_server, tx_payload_keys, RunOutput, Runtime, SchedPolicy, ServerConfig,
     TxPayloadKeys, INIT_FUNCTION,

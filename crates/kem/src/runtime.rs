@@ -25,10 +25,10 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::ast::{NondetKind, Program};
+use crate::bytecode::{CodeSet, FuncCode};
 use crate::error::RuntimeError;
 use crate::hooks::{ExecHooks, TxOpKind, TxOpRecord};
 use crate::ids::{FunctionId, HandlerId, RequestId, Sym, VarId};
-use crate::resolve::{RFunction, Resolved};
 use crate::trace::Trace;
 use crate::value::Value;
 
@@ -170,20 +170,20 @@ struct PendingDb {
 }
 
 /// Per-activation interpreter context. Locals live in a slot-indexed
-/// frame (compiled by the resolve pass); unbound slots hold `None` so
+/// frame (slots assigned by lowering); unbound slots hold `None` so
 /// read-before-bind is still a runtime error.
 struct Frame<'p> {
     rid: RequestId,
     hid: HandlerId,
     opnum: u32,
     locals: Vec<Option<Value>>,
-    func: &'p RFunction,
+    func: &'p FuncCode,
 }
 
 /// The simulated server.
 pub struct Runtime<'p> {
     program: &'p Program,
-    resolved: &'p Resolved,
+    code: &'p CodeSet,
     cfg: ServerConfig,
     vars: Vec<Value>,
     request_regs: HashMap<RequestId, Vec<(Sym, FunctionId)>>,
@@ -241,7 +241,7 @@ impl<'p> Runtime<'p> {
         };
         Runtime {
             program,
-            resolved: program.resolved(),
+            code: program.code(),
             cfg,
             vars: Vec::new(),
             request_regs: HashMap::new(),
@@ -376,8 +376,7 @@ impl<'p> Runtime<'p> {
         self.activations += 1;
         hooks.on_handler_start(act.rid, &act.hid);
         let fuel_before = self.fuel;
-        let resolved = self.resolved;
-        let func = &resolved.functions[act.function.0 as usize];
+        let func = &self.code.funcs[act.function.0 as usize];
         let mut frame = Frame {
             rid: act.rid,
             hid: act.hid,
@@ -386,11 +385,10 @@ impl<'p> Runtime<'p> {
             func,
         };
         if let Some(s0) = frame.locals.get_mut(0) {
-            // Slot 0 is always `payload` (pre-assigned by the resolver).
+            // Slot 0 is always `payload` (pre-assigned by lowering).
             *s0 = Some(act.payload);
         }
-        let code = &self.program.code().funcs[act.function.0 as usize];
-        self.exec_code(&mut frame, code, hooks)?;
+        self.exec_code(&mut frame, func, hooks)?;
         hooks.on_handler_end(frame.rid, &frame.hid, frame.opnum);
         // `self.fuel` is cumulative across the interleaved run, so the
         // delta is exactly this activation's burn (activations run to
@@ -404,7 +402,7 @@ impl<'p> Runtime<'p> {
     fn exec_code<H: ExecHooks>(
         &mut self,
         frame: &mut Frame<'_>,
-        code: &crate::bytecode::FuncCode,
+        code: &FuncCode,
         hooks: &mut H,
     ) -> Result<(), RuntimeError> {
         // Scratch is swapped out so dispatch can borrow `self` freely;
@@ -427,7 +425,7 @@ impl<'p> Runtime<'p> {
     fn dispatch<H: ExecHooks>(
         &mut self,
         frame: &mut Frame<'_>,
-        code: &crate::bytecode::FuncCode,
+        code: &FuncCode,
         hooks: &mut H,
         stack: &mut Vec<Value>,
         loops: &mut Vec<u32>,
@@ -609,7 +607,7 @@ impl<'p> Runtime<'p> {
                         })
                         .collect();
                     let hids: Vec<HandlerId> = activations.iter().map(|a| a.hid.clone()).collect();
-                    let event_name = self.resolved.interner.resolve(event);
+                    let event_name = self.code.interner.resolve(event);
                     hooks.on_emit(frame.rid, &frame.hid, frame.opnum, event_name, &hids);
                     if !activations.is_empty() {
                         self.pending_events.push_back(PendingEvent { activations });
@@ -617,10 +615,10 @@ impl<'p> Runtime<'p> {
                 }
                 Op::Register { event, function } => {
                     frame.opnum += 1;
-                    let resolved = self.resolved;
+                    let compiled = self.code;
                     let regs = self.request_regs.entry(frame.rid).or_default();
                     if regs.iter().any(|(e, g)| *e == event && *g == function)
-                        || resolved
+                        || compiled
                             .global_regs
                             .iter()
                             .any(|(e, g)| *e == event && *g == function)
@@ -630,13 +628,13 @@ impl<'p> Runtime<'p> {
                             .functions
                             .get(function.0 as usize)
                             .map_or("?", |fun| fun.name.as_str());
-                        let ename = resolved.interner.resolve(event);
+                        let ename = compiled.interner.resolve(event);
                         return Err(RuntimeError::new(format!(
                             "function {fname:?} already registered for event {ename:?}"
                         )));
                     }
                     regs.push((event, function));
-                    let event_name = resolved.interner.resolve(event);
+                    let event_name = compiled.interner.resolve(event);
                     hooks.on_register(frame.rid, &frame.hid, frame.opnum, event_name, function);
                 }
                 Op::Unregister { event, function } => {
@@ -644,7 +642,7 @@ impl<'p> Runtime<'p> {
                     if let Some(regs) = self.request_regs.get_mut(&frame.rid) {
                         regs.retain(|(e, g)| !(*e == event && *g == function));
                     }
-                    let event_name = self.resolved.interner.resolve(event);
+                    let event_name = self.code.interner.resolve(event);
                     hooks.on_unregister(frame.rid, &frame.hid, frame.opnum, event_name, function);
                 }
                 Op::Respond => {
@@ -732,7 +730,7 @@ impl<'p> Runtime<'p> {
                 Op::ListenerCount { slot, event } => {
                     frame.opnum += 1;
                     let count = self.registered_for(frame.rid, event).len() as i64;
-                    let event_name = self.resolved.interner.resolve(event);
+                    let event_name = self.code.interner.resolve(event);
                     hooks.on_check_op(frame.rid, &frame.hid, frame.opnum, event_name, count);
                     frame.locals[slot as usize] = Some(Value::Int(count));
                 }
@@ -903,7 +901,7 @@ impl<'p> Runtime<'p> {
 
     fn registered_for(&self, rid: RequestId, event: Sym) -> Vec<FunctionId> {
         let mut out: Vec<FunctionId> = self
-            .resolved
+            .code
             .global_regs
             .iter()
             .filter(|(e, _)| *e == event)
