@@ -28,7 +28,7 @@
 
 use std::ops::Range;
 
-use kem::{HandlerId, OpRef, RequestId};
+use kem::{FunctionId, HandlerId, OpRef, RequestId};
 
 use crate::advice_ref::VecMap;
 use crate::verifier::reject::{RejectReason, ResourceKind};
@@ -105,6 +105,12 @@ impl Activation {
         (1..=self.count)
             .contains(&opnum)
             .then(|| self.start + opnum)
+    }
+
+    /// Whether this is the handler running `function` that the
+    /// `opnum`-th operation of activation `parent` activated.
+    fn is_child(&self, parent: u32, function: FunctionId, opnum: u32) -> bool {
+        self.parent == Some(parent) && self.hid.function() == function && self.hid.opnum() == opnum
     }
 }
 
@@ -272,13 +278,34 @@ impl Coords {
         near: u32,
     ) -> Option<u32> {
         let slice = self.acts.get(within.start as usize..within.end as usize)?;
-        let is_child = |a: &Activation| {
-            a.parent == Some(parent)
-                && a.hid.function() == hid.function()
-                && a.hid.opnum() == hid.opnum()
-        };
+        let is_child = |a: &Activation| a.is_child(parent, hid.function(), hid.opnum());
         let offset = find_among(slice, near as usize, is_child, hid)?;
         Some(within.start + offset as u32)
+    }
+
+    /// [`Coords::find_child_in`] for the handler running `function`
+    /// that the `opnum`-th operation of activation `parent` activates,
+    /// without the caller building its id: the id is built only when
+    /// the hint misses.
+    pub(crate) fn find_activated_in(
+        &self,
+        within: &Range<u32>,
+        parent: u32,
+        function: FunctionId,
+        opnum: u32,
+        near: u32,
+    ) -> Option<u32> {
+        let slice = self.acts.get(within.start as usize..within.end as usize)?;
+        let hinted = [near, near.saturating_add(1)].into_iter().find(|offset| {
+            slice
+                .get(*offset as usize)
+                .is_some_and(|a| a.is_child(parent, function, opnum))
+        });
+        if let Some(offset) = hinted {
+            return Some(within.start + offset);
+        }
+        let hid = HandlerId::child(&self.acts.get(parent as usize)?.hid, function, opnum);
+        self.find_child_in(within, parent, &hid, near)
     }
 
     /// The activation `(rid, hid)`, searched over all of `opcounts`.
@@ -412,32 +439,48 @@ impl<T> Default for NodeTable<T> {
 }
 
 impl<T> NodeTable<T> {
-    /// An empty table over `nodes` node ids with room for `entries`.
-    pub(crate) fn new(nodes: usize, entries: usize) -> Self {
+    /// An empty table over `nodes` node ids.
+    pub(crate) fn new(nodes: usize) -> Self {
         NodeTable {
             slots: vec![0; nodes],
-            vals: Vec::with_capacity(entries),
+            vals: Vec::new(),
         }
     }
 
-    /// Sets the entry of `node` (ignored for a node outside the table).
-    pub(crate) fn insert(&mut self, node: u32, val: T) {
-        let Some(slot) = self.slots.get_mut(node as usize) else {
-            return;
-        };
-        match slot
-            .checked_sub(1)
-            .and_then(|i| self.vals.get_mut(i as usize))
-        {
-            Some(existing) => *existing = val,
-            None => {
-                // At most one entry per node, and nodes fit a `u32`.
-                let Ok(next) = u32::try_from(self.vals.len() + 1) else {
-                    return;
-                };
-                *slot = next;
-                self.vals.push(val);
+    /// Splits this empty table at the ascending node ids `cuts` into one
+    /// [`NodeRows`] per range between consecutive cuts, each to be
+    /// filled on its own (on any thread) and handed back to
+    /// [`NodeTable::join`].
+    pub(crate) fn split(&mut self, cuts: &[u32]) -> Vec<NodeRows<'_, T>> {
+        let mut rest = self.slots.as_mut_slice();
+        let mut parts = Vec::with_capacity(cuts.len().saturating_sub(1));
+        for range in cuts.windows(2) {
+            let [first, end] = [range[0], range[1]];
+            let len = (end.saturating_sub(first) as usize).min(rest.len());
+            let (slots, tail) = std::mem::take(&mut rest).split_at_mut(len);
+            rest = tail;
+            let vals = Vec::new();
+            parts.push(NodeRows { first, slots, vals });
+        }
+        parts
+    }
+
+    /// Takes back, in order, the entries of the parts [`NodeTable::split`]
+    /// cut at `cuts`. A part numbered its slots from its own first
+    /// entry, so they move past the entries of the parts before it.
+    pub(crate) fn join(&mut self, cuts: &[u32], parts: Vec<Vec<T>>) {
+        self.vals.reserve_exact(parts.iter().map(Vec::len).sum());
+        for (range, vals) in cuts.windows(2).zip(parts) {
+            let base = self.vals.len() as u32;
+            let slots = self.slots.get_mut(range[0] as usize..range[1] as usize);
+            for slot in slots
+                .unwrap_or(&mut [])
+                .iter_mut()
+                .filter(|slot| **slot != 0)
+            {
+                *slot += base;
             }
+            self.vals.extend(vals);
         }
     }
 
@@ -465,6 +508,101 @@ impl<T> NodeTable<T> {
             .enumerate()
             .filter(|(_, slot)| **slot != 0)
             .map(|(node, _)| node as u32)
+    }
+}
+
+/// One node range of a [`NodeTable`] being filled apart from the rest
+/// ([`NodeTable::split`]): its slots, borrowed from the table, and its
+/// own entries, which its slots number from 1.
+#[derive(Debug)]
+pub(crate) struct NodeRows<'t, T> {
+    /// The range's first node id.
+    first: u32,
+    slots: &'t mut [u32],
+    vals: Vec<T>,
+}
+
+impl<T> NodeRows<'_, T> {
+    /// Sets the entry of `node` unless it has one or lies outside the
+    /// range; whether it did.
+    pub(crate) fn insert(&mut self, node: u32, val: T) -> bool {
+        let slot = self.slots.get_mut(node.wrapping_sub(self.first) as usize);
+        match slot {
+            Some(slot) if *slot == 0 => {
+                self.vals.push(val);
+                // At most one entry per node, and nodes fit a `u32`.
+                *slot = self.vals.len() as u32;
+                true
+            }
+            _ => false,
+        }
+    }
+
+    /// Nodes in the range.
+    pub(crate) fn nodes(&self) -> usize {
+        self.slots.len()
+    }
+
+    /// Room for `entries` more entries.
+    pub(crate) fn reserve(&mut self, entries: usize) {
+        self.vals.reserve_exact(entries);
+    }
+
+    /// The entries, in insertion order, for [`NodeTable::join`].
+    pub(crate) fn into_entries(self) -> Vec<T> {
+        self.vals
+    }
+}
+
+/// One part of a split [`NodeLists`]: its nodes' ranges of its items,
+/// and the items.
+pub(crate) type ListPart<T> = (Vec<(u32, u32)>, Vec<T>);
+
+/// A [`NodeTable`] of lists, held flat: one vector of items and a table
+/// of each node's range of it, so a list costs no allocation of its
+/// own.
+#[derive(Debug)]
+pub struct NodeLists<T> {
+    at: NodeTable<(u32, u32)>,
+    items: Vec<T>,
+}
+
+impl<T> NodeLists<T> {
+    /// An empty table over `nodes` node ids.
+    pub(crate) fn new(nodes: usize) -> Self {
+        NodeLists {
+            at: NodeTable::new(nodes),
+            items: Vec::new(),
+        }
+    }
+
+    /// The list of `node`.
+    pub fn get(&self, node: u32) -> Option<&[T]> {
+        let (lo, hi) = *self.at.get(node)?;
+        self.items.get(lo as usize..hi as usize)
+    }
+
+    /// [`NodeTable::split`] for lists: a part holds each node's range of
+    /// a vector of items of its own.
+    pub(crate) fn split(&mut self, cuts: &[u32]) -> Vec<NodeRows<'_, (u32, u32)>> {
+        self.at.split(cuts)
+    }
+
+    /// [`NodeTable::join`] for lists.
+    pub(crate) fn join(&mut self, cuts: &[u32], parts: Vec<ListPart<T>>) {
+        self.items
+            .reserve_exact(parts.iter().map(|(_, items)| items.len()).sum());
+        let mut ranges = Vec::with_capacity(parts.len());
+        for (mut at, mut items) in parts {
+            let base = self.items.len() as u32;
+            for (lo, hi) in &mut at {
+                *lo += base;
+                *hi += base;
+            }
+            self.items.append(&mut items);
+            ranges.push(at);
+        }
+        self.at.join(cuts, ranges);
     }
 }
 
@@ -615,6 +753,10 @@ mod tests {
                     if let Some(parent_there) = there {
                         let child = c.find_child_in(&other, parent_there, &act.hid, near);
                         prop_assert_eq!(child, found);
+                        let (function, opnum) = (act.hid.function(), act.hid.opnum());
+                        let activated =
+                            c.find_activated_in(&other, parent_there, function, opnum, near);
+                        prop_assert_eq!(activated, found);
                     }
                 }
             }
@@ -656,17 +798,61 @@ mod tests {
 
     #[test]
     fn node_table_holds_one_entry_per_node() {
-        let mut t: NodeTable<&str> = NodeTable::new(4, 2);
+        let mut t: NodeTable<&str> = NodeTable::new(4);
         assert!(t.is_empty());
-        t.insert(2, "a");
-        t.insert(0, "b");
-        t.insert(2, "c");
-        t.insert(9, "outside");
+        let mut parts = t.split(&[0, 4]);
+        assert!(parts[0].insert(2, "a"));
+        assert!(parts[0].insert(0, "b"));
+        assert!(!parts[0].insert(2, "c"));
+        assert!(!parts[0].insert(9, "outside"));
+        let entries = parts.into_iter().map(NodeRows::into_entries).collect();
+        t.join(&[0, 4], entries);
         assert_eq!(t.len(), 2);
-        assert_eq!(t.get(2), Some(&"c"));
+        assert_eq!(t.get(2), Some(&"a"));
         assert_eq!(t.get(0), Some(&"b"));
         assert_eq!(t.get(1), None);
         assert_eq!(t.get(9), None);
         assert_eq!(t.nodes().collect::<Vec<_>>(), vec![0, 2]);
+    }
+
+    /// A table split at node ids and filled part by part holds what one
+    /// filled in a piece would, lists included.
+    #[test]
+    fn node_tables_fill_by_parts() {
+        let cuts = [0, 3, 3, 7];
+        let mut t = NodeTable::new(7);
+        let mut parts = t.split(&cuts);
+        assert!(parts[0].insert(1, "a"));
+        assert!(!parts[0].insert(1, "again"));
+        assert!(!parts[0].insert(3, "outside"));
+        assert!(!parts[1].insert(3, "empty range"));
+        assert!(parts[2].insert(6, "b"));
+        assert!(parts[2].insert(3, "c"));
+        let entries = parts.into_iter().map(NodeRows::into_entries).collect();
+        t.join(&cuts, entries);
+        assert_eq!(t.len(), 3);
+        assert_eq!(t.nodes().collect::<Vec<_>>(), vec![1, 3, 6]);
+        assert_eq!(
+            (t.get(1), t.get(3), t.get(6)),
+            (Some(&"a"), Some(&"c"), Some(&"b"))
+        );
+
+        let cuts = [0, 2, 5];
+        let mut lists = NodeLists::new(5);
+        let mut parts = lists.split(&cuts);
+        assert!(parts[0].insert(1, (0, 2)));
+        assert!(parts[1].insert(2, (0, 0)));
+        assert!(parts[1].insert(4, (0, 1)));
+        let items = [vec!['a', 'b'], vec!['c']];
+        let parts = parts
+            .into_iter()
+            .map(NodeRows::into_entries)
+            .zip(items)
+            .collect();
+        lists.join(&cuts, parts);
+        assert_eq!(lists.get(1), Some(&['a', 'b'][..]));
+        assert_eq!(lists.get(2), Some(&[][..]));
+        assert_eq!(lists.get(4), Some(&['c'][..]));
+        assert_eq!(lists.get(0), None);
     }
 }

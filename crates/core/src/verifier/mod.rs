@@ -23,7 +23,7 @@ mod reject;
 mod var_index;
 mod vars;
 
-pub use coords::{Coords, GNode, HPos, NodeTable};
+pub use coords::{Coords, GNode, HPos, NodeLists, NodeTable};
 pub use forensics::{
     cycle_report, AuditDiagnostics, AuditFailure, CostAttribution, CycleEdgeReport, CycleReport,
     TopGroupCost,
@@ -488,8 +488,8 @@ fn audit_decoded<'a>(
     check_advice_volume(advice, &opts.limits)?;
 
     // Preprocess (includes isolation-level verification): the
-    // advice-driven sections run sharded per request; the edge
-    // fragments come back deferred so that their merge into `G` can
+    // advice-driven sections run in ranges of requests; the edge
+    // batches come back deferred so that their merge into `G` can
     // overlap group replay.
     let PreStaged {
         mut pre,

@@ -21,34 +21,41 @@
 //! each advice map is keyed by (or contains) the request id, a
 //! request's activations are one contiguous range of the coordinates,
 //! and every coordinate a request's logs put into the `OpMap` lies in
-//! that range, so no two requests can collide there.
-//! [`preprocess_staged`] exploits this: requests are sharded over the
-//! verifier's worker pool (`pool.rs`), each shard runs the six
-//! advice-driven sections for its request in serial section order, and
-//! the calling thread merges deterministically —
+//! that range, so no two requests can collide there; a run of requests
+//! consecutive in id order owns one contiguous range of node ids.
+//! [`preprocess_staged`] cuts the ascending request order into about
+//! four such ranges per thread, run on the verifier's worker pool
+//! (`pool.rs`). A range shard runs the six advice-driven sections for
+//! its requests one by one, each in serial section order, into one edge
+//! batch and its node range of the tables, and the calling thread joins
+//! the shards deterministically —
 //!
 //! * **errors** by the lexicographic minimum of `(section, position)`,
 //!   where position is the request's rank in the section's serial
 //!   iteration order (ascending request id, except the
 //!   boundary-response section which follows trace order), so the
-//!   winning [`RejectReason`] is exactly the serial first error;
-//! * **edges** as one fragment per request, appended in ascending
-//!   request order. Node ids come from the coordinates, not from the
-//!   order edges arrive in, so the merge is a plain append.
+//!   winning [`RejectReason`] is exactly the serial first error. One
+//!   request's error does not stop the rest of its range, whose later
+//!   requests may fail in an earlier section;
+//! * **edges** as one batch per range, appended in range order: the
+//!   serial order. Node ids come from the coordinates, not from the
+//!   order edges arrive in, so the merge is a plain append;
+//! * **tables** in place: a shard writes only its own node range, and
+//!   the entries join in range order.
 //!
-//! The edge fragments are returned as [`DeferredEdges`] rather than
+//! The edge batches are returned as [`DeferredEdges`] rather than
 //! merged eagerly, which lets the audit overlap the merge with group
 //! replay; [`DeferredEdges::merge_into`] merges them on the spot.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 use std::ops::Range;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 
 use kem::{HandlerId, OpRef, Program, RequestId, Trace, TraceEvent};
 
 use crate::advice::{KTxId, TxOpType};
 use crate::advice_ref::{AdviceRef, TxContentsRef, TxEntryRef, VecMap};
-use crate::verifier::coords::{Activation, Coords, Nearby, NodeTable};
+use crate::verifier::coords::{Activation, Coords, Nearby, NodeLists, NodeRows, NodeTable};
 use crate::verifier::graph::{Edge, EdgeKind, Graph};
 use crate::verifier::isolation::{verify_isolation, IsolationStats};
 use crate::verifier::pool;
@@ -83,8 +90,9 @@ pub struct Preprocessed {
     pub coords: Arc<Coords>,
     /// Operation node → log-entry location.
     pub op_map: NodeTable<OpMapEntry>,
-    /// Emit node → handlers it allegedly activates.
-    pub activated: NodeTable<Vec<HandlerId>>,
+    /// Emit node → handlers it allegedly activates, in registration
+    /// order (global registrations first).
+    pub activated: NodeLists<HandlerId>,
     /// Check-operation node → listener count implied by the handler
     /// log's registration history at that point.
     pub check_counts: NodeTable<i64>,
@@ -101,12 +109,11 @@ pub struct Preprocessed {
     pub nondet: VecMap<u32, u32>,
 }
 
-/// Preprocess edge fragments not yet merged into `G`: one per request,
-/// ascending request id. [`DeferredEdges::merge_into`] appends them;
-/// deferring that is what lets the audit overlap it with group
-/// replay (the re-executor reads `op_map`/`activated`/
-/// `check_counts`, never the graph, so the merge is safe to run
-/// concurrently with replay).
+/// Preprocess edge batches not yet merged into `G`: one per range of
+/// requests, ascending. [`DeferredEdges::merge_into`] appends them;
+/// deferring that lets the audit overlap it with group replay (the
+/// re-executor reads `op_map`/`activated`/`check_counts`, never the
+/// graph, so the merge is safe to run concurrently with replay).
 #[derive(Debug, Default)]
 pub struct DeferredEdges {
     batches: Vec<Vec<Edge>>,
@@ -130,12 +137,12 @@ impl DeferredEdges {
 
 /// Output of [`preprocess_staged`]: the preprocessed structures (with
 /// `G` holding only the trace's time-precedence edges) plus the
-/// deferred advice-driven edge fragments.
+/// deferred advice-driven edge batches.
 #[derive(Debug)]
 pub struct PreStaged {
     /// The preprocessed structures.
     pub pre: Preprocessed,
-    /// Edge fragments to merge into `pre.graph` (eagerly, or overlapped
+    /// Edge batches to merge into `pre.graph` (eagerly, or overlapped
     /// with group replay by the audit).
     pub deferred: DeferredEdges,
 }
@@ -149,7 +156,7 @@ const SEC_ACTIVATION: usize = 3;
 const SEC_HANDLER: usize = 4;
 const SEC_EXTERNAL: usize = 5;
 
-/// Everything one request's shard reads: its ranges of the sorted
+/// Everything one request's sections read: its ranges of the sorted
 /// advice maps, found on the calling thread by one ascending walk. `'x`
 /// is the advice storage — ultimately the wire bytes on the borrowed
 /// path.
@@ -165,20 +172,46 @@ struct RidWork<'x> {
     txs: Range<u32>,
 }
 
-/// One request's preprocess output: its edge fragment, its entries of
-/// the node tables, and the first error (tagged with its section).
-#[derive(Default)]
-struct RidShard {
+/// What one range shard fills of the node tables: its node range.
+type Rows<'t> = (
+    NodeRows<'t, OpMapEntry>,
+    NodeRows<'t, (u32, u32)>,
+    NodeRows<'t, i64>,
+);
+
+/// One range of requests' output — its edge batch, its rows of the
+/// tables, its requests' first error — and the scratch its sections
+/// reuse from request to request.
+struct RangeShard<'x, 't> {
     edges: Vec<Edge>,
-    op_map: Vec<(u32, OpMapEntry)>,
-    activated: Vec<(u32, Vec<HandlerId>)>,
-    check_counts: Vec<(u32, i64)>,
+    /// Also the duplicate check of `CheckOpIsValid`: an operation is
+    /// logged once it has an entry.
+    op_map: NodeRows<'t, OpMapEntry>,
+    /// Emit node → its range of `hids`.
+    activated: NodeRows<'t, (u32, u32)>,
+    hids: Vec<HandlerId>,
+    check_counts: NodeRows<'t, i64>,
     /// Ranks of the allegedly committed transactions.
     committed: Vec<u32>,
-    err: Option<(usize, RejectReason)>,
+    /// The serial-first error, keyed by `(section, position)`.
+    err: Option<((usize, usize), RejectReason)>,
+    /// Where the last logged operation's handler sits among its
+    /// request's activations (the next lookup's hint).
+    near: u32,
+    /// A handler log's live registrations. Event names stay borrowed
+    /// from the advice bytes: the scan allocates nothing per entry.
+    registered: Vec<(&'x str, kem::FunctionId)>,
+    /// A transaction's last write to each key, by log index.
+    my_writes: HashMap<&'x str, u32>,
 }
 
-/// What every shard reads besides its own [`RidWork`].
+impl RangeShard<'_, '_> {
+    fn edge(&mut self, from: u32, to: u32, kind: EdgeKind) {
+        self.edges.push(Edge::new(from, to, kind));
+    }
+}
+
+/// What every shard reads besides its own requests.
 struct ShardCtx<'c, 'x> {
     advice: &'x AdviceRef<'x>,
     coords: &'c Coords,
@@ -187,11 +220,26 @@ struct ShardCtx<'c, 'x> {
     global_by_event: HashMap<&'c str, Vec<kem::FunctionId>>,
 }
 
+impl<'c, 'x> ShardCtx<'c, 'x> {
+    /// The activations at the indices `acts`.
+    fn acts(&self, acts: Range<u32>) -> &'c [Activation] {
+        let range = acts.start as usize..acts.end as usize;
+        self.coords.activations().get(range).unwrap_or(&[])
+    }
+
+    /// The transactions of the ranks `txs`.
+    fn txs(&self, txs: Range<u32>) -> &'x [(KTxId, Vec<TxEntryRef<'x>>)] {
+        let all = self.advice.tx_logs.as_slice();
+        all.get(txs.start as usize..txs.end as usize).unwrap_or(&[])
+    }
+}
+
 /// Runs `Preprocess`. `isolation` is the level the store is deployed at
-/// (known to the principal). The advice-driven sections run sharded per
-/// request over `threads` threads, the calling thread included (`1`
-/// runs every shard on it, spawning nothing), and the edge merge is
-/// deferred (see the module docs for the determinism argument).
+/// (known to the principal). The advice-driven sections run over about
+/// four ranges of requests per thread, on `threads` threads the calling
+/// one included (`1` runs every range on it, spawning nothing), and the
+/// edge merge is deferred (see the module docs for the determinism
+/// argument).
 pub fn preprocess_staged<'a>(
     program: &Program,
     trace: &Trace,
@@ -225,57 +273,59 @@ pub fn preprocess_staged<'a>(
         global_by_event,
     };
 
-    let nshards = work.len();
-    let run = |i: usize| Ok(run_rid_shard(&ctx, &work[i]));
-    let mut shards = pool::collect(threads, nshards, &run)?;
+    // Range `k` is `work[cut(k)..cut(k + 1)]`. It writes the tables from
+    // its first activation's start node (range 0 from node 0) to the
+    // next range's, handed to it through a lock it alone takes.
+    let (nshards, nodes) = ((4 * threads.max(1)).min(work.len()), coords.node_count());
+    let cut = |k: usize| k * work.len() / nshards;
+    let first_node = |k: usize| match k {
+        0 => 0,
+        _ => work
+            .get(cut(k))
+            .and_then(|w| coords.activations().get(w.acts.start as usize))
+            .map_or(nodes as u32, |act| act.start),
+    };
+    let cuts: Vec<u32> = (0..=nshards).map(first_node).collect();
+    let (mut op_map, mut activated) = (NodeTable::new(nodes), NodeLists::new(nodes));
+    let mut check_counts = NodeTable::new(nodes);
+    let tables = op_map.split(&cuts).into_iter().zip(activated.split(&cuts));
+    let rows: Vec<Mutex<Option<Rows>>> = (tables.zip(check_counts.split(&cuts)))
+        .map(|((op, act), check)| Mutex::new(Some((op, act, check))))
+        .collect();
+    let run = |k: usize| match rows.get(k).and_then(|rows| rows.lock().ok()?.take()) {
+        Some(rows) => Ok(run_range(&ctx, &work, cut(k)..cut(k + 1), rows)),
+        None => Err(RejectReason::VerifierInternal {
+            what: "a preprocess range ran twice".into(),
+        }),
+    };
+    let shards = pool::collect(threads, nshards, &run)?;
 
-    // First error in serial order: lexicographic minimum of
-    // (section, position). Position is the shard's rank in ascending
-    // request order for every section except boundary-response, whose
-    // serial iteration is trace order.
-    let mut best: Option<((usize, usize), RejectReason)> = None;
-    for (i, (shard, w)) in shards.iter().zip(&work).enumerate() {
-        if let Some((section, reason)) = &shard.err {
-            let pos = match w.boundary {
-                Some((arrival, _)) if *section == SEC_BOUNDARY_RESPONSE => arrival as usize,
-                _ => i,
-            };
-            let key = (*section, pos);
-            if best.as_ref().is_none_or(|(k, _)| key < *k) {
-                best = Some((key, reason.clone()));
-            }
-        }
-    }
+    let best = shards
+        .iter()
+        .filter_map(|shard| shard.err.as_ref())
+        .min_by_key(|(key, _)| *key);
     if let Some((_, reason)) = best {
-        return Err(reason);
+        return Err(reason.clone());
     }
 
-    // Table merges: per-request node ranges are disjoint, so scattering
-    // the fragments in shard order reproduces the serial tables.
-    let nodes = coords.node_count();
-    let entries = |len: fn(&RidShard) -> usize| shards.iter().map(len).sum::<usize>();
-    let mut op_map = NodeTable::new(nodes, entries(|s| s.op_map.len()));
-    let mut activated = NodeTable::new(nodes, entries(|s| s.activated.len()));
-    let mut check_counts = NodeTable::new(nodes, entries(|s| s.check_counts.len()));
     let mut committed = vec![false; advice.tx_logs.len()];
-    let mut batches: Vec<Vec<Edge>> = Vec::with_capacity(nshards);
-    for shard in &mut shards {
-        for (node, entry) in shard.op_map.drain(..) {
-            op_map.insert(node, entry);
-        }
-        for (node, hids) in shard.activated.drain(..) {
-            activated.insert(node, hids);
-        }
-        for (node, count) in shard.check_counts.drain(..) {
-            check_counts.insert(node, count);
-        }
-        for tx in shard.committed.drain(..) {
+    let mut batches = Vec::with_capacity(nshards);
+    let (mut op_rows, mut activated_rows, mut check_rows) = (vec![], vec![], vec![]);
+    for shard in shards {
+        for tx in shard.committed {
             if let Some(c) = committed.get_mut(tx as usize) {
                 *c = true;
             }
         }
-        batches.push(std::mem::take(&mut shard.edges));
+        batches.push(shard.edges);
+        op_rows.push(shard.op_map.into_entries());
+        activated_rows.push((shard.activated.into_entries(), shard.hids));
+        check_rows.push(shard.check_counts.into_entries());
     }
+    drop(rows);
+    op_map.join(&cuts, op_rows);
+    activated.join(&cuts, activated_rows);
+    check_counts.join(&cuts, check_rows);
 
     let isolation = verify_isolation(advice, &committed, isolation)?;
 
@@ -369,83 +419,67 @@ fn shard_work<'x>(
         .collect()
 }
 
-/// Runs every advice-driven section for one request, in serial section
-/// order, stopping at the first error. Within a shard the first error
-/// found is its `(section, position)` minimum, because sections run in
-/// ascending order and the position (this request's rank) is fixed.
-fn run_rid_shard<'x>(ctx: &ShardCtx<'_, 'x>, work: &RidWork<'x>) -> RidShard {
-    let mut shard = RidShard::default();
-    let acts = ctx
-        .coords
-        .activations()
-        .get(work.acts.start as usize..work.acts.end as usize)
-        .unwrap_or(&[]);
-    let txs = ctx
-        .advice
-        .tx_logs
-        .as_slice()
-        .get(work.txs.start as usize..work.txs.end as usize)
-        .unwrap_or(&[]);
-    // Pre-size the hot fragments from the work item — the op counts
-    // fix the program section's edge count up front, and every log
-    // entry adds at most one edge and one `OpMap` entry.
-    let program_edges: usize = acts.iter().map(|a| a.count as usize + 1).sum();
-    let log_len = work.handler_log.map_or(0, <[_]>::len);
-    let tx_entries: usize = txs.iter().map(|(_, log)| log.len()).sum();
-    shard
-        .edges
-        .reserve_exact(program_edges + 2 * acts.len() + 2 + log_len + tx_entries);
-    shard.op_map.reserve_exact(log_len + tx_entries);
-    let result = (|| -> Result<(), (usize, RejectReason)> {
-        section_program(&mut shard, work, acts).map_err(|e| (SEC_PROGRAM, e))?;
-        section_boundary_roots(&mut shard, work, acts);
-        section_boundary_response(&mut shard, ctx, work).map_err(|e| (SEC_BOUNDARY_RESPONSE, e))?;
-        section_activation(&mut shard, ctx, work, acts).map_err(|e| (SEC_ACTIVATION, e))?;
-        // The duplicate check of `CheckOpIsValid`, over this request's
-        // node range: handler log first, then transaction logs, the
-        // serial insertion order.
-        let first = acts.first().map_or(0, |a| a.start);
-        let span = acts.last().map_or(0, |a| a.end() + 1 - first);
-        let mut logged = Logged {
-            first,
-            seen: vec![false; span as usize],
-            near: 0,
+/// Runs every advice-driven section for the requests `work[ranks]` into
+/// their node range of the tables: request by request, each in serial
+/// section order up to its first error, which is its
+/// `(section, position)` minimum because its position in each section
+/// is fixed. The shard keeps the minimum over its requests.
+fn run_range<'x, 't>(
+    ctx: &ShardCtx<'_, 'x>,
+    work: &[RidWork<'x>],
+    ranks: Range<usize>,
+    (mut op_map, activated, check_counts): Rows<'t>,
+) -> RangeShard<'x, 't> {
+    let range = work.get(ranks.clone()).unwrap_or(&[]);
+    // Pre-size the hot outputs: a handler's program edges, plus the
+    // boundary or activation edge into its start, are fewer than its
+    // nodes, a request adds two response edges, and every log entry
+    // adds at most one edge and one `OpMap` entry.
+    let logged = |w: &RidWork<'_>| {
+        let txs = ctx.txs(w.txs.clone()).iter().map(|(_, log)| log.len());
+        w.handler_log.map_or(0, <[_]>::len) + txs.sum::<usize>()
+    };
+    let entries: usize = range.iter().map(logged).sum();
+    op_map.reserve(entries);
+    let mut shard = RangeShard {
+        edges: Vec::with_capacity(op_map.nodes() + 2 * range.len() + entries),
+        op_map,
+        activated,
+        hids: Vec::new(),
+        check_counts,
+        committed: Vec::new(),
+        err: None,
+        near: 0,
+        registered: Vec::new(),
+        my_writes: HashMap::new(),
+    };
+    for (rank, work) in ranks.zip(range) {
+        let acts = ctx.acts(work.acts.clone());
+        let sh = &mut shard;
+        let run = (|| -> Result<(), (usize, RejectReason)> {
+            section_program(sh, work, acts).map_err(|e| (SEC_PROGRAM, e))?;
+            section_boundary_roots(sh, work, acts);
+            section_boundary_response(sh, ctx, work).map_err(|e| (SEC_BOUNDARY_RESPONSE, e))?;
+            section_activation(sh, ctx, work, acts).map_err(|e| (SEC_ACTIVATION, e))?;
+            // Handler log first, then transaction logs: the serial
+            // insertion order of the duplicate check.
+            sh.near = 0;
+            section_handler(sh, ctx, work).map_err(|e| (SEC_HANDLER, e))?;
+            section_external(sh, ctx, work).map_err(|e| (SEC_EXTERNAL, e))
+        })();
+        let Err((section, reason)) = run else {
+            continue;
         };
-        section_handler(&mut shard, ctx, work, &mut logged).map_err(|e| (SEC_HANDLER, e))?;
-        section_external(&mut shard, ctx, work, txs, &mut logged).map_err(|e| (SEC_EXTERNAL, e))?;
-        Ok(())
-    })();
-    if let Err(e) = result {
-        shard.err = Some(e);
-    }
-    shard
-}
-
-/// Which nodes of one request's range already hold an `OpMap` entry.
-struct Logged {
-    /// The range's first node id.
-    first: u32,
-    seen: Vec<bool>,
-    /// Where the last logged operation's handler sits among the
-    /// request's activations (the next lookup's hint).
-    near: u32,
-}
-
-impl Logged {
-    /// Marks `node`; `false` if it was marked already (or lies outside
-    /// the request's range, which resolution never produces).
-    fn insert(&mut self, node: u32) -> bool {
-        let slot = node
-            .checked_sub(self.first)
-            .and_then(|i| self.seen.get_mut(i as usize));
-        match slot {
-            Some(seen) if !*seen => {
-                *seen = true;
-                true
-            }
-            _ => false,
+        let position = match work.boundary {
+            Some((arrival, _)) if section == SEC_BOUNDARY_RESPONSE => arrival as usize,
+            _ => rank,
+        };
+        let key = (section, position);
+        if shard.err.as_ref().is_none_or(|(best, _)| key < *best) {
+            shard.err = Some((key, reason));
         }
     }
+    shard
 }
 
 /// Time precedence: the trusted trace is a chronological record of the
@@ -472,7 +506,7 @@ fn add_time_precedence_edges(graph: &mut Graph, trace: &Trace) {
 /// `AddProgramEdges` (Fig. 14 lines 33–44), for one request: each
 /// activation's nodes are consecutive ids, start to end.
 fn section_program(
-    shard: &mut RidShard,
+    shard: &mut RangeShard<'_, '_>,
     work: &RidWork<'_>,
     acts: &[Activation],
 ) -> Result<(), RejectReason> {
@@ -481,9 +515,7 @@ fn section_program(
             return Err(RejectReason::UnknownRequest { rid: work.rid });
         }
         for node in act.start..act.end() {
-            shard
-                .edges
-                .push(Edge::new(node, node + 1, EdgeKind::Program));
+            shard.edge(node, node + 1, EdgeKind::Program);
         }
     }
     Ok(())
@@ -491,15 +523,13 @@ fn section_program(
 
 /// `AddBoundaryEdges` (Fig. 15), arrival half: request arrival precedes
 /// every root handler's start. No errors.
-fn section_boundary_roots(shard: &mut RidShard, work: &RidWork<'_>, acts: &[Activation]) {
+fn section_boundary_roots(shard: &mut RangeShard<'_, '_>, work: &RidWork<'_>, acts: &[Activation]) {
     let Some((arrival, _)) = work.boundary else {
         return;
     };
     for act in acts {
         if act.hid.parent().is_none() {
-            shard
-                .edges
-                .push(Edge::new(arrival, act.start, EdgeKind::Boundary));
+            shard.edge(arrival, act.start, EdgeKind::Boundary);
         }
     }
 }
@@ -509,59 +539,42 @@ fn section_boundary_roots(shard: &mut RidShard, work: &RidWork<'_>, acts: &[Acti
 /// emitter. Serial iteration is trace order, which the calling thread's
 /// error selection reproduces via the arrival node.
 fn section_boundary_response(
-    shard: &mut RidShard,
+    shard: &mut RangeShard<'_, '_>,
     ctx: &ShardCtx<'_, '_>,
     work: &RidWork<'_>,
 ) -> Result<(), RejectReason> {
     let Some((_, delivery)) = work.boundary else {
         return Ok(());
     };
-    let rid = work.rid;
-    let Some((hid_r, opnum_r)) = ctx.advice.response_emitted_by.get(&rid) else {
-        return Err(RejectReason::BadResponseEmitter {
-            rid,
-            why: "missing",
-        });
+    let bad = |why| RejectReason::BadResponseEmitter { rid: work.rid, why };
+    let Some((hid_r, opnum_r)) = ctx.advice.response_emitted_by.get(&work.rid) else {
+        return Err(bad("missing"));
     };
-    let Some((_, emitter)) = find_act(ctx, work, hid_r, 0) else {
-        return Err(RejectReason::BadResponseEmitter {
-            rid,
-            why: "emitter not in opcounts",
-        });
+    let Some((_, emitter)) = act_at(ctx, work, ctx.coords.find_in(&work.acts, hid_r, 0)) else {
+        return Err(bad("emitter not in opcounts"));
     };
     if *opnum_r > emitter.count {
-        return Err(RejectReason::BadResponseEmitter {
-            rid,
-            why: "opnum out of range",
-        });
+        return Err(bad("opnum out of range"));
     }
     // Position 0 is the emitter's start node and `count + 1` its end
     // node, so the emitting position and the one after it are
     // consecutive ids whatever `opnum_r` is.
     let at = emitter.start + *opnum_r;
-    shard
-        .edges
-        .push(Edge::new(at, delivery, EdgeKind::Boundary));
-    shard
-        .edges
-        .push(Edge::new(delivery, at + 1, EdgeKind::Boundary));
+    shard.edge(at, delivery, EdgeKind::Boundary);
+    shard.edge(delivery, at + 1, EdgeKind::Boundary);
     Ok(())
 }
 
-/// The activation of `hid` within this shard's request, with its offset
-/// into the request's activations. `near` is such an offset to try
-/// first ([`Coords::find_in`]).
-fn find_act<'c>(
+/// Activation `found` of `work`'s request (by [`Coords::find_in`], with
+/// an offset into the request's activations as its hint), with that
+/// offset.
+fn act_at<'c>(
     ctx: &ShardCtx<'c, '_>,
     work: &RidWork<'_>,
-    hid: &HandlerId,
-    near: u32,
+    found: Option<u32>,
 ) -> Option<(u32, &'c Activation)> {
-    let i = ctx.coords.find_in(&work.acts, hid, near)?;
-    Some((
-        i - work.acts.start,
-        ctx.coords.activations().get(i as usize)?,
-    ))
+    let i = found?;
+    Some((i - work.acts.start, ctx.acts(i..i + 1).first()?))
 }
 
 /// Activation edges for every reported handler: the handler id encodes
@@ -571,7 +584,7 @@ fn find_act<'c>(
 /// checks in [`section_handler`], and database-completion activations
 /// are validated by re-execution itself.
 fn section_activation(
-    shard: &mut RidShard,
+    shard: &mut RangeShard<'_, '_>,
     ctx: &ShardCtx<'_, '_>,
     work: &RidWork<'_>,
     acts: &[Activation],
@@ -589,9 +602,7 @@ fn section_activation(
         let Some(activator) = activator else {
             return Err(RejectReason::BadActivationParent { rid });
         };
-        shard
-            .edges
-            .push(Edge::new(activator, act.start, EdgeKind::Activation));
+        shard.edge(activator, act.start, EdgeKind::Activation);
     }
     Ok(())
 }
@@ -614,26 +625,27 @@ fn op_in_range(
     act.op(opnum).ok_or_else(|| invalid("opnum out of range"))
 }
 
-/// `CheckOpIsValid` for an operation of this shard's own request:
-/// resolves it inside the request's activations and marks it logged.
-/// The duplicate check runs against the shard's own range —
-/// equivalent to a global check because every coordinate a request's
-/// logs insert carries that request's id.
+/// `CheckOpIsValid` for an operation of `work`'s request: resolves it
+/// inside the request's activations and gives it its `OpMap` entry,
+/// which a duplicate finds taken. The duplicate check runs against the
+/// shard's own node range — equivalent to a global check because every
+/// coordinate a request's logs insert carries that request's id.
 fn claim_op(
+    shard: &mut RangeShard<'_, '_>,
     ctx: &ShardCtx<'_, '_>,
     work: &RidWork<'_>,
-    logged: &mut Logged,
     hid: &HandlerId,
     opnum: u32,
+    entry: OpMapEntry,
 ) -> Result<u32, RejectReason> {
     // Consecutive log entries name the same handler or its
     // continuation far more often than not.
-    let found = find_act(ctx, work, hid, logged.near);
+    let found = act_at(ctx, work, ctx.coords.find_in(&work.acts, hid, shard.near));
     if let Some((offset, _)) = found {
-        logged.near = offset;
+        shard.near = offset;
     }
     let node = op_in_range(found.map(|(_, act)| act), work.rid, hid, opnum)?;
-    if !logged.insert(node) {
+    if !shard.op_map.insert(node, entry) {
         return Err(RejectReason::InvalidLogOp {
             at: OpRef::new(work.rid, hid.clone(), opnum),
             why: "duplicate log entry",
@@ -652,11 +664,10 @@ fn log_index(i: usize) -> Result<u32, RejectReason> {
 }
 
 /// `AddHandlerRelatedEdges` (Fig. 16 lines 3–28), for one request.
-fn section_handler(
-    shard: &mut RidShard,
-    ctx: &ShardCtx<'_, '_>,
-    work: &RidWork<'_>,
-    logged: &mut Logged,
+fn section_handler<'x>(
+    shard: &mut RangeShard<'x, '_>,
+    ctx: &ShardCtx<'_, 'x>,
+    work: &RidWork<'x>,
 ) -> Result<(), RejectReason> {
     let Some(log) = work.handler_log else {
         return Ok(());
@@ -665,59 +676,54 @@ fn section_handler(
     if work.boundary.is_none() {
         return Err(RejectReason::UnknownRequest { rid });
     }
-    // Event names stay borrowed from the advice bytes: the registration
-    // scan allocates nothing per entry.
-    let mut registered: Vec<(&str, kem::FunctionId)> = Vec::new();
+    shard.registered.clear();
     let mut prev: Option<u32> = None;
     for (i, entry) in log.iter().enumerate() {
-        let node = claim_op(ctx, work, logged, &entry.hid, entry.opnum)?;
-        shard.op_map.push((
-            node,
-            OpMapEntry::HandlerLog {
-                index: log_index(i)?,
-            },
-        ));
+        let at = OpMapEntry::HandlerLog {
+            index: log_index(i)?,
+        };
+        let node = claim_op(shard, ctx, work, &entry.hid, entry.opnum, at)?;
         if let Some(p) = prev {
-            shard.edges.push(Edge::new(p, node, EdgeKind::HandlerLog));
+            shard.edge(p, node, EdgeKind::HandlerLog);
         }
         prev = Some(node);
         match entry.op {
             HandlerOpView::Register { event, function } => {
-                registered.push((event, function));
+                shard.registered.push((event, function));
             }
             HandlerOpView::Unregister { event, function } => {
-                registered.retain(|(e, f)| !(*e == event && *f == function));
+                shard
+                    .registered
+                    .retain(|(e, f)| !(*e == event && *f == function));
             }
             HandlerOpView::Emit { event } => {
                 // All functions registered for the event at this
                 // point: global registrations first, then the
-                // request's own, in registration order.
-                let globals = ctx
-                    .global_by_event
-                    .get(event)
-                    .map(Vec::as_slice)
-                    .unwrap_or(&[]);
-                let own = registered
-                    .iter()
-                    .filter(|(e, _)| *e == event)
-                    .map(|(_, f)| *f);
-                let mut hids = Vec::with_capacity(globals.len());
-                for f in globals.iter().copied().chain(own) {
-                    let hid = HandlerId::child(&entry.hid, f, entry.opnum);
-                    if find_act(ctx, work, &hid, logged.near).is_none() {
+                // request's own, in registration order. Each is found
+                // as the emitter's child, which `claim_op` just found.
+                let globals = ctx.global_by_event.get(event).map(Vec::as_slice);
+                let own = shard.registered.iter().filter(|(e, _)| *e == event);
+                let (coords, emitter) = (ctx.coords, work.acts.start + shard.near);
+                let (mut near, lo) = (shard.near, shard.hids.len() as u32);
+                for f in globals.unwrap_or(&[]).iter().chain(own.map(|(_, f)| f)) {
+                    let found =
+                        coords.find_activated_in(&work.acts, emitter, *f, entry.opnum, near);
+                    let Some((offset, act)) = act_at(ctx, work, found) else {
                         return Err(RejectReason::MissingActivatedHandler { rid });
-                    }
-                    hids.push(hid);
+                    };
+                    // A later sibling sorts right after this one.
+                    near = offset;
+                    shard.hids.push(act.hid.clone());
                 }
-                shard.activated.push((node, hids));
+                shard.activated.insert(node, (lo, shard.hids.len() as u32));
             }
             HandlerOpView::Check { event } => {
                 // The count a check op observes: global
                 // registrations plus this request's live ones for
                 // the event, at this point in the handler log.
                 let count = ctx.global_by_event.get(event).map_or(0, Vec::len)
-                    + registered.iter().filter(|(e, _)| *e == event).count();
-                shard.check_counts.push((node, count as i64));
+                    + shard.registered.iter().filter(|(e, _)| *e == event).count();
+                shard.check_counts.insert(node, count as i64);
             }
         }
     }
@@ -729,13 +735,11 @@ fn section_handler(
 /// committed set (`lastModification` is read off the history that
 /// isolation verification builds).
 fn section_external<'x>(
-    shard: &mut RidShard,
+    shard: &mut RangeShard<'x, '_>,
     ctx: &ShardCtx<'_, 'x>,
     work: &RidWork<'x>,
-    txs: &[(KTxId, Vec<TxEntryRef<'x>>)],
-    logged: &mut Logged,
 ) -> Result<(), RejectReason> {
-    for (rank, (tx, log)) in (work.txs.start..).zip(txs) {
+    for (rank, (tx, log)) in (work.txs.start..).zip(ctx.txs(work.txs.clone())) {
         if work.boundary.is_none() {
             return Err(RejectReason::UnknownRequest { rid: tx.rid });
         }
@@ -754,7 +758,7 @@ fn section_external<'x>(
             shard.committed.push(rank);
         }
 
-        let mut my_writes: BTreeMap<&str, u32> = BTreeMap::new();
+        shard.my_writes.clear();
         for (i, entry) in log.iter().enumerate() {
             if i > 0 && entry.optype == TxOpType::Start {
                 return Err(malformed("tx_start after the first entry"));
@@ -763,10 +767,8 @@ fn section_external<'x>(
                 return Err(malformed("operations after commit/abort"));
             }
             let index = log_index(i)?;
-            let node = claim_op(ctx, work, logged, &entry.hid, entry.opnum)?;
-            shard
-                .op_map
-                .push((node, OpMapEntry::TxLog { tx: rank, index }));
+            let entry_at = OpMapEntry::TxLog { tx: rank, index };
+            let node = claim_op(shard, ctx, work, &entry.hid, entry.opnum, entry_at)?;
             let at = || OpRef::new(tx.rid, entry.hid.clone(), entry.opnum);
 
             match entry.optype {
@@ -793,14 +795,12 @@ fn section_external<'x>(
                         )?;
                         // Write-read edge: PUT → GET (§4.4; only WR, not
                         // WW/RW, for external state — see footnote 3).
-                        shard
-                            .edges
-                            .push(Edge::new(writer, node, EdgeKind::ExternalWr));
+                        shard.edge(writer, node, EdgeKind::ExternalWr);
                     }
                     // Transactions observe their own writes.
                     let reads_own =
                         |w_idx: u32| matches!(from, Some(p) if p.index == w_idx && p.tx == *tx);
-                    let self_read_ok = match my_writes.get(key) {
+                    let self_read_ok = match shard.my_writes.get(key) {
                         Some(&w_idx) => reads_own(w_idx),
                         None => !matches!(from, Some(p) if p.tx == *tx),
                     };
@@ -815,7 +815,7 @@ fn section_external<'x>(
                     if !matches!(entry.contents, TxContentsRef::Put { .. }) {
                         return Err(malformed("PUT with non-PUT contents"));
                     }
-                    my_writes.insert(key, index);
+                    shard.my_writes.insert(key, index);
                 }
                 TxOpType::Start | TxOpType::Commit | TxOpType::Abort => {
                     if !matches!(entry.contents, TxContentsRef::None) {

@@ -1764,12 +1764,7 @@ impl<'a> ReExecutor<'a> {
         // most once, not once per request.
         let mut scratch: Vec<HandlerId> = Vec::new();
         for (i, rid) in g.rids.iter().enumerate() {
-            let hids = self
-                .pre
-                .activated
-                .get(frame.node(i)?)
-                .map(Vec::as_slice)
-                .unwrap_or(&[]);
+            let hids = self.pre.activated.get(frame.node(i)?).unwrap_or(&[]);
             match &canonical {
                 None => {
                     let mut c = hids.to_vec();

@@ -631,3 +631,107 @@ fn write_order_reasons_fire_in_their_precedence() {
         "reordered installs of k"
     );
 }
+
+/// `n` sequential requests, each one transaction that commits at once.
+fn committing_requests(n: usize) -> (kem::Program, Trace, Advice) {
+    let mut b = ProgramBuilder::new();
+    b.function("handle", vec![tx_start(lit(0i64), "started")]);
+    b.function(
+        "started",
+        vec![tx_commit(
+            field(payload(), "tx"),
+            field(payload(), "ctx"),
+            "done",
+        )],
+    );
+    b.function("done", vec![respond(lit("ok"))]);
+    b.request_handler("handle");
+    let p = b.build().unwrap();
+    let cfg = ServerConfig {
+        concurrency: 1,
+        ..ServerConfig::default()
+    };
+    let (out, a) =
+        run_instrumented_server(&p, &vec![Value::Null; n], &cfg, CollectorMode::Karousos).unwrap();
+    (p, out.trace, a)
+}
+
+/// The whole audit at `threads`.
+fn audit_at(
+    p: &kem::Program,
+    t: &Trace,
+    a: &Advice,
+    threads: usize,
+) -> Result<karousos::AuditReport, RejectReason> {
+    let opts = karousos::AuditOptions::with_threads(threads);
+    let bytes = encode_advice(a);
+    karousos::audit_encoded_with_obs(p, t, &bytes, SER, opts, &obs::Obs::noop())
+}
+
+fn audit_err_at(p: &kem::Program, t: &Trace, a: &Advice, threads: usize) -> RejectReason {
+    audit_at(p, t, a, threads).unwrap_err()
+}
+
+/// Preprocess cuts 64 requests into ranges of 16 at one thread and of
+/// 2 at eight, so requests 0 and 1 share a range at both. A range runs
+/// to its end: the later request's fault, in an earlier section, is the
+/// serial first error and wins over the earlier request's.
+#[test]
+fn first_error_in_a_range_is_the_serial_first() {
+    use karousos::advice::TxOpType;
+    let (p, t, honest) = committing_requests(64);
+    let (first, second) = (RequestId(0), RequestId(1));
+    // Request 0: its transaction log opens with a commit (the external
+    // section, the last).
+    let mut a = honest.clone();
+    let tx = a.tx_logs.keys().find(|tx| tx.rid == first).unwrap().clone();
+    a.tx_logs.get_mut(&tx).unwrap()[0].optype = TxOpType::Commit;
+    let external = RejectReason::TxLogMalformed {
+        tx,
+        why: "first entry is not the tx_start",
+    };
+    // Request 1: a handler whose parent the advice does not report (the
+    // activation section).
+    let ghost_parent = HandlerId::root(FunctionId(55));
+    let f = p.function_id("handle").unwrap();
+    let orphan = HandlerId::child(&ghost_parent, f, 1);
+    let mut both = a.clone();
+    both.opcounts.insert((second, orphan), 0);
+    for threads in [1, 8] {
+        assert!(audit_at(&p, &t, &honest, threads).is_ok());
+        assert_eq!(
+            audit_err_at(&p, &t, &a, threads),
+            external,
+            "threads {threads}"
+        );
+        assert_eq!(
+            audit_err_at(&p, &t, &both, threads),
+            RejectReason::BadActivationParent { rid: second },
+            "threads {threads}"
+        );
+    }
+}
+
+/// Of two response-emitter faults in one range, the one whose request
+/// arrived first wins, whatever the request ids say: the
+/// boundary-response section follows trace order.
+#[test]
+fn response_emitter_faults_order_by_arrival() {
+    let (p, mut t, mut a) = committing_requests(64);
+    // Request 1 arrives, and is answered, before request 0.
+    t.events_mut()[..4].rotate_left(2);
+    assert_eq!(t.request_ids()[..2], [RequestId(1), RequestId(0)]);
+    a.response_emitted_by.remove(&RequestId(0));
+    let (hid, _) = a.response_emitted_by[&RequestId(1)].clone();
+    a.response_emitted_by.insert(RequestId(1), (hid, 50));
+    for threads in [1, 8] {
+        assert_eq!(
+            audit_err_at(&p, &t, &a, threads),
+            RejectReason::BadResponseEmitter {
+                rid: RequestId(1),
+                why: "opnum out of range",
+            },
+            "threads {threads}"
+        );
+    }
+}

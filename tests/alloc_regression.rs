@@ -268,6 +268,105 @@ fn stacks_group_replay_allocation_budget() {
     );
 }
 
+/// Preprocess and the whole `threads = 1` audit of stacks read-heavy
+/// at 400 and 800 requests, wire bytes to verdict: allocation events.
+/// Preprocess runs the requests in about four ranges per thread, each
+/// with one set of buffers reused from request to request, so what it
+/// allocates grows with the advice's entries and not by a buffer per
+/// request: the growth between the sizes is pinned too, where one
+/// allocation per request put back costs 400 events. The
+/// machine-stable companion to the `stacks-read-heavy` timing in
+/// `benchmark/`.
+#[test]
+fn stacks_read_heavy_audit_allocation_scaling() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    use apps::App;
+    use workload::{Experiment, Mix};
+
+    let program = App::Stacks.program();
+    let allocs = |requests: usize| {
+        let mut exp = Experiment::paper_default(App::Stacks, Mix::ReadHeavy, 8, 11);
+        exp.requests = requests;
+        let (out, advice) = karousos::run_instrumented_server(
+            &program,
+            &exp.inputs(),
+            &exp.server_config(),
+            karousos::CollectorMode::Karousos,
+        )
+        .expect("stacks run succeeds");
+        let bytes = karousos::encode_advice(&advice);
+        drop(advice);
+        // Preprocess as the audit reaches it; its output is dropped
+        // outside the window.
+        let view = karousos::decode_advice_view(&bytes).expect("own encoding decodes");
+        let advice = karousos::AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
+        let preprocess = || {
+            karousos::verifier::preprocess_staged(&program, &out.trace, &advice, exp.isolation, 1)
+                .expect("preprocess accepts honest advice")
+        };
+        let _ = preprocess();
+        let (_, preprocess) = count_allocs(preprocess);
+        // Default options, noop handle: what a plain `audit_encoded`
+        // runs.
+        let audit = || {
+            karousos::audit_encoded_with_obs(
+                &program,
+                &out.trace,
+                &bytes,
+                exp.isolation,
+                karousos::AuditOptions::default(),
+                &obs::Obs::noop(),
+            )
+            .expect("honest advice is accepted")
+        };
+        let _ = audit();
+        (preprocess, count_allocs(audit).1)
+    };
+    let ((pre_400, audit_400), (pre_800, audit_800)) = (allocs(400), allocs(800));
+    let growth = pre_800.saturating_sub(pre_400);
+    eprintln!(
+        "stacks read-heavy allocs: preprocess {pre_400} at 400 requests, {pre_800} at 800 \
+         (+{growth}); audit {audit_400} and {audit_800}"
+    );
+
+    // Measured: preprocess 645 and 1 127 (+482), audit 7 791 and
+    // 15 838. With one shard per request, each with its own edge,
+    // table and duplicate-check buffers, a vector of handler ids per
+    // emit and a handler id built per activated handler: preprocess
+    // 2 937 and 5 809 (+2 872), audit 10 083 and 20 520. The pins are
+    // the measured figures plus 5 %.
+    assert!(
+        pre_400 <= 678,
+        "stacks read-heavy preprocess exceeded its allocation budget at 400 \
+         requests: {pre_400} events (budget 678; measured 645, 2937 with a shard \
+         per request)"
+    );
+    assert!(
+        pre_800 <= 1_184,
+        "stacks read-heavy preprocess exceeded its allocation budget at 800 \
+         requests: {pre_800} events (budget 1184; measured 1127, 5809 with a shard \
+         per request)"
+    );
+    assert!(
+        growth <= 507,
+        "stacks read-heavy preprocess allocates per request again: {pre_400} -> \
+         {pre_800}, +{growth} events for 400 more requests (pin <= 507; measured \
+         482, 2872 with a shard per request)"
+    );
+    assert!(
+        audit_400 <= 8_181,
+        "stacks read-heavy audit exceeded its allocation budget at 400 requests: \
+         {audit_400} events (budget 8181; measured 7791, 10083 with a preprocess \
+         shard per request)"
+    );
+    assert!(
+        audit_800 <= 16_630,
+        "stacks read-heavy audit exceeded its allocation budget at 800 requests: \
+         {audit_800} events (budget 16630; measured 15838, 20520 with a preprocess \
+         shard per request)"
+    );
+}
+
 /// Bytes allocated by replay must grow no faster than the trace. Every
 /// request is given its own control-flow tag (grouping is the server's
 /// choice; splitting is always accepted), so groups grow with
@@ -470,25 +569,27 @@ fn motd_write_heavy_audit_allocation_scaling() {
     // 113 higher while both counts fell. With the merge's write table
     // (no ordered map per variable, no reader vector per write) and a
     // checked write keeping the logged map: 6156 and 13359 (2.17x,
-    // 1047 beyond linear). The pins are those plus 5 %.
+    // 1047 beyond linear). With preprocess in ranges of requests, not
+    // a shard and its buffers per request: 5769 and 12572 (2.18x, 1034
+    // beyond linear). The pins are those plus 5 %.
     assert!(
-        at_200 <= 6_463,
+        at_200 <= 6_058,
         "motd write-heavy audit exceeded its allocation budget at 200 \
-         requests: {at_200} events (budget 6463; measured 6156, 6838 with \
-         ordered maps in the merge)"
+         requests: {at_200} events (budget 6058; measured 5769, 6156 with a \
+         preprocess shard per request)"
     );
     assert!(
-        at_400 <= 14_026,
+        at_400 <= 13_201,
         "motd write-heavy audit exceeded its allocation budget at 400 \
-         requests: {at_400} events (budget 14026; measured 13359, 14716 with \
-         ordered maps in the merge)"
+         requests: {at_400} events (budget 13201; measured 12572, 13359 with a \
+         preprocess shard per request)"
     );
     assert!(
-        beyond_linear <= 1_099,
+        beyond_linear <= 1_086,
         "motd write-heavy audit allocations grow like the number of logged \
          map nodes again: {at_200} -> {at_400}, {beyond_linear} events beyond \
-         twice the count at 200 (pin <= 1099; measured 1047, 1040 with ordered \
-         maps in the merge)"
+         twice the count at 200 (pin <= 1086; measured 1034, 1047 with a \
+         preprocess shard per request)"
     );
 }
 
@@ -611,16 +712,18 @@ fn wiki_audit_allocation_budget() {
     // events, 16 960 373 B. With the merge's write table in place of two
     // ordered maps per variable and a reader vector per observed write,
     // and group streams reserved from the logged entries: 55 140 events,
-    // 16 748 341 B. The pins are those plus 5 %.
+    // 16 748 341 B. With preprocess in ranges of requests, not a shard
+    // and its buffers per request: 50 486 events, 16 401 612 B. The
+    // pins are those plus 5 %.
     assert!(
-        events <= 57_897,
-        "wiki audit exceeded its allocation budget: {events} events (budget 57897; \
-         measured 55140, 62288 with ordered maps in the merge)"
+        events <= 53_011,
+        "wiki audit exceeded its allocation budget: {events} events (budget 53011; \
+         measured 50486, 55140 with a preprocess shard per request)"
     );
     assert!(
-        requested <= 17_585_000,
-        "wiki audit exceeded its byte budget: {requested} B requested (budget 17585000; \
-         measured 16748341, 16960373 with ordered maps in the merge)"
+        requested <= 17_221_693,
+        "wiki audit exceeded its byte budget: {requested} B requested (budget 17221693; \
+         measured 16401612, 16748341 with a preprocess shard per request)"
     );
 }
 
@@ -803,7 +906,9 @@ fn end_to_end_borrowed_audit_allocation_budget() {
     let (_, allocs) = count_allocs(audit);
     eprintln!("end-to-end audit allocs at {n} requests: {allocs}");
 
-    // Measured: 6212; pinned at measured + 5 %. 6209 before the merge's
+    // Measured: 926; pinned at measured + 5 %. 6212 with a preprocess
+    // shard and its buffers per request, a vector of handler ids per
+    // emit and a handler id built per activated handler. 6209 before the merge's
     // write table (its reader index is two vectors even when no
     // variable is loggable) and the coordinates' activation-start index;
     // 6210 before the string and handler-id tables. History: at
@@ -813,9 +918,9 @@ fn end_to_end_borrowed_audit_allocation_budget() {
     // (every audit starts at the bytes); the gap was the per-entry
     // String/BTreeMap traffic of materializing `Advice`.
     assert!(
-        allocs <= 6_522,
-        "handler-heavy audit exceeded its allocation budget: {allocs} events (budget 6522; \
-         measured 6212, 6209 before the write table)"
+        allocs <= 973,
+        "handler-heavy audit exceeded its allocation budget: {allocs} events (budget 973; \
+         measured 926, 6212 with a preprocess shard per request)"
     );
 }
 

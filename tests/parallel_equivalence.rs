@@ -3,11 +3,16 @@
 //! — must be independent of the worker-thread count. Workers replay
 //! whole groups with local state and the merge re-applies their
 //! variable-access streams in ascending group order as they land,
-//! while the sharded preprocess and deferred edge merge reproduce the
-//! serial section order exactly; so every thread count runs the same
-//! logical event sequence. This test pins that equivalence across
-//! every app, every isolation level, and a broad sample of
-//! hostile-advice mutations.
+//! while the range-sharded preprocess and deferred edge merge
+//! reproduce the serial section order exactly; so every thread count
+//! runs the same logical event sequence. This test pins that
+//! equivalence across every app, every isolation level, and a broad
+//! sample of hostile-advice mutations.
+//!
+//! Preprocess cuts the requests into about four ranges per thread, so
+//! the traces hold 16 requests (even ranges: several requests each at
+//! one and two threads, one each from four up) and 17 (uneven ranges
+//! at every thread count; one or two requests each at three threads).
 
 mod common;
 
@@ -25,13 +30,17 @@ use workload::{Experiment, Mix};
 /// merged on the calling thread — is the serial audit every other point
 /// must match.
 fn points() -> Vec<Point> {
-    matrix_with(&[1, 2, 4, 8], Limits::default())
+    matrix_with(&[1, 2, 3, 4, 8], Limits::default())
 }
+
+/// Requests per trace (see the module docs).
+const REQUESTS: [usize; 2] = [16, 17];
 
 fn honest_run(
     app: App,
     isolation: IsolationLevel,
     seed: u64,
+    requests: usize,
 ) -> (kem::Program, kem::Trace, karousos::Advice) {
     let mix = if app == App::Wiki {
         Mix::Wiki
@@ -39,7 +48,7 @@ fn honest_run(
         Mix::RW_MIXES[1]
     };
     let mut exp = Experiment::paper_default(app, mix, 4, seed);
-    exp.requests = 16;
+    exp.requests = requests;
     exp.isolation = isolation;
     let program = app.program();
     let (out, advice) = run_instrumented_server(
@@ -57,10 +66,12 @@ fn honest_audits_agree_across_thread_counts() {
     let points = points();
     for app in App::ALL {
         for isolation in IsolationLevel::ALL {
-            let (program, trace, advice) = honest_run(app, isolation, 42);
-            let label = format!("{} at {isolation}", app.name());
-            let outcome = audit_points(&program, &trace, &advice, isolation, &points, &label);
-            assert!(outcome.is_ok(), "honest {label} run rejected: {outcome:?}");
+            for requests in REQUESTS {
+                let (program, trace, advice) = honest_run(app, isolation, 42, requests);
+                let label = format!("{} at {isolation}, {requests} requests", app.name());
+                let outcome = audit_points(&program, &trace, &advice, isolation, &points, &label);
+                assert!(outcome.is_ok(), "honest {label} run rejected: {outcome:?}");
+            }
         }
     }
 }
@@ -78,12 +89,16 @@ fn hostile_audits_agree_across_thread_counts() {
     points.retain(|p| !p.obs || p.opts.threads == 4);
     let mut checked = 0usize;
     let mut rejected = 0usize;
-    for (i, (app, isolation)) in App::ALL.iter().zip(IsolationLevel::ALL).enumerate() {
-        let (program, trace, advice) = honest_run(*app, isolation, 500 + i as u64);
+    let runs = App::ALL.iter().zip(IsolationLevel::ALL).enumerate();
+    for ((i, (app, isolation)), requests) in runs.flat_map(|run| REQUESTS.map(|n| (run, n))) {
+        let (program, trace, advice) = honest_run(*app, isolation, 500 + i as u64, requests);
         let honest_bytes = encode_advice(&advice);
 
         let mut check = |bytes: &[u8], mutator: &str| {
-            let label = format!("{mutator} on {} at {isolation}", app.name());
+            let label = format!(
+                "{mutator} on {} at {isolation}, {requests} requests",
+                app.name()
+            );
             if audit_points(&program, &trace, bytes, isolation, &points, &label).is_err() {
                 rejected += 1;
             }
@@ -119,7 +134,7 @@ fn hostile_audits_agree_across_thread_counts() {
 fn auto_thread_count_resolves_and_agrees() {
     // `threads = 0` (one worker per core) is the deployment setting;
     // it must agree with the sequential path too.
-    let (program, trace, advice) = honest_run(App::Stacks, IsolationLevel::Serializable, 7);
+    let (program, trace, advice) = honest_run(App::Stacks, IsolationLevel::Serializable, 7, 16);
     let at = |threads| {
         let point = Point {
             opts: AuditOptions::with_threads(threads),
