@@ -5,8 +5,20 @@
 //! expands into a vector when needed": uniform values are computed once
 //! for the whole group — this deduplication is where batched
 //! re-execution gets its speedup.
+//!
+//! [`MultiValue`] is the replay's [`Operand`]: the verifier runs the
+//! server's own dispatch loop (`kem::vm`) over it.
 
-use kem::Value;
+// Replay computes on advice-derived values through this module.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
+use kem::vm::Operand;
+use kem::{RuntimeError, Value};
 
 /// A group-wide value: either one shared value or one per request.
 #[derive(Debug, Clone, PartialEq)]
@@ -125,22 +137,42 @@ impl MultiValue {
             _ => MultiValue::collect(n, |i| f(self.get(i), other.get(i))),
         }
     }
+}
 
-    /// The group-wide truthiness if all requests agree, else `None`
-    /// (control-flow divergence).
-    pub fn truthiness(&self, n: usize) -> Option<bool> {
+impl Operand for MultiValue {
+    fn from_value(v: Value) -> Self {
+        MultiValue::Uniform(v)
+    }
+
+    fn uniform(&self) -> Option<&Value> {
         match self {
-            MultiValue::Uniform(v) => Some(v.truthy()),
-            MultiValue::Per(vs) => {
-                let first = vs.first().map(Value::truthy)?;
-                let _ = n;
-                if vs.iter().all(|v| v.truthy() == first) {
-                    Some(first)
-                } else {
-                    None
-                }
-            }
+            MultiValue::Uniform(v) => Some(v),
+            MultiValue::Per(_) => None,
         }
+    }
+
+    fn member(&self, i: usize) -> &Value {
+        self.get(i)
+    }
+
+    fn from_members<E>(n: usize, f: impl FnMut(usize) -> Result<Value, E>) -> Result<Self, E> {
+        MultiValue::collect(n, f)
+    }
+
+    fn map(
+        &self,
+        f: impl FnMut(&Value) -> Result<Value, RuntimeError>,
+    ) -> Result<Self, RuntimeError> {
+        MultiValue::map(self, f)
+    }
+
+    fn zip(
+        &self,
+        other: &Self,
+        n: usize,
+        f: impl FnMut(&Value, &Value) -> Result<Value, RuntimeError>,
+    ) -> Result<Self, RuntimeError> {
+        MultiValue::zip(self, other, n, f)
     }
 }
 
@@ -182,6 +214,7 @@ impl<'a> Iterator for MultiValueIter<'a> {
 impl ExactSizeIterator for MultiValueIter<'_> {}
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -240,10 +273,10 @@ mod tests {
     #[test]
     fn truthiness_divergence() {
         let mv = MultiValue::Per(vec![Value::Bool(true), Value::Bool(false)]);
-        assert_eq!(mv.truthiness(2), None);
+        assert_eq!(Operand::truthiness(&mv, 2), None);
         let mv = MultiValue::Per(vec![Value::int(1), Value::int(2)]);
         assert_eq!(
-            mv.truthiness(2),
+            Operand::truthiness(&mv, 2),
             Some(true),
             "different values, same truthiness"
         );

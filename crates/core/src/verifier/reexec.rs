@@ -12,8 +12,10 @@
 //! per-handler program order but nothing else — which is exactly the
 //! freedom the R-order formalizes.
 //!
-//! The pass is a dispatch loop over the program's compiled bytecode
-//! (`kem::bytecode`, built once at program build time): locals are
+//! The pass is the server's own dispatch loop (`kem::vm`) over the
+//! program's compiled bytecode (`kem::bytecode`, built once at program
+//! build time), run with multivalue operands on a `Replay` machine,
+//! which holds the effectful ops and their advice checks: locals are
 //! frame **slot indices** over a `Vec`, shared-variable and function
 //! mentions carry their ids, and event names are interned symbols that
 //! resolve to `&str` borrows. Together with [`MultiValue::collect`]
@@ -36,9 +38,10 @@ use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use kem::vm::{Machine, Vm, VmError};
 use kem::{
-    tx_payload_keys, Exchange, HandlerId, OpRef, Program, RequestId, Trace, Value, VarId,
-    INIT_FUNCTION,
+    tx_payload_keys, Exchange, FunctionId, HandlerId, NondetKind, OpRef, Program, RequestId, Sym,
+    Trace, TxOpKind, Value, VarId,
 };
 
 use obs::{CounterId, HistogramId, Obs, ObsShard};
@@ -54,12 +57,6 @@ use crate::verifier::reject::{RejectReason, ResourceKind};
 use crate::verifier::var_index::{VarIndex, VarLog};
 use crate::verifier::vars::{GroupAccesses, GroupVars, VarStates};
 use crate::wire::{HandlerLogEntryView, HandlerOpView};
-
-/// Iteration guard for `While` loops driven by (possibly forged) advice.
-/// Per-loop only — nested loops multiply, which is why the fuel meter
-/// (a budget on *total* steps) is the real denial-of-audit defense and
-/// this stays a coarse backstop.
-const LOOP_LIMIT: u32 = 1_000_000;
 
 /// Fuel units between wall-clock polls of the group deadline: frequent
 /// enough that an over-deadline group is caught within microseconds of
@@ -251,62 +248,6 @@ impl Quarantine {
     }
 }
 
-/// The re-executed operation a handler-log entry must match, borrowing
-/// the interned event name. The advice-side [`HandlerOpView`] borrows
-/// its strings from the advice bytes; comparing field-wise keeps the
-/// per-request check loop allocation-free.
-enum ExpectedOp<'e> {
-    /// `register(event, function)`.
-    Register {
-        /// Event name, borrowed from the interner.
-        event: &'e str,
-        /// The registered function.
-        function: kem::FunctionId,
-    },
-    /// `unregister(event, function)`.
-    Unregister {
-        /// Event name, borrowed from the interner.
-        event: &'e str,
-        /// The unregistered function.
-        function: kem::FunctionId,
-    },
-    /// `emit(event)`.
-    Emit {
-        /// Event name, borrowed from the interner.
-        event: &'e str,
-    },
-    /// A listener-count check of `event`.
-    Check {
-        /// Event name, borrowed from the interner.
-        event: &'e str,
-    },
-}
-
-impl ExpectedOp<'_> {
-    /// Structural equality against an advice-side handler op view.
-    fn matches(&self, entry: &HandlerOpView<'_>) -> bool {
-        match (self, entry) {
-            (
-                ExpectedOp::Register { event, function },
-                HandlerOpView::Register {
-                    event: e,
-                    function: f,
-                },
-            )
-            | (
-                ExpectedOp::Unregister { event, function },
-                HandlerOpView::Unregister {
-                    event: e,
-                    function: f,
-                },
-            ) => event == e && function == f,
-            (ExpectedOp::Emit { event }, HandlerOpView::Emit { event: e })
-            | (ExpectedOp::Check { event }, HandlerOpView::Check { event: e }) => event == e,
-            _ => false,
-        }
-    }
-}
-
 /// The grouped re-executor.
 pub struct ReExecutor<'a> {
     program: &'a Program,
@@ -358,23 +299,14 @@ pub struct ReExecutor<'a> {
     next_deadline_poll: u64,
     /// The group this executor replays (`None` for ungrouped).
     group: Option<u64>,
-    /// Bytecode ops dispatched by this executor (fed to
-    /// [`CounterId::BytecodeOps`] once per group, in merge order).
-    vm_ops: u64,
-    /// Of `vm_ops`, the ops inside windows that ran fused, and the fuel
-    /// those windows were charged: how much of a replay is collapsed
-    /// integer arithmetic (ledger columns beside `bytecode_ops`).
-    fused_ops: u64,
-    fused_fuel: u64,
-    // Reusable bytecode scratch. Handlers run to completion (never
-    // reentrantly), so one operand stack, loop-counter stack, iterator
-    // stack, and frame-slot/opcount pools serve every activation of
-    // the group — uniform-group replay then allocates per *distinct*
-    // value, not per op, approaching the microbench profile.
-    vm_stack: Vec<MultiValue>,
-    vm_loops: Vec<u32>,
-    vm_iters: Vec<(MultiValue, usize, usize)>,
-    vm_locals: Vec<Option<MultiValue>>,
+    /// The dispatch loop's scratch and its op counters: ops dispatched
+    /// (fed to [`CounterId::BytecodeOps`] once per group, in merge
+    /// order) and, of those, the ops and the fuel of windows that ran
+    /// fused — how much of a replay is collapsed integer arithmetic
+    /// (ledger columns beside `bytecode_ops`).
+    vm: Vm<MultiValue>,
+    /// Per-member activations of the running handler, pooled like the
+    /// loop's scratch: handlers never nest.
     vm_slots: Vec<Option<Slot>>,
     /// The per-member activations of every handler enqueued so far,
     /// back to back; a [`Pending`] names its run. Grows with what this
@@ -429,81 +361,20 @@ struct Pending {
 /// A group's queue of activated handlers.
 type Queue = VecDeque<Pending>;
 
-/// Pops an operand, failing closed (the compiler balances the stack,
-/// so underflow is a verifier bug, not bad advice).
-fn vm_pop(stack: &mut Vec<MultiValue>) -> Result<MultiValue, RejectReason> {
-    stack.pop().ok_or_else(|| RejectReason::VerifierInternal {
-        what: "bytecode operand stack underflow".into(),
-    })
-}
-
-/// Reads a bound local (the `Local` op, and the head of a fused
-/// `BinLC` window).
-#[inline]
-fn vm_local<'f>(frame: &'f Frame<'_>, slot: u32) -> Result<&'f MultiValue, RejectReason> {
-    match frame.locals.get(slot as usize).and_then(Option::as_ref) {
-        Some(v) => Ok(v),
-        None => Err(RejectReason::ReexecError {
-            message: format!("unknown local {}", frame.func.slot_name(slot)),
-        }),
-    }
-}
-
-/// `x op y` when a fused window may run in place: `x` collapsed, both
-/// integers, and the operator defined on them (`/ 0` and `% 0` are
-/// not). `None` sends the window down its plain ops, which produce the
-/// per-member values, the type error or the division error.
-#[inline]
-fn fused_bin(op: kem::BinOp, x: &MultiValue, y: &Value) -> Option<Value> {
-    match (x, y) {
-        (MultiValue::Uniform(Value::Int(x)), Value::Int(y)) => kem::int_binop(op, *x, *y),
-        _ => None,
-    }
-}
-
-/// The `LoopBranch` step once the group-wide condition is known: a
-/// taken branch counts the iteration against [`LOOP_LIMIT`], an untaken
-/// one retires the loop's counter.
-#[inline]
-fn vm_loop_step(loops: &mut Vec<u32>, taken: bool) -> Result<(), RejectReason> {
-    if !taken {
-        loops.pop();
-        return Ok(());
-    }
-    let Some(count) = loops.last_mut() else {
-        return Err(RejectReason::VerifierInternal {
-            what: "bytecode loop-counter underflow".into(),
-        });
-    };
-    *count += 1;
-    if *count > LOOP_LIMIT {
-        return Err(RejectReason::ReexecError {
-            message: "while loop exceeded iteration limit".into(),
-        });
-    }
-    Ok(())
-}
-
-/// Per-handler interpreter frame: slot-indexed locals over the
-/// slot-compiled body, plus each group member's activation (resolved
-/// when the handler was enqueued; every operation is arithmetic on
-/// it).
-struct Frame<'p> {
+/// Per-handler frame: each group member's activation (resolved when
+/// the handler was enqueued; every operation is arithmetic on it) and
+/// the operation count so far.
+struct Frame {
     hid: HandlerId,
     idx: u32,
-    /// Locals by resolved slot; `None` until first bound, so
-    /// read-before-bind still errors with the source-level name.
-    locals: Vec<Option<MultiValue>>,
-    /// The compiled function this frame executes.
-    func: &'p kem::bytecode::FuncCode,
     /// The activation `(rid, hid)` per group member, in group order
     /// (see [`Pending::slots`]).
     slots: Vec<Option<Slot>>,
 }
 
-impl Frame<'_> {
+impl Frame {
     /// Node id of member `i`'s current operation. Callers run after
-    /// [`ReExecutor::bump`] accepted `idx` for every member, so the
+    /// [`Replay::bump`] accepted `idx` for every member, so the
     /// error is a verifier bug, not bad advice.
     fn node(&self, i: usize) -> Result<u32, RejectReason> {
         match self.slots.get(i).copied().flatten() {
@@ -674,13 +545,7 @@ impl<'a> ReExecutor<'a> {
             deadline_ms: u64::MAX,
             next_deadline_poll: DEADLINE_POLL_INTERVAL,
             group: None,
-            vm_ops: 0,
-            fused_ops: 0,
-            fused_fuel: 0,
-            vm_stack: Vec::new(),
-            vm_loops: Vec::new(),
-            vm_iters: Vec::new(),
-            vm_locals: Vec::new(),
+            vm: Vm::default(),
             vm_slots: Vec::new(),
             pending_slots: Vec::new(),
         }
@@ -915,7 +780,7 @@ impl<'a> ReExecutor<'a> {
                     let size = rids.len() as u64;
                     shard.observe(HistogramId::GroupSize, size);
                     shard.count(CounterId::ReplayFuelSpent, ex.fuel_spent);
-                    shard.count(CounterId::BytecodeOps, ex.vm_ops);
+                    shard.count(CounterId::BytecodeOps, ex.vm.ops);
                     shard.observe(HistogramId::GroupFuelSpent, ex.fuel_spent);
                     dur = shard.record_span(
                         "group-replay",
@@ -945,9 +810,9 @@ impl<'a> ReExecutor<'a> {
                         fuel: ex.fuel_spent,
                         uniform_ops: ex.stats.uniform_ops,
                         expanded_ops: ex.stats.expanded_ops,
-                        bytecode_ops: ex.vm_ops,
-                        fused_ops: ex.fused_ops,
-                        fused_fuel: ex.fused_fuel,
+                        bytecode_ops: ex.vm.ops,
+                        fused_ops: ex.vm.fused_ops,
+                        fused_fuel: ex.vm.fused_fuel,
                         dict_feeds: feeds.dict_feeds,
                         logged_reads: feeds.logged_reads,
                         var_reads,
@@ -1175,44 +1040,34 @@ impl<'a> ReExecutor<'a> {
             slots: enqueued,
         } = pending;
         let fid = hid.function();
-        if fid == INIT_FUNCTION || fid.0 as usize >= self.program.functions.len() {
-            return Err(RejectReason::ReexecError {
-                message: format!("handler references unknown function {fid}"),
-            });
-        }
-        self.stats.handlers_executed += 1;
-        self.stats.activations_covered += g.n() as u64;
-        let program = self.program;
-        let Some(func) = program.code().funcs.get(fid.0 as usize) else {
-            // Compiled functions parallel `program.functions`, so this
-            // is unreachable after the bounds check above; fail closed.
+        // `INIT_FUNCTION` lies past every program's functions.
+        let Some(func) = self.program.code().funcs.get(fid.0 as usize) else {
             return Err(RejectReason::ReexecError {
                 message: format!("handler references unknown function {fid}"),
             });
         };
-        // Frame locals and per-member activations come from reusable
-        // pools: handlers never nest, so each activation clears and
-        // refills the same buffers instead of allocating. (Error paths
-        // drop the pooled buffers with the frame — the group is finished
-        // then.)
-        let mut locals = std::mem::take(&mut self.vm_locals);
+        self.stats.handlers_executed += 1;
+        self.stats.activations_covered += g.n() as u64;
+        // Per-member activations come from a reusable pool, like the
+        // loop's scratch: handlers never nest, so each activation clears
+        // and refills the same buffer instead of allocating. (Error
+        // paths drop it with the frame — the group is finished then.)
         let mut slots = std::mem::take(&mut self.vm_slots);
-        locals.clear();
-        locals.resize(func.n_slots as usize, None);
         slots.clear();
         slots.extend_from_slice(self.pending_slots.get(enqueued).unwrap_or(&[]));
         self.executed.extend(slots.iter().flatten().map(|s| s.act));
-        let mut frame = Frame {
-            hid,
-            idx: 0,
-            locals,
-            func,
-            slots,
+        let mut frame = Frame { hid, idx: 0, slots };
+        // The scratch is taken out so the machine can borrow `self`.
+        let mut vm = std::mem::take(&mut self.vm);
+        let mut replay = Replay {
+            ex: self,
+            g,
+            active,
+            frame: &mut frame,
         };
-        if let Some(s0) = frame.locals.get_mut(0) {
-            *s0 = Some(payload);
-        }
-        self.exec_code(g, active, &mut frame, func)?;
+        let result = vm.run(&mut replay, func, payload);
+        self.vm = vm;
+        result?;
         // (c) Handler exit: every request must have consumed exactly its
         // reported operation count.
         for (i, rid) in g.rids.iter().enumerate() {
@@ -1221,523 +1076,67 @@ impl<'a> ReExecutor<'a> {
                 _ => return Err(RejectReason::OpcountMismatch { rid: *rid }),
             }
         }
-        frame.locals.clear();
-        self.vm_locals = frame.locals;
         self.vm_slots = frame.slots;
         Ok(())
     }
 
-    /// Replays one handler body for the whole group: the dispatch loop
-    /// over its compiled ops (`kem::bytecode`), on the executor's pooled
-    /// scratch.
-    fn exec_code(
-        &mut self,
-        g: &Group<'a>,
-        active: &mut Queue,
-        frame: &mut Frame<'_>,
-        code: &kem::bytecode::FuncCode,
-    ) -> Result<(), RejectReason> {
-        // Scratch is swapped out so dispatch can borrow `self` freely;
-        // restored on every exit path, cleared (errors may leave
-        // operands behind).
-        let mut stack = std::mem::take(&mut self.vm_stack);
-        let mut loops = std::mem::take(&mut self.vm_loops);
-        let mut iters = std::mem::take(&mut self.vm_iters);
-        stack.reserve(code.max_stack as usize);
-        let result = self.dispatch(g, active, frame, code, &mut stack, &mut loops, &mut iters);
-        stack.clear();
-        loops.clear();
-        iters.clear();
-        self.vm_stack = stack;
-        self.vm_loops = loops;
-        self.vm_iters = iters;
-        result
+    /// The log of `var`, read by node id.
+    fn var_log(&self, var: VarId) -> VarLog<'a> {
+        self.pre.var_index.log(&self.advice.var_logs, var)
     }
 
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch(
-        &mut self,
-        g: &Group<'a>,
-        active: &mut Queue,
-        frame: &mut Frame<'_>,
-        code: &kem::bytecode::FuncCode,
-        stack: &mut Vec<MultiValue>,
-        loops: &mut Vec<u32>,
-        iters: &mut Vec<(MultiValue, usize, usize)>,
-    ) -> Result<(), RejectReason> {
-        use kem::bytecode::Op;
-        let wrap = |e: kem::RuntimeError| RejectReason::ReexecError { message: e.message };
-        let underflow = |what: &'static str| RejectReason::VerifierInternal { what: what.into() };
-        let n = g.n();
-        let mut pc = 0usize;
-        loop {
-            // The fuel of every source node whose subtree begins at this
-            // op, due before the op acts.
-            let units = code.charges[pc];
-            if units > 0 {
-                self.charge(u64::from(units))?;
-            }
-            self.vm_ops += 1;
-            match code.ops[pc] {
-                Op::Const(i) => stack.push(MultiValue::uniform(code.consts[i as usize].clone())),
-                Op::Local(slot) => stack.push(vm_local(frame, slot)?.clone()),
-                // Fused windows (`kem::bytecode`, "Operand fusion"): run
-                // in place on collapsed integers, else act as the head
-                // op and let the window's plain tail follow.
-                Op::BinLC { slot, k, op, len } => {
-                    let x = vm_local(frame, slot)?;
-                    match fused_bin(op, x, &code.consts[k as usize]) {
-                        Some(v) => {
-                            pc = self.run_fused(code, pc, len, units, v, frame, stack, loops)?;
-                            continue;
-                        }
-                        None => stack.push(x.clone()),
-                    }
-                }
-                Op::BinC { k, op, len } => {
-                    let y = &code.consts[k as usize];
-                    match stack.last().and_then(|x| fused_bin(op, x, y)) {
-                        Some(v) => {
-                            stack.pop();
-                            pc = self.run_fused(code, pc, len, units, v, frame, stack, loops)?;
-                            continue;
-                        }
-                        None => stack.push(MultiValue::uniform(y.clone())),
-                    }
-                }
-                Op::SharedRead { var, loggable } => {
-                    let mv = if loggable {
-                        self.read_logged(g, frame, var)?
-                    } else {
-                        self.read_nonlog(g, var)?
-                    };
-                    stack.push(mv);
-                }
-                Op::Bin(op) => {
-                    let b = vm_pop(stack)?;
-                    let a = vm_pop(stack)?;
-                    stack.push(
-                        a.zip(&b, n, |x, y| kem::eval_binop(op, x, y))
-                            .map_err(wrap)?,
-                    );
-                }
-                Op::Not => {
-                    let a = vm_pop(stack)?;
-                    stack.push(
-                        a.map(|v| Ok::<_, kem::RuntimeError>(Value::Bool(!v.truthy())))
-                            .map_err(wrap)?,
-                    );
-                }
-                Op::Field(i) => {
-                    let a = vm_pop(stack)?;
-                    let name = code.strings[i as usize].as_ref();
-                    stack.push(
-                        a.map(|v| {
-                            Ok::<_, kem::RuntimeError>(
-                                v.field(name).cloned().unwrap_or(Value::Null),
-                            )
-                        })
-                        .map_err(wrap)?,
-                    );
-                }
-                Op::Index => {
-                    let i = vm_pop(stack)?;
-                    let a = vm_pop(stack)?;
-                    stack.push(a.zip(&i, n, kem::eval_index).map_err(wrap)?);
-                }
-                Op::Len => {
-                    let a = vm_pop(stack)?;
-                    stack.push(a.map(kem::eval_len).map_err(wrap)?);
-                }
-                Op::Contains => {
-                    let b = vm_pop(stack)?;
-                    let a = vm_pop(stack)?;
-                    stack.push(a.zip(&b, n, kem::eval_contains).map_err(wrap)?);
-                }
-                Op::MakeList(count) => {
-                    let items = stack.split_off(stack.len() - count as usize);
-                    let mv = if items.iter().all(MultiValue::is_uniform) {
-                        MultiValue::uniform(Value::from_vec(
-                            items.iter().map(|m| m.get(0).clone()).collect(),
-                        ))
-                    } else {
-                        MultiValue::from_vec(
-                            (0..n)
-                                .map(|i| {
-                                    Value::from_vec(
-                                        items.iter().map(|m| m.get(i).clone()).collect(),
-                                    )
-                                })
-                                .collect(),
-                        )
-                    };
-                    stack.push(mv);
-                }
-                Op::MakeMap { keys, n: count } => {
-                    let vals = stack.split_off(stack.len() - count as usize);
-                    let key_strs = &code.strings[keys as usize..(keys + count) as usize];
-                    let mv = if vals.iter().all(MultiValue::is_uniform) {
-                        MultiValue::uniform(Value::from_pairs(
-                            key_strs
-                                .iter()
-                                .cloned()
-                                .zip(vals.iter().map(|m| m.get(0).clone())),
-                        ))
-                    } else {
-                        MultiValue::from_vec(
-                            (0..n)
-                                .map(|i| {
-                                    Value::from_pairs(
-                                        key_strs
-                                            .iter()
-                                            .cloned()
-                                            .zip(vals.iter().map(|m| m.get(i).clone())),
-                                    )
-                                })
-                                .collect(),
-                        )
-                    };
-                    stack.push(mv);
-                }
-                Op::MapInsert => {
-                    let v = vm_pop(stack)?;
-                    let k = vm_pop(stack)?;
-                    let m = vm_pop(stack)?;
-                    let mv = if m.is_uniform() && k.is_uniform() && v.is_uniform() {
-                        MultiValue::uniform(
-                            kem::eval_map_insert(m.get(0), k.get(0), v.get(0)).map_err(wrap)?,
-                        )
-                    } else {
-                        MultiValue::from_vec(
-                            (0..n)
-                                .map(|i| kem::eval_map_insert(m.get(i), k.get(i), v.get(i)))
-                                .collect::<Result<_, _>>()
-                                .map_err(wrap)?,
-                        )
-                    };
-                    stack.push(mv);
-                }
-                Op::MapRemove => {
-                    let k = vm_pop(stack)?;
-                    let m = vm_pop(stack)?;
-                    stack.push(m.zip(&k, n, kem::eval_map_remove).map_err(wrap)?);
-                }
-                Op::ListPush => {
-                    let v = vm_pop(stack)?;
-                    let l = vm_pop(stack)?;
-                    stack.push(l.zip(&v, n, kem::eval_list_push).map_err(wrap)?);
-                }
-                Op::Keys => {
-                    let m = vm_pop(stack)?;
-                    stack.push(m.map(kem::eval_keys).map_err(wrap)?);
-                }
-                Op::Digest => {
-                    let v = vm_pop(stack)?;
-                    stack.push(
-                        v.map(|x| Ok::<_, kem::RuntimeError>(kem::eval_digest(x)))
-                            .map_err(wrap)?,
-                    );
-                }
-                Op::ToStr => {
-                    let v = vm_pop(stack)?;
-                    stack.push(
-                        v.map(|x| Ok::<_, kem::RuntimeError>(kem::eval_to_str(x)))
-                            .map_err(wrap)?,
-                    );
-                }
-                Op::StoreLocal(slot) => {
-                    let v = vm_pop(stack)?;
-                    if let Some(s) = frame.locals.get_mut(slot as usize) {
-                        *s = Some(v);
-                    }
-                }
-                Op::SharedWrite { var, loggable } => {
-                    let v = vm_pop(stack)?;
-                    if loggable {
-                        self.write_logged(g, frame, var, &v)?;
-                    } else {
-                        self.write_nonlog(g, var, &v);
-                    }
-                }
-                Op::Branch { else_target } => {
-                    let c = vm_pop(stack)?;
-                    let Some(taken) = c.truthiness(n) else {
-                        return Err(RejectReason::Divergence {
-                            context: "if condition".into(),
-                        });
-                    };
-                    if !taken {
-                        pc = else_target as usize;
-                        continue;
-                    }
-                }
-                Op::Jump(t) => {
-                    pc = t as usize;
-                    continue;
-                }
-                Op::LoopEnter => loops.push(0),
-                Op::LoopBranch { end } => {
-                    let c = vm_pop(stack)?;
-                    let Some(taken) = c.truthiness(n) else {
-                        return Err(RejectReason::Divergence {
-                            context: "while condition".into(),
-                        });
-                    };
-                    vm_loop_step(loops, taken)?;
-                    if !taken {
-                        pc = end as usize;
-                        continue;
-                    }
-                }
-                Op::ForEnter => {
-                    let l = vm_pop(stack)?;
-                    // All members must iterate the same number of
-                    // times; a non-list member rejects before the
-                    // length-divergence verdict.
-                    let len = match &l {
-                        MultiValue::Uniform(v) => {
-                            let Some(items) = v.as_list() else {
-                                return Err(RejectReason::ReexecError {
-                                    message: "for-each over non-list".into(),
-                                });
-                            };
-                            items.len()
-                        }
-                        MultiValue::Per(vs) => {
-                            let mut lens = Vec::with_capacity(vs.len());
-                            for v in vs {
-                                let Some(items) = v.as_list() else {
-                                    return Err(RejectReason::ReexecError {
-                                        message: "for-each over non-list".into(),
-                                    });
-                                };
-                                lens.push(items.len());
-                            }
-                            if lens.windows(2).any(|w| w[0] != w[1]) {
-                                return Err(RejectReason::Divergence {
-                                    context: "for-each length".into(),
-                                });
-                            }
-                            lens.first().copied().unwrap_or(0)
-                        }
-                    };
-                    iters.push((l, 0, len));
-                }
-                Op::ForNext { slot, end } => {
-                    let Some((l, idx, len)) = iters.last_mut() else {
-                        return Err(underflow("bytecode iterator underflow"));
-                    };
-                    if *idx < *len {
-                        let nth = |v: &Value, i: usize| -> Result<Value, RejectReason> {
-                            v.as_list()
-                                .and_then(|items| items.get(i).cloned())
-                                .ok_or_else(|| RejectReason::ReexecError {
-                                    message: "for-each item out of range".into(),
-                                })
-                        };
-                        let item = match &*l {
-                            MultiValue::Uniform(v) => MultiValue::uniform(nth(v, *idx)?),
-                            MultiValue::Per(vs) => MultiValue::from_vec(
-                                vs.iter().map(|v| nth(v, *idx)).collect::<Result<_, _>>()?,
-                            ),
-                        };
-                        *idx += 1;
-                        if let Some(s) = frame.locals.get_mut(slot as usize) {
-                            *s = Some(item);
-                        }
-                    } else {
-                        iters.pop();
-                        pc = end as usize;
-                        continue;
-                    }
-                }
-                Op::Emit { event } => {
-                    let payload = vm_pop(stack)?;
-                    let idx = self.bump(g, frame)?;
-                    let program = self.program;
-                    let event = program.code().interner.resolve(event);
-                    for i in 0..n {
-                        self.consume_handler_op(g, frame, i, &ExpectedOp::Emit { event })?;
-                    }
-                    self.activate_handlers(g, active, frame, idx, payload)?;
-                }
-                Op::Register { event, function } => {
-                    self.bump(g, frame)?;
-                    let program = self.program;
-                    let event = program.code().interner.resolve(event);
-                    let expected = ExpectedOp::Register { event, function };
-                    for i in 0..n {
-                        self.consume_handler_op(g, frame, i, &expected)?;
-                    }
-                }
-                Op::Unregister { event, function } => {
-                    self.bump(g, frame)?;
-                    let program = self.program;
-                    let event = program.code().interner.resolve(event);
-                    let expected = ExpectedOp::Unregister { event, function };
-                    for i in 0..n {
-                        self.consume_handler_op(g, frame, i, &expected)?;
-                    }
-                }
-                Op::Respond => {
-                    let v = vm_pop(stack)?;
-                    for (rid, val) in g.rids.iter().zip(v.iter(n)) {
-                        match self.advice.response_emitted_by.get(rid) {
-                            Some((h, i)) if *h == frame.hid && *i == frame.idx => {}
-                            _ => return Err(RejectReason::ResponseEmitterMismatch { rid: *rid }),
-                        }
-                        self.outputs.push((*rid, val.clone()));
-                    }
-                }
-                // The token/key screening ops exist for the live
-                // runtime, which validates between operand evaluations;
-                // re-execution validates per member at the terminal op.
-                Op::TxToken | Op::RowKey => {}
-                Op::TxStart { on_done } => {
-                    let ctx = vm_pop(stack)?;
-                    self.exec_tx_start(g, active, frame, ctx, on_done)?;
-                }
-                Op::TxGet { on_done } => {
-                    let ctx = vm_pop(stack)?;
-                    let key = vm_pop(stack)?;
-                    let tx = vm_pop(stack)?;
-                    self.exec_tx_vals(
-                        g,
-                        active,
-                        frame,
-                        TxOpType::Get,
-                        tx,
-                        Some(key),
-                        None,
-                        ctx,
-                        on_done,
-                    )?;
-                }
-                Op::TxPut { on_done } => {
-                    let ctx = vm_pop(stack)?;
-                    let value = vm_pop(stack)?;
-                    let key = vm_pop(stack)?;
-                    let tx = vm_pop(stack)?;
-                    self.exec_tx_vals(
-                        g,
-                        active,
-                        frame,
-                        TxOpType::Put,
-                        tx,
-                        Some(key),
-                        Some(value),
-                        ctx,
-                        on_done,
-                    )?;
-                }
-                Op::TxCommit { on_done } => {
-                    let ctx = vm_pop(stack)?;
-                    let tx = vm_pop(stack)?;
-                    self.exec_tx_vals(
-                        g,
-                        active,
-                        frame,
-                        TxOpType::Commit,
-                        tx,
-                        None,
-                        None,
-                        ctx,
-                        on_done,
-                    )?;
-                }
-                Op::TxAbort { on_done } => {
-                    let ctx = vm_pop(stack)?;
-                    let tx = vm_pop(stack)?;
-                    self.exec_tx_vals(
-                        g,
-                        active,
-                        frame,
-                        TxOpType::Abort,
-                        tx,
-                        None,
-                        None,
-                        ctx,
-                        on_done,
-                    )?;
-                }
-                Op::ListenerCount { slot, event } => {
-                    self.bump(g, frame)?;
-                    let program = self.program;
-                    let event = program.code().interner.resolve(event);
-                    let mv = MultiValue::collect(n, |i| self.listener_count(g, frame, i, event))?;
-                    if let Some(s) = frame.locals.get_mut(slot as usize) {
-                        *s = Some(mv);
-                    }
-                }
-                Op::Nondet { slot, kind } => {
-                    let mv = self.read_nondet(g, frame, kind)?;
-                    if let Some(s) = frame.locals.get_mut(slot as usize) {
-                        *s = Some(mv);
-                    }
-                }
-                Op::Ret => return Ok(()),
-            }
-            pc += 1;
+    fn note_dedup(&mut self, mv: &MultiValue) {
+        if mv.is_uniform() {
+            self.stats.uniform_ops += 1;
+        } else {
+            self.stats.expanded_ops += 1;
         }
     }
+}
 
-    /// Finishes the fused window of `len` ops at `pc` whose operator
-    /// gave `v`, and returns the pc to continue at. The head's `units`
-    /// are spent and its local read has succeeded; what the plain ops
-    /// would still do is charge and count the rest of the window, op by
-    /// op — nothing fallible lies between those charges on this path,
-    /// so exhaustion strikes at the same unit with the same counts —
-    /// and then hand `v` to the window's last op: a `StoreLocal`, a
-    /// `LoopBranch`, or the `Bin` itself, whose result stays on the
-    /// stack.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn run_fused(
-        &mut self,
-        code: &kem::bytecode::FuncCode,
-        pc: usize,
-        len: u8,
-        units: u32,
-        v: Value,
-        frame: &mut Frame<'_>,
-        stack: &mut Vec<MultiValue>,
-        loops: &mut Vec<u32>,
-    ) -> Result<usize, RejectReason> {
-        use kem::bytecode::Op;
-        let end = pc + usize::from(len);
-        let mut fuel = u64::from(units);
-        for &units in &code.charges[pc + 1..end] {
-            if units > 0 {
-                self.charge(u64::from(units))?;
-                fuel += u64::from(units);
-            }
-            self.vm_ops += 1;
-        }
-        self.fused_ops += u64::from(len);
-        self.fused_fuel += fuel;
-        match code.ops[end - 1] {
-            Op::StoreLocal(dst) => {
-                if let Some(s) = frame.locals.get_mut(dst as usize) {
-                    *s = Some(MultiValue::Uniform(v));
+/// One handler activation of a group being replayed: the [`Machine`]
+/// the dispatch loop (`kem::vm`) runs on, over multivalues.
+struct Replay<'r, 'a> {
+    ex: &'r mut ReExecutor<'a>,
+    g: &'r Group<'a>,
+    active: &'r mut Queue,
+    frame: &'r mut Frame,
+}
+
+/// The verifier's wording of the loop's own failures.
+impl From<VmError> for RejectReason {
+    fn from(e: VmError) -> Self {
+        let message = match e {
+            VmError::Op(e) => e.message,
+            VmError::UnknownLocal(name) => format!("unknown local {name}"),
+            VmError::Divergence(context) => {
+                return RejectReason::Divergence {
+                    context: context.into(),
                 }
             }
-            Op::LoopBranch { end: exit } => {
-                let taken = v.truthy();
-                vm_loop_step(loops, taken)?;
-                if !taken {
-                    return Ok(exit as usize);
-                }
+            VmError::NotList(_) => "for-each over non-list".into(),
+            VmError::ItemOutOfRange => "for-each item out of range".into(),
+            VmError::LoopLimit => "while loop exceeded iteration limit".into(),
+            VmError::Underflow(what) => {
+                return RejectReason::VerifierInternal { what: what.into() }
             }
-            _ => stack.push(MultiValue::Uniform(v)),
-        }
-        Ok(end)
+        };
+        RejectReason::ReexecError { message }
+    }
+}
+
+impl<'a> Replay<'_, 'a> {
+    /// The coordinate of member `i`'s current operation.
+    fn at(&self, i: usize) -> OpRef {
+        OpRef::new(self.g.rids[i], self.frame.hid.clone(), self.frame.idx)
     }
 
     /// Advances the operation counter, checking it stays within every
     /// group member's reported opcount (Fig. 18 line 43).
-    fn bump(&self, g: &Group<'a>, frame: &mut Frame<'_>) -> Result<u32, RejectReason> {
+    fn bump(&mut self) -> Result<u32, RejectReason> {
+        let frame = &mut *self.frame;
         frame.idx += 1;
-        for (i, rid) in g.rids.iter().enumerate() {
+        for (i, rid) in self.g.rids.iter().enumerate() {
             match frame.slots.get(i).copied().flatten() {
                 Some(slot) if frame.idx <= slot.count => {}
                 _ => return Err(RejectReason::OpcountMismatch { rid: *rid }),
@@ -1750,21 +1149,15 @@ impl<'a> ReExecutor<'a> {
     /// identical handler sets across the group; activations are
     /// enqueued in canonical (sorted) order — siblings are R-concurrent,
     /// so any order is faithful.
-    fn activate_handlers(
-        &mut self,
-        g: &Group<'a>,
-        active: &mut Queue,
-        frame: &Frame<'_>,
-        idx: u32,
-        payload: MultiValue,
-    ) -> Result<(), RejectReason> {
+    fn activate_handlers(&mut self, payload: MultiValue) -> Result<(), RejectReason> {
+        let pre = self.ex.pre;
         let mut canonical: Option<Vec<HandlerId>> = None;
         // Scratch for sorting later members' activation lists; reused
         // across the whole group so the comparison loop allocates at
         // most once, not once per request.
         let mut scratch: Vec<HandlerId> = Vec::new();
-        for (i, rid) in g.rids.iter().enumerate() {
-            let hids = self.pre.activated.get(frame.node(i)?).unwrap_or(&[]);
+        for i in 0..self.g.n() {
+            let hids = pre.activated.get(self.frame.node(i)?).unwrap_or(&[]);
             match &canonical {
                 None => {
                     let mut c = hids.to_vec();
@@ -1779,21 +1172,17 @@ impl<'a> ReExecutor<'a> {
                     scratch.extend_from_slice(hids);
                     scratch.sort();
                     if scratch != *c {
-                        return Err(RejectReason::EmitActivationMismatch {
-                            at: OpRef::new(
-                                g.rids.first().copied().unwrap_or(*rid),
-                                frame.hid.clone(),
-                                idx,
-                            ),
-                        });
+                        return Err(RejectReason::EmitActivationMismatch { at: self.at(0) });
                     }
                 }
             }
         }
         for hid in canonical.unwrap_or_default() {
-            let coords = &self.pre.coords;
-            active.push_back(Pending {
-                slots: g.resolve_child(coords, &frame.slots, &hid, &mut self.pending_slots),
+            let slots = &mut self.ex.pending_slots;
+            self.active.push_back(Pending {
+                slots: self
+                    .g
+                    .resolve_child(&pre.coords, &self.frame.slots, &hid, slots),
                 hid,
                 payload: payload.clone(),
             });
@@ -1808,16 +1197,12 @@ impl<'a> ReExecutor<'a> {
     /// the transaction and the log entry.
     fn consume_state_op(
         &mut self,
-        g: &Group<'a>,
-        frame: &Frame<'_>,
         i: usize,
         tx: Option<u32>,
         txnum: u32,
     ) -> Result<(u32, &'a TxEntryRef<'a>), RejectReason> {
-        let node = frame.node(i)?;
-        let at = || OpRef::new(g.rids[i], frame.hid.clone(), frame.idx);
-        let advice = self.advice;
-        let found = match self.pre.op_map.get(node) {
+        let node = self.frame.node(i)?;
+        let found = match self.ex.pre.op_map.get(node) {
             Some(OpMapEntry::TxLog { tx: t, index })
                 if *index == txnum && tx.is_none_or(|tx| tx == *t) =>
             {
@@ -1825,232 +1210,45 @@ impl<'a> ReExecutor<'a> {
             }
             _ => {
                 return Err(RejectReason::StateOpMismatch {
-                    at: at(),
+                    at: self.at(i),
                     why: "operation not logged at this transaction position",
                 })
             }
         };
-        let entry = advice
+        let entry = self
+            .ex
+            .advice
             .tx_logs
             .as_slice()
             .get(found as usize)
             .and_then(|(_, log)| log.get(txnum as usize))
             .ok_or_else(|| RejectReason::MalformedAdviceAt {
-                at: at(),
+                at: self.at(i),
                 what: "transaction log position out of range",
             })?;
-        self.consumed.push(node);
+        self.ex.consumed.push(node);
         Ok((found, entry))
-    }
-
-    /// `tx_start`: issues each member a token for the transaction
-    /// whose log begins at this operation.
-    fn exec_tx_start(
-        &mut self,
-        g: &Group<'a>,
-        active: &mut Queue,
-        frame: &mut Frame<'_>,
-        ctx: MultiValue,
-        on_done: kem::FunctionId,
-    ) -> Result<(), RejectReason> {
-        let idx = self.bump(g, frame)?;
-        let mut payloads = Vec::with_capacity(g.n());
-        for (i, rid) in g.rids.iter().enumerate() {
-            // Preprocess admits a transaction log only if its first
-            // entry sits at the transaction's own coordinate, so the
-            // transaction `(rid, hid, idx)` is the one — if any — whose
-            // entry 0 the OpMap holds at this node.
-            let (tx, entry) = self.consume_state_op(g, frame, i, None, 0)?;
-            let token = self.tx_table.len() as i64;
-            self.tx_table.push(TxToken { tx, txnum: 0 });
-            if entry.optype != TxOpType::Start {
-                return Err(RejectReason::StateOpMismatch {
-                    at: OpRef::new(*rid, frame.hid.clone(), idx),
-                    why: "expected tx_start",
-                });
-            }
-            let keys = tx_payload_keys();
-            payloads.push(Value::from_pairs([
-                (Arc::clone(&keys.ctx), ctx.get(i).clone()),
-                (Arc::clone(&keys.ok), Value::Bool(true)),
-                (Arc::clone(&keys.tx), Value::Int(token)),
-            ]));
-        }
-        self.enqueue_continuation(g, active, frame, idx, on_done, payloads)
-    }
-
-    /// An asynchronous state operation other than `tx_start`, from its
-    /// evaluated operands: token resolution, per-transaction sequencing,
-    /// advice checks, and continuation payload construction.
-    #[allow(clippy::too_many_arguments)]
-    fn exec_tx_vals(
-        &mut self,
-        g: &Group<'a>,
-        active: &mut Queue,
-        frame: &mut Frame<'_>,
-        requested: TxOpType,
-        tx_v: MultiValue,
-        key_v: Option<MultiValue>,
-        value_v: Option<MultiValue>,
-        ctx_v: MultiValue,
-        on_done: kem::FunctionId,
-    ) -> Result<(), RejectReason> {
-        let idx = self.bump(g, frame)?;
-        if let Some(k) = &key_v {
-            self.note_dedup(k);
-        }
-        let mut payloads = Vec::with_capacity(g.n());
-        let advice = self.advice;
-        for (i, rid) in g.rids.iter().enumerate() {
-            let at = || OpRef::new(*rid, frame.hid.clone(), idx);
-            let token = tx_v
-                .get(i)
-                .as_int()
-                .and_then(|t| self.tx_table.get_mut(t as usize))
-                .ok_or_else(|| RejectReason::ReexecError {
-                    message: "invalid transaction token".into(),
-                })?;
-            let owner = advice.tx_logs.as_slice().get(token.tx as usize);
-            if owner.is_none_or(|(ktx, _)| ktx.rid != *rid) {
-                return Err(RejectReason::StateOpMismatch {
-                    at: at(),
-                    why: "transaction belongs to a different request",
-                });
-            }
-            token.txnum = token.txnum.saturating_add(1);
-            let TxToken { tx, txnum } = *token;
-            let (_, entry) = self.consume_state_op(g, frame, i, Some(tx), txnum)?;
-            let keys = tx_payload_keys();
-            let mut payload: Vec<(Arc<str>, Value)> = Vec::with_capacity(5);
-            payload.push((Arc::clone(&keys.ctx), ctx_v.get(i).clone()));
-            payload.push((Arc::clone(&keys.tx), tx_v.get(i).clone()));
-            if entry.optype == TxOpType::Abort && requested != TxOpType::Abort {
-                // The operation allegedly conflicted and aborted the
-                // transaction (the paper's retry-error path); feed the
-                // failure result. If the log recorded the contested key
-                // it must match.
-                if let (Some(logged), Some(kv)) = (entry.key, &key_v) {
-                    if kv.get(i).as_str() != Some(logged) {
-                        return Err(RejectReason::StateOpMismatch {
-                            at: at(),
-                            why: "conflict record key mismatch",
-                        });
-                    }
-                }
-                payload.push((Arc::clone(&keys.ok), Value::Bool(false)));
-                payloads.push(Value::from_pairs(payload));
-                continue;
-            }
-            if entry.optype != requested {
-                return Err(RejectReason::StateOpMismatch {
-                    at: at(),
-                    why: "logged operation type differs",
-                });
-            }
-            let internal = |what: &str| RejectReason::VerifierInternal { what: what.into() };
-            match requested {
-                TxOpType::Get => {
-                    let kv = key_v
-                        .as_ref()
-                        .ok_or_else(|| internal("GET re-executed without a key expression"))?;
-                    if entry.key != kv.get(i).as_str() {
-                        return Err(RejectReason::StateOpMismatch {
-                            at: at(),
-                            why: "key mismatch",
-                        });
-                    }
-                    let TxContentsRef::Get { from } = &entry.contents else {
-                        return Err(RejectReason::MalformedAdviceAt {
-                            at: at(),
-                            what: "GET with non-GET contents",
-                        });
-                    };
-                    match from {
-                        None => {
-                            payload.push((Arc::clone(&keys.ok), Value::Bool(true)));
-                            payload.push((Arc::clone(&keys.found), Value::Bool(false)));
-                            payload.push((Arc::clone(&keys.value), Value::Null));
-                        }
-                        Some(pos) => {
-                            let Some(w) = self.advice.tx_entry(pos) else {
-                                return Err(RejectReason::MalformedAdviceAt {
-                                    at: at(),
-                                    what: "dictating write outside any transaction log",
-                                });
-                            };
-                            let TxContentsRef::Put { value } = &w.contents else {
-                                return Err(RejectReason::MalformedAdviceAt {
-                                    at: at(),
-                                    what: "dictating write is not a PUT",
-                                });
-                            };
-                            payload.push((Arc::clone(&keys.ok), Value::Bool(true)));
-                            payload.push((Arc::clone(&keys.found), Value::Bool(true)));
-                            payload.push((Arc::clone(&keys.value), value.clone()));
-                        }
-                    }
-                }
-                TxOpType::Put => {
-                    let kv = key_v
-                        .as_ref()
-                        .ok_or_else(|| internal("PUT re-executed without a key expression"))?;
-                    if entry.key != kv.get(i).as_str() {
-                        return Err(RejectReason::StateOpMismatch {
-                            at: at(),
-                            why: "key mismatch",
-                        });
-                    }
-                    let TxContentsRef::Put { value: logged } = &entry.contents else {
-                        return Err(RejectReason::MalformedAdviceAt {
-                            at: at(),
-                            what: "PUT with non-PUT contents",
-                        });
-                    };
-                    // Simulate-and-check for external state: the
-                    // re-executed PUT must produce the logged value.
-                    let vv = value_v
-                        .as_ref()
-                        .ok_or_else(|| internal("PUT re-executed without a value expression"))?;
-                    if logged != vv.get(i) {
-                        return Err(RejectReason::StateOpMismatch {
-                            at: at(),
-                            why: "logged PUT value differs from re-execution",
-                        });
-                    }
-                    payload.push((Arc::clone(&keys.ok), Value::Bool(true)));
-                }
-                TxOpType::Commit | TxOpType::Abort => {
-                    payload.push((Arc::clone(&keys.ok), Value::Bool(true)));
-                }
-                TxOpType::Start => {
-                    return Err(internal("TxStart routed through exec_tx_vals"));
-                }
-            }
-            payloads.push(Value::from_pairs(payload));
-        }
-        self.enqueue_continuation(g, active, frame, idx, on_done, payloads)
     }
 
     /// Enqueues the continuation handler of an asynchronous operation.
     fn enqueue_continuation(
         &mut self,
-        g: &Group<'a>,
-        active: &mut Queue,
-        frame: &Frame<'_>,
-        idx: u32,
-        on_done: kem::FunctionId,
+        on_done: FunctionId,
         payloads: Vec<Value>,
     ) -> Result<(), RejectReason> {
-        let hid = HandlerId::child(&frame.hid, on_done, idx);
-        let coords = &self.pre.coords;
-        let slots = g.resolve_child(coords, &frame.slots, &hid, &mut self.pending_slots);
-        if let Some(i) = self.missing_member(&slots) {
+        let hid = HandlerId::child(&self.frame.hid, on_done, self.frame.idx);
+        let coords = &self.ex.pre.coords;
+        let pending = &mut self.ex.pending_slots;
+        let slots = self
+            .g
+            .resolve_child(coords, &self.frame.slots, &hid, pending);
+        if let Some(i) = self.ex.missing_member(&slots) {
             return Err(RejectReason::StateOpMismatch {
-                at: OpRef::new(g.rids[i], frame.hid.clone(), idx),
+                at: self.at(i),
                 why: "continuation handler missing from opcounts",
             });
         }
-        active.push_back(Pending {
+        self.active.push_back(Pending {
             hid,
             payload: MultiValue::from_vec(payloads),
             slots,
@@ -2063,176 +1261,342 @@ impl<'a> ReExecutor<'a> {
     /// `expected`. Consumes the node and returns it.
     fn consume_handler_op(
         &mut self,
-        g: &Group<'a>,
-        frame: &Frame<'_>,
         i: usize,
-        expected: &ExpectedOp<'_>,
+        expected: &HandlerOpView<'_>,
     ) -> Result<u32, RejectReason> {
-        let node = frame.node(i)?;
-        let at = || OpRef::new(g.rids[i], frame.hid.clone(), frame.idx);
-        let Some(OpMapEntry::HandlerLog { index }) = self.pre.op_map.get(node) else {
+        let node = self.frame.node(i)?;
+        let Some(OpMapEntry::HandlerLog { index }) = self.ex.pre.op_map.get(node) else {
             return Err(RejectReason::HandlerOpMismatch {
-                at: at(),
+                at: self.at(i),
                 why: "not in handler log",
             });
         };
-        let entry = g
+        let entry = self
+            .g
             .handler_logs
             .get(i)
             .and_then(|log| log.get(*index as usize));
         let Some(entry) = entry else {
             return Err(RejectReason::MalformedAdviceAt {
-                at: at(),
+                at: self.at(i),
                 what: "handler log position out of range",
             });
         };
-        if !expected.matches(&entry.op) {
+        if entry.op != *expected {
             return Err(RejectReason::HandlerOpMismatch {
-                at: at(),
+                at: self.at(i),
                 why: "logged handler op differs",
             });
         }
-        self.consumed.push(node);
+        self.ex.consumed.push(node);
         Ok(node)
     }
 
-    /// A listener-count check by member `i`: the handler-log check,
-    /// then the count preprocess recomputed from the log's
-    /// registration history at that point.
-    fn listener_count(
-        &mut self,
-        g: &Group<'a>,
-        frame: &Frame<'_>,
-        i: usize,
-        event: &str,
-    ) -> Result<Value, RejectReason> {
-        let node = self.consume_handler_op(g, frame, i, &ExpectedOp::Check { event })?;
-        match self.pre.check_counts.get(node) {
-            Some(count) => Ok(Value::Int(*count)),
-            None => Err(RejectReason::HandlerOpMismatch {
-                at: OpRef::new(g.rids[i], frame.hid.clone(), frame.idx),
-                why: "check op has no recomputed count",
-            }),
+    /// A handler op by every member: one operation, checked against
+    /// each member's handler log.
+    fn handler_op(&mut self, expected: HandlerOpView<'_>) -> Result<(), RejectReason> {
+        self.bump()?;
+        for i in 0..self.g.n() {
+            self.consume_handler_op(i, &expected)?;
         }
+        Ok(())
+    }
+
+    /// An event name, borrowed from the program's interner.
+    fn event(&self, event: Sym) -> &'a str {
+        self.ex.program.code().interner.resolve(event)
+    }
+}
+
+impl Machine for Replay<'_, '_> {
+    type Operand = MultiValue;
+    type Error = RejectReason;
+
+    fn width(&self) -> usize {
+        self.g.n()
+    }
+
+    #[inline]
+    fn charge(&mut self, units: u32) -> Result<(), RejectReason> {
+        self.ex.charge(u64::from(units))
+    }
+
+    /// A loggable variable is read by every member as one operation,
+    /// fed per member from the log or the dictionary (Fig. 20). A
+    /// non-loggable one is each member's copy: what the member last
+    /// wrote, else the declared initial value.
+    fn shared_read(&mut self, var: VarId, loggable: bool) -> Result<MultiValue, RejectReason> {
+        let (ex, g) = (&mut *self.ex, self.g);
+        if !loggable {
+            let init = &ex.program.var(var).init;
+            let row = ex.nonlog.get(var.0 as usize).map_or(&[][..], Vec::as_slice);
+            let copies = row.get(g.nonlog_slot..).unwrap_or(&[]);
+            let copy = |i: usize| copies.get(i).and_then(Option::as_ref).unwrap_or(init);
+            return MultiValue::collect(g.n(), |i| Ok(copy(i).clone()));
+        }
+        self.bump()?;
+        let (ex, frame) = (&mut *self.ex, &*self.frame);
+        let log = ex.var_log(var);
+        let mv = MultiValue::collect(g.n(), |i| ex.vars.on_read(var, frame.node(i)?, &log))?;
+        ex.note_dedup(&mv);
+        Ok(mv)
+    }
+
+    /// A write of `v` by every member: to the loggable variable's state
+    /// (Fig. 21), or to each member's copy of a non-loggable one. That
+    /// table grows to the program's variables and the executor's
+    /// members, both trusted sizes.
+    fn shared_write(
+        &mut self,
+        var: VarId,
+        loggable: bool,
+        v: MultiValue,
+    ) -> Result<(), RejectReason> {
+        let n = self.g.n();
+        if !loggable {
+            let (nonlog, first) = (&mut self.ex.nonlog, self.g.nonlog_slot);
+            let slot = var.0 as usize;
+            if slot >= nonlog.len() {
+                nonlog.resize_with(slot + 1, Vec::new);
+            }
+            let row = &mut nonlog[slot];
+            if row.len() < first + n {
+                row.resize(first + n, None);
+            }
+            for (copy, val) in row[first..first + n].iter_mut().zip(v.iter(n)) {
+                *copy = Some(val.clone());
+            }
+            return Ok(());
+        }
+        self.bump()?;
+        let (ex, frame) = (&mut *self.ex, &*self.frame);
+        ex.note_dedup(&v);
+        let log = ex.var_log(var);
+        for (i, val) in v.iter(n).enumerate() {
+            ex.vars.on_write(var, frame.node(i)?, val.clone(), &log)?;
+        }
+        Ok(())
+    }
+
+    fn emit(&mut self, event: Sym, payload: MultiValue) -> Result<(), RejectReason> {
+        let event = self.event(event);
+        self.handler_op(HandlerOpView::Emit { event })?;
+        self.activate_handlers(payload)
+    }
+
+    fn register(&mut self, event: Sym, function: FunctionId) -> Result<(), RejectReason> {
+        let event = self.event(event);
+        self.handler_op(HandlerOpView::Register { event, function })
+    }
+
+    fn unregister(&mut self, event: Sym, function: FunctionId) -> Result<(), RejectReason> {
+        let event = self.event(event);
+        self.handler_op(HandlerOpView::Unregister { event, function })
+    }
+
+    fn respond(&mut self, v: MultiValue) -> Result<(), RejectReason> {
+        let (ex, frame) = (&mut *self.ex, &*self.frame);
+        for (rid, val) in self.g.rids.iter().zip(v.iter(self.g.n())) {
+            match ex.advice.response_emitted_by.get(rid) {
+                Some((h, i)) if *h == frame.hid && *i == frame.idx => {}
+                _ => return Err(RejectReason::ResponseEmitterMismatch { rid: *rid }),
+            }
+            ex.outputs.push((*rid, val.clone()));
+        }
+        Ok(())
+    }
+
+    // Token and key screening stay the defaults, no-ops: the live
+    // runtime validates between operand evaluations, re-execution per
+    // member at the terminal op.
+
+    /// `tx_start`: hands each member a token for the transaction whose
+    /// log begins at this operation.
+    fn tx_start(&mut self, ctx: MultiValue, on_done: FunctionId) -> Result<(), RejectReason> {
+        self.bump()?;
+        let mut payloads = Vec::with_capacity(self.g.n());
+        for i in 0..self.g.n() {
+            // Preprocess admits a transaction log only if its first
+            // entry sits at the transaction's own coordinate, so the
+            // transaction `(rid, hid, idx)` is the one — if any — whose
+            // entry 0 the OpMap holds at this node.
+            let (tx, entry) = self.consume_state_op(i, None, 0)?;
+            let token = self.ex.tx_table.len() as i64;
+            self.ex.tx_table.push(TxToken { tx, txnum: 0 });
+            if entry.optype != TxOpType::Start {
+                return Err(RejectReason::StateOpMismatch {
+                    at: self.at(i),
+                    why: "expected tx_start",
+                });
+            }
+            let keys = tx_payload_keys();
+            payloads.push(Value::from_pairs([
+                (Arc::clone(&keys.ctx), ctx.get(i).clone()),
+                (Arc::clone(&keys.ok), Value::Bool(true)),
+                (Arc::clone(&keys.tx), Value::Int(token)),
+            ]));
+        }
+        self.enqueue_continuation(on_done, payloads)
+    }
+
+    /// An asynchronous state operation other than `tx_start`, from its
+    /// evaluated operands: token resolution, per-transaction sequencing,
+    /// advice checks, and continuation payload construction.
+    fn tx_op(
+        &mut self,
+        kind: TxOpKind,
+        tx_v: MultiValue,
+        key_v: Option<MultiValue>,
+        value_v: Option<MultiValue>,
+        ctx_v: MultiValue,
+        on_done: FunctionId,
+    ) -> Result<(), RejectReason> {
+        let requested = match kind {
+            TxOpKind::Start => TxOpType::Start,
+            TxOpKind::Get => TxOpType::Get,
+            TxOpKind::Put => TxOpType::Put,
+            TxOpKind::Commit => TxOpType::Commit,
+            TxOpKind::Abort => TxOpType::Abort,
+        };
+        self.bump()?;
+        if let Some(k) = &key_v {
+            self.ex.note_dedup(k);
+        }
+        let mut payloads = Vec::with_capacity(self.g.n());
+        let advice = self.ex.advice;
+        for (i, rid) in self.g.rids.iter().enumerate() {
+            let token = tx_v
+                .get(i)
+                .as_int()
+                .and_then(|t| self.ex.tx_table.get_mut(t as usize))
+                .ok_or_else(|| RejectReason::ReexecError {
+                    message: "invalid transaction token".into(),
+                })?;
+            let owner = advice.tx_logs.as_slice().get(token.tx as usize);
+            if owner.is_none_or(|(ktx, _)| ktx.rid != *rid) {
+                return Err(RejectReason::StateOpMismatch {
+                    at: self.at(i),
+                    why: "transaction belongs to a different request",
+                });
+            }
+            token.txnum = token.txnum.saturating_add(1);
+            let TxToken { tx, txnum } = *token;
+            let (_, entry) = self.consume_state_op(i, Some(tx), txnum)?;
+            let at = || self.at(i);
+            let mismatch = |why| Err(RejectReason::StateOpMismatch { at: at(), why });
+            let malformed = |what| Err(RejectReason::MalformedAdviceAt { at: at(), what });
+            let internal = |what: &str| RejectReason::VerifierInternal { what: what.into() };
+            let keys = tx_payload_keys();
+            let mut payload: Vec<(Arc<str>, Value)> = Vec::with_capacity(5);
+            payload.push((Arc::clone(&keys.ctx), ctx_v.get(i).clone()));
+            payload.push((Arc::clone(&keys.tx), tx_v.get(i).clone()));
+            // The operation allegedly conflicted and aborted the
+            // transaction (the paper's retry-error path): feed the
+            // failure result. If the log recorded the contested key it
+            // must match.
+            let conflict = entry.optype == TxOpType::Abort && requested != TxOpType::Abort;
+            payload.push((Arc::clone(&keys.ok), Value::Bool(!conflict)));
+            if conflict {
+                if let (Some(logged), Some(kv)) = (entry.key, &key_v) {
+                    if kv.get(i).as_str() != Some(logged) {
+                        return mismatch("conflict record key mismatch");
+                    }
+                }
+                payloads.push(Value::from_pairs(payload));
+                continue;
+            }
+            if entry.optype != requested {
+                return mismatch("logged operation type differs");
+            }
+            if let TxOpType::Get | TxOpType::Put = requested {
+                let kv = key_v
+                    .as_ref()
+                    .ok_or_else(|| internal("re-executed without a key expression"))?;
+                if entry.key != kv.get(i).as_str() {
+                    return mismatch("key mismatch");
+                }
+            }
+            match (requested, &entry.contents) {
+                (TxOpType::Get, TxContentsRef::Get { from }) => {
+                    let value = match from {
+                        None => None,
+                        Some(pos) => match advice.tx_entry(pos).map(|w| &w.contents) {
+                            Some(TxContentsRef::Put { value }) => Some(value.clone()),
+                            Some(_) => return malformed("dictating write is not a PUT"),
+                            None => {
+                                return malformed("dictating write outside any transaction log")
+                            }
+                        },
+                    };
+                    payload.push((Arc::clone(&keys.found), Value::Bool(value.is_some())));
+                    payload.push((Arc::clone(&keys.value), value.unwrap_or(Value::Null)));
+                }
+                (TxOpType::Get, _) => return malformed("GET with non-GET contents"),
+                (TxOpType::Put, TxContentsRef::Put { value: logged }) => {
+                    // Simulate-and-check for external state: the
+                    // re-executed PUT must produce the logged value.
+                    let vv = value_v
+                        .as_ref()
+                        .ok_or_else(|| internal("PUT re-executed without a value expression"))?;
+                    if logged != vv.get(i) {
+                        return mismatch("logged PUT value differs from re-execution");
+                    }
+                }
+                (TxOpType::Put, _) => return malformed("PUT with non-PUT contents"),
+                (TxOpType::Commit | TxOpType::Abort, _) => {}
+                (TxOpType::Start, _) => return Err(internal("tx_start as a later operation")),
+            }
+            payloads.push(Value::from_pairs(payload));
+        }
+        self.enqueue_continuation(on_done, payloads)
+    }
+
+    /// A listener-count check by every member: the handler-log check,
+    /// then the count preprocess recomputed from the log's registration
+    /// history at that point.
+    fn listener_count(&mut self, event: Sym) -> Result<MultiValue, RejectReason> {
+        let event = self.event(event);
+        self.bump()?;
+        MultiValue::collect(self.g.n(), |i| {
+            let node = self.consume_handler_op(i, &HandlerOpView::Check { event })?;
+            match self.ex.pre.check_counts.get(node) {
+                Some(count) => Ok(Value::Int(*count)),
+                None => Err(RejectReason::HandlerOpMismatch {
+                    at: self.at(i),
+                    why: "check op has no recomputed count",
+                }),
+            }
+        })
     }
 
     /// A nondeterministic operation by every member: each is fed the
     /// value the advice recorded at its node.
-    fn read_nondet(
-        &mut self,
-        g: &Group<'a>,
-        frame: &mut Frame<'_>,
-        kind: kem::NondetKind,
-    ) -> Result<MultiValue, RejectReason> {
-        self.bump(g, frame)?;
-        let (pre, advice) = (self.pre, self.advice);
-        MultiValue::collect(g.n(), |i| {
-            let at = || OpRef::new(g.rids[i], frame.hid.clone(), frame.idx);
+    fn nondet(&mut self, kind: NondetKind) -> Result<MultiValue, RejectReason> {
+        self.bump()?;
+        let (pre, advice) = (self.ex.pre, self.ex.advice);
+        MultiValue::collect(self.g.n(), |i| {
             let recorded = pre
                 .nondet
-                .get(&frame.node(i)?)
+                .get(&self.frame.node(i)?)
                 .and_then(|position| advice.nondet.as_slice().get(*position as usize));
             let Some((_, v)) = recorded else {
-                return Err(RejectReason::MissingNondet { at: at() });
+                return Err(RejectReason::MissingNondet { at: self.at(i) });
             };
             // Basic well-formedness of recorded nondeterminism (§5):
             // the value must be type- and range-plausible for its
             // source. Karousos gives no stronger guarantee about
             // nondeterministic values.
             let plausible = match kind {
-                kem::NondetKind::Counter => v.as_int().is_some_and(|i| i >= 1),
-                kem::NondetKind::Random { bound } => {
+                NondetKind::Counter => v.as_int().is_some_and(|i| i >= 1),
+                NondetKind::Random { bound } => {
                     v.as_int().is_some_and(|i| (0..bound.max(1)).contains(&i))
                 }
             };
             if !plausible {
-                return Err(RejectReason::ImplausibleNondet { at: at() });
+                return Err(RejectReason::ImplausibleNondet { at: self.at(i) });
             }
             Ok(v.clone())
         })
-    }
-
-    /// The log of `var`, read by node id.
-    fn var_log(&self, var: VarId) -> VarLog<'a> {
-        self.pre.var_index.log(&self.advice.var_logs, var)
-    }
-
-    /// A read of the loggable variable `var` by every member: one
-    /// operation, fed per member from the log or the dictionary
-    /// (Fig. 20).
-    fn read_logged(
-        &mut self,
-        g: &Group<'a>,
-        frame: &mut Frame<'_>,
-        var: VarId,
-    ) -> Result<MultiValue, RejectReason> {
-        self.bump(g, frame)?;
-        let log = self.var_log(var);
-        let mv = MultiValue::collect(g.n(), |i| self.vars.on_read(var, frame.node(i)?, &log))?;
-        self.note_dedup(&mv);
-        Ok(mv)
-    }
-
-    /// A write of `v` to the loggable variable `var` by every member
-    /// (Fig. 21).
-    fn write_logged(
-        &mut self,
-        g: &Group<'a>,
-        frame: &mut Frame<'_>,
-        var: VarId,
-        v: &MultiValue,
-    ) -> Result<(), RejectReason> {
-        self.bump(g, frame)?;
-        self.note_dedup(v);
-        let log = self.var_log(var);
-        for (i, val) in v.iter(g.n()).enumerate() {
-            self.vars.on_write(var, frame.node(i)?, val.clone(), &log)?;
-        }
-        Ok(())
-    }
-
-    /// Every member's copy of the non-loggable variable `var`: what the
-    /// member last wrote, else the declared initial value.
-    fn read_nonlog(&self, g: &Group<'a>, var: VarId) -> Result<MultiValue, RejectReason> {
-        let init = &self.program.var(var).init;
-        let row = self
-            .nonlog
-            .get(var.0 as usize)
-            .map_or(&[][..], Vec::as_slice);
-        let copies = row.get(g.nonlog_slot..).unwrap_or(&[]);
-        MultiValue::collect(g.n(), |i| {
-            Ok(copies
-                .get(i)
-                .and_then(Option::as_ref)
-                .unwrap_or(init)
-                .clone())
-        })
-    }
-
-    /// Sets every member's copy of the non-loggable variable `var`. The
-    /// table grows to the program's variables and the executor's
-    /// members, both trusted sizes.
-    fn write_nonlog(&mut self, g: &Group<'a>, var: VarId, v: &MultiValue) {
-        let slot = var.0 as usize;
-        if slot >= self.nonlog.len() {
-            self.nonlog.resize_with(slot + 1, Vec::new);
-        }
-        let row = &mut self.nonlog[slot];
-        let end = g.nonlog_slot + g.n();
-        if row.len() < end {
-            row.resize(end, None);
-        }
-        for (copy, val) in row[g.nonlog_slot..end].iter_mut().zip(v.iter(g.n())) {
-            *copy = Some(val.clone());
-        }
-    }
-
-    fn note_dedup(&mut self, mv: &MultiValue) {
-        if mv.is_uniform() {
-            self.stats.uniform_ops += 1;
-        } else {
-            self.stats.expanded_ops += 1;
-        }
     }
 }
 

@@ -14,11 +14,11 @@
 //! replayed operation must cost a few array indexes, not a recursive
 //! `match` over boxed AST nodes.
 //!
-//! There is one interpreter, with two dispatch loops over the same
-//! stream: [`crate::Runtime`] (server-side trace collection) runs the
-//! ops over single [`Value`]s, and the verifier's grouped re-executor
-//! runs the identical ops over multivalues. `lower` is the only
-//! reader of a body's AST, and what it emits defines the language's
+//! There is one interpreter, one dispatch loop over the stream
+//! ([`crate::vm`]): [`crate::Runtime`] (server-side trace collection)
+//! runs the ops over single [`Value`]s, and the verifier's grouped
+//! re-executor runs the identical ops over multivalues. `lower` is the
+//! only reader of a body's AST, and what it emits defines the language's
 //! observable semantics:
 //!
 //! * **Operand order.** Children compile left-to-right and ops execute
@@ -39,7 +39,7 @@
 //!   `lower` emits a parallel *charge table* that attaches each node's
 //!   unit to the first op of that node's subtree, so `charges[pc]` is
 //!   the fuel of every node entered between the previous op's action
-//!   and this one's, and a dispatch loop charges it, whole, before the
+//!   and this one's, and the dispatch loop charges it, whole, before the
 //!   op acts. Nothing fallible lies between those entries, so an
 //!   exhausted budget stops the handler before the op whose entry
 //!   overran it and reports `spent = limit + 1` — where the first
@@ -63,10 +63,10 @@
 //! after the window.
 //! Otherwise it does what the head op alone does — push the local, push
 //! the constant — and the untouched tail executes as it always did. The
-//! verifier's grouped dispatch takes the first path (a collapsed
-//! instruction at a single value's cost, the paper's §4.1); the
-//! server's always takes the second, through an or-pattern on the head
-//! arm. Which windows exist was read off the dynamic window histogram
+//! dispatch loop takes the first path whenever it may: for the verifier
+//! a collapsed instruction at a single value's cost (the paper's §4.1),
+//! for the server the same trace, advice and fuel as the plain ops.
+//! Which windows exist was read off the dynamic window histogram
 //! of the four benchmark workloads (EXPERIMENTS.md, PR 21).
 
 use crate::ast::{BinOp, BuildError, Expr, Function, NondetKind, Stmt, VarDecl};
@@ -193,7 +193,7 @@ pub enum Op {
     /// Validate the transaction token on top of the stack (peek, no
     /// pop). The live runtime checks the token *between* operand
     /// evaluations; the verifier validates per group member at the
-    /// terminal op instead, so its dispatch treats this as a no-op.
+    /// terminal op instead, so its machine treats this as a no-op.
     TxToken,
     /// Validate the row key on top of the stack (peek, no pop);
     /// verifier no-op like [`Op::TxToken`].
@@ -266,7 +266,7 @@ pub enum Op {
 }
 
 /// A basic block: a maximal straight-line run of ops. `end` is
-/// exclusive. Purely descriptive — the dispatch loops run over the
+/// exclusive. Purely descriptive — the dispatch loop runs over the
 /// flat op array; blocks feed the disassembler and the block-path
 /// digest argument in DESIGN.md §11.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

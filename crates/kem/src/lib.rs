@@ -16,6 +16,9 @@
 //! * [`bytecode`] — each function body compiled once, at
 //!   [`ProgramBuilder::build`], straight from the AST to flat ops with
 //!   every name resolved: what both the server and the verifier run;
+//! * [`vm`] — the one dispatch loop over that bytecode, generic over its
+//!   executor: the server's runtime over [`Value`]s, the verifier's
+//!   replay over multivalues;
 //! * [`HandlerId`] — hash-consed activation paths implementing `A`;
 //! * [`run_server`] — the dispatch loop with a seeded scheduler, a
 //!   closed-loop admission window, and an embedded transactional store
@@ -38,6 +41,7 @@ pub mod pvalue;
 mod runtime;
 mod trace;
 mod value;
+pub mod vm;
 
 pub use ast::{
     dsl, BinOp, BuildError, Expr, Function, NondetKind, Program, ProgramBuilder, Stmt, VarDecl,

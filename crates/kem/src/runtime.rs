@@ -13,6 +13,9 @@
 //! * A *closed loop* admission policy keeps at most
 //!   [`ServerConfig::concurrency`] requests in flight — the evaluation's
 //!   "number of concurrent requests" knob (§6).
+//! * Handler bodies run on the one dispatch loop, [`crate::vm`], with
+//!   the runtime as its [`Machine`] over single values: this module
+//!   holds only the effectful ops, the fuel meter and the branch bits.
 //! * Every instrumentation point calls out through
 //!   [`ExecHooks`](crate::ExecHooks); running with
 //!   [`NoopHooks`](crate::NoopHooks) is the *unmodified server* baseline.
@@ -25,12 +28,13 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
 use crate::ast::{NondetKind, Program};
-use crate::bytecode::{CodeSet, FuncCode};
+use crate::bytecode::CodeSet;
 use crate::error::RuntimeError;
 use crate::hooks::{ExecHooks, TxOpKind, TxOpRecord};
 use crate::ids::{FunctionId, HandlerId, RequestId, Sym, VarId};
 use crate::trace::Trace;
 use crate::value::Value;
+use crate::vm::{Machine, Vm, LOOP_LIMIT};
 
 /// The keys of a transactional continuation's payload: what the store
 /// hands an `on_done` handler, and so what applications read. The
@@ -115,7 +119,7 @@ impl Default for ServerConfig {
             concurrency: 1,
             isolation: IsolationLevel::Serializable,
             policy: SchedPolicy::Random { seed: 0 },
-            loop_limit: 1_000_000,
+            loop_limit: LOOP_LIMIT,
             fuel_limit: u64::MAX,
             bytecode: true,
         }
@@ -169,15 +173,15 @@ struct PendingDb {
     on_done: FunctionId,
 }
 
-/// Per-activation interpreter context. Locals live in a slot-indexed
-/// frame (slots assigned by lowering); unbound slots hold `None` so
-/// read-before-bind is still a runtime error.
-struct Frame<'p> {
+/// The server as the [`Machine`] of one handler activation: the
+/// runtime, the hooks it reports through, and the activation's
+/// coordinates and operation count.
+struct ServerMachine<'r, 'p, H> {
+    rt: &'r mut Runtime<'p>,
+    hooks: &'r mut H,
     rid: RequestId,
     hid: HandlerId,
     opnum: u32,
-    locals: Vec<Option<Value>>,
-    func: &'p FuncCode,
 }
 
 /// The simulated server.
@@ -200,12 +204,7 @@ pub struct Runtime<'p> {
     steps: u64,
     activations: u64,
     fuel: u64,
-    // Reusable bytecode-dispatch scratch: handlers run to completion
-    // (never reentrantly), so one operand stack, loop-counter stack,
-    // and for-each iterator stack serve every activation.
-    bc_stack: Vec<Value>,
-    bc_loops: Vec<u32>,
-    bc_iters: Vec<(Value, usize)>,
+    vm: Vm<Value>,
 }
 
 /// Runs `program` against `inputs` under `cfg`, reporting through
@@ -258,25 +257,8 @@ impl<'p> Runtime<'p> {
             steps: 0,
             activations: 0,
             fuel: 0,
-            bc_stack: Vec::new(),
-            bc_loops: Vec::new(),
-            bc_iters: Vec::new(),
+            vm: Vm::default(),
         }
-    }
-
-    /// Burns `n` units of interpreter fuel — the charges `lower` folded
-    /// onto one op — and errors once the configured budget is exhausted,
-    /// leaving the meter at `limit + 1`: where the first over-budget unit
-    /// stops it.
-    #[inline]
-    fn burn_fuel(&mut self, n: u64) -> Result<(), RuntimeError> {
-        let new = self.fuel.saturating_add(n);
-        if new > self.cfg.fuel_limit {
-            self.fuel = self.cfg.fuel_limit.saturating_add(1);
-            return Err(RuntimeError::new("interpreter fuel budget exhausted"));
-        }
-        self.fuel = new;
-        Ok(())
     }
 
     /// Runs the initialization activation `I`: installs every declared
@@ -376,424 +358,28 @@ impl<'p> Runtime<'p> {
         self.activations += 1;
         hooks.on_handler_start(act.rid, &act.hid);
         let fuel_before = self.fuel;
-        let func = &self.code.funcs[act.function.0 as usize];
-        let mut frame = Frame {
+        let code = self.code;
+        let func = &code.funcs[act.function.0 as usize];
+        // The scratch is taken out so the machine can borrow `self`.
+        let mut vm = std::mem::take(&mut self.vm);
+        let mut m = ServerMachine {
+            rt: self,
+            hooks,
             rid: act.rid,
             hid: act.hid,
             opnum: 0,
-            locals: vec![None; func.n_slots as usize],
-            func,
         };
-        if let Some(s0) = frame.locals.get_mut(0) {
-            // Slot 0 is always `payload` (pre-assigned by lowering).
-            *s0 = Some(act.payload);
-        }
-        self.exec_code(&mut frame, func, hooks)?;
-        hooks.on_handler_end(frame.rid, &frame.hid, frame.opnum);
+        let result = vm.run(&mut m, func, act.payload);
+        let ServerMachine {
+            rid, hid, opnum, ..
+        } = m;
+        self.vm = vm;
+        result?;
+        hooks.on_handler_end(rid, &hid, opnum);
         // `self.fuel` is cumulative across the interleaved run, so the
         // delta is exactly this activation's burn (activations run to
         // completion; they are not reentrant).
-        hooks.on_handler_fuel(frame.rid, &frame.hid, self.fuel - fuel_before);
-        Ok(())
-    }
-
-    /// Runs one handler body: the dispatch loop over its compiled ops
-    /// ([`crate::bytecode`]), on the runtime's pooled scratch.
-    fn exec_code<H: ExecHooks>(
-        &mut self,
-        frame: &mut Frame<'_>,
-        code: &FuncCode,
-        hooks: &mut H,
-    ) -> Result<(), RuntimeError> {
-        // Scratch is swapped out so dispatch can borrow `self` freely;
-        // restored on every exit path, cleared (errors may leave
-        // operands behind).
-        let mut stack = std::mem::take(&mut self.bc_stack);
-        let mut loops = std::mem::take(&mut self.bc_loops);
-        let mut iters = std::mem::take(&mut self.bc_iters);
-        stack.reserve(code.max_stack as usize);
-        let result = self.dispatch(frame, code, hooks, &mut stack, &mut loops, &mut iters);
-        stack.clear();
-        loops.clear();
-        iters.clear();
-        self.bc_stack = stack;
-        self.bc_loops = loops;
-        self.bc_iters = iters;
-        result
-    }
-
-    fn dispatch<H: ExecHooks>(
-        &mut self,
-        frame: &mut Frame<'_>,
-        code: &FuncCode,
-        hooks: &mut H,
-        stack: &mut Vec<Value>,
-        loops: &mut Vec<u32>,
-        iters: &mut Vec<(Value, usize)>,
-    ) -> Result<(), RuntimeError> {
-        use crate::bytecode::Op;
-        let pop = |stack: &mut Vec<Value>| -> Value {
-            stack.pop().expect("compiler balances the operand stack")
-        };
-        let mut pc = 0usize;
-        loop {
-            // The fuel of every source node whose subtree begins at this
-            // op, due before the op acts.
-            let units = code.charges[pc];
-            if units > 0 {
-                self.burn_fuel(u64::from(units))?;
-            }
-            match code.ops[pc] {
-                // A fused op (`bytecode`, "Operand fusion") is its head
-                // op here: single values have nothing to collapse, and
-                // the window's tail follows in place.
-                Op::Const(i) | Op::BinC { k: i, .. } => stack.push(code.consts[i as usize].clone()),
-                Op::Local(slot) | Op::BinLC { slot, .. } => {
-                    match frame.locals.get(slot as usize).and_then(Option::as_ref) {
-                        Some(v) => stack.push(v.clone()),
-                        None => {
-                            let name = frame.func.slot_name(slot);
-                            return Err(RuntimeError::new(format!("unknown local {name:?}")));
-                        }
-                    }
-                }
-                Op::SharedRead { var, loggable } => {
-                    let v = self.vars[var.0 as usize].clone();
-                    if loggable {
-                        frame.opnum += 1;
-                        hooks.on_var_read(var, frame.rid, &frame.hid, frame.opnum, &v);
-                    }
-                    stack.push(v);
-                }
-                Op::Bin(op) => {
-                    let b = pop(stack);
-                    let a = pop(stack);
-                    stack.push(crate::ops::eval_binop(op, &a, &b)?);
-                }
-                Op::Not => {
-                    let a = pop(stack);
-                    stack.push(Value::Bool(!a.truthy()));
-                }
-                Op::Field(i) => {
-                    let a = pop(stack);
-                    let name = code.strings[i as usize].as_ref();
-                    stack.push(a.field(name).cloned().unwrap_or(Value::Null));
-                }
-                Op::Index => {
-                    let i = pop(stack);
-                    let a = pop(stack);
-                    stack.push(crate::ops::eval_index(&a, &i)?);
-                }
-                Op::Len => {
-                    let a = pop(stack);
-                    stack.push(crate::ops::eval_len(&a)?);
-                }
-                Op::Contains => {
-                    let b = pop(stack);
-                    let a = pop(stack);
-                    stack.push(crate::ops::eval_contains(&a, &b)?);
-                }
-                Op::MakeList(n) => {
-                    let items = stack.split_off(stack.len() - n as usize);
-                    stack.push(Value::from_vec(items));
-                }
-                Op::MakeMap { keys, n } => {
-                    let vals = stack.split_off(stack.len() - n as usize);
-                    let key_strs = &code.strings[keys as usize..(keys + n) as usize];
-                    stack.push(Value::from_pairs(key_strs.iter().cloned().zip(vals)));
-                }
-                Op::MapInsert => {
-                    let v = pop(stack);
-                    let k = pop(stack);
-                    let m = pop(stack);
-                    stack.push(crate::ops::eval_map_insert(&m, &k, &v)?);
-                }
-                Op::MapRemove => {
-                    let k = pop(stack);
-                    let m = pop(stack);
-                    stack.push(crate::ops::eval_map_remove(&m, &k)?);
-                }
-                Op::ListPush => {
-                    let v = pop(stack);
-                    let l = pop(stack);
-                    stack.push(crate::ops::eval_list_push(&l, &v)?);
-                }
-                Op::Keys => {
-                    let m = pop(stack);
-                    stack.push(crate::ops::eval_keys(&m)?);
-                }
-                Op::Digest => {
-                    let v = pop(stack);
-                    stack.push(crate::ops::eval_digest(&v));
-                }
-                Op::ToStr => {
-                    let v = pop(stack);
-                    stack.push(crate::ops::eval_to_str(&v));
-                }
-                Op::StoreLocal(slot) => {
-                    let v = pop(stack);
-                    frame.locals[slot as usize] = Some(v);
-                }
-                Op::SharedWrite { var, loggable } => {
-                    let v = pop(stack);
-                    if loggable {
-                        frame.opnum += 1;
-                        hooks.on_var_write(var, frame.rid, &frame.hid, frame.opnum, &v);
-                    }
-                    self.vars[var.0 as usize] = v;
-                }
-                Op::Branch { else_target } => {
-                    let taken = pop(stack).truthy();
-                    hooks.on_branch(frame.rid, &frame.hid, taken);
-                    if !taken {
-                        pc = else_target as usize;
-                        continue;
-                    }
-                }
-                Op::Jump(t) => {
-                    pc = t as usize;
-                    continue;
-                }
-                Op::LoopEnter => loops.push(0),
-                Op::LoopBranch { end } => {
-                    let taken = pop(stack).truthy();
-                    hooks.on_branch(frame.rid, &frame.hid, taken);
-                    if taken {
-                        let iters = loops.last_mut().expect("compiler balances loop counters");
-                        *iters += 1;
-                        if *iters > self.cfg.loop_limit {
-                            return Err(RuntimeError::new("while loop exceeded iteration limit"));
-                        }
-                    } else {
-                        loops.pop();
-                        pc = end as usize;
-                        continue;
-                    }
-                }
-                Op::ForEnter => {
-                    let list_v = pop(stack);
-                    if list_v.as_list().is_none() {
-                        return Err(RuntimeError::type_error("for-each", &list_v));
-                    }
-                    iters.push((list_v, 0));
-                }
-                Op::ForNext { slot, end } => {
-                    let (list_v, idx) = iters.last_mut().expect("compiler balances iterators");
-                    match list_v.as_list().and_then(|l| l.get(*idx)).cloned() {
-                        Some(item) => {
-                            *idx += 1;
-                            hooks.on_branch(frame.rid, &frame.hid, true);
-                            frame.locals[slot as usize] = Some(item);
-                        }
-                        None => {
-                            hooks.on_branch(frame.rid, &frame.hid, false);
-                            iters.pop();
-                            pc = end as usize;
-                            continue;
-                        }
-                    }
-                }
-                Op::Emit { event } => {
-                    let payload = pop(stack);
-                    frame.opnum += 1;
-                    let fns = self.registered_for(frame.rid, event);
-                    let activations: Vec<Activation> = fns
-                        .iter()
-                        .map(|&f| Activation {
-                            rid: frame.rid,
-                            hid: HandlerId::child(&frame.hid, f, frame.opnum),
-                            function: f,
-                            payload: payload.clone(),
-                        })
-                        .collect();
-                    let hids: Vec<HandlerId> = activations.iter().map(|a| a.hid.clone()).collect();
-                    let event_name = self.code.interner.resolve(event);
-                    hooks.on_emit(frame.rid, &frame.hid, frame.opnum, event_name, &hids);
-                    if !activations.is_empty() {
-                        self.pending_events.push_back(PendingEvent { activations });
-                    }
-                }
-                Op::Register { event, function } => {
-                    frame.opnum += 1;
-                    let compiled = self.code;
-                    let regs = self.request_regs.entry(frame.rid).or_default();
-                    if regs.iter().any(|(e, g)| *e == event && *g == function)
-                        || compiled
-                            .global_regs
-                            .iter()
-                            .any(|(e, g)| *e == event && *g == function)
-                    {
-                        let fname = self
-                            .program
-                            .functions
-                            .get(function.0 as usize)
-                            .map_or("?", |fun| fun.name.as_str());
-                        let ename = compiled.interner.resolve(event);
-                        return Err(RuntimeError::new(format!(
-                            "function {fname:?} already registered for event {ename:?}"
-                        )));
-                    }
-                    regs.push((event, function));
-                    let event_name = compiled.interner.resolve(event);
-                    hooks.on_register(frame.rid, &frame.hid, frame.opnum, event_name, function);
-                }
-                Op::Unregister { event, function } => {
-                    frame.opnum += 1;
-                    if let Some(regs) = self.request_regs.get_mut(&frame.rid) {
-                        regs.retain(|(e, g)| !(*e == event && *g == function));
-                    }
-                    let event_name = self.code.interner.resolve(event);
-                    hooks.on_unregister(frame.rid, &frame.hid, frame.opnum, event_name, function);
-                }
-                Op::Respond => {
-                    let v = pop(stack);
-                    match self.responded.get_mut(&frame.rid) {
-                        Some(done) if !*done => *done = true,
-                        Some(_) => {
-                            return Err(RuntimeError::new(format!(
-                                "request {} responded twice",
-                                frame.rid
-                            )))
-                        }
-                        None => {
-                            return Err(RuntimeError::new(format!(
-                                "response for unknown request {}",
-                                frame.rid
-                            )))
-                        }
-                    }
-                    hooks.on_respond(frame.rid, &frame.hid, frame.opnum, &v);
-                    self.trace.push_response(frame.rid, v);
-                    self.in_flight -= 1;
-                }
-                Op::TxToken => {
-                    // The token is validated between operand evaluations:
-                    // a bad one fails before the key or the context is
-                    // evaluated. Peek — the terminal tx op still needs it.
-                    let tx_v = stack.last().expect("compiler balances the operand stack");
-                    if tx_v.as_int().is_none() {
-                        return Err(RuntimeError::type_error("transaction token", tx_v));
-                    }
-                }
-                Op::RowKey => {
-                    let kv = stack.last().expect("compiler balances the operand stack");
-                    if kv.as_str().is_none() {
-                        return Err(RuntimeError::type_error("row key", kv));
-                    }
-                }
-                Op::TxStart { on_done } => {
-                    let ctx = pop(stack);
-                    frame.opnum += 1;
-                    self.pending_db.push_back(PendingDb {
-                        rid: frame.rid,
-                        parent: frame.hid.clone(),
-                        opnum: frame.opnum,
-                        kind: TxOpKind::Start,
-                        txn: None,
-                        key: None,
-                        value: None,
-                        ctx,
-                        on_done,
-                    });
-                }
-                Op::TxGet { on_done } => {
-                    let ctx = pop(stack);
-                    let key = pop(stack);
-                    let tx_v = pop(stack);
-                    self.queue_tx_vals(frame, TxOpKind::Get, tx_v, Some(key), None, ctx, on_done)?;
-                }
-                Op::TxPut { on_done } => {
-                    let ctx = pop(stack);
-                    let value = pop(stack);
-                    let key = pop(stack);
-                    let tx_v = pop(stack);
-                    self.queue_tx_vals(
-                        frame,
-                        TxOpKind::Put,
-                        tx_v,
-                        Some(key),
-                        Some(value),
-                        ctx,
-                        on_done,
-                    )?;
-                }
-                Op::TxCommit { on_done } => {
-                    let ctx = pop(stack);
-                    let tx_v = pop(stack);
-                    self.queue_tx_vals(frame, TxOpKind::Commit, tx_v, None, None, ctx, on_done)?;
-                }
-                Op::TxAbort { on_done } => {
-                    let ctx = pop(stack);
-                    let tx_v = pop(stack);
-                    self.queue_tx_vals(frame, TxOpKind::Abort, tx_v, None, None, ctx, on_done)?;
-                }
-                Op::ListenerCount { slot, event } => {
-                    frame.opnum += 1;
-                    let count = self.registered_for(frame.rid, event).len() as i64;
-                    let event_name = self.code.interner.resolve(event);
-                    hooks.on_check_op(frame.rid, &frame.hid, frame.opnum, event_name, count);
-                    frame.locals[slot as usize] = Some(Value::Int(count));
-                }
-                Op::Nondet { slot, kind } => {
-                    frame.opnum += 1;
-                    let generated = match kind {
-                        NondetKind::Counter => {
-                            self.nondet_counter += 1;
-                            Value::Int(self.nondet_counter)
-                        }
-                        NondetKind::Random { bound } => {
-                            Value::Int(self.nondet_rng.gen_range(0..bound.max(1)))
-                        }
-                    };
-                    let v = hooks
-                        .on_nondet(frame.rid, &frame.hid, frame.opnum, &generated)
-                        .unwrap_or(generated);
-                    frame.locals[slot as usize] = Some(v);
-                }
-                Op::Ret => return Ok(()),
-            }
-            pc += 1;
-        }
-    }
-
-    /// Queues a non-start transactional op from its evaluated operands
-    /// (the conversions cannot fail here: `Op::TxToken` / `Op::RowKey`
-    /// screened the token and the key on the way).
-    #[allow(clippy::too_many_arguments)]
-    fn queue_tx_vals(
-        &mut self,
-        frame: &mut Frame<'_>,
-        kind: TxOpKind,
-        tx_v: Value,
-        key: Option<Value>,
-        value: Option<Value>,
-        ctx: Value,
-        on_done: FunctionId,
-    ) -> Result<(), RuntimeError> {
-        let txn = tx_v
-            .as_int()
-            .map(|i| TxnId(i as u64))
-            .ok_or_else(|| RuntimeError::type_error("transaction token", &tx_v))?;
-        let key = match key {
-            Some(kv) => Some(
-                kv.as_str()
-                    .map(str::to_string)
-                    .ok_or_else(|| RuntimeError::type_error("row key", &kv))?,
-            ),
-            None => None,
-        };
-        frame.opnum += 1;
-        self.pending_db.push_back(PendingDb {
-            rid: frame.rid,
-            parent: frame.hid.clone(),
-            opnum: frame.opnum,
-            kind,
-            txn: Some(txn),
-            key,
-            value,
-            ctx,
-            on_done,
-        });
+        hooks.on_handler_fuel(rid, &hid, self.fuel - fuel_before);
         Ok(())
     }
 
@@ -911,6 +497,223 @@ impl<'p> Runtime<'p> {
             out.extend(regs.iter().filter(|(e, _)| *e == event).map(|(_, f)| *f));
         }
         out
+    }
+}
+
+impl<H: ExecHooks> ServerMachine<'_, '_, H> {
+    /// Numbers the activation's next operation.
+    fn next_op(&mut self) -> u32 {
+        self.opnum += 1;
+        self.opnum
+    }
+
+    /// Queues a transactional operation, numbered as the next one.
+    fn queue_db(
+        &mut self,
+        kind: TxOpKind,
+        txn: Option<TxnId>,
+        key: Option<String>,
+        value: Option<Value>,
+        ctx: Value,
+        on_done: FunctionId,
+    ) {
+        let opnum = self.next_op();
+        self.rt.pending_db.push_back(PendingDb {
+            rid: self.rid,
+            parent: self.hid.clone(),
+            opnum,
+            kind,
+            txn,
+            key,
+            value,
+            ctx,
+            on_done,
+        });
+    }
+}
+
+impl<H: ExecHooks> Machine for ServerMachine<'_, '_, H> {
+    type Operand = Value;
+    type Error = RuntimeError;
+
+    fn width(&self) -> usize {
+        1
+    }
+
+    fn loop_limit(&self) -> u32 {
+        self.rt.cfg.loop_limit
+    }
+
+    /// Errors once the configured budget is exhausted, leaving the
+    /// meter at `limit + 1`: where the first over-budget unit stops it.
+    #[inline]
+    fn charge(&mut self, units: u32) -> Result<(), RuntimeError> {
+        let (fuel, limit) = (&mut self.rt.fuel, self.rt.cfg.fuel_limit);
+        let new = fuel.saturating_add(u64::from(units));
+        if new > limit {
+            *fuel = limit.saturating_add(1);
+            return Err(RuntimeError::new("interpreter fuel budget exhausted"));
+        }
+        *fuel = new;
+        Ok(())
+    }
+
+    fn on_branch(&mut self, taken: bool) {
+        self.hooks.on_branch(self.rid, &self.hid, taken);
+    }
+
+    fn shared_read(&mut self, var: VarId, loggable: bool) -> Result<Value, RuntimeError> {
+        let v = self.rt.vars[var.0 as usize].clone();
+        if loggable {
+            let op = self.next_op();
+            self.hooks.on_var_read(var, self.rid, &self.hid, op, &v);
+        }
+        Ok(v)
+    }
+
+    fn shared_write(&mut self, var: VarId, loggable: bool, v: Value) -> Result<(), RuntimeError> {
+        if loggable {
+            let op = self.next_op();
+            self.hooks.on_var_write(var, self.rid, &self.hid, op, &v);
+        }
+        self.rt.vars[var.0 as usize] = v;
+        Ok(())
+    }
+
+    fn emit(&mut self, event: Sym, payload: Value) -> Result<(), RuntimeError> {
+        let op = self.next_op();
+        let activations: Vec<Activation> = (self.rt.registered_for(self.rid, event).iter())
+            .map(|&f| Activation {
+                rid: self.rid,
+                hid: HandlerId::child(&self.hid, f, op),
+                function: f,
+                payload: payload.clone(),
+            })
+            .collect();
+        let hids: Vec<HandlerId> = activations.iter().map(|a| a.hid.clone()).collect();
+        let name = self.rt.code.interner.resolve(event);
+        self.hooks.on_emit(self.rid, &self.hid, op, name, &hids);
+        if !activations.is_empty() {
+            let pending = &mut self.rt.pending_events;
+            pending.push_back(PendingEvent { activations });
+        }
+        Ok(())
+    }
+
+    fn register(&mut self, event: Sym, function: FunctionId) -> Result<(), RuntimeError> {
+        let op = self.next_op();
+        let compiled = self.rt.code;
+        let regs = self.rt.request_regs.entry(self.rid).or_default();
+        let this = |&(e, g): &(Sym, FunctionId)| e == event && g == function;
+        if regs.iter().any(this) || compiled.global_regs.iter().any(this) {
+            let functions = &self.rt.program.functions;
+            let fname = functions.get(function.0 as usize).map_or("?", |f| &f.name);
+            let ename = compiled.interner.resolve(event);
+            return Err(RuntimeError::new(format!(
+                "function {fname:?} already registered for event {ename:?}"
+            )));
+        }
+        regs.push((event, function));
+        let name = compiled.interner.resolve(event);
+        self.hooks
+            .on_register(self.rid, &self.hid, op, name, function);
+        Ok(())
+    }
+
+    fn unregister(&mut self, event: Sym, function: FunctionId) -> Result<(), RuntimeError> {
+        let op = self.next_op();
+        if let Some(regs) = self.rt.request_regs.get_mut(&self.rid) {
+            regs.retain(|(e, g)| !(*e == event && *g == function));
+        }
+        let name = self.rt.code.interner.resolve(event);
+        self.hooks
+            .on_unregister(self.rid, &self.hid, op, name, function);
+        Ok(())
+    }
+
+    fn respond(&mut self, v: Value) -> Result<(), RuntimeError> {
+        let rid = self.rid;
+        match self.rt.responded.get_mut(&rid) {
+            Some(done) if !*done => *done = true,
+            Some(_) => return Err(RuntimeError::new(format!("request {rid} responded twice"))),
+            None => {
+                return Err(RuntimeError::new(format!(
+                    "response for unknown request {rid}"
+                )))
+            }
+        }
+        self.hooks.on_respond(rid, &self.hid, self.opnum, &v);
+        self.rt.trace.push_response(rid, v);
+        self.rt.in_flight -= 1;
+        Ok(())
+    }
+
+    // The token and the key are validated between operand evaluations:
+    // a bad one fails before the next operand is evaluated.
+    fn screen_token(&mut self, tx: &Value) -> Result<(), RuntimeError> {
+        let ok = tx.as_int().is_some();
+        ok.then_some(())
+            .ok_or_else(|| RuntimeError::type_error("transaction token", tx))
+    }
+
+    fn screen_key(&mut self, key: &Value) -> Result<(), RuntimeError> {
+        let ok = key.as_str().is_some();
+        ok.then_some(())
+            .ok_or_else(|| RuntimeError::type_error("row key", key))
+    }
+
+    fn tx_start(&mut self, ctx: Value, on_done: FunctionId) -> Result<(), RuntimeError> {
+        self.queue_db(TxOpKind::Start, None, None, None, ctx, on_done);
+        Ok(())
+    }
+
+    // The conversions cannot fail here: `screen_token` / `screen_key`
+    // screened the token and the key on the way.
+    fn tx_op(
+        &mut self,
+        kind: TxOpKind,
+        tx: Value,
+        key: Option<Value>,
+        value: Option<Value>,
+        ctx: Value,
+        on_done: FunctionId,
+    ) -> Result<(), RuntimeError> {
+        let txn = tx
+            .as_int()
+            .map(|i| TxnId(i as u64))
+            .ok_or_else(|| RuntimeError::type_error("transaction token", &tx))?;
+        let key = match key {
+            Some(kv) => Some(
+                kv.as_str()
+                    .map(str::to_string)
+                    .ok_or_else(|| RuntimeError::type_error("row key", &kv))?,
+            ),
+            None => None,
+        };
+        self.queue_db(kind, Some(txn), key, value, ctx, on_done);
+        Ok(())
+    }
+
+    fn listener_count(&mut self, event: Sym) -> Result<Value, RuntimeError> {
+        let op = self.next_op();
+        let count = self.rt.registered_for(self.rid, event).len() as i64;
+        let name = self.rt.code.interner.resolve(event);
+        self.hooks.on_check_op(self.rid, &self.hid, op, name, count);
+        Ok(Value::Int(count))
+    }
+
+    fn nondet(&mut self, kind: NondetKind) -> Result<Value, RuntimeError> {
+        let op = self.next_op();
+        let rt = &mut *self.rt;
+        let generated = Value::Int(match kind {
+            NondetKind::Counter => {
+                rt.nondet_counter += 1;
+                rt.nondet_counter
+            }
+            NondetKind::Random { bound } => rt.nondet_rng.gen_range(0..bound.max(1)),
+        });
+        let fed = self.hooks.on_nondet(self.rid, &self.hid, op, &generated);
+        Ok(fed.unwrap_or(generated))
     }
 }
 

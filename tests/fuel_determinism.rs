@@ -14,7 +14,7 @@ use karousos::{
     ExhaustMutator, Limits, RejectReason, ResourceKind,
 };
 use kem::dsl::*;
-use kem::{ProgramBuilder, ServerConfig, Value};
+use kem::{run_server, ExecHooks, HandlerId, ProgramBuilder, RequestId, ServerConfig, Value};
 use kvstore::IsolationLevel;
 use proptest::prelude::*;
 use workload::{Experiment, Mix};
@@ -166,4 +166,92 @@ fn exhaustion_point_is_interpreter_independent_at_every_unit() {
         );
     }
     assert_eq!(audit(bill).map(|a| a.reexec.fuel_spent), Ok(bill));
+}
+
+/// The server's side of the test above, on the same program. The server
+/// runs fused windows in place too (`kem::vm`): it charges a window op
+/// by op and reports the `LoopBranch` tail's branch bit, so at every
+/// budget below its bill it stops on the fuel meter, the branch bits it
+/// reported never fall as the budget grows, and at the bill its trace
+/// and advice are the unmetered run's, byte for byte.
+#[test]
+fn server_exhaustion_is_op_by_op_at_every_unit() {
+    let mut b = ProgramBuilder::new();
+    b.function(
+        "handle",
+        vec![
+            let_("n", len(field(payload(), "s"))),
+            let_("i", lit(0i64)),
+            while_(
+                lt(local("i"), lit(3i64)),
+                vec![
+                    let_(
+                        "n",
+                        modulo(add(mul(local("n"), lit(5i64)), lit(3i64)), lit(11i64)),
+                    ),
+                    let_("i", add(local("i"), lit(1i64))),
+                ],
+            ),
+            respond(add(local("n"), lit(1i64))),
+        ],
+    );
+    b.request_handler("handle");
+    let program = b.build().expect("program builds");
+    let inputs = vec![Value::map([("s", Value::str("ab"))]); 3];
+
+    /// Branch bits reported and fuel billed.
+    #[derive(Default)]
+    struct Probe {
+        bits: u64,
+        fuel: u64,
+    }
+    impl ExecHooks for Probe {
+        fn on_branch(&mut self, _: RequestId, _: &HandlerId, _: bool) {
+            self.bits += 1;
+        }
+        fn on_handler_fuel(&mut self, _: RequestId, _: &HandlerId, fuel: u64) {
+            self.fuel += fuel;
+        }
+    }
+    let config = |fuel_limit| ServerConfig {
+        fuel_limit,
+        ..ServerConfig::default()
+    };
+    let serve = |fuel_limit| {
+        let mut probe = Probe::default();
+        let out = run_server(&program, &inputs, &config(fuel_limit), &mut probe);
+        (out.map(|_| ()).map_err(|e| e.message), probe)
+    };
+    let (unmetered, probe) = serve(u64::MAX);
+    assert_eq!(unmetered, Ok(()));
+    // Three trips and the exit, per request: four loop decisions.
+    assert_eq!(probe.bits, 3 * 4, "one bit per loop decision");
+    let bill = probe.fuel;
+    assert!((50..200).contains(&bill), "bill {bill}");
+    let mut bits = 0;
+    for limit in 0..bill {
+        let (out, probe) = serve(limit);
+        assert_eq!(
+            out,
+            Err("interpreter fuel budget exhausted".to_string()),
+            "fuel_limit={limit}"
+        );
+        assert!(probe.bits >= bits, "fuel_limit={limit}: bits fell");
+        bits = probe.bits;
+    }
+    let (at_bill, probe) = serve(bill);
+    assert_eq!(at_bill, Ok(()));
+    assert_eq!(probe.bits, 3 * 4);
+    let collect = |fuel_limit| {
+        run_instrumented_server_encoded(
+            &program,
+            &inputs,
+            &config(fuel_limit),
+            CollectorMode::Karousos,
+        )
+        .expect("runs within its bill")
+    };
+    let ((unmetered, advice), (billed, billed_advice)) = (collect(u64::MAX), collect(bill));
+    assert_eq!(billed.trace, unmetered.trace);
+    assert_eq!(billed_advice, advice);
 }
