@@ -58,16 +58,64 @@ pub use check::{check_isolation, Violation};
 pub use dsg::{Dsg, EdgeKind};
 pub use history::{History, HistoryBuilder, OpRef, TxnId};
 
-/// The isolation level to check a history against.
-///
-/// Mirrors `kvstore::IsolationLevel`; the two are kept separate so this
-/// crate stays dependency-free, with conversions done by callers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+/// The isolation level a store provides and a history is checked
+/// against: the three levels Karousos supports (§4.4). Snapshot
+/// isolation is future work in the paper and is not offered here either.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum IsolationLevel {
-    /// PL-1: proscribes G0.
+    /// PL-1, proscribes G0. Dirty reads allowed: a `GET` may observe
+    /// uncommitted writes of concurrent transactions. Writes still take
+    /// write locks so that the global write order is well defined.
     ReadUncommitted,
-    /// PL-2: proscribes G0 and G1 (G1a, G1b, G1c).
+    /// PL-2, proscribes G0 and G1 (G1a, G1b, G1c). A `GET` observes only
+    /// committed state (plus the transaction's own writes); writers take
+    /// exclusive per-key write locks until commit/abort.
     ReadCommitted,
-    /// PL-3: proscribes G0, G1, and G2.
+    /// PL-3, proscribes G0, G1 and G2. Strict two-phase locking: shared
+    /// read locks and exclusive write locks held until commit/abort.
+    /// Conflicts abort immediately rather than block, so schedules stay
+    /// deterministic and deadlock-free.
+    #[default]
     Serializable,
+}
+
+impl IsolationLevel {
+    /// Returns every supported level, in increasing strength.
+    pub const ALL: [IsolationLevel; 3] = [
+        IsolationLevel::ReadUncommitted,
+        IsolationLevel::ReadCommitted,
+        IsolationLevel::Serializable,
+    ];
+
+    /// Returns a short lowercase name, handy for benchmark labels.
+    pub fn name(self) -> &'static str {
+        match self {
+            IsolationLevel::ReadUncommitted => "read-uncommitted",
+            IsolationLevel::ReadCommitted => "read-committed",
+            IsolationLevel::Serializable => "serializable",
+        }
+    }
+}
+
+impl std::fmt::Display for IsolationLevel {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(self.name())
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::IsolationLevel;
+
+    #[test]
+    fn isolation_names_are_distinct() {
+        let names: Vec<_> = IsolationLevel::ALL.iter().map(|l| l.name()).collect();
+        assert_eq!(names.len(), 3);
+        assert!(names.windows(2).all(|w| w[0] != w[1]));
+    }
+
+    #[test]
+    fn default_is_serializable() {
+        assert_eq!(IsolationLevel::default(), IsolationLevel::Serializable);
+    }
 }

@@ -19,8 +19,8 @@ use kem::{ExecHooks, Fnv, HandlerId, OpRef, RequestId, TxOpKind, TxOpRecord, Val
 use kvstore::{Binlog, TxnId};
 
 use crate::advice::{
-    AccessType, Advice, HandlerLogEntry, HandlerOp, KTxId, TxLogEntry, TxOpContents, TxOpType,
-    TxPos, VarLogEntry,
+    AccessType, Advice, HandlerLogEntry, HandlerOp, KTxId, TxLogEntry, TxOpContents, TxPos,
+    VarLogEntry,
 };
 use crate::rorder::r_concurrent;
 
@@ -456,7 +456,7 @@ impl ExecHooks for Collector {
                 vec![TxLogEntry {
                     hid: hid.clone(),
                     opnum,
-                    optype: TxOpType::Start,
+                    optype: TxOpKind::Start,
                     key: None,
                     contents: TxOpContents::None,
                 }],
@@ -472,7 +472,7 @@ impl ExecHooks for Collector {
             TxLogEntry {
                 hid: hid.clone(),
                 opnum,
-                optype: TxOpType::Abort,
+                optype: TxOpKind::Abort,
                 key: record.key.clone(),
                 contents: TxOpContents::None,
             }
@@ -481,7 +481,7 @@ impl ExecHooks for Collector {
                 TxOpKind::Get => TxLogEntry {
                     hid: hid.clone(),
                     opnum,
-                    optype: TxOpType::Get,
+                    optype: TxOpKind::Get,
                     key: record.key.clone(),
                     contents: TxOpContents::Get {
                         from: record.writer.map(|w| TxPos {
@@ -497,7 +497,7 @@ impl ExecHooks for Collector {
                 TxOpKind::Put => TxLogEntry {
                     hid: hid.clone(),
                     opnum,
-                    optype: TxOpType::Put,
+                    optype: TxOpKind::Put,
                     key: record.key.clone(),
                     contents: TxOpContents::Put {
                         value: record.value.clone().expect("PUT records carry a value"),
@@ -506,14 +506,14 @@ impl ExecHooks for Collector {
                 TxOpKind::Commit => TxLogEntry {
                     hid: hid.clone(),
                     opnum,
-                    optype: TxOpType::Commit,
+                    optype: TxOpKind::Commit,
                     key: None,
                     contents: TxOpContents::None,
                 },
                 TxOpKind::Abort => TxLogEntry {
                     hid: hid.clone(),
                     opnum,
-                    optype: TxOpType::Abort,
+                    optype: TxOpKind::Abort,
                     key: None,
                     contents: TxOpContents::None,
                 },
@@ -814,12 +814,12 @@ mod tests {
             .tx_logs
             .values()
             .flatten()
-            .find(|e| e.optype == TxOpType::Get)
+            .find(|e| e.optype == TxOpKind::Get)
             .expect("a GET was logged");
         match &get_entry.contents {
             TxOpContents::Get { from: Some(pos) } => {
                 let w = advice.tx_entry(pos).unwrap();
-                assert_eq!(w.optype, TxOpType::Put);
+                assert_eq!(w.optype, TxOpKind::Put);
                 assert_eq!(w.key.as_deref(), Some("k"));
             }
             other => panic!("unexpected GET contents: {other:?}"),

@@ -31,11 +31,13 @@
 //! seed, so any failure reproduces from `(mutator, seed)` alone.
 
 use kem::pvalue::{CHUNK, MAX_CHECKED_HEIGHT};
-use kem::{FunctionId, HandlerId, OpRef, Program, RequestId, Trace, Value, VarId};
+use kem::{FunctionId, HandlerId, OpRef, Program, RequestId, Trace, TxOpKind, Value, VarId};
 
-use crate::advice::{Advice, KTxId, TxOpContents, TxOpType, TxPos};
+use crate::advice::{Advice, KTxId, TxOpContents, TxPos};
 use crate::verifier::{audit_encoded, AuditReport, RejectReason};
-use crate::wire::{decode_advice_view, encode_advice, put_uvar, AdviceView, TxOpContentsView};
+use crate::wire::{
+    decode_advice_view, encode_advice, put_uvar, AdviceView, AdviceViewExt, TxOpContentsView,
+};
 
 /// What a correct verifier must do with a mutation's output.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -382,7 +384,7 @@ impl Mutator {
                     .flat_map(|(tx, log)| {
                         log.iter()
                             .enumerate()
-                            .filter(|(_, e)| e.optype == TxOpType::Get)
+                            .filter(|(_, e)| e.optype == TxOpKind::Get)
                             .map(|(i, _)| (tx.clone(), i))
                             .collect::<Vec<_>>()
                     })
@@ -1660,14 +1662,14 @@ mod tests {
                 TxLogEntry {
                     hid: hid.clone(),
                     opnum: 1,
-                    optype: TxOpType::Start,
+                    optype: TxOpKind::Start,
                     key: None,
                     contents: TxOpContents::None,
                 },
                 TxLogEntry {
                     hid: hid.clone(),
                     opnum: 2,
-                    optype: TxOpType::Put,
+                    optype: TxOpKind::Put,
                     key: Some("k".into()),
                     contents: TxOpContents::Put {
                         value: Value::Int(1),
@@ -1676,7 +1678,7 @@ mod tests {
                 TxLogEntry {
                     hid: hid.clone(),
                     opnum: 3,
-                    optype: TxOpType::Get,
+                    optype: TxOpKind::Get,
                     key: Some("k".into()),
                     contents: TxOpContents::Get {
                         from: Some(TxPos {

@@ -1,126 +1,28 @@
-//! Binary wire codec for [`Advice`].
-//!
-//! The evaluation's Figure 8 reports the *size of the advice sent from
-//! the server to the verifier*; this module defines the bytes that
-//! would cross that wire. It is a small self-contained tag-length-value
-//! codec (no external dependencies), round-trip property-tested, with a
-//! per-section size breakdown used by the benchmark harness (the paper
-//! reports, e.g., that variable logs are ~95% of MOTD advice, §6.3).
-//!
-//! **Tables and the value pool** (DESIGN.md §20). Advice names a few
-//! hundred distinct strings and a few dozen handler ids tens of
-//! thousands of times, and successive versions of a logged value (a
-//! [`kem::pvalue`] tree) share all but one root-to-leaf path. Each
-//! crosses the wire once: a string table and a handler-id table ahead
-//! of the first section that names them, and a *pool* of container
-//! nodes ahead of the first value. An entry names only entries before
-//! it, and a value is a scalar, a container written out inline (when
-//! none of its nodes occurs twice), or a reference to a pool node:
-//!
-//! ```text
-//! advice  := tags strings hids handler_logs pool var_logs tx_logs
-//!            write_order response_emitted_by opcounts nondet
-//! strings := uvar(n) (uvar(len) utf8){n}
-//! hids    := uvar(n) (uvar(parent + 1) uvar(fn) uvar(opnum)){n}   parent < index
-//! str     := uvar(index into strings)       event names, row keys, map keys
-//! hid     := uvar(index into hids)          in oprefs, tx ids, every log
-//! pool    := uvar(count) node*
-//! node    := 0 uvar(w) (str value){w}       map leaf, keys ascending
-//!          | 1 uvar(w) uvar(id){w}          map branch over earlier map nodes
-//!          | 2 uvar(w) value{w}             list leaf
-//!          | 3 uvar(w) uvar(id){w}          list branch over earlier list nodes
-//! value   := 0 | 1 bool | 2 zigzag | 3 str
-//!          | 4 uvar(n) value{n} | 5 uvar(n) (str value){n}
-//!          | 6 uvar(id)                     the container rooted at pool node id
-//! ```
+//! The advice encoder: the bytes the server sends, in the format the
+//! verifier's [`karousos_verify::wire`] defines and decodes.
 //!
 //! The encoder finds repeats by identity first — the `Arc` behind a
 //! string, handler id or node — and by content second, and numbers
 //! table entries and pool nodes in the order it first needs them, so
-//! [`encode_advice`] stays a pure function of the advice.
-//!
-//! There is **one** section walk, [`decode_advice_view_bounded`]: it
-//! builds a borrowed [`AdviceView`] — what every audit decodes. Each
-//! table entry is checked and built once — a string stays a slice of
-//! the input, a handler id is one [`HandlerId::child`] of its parent —
-//! and a reference is a bounds-checked index. A logged value stays the
-//! validated bytes it occupies ([`RawValue`]), and the pool is built
-//! once, through the checked constructors of [`kem::pvalue`]. The view
-//! converts three ways: to the verifier's working form
-//! ([`crate::AdviceRef::from_view`]), to an owned [`Advice`] for the
-//! editors and structural mutators ([`AdviceView::to_advice`];
+//! [`encode_advice`] stays a pure function of the advice. A decoded
+//! [`AdviceView`] converts back to an owned [`Advice`] for the editors
+//! and structural mutators ([`AdviceViewExt::to_advice`];
 //! [`decode_advice`] is the decode plus that), and back to bytes in
-//! stored order for hostile-bytes generators ([`AdviceView::encode`]).
-//!
-//! Values have **one** reader, [`Decoder::walk_value`], driven by a
-//! [`ValueSink`] that checks each string reference: the view decoder's
-//! builds only a copy of each table string a value names, once, in the
-//! view's [`kem::ValueInterner`]; [`Materializer`] builds the pool; and
-//! [`RawValue::to_value`] — how [`crate::AdviceRef::from_view`] turns
-//! spans into the values replay retains — shares those copies and the
-//! pool's nodes, where a reference is one `Arc` bump. The node budget
-//! charges a reference what it would have cost written out in place — a
-//! pool reference its container's elements ([`Decoder::charge`]), a
-//! handler-id reference its path's steps, a string reference nothing —
-//! so it keeps counting *logical* elements; what the tables and the pool
-//! section themselves declare is held against the same budget apart from
-//! them ([`Decoder::table_len`], [`Decoder::pool_wire`]).
+//! stored order for hostile-bytes generators ([`AdviceViewExt::encode`]).
 
 use std::collections::{BTreeMap, HashMap};
 use std::hash::Hasher;
 use std::ops::Range;
-use std::sync::Arc;
 
-use kem::pvalue::{ListNodeRef, MapNodeRef, PList, PMap, CHUNK};
-use kem::{FunctionId, HandlerId, OpRef, RequestId, Value, ValueInterner, VarId};
+pub use karousos_verify::wire::*;
+use karousos_verify::{audit_encoded, AuditReport, RejectReason};
+use kem::pvalue::{ListNodeRef, MapNodeRef};
+use kem::{HandlerId, OpRef, Program, RequestId, Trace, TxOpKind, Value};
+use kvstore::IsolationLevel;
 
 use crate::advice::{
-    AccessType, Advice, HandlerLogEntry, HandlerOp, KTxId, TxLogEntry, TxOpContents, TxOpType,
-    TxPos, VarLogEntry,
+    Advice, HandlerLogEntry, HandlerOp, KTxId, TxLogEntry, TxOpContents, TxPos, VarLogEntry,
 };
-
-/// A decoding failure.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WireError {
-    /// Byte offset where decoding failed.
-    pub offset: usize,
-    /// What was being decoded.
-    pub what: &'static str,
-    /// The pool node being decoded, if the failure is inside the pool.
-    /// Four bytes, not eight: every read the decoder makes returns a
-    /// `Result` that is this wide, and at 40 bytes decoding pool-less
-    /// advice measured 10 % slower than at 32.
-    pub node: Option<u32>,
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(
-            f,
-            "wire decode error at byte {}: {}",
-            self.offset, self.what
-        )?;
-        match self.node {
-            Some(node) => write!(f, " (pool node {node})"),
-            None => Ok(()),
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-/// Pool node kinds. The low bit says branch, the next says list.
-const MAP_LEAF: u8 = 0;
-const MAP_BRANCH: u8 = 1;
-const LIST_LEAF: u8 = 2;
-const LIST_BRANCH: u8 = 3;
-
-fn is_branch(kind: u8) -> bool {
-    kind & 1 == 1
-}
-
-/// The value tag of a reference to a pool node.
-const REF: u8 = 6;
 
 /// In an [`Encoder`]'s buffer, stands where a container goes until
 /// [`Encoder::finish`] decides how to write it: this byte, then the
@@ -276,7 +178,7 @@ pub struct Encoder<'e> {
 }
 
 /// Appends `v` as a LEB128-style varint.
-pub(crate) fn put_uvar(out: &mut Vec<u8>, mut v: u64) {
+pub fn put_uvar(out: &mut Vec<u8>, mut v: u64) {
     loop {
         let byte = (v & 0x7f) as u8;
         v >>= 7;
@@ -359,23 +261,23 @@ impl<'e> Encoder<'e> {
     /// container and returns its canonical root.
     fn put_value(&mut self, v: &'e Value) -> Option<usize> {
         match v {
-            Value::Null => self.u8(0),
+            Value::Null => self.u8(NULL),
             Value::Bool(b) => {
-                self.u8(1);
+                self.u8(BOOL);
                 self.u8(*b as u8);
             }
             Value::Int(i) => {
-                self.u8(2);
+                self.u8(INT);
                 self.i64(*i);
             }
             Value::Str(s) => {
-                self.u8(3);
+                self.u8(STR);
                 self.str(s, true);
             }
             // All empty containers are one static node; a reference to
             // it would be longer than writing it out.
-            Value::List(l) if l.is_empty() => self.buf.extend_from_slice(&[4, 0]),
-            Value::Map(m) if m.is_empty() => self.buf.extend_from_slice(&[5, 0]),
+            Value::List(l) if l.is_empty() => self.buf.extend_from_slice(&[LIST, 0]),
+            Value::Map(m) if m.is_empty() => self.buf.extend_from_slice(&[MAP, 0]),
             Value::List(l) => {
                 let root = self.list_node(l.root());
                 return Some(self.hole(root));
@@ -505,7 +407,7 @@ impl<'e> Encoder<'e> {
 
     /// An already-encoded value, verbatim.
     fn raw(&mut self, v: RawValue<'_>) {
-        self.buf.extend_from_slice(v.0);
+        self.buf.extend_from_slice(v.bytes());
     }
 
     fn rid(&mut self, r: RequestId) {
@@ -563,7 +465,7 @@ impl<'e> Encoder<'e> {
 
     /// A transaction-log entry up to its contents. Access and operation
     /// types are written as their declaration order.
-    fn tx_head(&mut self, hid: &'e HandlerId, opnum: u32, optype: TxOpType, key: Option<&'e str>) {
+    fn tx_head(&mut self, hid: &'e HandlerId, opnum: u32, optype: TxOpKind, key: Option<&'e str>) {
         self.hid(hid);
         self.uvar(opnum as u64);
         self.u8(optype as u8);
@@ -746,7 +648,7 @@ impl<'c> Fill<'c> {
             out.push(REF);
             put_uvar(out, self.pool_index(c));
         } else {
-            out.push(if node.kind < LIST_LEAF { 5 } else { 4 });
+            out.push(if node.kind < LIST_LEAF { MAP } else { LIST });
             put_uvar(out, node.len as u64);
             self.entries(c, out);
         }
@@ -764,713 +666,6 @@ impl<'c> Fill<'c> {
             let key = &self.canon.arena[node.key.clone()];
             self.splice(&key[node.header..], node.header, holes, false, out);
         }
-    }
-}
-
-/// The [`WireError::what`] label reported when a decode exceeds its
-/// node budget ([`decode_advice_view_bounded`]). A sentinel so callers
-/// can distinguish budget exhaustion (a resource verdict) from
-/// structural malformation (a malformed-advice verdict).
-pub const NODE_BUDGET_LABEL: &str = "decode node budget";
-
-/// Deepest a value may nest, through inline containers and pool
-/// references alike: keeps crafted bytes like `[[[[…` off the
-/// verifier's stack, in the decoder and in every recursive walk of the
-/// value after it.
-const MAX_VALUE_DEPTH: u32 = 64;
-
-/// What the decoder remembers of a pool node it has read: all that a
-/// reference to the node needs checked and charged, in O(1).
-#[derive(Debug, Clone, Copy)]
-struct PoolMeta {
-    /// Elements a reader of the container rooted here walks — what the
-    /// node budget would have been charged had it been written inline —
-    /// saturating.
-    logical: u64,
-    /// Levels of value nesting at and below the node's entries.
-    depth: u32,
-}
-
-/// Byte-stream decoder.
-#[derive(Debug)]
-pub struct Decoder<'a> {
-    buf: &'a [u8],
-    pos: usize,
-    /// Total declared collection elements so far. Every collection
-    /// length — sections, per-entry logs, nested value lists/maps —
-    /// funnels through [`Decoder::len`], every pool reference adds what
-    /// its container holds ([`Decoder::charge`]) and every handler-id
-    /// reference the steps of its path, so this is a faithful count of
-    /// the elements anything walking the decoded advice will visit.
-    nodes: u64,
-    /// Cap on `nodes`; `u64::MAX` means unmetered.
-    node_budget: u64,
-    /// The pool nodes read so far.
-    pool: Vec<PoolMeta>,
-    /// The pool node being read: positioned errors name it, and
-    /// lengths written inline in it go on the pool's account too.
-    node: Option<u32>,
-    /// Deepest value nesting reached since last reset.
-    deepest: u32,
-    /// Rereading a span the validating walk accepted: pool references
-    /// were checked and charged then, against a pool this decoder has
-    /// not read.
-    validated: bool,
-    counts: ValueCounts,
-}
-
-/// What a decode met in value positions.
-#[derive(Debug, Clone, Copy, Default)]
-struct ValueCounts {
-    refs: u64,
-    inline_containers: u64,
-    /// The part of `nodes` that references outside the pool charged —
-    /// pool and handler-id references: elements described, not
-    /// declared.
-    referred: u64,
-    /// Elements the pool section declares — its node count, every
-    /// node's width, every length written inline in a node — each once,
-    /// however often the node is referred to.
-    pool_wire: u64,
-    /// Entries the string and handler-id tables declare.
-    tables: u64,
-}
-
-impl<'a> Decoder<'a> {
-    /// Creates a decoder over `buf`.
-    pub fn new(buf: &'a [u8]) -> Self {
-        Decoder {
-            buf,
-            pos: 0,
-            nodes: 0,
-            node_budget: u64::MAX,
-            pool: Vec::new(),
-            node: None,
-            deepest: 0,
-            validated: false,
-            counts: ValueCounts::default(),
-        }
-    }
-
-    /// Whether all bytes were consumed.
-    pub fn done(&self) -> bool {
-        self.pos == self.buf.len()
-    }
-
-    fn err_at(&self, offset: usize, what: &'static str) -> WireError {
-        WireError {
-            offset,
-            what,
-            node: self.node,
-        }
-    }
-
-    fn err(&self, what: &'static str) -> WireError {
-        self.err_at(self.pos, what)
-    }
-
-    /// Bytes not yet consumed.
-    fn remaining(&self) -> usize {
-        self.buf.len().saturating_sub(self.pos)
-    }
-
-    /// Reads a declared collection length and validates it against the
-    /// bytes actually remaining: every encoded element occupies at
-    /// least `min_elem_bytes`, so a declared length exceeding
-    /// `remaining / min_elem_bytes` cannot possibly be satisfied. This
-    /// caps `Vec::with_capacity` preallocation at what the input could
-    /// deliver — a 5-byte advice claiming 2^60 entries errors here
-    /// instead of reserving gigabytes.
-    fn count(&mut self, what: &'static str, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let start = self.pos;
-        let n = self.uvar(what)? as usize;
-        if n > self.remaining() / min_elem_bytes.max(1) {
-            // Report at the length's own position, not after it.
-            return Err(self.err_at(start, what));
-        }
-        Ok(n)
-    }
-
-    /// [`Decoder::count`], charged to the node budget: each declared
-    /// element is a node the decoder will materialize. Dense advice can
-    /// pack many small nodes per byte across nesting levels, so the
-    /// per-collection byte bound does not by itself cap total work.
-    fn len(&mut self, what: &'static str, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let start = self.pos;
-        let n = self.count(what, min_elem_bytes)?;
-        self.charge(n as u64, start)?;
-        Ok(n)
-    }
-
-    /// Holds `n` elements the pool section declares at `offset` against
-    /// the budget, in a count of the pool's own. The logical count pays
-    /// for a pool node where something refers to it, so a pool of nodes
-    /// nothing refers to would be free, and every one of them — leaf or
-    /// branch — is built. Outside it and the tables every element on
-    /// the wire is a logical one, so the three counts together bound
-    /// what a decode allocates by three times the budget.
-    fn pool_wire(&mut self, n: u64, offset: usize) -> Result<(), WireError> {
-        self.counts.pool_wire = self.counts.pool_wire.saturating_add(n);
-        if self.counts.pool_wire > self.node_budget {
-            return Err(self.err_at(offset, NODE_BUDGET_LABEL));
-        }
-        Ok(())
-    }
-
-    /// A table's entry count ([`Decoder::count`]), held against the
-    /// budget in a count the two tables share before room is made for
-    /// them: no reference pays for an entry, so none would be free.
-    fn table_len(&mut self, what: &'static str, min_elem_bytes: usize) -> Result<usize, WireError> {
-        let start = self.pos;
-        let n = self.count(what, min_elem_bytes)?;
-        self.counts.tables = self.counts.tables.saturating_add(n as u64);
-        if self.counts.tables > self.node_budget {
-            return Err(self.err_at(start, NODE_BUDGET_LABEL));
-        }
-        Ok(n)
-    }
-
-    /// Adds `n` elements, declared at `offset`, to the cumulative node
-    /// count. A reference to a pool node is charged here with the
-    /// node's whole logical size, as if the container had been written
-    /// out in its place: honest advice costs what it cost before there
-    /// was a pool, and a small pool that *describes* something huge —
-    /// node k holding node k−1 twice, forty deep — is the same typed
-    /// exhaustion a physically huge advice gets, found in O(1) per
-    /// reference and before anything downstream can walk the value.
-    fn charge(&mut self, n: u64, offset: usize) -> Result<(), WireError> {
-        self.nodes = self.nodes.saturating_add(n);
-        if self.nodes > self.node_budget {
-            return Err(self.err_at(offset, NODE_BUDGET_LABEL));
-        }
-        Ok(())
-    }
-
-    fn u8(&mut self, what: &'static str) -> Result<u8, WireError> {
-        let b = *self.buf.get(self.pos).ok_or_else(|| self.err(what))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn uvar(&mut self, what: &'static str) -> Result<u64, WireError> {
-        // Nearly every varint is a small length or index: one byte.
-        if let Some(&b) = self.buf.get(self.pos) {
-            if b & 0x80 == 0 {
-                self.pos += 1;
-                return Ok(b as u64);
-            }
-        }
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = self.u8(what)?;
-            let bits = (b & 0x7f) as u64;
-            // The tenth byte carries bit 63 alone: anything it shifts
-            // past bit 63 is a value wider than 64 bits, not a wrap.
-            if shift >= 64 || bits << shift >> shift != bits {
-                return Err(self.err(what));
-            }
-            v |= bits << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn u32v(&mut self, what: &'static str) -> Result<u32, WireError> {
-        let v = self.uvar(what)?;
-        u32::try_from(v).map_err(|_| self.err(what))
-    }
-
-    fn i64(&mut self, what: &'static str) -> Result<i64, WireError> {
-        let z = self.uvar(what)?;
-        Ok(((z >> 1) as i64) ^ -((z & 1) as i64))
-    }
-
-    /// Reads the string table: each entry checked once, a borrowed
-    /// slice of the input buffer, then named by index.
-    fn strings_table(&mut self) -> Result<Vec<&'a str>, WireError> {
-        // Every entry is at least its length byte.
-        let n = self.table_len("strings len", 1)?;
-        let mut strings = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = self.uvar("string")? as usize;
-            let end = self.pos.saturating_add(len);
-            let bytes = self
-                .buf
-                .get(self.pos..end)
-                .ok_or_else(|| self.err("string"))?;
-            strings.push(std::str::from_utf8(bytes).map_err(|_| self.err("string"))?);
-            self.pos = end;
-        }
-        Ok(strings)
-    }
-
-    /// Reads the handler-id table, building each id once, as a child of
-    /// the entry it names as its parent.
-    fn hids_table(&mut self) -> Result<Vec<HandlerId>, WireError> {
-        // Every entry is three varints.
-        let n = self.table_len("hids len", 3)?;
-        let mut hids: Vec<HandlerId> = Vec::with_capacity(n);
-        for _ in 0..n {
-            let start = self.pos;
-            let parent = self.uvar("hid parent")?;
-            let (f, op) = (FunctionId(self.u32v("hid fn")?), self.u32v("hid opnum")?);
-            // A parent is an earlier entry: no cycle can be written down.
-            let h = match parent.checked_sub(1) {
-                None => HandlerId::from_path(&[(f, op)]),
-                Some(p) => hids.get(p as usize).map(|p| HandlerId::child(p, f, op)),
-            };
-            hids.push(h.ok_or_else(|| self.err_at(start, "hid parent"))?);
-        }
-        Ok(hids)
-    }
-
-    /// A section's reference into `table`: a handler id, an event or a
-    /// row key. (In a value, the sink checks it: [`ValueSink::str`].)
-    fn entry<'t, T>(&mut self, table: &'t [T], what: &'static str) -> Result<&'t T, WireError> {
-        let at = self.pos;
-        let id = self.uvar(what)? as usize;
-        table.get(id).ok_or_else(|| self.err_at(at, what))
-    }
-
-    /// A map key, in a value or a pool leaf.
-    fn key<S: ValueSink>(&mut self, sink: &mut S) -> Result<S::Key, WireError> {
-        let at = self.pos;
-        let id = self.uvar("map key")? as usize;
-        sink.key(id).ok_or_else(|| self.err_at(at, "map key"))
-    }
-
-    /// Validates one value, building only `skip`'s string copies, and
-    /// returns the bytes it occupies: the borrowed decoder's value path.
-    fn raw_value(&mut self, skip: &mut Skip<'_>) -> Result<RawValue<'a>, WireError> {
-        let start = self.pos;
-        self.walk_value(skip, 0)?;
-        Ok(RawValue(&self.buf[start..self.pos]))
-    }
-
-    /// The one recursive walk over an encoded value. Every reader of
-    /// value bytes — owned decode, validating skip, materialization —
-    /// is this function with a different [`ValueSink`], so they all
-    /// read the same primitives in the same order: the same
-    /// [`Decoder::len`] budget charges, the same reference checks, and
-    /// on bad bytes the same positioned [`WireError`].
-    fn walk_value<S: ValueSink>(&mut self, sink: &mut S, depth: u32) -> Result<S::Out, WireError> {
-        if depth > MAX_VALUE_DEPTH {
-            return Err(self.err("value nesting too deep"));
-        }
-        self.deepest = self.deepest.max(depth);
-        let start = self.pos;
-        let tag = self.u8("value tag")?;
-        match tag {
-            0 => Ok(sink.leaf(Value::Null)),
-            1 => Ok(sink.leaf(Value::Bool(self.u8("bool")? != 0))),
-            2 => Ok(sink.leaf(Value::Int(self.i64("int")?))),
-            3 => {
-                let id = self.uvar("str")? as usize;
-                sink.str(id).ok_or_else(|| self.err_at(start + 1, "str"))
-            }
-            4 => {
-                // Every element is at least one tag byte.
-                let n = self.inline_len("list len", 1)?;
-                let mut items = Vec::with_capacity(n);
-                for _ in 0..n {
-                    items.push(self.walk_value(sink, depth + 1)?);
-                }
-                Ok(sink.list(items))
-            }
-            5 => {
-                // Every entry is at least a key byte + value tag.
-                // Duplicate wire keys resolve later-wins in every sink
-                // that builds a map, exactly as a `BTreeMap::insert`
-                // loop would.
-                let n = self.inline_len("map len", 2)?;
-                let mut entries = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let k = self.key(sink)?;
-                    entries.push((k, self.walk_value(sink, depth + 1)?));
-                }
-                Ok(sink.map(entries))
-            }
-            REF => {
-                let id = self.uvar("pool ref")? as usize;
-                if !self.validated {
-                    // A node may be named only after it was read: no
-                    // dangling, forward or self reference, so no cycle.
-                    let Some(&meta) = self.pool.get(id) else {
-                        return Err(self.err_at(start, "pool ref"));
-                    };
-                    if depth + meta.depth > MAX_VALUE_DEPTH {
-                        return Err(self.err_at(start, "value nesting too deep"));
-                    }
-                    self.deepest = self.deepest.max(depth + meta.depth);
-                    self.charge(meta.logical, start)?;
-                    self.counts.refs += 1;
-                    if self.node.is_none() {
-                        self.counts.referred = self.counts.referred.saturating_add(meta.logical);
-                    }
-                }
-                sink.pooled(id)
-                    .ok_or_else(|| self.err_at(start, "pool ref"))
-            }
-            _ => Err(self.err("value tag")),
-        }
-    }
-
-    /// The declared length of a container written inline in a value.
-    /// Inside a pool node it is on the pool's account as well as the
-    /// node's.
-    fn inline_len(
-        &mut self,
-        what: &'static str,
-        min_elem_bytes: usize,
-    ) -> Result<usize, WireError> {
-        self.counts.inline_containers += 1;
-        let start = self.pos;
-        let n = self.len(what, min_elem_bytes)?;
-        if self.node.is_some() {
-            self.pool_wire(n as u64, start)?;
-        }
-        Ok(n)
-    }
-
-    /// Reads the pool section into `sink`'s pool, building each node
-    /// through `sink` and the checked node constructors.
-    fn pool_section(&mut self, sink: &mut Materializer<'_>) -> Result<(), WireError> {
-        let start = self.pos;
-        // Every node is at least a kind, a width and one entry.
-        let n = self.count("pool len", 3)?;
-        self.pool_wire(n as u64, start)?;
-        self.pool.reserve(n);
-        sink.pool.reserve(n);
-        for id in 0..n {
-            self.node = Some(u32::try_from(id).unwrap_or(u32::MAX));
-            let (node, meta) = self.pool_node(sink)?;
-            self.pool.push(meta);
-            sink.pool.push(node);
-        }
-        self.node = None;
-        Ok(())
-    }
-
-    /// Reads one pool node. Its logical size is what its entries charge
-    /// the node budget while they are read — kept apart from the
-    /// advice's own count, which pays per reference instead.
-    fn pool_node(&mut self, sink: &mut Materializer<'_>) -> Result<(Value, PoolMeta), WireError> {
-        let start = self.pos;
-        let kind = self.u8("pool node kind")?;
-        if kind > LIST_BRANCH {
-            return Err(self.err_at(start, "pool node kind"));
-        }
-        let width = self.uvar("pool node width")? as usize;
-        if !(1..=CHUNK).contains(&width) {
-            return Err(self.err_at(start, "pool node width"));
-        }
-        self.pool_wire(width as u64, start)?;
-        let advice_nodes = std::mem::replace(&mut self.nodes, 0);
-        self.deepest = 0;
-        let node = if !is_branch(kind) {
-            self.charge(width as u64, start)?;
-            if kind == MAP_LEAF {
-                let mut entries = Vec::with_capacity(width);
-                for _ in 0..width {
-                    let k = self.key(sink)?;
-                    entries.push((k, self.walk_value(sink, 1)?));
-                }
-                PMap::checked_leaf(entries).map(Value::Map)
-            } else {
-                let mut values = Vec::with_capacity(width);
-                for _ in 0..width {
-                    values.push(self.walk_value(sink, 1)?);
-                }
-                PList::checked_leaf(values).map(Value::List)
-            }
-        } else if kind == MAP_BRANCH {
-            let mut children = Vec::with_capacity(width);
-            for _ in 0..width {
-                children.push(self.pool_child(sink, |c| match c {
-                    Value::Map(m) => Some(m),
-                    _ => None,
-                })?);
-            }
-            PMap::checked_branch(&children).map(Value::Map)
-        } else {
-            let mut children = Vec::with_capacity(width);
-            for _ in 0..width {
-                children.push(self.pool_child(sink, |c| match c {
-                    Value::List(l) => Some(l),
-                    _ => None,
-                })?);
-            }
-            PList::checked_branch(&children).map(Value::List)
-        };
-        let node = node.map_err(|e| self.err_at(start, e.what()))?;
-        let logical = std::mem::replace(&mut self.nodes, advice_nodes);
-        let meta = PoolMeta {
-            logical,
-            depth: self.deepest,
-        };
-        Ok((node, meta))
-    }
-
-    /// Reads a branch's next child: an earlier pool node of the
-    /// branch's own kind, charged like a reference to it.
-    fn pool_child<T>(
-        &mut self,
-        sink: &mut Materializer<'_>,
-        of_kind: impl Fn(Value) -> Option<T>,
-    ) -> Result<T, WireError> {
-        let at = self.pos;
-        let id = self.uvar("pool child")? as usize;
-        let (Some(&meta), Some(child)) = (self.pool.get(id), sink.pooled(id)) else {
-            return Err(self.err_at(at, "pool child"));
-        };
-        self.deepest = self.deepest.max(meta.depth);
-        self.charge(meta.logical, at)?;
-        of_kind(child).ok_or_else(|| self.err_at(at, "pool child kind"))
-    }
-
-    fn rid(&mut self) -> Result<RequestId, WireError> {
-        Ok(RequestId(self.uvar("rid")?))
-    }
-
-    /// A reference into the handler-id table `hids`, charged the steps
-    /// of the path it names, as the path written out in its place was.
-    fn hid(&mut self, hids: &[HandlerId]) -> Result<HandlerId, WireError> {
-        let at = self.pos;
-        let h = self.entry(hids, "hid")?;
-        let steps = u64::from(h.depth()) + 1;
-        self.charge(steps, at)?;
-        self.counts.referred = self.counts.referred.saturating_add(steps);
-        Ok(h.clone())
-    }
-
-    fn opref(&mut self, hids: &[HandlerId]) -> Result<OpRef, WireError> {
-        Ok(OpRef::new(
-            self.rid()?,
-            self.hid(hids)?,
-            self.u32v("opnum")?,
-        ))
-    }
-
-    fn ktx(&mut self, hids: &[HandlerId]) -> Result<KTxId, WireError> {
-        Ok(KTxId {
-            rid: self.rid()?,
-            hid: self.hid(hids)?,
-            opnum: self.u32v("tx opnum")?,
-        })
-    }
-
-    fn txpos(&mut self, hids: &[HandlerId]) -> Result<TxPos, WireError> {
-        Ok(TxPos {
-            tx: self.ktx(hids)?,
-            index: self.u32v("tx index")?,
-        })
-    }
-}
-
-/// What [`Decoder::walk_value`] hands the parts of a value to. `Out`
-/// is what a value becomes and `Key` what a map key becomes. A sink
-/// holds the string table its string references name, and checks them
-/// against it; one that builds values holds the pool they refer to.
-trait ValueSink {
-    type Out;
-    type Key;
-    /// A null, boolean or integer.
-    fn leaf(&mut self, v: Value) -> Self::Out;
-    /// String `id` of the table, if this sink's table has one.
-    fn str(&mut self, id: usize) -> Option<Self::Out>;
-    /// String `id` of the table as a map key, if the table has one.
-    fn key(&mut self, id: usize) -> Option<Self::Key>;
-    fn list(&mut self, items: Vec<Self::Out>) -> Self::Out;
-    fn map(&mut self, entries: Vec<(Self::Key, Self::Out)>) -> Self::Out;
-    /// The container rooted at pool node `id`, if this sink's pool has
-    /// one.
-    fn pooled(&mut self, id: usize) -> Option<Self::Out>;
-}
-
-/// Validates, building only a copy of each table string it meets, once,
-/// in `interner`. Every `Vec` the walk fills is of zero-sized items; a
-/// pool reference is the decoder's to check ([`PoolMeta`]).
-struct Skip<'s> {
-    strings: &'s [&'s str],
-    interner: &'s mut ValueInterner,
-}
-
-impl ValueSink for Skip<'_> {
-    type Out = ();
-    type Key = ();
-    fn leaf(&mut self, _: Value) {}
-    fn str(&mut self, id: usize) -> Option<()> {
-        self.interner.intern(self.strings, id).map(|_| ())
-    }
-    fn key(&mut self, id: usize) -> Option<()> {
-        self.str(id)
-    }
-    fn list(&mut self, _: Vec<()>) {}
-    fn map(&mut self, _: Vec<((), ())>) {}
-    fn pooled(&mut self, _: usize) -> Option<()> {
-        Some(())
-    }
-}
-
-/// Reads a span back against the view it came from: a string is the
-/// copy the view's decode made of it, a container the pool node it
-/// names — one `Arc` bump each.
-struct Shared<'v> {
-    strings: &'v ValueInterner,
-    pool: &'v [Value],
-}
-
-impl ValueSink for Shared<'_> {
-    type Out = Value;
-    type Key = Arc<str>;
-    fn leaf(&mut self, v: Value) -> Value {
-        v
-    }
-    fn str(&mut self, id: usize) -> Option<Value> {
-        self.key(id).map(Value::Str)
-    }
-    fn key(&mut self, id: usize) -> Option<Arc<str>> {
-        self.strings.get(id).cloned()
-    }
-    fn list(&mut self, items: Vec<Value>) -> Value {
-        Value::from_vec(items)
-    }
-    fn map(&mut self, entries: Vec<(Arc<str>, Value)>) -> Value {
-        Value::from_pairs(entries)
-    }
-    fn pooled(&mut self, id: usize) -> Option<Value> {
-        self.pool.get(id).cloned()
-    }
-}
-
-/// The validated bytes of one encoded value: what the borrowed decoder
-/// keeps of a logged value. Only the validating walk makes one, so
-/// reading it back ([`RawValue::to_value`]) against the view it was
-/// validated into does not fail; against another view, a string or
-/// node it names that is not there is a [`WireError`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RawValue<'a>(&'a [u8]);
-
-impl<'a> RawValue<'a> {
-    /// Validates the value encoded at the start of `bytes`, against the
-    /// string table `strings` and an empty pool — the walk, budget
-    /// charges and errors of [`decode_value_bounded`], building nothing
-    /// — and returns the bytes it occupies. For tests: the decoder is
-    /// the only product code that makes a `RawValue`.
-    #[doc(hidden)]
-    pub fn validate(
-        bytes: &'a [u8],
-        strings: &[&str],
-        max_nodes: u64,
-    ) -> Result<RawValue<'a>, BoundedDecodeError> {
-        let mut d = Decoder::new(bytes);
-        d.node_budget = max_nodes;
-        let interner = &mut ValueInterner::new();
-        d.raw_value(&mut Skip { strings, interner })
-            .map_err(|e| bounded(e, max_nodes))
-    }
-
-    /// The encoded bytes.
-    #[doc(hidden)]
-    pub fn bytes(&self) -> &'a [u8] {
-        self.0
-    }
-
-    /// Decodes into a [`Value`] against `view`, the view this value came
-    /// from: a string is the copy its decode made
-    /// ([`AdviceView::interned`]), a reference a clone of the pool node
-    /// it names.
-    pub fn to_value(&self, view: &AdviceView<'_>) -> Result<Value, WireError> {
-        let mut sink = Shared {
-            strings: &view.interned,
-            pool: &view.pool,
-        };
-        Decoder::validated(self.0).walk_value(&mut sink, 0)
-    }
-}
-
-impl<'a> Decoder<'a> {
-    /// A decoder for reading a [`RawValue`]'s bytes back.
-    fn validated(buf: &'a [u8]) -> Self {
-        Decoder {
-            validated: true,
-            ..Decoder::new(buf)
-        }
-    }
-}
-
-/// Decodes the value encoded at the start of `bytes` in one walk,
-/// against the string table `strings` and an empty pool and under a
-/// node budget, returning it and the number of bytes it occupied. The
-/// oracle [`RawValue::validate`] and [`Materializer::value`] are tested
-/// against.
-#[doc(hidden)]
-pub fn decode_value_bounded(
-    bytes: &[u8],
-    strings: &[&str],
-    max_nodes: u64,
-) -> Result<(Value, usize), BoundedDecodeError> {
-    let mut d = Decoder::new(bytes);
-    d.node_budget = max_nodes;
-    match d.walk_value(&mut Materializer::new(strings), 0) {
-        Ok(v) => Ok((v, d.pos)),
-        Err(e) => Err(bounded(e, max_nodes)),
-    }
-}
-
-/// Builds [`Value`]s over one string table: a string or map key is the
-/// copy of its table entry the materializer's own interner made at its
-/// first use, and a reference is a clone of the node its pool holds —
-/// one `Arc` bump, whatever the container holds. The view decoder
-/// builds the pool with one ([`Decoder::pool_section`]) and keeps its
-/// interner for the logged values ([`AdviceView::interned`]).
-pub struct Materializer<'i> {
-    strings: &'i [&'i str],
-    interner: ValueInterner,
-    pool: Vec<Value>,
-}
-
-impl<'i> Materializer<'i> {
-    /// A materializer over the string table `strings`, with an empty
-    /// pool.
-    pub fn new(strings: &'i [&'i str]) -> Self {
-        Materializer {
-            strings,
-            interner: ValueInterner::new(),
-            pool: Vec::new(),
-        }
-    }
-
-    /// The value `raw` encodes, read against this materializer's table
-    /// and pool.
-    pub fn value(&mut self, raw: RawValue<'_>) -> Result<Value, WireError> {
-        Decoder::validated(raw.0).walk_value(self, 0)
-    }
-}
-
-impl ValueSink for Materializer<'_> {
-    type Out = Value;
-    type Key = Arc<str>;
-    fn leaf(&mut self, v: Value) -> Value {
-        v
-    }
-    fn str(&mut self, id: usize) -> Option<Value> {
-        self.key(id).map(Value::Str)
-    }
-    fn key(&mut self, id: usize) -> Option<Arc<str>> {
-        self.interner.intern(self.strings, id).cloned()
-    }
-    fn list(&mut self, items: Vec<Value>) -> Value {
-        Value::from_vec(items)
-    }
-    fn map(&mut self, entries: Vec<(Arc<str>, Value)>) -> Value {
-        Value::from_pairs(entries)
-    }
-    fn pooled(&mut self, id: usize) -> Option<Value> {
-        self.pool.get(id).cloned()
     }
 }
 
@@ -1670,436 +865,43 @@ pub fn advice_sizes(a: &Advice) -> AdviceSizes {
 
 /// Decodes into an owned [`Advice`] — the form the collector emits
 /// and the structural mutators edit: the view decode, then
-/// [`AdviceView::to_advice`].
+/// [`AdviceViewExt::to_advice`].
 pub fn decode_advice(bytes: &[u8]) -> Result<Advice, WireError> {
     decode_advice_view(bytes)?.to_advice()
 }
 
-/// Borrowed mirror of [`crate::advice::HandlerOp`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum HandlerOpView<'a> {
-    /// `register(event, function)`.
-    Register {
-        /// The event name.
-        event: &'a str,
-        /// The registered function.
-        function: FunctionId,
-    },
-    /// `unregister(event, function)`.
-    Unregister {
-        /// The event name.
-        event: &'a str,
-        /// The unregistered function.
-        function: FunctionId,
-    },
-    /// `emit(event)`.
-    Emit {
-        /// The event name.
-        event: &'a str,
-    },
-    /// `check(event)`.
-    Check {
-        /// The event name.
-        event: &'a str,
-    },
+/// [`karousos_verify::audit_encoded`] for advice still in memory (the
+/// collector's output, a mutator's): encodes it and audits the bytes, so
+/// it passes the decoder and its budgets like advice that crossed the
+/// wire.
+pub fn audit(
+    program: &Program,
+    trace: &Trace,
+    advice: &Advice,
+    isolation: IsolationLevel,
+) -> Result<AuditReport, RejectReason> {
+    audit_encoded(program, trace, &encode_advice(advice), isolation)
 }
 
-/// Borrowed mirror of [`crate::advice::HandlerLogEntry`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct HandlerLogEntryView<'a> {
-    /// The handler that performed the operation.
-    pub hid: HandlerId,
-    /// Its operation number.
-    pub opnum: u32,
-    /// The operation.
-    pub op: HandlerOpView<'a>,
-}
-
-/// Borrowed mirror of [`crate::advice::VarLogEntry`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct VarLogEntryView<'a> {
-    /// Read or write.
-    pub access: AccessType,
-    /// The logged value, if any.
-    pub value: Option<RawValue<'a>>,
-    /// The alleged preceding write, if any.
-    pub prec: Option<OpRef>,
-}
-
-/// Borrowed mirror of [`crate::advice::TxOpContents`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum TxOpContentsView<'a> {
-    /// Control entries carry nothing.
-    None,
-    /// A `PUT`'s written value.
-    Put {
-        /// The value.
-        value: RawValue<'a>,
-    },
-    /// A `GET`'s dictating write.
-    Get {
-        /// The alleged source write position.
-        from: Option<TxPos>,
-    },
-}
-
-/// Borrowed mirror of [`crate::advice::TxLogEntry`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct TxLogEntryView<'a> {
-    /// The handler that performed the operation.
-    pub hid: HandlerId,
-    /// Its operation number.
-    pub opnum: u32,
-    /// The operation type.
-    pub optype: TxOpType,
-    /// The key, for `GET`/`PUT`.
-    pub key: Option<&'a str>,
-    /// Type-specific contents.
-    pub contents: TxOpContentsView<'a>,
-}
-
-/// A zero-copy view of decoded advice: every section is a `Vec` in wire
-/// order, strings borrow the input buffer, values are the validated
-/// spans they occupy ([`RawValue`]), every handler id is a clone of its
-/// table entry, and the things built are the handler-id table and the
-/// value pool the spans refer to. Produced by [`decode_advice_view`];
-/// convert with [`AdviceView::to_advice`] or re-serialize with
-/// [`AdviceView::encode`].
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AdviceView<'a> {
-    /// Control-flow tags.
-    pub tags: Vec<(RequestId, u64)>,
-    /// The string table: what a string reference names, by index —
-    /// here and in the spans and pool.
-    pub strings: Vec<&'a str>,
-    /// The handler-id table, built: `hids[i]` is entry `i`, sharing its
-    /// ancestors with the entries that name them.
-    pub hids: Vec<HandlerId>,
-    /// Handler logs.
-    pub handler_logs: Vec<(RequestId, Vec<HandlerLogEntryView<'a>>)>,
-    /// The value pool, built: `pool[id]` is the container rooted at
-    /// pool node `id`, sharing its subtrees with every other node that
-    /// names them.
-    pub pool: Vec<Value>,
-    /// A copy of each table string the pool or a logged value names,
-    /// made once: what every value read back shares.
-    pub interned: ValueInterner,
-    /// The pool section's bytes, for [`AdviceView::encode`].
-    pub pool_bytes: &'a [u8],
-    /// Variable logs.
-    pub var_logs: Vec<(VarId, Vec<(OpRef, VarLogEntryView<'a>)>)>,
-    /// Transaction logs.
-    pub tx_logs: Vec<(KTxId, Vec<TxLogEntryView<'a>>)>,
-    /// The alleged whole-run write order.
-    pub write_order: Vec<TxPos>,
-    /// `responseEmittedBy`.
-    pub response_emitted_by: Vec<(RequestId, (HandlerId, u32))>,
-    /// Per-(request, handler) operation counts.
-    pub opcounts: Vec<((RequestId, HandlerId), u32)>,
-    /// Nondeterminism log.
-    pub nondet: Vec<(OpRef, RawValue<'a>)>,
-}
-
-/// What a borrowed decode materialized and met — the observable half
-/// of the zero-copy claim (the `decode_bytes_copied` metric reads
-/// `bytes_copied`) and of the value pool's.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DecodeStats {
-    /// String bytes the view decode copied out of the wire buffer: each
-    /// table string the pool or a logged value names, once
-    /// ([`AdviceView::interned`]).
-    pub bytes_copied: u64,
-    /// Entries in the string table.
-    pub strings: u64,
-    /// Entries in the handler-id table: each a handler id built once.
-    pub hids: u64,
-    /// Container nodes in the value pool.
-    pub pool_nodes: u64,
-    /// Value positions holding a reference to a pool node.
-    pub pool_refs: u64,
-    /// Containers written out inline, in logs and inside pool nodes.
-    pub inline_containers: u64,
-    /// Elements charged to the node budget: every declared collection
-    /// length, a referenced container's at each pool reference and a
-    /// path's steps at each handler-id reference.
-    pub logical_nodes: u64,
-    /// Declared collection elements on the wire: `logical_nodes` less
-    /// what references charged, and the pool's own — its node count,
-    /// each node's width, each length written inline in a node — once.
-    pub wire_nodes: u64,
-    /// The pool's own part of `wire_nodes`, which the node budget holds
-    /// besides `logical_nodes`: a decode needs the larger of the two.
-    pub pool_wire_nodes: u64,
-}
-
-/// Decodes advice into a borrowed [`AdviceView`] without copying
-/// strings or blobs out of `bytes`, unmetered:
-/// [`decode_advice_view_bounded`] with no node budget.
-pub fn decode_advice_view(bytes: &[u8]) -> Result<AdviceView<'_>, WireError> {
-    decode_advice_view_inner(bytes, u64::MAX).map(|(view, _)| view)
-}
-
-fn decode_advice_view_inner(
-    bytes: &[u8],
-    node_budget: u64,
-) -> Result<(AdviceView<'_>, DecodeStats), WireError> {
-    let mut d = Decoder::new(bytes);
-    d.node_budget = node_budget;
-    let mut a = AdviceView::default();
-
-    let n = d.len("tags len", 2)?;
-    a.tags.reserve(n);
-    for _ in 0..n {
-        let rid = d.rid()?;
-        let tag = d.uvar("tag")?;
-        a.tags.push((rid, tag));
-    }
-
-    a.strings = d.strings_table()?;
-    a.hids = d.hids_table()?;
-    let (strings, hids) = (&a.strings, &a.hids);
-
-    let n = d.len("handler logs len", 2)?;
-    a.handler_logs.reserve(n);
-    for _ in 0..n {
-        let rid = d.rid()?;
-        // Every entry carries a hid, an opnum, an op tag and an event.
-        let m = d.len("handler log len", 4)?;
-        let mut log = Vec::with_capacity(m);
-        for _ in 0..m {
-            let hid = d.hid(hids)?;
-            let opnum = d.u32v("hl opnum")?;
-            let tag = d.u8("handler op tag")?;
-            if tag > 3 {
-                return Err(d.err("handler op tag"));
-            }
-            let event = *d.entry(strings, "event")?;
-            let op = match tag {
-                0 => HandlerOpView::Register {
-                    event,
-                    function: FunctionId(d.u32v("function")?),
-                },
-                1 => HandlerOpView::Unregister {
-                    event,
-                    function: FunctionId(d.u32v("function")?),
-                },
-                2 => HandlerOpView::Emit { event },
-                _ => HandlerOpView::Check { event },
-            };
-            log.push(HandlerLogEntryView { hid, opnum, op });
-        }
-        a.handler_logs.push((rid, log));
-    }
-
-    // One interner copies the strings the pool names, then those the
-    // logged values name; the view keeps it for reading them back.
-    let pool_start = d.pos;
-    let mut pool = Materializer::new(strings);
-    d.pool_section(&mut pool)?;
-    let Materializer { pool, interner, .. } = pool;
-    (a.pool, a.interned) = (pool, interner);
-    a.pool_bytes = &bytes[pool_start..d.pos];
-    let skip = &mut Skip {
-        strings,
-        interner: &mut a.interned,
-    };
-
-    let n = d.len("var logs len", 2)?;
-    a.var_logs.reserve(n);
-    for _ in 0..n {
-        let var = VarId(d.u32v("var id")?);
-        // Every entry carries an opref (≥3 bytes) and three tag bytes.
-        let m = d.len("var log len", 6)?;
-        let mut log = Vec::with_capacity(m);
-        for _ in 0..m {
-            let op = d.opref(hids)?;
-            let access = match d.u8("access tag")? {
-                0 => AccessType::Read,
-                1 => AccessType::Write,
-                _ => return Err(d.err("access tag")),
-            };
-            let value = match d.u8("value opt")? {
-                1 => Some(d.raw_value(skip)?),
-                _ => None,
-            };
-            let prec = match d.u8("prec opt")? {
-                1 => Some(d.opref(hids)?),
-                _ => None,
-            };
-            log.push((
-                op,
-                VarLogEntryView {
-                    access,
-                    value,
-                    prec,
-                },
-            ));
-        }
-        a.var_logs.push((var, log));
-    }
-
-    let n = d.len("tx logs len", 2)?;
-    a.tx_logs.reserve(n);
-    for _ in 0..n {
-        let tx = d.ktx(hids)?;
-        // Every entry carries a hid, an opnum and three tag bytes.
-        let m = d.len("tx log len", 5)?;
-        let mut log = Vec::with_capacity(m);
-        for _ in 0..m {
-            let hid = d.hid(hids)?;
-            let opnum = d.u32v("txl opnum")?;
-            let optype = match d.u8("optype tag")? {
-                0 => TxOpType::Start,
-                1 => TxOpType::Get,
-                2 => TxOpType::Put,
-                3 => TxOpType::Commit,
-                4 => TxOpType::Abort,
-                _ => return Err(d.err("optype tag")),
-            };
-            let key = match d.u8("key opt")? {
-                1 => Some(*d.entry(strings, "key")?),
-                _ => None,
-            };
-            let contents = match d.u8("contents tag")? {
-                0 => TxOpContentsView::None,
-                1 => TxOpContentsView::Put {
-                    value: d.raw_value(skip)?,
-                },
-                2 => TxOpContentsView::Get {
-                    from: match d.u8("from opt")? {
-                        1 => Some(d.txpos(hids)?),
-                        _ => None,
-                    },
-                },
-                _ => return Err(d.err("contents tag")),
-            };
-            log.push(TxLogEntryView {
-                hid,
-                opnum,
-                optype,
-                key,
-                contents,
-            });
-        }
-        a.tx_logs.push((tx, log));
-    }
-
-    // Every txpos is a ktx (≥3 bytes) plus an index byte.
-    let n = d.len("write order len", 4)?;
-    a.write_order.reserve(n);
-    for _ in 0..n {
-        a.write_order.push(d.txpos(hids)?);
-    }
-
-    let n = d.len("reb len", 3)?;
-    a.response_emitted_by.reserve(n);
-    for _ in 0..n {
-        let rid = d.rid()?;
-        let hid = d.hid(hids)?;
-        let opnum = d.u32v("reb opnum")?;
-        a.response_emitted_by.push((rid, (hid, opnum)));
-    }
-
-    let n = d.len("opcounts len", 3)?;
-    a.opcounts.reserve(n);
-    for _ in 0..n {
-        let rid = d.rid()?;
-        let hid = d.hid(hids)?;
-        let count = d.u32v("opcount")?;
-        a.opcounts.push(((rid, hid), count));
-    }
-
-    // Every record is an opref (≥3 bytes) and a value.
-    let n = d.len("nondet len", 4)?;
-    a.nondet.reserve(n);
-    for _ in 0..n {
-        let op = d.opref(hids)?;
-        let v = d.raw_value(skip)?;
-        a.nondet.push((op, v));
-    }
-
-    if !d.done() {
-        return Err(d.err("trailing bytes"));
-    }
-    let stats = DecodeStats {
-        bytes_copied: a.interned.bytes_copied,
-        strings: a.strings.len() as u64,
-        hids: a.hids.len() as u64,
-        pool_nodes: a.pool.len() as u64,
-        pool_refs: d.counts.refs,
-        inline_containers: d.counts.inline_containers,
-        logical_nodes: d.nodes,
-        wire_nodes: d
-            .nodes
-            .saturating_sub(d.counts.referred)
-            .saturating_add(d.counts.pool_wire),
-        pool_wire_nodes: d.counts.pool_wire,
-    };
-    Ok((a, stats))
-}
-
-/// How a bounded decode failed: structurally malformed bytes, or
-/// well-formed bytes that declared more than the budget allows. The
-/// two are different verdicts — malformation is the server lying about
-/// the format, exhaustion is the server (or an attacker) trying to make
-/// verification itself unaffordable.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum BoundedDecodeError {
-    /// The bytes violate the wire format.
-    Malformed(WireError),
-    /// The advice declared more collection elements than `max_nodes`.
-    NodesExhausted {
-        /// Byte offset of the length declaration that crossed the cap.
-        offset: usize,
-        /// The configured budget.
-        limit: u64,
-    },
-}
-
-impl std::fmt::Display for BoundedDecodeError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            BoundedDecodeError::Malformed(e) => e.fmt(f),
-            BoundedDecodeError::NodesExhausted { offset, limit } => {
-                write!(f, "decode node budget ({limit}) exceeded at byte {offset}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for BoundedDecodeError {}
-
-/// Sorts a metered decoder's error into the two bounded-decode verdicts.
-fn bounded(e: WireError, max_nodes: u64) -> BoundedDecodeError {
-    if e.what == NODE_BUDGET_LABEL {
-        BoundedDecodeError::NodesExhausted {
-            offset: e.offset,
-            limit: max_nodes,
-        }
-    } else {
-        BoundedDecodeError::Malformed(e)
-    }
-}
-
-/// The budgeted decoder entry point every audit decode goes through:
-/// borrowed view out, no owned materialization. The per-collection byte
-/// budget in [`Decoder::len`] stops a single huge length claim, and
-/// `max_nodes` stops death-by-a-thousand small collections across
-/// nesting levels.
-pub fn decode_advice_view_bounded(
-    bytes: &[u8],
-    max_nodes: u64,
-) -> Result<(AdviceView<'_>, DecodeStats), BoundedDecodeError> {
-    decode_advice_view_inner(bytes, max_nodes).map_err(|e| bounded(e, max_nodes))
-}
-
-impl<'a> AdviceView<'a> {
+/// What the server side does with a decoded [`AdviceView`].
+pub trait AdviceViewExt {
     /// Converts to an owned [`Advice`]. Sections are inserted in wire
     /// order, so duplicate keys resolve later-wins — as
     /// [`crate::VecMap::from_wire`] resolves them for the audit — and
     /// every value span is read back against this view's tables and
     /// pool ([`RawValue::to_value`]).
-    pub fn to_advice(&self) -> Result<Advice, WireError> {
+    fn to_advice(&self) -> Result<Advice, WireError>;
+
+    /// Re-serializes the view. Sections are written in stored (wire)
+    /// order, and the tables start as the ones the view was decoded
+    /// from — what a string or handler id not in them names is appended
+    /// — so a view decoded from [`encode_advice`] output re-encodes
+    /// byte-identically: the round-trip the proptests pin.
+    fn encode(&self) -> Vec<u8>;
+}
+
+impl AdviceViewExt for AdviceView<'_> {
+    fn to_advice(&self) -> Result<Advice, WireError> {
         let mut a = Advice::default();
         for (rid, tag) in &self.tags {
             a.tags.insert(*rid, *tag);
@@ -2174,12 +976,7 @@ impl<'a> AdviceView<'a> {
         Ok(a)
     }
 
-    /// Re-serializes the view. Sections are written in stored (wire)
-    /// order, and the tables start as the ones the view was decoded
-    /// from — what a string or handler id not in them names is appended
-    /// — so a view decoded from [`encode_advice`] output re-encodes
-    /// byte-identically: the round-trip the proptests pin.
-    pub fn encode(&self) -> Vec<u8> {
+    fn encode(&self) -> Vec<u8> {
         let mut e = Encoder::new();
         e.uvar(self.tags.len() as u64);
         for (rid, tag) in &self.tags {
@@ -2257,44 +1054,12 @@ impl<'a> AdviceView<'a> {
     }
 }
 
-/// The encoded advice bytes an audit runs over, held in one heap
-/// buffer: handed over in memory, or read whole from an advice file.
-/// The verifier only ever sees `&[u8]` (via [`AdviceSource::bytes`]).
-#[derive(Debug)]
-pub struct AdviceSource(Vec<u8>);
-
-impl AdviceSource {
-    /// Wraps an in-memory advice buffer.
-    pub fn from_bytes(bytes: Vec<u8>) -> AdviceSource {
-        AdviceSource(bytes)
-    }
-
-    /// Reads an advice file into memory. The `bool` is read by nothing
-    /// (a parameter cannot be `#[doc(hidden)]`): kept for
-    /// `benchmark/src/adapter.rs`, removed by ROADMAP item 1 step 1.
-    pub fn open(path: &std::path::Path, _: bool) -> std::io::Result<AdviceSource> {
-        Ok(AdviceSource(std::fs::read(path)?))
-    }
-
-    /// The encoded advice bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Length of the advice in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the advice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::advice::AccessType;
+    use kem::{FunctionId, PMap, VarId};
+    use std::sync::Arc;
 
     #[test]
     fn empty_advice_round_trips() {
@@ -2348,14 +1113,14 @@ mod tests {
                 TxLogEntry {
                     hid: child.clone(),
                     opnum: 1,
-                    optype: TxOpType::Start,
+                    optype: TxOpKind::Start,
                     key: None,
                     contents: TxOpContents::None,
                 },
                 TxLogEntry {
                     hid: child.clone(),
                     opnum: 2,
-                    optype: TxOpType::Get,
+                    optype: TxOpKind::Get,
                     key: Some("row".into()),
                     contents: TxOpContents::Get {
                         from: Some(TxPos {
@@ -2409,20 +1174,6 @@ mod tests {
     }
 
     #[test]
-    fn deep_nesting_is_rejected_not_overflowed() {
-        // 10k nested single-element lists: tag 4, len 1, repeated.
-        let mut bytes = Vec::new();
-        for _ in 0..10_000 {
-            bytes.push(4);
-            bytes.push(1);
-        }
-        bytes.push(0); // innermost null
-        let mut d = Decoder::new(&bytes);
-        let err = owned(&mut d).unwrap_err();
-        assert_eq!(err.what, "value nesting too deep");
-    }
-
-    #[test]
     fn huge_declared_length_is_rejected_at_its_own_offset() {
         // A lone varint claiming 2^60 tags: the budget check must fire
         // at the length's position instead of preallocating.
@@ -2440,16 +1191,6 @@ mod tests {
         let err = decode_advice(&bytes).unwrap_err();
         assert_eq!(err.what, "tags len");
         assert_eq!(err.offset, 0);
-    }
-
-    #[test]
-    fn huge_list_length_inside_value_is_rejected() {
-        // Value tag 4 (list) + declared length far beyond the buffer.
-        let bytes = [4u8, 0xff, 0xff, 0xff, 0xff, 0x0f];
-        let mut d = Decoder::new(&bytes);
-        let err = owned(&mut d).unwrap_err();
-        assert_eq!(err.what, "list len");
-        assert_eq!(err.offset, 1);
     }
 
     #[test]
@@ -2511,10 +1252,6 @@ mod tests {
         // Each string and handler id once, however often named.
         assert_eq!((stats.strings, stats.hids), (2, 2));
         assert_eq!(view.strings, ["e", "repeated-payload"]);
-    }
-
-    fn owned(d: &mut Decoder<'_>) -> Result<Value, WireError> {
-        d.walk_value(&mut Materializer::new(&[]), 0)
     }
 
     /// Advice holding nothing but `writes`, one variable's log.
@@ -2936,35 +1673,16 @@ mod tests {
     }
 
     #[test]
-    fn varints_wider_than_64_bits_are_rejected() {
-        let max = [[0xff; 9].as_slice(), &[0x01]].concat();
-        assert_eq!(Decoder::new(&max).uvar("v"), Ok(u64::MAX));
-        // Bits past 63 in the tenth byte, or an eleventh byte.
-        for bytes in [
-            [[0xff; 9].as_slice(), &[0x7f]].concat(),
-            [[0x80; 9].as_slice(), &[0x02]].concat(),
-            [[0x80; 10].as_slice(), &[0x00]].concat(),
-        ] {
-            let err = Decoder::new(&bytes).uvar("v").unwrap_err();
-            assert_eq!((err.offset, err.what), (bytes.len(), "v"));
-        }
-    }
-
-    #[test]
-    fn the_error_every_read_returns_stays_small() {
-        assert!(std::mem::size_of::<WireError>() <= 32);
-    }
-
-    #[test]
     fn zigzag_negative_ints() {
         let mut e = Encoder::new();
         e.value(&Value::Int(i64::MIN));
         e.value(&Value::Int(-1));
         e.value(&Value::Int(i64::MAX));
-        let bytes = e.finish();
-        let mut d = Decoder::new(&bytes);
-        assert_eq!(owned(&mut d).unwrap(), Value::Int(i64::MIN));
-        assert_eq!(owned(&mut d).unwrap(), Value::Int(-1));
-        assert_eq!(owned(&mut d).unwrap(), Value::Int(i64::MAX));
+        let mut bytes = &e.finish()[..];
+        for expect in [i64::MIN, -1, i64::MAX] {
+            let (v, len) = decode_value_bounded(bytes, &[], u64::MAX).unwrap();
+            assert_eq!(v, Value::Int(expect));
+            bytes = &bytes[len..];
+        }
     }
 }

@@ -4,11 +4,11 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use karousos::advice::{
-    AccessType, Advice, HandlerLogEntry, HandlerOp, KTxId, TxLogEntry, TxOpContents, TxOpType,
-    TxPos, VarLogEntry,
+    AccessType, Advice, HandlerLogEntry, HandlerOp, KTxId, TxLogEntry, TxOpContents, TxPos,
+    VarLogEntry,
 };
-use karousos::{decode_advice, decode_advice_view, encode_advice};
-use kem::{FunctionId, HandlerId, OpRef, RequestId, Value, VarId};
+use karousos::{decode_advice, decode_advice_view, encode_advice, AdviceViewExt};
+use kem::{FunctionId, HandlerId, OpRef, RequestId, TxOpKind, Value, VarId};
 use proptest::prelude::*;
 
 fn arb_value() -> impl Strategy<Value = Value> {
@@ -67,13 +67,13 @@ fn arb_tx_entry() -> impl Strategy<Value = TxLogEntry> {
         arb_hid(),
         1u32..50,
         prop_oneof![
-            Just((TxOpType::Start, TxOpContents::None)),
-            Just((TxOpType::Commit, TxOpContents::None)),
-            Just((TxOpType::Abort, TxOpContents::None)),
-            arb_value().prop_map(|v| (TxOpType::Put, TxOpContents::Put { value: v })),
+            Just((TxOpKind::Start, TxOpContents::None)),
+            Just((TxOpKind::Commit, TxOpContents::None)),
+            Just((TxOpKind::Abort, TxOpContents::None)),
+            arb_value().prop_map(|v| (TxOpKind::Put, TxOpContents::Put { value: v })),
             prop::option::of((arb_ktx(), 0u32..10)).prop_map(|from| {
                 (
-                    TxOpType::Get,
+                    TxOpKind::Get,
                     TxOpContents::Get {
                         from: from.map(|(tx, index)| TxPos { tx, index }),
                     },

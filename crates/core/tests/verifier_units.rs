@@ -472,7 +472,8 @@ fn two_transactions() -> (kem::Program, Trace, Advice) {
 /// that does not translate, which in turn precedes the Adya check.
 #[test]
 fn write_order_reasons_fire_in_their_precedence() {
-    use karousos::advice::{TxOpContents, TxOpType, TxPos};
+    use karousos::advice::{TxOpContents, TxPos};
+    use kem::TxOpKind;
     let (p, t, honest) = two_transactions();
     pp(&p, &t, &honest, SER).unwrap();
     let txs: Vec<_> = honest.tx_logs.keys().cloned().collect();
@@ -500,7 +501,7 @@ fn write_order_reasons_fire_in_their_precedence() {
         let view = decode_advice_view(&bytes).unwrap();
         let advice = karousos::AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
         let committed: Vec<bool> = (a.tx_logs.values())
-            .map(|log| log.last().is_some_and(|e| e.optype == TxOpType::Commit))
+            .map(|log| log.last().is_some_and(|e| e.optype == TxOpKind::Commit))
             .collect();
         let direct = karousos::verifier::verify_isolation(&advice, &committed, SER).unwrap_err();
         if through_preprocess {
@@ -591,7 +592,7 @@ fn write_order_reasons_fire_in_their_precedence() {
         (
             "last PUT of a transaction that did not commit",
             vec![
-                log_entry(1, 5, |e| e.optype = TxOpType::Abort),
+                log_entry(1, 5, |e| e.optype = TxOpKind::Abort),
                 order(vec![at(0, 3), at(1, 3)]),
             ],
             mismatch("entry is not a committed last modification"),
@@ -678,14 +679,14 @@ fn audit_err_at(p: &kem::Program, t: &Trace, a: &Advice, threads: usize) -> Reje
 /// serial first error and wins over the earlier request's.
 #[test]
 fn first_error_in_a_range_is_the_serial_first() {
-    use karousos::advice::TxOpType;
+    use kem::TxOpKind;
     let (p, t, honest) = committing_requests(64);
     let (first, second) = (RequestId(0), RequestId(1));
     // Request 0: its transaction log opens with a commit (the external
     // section, the last).
     let mut a = honest.clone();
     let tx = a.tx_logs.keys().find(|tx| tx.rid == first).unwrap().clone();
-    a.tx_logs.get_mut(&tx).unwrap()[0].optype = TxOpType::Commit;
+    a.tx_logs.get_mut(&tx).unwrap()[0].optype = TxOpKind::Commit;
     let external = RejectReason::TxLogMalformed {
         tx,
         why: "first entry is not the tx_start",

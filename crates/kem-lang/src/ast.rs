@@ -455,7 +455,7 @@ impl ProgramBuilder {
 /// # Examples
 ///
 /// ```
-/// use kem::dsl::*;
+/// use kem_lang::dsl::*;
 /// let stmt = iff(
 ///     eq(field(local("payload"), "op"), lit("get")),
 ///     vec![respond(sread("motd"))],
@@ -740,6 +740,7 @@ pub mod dsl {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::dsl::*;
     use super::*;

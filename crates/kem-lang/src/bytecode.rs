@@ -15,7 +15,7 @@
 //! `match` over boxed AST nodes.
 //!
 //! There is one interpreter, one dispatch loop over the stream
-//! ([`crate::vm`]): [`crate::Runtime`] (server-side trace collection)
+//! ([`crate::vm`]): `kem`'s `Runtime` (server-side trace collection)
 //! runs the ops over single [`Value`]s, and the verifier's grouped
 //! re-executor runs the identical ops over multivalues. `lower` is the
 //! only reader of a body's AST, and what it emits defines the language's
@@ -904,6 +904,8 @@ fn render_op(op: Op, code: &FuncCode, interner: &Interner) -> String {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[allow(clippy::unreachable)]
 mod tests {
     use super::*;
     use crate::ast::dsl::*;

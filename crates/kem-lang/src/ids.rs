@@ -220,7 +220,8 @@ impl Ord for HandlerId {
 
         fn ancestor_at(mut h: &HandlerId, depth: u32) -> &HandlerId {
             while h.0.depth > depth {
-                h = h.parent().expect("depth > 0 nodes have parents");
+                let Some(parent) = h.parent() else { break };
+                h = parent;
             }
             h
         }
@@ -361,7 +362,16 @@ impl fmt::Display for OpRef {
     }
 }
 
+/// The function id reserved for the initialization activation `I` (§3).
+pub const INIT_FUNCTION: FunctionId = FunctionId(u32::MAX);
+
+/// The handler id of the initialization activation `I`.
+pub fn init_handler_id() -> HandlerId {
+    HandlerId::root(INIT_FUNCTION)
+}
+
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

@@ -176,12 +176,16 @@ fn empty_map_root() -> &'static Arc<MapNode> {
     EMPTY.get_or_init(|| Arc::new(MapNode::Leaf(Vec::new())))
 }
 
+/// A node with its minimum key, which its parent's `keys` holds.
+type Keyed = (Arc<str>, Arc<MapNode>);
+
 /// Result of a path-copying insert one level down.
 enum Ins {
-    /// The child was replaced.
+    /// The child was replaced. Its minimum key is the old one or the
+    /// inserted key, whichever is smaller.
     One(Arc<MapNode>),
     /// The child split; the second node's min key is strictly greater.
-    Split(Arc<MapNode>, Arc<MapNode>),
+    Split(Keyed, Keyed),
 }
 
 impl PMap {
@@ -242,17 +246,11 @@ impl PMap {
     pub fn insert(&self, key: Arc<str>, value: Value) -> PMap {
         let root = match insert_node(&self.root, key, value) {
             Ins::One(n) => n,
-            Ins::Split(a, b) => {
-                let (ka, kb) = (
-                    Arc::clone(a.min_key().expect("split nodes are non-empty")),
-                    Arc::clone(b.min_key().expect("split nodes are non-empty")),
-                );
-                Arc::new(MapNode::Branch {
-                    len: a.len() + b.len(),
-                    keys: vec![ka, kb],
-                    children: vec![a, b],
-                })
-            }
+            Ins::Split((ka, a), (kb, b)) => Arc::new(MapNode::Branch {
+                len: a.len() + b.len(),
+                keys: vec![ka, kb],
+                children: vec![a, b],
+            }),
         };
         PMap { root }
     }
@@ -463,18 +461,15 @@ fn insert_node(node: &MapNode, key: Arc<str>, value: Value) -> Ins {
             let i = child_for(keys, &key);
             let mut keys = keys.clone();
             let mut children = children.clone();
+            // Only the first child can receive a key below its minimum.
+            if i == 0 && key < keys[0] {
+                keys[0] = Arc::clone(&key);
+            }
             match insert_node(&children[i], key, value) {
-                Ins::One(n) => {
-                    keys[i] = Arc::clone(n.min_key().expect("inserted nodes are non-empty"));
-                    children[i] = n;
-                }
-                Ins::Split(a, b) => {
-                    keys[i] = Arc::clone(a.min_key().expect("split nodes are non-empty"));
-                    keys.insert(
-                        i + 1,
-                        Arc::clone(b.min_key().expect("split nodes are non-empty")),
-                    );
-                    children[i] = a;
+                Ins::One(n) => children[i] = n,
+                Ins::Split((ka, a), (kb, b)) => {
+                    (keys[i], children[i]) = (ka, a);
+                    keys.insert(i + 1, kb);
                     children.insert(i + 1, b);
                 }
             }
@@ -489,12 +484,10 @@ fn split_leaf(entries: Vec<(Arc<str>, Value)>) -> Ins {
     if entries.len() <= CHUNK {
         return Ins::One(Arc::new(MapNode::Leaf(entries)));
     }
+    let leaf = |es: Vec<(Arc<str>, Value)>| (Arc::clone(&es[0].0), Arc::new(MapNode::Leaf(es)));
     let mut left = entries;
     let right = left.split_off(left.len() / 2);
-    Ins::Split(
-        Arc::new(MapNode::Leaf(left)),
-        Arc::new(MapNode::Leaf(right)),
-    )
+    Ins::Split(leaf(left), leaf(right))
 }
 
 /// Wraps an over-full branch into one or two nodes.
@@ -506,23 +499,23 @@ fn split_branch(len: usize, keys: Vec<Arc<str>>, children: Vec<Arc<MapNode>>) ->
             children,
         }));
     }
+    let branch = |len, keys: Vec<Arc<str>>, children| {
+        let min = Arc::clone(&keys[0]);
+        (
+            min,
+            Arc::new(MapNode::Branch {
+                len,
+                keys,
+                children,
+            }),
+        )
+    };
     let mut lk = keys;
     let mut lc = children;
     let rk = lk.split_off(lk.len() / 2);
     let rc = lc.split_off(lc.len() / 2);
     let llen: usize = lc.iter().map(|c| c.len()).sum();
-    Ins::Split(
-        Arc::new(MapNode::Branch {
-            len: llen,
-            keys: lk,
-            children: lc,
-        }),
-        Arc::new(MapNode::Branch {
-            len: len - llen,
-            keys: rk,
-            children: rc,
-        }),
-    )
+    Ins::Split(branch(llen, lk, lc), branch(len - llen, rk, rc))
 }
 
 /// `None` means the key was absent (nothing to copy). An empty
@@ -540,12 +533,13 @@ fn remove_node(node: &MapNode, key: &str) -> Option<Arc<MapNode>> {
             let replaced = remove_node(&children[i], key)?;
             let mut keys = keys.clone();
             let mut children = children.clone();
-            if replaced.len() == 0 {
-                keys.remove(i);
-                children.remove(i);
-            } else {
-                keys[i] = Arc::clone(replaced.min_key().expect("non-empty node has a min key"));
-                children[i] = replaced;
+            match replaced.min_key().cloned() {
+                Some(min) => (keys[i], children[i]) = (min, replaced),
+                // The subtree emptied out.
+                None => {
+                    keys.remove(i);
+                    children.remove(i);
+                }
             }
             let len: usize = children.iter().map(|c| c.len()).sum();
             Some(Arc::new(MapNode::Branch {
@@ -571,11 +565,12 @@ fn build_map_tree(entries: Vec<(Arc<str>, Value)>) -> Arc<MapNode> {
     // Spread entries evenly instead of filling leaves and leaving a
     // 1-entry straggler: ceil(n / CHUNK) leaves of near-equal size.
     let leaves = n.div_ceil(CHUNK);
-    let mut level: Vec<Arc<MapNode>> = Vec::with_capacity(leaves);
+    let mut level: Vec<Keyed> = Vec::with_capacity(leaves);
     let mut it = entries.into_iter();
     for li in 0..leaves {
         let take = (n + leaves - 1 - li) / leaves;
-        level.push(Arc::new(MapNode::Leaf(it.by_ref().take(take).collect())));
+        let leaf: Vec<_> = it.by_ref().take(take).collect();
+        level.push((Arc::clone(&leaf[0].0), Arc::new(MapNode::Leaf(leaf))));
     }
     while level.len() > 1 {
         let groups = level.len().div_ceil(CHUNK);
@@ -584,21 +579,23 @@ fn build_map_tree(entries: Vec<(Arc<str>, Value)>) -> Arc<MapNode> {
         let mut it = level.into_iter();
         for gi in 0..groups {
             let take = (total + groups - 1 - gi) / groups;
-            let children: Vec<Arc<MapNode>> = it.by_ref().take(take).collect();
-            let keys = children
-                .iter()
-                .map(|c| Arc::clone(c.min_key().expect("bulk-built nodes are non-empty")))
-                .collect();
+            let (keys, children): (Vec<_>, Vec<Arc<MapNode>>) = it.by_ref().take(take).unzip();
             let len = children.iter().map(|c| c.len()).sum();
-            next.push(Arc::new(MapNode::Branch {
-                len,
-                keys,
-                children,
-            }));
+            let min = Arc::clone(&keys[0]);
+            next.push((
+                min,
+                Arc::new(MapNode::Branch {
+                    len,
+                    keys,
+                    children,
+                }),
+            ));
         }
         level = next;
     }
-    level.pop().expect("non-empty input yields a root")
+    level
+        .pop()
+        .map_or_else(|| PMap::new().root, |(_, root)| root)
 }
 
 /// In-order borrowing iterator over a [`PMap`]. The descent stack is a
@@ -606,24 +603,19 @@ fn build_map_tree(entries: Vec<(Arc<str>, Value)>) -> Arc<MapNode> {
 /// touches the allocator.
 #[derive(Debug)]
 pub struct MapIter<'a> {
-    /// `(node, next child / entry index)` frames root-to-current;
-    /// frames below `depth` are always `Some`.
-    stack: [Option<(&'a MapNode, usize)>; MAX_DEPTH],
+    /// `(node, next child / entry index)` frames root-to-current; those
+    /// from `depth` up are unused.
+    stack: [(&'a MapNode, usize); MAX_DEPTH],
     depth: usize,
 }
 
 impl<'a> MapIter<'a> {
     /// The entries of the subtree under `node`.
     fn over(node: &'a MapNode) -> Self {
-        let mut it = MapIter {
-            stack: [None; MAX_DEPTH],
-            depth: 0,
-        };
-        if node.len() != 0 {
-            it.stack[0] = Some((node, 0));
-            it.depth = 1;
+        MapIter {
+            stack: [(node, 0); MAX_DEPTH],
+            depth: usize::from(node.len() != 0),
         }
-        it
     }
 }
 
@@ -635,10 +627,8 @@ impl<'a> Iterator for MapIter<'a> {
             if self.depth == 0 {
                 return None;
             }
-            let (node, idx) = self.stack[self.depth - 1]
-                .as_mut()
-                .expect("frames below depth are initialized");
-            match node {
+            let (node, idx) = &mut self.stack[self.depth - 1];
+            match *node {
                 MapNode::Leaf(es) => {
                     if let Some((k, v)) = es.get(*idx) {
                         *idx += 1;
@@ -652,7 +642,7 @@ impl<'a> Iterator for MapIter<'a> {
                         let child: &'a MapNode = child;
                         let d = self.depth;
                         assert!(d < MAX_DEPTH, "persistent map deeper than MAX_DEPTH");
-                        self.stack[d] = Some((child, 0));
+                        self.stack[d] = (child, 0);
                         self.depth = d + 1;
                     } else {
                         self.depth -= 1;
@@ -1109,15 +1099,15 @@ fn build_list_tree(mut level: Vec<Arc<ListNode>>) -> Arc<ListNode> {
         }
         level = next;
     }
-    level.pop().expect("non-empty input yields a root")
+    level.pop().unwrap_or_else(|| PList::new().root)
 }
 
 /// In-order borrowing iterator over a [`PList`]. Inline descent stack;
 /// never allocates (see [`MapIter`]).
 #[derive(Debug)]
 pub struct ListIter<'a> {
-    /// Frames below `depth` are always `Some`.
-    stack: [Option<(&'a ListNode, usize)>; MAX_DEPTH],
+    /// Frames from `depth` up are unused.
+    stack: [(&'a ListNode, usize); MAX_DEPTH],
     depth: usize,
     remaining: usize,
 }
@@ -1125,16 +1115,11 @@ pub struct ListIter<'a> {
 impl<'a> ListIter<'a> {
     /// The elements of the subtree under `node`.
     fn over(node: &'a ListNode) -> Self {
-        let mut it = ListIter {
-            stack: [None; MAX_DEPTH],
-            depth: 0,
+        ListIter {
+            stack: [(node, 0); MAX_DEPTH],
+            depth: usize::from(node.len() != 0),
             remaining: node.len(),
-        };
-        if node.len() != 0 {
-            it.stack[0] = Some((node, 0));
-            it.depth = 1;
         }
-        it
     }
 }
 
@@ -1146,10 +1131,8 @@ impl<'a> Iterator for ListIter<'a> {
             if self.depth == 0 {
                 return None;
             }
-            let (node, idx) = self.stack[self.depth - 1]
-                .as_mut()
-                .expect("frames below depth are initialized");
-            match node {
+            let (node, idx) = &mut self.stack[self.depth - 1];
+            match *node {
                 ListNode::Leaf(vs) => {
                     if let Some(v) = vs.get(*idx) {
                         *idx += 1;
@@ -1164,7 +1147,7 @@ impl<'a> Iterator for ListIter<'a> {
                         let child: &'a ListNode = child;
                         let d = self.depth;
                         assert!(d < MAX_DEPTH, "persistent list deeper than MAX_DEPTH");
-                        self.stack[d] = Some((child, 0));
+                        self.stack[d] = (child, 0);
                         self.depth = d + 1;
                     } else {
                         self.depth -= 1;
@@ -1264,6 +1247,7 @@ impl<'a> IntoIterator for &'a PMap {
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 mod tests {
     use super::*;
 

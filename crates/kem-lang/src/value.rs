@@ -14,7 +14,7 @@
 use crate::pvalue::{PList, PMap};
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// A KJS runtime value.
 // The manual `PartialEq` below is semantically identical to a derived
@@ -398,7 +398,41 @@ impl Default for Fnv {
     }
 }
 
+/// The keys of a transactional continuation's payload: what the store
+/// hands an `on_done` handler, and so what applications read. The
+/// runtime builds the payload under these keys and the verifier's replay
+/// rebuilds it under the same ones, key for key. Interned: cloning an
+/// `Arc<str>` is a refcount bump, not an allocation, so every payload
+/// shares these five strings.
+#[derive(Debug)]
+pub struct TxPayloadKeys {
+    /// `ctx`: the issuing statement's context value, forwarded.
+    pub ctx: Arc<str>,
+    /// `tx`: the transaction token.
+    pub tx: Arc<str>,
+    /// `ok`: `false` when the operation conflicted and aborted.
+    pub ok: Arc<str>,
+    /// `found`: whether a `GET`'s key existed.
+    pub found: Arc<str>,
+    /// `value`: what a `GET` read (`null` when not found).
+    pub value: Arc<str>,
+}
+
+/// The one [`TxPayloadKeys`].
+pub fn tx_payload_keys() -> &'static TxPayloadKeys {
+    static KEYS: OnceLock<TxPayloadKeys> = OnceLock::new();
+    KEYS.get_or_init(|| TxPayloadKeys {
+        ctx: Arc::from("ctx"),
+        tx: Arc::from("tx"),
+        ok: Arc::from("ok"),
+        found: Arc::from("found"),
+        value: Arc::from("value"),
+    })
+}
+
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[allow(clippy::unreachable)]
 mod tests {
     use super::*;
 
@@ -462,6 +496,8 @@ mod tests {
 }
 // (Appended by tests below; keep `is_empty` covered.)
 #[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
+#[allow(clippy::unreachable)]
 mod more_tests {
     use super::*;
 

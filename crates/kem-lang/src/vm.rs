@@ -17,17 +17,9 @@
 //! an operand, loop counter or iterator missing from the scratch is a
 //! [`VmError::Underflow`], never a panic.
 
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable
-)]
-
 use crate::ast::{BinOp, NondetKind};
 use crate::bytecode::{FuncCode, Op};
 use crate::error::RuntimeError;
-use crate::hooks::TxOpKind;
 use crate::ids::{FunctionId, Sym, VarId};
 use crate::ops::{
     eval_binop, eval_contains, eval_digest, eval_index, eval_keys, eval_len, eval_list_push,
@@ -209,6 +201,34 @@ impl From<VmError> for RuntimeError {
             VmError::ItemOutOfRange => RuntimeError::new("for-each item out of range"),
             VmError::LoopLimit => RuntimeError::new("while loop exceeded iteration limit"),
             VmError::Underflow(what) => RuntimeError::new(what),
+        }
+    }
+}
+
+/// The five transactional operation types of §4.4.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum TxOpKind {
+    /// `tx_start`.
+    Start,
+    /// `GET`.
+    Get,
+    /// `PUT`.
+    Put,
+    /// `tx_commit`.
+    Commit,
+    /// `tx_abort` (explicit, or the record of a conflict-aborted op).
+    Abort,
+}
+
+impl TxOpKind {
+    /// Short name used in logs and error messages.
+    pub fn name(self) -> &'static str {
+        match self {
+            TxOpKind::Start => "tx_start",
+            TxOpKind::Get => "GET",
+            TxOpKind::Put => "PUT",
+            TxOpKind::Commit => "tx_commit",
+            TxOpKind::Abort => "tx_abort",
         }
     }
 }

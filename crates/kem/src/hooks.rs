@@ -17,36 +17,7 @@
 
 use kvstore::{TxnId, WriteRef};
 
-use crate::ids::{HandlerId, RequestId, VarId};
-use crate::value::Value;
-
-/// The five transactional operation types of §4.4.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub enum TxOpKind {
-    /// `tx_start`.
-    Start,
-    /// `GET`.
-    Get,
-    /// `PUT`.
-    Put,
-    /// `tx_commit`.
-    Commit,
-    /// `tx_abort`.
-    Abort,
-}
-
-impl TxOpKind {
-    /// Short name used in logs and error messages.
-    pub fn name(self) -> &'static str {
-        match self {
-            TxOpKind::Start => "tx_start",
-            TxOpKind::Get => "GET",
-            TxOpKind::Put => "PUT",
-            TxOpKind::Commit => "tx_commit",
-            TxOpKind::Abort => "tx_abort",
-        }
-    }
-}
+use crate::{HandlerId, RequestId, TxOpKind, Value, VarId};
 
 /// Everything the collector needs to know about one executed
 /// transactional operation.

@@ -21,60 +21,19 @@
 //!   [`NoopHooks`](crate::NoopHooks) is the *unmodified server* baseline.
 
 use std::collections::{HashMap, VecDeque};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use kvstore::{IsolationLevel, Store, StoreStats, TxError, TxnId};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
-use crate::ast::{NondetKind, Program};
 use crate::bytecode::CodeSet;
-use crate::error::RuntimeError;
-use crate::hooks::{ExecHooks, TxOpKind, TxOpRecord};
-use crate::ids::{FunctionId, HandlerId, RequestId, Sym, VarId};
-use crate::trace::Trace;
-use crate::value::Value;
+use crate::hooks::{ExecHooks, TxOpRecord};
 use crate::vm::{Machine, Vm, LOOP_LIMIT};
-
-/// The keys of a transactional continuation's payload: what the store
-/// hands an `on_done` handler, and so what applications read. The
-/// runtime builds the payload under these keys and the verifier's replay
-/// rebuilds it under the same ones, key for key. Interned: cloning an
-/// `Arc<str>` is a refcount bump, not an allocation, so every payload
-/// shares these five strings.
-#[derive(Debug)]
-pub struct TxPayloadKeys {
-    /// `ctx`: the issuing statement's context value, forwarded.
-    pub ctx: Arc<str>,
-    /// `tx`: the transaction token.
-    pub tx: Arc<str>,
-    /// `ok`: `false` when the operation conflicted and aborted.
-    pub ok: Arc<str>,
-    /// `found`: whether a `GET`'s key existed.
-    pub found: Arc<str>,
-    /// `value`: what a `GET` read (`null` when not found).
-    pub value: Arc<str>,
-}
-
-/// The one [`TxPayloadKeys`].
-pub fn tx_payload_keys() -> &'static TxPayloadKeys {
-    static KEYS: OnceLock<TxPayloadKeys> = OnceLock::new();
-    KEYS.get_or_init(|| TxPayloadKeys {
-        ctx: Arc::from("ctx"),
-        tx: Arc::from("tx"),
-        ok: Arc::from("ok"),
-        found: Arc::from("found"),
-        value: Arc::from("value"),
-    })
-}
-
-/// The function id reserved for the initialization activation `I` (§3).
-pub const INIT_FUNCTION: FunctionId = FunctionId(u32::MAX);
-
-/// The handler id of the initialization activation `I`.
-pub fn init_handler_id() -> HandlerId {
-    HandlerId::root(INIT_FUNCTION)
-}
+use crate::{
+    init_handler_id, tx_payload_keys, FunctionId, HandlerId, NondetKind, Program, RequestId,
+    RuntimeError, Sym, Trace, TxOpKind, Value, VarId,
+};
 
 /// How the scheduler picks the next action.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -720,9 +679,9 @@ impl<H: ExecHooks> Machine for ServerMachine<'_, '_, H> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ast::dsl::*;
-    use crate::ast::ProgramBuilder;
+    use crate::dsl::*;
     use crate::hooks::NoopHooks;
+    use crate::ProgramBuilder;
 
     /// An echo program: responds with `{echo: payload.x}`.
     fn echo_program() -> Program {
@@ -1069,8 +1028,8 @@ mod tests {
 
     #[test]
     fn binop_semantics() {
-        use crate::ast::BinOp::{self, *};
-        use crate::ops::eval_binop;
+        use crate::eval_binop;
+        use crate::BinOp::{self, *};
         let _ = BinOp::Add;
         assert_eq!(
             eval_binop(Add, &Value::int(2), &Value::int(3)).unwrap(),

@@ -7,7 +7,8 @@
 //! the history exists so tests can check that the store really provides
 //! the isolation level it claims, using the `adya` crate.
 
-use crate::types::{IsolationLevel, TxnId, WriteRef};
+use crate::types::{TxnId, WriteRef};
+use crate::IsolationLevel;
 
 /// One recorded store operation.
 #[derive(Debug, Clone, PartialEq, Eq)]

@@ -10,7 +10,8 @@
 //! and evaluated without a MySQL deployment:
 //!
 //! * [`Store`] — the transactional store, generic over the value type.
-//! * [`IsolationLevel`] — the three isolation levels the paper supports.
+//! * [`IsolationLevel`] — the three isolation levels the paper supports
+//!   (the `adya` crate's, which checks them).
 //! * [`Binlog`] — the committed-write order (the paper's `writeOrder`).
 //! * [`WriteRef`] — a reference to the dictating `PUT` of a read.
 //! * [`History`] — an optional full operation history recorder used by the
@@ -51,8 +52,9 @@ mod history;
 mod store;
 mod types;
 
+pub use adya::IsolationLevel;
 pub use binlog::{Binlog, BinlogEntry};
 pub use error::TxError;
 pub use history::{History, HistoryOp, HistoryRecorder};
 pub use store::{GetResult, Store, StoreStats, TxnStatus};
-pub use types::{IsolationLevel, TxnId, WriteRef};
+pub use types::{TxnId, WriteRef};

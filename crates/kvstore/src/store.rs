@@ -5,7 +5,8 @@ use std::collections::HashMap;
 use crate::binlog::Binlog;
 use crate::error::TxError;
 use crate::history::{History, HistoryOp, HistoryRecorder};
-use crate::types::{IsolationLevel, TxnId, WriteRef};
+use crate::types::{TxnId, WriteRef};
+use crate::IsolationLevel;
 
 /// Lifecycle state of a transaction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -38,51 +38,6 @@ impl fmt::Display for WriteRef {
     }
 }
 
-/// The isolation levels supported by the store.
-///
-/// These are the three levels Karousos supports (§4.4); snapshot isolation
-/// is explicitly future work in the paper and is not offered here either.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum IsolationLevel {
-    /// Dirty reads allowed: a `GET` may observe uncommitted writes of
-    /// concurrent transactions. Writes still take write locks so that the
-    /// global write order is well defined (no G0).
-    ReadUncommitted,
-    /// A `GET` observes only committed state (plus the transaction's own
-    /// writes); writers take exclusive per-key write locks until
-    /// commit/abort.
-    ReadCommitted,
-    /// Strict two-phase locking: shared read locks and exclusive write
-    /// locks held until commit/abort. Conflicts abort immediately rather
-    /// than block, so schedules stay deterministic and deadlock-free.
-    #[default]
-    Serializable,
-}
-
-impl IsolationLevel {
-    /// Returns every supported level, in increasing strength.
-    pub const ALL: [IsolationLevel; 3] = [
-        IsolationLevel::ReadUncommitted,
-        IsolationLevel::ReadCommitted,
-        IsolationLevel::Serializable,
-    ];
-
-    /// Returns a short lowercase name, handy for benchmark labels.
-    pub fn name(self) -> &'static str {
-        match self {
-            IsolationLevel::ReadUncommitted => "read-uncommitted",
-            IsolationLevel::ReadCommitted => "read-committed",
-            IsolationLevel::Serializable => "serializable",
-        }
-    }
-}
-
-impl fmt::Display for IsolationLevel {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -99,17 +54,5 @@ mod tests {
             tag: 9,
         };
         assert_eq!(w.to_string(), "txn3#9");
-    }
-
-    #[test]
-    fn isolation_names_are_distinct() {
-        let names: Vec<_> = IsolationLevel::ALL.iter().map(|l| l.name()).collect();
-        assert_eq!(names.len(), 3);
-        assert!(names.windows(2).all(|w| w[0] != w[1]));
-    }
-
-    #[test]
-    fn default_is_serializable() {
-        assert_eq!(IsolationLevel::default(), IsolationLevel::Serializable);
     }
 }

@@ -26,6 +26,13 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+// The verifier links this crate: no panic sites, as there.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
 
 pub mod allocprobe;
 pub mod layer;

@@ -12,23 +12,23 @@
 //! ([`RawValue::to_value`]), sharing the string copies the view's
 //! decode made ([`AdviceView::interned`]) and the containers of the
 //! view's value pool, so repeated content (MOTD's whole-map logs) costs
-//! an `Arc` bump. Advice held as an [`crate::Advice`] gets here the way
-//! the server's does: [`crate::encode_advice`], then the decoder.
+//! an `Arc` bump. Owned advice (the `karousos` crate's `Advice`) gets
+//! here the way the server's does: encoded, then decoded.
 //!
 //! Lookups go through [`VecMap`], a sorted-unique `Vec` with a
 //! `BTreeMap`-shaped read API. **Duplicate-key semantics**: the wire
 //! sections of hostile advice may repeat keys; the later entry wins
 //! ([`VecMap::from_wire`]: stable sort by key, keep the last occurrence
 //! of each run), which is what inserting the entries into a `BTreeMap`
-//! in wire order does — and [`AdviceView::to_advice`] does exactly
+//! in wire order does — and the server side's `to_advice` does exactly
 //! that, so advice decoded, edited and encoded again means what its
 //! bytes meant.
 
 use std::collections::BTreeMap;
 
-use kem::{HandlerId, OpRef, RequestId, Value, ValueInterner, VarId};
+use kem_lang::{HandlerId, OpRef, RequestId, TxOpKind, Value, ValueInterner, VarId};
 
-use crate::advice::{KTxId, TxOpType, TxPos, VarLogEntry};
+use crate::advice::{KTxId, TxPos, VarLogEntry};
 use crate::wire::{AdviceView, HandlerLogEntryView, RawValue, TxOpContentsView, WireError};
 
 /// A sorted-unique `Vec<(K, V)>` exposing the read-side `BTreeMap` API
@@ -49,7 +49,7 @@ impl<K: Ord, V> VecMap<K, V> {
     /// honest encoder always produces it) is taken as-is with no extra
     /// work; otherwise the entries are stable-sorted by key and each
     /// run of equal keys collapses to its **last** occurrence —
-    /// `BTreeMap::insert` semantics, which [`AdviceView::to_advice`] has.
+    /// `BTreeMap::insert` semantics, which the server side's `to_advice` has.
     pub fn from_wire(mut entries: Vec<(K, V)>) -> Self {
         let ascending = entries.windows(2).all(|w| w[0].0 < w[1].0);
         if !ascending {
@@ -177,7 +177,7 @@ pub struct TxEntryRef<'a> {
     /// Operation number within the handler.
     pub opnum: u32,
     /// Operation type as logged.
-    pub optype: TxOpType,
+    pub optype: TxOpKind,
     /// Row key (`GET`/`PUT`), borrowing the advice bytes.
     pub key: Option<&'a str>,
     /// Operation contents.
@@ -299,7 +299,7 @@ impl<'a> AdviceRef<'a> {
     }
 
     /// Groups request ids by tag, preserving first-appearance order —
-    /// the same bucketing [`crate::Advice::groups`] performs.
+    /// the same bucketing the owned `Advice::groups` performs.
     pub fn groups(&self, trace_order: &[RequestId]) -> Vec<Vec<RequestId>> {
         let mut order: Vec<u64> = Vec::new();
         let mut by_tag: BTreeMap<u64, Vec<RequestId>> = BTreeMap::new();
@@ -336,164 +336,5 @@ impl<'a> AdviceRef<'a> {
     /// Total number of transaction-log entries.
     pub fn tx_log_entries(&self) -> usize {
         self.tx_logs.values().map(Vec::len).sum()
-    }
-}
-
-#[cfg(test)]
-#[allow(clippy::unwrap_used, clippy::expect_used)]
-mod tests {
-    use super::*;
-    use crate::advice::{Advice, HandlerOp, TxOpContents};
-    use crate::wire::{decode_advice, decode_advice_view, encode_advice};
-    use kem::FunctionId;
-
-    #[test]
-    fn vecmap_from_wire_keeps_last_duplicate() {
-        let m = VecMap::from_wire(vec![(2, "b"), (1, "a"), (2, "c"), (1, "d")]);
-        assert_eq!(m.get(&1), Some(&"d"));
-        assert_eq!(m.get(&2), Some(&"c"));
-        assert_eq!(m.len(), 2);
-        let keys: Vec<_> = m.keys().copied().collect();
-        assert_eq!(keys, vec![1, 2]);
-    }
-
-    #[test]
-    fn vecmap_ascending_input_is_preserved() {
-        let m = VecMap::from_wire(vec![(1, "a"), (2, "b"), (3, "c")]);
-        assert_eq!(m.len(), 3);
-        assert!(m.contains_key(&2));
-        assert!(!m.contains_key(&4));
-        let pairs: Vec<_> = (&m).into_iter().map(|(k, v)| (*k, *v)).collect();
-        assert_eq!(pairs, vec![(1, "a"), (2, "b"), (3, "c")]);
-    }
-
-    #[test]
-    fn vecmap_insert_replaces_and_orders() {
-        let mut m = VecMap::new();
-        m.insert(5, "e");
-        m.insert(1, "a");
-        m.insert(5, "E");
-        assert_eq!(m.get(&5), Some(&"E"));
-        assert_eq!(m.keys().copied().collect::<Vec<_>>(), vec![1, 5]);
-    }
-
-    fn sample_advice() -> Advice {
-        let mut a = Advice::default();
-        let hid = HandlerId::root(FunctionId(0));
-        a.tags.insert(RequestId(0), 7);
-        a.tags.insert(RequestId(1), 7);
-        a.handler_logs.insert(
-            RequestId(0),
-            vec![crate::advice::HandlerLogEntry {
-                hid: hid.clone(),
-                opnum: 1,
-                op: HandlerOp::Emit {
-                    event: "boot".into(),
-                },
-            }],
-        );
-        let mut vl = crate::advice::VarLog::new();
-        vl.insert(
-            OpRef::new(RequestId(0), hid.clone(), 2),
-            VarLogEntry {
-                access: crate::advice::AccessType::Write,
-                value: Some(Value::str("payload")),
-                prec: None,
-            },
-        );
-        a.var_logs.insert(VarId(3), vl);
-        let tx = KTxId {
-            rid: RequestId(0),
-            hid: hid.clone(),
-            opnum: 3,
-        };
-        a.tx_logs.insert(
-            tx.clone(),
-            vec![
-                crate::advice::TxLogEntry {
-                    hid: hid.clone(),
-                    opnum: 3,
-                    optype: TxOpType::Start,
-                    key: None,
-                    contents: TxOpContents::None,
-                },
-                crate::advice::TxLogEntry {
-                    hid: hid.clone(),
-                    opnum: 4,
-                    optype: TxOpType::Put,
-                    key: Some("row".into()),
-                    contents: TxOpContents::Put {
-                        value: Value::int(9),
-                    },
-                },
-            ],
-        );
-        a.write_order.push(TxPos { tx, index: 1 });
-        a.response_emitted_by.insert(RequestId(0), (hid.clone(), 1));
-        a.opcounts.insert((RequestId(0), hid.clone()), 4);
-        a.nondet
-            .insert(OpRef::new(RequestId(0), hid, 1), Value::str("rand"));
-        a
-    }
-
-    /// What `from_view` builds is the advice that was encoded.
-    #[test]
-    fn from_view_builds_the_logical_maps() {
-        let a = sample_advice();
-        let bytes = encode_advice(&a);
-        let view = decode_advice_view(&bytes).unwrap();
-        let mut interner = ValueInterner::new();
-        let r = AdviceRef::from_view(&view, &mut interner);
-        assert_eq!(r.tags.get(&RequestId(1)), Some(&7));
-        assert_eq!(r.var_log_entries(), 1);
-        assert_eq!(r.handler_log_entries(), 1);
-        assert_eq!(r.tx_log_entries(), 2);
-        assert!(r
-            .tx_entry(&a.write_order[0])
-            .is_some_and(|e| e.optype == TxOpType::Put && e.key == Some("row")));
-        assert_eq!(r.nondet.values().next(), Some(&Value::str("rand")));
-        let order = [RequestId(1), RequestId(0), RequestId(9)];
-        assert_eq!(r.groups(&order), a.groups(&order));
-    }
-
-    /// A span that does not read back against its view — only a view
-    /// built by hand holds one — reads as null and is recorded, for the
-    /// audit root to refuse.
-    #[test]
-    fn a_span_that_does_not_read_back_is_recorded() {
-        let bytes = encode_advice(&sample_advice());
-        let mut view = decode_advice_view(&bytes).unwrap();
-        let honest = AdviceRef::from_view(&view, &mut ValueInterner::new());
-        assert_eq!(honest.malformed, None);
-        view.interned = ValueInterner::new();
-        let r = AdviceRef::from_view(&view, &mut ValueInterner::new());
-        assert_eq!(r.malformed.map(|e| e.what), Some("str"));
-        assert_eq!(r.nondet.values().next(), Some(&Value::Null));
-    }
-
-    /// Duplicate outer keys in the wire sections resolve later-wins, and
-    /// to the same working form as the canonical re-encoding of the
-    /// decoded advice (`to_advice`'s `BTreeMap::insert`, then
-    /// `encode_advice`), which holds each key once.
-    #[test]
-    fn duplicate_sections_resolve_like_their_canonical_reencoding() {
-        let bytes = encode_advice(&sample_advice());
-        let mut view = decode_advice_view(&bytes).unwrap();
-        // Forge a duplicate tag (later wins) and a duplicate opcount.
-        view.tags.push((RequestId(0), 99));
-        let dup_opcount = view.opcounts[0].clone();
-        view.opcounts.insert(0, ((dup_opcount.0.clone()), 1234));
-        let hostile = view.encode();
-        let canonical = encode_advice(&decode_advice(&hostile).unwrap());
-        assert_ne!(hostile, canonical);
-        let (hostile, canonical) = (
-            decode_advice_view(&hostile).unwrap(),
-            decode_advice_view(&canonical).unwrap(),
-        );
-        let (mut i1, mut i2) = (ValueInterner::new(), ValueInterner::new());
-        let from_wire = AdviceRef::from_view(&hostile, &mut i1);
-        assert_eq!(from_wire, AdviceRef::from_view(&canonical, &mut i2));
-        assert_eq!(from_wire.tags.get(&RequestId(0)), Some(&99));
-        assert_eq!(from_wire.opcounts.get(&dup_opcount.0), Some(&dup_opcount.1));
     }
 }

@@ -1,9 +1,9 @@
 //! Runtime configuration: the resource-governance [`Limits`].
 //!
 //! An audit is configured by the [`crate::AuditOptions`] it is handed
-//! and by nothing else: the plain entry points ([`crate::audit`],
-//! [`crate::audit_encoded`]) run `AuditOptions::default()`, the others
-//! ([`crate::audit_encoded_with_obs`], [`crate::ooo_audit`], …) take
+//! and by nothing else: the plain entry points ([`crate::audit_encoded`]
+//! and the `karousos` crate's `audit`) run `AuditOptions::default()`,
+//! the others ([`crate::audit_encoded_with_obs`], [`crate::ooo_audit`], …) take
 //! whatever the caller constructed, and no code in this crate reads the
 //! process environment. A budget is changed by setting its [`Limits`]
 //! field.
@@ -24,7 +24,7 @@
 pub struct Limits {
     /// Deterministic per-group replay fuel budget: one unit per
     /// statement executed and per expression node evaluated of the
-    /// source program (`kem::bytecode`, "Fuel"). Counted inside the
+    /// source program (`kem_lang::bytecode`, "Fuel"). Counted inside the
     /// single-threaded per-group dispatch loop, so the spend — and the
     /// verdict — is bit-identical at every thread count.
     pub replay_fuel: u64,

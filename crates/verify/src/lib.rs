@@ -1,0 +1,50 @@
+//! The Karousos verifier: the trusted side of the paper's audit.
+//!
+//! It decodes the untrusted server's advice ([`wire`]), builds its
+//! working form ([`AdviceRef`]) and runs `Preprocess → ReExec →
+//! Postprocess` (Figs. 14–21) to ACCEPT or a typed [`RejectReason`]:
+//! graph construction, Adya isolation verification of the alleged
+//! transactional history, grouped SIMD-on-demand re-execution
+//! ([`multivalue`]) on the language's one dispatch loop, per-variable
+//! dictionaries and observer bookkeeping, and the final acyclicity
+//! check. It links `kem-lang`, `adya`, `obs` and the `rand` shim, and no
+//! server code: that is the `karousos` crate, which re-exports this one.
+
+#![forbid(unsafe_code)]
+#![warn(missing_docs)]
+// The verifier consumes attacker-controlled advice; a panic is a
+// denial-of-audit (CI runs clippy with -D warnings).
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+
+pub mod advice;
+pub mod advice_ref;
+pub mod config;
+pub mod multivalue;
+pub mod verifier;
+pub mod wire;
+
+pub use advice::{
+    AccessType, HandlerLogEntry, HandlerOp, KTxId, TxLogEntry, TxOpContents, TxPos, VarLog,
+    VarLogEntry,
+};
+pub use advice_ref::{AdviceRef, TxContentsRef, TxEntryRef, VarLogRef, VecMap};
+pub use config::Limits;
+pub use multivalue::{MultiValue, MultiValueIter};
+pub use verifier::{
+    audit_encoded, audit_encoded_with_obs, audit_forensic, audit_source_with_obs, cycle_report,
+    ooo_audit, AuditDiagnostics, AuditFailure, AuditOptions, AuditReport, CycleEdgeReport,
+    CycleProbe, CycleReport, EdgeKind, FeedCounters, PhaseTiming, ReexecStats, RejectReason,
+    ReplaySchedule, ResourceKind,
+};
+pub use wire::{
+    decode_advice_view, decode_advice_view_bounded, AdviceSource, AdviceView, BoundedDecodeError,
+    DecodeStats, RawValue,
+};
+// What `tests/prop_wire.rs` pins the value path with.
+#[doc(hidden)]
+pub use wire::{decode_value_bounded, Materializer};

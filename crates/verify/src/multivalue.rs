@@ -7,18 +7,10 @@
 //! re-execution gets its speedup.
 //!
 //! [`MultiValue`] is the replay's [`Operand`]: the verifier runs the
-//! server's own dispatch loop (`kem::vm`) over it.
+//! server's own dispatch loop (`kem_lang::vm`) over it.
 
-// Replay computes on advice-derived values through this module.
-#![deny(
-    clippy::unwrap_used,
-    clippy::expect_used,
-    clippy::panic,
-    clippy::unreachable
-)]
-
-use kem::vm::Operand;
-use kem::{RuntimeError, Value};
+use kem_lang::vm::Operand;
+use kem_lang::{RuntimeError, Value};
 
 /// A group-wide value: either one shared value or one per request.
 #[derive(Debug, Clone, PartialEq)]

@@ -28,7 +28,7 @@
 
 use std::ops::Range;
 
-use kem::{FunctionId, HandlerId, OpRef, RequestId};
+use kem_lang::{FunctionId, HandlerId, OpRef, RequestId};
 
 use crate::advice_ref::VecMap;
 use crate::verifier::reject::{RejectReason, ResourceKind};
@@ -610,7 +610,7 @@ impl<T> NodeLists<T> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use kem::FunctionId;
+    use kem_lang::FunctionId;
     use proptest::prelude::*;
 
     /// One generated request: its id, whether the trace contains it,

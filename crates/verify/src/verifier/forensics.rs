@@ -9,7 +9,7 @@
 //! (and, for internal-state edges, the variable) that induced it.
 //! Produced by [`crate::verifier::audit_forensic`].
 
-use kem::VarId;
+use kem_lang::VarId;
 use obs::Layer;
 
 use crate::verifier::graph::{CycleEdge, EdgeKind, Graph};
@@ -320,7 +320,7 @@ fn var_name(var: Option<VarId>) -> String {
 mod tests {
     use super::*;
     use crate::verifier::coords::Coords;
-    use kem::{FunctionId, HandlerId, OpRef, RequestId};
+    use kem_lang::{FunctionId, HandlerId, OpRef, RequestId};
 
     /// A graph over two requests with one single-op handler each, and
     /// the node ids of those two operations.

@@ -20,7 +20,7 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use kem::VarId;
+use kem_lang::VarId;
 
 use crate::verifier::coords::Coords;
 
@@ -408,7 +408,7 @@ impl Graph {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use kem::{FunctionId, HandlerId, OpRef, RequestId};
+    use kem_lang::{FunctionId, HandlerId, OpRef, RequestId};
 
     fn hid() -> HandlerId {
         HandlerId::root(FunctionId(0))

@@ -13,9 +13,10 @@
 //! modification" is that mark on a committed transaction and the
 //! expected length of the write order is their count.
 
-use crate::advice::{TxOpType, TxPos};
+use crate::advice::TxPos;
 use crate::advice_ref::{AdviceRef, TxContentsRef};
 use crate::verifier::reject::RejectReason;
+use kem_lang::TxOpKind;
 
 /// How much isolation work an audit had: the size of the alleged
 /// history and of the direct serialization graph checked over it. All
@@ -47,7 +48,7 @@ const NOT_AN_OP: u32 = u32::MAX;
 pub fn verify_isolation(
     advice: &AdviceRef<'_>,
     committed: &[bool],
-    isolation: kvstore::IsolationLevel,
+    isolation: adya::IsolationLevel,
 ) -> Result<IsolationStats, RejectReason> {
     let logs = advice.tx_logs.as_slice();
     let mismatch = |why| RejectReason::WriteOrderMismatch { why };
@@ -66,7 +67,7 @@ pub fn verify_isolation(
         log_starts.push(op_of.len());
         let mut next = 0u32;
         op_of.extend(log.iter().map(|entry| {
-            if !matches!(entry.optype, TxOpType::Put | TxOpType::Get) || entry.key.is_none() {
+            if !matches!(entry.optype, TxOpKind::Put | TxOpKind::Get) || entry.key.is_none() {
                 return NOT_AN_OP;
             }
             next += 1;
@@ -101,10 +102,10 @@ pub fn verify_isolation(
         };
         for entry in log {
             let from = match (&entry.contents, entry.optype) {
-                (_, TxOpType::Start | TxOpType::Commit | TxOpType::Abort) => continue,
-                (_, TxOpType::Put) => None,
-                (TxContentsRef::Get { from }, TxOpType::Get) => from.as_ref().map(translate),
-                (_, TxOpType::Get) => {
+                (_, TxOpKind::Start | TxOpKind::Commit | TxOpKind::Abort) => continue,
+                (_, TxOpKind::Put) => None,
+                (TxContentsRef::Get { from }, TxOpKind::Get) => from.as_ref().map(translate),
+                (_, TxOpKind::Get) => {
                     untranslatable.get_or_insert_with(|| malformed("GET with non-GET contents"));
                     None
                 }
@@ -114,7 +115,7 @@ pub fn verify_isolation(
                     .get_or_insert_with(|| mismatch("GET references untranslatable write"));
             }
             match entry.key {
-                Some(key) if entry.optype == TxOpType::Put => builder.put(id, key),
+                Some(key) if entry.optype == TxOpKind::Put => builder.put(id, key),
                 Some(key) => builder.get(id, key, from.flatten()),
                 None => {
                     untranslatable.get_or_insert_with(|| malformed("state operation without key"));
@@ -151,7 +152,7 @@ pub fn verify_isolation(
         if std::mem::replace(&mut seen[at], true) {
             return Err(mismatch("duplicate entry"));
         }
-        if entry.optype != TxOpType::Put {
+        if entry.optype != TxOpKind::Put {
             return Err(mismatch("entry is not a PUT"));
         }
         if entry.key.is_none() {
@@ -165,12 +166,7 @@ pub fn verify_isolation(
         return Err(reason);
     }
 
-    let level = match isolation {
-        kvstore::IsolationLevel::ReadUncommitted => adya::IsolationLevel::ReadUncommitted,
-        kvstore::IsolationLevel::ReadCommitted => adya::IsolationLevel::ReadCommitted,
-        kvstore::IsolationLevel::Serializable => adya::IsolationLevel::Serializable,
-    };
-    let dsg = adya::check_isolation(&history, level).map_err(RejectReason::Isolation)?;
+    let dsg = adya::check_isolation(&history, isolation).map_err(RejectReason::Isolation)?;
     Ok(IsolationStats {
         txns: logs.len(),
         state_ops: history.op_count(),

@@ -39,13 +39,12 @@ pub use reject::{RejectReason, ResourceKind};
 pub use var_index::VarIndex;
 pub use vars::{FeedCounters, VarStates};
 
-use kem::{init_handler_id, OpRef, Program, RequestId, Trace, VarId};
+use kem_lang::{init_handler_id, OpRef, Program, RequestId, Trace, VarId};
 use obs::{CounterId, GaugeId, HistogramId, Layer, LayerClock, Obs};
 
-use crate::advice::Advice;
 use crate::advice_ref::AdviceRef;
 use crate::config::Limits;
-use crate::wire::{encode_advice, AdviceSource};
+use crate::wire::AdviceSource;
 
 /// Knobs for how an audit executes. None of them can change the
 /// verdict — a parallel audit produces bit-identical statistics and the
@@ -132,7 +131,7 @@ pub fn audit_encoded(
     program: &Program,
     trace: &Trace,
     bytes: &[u8],
-    isolation: kvstore::IsolationLevel,
+    isolation: adya::IsolationLevel,
 ) -> Result<AuditReport, RejectReason> {
     let (opts, obs, mode) = (AuditOptions::default(), &Obs::noop(), Mode::Grouped);
     audit_bytes(program, trace, bytes, isolation, opts, obs, mode).map_err(|f| f.reason)
@@ -146,7 +145,7 @@ pub fn audit_encoded_with_obs(
     program: &Program,
     trace: &Trace,
     bytes: &[u8],
-    isolation: kvstore::IsolationLevel,
+    isolation: adya::IsolationLevel,
     opts: AuditOptions,
     obs: &Obs,
 ) -> Result<AuditReport, RejectReason> {
@@ -159,7 +158,7 @@ pub fn audit_source_with_obs(
     program: &Program,
     trace: &Trace,
     source: &AdviceSource,
-    isolation: kvstore::IsolationLevel,
+    isolation: adya::IsolationLevel,
     opts: AuditOptions,
     obs: &Obs,
 ) -> Result<AuditReport, RejectReason> {
@@ -174,7 +173,7 @@ pub fn audit_forensic(
     program: &Program,
     trace: &Trace,
     bytes: &[u8],
-    isolation: kvstore::IsolationLevel,
+    isolation: adya::IsolationLevel,
     opts: AuditOptions,
     obs: &Obs,
 ) -> Result<AuditReport, Box<AuditFailure>> {
@@ -193,24 +192,10 @@ pub fn ooo_audit(
     program: &Program,
     trace: &Trace,
     bytes: &[u8],
-    isolation: kvstore::IsolationLevel,
+    isolation: adya::IsolationLevel,
     opts: AuditOptions,
 ) -> Result<AuditReport, RejectReason> {
     let (obs, mode) = (&Obs::noop(), Mode::Ungrouped);
-    audit_bytes(program, trace, bytes, isolation, opts, obs, mode).map_err(|f| f.reason)
-}
-
-/// [`audit_encoded`] for advice still in memory (the collector's
-/// output, a mutator's): encodes it and audits the bytes, so it passes
-/// the decoder and its budgets like advice that crossed the wire.
-pub fn audit(
-    program: &Program,
-    trace: &Trace,
-    advice: &Advice,
-    isolation: kvstore::IsolationLevel,
-) -> Result<AuditReport, RejectReason> {
-    let bytes = &encode_advice(advice);
-    let (opts, obs, mode) = (AuditOptions::default(), &Obs::noop(), Mode::Grouped);
     audit_bytes(program, trace, bytes, isolation, opts, obs, mode).map_err(|f| f.reason)
 }
 
@@ -342,7 +327,7 @@ fn audit_bytes(
     program: &Program,
     trace: &Trace,
     bytes: &[u8],
-    isolation: kvstore::IsolationLevel,
+    isolation: adya::IsolationLevel,
     opts: AuditOptions,
     obs: &Obs,
     mode: Mode,
@@ -398,7 +383,7 @@ fn audit_bytes(
                 ("wire_nodes", decode_stats.wire_nodes),
             ],
         );
-        let advice = AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
+        let advice = AdviceRef::from_view(&view, &mut kem_lang::ValueInterner::new());
         if let Some(e) = &advice.malformed {
             let what = e.to_string();
             return Err(RejectReason::MalformedAdvice { what }.into());
@@ -475,7 +460,7 @@ fn audit_decoded<'a>(
     program: &Program,
     trace: &Trace,
     advice: &'a AdviceRef<'a>,
-    isolation: kvstore::IsolationLevel,
+    isolation: adya::IsolationLevel,
     opts: AuditOptions,
     clock: &mut LayerClock<'_>,
     mode: Mode,

@@ -51,9 +51,9 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use kem::{HandlerId, OpRef, Program, RequestId, Trace, TraceEvent};
+use kem_lang::{HandlerId, OpRef, Program, RequestId, Trace, TraceEvent, TxOpKind};
 
-use crate::advice::{KTxId, TxOpType};
+use crate::advice::KTxId;
 use crate::advice_ref::{AdviceRef, TxContentsRef, TxEntryRef, VecMap};
 use crate::verifier::coords::{Activation, Coords, Nearby, NodeLists, NodeRows, NodeTable};
 use crate::verifier::graph::{Edge, EdgeKind, Graph};
@@ -200,7 +200,7 @@ struct RangeShard<'x, 't> {
     near: u32,
     /// A handler log's live registrations. Event names stay borrowed
     /// from the advice bytes: the scan allocates nothing per entry.
-    registered: Vec<(&'x str, kem::FunctionId)>,
+    registered: Vec<(&'x str, kem_lang::FunctionId)>,
     /// A transaction's last write to each key, by log index.
     my_writes: HashMap<&'x str, u32>,
 }
@@ -217,7 +217,7 @@ struct ShardCtx<'c, 'x> {
     coords: &'c Coords,
     /// Global registrations never change during a run; indexed by
     /// event once, shared read-only by every shard.
-    global_by_event: HashMap<&'c str, Vec<kem::FunctionId>>,
+    global_by_event: HashMap<&'c str, Vec<kem_lang::FunctionId>>,
 }
 
 impl<'c, 'x> ShardCtx<'c, 'x> {
@@ -244,7 +244,7 @@ pub fn preprocess_staged<'a>(
     program: &Program,
     trace: &Trace,
     advice: &'a AdviceRef<'a>,
-    isolation: kvstore::IsolationLevel,
+    isolation: adya::IsolationLevel,
     threads: usize,
 ) -> Result<PreStaged, RejectReason> {
     if !trace.is_balanced() {
@@ -260,12 +260,12 @@ pub fn preprocess_staged<'a>(
 
     let work = shard_work(advice, &coords, &trace_order);
 
-    let mut global_by_event: HashMap<&str, Vec<kem::FunctionId>> = HashMap::new();
+    let mut global_by_event: HashMap<&str, Vec<kem_lang::FunctionId>> = HashMap::new();
     for (e, f) in &program.global_registrations {
         global_by_event
             .entry(e.as_str())
             .or_default()
-            .push(kem::FunctionId(*f));
+            .push(kem_lang::FunctionId(*f));
     }
     let ctx = ShardCtx {
         advice,
@@ -750,20 +750,20 @@ fn section_external<'x>(
         let Some(first) = log.first() else {
             return Err(malformed("empty log"));
         };
-        if first.optype != TxOpType::Start || first.hid != tx.hid || first.opnum != tx.opnum {
+        if first.optype != TxOpKind::Start || first.hid != tx.hid || first.opnum != tx.opnum {
             return Err(malformed("first entry is not the tx_start"));
         }
-        let is_committed = log.last().is_some_and(|e| e.optype == TxOpType::Commit);
+        let is_committed = log.last().is_some_and(|e| e.optype == TxOpKind::Commit);
         if is_committed {
             shard.committed.push(rank);
         }
 
         shard.my_writes.clear();
         for (i, entry) in log.iter().enumerate() {
-            if i > 0 && entry.optype == TxOpType::Start {
+            if i > 0 && entry.optype == TxOpKind::Start {
                 return Err(malformed("tx_start after the first entry"));
             }
-            if i + 1 < log.len() && matches!(entry.optype, TxOpType::Commit | TxOpType::Abort) {
+            if i + 1 < log.len() && matches!(entry.optype, TxOpKind::Commit | TxOpKind::Abort) {
                 return Err(malformed("operations after commit/abort"));
             }
             let index = log_index(i)?;
@@ -772,7 +772,7 @@ fn section_external<'x>(
             let at = || OpRef::new(tx.rid, entry.hid.clone(), entry.opnum);
 
             match entry.optype {
-                TxOpType::Get => {
+                TxOpKind::Get => {
                     let Some(key) = entry.key else {
                         return Err(malformed("GET without key"));
                     };
@@ -783,7 +783,7 @@ fn section_external<'x>(
                         let Some(opw) = ctx.advice.tx_entry(pos) else {
                             return Err(RejectReason::BadDictatingWrite { at: at() });
                         };
-                        if opw.optype != TxOpType::Put || opw.key != Some(key) {
+                        if opw.optype != TxOpKind::Put || opw.key != Some(key) {
                             return Err(RejectReason::BadDictatingWrite { at: at() });
                         }
                         // The dictating write may be another request's.
@@ -808,7 +808,7 @@ fn section_external<'x>(
                         return Err(RejectReason::SelfReadNotLastModification { at: at() });
                     }
                 }
-                TxOpType::Put => {
+                TxOpKind::Put => {
                     let Some(key) = entry.key else {
                         return Err(malformed("PUT without key"));
                     };
@@ -817,7 +817,7 @@ fn section_external<'x>(
                     }
                     shard.my_writes.insert(key, index);
                 }
-                TxOpType::Start | TxOpType::Commit | TxOpType::Abort => {
+                TxOpKind::Start | TxOpKind::Commit | TxOpKind::Abort => {
                     if !matches!(entry.contents, TxContentsRef::None) {
                         return Err(malformed("control entry with contents"));
                     }

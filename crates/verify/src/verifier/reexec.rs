@@ -12,8 +12,8 @@
 //! per-handler program order but nothing else — which is exactly the
 //! freedom the R-order formalizes.
 //!
-//! The pass is the server's own dispatch loop (`kem::vm`) over the
-//! program's compiled bytecode (`kem::bytecode`, built once at program
+//! The pass is the server's own dispatch loop (`kem_lang::vm`) over the
+//! program's compiled bytecode (`kem_lang::bytecode`, built once at program
 //! build time), run with multivalue operands on a `Replay` machine,
 //! which holds the effectful ops and their advice checks: locals are
 //! frame **slot indices** over a `Vec`, shared-variable and function
@@ -38,15 +38,14 @@ use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use kem::vm::{Machine, Vm, VmError};
-use kem::{
+use kem_lang::vm::{Machine, Vm, VmError};
+use kem_lang::{
     tx_payload_keys, Exchange, FunctionId, HandlerId, NondetKind, OpRef, Program, RequestId, Sym,
     Trace, TxOpKind, Value, VarId,
 };
 
 use obs::{CounterId, HistogramId, Obs, ObsShard};
 
-use crate::advice::TxOpType;
 use crate::advice_ref::{AdviceRef, TxContentsRef, TxEntryRef};
 use crate::config::Limits;
 use crate::multivalue::MultiValue;
@@ -606,7 +605,7 @@ impl<'a> ReExecutor<'a> {
         };
     }
 
-    /// Charges `n` fuel units: the charges `kem::bytecode::lower` folded
+    /// Charges `n` fuel units: the charges `kem_lang::bytecode::lower` folded
     /// onto one op. One unit per statement executed and per expression
     /// node evaluated makes the spend a pure function of the program and
     /// the advice — never of the worker layout — so a
@@ -1012,7 +1011,7 @@ impl<'a> ReExecutor<'a> {
         payload: &MultiValue,
     ) -> Result<(), RejectReason> {
         for &f in &self.program.request_handlers {
-            let hid = HandlerId::root(kem::FunctionId(f));
+            let hid = HandlerId::root(kem_lang::FunctionId(f));
             let slots = g.resolve_root(&self.pre.coords, &hid, &mut self.pending_slots);
             if self.missing_member(&slots).is_some() {
                 return Err(RejectReason::GroupSetupMismatch {
@@ -1095,7 +1094,7 @@ impl<'a> ReExecutor<'a> {
 }
 
 /// One handler activation of a group being replayed: the [`Machine`]
-/// the dispatch loop (`kem::vm`) runs on, over multivalues.
+/// the dispatch loop (`kem_lang::vm`) runs on, over multivalues.
 struct Replay<'r, 'a> {
     ex: &'r mut ReExecutor<'a>,
     g: &'r Group<'a>,
@@ -1423,7 +1422,7 @@ impl Machine for Replay<'_, '_> {
             let (tx, entry) = self.consume_state_op(i, None, 0)?;
             let token = self.ex.tx_table.len() as i64;
             self.ex.tx_table.push(TxToken { tx, txnum: 0 });
-            if entry.optype != TxOpType::Start {
+            if entry.optype != TxOpKind::Start {
                 return Err(RejectReason::StateOpMismatch {
                     at: self.at(i),
                     why: "expected tx_start",
@@ -1444,20 +1443,13 @@ impl Machine for Replay<'_, '_> {
     /// advice checks, and continuation payload construction.
     fn tx_op(
         &mut self,
-        kind: TxOpKind,
+        requested: TxOpKind,
         tx_v: MultiValue,
         key_v: Option<MultiValue>,
         value_v: Option<MultiValue>,
         ctx_v: MultiValue,
         on_done: FunctionId,
     ) -> Result<(), RejectReason> {
-        let requested = match kind {
-            TxOpKind::Start => TxOpType::Start,
-            TxOpKind::Get => TxOpType::Get,
-            TxOpKind::Put => TxOpType::Put,
-            TxOpKind::Commit => TxOpType::Commit,
-            TxOpKind::Abort => TxOpType::Abort,
-        };
         self.bump()?;
         if let Some(k) = &key_v {
             self.ex.note_dedup(k);
@@ -1494,7 +1486,7 @@ impl Machine for Replay<'_, '_> {
             // transaction (the paper's retry-error path): feed the
             // failure result. If the log recorded the contested key it
             // must match.
-            let conflict = entry.optype == TxOpType::Abort && requested != TxOpType::Abort;
+            let conflict = entry.optype == TxOpKind::Abort && requested != TxOpKind::Abort;
             payload.push((Arc::clone(&keys.ok), Value::Bool(!conflict)));
             if conflict {
                 if let (Some(logged), Some(kv)) = (entry.key, &key_v) {
@@ -1508,7 +1500,7 @@ impl Machine for Replay<'_, '_> {
             if entry.optype != requested {
                 return mismatch("logged operation type differs");
             }
-            if let TxOpType::Get | TxOpType::Put = requested {
+            if let TxOpKind::Get | TxOpKind::Put = requested {
                 let kv = key_v
                     .as_ref()
                     .ok_or_else(|| internal("re-executed without a key expression"))?;
@@ -1517,7 +1509,7 @@ impl Machine for Replay<'_, '_> {
                 }
             }
             match (requested, &entry.contents) {
-                (TxOpType::Get, TxContentsRef::Get { from }) => {
+                (TxOpKind::Get, TxContentsRef::Get { from }) => {
                     let value = match from {
                         None => None,
                         Some(pos) => match advice.tx_entry(pos).map(|w| &w.contents) {
@@ -1531,8 +1523,8 @@ impl Machine for Replay<'_, '_> {
                     payload.push((Arc::clone(&keys.found), Value::Bool(value.is_some())));
                     payload.push((Arc::clone(&keys.value), value.unwrap_or(Value::Null)));
                 }
-                (TxOpType::Get, _) => return malformed("GET with non-GET contents"),
-                (TxOpType::Put, TxContentsRef::Put { value: logged }) => {
+                (TxOpKind::Get, _) => return malformed("GET with non-GET contents"),
+                (TxOpKind::Put, TxContentsRef::Put { value: logged }) => {
                     // Simulate-and-check for external state: the
                     // re-executed PUT must produce the logged value.
                     let vv = value_v
@@ -1542,9 +1534,9 @@ impl Machine for Replay<'_, '_> {
                         return mismatch("logged PUT value differs from re-execution");
                     }
                 }
-                (TxOpType::Put, _) => return malformed("PUT with non-PUT contents"),
-                (TxOpType::Commit | TxOpType::Abort, _) => {}
-                (TxOpType::Start, _) => return Err(internal("tx_start as a later operation")),
+                (TxOpKind::Put, _) => return malformed("PUT with non-PUT contents"),
+                (TxOpKind::Commit | TxOpKind::Abort, _) => {}
+                (TxOpKind::Start, _) => return Err(internal("tx_start as a later operation")),
             }
             payloads.push(Value::from_pairs(payload));
         }
@@ -1802,7 +1794,7 @@ fn final_checks(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use kem::FunctionId;
+    use kem_lang::FunctionId;
 
     /// A hostile group: members whose activation ranges differ in
     /// length and order, so the previous member's offset is the wrong
@@ -1826,7 +1818,7 @@ mod tests {
             .collect();
         let coords = Coords::build(&rids, &opcounts).unwrap();
         let view = crate::wire::AdviceView::default();
-        let advice = AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
+        let advice = AdviceRef::from_view(&view, &mut kem_lang::ValueInterner::new());
         let g = Group::new(rids, &advice, &coords);
 
         let acts = |slots: &[Option<Slot>]| -> Vec<Option<u32>> {

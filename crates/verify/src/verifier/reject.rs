@@ -4,7 +4,7 @@
 //! a variant here, so the adversarial test-suite can assert not just
 //! *that* a forged advice/trace is rejected but *which* defense fired.
 
-use kem::{OpRef, RequestId};
+use kem_lang::{OpRef, RequestId};
 
 use crate::advice::KTxId;
 

@@ -36,7 +36,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use kem::{OpRef, RequestId, VarId};
+use kem_lang::{OpRef, RequestId, VarId};
 
 use crate::advice::{AccessType, VarLogEntry};
 use crate::advice_ref::{VarLogRef, VecMap};

@@ -36,7 +36,7 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use kem::{OpRef, Value, VarId};
+use kem_lang::{OpRef, Value, VarId};
 
 use crate::advice::AccessType;
 use crate::advice_ref::{VarLogRef, VecMap};
@@ -840,7 +840,7 @@ mod tests {
     use super::*;
     use crate::advice::VarLogEntry;
     use crate::advice_ref::{VarLogRef, VecMap};
-    use kem::{init_handler_id, FunctionId, HandlerId, PMap, RequestId};
+    use kem_lang::{init_handler_id, FunctionId, HandlerId, PMap, RequestId};
 
     fn init_op() -> OpRef {
         OpRef::new(RequestId::INIT, init_handler_id(), 1)

@@ -13,8 +13,9 @@
 
 use apps::App;
 use karousos::advice::{AccessType, VarLogEntry};
-use karousos::{audit, run_instrumented_server, Advice, CollectorMode, TxOpType};
+use karousos::{audit, run_instrumented_server, Advice, CollectorMode};
 use kem::dsl::*;
+use kem::TxOpKind;
 use kem::{HandlerId, OpRef, ProgramBuilder, RequestId, Trace, Value};
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
@@ -54,7 +55,7 @@ fn main() {
         .tx_logs
         .values_mut()
         .flatten()
-        .find(|e| e.optype == TxOpType::Put)
+        .find(|e| e.optype == TxOpKind::Put)
     {
         if let karousos::TxOpContents::Put { value } = &mut entry.contents {
             *value = Value::map([("dump", Value::str("x")), ("count", Value::int(1_000_000))]);

@@ -11,7 +11,8 @@
 //! level — including the weak levels where dirty reads are legal.
 
 use apps::App;
-use karousos::{audit, run_instrumented_server, CollectorMode, TxOpType};
+use karousos::{audit, run_instrumented_server, CollectorMode};
+use kem::TxOpKind;
 use kem::{RequestId, SchedPolicy, ServerConfig, Value};
 use kvstore::IsolationLevel;
 
@@ -52,7 +53,7 @@ fn main() {
             let aborted = advice
                 .tx_logs
                 .values()
-                .filter(|log| log.last().is_some_and(|e| e.optype == TxOpType::Abort))
+                .filter(|log| log.last().is_some_and(|e| e.optype == TxOpKind::Abort))
                 .count();
             let verdict = match audit(&program, &out.trace, &advice, isolation) {
                 Ok(_) => "ACCEPT".to_string(),

@@ -11,8 +11,9 @@ mod common;
 use apps::App;
 use common::audit_matrix;
 use karousos::advice::{AccessType, VarLogEntry};
-use karousos::{run_instrumented_server, Advice, CollectorMode, RejectReason, TxOpType};
+use karousos::{run_instrumented_server, Advice, CollectorMode, RejectReason};
 use kem::dsl::*;
+use kem::TxOpKind;
 use kem::{HandlerId, OpRef, Program, ProgramBuilder, RequestId, Trace, Value};
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
@@ -209,7 +210,7 @@ fn forged_put_value_rejected() {
         .tx_logs
         .values_mut()
         .flatten()
-        .find(|e| e.optype == TxOpType::Put)
+        .find(|e| e.optype == TxOpKind::Put)
         .expect("stacks writes rows");
     if let karousos::TxOpContents::Put { value } = &mut entry.contents {
         *value = Value::str("poison");
@@ -275,12 +276,12 @@ fn aborted_transaction_claimed_committed_rejected() {
         let aborted = a
             .tx_logs
             .iter()
-            .find(|(_, log)| log.last().is_some_and(|e| e.optype == TxOpType::Abort))
+            .find(|(_, log)| log.last().is_some_and(|e| e.optype == TxOpKind::Abort))
             .map(|(tx, _)| tx.clone());
         let Some(tx) = aborted else { continue };
         let log = a.tx_logs.get_mut(&tx).unwrap();
         let last = log.last_mut().unwrap();
-        last.optype = TxOpType::Commit;
+        last.optype = TxOpKind::Commit;
         last.key = None;
         assert!(audit_matrix(&p, &t, &a, SER).is_err());
         return;

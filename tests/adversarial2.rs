@@ -6,7 +6,8 @@ mod common;
 
 use apps::App;
 use common::audit_matrix;
-use karousos::{run_instrumented_server, Advice, CollectorMode, RejectReason, TxOpType};
+use karousos::{run_instrumented_server, Advice, CollectorMode, RejectReason};
+use kem::TxOpKind;
 use kem::{HandlerId, Program, RequestId, Trace};
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
@@ -127,7 +128,7 @@ fn redirected_dictating_write_rejected() {
     let mut redirected = false;
     for log in a.tx_logs.values_mut() {
         for e in log.iter_mut() {
-            if e.optype == TxOpType::Get && e.key.as_deref() == Some(key.as_str()) {
+            if e.optype == TxOpKind::Get && e.key.as_deref() == Some(key.as_str()) {
                 if let karousos::TxOpContents::Get { from: Some(pos) } = &mut e.contents {
                     if *pos == later {
                         *pos = earlier.clone();
@@ -414,14 +415,14 @@ fn fabricated_transaction_squatting_on_var_coordinates_rejected() {
             karousos::TxLogEntry {
                 hid: hid.clone(),
                 opnum: 1,
-                optype: TxOpType::Start,
+                optype: TxOpKind::Start,
                 key: None,
                 contents: karousos::TxOpContents::None,
             },
             karousos::TxLogEntry {
                 hid: hid.clone(),
                 opnum: 2,
-                optype: TxOpType::Commit,
+                optype: TxOpKind::Commit,
                 key: None,
                 contents: karousos::TxOpContents::None,
             },

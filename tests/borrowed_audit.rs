@@ -20,8 +20,8 @@ mod common;
 use apps::App;
 use common::{audit_points, comparable, matrix, Outcome, Point};
 use karousos::{
-    decode_advice, decode_advice_view, encode_advice, AdviceSource, AdviceView, AuditOptions,
-    Mutator, RawValue, RejectReason, WireMutator,
+    decode_advice, decode_advice_view, encode_advice, AdviceSource, AdviceView, AdviceViewExt,
+    AuditOptions, Mutator, RawValue, RejectReason, WireMutator,
 };
 use kem::{Program, Trace};
 use kvstore::IsolationLevel;

@@ -370,12 +370,13 @@ fn decoded_audit_path_is_fuel_metered_too() {
 /// opcount covers — so nothing stops the advice before isolation
 /// verification meets the wide transaction.
 fn widen_one_transaction(bytes: &[u8], width: u32) -> Vec<u8> {
-    use karousos::advice::{TxLogEntry, TxOpContents, TxOpType, TxPos};
+    use karousos::advice::{TxLogEntry, TxOpContents, TxPos};
+    use kem::TxOpKind;
     let mut advice = karousos::decode_advice(bytes).unwrap();
     let (tx, log) = advice
         .tx_logs
         .iter_mut()
-        .find(|(_, log)| log.last().is_some_and(|e| e.optype == TxOpType::Commit))
+        .find(|(_, log)| log.last().is_some_and(|e| e.optype == TxOpKind::Commit))
         .expect("a committed transaction");
     let commit = log.pop().unwrap();
     let opcount = advice
@@ -390,7 +391,7 @@ fn widen_one_transaction(bytes: &[u8], width: u32) -> Vec<u8> {
         log.push(TxLogEntry {
             hid: commit.hid.clone(),
             opnum: *opcount + 1 + i,
-            optype: TxOpType::Put,
+            optype: TxOpKind::Put,
             key: Some(format!("wide-{i}")),
             contents: TxOpContents::Put {
                 value: Value::Int(0),

@@ -31,7 +31,8 @@ mod common;
 use apps::App;
 use karousos::{
     audit_encoded_with_obs, decode_advice_view, encode_advice, ooo_audit, run_instrumented_server,
-    AccessType, Advice, AuditOptions, AuditReport, CollectorMode, RejectReason, VarLogEntry,
+    AccessType, Advice, AdviceViewExt, AuditOptions, AuditReport, CollectorMode, RejectReason,
+    VarLogEntry,
 };
 use kem::{init_handler_id, FunctionId, HandlerId, OpRef, RequestId, Value, VarId};
 use workload::{Experiment, Mix};

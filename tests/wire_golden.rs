@@ -17,7 +17,7 @@
 use apps::App;
 use karousos::{
     audit_encoded, decode_advice, decode_advice_view_bounded, encode_advice,
-    run_instrumented_server, Advice, BoundedDecodeError, CollectorMode,
+    run_instrumented_server, Advice, AdviceViewExt, BoundedDecodeError, CollectorMode,
 };
 use workload::{Experiment, Mix};
 
