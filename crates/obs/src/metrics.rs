@@ -76,17 +76,11 @@ pub enum CounterId {
     /// Bytecode instructions dispatched by the replay loop across all
     /// groups.
     BytecodeOps,
-    /// Groups quarantined to a `ResourceExhausted`/`VerifierInternal`
-    /// verdict instead of stopping the whole audit.
-    GroupsQuarantined,
-    /// Worker panics caught and converted into quarantined
-    /// `VerifierInternal` verdicts by the replay supervisor.
-    PanicsCaught,
 }
 
 impl CounterId {
     /// Every counter, in catalog order.
-    pub const ALL: [CounterId; 26] = [
+    pub const ALL: [CounterId; 24] = [
         CounterId::GroupsFormed,
         CounterId::UniformOps,
         CounterId::ExpandedOps,
@@ -111,8 +105,6 @@ impl CounterId {
         CounterId::SpansDropped,
         CounterId::ReplayFuelSpent,
         CounterId::BytecodeOps,
-        CounterId::GroupsQuarantined,
-        CounterId::PanicsCaught,
     ];
 
     /// Number of counters in the catalog.
@@ -145,8 +137,6 @@ impl CounterId {
             CounterId::SpansDropped => "spans_dropped",
             CounterId::ReplayFuelSpent => "replay_fuel_spent",
             CounterId::BytecodeOps => "bytecode_ops",
-            CounterId::GroupsQuarantined => "groups_quarantined",
-            CounterId::PanicsCaught => "panics_caught",
         }
     }
 }

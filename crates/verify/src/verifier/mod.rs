@@ -322,7 +322,10 @@ enum Mode {
 /// [`RejectReason::VerifierInternal`]. The audit path is written to be
 /// panic-free by construction (every advice-driven lookup is a typed
 /// rejection); the boundary is the backstop, and the fault-injection
-/// harness treats crossing it as a verifier bug.
+/// harness treats crossing it as a verifier bug. A panic inside a pool
+/// item is caught by the pool instead, as an error at that item's index
+/// ([`pool::ordered`]); the backstop catches any other panic on the
+/// calling thread.
 fn audit_bytes(
     program: &Program,
     trace: &Trace,
@@ -404,25 +407,13 @@ fn audit_bytes(
         // the audit left the clock in: teardown on ACCEPT.
     }))
     .unwrap_or_else(|payload| {
-        // The backstop fired: record it (the fault-injection harness
-        // treats any crossing of this boundary as a verifier bug) and
-        // carry the payload into the forensics.
-        obs.count(CounterId::PanicsCaught, 1);
-        let what = format!("audit panicked: {}", panic_message(&payload));
+        // The backstop fired (the fault-injection harness treats any
+        // crossing of this boundary as a verifier bug): carry the
+        // payload into the forensics.
+        let what = format!("audit panicked: {}", pool::panic_message(&*payload));
         Err(RejectReason::VerifierInternal { what }.into())
     });
     conclude(clock, outcome)
-}
-
-/// Best-effort extraction of a panic payload's message.
-fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
-    if let Some(s) = payload.downcast_ref::<&str>() {
-        (*s).to_string()
-    } else if let Some(s) = payload.downcast_ref::<String>() {
-        s.clone()
-    } else {
-        "panic with non-string payload".to_string()
-    }
 }
 
 /// Where every audit ends, whichever way it left the root — verdict,

@@ -2,7 +2,13 @@
 //! replay groups and edge-embed fragments are each `n` independent
 //! items, run on `threads` threads the calling one included, whose
 //! results are consumed in ascending index order.
+//!
+//! It is also the one place a panicking item is caught: a panic in
+//! `work(i, _)` becomes [`RejectReason::VerifierInternal`] at index `i`,
+//! like any other error there, so the first error in index order wins
+//! at every thread count.
 
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering::Relaxed};
 use std::sync::mpsc;
 
@@ -15,9 +21,9 @@ use crate::verifier::reject::RejectReason;
 /// what they produce; at `threads <= 1` nothing is spawned.
 ///
 /// An index past `floor` when claimed is skipped, and once `consume`
-/// returns no worker starts another item. A panic in `work` reaches the
-/// caller at every thread count: on the calling thread it unwinds
-/// through `consume`, a worker's is resumed once `consume` returns.
+/// returns no worker starts another item. An item that panics is
+/// caught, lowers `floor` to its index and is taken as
+/// [`RejectReason::VerifierInternal`] with the panic's text.
 pub(crate) fn ordered<T: Send, R>(
     threads: usize,
     n: usize,
@@ -34,6 +40,13 @@ pub(crate) fn ordered<T: Send, R>(
         }
         (i < n).then_some(i)
     };
+    let work = &|i: usize, lane: u32| {
+        catch_unwind(AssertUnwindSafe(|| work(i, lane))).map_err(|payload| {
+            floor.fetch_min(i, Relaxed);
+            let what = format!("pool item {i} panicked: {}", panic_message(&*payload));
+            RejectReason::VerifierInternal { what }
+        })
+    };
     let spawned = threads.min(n).saturating_sub(1);
     if spawned == 0 {
         return consume(&mut Pool {
@@ -45,25 +58,20 @@ pub(crate) fn ordered<T: Send, R>(
     }
     std::thread::scope(|s| {
         let (tx, rx) = mpsc::channel();
-        let spawn = |lane| {
+        for lane in (1u32..).take(spawned) {
             let tx = tx.clone();
             // A failed send means `consume` has returned: stop.
-            s.spawn(move || std::iter::from_fn(claim).try_for_each(|i| tx.send((i, work(i, lane)))))
-        };
-        let handles: Vec<_> = (1u32..).take(spawned).map(spawn).collect();
+            s.spawn(move || {
+                std::iter::from_fn(claim).try_for_each(|i| tx.send((i, work(i, lane))))
+            });
+        }
         drop(tx);
-        let out = consume(&mut Pool {
+        consume(&mut Pool {
             claim,
             work,
             slots: (0..n).map(|_| None).collect(),
             arrivals: Some(rx),
-        });
-        for handle in handles {
-            if let Err(payload) = handle.join() {
-                std::panic::resume_unwind(payload);
-            }
-        }
-        out
+        })
     })
 }
 
@@ -83,25 +91,36 @@ pub(crate) fn collect<T: Send>(
     })
 }
 
+/// Best-effort extraction of a panic payload's message.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&str>() {
+        (*s).to_string()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "panic with non-string payload".to_string()
+    }
+}
+
 /// What [`ordered`] hands its `consume`.
 pub(crate) struct Pool<'p, T> {
     /// The next unclaimed index at or below the floor.
     claim: &'p (dyn Fn() -> Option<usize> + Sync),
-    work: &'p (dyn Fn(usize, u32) -> T + Sync),
+    /// `work`, with its panics caught.
+    work: &'p (dyn Fn(usize, u32) -> Result<T, RejectReason> + Sync),
     /// Results ahead of their turn; never allocated at one thread.
-    slots: Vec<Option<T>>,
-    /// What the workers send. It disconnects once they have all exited,
-    /// by unwinding too.
-    arrivals: Option<mpsc::Receiver<(usize, T)>>,
+    slots: Vec<Option<Result<T, RejectReason>>>,
+    /// What the workers send. It disconnects once they have all exited.
+    arrivals: Option<mpsc::Receiver<(usize, Result<T, RejectReason>)>>,
 }
 
 impl<T> Pool<'_, T> {
     /// Item `i`'s result: one that has arrived, else the next unclaimed
     /// item run here (item `i` itself, inline, at one thread), else a
     /// wait for the workers. Indices must ascend from call to call.
-    /// Fails closed with [`RejectReason::VerifierInternal`] when nobody
-    /// is left to produce item `i`: it was skipped past the floor, or
-    /// the worker running it panicked.
+    /// Fails with [`RejectReason::VerifierInternal`] when item `i`
+    /// panicked, and closed with it when nobody is left to produce
+    /// item `i` because it was skipped past the floor.
     pub(crate) fn take(&mut self, i: usize) -> Result<T, RejectReason> {
         loop {
             if let Some(rx) = &self.arrivals {
@@ -110,7 +129,7 @@ impl<T> Pool<'_, T> {
                 }
             }
             if let Some(done) = self.slots.get_mut(i).and_then(Option::take) {
-                return Ok(done);
+                return done;
             }
             let (j, done) = match (self.claim)() {
                 Some(j) if j < i => continue,
@@ -124,7 +143,7 @@ impl<T> Pool<'_, T> {
                 },
             };
             if j == i {
-                return Ok(done);
+                return done;
             }
             self.slots[j] = Some(done);
         }
@@ -203,30 +222,56 @@ mod tests {
     }
 
     #[test]
-    fn a_panicking_item_panics_the_caller_and_never_hangs() {
+    fn a_panicking_item_is_an_error_at_its_index_and_never_hangs() {
         for threads in THREADS {
             for bad in [0, 8, 16] {
                 let (tx, rx) = mpsc::channel();
                 let helper = thread::spawn(move || {
-                    let outcome = std::panic::catch_unwind(|| {
-                        let work = |i: usize, _: u32| {
-                            if i == bad {
-                                panic!("item {i}");
-                            }
-                            i
-                        };
-                        ordered(threads, 17, &never(), &work, |pool| {
-                            (0..17).map(|i| pool.take(i)).collect::<Vec<_>>()
-                        })
+                    let work = |i: usize, _: u32| {
+                        if i == bad {
+                            panic!("item {i}");
+                        }
+                        i
+                    };
+                    let taken = ordered(threads, 17, &never(), &work, |pool| {
+                        (0..=bad).map(|i| pool.take(i)).collect::<Vec<_>>()
                     });
-                    tx.send(outcome.is_err()).unwrap();
+                    tx.send(taken).unwrap();
                 });
-                let panicked = rx
+                let taken = rx
                     .recv_timeout(Duration::from_secs(30))
                     .unwrap_or_else(|_| panic!("threads {threads}, item {bad}: hung"));
-                assert!(panicked, "threads {threads}, item {bad}");
                 helper.join().unwrap();
+                let (last, before) = taken.split_last().unwrap();
+                for (i, got) in before.iter().enumerate() {
+                    assert_eq!(got.as_ref().ok(), Some(&i), "threads {threads}, item {bad}");
+                }
+                match last {
+                    Err(RejectReason::VerifierInternal { what }) => {
+                        assert!(what.contains(&format!("item {bad}")), "{what}");
+                    }
+                    other => panic!("threads {threads}, item {bad}: {other:?}"),
+                }
             }
+        }
+    }
+
+    #[test]
+    fn an_earlier_error_beats_a_later_panic_at_every_thread_count() {
+        for threads in THREADS {
+            let work = |i: usize| match i {
+                2 => {
+                    thread::sleep(Duration::from_millis(50));
+                    Err(RejectReason::CycleInG)
+                }
+                9 => panic!("item {i}"),
+                _ => Ok(i),
+            };
+            let got = collect(threads, 17, &work);
+            assert!(
+                matches!(got, Err(RejectReason::CycleInG)),
+                "threads {threads}: {got:?}"
+            );
         }
     }
 }

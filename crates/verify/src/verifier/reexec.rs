@@ -31,6 +31,11 @@
 //! transaction is its rank in `advice.tx_logs`, and what a group
 //! covered is a list of indices folded into whole-audit tables at the
 //! merge.
+//!
+//! A group that fails — a check, a budget, or a panic the pool caught —
+//! is merged like any other: its recorded accesses first, then its
+//! error, which ends the audit (Figs. 14 and 18 return REJECT at the
+//! first failed check). No group past it is claimed or merged.
 
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -67,10 +72,10 @@ const DEADLINE_POLL_INTERVAL: u64 = 4096;
 static INJECT_PANIC: AtomicI64 = AtomicI64::new(-1);
 
 /// Arms a one-shot injected panic in the worker that replays group `g`
-/// (`-1` disarms). Exercises the replay supervisor from integration
-/// tests: the panic must become a quarantined
-/// [`RejectReason::VerifierInternal`] verdict without deadlocking the
-/// merge or killing the process.
+/// (`-1` disarms). Exercises the pool's panic catch from integration
+/// tests: the panic must become the audit's
+/// [`RejectReason::VerifierInternal`] verdict at group `g` without
+/// deadlocking the merge or killing the process.
 #[doc(hidden)]
 pub fn inject_group_panic_for_tests(g: i64) {
     INJECT_PANIC.store(g, Ordering::SeqCst);
@@ -198,53 +203,6 @@ struct GroupRun {
     /// The worker's telemetry shard (disabled — and heap-free — unless
     /// the audit was handed an enabled [`Obs`]).
     obs: ObsShard,
-    /// Whether this unit was synthesized by the supervisor because the
-    /// worker panicked mid-group (feeds the `panics_caught` counter).
-    panicked: bool,
-}
-
-/// Quarantine bookkeeping for the merge (DESIGN.md §10).
-///
-/// A *quarantining* error ([`RejectReason::quarantines`]: resource
-/// exhaustion or a caught worker panic) poisons only its own group:
-/// the merge skips that group's semantic contribution, keeps replaying
-/// and merging the remaining groups, and reports the first quarantine
-/// verdict at the end. A *hard* (semantic) error still stops the audit
-/// at that group, exactly as before — except that if a quarantine came
-/// first in group order, the quarantine verdict wins, because the hard
-/// error was derived from artifacts downstream of the poisoned group.
-#[derive(Default)]
-struct Quarantine {
-    /// First quarantining verdict in ascending group order.
-    first: Option<RejectReason>,
-    /// Number of quarantined groups (feeds `groups_quarantined`).
-    groups: u64,
-    /// Number of those that were caught panics (feeds `panics_caught`).
-    panics: u64,
-}
-
-impl Quarantine {
-    /// Resolve a hard error against any earlier quarantine: the
-    /// quarantine verdict wins because later groups' artifacts are
-    /// untrustworthy once an earlier group was poisoned.
-    fn resolve(&self, hard: RejectReason) -> RejectReason {
-        self.first.clone().unwrap_or(hard)
-    }
-
-    /// Flush quarantine telemetry and return the pending verdict, if
-    /// any. Call once after the merge loop finishes.
-    fn finish(&mut self, obs_handle: &Obs) -> Result<(), RejectReason> {
-        if self.groups > 0 {
-            obs_handle.count(CounterId::GroupsQuarantined, self.groups);
-        }
-        if self.panics > 0 {
-            obs_handle.count(CounterId::PanicsCaught, self.panics);
-        }
-        match self.first.take() {
-            Some(q) => Err(q),
-            None => Ok(()),
-        }
-    }
 }
 
 /// The grouped re-executor.
@@ -725,137 +683,111 @@ impl<'a> ReExecutor<'a> {
         let failed_floor = AtomicUsize::new(usize::MAX);
         let run_unit = |gidx: usize, lane: u32| -> GroupRun {
             let rids = groups[gidx].as_slice();
-            // Supervisor boundary: a panicking group must not take a
-            // thread (or the whole audit) down — it becomes a
-            // quarantined [`RejectReason::VerifierInternal`] unit and
-            // the remaining groups keep replaying.
-            let supervised = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                if INJECT_PANIC.load(Ordering::SeqCst) == gidx as i64
-                    && INJECT_PANIC
-                        .compare_exchange(gidx as i64, -1, Ordering::SeqCst, Ordering::SeqCst)
-                        .is_ok()
+            if INJECT_PANIC.load(Ordering::SeqCst) == gidx as i64
+                && INJECT_PANIC
+                    .compare_exchange(gidx as i64, -1, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+            {
+                // Test-only hook (armed by `inject_group_panic_for_tests`)
+                // that exercises the pool's panic catch.
+                #[allow(clippy::panic)]
                 {
-                    // Test-only hook (armed by
-                    // `inject_group_panic_for_tests`) that exercises
-                    // this supervisor.
-                    #[allow(clippy::panic)]
-                    {
-                        panic!("injected test panic in group {gidx}")
-                    };
-                }
-                let mut shard = obs_handle.shard(lane);
-                // Charge this group's allocations (thread-local probe;
-                // reads 0 unless a counting allocator feeds it).
-                let alloc_before = if shard.is_enabled() {
-                    obs::allocprobe::reading()
-                } else {
-                    0
+                    panic!("injected test panic in group {gidx}")
                 };
-                let t_group = shard.span_start();
-                let mut ex = ReExecutor::for_group(
-                    program,
-                    trace,
-                    advice,
-                    pre,
-                    init_vars.fresh(pre.var_index.entries_of(rids)),
-                    schedule,
-                    gidx,
+            }
+            let mut shard = obs_handle.shard(lane);
+            // Charge this group's allocations (thread-local probe;
+            // reads 0 unless a counting allocator feeds it).
+            let alloc_before = if shard.is_enabled() {
+                obs::allocprobe::reading()
+            } else {
+                0
+            };
+            let t_group = shard.span_start();
+            let mut ex = ReExecutor::for_group(
+                program,
+                trace,
+                advice,
+                pre,
+                init_vars.fresh(pre.var_index.entries_of(rids)),
+                schedule,
+                gidx,
+            );
+            ex.arm_meter(&limits, Some(gidx as u64), 1);
+            let mut error = ex
+                .run_group(Group::new(rids.to_vec(), advice, &pre.coords), exchanges)
+                .err();
+            ex.stats.fuel_spent = ex.fuel_spent;
+            ex.stats.max_group_fuel = ex.fuel_spent;
+            // The group's handler-tree digest is its control-flow
+            // tag (equal across members by construction).
+            let digest = rids
+                .first()
+                .and_then(|r| advice.tags.get(r))
+                .copied()
+                .unwrap_or(0);
+            let mut dur = 0u64;
+            if shard.is_enabled() {
+                let size = rids.len() as u64;
+                shard.observe(HistogramId::GroupSize, size);
+                shard.count(CounterId::ReplayFuelSpent, ex.fuel_spent);
+                shard.count(CounterId::BytecodeOps, ex.vm.ops);
+                shard.observe(HistogramId::GroupFuelSpent, ex.fuel_spent);
+                dur = shard.record_span(
+                    "group-replay",
+                    t_group,
+                    &[("group", gidx as u64), ("size", size), ("digest", digest)],
                 );
-                ex.arm_meter(&limits, Some(gidx as u64), 1);
-                let mut error = ex
-                    .run_group(Group::new(rids.to_vec(), advice, &pre.coords), exchanges)
-                    .err();
-                ex.stats.fuel_spent = ex.fuel_spent;
-                ex.stats.max_group_fuel = ex.fuel_spent;
-                // The group's handler-tree digest is its control-flow
-                // tag (equal across members by construction).
-                let digest = rids
-                    .first()
-                    .and_then(|r| advice.tags.get(r))
-                    .copied()
-                    .unwrap_or(0);
-                let mut dur = 0u64;
-                if shard.is_enabled() {
-                    let size = rids.len() as u64;
-                    shard.observe(HistogramId::GroupSize, size);
-                    shard.count(CounterId::ReplayFuelSpent, ex.fuel_spent);
-                    shard.count(CounterId::BytecodeOps, ex.vm.ops);
-                    shard.observe(HistogramId::GroupFuelSpent, ex.fuel_spent);
-                    dur = shard.record_span(
-                        "group-replay",
-                        t_group,
-                        &[("group", gidx as u64), ("size", size), ("digest", digest)],
-                    );
-                    shard.observe(HistogramId::GroupReplayUs, dur);
-                }
-                let accesses = match ex.vars {
-                    VarBackend::Recording(group) => group.finish(),
-                    // Statically impossible; losing the event stream would
-                    // silently weaken the merge checks, so fail closed.
-                    VarBackend::Global(_) => {
-                        error = Some(RejectReason::VerifierInternal {
-                            what: "group worker lost its event stream".into(),
-                        });
-                        GroupAccesses::default()
-                    }
-                };
-                if shard.is_enabled() {
-                    let (var_reads, var_writes, feeds) = accesses.tally();
-                    shard.record_group_cost(obs::GroupCost {
-                        group: gidx as u64,
-                        requests: rids.len() as u64,
-                        first_rid: rids.first().map(|r| r.0).unwrap_or(0),
-                        digest,
-                        fuel: ex.fuel_spent,
-                        uniform_ops: ex.stats.uniform_ops,
-                        expanded_ops: ex.stats.expanded_ops,
-                        bytecode_ops: ex.vm.ops,
-                        fused_ops: ex.vm.fused_ops,
-                        fused_fuel: ex.vm.fused_fuel,
-                        dict_feeds: feeds.dict_feeds,
-                        logged_reads: feeds.logged_reads,
-                        var_reads,
-                        var_writes,
-                        wall_us: dur,
-                        alloc_events: obs::allocprobe::reading().saturating_sub(alloc_before),
+                shard.observe(HistogramId::GroupReplayUs, dur);
+            }
+            let accesses = match ex.vars {
+                VarBackend::Recording(group) => group.finish(),
+                // Statically impossible; losing the event stream would
+                // silently weaken the merge checks, so fail closed.
+                VarBackend::Global(_) => {
+                    error = Some(RejectReason::VerifierInternal {
+                        what: "group worker lost its event stream".into(),
                     });
+                    GroupAccesses::default()
                 }
-                // Heartbeat: live even before the merge absorbs the
-                // shard (a noop handle makes this an early return).
-                obs_handle.progress_group_replayed(ex.fuel_spent);
-                GroupRun {
-                    accesses,
-                    error,
-                    executed: ex.executed,
-                    consumed: ex.consumed,
-                    outputs: ex.outputs,
-                    stats: ex.stats,
-                    obs: shard,
-                    panicked: false,
-                }
-            }));
-            let unit = supervised.unwrap_or_else(|payload| GroupRun {
-                accesses: GroupAccesses::default(),
-                error: Some(RejectReason::VerifierInternal {
-                    what: format!(
-                        "group {gidx} replay worker panicked: {}",
-                        super::panic_message(payload.as_ref())
-                    ),
-                }),
-                executed: Vec::new(),
-                consumed: Vec::new(),
-                outputs: Vec::new(),
-                stats: ReexecStats::default(),
-                obs: obs_handle.shard(lane),
-                panicked: true,
-            });
-            // Only hard (semantic) errors lower the floor: quarantined
-            // groups don't stop the groups behind them.
-            if unit.error.as_ref().is_some_and(|e| !e.quarantines()) {
+            };
+            if shard.is_enabled() {
+                let (var_reads, var_writes, feeds) = accesses.tally();
+                shard.record_group_cost(obs::GroupCost {
+                    group: gidx as u64,
+                    requests: rids.len() as u64,
+                    first_rid: rids.first().map(|r| r.0).unwrap_or(0),
+                    digest,
+                    fuel: ex.fuel_spent,
+                    uniform_ops: ex.stats.uniform_ops,
+                    expanded_ops: ex.stats.expanded_ops,
+                    bytecode_ops: ex.vm.ops,
+                    fused_ops: ex.vm.fused_ops,
+                    fused_fuel: ex.vm.fused_fuel,
+                    dict_feeds: feeds.dict_feeds,
+                    logged_reads: feeds.logged_reads,
+                    var_reads,
+                    var_writes,
+                    wall_us: dur,
+                    alloc_events: obs::allocprobe::reading().saturating_sub(alloc_before),
+                });
+            }
+            // Heartbeat: live even before the merge absorbs the
+            // shard (a noop handle makes this an early return).
+            obs_handle.progress_group_replayed(ex.fuel_spent);
+            if error.is_some() {
                 failed_floor.fetch_min(gidx, Ordering::Relaxed);
                 obs_handle.progress_floor(gidx as u64);
             }
-            unit
+            GroupRun {
+                accesses,
+                error,
+                executed: ex.executed,
+                consumed: ex.consumed,
+                outputs: ex.outputs,
+                stats: ex.stats,
+                obs: shard,
+            }
         };
 
         let merge = Merge {
@@ -868,7 +800,6 @@ impl<'a> ReExecutor<'a> {
                 ..Default::default()
             },
             coverage: Coverage::new(&pre.coords, order.len()),
-            quarantine: Quarantine::default(),
         };
         let merged = pool::ordered(threads, ngroups, &failed_floor, &run_unit, |pool| {
             overlap();
@@ -1606,15 +1537,14 @@ struct Merge<'m> {
     obs: &'m Obs,
     stats: ReexecStats,
     coverage: Coverage<'m>,
-    quarantine: Quarantine,
 }
 
 impl Merge<'_> {
     /// Merges units `0..ngroups` as `next_unit` hands them over (it may
-    /// replay the group on the spot or wait until a worker has), then
-    /// reports the pending quarantine verdict and runs the whole-audit
-    /// final checks. Returns the statistics and the time spent merging
-    /// and checking — never the time spent inside `next_unit`.
+    /// replay the group on the spot or wait until a worker has), stopping
+    /// at the first error, then runs the whole-audit final checks.
+    /// Returns the statistics and the time spent merging and checking —
+    /// never the time spent inside `next_unit`.
     fn run(
         mut self,
         ngroups: usize,
@@ -1624,7 +1554,6 @@ impl Merge<'_> {
     ) -> Result<(ReexecStats, Duration), RejectReason> {
         let span = self.obs.span_start();
         let mut busy = Duration::ZERO;
-        let mut merged: Result<(), RejectReason> = Ok(());
         for gidx in 0..ngroups {
             let outcome = next_unit(gidx).and_then(|unit| {
                 let t = Instant::now();
@@ -1634,13 +1563,9 @@ impl Merge<'_> {
             });
             if let Err(e) = outcome {
                 self.obs.progress_floor(gidx as u64);
-                merged = Err(e);
-                break;
+                return Err(e);
             }
         }
-        let pending = self.quarantine.finish(self.obs);
-        merged?;
-        pending?;
         let t = Instant::now();
         final_checks(trace, pre, &self.coverage)?;
         busy += t.elapsed();
@@ -1657,36 +1582,16 @@ impl Merge<'_> {
 
     /// Applies one group's recorded unit to the global merge state:
     /// apply the event stream to the global variable states, absorb the
-    /// worker's telemetry shard, surface the group's own error, then
-    /// fold its statistics and coverage lists.
+    /// worker's telemetry shard, surface the group's own error — of any
+    /// kind — then fold its statistics and coverage lists.
     fn merge_unit(&mut self, unit: GroupRun) -> Result<(), RejectReason> {
-        // A quarantined group contributes telemetry only: its events,
-        // stats, and coverage are discarded (they describe an aborted
-        // replay), and the merge moves on so the remaining groups still
-        // produce verdicts. The recorded verdict surfaces from
-        // `Quarantine::finish` after the merge loop.
-        if unit.error.as_ref().is_some_and(RejectReason::quarantines) {
-            self.obs.absorb(unit.obs);
-            self.quarantine.groups += 1;
-            if unit.panicked {
-                self.quarantine.panics += 1;
-            }
-            if self.quarantine.first.is_none() {
-                self.quarantine.first = unit.error;
-            }
-            return Ok(());
-        }
-        let merged = self
-            .global
-            .merge_group(unit.accesses, self.var_index, &self.advice.var_logs);
-        if let Err(e) = merged {
-            return Err(self.quarantine.resolve(e));
-        }
+        self.global
+            .merge_group(unit.accesses, self.var_index, &self.advice.var_logs)?;
         // Absorbed before the error check so a failing group's replay span
         // still appears in the exported trace.
         self.obs.absorb(unit.obs);
         if let Some(e) = unit.error {
-            return Err(self.quarantine.resolve(e));
+            return Err(e);
         }
         self.stats.absorb(&unit.stats);
         self.coverage

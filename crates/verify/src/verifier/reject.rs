@@ -3,6 +3,12 @@
 //! Every REJECT site in the verifier's algorithms (Figs. 14–21) maps to
 //! a variant here, so the adversarial test-suite can assert not just
 //! *that* a forged advice/trace is rejected but *which* defense fired.
+//!
+//! There is one failure rule: whatever its kind — a semantic check, a
+//! budget ([`RejectReason::ResourceExhausted`]) or a caught panic
+//! ([`RejectReason::VerifierInternal`]) — a rejection is an error at
+//! the item that raised it, and the first one in item order ends the
+//! audit (DESIGN.md §10).
 
 use kem_lang::{OpRef, RequestId};
 
@@ -328,19 +334,6 @@ impl RejectReason {
             RejectReason::UnexecutedLogEntry { .. } => "UnexecutedLogEntry",
             RejectReason::ResourceExhausted { .. } => "ResourceExhausted",
         }
-    }
-
-    /// Whether this rejection *quarantines* rather than refutes: the
-    /// verdict says the verifier could not (or would not) finish the
-    /// work, not that the advice's semantics were proven wrong.
-    /// Quarantining verdicts let the remaining groups keep replaying
-    /// (graceful degradation, DESIGN.md §10); semantic rejections keep
-    /// the stop-at-first-failure discipline.
-    pub fn quarantines(&self) -> bool {
-        matches!(
-            self,
-            RejectReason::ResourceExhausted { .. } | RejectReason::VerifierInternal { .. }
-        )
     }
 }
 

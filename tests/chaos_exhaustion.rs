@@ -13,7 +13,7 @@ use karousos::{
     CollectorMode, ExhaustMutator, Limits, RejectReason,
 };
 use kem::dsl::*;
-use kem::{Program, ProgramBuilder, RunOutput, SchedPolicy, ServerConfig, Value};
+use kem::{Program, ProgramBuilder, RunOutput, SchedPolicy, ServerConfig, Stmt, Value};
 use kvstore::IsolationLevel;
 
 /// A handler whose loop bound is advice-fed: the recorded nondet
@@ -22,10 +22,15 @@ use kvstore::IsolationLevel;
 /// under the per-loop backstop while multiplying total steps — the
 /// shape `LOOP_LIMIT` alone cannot contain and the fuel meter must.
 fn spin_program() -> Program {
+    spin_program_after(Vec::new())
+}
+
+/// [`spin_program`] with `prefix` run before its loop.
+fn spin_program_after(prefix: Vec<Stmt>) -> Program {
     let mut b = ProgramBuilder::new();
     b.shared_var("last", Value::Int(0), true);
-    b.function(
-        "handle",
+    let body = [
+        prefix,
         vec![
             nondet_counter("n"),
             let_("i", lit(0i64)),
@@ -43,7 +48,8 @@ fn spin_program() -> Program {
             swrite("last", local("i")),
             respond(lit(0i64)),
         ],
-    );
+    ];
+    b.function("handle", body.concat());
     b.request_handler("handle");
     b.build().unwrap()
 }
@@ -79,8 +85,8 @@ fn honest(program: &Program, inputs: &[Value], seed: u64) -> (RunOutput, Advice)
 }
 
 /// Audits `bytes` under `limits` at every point of the shared matrix
-/// and returns the common outcome: the quarantine verdict (like any
-/// other verdict) must be bit-identical across worker counts and
+/// and returns the common outcome: a budget verdict (like any other
+/// verdict) must be bit-identical across worker counts and
 /// telemetry. For `ResourceExhausted` that includes the `(group, spent,
 /// limit)` payload.
 fn audit_under(
@@ -184,6 +190,79 @@ fn loop_bomb_is_contained_by_fuel() {
             assert_eq!(spent, 200_001, "fuel trip must report limit + 1");
         }
         other => panic!("expected fuel verdict, got {other:?}"),
+    }
+}
+
+/// Loop-bomb advice in every one of 16 groups: the first group to run
+/// out of fuel ends the audit, so replay bills one group's budget, not
+/// one per group, and merges no group past it.
+#[test]
+fn loop_bomb_in_every_group_replays_one_group() {
+    let bits = (0..3).map(|k| {
+        let name = format!("b{k}");
+        iff(
+            field(payload(), &name),
+            vec![let_(&name, lit(1i64))],
+            vec![let_(&name, lit(0i64))],
+        )
+    });
+    let program = spin_program_after(bits.collect());
+    let inputs: Vec<Value> = (0..16)
+        .map(|i: i64| Value::map([0, 1, 2].map(|k| (format!("b{k}"), Value::int((i >> k) & 1)))))
+        .collect();
+    let (out, advice) = honest(&program, &inputs, 37);
+    let honest_bytes = encode_advice(&advice);
+    let accepted = audit_under(&program, &out, &honest_bytes, Limits::default(), "honest");
+    let groups = accepted.expect("honest advice must accept").reexec.groups;
+    assert_eq!(groups, 16, "the fixture must form one group per request");
+
+    let limit = 1 << 20;
+    let limits = Limits {
+        replay_fuel: limit,
+        ..Limits::default()
+    };
+    let mutation = ExhaustMutator::LoopBomb.apply(&advice, 7).unwrap();
+    match audit_under(
+        &program,
+        &out,
+        &mutation.bytes,
+        limits,
+        "loop bomb, 16 groups",
+    ) {
+        Err(RejectReason::ResourceExhausted {
+            resource,
+            group,
+            spent,
+            ..
+        }) => {
+            assert_eq!(resource, karousos::verifier::ResourceKind::ReplayFuel);
+            assert_eq!(group, Some(0), "the first group's verdict");
+            assert_eq!(spent, limit + 1);
+        }
+        other => panic!("expected fuel verdict, got {other:?}"),
+    }
+    for point in matrix_with(&THREADS, limits).into_iter().filter(|p| p.obs) {
+        let obs = obs::Obs::enabled();
+        let verdict = audit_encoded_with_obs(
+            &program,
+            &out.trace,
+            &mutation.bytes,
+            IsolationLevel::Serializable,
+            point.opts,
+            &obs,
+        );
+        assert!(verdict.is_err(), "{point:?}");
+        let metrics = obs.snapshot().metrics;
+        assert_eq!(
+            metrics.counter(obs::CounterId::ReplayFuelSpent),
+            limit + 1,
+            "{point:?}: replay billed more than the failing group"
+        );
+        assert_eq!(
+            metrics.histogram_count(obs::HistogramId::GroupFuelSpent),
+            1,
+            "{point:?}: groups past the failing one were merged"
+        );
     }
 }
 

@@ -239,18 +239,6 @@ fn every_variant_has_a_stable_kind_and_display() {
 }
 
 #[test]
-fn quarantine_split_is_exactly_the_resource_and_internal_variants() {
-    for (reason, kind, _) in reasons() {
-        let expected = matches!(kind, "ResourceExhausted" | "VerifierInternal");
-        assert_eq!(
-            reason.quarantines(),
-            expected,
-            "{kind}: quarantines() drifted from the documented split"
-        );
-    }
-}
-
-#[test]
 fn every_variant_exports_to_forensics_json() {
     for (reason, kind, _) in reasons() {
         let diag = AuditDiagnostics::from_reason(obs::Layer::Replay, &reason);
