@@ -8,6 +8,7 @@
 //! harness diff <a.json> <b.json> [--threshold-pct X]
 //! harness validate-metrics <schema.json> <metrics.json>
 //! harness validate-json <file.json>
+//! harness profile --app <motd|stacks|wiki> [--server] [--seconds S] [--requests N] [--seed S]
 //! ```
 //!
 //! The subcommands, what each does and the paper figure it regenerates
@@ -31,6 +32,10 @@
 //! and the per-layer breakdown (`obs::Layer`, decode to teardown) of
 //! both.
 //!
+//! `profile` samples a loop of one-thread audits of the app's
+//! standing-benchmark mix, or with `--server` of instrumented server
+//! runs, and prints the hottest functions (`harness/profile.rs`).
+//!
 //! Wall-clock and memory claims are not made here: the standing
 //! benchmark (`benchmark/`, `BENCHMARK.json`) measures the deployed
 //! path, and `tests/alloc_regression.rs` pins the allocation budgets.
@@ -44,6 +49,9 @@ use bench::{
 use workload::Mix;
 
 use std::alloc::{GlobalAlloc, Layout, System};
+
+#[path = "harness/profile.rs"]
+mod profile;
 
 /// Wraps the system allocator to feed the thread-local allocation
 /// probe, which lets the verifier's cost ledger attribute allocation
@@ -96,6 +104,12 @@ struct Opts {
     /// `--dump-bytecode <app>`: print the compiled replay bytecode of
     /// every function in the named app's program and exit.
     dump_bytecode: Option<String>,
+    /// `profile`: the app to sample (`--app`).
+    app: Option<String>,
+    /// `profile`: sample the instrumented server, not the audit.
+    server: bool,
+    /// `profile`: seconds to sample for.
+    seconds: u64,
 }
 
 fn parse_args() -> Opts {
@@ -112,6 +126,9 @@ fn parse_args() -> Opts {
         threshold_pct: None,
         positional: Vec::new(),
         dump_bytecode: None,
+        app: None,
+        server: false,
+        seconds: 10,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -178,6 +195,22 @@ fn parse_args() -> Opts {
                     std::process::exit(2);
                 };
                 opts.dump_bytecode = Some(app.clone());
+                i += 2;
+            }
+            "--app" => {
+                let Some(app) = args.get(i + 1) else {
+                    eprintln!("--app requires an app name (motd, stacks, wiki)");
+                    std::process::exit(2);
+                };
+                opts.app = Some(app.clone());
+                i += 2;
+            }
+            "--server" => {
+                opts.server = true;
+                i += 1;
+            }
+            "--seconds" => {
+                opts.seconds = numeric("--seconds", args.get(i + 1)).max(1);
                 i += 2;
             }
             other => {
@@ -919,15 +952,26 @@ fn file_smoke(o: &Opts) {
 /// of every function in the app's program (DESIGN.md §11) — blocks,
 /// pc, fuel charge, and pool-resolved operands.
 fn dump_bytecode(app_name: &str) {
-    let Some(app) = App::ALL.iter().copied().find(|a| a.name() == app_name) else {
-        eprintln!("--dump-bytecode: unknown app {app_name:?}; try motd, stacks, wiki");
-        std::process::exit(2);
-    };
-    let program = app.program();
+    let program = app_named("--dump-bytecode", app_name).program();
     let code = program.code();
     for fc in &code.funcs {
         print!("{}", kem::bytecode::disassemble(fc, &code.interner));
     }
+}
+
+/// `profile --app <motd|stacks|wiki>`: samples the app's loop of
+/// audits (or, with `--server`, of instrumented server runs).
+fn profile(o: &Opts) {
+    profile::run(app_named("--app", o.app.as_deref().unwrap_or("")), o);
+}
+
+/// The app called `name`; exits 2 naming `flag` when there is none.
+fn app_named(flag: &str, name: &str) -> App {
+    let Some(app) = App::ALL.iter().copied().find(|a| a.name() == name) else {
+        eprintln!("{flag}: unknown app {name:?}; try motd, stacks, wiki");
+        std::process::exit(2);
+    };
+    app
 }
 
 /// `all`: every figure and the ratios — the table's rows above its own.
@@ -945,8 +989,8 @@ enum Capture {
     First,
     /// Runs workloads and does its own capture.
     Own,
-    /// Reads the files named on the command line: never captures, even
-    /// when an export flag is set.
+    /// Reads the files named on the command line, or samples its own
+    /// loop: never captures, even when an export flag is set.
     Never,
 }
 
@@ -999,6 +1043,10 @@ subcommands! {
     "validate-metrics", Never, validate_metrics_cmd,
         "`<schema.json> <metrics.json>`: the export conforms to the checked-in schema";
     "validate-json", Never, validate_json_cmd, "`<file.json>`: the file parses as JSON";
+    "profile", Never, profile,
+        "`--app <motd|stacks|wiki> [--server] [--seconds S]`: sample a loop of one-thread \
+         audits (or instrumented server runs) with SIGPROF and print the hottest functions, \
+         inclusive and self";
 }
 
 fn main() {

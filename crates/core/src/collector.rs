@@ -81,8 +81,9 @@ pub struct Collector {
     advice: Advice,
     vars: HashMap<VarId, VarRec>,
     tx_of: HashMap<TxnId, KTxId>,
-    /// Control-flow digest of the currently-running / completed handlers.
-    cf: HashMap<(RequestId, HandlerId), Fnv>,
+    /// Control-flow digest of the running activation (the only one
+    /// open: handlers run to completion), reset when one starts.
+    cf: Fnv,
     /// Completed handlers per request with their control-flow digests.
     per_request: HashMap<RequestId, Vec<(HandlerId, u64)>>,
     /// Orochi-JS order-sensitive tag chains.
@@ -102,7 +103,7 @@ impl Collector {
             advice: Advice::default(),
             vars: HashMap::new(),
             tx_of: HashMap::new(),
-            cf: HashMap::new(),
+            cf: Fnv::new(),
             per_request: HashMap::new(),
             seq_digest: HashMap::new(),
             counters: CollectorCounters::default(),
@@ -202,17 +203,13 @@ impl ExecHooks for Collector {
         self.seq_digest.entry(rid).or_default();
     }
 
-    fn on_handler_start(&mut self, rid: RequestId, hid: &HandlerId) {
-        self.cf.insert((rid, hid.clone()), Fnv::new());
+    fn on_handler_start(&mut self, _rid: RequestId, _hid: &HandlerId) {
+        self.cf = Fnv::new();
     }
 
     fn on_handler_end(&mut self, rid: RequestId, hid: &HandlerId, opcount: u32) {
         self.advice.opcounts.insert((rid, hid.clone()), opcount);
-        let digest = self
-            .cf
-            .remove(&(rid, hid.clone()))
-            .map(|f| f.finish())
-            .unwrap_or_default();
+        let digest = std::mem::take(&mut self.cf).finish();
         self.per_request
             .entry(rid)
             .or_default()
@@ -330,10 +327,8 @@ impl ExecHooks for Collector {
         );
     }
 
-    fn on_branch(&mut self, rid: RequestId, hid: &HandlerId, taken: bool) {
-        if let Some(f) = self.cf.get_mut(&(rid, hid.clone())) {
-            f.write(&[taken as u8]);
-        }
+    fn on_branch(&mut self, taken: bool) {
+        self.cf.write(&[taken as u8]);
     }
 
     fn on_emit(

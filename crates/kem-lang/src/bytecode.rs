@@ -27,7 +27,7 @@
 //!   `Or` are ordinary [`Op::Bin`]s: both operands are always
 //!   evaluated. Opnums, digests and error precedence follow.
 //! * **Control-flow digests.** The collector digests the sequence of
-//!   `on_branch` bits per handler. [`Op::Branch`], [`Op::LoopBranch`]
+//!   `on_branch` bits per activation. [`Op::Branch`], [`Op::LoopBranch`]
 //!   and [`Op::ForNext`] fire one hook per decision, in order, so the
 //!   branch bit-string is precisely a canonical encoding of the
 //!   basic-block path the handler takes; every control-flow digest and

@@ -102,7 +102,11 @@ pub trait ExecHooks {
     }
 
     /// A branch decision was taken (folded into control-flow digests).
-    fn on_branch(&mut self, rid: RequestId, hid: &HandlerId, taken: bool) {}
+    /// The bit belongs to the activation between the last
+    /// [`ExecHooks::on_handler_start`] and its
+    /// [`ExecHooks::on_handler_end`]: handlers run to completion, and
+    /// `init_shared_state` runs no bytecode.
+    fn on_branch(&mut self, taken: bool) {}
 
     /// An `emit` executed; `activated` lists the handler ids it spawns.
     fn on_emit(

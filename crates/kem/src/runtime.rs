@@ -518,7 +518,7 @@ impl<H: ExecHooks> Machine for ServerMachine<'_, '_, H> {
     }
 
     fn on_branch(&mut self, taken: bool) {
-        self.hooks.on_branch(self.rid, &self.hid, taken);
+        self.hooks.on_branch(taken);
     }
 
     fn shared_read(&mut self, var: VarId, loggable: bool) -> Result<Value, RuntimeError> {

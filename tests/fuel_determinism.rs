@@ -206,7 +206,7 @@ fn server_exhaustion_is_op_by_op_at_every_unit() {
         fuel: u64,
     }
     impl ExecHooks for Probe {
-        fn on_branch(&mut self, _: RequestId, _: &HandlerId, _: bool) {
+        fn on_branch(&mut self, _: bool) {
             self.bits += 1;
         }
         fn on_handler_fuel(&mut self, _: RequestId, _: &HandlerId, fuel: u64) {

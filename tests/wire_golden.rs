@@ -13,6 +13,10 @@
 //! The node budget's charge is pinned beside it: a reference into the
 //! pool is charged what the container it names would have declared
 //! inline, so honest advice costs what it cost before there was a pool.
+//!
+//! Stacks and wiki have many handlers per request, so their tags are
+//! where attribution of branch bits to activations shows; their
+//! encodings are pinned as 64-bit digests in both collector modes.
 
 use apps::App;
 use karousos::{
@@ -21,24 +25,26 @@ use karousos::{
 };
 use workload::{Experiment, Mix};
 
-fn honest(app: App, mix: Mix, requests: usize) -> (kem::Program, Experiment, kem::Trace, Advice) {
+fn honest(
+    app: App,
+    mix: Mix,
+    requests: usize,
+    mode: CollectorMode,
+) -> (kem::Program, Experiment, kem::Trace, Advice) {
     let mut exp = Experiment::paper_default(app, mix, 4, 5);
     exp.requests = requests;
     let program = app.program();
-    let (run, advice) = run_instrumented_server(
-        &program,
-        &exp.inputs(),
-        &exp.server_config(),
-        CollectorMode::Karousos,
-    )
-    .expect("apps run cleanly");
+    let (run, advice) =
+        run_instrumented_server(&program, &exp.inputs(), &exp.server_config(), mode)
+            .expect("apps run cleanly");
     (program, exp, run.trace, advice)
 }
 
 #[test]
 fn motd_advice_encodes_to_the_committed_bytes() {
     let golden: &[u8] = include_bytes!("fixtures/motd_write_heavy_12.advice");
-    let (program, exp, trace, advice) = honest(App::Motd, Mix::WriteHeavy, 12);
+    let (program, exp, trace, advice) =
+        honest(App::Motd, Mix::WriteHeavy, 12, CollectorMode::Karousos);
     let bytes = encode_advice(&advice);
     if bytes != golden {
         let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR"))
@@ -80,7 +86,7 @@ fn honest_advice_is_charged_what_its_flat_form_was() {
         (App::Stacks, Mix::Mixed, 12, 593),
         (App::Stacks, Mix::Mixed, 100, 5392),
     ] {
-        let (_, _, _, advice) = honest(app, mix, requests);
+        let (_, _, _, advice) = honest(app, mix, requests, CollectorMode::Karousos);
         let bytes = encode_advice(&advice);
         let (_, stats) = decode_advice_view_bounded(&bytes, charge).expect("within budget");
         assert_eq!(stats.logical_nodes, charge, "{} x {requests}", app.name());
@@ -89,5 +95,60 @@ fn honest_advice_is_charged_what_its_flat_form_was() {
             decode_advice_view_bounded(&bytes, charge - 1),
             Err(BoundedDecodeError::NodesExhausted { .. })
         ));
+    }
+}
+
+/// The encoded advice of 40-request stacks and wiki runs, as FNV-1a
+/// digests, under both collectors. Orochi-JS's sequence tags take the
+/// other branch of `Collector::finish`, so both tag schemes are pinned.
+#[test]
+fn stacks_and_wiki_advice_bytes_are_pinned() {
+    let pins = [
+        (
+            App::Stacks,
+            Mix::Mixed,
+            CollectorMode::Karousos,
+            0x6a73_d1a3_8d56_2fb7,
+        ),
+        (
+            App::Stacks,
+            Mix::Mixed,
+            CollectorMode::OrochiJs,
+            0xfaa2_c8ff_c93d_f32b,
+        ),
+        (
+            App::Wiki,
+            Mix::Wiki,
+            CollectorMode::Karousos,
+            0x146c_554e_6566_ec09,
+        ),
+        (
+            App::Wiki,
+            Mix::Wiki,
+            CollectorMode::OrochiJs,
+            0x6960_510d_6a8c_7178,
+        ),
+    ];
+    let actual: Vec<u64> = pins
+        .iter()
+        .map(|&(app, mix, mode, _)| {
+            let (_, _, _, advice) = honest(app, mix, 40, mode);
+            let mut h = kem::Fnv::new();
+            h.write(&encode_advice(&advice));
+            h.finish()
+        })
+        .collect();
+    if pins.iter().zip(&actual).any(|(pin, &got)| pin.3 != got) {
+        let table: String = pins
+            .iter()
+            .zip(&actual)
+            .map(|(&(app, mix, mode, want), got)| {
+                format!(
+                    "\n  {} {mix:?} {mode:?}: pinned {want:#018x}, actual {got:#018x}",
+                    app.name()
+                )
+            })
+            .collect();
+        panic!("the advice bytes moved:{table}");
     }
 }
