@@ -8,10 +8,12 @@
 //!    this is *pessimistic for Karousos*: a real verifier built on
 //!    sequential re-execution would additionally need advice, so it
 //!    would be at least as slow.
-//! 3. **Orochi-JS** ([`orochi_collect`], [`orochi_audit`]): Orochi's
-//!    algorithms implemented on the Karousos codebase — requests batch
-//!    only when they induce the *identical sequence* of handlers, and
-//!    all loggable-variable accesses are logged.
+//! 3. **Orochi-JS** ([`orochi`]): Orochi's algorithms implemented on the
+//!    Karousos codebase — requests batch only when they induce the
+//!    *identical sequence* of handlers, and all loggable-variable
+//!    accesses are logged. It is the collector's
+//!    `CollectorMode::OrochiJs` audited by the one verifier, so the
+//!    module holds no code of its own, only its tests.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -19,5 +21,4 @@
 pub mod orochi;
 pub mod sequential;
 
-pub use orochi::{orochi_audit, orochi_collect};
 pub use sequential::{sequential_reexecute, SequentialReport};

@@ -11,38 +11,18 @@
 //! 2. **Logging**: "all accesses to (loggable) variables are logged,
 //!    rather than only the R-concurrent accesses".
 //!
-//! The verifier machinery is shared: Orochi-JS advice is simply advice
-//! in which every access is logged and groups are finer, so
-//! [`karousos::audit`] handles both.
-
-use karousos::{audit, run_instrumented_server, Advice, AuditReport, CollectorMode, RejectReason};
-use kem::{Program, RunOutput, RuntimeError, ServerConfig, Trace, Value};
-use kvstore::IsolationLevel;
-
-/// Runs the server with Orochi-JS advice collection.
-pub fn orochi_collect(
-    program: &Program,
-    inputs: &[Value],
-    cfg: &ServerConfig,
-) -> Result<(RunOutput, Advice), RuntimeError> {
-    run_instrumented_server(program, inputs, cfg, CollectorMode::OrochiJs)
-}
-
-/// Audits a trace against Orochi-JS advice (same verifier machinery).
-pub fn orochi_audit(
-    program: &Program,
-    trace: &Trace,
-    advice: &Advice,
-    isolation: IsolationLevel,
-) -> Result<AuditReport, RejectReason> {
-    audit(program, trace, advice, isolation)
-}
+//! Both live in the collector, and the verifier machinery is shared:
+//! Orochi-JS advice is [`karousos::run_instrumented_server`] run with
+//! [`karousos::CollectorMode::OrochiJs`] — simply advice in which every
+//! access is logged and groups are finer — so [`karousos::audit`]
+//! handles both. This module holds the tests of that claim.
 
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use karousos::{audit, run_instrumented_server, CollectorMode};
     use kem::dsl::*;
-    use kem::{ProgramBuilder, SchedPolicy};
+    use kem::{Program, ProgramBuilder, SchedPolicy, ServerConfig, Value};
+    use kvstore::IsolationLevel;
 
     /// A program whose two sibling handlers can run in either order:
     /// Karousos batches the two orders together, Orochi-JS must not.
@@ -69,8 +49,10 @@ mod tests {
             policy: SchedPolicy::Random { seed: 7 },
             ..Default::default()
         };
-        let (out, advice) = orochi_collect(&p, &vec![Value::Null; 6], &cfg).unwrap();
-        orochi_audit(&p, &out.trace, &advice, IsolationLevel::Serializable).unwrap();
+        let inputs = vec![Value::Null; 6];
+        let (out, advice) =
+            run_instrumented_server(&p, &inputs, &cfg, CollectorMode::OrochiJs).unwrap();
+        audit(&p, &out.trace, &advice, IsolationLevel::Serializable).unwrap();
     }
 
     #[test]
@@ -82,7 +64,7 @@ mod tests {
             ..Default::default()
         };
         let inputs = vec![Value::Null; 6];
-        let (_, oro) = orochi_collect(&p, &inputs, &cfg).unwrap();
+        let (_, oro) = run_instrumented_server(&p, &inputs, &cfg, CollectorMode::OrochiJs).unwrap();
         let (_, kar) = run_instrumented_server(&p, &inputs, &cfg, CollectorMode::Karousos).unwrap();
         assert!(oro.var_log_entries() >= kar.var_log_entries());
         assert!(
@@ -101,7 +83,8 @@ mod tests {
                 policy: SchedPolicy::Random { seed },
                 ..Default::default()
             };
-            let (out_o, oro) = orochi_collect(&p, &inputs, &cfg).unwrap();
+            let (out_o, oro) =
+                run_instrumented_server(&p, &inputs, &cfg, CollectorMode::OrochiJs).unwrap();
             let (out_k, kar) =
                 run_instrumented_server(&p, &inputs, &cfg, CollectorMode::Karousos).unwrap();
             let go = oro.groups(&out_o.trace.request_ids()).len();

@@ -84,10 +84,9 @@ pub struct Collector {
     /// Control-flow digest of the running activation (the only one
     /// open: handlers run to completion), reset when one starts.
     cf: Fnv,
-    /// Completed handlers per request with their control-flow digests.
+    /// Completed handlers per request with their control-flow digests,
+    /// in completion order.
     per_request: HashMap<RequestId, Vec<(HandlerId, u64)>>,
-    /// Orochi-JS order-sensitive tag chains.
-    seq_digest: HashMap<RequestId, Fnv>,
     counters: CollectorCounters,
     /// Per-request cost rows (activations / ops / fuel), accumulated
     /// only when cost attribution is enabled — the default collection
@@ -105,7 +104,6 @@ impl Collector {
             tx_of: HashMap::new(),
             cf: Fnv::new(),
             per_request: HashMap::new(),
-            seq_digest: HashMap::new(),
             counters: CollectorCounters::default(),
             req_costs: None,
         }
@@ -153,33 +151,21 @@ impl Collector {
                 index: entry.tag,
             });
         }
-        let rids: Vec<RequestId> = self.per_request.keys().copied().collect();
-        for rid in rids {
-            let tag = match self.mode {
-                CollectorMode::Karousos => {
-                    // Order-invariant: digest of the sorted multiset of
-                    // (handler id, control-flow digest) pairs — requests
-                    // with the same handler *tree* and branches batch
-                    // together regardless of activation order (§4.1).
-                    let mut handlers = self.per_request.remove(&rid).unwrap_or_default();
-                    handlers.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
-                    let mut h = Fnv::new();
-                    for (hid, cf) in &handlers {
-                        h.write_u64(hid_digest(hid));
-                        h.write_u64(*cf);
-                    }
-                    h.finish()
-                }
-                CollectorMode::OrochiJs => {
-                    // Order-sensitive: the running chain folded at each
-                    // handler completion, in execution order (§2.3).
-                    self.seq_digest
-                        .get(&rid)
-                        .map(|f| f.finish())
-                        .unwrap_or_default()
-                }
-            };
-            self.advice.tags.insert(rid, tag);
+        for (rid, mut handlers) in std::mem::take(&mut self.per_request) {
+            // Karousos's tag is order-invariant: a digest of the sorted
+            // multiset of (handler id, control-flow digest) pairs, so
+            // requests with the same handler *tree* and branches batch
+            // together regardless of activation order (§4.1). Orochi-JS's
+            // is order-sensitive: the pairs in completion order (§2.3).
+            if self.mode == CollectorMode::Karousos {
+                handlers.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.cmp(&b.1)));
+            }
+            let mut h = Fnv::new();
+            for (hid, cf) in &handlers {
+                h.write_u64(hid_digest(hid));
+                h.write_u64(*cf);
+            }
+            self.advice.tags.insert(rid, h.finish());
         }
         self.advice
     }
@@ -200,7 +186,6 @@ impl Collector {
 impl ExecHooks for Collector {
     fn on_request(&mut self, rid: RequestId, _input: &Value) {
         self.per_request.entry(rid).or_default();
-        self.seq_digest.entry(rid).or_default();
     }
 
     fn on_handler_start(&mut self, _rid: RequestId, _hid: &HandlerId) {
@@ -214,9 +199,6 @@ impl ExecHooks for Collector {
             .entry(rid)
             .or_default()
             .push((hid.clone(), digest));
-        let seq = self.seq_digest.entry(rid).or_default();
-        seq.write_u64(hid_digest(hid));
-        seq.write_u64(digest);
         if let Some(costs) = &mut self.req_costs {
             let row = costs.entry(rid.0).or_insert(obs::RequestCost {
                 rid: rid.0,

@@ -156,12 +156,12 @@ impl<'e> Hids<'e> {
 /// Byte-stream encoder.
 ///
 /// Strings and handler ids are written as indices into the tables
-/// [`Encoder::finish`] writes at [`Encoder::tables_here`]. Containers
-/// are not written where [`Encoder::value`] meets them: the buffer gets
+/// [`Encoder::finish`] writes at `Encoder::tables_here`. Containers
+/// are not written where `Encoder::value` meets them: the buffer gets
 /// a hole naming the container's canonical root, and
 /// [`Encoder::finish`] — which by then knows every use of every node —
 /// fills it with the container inline or with a reference into the
-/// pool it writes at [`Encoder::pool_here`].
+/// pool it writes at `Encoder::pool_here`.
 #[derive(Debug, Default)]
 pub struct Encoder<'e> {
     buf: Vec<u8>,

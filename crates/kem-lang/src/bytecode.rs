@@ -43,11 +43,11 @@
 //!   op acts. Nothing fallible lies between those entries, so an
 //!   exhausted budget stops the handler before the op whose entry
 //!   overran it and reports `spent = limit + 1` — where the first
-//!   over-budget unit stops the meter. [`fuse`] moves no charge.
+//!   over-budget unit stops the meter. `fuse` moves no charge.
 //!
 //! # Operand fusion
 //!
-//! After lowering, [`fuse`] rewrites the *head* op of every window
+//! After lowering, `fuse` rewrites the *head* op of every window
 //! `Local; Const; Bin` and `Const; Bin` — each optionally ending in
 //! `StoreLocal` or `LoopBranch` — that has an integer constant and lies
 //! inside one basic block into [`Op::BinLC`] / [`Op::BinC`], which name

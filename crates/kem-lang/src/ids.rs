@@ -174,11 +174,6 @@ impl HandlerId {
         }
         Some(hid)
     }
-
-    /// Approximate wire size of the path encoding, for advice accounting.
-    pub fn encoded_size(&self) -> usize {
-        1 + 8 * (self.0.depth as usize + 1)
-    }
 }
 
 impl PartialEq for HandlerId {

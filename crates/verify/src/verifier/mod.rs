@@ -501,14 +501,15 @@ fn audit_decoded<'a>(
     // ReExec. The calling thread merges the deferred preprocess edges
     // into `G` while replay runs (replay never reads the graph).
     // Grouped, each group is replayed whole and its unit streams into
-    // the global state in ascending order as it lands.
+    // the global state in ascending order as it lands; ungrouped, the
+    // whole run is one unit, merged the same way.
     clock.enter(Layer::Replay, &[]);
     let mut graph = std::mem::take(&mut pre.graph);
     let executor = ReExecutor::new(program, trace, advice, &pre, &mut vars)
         .with_schedule(opts.schedule)
         .with_limits(opts.limits)
         .with_obs(obs.clone());
-    let mut merge_edges = {
+    let merge_edges = {
         let (graph, deferred, obs) = (&mut graph, &mut deferred, obs.clone());
         move || {
             let espan = obs.span_start();
@@ -517,17 +518,11 @@ fn audit_decoded<'a>(
             obs.record_span("edge-merge", 0, espan, &[("edges", edges)]);
         }
     };
-    let reexec = match mode {
-        Mode::Grouped | Mode::GroupedForensic => {
-            let (reexec, timing) = executor.run_pipelined(threads, merge_edges)?;
-            clock.carve(Layer::StateMerge, timing.state_merge);
-            reexec
-        }
-        Mode::Ungrouped => {
-            merge_edges();
-            executor.run_ungrouped()?
-        }
-    };
+    let (reexec, timing) = match mode {
+        Mode::Grouped | Mode::GroupedForensic => executor.run_pipelined(threads, merge_edges),
+        Mode::Ungrouped => executor.run_ungrouped(merge_edges),
+    }?;
+    clock.carve(Layer::StateMerge, timing.state_merge);
 
     obs.count(CounterId::GroupsFormed, reexec.groups as u64);
     obs.count(CounterId::UniformOps, reexec.uniform_ops);

@@ -32,7 +32,16 @@
 //! covered is a list of indices folded into whole-audit tables at the
 //! merge.
 //!
-//! A group that fails — a check, a budget, or a panic the pool caught —
+//! [`ReExecutor`] holds only what the audit hands replay; a private
+//! `Worker` owns one replay unit — its variable state, tables, meter
+//! and VM buffers — and `Worker::finish` turns it into the unit the merge
+//! applies. Both paths build units that way: a group each in
+//! [`ReExecutor::run_pipelined`], and the whole run as one unit in
+//! [`ReExecutor::run_ungrouped`] (`OOOAudit`, every request a singleton
+//! on one queue). Every unit records its shared-variable accesses
+//! (`GroupVars`); none writes the global state while it replays.
+//!
+//! A unit that fails — a check, a budget, or a panic the pool caught —
 //! is merged like any other: its recorded accesses first, then its
 //! error, which ends the audit (Figs. 14 and 18 return REJECT at the
 //! first failed check). No group past it is claimed or merged.
@@ -58,7 +67,7 @@ use crate::verifier::coords::Coords;
 use crate::verifier::pool;
 use crate::verifier::preprocess::{OpMapEntry, Preprocessed};
 use crate::verifier::reject::{RejectReason, ResourceKind};
-use crate::verifier::var_index::{VarIndex, VarLog};
+use crate::verifier::var_index::VarLog;
 use crate::verifier::vars::{GroupAccesses, GroupVars, VarStates};
 use crate::wire::{HandlerLogEntryView, HandlerOpView};
 
@@ -152,52 +161,32 @@ pub struct ReexecTiming {
     pub state_merge: Duration,
 }
 
-/// Where a re-executor sends its shared-variable accesses.
-enum VarBackend<'a> {
-    /// Operate directly on the global state (the out-of-order path and
-    /// unit tests).
-    Global(&'a mut VarStates),
-    /// Grouped worker: resolve against the group's own state and record
-    /// the accesses for the merge.
-    Recording(GroupVars),
-}
-
-impl VarBackend<'_> {
-    fn on_read(&mut self, var: VarId, node: u32, log: &VarLog<'_>) -> Result<Value, RejectReason> {
-        match self {
-            VarBackend::Global(vars) => vars.on_read(var, node, log),
-            VarBackend::Recording(group) => group.on_read(var, node, log),
-        }
-    }
-
-    fn on_write(
-        &mut self,
-        var: VarId,
-        node: u32,
-        value: Value,
-        log: &VarLog<'_>,
-    ) -> Result<(), RejectReason> {
-        match self {
-            VarBackend::Global(vars) => vars.on_write(var, node, value, log),
-            VarBackend::Recording(group) => group.on_write(var, node, value, log),
+impl ReexecTiming {
+    /// A section that started at `start`: whatever the calling thread
+    /// did not spend merging — the side job, the units it replayed and
+    /// its waits for the rest — is group replay.
+    fn split(start: Instant, state_merge: Duration) -> Self {
+        ReexecTiming {
+            group_replay: start.elapsed().saturating_sub(state_merge),
+            state_merge,
         }
     }
 }
 
-/// What one group's replay produced, before the merge phase.
+/// What one replay unit produced, before the merge phase.
 struct GroupRun {
-    /// The group's shared-variable accesses.
+    /// The unit's shared-variable accesses.
     accesses: GroupAccesses,
-    /// The group-local error, if replay failed. Ordered *after* the
-    /// group's recorded accesses during the merge: every error a worker
+    /// The unit's own error, if replay failed. Ordered *after* the
+    /// unit's recorded accesses during the merge: every error a worker
     /// can detect locally, the sequential audit detects at the same
     /// point, so a cross-group error in an earlier event still wins.
     error: Option<RejectReason>,
-    /// Activation indices the group executed, in execution order.
+    /// Activation indices the unit executed, in execution order.
     executed: Vec<u32>,
-    /// `OpMap` nodes the group's operations consumed.
+    /// `OpMap` nodes the unit's operations consumed.
     consumed: Vec<u32>,
-    /// Responses the group produced, in production order.
+    /// Responses the unit produced, in production order.
     outputs: Vec<(RequestId, Value)>,
     stats: ReexecStats,
     /// The worker's telemetry shard (disabled — and heap-free — unless
@@ -205,26 +194,65 @@ struct GroupRun {
     obs: ObsShard,
 }
 
-/// The grouped re-executor.
+/// The re-executor: what the audit hands replay. Each replay unit — a
+/// control-flow group, or for the ungrouped replay every traced request
+/// at once — is replayed by a worker of its own, and the units are
+/// merged into `global` in order.
 pub struct ReExecutor<'a> {
     program: &'a Program,
     trace: &'a Trace,
     advice: &'a AdviceRef<'a>,
     pre: &'a Preprocessed,
-    vars: VarBackend<'a>,
+    /// The whole-audit variable state the units are merged into.
+    global: &'a mut VarStates,
     schedule: ReplaySchedule,
+    /// Resource budgets; each unit's meter is armed from these
+    /// (installed via [`ReExecutor::with_limits`], unlimited by
+    /// default).
+    limits: Limits,
+    /// Telemetry handle; [`Obs::noop`] (zero-cost) unless installed
+    /// via [`ReExecutor::with_obs`].
+    obs: Obs,
+}
+
+/// A replay unit's fuel/deadline meter (DESIGN.md §10), armed when its
+/// worker is built: fuel `spent` against `limit` (`limits.replay_fuel`,
+/// scaled), the wall clock polled at `next_poll` against `deadline`
+/// (`deadline_ms` long; forensics), and the width cap. `group` is
+/// `None` for the ungrouped replay.
+struct Meter {
+    spent: u64,
+    limit: u64,
+    max_group_width: u64,
+    deadline: Option<Instant>,
+    deadline_ms: u64,
+    next_poll: u64,
+    group: Option<u64>,
+}
+
+/// One replay unit's worker: the state a group's replay — or the
+/// ungrouped replay's, over every request — owns, consumed by
+/// [`Worker::finish`] into the unit the merge applies.
+struct Worker<'a> {
+    program: &'a Program,
+    advice: &'a AdviceRef<'a>,
+    pre: &'a Preprocessed,
+    schedule: ReplaySchedule,
+    /// The unit's variable state: resolves its accesses and records
+    /// them for the merge.
+    vars: GroupVars,
     rng: rand::rngs::SmallRng,
     /// Per-request copies of non-loggable shared variables (assumed
     /// R-ordered, §5 — effectively request-local or init-constant): by
     /// variable, then by the request's [`Group::nonlog_slot`]. A
     /// variable's row appears with its first write and is as long as
-    /// the members this executor replays.
+    /// the members this worker replays.
     nonlog: Vec<Vec<Option<Value>>>,
     /// Transaction-token table: token integer → transaction and how
     /// far into its log re-execution has got.
     tx_table: Vec<TxToken>,
     /// Activation indices executed so far. Like `consumed` and
-    /// `outputs`, a list sized by what this executor touched; the
+    /// `outputs`, a list sized by what this worker touched; the
     /// whole-audit tables are [`Coverage`]'s.
     executed: Vec<u32>,
     /// Every OpMap node a re-executed operation consumed; at the end
@@ -234,28 +262,7 @@ pub struct ReExecutor<'a> {
     consumed: Vec<u32>,
     outputs: Vec<(RequestId, Value)>,
     stats: ReexecStats,
-    /// Telemetry handle; [`Obs::noop`] (zero-cost) unless installed
-    /// via [`ReExecutor::with_obs`].
-    obs: Obs,
-    /// Resource budgets; per-group meters are armed from this
-    /// (installed via [`ReExecutor::with_limits`], unlimited by
-    /// default).
-    limits: Limits,
-    /// Fuel spent by this executor's replay so far.
-    fuel_spent: u64,
-    /// Armed fuel ceiling (from `limits.replay_fuel`, scaled for the
-    /// single-pass ungrouped replay).
-    fuel_limit: u64,
-    /// Armed group-width ceiling.
-    max_group_width: u64,
-    /// Armed wall-clock deadline, if any.
-    deadline: Option<Instant>,
-    /// The armed deadline's span in milliseconds (forensics).
-    deadline_ms: u64,
-    /// Fuel level at which the wall clock is next polled.
-    next_deadline_poll: u64,
-    /// The group this executor replays (`None` for ungrouped).
-    group: Option<u64>,
+    meter: Meter,
     /// The dispatch loop's scratch and its op counters: ops dispatched
     /// (fed to [`CounterId::BytecodeOps`] once per group, in merge
     /// order) and, of those, the ops and the fuel of windows that ran
@@ -267,7 +274,7 @@ pub struct ReExecutor<'a> {
     vm_slots: Vec<Option<Slot>>,
     /// The per-member activations of every handler enqueued so far,
     /// back to back; a [`Pending`] names its run. Grows with what this
-    /// executor replays and is never searched.
+    /// worker replays and is never searched.
     pending_slots: Vec<Option<Slot>>,
 }
 
@@ -307,7 +314,7 @@ struct Pending {
     hid: HandlerId,
     payload: MultiValue,
     /// Each member's activation of `hid`, in group order, as a run of
-    /// [`ReExecutor::pending_slots`]: resolved when the handler was
+    /// [`Worker::pending_slots`]: resolved when the handler was
     /// enqueued — by whoever activated it, which is the one place a
     /// member's `(rid, hid)` is looked up. `None` (the member's advice
     /// reports no such activation) fails the handler's first bump or
@@ -355,8 +362,8 @@ struct Group<'a> {
     /// Each member's handler log (empty when the advice has none).
     handler_logs: Vec<&'a [HandlerLogEntryView<'a>]>,
     /// Where member 0's copies of the non-loggable variables sit in the
-    /// executor's table; member `i`'s sit `i` further. `0` when the
-    /// executor replays this group only.
+    /// worker's table; member `i`'s sit `i` further. `0` when the
+    /// worker replays this group only.
     nonlog_slot: usize,
 }
 
@@ -440,80 +447,21 @@ impl<'a> ReExecutor<'a> {
         // The initialization writes were recorded before the audit had
         // coordinates; from here on they are ids like every access.
         vars.bind(&pre.var_index);
-        let vars = VarBackend::Global(vars);
-        Self::init(program, trace, advice, pre, vars, ReplaySchedule::Fifo, 0)
-    }
-
-    /// A per-group worker executor: group-local variable state
-    /// ([`VarStates::group_vars`]), group-local transaction-token
-    /// table, and — for `Random` schedules — an RNG
-    /// derived from the seed and the group index, so draw sequences
-    /// never depend on how groups are distributed over workers.
-    fn for_group(
-        program: &'a Program,
-        trace: &'a Trace,
-        advice: &'a AdviceRef<'a>,
-        pre: &'a Preprocessed,
-        vars: GroupVars,
-        schedule: ReplaySchedule,
-        gidx: usize,
-    ) -> Self {
-        let seed = match schedule {
-            ReplaySchedule::Random { seed } => {
-                seed ^ (gidx as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-            }
-            _ => 0,
-        };
-        let vars = VarBackend::Recording(vars);
-        Self::init(program, trace, advice, pre, vars, schedule, seed)
-    }
-
-    /// The one initializer: everything but the variable backend, the
-    /// schedule and the RNG seed starts empty, unlimited and silent.
-    fn init(
-        program: &'a Program,
-        trace: &'a Trace,
-        advice: &'a AdviceRef<'a>,
-        pre: &'a Preprocessed,
-        vars: VarBackend<'a>,
-        schedule: ReplaySchedule,
-        seed: u64,
-    ) -> Self {
         ReExecutor {
             program,
             trace,
             advice,
             pre,
-            vars,
-            schedule,
-            rng: rand::SeedableRng::seed_from_u64(seed),
-            nonlog: Vec::new(),
-            tx_table: Vec::new(),
-            executed: Vec::new(),
-            consumed: Vec::new(),
-            outputs: Vec::new(),
-            stats: ReexecStats::default(),
-            obs: Obs::noop(),
+            global: vars,
+            schedule: ReplaySchedule::Fifo,
             limits: Limits::unlimited(),
-            fuel_spent: 0,
-            fuel_limit: u64::MAX,
-            max_group_width: u64::MAX,
-            deadline: None,
-            deadline_ms: u64::MAX,
-            next_deadline_poll: DEADLINE_POLL_INTERVAL,
-            group: None,
-            vm: Vm::default(),
-            vm_slots: Vec::new(),
-            pending_slots: Vec::new(),
+            obs: Obs::noop(),
         }
     }
 
     /// Sets the replay schedule (Lemma-1 experiments; the default FIFO
     /// is what deployments use).
     pub fn with_schedule(mut self, schedule: ReplaySchedule) -> Self {
-        if let ReplaySchedule::Random { seed } = schedule {
-            self.rng = rand::SeedableRng::seed_from_u64(seed);
-        }
         self.schedule = schedule;
         self
     }
@@ -543,24 +491,214 @@ impl<'a> ReExecutor<'a> {
         self
     }
 
-    /// Arms the fuel/deadline meter. `scale` is `1` for a group worker
-    /// and the request count for the ungrouped replay.
-    fn arm_meter(&mut self, limits: &Limits, group: Option<u64>, scale: u64) {
-        let scale = scale.max(1);
-        self.fuel_spent = 0;
-        self.fuel_limit = limits.replay_fuel.saturating_mul(scale);
-        self.max_group_width = limits.max_group_width;
-        self.next_deadline_poll = DEADLINE_POLL_INTERVAL;
-        self.deadline_ms = limits.group_deadline_ms;
-        self.group = group;
-        // `u64::MAX` (or an Instant overflow) disables the deadline.
-        self.deadline = if limits.group_deadline_ms == u64::MAX {
-            None
-        } else {
-            Instant::now().checked_add(Duration::from_millis(
-                limits.group_deadline_ms.saturating_mul(scale),
-            ))
+    /// Runs re-execution over all groups (Fig. 18), performing the
+    /// final whole-audit checks (lines 62–64), on `threads` threads —
+    /// the calling one included — through the verifier's worker pool
+    /// (`pool.rs`).
+    ///
+    /// Groups are independent by construction — same handler tree,
+    /// disjoint requests — so each is replayed whole with its own local
+    /// state, recording its shared-variable accesses. The calling thread
+    /// runs `overlap` first (the audit merges `G`'s deferred preprocess
+    /// edges there; replay never reads the graph), then merges each
+    /// group's unit into the global state in ascending group order
+    /// (`Merge::run`), replaying a group itself whenever the unit it
+    /// needs has not arrived. Every unit comes from the same per-group
+    /// code and meets the same merge in the same order, so the outcome
+    /// (verdict, [`RejectReason`], statistics) is bit-identical at every
+    /// thread count; only the wall clock differs.
+    pub fn run_pipelined<F: FnOnce() + Send>(
+        self,
+        threads: usize,
+        overlap: F,
+    ) -> Result<(ReexecStats, ReexecTiming), RejectReason> {
+        let t_section = Instant::now();
+        let (program, advice, pre, obs) = (self.program, self.advice, self.pre, &self.obs);
+        let order = self.trace.request_ids();
+        for rid in &order {
+            if !advice.tags.contains_key(rid) {
+                return Err(RejectReason::MissingTag { rid: *rid });
+            }
+        }
+        let groups = advice.groups(&order);
+        let ngroups = groups.len();
+        let exchanges = self.trace.exchanges();
+        let exchanges = exchanges.as_slice();
+        obs.progress_replay_total(ngroups as u64);
+        // What each group's local state starts from: the trusted
+        // initialization writes, shared and not copied.
+        let init_vars: GroupVars = self.global.group_vars();
+
+        // Smallest group index known to have failed: the pool skips
+        // groups strictly beyond it (the merge stops there), but never
+        // groups before it, which the merge still needs.
+        let failed_floor = AtomicUsize::new(usize::MAX);
+        let run_unit = |gidx: usize, lane: u32| -> GroupRun {
+            let rids = groups[gidx].as_slice();
+            if INJECT_PANIC.load(Ordering::SeqCst) == gidx as i64
+                && INJECT_PANIC
+                    .compare_exchange(gidx as i64, -1, Ordering::SeqCst, Ordering::SeqCst)
+                    .is_ok()
+            {
+                // Test-only hook (armed by `inject_group_panic_for_tests`)
+                // that exercises the pool's panic catch.
+                #[allow(clippy::panic)]
+                {
+                    panic!("injected test panic in group {gidx}")
+                };
+            }
+            let shard = obs.shard(lane);
+            // Charge this group's allocations (thread-local probe;
+            // reads 0 unless a counting allocator feeds it).
+            let alloc_before = if shard.is_enabled() {
+                obs::allocprobe::reading()
+            } else {
+                0
+            };
+            let t_group = shard.span_start();
+            let vars = init_vars.fresh(pre.var_index.entries_of(rids));
+            let meter = Meter::arm(&self.limits, Some(gidx as u64), 1);
+            let mut worker = Worker::new(program, advice, pre, self.schedule, vars, meter);
+            let error = worker
+                .run_group(Group::new(rids.to_vec(), advice, &pre.coords), exchanges)
+                .err();
+            let vm = (worker.vm.ops, worker.vm.fused_ops, worker.vm.fused_fuel);
+            let mut unit = worker.finish(error, shard);
+            let fuel = unit.stats.fuel_spent;
+            if unit.obs.is_enabled() {
+                // The group's handler-tree digest is its control-flow
+                // tag (equal across members by construction).
+                let digest = rids
+                    .first()
+                    .and_then(|r| advice.tags.get(r))
+                    .copied()
+                    .unwrap_or(0);
+                let (shard, size) = (&mut unit.obs, rids.len() as u64);
+                shard.observe(HistogramId::GroupSize, size);
+                shard.count(CounterId::ReplayFuelSpent, fuel);
+                shard.count(CounterId::BytecodeOps, vm.0);
+                shard.observe(HistogramId::GroupFuelSpent, fuel);
+                let dur = shard.record_span(
+                    "group-replay",
+                    t_group,
+                    &[("group", gidx as u64), ("size", size), ("digest", digest)],
+                );
+                shard.observe(HistogramId::GroupReplayUs, dur);
+                let (var_reads, var_writes, feeds) = unit.accesses.tally();
+                shard.record_group_cost(obs::GroupCost {
+                    group: gidx as u64,
+                    requests: size,
+                    first_rid: rids.first().map(|r| r.0).unwrap_or(0),
+                    digest,
+                    fuel,
+                    uniform_ops: unit.stats.uniform_ops,
+                    expanded_ops: unit.stats.expanded_ops,
+                    bytecode_ops: vm.0,
+                    fused_ops: vm.1,
+                    fused_fuel: vm.2,
+                    dict_feeds: feeds.dict_feeds,
+                    logged_reads: feeds.logged_reads,
+                    var_reads,
+                    var_writes,
+                    wall_us: dur,
+                    alloc_events: obs::allocprobe::reading().saturating_sub(alloc_before),
+                });
+            }
+            // Heartbeat: live even before the merge absorbs the
+            // shard (a noop handle makes this an early return).
+            obs.progress_group_replayed(fuel);
+            if unit.error.is_some() {
+                failed_floor.fetch_min(gidx, Ordering::Relaxed);
+                obs.progress_floor(gidx as u64);
+            }
+            unit
         };
+
+        let merge = Merge::new(self.global, advice, pre, obs, ngroups, order.len());
+        let merged = pool::ordered(threads, ngroups, &failed_floor, &run_unit, |pool| {
+            overlap();
+            merge.run(ngroups, exchanges, |gidx| pool.take(gidx))
+        });
+        let (stats, state_merge) = merged?;
+        Ok((stats, ReexecTiming::split(t_section, state_merge)))
+    }
+
+    /// `OOOExec` (Fig. 22): out-of-order re-execution *without*
+    /// grouping — every request is its own singleton group and all
+    /// requests' handler activations share one global queue, drained in
+    /// any well-formed order. This is the executor the paper's proofs
+    /// reason about; [`ReExecutor::run_pipelined`] is the batched
+    /// production variant shown equivalent to it by Lemma 3.
+    ///
+    /// The whole run is one replay unit on the calling thread, after
+    /// `overlap`: it records its accesses like a group and meets the
+    /// same merge. Control-flow tags are ignored (OOOAudit does not
+    /// group), so this also audits advice from servers that decline to
+    /// tag.
+    pub fn run_ungrouped<F: FnOnce()>(
+        self,
+        overlap: F,
+    ) -> Result<(ReexecStats, ReexecTiming), RejectReason> {
+        let t_section = Instant::now();
+        overlap();
+        let (program, advice, pre) = (self.program, self.advice, self.pre);
+        let order = self.trace.request_ids();
+        let exchanges = self.trace.exchanges();
+        // One worker replays every singleton group, so each gets its
+        // own slot of the non-loggable table: its place in the trace.
+        let groups: Vec<Group<'a>> = order
+            .iter()
+            .enumerate()
+            .map(|(nonlog_slot, rid)| Group {
+                nonlog_slot,
+                ..Group::new(vec![*rid], advice, &pre.coords)
+            })
+            .collect();
+        let init_vars = self.global.group_vars();
+        let replay = |_| {
+            let vars = init_vars.fresh(pre.var_index.entries_of(&order));
+            // One pass does every request's work, so its one meter is
+            // scaled by the request count (the grouped path budgets per
+            // group).
+            let meter = Meter::arm(&self.limits, None, order.len() as u64);
+            let mut worker = Worker::new(program, advice, pre, self.schedule, vars, meter);
+            let error = worker.run_interleaved(&groups, &exchanges).err();
+            Ok(worker.finish(error, ObsShard::disabled()))
+        };
+        let merge = Merge::new(
+            self.global,
+            advice,
+            pre,
+            &self.obs,
+            order.len(),
+            order.len(),
+        );
+        let (stats, state_merge) = merge.run(1, &exchanges, replay)?;
+        Ok((stats, ReexecTiming::split(t_section, state_merge)))
+    }
+}
+
+impl Meter {
+    /// A meter armed from `limits` for `group`. `scale` is `1` for a
+    /// group and the request count for the ungrouped replay.
+    fn arm(limits: &Limits, group: Option<u64>, scale: u64) -> Self {
+        let scale = scale.max(1);
+        Meter {
+            spent: 0,
+            limit: limits.replay_fuel.saturating_mul(scale),
+            max_group_width: limits.max_group_width,
+            // `u64::MAX` (or an Instant overflow) disables the deadline.
+            deadline: if limits.group_deadline_ms == u64::MAX {
+                None
+            } else {
+                Instant::now().checked_add(Duration::from_millis(
+                    limits.group_deadline_ms.saturating_mul(scale),
+                ))
+            },
+            deadline_ms: limits.group_deadline_ms,
+            next_poll: DEADLINE_POLL_INTERVAL,
+            group,
+        }
     }
 
     /// Charges `n` fuel units: the charges `kem_lang::bytecode::lower` folded
@@ -574,19 +712,19 @@ impl<'a> ReExecutor<'a> {
     /// machine-dependent by nature; see DESIGN.md §10).
     #[inline]
     fn charge(&mut self, n: u64) -> Result<(), RejectReason> {
-        let new = self.fuel_spent.saturating_add(n);
-        if new > self.fuel_limit {
-            self.fuel_spent = self.fuel_limit.saturating_add(1);
+        let new = self.spent.saturating_add(n);
+        if new > self.limit {
+            self.spent = self.limit.saturating_add(1);
             return Err(RejectReason::ResourceExhausted {
                 resource: ResourceKind::ReplayFuel,
                 group: self.group,
-                spent: self.fuel_spent,
-                limit: self.fuel_limit,
+                spent: self.spent,
+                limit: self.limit,
             });
         }
-        self.fuel_spent = new;
-        if new >= self.next_deadline_poll {
-            self.next_deadline_poll = new.saturating_add(DEADLINE_POLL_INTERVAL);
+        self.spent = new;
+        if new >= self.next_poll {
+            self.next_poll = new.saturating_add(DEADLINE_POLL_INTERVAL);
             return self.poll_deadline();
         }
         Ok(())
@@ -609,6 +747,66 @@ impl<'a> ReExecutor<'a> {
         }
         Ok(())
     }
+}
+
+impl<'a> Worker<'a> {
+    /// A worker for one unit over `vars`, metered by `meter`. A `Random`
+    /// schedule draws from an RNG seeded by the schedule's seed and, for
+    /// a group, its index, so draw sequences never depend on how groups
+    /// are distributed over workers.
+    fn new(
+        program: &'a Program,
+        advice: &'a AdviceRef<'a>,
+        pre: &'a Preprocessed,
+        schedule: ReplaySchedule,
+        vars: GroupVars,
+        meter: Meter,
+    ) -> Self {
+        let seed = match (schedule, meter.group) {
+            (ReplaySchedule::Random { seed }, Some(g)) => {
+                seed ^ (g + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            }
+            (ReplaySchedule::Random { seed }, None) => seed,
+            _ => 0,
+        };
+        Worker {
+            program,
+            advice,
+            pre,
+            schedule,
+            vars,
+            rng: rand::SeedableRng::seed_from_u64(seed),
+            nonlog: Vec::new(),
+            tx_table: Vec::new(),
+            executed: Vec::new(),
+            consumed: Vec::new(),
+            outputs: Vec::new(),
+            stats: ReexecStats::default(),
+            meter,
+            vm: Vm::default(),
+            vm_slots: Vec::new(),
+            pending_slots: Vec::new(),
+        }
+    }
+
+    /// Ends the unit's replay — `error` is how it failed, if it did —
+    /// and hands what the merge applies over, with `obs`, the shard the
+    /// unit's telemetry goes to.
+    fn finish(self, error: Option<RejectReason>, obs: ObsShard) -> GroupRun {
+        GroupRun {
+            accesses: self.vars.finish(),
+            error,
+            executed: self.executed,
+            consumed: self.consumed,
+            outputs: self.outputs,
+            stats: ReexecStats {
+                fuel_spent: self.meter.spent,
+                max_group_fuel: self.meter.spent,
+                ..self.stats
+            },
+            obs,
+        }
+    }
 
     /// Draws the next handler from an active queue per the schedule.
     fn next_active<T>(&mut self, active: &mut VecDeque<T>) -> Option<T> {
@@ -626,250 +824,29 @@ impl<'a> ReExecutor<'a> {
         }
     }
 
-    /// Runs re-execution over all groups (Fig. 18), performing the
-    /// final whole-audit checks (lines 62–64), on `threads` threads —
-    /// the calling one included — through the verifier's worker pool
-    /// (`pool.rs`).
-    ///
-    /// Groups are independent by construction — same handler tree,
-    /// disjoint requests — so each is replayed whole with its own local
-    /// state, recording its shared-variable accesses. The calling thread
-    /// runs `overlap` first (the audit merges `G`'s deferred preprocess
-    /// edges there; replay never reads the graph), then merges each
-    /// group's unit into the global state in ascending group order
-    /// ([`Merge::run`]), replaying a group itself whenever the unit it
-    /// needs has not arrived. Every unit comes from the same per-group
-    /// code and meets the same merge in the same order, so the outcome
-    /// (verdict, [`RejectReason`], statistics) is bit-identical at every
-    /// thread count; only the wall clock differs.
-    pub fn run_pipelined<F: FnOnce() + Send>(
-        self,
-        threads: usize,
-        overlap: F,
-    ) -> Result<(ReexecStats, ReexecTiming), RejectReason> {
-        let t_section = Instant::now();
-        let order = self.trace.request_ids();
-        for rid in &order {
-            if !self.advice.tags.contains_key(rid) {
-                return Err(RejectReason::MissingTag { rid: *rid });
-            }
-        }
-        let groups = self.advice.groups(&order);
-        let ngroups = groups.len();
-        let exchanges = self.trace.exchanges();
-        let exchanges = exchanges.as_slice();
-        let obs_handle = self.obs.clone();
-        obs_handle.progress_replay_total(ngroups as u64);
-        let (program, trace, advice, pre, schedule, limits) = (
-            self.program,
-            self.trace,
-            self.advice,
-            self.pre,
-            self.schedule,
-            self.limits,
-        );
-        let VarBackend::Global(global) = self.vars else {
-            return Err(RejectReason::VerifierInternal {
-                what: "grouped run started on a recording backend".into(),
-            });
-        };
-        // What each group's local state starts from: the trusted
-        // initialization writes, shared and not copied.
-        let init_vars: GroupVars = global.group_vars();
-
-        // Smallest group index known to have failed: the pool skips
-        // groups strictly beyond it (the merge stops there), but never
-        // groups before it, which the merge still needs.
-        let failed_floor = AtomicUsize::new(usize::MAX);
-        let run_unit = |gidx: usize, lane: u32| -> GroupRun {
-            let rids = groups[gidx].as_slice();
-            if INJECT_PANIC.load(Ordering::SeqCst) == gidx as i64
-                && INJECT_PANIC
-                    .compare_exchange(gidx as i64, -1, Ordering::SeqCst, Ordering::SeqCst)
-                    .is_ok()
-            {
-                // Test-only hook (armed by `inject_group_panic_for_tests`)
-                // that exercises the pool's panic catch.
-                #[allow(clippy::panic)]
-                {
-                    panic!("injected test panic in group {gidx}")
-                };
-            }
-            let mut shard = obs_handle.shard(lane);
-            // Charge this group's allocations (thread-local probe;
-            // reads 0 unless a counting allocator feeds it).
-            let alloc_before = if shard.is_enabled() {
-                obs::allocprobe::reading()
-            } else {
-                0
-            };
-            let t_group = shard.span_start();
-            let mut ex = ReExecutor::for_group(
-                program,
-                trace,
-                advice,
-                pre,
-                init_vars.fresh(pre.var_index.entries_of(rids)),
-                schedule,
-                gidx,
-            );
-            ex.arm_meter(&limits, Some(gidx as u64), 1);
-            let mut error = ex
-                .run_group(Group::new(rids.to_vec(), advice, &pre.coords), exchanges)
-                .err();
-            ex.stats.fuel_spent = ex.fuel_spent;
-            ex.stats.max_group_fuel = ex.fuel_spent;
-            // The group's handler-tree digest is its control-flow
-            // tag (equal across members by construction).
-            let digest = rids
-                .first()
-                .and_then(|r| advice.tags.get(r))
-                .copied()
-                .unwrap_or(0);
-            let mut dur = 0u64;
-            if shard.is_enabled() {
-                let size = rids.len() as u64;
-                shard.observe(HistogramId::GroupSize, size);
-                shard.count(CounterId::ReplayFuelSpent, ex.fuel_spent);
-                shard.count(CounterId::BytecodeOps, ex.vm.ops);
-                shard.observe(HistogramId::GroupFuelSpent, ex.fuel_spent);
-                dur = shard.record_span(
-                    "group-replay",
-                    t_group,
-                    &[("group", gidx as u64), ("size", size), ("digest", digest)],
-                );
-                shard.observe(HistogramId::GroupReplayUs, dur);
-            }
-            let accesses = match ex.vars {
-                VarBackend::Recording(group) => group.finish(),
-                // Statically impossible; losing the event stream would
-                // silently weaken the merge checks, so fail closed.
-                VarBackend::Global(_) => {
-                    error = Some(RejectReason::VerifierInternal {
-                        what: "group worker lost its event stream".into(),
-                    });
-                    GroupAccesses::default()
-                }
-            };
-            if shard.is_enabled() {
-                let (var_reads, var_writes, feeds) = accesses.tally();
-                shard.record_group_cost(obs::GroupCost {
-                    group: gidx as u64,
-                    requests: rids.len() as u64,
-                    first_rid: rids.first().map(|r| r.0).unwrap_or(0),
-                    digest,
-                    fuel: ex.fuel_spent,
-                    uniform_ops: ex.stats.uniform_ops,
-                    expanded_ops: ex.stats.expanded_ops,
-                    bytecode_ops: ex.vm.ops,
-                    fused_ops: ex.vm.fused_ops,
-                    fused_fuel: ex.vm.fused_fuel,
-                    dict_feeds: feeds.dict_feeds,
-                    logged_reads: feeds.logged_reads,
-                    var_reads,
-                    var_writes,
-                    wall_us: dur,
-                    alloc_events: obs::allocprobe::reading().saturating_sub(alloc_before),
-                });
-            }
-            // Heartbeat: live even before the merge absorbs the
-            // shard (a noop handle makes this an early return).
-            obs_handle.progress_group_replayed(ex.fuel_spent);
-            if error.is_some() {
-                failed_floor.fetch_min(gidx, Ordering::Relaxed);
-                obs_handle.progress_floor(gidx as u64);
-            }
-            GroupRun {
-                accesses,
-                error,
-                executed: ex.executed,
-                consumed: ex.consumed,
-                outputs: ex.outputs,
-                stats: ex.stats,
-                obs: shard,
-            }
-        };
-
-        let merge = Merge {
-            global,
-            advice,
-            var_index: &pre.var_index,
-            obs: &obs_handle,
-            stats: ReexecStats {
-                groups: ngroups,
-                ..Default::default()
-            },
-            coverage: Coverage::new(&pre.coords, order.len()),
-        };
-        let merged = pool::ordered(threads, ngroups, &failed_floor, &run_unit, |pool| {
-            overlap();
-            merge.run(ngroups, exchanges, pre, |gidx| pool.take(gidx))
-        });
-        let (stats, state_merge) = merged?;
-        // The two sum to the section: whatever the calling thread did
-        // not spend merging — the side job, the groups it replayed and
-        // its waits for the rest — is group replay.
-        let timing = ReexecTiming {
-            group_replay: t_section.elapsed().saturating_sub(state_merge),
-            state_merge,
-        };
-        Ok((stats, timing))
-    }
-
-    /// `OOOExec` (Fig. 22): out-of-order re-execution *without*
-    /// grouping — every request is its own singleton group and all
-    /// requests' handler activations share one global queue, drained in
-    /// any well-formed order. This is the executor the paper's proofs
-    /// reason about; [`ReExecutor::run_pipelined`] is the batched
-    /// production variant shown equivalent to it by Lemma 3.
-    ///
-    /// Control-flow tags are ignored (OOOAudit does not group), so this
-    /// also audits advice from servers that decline to tag.
-    pub fn run_ungrouped(mut self) -> Result<ReexecStats, RejectReason> {
-        let order = self.trace.request_ids();
-        // OOOAudit replays every request as a singleton group on one
-        // thread, so the whole run shares a single meter scaled by the
-        // request count (the grouped path budgets per group).
-        let limits = self.limits;
-        self.arm_meter(&limits, None, order.len() as u64);
-        self.stats.groups = order.len();
-        let (advice, coords) = (self.advice, &self.pre.coords);
-        let exchanges = self.trace.exchanges();
-        // One executor replays every singleton group, so each gets its
-        // own slot of the non-loggable table: its place in the trace.
-        let groups: Vec<Group<'a>> = order
-            .iter()
-            .enumerate()
-            .map(|(nonlog_slot, rid)| Group {
-                nonlog_slot,
-                ..Group::new(vec![*rid], advice, coords)
-            })
-            .collect();
+    /// `OOOExec`'s replay: the singleton `groups`, in trace order, their
+    /// handler activations on one global queue drained with the
+    /// schedule. Children go back into the same queue, so requests'
+    /// handlers interleave freely.
+    fn run_interleaved(
+        &mut self,
+        groups: &[Group<'a>],
+        trace: &[Exchange<'_>],
+    ) -> Result<(), RejectReason> {
         // One global queue of (singleton group, activated handler).
         let mut active: VecDeque<(usize, Pending)> = VecDeque::new();
-        for (gi, (x, g)) in exchanges.iter().zip(&groups).enumerate() {
+        for (gi, (x, g)) in trace.iter().zip(groups).enumerate() {
             let mut roots = Queue::new();
             self.enqueue_roots(g, &mut roots, &MultiValue::uniform(x.input.clone()))?;
             active.extend(roots.into_iter().map(|root| (gi, root)));
         }
-        // Drain with the configured schedule; children go back into the
-        // same global queue, so requests' handlers interleave freely.
         while let Some((gi, pending)) = self.next_active(&mut active) {
             let Some(g) = groups.get(gi) else { continue };
             let mut children = Queue::new();
             self.exec_handler(g, &mut children, pending)?;
             active.extend(children.into_iter().map(|child| (gi, child)));
         }
-        let mut coverage = Coverage::new(coords, order.len());
-        coverage.absorb(
-            &self.executed,
-            &self.consumed,
-            std::mem::take(&mut self.outputs),
-        );
-        final_checks(&exchanges, self.pre, &coverage)?;
-        self.stats.fuel_spent = self.fuel_spent;
-        self.stats.max_group_fuel = self.fuel_spent;
-        Ok(self.stats)
+        Ok(())
     }
 
     fn run_group(&mut self, g: Group<'a>, trace: &[Exchange<'_>]) -> Result<(), RejectReason> {
@@ -877,12 +854,12 @@ impl<'a> ReExecutor<'a> {
         // requests into one group multiplies every MultiValue by the
         // group width, so an oversized group is rejected up front
         // instead of amplifying allocations 2^20-fold.
-        if (g.n() as u64) > self.max_group_width {
+        if (g.n() as u64) > self.meter.max_group_width {
             return Err(RejectReason::ResourceExhausted {
                 resource: ResourceKind::GroupWidth,
-                group: self.group,
+                group: self.meter.group,
                 spent: g.n() as u64,
-                limit: self.max_group_width,
+                limit: self.meter.max_group_width,
             });
         }
         // (1) Initialize: inputs and the request handlers. The common
@@ -1027,7 +1004,7 @@ impl<'a> ReExecutor<'a> {
 /// One handler activation of a group being replayed: the [`Machine`]
 /// the dispatch loop (`kem_lang::vm`) runs on, over multivalues.
 struct Replay<'r, 'a> {
-    ex: &'r mut ReExecutor<'a>,
+    ex: &'r mut Worker<'a>,
     g: &'r Group<'a>,
     active: &'r mut Queue,
     frame: &'r mut Frame,
@@ -1248,7 +1225,7 @@ impl Machine for Replay<'_, '_> {
 
     #[inline]
     fn charge(&mut self, units: u32) -> Result<(), RejectReason> {
-        self.ex.charge(u64::from(units))
+        self.ex.meter.charge(u64::from(units))
     }
 
     /// A loggable variable is read by every member as one operation,
@@ -1274,7 +1251,7 @@ impl Machine for Replay<'_, '_> {
 
     /// A write of `v` by every member: to the loggable variable's state
     /// (Fig. 21), or to each member's copy of a non-loggable one. That
-    /// table grows to the program's variables and the executor's
+    /// table grows to the program's variables and the worker's
     /// members, both trusted sizes.
     fn shared_write(
         &mut self,
@@ -1533,13 +1510,36 @@ impl Machine for Replay<'_, '_> {
 struct Merge<'m> {
     global: &'m mut VarStates,
     advice: &'m AdviceRef<'m>,
-    var_index: &'m VarIndex,
+    pre: &'m Preprocessed,
     obs: &'m Obs,
     stats: ReexecStats,
     coverage: Coverage<'m>,
 }
 
-impl Merge<'_> {
+impl<'m> Merge<'m> {
+    /// An empty merge of `groups` units into `global`, covering
+    /// `requests` traced requests.
+    fn new(
+        global: &'m mut VarStates,
+        advice: &'m AdviceRef<'m>,
+        pre: &'m Preprocessed,
+        obs: &'m Obs,
+        groups: usize,
+        requests: usize,
+    ) -> Self {
+        Merge {
+            global,
+            advice,
+            pre,
+            obs,
+            stats: ReexecStats {
+                groups,
+                ..Default::default()
+            },
+            coverage: Coverage::new(&pre.coords, requests),
+        }
+    }
+
     /// Merges units `0..ngroups` as `next_unit` hands them over (it may
     /// replay the group on the spot or wait until a worker has), stopping
     /// at the first error, then runs the whole-audit final checks.
@@ -1549,7 +1549,6 @@ impl Merge<'_> {
         mut self,
         ngroups: usize,
         trace: &[Exchange<'_>],
-        pre: &Preprocessed,
         mut next_unit: impl FnMut(usize) -> Result<GroupRun, RejectReason>,
     ) -> Result<(ReexecStats, Duration), RejectReason> {
         let span = self.obs.span_start();
@@ -1567,7 +1566,7 @@ impl Merge<'_> {
             }
         }
         let t = Instant::now();
-        final_checks(trace, pre, &self.coverage)?;
+        final_checks(trace, self.pre, &self.coverage)?;
         busy += t.elapsed();
         // The span is the merge loop's extent, waits included; the
         // layer's own time is `busy`.
@@ -1586,7 +1585,7 @@ impl Merge<'_> {
     /// kind — then fold its statistics and coverage lists.
     fn merge_unit(&mut self, unit: GroupRun) -> Result<(), RejectReason> {
         self.global
-            .merge_group(unit.accesses, self.var_index, &self.advice.var_logs)?;
+            .merge_group(unit.accesses, &self.pre.var_index, &self.advice.var_logs)?;
         // Absorbed before the error check so a failing group's replay span
         // still appears in the exported trace.
         self.obs.absorb(unit.obs);
@@ -1624,7 +1623,7 @@ impl<'c> Coverage<'c> {
         }
     }
 
-    /// Folds one executor's lists in. A later response of the same
+    /// Folds one unit's lists in. A later response of the same
     /// request replaces an earlier one, as re-execution order had it.
     fn absorb(&mut self, executed: &[u32], consumed: &[u32], outputs: Vec<(RequestId, Value)>) {
         for act in executed {

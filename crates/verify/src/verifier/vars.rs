@@ -24,10 +24,12 @@
 //!   initialization.
 //! * **apply** ([`VarStates::apply_read`], [`VarStates::apply_write`])
 //!   records the outcome in the whole-audit [`WriteTable`] and runs the
-//!   checks another group can fail. The merge applies each group's
-//!   stream in group order ([`VarStates::merge_group`]);
-//!   [`VarStates::on_read`] / [`VarStates::on_write`] run the halves
-//!   back to back, as Figs. 20–21 print them, for the ungrouped replay.
+//!   checks another group can fail. Every replay unit — a group, or the
+//!   ungrouped replay's one unit — resolves into a [`GroupVars`], and
+//!   the merge applies each unit's stream in order
+//!   ([`VarStates::merge_group`]). [`VarStates::on_read`] /
+//!   [`VarStates::on_write`] run the halves back to back, as
+//!   Figs. 20–21 print them: the reference the tests hold the split to.
 //!
 //! A write that passes simulate-and-check keeps the log entry's value,
 //! which the advice holds anyway, not the re-executed copy proved equal
@@ -265,10 +267,11 @@ enum VarEvent {
     Refused(RejectReason),
 }
 
-/// The variable state of one group's replay: the shared initialization
-/// writes, the writes the group re-executes, and its accesses. A chain
-/// conflict between two of the group's own writes stops the group where
-/// the sequential audit stops.
+/// The variable state of one replay unit (a group, or the ungrouped
+/// replay's every request): the shared initialization writes, the
+/// writes the unit re-executes, and its accesses. A chain conflict
+/// between two of the unit's own writes stops the unit where the
+/// sequential audit stops.
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct GroupVars {
@@ -432,7 +435,7 @@ impl VarStates {
         }
     }
 
-    /// An empty state for one group's replay.
+    /// An empty state for one replay unit.
     #[doc(hidden)]
     pub fn group_vars(&self) -> GroupVars {
         GroupVars {
@@ -476,8 +479,11 @@ impl VarStates {
         }
     }
 
-    /// Re-executes a read (Fig. 20 `OnRead`), returning the value to
-    /// feed the program. `log` is [`VarIndex::log`] of `var`.
+    /// Re-executes a read (Fig. 20 `OnRead`) on this state, both halves
+    /// at once, returning the value to feed the program. `log` is
+    /// [`VarIndex::log`] of `var`. Replay records through
+    /// `GroupVars::on_read` instead; the tests check that split
+    /// against this.
     pub fn on_read(
         &mut self,
         var: VarId,
@@ -515,9 +521,11 @@ impl VarStates {
         Ok(())
     }
 
-    /// Re-executes a write (Fig. 21 `OnWrite`): simulate-and-check
-    /// against the log, record the dictionary entry, and maintain the
-    /// write chain.
+    /// Re-executes a write (Fig. 21 `OnWrite`) on this state, both
+    /// halves at once: simulate-and-check against the log, record the
+    /// dictionary entry, and maintain the write chain. Replay records
+    /// through `GroupVars::on_write` instead; the tests check that
+    /// split against this.
     pub fn on_write(
         &mut self,
         var: VarId,

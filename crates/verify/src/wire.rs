@@ -44,19 +44,19 @@
 //! ([`crate::AdviceRef::from_view`]); the server side also converts it
 //! to owned advice, and back to bytes.
 //!
-//! Values have **one** reader, [`Decoder::walk_value`], driven by a
-//! [`ValueSink`] that checks each string reference: the view decoder's
+//! Values have **one** reader, `Decoder::walk_value`, driven by a
+//! `ValueSink` that checks each string reference: the view decoder's
 //! builds only a copy of each table string a value names, once, in the
 //! view's [`ValueInterner`]; [`Materializer`] builds the pool; and
 //! [`RawValue::to_value`] — how [`crate::AdviceRef::from_view`] turns
 //! spans into the values replay retains — shares those copies and the
 //! pool's nodes, where a reference is one `Arc` bump. The node budget
 //! charges a reference what it would have cost written out in place — a
-//! pool reference its container's elements ([`Decoder::charge`]), a
+//! pool reference its container's elements (`Decoder::charge`), a
 //! handler-id reference its path's steps, a string reference nothing —
 //! so it keeps counting *logical* elements; what the tables and the pool
 //! section themselves declare is held against the same budget apart from
-//! them ([`Decoder::table_len`], [`Decoder::pool_wire`]).
+//! them (`Decoder::table_len`, `Decoder::pool_wire`).
 
 use std::sync::Arc;
 
@@ -155,8 +155,8 @@ pub struct Decoder<'a> {
     pos: usize,
     /// Total declared collection elements so far. Every collection
     /// length — sections, per-entry logs, nested value lists/maps —
-    /// funnels through [`Decoder::len`], every pool reference adds what
-    /// its container holds ([`Decoder::charge`]) and every handler-id
+    /// funnels through `Decoder::len`, every pool reference adds what
+    /// its container holds (`Decoder::charge`) and every handler-id
     /// reference the steps of its path, so this is a faithful count of
     /// the elements anything walking the decoded advice will visit.
     nodes: u64,
@@ -409,9 +409,9 @@ impl<'a> Decoder<'a> {
 
     /// The one recursive walk over an encoded value. Every reader of
     /// value bytes — owned decode, validating skip, materialization —
-    /// is this function with a different [`ValueSink`], so they all
+    /// is this function with a different `ValueSink`, so they all
     /// read the same primitives in the same order: the same
-    /// [`Decoder::len`] budget charges, the same reference checks, and
+    /// `Decoder::len` budget charges, the same reference checks, and
     /// on bad bytes the same positioned [`WireError`].
     fn walk_value<S: ValueSink>(&mut self, sink: &mut S, depth: u32) -> Result<S::Out, WireError> {
         if depth > MAX_VALUE_DEPTH {
@@ -627,7 +627,7 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// What [`Decoder::walk_value`] hands the parts of a value to. `Out`
+/// What `Decoder::walk_value` hands the parts of a value to. `Out`
 /// is what a value becomes and `Key` what a map key becomes. A sink
 /// holds the string table its string references name, and checks them
 /// against it; one that builds values holds the pool they refer to.
@@ -782,7 +782,7 @@ pub fn decode_value_bounded(
 /// copy of its table entry the materializer's own interner made at its
 /// first use, and a reference is a clone of the node its pool holds —
 /// one `Arc` bump, whatever the container holds. The view decoder
-/// builds the pool with one ([`Decoder::pool_section`]) and keeps its
+/// builds the pool with one (`Decoder::pool_section`) and keeps its
 /// interner for the logged values ([`AdviceView::interned`]).
 pub struct Materializer<'i> {
     strings: &'i [&'i str],
@@ -1237,7 +1237,7 @@ fn bounded(e: WireError, max_nodes: u64) -> BoundedDecodeError {
 
 /// The budgeted decoder entry point every audit decode goes through:
 /// borrowed view out, no owned materialization. The per-collection byte
-/// budget in [`Decoder::len`] stops a single huge length claim, and
+/// budget in `Decoder::len` stops a single huge length claim, and
 /// `max_nodes` stops death-by-a-thousand small collections across
 /// nesting levels.
 pub fn decode_advice_view_bounded(

@@ -1,8 +1,9 @@
 //! Offline stand-in for the `proptest` crate.
 //!
 //! The workspace builds without crates.io access, so this shim provides
-//! the subset of proptest's API the workspace uses: the [`Strategy`]
-//! trait (`prop_map`, `prop_recursive`, `boxed`), [`BoxedStrategy`],
+//! the subset of proptest's API the workspace uses: the
+//! [`Strategy`](strategy::Strategy) trait (`prop_map`, `prop_recursive`,
+//! `boxed`), [`BoxedStrategy`](strategy::BoxedStrategy),
 //! `any::<T>()`, range and string-pattern strategies, tuples,
 //! `collection::{vec, btree_map}`, `option::of`, `array::uniform3`,
 //! `sample::Index`, and the `proptest!` / `prop_compose!` /
@@ -111,7 +112,7 @@ pub mod test_runner {
     }
 }
 
-/// The [`Strategy`] trait and core combinators.
+/// The [`Strategy`](strategy::Strategy) trait and core combinators.
 pub mod strategy {
     use crate::test_runner::TestRng;
     use std::ops::Range;
@@ -335,7 +336,7 @@ pub mod strategy {
     impl_tuple_strategy!(A.0, B.1, C.2, D.3, E.4, F.5, G.6, H.7, I.8, J.9, K.10, L.11);
 }
 
-/// `any::<T>()` and the [`Arbitrary`] trait.
+/// `any::<T>()` and the [`Arbitrary`](arbitrary::Arbitrary) trait.
 pub mod arbitrary {
     use crate::strategy::Strategy;
     use crate::test_runner::TestRng;

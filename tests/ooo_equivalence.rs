@@ -158,3 +158,42 @@ fn ooo_audit_decodes_under_the_budgets() {
         }
     }
 }
+
+/// `OOOAudit` replays every request on one meter, armed once and scaled
+/// by the request count; the batched audit arms a fresh meter per group.
+/// Either way the first over-budget unit stops the meter at
+/// `limit + 1`.
+#[test]
+fn ooo_audit_meters_the_whole_run_once() {
+    let (p, t, a) = honest(App::Wiki, Mix::Wiki, 25, 4, 1);
+    let bytes = encode_advice(&a);
+    let exhausted = |group, spent, limit| {
+        Some(RejectReason::ResourceExhausted {
+            resource: ResourceKind::ReplayFuel,
+            group,
+            spent,
+            limit,
+        })
+    };
+    for (fuel, ooo_spent, group_spent) in [(1, 26, 2), (100, 2501, 101)] {
+        let opts = AuditOptions {
+            limits: Limits {
+                replay_fuel: fuel,
+                ..Limits::default()
+            },
+            ..AuditOptions::default()
+        };
+        assert_eq!(
+            ooo_audit(&p, &t, &bytes, SER, opts).err(),
+            exhausted(None, ooo_spent, fuel * 25),
+            "OOOAudit at replay_fuel {fuel}"
+        );
+        let grouped =
+            karousos::audit_encoded_with_obs(&p, &t, &bytes, SER, opts, &obs::Obs::noop());
+        assert_eq!(
+            grouped.err(),
+            exhausted(Some(0), group_spent, fuel),
+            "batched audit at replay_fuel {fuel}"
+        );
+    }
+}
