@@ -28,6 +28,7 @@
 pub mod advice;
 pub mod collector;
 pub mod faultinject;
+mod idhash;
 pub mod rorder;
 pub mod wire;
 

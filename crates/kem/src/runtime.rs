@@ -20,7 +20,7 @@
 //!   [`ExecHooks`](crate::ExecHooks); running with
 //!   [`NoopHooks`](crate::NoopHooks) is the *unmodified server* baseline.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use kvstore::{IsolationLevel, Store, StoreStats, TxError, TxnId};
@@ -149,12 +149,18 @@ pub struct Runtime<'p> {
     code: &'p CodeSet,
     cfg: ServerConfig,
     vars: Vec<Value>,
-    request_regs: HashMap<RequestId, Vec<(Sym, FunctionId)>>,
+    /// Per-request registrations, indexed by [`RequestId`] (requests
+    /// are numbered densely from 0 as they are admitted).
+    request_regs: Vec<Vec<(Sym, FunctionId)>>,
     pending_events: VecDeque<PendingEvent>,
     pending_db: VecDeque<PendingDb>,
     store: Store<Value>,
-    txnums: HashMap<TxnId, u32>,
-    responded: HashMap<RequestId, bool>,
+    /// The last `txnum` of each transaction, indexed by [`TxnId`] (the
+    /// store numbers transactions densely from 0 as they begin).
+    txnums: Vec<u32>,
+    /// Whether each admitted request has responded, indexed by
+    /// [`RequestId`].
+    responded: Vec<bool>,
     in_flight: usize,
     trace: Trace,
     nondet_counter: i64,
@@ -184,7 +190,7 @@ pub fn run_server<H: ExecHooks>(
     Ok(RunOutput {
         trace: rt.trace,
         store_stats: rt.store.stats(),
-        binlog: rt.store.binlog().clone(),
+        binlog: rt.store.into_binlog(),
         steps: rt.steps,
         activations: rt.activations,
     })
@@ -202,12 +208,12 @@ impl<'p> Runtime<'p> {
             code: program.code(),
             cfg,
             vars: Vec::new(),
-            request_regs: HashMap::new(),
+            request_regs: Vec::new(),
             pending_events: VecDeque::new(),
             pending_db: VecDeque::new(),
             store: Store::new(cfg.isolation),
-            txnums: HashMap::new(),
-            responded: HashMap::new(),
+            txnums: Vec::new(),
+            responded: Vec::new(),
             in_flight: 0,
             trace: Trace::new(),
             nondet_counter: 0,
@@ -290,7 +296,8 @@ impl<'p> Runtime<'p> {
                 let input = inputs[next_input].clone();
                 next_input += 1;
                 self.in_flight += 1;
-                self.responded.insert(rid, false);
+                self.responded.push(false);
+                self.request_regs.push(Vec::new());
                 self.trace.push_request(rid, input.clone());
                 hooks.on_request(rid, &input);
                 let activations = self
@@ -363,14 +370,15 @@ impl<'p> Runtime<'p> {
         match db.kind {
             TxOpKind::Start => {
                 let txn = self.store.begin();
-                self.txnums.insert(txn, 0);
+                debug_assert_eq!(txn.0, self.txnums.len() as u64);
+                self.txnums.push(0);
                 record.txn = txn;
                 payload.push((Arc::clone(&keys.ok), Value::Bool(true)));
                 payload.push((Arc::clone(&keys.tx), Value::Int(txn.0 as i64)));
             }
             _ => {
                 let txn = db.txn.expect("non-start ops carry a token");
-                let txnum = match self.txnums.get_mut(&txn) {
+                let txnum = match self.txnums.get_mut(txn.0 as usize) {
                     Some(n) => {
                         *n += 1;
                         *n
@@ -452,7 +460,7 @@ impl<'p> Runtime<'p> {
             .filter(|(e, _)| *e == event)
             .map(|(_, f)| *f)
             .collect();
-        if let Some(regs) = self.request_regs.get(&rid) {
+        if let Some(regs) = self.request_regs.get(rid.0 as usize) {
             out.extend(regs.iter().filter(|(e, _)| *e == event).map(|(_, f)| *f));
         }
         out
@@ -562,7 +570,7 @@ impl<H: ExecHooks> Machine for ServerMachine<'_, '_, H> {
     fn register(&mut self, event: Sym, function: FunctionId) -> Result<(), RuntimeError> {
         let op = self.next_op();
         let compiled = self.rt.code;
-        let regs = self.rt.request_regs.entry(self.rid).or_default();
+        let regs = &mut self.rt.request_regs[self.rid.0 as usize];
         let this = |&(e, g): &(Sym, FunctionId)| e == event && g == function;
         if regs.iter().any(this) || compiled.global_regs.iter().any(this) {
             let functions = &self.rt.program.functions;
@@ -581,7 +589,7 @@ impl<H: ExecHooks> Machine for ServerMachine<'_, '_, H> {
 
     fn unregister(&mut self, event: Sym, function: FunctionId) -> Result<(), RuntimeError> {
         let op = self.next_op();
-        if let Some(regs) = self.rt.request_regs.get_mut(&self.rid) {
+        if let Some(regs) = self.rt.request_regs.get_mut(self.rid.0 as usize) {
             regs.retain(|(e, g)| !(*e == event && *g == function));
         }
         let name = self.rt.code.interner.resolve(event);
@@ -592,7 +600,7 @@ impl<H: ExecHooks> Machine for ServerMachine<'_, '_, H> {
 
     fn respond(&mut self, v: Value) -> Result<(), RuntimeError> {
         let rid = self.rid;
-        match self.rt.responded.get_mut(&rid) {
+        match self.rt.responded.get_mut(rid.0 as usize) {
             Some(done) if !*done => *done = true,
             Some(_) => return Err(RuntimeError::new(format!("request {rid} responded twice"))),
             None => {

@@ -153,6 +153,11 @@ impl<V: Clone> Store<V> {
         &self.binlog
     }
 
+    /// The committed-write order, taken out of a store that is done.
+    pub fn into_binlog(self) -> Binlog {
+        self.binlog
+    }
+
     /// Operation counters.
     pub fn stats(&self) -> StoreStats {
         self.stats

@@ -16,12 +16,17 @@
 //!
 //! Stacks and wiki have many handlers per request, so their tags are
 //! where attribution of branch bits to activations shows; their
-//! encodings are pinned as 64-bit digests in both collector modes.
+//! encodings are pinned as 64-bit digests in both collector modes, and
+//! so is MOTD's, whose variable logs are most of its advice.
+//!
+//! The server has two entry points, the owned advice and the bytes it
+//! ships; they must be the same advice, byte for byte.
 
 use apps::App;
 use karousos::{
     audit_encoded, decode_advice, decode_advice_view_bounded, encode_advice,
-    run_instrumented_server, Advice, AdviceViewExt, BoundedDecodeError, CollectorMode,
+    run_instrumented_server, run_instrumented_server_encoded, Advice, AdviceViewExt,
+    BoundedDecodeError, CollectorMode,
 };
 use workload::{Experiment, Mix};
 
@@ -98,9 +103,11 @@ fn honest_advice_is_charged_what_its_flat_form_was() {
     }
 }
 
-/// The encoded advice of 40-request stacks and wiki runs, as FNV-1a
-/// digests, under both collectors. Orochi-JS's sequence tags take the
-/// other branch of `Collector::finish`, so both tag schemes are pinned.
+/// The encoded advice of 40-request stacks, wiki and MOTD write-heavy
+/// runs, as FNV-1a digests, under both collectors. Orochi-JS's sequence
+/// tags take the other branch of `Collector::finish`, so both tag
+/// schemes are pinned; its log-everything variable logs are MOTD's
+/// largest section.
 #[test]
 fn stacks_and_wiki_advice_bytes_are_pinned() {
     let pins = [
@@ -128,6 +135,18 @@ fn stacks_and_wiki_advice_bytes_are_pinned() {
             CollectorMode::OrochiJs,
             0x6960_510d_6a8c_7178,
         ),
+        (
+            App::Motd,
+            Mix::WriteHeavy,
+            CollectorMode::Karousos,
+            0xd9d1_c589_40ff_adca,
+        ),
+        (
+            App::Motd,
+            Mix::WriteHeavy,
+            CollectorMode::OrochiJs,
+            0x0dd5_4c18_0da8_0162,
+        ),
     ];
     let actual: Vec<u64> = pins
         .iter()
@@ -150,5 +169,37 @@ fn stacks_and_wiki_advice_bytes_are_pinned() {
             })
             .collect();
         panic!("the advice bytes moved:{table}");
+    }
+}
+
+/// `run_instrumented_server_encoded` ships exactly the encoding of the
+/// advice `run_instrumented_server` returns, and those bytes decode back
+/// to it, on every app under both collectors.
+#[test]
+fn the_server_entry_points_agree() {
+    for (app, mix) in [
+        (App::Motd, Mix::WriteHeavy),
+        (App::Stacks, Mix::Mixed),
+        (App::Wiki, Mix::Wiki),
+    ] {
+        for mode in [CollectorMode::Karousos, CollectorMode::OrochiJs] {
+            let mut exp = Experiment::paper_default(app, mix, 4, 5);
+            exp.requests = 40;
+            let program = app.program();
+            let (inputs, cfg) = (exp.inputs(), exp.server_config());
+            let (run, advice) =
+                run_instrumented_server(&program, &inputs, &cfg, mode).expect("apps run cleanly");
+            let (run_encoded, bytes) =
+                run_instrumented_server_encoded(&program, &inputs, &cfg, mode)
+                    .expect("apps run cleanly");
+            let what = format!("{} {mix:?} {mode:?}", app.name());
+            assert_eq!(run_encoded.trace, run.trace, "{what}: the same run");
+            assert!(bytes == encode_advice(&advice), "{what}: the same bytes");
+            assert_eq!(
+                decode_advice(&bytes).expect("honest advice decodes"),
+                advice,
+                "{what}: the bytes are the advice"
+            );
+        }
     }
 }
