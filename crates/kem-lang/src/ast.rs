@@ -17,7 +17,7 @@
 //! * [`Stmt::Respond`] delivers the request's response (from any handler
 //!   of the request's tree).
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::fmt;
 
 use crate::value::Value;
@@ -333,6 +333,15 @@ pub enum BuildError {
     UnknownVar(String),
     /// No request handler was declared.
     NoRequestHandlers,
+    /// A function was marked as a request handler twice.
+    DuplicateRequestHandler(String),
+    /// A function was registered globally for one event twice.
+    DuplicateRegistration {
+        /// The event.
+        event: String,
+        /// The function.
+        function: String,
+    },
 }
 
 impl fmt::Display for BuildError {
@@ -343,6 +352,15 @@ impl fmt::Display for BuildError {
             BuildError::UnknownFunction(n) => write!(f, "unknown function {n:?}"),
             BuildError::UnknownVar(n) => write!(f, "unknown shared variable {n:?}"),
             BuildError::NoRequestHandlers => f.write_str("no request handlers declared"),
+            BuildError::DuplicateRequestHandler(n) => {
+                write!(f, "function {n:?} is a request handler twice")
+            }
+            BuildError::DuplicateRegistration { event, function } => {
+                write!(
+                    f,
+                    "function {function:?} registered for event {event:?} twice"
+                )
+            }
         }
     }
 }
@@ -413,6 +431,25 @@ impl ProgramBuilder {
         }
         if self.request_handlers.is_empty() {
             return Err(BuildError::NoRequestHandlers);
+        }
+        // Each activation must have an id of its own within its request:
+        // a request handler listed twice would run twice as one root, and
+        // a function registered twice for an event would run twice as one
+        // child of every emit.
+        let mut seen = BTreeSet::new();
+        for n in &self.request_handlers {
+            if !seen.insert(n) {
+                return Err(BuildError::DuplicateRequestHandler(n.clone()));
+            }
+        }
+        let mut seen = BTreeSet::new();
+        for (event, function) in &self.global_registrations {
+            if !seen.insert((event, function)) {
+                return Err(BuildError::DuplicateRegistration {
+                    event: event.clone(),
+                    function: function.clone(),
+                });
+            }
         }
         let resolve_fn = |n: &str| -> Result<u32, BuildError> {
             fn_by_name
@@ -805,6 +842,32 @@ mod tests {
         b.function("f", vec![]);
         b.request_handler("f");
         assert!(matches!(b.build(), Err(BuildError::DuplicateVar(_))));
+    }
+
+    #[test]
+    fn duplicate_activations_rejected() {
+        let mut b = ProgramBuilder::new();
+        b.function("f", vec![]);
+        b.request_handler("f");
+        b.request_handler("f");
+        assert_eq!(
+            b.build().unwrap_err(),
+            BuildError::DuplicateRequestHandler("f".into())
+        );
+
+        let mut b = ProgramBuilder::new();
+        b.function("f", vec![]);
+        b.function("g", vec![]);
+        b.request_handler("f");
+        b.global_registration("ev", "g");
+        b.global_registration("ev", "g");
+        assert_eq!(
+            b.build().unwrap_err(),
+            BuildError::DuplicateRegistration {
+                event: "ev".into(),
+                function: "g".into(),
+            }
+        );
     }
 
     #[test]
