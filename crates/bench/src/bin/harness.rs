@@ -22,8 +22,9 @@
 //! explicit subcommand, the capture is the whole job.
 //!
 //! `--dump-bytecode <motd|stacks|wiki>` prints the compiled replay
-//! bytecode of every function in the app's program (DESIGN.md §11) and
-//! exits — the artifact both the runtime and the verifier dispatch.
+//! bytecode of every function in the app's program and its integer runs
+//! (DESIGN.md §11) and exits — the artifact both the runtime and the
+//! verifier dispatch.
 //!
 //! `--verify-threads T` (default 4, `0` = one per core) sets the thread
 //! count of the parallel Karousos audit, the calling thread included
@@ -960,7 +961,9 @@ fn file_smoke(o: &Opts) {
 
 /// `--dump-bytecode <app>`: disassembles the compiled replay bytecode
 /// of every function in the app's program (DESIGN.md §11) — blocks,
-/// pc, fuel charge, and pool-resolved operands.
+/// pc, fuel charge, and pool-resolved operands — and lists its integer
+/// runs: each run's head, windows and registers, and whether it loops
+/// or where it leaves.
 fn dump_bytecode(app_name: &str) {
     let program = app_named("--dump-bytecode", app_name).program();
     let code = program.code();

@@ -219,6 +219,15 @@ impl<'e> Encoder<'e> {
         Self::default()
     }
 
+    /// Makes room in the maps for `values` values and `hids` handler ids.
+    fn reserve(&mut self, values: usize, hids: usize) {
+        self.canon.by_addr.reserve(values);
+        self.canon.by_hash.reserve(values);
+        self.strings.by_addr.reserve(values);
+        self.strings.by_content.reserve(values);
+        self.hids.index.reserve(hids);
+    }
+
     /// Bytes written so far, each container counted as a hole.
     pub fn len(&self) -> usize {
         self.buf.len()
@@ -874,6 +883,11 @@ fn op_view(op: &HandlerOp) -> HandlerOpView<'_> {
 /// Encodes the full advice, and measures each section.
 fn encode_sections<'e>(a: impl Sections<'e>) -> (Vec<u8>, AdviceSizes) {
     let mut e = Encoder::new();
+    // Size the maps from the entry counts: every logged value may bring
+    // a container and a string, every activation its handler id.
+    let logged = a.var_logs().map(|(_, log)| log.count()).sum::<usize>();
+    let puts = a.tx_logs().map(|(_, log)| log.len()).sum::<usize>();
+    e.reserve(logged + puts + a.nondet().count(), a.opcounts().count());
     let mut ends = Vec::with_capacity(8);
     e.list(a.tags(), |e, (rid, tag)| {
         e.rid(rid);

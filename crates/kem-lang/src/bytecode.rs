@@ -47,27 +47,27 @@
 //!
 //! # Operand fusion
 //!
-//! After lowering, `fuse` rewrites the *head* op of every window
-//! `Local; Const; Bin` and `Const; Bin` — each optionally ending in
-//! `StoreLocal` or `LoopBranch` — that has an integer constant and lies
-//! inside one basic block into [`Op::BinLC`] / [`Op::BinC`], which name
-//! the window's operands and its length. Nothing else moves: the
-//! window's other ops stay where they are, so `ops.len()`, `charges`,
-//! `blocks` and every jump target are those of the unfused lowering. A
-//! fused op is therefore a *guard*, never an obligation. An executor
-//! that sees collapsed integer operands on which the operator cannot
-//! fail may charge the window's units in the plain ops' order (the
-//! head's, then — after the fallible local read — each remaining op's:
-//! nothing fallible lies between them on that path), compute on the
-//! `i64`s, put the result where the window's last op would and continue
-//! after the window.
-//! Otherwise it does what the head op alone does — push the local, push
-//! the constant — and the untouched tail executes as it always did. The
+//! After lowering, `fuse` finds every *window* `Local; Const; Bin` and
+//! `Const; Bin` — each optionally ending in `StoreLocal` or
+//! `LoopBranch` — that has an integer constant and lies inside one basic
+//! block, and chains the windows into *runs*: a window joins the run of
+//! the one before it when that one's result, store or taken loop test
+//! leads straight to it, through at most one uncharged `Jump` (a loop's
+//! back-edge), and nothing else reaches it. Each window's head op becomes
+//! [`Op::BinLC`] / [`Op::BinC`], naming the window in the run tables;
+//! nothing else moves, so `ops.len()`, `charges`, `blocks` and every
+//! jump target are those of the unfused lowering. A fused head is
+//! therefore a *guard*, never an obligation. An executor may run the
+//! windows from any head on registers holding the run's locals, each
+//! window exactly when its left operand is one integer for every member,
+//! its operator is defined on it and the fuel left covers the window's
+//! units, charged whole (nothing fallible lies between them). At the
+//! first window where that fails it writes the registers back, pushes a
+//! pending result and lets the head act alone — push the local, push the
+//! constant — and the untouched tail executes as it always did. The
 //! dispatch loop takes the first path whenever it may: for the verifier
 //! a collapsed instruction at a single value's cost (the paper's §4.1),
 //! for the server the same trace, advice and fuel as the plain ops.
-//! Which windows exist was read off the dynamic window histogram
-//! of the four benchmark workloads (EXPERIMENTS.md, PR 21).
 
 use crate::ast::{BinOp, BuildError, Expr, Function, NondetKind, Stmt, VarDecl};
 use crate::ids::{FunctionId, Interner, Sym, VarId};
@@ -237,29 +237,24 @@ pub enum Op {
         /// The nondeterminism source.
         kind: NondetKind,
     },
-    /// Head of a fused `Local(slot); Const(k); Bin(op)` window of `len`
-    /// ops (module docs, "Operand fusion"): an executor may run the
-    /// whole window on the two integers, or act as `Local(slot)`.
+    /// Head of a fused `Local(slot); Const(k); Bin` window (module docs,
+    /// "Operand fusion"): an executor may run the integer run from this
+    /// window on, or act as `Local(slot)`.
     BinLC {
         /// The window's `Local`.
         slot: u32,
         /// The window's `Const`, an [`Value::Int`].
         k: u32,
-        /// The window's `Bin`.
-        op: BinOp,
-        /// Ops in the window: 3, or 4 when a `StoreLocal` / `LoopBranch`
-        /// takes the result.
-        len: u8,
+        /// The window's index in the function's run tables.
+        window: u32,
     },
-    /// Head of a fused `Const(k); Bin(op)` window of `len` ops, the left
-    /// operand being the stack top: run it whole, or act as `Const(k)`.
+    /// Head of a fused `Const(k); Bin` window, the left operand being the
+    /// stack top: run from here, or act as `Const(k)`.
     BinC {
         /// The window's `Const`, an [`Value::Int`].
         k: u32,
-        /// The window's `Bin`.
-        op: BinOp,
-        /// Ops in the window: 2, or 3 with a `StoreLocal` / `LoopBranch`.
-        len: u8,
+        /// The window's index in the function's run tables.
+        window: u32,
     },
     /// End of the handler body.
     Ret,
@@ -302,7 +297,76 @@ pub struct FuncCode {
     pub n_slots: u32,
     /// Slot index → source-level local name, for error messages.
     pub slot_names: Vec<String>,
+    /// Every fused window, the windows of each run contiguous and in
+    /// chain order (module docs, "Operand fusion").
+    pub(crate) windows: Vec<Window>,
+    /// The runs the windows form.
+    pub(crate) runs: Vec<Run>,
 }
+
+/// Where a fused window's left operand comes from.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Left {
+    /// Its `Local`'s register.
+    Reg(u32),
+    /// The previous window's result: the stack top when the run is
+    /// entered at this window.
+    Prev,
+}
+
+/// What takes a fused window's result.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Tail {
+    /// A `StoreLocal` into a register.
+    Store(u32),
+    /// A `LoopBranch`: taken, the run goes on; not, it leaves at `exit`.
+    Loop {
+        /// The loop's exit pc.
+        exit: u32,
+    },
+    /// Nothing: the next window's left operand, or the stack top when the
+    /// run ends here.
+    Bare,
+}
+
+/// One fused window of a run. `Left::Reg` and `Tail::Store` name a
+/// register of the run, `Run::slots` its local.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Window {
+    /// The window's head op.
+    pub(crate) pc: u32,
+    pub(crate) left: Left,
+    /// The constant right operand.
+    pub(crate) k: i64,
+    pub(crate) op: BinOp,
+    pub(crate) tail: Tail,
+    /// Ops in the window.
+    pub(crate) len: u8,
+    /// The window's fuel: its ops' charges.
+    pub(crate) fuel: u32,
+    /// Whether an uncharged `Jump` right after the tail is taken with it.
+    pub(crate) jump: bool,
+    /// Where the plain ops go after the window (past its jump): the next
+    /// window's head while the run goes on.
+    pub(crate) next: u32,
+    /// The run the window belongs to.
+    pub(crate) run: u32,
+}
+
+/// A chain of windows run on registers: `windows[start..end]`, entered
+/// at any of them.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct Run {
+    pub(crate) start: u32,
+    pub(crate) end: u32,
+    /// Register `r` holds local slot `slots[r]`.
+    pub(crate) slots: Vec<u32>,
+    /// Whether the last window leads back to the first.
+    pub(crate) cyclic: bool,
+}
+
+/// Most registers one run holds: an executor keeps them in a fixed array.
+pub(crate) const RUN_REGS: usize = 8;
 
 impl FuncCode {
     /// The source-level name of `slot`, for error messages. Total:
@@ -389,6 +453,8 @@ fn lower(
             name,
             n_slots: 0,
             slot_names: Vec::new(),
+            windows: Vec::new(),
+            runs: Vec::new(),
         },
         depth: 0,
     };
@@ -402,35 +468,156 @@ fn lower(
     Ok(code)
 }
 
-/// The operand-fusion pass (module docs): rewrites window heads in
-/// place, block by block, left to right, windows never overlapping.
+/// The operand-fusion pass (module docs): finds the windows, block by
+/// block, left to right, never overlapping; chains them into runs; and
+/// rewrites each window's head op to name its window.
 fn fuse(code: &mut FuncCode) {
-    let is_int = |k: u32| matches!(code.consts[k as usize], Value::Int(_));
-    // A `StoreLocal` / `LoopBranch` right after the `Bin` joins the window.
-    let with_tail = |rest: &[Op], n: u8| match rest.get(usize::from(n)) {
-        Some(Op::StoreLocal(_) | Op::LoopBranch { .. }) => n + 1,
-        _ => n,
+    let ops = &code.ops;
+    let int = |k: u32| match code.consts[k as usize] {
+        Value::Int(i) => Some(i),
+        _ => None,
     };
+    let mut found: Vec<Window> = Vec::new();
+    // Windows hold slots in their `Reg` / `Store` until a run maps them.
     for b in &code.blocks {
         let mut pc = b.start as usize;
         while pc < b.end as usize {
-            let rest = &code.ops[pc..b.end as usize];
-            let (head, len) = match *rest {
-                [Op::Local(slot), Op::Const(k), Op::Bin(op), ..] if is_int(k) => {
-                    let len = with_tail(rest, 3);
-                    (Op::BinLC { slot, k, op, len }, len)
+            let rest = &ops[pc..b.end as usize];
+            let (left, k, op, n) = match *rest {
+                [Op::Local(slot), Op::Const(k), Op::Bin(op), ..] if int(k).is_some() => {
+                    (Left::Reg(slot), k, op, 3)
                 }
-                [Op::Const(k), Op::Bin(op), ..] if is_int(k) => {
-                    let len = with_tail(rest, 2);
-                    (Op::BinC { k, op, len }, len)
-                }
-                [head, ..] => (head, 1),
+                [Op::Const(k), Op::Bin(op), ..] if int(k).is_some() => (Left::Prev, k, op, 2),
                 [] => break,
+                _ => {
+                    pc += 1;
+                    continue;
+                }
             };
-            code.ops[pc] = head;
-            pc += usize::from(len);
+            let (tail, len) = match rest.get(n) {
+                Some(&Op::StoreLocal(slot)) => (Tail::Store(slot), n + 1),
+                Some(&Op::LoopBranch { end }) => (Tail::Loop { exit: end }, n + 1),
+                _ => (Tail::Bare, n),
+            };
+            // The plain ops' path past the window takes an uncharged jump.
+            let after = pc + len;
+            let (next, jump) = match (tail, ops.get(after)) {
+                (Tail::Store(_) | Tail::Loop { .. }, Some(&Op::Jump(t)))
+                    if code.charges[after] == 0 =>
+                {
+                    (t, true)
+                }
+                _ => (after as u32, false),
+            };
+            found.push(Window {
+                pc: pc as u32,
+                left,
+                k: int(k).unwrap_or_default(),
+                op,
+                tail,
+                len: len as u8,
+                fuel: code.charges[pc..after].iter().sum(),
+                jump,
+                next,
+                run: 0,
+            });
+            pc = after;
         }
     }
+    // A window joins the run of the window before it when that window's
+    // result or stores lead to it and nothing else reaches it: no other
+    // op falls or jumps into it, or into the jump between them.
+    let mut preds = vec![0u32; ops.len() + 1];
+    preds[0] = 1;
+    for (pc, op) in ops.iter().enumerate() {
+        if !matches!(op, Op::Jump(_) | Op::Ret) {
+            preds[pc + 1] += 1;
+        }
+        if let Some(t) = target(op) {
+            preds[(t as usize).min(ops.len())] += 1;
+        }
+    }
+    let mut at = vec![usize::MAX; ops.len() + 1];
+    for (i, w) in found.iter().enumerate() {
+        at[w.pc as usize] = i;
+    }
+    let succ = |w: &Window| {
+        let s = *at.get(w.next as usize)?;
+        let fits = matches!(
+            (w.tail, found.get(s)?.left),
+            (Tail::Bare, Left::Prev) | (Tail::Store(_) | Tail::Loop { .. }, Left::Reg(_))
+        );
+        let alone = preds[w.next as usize] == 1
+            && (!w.jump || preds[(w.pc + u32::from(w.len)) as usize] == 1);
+        fits.then_some((s, alone))
+    };
+    let mut joined = vec![false; found.len()];
+    for w in &found {
+        if let Some((s, true)) = succ(w) {
+            joined[s] = true;
+        }
+    }
+    // Runs from every head in pc order, then from the windows a full run
+    // cut off. A window no head reaches is unreachable, and stays plain.
+    let mut heads: Vec<usize> = (0..found.len()).filter(|&i| !joined[i]).collect();
+    let mut placed = vec![false; found.len()];
+    let (mut windows, mut runs) = (Vec::with_capacity(found.len()), Vec::new());
+    let mut next_head = 0;
+    while let Some(&head) = heads.get(next_head) {
+        next_head += 1;
+        let mut run = Run {
+            start: windows.len() as u32,
+            end: 0,
+            slots: Vec::new(),
+            cyclic: false,
+        };
+        let mut i = head;
+        loop {
+            let mut w = found[i];
+            let mut slots = run.slots.clone();
+            let mut reg = |slot: u32| {
+                let r = slots.iter().position(|&s| s == slot).unwrap_or_else(|| {
+                    slots.push(slot);
+                    slots.len() - 1
+                });
+                r as u32
+            };
+            if let Left::Reg(s) = w.left {
+                w.left = Left::Reg(reg(s));
+            }
+            if let Tail::Store(s) = w.tail {
+                w.tail = Tail::Store(reg(s));
+            }
+            if slots.len() > RUN_REGS {
+                heads.push(i);
+                break;
+            }
+            run.slots = slots;
+            w.run = runs.len() as u32;
+            placed[i] = true;
+            windows.push(w);
+            match succ(&found[i]) {
+                Some((s, _)) if s == head => {
+                    run.cyclic = true;
+                    break;
+                }
+                Some((s, true)) if !placed[s] => i = s,
+                _ => break,
+            }
+        }
+        run.end = windows.len() as u32;
+        runs.push(run);
+    }
+    for (window, w) in windows.iter().enumerate() {
+        let (pc, window) = (w.pc as usize, window as u32);
+        code.ops[pc] = match (code.ops[pc], code.ops[pc + 1]) {
+            (Op::Local(slot), Op::Const(k)) => Op::BinLC { slot, k, window },
+            (Op::Const(k), _) => Op::BinC { k, window },
+            (op, _) => op,
+        };
+    }
+    code.windows = windows;
+    code.runs = runs;
 }
 
 /// One body's lowering: its scope (the slot map; the slot names are
@@ -759,6 +946,16 @@ impl Compiler<'_> {
     }
 }
 
+/// Where a block terminator may go other than the next op.
+fn target(op: &Op) -> Option<u32> {
+    match *op {
+        Op::Branch { else_target } => Some(else_target),
+        Op::Jump(t) => Some(t),
+        Op::LoopBranch { end } | Op::ForNext { end, .. } => Some(end),
+        _ => None,
+    }
+}
+
 /// Computes the basic-block table: leaders are op 0, every jump
 /// target, and every op after a terminator.
 fn find_blocks(ops: &[Op]) -> Vec<Block> {
@@ -768,12 +965,7 @@ fn find_blocks(ops: &[Op]) -> Vec<Block> {
         leader[0] = true;
     }
     for (i, op) in ops.iter().enumerate() {
-        let target = match op {
-            Op::Branch { else_target } => Some(*else_target),
-            Op::Jump(t) => Some(*t),
-            Op::LoopBranch { end } | Op::ForNext { end, .. } => Some(*end),
-            _ => None,
-        };
+        let target = target(op);
         let terminator = target.is_some() || matches!(op, Op::Ret);
         if let Some(t) = target {
             if (t as usize) < ops.len() {
@@ -804,7 +996,7 @@ fn find_blocks(ops: &[Op]) -> Vec<Block> {
 }
 
 /// Renders one function's bytecode: blocks, pc, charge, op, and
-/// pool-resolved operands.
+/// pool-resolved operands; then its runs, window by window.
 pub fn disassemble(code: &FuncCode, interner: &Interner) -> String {
     let mut out = String::new();
     let _ = writeln!(
@@ -822,6 +1014,35 @@ pub fn disassemble(code: &FuncCode, interner: &Interner) -> String {
             let charge = code.charges[pc as usize];
             let _ = write!(out, "    {pc:04}  [{charge}]  ");
             let _ = writeln!(out, "{}", render_op(op, code, interner));
+        }
+    }
+    for (ri, run) in code.runs.iter().enumerate() {
+        let windows = &code.windows[run.start as usize..run.end as usize];
+        let regs: Vec<&str> = run.slots.iter().map(|&s| code.slot_name(s)).collect();
+        let last = windows.last().map_or(0, |w| w.next);
+        let end = match run.cyclic {
+            true => "cyclic".to_string(),
+            false => format!("then {last:04}"),
+        };
+        let _ = writeln!(
+            out,
+            "  run r{ri} at {:04}: {} windows over {regs:?}, {end}",
+            windows.first().map_or(0, |w| w.pc),
+            windows.len()
+        );
+        for w in windows {
+            let left = match w.left {
+                Left::Reg(r) => format!("r{r}"),
+                Left::Prev => "prev".into(),
+            };
+            let tail = match w.tail {
+                Tail::Store(r) => format!("→ r{r}"),
+                Tail::Loop { exit } => format!("loop, exit {exit:04}"),
+                Tail::Bare => "→ next".into(),
+            };
+            let jump = if w.jump { ", jump" } else { "" };
+            let (pc, op, k, fuel) = (w.pc, w.op, w.k, w.fuel);
+            let _ = writeln!(out, "    {pc:04}  {left} {op:?} {k} {tail}{jump}  [{fuel}]");
         }
     }
     out
@@ -886,18 +1107,18 @@ fn render_op(op: Op, code: &FuncCode, interner: &Interner) -> String {
             format!("listeners {} {}", slot(s), sym(event))
         }
         Op::Nondet { slot: s, kind } => format!("nondet {} {kind:?}", slot(s)),
-        Op::BinLC {
-            slot: s,
-            k,
-            op: b,
-            len,
-        } => format!(
-            "fused×{len} local {} const {:?} bin {b:?}",
-            slot(s),
-            code.consts[k as usize]
-        ),
-        Op::BinC { k, op: b, len } => {
-            format!("fused×{len} const {:?} bin {b:?}", code.consts[k as usize])
+        Op::BinLC { window, .. } | Op::BinC { window, .. } => {
+            let w = &code.windows[window as usize];
+            let local = match op {
+                Op::BinLC { slot: s, .. } => format!(" local {}", slot(s)),
+                _ => String::new(),
+            };
+            format!(
+                "fused×{}{local} const {:?} bin {:?}",
+                w.len,
+                Value::Int(w.k),
+                w.op
+            )
         }
         Op::Ret => "ret".into(),
     }
@@ -1023,14 +1244,12 @@ mod tests {
         let (_p, code) = compile_one(vec![respond(add(lit(1i64), lit(2i64)))]);
         assert!(matches!(code.ops[0], Op::Const(_)));
         // `Const; Bin` on an int: the head names the window.
-        assert!(matches!(
-            code.ops[1],
-            Op::BinC {
-                op: BinOp::Add,
-                len: 2,
-                ..
-            }
-        ));
+        assert!(matches!(code.ops[1], Op::BinC { window: 0, .. }));
+        let w = code.windows[0];
+        assert_eq!(
+            (w.op, w.len, w.left, w.tail),
+            (BinOp::Add, 2, Left::Prev, Tail::Bare)
+        );
         assert!(matches!(code.ops[2], Op::Bin(BinOp::Add)));
         assert!(matches!(code.ops[3], Op::Respond));
         assert!(matches!(code.ops[4], Op::Ret));
@@ -1148,53 +1367,68 @@ mod tests {
         ]
     }
 
-    #[test]
-    fn fusion_rewrites_window_heads_and_nothing_else() {
-        let (p, fused) = compile_one(fusable_body());
-        let plain = lower_first(&p);
+    /// The parts of a body `fuse` must leave as `lower` made them.
+    fn assert_same_frame(fused: &FuncCode, plain: &FuncCode) {
         assert_eq!(fused.ops.len(), plain.ops.len());
         assert_eq!(fused.charges, plain.charges);
         assert_eq!(fused.blocks, plain.blocks);
         assert_eq!(fused.max_stack, plain.max_stack);
+        let targets = |c: &FuncCode| c.ops.iter().map(target).collect::<Vec<_>>();
+        assert_eq!(targets(fused), targets(plain));
+    }
+
+    #[test]
+    fn fusion_rewrites_window_heads_and_nothing_else() {
+        let (p, fused) = compile_one(fusable_body());
+        let plain = lower_first(&p);
+        assert_same_frame(&fused, &plain);
         let mut shapes = std::collections::BTreeSet::new();
         let mut pc = 0;
         while pc < plain.ops.len() {
             let window = match fused.ops[pc] {
-                Op::BinLC { slot, k, op, len } => {
+                Op::BinLC { slot, k, window } => {
+                    let w = fused.windows[window as usize];
                     assert_eq!(
                         plain.ops[pc..pc + 3],
-                        [Op::Local(slot), Op::Const(k), Op::Bin(op)]
+                        [Op::Local(slot), Op::Const(k), Op::Bin(w.op)]
                     );
-                    shapes.insert(("LC", len));
-                    len
+                    assert!(matches!(w.left, Left::Reg(_)));
+                    shapes.insert(("LC", w.len));
+                    w
                 }
-                Op::BinC { k, op, len } => {
-                    assert_eq!(plain.ops[pc..pc + 2], [Op::Const(k), Op::Bin(op)]);
-                    shapes.insert(("C", len));
-                    len
+                Op::BinC { k, window } => {
+                    let w = fused.windows[window as usize];
+                    assert_eq!(plain.ops[pc..pc + 2], [Op::Const(k), Op::Bin(w.op)]);
+                    assert_eq!(w.left, Left::Prev);
+                    shapes.insert(("C", w.len));
+                    w
                 }
                 // Everything else, jump targets included, is untouched.
                 op => {
                     assert_eq!(op, plain.ops[pc]);
-                    1
+                    pc += 1;
+                    continue;
                 }
-            } as usize;
+            };
+            let len = usize::from(window.len);
+            assert_eq!(window.pc as usize, pc);
+            assert_eq!(window.fuel, plain.charges[pc..pc + len].iter().sum::<u32>());
             // The tail stays in place, plain, inside the head's block.
-            assert_eq!(
-                fused.ops[pc + 1..pc + window],
-                plain.ops[pc + 1..pc + window]
-            );
+            assert_eq!(fused.ops[pc + 1..pc + len], plain.ops[pc + 1..pc + len]);
             assert!(fused
                 .blocks
                 .iter()
-                .all(|b| b.start as usize <= pc || b.start as usize >= pc + window));
-            if let Op::BinLC { len: 4, .. } | Op::BinC { len: 3, .. } = fused.ops[pc] {
-                assert!(matches!(
-                    plain.ops[pc + window - 1],
-                    Op::StoreLocal(_) | Op::LoopBranch { .. }
-                ));
+                .all(|b| b.start as usize <= pc || b.start as usize >= pc + len));
+            let last = plain.ops[pc + len - 1];
+            match window.tail {
+                Tail::Store(r) => {
+                    let slot = fused.runs[window.run as usize].slots[r as usize];
+                    assert_eq!(last, Op::StoreLocal(slot));
+                }
+                Tail::Loop { exit } => assert_eq!(last, Op::LoopBranch { end: exit }),
+                Tail::Bare => assert!(matches!(last, Op::Bin(_))),
             }
-            pc += window;
+            pc += len;
         }
         // Every shape occurs: bare, stored, and as a loop condition.
         let want = [("C", 2), ("C", 3), ("LC", 3), ("LC", 4)];
@@ -1205,8 +1439,100 @@ mod tests {
             .position(|o| matches!(o, Op::LoopEnter))
             .unwrap()
             + 1;
-        assert!(matches!(fused.ops[loop_cond], Op::BinLC { len: 4, .. }));
+        assert!(matches!(fused.ops[loop_cond], Op::BinLC { .. }));
         assert!(matches!(plain.ops[loop_cond + 3], Op::LoopBranch { .. }));
+    }
+
+    /// `apps::middleware`'s body at two trips: the framework loop every
+    /// benchmark request runs.
+    fn middleware_body() -> Vec<crate::ast::Stmt> {
+        vec![
+            let_("mw_route", digest(field(payload(), "op"))),
+            let_("mw_acc", len(local("mw_route"))),
+            let_("mw_i", lit(0i64)),
+            while_(
+                lt(local("mw_i"), lit(2i64)),
+                vec![
+                    let_(
+                        "mw_acc",
+                        modulo(
+                            add(mul(local("mw_acc"), lit(1_103_515_245i64)), lit(12_345i64)),
+                            lit(1_000_003i64),
+                        ),
+                    ),
+                    let_("mw_i", add(local("mw_i"), lit(1i64))),
+                ],
+            ),
+            let_("mw_acc", add(to_str(local("mw_acc")), local("mw_route"))),
+        ]
+    }
+
+    #[test]
+    fn the_middleware_loop_is_one_cyclic_run_over_two_registers() {
+        let (p, fused) = compile_one(middleware_body());
+        assert_same_frame(&fused, &lower_first(&p));
+        assert_eq!(fused.runs.len(), 1);
+        let run = &fused.runs[0];
+        assert!(run.cyclic);
+        assert_eq!((run.start, run.end), (0, 5));
+        let names: Vec<&str> = run.slots.iter().map(|&s| fused.slot_name(s)).collect();
+        assert_eq!(names, ["mw_i", "mw_acc"]);
+        // The test, then `acc * a`, `+ b`, `% m` into acc, `i + 1` into i
+        // and the back-edge to the test.
+        let shape: Vec<(Left, BinOp, Tail, bool)> = fused
+            .windows
+            .iter()
+            .map(|w| (w.left, w.op, w.tail, w.jump))
+            .collect();
+        let exit = fused.windows[4].pc + 5;
+        assert_eq!(
+            shape,
+            [
+                (Left::Reg(0), BinOp::Lt, Tail::Loop { exit }, false),
+                (Left::Reg(1), BinOp::Mul, Tail::Bare, false),
+                (Left::Prev, BinOp::Add, Tail::Bare, false),
+                (Left::Prev, BinOp::Mod, Tail::Store(1), false),
+                (Left::Reg(0), BinOp::Add, Tail::Store(0), true),
+            ]
+        );
+        assert_eq!(fused.windows[4].next, fused.windows[0].pc);
+        // Each head names its window, in chain order.
+        for (i, w) in fused.windows.iter().enumerate() {
+            let named = match fused.ops[w.pc as usize] {
+                Op::BinLC { window, .. } | Op::BinC { window, .. } => window,
+                op => panic!("{op:?} heads a window"),
+            };
+            assert_eq!(named as usize, i);
+        }
+    }
+
+    #[test]
+    fn a_branch_joining_a_chain_makes_its_window_a_head() {
+        // Both arms of the `if` store and then reach `y = x * 3`: that
+        // window has two ways in, so it heads a run of its own, and
+        // `z = y + 1`, reached only from it, joins that run.
+        let (p, fused) = compile_one(vec![
+            let_("x", field(payload(), "x")),
+            iff(
+                field(payload(), "c"),
+                vec![let_("x", add(local("x"), lit(1i64)))],
+                vec![let_("x", add(local("x"), lit(2i64)))],
+            ),
+            let_("y", mul(local("x"), lit(3i64))),
+            let_("z", add(local("y"), lit(1i64))),
+            respond(local("z")),
+        ]);
+        assert_same_frame(&fused, &lower_first(&p));
+        let runs: Vec<(usize, bool)> = fused
+            .runs
+            .iter()
+            .map(|r| ((r.end - r.start) as usize, r.cyclic))
+            .collect();
+        assert_eq!(runs, [(1, false), (1, false), (2, false)]);
+        // The then-arm's window takes its jump and ends at the join.
+        let then = fused.windows[0];
+        assert!(then.jump);
+        assert_eq!(then.next, fused.windows[2].pc);
     }
 
     #[test]
@@ -1241,34 +1567,30 @@ mod tests {
                 name: Sym(0),
                 n_slots: 2,
                 slot_names: Vec::new(),
+                windows: Vec::new(),
+                runs: Vec::new(),
             };
             fuse(&mut code);
-            code.ops
+            let lens: Vec<u8> = code.windows.iter().map(|w| w.len).collect();
+            (code.ops, lens)
         };
-        let head = |len| Op::BinLC {
+        let head = Op::BinLC {
             slot: 0,
             k: 0,
-            op: BinOp::Add,
-            len,
+            window: 0,
         };
         // Leader at the Const: `Local` alone, then `Const; Bin; Store`.
         let mut want = ops.clone();
-        want[1] = Op::BinC {
-            k: 0,
-            op: BinOp::Add,
-            len: 3,
-        };
-        assert_eq!(fused_at(1), want);
+        want[1] = Op::BinC { k: 0, window: 0 };
+        assert_eq!(fused_at(1), (want, vec![3]));
         // Leader at the Bin: no window holds together.
-        assert_eq!(fused_at(2), ops);
+        assert_eq!(fused_at(2), (ops.clone(), vec![]));
         // Leader at the StoreLocal: the window stops short of it.
         let mut want = ops.clone();
-        want[0] = head(3);
-        assert_eq!(fused_at(3), want);
+        want[0] = head;
+        assert_eq!(fused_at(3), (want.clone(), vec![3]));
         // Leader past the window: the whole of it.
-        let mut want = ops.clone();
-        want[0] = head(4);
-        assert_eq!(fused_at(4), want);
+        assert_eq!(fused_at(4), (want, vec![4]));
     }
 
     #[test]
@@ -1307,6 +1629,9 @@ mod tests {
         assert!(text.contains("loopenter"));
         assert!(text.contains("loopbranch"));
         assert!(text.contains("fused×4 local i const Int(2) bin Lt"));
+        // The loop test alone: the body stores a constant, no window.
+        assert!(text.contains("run r0 at 0003: 1 windows over [\"i\"], then 0007"));
+        assert!(text.contains("0003  r0 Lt 2 loop, exit 0010  [3]"));
         assert!(text.contains("sread v0 (loggable)"));
         assert!(text.contains("b0:"));
     }

@@ -7,7 +7,7 @@
 //! the executor, a [`Machine`], and so over its operand type, an
 //! [`Operand`]. It owns everything the two executors share: the fuel
 //! charge due before each op and the op count, locals, every pure
-//! operator, control flow with the loop limit, the fused windows of
+//! operator, control flow with the loop limit, the integer runs of
 //! "Operand fusion", and its pooled scratch. The fifteen effectful
 //! ops — shared-variable reads and writes, emit, register, unregister,
 //! respond, token and key screening, the five transactional ops,
@@ -17,8 +17,8 @@
 //! an operand, loop counter or iterator missing from the scratch is a
 //! [`VmError::Underflow`], never a panic.
 
-use crate::ast::{BinOp, NondetKind};
-use crate::bytecode::{FuncCode, Op};
+use crate::ast::NondetKind;
+use crate::bytecode::{FuncCode, Left, Op, Tail, RUN_REGS};
 use crate::error::RuntimeError;
 use crate::ids::{FunctionId, Sym, VarId};
 use crate::ops::{
@@ -103,7 +103,7 @@ pub trait Operand: Clone {
     fn for_len(&self, n: usize) -> Result<usize, VmError> {
         let len = |v: &Value| match v.as_list() {
             Some(items) => Ok(items.len()),
-            None => Err(VmError::NotList(v.clone())),
+            None => Err(VmError::NotList(Box::new(v.clone()))),
         };
         if let Some(v) = self.uniform() {
             return len(v);
@@ -168,19 +168,20 @@ impl Operand for Value {
 }
 
 /// A failure of the loop itself. Each executor maps it to its own
-/// error type, with its own wording ([`Machine::Error`]).
+/// error type, with its own wording ([`Machine::Error`]). A read of an
+/// unbound local is the one failure the executor words from the running
+/// function's slot name ([`Machine::unknown_local`]); nothing builds that
+/// name unless the read fails.
 #[derive(Debug, Clone, PartialEq)]
 pub enum VmError {
     /// A pure operator failed: a type error, a division by zero.
     Op(RuntimeError),
-    /// A local was read before it was bound; its source-level name.
-    UnknownLocal(String),
     /// The group's members disagree where the group must act as one;
     /// the construct (`if condition`, `while condition`,
     /// `for-each length`).
     Divergence(&'static str),
     /// A `ForEach` over a value that is not a list.
-    NotList(Value),
+    NotList(Box<Value>),
     /// A `ForEach` item past the list's end.
     ItemOutOfRange,
     /// A `While` loop ran past the loop limit.
@@ -195,7 +196,6 @@ impl From<VmError> for RuntimeError {
     fn from(e: VmError) -> Self {
         match e {
             VmError::Op(e) => e,
-            VmError::UnknownLocal(name) => RuntimeError::new(format!("unknown local {name:?}")),
             VmError::Divergence(context) => RuntimeError::new(format!("divergent {context}")),
             VmError::NotList(v) => RuntimeError::type_error("for-each", &v),
             VmError::ItemOutOfRange => RuntimeError::new("for-each item out of range"),
@@ -249,6 +249,11 @@ pub trait Machine {
     }
     /// Burns `units` of fuel, due before the op at hand acts.
     fn charge(&mut self, units: u32) -> Result<(), Self::Error>;
+    /// The fuel [`Machine::charge`] may still burn without failing: a run
+    /// charges a fused window whole only when this covers it.
+    fn fuel_left(&self) -> u64;
+    /// The error for a read of the unbound local `name`.
+    fn unknown_local(name: &str) -> Self::Error;
     /// A branch, loop-condition or for-each decision was taken.
     fn on_branch(&mut self, _taken: bool) {}
 
@@ -332,24 +337,44 @@ impl<O> Default for Vm<O> {
 const STACK_UNDERFLOW: VmError = VmError::Underflow("bytecode operand stack underflow");
 
 /// A bound local (the `Local` op, and the head of a fused `BinLC`
-/// window).
+/// window), or the executor's error naming it.
 #[inline]
-fn local<'l, O>(locals: &'l [Option<O>], code: &FuncCode, slot: u32) -> Result<&'l O, VmError> {
+fn local<'l, M: Machine>(
+    locals: &'l [Option<M::Operand>],
+    code: &FuncCode,
+    slot: u32,
+) -> Result<&'l M::Operand, M::Error> {
     match locals.get(slot as usize).and_then(Option::as_ref) {
         Some(v) => Ok(v),
-        None => Err(VmError::UnknownLocal(code.slot_name(slot).to_string())),
+        None => Err(M::unknown_local(code.slot_name(slot))),
     }
 }
 
-/// `x op y` when a fused window may run in place: `x` one integer for
-/// every member and the operator defined on it (`/ 0` and `% 0` are
-/// not). `None` sends the window down its plain ops, which produce the
-/// per-member values, the type error or the division error.
-#[inline]
-fn fused<O: Operand>(op: BinOp, x: &O, y: &Value) -> Option<Value> {
-    match (x.collapsed_int(), y) {
-        (Some(x), Value::Int(y)) => int_binop(op, x, *y),
-        _ => None,
+/// A register of a running integer run: the value its local holds or
+/// was last given, when that is one collapsed integer or bool.
+#[derive(Clone, Copy)]
+enum Reg {
+    /// Not an integer or bool: a window reading it stops the run.
+    Void,
+    Int(i64),
+    Bool(bool),
+}
+
+impl Reg {
+    fn of(v: &Value) -> Reg {
+        match *v {
+            Value::Int(i) => Reg::Int(i),
+            Value::Bool(b) => Reg::Bool(b),
+            _ => Reg::Void,
+        }
+    }
+
+    fn value(self) -> Option<Value> {
+        match self {
+            Reg::Int(i) => Some(Value::Int(i)),
+            Reg::Bool(b) => Some(Value::Bool(b)),
+            Reg::Void => None,
+        }
     }
 }
 
@@ -377,7 +402,12 @@ impl<O: Operand> Vm<O> {
     }
 
     fn pop(&mut self) -> Result<O, VmError> {
-        self.stack.pop().ok_or(STACK_UNDERFLOW)
+        // Here and in the loop's tests: the error is built (and dropped)
+        // only on failure, which `ok_or` does not promise.
+        match self.stack.pop() {
+            Some(v) => Ok(v),
+            None => Err(STACK_UNDERFLOW),
+        }
     }
 
     fn top(&self) -> Result<&O, VmError> {
@@ -436,10 +466,9 @@ impl<O: Operand> Vm<O> {
             self.loops.pop();
             return Ok(());
         }
-        let count = self
-            .loops
-            .last_mut()
-            .ok_or(VmError::Underflow("bytecode loop-counter underflow"))?;
+        let Some(count) = self.loops.last_mut() else {
+            return Err(VmError::Underflow("bytecode loop-counter underflow"));
+        };
         *count = count.saturating_add(1);
         match *count > limit {
             true => Err(VmError::LoopLimit),
@@ -455,7 +484,17 @@ impl<O: Operand> Vm<O> {
         let n = m.width();
         let limit = m.loop_limit();
         let mut pc = 0usize;
+        // The window head at which a run last stopped: it runs plain once.
+        let mut plain = usize::MAX;
         loop {
+            // Fused windows (`crate::bytecode`, "Operand fusion") run as
+            // an integer run, which charges them itself.
+            if let Op::BinLC { window, .. } | Op::BinC { window, .. } = code.ops[pc] {
+                if pc != plain {
+                    (pc, plain) = self.run_ints(m, code, window, limit)?;
+                    continue;
+                }
+            }
             // The fuel of every source node whose subtree begins at this
             // op, due before the op acts.
             let units = code.charges[pc];
@@ -467,36 +506,17 @@ impl<O: Operand> Vm<O> {
                 Op::Const(i) => self
                     .stack
                     .push(O::from_value(code.consts[i as usize].clone())),
-                Op::Local(slot) => {
-                    let v = local(&self.locals, code, slot)?.clone();
+                // A fused window's head where its run stopped
+                // (`Vm::run_ints`): the plain op, the tail following.
+                Op::Local(slot) | Op::BinLC { slot, .. } => {
+                    plain = usize::MAX;
+                    let v = local::<M>(&self.locals, code, slot)?.clone();
                     self.stack.push(v);
                 }
-                // Fused windows (`crate::bytecode`, "Operand fusion"):
-                // run in place on collapsed integers, else act as the
-                // head op and let the window's plain tail follow.
-                Op::BinLC { slot, k, op, len } => {
-                    let x = local(&self.locals, code, slot)?;
-                    match fused(op, x, &code.consts[k as usize]) {
-                        Some(v) => {
-                            pc = self.run_fused(m, code, pc, len, units, v, limit)?;
-                            continue;
-                        }
-                        None => {
-                            let x = x.clone();
-                            self.stack.push(x);
-                        }
-                    }
-                }
-                Op::BinC { k, op, len } => {
-                    let y = &code.consts[k as usize];
-                    match self.stack.last().and_then(|x| fused(op, x, y)) {
-                        Some(v) => {
-                            self.stack.pop();
-                            pc = self.run_fused(m, code, pc, len, units, v, limit)?;
-                            continue;
-                        }
-                        None => self.stack.push(O::from_value(y.clone())),
-                    }
+                Op::BinC { k, .. } => {
+                    plain = usize::MAX;
+                    self.stack
+                        .push(O::from_value(code.consts[k as usize].clone()));
                 }
                 Op::SharedRead { var, loggable } => {
                     let v = m.shared_read(var, loggable)?;
@@ -550,7 +570,9 @@ impl<O: Operand> Vm<O> {
                 }
                 Op::Branch { else_target } => {
                     let c = self.pop()?;
-                    let taken = c.truthiness(n).ok_or(VmError::Divergence("if condition"))?;
+                    let Some(taken) = c.truthiness(n) else {
+                        return Err(VmError::Divergence("if condition").into());
+                    };
                     m.on_branch(taken);
                     if !taken {
                         pc = else_target as usize;
@@ -564,9 +586,9 @@ impl<O: Operand> Vm<O> {
                 Op::LoopEnter => self.loops.push(0),
                 Op::LoopBranch { end } => {
                     let c = self.pop()?;
-                    let taken = c
-                        .truthiness(n)
-                        .ok_or(VmError::Divergence("while condition"))?;
+                    let Some(taken) = c.truthiness(n) else {
+                        return Err(VmError::Divergence("while condition").into());
+                    };
                     self.loop_branch(m, taken, limit)?;
                     if !taken {
                         pc = end as usize;
@@ -579,9 +601,9 @@ impl<O: Operand> Vm<O> {
                     self.iters.push((l, 0, len));
                 }
                 Op::ForNext { slot, end } => {
-                    let iter = self.iters.last_mut();
-                    let (l, idx, len) =
-                        iter.ok_or(VmError::Underflow("bytecode iterator underflow"))?;
+                    let Some((l, idx, len)) = self.iters.last_mut() else {
+                        return Err(VmError::Underflow("bytecode iterator underflow").into());
+                    };
                     if *idx < *len {
                         let item = l.nth(*idx, n)?;
                         *idx += 1;
@@ -642,50 +664,98 @@ impl<O: Operand> Vm<O> {
         }
     }
 
-    /// Finishes the fused window of `len` ops at `pc` whose operator
-    /// gave `v`, and returns the pc to continue at. The head's `units`
-    /// are spent and its local read has succeeded; what the plain ops
-    /// would still do is charge and count the rest of the window, op by
-    /// op — nothing fallible lies between those charges on this path,
-    /// so exhaustion strikes at the same unit with the same counts —
-    /// and then hand `v` to the window's last op: a `StoreLocal`, a
-    /// `LoopBranch`, bit and all, or the `Bin` itself, whose result
-    /// stays on the stack.
-    #[allow(clippy::too_many_arguments)]
-    #[inline]
-    fn run_fused<M: Machine<Operand = O>>(
+    /// Runs the integer run that holds `window`, from that window on, and
+    /// returns where the plain ops go on: the pc after the run, and that
+    /// pc again when it is a window head that must run plain once.
+    ///
+    /// Each window runs here exactly when it would run fused on its own:
+    /// its left operand — a register loaded at entry, or the previous
+    /// window's result — is one integer, the operator is defined on it
+    /// and [`Machine::fuel_left`] covers the window's fuel, which is then
+    /// charged whole. Otherwise the run stops before the window: it
+    /// writes back the registers it changed, pushes a pending result and
+    /// hands the window to the plain ops, which charge, count and fail
+    /// exactly as they would have without the run.
+    fn run_ints<M: Machine<Operand = O>>(
         &mut self,
         m: &mut M,
         code: &FuncCode,
-        pc: usize,
-        len: u8,
-        units: u32,
-        v: Value,
+        window: u32,
         limit: u32,
-    ) -> Result<usize, M::Error> {
-        let end = pc + usize::from(len);
-        let mut fuel = u64::from(units);
-        for &units in &code.charges[pc + 1..end] {
-            if units > 0 {
-                m.charge(units)?;
-                fuel += u64::from(units);
+    ) -> Result<(usize, usize), M::Error> {
+        let windows = &code.windows;
+        let mut i = window as usize;
+        let run = &code.runs[windows[i].run as usize];
+        let (start, end) = (run.start as usize, run.end as usize);
+        // The previous window's result, not yet on the stack.
+        let mut pending = Reg::Void;
+        if windows[i].left == Left::Prev {
+            match self.stack.last().and_then(O::collapsed_int) {
+                Some(x) => {
+                    self.stack.pop();
+                    pending = Reg::Int(x);
+                }
+                None => return Ok((windows[i].pc as usize, windows[i].pc as usize)),
             }
-            self.ops += 1;
         }
-        self.fused_ops += u64::from(len);
-        self.fused_fuel += fuel;
-        match code.ops[end - 1] {
-            Op::StoreLocal(dst) => self.store(dst, O::from_value(v)),
-            Op::LoopBranch { end: exit } => {
-                let taken = v.truthy();
-                self.loop_branch(m, taken, limit)?;
-                if !taken {
-                    return Ok(exit as usize);
+        let mut regs = [Reg::Void; RUN_REGS];
+        for (reg, &slot) in regs.iter_mut().zip(&run.slots) {
+            let v = self.locals.get(slot as usize).and_then(Option::as_ref);
+            if let Some(x) = v.and_then(O::collapsed_int) {
+                *reg = Reg::Int(x);
+            }
+        }
+        let mut dirty = 0u32;
+        let stop = loop {
+            let w = &windows[i];
+            let x = match w.left {
+                Left::Reg(r) => regs[r as usize],
+                Left::Prev => pending,
+            };
+            let v = match x {
+                Reg::Int(x) => int_binop(w.op, x, w.k),
+                _ => None,
+            };
+            let Some(v) = v.filter(|_| m.fuel_left() >= u64::from(w.fuel)) else {
+                break (w.pc as usize, w.pc as usize);
+            };
+            pending = Reg::Void;
+            m.charge(w.fuel)?;
+            self.ops += u64::from(w.len);
+            self.fused_ops += u64::from(w.len);
+            self.fused_fuel += u64::from(w.fuel);
+            match w.tail {
+                Tail::Store(r) => {
+                    regs[r as usize] = Reg::of(&v);
+                    dirty |= 1 << r;
+                }
+                Tail::Loop { exit } => {
+                    let taken = v.truthy();
+                    self.loop_branch(m, taken, limit)?;
+                    if !taken {
+                        break (exit as usize, usize::MAX);
+                    }
+                }
+                Tail::Bare => pending = Reg::of(&v),
+            }
+            self.ops += u64::from(w.jump);
+            i += 1;
+            if i == end {
+                match run.cyclic {
+                    true => i = start,
+                    false => break (w.next as usize, usize::MAX),
                 }
             }
-            _ => self.stack.push(O::from_value(v)),
+        };
+        for (r, &slot) in run.slots.iter().enumerate() {
+            if let Some(v) = regs[r].value().filter(|_| dirty & 1 << r != 0) {
+                self.store(slot, O::from_value(v));
+            }
         }
-        Ok(end)
+        if let Some(v) = pending.value() {
+            self.stack.push(O::from_value(v));
+        }
+        Ok(stop)
     }
 }
 
@@ -693,6 +763,7 @@ impl<O: Operand> Vm<O> {
 #[allow(clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::ast::BinOp;
     use crate::bytecode::Block;
     use crate::ids::Sym;
 
@@ -707,6 +778,12 @@ mod tests {
         }
         fn charge(&mut self, _: u32) -> Result<(), RuntimeError> {
             Ok(())
+        }
+        fn fuel_left(&self) -> u64 {
+            u64::MAX
+        }
+        fn unknown_local(name: &str) -> RuntimeError {
+            RuntimeError::new(name)
         }
         fn shared_read(&mut self, _: VarId, _: bool) -> Result<Value, RuntimeError> {
             Err(RuntimeError::new("effect"))
@@ -763,6 +840,8 @@ mod tests {
             name: Sym(0),
             n_slots: 1,
             slot_names: vec!["payload".into()],
+            windows: Vec::new(),
+            runs: Vec::new(),
         }
     }
 

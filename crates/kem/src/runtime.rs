@@ -525,6 +525,14 @@ impl<H: ExecHooks> Machine for ServerMachine<'_, '_, H> {
         Ok(())
     }
 
+    fn fuel_left(&self) -> u64 {
+        self.rt.cfg.fuel_limit.saturating_sub(self.rt.fuel)
+    }
+
+    fn unknown_local(name: &str) -> RuntimeError {
+        RuntimeError::new(format!("unknown local {name:?}"))
+    }
+
     fn on_branch(&mut self, taken: bool) {
         self.hooks.on_branch(taken);
     }

@@ -1015,7 +1015,6 @@ impl From<VmError> for RejectReason {
     fn from(e: VmError) -> Self {
         let message = match e {
             VmError::Op(e) => e.message,
-            VmError::UnknownLocal(name) => format!("unknown local {name}"),
             VmError::Divergence(context) => {
                 return RejectReason::Divergence {
                     context: context.into(),
@@ -1226,6 +1225,17 @@ impl Machine for Replay<'_, '_> {
     #[inline]
     fn charge(&mut self, units: u32) -> Result<(), RejectReason> {
         self.ex.meter.charge(u64::from(units))
+    }
+
+    fn fuel_left(&self) -> u64 {
+        let meter = &self.ex.meter;
+        meter.limit.saturating_sub(meter.spent)
+    }
+
+    fn unknown_local(name: &str) -> RejectReason {
+        RejectReason::ReexecError {
+            message: format!("unknown local {name}"),
+        }
     }
 
     /// A loggable variable is read by every member as one operation,
