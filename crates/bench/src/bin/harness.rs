@@ -9,6 +9,7 @@
 //! harness validate-metrics <schema.json> <metrics.json>
 //! harness validate-json <file.json>
 //! harness profile --app <motd|stacks|wiki> [--server] [--seconds S] [--requests N] [--seed S]
+//!         [--under SYMBOL]
 //! ```
 //!
 //! The subcommands, what each does and the paper figure it regenerates
@@ -35,7 +36,9 @@
 //!
 //! `profile` samples a loop of one-thread audits of the app's
 //! standing-benchmark mix, or with `--server` of instrumented server
-//! runs, and prints the hottest functions (`harness/profile.rs`).
+//! runs, and prints the hottest functions (`harness/profile.rs`);
+//! `--under SYMBOL` narrows it to the samples with a function whose name
+//! contains `SYMBOL` on the stack, and prints what that function calls.
 //!
 //! Wall-clock and memory claims are not made here: the standing
 //! benchmark (`benchmark/`, `BENCHMARK.json`) measures the deployed
@@ -111,6 +114,8 @@ struct Opts {
     server: bool,
     /// `profile`: seconds to sample for.
     seconds: u64,
+    /// `profile`: the function whose samples to break down (`--under`).
+    under: Option<String>,
 }
 
 fn parse_args() -> Opts {
@@ -130,6 +135,7 @@ fn parse_args() -> Opts {
         app: None,
         server: false,
         seconds: 10,
+        under: None,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -209,6 +215,14 @@ fn parse_args() -> Opts {
             "--server" => {
                 opts.server = true;
                 i += 1;
+            }
+            "--under" => {
+                let Some(symbol) = args.get(i + 1) else {
+                    eprintln!("--under requires a symbol name");
+                    std::process::exit(2);
+                };
+                opts.under = Some(symbol.clone());
+                i += 2;
             }
             "--seconds" => {
                 opts.seconds = numeric("--seconds", args.get(i + 1)).max(1);
@@ -1057,9 +1071,10 @@ subcommands! {
         "`<schema.json> <metrics.json>`: the export conforms to the checked-in schema";
     "validate-json", Never, validate_json_cmd, "`<file.json>`: the file parses as JSON";
     "profile", Never, profile,
-        "`--app <motd|stacks|wiki> [--server] [--seconds S]`: sample a loop of one-thread \
-         audits (or instrumented server runs) with SIGPROF and print the hottest functions, \
-         inclusive and self";
+        "`--app <motd|stacks|wiki> [--server] [--seconds S] [--under SYMBOL]`: sample a loop \
+         of one-thread audits (or instrumented server runs) with SIGPROF and print the hottest \
+         functions, inclusive and self; `--under` adds the self frames and direct callees of \
+         the samples SYMBOL is on the stack of";
 }
 
 fn main() {

@@ -94,6 +94,48 @@ pub fn run(app: App, o: &Opts) {
     let (inclusive, own) = tally(&stacks, &symbols);
     print_table("inclusive", &inclusive, stacks.len());
     print_table("self", &own, stacks.len());
+    if let Some(symbol) = &o.under {
+        let (held, own, callees) = under(&stacks, &symbols, symbol);
+        println!(
+            "\n== under `{symbol}`: {held} samples ({:.1} % of all) ==",
+            100.0 * held as f64 / stacks.len() as f64
+        );
+        print_table("self, of these samples", &own, held);
+        print_table(
+            "direct callees (`(self)`: the function itself)",
+            &callees,
+            held,
+        );
+    }
+}
+
+/// Of the samples with a function whose name contains `symbol` on the
+/// stack: how many there are, their self frames, and what the innermost
+/// such frame was calling — `(self)` when it was the interrupted one.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn under(
+    stacks: &[Vec<usize>],
+    symbols: &symbols::Symbols,
+    symbol: &str,
+) -> (usize, Counts, Counts) {
+    use std::collections::HashMap;
+
+    let mut own: HashMap<&str, usize> = HashMap::new();
+    let mut callees: HashMap<&str, usize> = HashMap::new();
+    let mut held = 0;
+    for stack in stacks {
+        let names: Vec<&str> = (stack.iter().enumerate())
+            .map(|(depth, &pc)| symbols.name(if depth == 0 { pc } else { pc.wrapping_sub(1) }))
+            .collect();
+        let Some(at) = names.iter().position(|name| name.contains(symbol)) else {
+            continue;
+        };
+        held += 1;
+        *own.entry(names[0]).or_default() += 1;
+        let callee = if at == 0 { "(self)" } else { names[at - 1] };
+        *callees.entry(callee).or_default() += 1;
+    }
+    (held, sorted(own), sorted(callees))
 }
 
 /// Elsewhere the sampler has no way to read the interrupted registers.
@@ -128,17 +170,21 @@ fn tally(stacks: &[Vec<usize>], symbols: &symbols::Symbols) -> (Counts, Counts) 
             }
         }
     }
-    let sorted = |m: HashMap<&str, usize>| {
-        let mut rows: Counts = m.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
-        rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-        rows
-    };
     (sorted(inclusive), sorted(own))
+}
+
+/// Rows highest count first, ties by name.
+#[cfg(all(target_arch = "x86_64", target_os = "linux"))]
+fn sorted(m: std::collections::HashMap<&str, usize>) -> Counts {
+    let mut rows: Counts = m.into_iter().map(|(k, v)| (k.to_string(), v)).collect();
+    rows.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
+    rows
 }
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn print_table(label: &str, rows: &Counts, samples: usize) {
     println!("\n  top {TOP} {label}");
+    let samples = samples.max(1);
     for (name, count) in rows.iter().take(TOP) {
         let pct = 100.0 * *count as f64 / samples as f64;
         let name: String = name.chars().take(120).collect();

@@ -1054,12 +1054,13 @@ impl AdviceViewExt for AdviceView<'_> {
                 .collect();
             a.handler_logs.insert(*rid, entries);
         }
+        let mut reader = self.reader();
         for (var, log) in &self.var_logs {
             let mut entries = BTreeMap::new();
             for (op, e) in log {
                 let entry = VarLogEntry {
                     access: e.access,
-                    value: e.value.map(|v| v.to_value(self)).transpose()?,
+                    value: e.value.map(|v| reader.read(v)).transpose()?,
                     prec: e.prec.clone(),
                 };
                 entries.insert(op.clone(), entry);
@@ -1077,7 +1078,7 @@ impl AdviceViewExt for AdviceView<'_> {
                     contents: match &e.contents {
                         TxOpContentsView::None => TxOpContents::None,
                         TxOpContentsView::Put { value } => TxOpContents::Put {
-                            value: value.to_value(self)?,
+                            value: reader.read(*value)?,
                         },
                         TxOpContentsView::Get { from } => TxOpContents::Get { from: from.clone() },
                     },
@@ -1093,7 +1094,7 @@ impl AdviceViewExt for AdviceView<'_> {
             a.opcounts.insert((*rid, hid.clone()), *count);
         }
         for (op, v) in &self.nondet {
-            a.nondet.insert(op.clone(), v.to_value(self)?);
+            a.nondet.insert(op.clone(), reader.read(*v)?);
         }
         Ok(a)
     }

@@ -115,6 +115,8 @@ pub enum Op {
         keys: u32,
         /// Number of pairs.
         n: u32,
+        /// The run's key order, `FuncCode::map_orders[order]`.
+        order: u32,
     },
     /// Pop `v`, `k`, `m`; push `m` with `k ↦ v`.
     MapInsert,
@@ -302,6 +304,11 @@ pub struct FuncCode {
     pub(crate) windows: Vec<Window>,
     /// The runs the windows form.
     pub(crate) runs: Vec<Run>,
+    /// Per [`Op::MakeMap`], the positions of its pairs in ascending key
+    /// order, the last of equal keys only (a later pair wins): the keys
+    /// are constants, so they are ordered here, once, and each map the
+    /// op builds is collected straight into its nodes in that order.
+    pub(crate) map_orders: Vec<Box<[u32]>>,
 }
 
 /// Where a fused window's left operand comes from.
@@ -455,6 +462,7 @@ fn lower(
             slot_names: Vec::new(),
             windows: Vec::new(),
             runs: Vec::new(),
+            map_orders: Vec::new(),
         },
         depth: 0,
     };
@@ -904,10 +912,14 @@ impl Compiler<'_> {
                 for (_, v) in pairs {
                     self.expr(v)?;
                 }
+                let order = self.code.map_orders.len() as u32;
+                let run = &self.code.strings[keys as usize..keys as usize + pairs.len()];
+                self.code.map_orders.push(key_order(run));
                 self.emit(
                     Op::MakeMap {
                         keys,
                         n: pairs.len() as u32,
+                        order,
                     },
                     1 - pairs.len() as i32,
                 );
@@ -954,6 +966,16 @@ fn target(op: &Op) -> Option<u32> {
         Op::LoopBranch { end } | Op::ForNext { end, .. } => Some(end),
         _ => None,
     }
+}
+
+/// A map literal's pair positions in ascending key order, keeping the
+/// last of equal keys (`FuncCode::map_orders`).
+fn key_order(keys: &[std::sync::Arc<str>]) -> Box<[u32]> {
+    let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+    // Equal keys latest first, so that the dedup keeps the latest.
+    order.sort_by(|&a, &b| keys[a as usize].cmp(&keys[b as usize]).then(b.cmp(&a)));
+    order.dedup_by(|a, b| keys[*a as usize] == keys[*b as usize]);
+    order.into_boxed_slice()
 }
 
 /// Computes the basic-block table: leaders are op 0, every jump
@@ -1066,7 +1088,7 @@ fn render_op(op: Op, code: &FuncCode, interner: &Interner) -> String {
         Op::Len => "len".into(),
         Op::Contains => "contains".into(),
         Op::MakeList(n) => format!("makelist {n}"),
-        Op::MakeMap { keys, n } => {
+        Op::MakeMap { keys, n, .. } => {
             let ks: Vec<&str> = (keys..keys + n)
                 .map(|i| code.strings[i as usize].as_ref())
                 .collect();
@@ -1569,6 +1591,7 @@ mod tests {
                 slot_names: Vec::new(),
                 windows: Vec::new(),
                 runs: Vec::new(),
+                map_orders: Vec::new(),
             };
             fuse(&mut code);
             let lens: Vec<u8> = code.windows.iter().map(|w| w.len).collect();

@@ -12,6 +12,13 @@
 //! [`CHUNK`] entries wide) and shares every untouched subtree with the
 //! source value by reference.
 //!
+//! Every node is one heap block, built in place (DESIGN.md §12): a leaf
+//! is an `Arc<[_]>` of its entries, collected from an exact-size
+//! iterator (an indexed range over the old node, an array, a `Drain`) so that the
+//! block is allocated once at its final size; a branch is a thin `Arc`
+//! of its length and one boxed slice of children, which keeps a tree
+//! handle — and so [`Value`] — small.
+//!
 //! Observable semantics are bit-for-bit those of the previous
 //! `Arc<BTreeMap<String, Value>>` / `Arc<Vec<Value>>` representation:
 //!
@@ -19,7 +26,7 @@
 //!   `Display`, `Ord`, and wire encodings are byte-identical);
 //! * duplicate keys resolve later-wins, exactly like `BTreeMap::insert`;
 //! * [`PList`] preserves insertion order; and
-//! * `Eq`/`Ord`/`Hash` are content-based with an `Arc::ptr_eq` fast
+//! * `Eq`/`Ord`/`Hash` are content-based with a pointer-equality fast
 //!   path at the root (a pure shortcut, as before).
 //!
 //! Keys are `Arc<str>`, so inserting a key that the program already
@@ -29,11 +36,12 @@ use crate::value::Value;
 use std::cmp::Ordering;
 use std::fmt;
 use std::hash::{Hash, Hasher};
-use std::sync::{Arc, OnceLock};
+use std::ops::Range;
+use std::sync::Arc;
 
 /// Maximum entries per leaf and children per branch. 16 keeps a path
-/// copy to a pair of small `Vec`s per level while bounding tree depth
-/// at log₁₆ n (3 levels cover 4096 entries).
+/// copy to one small block per level while bounding tree depth at
+/// log₁₆ n (3 levels cover 4096 entries).
 pub const CHUNK: usize = 16;
 
 /// Maximum tree height. Built trees shrink each level by up to
@@ -99,36 +107,105 @@ fn check_width(n: usize) -> Result<(), NodeError> {
 }
 
 // ---------------------------------------------------------------------------
+// Building nodes in place
+// ---------------------------------------------------------------------------
+//
+// `Arc<[T]>` and `Box<[T]>` collect an iterator the standard library
+// trusts to report its exact length (slice clones, arrays, `Drain`,
+// `vec::IntoIter`, and `chain` / `zip` / `map` / `take` over those) into
+// one allocation of the final size; any other iterator goes through a
+// `Vec` first, which is a second block and a copy. Every builder below
+// hands its nodes such an iterator.
+
+/// `s` with `s[cut]` replaced by `put`: one node when the result fits in
+/// [`CHUNK`], else two halves, the left one `len / 2` wide (the split
+/// point path copies have always used).
+fn spliced<T: Clone, C: FromIterator<T>, const N: usize>(
+    s: &[T],
+    cut: Range<usize>,
+    put: [T; N],
+) -> (C, Option<C>) {
+    let len = s.len() - cut.len() + N;
+    let (head, tail) = (&s[..cut.start], &s[cut.end..]);
+    let mut put = put.into_iter();
+    // Indexed, not chained: a `Chain` of slice clones dispatches per
+    // item, and path copies measured slower through it.
+    let mut items = (0..len).map(move |j| match j.checked_sub(head.len()) {
+        None => head[j].clone(),
+        Some(k) => match put.next() {
+            Some(v) => v,
+            None => tail[k - N].clone(),
+        },
+    });
+    if len <= CHUNK {
+        return (items.collect(), None);
+    }
+    let left = items.by_ref().take(len / 2).collect();
+    (left, Some(items.collect()))
+}
+
+/// `n` items cut into `n.div_ceil(CHUNK)` nodes of near-equal width —
+/// no one-entry straggler — each collected from `items` in turn.
+fn spread<I: Iterator, C: FromIterator<I::Item>>(
+    mut items: I,
+    n: usize,
+) -> impl Iterator<Item = C> {
+    let nodes = n.div_ceil(CHUNK);
+    (0..nodes).map(move |i| items.by_ref().take((n + nodes - 1 - i) / nodes).collect())
+}
+
+// ---------------------------------------------------------------------------
 // PMap: a counted B-tree keyed by Arc<str>
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
-enum MapNode {
+/// A map subtree: 16 bytes, one heap block per node.
+#[derive(Clone)]
+enum MapTree {
     /// Sorted `(key, value)` entries; non-empty except for the shared
     /// empty-map root.
-    Leaf(Vec<(Arc<str>, Value)>),
-    /// `keys[i]` is the minimum key of `children[i]`; `len` counts the
-    /// entries of the whole subtree.
-    Branch {
-        len: usize,
-        keys: Vec<Arc<str>>,
-        children: Vec<Arc<MapNode>>,
-    },
+    Leaf(Arc<[(Arc<str>, Value)]>),
+    /// Behind a thin pointer: were both variants fat, a tree handle
+    /// would take 24 bytes and a `Value` 32.
+    Branch(Arc<MapBranch>),
 }
 
-impl MapNode {
+struct MapBranch {
+    /// Entries in the whole subtree.
+    len: usize,
+    /// Each child with its minimum key, in key order.
+    children: Box<[Keyed]>,
+}
+
+/// A subtree with its minimum key.
+type Keyed = (Arc<str>, MapTree);
+
+impl MapTree {
+    /// The empty map's root: the standard library's one static empty
+    /// slice, so no allocation, and every empty container shares it.
+    fn empty() -> MapTree {
+        MapTree::Leaf(Arc::default())
+    }
+
     fn len(&self) -> usize {
         match self {
-            MapNode::Leaf(es) => es.len(),
-            MapNode::Branch { len, .. } => *len,
+            MapTree::Leaf(es) => es.len(),
+            MapTree::Branch(b) => b.len,
+        }
+    }
+
+    /// The node's identity: the address of its one block.
+    fn addr(&self) -> usize {
+        match self {
+            MapTree::Leaf(es) => Arc::as_ptr(es).cast::<u8>() as usize,
+            MapTree::Branch(b) => Arc::as_ptr(b) as usize,
         }
     }
 
     /// Minimum key of the subtree; `None` only for the empty root.
     fn min_key(&self) -> Option<&Arc<str>> {
         match self {
-            MapNode::Leaf(es) => es.first().map(|(k, _)| k),
-            MapNode::Branch { keys, .. } => keys.first(),
+            MapTree::Leaf(es) => es.first().map(|(k, _)| k),
+            MapTree::Branch(b) => b.children.first().map(|(k, _)| k),
         }
     }
 
@@ -137,8 +214,8 @@ impl MapNode {
         let mut node = self;
         loop {
             match node {
-                MapNode::Leaf(es) => return es.last().map(|(k, _)| k),
-                MapNode::Branch { children, .. } => node = children.last()?,
+                MapTree::Leaf(es) => return es.last().map(|(k, _)| k),
+                MapTree::Branch(b) => node = &b.children.last()?.1,
             }
         }
     }
@@ -149,15 +226,53 @@ impl MapNode {
     /// children of unequal height).
     fn height(&self) -> usize {
         let (mut node, mut levels) = (self, 1);
-        while let MapNode::Branch { children, .. } = node {
-            match children.first() {
-                Some(child) => node = child,
+        while let MapTree::Branch(b) = node {
+            match b.children.first() {
+                Some((_, child)) => node = child,
                 None => break,
             }
             levels += 1;
         }
         levels
     }
+
+    /// This non-empty node with its minimum key, as its parent holds it.
+    fn keyed(self) -> Keyed {
+        let min = match &self {
+            MapTree::Leaf(es) => Arc::clone(&es[0].0),
+            MapTree::Branch(b) => Arc::clone(&b.children[0].0),
+        };
+        (min, self)
+    }
+}
+
+/// `Leaf([..])` or `Branch { len, keys, children }`: what the layout
+/// before one block per node derived, and what pinned digests of
+/// decoded advice (`tests/bytecode_equivalence.rs`) still read.
+impl fmt::Debug for MapTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MapTree::Leaf(es) => f.debug_tuple("Leaf").field(es).finish(),
+            MapTree::Branch(b) => {
+                let list = |pick: fn(&Keyed) -> &dyn fmt::Debug| {
+                    fmt::from_fn(move |f| {
+                        f.debug_list().entries(b.children.iter().map(pick)).finish()
+                    })
+                };
+                f.debug_struct("Branch")
+                    .field("len", &b.len)
+                    .field("keys", &list(|(k, _)| k))
+                    .field("children", &list(|(_, c)| c))
+                    .finish()
+            }
+        }
+    }
+}
+
+/// A branch over `children`, counting their entries.
+fn map_branch(children: Box<[Keyed]>) -> MapTree {
+    let len = children.iter().map(|(_, c)| c.len()).sum();
+    MapTree::Branch(Arc::new(MapBranch { len, children }))
 }
 
 /// A persistent string-keyed ordered map with O(log n) path-copying
@@ -166,34 +281,33 @@ impl MapNode {
 /// `self`.
 #[derive(Debug, Clone)]
 pub struct PMap {
-    root: Arc<MapNode>,
+    root: MapTree,
 }
-
-/// The shared empty-map root: [`PMap::new`] (and thus
-/// `Value::empty_map()`) is allocation-free after first use.
-fn empty_map_root() -> &'static Arc<MapNode> {
-    static EMPTY: OnceLock<Arc<MapNode>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(MapNode::Leaf(Vec::new())))
-}
-
-/// A node with its minimum key, which its parent's `keys` holds.
-type Keyed = (Arc<str>, Arc<MapNode>);
 
 /// Result of a path-copying insert one level down.
 enum Ins {
-    /// The child was replaced. Its minimum key is the old one or the
-    /// inserted key, whichever is smaller.
-    One(Arc<MapNode>),
+    /// The child was replaced.
+    One(MapTree),
     /// The child split; the second node's min key is strictly greater.
     Split(Keyed, Keyed),
 }
 
+impl Ins {
+    /// A spliced node, made a tree by `node`: one, or two halves.
+    fn of<C>((a, b): (C, Option<C>), node: impl Fn(C) -> MapTree) -> Ins {
+        match b {
+            None => Ins::One(node(a)),
+            Some(b) => Ins::Split(node(a).keyed(), node(b).keyed()),
+        }
+    }
+}
+
 impl PMap {
     /// The empty map. Allocation-free: all empty maps share one static
-    /// root node.
+    /// root.
     pub fn new() -> PMap {
         PMap {
-            root: Arc::clone(empty_map_root()),
+            root: MapTree::empty(),
         }
     }
 
@@ -213,23 +327,21 @@ impl PMap {
     /// the old `Arc::ptr_eq` on the map `Arc`).
     #[inline]
     pub fn ptr_eq(&self, other: &PMap) -> bool {
-        Arc::ptr_eq(&self.root, &other.root)
+        self.root.addr() == other.root.addr()
     }
 
     /// Looks up a key.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        let mut node = &*self.root;
+        let mut node = &self.root;
         loop {
             match node {
-                MapNode::Leaf(es) => {
+                MapTree::Leaf(es) => {
                     return es
                         .binary_search_by(|(k, _)| k.as_ref().cmp(key))
                         .ok()
                         .map(|i| &es[i].1);
                 }
-                MapNode::Branch { keys, children, .. } => {
-                    node = &*children[child_for(keys, key)];
-                }
+                MapTree::Branch(b) => node = &b.children[child_for(&b.children, key)].1,
             }
         }
     }
@@ -246,11 +358,7 @@ impl PMap {
     pub fn insert(&self, key: Arc<str>, value: Value) -> PMap {
         let root = match insert_node(&self.root, key, value) {
             Ins::One(n) => n,
-            Ins::Split((ka, a), (kb, b)) => Arc::new(MapNode::Branch {
-                len: a.len() + b.len(),
-                keys: vec![ka, kb],
-                children: vec![a, b],
-            }),
+            Ins::Split(a, b) => map_branch(Box::new([a, b])),
         };
         PMap { root }
     }
@@ -258,27 +366,19 @@ impl PMap {
     /// Functional remove: returns a map without `key`. Removing an
     /// absent key returns a clone of `self` (same root, no copying).
     pub fn remove(&self, key: &str) -> PMap {
-        match remove_node(&self.root, key) {
-            None => self.clone(),
-            Some(mut root) => {
-                // Collapse single-child root chains so depth tracks the
-                // surviving entry count.
-                loop {
-                    let next = match &*root {
-                        MapNode::Branch { children, .. } if children.len() == 1 => {
-                            Arc::clone(&children[0])
-                        }
-                        _ => break,
-                    };
-                    root = next;
-                }
-                if root.len() == 0 {
-                    PMap::new()
-                } else {
-                    PMap { root }
-                }
-            }
+        let Some(mut root) = remove_node(&self.root, key) else {
+            return self.clone();
+        };
+        // Collapse single-child root chains so depth tracks the
+        // surviving entry count.
+        loop {
+            let next = match &root {
+                MapTree::Branch(b) if b.children.len() == 1 => b.children[0].1.clone(),
+                _ => break,
+            };
+            root = next;
         }
+        PMap { root }
     }
 
     /// Iterates entries in ascending key order. Allocation-free: the
@@ -298,38 +398,49 @@ impl PMap {
     /// keys the later pair wins (`BTreeMap::insert` semantics).
     pub fn from_pairs(pairs: impl IntoIterator<Item = (Arc<str>, Value)>) -> PMap {
         let mut entries: Vec<(Arc<str>, Value)> = pairs.into_iter().collect();
-        if entries.is_empty() {
-            return PMap::new();
-        }
-        // Stable sort keeps duplicate keys in input order; dedup keeps
-        // the *last* of each run.
-        entries.sort_by(|a, b| a.0.cmp(&b.0));
-        let mut write = 0;
-        for read in 1..entries.len() {
-            if entries[read].0 == entries[write].0 {
-                entries.swap(write, read);
-            } else {
-                write += 1;
+        PMap::take_pairs(&mut entries, 0)
+    }
+
+    /// [`PMap::from_pairs`] over `buf[from..]`, which it moves into the
+    /// leaves — sorted and deduplicated in place first when they are not
+    /// strictly ascending already — leaving `buf` cut back to `from`
+    /// with its capacity: how a reader that builds many maps (the advice
+    /// decoder) builds each from one reused scratch buffer, one
+    /// allocation per leaf.
+    pub fn take_pairs(buf: &mut Vec<(Arc<str>, Value)>, from: usize) -> PMap {
+        let entries = &mut buf[from..];
+        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+            // Stable sort keeps duplicate keys in input order; dedup
+            // keeps the *last* of each run.
+            entries.sort_by(|a, b| a.0.cmp(&b.0));
+            let mut write = 0;
+            for read in 1..entries.len() {
+                if entries[read].0 != entries[write].0 {
+                    write += 1;
+                }
                 entries.swap(write, read);
             }
+            buf.truncate(from + write + 1);
         }
-        entries.truncate(write + 1);
         PMap {
-            root: build_map_tree(entries),
+            root: build_map_tree(buf.drain(from..)),
         }
     }
 
     /// Bulk-builds from entries already in strictly ascending key order
-    /// (e.g. out of a `BTreeMap`). Skips the sort-and-dedup pass.
-    pub fn from_sorted_pairs(pairs: impl IntoIterator<Item = (Arc<str>, Value)>) -> PMap {
-        let entries: Vec<(Arc<str>, Value)> = pairs.into_iter().collect();
-        debug_assert!(entries.windows(2).all(|w| w[0].0 < w[1].0));
-        if entries.is_empty() {
-            return PMap::new();
-        }
-        PMap {
-            root: build_map_tree(entries),
-        }
+    /// (out of a `BTreeMap`, or constant keys ordered once), skipping
+    /// the sort-and-dedup pass: each leaf is collected straight from
+    /// `pairs`.
+    pub fn from_sorted_pairs<I>(pairs: I) -> PMap
+    where
+        I: IntoIterator<Item = (Arc<str>, Value)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let map = PMap {
+            root: build_map_tree(pairs.into_iter()),
+        };
+        debug_assert!(map.keys().zip(map.keys().skip(1)).all(|(a, b)| a < b));
+        map
     }
 
     /// A one-node map with exactly these leaf entries, or why they are
@@ -337,14 +448,21 @@ impl PMap {
     /// ascending (`get` and `insert` binary-search them). With
     /// [`PMap::checked_branch`], the only way to assemble a map from
     /// nodes rather than entries — what the advice decoder does with a
-    /// pool of shared nodes.
-    pub fn checked_leaf(entries: Vec<(Arc<str>, Value)>) -> Result<PMap, NodeError> {
-        check_width(entries.len())?;
-        if !entries.windows(2).all(|w| w[0].0 < w[1].0) {
+    /// pool of shared nodes, draining each node's entries off its
+    /// scratch buffer. The leaf is collected before it is checked, so
+    /// an exact-size source costs one allocation.
+    pub fn checked_leaf<I>(entries: I) -> Result<PMap, NodeError>
+    where
+        I: IntoIterator<Item = (Arc<str>, Value)>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let leaf: Arc<[(Arc<str>, Value)]> = entries.into_iter().collect();
+        check_width(leaf.len())?;
+        if !leaf.windows(2).all(|w| w[0].0 < w[1].0) {
             return Err(NodeError::KeyOrder);
         }
         Ok(PMap {
-            root: Arc::new(MapNode::Leaf(entries)),
+            root: MapTree::Leaf(leaf),
         })
     }
 
@@ -363,7 +481,6 @@ impl PMap {
             return Err(NodeError::Depth);
         }
         let mut len = 0usize;
-        let mut keys = Vec::with_capacity(children.len());
         let mut below: Option<&Arc<str>> = None;
         for child in children {
             // Only the empty map has no minimum key.
@@ -376,14 +493,10 @@ impl PMap {
             }
             below = child.root.max_key();
             len = len.checked_add(child.len()).ok_or(NodeError::Len)?;
-            keys.push(Arc::clone(min));
         }
+        let children = children.iter().map(|c| c.root.clone().keyed()).collect();
         Ok(PMap {
-            root: Arc::new(MapNode::Branch {
-                len,
-                keys,
-                children: children.iter().map(|c| Arc::clone(&c.root)).collect(),
-            }),
+            root: MapTree::Branch(Arc::new(MapBranch { len, children })),
         })
     }
 
@@ -397,13 +510,13 @@ impl PMap {
 /// where the node boundaries are — the advice encoder, which ships each
 /// shared node once — walks instead of the entries.
 #[derive(Debug, Clone, Copy)]
-pub struct MapNodeRef<'a>(&'a Arc<MapNode>);
+pub struct MapNodeRef<'a>(&'a MapTree);
 
 impl<'a> MapNodeRef<'a> {
     /// The node's identity: equal for two references exactly when they
     /// are one allocation, for as long as either is borrowed.
     pub fn addr(self) -> usize {
-        Arc::as_ptr(self.0) as usize
+        self.0.addr()
     }
 
     /// Entries in the subtree.
@@ -418,184 +531,102 @@ impl<'a> MapNodeRef<'a> {
 
     /// A leaf's entries, ascending; `None` for a branch.
     pub fn entries(self) -> Option<&'a [(Arc<str>, Value)]> {
-        match &**self.0 {
-            MapNode::Leaf(es) => Some(es),
-            MapNode::Branch { .. } => None,
+        match self.0 {
+            MapTree::Leaf(es) => Some(es),
+            MapTree::Branch(_) => None,
         }
     }
 
     /// A branch's children, in key order; none for a leaf.
     pub fn children(self) -> impl ExactSizeIterator<Item = MapNodeRef<'a>> {
-        let children: &'a [Arc<MapNode>] = match &**self.0 {
-            MapNode::Leaf(_) => &[],
-            MapNode::Branch { children, .. } => children,
+        let children: &'a [Keyed] = match self.0 {
+            MapTree::Leaf(_) => &[],
+            MapTree::Branch(b) => &b.children,
         };
-        children.iter().map(MapNodeRef)
+        children.iter().map(|(_, child)| MapNodeRef(child))
     }
 }
 
 /// Child index covering `key` in a branch: the last child whose min key
 /// is `<= key`, or the first child when `key` sorts before everything.
 #[inline]
-fn child_for(keys: &[Arc<str>], key: &str) -> usize {
-    keys.partition_point(|min| min.as_ref() <= key).max(1) - 1
+fn child_for(children: &[Keyed], key: &str) -> usize {
+    children
+        .partition_point(|(min, _)| min.as_ref() <= key)
+        .max(1)
+        - 1
 }
 
-fn insert_node(node: &MapNode, key: Arc<str>, value: Value) -> Ins {
+fn insert_node(node: &MapTree, key: Arc<str>, value: Value) -> Ins {
     match node {
-        MapNode::Leaf(es) => match es.binary_search_by(|(k, _)| k.as_ref().cmp(&key)) {
-            Ok(i) => {
-                let mut next = es.clone();
-                next[i] = (key, value);
-                Ins::One(Arc::new(MapNode::Leaf(next)))
-            }
-            Err(i) => {
-                let mut next = Vec::with_capacity(es.len() + 1);
-                next.extend_from_slice(&es[..i]);
-                next.push((key, value));
-                next.extend_from_slice(&es[i..]);
-                split_leaf(next)
-            }
-        },
-        MapNode::Branch { keys, children, .. } => {
-            let i = child_for(keys, &key);
-            let mut keys = keys.clone();
-            let mut children = children.clone();
-            // Only the first child can receive a key below its minimum.
-            if i == 0 && key < keys[0] {
-                keys[0] = Arc::clone(&key);
-            }
-            match insert_node(&children[i], key, value) {
-                Ins::One(n) => children[i] = n,
-                Ins::Split((ka, a), (kb, b)) => {
-                    (keys[i], children[i]) = (ka, a);
-                    keys.insert(i + 1, kb);
-                    children.insert(i + 1, b);
-                }
-            }
-            let len: usize = children.iter().map(|c| c.len()).sum();
-            split_branch(len, keys, children)
+        MapTree::Leaf(es) => {
+            let cut = match es.binary_search_by(|(k, _)| k.as_ref().cmp(&key)) {
+                Ok(i) => i..i + 1,
+                Err(i) => i..i,
+            };
+            Ins::of(spliced(es, cut, [(key, value)]), MapTree::Leaf)
+        }
+        MapTree::Branch(b) => {
+            let i = child_for(&b.children, &key);
+            // A replaced child is keyed by its own minimum: only the
+            // first child can receive a key below the one it had.
+            let halves = match insert_node(&b.children[i].1, key, value) {
+                Ins::One(n) => spliced(&b.children, i..i + 1, [n.keyed()]),
+                Ins::Split(l, r) => spliced(&b.children, i..i + 1, [l, r]),
+            };
+            Ins::of(halves, map_branch)
         }
     }
-}
-
-/// Wraps an over-full leaf into one or two nodes.
-fn split_leaf(entries: Vec<(Arc<str>, Value)>) -> Ins {
-    if entries.len() <= CHUNK {
-        return Ins::One(Arc::new(MapNode::Leaf(entries)));
-    }
-    let leaf = |es: Vec<(Arc<str>, Value)>| (Arc::clone(&es[0].0), Arc::new(MapNode::Leaf(es)));
-    let mut left = entries;
-    let right = left.split_off(left.len() / 2);
-    Ins::Split(leaf(left), leaf(right))
-}
-
-/// Wraps an over-full branch into one or two nodes.
-fn split_branch(len: usize, keys: Vec<Arc<str>>, children: Vec<Arc<MapNode>>) -> Ins {
-    if children.len() <= CHUNK {
-        return Ins::One(Arc::new(MapNode::Branch {
-            len,
-            keys,
-            children,
-        }));
-    }
-    let branch = |len, keys: Vec<Arc<str>>, children| {
-        let min = Arc::clone(&keys[0]);
-        (
-            min,
-            Arc::new(MapNode::Branch {
-                len,
-                keys,
-                children,
-            }),
-        )
-    };
-    let mut lk = keys;
-    let mut lc = children;
-    let rk = lk.split_off(lk.len() / 2);
-    let rc = lc.split_off(lc.len() / 2);
-    let llen: usize = lc.iter().map(|c| c.len()).sum();
-    Ins::Split(branch(llen, lk, lc), branch(len - llen, rk, rc))
 }
 
 /// `None` means the key was absent (nothing to copy). An empty
 /// returned node means the subtree emptied out.
-fn remove_node(node: &MapNode, key: &str) -> Option<Arc<MapNode>> {
+fn remove_node(node: &MapTree, key: &str) -> Option<MapTree> {
     match node {
-        MapNode::Leaf(es) => {
+        MapTree::Leaf(es) => {
             let i = es.binary_search_by(|(k, _)| k.as_ref().cmp(key)).ok()?;
-            let mut next = es.clone();
-            next.remove(i);
-            Some(Arc::new(MapNode::Leaf(next)))
-        }
-        MapNode::Branch { keys, children, .. } => {
-            let i = child_for(keys, key);
-            let replaced = remove_node(&children[i], key)?;
-            let mut keys = keys.clone();
-            let mut children = children.clone();
-            match replaced.min_key().cloned() {
-                Some(min) => (keys[i], children[i]) = (min, replaced),
-                // The subtree emptied out.
-                None => {
-                    keys.remove(i);
-                    children.remove(i);
-                }
+            if es.len() == 1 {
+                return Some(MapTree::empty());
             }
-            let len: usize = children.iter().map(|c| c.len()).sum();
-            Some(Arc::new(MapNode::Branch {
-                len,
-                keys,
-                children,
-            }))
+            Some(MapTree::Leaf(spliced(es, i..i + 1, []).0))
+        }
+        MapTree::Branch(b) => {
+            let i = child_for(&b.children, key);
+            let children: Box<[Keyed]> = match remove_node(&b.children[i].1, key)? {
+                emptied if emptied.len() == 0 => spliced(&b.children, i..i + 1, []).0,
+                child => spliced(&b.children, i..i + 1, [child.keyed()]).0,
+            };
+            if children.is_empty() {
+                return Some(MapTree::empty());
+            }
+            Some(map_branch(children))
         }
     }
 }
 
-/// Builds a balanced tree over sorted, deduplicated entries: leaves of
-/// up to [`CHUNK`] entries, then branch levels of up to [`CHUNK`]
-/// children until one root remains.
-fn build_map_tree(entries: Vec<(Arc<str>, Value)>) -> Arc<MapNode> {
+/// Builds a balanced tree over entries in strictly ascending key order:
+/// leaves of up to [`CHUNK`] entries spread evenly, then branch levels
+/// of up to [`CHUNK`] children until one root remains. A single-leaf map
+/// (the overwhelmingly common case: handler payloads, request contexts,
+/// small literals) is one allocation, the leaf itself.
+fn build_map_tree(entries: impl ExactSizeIterator<Item = (Arc<str>, Value)>) -> MapTree {
     let n = entries.len();
-    // Single-leaf maps (the overwhelmingly common case: handler
-    // payloads, request contexts, small literals) move the caller's
-    // buffer straight into the leaf — one `Arc` allocation total.
+    if n == 0 {
+        return MapTree::empty();
+    }
     if n <= CHUNK {
-        return Arc::new(MapNode::Leaf(entries));
+        return MapTree::Leaf(entries.collect());
     }
-    // Spread entries evenly instead of filling leaves and leaving a
-    // 1-entry straggler: ceil(n / CHUNK) leaves of near-equal size.
-    let leaves = n.div_ceil(CHUNK);
-    let mut level: Vec<Keyed> = Vec::with_capacity(leaves);
-    let mut it = entries.into_iter();
-    for li in 0..leaves {
-        let take = (n + leaves - 1 - li) / leaves;
-        let leaf: Vec<_> = it.by_ref().take(take).collect();
-        level.push((Arc::clone(&leaf[0].0), Arc::new(MapNode::Leaf(leaf))));
-    }
+    let mut level: Vec<Keyed> = spread(entries, n)
+        .map(|leaf| MapTree::Leaf(leaf).keyed())
+        .collect();
     while level.len() > 1 {
-        let groups = level.len().div_ceil(CHUNK);
-        let mut next = Vec::with_capacity(groups);
-        let total = level.len();
-        let mut it = level.into_iter();
-        for gi in 0..groups {
-            let take = (total + groups - 1 - gi) / groups;
-            let (keys, children): (Vec<_>, Vec<Arc<MapNode>>) = it.by_ref().take(take).unzip();
-            let len = children.iter().map(|c| c.len()).sum();
-            let min = Arc::clone(&keys[0]);
-            next.push((
-                min,
-                Arc::new(MapNode::Branch {
-                    len,
-                    keys,
-                    children,
-                }),
-            ));
-        }
-        level = next;
+        let n = level.len();
+        level = spread(level.into_iter(), n)
+            .map(|children| map_branch(children).keyed())
+            .collect();
     }
-    level
-        .pop()
-        .map_or_else(|| PMap::new().root, |(_, root)| root)
+    level.pop().map_or_else(MapTree::empty, |(_, root)| root)
 }
 
 /// In-order borrowing iterator over a [`PMap`]. The descent stack is a
@@ -605,13 +636,13 @@ fn build_map_tree(entries: Vec<(Arc<str>, Value)>) -> Arc<MapNode> {
 pub struct MapIter<'a> {
     /// `(node, next child / entry index)` frames root-to-current; those
     /// from `depth` up are unused.
-    stack: [(&'a MapNode, usize); MAX_DEPTH],
+    stack: [(&'a MapTree, usize); MAX_DEPTH],
     depth: usize,
 }
 
 impl<'a> MapIter<'a> {
     /// The entries of the subtree under `node`.
-    fn over(node: &'a MapNode) -> Self {
+    fn over(node: &'a MapTree) -> Self {
         MapIter {
             stack: [(node, 0); MAX_DEPTH],
             depth: usize::from(node.len() != 0),
@@ -629,17 +660,16 @@ impl<'a> Iterator for MapIter<'a> {
             }
             let (node, idx) = &mut self.stack[self.depth - 1];
             match *node {
-                MapNode::Leaf(es) => {
+                MapTree::Leaf(es) => {
                     if let Some((k, v)) = es.get(*idx) {
                         *idx += 1;
                         return Some((k, v));
                     }
                     self.depth -= 1;
                 }
-                MapNode::Branch { children, .. } => {
-                    if let Some(child) = children.get(*idx) {
+                MapTree::Branch(b) => {
+                    if let Some((_, child)) = b.children.get(*idx) {
                         *idx += 1;
-                        let child: &'a MapNode = child;
                         let d = self.depth;
                         assert!(d < MAX_DEPTH, "persistent map deeper than MAX_DEPTH");
                         self.stack[d] = (child, 0);
@@ -684,18 +714,19 @@ fn count_compare() {
 /// up, a shared child is equal without being read. Where they do not
 /// line up (equal maps built in different ways), the entries are
 /// zipped as ever.
-fn map_nodes_eq(a: &Arc<MapNode>, b: &Arc<MapNode>) -> bool {
-    if Arc::ptr_eq(a, b) {
+fn map_nodes_eq(a: &MapTree, b: &MapTree) -> bool {
+    if a.addr() == b.addr() {
         return true;
     }
     if a.len() != b.len() {
         return false;
     }
-    match (&**a, &**b) {
-        (MapNode::Branch { children: ca, .. }, MapNode::Branch { children: cb, .. })
-            if ca.len() == cb.len() && ca.iter().zip(cb).all(|(x, y)| x.len() == y.len()) =>
+    match (a, b) {
+        (MapTree::Branch(x), MapTree::Branch(y))
+            if x.children.len() == y.children.len()
+                && (x.children.iter().zip(&y.children)).all(|(c, d)| c.1.len() == d.1.len()) =>
         {
-            ca.iter().zip(cb).all(|(x, y)| map_nodes_eq(x, y))
+            (x.children.iter().zip(&y.children)).all(|(c, d)| map_nodes_eq(&c.1, &d.1))
         }
         _ => MapIter::over(a)
             .zip(MapIter::over(b))
@@ -752,32 +783,49 @@ impl fmt::Display for PMap {
 // PList: a chunked persistent vector
 // ---------------------------------------------------------------------------
 
-#[derive(Debug)]
-enum ListNode {
-    /// Up to [`CHUNK`] values. Interior leaves may be under-full (the
-    /// concat fast path adopts both operands' leaves by reference), so
-    /// indexing counts through per-child lengths rather than assuming
-    /// fixed-radix positions.
-    Leaf(Vec<Value>),
-    Branch {
-        len: usize,
-        children: Vec<Arc<ListNode>>,
-    },
+/// A list subtree: 16 bytes, one heap block per node; see [`MapTree`].
+#[derive(Clone)]
+enum ListTree {
+    /// Up to [`CHUNK`] values; empty only as the shared empty-list
+    /// root. Interior leaves may be under-full (the concat fast path
+    /// adopts both operands' leaves by reference), so indexing counts
+    /// through per-child lengths rather than assuming fixed-radix
+    /// positions.
+    Leaf(Arc<[Value]>),
+    Branch(Arc<ListBranch>),
 }
 
-impl ListNode {
+struct ListBranch {
+    len: usize,
+    children: Box<[ListTree]>,
+}
+
+impl ListTree {
+    /// The empty list's root; see [`MapTree::empty`].
+    fn empty() -> ListTree {
+        ListTree::Leaf(Arc::default())
+    }
+
     fn len(&self) -> usize {
         match self {
-            ListNode::Leaf(vs) => vs.len(),
-            ListNode::Branch { len, .. } => *len,
+            ListTree::Leaf(vs) => vs.len(),
+            ListTree::Branch(b) => b.len,
         }
     }
 
-    /// Levels down to the leaves; see [`MapNode::height`].
+    /// See [`MapTree::addr`].
+    fn addr(&self) -> usize {
+        match self {
+            ListTree::Leaf(vs) => Arc::as_ptr(vs).cast::<u8>() as usize,
+            ListTree::Branch(b) => Arc::as_ptr(b) as usize,
+        }
+    }
+
+    /// Levels down to the leaves; see [`MapTree::height`].
     fn height(&self) -> usize {
         let (mut node, mut levels) = (self, 1);
-        while let ListNode::Branch { children, .. } = node {
-            match children.first() {
+        while let ListTree::Branch(b) = node {
+            match b.children.first() {
                 Some(child) => node = child,
                 None => break,
             }
@@ -787,31 +835,44 @@ impl ListNode {
     }
 }
 
+/// `Leaf([..])` or `Branch { len, children }`; see [`MapTree`]'s.
+impl fmt::Debug for ListTree {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            ListTree::Leaf(vs) => f.debug_tuple("Leaf").field(vs).finish(),
+            ListTree::Branch(b) => (f.debug_struct("Branch"))
+                .field("len", &b.len)
+                .field("children", &b.children)
+                .finish(),
+        }
+    }
+}
+
+/// A branch over `children`, counting their elements.
+fn list_branch(children: Box<[ListTree]>) -> ListTree {
+    let len = children.iter().map(ListTree::len).sum();
+    ListTree::Branch(Arc::new(ListBranch { len, children }))
+}
+
 /// A persistent list with O(log n) shared-tail push: pushing copies the
 /// rightmost root-to-leaf spine and shares every other node with the
 /// source list.
 #[derive(Debug, Clone)]
 pub struct PList {
-    root: Arc<ListNode>,
-}
-
-/// The shared empty-list root backing `Value::empty_list()`.
-fn empty_list_root() -> &'static Arc<ListNode> {
-    static EMPTY: OnceLock<Arc<ListNode>> = OnceLock::new();
-    EMPTY.get_or_init(|| Arc::new(ListNode::Leaf(Vec::new())))
+    root: ListTree,
 }
 
 enum LIns {
-    One(Arc<ListNode>),
-    Split(Arc<ListNode>, Arc<ListNode>),
+    One(ListTree),
+    Split(ListTree, ListTree),
 }
 
 impl PList {
     /// The empty list. Allocation-free: all empty lists share one
-    /// static root node.
+    /// static root.
     pub fn new() -> PList {
         PList {
-            root: Arc::clone(empty_list_root()),
+            root: ListTree::empty(),
         }
     }
 
@@ -830,7 +891,7 @@ impl PList {
     /// Root pointer equality: the `Eq` fast path.
     #[inline]
     pub fn ptr_eq(&self, other: &PList) -> bool {
-        Arc::ptr_eq(&self.root, &other.root)
+        self.root.addr() == other.root.addr()
     }
 
     /// Element at `index`.
@@ -838,13 +899,13 @@ impl PList {
         if index >= self.len() {
             return None;
         }
-        let mut node = &*self.root;
+        let mut node = &self.root;
         let mut i = index;
         loop {
             match node {
-                ListNode::Leaf(vs) => return vs.get(i),
-                ListNode::Branch { children, .. } => {
-                    for child in children {
+                ListTree::Leaf(vs) => return vs.get(i),
+                ListTree::Branch(b) => {
+                    for child in b.children.iter() {
                         let n = child.len();
                         if i < n {
                             node = child;
@@ -862,10 +923,7 @@ impl PList {
     pub fn push(&self, value: Value) -> PList {
         let root = match push_node(&self.root, value) {
             LIns::One(n) => n,
-            LIns::Split(a, b) => Arc::new(ListNode::Branch {
-                len: a.len() + b.len(),
-                children: vec![a, b],
-            }),
+            LIns::Split(a, b) => list_branch(Box::new([a, b])),
         };
         PList { root }
     }
@@ -881,20 +939,22 @@ impl PList {
         if other.is_empty() {
             return self.clone();
         }
-        let total = self.len() + other.len();
-        if total <= CHUNK {
-            let mut vs = Vec::with_capacity(total);
-            vs.extend(self.iter().cloned());
-            vs.extend(other.iter().cloned());
+        if self.len() + other.len() <= CHUNK {
+            let leaf = match (&self.root, &other.root) {
+                (ListTree::Leaf(a), ListTree::Leaf(b)) => {
+                    a.iter().chain(b.iter()).cloned().collect()
+                }
+                _ => self.iter().chain(other).cloned().collect(),
+            };
             return PList {
-                root: Arc::new(ListNode::Leaf(vs)),
+                root: ListTree::Leaf(leaf),
             };
         }
         let mut leaves = Vec::new();
         collect_leaves(&self.root, &mut leaves);
         collect_leaves(&other.root, &mut leaves);
         PList {
-            root: build_list_tree(leaves),
+            root: build_list_levels(leaves),
         }
     }
 
@@ -919,37 +979,35 @@ impl PList {
         ListIter::over(&self.root)
     }
 
-    /// Bulk-builds from a vector of values.
-    pub fn from_vec(values: Vec<Value>) -> PList {
-        if values.is_empty() {
-            return PList::new();
-        }
-        if values.len() <= CHUNK {
-            return PList {
-                root: Arc::new(ListNode::Leaf(values)),
-            };
-        }
+    /// Bulk-builds from an exact-size source, each leaf collected
+    /// straight from it: a list of at most [`CHUNK`] elements out of a
+    /// slice, an array or a `Drain` is one allocation.
+    pub fn from_exact<I>(values: I) -> PList
+    where
+        I: IntoIterator<Item = Value>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let values = values.into_iter();
         let n = values.len();
-        let leaves = n.div_ceil(CHUNK);
-        let mut level: Vec<Arc<ListNode>> = Vec::with_capacity(leaves);
-        let mut it = values.into_iter();
-        for li in 0..leaves {
-            let take = (n + leaves - 1 - li) / leaves;
-            level.push(Arc::new(ListNode::Leaf(it.by_ref().take(take).collect())));
-        }
-        PList {
-            root: build_list_tree(level),
-        }
+        let root = match n {
+            0 => ListTree::empty(),
+            1..=CHUNK => ListTree::Leaf(values.collect()),
+            _ => build_list_levels(spread(values, n).map(ListTree::Leaf).collect()),
+        };
+        PList { root }
     }
-}
 
-impl PList {
     /// A one-node list of exactly these `1..=CHUNK` elements; see
     /// [`PMap::checked_leaf`].
-    pub fn checked_leaf(values: Vec<Value>) -> Result<PList, NodeError> {
-        check_width(values.len())?;
+    pub fn checked_leaf<I>(values: I) -> Result<PList, NodeError>
+    where
+        I: IntoIterator<Item = Value>,
+        I::IntoIter: ExactSizeIterator,
+    {
+        let leaf: Arc<[Value]> = values.into_iter().collect();
+        check_width(leaf.len())?;
         Ok(PList {
-            root: Arc::new(ListNode::Leaf(values)),
+            root: ListTree::Leaf(leaf),
         })
     }
 
@@ -972,11 +1030,9 @@ impl PList {
             }
             len = len.checked_add(child.len()).ok_or(NodeError::Len)?;
         }
+        let children = children.iter().map(|c| c.root.clone()).collect();
         Ok(PList {
-            root: Arc::new(ListNode::Branch {
-                len,
-                children: children.iter().map(|c| Arc::clone(&c.root)).collect(),
-            }),
+            root: ListTree::Branch(Arc::new(ListBranch { len, children })),
         })
     }
 
@@ -988,12 +1044,12 @@ impl PList {
 
 /// One node of a [`PList`]'s tree, borrowed; see [`MapNodeRef`].
 #[derive(Debug, Clone, Copy)]
-pub struct ListNodeRef<'a>(&'a Arc<ListNode>);
+pub struct ListNodeRef<'a>(&'a ListTree);
 
 impl<'a> ListNodeRef<'a> {
     /// The node's identity; see [`MapNodeRef::addr`].
     pub fn addr(self) -> usize {
-        Arc::as_ptr(self.0) as usize
+        self.0.addr()
     }
 
     /// Elements in the subtree.
@@ -1008,76 +1064,49 @@ impl<'a> ListNodeRef<'a> {
 
     /// A leaf's elements; `None` for a branch.
     pub fn elements(self) -> Option<&'a [Value]> {
-        match &**self.0 {
-            ListNode::Leaf(vs) => Some(vs),
-            ListNode::Branch { .. } => None,
+        match self.0 {
+            ListTree::Leaf(vs) => Some(vs),
+            ListTree::Branch(_) => None,
         }
     }
 
     /// A branch's children, in order; none for a leaf.
     pub fn children(self) -> impl ExactSizeIterator<Item = ListNodeRef<'a>> {
-        let children: &'a [Arc<ListNode>] = match &**self.0 {
-            ListNode::Leaf(_) => &[],
-            ListNode::Branch { children, .. } => children,
+        let children: &'a [ListTree] = match self.0 {
+            ListTree::Leaf(_) => &[],
+            ListTree::Branch(b) => &b.children,
         };
         children.iter().map(ListNodeRef)
     }
 }
 
-fn push_node(node: &ListNode, value: Value) -> LIns {
+fn push_node(node: &ListTree, value: Value) -> LIns {
     match node {
-        ListNode::Leaf(vs) => {
-            if vs.len() < CHUNK {
-                let mut next = Vec::with_capacity(vs.len() + 1);
-                next.extend_from_slice(vs);
-                next.push(value);
-                LIns::One(Arc::new(ListNode::Leaf(next)))
-            } else {
-                LIns::Split(
-                    Arc::new(ListNode::Leaf(vs.clone())),
-                    Arc::new(ListNode::Leaf(vec![value])),
-                )
-            }
+        ListTree::Leaf(vs) if vs.len() < CHUNK => {
+            LIns::One(ListTree::Leaf(spliced(vs, vs.len()..vs.len(), [value]).0))
         }
-        ListNode::Branch { len, children } => {
-            let mut children = children.clone();
-            let last = children.len() - 1;
-            match push_node(&children[last], value) {
-                LIns::One(n) => children[last] = n,
-                LIns::Split(a, b) => {
-                    children[last] = a;
-                    children.push(b);
-                }
-            }
-            if children.len() <= CHUNK {
-                LIns::One(Arc::new(ListNode::Branch {
-                    len: len + 1,
-                    children,
-                }))
-            } else {
-                let rc = children.split_off(children.len() / 2);
-                let llen: usize = children.iter().map(|c| c.len()).sum();
-                LIns::Split(
-                    Arc::new(ListNode::Branch {
-                        len: llen,
-                        children,
-                    }),
-                    Arc::new(ListNode::Branch {
-                        len: len + 1 - llen,
-                        children: rc,
-                    }),
-                )
+        // A full leaf stays as it is, shared; the value starts the next.
+        ListTree::Leaf(_) => LIns::Split(node.clone(), ListTree::Leaf(Arc::new([value]))),
+        ListTree::Branch(b) => {
+            let last = b.children.len() - 1;
+            let halves = match push_node(&b.children[last], value) {
+                LIns::One(n) => spliced(&b.children, last..last + 1, [n]),
+                LIns::Split(l, r) => spliced(&b.children, last..last + 1, [l, r]),
+            };
+            match halves {
+                (a, None) => LIns::One(list_branch(a)),
+                (a, Some(b)) => LIns::Split(list_branch(a), list_branch(b)),
             }
         }
     }
 }
 
 /// Collects a tree's leaf nodes, left to right, by reference.
-fn collect_leaves(node: &Arc<ListNode>, out: &mut Vec<Arc<ListNode>>) {
-    match &**node {
-        ListNode::Leaf(_) => out.push(Arc::clone(node)),
-        ListNode::Branch { children, .. } => {
-            for c in children {
+fn collect_leaves(node: &ListTree, out: &mut Vec<ListTree>) {
+    match node {
+        ListTree::Leaf(_) => out.push(node.clone()),
+        ListTree::Branch(b) => {
+            for c in b.children.iter() {
                 collect_leaves(c, out);
             }
         }
@@ -1085,21 +1114,12 @@ fn collect_leaves(node: &Arc<ListNode>, out: &mut Vec<Arc<ListNode>>) {
 }
 
 /// Builds branch levels over a non-empty node sequence.
-fn build_list_tree(mut level: Vec<Arc<ListNode>>) -> Arc<ListNode> {
+fn build_list_levels(mut level: Vec<ListTree>) -> ListTree {
     while level.len() > 1 {
-        let groups = level.len().div_ceil(CHUNK);
-        let total = level.len();
-        let mut next = Vec::with_capacity(groups);
-        let mut it = level.into_iter();
-        for gi in 0..groups {
-            let take = (total + groups - 1 - gi) / groups;
-            let children: Vec<Arc<ListNode>> = it.by_ref().take(take).collect();
-            let len = children.iter().map(|c| c.len()).sum();
-            next.push(Arc::new(ListNode::Branch { len, children }));
-        }
-        level = next;
+        let n = level.len();
+        level = spread(level.into_iter(), n).map(list_branch).collect();
     }
-    level.pop().unwrap_or_else(|| PList::new().root)
+    level.pop().unwrap_or_else(ListTree::empty)
 }
 
 /// In-order borrowing iterator over a [`PList`]. Inline descent stack;
@@ -1107,14 +1127,14 @@ fn build_list_tree(mut level: Vec<Arc<ListNode>>) -> Arc<ListNode> {
 #[derive(Debug)]
 pub struct ListIter<'a> {
     /// Frames from `depth` up are unused.
-    stack: [(&'a ListNode, usize); MAX_DEPTH],
+    stack: [(&'a ListTree, usize); MAX_DEPTH],
     depth: usize,
     remaining: usize,
 }
 
 impl<'a> ListIter<'a> {
     /// The elements of the subtree under `node`.
-    fn over(node: &'a ListNode) -> Self {
+    fn over(node: &'a ListTree) -> Self {
         ListIter {
             stack: [(node, 0); MAX_DEPTH],
             depth: usize::from(node.len() != 0),
@@ -1133,7 +1153,7 @@ impl<'a> Iterator for ListIter<'a> {
             }
             let (node, idx) = &mut self.stack[self.depth - 1];
             match *node {
-                ListNode::Leaf(vs) => {
+                ListTree::Leaf(vs) => {
                     if let Some(v) = vs.get(*idx) {
                         *idx += 1;
                         self.remaining -= 1;
@@ -1141,10 +1161,9 @@ impl<'a> Iterator for ListIter<'a> {
                     }
                     self.depth -= 1;
                 }
-                ListNode::Branch { children, .. } => {
-                    if let Some(child) = children.get(*idx) {
+                ListTree::Branch(b) => {
+                    if let Some(child) = b.children.get(*idx) {
                         *idx += 1;
-                        let child: &'a ListNode = child;
                         let d = self.depth;
                         assert!(d < MAX_DEPTH, "persistent list deeper than MAX_DEPTH");
                         self.stack[d] = (child, 0);
@@ -1178,18 +1197,19 @@ impl PartialEq for PList {
 
 /// [`map_nodes_eq`] for lists: a list and its `push` share every node
 /// off the rightmost spine.
-fn list_nodes_eq(a: &Arc<ListNode>, b: &Arc<ListNode>) -> bool {
-    if Arc::ptr_eq(a, b) {
+fn list_nodes_eq(a: &ListTree, b: &ListTree) -> bool {
+    if a.addr() == b.addr() {
         return true;
     }
     if a.len() != b.len() {
         return false;
     }
-    match (&**a, &**b) {
-        (ListNode::Branch { children: ca, .. }, ListNode::Branch { children: cb, .. })
-            if ca.len() == cb.len() && ca.iter().zip(cb).all(|(x, y)| x.len() == y.len()) =>
+    match (a, b) {
+        (ListTree::Branch(x), ListTree::Branch(y))
+            if x.children.len() == y.children.len()
+                && (x.children.iter().zip(&y.children)).all(|(c, d)| c.len() == d.len()) =>
         {
-            ca.iter().zip(cb).all(|(x, y)| list_nodes_eq(x, y))
+            (x.children.iter().zip(&y.children)).all(|(c, d)| list_nodes_eq(c, d))
         }
         _ => ListIter::over(a).zip(ListIter::over(b)).all(|(x, y)| {
             count_compare();
@@ -1224,7 +1244,7 @@ impl Hash for PList {
 
 impl FromIterator<Value> for PList {
     fn from_iter<I: IntoIterator<Item = Value>>(iter: I) -> Self {
-        PList::from_vec(iter.into_iter().collect())
+        PList::from_exact(iter.into_iter().collect::<Vec<_>>())
     }
 }
 
@@ -1339,7 +1359,7 @@ mod tests {
 
     #[test]
     fn plist_push_shares_prefix() {
-        let base = PList::from_vec((0..64).map(Value::int).collect());
+        let base = PList::from_exact((0..64).map(Value::int).collect::<Vec<_>>());
         let ext = base.push(Value::int(64));
         assert_eq!(base.len(), 64);
         assert_eq!(ext.len(), 65);
@@ -1350,8 +1370,8 @@ mod tests {
     #[test]
     fn plist_concat_matches_vec() {
         for (n, m) in [(0, 5), (5, 0), (3, 4), (20, 30), (100, 1)] {
-            let a = PList::from_vec((0..n).map(Value::int).collect());
-            let b = PList::from_vec((0..m).map(|i| Value::int(100 + i)).collect());
+            let a = PList::from_exact((0..n).map(Value::int).collect::<Vec<_>>());
+            let b = PList::from_exact((0..m).map(|i| Value::int(100 + i)).collect::<Vec<_>>());
             let c = a.concat(&b);
             let expect: Vec<Value> = (0..n)
                 .map(Value::int)
@@ -1402,7 +1422,7 @@ mod tests {
         assert!(equal);
         assert_eq!(n, 360);
         // Lists: a push shares everything off the rightmost spine.
-        let list = PList::from_vec((0..360).map(Value::int).collect());
+        let list = PList::from_exact((0..360).map(Value::int).collect::<Vec<_>>());
         let (a, b) = (list.push(Value::Null), list.push(Value::Null));
         let (equal, n) = compares(|| a == b);
         assert!(equal);
@@ -1411,8 +1431,7 @@ mod tests {
 
     #[test]
     fn checked_constructors_refuse_what_the_tree_code_relies_on() {
-        let leaf =
-            |keys: &[&str]| PMap::checked_leaf(keys.iter().map(|s| (k(s), Value::Null)).collect());
+        let leaf = |keys: &[&str]| PMap::checked_leaf(keys.iter().map(|s| (k(s), Value::Null)));
         assert_eq!(leaf(&[]).unwrap_err(), NodeError::Width);
         assert_eq!(leaf(&["b", "a"]).unwrap_err(), NodeError::KeyOrder);
         assert_eq!(leaf(&["a", "a"]).unwrap_err(), NodeError::KeyOrder);
@@ -1454,7 +1473,7 @@ mod tests {
         assert_eq!(PList::checked_leaf(vec![]).unwrap_err(), NodeError::Width);
         let one = PList::checked_leaf(vec![Value::int(1)]).unwrap();
         let two = PList::checked_branch(&[one.clone(), one.clone()]).unwrap();
-        assert_eq!(two, PList::from_vec(vec![Value::int(1); 2]));
+        assert_eq!(two, PList::from_exact(vec![Value::int(1); 2]));
         assert_eq!(
             PList::checked_branch(&[two.clone(), one.clone()]).unwrap_err(),
             NodeError::Height
@@ -1503,12 +1522,9 @@ mod tests {
         let leaf = |level: usize, i: usize| {
             PMap::checked_leaf(vec![(k(&format!("{level:02}.{i:02}")), Value::Null)]).unwrap()
         };
-        let mut map = PMap::checked_leaf(
-            (0..CHUNK)
-                .map(|i| (k(&format!("00.{i:02}")), Value::Null))
-                .collect(),
-        )
-        .unwrap();
+        let mut map =
+            PMap::checked_leaf((0..CHUNK).map(|i| (k(&format!("00.{i:02}")), Value::Null)))
+                .unwrap();
         for level in 1..MAX_CHECKED_HEIGHT {
             // Thin siblings of the path's height, all keyed above it.
             let mut children = vec![map];
@@ -1531,6 +1547,15 @@ mod tests {
         assert_eq!(grown.get("00.00a"), Some(&Value::int(1)));
         assert_ne!(grown, map);
         assert_eq!(grown.remove("00.00a"), map);
+    }
+
+    #[test]
+    fn a_tree_is_two_words_and_a_value_three() {
+        // A leaf's slice pointer is fat and a branch's thin, so the
+        // handle packs into 16 bytes and `Value` keeps its 24.
+        assert_eq!(std::mem::size_of::<PMap>(), 16);
+        assert_eq!(std::mem::size_of::<PList>(), 16);
+        assert_eq!(std::mem::size_of::<Value>(), 24);
     }
 
     #[test]

@@ -89,7 +89,7 @@ impl Value {
 
     /// Builds a list value from a vector.
     pub fn from_vec(v: Vec<Value>) -> Value {
-        Value::List(PList::from_vec(v))
+        Value::List(PList::from_exact(v))
     }
 
     /// Empty map. Allocation-free: every empty map shares one static
@@ -416,6 +416,29 @@ pub struct TxPayloadKeys {
     pub found: Arc<str>,
     /// `value`: what a `GET` read (`null` when not found).
     pub value: Arc<str>,
+}
+
+impl TxPayloadKeys {
+    /// A continuation payload: `ctx`, `ok` and `tx`, and a `GET`'s
+    /// `found` and `value` when `read` holds them — one leaf, collected
+    /// with its keys already in order.
+    pub fn payload(&self, ctx: Value, tx: Value, ok: bool, read: Option<(bool, Value)>) -> Value {
+        let ctx = (Arc::clone(&self.ctx), ctx);
+        let (ok, tx) = (
+            (Arc::clone(&self.ok), Value::Bool(ok)),
+            (Arc::clone(&self.tx), tx),
+        );
+        Value::Map(match read {
+            None => PMap::from_sorted_pairs([ctx, ok, tx]),
+            Some((found, value)) => PMap::from_sorted_pairs([
+                ctx,
+                (Arc::clone(&self.found), Value::Bool(found)),
+                ok,
+                tx,
+                (Arc::clone(&self.value), value),
+            ]),
+        })
+    }
 }
 
 /// The one [`TxPayloadKeys`].

@@ -25,7 +25,9 @@ use crate::ops::{
     eval_binop, eval_contains, eval_digest, eval_index, eval_keys, eval_len, eval_list_push,
     eval_map_insert, eval_map_remove, eval_to_str, int_binop,
 };
+use crate::pvalue::{PList, PMap};
 use crate::value::Value;
+use std::sync::Arc;
 
 /// Iterations one `While` loop may take: [`Machine::loop_limit`]'s
 /// default and `ServerConfig::default().loop_limit`. Per loop, so
@@ -531,20 +533,29 @@ impl<O: Operand> Vm<O> {
                 Op::Index => self.binary(n, eval_index)?,
                 Op::Len => self.unary(eval_len)?,
                 Op::Contains => self.binary(n, eval_contains)?,
+                // Each member's container is collected straight into its
+                // nodes (`pvalue`, "Building nodes in place").
                 Op::MakeList(count) => {
                     let items = self.pop_n(count)?;
                     self.push(O::gather(&items, n, |i| {
-                        Ok(Value::from_vec(
-                            items.iter().map(|o| o.member(i).clone()).collect(),
-                        ))
+                        let items = items.iter().map(|o| o.member(i).clone());
+                        Ok(Value::List(PList::from_exact(items)))
                     }))?;
                 }
-                Op::MakeMap { keys, n: count } => {
+                Op::MakeMap {
+                    keys,
+                    n: count,
+                    order,
+                } => {
                     let vals = self.pop_n(count)?;
                     let keys = &code.strings[keys as usize..(keys + count) as usize];
+                    let order = &code.map_orders[order as usize];
                     self.push(O::gather(&vals, n, |i| {
-                        let vals = vals.iter().map(|o| o.member(i).clone());
-                        Ok(Value::from_pairs(keys.iter().cloned().zip(vals)))
+                        let pairs = order.iter().map(|&j| {
+                            let j = j as usize;
+                            (Arc::clone(&keys[j]), vals[j].member(i).clone())
+                        });
+                        Ok(Value::Map(PMap::from_sorted_pairs(pairs)))
                     }))?;
                 }
                 Op::MapInsert => {
@@ -842,6 +853,7 @@ mod tests {
             slot_names: vec!["payload".into()],
             windows: Vec::new(),
             runs: Vec::new(),
+            map_orders: Vec::new(),
         }
     }
 

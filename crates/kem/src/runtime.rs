@@ -21,7 +21,6 @@
 //!   [`NoopHooks`](crate::NoopHooks) is the *unmodified server* baseline.
 
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 use kvstore::{IsolationLevel, Store, StoreStats, TxError, TxnId};
 use rand::rngs::SmallRng;
@@ -364,17 +363,13 @@ impl<'p> Runtime<'p> {
             found: false,
             writer: None,
         };
-        let keys = tx_payload_keys();
-        let mut payload: Vec<(Arc<str>, Value)> = Vec::with_capacity(5);
-        payload.push((Arc::clone(&keys.ctx), db.ctx.clone()));
-        match db.kind {
+        let (txn, ok, read) = match db.kind {
             TxOpKind::Start => {
                 let txn = self.store.begin();
                 debug_assert_eq!(txn.0, self.txnums.len() as u64);
                 self.txnums.push(0);
                 record.txn = txn;
-                payload.push((Arc::clone(&keys.ok), Value::Bool(true)));
-                payload.push((Arc::clone(&keys.tx), Value::Int(txn.0 as i64)));
+                (txn, true, None)
             }
             _ => {
                 let txn = db.txn.expect("non-start ops carry a token");
@@ -391,7 +386,7 @@ impl<'p> Runtime<'p> {
                 };
                 record.txn = txn;
                 record.txnum = txnum;
-                payload.push((Arc::clone(&keys.tx), Value::Int(txn.0 as i64)));
+                let mut read = None;
                 let outcome: Result<(), TxError> = match db.kind {
                     TxOpKind::Get => {
                         let key = db.key.as_deref().expect("GET carries a key");
@@ -400,11 +395,7 @@ impl<'p> Runtime<'p> {
                                 record.found = r.value.is_some();
                                 record.value = r.value.clone();
                                 record.writer = r.writer;
-                                payload.push((Arc::clone(&keys.found), Value::Bool(record.found)));
-                                payload.push((
-                                    Arc::clone(&keys.value),
-                                    r.value.unwrap_or(Value::Null),
-                                ));
+                                read = Some((record.found, r.value.unwrap_or(Value::Null)));
                                 Ok(())
                             }
                             Err(e) => Err(e),
@@ -420,25 +411,27 @@ impl<'p> Runtime<'p> {
                     TxOpKind::Abort => self.store.abort(txn),
                     TxOpKind::Start => unreachable!("handled above"),
                 };
-                match outcome {
-                    Ok(()) => {
-                        payload.push((Arc::clone(&keys.ok), Value::Bool(true)));
-                    }
+                let ok = match outcome {
+                    Ok(()) => true,
                     Err(TxError::Conflict { .. }) => {
                         record.effective_abort = true;
                         record.value = None;
                         record.found = false;
                         record.writer = None;
-                        payload.push((Arc::clone(&keys.ok), Value::Bool(false)));
+                        false
                     }
                     Err(e) => {
                         return Err(RuntimeError::new(format!(
                             "transactional operation failed: {e}"
                         )))
                     }
-                }
+                };
+                (txn, ok, read)
             }
-        }
+        };
+        let tx = Value::Int(txn.0 as i64);
+        let payload = tx_payload_keys().payload(db.ctx.clone(), tx, ok, read);
+
         let child = HandlerId::child(&db.parent, db.on_done, db.opnum);
         hooks.on_tx_op(db.rid, &db.parent, db.opnum, &record, &child);
         self.pending_events.push_back(PendingEvent {
@@ -446,7 +439,7 @@ impl<'p> Runtime<'p> {
                 rid: db.rid,
                 hid: child,
                 function: db.on_done,
-                payload: Value::from_pairs(payload),
+                payload,
             }],
         });
         Ok(())

@@ -219,8 +219,9 @@ impl<'a> AdviceRef<'a> {
     /// is read by nothing; the frozen benchmark adapter passes one.
     pub fn from_view(view: &'a AdviceView<'a>, _interner: &mut ValueInterner) -> AdviceRef<'a> {
         let mut malformed = None;
+        let mut reader = view.reader();
         let mut value = |raw: RawValue<'a>| {
-            raw.to_value(view).unwrap_or_else(|e| {
+            reader.read(raw).unwrap_or_else(|e| {
                 malformed.get_or_insert(e);
                 Value::Null
             })

@@ -49,7 +49,6 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use kem_lang::vm::{Machine, Vm, VmError};
@@ -1346,12 +1345,9 @@ impl Machine for Replay<'_, '_> {
                     why: "expected tx_start",
                 });
             }
-            let keys = tx_payload_keys();
-            payloads.push(Value::from_pairs([
-                (Arc::clone(&keys.ctx), ctx.get(i).clone()),
-                (Arc::clone(&keys.ok), Value::Bool(true)),
-                (Arc::clone(&keys.tx), Value::Int(token)),
-            ]));
+            let payload =
+                tx_payload_keys().payload(ctx.get(i).clone(), Value::Int(token), true, None);
+            payloads.push(payload);
         }
         self.enqueue_continuation(on_done, payloads)
     }
@@ -1396,23 +1392,21 @@ impl Machine for Replay<'_, '_> {
             let mismatch = |why| Err(RejectReason::StateOpMismatch { at: at(), why });
             let malformed = |what| Err(RejectReason::MalformedAdviceAt { at: at(), what });
             let internal = |what: &str| RejectReason::VerifierInternal { what: what.into() };
-            let keys = tx_payload_keys();
-            let mut payload: Vec<(Arc<str>, Value)> = Vec::with_capacity(5);
-            payload.push((Arc::clone(&keys.ctx), ctx_v.get(i).clone()));
-            payload.push((Arc::clone(&keys.tx), tx_v.get(i).clone()));
+            let payload = |ok, read| {
+                tx_payload_keys().payload(ctx_v.get(i).clone(), tx_v.get(i).clone(), ok, read)
+            };
             // The operation allegedly conflicted and aborted the
             // transaction (the paper's retry-error path): feed the
             // failure result. If the log recorded the contested key it
             // must match.
             let conflict = entry.optype == TxOpKind::Abort && requested != TxOpKind::Abort;
-            payload.push((Arc::clone(&keys.ok), Value::Bool(!conflict)));
             if conflict {
                 if let (Some(logged), Some(kv)) = (entry.key, &key_v) {
                     if kv.get(i).as_str() != Some(logged) {
                         return mismatch("conflict record key mismatch");
                     }
                 }
-                payloads.push(Value::from_pairs(payload));
+                payloads.push(payload(false, None));
                 continue;
             }
             if entry.optype != requested {
@@ -1426,6 +1420,7 @@ impl Machine for Replay<'_, '_> {
                     return mismatch("key mismatch");
                 }
             }
+            let mut read = None;
             match (requested, &entry.contents) {
                 (TxOpKind::Get, TxContentsRef::Get { from }) => {
                     let value = match from {
@@ -1438,8 +1433,7 @@ impl Machine for Replay<'_, '_> {
                             }
                         },
                     };
-                    payload.push((Arc::clone(&keys.found), Value::Bool(value.is_some())));
-                    payload.push((Arc::clone(&keys.value), value.unwrap_or(Value::Null)));
+                    read = Some((value.is_some(), value.unwrap_or(Value::Null)));
                 }
                 (TxOpKind::Get, _) => return malformed("GET with non-GET contents"),
                 (TxOpKind::Put, TxContentsRef::Put { value: logged }) => {
@@ -1456,7 +1450,7 @@ impl Machine for Replay<'_, '_> {
                 (TxOpKind::Commit | TxOpKind::Abort, _) => {}
                 (TxOpKind::Start, _) => return Err(internal("tx_start as a later operation")),
             }
-            payloads.push(Value::from_pairs(payload));
+            payloads.push(payload(true, read));
         }
         self.enqueue_continuation(on_done, payloads)
     }

@@ -431,11 +431,11 @@ impl<'a> Decoder<'a> {
             LIST => {
                 // Every element is at least one tag byte.
                 let n = self.inline_len("list len", 1)?;
-                let mut items = Vec::with_capacity(n);
                 for _ in 0..n {
-                    items.push(self.walk_value(sink, depth + 1)?);
+                    let item = self.walk_value(sink, depth + 1)?;
+                    sink.item(item);
                 }
-                Ok(sink.list(items))
+                Ok(sink.list(n))
             }
             MAP => {
                 // Every entry is at least a key byte + value tag.
@@ -443,12 +443,12 @@ impl<'a> Decoder<'a> {
                 // that builds a map, exactly as a `BTreeMap::insert`
                 // loop would.
                 let n = self.inline_len("map len", 2)?;
-                let mut entries = Vec::with_capacity(n);
                 for _ in 0..n {
                     let k = self.key(sink)?;
-                    entries.push((k, self.walk_value(sink, depth + 1)?));
+                    let v = self.walk_value(sink, depth + 1)?;
+                    sink.entry(k, v);
                 }
-                Ok(sink.map(entries))
+                Ok(sink.map(n))
             }
             REF => {
                 let id = self.uvar("pool ref")? as usize;
@@ -529,38 +529,46 @@ impl<'a> Decoder<'a> {
         self.deepest = 0;
         let node = if !is_branch(kind) {
             self.charge(width as u64, start)?;
+            // The leaf's entries go on the scratch, and come off it
+            // straight into the node.
             if kind == MAP_LEAF {
-                let mut entries = Vec::with_capacity(width);
                 for _ in 0..width {
                     let k = self.key(sink)?;
-                    entries.push((k, self.walk_value(sink, 1)?));
+                    let v = self.walk_value(sink, 1)?;
+                    sink.entry(k, v);
                 }
-                PMap::checked_leaf(entries).map(Value::Map)
+                let entries = &mut sink.scratch.entries;
+                let from = entries.len().saturating_sub(width);
+                PMap::checked_leaf(entries.drain(from..)).map(Value::Map)
             } else {
-                let mut values = Vec::with_capacity(width);
                 for _ in 0..width {
-                    values.push(self.walk_value(sink, 1)?);
+                    let item = self.walk_value(sink, 1)?;
+                    sink.item(item);
                 }
-                PList::checked_leaf(values).map(Value::List)
+                let items = &mut sink.scratch.items;
+                let from = items.len().saturating_sub(width);
+                PList::checked_leaf(items.drain(from..)).map(Value::List)
             }
         } else if kind == MAP_BRANCH {
-            let mut children = Vec::with_capacity(width);
+            sink.maps.clear();
             for _ in 0..width {
-                children.push(self.pool_child(sink, |c| match c {
-                    Value::Map(m) => Some(m),
+                let child = self.pool_child(&sink.pool, |c| match c {
+                    Value::Map(m) => Some(m.clone()),
                     _ => None,
-                })?);
+                })?;
+                sink.maps.push(child);
             }
-            PMap::checked_branch(&children).map(Value::Map)
+            PMap::checked_branch(&sink.maps).map(Value::Map)
         } else {
-            let mut children = Vec::with_capacity(width);
+            sink.lists.clear();
             for _ in 0..width {
-                children.push(self.pool_child(sink, |c| match c {
-                    Value::List(l) => Some(l),
+                let child = self.pool_child(&sink.pool, |c| match c {
+                    Value::List(l) => Some(l.clone()),
                     _ => None,
-                })?);
+                })?;
+                sink.lists.push(child);
             }
-            PList::checked_branch(&children).map(Value::List)
+            PList::checked_branch(&sink.lists).map(Value::List)
         };
         let node = node.map_err(|e| self.err_at(start, e.what()))?;
         let logical = std::mem::replace(&mut self.nodes, advice_nodes);
@@ -575,12 +583,12 @@ impl<'a> Decoder<'a> {
     /// branch's own kind, charged like a reference to it.
     fn pool_child<T>(
         &mut self,
-        sink: &mut Materializer<'_>,
-        of_kind: impl Fn(Value) -> Option<T>,
+        pool: &[Value],
+        of_kind: impl Fn(&Value) -> Option<T>,
     ) -> Result<T, WireError> {
         let at = self.pos;
         let id = self.uvar("pool child")? as usize;
-        let (Some(&meta), Some(child)) = (self.pool.get(id), sink.pooled(id)) else {
+        let (Some(&meta), Some(child)) = (self.pool.get(id), pool.get(id)) else {
             return Err(self.err_at(at, "pool child"));
         };
         self.deepest = self.deepest.max(meta.depth);
@@ -640,8 +648,14 @@ trait ValueSink {
     fn str(&mut self, id: usize) -> Option<Self::Out>;
     /// String `id` of the table as a map key, if the table has one.
     fn key(&mut self, id: usize) -> Option<Self::Key>;
-    fn list(&mut self, items: Vec<Self::Out>) -> Self::Out;
-    fn map(&mut self, entries: Vec<(Self::Key, Self::Out)>) -> Self::Out;
+    /// Holds a list element until its list is done.
+    fn item(&mut self, v: Self::Out);
+    /// Holds a map entry until its map is done.
+    fn entry(&mut self, k: Self::Key, v: Self::Out);
+    /// The list of the last `n` elements held, which it takes.
+    fn list(&mut self, n: usize) -> Self::Out;
+    /// The map of the last `n` entries held, which it takes.
+    fn map(&mut self, n: usize) -> Self::Out;
     /// The container rooted at pool node `id`, if this sink's pool has
     /// one.
     fn pooled(&mut self, id: usize) -> Option<Self::Out>;
@@ -665,22 +679,61 @@ impl ValueSink for Skip<'_> {
     fn key(&mut self, id: usize) -> Option<()> {
         self.str(id)
     }
-    fn list(&mut self, _: Vec<()>) {}
-    fn map(&mut self, _: Vec<((), ())>) {}
+    fn item(&mut self, _: ()) {}
+    fn entry(&mut self, _: (), _: ()) {}
+    fn list(&mut self, _: usize) {}
+    fn map(&mut self, _: usize) {}
     fn pooled(&mut self, _: usize) -> Option<()> {
         Some(())
     }
 }
 
-/// Reads a span back against the view it came from: a string is the
-/// copy the view's decode made of it, a container the pool node it
-/// names — one `Arc` bump each.
-struct Shared<'v> {
-    strings: &'v ValueInterner,
-    pool: &'v [Value],
+/// The elements and entries of the containers a value sink is reading,
+/// innermost last. A container takes its own off the top when it is
+/// done, collected straight into its nodes (one allocation per leaf),
+/// and the buffers keep their capacity for the next: one scratch per
+/// walk, not a `Vec` per container.
+#[derive(Default)]
+struct Scratch {
+    items: Vec<Value>,
+    entries: Vec<(Arc<str>, Value)>,
 }
 
-impl ValueSink for Shared<'_> {
+impl Scratch {
+    fn list(&mut self, n: usize) -> Value {
+        let from = self.items.len().saturating_sub(n);
+        Value::List(PList::from_exact(self.items.drain(from..)))
+    }
+
+    /// Duplicate keys resolve later-wins, as a `BTreeMap::insert` loop
+    /// would.
+    fn map(&mut self, n: usize) -> Value {
+        let from = self.entries.len().saturating_sub(n);
+        Value::Map(PMap::take_pairs(&mut self.entries, from))
+    }
+}
+
+/// Reads logged values back against the view they came from
+/// ([`AdviceView::reader`]): a string is the copy the view's decode made
+/// of it, a pooled container the node it names — one `Arc` bump each —
+/// and an inline container is built off one scratch kept for every
+/// value read.
+pub struct ViewReader<'v> {
+    strings: &'v ValueInterner,
+    pool: &'v [Value],
+    scratch: Scratch,
+}
+
+impl ViewReader<'_> {
+    /// The value `raw` encodes. `raw` must come from this reader's view;
+    /// against another, a string or node it names that is not there is a
+    /// [`WireError`].
+    pub fn read(&mut self, raw: RawValue<'_>) -> Result<Value, WireError> {
+        Decoder::validated(raw.0).walk_value(self, 0)
+    }
+}
+
+impl ValueSink for ViewReader<'_> {
     type Out = Value;
     type Key = Arc<str>;
     fn leaf(&mut self, v: Value) -> Value {
@@ -692,11 +745,17 @@ impl ValueSink for Shared<'_> {
     fn key(&mut self, id: usize) -> Option<Arc<str>> {
         self.strings.get(id).cloned()
     }
-    fn list(&mut self, items: Vec<Value>) -> Value {
-        Value::from_vec(items)
+    fn item(&mut self, v: Value) {
+        self.scratch.items.push(v);
     }
-    fn map(&mut self, entries: Vec<(Arc<str>, Value)>) -> Value {
-        Value::from_pairs(entries)
+    fn entry(&mut self, k: Arc<str>, v: Value) {
+        self.scratch.entries.push((k, v));
+    }
+    fn list(&mut self, n: usize) -> Value {
+        self.scratch.list(n)
+    }
+    fn map(&mut self, n: usize) -> Value {
+        self.scratch.map(n)
     }
     fn pooled(&mut self, id: usize) -> Option<Value> {
         self.pool.get(id).cloned()
@@ -741,11 +800,7 @@ impl<'a> RawValue<'a> {
     /// ([`AdviceView::interned`]), a reference a clone of the pool node
     /// it names.
     pub fn to_value(&self, view: &AdviceView<'_>) -> Result<Value, WireError> {
-        let mut sink = Shared {
-            strings: &view.interned,
-            pool: &view.pool,
-        };
-        Decoder::validated(self.0).walk_value(&mut sink, 0)
+        view.reader().read(*self)
     }
 }
 
@@ -788,6 +843,10 @@ pub struct Materializer<'i> {
     strings: &'i [&'i str],
     interner: ValueInterner,
     pool: Vec<Value>,
+    scratch: Scratch,
+    /// A pool branch's children, while it is read.
+    maps: Vec<PMap>,
+    lists: Vec<PList>,
 }
 
 impl<'i> Materializer<'i> {
@@ -798,6 +857,9 @@ impl<'i> Materializer<'i> {
             strings,
             interner: ValueInterner::new(),
             pool: Vec::new(),
+            scratch: Scratch::default(),
+            maps: Vec::new(),
+            lists: Vec::new(),
         }
     }
 
@@ -820,11 +882,17 @@ impl ValueSink for Materializer<'_> {
     fn key(&mut self, id: usize) -> Option<Arc<str>> {
         self.interner.intern(self.strings, id).cloned()
     }
-    fn list(&mut self, items: Vec<Value>) -> Value {
-        Value::from_vec(items)
+    fn item(&mut self, v: Value) {
+        self.scratch.items.push(v);
     }
-    fn map(&mut self, entries: Vec<(Arc<str>, Value)>) -> Value {
-        Value::from_pairs(entries)
+    fn entry(&mut self, k: Arc<str>, v: Value) {
+        self.scratch.entries.push((k, v));
+    }
+    fn list(&mut self, n: usize) -> Value {
+        self.scratch.list(n)
+    }
+    fn map(&mut self, n: usize) -> Value {
+        self.scratch.map(n)
     }
     fn pooled(&mut self, id: usize) -> Option<Value> {
         self.pool.get(id).cloned()
@@ -952,6 +1020,17 @@ pub struct AdviceView<'a> {
     pub opcounts: Vec<((RequestId, HandlerId), u32)>,
     /// Nondeterminism log.
     pub nondet: Vec<(OpRef, RawValue<'a>)>,
+}
+
+impl AdviceView<'_> {
+    /// A reader of this view's logged values.
+    pub fn reader(&self) -> ViewReader<'_> {
+        ViewReader {
+            strings: &self.interned,
+            pool: &self.pool,
+            scratch: Scratch::default(),
+        }
+    }
 }
 
 /// What a borrowed decode materialized and met — the observable half
