@@ -751,19 +751,40 @@ fn integer_runs_stop_where_the_plain_ops_would_differ() {
 
 #[test]
 fn integer_runs_run_out_of_fuel_at_the_plain_ops_unit() {
-    // Every budget from nothing to past the whole bill, on the server
-    // (`fuel_limit`, one request) and in replay (`replay_fuel`, one
-    // group of two): the verdict, the spend and the op counts at each.
-    let mut pins = Pins::new("int-runs-fuel");
     let program = handler(apps::middleware::with_middleware(
         2,
         vec![respond(local("mw_acc"))],
     ));
     let inputs = [Value::map([("op", Value::str("get"))])];
+    fuel_sweep(Pins::new("int-runs-fuel"), &program, &inputs);
+}
+
+#[test]
+fn nested_integer_runs_run_out_of_fuel_at_the_plain_ops_unit() {
+    // Two cyclic runs, one inside the other, with stores between them
+    // and a bool register: every trip boundary and every store is a
+    // place a budget can run out.
+    let inputs = [Value::map([
+        ("a", Value::int(11)),
+        ("c", Value::int(16)),
+        ("i0", Value::int(0)),
+    ])];
+    fuel_sweep(
+        Pins::new("int-runs-fuel-nested"),
+        &nested_runs_program(),
+        &inputs,
+    );
+}
+
+/// Every budget from nothing to past the whole bill, on the server
+/// (`fuel_limit`, the one request `inputs` holds) and in replay
+/// (`replay_fuel`, one group of two of it): the verdict, the spend and
+/// the op counts at each.
+fn fuel_sweep(mut pins: Pins, program: &Program, inputs: &[Value; 1]) {
     let (out, bytes) = pins
-        .serve("unmetered", &program, &inputs, &ServerConfig::default())
-        .expect("the middleware completes");
-    let bill = match pins.audit("unmetered", &program, &out.trace, &bytes) {
+        .serve("unmetered", program, inputs, &ServerConfig::default())
+        .expect("the program completes");
+    let bill = match pins.audit("unmetered", program, &out.trace, &bytes) {
         Ok(accepted) => accepted.reexec.fuel_spent,
         Err(reason) => panic!("honest run rejected: {reason:?}"),
     };
@@ -772,12 +793,12 @@ fn integer_runs_run_out_of_fuel_at_the_plain_ops_unit() {
             fuel_limit,
             ..ServerConfig::default()
         };
-        let _ = pins.serve(&format!("fuel_limit={fuel_limit}"), &program, &inputs, &cfg);
+        let _ = pins.serve(&format!("fuel_limit={fuel_limit}"), program, inputs, &cfg);
     }
     let twins = [inputs[0].clone(), inputs[0].clone()];
     let (out, bytes) = pins
-        .serve("twins", &program, &twins, &ServerConfig::default())
-        .expect("the middleware completes");
+        .serve("twins", program, &twins, &ServerConfig::default())
+        .expect("the program completes");
     for replay_fuel in 0..=bill + 1 {
         let limits = Limits {
             replay_fuel,
@@ -785,7 +806,7 @@ fn integer_runs_run_out_of_fuel_at_the_plain_ops_unit() {
         };
         let case = format!("replay_fuel={replay_fuel}");
         let points = matrix_with(&[1], limits);
-        let _ = pins.audit_at(&case, &program, &out.trace, &bytes, Serializable, &points);
+        let _ = pins.audit_at(&case, program, &out.trace, &bytes, Serializable, &points);
     }
     pins.check();
 }

@@ -295,6 +295,90 @@ fn loop_bomb_is_contained_by_deadline_when_fuel_is_unmetered() {
     }
 }
 
+/// Trips of [`fused_spin_program`]'s loop, half of `LOOP_LIMIT`.
+const FUSED_TRIPS: i64 = 500_000;
+
+/// A spin that is one cyclic integer run (`kem::bytecode`, "Operand
+/// fusion"): each trip steps six registers' arithmetic and counts
+/// itself, all of it in fused windows.
+fn fused_spin_program() -> Program {
+    let regs = ["a", "b", "c", "d", "e", "f"];
+    let step = |r: &str| {
+        let_(
+            r,
+            modulo(add(mul(local(r), lit(7i64)), lit(5i64)), lit(1009i64)),
+        )
+    };
+    let mut trip: Vec<Stmt> = regs.iter().map(|r| step(r)).collect();
+    trip.push(let_("i", add(local("i"), lit(1i64))));
+    let mut body: Vec<Stmt> = (0i64..)
+        .zip(["i"].iter().chain(&regs))
+        .map(|(k, r)| let_(r, lit(k)))
+        .collect();
+    body.push(while_(lt(local("i"), lit(FUSED_TRIPS)), trip));
+    body.push(respond(local("a")));
+    let mut b = ProgramBuilder::new();
+    b.function("handle", body);
+    b.request_handler("handle");
+    b.build().unwrap()
+}
+
+/// A fused run polls the group deadline as it goes, not only when it
+/// leaves: with fuel unmetered, a deadline a twentieth of the spin's
+/// time stops the replay long before the loop's whole bill is spent.
+#[test]
+fn fused_spin_is_contained_by_deadline_inside_the_run() {
+    const DEADLINE_MS: u64 = 1;
+    let program = fused_spin_program();
+    let code = program.code();
+    let text = kem::bytecode::disassemble(&code.funcs[0], &code.interner);
+    assert_eq!(text.matches("run r").count(), 1, "one run:\n{text}");
+    assert!(text.contains("cyclic"), "a cyclic run:\n{text}");
+    let (out, advice) = honest(&program, &[Value::Null], 3);
+    let bytes = encode_advice(&advice);
+    // The verdict, the group's fuel spend and the audit's wall time.
+    let audit = |group_deadline_ms| {
+        let opts = AuditOptions {
+            limits: Limits {
+                replay_fuel: u64::MAX,
+                group_deadline_ms,
+                ..Limits::default()
+            },
+            ..AuditOptions::with_threads(1)
+        };
+        let obs = obs::Obs::enabled();
+        let start = std::time::Instant::now();
+        let verdict = audit_encoded_with_obs(
+            &program,
+            &out.trace,
+            &bytes,
+            IsolationLevel::Serializable,
+            opts,
+            &obs,
+        );
+        let took = start.elapsed();
+        let groups = obs.snapshot().ledger.groups;
+        (verdict, groups.iter().map(|g| g.fuel).sum::<u64>(), took)
+    };
+    let (verdict, bill, whole) = audit(u64::MAX);
+    assert!(verdict.is_ok(), "honest spin rejected: {verdict:?}");
+    assert!(
+        whole >= std::time::Duration::from_millis(20 * DEADLINE_MS),
+        "the spin took {whole:?}, under 20 deadlines"
+    );
+    let (verdict, spent, _) = audit(DEADLINE_MS);
+    match verdict {
+        Err(RejectReason::ResourceExhausted { resource, .. }) => {
+            assert_eq!(resource, karousos::verifier::ResourceKind::GroupDeadline);
+        }
+        other => panic!("expected deadline verdict, got {other:?}"),
+    }
+    assert!(
+        spent < bill / 4,
+        "the deadline stopped the spin at {spent} of {bill} fuel"
+    );
+}
+
 #[test]
 fn deep_recursion_is_contained_by_the_nesting_guard() {
     let program = spin_program();
