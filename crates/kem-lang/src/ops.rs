@@ -15,32 +15,65 @@ use crate::error::RuntimeError;
 use crate::value::Value;
 use std::sync::Arc;
 
+/// What [`int_binop`] yields: an integer, or a comparison's or logical
+/// operator's bool. `Copy`, so a fused window (`crate::bytecode`)
+/// computes on it in a register without building a [`Value`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Scalar {
+    /// An integer: [`Value::Int`].
+    Int(i64),
+    /// A bool: [`Value::Bool`].
+    Bool(bool),
+}
+
+impl Scalar {
+    /// [`Value::truthy`] of the value it stands for.
+    #[inline]
+    pub fn truthy(self) -> bool {
+        match self {
+            Scalar::Int(i) => i != 0,
+            Scalar::Bool(b) => b,
+        }
+    }
+}
+
+impl From<Scalar> for Value {
+    #[inline]
+    fn from(s: Scalar) -> Value {
+        match s {
+            Scalar::Int(i) => Value::Int(i),
+            Scalar::Bool(b) => Value::Bool(b),
+        }
+    }
+}
+
 /// `x op y` over two ints, where every operator of the language is
 /// defined: `+ − × ÷ %` wrap (so `i64::MIN / -1` is `i64::MIN`, not a
 /// panic), comparisons are numeric, `And` / `Or` read nonzero as true.
 /// `None` exactly where [`eval_binop`] errors: `/ 0` and `% 0`. The one
-/// definition of integer arithmetic — [`eval_binop`] and the verifier's
-/// fused windows (`crate::bytecode`) both call it.
+/// definition of integer arithmetic — [`eval_binop`] and the fused
+/// windows of integer runs (`crate::bytecode`) both call it.
 #[inline]
-pub fn int_binop(op: BinOp, x: i64, y: i64) -> Option<Value> {
+pub fn int_binop(op: BinOp, x: i64, y: i64) -> Option<Scalar> {
     use BinOp::*;
+    use Scalar::{Bool, Int};
     Some(match op {
-        Add => Value::Int(x.wrapping_add(y)),
-        Sub => Value::Int(x.wrapping_sub(y)),
-        Mul => Value::Int(x.wrapping_mul(y)),
+        Add => Int(x.wrapping_add(y)),
+        Sub => Int(x.wrapping_sub(y)),
+        Mul => Int(x.wrapping_mul(y)),
         Div | Mod if y == 0 => return None,
         // Past the guard `checked_*` is `None` only for `i64::MIN / -1`,
         // whose quotient wraps to `i64::MIN` and whose remainder is 0.
-        Div => Value::Int(x.checked_div(y).unwrap_or(i64::MIN)),
-        Mod => Value::Int(x.checked_rem(y).unwrap_or(0)),
-        Eq => Value::Bool(x == y),
-        Ne => Value::Bool(x != y),
-        Lt => Value::Bool(x < y),
-        Le => Value::Bool(x <= y),
-        Gt => Value::Bool(x > y),
-        Ge => Value::Bool(x >= y),
-        And => Value::Bool(x != 0 && y != 0),
-        Or => Value::Bool(x != 0 || y != 0),
+        Div => Int(x.checked_div(y).unwrap_or(i64::MIN)),
+        Mod => Int(x.checked_rem(y).unwrap_or(0)),
+        Eq => Bool(x == y),
+        Ne => Bool(x != y),
+        Lt => Bool(x < y),
+        Le => Bool(x <= y),
+        Gt => Bool(x > y),
+        Ge => Bool(x >= y),
+        And => Bool(x != 0 && y != 0),
+        Or => Bool(x != 0 || y != 0),
     })
 }
 
@@ -48,7 +81,7 @@ pub fn int_binop(op: BinOp, x: i64, y: i64) -> Option<Value> {
 pub fn eval_binop(op: BinOp, a: &Value, b: &Value) -> Result<Value, RuntimeError> {
     use BinOp::*;
     if let (Value::Int(x), Value::Int(y)) = (a, b) {
-        return int_binop(op, *x, *y).ok_or_else(|| {
+        return int_binop(op, *x, *y).map(Value::from).ok_or_else(|| {
             RuntimeError::new(if op == Div {
                 "division by zero"
             } else {
@@ -189,7 +222,10 @@ mod tests {
                 (-3, 5),
                 (i64::MAX, i64::MAX),
             ] {
-                assert_eq!(int_binop(op, x, y), bin(op, x, y).ok(), "{op:?} {x} {y}");
+                let fused = int_binop(op, x, y);
+                assert_eq!(fused.map(Value::from), bin(op, x, y).ok(), "{op:?} {x} {y}");
+                let truthy = bin(op, x, y).ok().map(|v| v.truthy());
+                assert_eq!(fused.map(Scalar::truthy), truthy, "{op:?} {x} {y}");
             }
         }
         assert_eq!(

@@ -507,9 +507,9 @@ impl<H: ExecHooks> Machine for ServerMachine<'_, '_, H> {
     /// Errors once the configured budget is exhausted, leaving the
     /// meter at `limit + 1`: where the first over-budget unit stops it.
     #[inline]
-    fn charge(&mut self, units: u32) -> Result<(), RuntimeError> {
+    fn charge(&mut self, units: u64) -> Result<(), RuntimeError> {
         let (fuel, limit) = (&mut self.rt.fuel, self.rt.cfg.fuel_limit);
-        let new = fuel.saturating_add(u64::from(units));
+        let new = fuel.saturating_add(units);
         if new > limit {
             *fuel = limit.saturating_add(1);
             return Err(RuntimeError::new("interpreter fuel budget exhausted"));

@@ -1222,8 +1222,8 @@ impl Machine for Replay<'_, '_> {
     }
 
     #[inline]
-    fn charge(&mut self, units: u32) -> Result<(), RejectReason> {
-        self.ex.meter.charge(u64::from(units))
+    fn charge(&mut self, units: u64) -> Result<(), RejectReason> {
+        self.ex.meter.charge(units)
     }
 
     fn fuel_left(&self) -> u64 {
