@@ -9,7 +9,7 @@
 //! harness validate-metrics <schema.json> <metrics.json>
 //! harness validate-json <file.json>
 //! harness profile --app <motd|stacks|wiki> [--server] [--seconds S] [--requests N] [--seed S]
-//!         [--under SYMBOL]
+//!         [--under SYMBOL] [--top N]
 //! ```
 //!
 //! The subcommands, what each does and the paper figure it regenerates
@@ -36,9 +36,10 @@
 //!
 //! `profile` samples a loop of one-thread audits of the app's
 //! standing-benchmark mix, or with `--server` of instrumented server
-//! runs, and prints the hottest functions (`harness/profile.rs`);
-//! `--under SYMBOL` narrows it to the samples with a function whose name
-//! contains `SYMBOL` on the stack, and prints what that function calls.
+//! runs, and prints the hottest functions, `--top N` rows a table
+//! (default 25; `harness/profile.rs`); `--under SYMBOL` narrows it to
+//! the samples with a function whose name contains `SYMBOL` on the
+//! stack, and prints what that function calls and what calls it.
 //!
 //! Wall-clock and memory claims are not made here: the standing
 //! benchmark (`benchmark/`, `BENCHMARK.json`) measures the deployed
@@ -116,6 +117,8 @@ struct Opts {
     seconds: u64,
     /// `profile`: the function whose samples to break down (`--under`).
     under: Option<String>,
+    /// `profile`: rows of each table (`--top`).
+    top: usize,
 }
 
 fn parse_args() -> Opts {
@@ -136,6 +139,7 @@ fn parse_args() -> Opts {
         server: false,
         seconds: 10,
         under: None,
+        top: 25,
     };
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut i = 0;
@@ -226,6 +230,10 @@ fn parse_args() -> Opts {
             }
             "--seconds" => {
                 opts.seconds = numeric("--seconds", args.get(i + 1)).max(1);
+                i += 2;
+            }
+            "--top" => {
+                opts.top = numeric("--top", args.get(i + 1)).max(1) as usize;
                 i += 2;
             }
             other => {
@@ -1071,10 +1079,11 @@ subcommands! {
         "`<schema.json> <metrics.json>`: the export conforms to the checked-in schema";
     "validate-json", Never, validate_json_cmd, "`<file.json>`: the file parses as JSON";
     "profile", Never, profile,
-        "`--app <motd|stacks|wiki> [--server] [--seconds S] [--under SYMBOL]`: sample a loop \
-         of one-thread audits (or instrumented server runs) with SIGPROF and print the hottest \
-         functions, inclusive and self; `--under` adds the self frames and direct callees of \
-         the samples SYMBOL is on the stack of";
+        "`--app <motd|stacks|wiki> [--server] [--seconds S] [--under SYMBOL] [--top N]`: \
+         sample a loop of one-thread audits (or instrumented server runs) with SIGPROF and \
+         print the hottest functions, inclusive and self, N rows a table (default 25); \
+         `--under` adds the self frames, direct callees and direct callers of the samples \
+         SYMBOL is on the stack of";
 }
 
 fn main() {

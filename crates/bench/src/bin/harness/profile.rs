@@ -25,12 +25,10 @@ use crate::Opts;
 const HZ: usize = 500;
 /// Runs before the timer is armed.
 const WARMUPS: usize = 20;
-/// Rows of each table.
-const TOP: usize = 25;
 
 /// Samples `app`'s standing-benchmark mix at `o.requests` and `o.seed`
 /// for `o.seconds`, auditing or (`o.server`) serving it, and prints the
-/// profile; exits 1 when no sample was taken.
+/// profile, `o.top` rows a table; exits 1 when no sample was taken.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 pub fn run(app: App, o: &Opts) {
     use std::time::{Duration, Instant};
@@ -92,36 +90,46 @@ pub fn run(app: App, o: &Opts) {
         std::process::exit(1);
     });
     let (inclusive, own) = tally(&stacks, &symbols);
-    print_table("inclusive", &inclusive, stacks.len());
-    print_table("self", &own, stacks.len());
+    let table = |label: &str, rows: &Counts, samples: usize| {
+        print_table(label, rows, samples, o.top);
+    };
+    table("inclusive", &inclusive, stacks.len());
+    table("self", &own, stacks.len());
     if let Some(symbol) = &o.under {
-        let (held, own, callees) = under(&stacks, &symbols, symbol);
+        let (held, own, callees, callers) = under(&stacks, &symbols, symbol);
         println!(
             "\n== under `{symbol}`: {held} samples ({:.1} % of all) ==",
             100.0 * held as f64 / stacks.len() as f64
         );
-        print_table("self, of these samples", &own, held);
-        print_table(
+        table("self, of these samples", &own, held);
+        table(
             "direct callees (`(self)`: the function itself)",
             &callees,
+            held,
+        );
+        table(
+            "direct callers (`(walk ended)`: no frame above it)",
+            &callers,
             held,
         );
     }
 }
 
 /// Of the samples with a function whose name contains `symbol` on the
-/// stack: how many there are, their self frames, and what the innermost
-/// such frame was calling — `(self)` when it was the interrupted one.
+/// stack: how many there are, their self frames, what the innermost
+/// such frame was calling — `(self)` when it was the interrupted one —
+/// and the frame that called it.
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
 fn under(
     stacks: &[Vec<usize>],
     symbols: &symbols::Symbols,
     symbol: &str,
-) -> (usize, Counts, Counts) {
+) -> (usize, Counts, Counts, Counts) {
     use std::collections::HashMap;
 
     let mut own: HashMap<&str, usize> = HashMap::new();
     let mut callees: HashMap<&str, usize> = HashMap::new();
+    let mut callers: HashMap<&str, usize> = HashMap::new();
     let mut held = 0;
     for stack in stacks {
         let names: Vec<&str> = (stack.iter().enumerate())
@@ -134,8 +142,10 @@ fn under(
         *own.entry(names[0]).or_default() += 1;
         let callee = if at == 0 { "(self)" } else { names[at - 1] };
         *callees.entry(callee).or_default() += 1;
+        let caller = names.get(at + 1).copied().unwrap_or("(walk ended)");
+        *callers.entry(caller).or_default() += 1;
     }
-    (held, sorted(own), sorted(callees))
+    (held, sorted(own), sorted(callees), sorted(callers))
 }
 
 /// Elsewhere the sampler has no way to read the interrupted registers.
@@ -182,10 +192,10 @@ fn sorted(m: std::collections::HashMap<&str, usize>) -> Counts {
 }
 
 #[cfg(all(target_arch = "x86_64", target_os = "linux"))]
-fn print_table(label: &str, rows: &Counts, samples: usize) {
-    println!("\n  top {TOP} {label}");
+fn print_table(label: &str, rows: &Counts, samples: usize, top: usize) {
+    println!("\n  top {top} {label}");
     let samples = samples.max(1);
-    for (name, count) in rows.iter().take(TOP) {
+    for (name, count) in rows.iter().take(top) {
         let pct = 100.0 * *count as f64 / samples as f64;
         let name: String = name.chars().take(120).collect();
         println!("    {pct:>6.1} % {count:>7}  {name}");

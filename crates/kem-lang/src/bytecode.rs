@@ -61,7 +61,9 @@
 //! windows from any head on registers holding the run's locals, each
 //! window exactly when its left operand is one integer for every member,
 //! its operator is defined on it and the fuel left covers the window's
-//! units, charged whole (nothing fallible lies between them). At the
+//! units, which are paid with the rest of the trip's before its loop
+//! test, or when the run leaves (nothing fallible lies between them;
+//! `Vm::run_ints`). At the
 //! first window where that fails it writes the registers back, pushes a
 //! pending result and lets the head act alone — push the local, push the
 //! constant — and the untouched tail executes as it always did. The
