@@ -109,7 +109,7 @@ fn from_view_builds_the_logical_maps() {
     assert_eq!(r.handler_log_entries(), 1);
     assert_eq!(r.tx_log_entries(), 2);
     assert!(r
-        .tx_entry(&a.write_order[0])
+        .tx_entry(r.write_order[0])
         .is_some_and(|e| e.optype == TxOpKind::Put && e.key == Some("row")));
     assert_eq!(r.nondet.values().next(), Some(&Value::str("rand")));
     let order = [RequestId(1), RequestId(0), RequestId(9)];

@@ -109,7 +109,8 @@ fn op_map_locates_handler_log_entries() {
     // The emit's activation set contains the listener.
     let activated = pre.activated.get(node(2)).unwrap();
     assert_eq!(activated.len(), 1);
-    assert_eq!(activated[0].function(), p.function_id("listener").unwrap());
+    let listener = pre.coords.paths().id(activated[0]).unwrap();
+    assert_eq!(listener.function(), p.function_id("listener").unwrap());
 }
 
 #[test]

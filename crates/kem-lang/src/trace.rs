@@ -162,27 +162,30 @@ impl Trace {
 
     /// Whether the trace is *balanced*: every request has exactly one
     /// response, appearing after it, and no stray responses exist
-    /// (checked by the verifier's `Preprocess`, Fig. 14 line 19).
+    /// (checked by the verifier's `Preprocess`, Fig. 14 line 19). That
+    /// is: sorted by request id, then by position, the events are
+    /// request–response pairs.
     pub fn is_balanced(&self) -> bool {
-        let mut open: BTreeMap<RequestId, u32> = BTreeMap::new();
-        for e in &self.events {
-            match e {
-                TraceEvent::Request { rid, .. } => {
-                    if open.insert(*rid, 0).is_some() {
-                        return false; // duplicate request id
-                    }
-                }
-                TraceEvent::Response { rid, .. } => match open.get_mut(rid) {
-                    Some(c) if *c == 0 => *c = 1,
-                    _ => return false, // response w/o request, or duplicate
-                },
-            }
-        }
-        open.values().all(|&c| c == 1)
+        let mut by_rid: Vec<(RequestId, usize)> = self
+            .events
+            .iter()
+            .enumerate()
+            .map(|(at, e)| (e.rid(), at))
+            .collect();
+        by_rid.sort_unstable();
+        let is_request =
+            |at: usize| matches!(self.events.get(at), Some(TraceEvent::Request { .. }));
+        by_rid
+            .chunk_by(|a, b| a.0 == b.0)
+            .all(|events| match events {
+                [(_, request), (_, response)] => is_request(*request) && !is_request(*response),
+                _ => false,
+            })
     }
 }
 
 #[cfg(test)]
+#[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;
 
@@ -249,5 +252,110 @@ mod tests {
         t.push_response(rid(0), Value::Null);
         t.push_request(rid(0), Value::Null);
         assert!(!t.is_balanced());
+    }
+
+    /// The check as a map of open requests, one event at a time.
+    fn balanced_by_map(t: &Trace) -> bool {
+        let mut open: BTreeMap<RequestId, u32> = BTreeMap::new();
+        for e in t.events() {
+            match e {
+                TraceEvent::Request { rid, .. } => {
+                    if open.insert(*rid, 0).is_some() {
+                        return false;
+                    }
+                }
+                TraceEvent::Response { rid, .. } => match open.get_mut(rid) {
+                    Some(c) if *c == 0 => *c = 1,
+                    _ => return false,
+                },
+            }
+        }
+        open.values().all(|&c| c == 1)
+    }
+
+    /// A shuffled 10 000-request trace, and one copy of it per way of
+    /// unbalancing it: the sort-based check answers as the map does.
+    #[test]
+    fn sorted_check_matches_the_map_on_a_shuffled_trace() {
+        let mut state = 0x2545_f491_4f6c_dd1d_u64;
+        let mut below = |n: usize| {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1);
+            ((state >> 33) as usize) % n
+        };
+        // Ids in shuffled order, each answered after it arrives, with
+        // up to 64 requests open at a time.
+        let mut ids: Vec<u64> = (0..10_000).map(|i| i * 3 + 7).collect();
+        for i in (1..ids.len()).rev() {
+            ids.swap(i, below(i + 1));
+        }
+        let mut t = Trace::new();
+        let (mut next, mut open) = (ids.iter(), Vec::new());
+        loop {
+            match next.next() {
+                Some(id) if open.len() < 64 && below(3) > 0 => {
+                    t.push_request(rid(*id), Value::Null);
+                    open.push(*id);
+                    continue;
+                }
+                Some(id) => {
+                    t.push_request(rid(*id), Value::Null);
+                    open.push(*id);
+                }
+                None if open.is_empty() => break,
+                None => {}
+            }
+            let id = open.swap_remove(below(open.len()));
+            t.push_response(rid(id), Value::Null);
+        }
+        assert_eq!(t.len(), 20_000);
+        let at = |kind: fn(&TraceEvent) -> bool, n: usize| {
+            let found = t.events().iter().enumerate().filter(|(_, e)| kind(e));
+            found.map(|(i, _)| i).nth(n).unwrap()
+        };
+        let request = |e: &TraceEvent| matches!(e, TraceEvent::Request { .. });
+        let response = |e: &TraceEvent| matches!(e, TraceEvent::Response { .. });
+        let planted = |edit: &dyn Fn(&mut Vec<TraceEvent>)| {
+            let mut t = t.clone();
+            edit(t.events_mut());
+            t
+        };
+        let (req, resp) = (at(request, 4_321), at(response, 1_234));
+        let cases = [
+            ("balanced", t.clone()),
+            ("missing response", planted(&|e| _ = e.remove(resp))),
+            (
+                "stray response",
+                planted(&|e| {
+                    e.insert(
+                        resp,
+                        TraceEvent::Response {
+                            rid: rid(1),
+                            output: Value::Null,
+                        },
+                    )
+                }),
+            ),
+            (
+                "double response",
+                planted(&|e| e.insert(resp, e[resp].clone())),
+            ),
+            ("duplicate request", planted(&|e| e.push(e[req].clone()))),
+            (
+                "response before request",
+                planted(&|e| {
+                    let id = e[req].rid();
+                    let answer = e.iter().position(|x| response(x) && x.rid() == id).unwrap();
+                    let moved = e.remove(answer);
+                    e.insert(req, moved);
+                }),
+            ),
+        ];
+        for (name, trace) in &cases {
+            let expected = *name == "balanced";
+            assert_eq!(balanced_by_map(trace), expected, "{name}");
+            assert_eq!(trace.is_balanced(), expected, "{name}");
+        }
     }
 }

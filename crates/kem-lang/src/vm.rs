@@ -398,10 +398,18 @@ impl<O: Operand> Vm<O> {
         self.stack.last().ok_or(STACK_UNDERFLOW)
     }
 
-    /// The top `count` operands, in push order.
-    fn pop_n(&mut self, count: u32) -> Result<Vec<O>, VmError> {
+    /// Replaces the top `count` operands with what `f` makes of them
+    /// (a slice of the stack, in push order).
+    fn fold_n(
+        &mut self,
+        count: u32,
+        f: impl FnOnce(&[O]) -> Result<O, RuntimeError>,
+    ) -> Result<(), VmError> {
         let at = self.stack.len().checked_sub(count as usize);
-        Ok(self.stack.split_off(at.ok_or(STACK_UNDERFLOW)?))
+        let at = at.ok_or(STACK_UNDERFLOW)?;
+        let made = f(self.stack.get(at..).unwrap_or(&[]));
+        self.stack.truncate(at);
+        self.push(made)
     }
 
     fn push(&mut self, v: Result<O, RuntimeError>) -> Result<(), VmError> {
@@ -517,28 +525,28 @@ impl<O: Operand> Vm<O> {
                 Op::Contains => self.binary(n, eval_contains)?,
                 // Each member's container is collected straight into its
                 // nodes (`pvalue`, "Building nodes in place").
-                Op::MakeList(count) => {
-                    let items = self.pop_n(count)?;
-                    self.push(O::gather(&items, n, |i| {
+                Op::MakeList(count) => self.fold_n(count, |items| {
+                    O::gather(items, n, |i| {
                         let items = items.iter().map(|o| o.member(i).clone());
                         Ok(Value::List(PList::from_exact(items)))
-                    }))?;
-                }
+                    })
+                })?,
                 Op::MakeMap {
                     keys,
                     n: count,
                     order,
                 } => {
-                    let vals = self.pop_n(count)?;
                     let keys = &code.strings[keys as usize..(keys + count) as usize];
                     let order = &code.map_orders[order as usize];
-                    self.push(O::gather(&vals, n, |i| {
-                        let pairs = order.iter().map(|&j| {
-                            let j = j as usize;
-                            (Arc::clone(&keys[j]), vals[j].member(i).clone())
-                        });
-                        Ok(Value::Map(PMap::from_sorted_pairs(pairs)))
-                    }))?;
+                    self.fold_n(count, |vals| {
+                        O::gather(vals, n, |i| {
+                            let pairs = order.iter().map(|&j| {
+                                let j = j as usize;
+                                (Arc::clone(&keys[j]), vals[j].member(i).clone())
+                            });
+                            Ok(Value::Map(PMap::from_sorted_pairs(pairs)))
+                        })
+                    })?;
                 }
                 Op::MapInsert => {
                     let (v, k, map) = (self.pop()?, self.pop()?, self.pop()?);

@@ -25,10 +25,12 @@
 //! bytes meant.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use kem_lang::{HandlerId, OpRef, RequestId, TxOpKind, Value, ValueInterner, VarId};
 
 use crate::advice::{KTxId, TxPos, VarLogEntry};
+use crate::hids::HidTable;
 use crate::wire::{AdviceView, HandlerLogEntryView, RawValue, TxOpContentsView, WireError};
 
 /// A sorted-unique `Vec<(K, V)>` exposing the read-side `BTreeMap` API
@@ -164,8 +166,18 @@ pub enum TxContentsRef {
     /// `GET`: the position of the dictating `PUT`.
     Get {
         /// Dictating write position.
-        from: Option<TxPos>,
+        from: Option<TxAt>,
     },
+}
+
+/// A transaction position ([`TxPos`]) resolved once, when the advice is
+/// built: its transaction by rank in [`AdviceRef::tx_logs`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TxAt {
+    /// The transaction's rank; `None` when `tx_logs` has no log for it.
+    pub tx: Option<u32>,
+    /// Zero-based index into its log.
+    pub index: u32,
 }
 
 /// A borrowed transaction-log entry: the key is a slice of the advice
@@ -198,7 +210,7 @@ pub struct AdviceRef<'a> {
     /// Transaction logs.
     pub tx_logs: VecMap<KTxId, Vec<TxEntryRef<'a>>>,
     /// Alleged global order of committed final writes.
-    pub write_order: &'a [TxPos],
+    pub write_order: Vec<TxAt>,
     /// For each request: the handler that sent the response and the
     /// number of operations it had issued beforehand.
     pub response_emitted_by: VecMap<RequestId, (HandlerId, u32)>,
@@ -206,6 +218,9 @@ pub struct AdviceRef<'a> {
     pub opcounts: VecMap<(RequestId, HandlerId), u32>,
     /// Recorded nondeterministic values.
     pub nondet: VecMap<OpRef, Value>,
+    /// The distinct handler paths, ranked: every handler id above is
+    /// one of its ids.
+    pub paths: Arc<HidTable>,
     /// The first logged value that did not read back (a view built by
     /// hand): it reads as null above, and the audit root refuses it.
     pub malformed: Option<WireError>,
@@ -254,6 +269,17 @@ impl<'a> AdviceRef<'a> {
                 })
                 .collect(),
         );
+        // A transaction position by rank: the keys' `(rid, path rank,
+        // opnum)` ascend as the keys do, and `tx_logs` holds each once.
+        let paths = &view.paths;
+        let key = |tx: &KTxId| Some((tx.rid, paths.rank(&tx.hid)?, tx.opnum));
+        let mut keys: Vec<_> = view.tx_logs.iter().filter_map(|(tx, _)| key(tx)).collect();
+        keys.sort_unstable();
+        keys.dedup();
+        let at = |pos: &TxPos| TxAt {
+            tx: key(&pos.tx).and_then(|k| keys.binary_search(&k).ok().map(|rank| rank as u32)),
+            index: pos.index,
+        };
         let tx_logs = VecMap::from_wire(
             view.tx_logs
                 .iter()
@@ -270,9 +296,9 @@ impl<'a> AdviceRef<'a> {
                                 TxOpContentsView::Put { value: raw } => {
                                     TxContentsRef::Put { value: value(*raw) }
                                 }
-                                TxOpContentsView::Get { from } => {
-                                    TxContentsRef::Get { from: from.clone() }
-                                }
+                                TxOpContentsView::Get { from } => TxContentsRef::Get {
+                                    from: from.as_ref().map(at),
+                                },
                             },
                         })
                         .collect();
@@ -291,10 +317,11 @@ impl<'a> AdviceRef<'a> {
             handler_logs,
             var_logs,
             tx_logs,
-            write_order: &view.write_order,
+            write_order: view.write_order.iter().map(at).collect(),
             response_emitted_by: VecMap::from_wire(view.response_emitted_by.clone()),
             opcounts: VecMap::from_wire(view.opcounts.clone()),
             nondet,
+            paths: Arc::clone(paths),
             malformed,
         }
     }
@@ -319,9 +346,10 @@ impl<'a> AdviceRef<'a> {
             .collect()
     }
 
-    /// Looks up a transaction-log entry by position.
-    pub fn tx_entry(&self, pos: &TxPos) -> Option<&TxEntryRef<'a>> {
-        self.tx_logs.get(&pos.tx)?.get(pos.index as usize)
+    /// The transaction-log entry at a position.
+    pub fn tx_entry(&self, at: TxAt) -> Option<&TxEntryRef<'a>> {
+        let (_, log) = self.tx_logs.as_slice().get(at.tx? as usize)?;
+        log.get(at.index as usize)
     }
 
     /// Total number of variable-log entries (all variables).

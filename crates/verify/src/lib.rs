@@ -24,6 +24,7 @@
 pub mod advice;
 pub mod advice_ref;
 pub mod config;
+pub mod hids;
 pub mod multivalue;
 pub mod verifier;
 pub mod wire;
@@ -32,8 +33,9 @@ pub use advice::{
     AccessType, HandlerLogEntry, HandlerOp, KTxId, TxLogEntry, TxOpContents, TxPos, VarLog,
     VarLogEntry,
 };
-pub use advice_ref::{AdviceRef, TxContentsRef, TxEntryRef, VarLogRef, VecMap};
+pub use advice_ref::{AdviceRef, TxAt, TxContentsRef, TxEntryRef, VarLogRef, VecMap};
 pub use config::Limits;
+pub use hids::HidTable;
 pub use multivalue::{MultiValue, MultiValueIter};
 pub use verifier::{
     audit_encoded, audit_encoded_with_obs, audit_forensic, audit_source_with_obs, cycle_report,

@@ -13,8 +13,7 @@
 //! modification" is that mark on a committed transaction and the
 //! expected length of the write order is their count.
 
-use crate::advice::TxPos;
-use crate::advice_ref::{AdviceRef, TxContentsRef};
+use crate::advice_ref::{AdviceRef, TxAt, TxContentsRef};
 use crate::verifier::reject::RejectReason;
 use kem_lang::TxOpKind;
 
@@ -75,12 +74,12 @@ pub fn verify_isolation(
         }));
     }
     // A position's rank, place in `op_of`, and log entry.
-    let locate = |pos: &TxPos| {
-        let rank = advice.tx_logs.position(&pos.tx)?;
+    let locate = |pos: &TxAt| {
+        let rank = pos.tx? as usize;
         let entry = logs.get(rank)?.1.get(pos.index as usize)?;
         Some((rank, log_starts.get(rank)? + pos.index as usize, entry))
     };
-    let translate = |pos: &TxPos| {
+    let translate = |pos: &TxAt| {
         let (rank, at, _) = locate(pos)?;
         let index = *op_of.get(at).filter(|index| **index != NOT_AN_OP)?;
         Some((adya::TxnId(rank as u64), index))

@@ -310,9 +310,10 @@ impl Slot {
 
 /// A handler activation waiting in a group's queue.
 struct Pending {
-    hid: HandlerId,
+    /// The handler's path, by rank in the coordinates' handler-id table.
+    path: u32,
     payload: MultiValue,
-    /// Each member's activation of `hid`, in group order, as a run of
+    /// Each member's activation of `path`, in group order, as a run of
     /// [`Worker::pending_slots`]: resolved when the handler was
     /// enqueued — by whoever activated it, which is the one place a
     /// member's `(rid, hid)` is looked up. `None` (the member's advice
@@ -328,7 +329,10 @@ type Queue = VecDeque<Pending>;
 /// the handler was enqueued; every operation is arithmetic on it) and
 /// the operation count so far.
 struct Frame {
+    /// The handler's id in the coordinates' handler-id table, and its
+    /// rank there.
     hid: HandlerId,
+    path: u32,
     idx: u32,
     /// The activation `(rid, hid)` per group member, in group order
     /// (see [`Pending::slots`]).
@@ -387,48 +391,38 @@ impl<'a> Group<'a> {
         self.rids.len()
     }
 
-    /// Appends each member's activation of the request handler `hid`
-    /// to `out`, returning the run. All members of an honest group
-    /// have the same handler tree, so the offset that matched the
-    /// previous member is the next one's hint (see [`Coords::find_in`]
-    /// for the fallback).
+    /// Appends each member's activation of the request handler of path
+    /// rank `path` (none, for a path the table lacks) to `out`,
+    /// returning the run.
     fn resolve_root(
         &self,
         coords: &Coords,
-        hid: &HandlerId,
+        path: Option<u32>,
         out: &mut Vec<Option<Slot>>,
     ) -> Range<usize> {
         let first = out.len();
-        let mut near = 0u32;
-        out.extend(self.slices.iter().map(|within| {
-            let act = coords.find_in(within, hid, near)?;
-            near = act - within.start;
-            Slot::of(coords, act)
-        }));
+        out.extend(
+            self.slices
+                .iter()
+                .map(|within| Slot::of(coords, coords.act_in(within, path?)?)),
+        );
         first..out.len()
     }
 
-    /// [`Group::resolve_root`] for `hid`, a handler activated by the
-    /// running handler, whose per-member activations are `parents`:
-    /// found from the member's own parent activation, so an honest
-    /// group costs integer compares ([`Coords::find_child_in`]). The
-    /// first member's hint is where a first child sorts, right behind
-    /// its parent.
+    /// [`Group::resolve_root`] for a handler the running handler
+    /// activated, whose per-member activations are `parents`: a member
+    /// without its parent activation has none of the child.
     fn resolve_child(
         &self,
         coords: &Coords,
         parents: &[Option<Slot>],
-        hid: &HandlerId,
+        path: Option<u32>,
         out: &mut Vec<Option<Slot>>,
     ) -> Range<usize> {
         let first = out.len();
-        let mut near = None;
         out.extend(self.slices.iter().zip(parents).map(|(within, parent)| {
-            let parent = (*parent)?;
-            let hint = near.unwrap_or(parent.act.saturating_sub(within.start));
-            let act = coords.find_child_in(within, parent.act, hid, hint)?;
-            near = Some(act - within.start);
-            Slot::of(coords, act)
+            (*parent)?;
+            Slot::of(coords, coords.act_in(within, path?)?)
         }));
         first..out.len()
     }
@@ -917,16 +911,17 @@ impl<'a> Worker<'a> {
         active: &mut Queue,
         payload: &MultiValue,
     ) -> Result<(), RejectReason> {
+        let coords = &self.pre.coords;
         for &f in &self.program.request_handlers {
-            let hid = HandlerId::root(kem_lang::FunctionId(f));
-            let slots = g.resolve_root(&self.pre.coords, &hid, &mut self.pending_slots);
-            if self.missing_member(&slots).is_some() {
+            let path = coords.paths().step(None, kem_lang::FunctionId(f), 0);
+            let slots = g.resolve_root(coords, path, &mut self.pending_slots);
+            let (Some(path), None) = (path, self.missing_member(&slots)) else {
                 return Err(RejectReason::GroupSetupMismatch {
                     why: "request handler missing from opcounts",
                 });
-            }
+            };
             active.push_back(Pending {
-                hid,
+                path,
                 payload: payload.clone(),
                 slots,
             });
@@ -941,10 +936,15 @@ impl<'a> Worker<'a> {
         pending: Pending,
     ) -> Result<(), RejectReason> {
         let Pending {
-            hid,
+            path,
             payload,
             slots: enqueued,
         } = pending;
+        let Some(hid) = self.pre.coords.paths().id(path).cloned() else {
+            return Err(RejectReason::VerifierInternal {
+                what: "a handler outside the handler-id table".into(),
+            });
+        };
         let fid = hid.function();
         // `INIT_FUNCTION` lies past every program's functions.
         let Some(func) = self.program.code().funcs.get(fid.0 as usize) else {
@@ -962,7 +962,12 @@ impl<'a> Worker<'a> {
         slots.clear();
         slots.extend_from_slice(self.pending_slots.get(enqueued).unwrap_or(&[]));
         self.executed.extend(slots.iter().flatten().map(|s| s.act));
-        let mut frame = Frame { hid, idx: 0, slots };
+        let mut frame = Frame {
+            hid,
+            path,
+            idx: 0,
+            slots,
+        };
         // The scratch is taken out so the machine can borrow `self`.
         let mut vm = std::mem::take(&mut self.vm);
         let mut replay = Replay {
@@ -1056,39 +1061,39 @@ impl<'a> Replay<'_, 'a> {
     /// so any order is faithful.
     fn activate_handlers(&mut self, payload: MultiValue) -> Result<(), RejectReason> {
         let pre = self.ex.pre;
-        let mut canonical: Option<Vec<HandlerId>> = None;
+        let mut canonical: Option<Vec<u32>> = None;
         // Scratch for sorting later members' activation lists; reused
         // across the whole group so the comparison loop allocates at
         // most once, not once per request.
-        let mut scratch: Vec<HandlerId> = Vec::new();
+        let mut scratch: Vec<u32> = Vec::new();
         for i in 0..self.g.n() {
-            let hids = pre.activated.get(self.frame.node(i)?).unwrap_or(&[]);
+            let paths = pre.activated.get(self.frame.node(i)?).unwrap_or(&[]);
             match &canonical {
                 None => {
-                    let mut c = hids.to_vec();
-                    c.sort();
+                    let mut c = paths.to_vec();
+                    c.sort_unstable();
                     canonical = Some(c);
                 }
                 // Fast path: already element-wise equal to the sorted
                 // canonical list.
-                Some(c) if c.as_slice() == hids => {}
+                Some(c) if c.as_slice() == paths => {}
                 Some(c) => {
                     scratch.clear();
-                    scratch.extend_from_slice(hids);
-                    scratch.sort();
+                    scratch.extend_from_slice(paths);
+                    scratch.sort_unstable();
                     if scratch != *c {
                         return Err(RejectReason::EmitActivationMismatch { at: self.at(0) });
                     }
                 }
             }
         }
-        for hid in canonical.unwrap_or_default() {
+        for path in canonical.unwrap_or_default() {
             let slots = &mut self.ex.pending_slots;
             self.active.push_back(Pending {
                 slots: self
                     .g
-                    .resolve_child(&pre.coords, &self.frame.slots, &hid, slots),
-                hid,
+                    .resolve_child(&pre.coords, &self.frame.slots, Some(path), slots),
+                path,
                 payload: payload.clone(),
             });
         }
@@ -1141,20 +1146,23 @@ impl<'a> Replay<'_, 'a> {
         on_done: FunctionId,
         payloads: Vec<Value>,
     ) -> Result<(), RejectReason> {
-        let hid = HandlerId::child(&self.frame.hid, on_done, self.frame.idx);
         let coords = &self.ex.pre.coords;
         let pending = &mut self.ex.pending_slots;
+        let path = coords
+            .paths()
+            .step(Some(self.frame.path), on_done, self.frame.idx);
         let slots = self
             .g
-            .resolve_child(coords, &self.frame.slots, &hid, pending);
-        if let Some(i) = self.ex.missing_member(&slots) {
+            .resolve_child(coords, &self.frame.slots, path, pending);
+        let missing = self.ex.missing_member(&slots);
+        let (Some(path), None) = (path, missing) else {
             return Err(RejectReason::StateOpMismatch {
-                at: self.at(i),
+                at: self.at(missing.unwrap_or_default()),
                 why: "continuation handler missing from opcounts",
             });
-        }
+        };
         self.active.push_back(Pending {
-            hid,
+            path,
             payload: MultiValue::from_vec(payloads),
             slots,
         });
@@ -1425,7 +1433,7 @@ impl Machine for Replay<'_, '_> {
                 (TxOpKind::Get, TxContentsRef::Get { from }) => {
                     let value = match from {
                         None => None,
-                        Some(pos) => match advice.tx_entry(pos).map(|w| &w.contents) {
+                        Some(pos) => match advice.tx_entry(*pos).map(|w| &w.contents) {
                             Some(TxContentsRef::Put { value }) => Some(value.clone()),
                             Some(_) => return malformed("dictating write is not a PUT"),
                             None => {
@@ -1705,10 +1713,10 @@ mod tests {
     use kem_lang::FunctionId;
 
     /// A hostile group: members whose activation ranges differ in
-    /// length and order, so the previous member's offset is the wrong
-    /// hint for the next. Every member must still resolve exactly.
+    /// length and order, so one handler sits at a different offset in
+    /// each. Every member must still resolve exactly.
     #[test]
-    fn members_with_different_handler_trees_resolve_through_the_fallback() {
+    fn members_with_different_handler_trees_resolve_exactly() {
         let root = HandlerId::root(FunctionId(0));
         let child = |f| HandlerId::child(&root, FunctionId(f), 1);
         // r0: root, f1, f2.  r1: root, f2 (shorter).  r2: root, f0,
@@ -1733,7 +1741,8 @@ mod tests {
             slots.iter().map(|s| s.map(|s| s.act)).collect()
         };
         let mut parents = Vec::new();
-        assert_eq!(g.resolve_root(&coords, &root, &mut parents), 0..3);
+        let rank = |hid: &HandlerId| coords.paths().rank(hid);
+        assert_eq!(g.resolve_root(&coords, rank(&root), &mut parents), 0..3);
         assert_eq!(acts(&parents), vec![Some(0), Some(3), Some(5)]);
         for (slot, activation) in parents.iter().zip([0, 3, 5]) {
             assert_eq!(*slot, Slot::of(&coords, activation));
@@ -1741,7 +1750,8 @@ mod tests {
         let children = |parents: &[Option<Slot>], f| {
             // Appended behind whatever the buffer already holds.
             let mut out = vec![None];
-            assert_eq!(g.resolve_child(&coords, parents, &child(f), &mut out), 1..4);
+            let path = rank(&child(f));
+            assert_eq!(g.resolve_child(&coords, parents, path, &mut out), 1..4);
             acts(&out[1..])
         };
         assert_eq!(children(&parents, 2), vec![Some(2), Some(4), Some(8)]);

@@ -24,14 +24,11 @@
 //! entry, nothing per node. Lookups are per variable: the same
 //! coordinate keyed in two variables' logs is two entries in two tables.
 //!
-//! Resolution walks each log in key order. Keys ascend in
-//! `(rid, hid, opnum)` and so do the activations, so a key is nearly
-//! always in the activation the previous key was in, or the next; a
-//! `prec` names a handler of another request, which in an honest trace
-//! has the tree the previous `prec`'s request had. Both are therefore
-//! tried at the offset that matched last time and confirmed by
-//! equality ([`Nearby`], [`Coords::find_in`]); the search that compares
-//! handler paths is the fallback that keeps a wrong guess correct.
+//! Resolution walks each log in key order. A coordinate's handler id
+//! is one of the advice's table ids, so it resolves by its rank
+//! ([`Coords::find_in`]); keys, and in an honest log most `prec`s, come
+//! in runs of one request, whose activations are looked up once per run
+//! ([`RequestRun`]).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -40,7 +37,7 @@ use kem_lang::{OpRef, RequestId, VarId};
 
 use crate::advice::{AccessType, VarLogEntry};
 use crate::advice_ref::{VarLogRef, VecMap};
-use crate::verifier::coords::{Coords, Nearby};
+use crate::verifier::coords::{Coords, RequestRun};
 use crate::verifier::reject::{RejectReason, ResourceKind};
 
 /// "No such id / no such entry" in the index's `u32` columns. The build
@@ -95,16 +92,16 @@ impl VarIndex {
             let entries = log.as_slice();
             let mut by_id = Vec::with_capacity(entries.len());
             let mut prec = Vec::with_capacity(entries.len());
-            let (mut key_hint, mut prec_hint) = (Nearby::default(), Nearby::default());
+            let (mut keys, mut precs) = (RequestRun::default(), RequestRun::default());
             for ((key, entry), position) in entries.iter().zip(0u32..) {
                 // Keys ascend, so a request's keys are one run.
                 match index.keyed.last_mut() {
                     Some((rid, n)) if *rid == key.rid => *n = n.saturating_add(1),
                     _ => index.keyed.push((key.rid, 1)),
                 }
-                by_id.push((index.resolve(key, &mut key_hint)?, position));
+                by_id.push((index.resolve(key, &mut keys)?, position));
                 prec.push(match &entry.prec {
-                    Some(p) => (index.resolve(p, &mut prec_hint)?, NONE),
+                    Some(p) => (index.resolve(p, &mut precs)?, NONE),
                     None => (NONE, NONE),
                 });
             }
@@ -132,8 +129,8 @@ impl VarIndex {
 
     /// The id of `op`: its node, or the id it has (or now gets) as a
     /// coordinate outside `opcounts`.
-    fn resolve(&mut self, op: &OpRef, hint: &mut Nearby) -> Result<u32, RejectReason> {
-        if let Some(node) = hint.op_node(&self.coords, op) {
+    fn resolve(&mut self, op: &OpRef, run: &mut RequestRun) -> Result<u32, RejectReason> {
+        if let Some(node) = run.op_node(&self.coords, op) {
             return Ok(node);
         }
         if let Some(id) = self.outside.get(op) {

@@ -262,12 +262,14 @@ fn stacks_group_replay_allocation_budget() {
     // their entry buffer straight into the leaf. `MultiValue::map` / `zip`
     // stay collapsed until the first divergent member (every tx
     // continuation reads `payload.ok`, per member in, one `Bool` out).
-    // Measured: 1302, 3.183/op. With a two-block node (an `Arc` header
-    // over a `Vec` of entries): 1770, 4.328/op. The pin is 1302 plus 5 %.
+    // Measured: 1206, 2.949/op. 1302 (3.183/op) while `MakeList` and
+    // `MakeMap` moved their operands into a vector of their own, and
+    // with a two-block node (an `Arc` header over a `Vec` of entries)
+    // 1770, 4.328/op. The pin is 1206 plus 5 %.
     assert!(
-        allocs <= 1367,
+        allocs <= 1267,
         "stacks replay exceeded the allocation budget: {allocs} allocs, \
-         {per_op:.3}/op (budget 1367; measured 1302, 3.183/op, 1770 with two blocks \
+         {per_op:.3}/op (budget 1267; measured 1206, 2.949/op, 1770 with two blocks \
          per node)"
     );
 }
@@ -333,41 +335,44 @@ fn stacks_read_heavy_audit_allocation_scaling() {
          (+{growth}); audit {audit_400} and {audit_800}"
     );
 
-    // Measured: preprocess 645 and 1 127 (+482), audit 5 749 and
-    // 11 250. With two blocks per persistent node, audit 7 791 and
-    // 15 838. With one shard per request, each with its own edge,
-    // table and duplicate-check buffers, a vector of handler ids per
-    // emit and a handler id built per activated handler: preprocess
-    // 2 937 and 5 809 (+2 872), audit 10 083 and 20 520. The pins are
-    // the measured figures plus 5 %.
+    // Measured: preprocess 177 and 192 (+15), audit 5 209 and 10 175.
+    // While a coordinate was found by hints with a handler-id search
+    // behind them, which built a handler id per missed emit hint, and
+    // `MakeList` / `MakeMap` moved their operands into a vector:
+    // preprocess 645 and 1 127 (+482), audit 5 749 and 11 250. With two
+    // blocks per persistent node, audit 7 791 and 15 838. With one shard
+    // per request, each with its own edge, table and duplicate-check
+    // buffers, a vector of handler ids per emit and a handler id built
+    // per activated handler: preprocess 2 937 and 5 809 (+2 872), audit
+    // 10 083 and 20 520. The pins are the measured figures plus 5 %.
     assert!(
-        pre_400 <= 678,
+        pre_400 <= 186,
         "stacks read-heavy preprocess exceeded its allocation budget at 400 \
-         requests: {pre_400} events (budget 678; measured 645, 2937 with a shard \
-         per request)"
+         requests: {pre_400} events (budget 186; measured 177, 645 with a handler-id \
+         search behind hints, 2937 with a shard per request)"
     );
     assert!(
-        pre_800 <= 1_184,
+        pre_800 <= 202,
         "stacks read-heavy preprocess exceeded its allocation budget at 800 \
-         requests: {pre_800} events (budget 1184; measured 1127, 5809 with a shard \
-         per request)"
+         requests: {pre_800} events (budget 202; measured 192, 1127 with a handler-id \
+         search behind hints, 5809 with a shard per request)"
     );
     assert!(
-        growth <= 507,
+        growth <= 16,
         "stacks read-heavy preprocess allocates per request again: {pre_400} -> \
-         {pre_800}, +{growth} events for 400 more requests (pin <= 507; measured \
-         482, 2872 with a shard per request)"
+         {pre_800}, +{growth} events for 400 more requests (pin <= 16; measured \
+         15, 482 with a handler-id search behind hints, 2872 with a shard per request)"
     );
     assert!(
-        audit_400 <= 6_036,
+        audit_400 <= 5_470,
         "stacks read-heavy audit exceeded its allocation budget at 400 requests: \
-         {audit_400} events (budget 6036; measured 5749, 7791 with two blocks per \
+         {audit_400} events (budget 5470; measured 5209, 7791 with two blocks per \
          node, 10083 with a preprocess shard per request)"
     );
     assert!(
-        audit_800 <= 11_812,
+        audit_800 <= 10_684,
         "stacks read-heavy audit exceeded its allocation budget at 800 requests: \
-         {audit_800} events (budget 11812; measured 11250, 15838 with two blocks per \
+         {audit_800} events (budget 10684; measured 10175, 15838 with two blocks per \
          node, 20520 with a preprocess shard per request)"
     );
 }
@@ -480,9 +485,11 @@ fn decode_phase_allocation_budget() {
         bytes.len(),
     );
 
-    // Measured with one block per persistent node and one scratch per
-    // reader: view 326, view + AdviceRef 933, 21833 wire bytes, both
-    // pinned at measured + 5 %. With two blocks per node and a `Vec` per
+    // Measured with the handler-id table interned and ranked (one id
+    // per distinct path, and the transaction positions resolved once):
+    // view 336, view + AdviceRef 949. With one block per persistent
+    // node and one scratch per reader: view 326, view + AdviceRef 933,
+    // 21833 wire bytes, both pinned at measured + 5 %. With two blocks per node and a `Vec` per
     // inline container: view 345, view + AdviceRef 1476. The view decode copies every string a value names (it was
     // 257 when it copied only the pool's, and `from_view` the rest
     // through an interner of its own: 1520 together).
@@ -496,12 +503,12 @@ fn decode_phase_allocation_budget() {
     // hundred-odd builds from `from_view` into the view decode.
     assert!(
         view_allocs <= 342,
-        "zero-copy view decode regressed: {view_allocs} allocs (pin: <= 342; measured 326)"
+        "zero-copy view decode regressed: {view_allocs} allocs (pin: <= 342; measured 336)"
     );
     assert!(
         borrowed_allocs <= 979,
         "borrowed decode phase regressed: {borrowed_allocs} allocs (pin: <= 979; \
-         measured 933)"
+         measured 949)"
     );
 }
 
@@ -917,7 +924,9 @@ fn end_to_end_borrowed_audit_allocation_budget() {
     let (_, allocs) = count_allocs(audit);
     eprintln!("end-to-end audit allocs at {n} requests: {allocs}");
 
-    // Measured: 926; pinned at measured + 5 %. 6212 with a preprocess
+    // Measured: 835; pinned at measured + 5 %. 926 while coordinates
+    // were found by hints with a handler-id search behind them. 6212
+    // with a preprocess
     // shard and its buffers per request, a vector of handler ids per
     // emit and a handler id built per activated handler. 6209 before the merge's
     // write table (its reader index is two vectors even when no
@@ -929,9 +938,9 @@ fn end_to_end_borrowed_audit_allocation_budget() {
     // (every audit starts at the bytes); the gap was the per-entry
     // String/BTreeMap traffic of materializing `Advice`.
     assert!(
-        allocs <= 973,
-        "handler-heavy audit exceeded its allocation budget: {allocs} events (budget 973; \
-         measured 926, 6212 with a preprocess shard per request)"
+        allocs <= 877,
+        "handler-heavy audit exceeded its allocation budget: {allocs} events (budget 877; \
+         measured 835, 6212 with a preprocess shard per request)"
     );
 }
 
@@ -1035,23 +1044,25 @@ fn map_literal_program(keys: usize) -> kem::Program {
     b.build().expect("map literal program builds")
 }
 
-/// Replays `n` requests of `program`, each with its own payload, as one
-/// group: allocation events in the replay.
-fn expanded_replay_allocs(program: &kem::Program, n: usize) -> u64 {
+/// Replays `program` over `inputs` as one group: allocation events in
+/// the replay.
+fn group_replay_allocs(program: &kem::Program, inputs: &[Value]) -> u64 {
     let cfg = ServerConfig::default();
-    let inputs: Vec<Value> = (0..n)
-        .map(|i| Value::from_map([("k".to_string(), Value::int(i as i64))].into()))
-        .collect();
-    let (out, advice) = karousos::run_instrumented_server(
-        program,
-        &inputs,
-        &cfg,
-        karousos::CollectorMode::Karousos,
-    )
-    .expect("server run succeeds");
+    let (out, advice) =
+        karousos::run_instrumented_server(program, inputs, &cfg, karousos::CollectorMode::Karousos)
+            .expect("server run succeeds");
     let (stats, allocs, _) = counted_replay(program, &out.trace, &advice, cfg.isolation);
     assert_eq!(stats.groups, 1, "one control flow, one group");
     allocs
+}
+
+/// Replays `n` requests of `program`, each with its own payload, as one
+/// group: allocation events in the replay.
+fn expanded_replay_allocs(program: &kem::Program, n: usize) -> u64 {
+    let inputs: Vec<Value> = (0..n)
+        .map(|i| Value::from_map([("k".to_string(), Value::int(i as i64))].into()))
+        .collect();
+    group_replay_allocs(program, &inputs)
 }
 
 /// `MakeMap` over an expanded operand builds each member's map as one
@@ -1074,6 +1085,30 @@ fn make_map_allocates_one_block_per_expanded_member() {
             56,
             "{keys}-key map literal: {with} more events for 56 more members, {without} without it"
         );
+    }
+}
+
+/// `MakeMap` over uniform operands — every member sent the same payload
+/// — builds the group's one map once: exactly its one leaf, whatever
+/// the group's size. The operands are read where they lie on the
+/// stack, not moved into a vector of their own first.
+#[test]
+fn make_map_over_uniform_operands_allocates_one_leaf() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    let same = |n: usize| vec![Value::from_map([("k".to_string(), Value::int(5))].into()); n];
+    let plain = map_literal_program(0);
+    let _ = group_replay_allocs(&plain, &same(8));
+    for keys in [1, 5, kem::pvalue::CHUNK] {
+        let program = map_literal_program(keys);
+        for n in [1, 8] {
+            let with = group_replay_allocs(&program, &same(n));
+            let without = group_replay_allocs(&plain, &same(n));
+            assert_eq!(
+                with - without,
+                1,
+                "{keys}-key map literal over {n} uniform members: {with} events, {without} without it"
+            );
+        }
     }
 }
 
