@@ -281,6 +281,7 @@ fn semantic_mutations_trip_the_designed_defense() {
     let (program, out, advice, isolation) = &runs[0];
     let bytes = encode_advice(advice);
     for (m, label) in [
+        (TableMutator::DanglingHid, "hid"),
         (TableMutator::ForwardParent, "hid parent"),
         (TableMutator::InflateCount, " len"),
         (TableMutator::BadUtf8, "string"),
