@@ -906,7 +906,8 @@ mod tests {
         entries
             .map(|(op, e)| {
                 let value = e.value.map(|v| v.to_value(&view).unwrap());
-                (op.clone(), e.access, value, e.prec.clone())
+                let prec = e.prec.map(|prec| view.paths.op_ref(&prec));
+                (view.paths.op_ref(op), e.access, value, prec)
             })
             .collect()
     }

@@ -25,7 +25,7 @@ use std::hash::{BuildHasher, Hasher};
 use std::ops::Range;
 
 pub use karousos_verify::wire::*;
-use karousos_verify::{audit_encoded, AuditReport, RejectReason};
+use karousos_verify::{audit_encoded, AuditReport, HidTable, OpAt, RejectReason};
 use kem::pvalue::{ListNodeRef, MapNodeRef};
 use kem::{HandlerId, OpRef, Program, RequestId, Trace, TxOpKind, Value, VarId};
 use kvstore::IsolationLevel;
@@ -270,7 +270,7 @@ impl<'e> Encoder<'e> {
             let i = self.strings.push(s);
             self.strings.by_addr.insert(addr(s), i);
         }
-        for h in &view.hids {
+        for h in view.hids.iter().filter_map(|rank| view.paths.id(*rank)) {
             let parent = h.parent().map(|p| self.hids.index(p));
             self.hids.push(h, parent);
         }
@@ -451,6 +451,29 @@ impl<'e> Encoder<'e> {
         self.uvar(i as u64);
     }
 
+    /// A handler by its path rank in `paths`, the table of the view
+    /// being re-encoded. A rank past the table, which no decoded view
+    /// holds, is written as an index past every table.
+    fn path(&mut self, paths: &'e HidTable, rank: u32) {
+        match paths.id(rank) {
+            Some(h) => self.hid(h),
+            None => self.uvar(u64::MAX),
+        }
+    }
+
+    /// [`Encoder::opref`] of a view's coordinate.
+    fn op_at(&mut self, paths: &'e HidTable, at: &OpAt) {
+        self.rid(at.rid);
+        self.path(paths, at.path);
+        self.uvar(at.opnum as u64);
+    }
+
+    /// [`Encoder::txpos`] of a view's transaction position.
+    fn tx_at(&mut self, paths: &'e HidTable, (tx, index): &(OpAt, u32)) {
+        self.op_at(paths, tx);
+        self.uvar(*index as u64);
+    }
+
     fn opref(&mut self, o: &'e OpRef) {
         self.rid(o.rid);
         self.hid(&o.hid);
@@ -479,8 +502,8 @@ impl<'e> Encoder<'e> {
         }
     }
 
-    fn handler_entry(&mut self, hid: &'e HandlerId, opnum: u32, op: HandlerOpView<'e>) {
-        self.hid(hid);
+    /// A handler-log entry after its handler.
+    fn handler_entry(&mut self, opnum: u32, op: HandlerOpView<'e>) {
         self.uvar(opnum as u64);
         let (tag, event, function) = match op {
             HandlerOpView::Register { event, function } => (0, event, Some(function)),
@@ -495,10 +518,10 @@ impl<'e> Encoder<'e> {
         }
     }
 
-    /// A transaction-log entry up to its contents. Access and operation
-    /// types are written as their declaration order.
-    fn tx_head(&mut self, hid: &'e HandlerId, opnum: u32, optype: TxOpKind, key: Option<&'e str>) {
-        self.hid(hid);
+    /// A transaction-log entry after its handler, up to its contents.
+    /// Access and operation types are written as their declaration
+    /// order.
+    fn tx_head(&mut self, opnum: u32, optype: TxOpKind, key: Option<&'e str>) {
         self.uvar(opnum as u64);
         self.u8(optype as u8);
         self.opt(key, |e, k| e.str(k, false));
@@ -898,7 +921,8 @@ fn encode_sections<'e>(a: impl Sections<'e>) -> (Vec<u8>, AdviceSizes) {
     e.list(a.handler_logs(), |e, (rid, log)| {
         e.rid(rid);
         e.list(log.iter(), |e, entry| {
-            e.handler_entry(&entry.hid, entry.opnum, op_view(&entry.op));
+            e.hid(&entry.hid);
+            e.handler_entry(entry.opnum, op_view(&entry.op));
         });
     });
     ends.push(e.len());
@@ -916,7 +940,8 @@ fn encode_sections<'e>(a: impl Sections<'e>) -> (Vec<u8>, AdviceSizes) {
     e.list(a.tx_logs(), |e, (tx, log)| {
         e.ktx(tx);
         e.list(log.iter(), |e, entry| {
-            e.tx_head(&entry.hid, entry.opnum, entry.optype, entry.key.as_deref());
+            e.hid(&entry.hid);
+            e.tx_head(entry.opnum, entry.optype, entry.key.as_deref());
             match &entry.contents {
                 TxOpContents::None => e.u8(0),
                 TxOpContents::Put { value } => {
@@ -1024,7 +1049,7 @@ pub trait AdviceViewExt {
 
 impl AdviceViewExt for AdviceView<'_> {
     fn to_advice(&self) -> Result<Advice, WireError> {
-        let mut a = Advice::default();
+        let (mut a, paths) = (Advice::default(), &self.paths);
         for (rid, tag) in &self.tags {
             a.tags.insert(*rid, *tag);
         }
@@ -1032,7 +1057,7 @@ impl AdviceViewExt for AdviceView<'_> {
             let entries = log
                 .iter()
                 .map(|e| HandlerLogEntry {
-                    hid: e.hid.clone(),
+                    hid: paths.hid(e.path),
                     opnum: e.opnum,
                     op: match e.op {
                         HandlerOpView::Register { event, function } => HandlerOp::Register {
@@ -1054,6 +1079,10 @@ impl AdviceViewExt for AdviceView<'_> {
                 .collect();
             a.handler_logs.insert(*rid, entries);
         }
+        let txpos = |(tx, index): &(OpAt, u32)| TxPos {
+            tx: paths.tx_id(tx),
+            index: *index,
+        };
         let mut reader = self.reader();
         for (var, log) in &self.var_logs {
             let mut entries = BTreeMap::new();
@@ -1061,9 +1090,9 @@ impl AdviceViewExt for AdviceView<'_> {
                 let entry = VarLogEntry {
                     access: e.access,
                     value: e.value.map(|v| reader.read(v)).transpose()?,
-                    prec: e.prec.clone(),
+                    prec: e.prec.map(|prec| paths.op_ref(&prec)),
                 };
-                entries.insert(op.clone(), entry);
+                entries.insert(paths.op_ref(op), entry);
             }
             a.var_logs.insert(*var, entries);
         }
@@ -1071,7 +1100,7 @@ impl AdviceViewExt for AdviceView<'_> {
             let mut entries = Vec::with_capacity(log.len());
             for e in log {
                 entries.push(TxLogEntry {
-                    hid: e.hid.clone(),
+                    hid: paths.hid(e.path),
                     opnum: e.opnum,
                     optype: e.optype,
                     key: e.key.map(str::to_string),
@@ -1080,27 +1109,30 @@ impl AdviceViewExt for AdviceView<'_> {
                         TxOpContentsView::Put { value } => TxOpContents::Put {
                             value: reader.read(*value)?,
                         },
-                        TxOpContentsView::Get { from } => TxOpContents::Get { from: from.clone() },
+                        TxOpContentsView::Get { from } => TxOpContents::Get {
+                            from: from.as_ref().map(txpos),
+                        },
                     },
                 });
             }
-            a.tx_logs.insert(tx.clone(), entries);
+            a.tx_logs.insert(paths.tx_id(tx), entries);
         }
-        a.write_order = self.write_order.clone();
-        for (rid, (hid, opnum)) in &self.response_emitted_by {
-            a.response_emitted_by.insert(*rid, (hid.clone(), *opnum));
+        a.write_order = self.write_order.iter().map(txpos).collect();
+        for (rid, (path, opnum)) in &self.response_emitted_by {
+            a.response_emitted_by
+                .insert(*rid, (paths.hid(*path), *opnum));
         }
-        for ((rid, hid), count) in &self.opcounts {
-            a.opcounts.insert((*rid, hid.clone()), *count);
+        for ((rid, path), count) in &self.opcounts {
+            a.opcounts.insert((*rid, paths.hid(*path)), *count);
         }
         for (op, v) in &self.nondet {
-            a.nondet.insert(op.clone(), reader.read(*v)?);
+            a.nondet.insert(paths.op_ref(op), reader.read(*v)?);
         }
         Ok(a)
     }
 
     fn encode(&self) -> Vec<u8> {
-        let mut e = Encoder::new();
+        let (mut e, paths) = (Encoder::new(), &*self.paths);
         e.uvar(self.tags.len() as u64);
         for (rid, tag) in &self.tags {
             e.rid(*rid);
@@ -1113,7 +1145,8 @@ impl AdviceViewExt for AdviceView<'_> {
             e.rid(*rid);
             e.uvar(log.len() as u64);
             for entry in log {
-                e.handler_entry(&entry.hid, entry.opnum, entry.op);
+                e.path(paths, entry.path);
+                e.handler_entry(entry.opnum, entry.op);
             }
         }
         if self.pool_bytes.is_empty() {
@@ -1127,18 +1160,19 @@ impl AdviceViewExt for AdviceView<'_> {
             e.uvar(var.0 as u64);
             e.uvar(log.len() as u64);
             for (op, entry) in log {
-                e.opref(op);
+                e.op_at(paths, op);
                 e.u8(entry.access as u8);
                 e.opt(entry.value, Encoder::raw);
-                e.opt(entry.prec.as_ref(), Encoder::opref);
+                e.opt(entry.prec.as_ref(), |e, prec| e.op_at(paths, prec));
             }
         }
         e.uvar(self.tx_logs.len() as u64);
         for (tx, log) in &self.tx_logs {
-            e.ktx(tx);
+            e.op_at(paths, tx);
             e.uvar(log.len() as u64);
             for entry in log {
-                e.tx_head(&entry.hid, entry.opnum, entry.optype, entry.key);
+                e.path(paths, entry.path);
+                e.tx_head(entry.opnum, entry.optype, entry.key);
                 match &entry.contents {
                     TxOpContentsView::None => e.u8(0),
                     TxOpContentsView::Put { value } => {
@@ -1147,30 +1181,30 @@ impl AdviceViewExt for AdviceView<'_> {
                     }
                     TxOpContentsView::Get { from } => {
                         e.u8(2);
-                        e.opt(from.as_ref(), Encoder::txpos);
+                        e.opt(from.as_ref(), |e, p| e.tx_at(paths, p));
                     }
                 }
             }
         }
         e.uvar(self.write_order.len() as u64);
         for p in &self.write_order {
-            e.txpos(p);
+            e.tx_at(paths, p);
         }
         e.uvar(self.response_emitted_by.len() as u64);
-        for (rid, (hid, opnum)) in &self.response_emitted_by {
+        for (rid, (path, opnum)) in &self.response_emitted_by {
             e.rid(*rid);
-            e.hid(hid);
+            e.path(paths, *path);
             e.uvar(*opnum as u64);
         }
         e.uvar(self.opcounts.len() as u64);
-        for ((rid, hid), count) in &self.opcounts {
+        for ((rid, path), count) in &self.opcounts {
             e.rid(*rid);
-            e.hid(hid);
+            e.path(paths, *path);
             e.uvar(*count as u64);
         }
         e.uvar(self.nondet.len() as u64);
         for (op, v) in &self.nondet {
-            e.opref(op);
+            e.op_at(paths, op);
             e.raw(*v);
         }
         e.finish()
@@ -1786,8 +1820,8 @@ mod tests {
         // The chain crosses once; each of the three references costs
         // the four steps it was written out as.
         assert_eq!(stats.hids, 4);
-        assert_eq!(view.hids[3], deep);
-        assert!(view.hids[2].is_ancestor_of(&deep));
+        assert_eq!(view.paths.id(view.hids[3]), Some(&deep));
+        assert!(view.paths.id(view.hids[2]).unwrap().is_ancestor_of(&deep));
         assert_eq!(stats.logical_nodes, 3 + 3 * 4);
         assert!(matches!(
             decode(&bytes, 14),

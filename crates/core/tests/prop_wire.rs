@@ -250,7 +250,8 @@ proptest! {
         let table: BTreeSet<&str> = view.strings.iter().copied().collect();
         prop_assert_eq!(table.len(), view.strings.len());
         prop_assert_eq!(table, strings.iter().map(String::as_str).collect::<BTreeSet<_>>());
-        let table: BTreeSet<&HandlerId> = view.hids.iter().collect();
+        let table: BTreeSet<&HandlerId> =
+            view.hids.iter().filter_map(|rank| view.paths.id(*rank)).collect();
         prop_assert_eq!(table.len(), view.hids.len());
         prop_assert_eq!(table, hids.iter().collect::<BTreeSet<_>>());
     }

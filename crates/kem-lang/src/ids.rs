@@ -73,11 +73,6 @@ impl fmt::Display for VarId {
 ///
 /// The root of a request's tree is a request handler: a path of length
 /// one whose `opnum` is 0 and whose parent is `None`.
-///
-/// An id a table of distinct paths built ([`HandlerId::interned`])
-/// also carries its index in that table ([`HandlerId::index`]), so a
-/// holder of the table resolves it by one read instead of comparing
-/// paths.
 #[derive(Clone)]
 pub struct HandlerId(Arc<HidNode>);
 
@@ -86,54 +81,29 @@ struct HidNode {
     opnum: u32,
     parent: Option<HandlerId>,
     depth: u32,
-    /// The index an interning table gave this path; [`NOT_INTERNED`]
-    /// for an id built by [`HandlerId::root`] or [`HandlerId::child`].
-    index: u32,
     hash: u64,
 }
-
-/// The `index` of an id no table built.
-const NOT_INTERNED: u32 = u32::MAX;
 
 impl HandlerId {
     /// Creates a request-handler root id for `function`.
     pub fn root(function: FunctionId) -> Self {
-        Self::make(function, 0, None, NOT_INTERNED)
+        Self::make(function, 0, None)
     }
 
     /// Creates the id of a handler running `function`, activated by the
     /// `opnum`-th operation of `parent`.
     pub fn child(parent: &HandlerId, function: FunctionId, opnum: u32) -> Self {
-        Self::make(function, opnum, Some(parent.clone()), NOT_INTERNED)
+        Self::make(function, opnum, Some(parent.clone()))
     }
 
-    /// Creates the id a table of distinct paths holds at `index`: the
-    /// path `parent` then `(function, opnum)` (a root for no parent).
-    /// The index is the table's to give — it is not part of the path:
-    /// equality, order and hashing ignore it.
-    pub fn interned(
-        parent: Option<&HandlerId>,
-        function: FunctionId,
-        opnum: u32,
-        index: u32,
-    ) -> Self {
-        Self::make(function, opnum, parent.cloned(), index)
+    /// Creates the id of the path `parent` then `(function, opnum)`: a
+    /// root for no parent, whatever its `opnum` — the handler-id table
+    /// of hostile advice may write one.
+    pub fn new(parent: Option<&HandlerId>, function: FunctionId, opnum: u32) -> Self {
+        Self::make(function, opnum, parent.cloned())
     }
 
-    /// The index of this id in the table that built it
-    /// ([`HandlerId::interned`]); `None` for any other id. Only that
-    /// table can read it: check the id is the one the table holds
-    /// ([`HandlerId::same`]) before trusting it.
-    pub fn index(&self) -> Option<u32> {
-        Some(self.0.index).filter(|i| *i != NOT_INTERNED)
-    }
-
-    /// Whether `self` and `other` are the same id, not just equal paths.
-    pub fn same(&self, other: &HandlerId) -> bool {
-        Arc::ptr_eq(&self.0, &other.0)
-    }
-
-    fn make(function: FunctionId, opnum: u32, parent: Option<HandlerId>, index: u32) -> Self {
+    fn make(function: FunctionId, opnum: u32, parent: Option<HandlerId>) -> Self {
         let mut h = Fnv::new();
         h.write_u64(function.0 as u64);
         h.write_u64(opnum as u64);
@@ -147,7 +117,6 @@ impl HandlerId {
             opnum,
             parent,
             depth,
-            index,
             hash: h.finish(),
         }))
     }
@@ -206,7 +175,7 @@ impl HandlerId {
     pub fn from_path(path: &[(FunctionId, u32)]) -> Option<Self> {
         let mut iter = path.iter();
         let &(f, op) = iter.next()?;
-        let mut hid = Self::make(f, op, None, NOT_INTERNED);
+        let mut hid = Self::make(f, op, None);
         for &(f, op) in iter {
             hid = Self::child(&hid, f, op);
         }

@@ -24,6 +24,29 @@ use std::collections::BTreeMap;
 
 use kem_lang::{HandlerId, OpRef, RequestId, TxOpKind, Value};
 
+/// An operation coordinate `(rid, hid, opnum)` as the verifier takes
+/// the advice in: the handler is its path's rank in the advice's
+/// handler-id table ([`crate::HidTable`]), which the decoder reads off
+/// each reference once. Ranks ascend in [`HandlerId`] order, so these
+/// order as the [`OpRef`]s they stand for do. It also names a
+/// transaction, by its `tx_start` ([`KTxId`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct OpAt {
+    /// The request.
+    pub rid: RequestId,
+    /// The handler, by path rank.
+    pub path: u32,
+    /// The operation number within the handler.
+    pub opnum: u32,
+}
+
+impl OpAt {
+    /// Convenience constructor.
+    pub fn new(rid: RequestId, path: u32, opnum: u32) -> Self {
+        OpAt { rid, path, opnum }
+    }
+}
+
 /// Karousos's transaction identifier: the coordinate of the `tx_start`
 /// operation (§C.3.1 "both executions compute the same tid as
 /// (hid, opnum)"), qualified by the request.
@@ -102,21 +125,22 @@ pub enum AccessType {
     Write,
 }
 
-/// One variable-log entry (Fig. 13).
+/// One variable-log entry (Fig. 13), its `prec` a coordinate `P`: an
+/// [`OpRef`] in owned advice, an [`OpAt`] in the verifier's.
 ///
 /// `READ` entries reference the write they observed; `WRITE` entries
 /// carry the value written and reference the write they overwrote
 /// (`None` for backfilled entries, logged lazily when a later
 /// R-concurrent access observed them).
 #[derive(Debug, Clone, PartialEq)]
-pub struct VarLogEntry {
+pub struct VarLogEntry<P = OpRef> {
     /// Read or write.
     pub access: AccessType,
     /// `Write`: the value written. `Read`: unused (`None`).
     pub value: Option<Value>,
     /// The preceding operation: dictating write (reads) or overwritten
     /// write (writes).
-    pub prec: Option<OpRef>,
+    pub prec: Option<P>,
 }
 
 /// The variable log of one loggable variable: entries keyed by the

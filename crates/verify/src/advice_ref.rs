@@ -22,14 +22,17 @@
 //! of each run), which is what inserting the entries into a `BTreeMap`
 //! in wire order does — and the server side's `to_advice` does exactly
 //! that, so advice decoded, edited and encoded again means what its
-//! bytes meant.
+//! bytes meant. Keys name handlers by path rank, as the view does
+//! ([`OpAt`]): ranks ascend in [`HandlerId`](kem_lang::HandlerId) order
+//! and one path has one rank, so the integers sort and collapse exactly
+//! as the paths would.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use kem_lang::{HandlerId, OpRef, RequestId, TxOpKind, Value, ValueInterner, VarId};
+use kem_lang::{OpRef, RequestId, TxOpKind, Value, ValueInterner, VarId};
 
-use crate::advice::{KTxId, TxPos, VarLogEntry};
+use crate::advice::{OpAt, VarLogEntry};
 use crate::hids::HidTable;
 use crate::wire::{AdviceView, HandlerLogEntryView, RawValue, TxOpContentsView, WireError};
 
@@ -147,9 +150,9 @@ impl<'m, K: Ord, V> IntoIterator for &'m VecMap<K, V> {
 }
 
 /// One variable's log in verifier form: sorted by coordinate, entries
-/// own the values replay retains (everything else in the entry is `Arc`
-/// shared).
-pub type VarLogRef = VecMap<OpRef, VarLogEntry>;
+/// own the values replay retains. The audit's are keyed by [`OpAt`];
+/// a log built by hand for a test may key by [`OpRef`].
+pub type VarLogRef<K = OpRef> = VecMap<K, VarLogEntry<K>>;
 
 /// Contents of a borrowed transaction-log entry: like
 /// [`crate::advice::TxOpContents`], but `PUT` values are interned [`Value`]s (a copy
@@ -170,8 +173,8 @@ pub enum TxContentsRef {
     },
 }
 
-/// A transaction position ([`TxPos`]) resolved once, when the advice is
-/// built: its transaction by rank in [`AdviceRef::tx_logs`].
+/// A transaction position ([`crate::TxPos`]) resolved once, when the
+/// advice is built: its transaction by rank in [`AdviceRef::tx_logs`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TxAt {
     /// The transaction's rank; `None` when `tx_logs` has no log for it.
@@ -184,8 +187,8 @@ pub struct TxAt {
 /// bytes, the rest is shared or retained.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TxEntryRef<'a> {
-    /// Issuing handler.
-    pub hid: HandlerId,
+    /// Issuing handler, by path rank.
+    pub path: u32,
     /// Operation number within the handler.
     pub opnum: u32,
     /// Operation type as logged.
@@ -206,20 +209,21 @@ pub struct AdviceRef<'a> {
     /// Handler logs per request, borrowed straight from the view.
     pub handler_logs: VecMap<RequestId, &'a [HandlerLogEntryView<'a>]>,
     /// Variable logs per loggable variable.
-    pub var_logs: VecMap<VarId, VarLogRef>,
-    /// Transaction logs.
-    pub tx_logs: VecMap<KTxId, Vec<TxEntryRef<'a>>>,
+    pub var_logs: VecMap<VarId, VarLogRef<OpAt>>,
+    /// Transaction logs, each keyed by its `tx_start`.
+    pub tx_logs: VecMap<OpAt, Vec<TxEntryRef<'a>>>,
     /// Alleged global order of committed final writes.
     pub write_order: Vec<TxAt>,
-    /// For each request: the handler that sent the response and the
-    /// number of operations it had issued beforehand.
-    pub response_emitted_by: VecMap<RequestId, (HandlerId, u32)>,
-    /// Total operations issued by each executed handler.
-    pub opcounts: VecMap<(RequestId, HandlerId), u32>,
+    /// For each request: the path rank of the handler that sent the
+    /// response and the number of operations it had issued beforehand.
+    pub response_emitted_by: VecMap<RequestId, (u32, u32)>,
+    /// Total operations issued by each executed handler, keyed by
+    /// request and path rank.
+    pub opcounts: VecMap<(RequestId, u32), u32>,
     /// Recorded nondeterministic values.
-    pub nondet: VecMap<OpRef, Value>,
-    /// The distinct handler paths, ranked: every handler id above is
-    /// one of its ids.
+    pub nondet: VecMap<OpAt, Value>,
+    /// The distinct handler paths, ranked: every path rank above indexes
+    /// it.
     pub paths: Arc<HidTable>,
     /// The first logged value that did not read back (a view built by
     /// hand): it reads as null above, and the audit root refuses it.
@@ -252,15 +256,15 @@ impl<'a> AdviceRef<'a> {
             view.var_logs
                 .iter()
                 .map(|(var, log)| {
-                    let entries: Vec<(OpRef, VarLogEntry)> = log
+                    let entries = log
                         .iter()
                         .map(|(op, e)| {
                             (
-                                op.clone(),
+                                *op,
                                 VarLogEntry {
                                     access: e.access,
                                     value: e.value.map(&mut value),
-                                    prec: e.prec.clone(),
+                                    prec: e.prec,
                                 },
                             )
                         })
@@ -269,16 +273,13 @@ impl<'a> AdviceRef<'a> {
                 })
                 .collect(),
         );
-        // A transaction position by rank: the keys' `(rid, path rank,
-        // opnum)` ascend as the keys do, and `tx_logs` holds each once.
-        let paths = &view.paths;
-        let key = |tx: &KTxId| Some((tx.rid, paths.rank(&tx.hid)?, tx.opnum));
-        let mut keys: Vec<_> = view.tx_logs.iter().filter_map(|(tx, _)| key(tx)).collect();
+        // A transaction position by rank: `tx_logs` holds each key once.
+        let mut keys: Vec<OpAt> = view.tx_logs.iter().map(|(tx, _)| *tx).collect();
         keys.sort_unstable();
         keys.dedup();
-        let at = |pos: &TxPos| TxAt {
-            tx: key(&pos.tx).and_then(|k| keys.binary_search(&k).ok().map(|rank| rank as u32)),
-            index: pos.index,
+        let at = |(tx, index): &(OpAt, u32)| TxAt {
+            tx: keys.binary_search(tx).ok().map(|rank| rank as u32),
+            index: *index,
         };
         let tx_logs = VecMap::from_wire(
             view.tx_logs
@@ -287,7 +288,7 @@ impl<'a> AdviceRef<'a> {
                     let entries: Vec<TxEntryRef<'a>> = log
                         .iter()
                         .map(|e| TxEntryRef {
-                            hid: e.hid.clone(),
+                            path: e.path,
                             opnum: e.opnum,
                             optype: e.optype,
                             key: e.key,
@@ -302,16 +303,12 @@ impl<'a> AdviceRef<'a> {
                             },
                         })
                         .collect();
-                    (tx.clone(), entries)
+                    (*tx, entries)
                 })
                 .collect(),
         );
-        let nondet = VecMap::from_wire(
-            view.nondet
-                .iter()
-                .map(|(op, v)| (op.clone(), value(*v)))
-                .collect(),
-        );
+        let nondet =
+            VecMap::from_wire(view.nondet.iter().map(|(op, v)| (*op, value(*v))).collect());
         AdviceRef {
             tags,
             handler_logs,
@@ -321,7 +318,7 @@ impl<'a> AdviceRef<'a> {
             response_emitted_by: VecMap::from_wire(view.response_emitted_by.clone()),
             opcounts: VecMap::from_wire(view.opcounts.clone()),
             nondet,
-            paths: Arc::clone(paths),
+            paths: Arc::clone(&view.paths),
             malformed,
         }
     }

@@ -11,24 +11,30 @@
 //! advice sorts by a handler id (a request's activations, the
 //! transaction ids), it sorts by rank, and a lookup compares integers.
 //!
-//! Each id the table holds carries its rank ([`HandlerId::index`]), and
-//! every handler id the decoder hands out is one of them, so resolving
-//! a decoded id is one read ([`HidTable::rank`]). An id built elsewhere
-//! — a request handler's root, in replay — is resolved a step at a time
-//! from the nearest ancestor the table holds ([`HidTable::step`]).
+//! The decoder turns every handler-id reference into its path's rank
+//! as it reads it ([`crate::OpAt`]), so nothing downstream holds a
+//! [`HandlerId`] for the advice's coordinates: an id is borrowed from
+//! the table ([`HidTable::id`]) where a rejection or forensics renders
+//! one, or where the server side re-encodes a view. An id built
+//! elsewhere — a request handler's root, the initialization handler, a
+//! hand-built test fixture — is resolved a step at a time from the root
+//! ([`HidTable::rank`]).
 
 use std::collections::HashMap;
 use std::ops::Range;
 
-use kem_lang::{FunctionId, HandlerId};
+use kem_lang::{init_handler_id, FunctionId, HandlerId, OpRef};
+
+use crate::advice::{KTxId, OpAt};
 
 /// Distinct handler paths in [`HandlerId`] order (see the module docs).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct HidTable {
-    /// By rank: the id of each path, carrying its rank.
-    ids: Vec<HandlerId>,
-    /// `[parent rank + 1 (0 for a root), function, opnum, rank]` of
-    /// every path, ascending: what [`HidTable::step`] searches.
+    /// By rank: the id of each path, and its parent's rank + 1 (0 for a
+    /// root).
+    ids: Vec<(HandlerId, u32)>,
+    /// `[parent rank + 1, function, opnum, rank]` of every path,
+    /// ascending: what [`HidTable::step`] searches.
     steps: Vec<[u32; 4]>,
 }
 
@@ -79,7 +85,8 @@ impl Interner {
             run(key)..run(key + 1)
         };
         let mut ranks = vec![0u32; n];
-        let mut ids: Vec<HandlerId> = Vec::with_capacity(n);
+        let mut ids: Vec<(HandlerId, u32)> = Vec::with_capacity(n);
+        let mut steps: Vec<[u32; 4]> = Vec::with_capacity(n);
         // One run per level of the path being walked: at most `n`.
         let mut stack: Vec<Range<u32>> = Vec::with_capacity(n + 1);
         stack.push(children(0));
@@ -92,21 +99,14 @@ impl Interner {
             let (parent, function, opnum) = entries[id as usize];
             let rank = ids.len() as u32;
             // A parent is visited, and ranked, before its children.
-            let parent = parent
-                .checked_sub(1)
-                .map(|p| &ids[ranks[p as usize] as usize]);
-            ids.push(HandlerId::interned(parent, function, opnum, rank));
+            let parent = parent.checked_sub(1).map(|p| ranks[p as usize]);
+            let parent_id = parent.map(|p| &ids[p as usize].0);
+            let step = parent.map_or(0, |p| p + 1);
+            ids.push((HandlerId::new(parent_id, function, opnum), step));
+            steps.push([step, function.0, opnum, rank]);
             ranks[id as usize] = rank;
             stack.push(children(id + 1));
         }
-        let mut steps: Vec<[u32; 4]> = ids
-            .iter()
-            .zip(0u32..)
-            .map(|(id, rank)| {
-                let parent = id.parent().and_then(HandlerId::index).map_or(0, |p| p + 1);
-                [parent, id.function().0, id.opnum(), rank]
-            })
-            .collect();
         steps.sort_unstable();
         (HidTable { ids, steps }, ranks)
     }
@@ -117,11 +117,7 @@ impl HidTable {
     pub fn of<'h>(hids: impl IntoIterator<Item = &'h HandlerId>) -> HidTable {
         let (mut interner, mut chain) = (Interner::default(), Vec::new());
         for hid in hids {
-            let mut at = Some(hid);
-            while let Some(h) = at {
-                chain.push(h);
-                at = h.parent();
-            }
+            chain.extend(std::iter::successors(Some(hid), |h| h.parent()));
             let mut parent = None;
             for h in chain.drain(..).rev() {
                 parent = Some(interner.intern(parent, h.function(), h.opnum()));
@@ -132,12 +128,12 @@ impl HidTable {
 
     /// The id of the path at `rank`.
     pub fn id(&self, rank: u32) -> Option<&HandlerId> {
-        self.ids.get(rank as usize)
+        self.ids.get(rank as usize).map(|(id, _)| id)
     }
 
     /// The rank of the parent of the path at `rank`.
     pub fn parent(&self, rank: u32) -> Option<u32> {
-        self.id(rank)?.parent()?.index()
+        self.ids.get(rank as usize)?.1.checked_sub(1)
     }
 
     /// The rank of the path `parent` then `(function, opnum)` — a root
@@ -148,27 +144,34 @@ impl HidTable {
         self.steps.get(at).map(|s| s[3])
     }
 
-    /// The rank of `hid`'s path, if the table holds it: read off the id
-    /// when it is the table's own, else stepped down from its nearest
-    /// ancestor that is.
+    /// The rank of `hid`'s path, if the table holds it: stepped down
+    /// from its root. For ids built apart from the table; the advice's
+    /// own coordinates carry their ranks.
     pub fn rank(&self, hid: &HandlerId) -> Option<u32> {
-        let held = |h: &HandlerId| {
-            let rank = h.index()?;
-            self.id(rank).filter(|id| id.same(h)).map(|_| rank)
-        };
-        let (mut at, mut rank, mut below) = (Some(hid), None, Vec::new());
-        while let Some(h) = at {
-            rank = held(h);
-            if rank.is_some() {
-                break;
-            }
-            below.push(h);
-            at = h.parent();
-        }
-        for h in below.iter().rev() {
-            rank = Some(self.step(rank, h.function(), h.opnum())?);
-        }
-        rank
+        let chain: Vec<&HandlerId> = std::iter::successors(Some(hid), |h| h.parent()).collect();
+        chain.iter().rev().try_fold(None, |parent, h| {
+            self.step(parent, h.function(), h.opnum()).map(Some)
+        })?
+    }
+
+    /// The id of the path at `rank`, cloned off the table: what a
+    /// rejection shows, or owned advice holds. A rank past the table,
+    /// which no decoded advice holds, shows as the initialization
+    /// handler.
+    pub fn hid(&self, rank: u32) -> HandlerId {
+        self.id(rank).cloned().unwrap_or_else(init_handler_id)
+    }
+
+    /// The operation `at` names, with its handler's id
+    /// ([`HidTable::hid`]).
+    pub fn op_ref(&self, at: &OpAt) -> OpRef {
+        OpRef::new(at.rid, self.hid(at.path), at.opnum)
+    }
+
+    /// The transaction whose `tx_start` is `at` ([`HidTable::hid`]).
+    pub fn tx_id(&self, at: &OpAt) -> KTxId {
+        let OpRef { rid, hid, opnum } = self.op_ref(at);
+        KTxId { rid, hid, opnum }
     }
 }
 
@@ -212,7 +215,6 @@ mod tests {
             for (rank, path) in (0u32..).zip(&paths) {
                 let id = table.id(rank).unwrap();
                 prop_assert_eq!(id, path);
-                prop_assert_eq!(id.index(), Some(rank));
                 prop_assert_eq!(table.rank(id), Some(rank));
                 prop_assert_eq!(table.rank(path), Some(rank));
                 let parent = path.parent().map(|p| table.rank(p).unwrap());

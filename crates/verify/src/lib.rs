@@ -30,7 +30,7 @@ pub mod verifier;
 pub mod wire;
 
 pub use advice::{
-    AccessType, HandlerLogEntry, HandlerOp, KTxId, TxLogEntry, TxOpContents, TxPos, VarLog,
+    AccessType, HandlerLogEntry, HandlerOp, KTxId, OpAt, TxLogEntry, TxOpContents, TxPos, VarLog,
     VarLogEntry,
 };
 pub use advice_ref::{AdviceRef, TxAt, TxContentsRef, TxEntryRef, VarLogRef, VecMap};

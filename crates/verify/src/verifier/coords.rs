@@ -23,10 +23,12 @@
 //!
 //! A handler is named by its path's rank in the advice's [`HidTable`],
 //! which orders paths as handler ids order, so a request's activations
-//! ascend by rank too: `(rid, hid)` resolves to an activation by reading
-//! the id's rank and searching the request's slice of integers
-//! ([`Coords::act_in`]), and the handler an operation activates is one
-//! step down the table from its parent's rank ([`Coords::child_in`]).
+//! ascend by rank too: the advice's coordinates carry the rank
+//! ([`OpAt`]), so `(rid, rank)` resolves to an activation by searching
+//! the request's slice of integers ([`Coords::act_in`]), and the handler
+//! an operation activates is one step down the table from its parent's
+//! rank ([`Coords::child_in`]). A coordinate built by hand ([`OpRef`])
+//! reads its rank off the table first ([`Coords::op_node`]).
 //!
 //! The node total is declared by the advice. It is summed with checked
 //! arithmetic (past `u32` is a typed reject), and every audit path runs
@@ -38,6 +40,7 @@ use std::sync::Arc;
 
 use kem_lang::{FunctionId, HandlerId, OpRef, RequestId};
 
+use crate::advice::OpAt;
 use crate::advice_ref::VecMap;
 use crate::hids::HidTable;
 use crate::verifier::reject::{RejectReason, ResourceKind};
@@ -152,7 +155,7 @@ pub struct Coords {
 
 impl Coords {
     /// Builds the coordinates of a trace (request ids in arrival order)
-    /// and the advice's `opcounts`, over a table of the `opcounts`
+    /// and `opcounts` built by hand, over a table of the `opcounts`
     /// handlers' own paths. Fails, with the graph-node resource verdict,
     /// only when the declared node total does not fit a `u32`.
     pub fn build(
@@ -160,16 +163,19 @@ impl Coords {
         opcounts: &VecMap<(RequestId, HandlerId), u32>,
     ) -> Result<Coords, RejectReason> {
         let paths = HidTable::of(opcounts.keys().map(|(_, hid)| hid));
-        Coords::build_over(Arc::new(paths), trace_order, opcounts)
+        let ranked = opcounts
+            .iter()
+            .filter_map(|((rid, hid), count)| Some(((*rid, paths.rank(hid)?), *count)))
+            .collect();
+        Coords::build_over(Arc::new(paths), trace_order, &ranked)
     }
 
-    /// [`Coords::build`] over `paths`, which holds every `opcounts`
-    /// handler: the advice's own table, whose ids the advice's
-    /// coordinates carry.
+    /// [`Coords::build`] over `paths`, from `opcounts` keyed by path
+    /// rank in it: the advice's own table and `opcounts`.
     pub(crate) fn build_over(
         paths: Arc<HidTable>,
         trace_order: &[RequestId],
-        opcounts: &VecMap<(RequestId, HandlerId), u32>,
+        opcounts: &VecMap<(RequestId, u32), u32>,
     ) -> Result<Coords, RejectReason> {
         let mut acts: Vec<Activation> = Vec::with_capacity(opcounts.len());
         let mut first_act: Vec<(RequestId, u32)> = Vec::with_capacity(trace_order.len());
@@ -178,22 +184,17 @@ impl Coords {
         let mut next = u32::try_from(trace_order.len())
             .ok()
             .and_then(|r| r.checked_mul(2));
-        for ((rid, hid), count) in opcounts {
+        for (&(rid, path), count) in opcounts {
             let Some(start) = next else { break };
-            let Some(path) = paths.rank(hid) else {
-                return Err(RejectReason::VerifierInternal {
-                    what: "an opcounts handler outside the handler-id table".into(),
-                });
-            };
-            if first_act.last().is_none_or(|(last, _)| last != rid) {
+            if first_act.last().is_none_or(|(last, _)| *last != rid) {
                 // At most `u32::MAX / 2` activations fit the node total.
-                first_act.push((*rid, acts.len() as u32));
+                first_act.push((rid, acts.len() as u32));
             }
             // A parent sorts before its children: it is already in.
             let within = first_act.last().map_or(0, |(_, first)| *first)..acts.len() as u32;
             let parent = paths.parent(path).and_then(|p| act_in(&acts, &within, p));
             acts.push(Activation {
-                rid: *rid,
+                rid,
                 path,
                 start,
                 count: *count,
@@ -291,9 +292,10 @@ impl Coords {
         act_in(&self.acts, within, path)
     }
 
-    /// The activation of `hid` among the activations `within`.
-    pub(crate) fn find_in(&self, within: &Range<u32>, hid: &HandlerId) -> Option<&Activation> {
-        let i = self.act_in(within, self.paths.rank(hid)?)?;
+    /// The activation of path rank `path` among the activations
+    /// `within`.
+    pub(crate) fn find_in(&self, within: &Range<u32>, path: u32) -> Option<&Activation> {
+        let i = self.act_in(within, path)?;
         self.acts.get(i as usize)
     }
 
@@ -311,15 +313,12 @@ impl Coords {
         self.acts.get(i as usize)
     }
 
-    /// The activation `(rid, hid)`, searched over all of `opcounts`.
-    pub(crate) fn find(&self, rid: RequestId, hid: &HandlerId) -> Option<&Activation> {
-        self.find_in(&self.activations_of(rid), hid)
-    }
-
-    /// Node id of the operation `op`, if the advice reports its handler
-    /// and the opnum is within the reported count.
+    /// Node id of the operation `op`, built by hand, if the advice
+    /// reports its handler and the opnum is within the reported count.
     pub fn op_node(&self, op: &OpRef) -> Option<u32> {
-        self.find(op.rid, &op.hid)?.op(op.opnum)
+        let within = self.activations_of(op.rid);
+        self.find_in(&within, self.paths.rank(&op.hid)?)?
+            .op(op.opnum)
     }
 
     /// The activation that owns node `id` (its start node, one of its
@@ -388,13 +387,13 @@ pub(crate) struct RequestRun {
 }
 
 impl RequestRun {
-    /// [`Coords::op_node`] of `op`.
-    pub(crate) fn op_node(&mut self, coords: &Coords, op: &OpRef) -> Option<u32> {
+    /// Node id of the advice's operation `op` ([`Coords::op_node`]).
+    pub(crate) fn op_node(&mut self, coords: &Coords, op: &OpAt) -> Option<u32> {
         if self.rid != Some(op.rid) {
             self.rid = Some(op.rid);
             self.within = coords.activations_of(op.rid);
         }
-        coords.find_in(&self.within, &op.hid)?.op(op.opnum)
+        coords.find_in(&self.within, op.path)?.op(op.opnum)
     }
 }
 
@@ -736,8 +735,9 @@ mod tests {
                 for (rid, _) in opcounts.keys() {
                     let other = c.activations_of(*rid);
                     let found = scan(&other, hid).map(|i| acts[i as usize].start);
-                    prop_assert_eq!(c.find_in(&other, hid).map(|a| a.start), found);
-                    prop_assert_eq!(c.find_in(&other, &apart).map(|a| a.start), found);
+                    let rank = c.paths().rank(hid).unwrap();
+                    prop_assert_eq!(c.paths().rank(&apart), Some(rank));
+                    prop_assert_eq!(c.find_in(&other, rank).map(|a| a.start), found);
                     if let Some(parent) = hid.parent().and_then(|p| c.paths().rank(p)) {
                         let child = c.child_in(&other, parent, hid.function(), hid.opnum());
                         prop_assert_eq!(child.map(|a| a.start), found);

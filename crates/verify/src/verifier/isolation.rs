@@ -96,7 +96,7 @@ pub fn verify_isolation(
         let id = adya::TxnId(rank as u64);
         builder.touch(id);
         let malformed = |why| RejectReason::TxLogMalformed {
-            tx: tx.clone(),
+            tx: advice.paths.tx_id(tx),
             why,
         };
         for entry in log {

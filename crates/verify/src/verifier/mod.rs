@@ -36,7 +36,7 @@ pub use preprocess::{preprocess_staged, DeferredEdges, OpMapEntry, PreStaged, Pr
 pub use reexec::inject_group_panic_for_tests;
 pub use reexec::{ReExecutor, ReexecStats, ReexecTiming, ReplaySchedule};
 pub use reject::{RejectReason, ResourceKind};
-pub use var_index::VarIndex;
+pub use var_index::{Coordinate, VarIndex};
 pub use vars::{FeedCounters, VarStates};
 
 use kem_lang::{init_handler_id, OpRef, Program, RequestId, Trace, VarId};

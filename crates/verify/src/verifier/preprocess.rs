@@ -52,9 +52,9 @@ use std::collections::HashMap;
 use std::ops::Range;
 use std::sync::{Arc, Mutex};
 
-use kem_lang::{HandlerId, OpRef, Program, RequestId, Trace, TraceEvent, TxOpKind};
+use kem_lang::{Program, RequestId, Trace, TraceEvent, TxOpKind};
 
-use crate::advice::KTxId;
+use crate::advice::OpAt;
 use crate::advice_ref::{AdviceRef, TxAt, TxContentsRef, TxEntryRef, VecMap};
 use crate::verifier::coords::{Activation, Coords, NodeLists, NodeRows, NodeTable, RequestRun};
 use crate::verifier::graph::{Edge, EdgeKind, Graph};
@@ -227,7 +227,7 @@ impl<'c, 'x> ShardCtx<'c, 'x> {
     }
 
     /// The transactions of the ranks `txs`.
-    fn txs(&self, txs: Range<u32>) -> &'x [(KTxId, Vec<TxEntryRef<'x>>)] {
+    fn txs(&self, txs: Range<u32>) -> &'x [(OpAt, Vec<TxEntryRef<'x>>)] {
         let all = self.advice.tx_logs.as_slice();
         all.get(txs.start as usize..txs.end as usize).unwrap_or(&[])
     }
@@ -547,19 +547,19 @@ fn section_boundary_response(
         return Ok(());
     };
     let bad = |why| RejectReason::BadResponseEmitter { rid: work.rid, why };
-    let Some((hid_r, opnum_r)) = ctx.advice.response_emitted_by.get(&work.rid) else {
+    let Some(&(path_r, opnum_r)) = ctx.advice.response_emitted_by.get(&work.rid) else {
         return Err(bad("missing"));
     };
-    let Some(emitter) = ctx.coords.find_in(&work.acts, hid_r) else {
+    let Some(emitter) = ctx.coords.find_in(&work.acts, path_r) else {
         return Err(bad("emitter not in opcounts"));
     };
-    if *opnum_r > emitter.count {
+    if opnum_r > emitter.count {
         return Err(bad("opnum out of range"));
     }
     // Position 0 is the emitter's start node and `count + 1` its end
     // node, so the emitting position and the one after it are
     // consecutive ids whatever `opnum_r` is.
-    let at = emitter.start + *opnum_r;
+    let at = emitter.start + opnum_r;
     shard.edge(at, delivery, EdgeKind::Boundary);
     shard.edge(delivery, at + 1, EdgeKind::Boundary);
     Ok(())
@@ -597,20 +597,20 @@ fn section_activation(
 
 /// The range half of `CheckOpIsValid` (Fig. 16 lines 58–61), also the
 /// whole check for *referenced* operations (dictating writes, which are
-/// mapped by their own log): `(rid, hid, opnum)` must lie within a
-/// reported handler. Returns its node id.
+/// mapped by their own log): `at` must lie within a reported handler,
+/// `act`. Returns its node id.
 fn op_in_range(
+    ctx: &ShardCtx<'_, '_>,
     act: Option<&Activation>,
-    rid: RequestId,
-    hid: &HandlerId,
-    opnum: u32,
+    at: OpAt,
 ) -> Result<u32, RejectReason> {
     let invalid = |why| RejectReason::InvalidLogOp {
-        at: OpRef::new(rid, hid.clone(), opnum),
+        at: ctx.coords.paths().op_ref(&at),
         why,
     };
     let act = act.ok_or_else(|| invalid("handler not in opcounts"))?;
-    act.op(opnum).ok_or_else(|| invalid("opnum out of range"))
+    act.op(at.opnum)
+        .ok_or_else(|| invalid("opnum out of range"))
 }
 
 /// `CheckOpIsValid` for an operation of `work`'s request: resolves it
@@ -622,15 +622,15 @@ fn claim_op(
     shard: &mut RangeShard<'_, '_>,
     ctx: &ShardCtx<'_, '_>,
     work: &RidWork<'_>,
-    hid: &HandlerId,
+    path: u32,
     opnum: u32,
     entry: OpMapEntry,
 ) -> Result<u32, RejectReason> {
-    let found = ctx.coords.find_in(&work.acts, hid);
-    let node = op_in_range(found, work.rid, hid, opnum)?;
+    let at = OpAt::new(work.rid, path, opnum);
+    let node = op_in_range(ctx, ctx.coords.find_in(&work.acts, path), at)?;
     if !shard.op_map.insert(node, entry) {
         return Err(RejectReason::InvalidLogOp {
-            at: OpRef::new(work.rid, hid.clone(), opnum),
+            at: ctx.coords.paths().op_ref(&at),
             why: "duplicate log entry",
         });
     }
@@ -665,7 +665,7 @@ fn section_handler<'x>(
         let at = OpMapEntry::HandlerLog {
             index: log_index(i)?,
         };
-        let node = claim_op(shard, ctx, work, &entry.hid, entry.opnum, at)?;
+        let node = claim_op(shard, ctx, work, entry.path, entry.opnum, at)?;
         if let Some(p) = prev {
             shard.edge(p, node, EdgeKind::HandlerLog);
         }
@@ -686,13 +686,9 @@ fn section_handler<'x>(
                 // as a child of the emitter, which `claim_op` just found.
                 let globals = ctx.global_by_event.get(event).map(Vec::as_slice);
                 let own = shard.registered.iter().filter(|(e, _)| *e == event);
-                let (lo, emitter) = (
-                    shard.paths.len() as u32,
-                    ctx.coords.paths().rank(&entry.hid),
-                );
+                let lo = shard.paths.len() as u32;
                 for f in globals.unwrap_or(&[]).iter().chain(own.map(|(_, f)| f)) {
-                    let found =
-                        emitter.and_then(|e| ctx.coords.child_in(&work.acts, e, *f, entry.opnum));
+                    let found = ctx.coords.child_in(&work.acts, entry.path, *f, entry.opnum);
                     let Some(act) = found else {
                         return Err(RejectReason::MissingActivatedHandler { rid });
                     };
@@ -714,7 +710,7 @@ fn section_handler<'x>(
 }
 
 /// `AddExternalStateEdges` (Fig. 16 lines 30–56), for one request's
-/// transactions (ascending `KTxId`, i.e. ascending rank), recording the
+/// transactions (ascending `OpAt`, i.e. ascending rank), recording the
 /// committed set (`lastModification` is read off the history that
 /// isolation verification builds).
 fn section_external<'x>(
@@ -726,14 +722,15 @@ fn section_external<'x>(
         if work.boundary.is_none() {
             return Err(RejectReason::UnknownRequest { rid: tx.rid });
         }
+        let paths = ctx.coords.paths();
         let malformed = |why| RejectReason::TxLogMalformed {
-            tx: tx.clone(),
+            tx: paths.tx_id(tx),
             why,
         };
         let Some(first) = log.first() else {
             return Err(malformed("empty log"));
         };
-        if first.optype != TxOpKind::Start || first.hid != tx.hid || first.opnum != tx.opnum {
+        if first.optype != TxOpKind::Start || first.path != tx.path || first.opnum != tx.opnum {
             return Err(malformed("first entry is not the tx_start"));
         }
         let is_committed = log.last().is_some_and(|e| e.optype == TxOpKind::Commit);
@@ -751,8 +748,8 @@ fn section_external<'x>(
             }
             let index = log_index(i)?;
             let entry_at = OpMapEntry::TxLog { tx: rank, index };
-            let node = claim_op(shard, ctx, work, &entry.hid, entry.opnum, entry_at)?;
-            let at = || OpRef::new(tx.rid, entry.hid.clone(), entry.opnum);
+            let node = claim_op(shard, ctx, work, entry.path, entry.opnum, entry_at)?;
+            let at = || paths.op_ref(&OpAt::new(tx.rid, entry.path, entry.opnum));
 
             match entry.optype {
                 TxOpKind::Get => {
@@ -772,12 +769,10 @@ fn section_external<'x>(
                             return Err(RejectReason::BadDictatingWrite { at: at() });
                         }
                         // The dictating write may be another request's.
-                        let writer = op_in_range(
-                            ctx.coords.find(wtx.rid, &opw.hid),
-                            wtx.rid,
-                            &opw.hid,
-                            opw.opnum,
-                        )?;
+                        let acts = ctx.coords.activations_of(wtx.rid);
+                        let found = ctx.coords.find_in(&acts, opw.path);
+                        let writer =
+                            op_in_range(ctx, found, OpAt::new(wtx.rid, opw.path, opw.opnum))?;
                         // Write-read edge: PUT → GET (§4.4; only WR, not
                         // WW/RW, for external state — see footnote 3).
                         shard.edge(writer, node, EdgeKind::ExternalWr);

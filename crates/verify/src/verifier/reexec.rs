@@ -59,6 +59,7 @@ use kem_lang::{
 
 use obs::{CounterId, HistogramId, Obs, ObsShard};
 
+use crate::advice::OpAt;
 use crate::advice_ref::{AdviceRef, TxContentsRef, TxEntryRef};
 use crate::config::Limits;
 use crate::multivalue::MultiValue;
@@ -329,9 +330,7 @@ type Queue = VecDeque<Pending>;
 /// the handler was enqueued; every operation is arithmetic on it) and
 /// the operation count so far.
 struct Frame {
-    /// The handler's id in the coordinates' handler-id table, and its
-    /// rank there.
-    hid: HandlerId,
+    /// The handler's path rank in the coordinates' handler-id table.
     path: u32,
     idx: u32,
     /// The activation `(rid, hid)` per group member, in group order
@@ -940,12 +939,11 @@ impl<'a> Worker<'a> {
             payload,
             slots: enqueued,
         } = pending;
-        let Some(hid) = self.pre.coords.paths().id(path).cloned() else {
+        let Some(fid) = self.pre.coords.paths().id(path).map(HandlerId::function) else {
             return Err(RejectReason::VerifierInternal {
                 what: "a handler outside the handler-id table".into(),
             });
         };
-        let fid = hid.function();
         // `INIT_FUNCTION` lies past every program's functions.
         let Some(func) = self.program.code().funcs.get(fid.0 as usize) else {
             return Err(RejectReason::ReexecError {
@@ -963,7 +961,6 @@ impl<'a> Worker<'a> {
         slots.extend_from_slice(self.pending_slots.get(enqueued).unwrap_or(&[]));
         self.executed.extend(slots.iter().flatten().map(|s| s.act));
         let mut frame = Frame {
-            hid,
             path,
             idx: 0,
             slots,
@@ -1038,7 +1035,8 @@ impl From<VmError> for RejectReason {
 impl<'a> Replay<'_, 'a> {
     /// The coordinate of member `i`'s current operation.
     fn at(&self, i: usize) -> OpRef {
-        OpRef::new(self.g.rids[i], self.frame.hid.clone(), self.frame.idx)
+        let at = OpAt::new(self.g.rids[i], self.frame.path, self.frame.idx);
+        self.ex.pre.coords.paths().op_ref(&at)
     }
 
     /// Advances the operation counter, checking it stays within every
@@ -1322,7 +1320,7 @@ impl Machine for Replay<'_, '_> {
         let (ex, frame) = (&mut *self.ex, &*self.frame);
         for (rid, val) in self.g.rids.iter().zip(v.iter(self.g.n())) {
             match ex.advice.response_emitted_by.get(rid) {
-                Some((h, i)) if *h == frame.hid && *i == frame.idx => {}
+                Some(&(path, idx)) if path == frame.path && idx == frame.idx => {}
                 _ => return Err(RejectReason::ResponseEmitterMismatch { rid: *rid }),
             }
             ex.outputs.push((*rid, val.clone()));

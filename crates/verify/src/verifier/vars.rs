@@ -46,7 +46,7 @@ use crate::verifier::coords::Coords;
 use crate::verifier::graph::{EdgeKind, Graph};
 use crate::verifier::pool;
 use crate::verifier::reject::RejectReason;
-use crate::verifier::var_index::{VarIndex, VarLog, NONE};
+use crate::verifier::var_index::{Coordinate, VarIndex, VarLog, NONE};
 
 /// By variable: the id and value of its trusted initialization write.
 type Inits = Vec<Option<(u32, Value)>>;
@@ -300,11 +300,11 @@ impl GroupVars {
     }
 
     /// [`VarStates::on_read`] as far as this group decides it.
-    pub fn on_read(
+    pub fn on_read<K>(
         &mut self,
         var: VarId,
         node: u32,
-        log: &VarLog<'_>,
+        log: &VarLog<'_, K>,
     ) -> Result<Value, RejectReason> {
         let resolved = Ran::of(&self.written, &self.init, var).resolve_read(var, node, log);
         self.record(resolved.map(|(value, event)| (value, VarEvent::Read(event))))
@@ -312,12 +312,12 @@ impl GroupVars {
 
     /// [`VarStates::on_write`] as far as this group decides it, with the
     /// checks of [`VarStates::apply_write`] on the group's own writes.
-    pub fn on_write(
+    pub fn on_write<K>(
         &mut self,
         var: VarId,
         node: u32,
         value: Value,
-        log: &VarLog<'_>,
+        log: &VarLog<'_, K>,
     ) -> Result<(), RejectReason> {
         let resolved = Ran::of(&self.written, &self.init, var).resolve_write(var, node, value, log);
         let initialized = init_of(&self.init, var).is_some();
@@ -419,7 +419,7 @@ impl VarStates {
     /// `index`, and the write table its id space. `ReExecutor::new` does
     /// this; an access on a state with unbound writes is refused.
     #[doc(hidden)]
-    pub fn bind(&mut self, index: &VarIndex) {
+    pub fn bind<K: Coordinate>(&mut self, index: &VarIndex<K>) {
         self.table.ids = index.unnamed_id() as usize + 1;
         if self.unbound.is_empty() {
             return;
@@ -450,11 +450,11 @@ impl VarStates {
     /// fail — or the one the group itself refused — is the verdict.
     /// `index` and `var_logs` are what the group resolved against.
     #[doc(hidden)]
-    pub fn merge_group(
+    pub fn merge_group<K: Coordinate>(
         &mut self,
         accesses: GroupAccesses,
-        index: &VarIndex,
-        var_logs: &VecMap<VarId, VarLogRef>,
+        index: &VarIndex<K>,
+        var_logs: &VecMap<VarId, VarLogRef<K>>,
     ) -> Result<(), RejectReason> {
         self.bound()?;
         for event in accesses.0 {
@@ -484,11 +484,11 @@ impl VarStates {
     /// [`VarIndex::log`] of `var`. Replay records through
     /// `GroupVars::on_read` instead; the tests check that split
     /// against this.
-    pub fn on_read(
+    pub fn on_read<K>(
         &mut self,
         var: VarId,
         node: u32,
-        log: &VarLog<'_>,
+        log: &VarLog<'_, K>,
     ) -> Result<Value, RejectReason> {
         self.bound()?;
         let (value, event) =
@@ -500,7 +500,11 @@ impl VarStates {
     /// The half of `OnRead` that needs every group before it: counts
     /// the feed, compares a logged value against a dictating write the
     /// resolving state had not seen run, and records the reader.
-    fn apply_read(&mut self, event: &ReadEvent, log: &VarLog<'_>) -> Result<(), RejectReason> {
+    fn apply_read<K>(
+        &mut self,
+        event: &ReadEvent,
+        log: &VarLog<'_, K>,
+    ) -> Result<(), RejectReason> {
         self.feeds.count(event.fed);
         if let Fed::LogUnchecked(dictating) = event.fed {
             let init = Ran::of(&[], &self.init, event.var).value_of(event.from);
@@ -526,12 +530,12 @@ impl VarStates {
     /// dictionary entry, and maintain the write chain. Replay records
     /// through `GroupVars::on_write` instead; the tests check that
     /// split against this.
-    pub fn on_write(
+    pub fn on_write<K>(
         &mut self,
         var: VarId,
         node: u32,
         value: Value,
-        log: &VarLog<'_>,
+        log: &VarLog<'_, K>,
     ) -> Result<(), RejectReason> {
         self.bound()?;
         let event = Ran::of(&self.written, &self.init, var).resolve_write(var, node, value, log)?;
@@ -656,11 +660,11 @@ impl<'s> Ran<'s> {
 
     /// The half of `OnRead` that one group decides: the value to feed
     /// and the write the read observed.
-    fn resolve_read(
+    fn resolve_read<K>(
         self,
         var: VarId,
         node: u32,
-        log: &VarLog<'_>,
+        log: &VarLog<'_, K>,
     ) -> Result<(Value, ReadEvent), RejectReason> {
         let event = |from, fed| ReadEvent {
             var,
@@ -714,12 +718,12 @@ impl<'s> Ran<'s> {
 
     /// The half of `OnWrite` that one group decides: simulate-and-check
     /// against the log, and the write this one overwrote.
-    fn resolve_write(
+    fn resolve_write<K>(
         self,
         var: VarId,
         node: u32,
         value: Value,
-        log: &VarLog<'_>,
+        log: &VarLog<'_, K>,
     ) -> Result<WriteEvent, RejectReason> {
         let (value, logged_prec) = match log.entry_at(node) {
             Some((position, entry)) => {
@@ -863,7 +867,7 @@ mod tests {
     struct Fixture {
         coords: Arc<Coords>,
         logs: VecMap<VarId, VarLogRef>,
-        index: VarIndex,
+        index: VarIndex<OpRef>,
         vs: VarStates,
     }
 
@@ -1084,7 +1088,9 @@ mod tests {
         assert_eq!(acts.len(), 3);
         let hid = |act| fx.coords.hid(act).unwrap();
         for act in acts {
-            let reported_parent = hid(act).parent().and_then(|p| fx.coords.find(act.rid, p));
+            let parent = hid(act).parent().and_then(|p| fx.coords.paths().rank(p));
+            let within = fx.coords.activations_of(act.rid);
+            let reported_parent = parent.and_then(|p| fx.coords.find_in(&within, p));
             assert_eq!(
                 act.parent().map(|p| hid(&acts[p as usize])),
                 reported_parent.map(hid),

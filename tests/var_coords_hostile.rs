@@ -304,6 +304,7 @@ fn owned_cases(fx: &Fixture, t: &Target) -> Vec<(&'static str, Option<Advice>)> 
 fn duplicate_key_on_the_wire(fx: &Fixture, t: &Target, forged_last: bool) -> Vec<u8> {
     let honest = encode_advice(&fx.honest);
     let mut view = decode_advice_view(&honest).expect("honest advice decodes");
+    let paths = std::sync::Arc::clone(&view.paths);
     let (_, log) = view
         .var_logs
         .iter_mut()
@@ -311,11 +312,11 @@ fn duplicate_key_on_the_wire(fx: &Fixture, t: &Target, forged_last: bool) -> Vec
         .expect("the target's log is on the wire");
     let at = log
         .iter()
-        .position(|(key, _)| *key == t.key)
+        .position(|(key, _)| paths.op_ref(key) == t.key)
         .expect("the target is in its log");
-    let (key, honest_entry) = log[at].clone();
-    let mut forged = honest_entry.clone();
-    forged.prec = Some(key.clone());
+    let (key, honest_entry) = log[at];
+    let mut forged = honest_entry;
+    forged.prec = Some(key);
     if forged_last {
         log.push((key, forged));
     } else {
