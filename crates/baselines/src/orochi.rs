@@ -14,12 +14,12 @@
 //! Both live in the collector, and the verifier machinery is shared:
 //! Orochi-JS advice is [`karousos::run_instrumented_server`] run with
 //! [`karousos::CollectorMode::OrochiJs`] — simply advice in which every
-//! access is logged and groups are finer — so [`karousos::audit`]
-//! handles both. This module holds the tests of that claim.
+//! access is logged and groups are finer — so [`karousos::Auditor`]
+//! audits both. This module holds the tests of that claim.
 
 #[cfg(test)]
 mod tests {
-    use karousos::{audit, run_instrumented_server, CollectorMode};
+    use karousos::{encode_advice, run_instrumented_server, Auditor, CollectorMode};
     use kem::dsl::*;
     use kem::{Program, ProgramBuilder, SchedPolicy, ServerConfig, Value};
     use kvstore::IsolationLevel;
@@ -52,7 +52,11 @@ mod tests {
         let inputs = vec![Value::Null; 6];
         let (out, advice) =
             run_instrumented_server(&p, &inputs, &cfg, CollectorMode::OrochiJs).unwrap();
-        audit(&p, &out.trace, &advice, IsolationLevel::Serializable).unwrap();
+        let bytes = encode_advice(&advice);
+        let auditor = Auditor::default();
+        auditor
+            .audit(&p, &out.trace, &bytes, IsolationLevel::Serializable)
+            .unwrap();
     }
 
     #[test]

@@ -510,7 +510,7 @@ fn errorbars(o: &Opts) {
 /// each quantified against the log-everything / sequence-tag / expanded
 /// alternative.
 fn ablations(o: &Opts) {
-    use karousos::{advice_sizes, audit_encoded, ooo_audit};
+    use karousos::{advice_sizes, Auditor};
     println!("== ablations ({} requests, concurrency 8) ==", o.requests);
     for (app, mix) in [
         (App::Motd, Mix::Mixed),
@@ -518,7 +518,12 @@ fn ablations(o: &Opts) {
         (App::Wiki, Mix::Wiki),
     ] {
         let p = bench::prepare(app, mix, o.requests, 8, o.seed);
-        let audit = |bytes| audit_encoded(&p.program, &p.trace, bytes, p.exp.isolation).unwrap();
+        let auditor = Auditor::default();
+        let audit = |bytes| {
+            auditor
+                .audit(&p.program, &p.trace, bytes, p.exp.isolation)
+                .unwrap()
+        };
         let (report_k, report_o) = (audit(&p.karousos_bytes), audit(&p.orochi_bytes));
         let sk = advice_sizes(&p.karousos);
         let so = advice_sizes(&p.orochi);
@@ -560,14 +565,9 @@ fn ablations(o: &Opts) {
                     audit(&p.karousos_bytes);
                 },
                 &mut || {
-                    ooo_audit(
-                        &p.program,
-                        &p.trace,
-                        &p.karousos_bytes,
-                        p.exp.isolation,
-                        karousos::AuditOptions::default(),
-                    )
-                    .unwrap();
+                    auditor
+                        .ooo_audit(&p.program, &p.trace, &p.karousos_bytes, p.exp.isolation)
+                        .unwrap();
                 },
             ],
         );
@@ -595,7 +595,7 @@ fn instrumented_run(
     Vec<u8>,
     karousos::verifier::IsolationStats,
 ) {
-    use karousos::{audit_encoded_with_obs, run_instrumented_server_with_obs, CollectorMode};
+    use karousos::{run_instrumented_server_with_obs, Auditor, CollectorMode};
     let mut exp = workload::Experiment::paper_default(app, mix, 8, o.seed);
     exp.requests = o.requests;
     let program = app.program();
@@ -609,9 +609,13 @@ fn instrumented_run(
     )
     .expect("app runs");
     let bytes = karousos::encode_advice(&advice);
-    let opts = karousos::AuditOptions::with_threads(o.verify_threads);
+    let auditor = Auditor {
+        threads: o.verify_threads,
+        obs: obs.clone(),
+        ..Auditor::default()
+    };
     let start = std::time::Instant::now();
-    let report = audit_encoded_with_obs(&program, &out.trace, &bytes, exp.isolation, opts, obs);
+    let report = auditor.audit(&program, &out.trace, &bytes, exp.isolation);
     let wall = start.elapsed();
     let isolation = bench::isolation_stats(&program, &out.trace, &bytes, exp.isolation);
     let report = report.expect("honest advice must be accepted");
@@ -917,27 +921,21 @@ fn validate_json_cmd(o: &Opts) {
 
 /// `file-smoke`: the large-trace disk round-trip. Writes the wiki
 /// advice (`--requests`, default 600; CI runs 10000) to a scratch
-/// file, reads it back through [`karousos::AdviceSource::open`], audits
-/// it, and requires the verdict to match the in-memory audit bit for
+/// file, reads it back with [`std::fs::read`], audits it, and requires the verdict to match the in-memory audit bit for
 /// bit. Exits nonzero on any divergence.
 fn file_smoke(o: &Opts) {
-    use obs::Obs;
-
     println!(
         "== file-smoke: wiki {} requests, seed {} ==",
         o.requests, o.seed
     );
     let p = bench::prepare(App::Wiki, Mix::Wiki, o.requests, 8, o.seed);
-    let opts = karousos::AuditOptions::with_threads(o.verify_threads.max(1));
-    let baseline = karousos::audit_encoded_with_obs(
-        &p.program,
-        &p.trace,
-        &p.karousos_bytes,
-        p.exp.isolation,
-        opts,
-        &Obs::noop(),
-    )
-    .expect("honest wiki advice must be accepted");
+    let auditor = karousos::Auditor {
+        threads: o.verify_threads.max(1),
+        ..karousos::Auditor::default()
+    };
+    let baseline = auditor
+        .audit(&p.program, &p.trace, &p.karousos_bytes, p.exp.isolation)
+        .expect("honest wiki advice must be accepted");
     println!(
         "  in-memory baseline: {} groups, fuel {}, {} nodes / {} edges, {} wire bytes",
         baseline.reexec.groups,
@@ -951,25 +949,18 @@ fn file_smoke(o: &Opts) {
         "karousos-harness-file-smoke-{}.advice",
         std::process::id()
     ));
-    let read_back = std::fs::write(&path, &p.karousos_bytes)
-        .and_then(|()| karousos::AdviceSource::open(&path, false));
+    let read_back = std::fs::write(&path, &p.karousos_bytes).and_then(|()| std::fs::read(&path));
     let _ = std::fs::remove_file(&path);
-    let source = read_back.unwrap_or_else(|e| {
+    let bytes = read_back.unwrap_or_else(|e| {
         eprintln!(
             "cannot round-trip the advice through {}: {e}",
             path.display()
         );
         std::process::exit(1);
     });
-    let report = karousos::audit_source_with_obs(
-        &p.program,
-        &p.trace,
-        &source,
-        p.exp.isolation,
-        opts,
-        &Obs::noop(),
-    )
-    .expect("the advice file must be accepted");
+    let report = auditor
+        .audit(&p.program, &p.trace, &bytes, p.exp.isolation)
+        .expect("the advice file must be accepted");
     if report.reexec != baseline.reexec
         || report.graph_nodes != baseline.graph_nodes
         || report.graph_edges != baseline.graph_edges

@@ -50,8 +50,12 @@ pub fn run(app: App, o: &Opts) {
             );
             std::hint::black_box(run.expect("the app runs"));
         } else {
-            let report =
-                karousos::audit_encoded(&p.program, &p.trace, &p.karousos_bytes, p.exp.isolation);
+            let report = karousos::Auditor::default().audit(
+                &p.program,
+                &p.trace,
+                &p.karousos_bytes,
+                p.exp.isolation,
+            );
             std::hint::black_box(report.expect("honest advice is accepted"));
         }
     };

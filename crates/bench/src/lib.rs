@@ -16,8 +16,8 @@ use std::time::{Duration, Instant};
 use apps::App;
 use baselines::sequential_reexecute;
 use karousos::{
-    advice_sizes, audit_encoded, audit_encoded_with_obs, encode_advice, run_instrumented_server,
-    run_instrumented_server_encoded, Advice, AuditOptions, CollectorMode, PhaseTiming,
+    advice_sizes, encode_advice, run_instrumented_server, run_instrumented_server_encoded, Advice,
+    Auditor, CollectorMode, PhaseTiming,
 };
 use kem::{NoopHooks, Program, Trace};
 use workload::{Experiment, Mix};
@@ -226,9 +226,12 @@ pub fn verification(
     // Verification starts from the wire form: decoding the advice the
     // server sent is part of the verifier's work.
     let audit = |bytes: &[u8], threads| {
-        let options = AuditOptions::with_threads(threads);
-        let noop = obs::Obs::noop();
-        audit_encoded_with_obs(&p.program, &p.trace, bytes, p.exp.isolation, options, &noop)
+        let auditor = Auditor {
+            threads,
+            ..Auditor::default()
+        };
+        auditor
+            .audit(&p.program, &p.trace, bytes, p.exp.isolation)
             .expect("honest run accepts")
     };
     let (mut report_k, mut report_par, mut report_o) = (None, None, None);
@@ -237,12 +240,7 @@ pub fn verification(
         [
             &mut || report_k = Some(audit(&p.karousos_bytes, 1)),
             &mut || report_par = Some(audit(&p.karousos_bytes, verify_threads)),
-            &mut || {
-                report_o = Some(
-                    audit_encoded(&p.program, &p.trace, &p.orochi_bytes, p.exp.isolation)
-                        .expect("honest run accepts"),
-                );
-            },
+            &mut || report_o = Some(audit(&p.orochi_bytes, 1)),
             &mut || {
                 sequential_reexecute(&p.program, &p.trace, p.exp.isolation).expect("app replays");
             },

@@ -1,6 +1,7 @@
 //! The owned advice: what the collector emits and the structural
-//! mutators edit. The verifier never holds one: [`crate::audit`] encodes
-//! it and audits the bytes. Its entry types are the verifier's.
+//! mutators edit. The verifier never holds one: it audits the bytes
+//! [`crate::encode_advice`] makes of it. Its entry types are the
+//! verifier's.
 
 use std::collections::BTreeMap;
 

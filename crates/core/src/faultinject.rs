@@ -34,7 +34,7 @@ use kem::pvalue::{CHUNK, MAX_CHECKED_HEIGHT};
 use kem::{FunctionId, HandlerId, OpRef, Program, RequestId, Trace, TxOpKind, Value, VarId};
 
 use crate::advice::{Advice, KTxId, OpAt, TxOpContents, TxPos};
-use crate::verifier::{audit_encoded, AuditReport, RejectReason};
+use crate::verifier::{AuditReport, Auditor, RejectReason};
 use crate::wire::{
     decode_advice_view, encode_advice, put_uvar, AdviceView, AdviceViewExt, TxOpContentsView,
 };
@@ -119,9 +119,9 @@ pub fn honest_must_accept(
     advice_bytes: &[u8],
     isolation: kvstore::IsolationLevel,
 ) -> AuditReport {
-    match audit_encoded(program, trace, advice_bytes, isolation) {
+    match Auditor::default().audit(program, trace, advice_bytes, isolation) {
         Ok(report) => report,
-        Err(reason) => panic!("honest advice rejected: {reason}"),
+        Err(failure) => panic!("honest advice rejected: {}", failure.reason),
     }
 }
 

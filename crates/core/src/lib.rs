@@ -18,15 +18,16 @@
 //!   relation (§4.2), [`wire`] the advice encoder whose byte counts are
 //!   the paper's "advice size", [`faultinject`] the mutators.
 //! * **Verifier side** — the `karousos-verify` crate, re-exported here
-//!   whole: [`audit_encoded`] runs `Preprocess → ReExec → Postprocess`
-//!   (Figs. 14–21) and rejects with a typed [`RejectReason`]. It links
-//!   no code of this crate.
+//!   whole: [`Auditor::audit`] runs `Preprocess → ReExec → Postprocess`
+//!   (Figs. 14–21) over the advice's wire bytes and rejects with a typed
+//!   [`RejectReason`]. It links no code of this crate.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod advice;
 pub mod collector;
+mod compat;
 pub mod faultinject;
 mod idhash;
 pub mod rorder;
@@ -37,10 +38,12 @@ pub use collector::{
     run_instrumented_server, run_instrumented_server_encoded, run_instrumented_server_with_obs,
     Collector, CollectorCounters, CollectorMode,
 };
+#[doc(hidden)]
+pub use compat::{audit_encoded_with_obs, audit_source_with_obs, AdviceSource, AuditOptions};
 pub use faultinject::{
     honest_must_accept, ExhaustMutator, Mutation, MutationClass, MutationOutcome, Mutator,
     PoolMutator, TableMutator, WireMutator,
 };
 pub use karousos_verify::*;
 pub use rorder::{r_concurrent, r_ordered, r_precedes};
-pub use wire::{advice_sizes, audit, decode_advice, encode_advice, AdviceSizes, AdviceViewExt};
+pub use wire::{advice_sizes, decode_advice, encode_advice, AdviceSizes, AdviceViewExt};

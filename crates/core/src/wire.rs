@@ -25,10 +25,9 @@ use std::hash::{BuildHasher, Hasher};
 use std::ops::Range;
 
 pub use karousos_verify::wire::*;
-use karousos_verify::{audit_encoded, AuditReport, HidTable, OpAt, RejectReason};
+use karousos_verify::{HidTable, OpAt};
 use kem::pvalue::{ListNodeRef, MapNodeRef};
-use kem::{HandlerId, OpRef, Program, RequestId, Trace, TxOpKind, Value, VarId};
-use kvstore::IsolationLevel;
+use kem::{HandlerId, OpRef, RequestId, TxOpKind, Value, VarId};
 
 use crate::advice::{
     Advice, HandlerLogEntry, HandlerOp, KTxId, TxLogEntry, TxOpContents, TxPos, VarLogEntry,
@@ -1015,19 +1014,6 @@ pub fn advice_sizes(a: &Advice) -> AdviceSizes {
 /// [`AdviceViewExt::to_advice`].
 pub fn decode_advice(bytes: &[u8]) -> Result<Advice, WireError> {
     decode_advice_view(bytes)?.to_advice()
-}
-
-/// [`karousos_verify::audit_encoded`] for advice still in memory (the
-/// collector's output, a mutator's): encodes it and audits the bytes, so
-/// it passes the decoder and its budgets like advice that crossed the
-/// wire.
-pub fn audit(
-    program: &Program,
-    trace: &Trace,
-    advice: &Advice,
-    isolation: IsolationLevel,
-) -> Result<AuditReport, RejectReason> {
-    audit_encoded(program, trace, &encode_advice(advice), isolation)
 }
 
 /// What the server side does with a decoded [`AdviceView`].

@@ -939,7 +939,8 @@ proptest! {
         if requests > 40 {
             prop_assert!(stats.pool_nodes > 0 && stats.wire_nodes * 2 < stats.logical_nodes);
         }
-        karousos::audit_encoded(&program, &out.trace, &bytes, cfg.isolation)
+        karousos::Auditor::default()
+            .audit(&program, &out.trace, &bytes, cfg.isolation)
             .expect("honest advice is accepted");
     }
 }

@@ -1,9 +1,24 @@
 //! End-to-end round trips: honest server runs must be ACCEPTed.
 
-use karousos::{audit, run_instrumented_server, CollectorMode};
+use karousos::{
+    encode_advice, run_instrumented_server, Advice, AuditReport, Auditor, CollectorMode,
+    RejectReason,
+};
 use kem::dsl::*;
-use kem::{Program, ProgramBuilder, SchedPolicy, ServerConfig, Value};
+use kem::{Program, ProgramBuilder, SchedPolicy, ServerConfig, Trace, Value};
 use kvstore::IsolationLevel;
+
+/// Audits advice still in memory as the bytes it encodes to.
+fn audit(
+    program: &Program,
+    trace: &Trace,
+    advice: &Advice,
+    isolation: IsolationLevel,
+) -> Result<AuditReport, RejectReason> {
+    let bytes = encode_advice(advice);
+    let audited = Auditor::default().audit(program, trace, &bytes, isolation);
+    audited.map_err(|failure| failure.reason)
+}
 
 fn cfg(concurrency: usize, seed: u64) -> ServerConfig {
     ServerConfig {
@@ -302,8 +317,7 @@ fn check_operations_round_trip() {
     assert_eq!(resp.field("after").unwrap(), &Value::int(1));
     assert_eq!(resp.field("end").unwrap(), &Value::int(0));
     // Honest audit accepts (and the wire codec carries Check entries).
-    let bytes = karousos::encode_advice(&advice);
-    karousos::audit_encoded(&p, &out.trace, &bytes, IsolationLevel::Serializable).unwrap();
+    audit(&p, &out.trace, &advice, IsolationLevel::Serializable).unwrap();
 }
 
 #[test]

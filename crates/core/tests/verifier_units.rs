@@ -244,15 +244,18 @@ fn activation_with_an_unreported_parent_rejected() {
 
 #[test]
 fn declared_node_totals_stop_at_the_budget_or_at_u32() {
-    use karousos::{audit_encoded_with_obs, AuditOptions, Limits, ResourceKind};
+    use karousos::{Auditor, Limits, ResourceKind};
     let (p, t, mut a) = tiny_honest();
     let exhausted = |a: &Advice, limits: Limits| {
-        let opts = AuditOptions {
+        let auditor = Auditor {
             limits,
-            ..AuditOptions::default()
+            ..Auditor::default()
         };
-        let noop = obs::Obs::noop();
-        match audit_encoded_with_obs(&p, &t, &encode_advice(a), SER, opts, &noop).unwrap_err() {
+        match auditor
+            .audit(&p, &t, &encode_advice(a), SER)
+            .unwrap_err()
+            .reason
+        {
             RejectReason::ResourceExhausted {
                 resource: ResourceKind::GraphNodes,
                 spent,
@@ -406,7 +409,7 @@ fn check_op_squatting_on_var_coordinate_rejected() {
             },
         }],
     );
-    let err = karousos::audit(&p, &t, &a, SER).unwrap_err();
+    let err = audit_err_at(&p, &t, &a, 1);
     assert!(
         matches!(err, RejectReason::UnexecutedLogEntry { .. }),
         "{err}"
@@ -665,9 +668,12 @@ fn audit_at(
     a: &Advice,
     threads: usize,
 ) -> Result<karousos::AuditReport, RejectReason> {
-    let opts = karousos::AuditOptions::with_threads(threads);
-    let bytes = encode_advice(a);
-    karousos::audit_encoded_with_obs(p, t, &bytes, SER, opts, &obs::Obs::noop())
+    let auditor = karousos::Auditor {
+        threads,
+        ..karousos::Auditor::default()
+    };
+    let audited = auditor.audit(p, t, &encode_advice(a), SER);
+    audited.map_err(|failure| failure.reason)
 }
 
 fn audit_err_at(p: &kem::Program, t: &Trace, a: &Advice, threads: usize) -> RejectReason {

@@ -1,12 +1,9 @@
 //! Runtime configuration: the resource-governance [`Limits`].
 //!
-//! An audit is configured by the [`crate::AuditOptions`] it is handed
-//! and by nothing else: the plain entry points ([`crate::audit_encoded`]
-//! and the `karousos` crate's `audit`) run `AuditOptions::default()`,
-//! the others ([`crate::audit_encoded_with_obs`], [`crate::ooo_audit`], …) take
-//! whatever the caller constructed, and no code in this crate reads the
-//! process environment. A budget is changed by setting its [`Limits`]
-//! field.
+//! An audit is configured by the fields of the [`crate::Auditor`] that
+//! runs it and by nothing else: `Auditor::default()` is the deployed
+//! configuration, and no code in this crate reads the process
+//! environment. A budget is changed by setting its [`Limits`] field.
 
 /// Resource budgets for one audit (DESIGN.md §10 "Resource
 /// governance"). The advice is attacker-controlled, so every structure

@@ -38,14 +38,13 @@ pub use config::Limits;
 pub use hids::HidTable;
 pub use multivalue::{MultiValue, MultiValueIter};
 pub use verifier::{
-    audit_encoded, audit_encoded_with_obs, audit_forensic, audit_source_with_obs, cycle_report,
-    ooo_audit, AuditDiagnostics, AuditFailure, AuditOptions, AuditReport, CycleEdgeReport,
+    cycle_report, AuditDiagnostics, AuditFailure, AuditReport, Auditor, CycleEdgeReport,
     CycleProbe, CycleReport, EdgeKind, FeedCounters, PhaseTiming, ReexecStats, RejectReason,
     ReplaySchedule, ResourceKind,
 };
 pub use wire::{
-    decode_advice_view, decode_advice_view_bounded, AdviceSource, AdviceView, BoundedDecodeError,
-    DecodeStats, RawValue,
+    decode_advice_view, decode_advice_view_bounded, AdviceView, BoundedDecodeError, DecodeStats,
+    RawValue,
 };
 // What `tests/prop_wire.rs` pins the value path with.
 #[doc(hidden)]

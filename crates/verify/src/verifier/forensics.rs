@@ -7,7 +7,7 @@
 //! cycle of the execution graph in which every edge carries its
 //! [`EdgeKind`] and a rendered provenance line naming the operations
 //! (and, for internal-state edges, the variable) that induced it.
-//! Produced by [`crate::verifier::audit_forensic`].
+//! Every REJECT of [`crate::Auditor::audit`] carries one.
 
 use kem_lang::VarId;
 use obs::Layer;
@@ -18,8 +18,7 @@ use crate::verifier::reject::RejectReason;
 /// An audit failure carrying its diagnostics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AuditFailure {
-    /// The typed rejection (identical to what the plain `audit_*`
-    /// entry points return).
+    /// The typed rejection.
     pub reason: RejectReason,
     /// Structured forensics for the rejection.
     pub diagnostics: AuditDiagnostics,

@@ -1,7 +1,7 @@
 //! The Karousos verifier: `Audit = Preprocess → ReExec → Postprocess`
 //! (Fig. 14 lines 13–16).
 //!
-//! [`audit_encoded`] consumes the trusted trace and the untrusted
+//! [`Auditor::audit`] consumes the trusted trace and the untrusted
 //! advice — as the bytes the server sent; there is no other audit —
 //! and either ACCEPTs (returning statistics) or REJECTs with a typed
 //! [`RejectReason`]. Soundness rests on the combination of:
@@ -44,13 +44,13 @@ use obs::{CounterId, GaugeId, HistogramId, Layer, LayerClock, Obs};
 
 use crate::advice_ref::AdviceRef;
 use crate::config::Limits;
-use crate::wire::AdviceSource;
 
-/// Knobs for how an audit executes. None of them can change the
-/// verdict — a parallel audit produces bit-identical statistics and the
-/// same [`RejectReason`] as `threads = 1`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AuditOptions {
+/// The audit (Fig. 14 `Audit`): how it runs, and the one call that runs
+/// it. None of the fields can change the verdict — a parallel audit
+/// produces bit-identical statistics and the same [`RejectReason`] as
+/// `threads = 1`, and the handle only observes.
+#[derive(Debug, Clone)]
+pub struct Auditor {
     /// Threads for preprocess, group replay and graph assembly, the
     /// calling one included: `1` is fully sequential, `0` means one per
     /// available core.
@@ -64,35 +64,59 @@ pub struct AuditOptions {
     /// is the one machine-dependent exception and defaults far above
     /// any honest group.
     pub limits: Limits,
-    /// Read by nothing: replay always runs on the bytecode VM. Kept for
-    /// `benchmark/src/adapter.rs`; removed by ROADMAP item 1 step 1.
-    #[doc(hidden)]
-    pub bytecode: bool,
-    /// Read by nothing: advice is always a heap buffer. Kept for
-    /// `benchmark/src/adapter.rs`; removed by ROADMAP item 1 step 1.
-    #[doc(hidden)]
-    pub advice_mmap: bool,
+    /// Where spans and metrics go. A noop handle takes early-return
+    /// branches everywhere; an enabled one also attaches cost
+    /// attribution to a REJECT.
+    pub obs: Obs,
 }
 
-impl Default for AuditOptions {
+impl Default for Auditor {
     fn default() -> Self {
-        AuditOptions {
+        Auditor {
             threads: 1,
             schedule: ReplaySchedule::Fifo,
             limits: Limits::default(),
-            bytecode: true,
-            advice_mmap: false,
+            obs: Obs::noop(),
         }
     }
 }
 
-impl AuditOptions {
-    /// Options with an explicit thread count.
-    pub fn with_threads(threads: usize) -> Self {
-        AuditOptions {
-            threads,
-            ..Default::default()
-        }
+impl Auditor {
+    /// Audits the advice's wire bytes against the trusted trace. This
+    /// is what a deployed verifier does — the advice arrives as bytes
+    /// from the untrusted server, and decoding (including its cost) is
+    /// part of verification.
+    ///
+    /// Returns statistics on ACCEPT. On REJECT the [`AuditFailure`]
+    /// carries the typed [`RejectReason`] — malformed bytes are a
+    /// rejection like any other — and its [`AuditDiagnostics`]: for a
+    /// cyclic execution graph, a minimal cycle whose every edge names
+    /// its [`EdgeKind`] and inducing operations and variable.
+    pub fn audit(
+        &self,
+        program: &Program,
+        trace: &Trace,
+        bytes: &[u8],
+        isolation: adya::IsolationLevel,
+    ) -> Result<AuditReport, Box<AuditFailure>> {
+        audit_bytes(self, program, trace, bytes, isolation, Mode::Grouped)
+    }
+
+    /// `OOOAudit` (Fig. 22): audits with *ungrouped*, out-of-order
+    /// re-execution — the executor the paper's Completeness/Soundness
+    /// proofs are stated over. Slower than [`Auditor::audit`] (no
+    /// batching), but it ignores the control-flow tags entirely, and
+    /// Lemma 3 says the two must agree on every honest input. Replay
+    /// itself is serial; `threads` parallelizes the preprocess sections
+    /// and the per-variable graph assembly.
+    pub fn ooo_audit(
+        &self,
+        program: &Program,
+        trace: &Trace,
+        bytes: &[u8],
+        isolation: adya::IsolationLevel,
+    ) -> Result<AuditReport, Box<AuditFailure>> {
+        audit_bytes(self, program, trace, bytes, isolation, Mode::Ungrouped)
     }
 
     /// The concrete thread count (`0` resolved to the core count).
@@ -118,85 +142,6 @@ pub struct AuditReport {
     pub graph_edges: usize,
     /// Wall clock per [`Layer`], teardown included.
     pub timing: PhaseTiming,
-}
-
-/// Audits the advice's wire bytes (Fig. 14 `Audit`) under
-/// `AuditOptions::default()`, unobserved. This is what a deployed
-/// verifier does — the advice arrives as bytes from the untrusted
-/// server, and decoding (including its cost) is part of verification.
-///
-/// Returns statistics on ACCEPT; a [`RejectReason`] otherwise —
-/// malformed bytes are a rejection like any other.
-pub fn audit_encoded(
-    program: &Program,
-    trace: &Trace,
-    bytes: &[u8],
-    isolation: adya::IsolationLevel,
-) -> Result<AuditReport, RejectReason> {
-    let (opts, obs, mode) = (AuditOptions::default(), &Obs::noop(), Mode::Grouped);
-    audit_bytes(program, trace, bytes, isolation, opts, obs, mode).map_err(|f| f.reason)
-}
-
-/// [`audit_encoded`] with explicit [`AuditOptions`], recording spans
-/// and metrics into an explicit [`Obs`] handle. The handle cannot
-/// change the verdict: a noop handle takes early-return branches
-/// everywhere, and an enabled one only observes.
-pub fn audit_encoded_with_obs(
-    program: &Program,
-    trace: &Trace,
-    bytes: &[u8],
-    isolation: adya::IsolationLevel,
-    opts: AuditOptions,
-    obs: &Obs,
-) -> Result<AuditReport, RejectReason> {
-    audit_bytes(program, trace, bytes, isolation, opts, obs, Mode::Grouped).map_err(|f| f.reason)
-}
-
-/// [`audit_encoded_with_obs`] over an [`AdviceSource`]: advice handed
-/// over in memory or read from a file with [`AdviceSource::open`].
-pub fn audit_source_with_obs(
-    program: &Program,
-    trace: &Trace,
-    source: &AdviceSource,
-    isolation: adya::IsolationLevel,
-    opts: AuditOptions,
-    obs: &Obs,
-) -> Result<AuditReport, RejectReason> {
-    audit_encoded_with_obs(program, trace, source.bytes(), isolation, opts, obs)
-}
-
-/// [`audit_encoded_with_obs`] with REJECT forensics: on rejection the
-/// returned [`AuditFailure`] carries an [`AuditDiagnostics`] — for a
-/// cyclic execution graph that includes a minimal cycle whose every
-/// edge names its [`EdgeKind`] and inducing operations/variable.
-pub fn audit_forensic(
-    program: &Program,
-    trace: &Trace,
-    bytes: &[u8],
-    isolation: adya::IsolationLevel,
-    opts: AuditOptions,
-    obs: &Obs,
-) -> Result<AuditReport, Box<AuditFailure>> {
-    let mode = Mode::GroupedForensic;
-    audit_bytes(program, trace, bytes, isolation, opts, obs, mode)
-}
-
-/// `OOOAudit` (Fig. 22): audits with *ungrouped*, out-of-order
-/// re-execution — the executor the paper's Completeness/Soundness
-/// proofs are stated over. Slower than [`audit_encoded`] (no batching),
-/// but it ignores the control-flow tags entirely, and Lemma 3 says the
-/// two must agree on every honest input. Replay itself is serial;
-/// `opts.threads` parallelizes the preprocess sections and the
-/// per-variable graph assembly.
-pub fn ooo_audit(
-    program: &Program,
-    trace: &Trace,
-    bytes: &[u8],
-    isolation: adya::IsolationLevel,
-    opts: AuditOptions,
-) -> Result<AuditReport, RejectReason> {
-    let (obs, mode) = (&Obs::noop(), Mode::Ungrouped);
-    audit_bytes(program, trace, bytes, isolation, opts, obs, mode).map_err(|f| f.reason)
 }
 
 /// Runs the trusted initialization phase: installs every loggable
@@ -294,27 +239,22 @@ fn check_graph_volume(nodes: usize, edges: usize, limits: &Limits) -> Result<(),
     Ok(())
 }
 
-/// What an entry point asks of the one root. How it re-executes is
-/// the only thing [`audit_encoded`] and [`ooo_audit`] (Lemma 3's two
-/// sides) do differently.
+/// How the one root re-executes: the only thing [`Auditor::audit`] and
+/// [`Auditor::ooo_audit`] (Lemma 3's two sides) do differently.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Mode {
     /// Re-execution batched by control-flow tag (Fig. 18), groups
     /// spread over the threads: the production audit.
     Grouped,
-    /// [`Mode::Grouped`], and a cyclic `G` is searched for a minimal
-    /// cycle to report. That costs an extra traversal, so the plain
-    /// entry points skip it and return the bare reason.
-    GroupedForensic,
     /// `OOOExec` (Fig. 22): every request on its own, tags ignored,
     /// one queue on the calling thread.
     Ungrouped,
 }
 
-/// The one audit, from wire bytes to verdict: every public entry point
-/// is a call to this. It owns the one [`LayerClock`], the byte and node
-/// budgets in front of the decoder, the `catch_unwind` backstop and the
-/// one [`conclude`], so no entry point reaches `preprocess_staged`
+/// The one audit, from wire bytes to verdict: both of [`Auditor`]'s
+/// methods are a call to this. It owns the one [`LayerClock`], the byte
+/// and node budgets in front of the decoder, the `catch_unwind` backstop
+/// and the one [`conclude`], so no audit reaches `preprocess_staged`
 /// without all four (DESIGN.md §4).
 ///
 /// The advice is attacker-controlled and a panic in the verifier would
@@ -327,24 +267,24 @@ enum Mode {
 /// ([`pool::ordered`]); the backstop catches any other panic on the
 /// calling thread.
 fn audit_bytes(
+    auditor: &Auditor,
     program: &Program,
     trace: &Trace,
     bytes: &[u8],
     isolation: adya::IsolationLevel,
-    opts: AuditOptions,
-    obs: &Obs,
     mode: Mode,
 ) -> Result<AuditReport, Box<AuditFailure>> {
+    let (limits, obs) = (&auditor.limits, &auditor.obs);
     let mut clock = LayerClock::start(obs, Layer::Decode);
     let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
         // Byte budget first: the cheapest check, applied before a
         // single advice byte is parsed.
-        if bytes.len() as u64 > opts.limits.decode_max_bytes {
+        if bytes.len() as u64 > limits.decode_max_bytes {
             let over = RejectReason::ResourceExhausted {
                 resource: ResourceKind::DecodeBytes,
                 group: None,
                 spent: bytes.len() as u64,
-                limit: opts.limits.decode_max_bytes,
+                limit: limits.decode_max_bytes,
             };
             return Err(over.into());
         }
@@ -359,7 +299,7 @@ fn audit_bytes(
         // what the tables and the pool declare apart from them.
         let (view, decode_stats) = crate::wire::decode_advice_view_bounded(
             bytes,
-            opts.limits.decode_max_nodes,
+            limits.decode_max_nodes,
         )
         .map_err(|e| match e {
             crate::wire::BoundedDecodeError::NodesExhausted { offset: _, limit } => {
@@ -402,7 +342,9 @@ fn audit_bytes(
                 ("inline_containers", decode_stats.inline_containers),
             ],
         );
-        audit_decoded(program, trace, &advice, isolation, opts, &mut clock, mode)
+        audit_decoded(
+            auditor, program, trace, &advice, isolation, &mut clock, mode,
+        )
         // The view, the interner and the advice drop here, in the layer
         // the audit left the clock in: teardown on ACCEPT.
     }))
@@ -448,20 +390,20 @@ fn conclude(
 /// is one [`LayerClock::enter`]; a REJECT leaves through `?` with the
 /// clock still in the layer that found it.
 fn audit_decoded<'a>(
+    auditor: &Auditor,
     program: &Program,
     trace: &Trace,
     advice: &'a AdviceRef<'a>,
     isolation: adya::IsolationLevel,
-    opts: AuditOptions,
     clock: &mut LayerClock<'_>,
     mode: Mode,
 ) -> Result<AuditReport, Box<AuditFailure>> {
-    let obs = clock.obs();
-    let threads = opts.effective_threads();
+    let (limits, obs) = (&auditor.limits, clock.obs());
+    let threads = auditor.effective_threads();
 
     // Volume budgets before preprocess commits to advice-proportional
     // allocations.
-    check_advice_volume(advice, &opts.limits)?;
+    check_advice_volume(advice, limits)?;
 
     // Preprocess (includes isolation-level verification): the
     // advice-driven sections run in ranges of requests; the edge
@@ -506,8 +448,8 @@ fn audit_decoded<'a>(
     clock.enter(Layer::Replay, &[]);
     let mut graph = std::mem::take(&mut pre.graph);
     let executor = ReExecutor::new(program, trace, advice, &pre, &mut vars)
-        .with_schedule(opts.schedule)
-        .with_limits(opts.limits)
+        .with_schedule(auditor.schedule)
+        .with_limits(*limits)
         .with_obs(obs.clone());
     let merge_edges = {
         let (graph, deferred, obs) = (&mut graph, &mut deferred, obs.clone());
@@ -519,7 +461,7 @@ fn audit_decoded<'a>(
         }
     };
     let (reexec, timing) = match mode {
-        Mode::Grouped | Mode::GroupedForensic => executor.run_pipelined(threads, merge_edges),
+        Mode::Grouped => executor.run_pipelined(threads, merge_edges),
         Mode::Ungrouped => executor.run_ungrouped(merge_edges),
     }?;
     clock.carve(Layer::StateMerge, timing.state_merge);
@@ -544,25 +486,21 @@ fn audit_decoded<'a>(
         obs.gauge(GaugeId::GraphEdges, graph.edge_count() as u64);
         obs.gauge(
             GaugeId::FuelHeadroom,
-            opts.limits
-                .replay_fuel
-                .saturating_sub(reexec.max_group_fuel),
+            limits.replay_fuel.saturating_sub(reexec.max_group_fuel),
         );
     }
 
     // Final graph budgets before the traversal commits to visiting
     // every node (the declared ones plus two per traced request).
     let (graph_nodes, graph_edges) = (graph.node_count(), graph.edge_count());
-    check_graph_volume(graph_nodes, graph_edges, &opts.limits)?;
+    check_graph_volume(graph_nodes, graph_edges, limits)?;
 
     clock.enter(Layer::CycleCheck, &[("edges", graph_edges as u64)]);
     let probe = graph.probe_cycle();
     obs.count(CounterId::CycleCheckVisits, probe.visits);
     if probe.back_edge.is_some() {
         let mut failure: Box<AuditFailure> = RejectReason::CycleInG.into();
-        if mode == Mode::GroupedForensic {
-            failure.diagnostics.cycle = cycle_report(&graph);
-        }
+        failure.diagnostics.cycle = cycle_report(&graph);
         return Err(failure);
     }
     // Everything the audit built drops on the way out, from here.

@@ -1344,41 +1344,6 @@ pub fn decode_advice_view_bounded(
     decode_advice_view_inner(bytes, max_nodes).map_err(|e| bounded(e, max_nodes))
 }
 
-/// The encoded advice bytes an audit runs over, held in one heap
-/// buffer: handed over in memory, or read whole from an advice file.
-/// The verifier only ever sees `&[u8]` (via [`AdviceSource::bytes`]).
-#[derive(Debug)]
-pub struct AdviceSource(Vec<u8>);
-
-impl AdviceSource {
-    /// Wraps an in-memory advice buffer.
-    pub fn from_bytes(bytes: Vec<u8>) -> AdviceSource {
-        AdviceSource(bytes)
-    }
-
-    /// Reads an advice file into memory. The `bool` is read by nothing
-    /// (a parameter cannot be `#[doc(hidden)]`): kept for
-    /// `benchmark/src/adapter.rs`, removed by ROADMAP item 1 step 1.
-    pub fn open(path: &std::path::Path, _: bool) -> std::io::Result<AdviceSource> {
-        Ok(AdviceSource(std::fs::read(path)?))
-    }
-
-    /// The encoded advice bytes.
-    pub fn bytes(&self) -> &[u8] {
-        &self.0
-    }
-
-    /// Length of the advice in bytes.
-    pub fn len(&self) -> usize {
-        self.0.len()
-    }
-
-    /// Whether the advice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.0.is_empty()
-    }
-}
-
 #[cfg(test)]
 #[allow(clippy::unwrap_used)]
 mod tests {

@@ -13,7 +13,10 @@
 
 use apps::App;
 use karousos::advice::{AccessType, VarLogEntry};
-use karousos::{audit, run_instrumented_server, Advice, CollectorMode};
+use karousos::{
+    encode_advice, run_instrumented_server, Advice, AuditFailure, AuditReport, Auditor,
+    CollectorMode,
+};
 use kem::dsl::*;
 use kem::TxOpKind;
 use kem::{HandlerId, OpRef, ProgramBuilder, RequestId, Trace, Value};
@@ -89,7 +92,17 @@ fn main() {
     );
 }
 
-fn show(name: &str, result: Result<karousos::AuditReport, karousos::RejectReason>) {
+/// Audits advice as the dishonest server would send it: encoded.
+fn audit(
+    program: &kem::Program,
+    trace: &Trace,
+    advice: &Advice,
+    isolation: IsolationLevel,
+) -> Result<AuditReport, Box<AuditFailure>> {
+    Auditor::default().audit(program, trace, &encode_advice(advice), isolation)
+}
+
+fn show(name: &str, result: Result<AuditReport, Box<AuditFailure>>) {
     match result {
         Ok(_) => println!("{name:<24} ACCEPT  (!!! the attack went unnoticed)"),
         Err(e) => println!("{name:<24} REJECT: {e}"),

@@ -10,7 +10,7 @@
 //! simulated server boundary) produces the trusted trace; the
 //! *verifier* replays the trace in batches and accepts or rejects.
 
-use karousos::{audit, run_instrumented_server, CollectorMode};
+use karousos::{encode_advice, run_instrumented_server, Auditor, CollectorMode};
 use kem::dsl::*;
 use kem::{ProgramBuilder, SchedPolicy, ServerConfig, Value};
 use kvstore::IsolationLevel;
@@ -62,15 +62,18 @@ fn main() {
         inputs.len(),
         out.steps
     );
+    let bytes = encode_advice(&advice);
     println!(
         "advice: {} var-log entries, {} bytes on the wire",
         advice.var_log_entries(),
-        karousos::encode_advice(&advice).len()
+        bytes.len()
     );
 
     // 4. Audit: re-execute the trace in groups, checked against the
-    //    (untrusted) advice.
-    let report = audit(&program, &out.trace, &advice, cfg.isolation)
+    //    (untrusted) advice as it crossed the wire.
+    let auditor = Auditor::default();
+    let report = auditor
+        .audit(&program, &out.trace, &bytes, cfg.isolation)
         .expect("honest executions are always accepted");
     println!(
         "ACCEPT: {} re-execution groups covering {} handler activations \
@@ -86,7 +89,8 @@ fn main() {
             break;
         }
     }
-    let err = audit(&program, &tampered, &advice, cfg.isolation)
+    let err = auditor
+        .audit(&program, &tampered, &bytes, cfg.isolation)
         .expect_err("tampered traces are always rejected");
     println!("REJECT (as expected): {err}");
 }

@@ -11,7 +11,7 @@
 //! level — including the weak levels where dirty reads are legal.
 
 use apps::App;
-use karousos::{audit, run_instrumented_server, CollectorMode};
+use karousos::{encode_advice, run_instrumented_server, Auditor, CollectorMode};
 use kem::TxOpKind;
 use kem::{RequestId, SchedPolicy, ServerConfig, Value};
 use kvstore::IsolationLevel;
@@ -55,7 +55,8 @@ fn main() {
                 .values()
                 .filter(|log| log.last().is_some_and(|e| e.optype == TxOpKind::Abort))
                 .count();
-            let verdict = match audit(&program, &out.trace, &advice, isolation) {
+            let bytes = encode_advice(&advice);
+            let verdict = match Auditor::default().audit(&program, &out.trace, &bytes, isolation) {
                 Ok(_) => "ACCEPT".to_string(),
                 Err(e) => format!("REJECT: {e}"),
             };

@@ -12,7 +12,7 @@
 use std::time::Instant;
 
 use apps::App;
-use karousos::{advice_sizes, audit, run_instrumented_server, CollectorMode};
+use karousos::{advice_sizes, encode_advice, run_instrumented_server, Auditor, CollectorMode};
 use workload::{Experiment, Mix};
 
 fn main() {
@@ -31,8 +31,10 @@ fn main() {
             .expect("wiki runs cleanly");
         let server_time = t0.elapsed();
 
+        let bytes = encode_advice(&advice);
         let t0 = Instant::now();
-        let report = audit(&program, &out.trace, &advice, exp.isolation)
+        let report = Auditor::default()
+            .audit(&program, &out.trace, &bytes, exp.isolation)
             .expect("honest wiki executions are accepted");
         let verify_time = t0.elapsed();
 

@@ -312,18 +312,11 @@ fn stacks_read_heavy_audit_allocation_scaling() {
         };
         let _ = preprocess();
         let (_, preprocess) = count_allocs(preprocess);
-        // Default options, noop handle: what a plain `audit_encoded`
-        // runs.
+        // `Auditor::default()`: one thread, a noop handle.
         let audit = || {
-            karousos::audit_encoded_with_obs(
-                &program,
-                &out.trace,
-                &bytes,
-                exp.isolation,
-                karousos::AuditOptions::default(),
-                &obs::Obs::noop(),
-            )
-            .expect("honest advice is accepted")
+            karousos::Auditor::default()
+                .audit(&program, &out.trace, &bytes, exp.isolation)
+                .expect("honest advice is accepted")
         };
         let _ = audit();
         (preprocess, count_allocs(audit).1)
@@ -549,18 +542,11 @@ fn motd_write_heavy_audit_allocation_scaling() {
         .expect("motd run succeeds");
         let bytes = karousos::encode_advice(&advice);
         drop(advice);
-        // Default options, noop handle: what a plain `audit_encoded`
-        // runs.
+        // `Auditor::default()`: one thread, a noop handle.
         let audit = || {
-            karousos::audit_encoded_with_obs(
-                &program,
-                &out.trace,
-                &bytes,
-                exp.isolation,
-                karousos::AuditOptions::default(),
-                &obs::Obs::noop(),
-            )
-            .expect("honest advice is accepted")
+            karousos::Auditor::default()
+                .audit(&program, &out.trace, &bytes, exp.isolation)
+                .expect("honest advice is accepted")
         };
         let _ = audit();
         count_allocs(audit).1
@@ -704,17 +690,11 @@ fn wiki_audit_allocation_budget() {
     .expect("wiki run succeeds");
     let bytes = karousos::encode_advice(&advice);
     drop(advice);
-    // Default options, noop handle: what a plain `audit_encoded` runs.
+    // `Auditor::default()`: one thread, a noop handle.
     let audit = || {
-        karousos::audit_encoded_with_obs(
-            &program,
-            &out.trace,
-            &bytes,
-            exp.isolation,
-            karousos::AuditOptions::default(),
-            &obs::Obs::noop(),
-        )
-        .expect("honest advice is accepted")
+        karousos::Auditor::default()
+            .audit(&program, &out.trace, &bytes, exp.isolation)
+            .expect("honest advice is accepted")
     };
     let _ = audit();
     let (_, events, requested) = count_allocs_and_bytes(audit);
@@ -810,19 +790,13 @@ fn write_table_grows_linearly_with_what_the_advice_names() {
         }
         let bytes = karousos::encode_advice(&advice);
         let audit = || {
-            karousos::audit_encoded_with_obs(
-                &program,
-                &out.trace,
-                &bytes,
-                exp.isolation,
-                karousos::AuditOptions::default(),
-                &obs::Obs::noop(),
-            )
-            .expect_err("a write overwriting nothing that ran is rejected")
+            karousos::Auditor::default()
+                .audit(&program, &out.trace, &bytes, exp.isolation)
+                .expect_err("a write overwriting nothing that ran is rejected")
         };
         let _ = audit();
-        let (reason, _, requested) = count_allocs_and_bytes(audit);
-        (reason, requested)
+        let (failure, _, requested) = count_allocs_and_bytes(audit);
+        (failure.reason, requested)
     };
     const K: u32 = 4_000;
     let (small, at_k) = audit(K);
@@ -927,7 +901,8 @@ fn end_to_end_borrowed_audit_allocation_budget() {
     let bytes = karousos::encode_advice(&advice);
     drop(advice);
     let audit = || {
-        karousos::audit_encoded(&program, &out.trace, &bytes, cfg.isolation)
+        karousos::Auditor::default()
+            .audit(&program, &out.trace, &bytes, cfg.isolation)
             .expect("audit accepts honest advice")
     };
 
@@ -981,20 +956,14 @@ fn metering_is_allocation_free() {
     // One thread: worker scheduling perturbs counts by a handful of
     // allocations, the inline path is deterministic.
     let audit_allocs = |limits: karousos::Limits| {
-        let opts = karousos::AuditOptions {
+        let auditor = karousos::Auditor {
             limits,
             ..Default::default()
         };
         let audit = || {
-            karousos::audit_encoded_with_obs(
-                &program,
-                &out.trace,
-                &bytes,
-                exp.isolation,
-                opts,
-                &obs::Obs::noop(),
-            )
-            .expect("honest advice is accepted")
+            auditor
+                .audit(&program, &out.trace, &bytes, exp.isolation)
+                .expect("honest advice is accepted")
         };
         let _ = audit();
         count_allocs(audit).1
@@ -1013,6 +982,45 @@ fn metering_is_allocation_free() {
 /// path-copying `insert` (of a new key, and over an old one) and a
 /// `remove` on a one-leaf map each allocate the new leaf and nothing
 /// else, and so does a `push` onto a one-leaf list.
+/// The benchmark audits advice files through `karousos`'s compatibility
+/// forwarder, `audit_source_with_obs` over `AdviceSource::open`. It must
+/// cost what `Auditor::audit` costs on the same bytes, event for event,
+/// or the benchmark measures something the verifier does not do.
+#[test]
+fn benchmark_forwarder_allocates_as_the_audit() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    use apps::App;
+    use workload::{Experiment, Mix};
+
+    let mut exp = Experiment::paper_default(App::Stacks, Mix::ReadHeavy, 8, 11);
+    exp.requests = 400;
+    let program = App::Stacks.program();
+    let (out, bytes) = karousos::run_instrumented_server_encoded(
+        &program,
+        &exp.inputs(),
+        &exp.server_config(),
+        karousos::CollectorMode::Karousos,
+    )
+    .expect("stacks run succeeds");
+    let path = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("forwarder.advice");
+    std::fs::write(&path, &bytes).expect("scratch advice file is writable");
+    let source = karousos::AdviceSource::open(&path, false).expect("advice file opens");
+    let audit = || {
+        karousos::Auditor::default()
+            .audit(&program, &out.trace, source.bytes(), exp.isolation)
+            .expect("honest advice is accepted")
+    };
+    let forwarded = || {
+        let (opts, noop) = (karousos::AuditOptions::default(), obs::Obs::noop());
+        karousos::audit_source_with_obs(&program, &out.trace, &source, exp.isolation, opts, &noop)
+            .expect("honest advice is accepted")
+    };
+    let _ = audit();
+    let (direct, forwarded) = (count_allocs(audit).1, count_allocs(forwarded).1);
+    eprintln!("stacks read-heavy audit allocs: {direct} direct, {forwarded} forwarded");
+    assert_eq!(forwarded, direct, "the forwarder allocates differently");
+}
+
 #[test]
 fn path_copies_allocate_one_block_per_node() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());

@@ -24,8 +24,8 @@ mod common;
 use apps::App;
 use common::{audit_points, bin, matrix, matrix_with, Outcome, Point, Rng};
 use karousos::{
-    audit_encoded_with_obs, decode_advice, run_instrumented_server_encoded, CollectorMode, Limits,
-    Mutator, RejectReason, WireMutator,
+    decode_advice, run_instrumented_server_encoded, Auditor, CollectorMode, Limits, Mutator,
+    RejectReason, WireMutator,
 };
 use kem::dsl::*;
 use kem::{
@@ -108,9 +108,12 @@ impl Pins {
         points: &[Point],
     ) -> Outcome {
         let outcome = audit_points(program, trace, bytes, isolation, points, case);
-        let obs = obs::Obs::enabled();
-        let _ = audit_encoded_with_obs(program, trace, bytes, isolation, points[0].opts, &obs);
-        let groups = obs.snapshot().ledger.groups;
+        let auditor = Auditor {
+            obs: obs::Obs::enabled(),
+            ..points[0].auditor()
+        };
+        let _ = auditor.audit(program, trace, bytes, isolation);
+        let groups = auditor.obs.snapshot().ledger.groups;
         let sum = |col: fn(&obs::GroupCost) -> u64| groups.iter().map(col).sum::<u64>();
         self.row(
             case,

@@ -9,8 +9,8 @@ mod common;
 
 use common::{audit_at, audit_points, matrix_with, Outcome, THREADS};
 use karousos::{
-    audit_encoded_with_obs, encode_advice, run_instrumented_server, Advice, AuditOptions,
-    CollectorMode, ExhaustMutator, Limits, RejectReason,
+    encode_advice, run_instrumented_server, Advice, Auditor, CollectorMode, ExhaustMutator, Limits,
+    RejectReason,
 };
 use kem::dsl::*;
 use kem::{Program, ProgramBuilder, RunOutput, SchedPolicy, ServerConfig, Stmt, Value};
@@ -242,17 +242,15 @@ fn loop_bomb_in_every_group_replays_one_group() {
         other => panic!("expected fuel verdict, got {other:?}"),
     }
     for point in matrix_with(&THREADS, limits).into_iter().filter(|p| p.obs) {
-        let obs = obs::Obs::enabled();
-        let verdict = audit_encoded_with_obs(
+        let auditor = point.auditor();
+        let verdict = auditor.audit(
             &program,
             &out.trace,
             &mutation.bytes,
             IsolationLevel::Serializable,
-            point.opts,
-            &obs,
         );
         assert!(verdict.is_err(), "{point:?}");
-        let metrics = obs.snapshot().metrics;
+        let metrics = auditor.obs.snapshot().metrics;
         assert_eq!(
             metrics.counter(obs::CounterId::ReplayFuelSpent),
             limit + 1,
@@ -338,26 +336,20 @@ fn fused_spin_is_contained_by_deadline_inside_the_run() {
     let bytes = encode_advice(&advice);
     // The verdict, the group's fuel spend and the audit's wall time.
     let audit = |group_deadline_ms| {
-        let opts = AuditOptions {
+        let auditor = Auditor {
             limits: Limits {
                 replay_fuel: u64::MAX,
                 group_deadline_ms,
                 ..Limits::default()
             },
-            ..AuditOptions::with_threads(1)
+            obs: obs::Obs::enabled(),
+            ..Auditor::default()
         };
-        let obs = obs::Obs::enabled();
         let start = std::time::Instant::now();
-        let verdict = audit_encoded_with_obs(
-            &program,
-            &out.trace,
-            &bytes,
-            IsolationLevel::Serializable,
-            opts,
-            &obs,
-        );
+        let verdict = auditor.audit(&program, &out.trace, &bytes, IsolationLevel::Serializable);
         let took = start.elapsed();
-        let groups = obs.snapshot().ledger.groups;
+        let verdict = verdict.map_err(|failure| failure.reason);
+        let groups = auditor.obs.snapshot().ledger.groups;
         (verdict, groups.iter().map(|g| g.fuel).sum::<u64>(), took)
     };
     let (verdict, bill, whole) = audit(u64::MAX);
@@ -475,13 +467,14 @@ fn pool_bomb_is_contained_by_the_node_budget() {
         "the bomb is small on the wire"
     );
     let started = std::time::Instant::now();
-    let verdict = karousos::audit_encoded(
+    let verdict = Auditor::default().audit(
         &program,
         &out.trace,
         &mutation.bytes,
         IsolationLevel::Serializable,
     );
     let took = started.elapsed();
+    let verdict = verdict.map_err(|failure| failure.reason);
     assert!(
         matches!(
             verdict,
@@ -504,21 +497,15 @@ fn decoded_audit_path_is_fuel_metered_too() {
     let (out, advice) = honest(&program, &vec![Value::Null; 4], 29);
     let mutation = ExhaustMutator::LoopBomb.apply(&advice, 7).unwrap();
     let mutated = encode_advice(&karousos::decode_advice(&mutation.bytes).unwrap());
-    let opts = AuditOptions {
+    let auditor = Auditor {
         limits: Limits {
             replay_fuel: 200_000,
             ..Limits::default()
         },
-        ..AuditOptions::with_threads(1)
+        ..Auditor::default()
     };
-    match audit_encoded_with_obs(
-        &program,
-        &out.trace,
-        &mutated,
-        IsolationLevel::Serializable,
-        opts,
-        &obs::Obs::noop(),
-    ) {
+    let verdict = auditor.audit(&program, &out.trace, &mutated, IsolationLevel::Serializable);
+    match verdict.map_err(|failure| failure.reason) {
         Err(RejectReason::ResourceExhausted { resource, .. }) => {
             assert_eq!(resource, karousos::verifier::ResourceKind::ReplayFuel);
         }

@@ -6,15 +6,14 @@
 //! [`audit_matrix`] runs every point, asserts they agree and returns the
 //! outcome they share, so a test written against it checks its
 //! expectation at all four points instead of at whichever one the
-//! defaults pick. `AuditOptions::default()` with a noop handle — what the
-//! plain `audit` / `audit_encoded` run — is one of the points.
+//! defaults pick. `Auditor::default()` — one thread, a noop handle — is
+//! one of the points.
 
 // Every test binary compiles this module and uses part of it.
 #![allow(dead_code)]
 
 use karousos::{
-    audit_encoded_with_obs, encode_advice, Advice, AuditOptions, AuditReport, Limits, ReexecStats,
-    RejectReason,
+    encode_advice, Advice, AuditFailure, AuditReport, Auditor, Limits, ReexecStats, RejectReason,
 };
 use kem::{BinOp, Expr, Program, Trace};
 use kvstore::IsolationLevel;
@@ -32,20 +31,39 @@ pub struct Accepted {
 /// The comparable portion of an audit outcome.
 pub type Outcome = Result<Accepted, RejectReason>;
 
-pub fn comparable(r: Result<AuditReport, RejectReason>) -> Outcome {
+pub fn comparable(r: Result<AuditReport, Box<AuditFailure>>) -> Outcome {
     r.map(|rep| Accepted {
         reexec: rep.reexec,
         graph_nodes: rep.graph_nodes,
         graph_edges: rep.graph_edges,
     })
+    .map_err(|failure| failure.reason)
 }
 
 /// One way of running an audit.
 #[derive(Debug, Clone, Copy)]
 pub struct Point {
-    pub opts: AuditOptions,
+    pub threads: usize,
+    pub limits: Limits,
     /// Record into an enabled [`Obs`] handle instead of a noop one.
     pub obs: bool,
+}
+
+impl Point {
+    /// The auditor for this point, with a handle of its own.
+    pub fn auditor(self) -> Auditor {
+        let obs = if self.obs {
+            Obs::enabled()
+        } else {
+            Obs::noop()
+        };
+        Auditor {
+            threads: self.threads,
+            limits: self.limits,
+            obs,
+            ..Auditor::default()
+        }
+    }
 }
 
 /// The thread counts of the standard matrix.
@@ -56,12 +74,11 @@ pub fn matrix_with(threads: &[usize], limits: Limits) -> Vec<Point> {
     let mut points = Vec::new();
     for &threads in threads {
         for obs in [false, true] {
-            let opts = AuditOptions {
+            points.push(Point {
                 threads,
                 limits,
-                ..AuditOptions::default()
-            };
-            points.push(Point { opts, obs });
+                obs,
+            });
         }
     }
     points
@@ -115,15 +132,8 @@ pub fn audit_at<'a>(
     isolation: IsolationLevel,
     point: Point,
 ) -> Outcome {
-    let obs = if point.obs {
-        Obs::enabled()
-    } else {
-        Obs::noop()
-    };
     let bytes = advice.into().bytes();
-    comparable(audit_encoded_with_obs(
-        program, trace, &bytes, isolation, point.opts, &obs,
-    ))
+    comparable(point.auditor().audit(program, trace, &bytes, isolation))
 }
 
 /// Audits at every one of `points`, asserts that they agree and returns
@@ -153,7 +163,7 @@ pub fn audit_points<'a>(
 }
 
 /// [`audit_points`] over the standard [`matrix`]: the drop-in for a
-/// plain `audit` / `audit_encoded` call in a test.
+/// plain `Auditor::default().audit` call in a test.
 #[track_caller]
 pub fn audit_matrix<'a>(
     program: &Program,

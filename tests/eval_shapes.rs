@@ -6,7 +6,7 @@
 //! here.
 
 use apps::App;
-use karousos::{audit, encode_advice, run_instrumented_server, CollectorMode};
+use karousos::{encode_advice, run_instrumented_server, Auditor, CollectorMode};
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
 
@@ -133,7 +133,10 @@ fn batching_deduplicates_handler_executions() {
         4,
         CollectorMode::Karousos,
     );
-    let report = audit(&p, &t, &a, IsolationLevel::Serializable).unwrap();
+    let bytes = encode_advice(&a);
+    let report = Auditor::default()
+        .audit(&p, &t, &bytes, IsolationLevel::Serializable)
+        .unwrap();
     let dedup =
         report.reexec.activations_covered as f64 / report.reexec.handlers_executed.max(1) as f64;
     assert!(dedup > 3.0, "dedup factor only {dedup:.1}");

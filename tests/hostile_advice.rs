@@ -21,11 +21,24 @@ use std::collections::BTreeSet;
 
 use apps::App;
 use karousos::{
-    audit_encoded, encode_advice, honest_must_accept, run_instrumented_server, CollectorMode,
-    MutationClass, MutationOutcome, Mutator, PoolMutator, TableMutator, WireMutator,
+    encode_advice, honest_must_accept, run_instrumented_server, AuditReport, Auditor,
+    CollectorMode, MutationClass, MutationOutcome, Mutator, PoolMutator, RejectReason,
+    TableMutator, WireMutator,
 };
+use kem::{Program, Trace};
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
+
+/// The audit, with the bare reason the mutation contracts are stated in.
+fn audit(
+    program: &Program,
+    trace: &Trace,
+    bytes: &[u8],
+    isolation: IsolationLevel,
+) -> Result<AuditReport, RejectReason> {
+    let audited = Auditor::default().audit(program, trace, bytes, isolation);
+    audited.map_err(|failure| failure.reason)
+}
 
 /// Seeds tried per structured mutator per scenario.
 const STRUCTURED_SEEDS: u64 = 25;
@@ -87,7 +100,7 @@ fn hostile_advice_contract_holds_across_thousands_of_mutations() {
         let mut check = |mutation: karousos::Mutation| {
             total_mutations += 1;
             kinds_exercised.insert(mutation.mutator);
-            let result = audit_encoded(&program, &out.trace, &mutation.bytes, sc.isolation);
+            let result = audit(&program, &out.trace, &mutation.bytes, sc.isolation);
             let outcome = MutationOutcome::of(&result);
             if mutation.class == MutationClass::Cosmetic
                 && matches!(outcome, MutationOutcome::Accepted)
@@ -164,8 +177,6 @@ fn hostile_advice_contract_holds_across_thousands_of_mutations() {
 /// surfaces here.
 #[test]
 fn semantic_mutations_trip_the_designed_defense() {
-    use karousos::RejectReason;
-
     // One honest run per app: different apps exercise different advice
     // sections, so each mutator finds a target in at least one of them.
     let runs: Vec<_> = App::ALL
@@ -199,7 +210,7 @@ fn semantic_mutations_trip_the_designed_defense() {
                 m.apply(advice, 3).map(|mu| (program, out, mu, *isolation))
             })
             .unwrap_or_else(|| panic!("{} found no target in any app", m.name()));
-        audit_encoded(program, &out.trace, &mutation.bytes, isolation)
+        audit(program, &out.trace, &mutation.bytes, isolation)
             .expect_err("semantic mutation accepted")
     };
 
@@ -234,7 +245,7 @@ fn semantic_mutations_trip_the_designed_defense() {
                     .map(|mu| (program, out, mu, *isolation))
             })
             .unwrap_or_else(|| panic!("{} found no target in any app", m.name()));
-        audit_encoded(program, &out.trace, &mutation.bytes, isolation)
+        audit(program, &out.trace, &mutation.bytes, isolation)
             .expect_err("semantic mutation accepted")
     };
     let pool_reject = |m: PoolMutator| pool_reject_seeded(m, 3);
@@ -287,7 +298,7 @@ fn semantic_mutations_trip_the_designed_defense() {
         (TableMutator::BadUtf8, "string"),
     ] {
         let mutation = m.apply(&bytes, 3).expect("the tables have entries");
-        match audit_encoded(program, &out.trace, &mutation.bytes, *isolation) {
+        match audit(program, &out.trace, &mutation.bytes, *isolation) {
             Err(RejectReason::MalformedAdvice { what }) => {
                 assert!(what.contains(label), "{}: {what}", m.name())
             }
@@ -297,7 +308,7 @@ fn semantic_mutations_trip_the_designed_defense() {
     for m in [TableMutator::DeepChain, TableMutator::Flood] {
         let mutation = m.apply(&bytes, 3).expect("applies");
         assert!(matches!(
-            audit_encoded(program, &out.trace, &mutation.bytes, *isolation),
+            audit(program, &out.trace, &mutation.bytes, *isolation),
             Err(RejectReason::ResourceExhausted {
                 resource: karousos::ResourceKind::DecodeNodes,
                 ..
@@ -309,7 +320,7 @@ fn semantic_mutations_trip_the_designed_defense() {
         .apply(&encode_advice(advice), 3)
         .expect("truncate applies");
     assert!(matches!(
-        audit_encoded(program, &out.trace, &truncated.bytes, *isolation).unwrap_err(),
+        audit(program, &out.trace, &truncated.bytes, *isolation).unwrap_err(),
         RejectReason::MalformedAdvice { .. }
     ));
 }
@@ -338,7 +349,7 @@ fn a_history_recut_as_tall_as_a_pool_allows_still_accepts() {
         let mutation = PoolMutator::RecutTall
             .apply(&honest, seed)
             .expect("a 241-entry history to re-cut");
-        let result = audit_encoded(&program, &out.trace, &mutation.bytes, exp.isolation);
+        let result = audit(&program, &out.trace, &mutation.bytes, exp.isolation);
         assert!(
             MutationOutcome::of(&result)
                 .violation(MutationClass::Cosmetic)

@@ -11,10 +11,7 @@
 mod common;
 
 use apps::App;
-use karousos::{
-    audit_encoded_with_obs, run_instrumented_server_encoded, AuditOptions, CollectorMode,
-};
-use obs::Obs;
+use karousos::{run_instrumented_server_encoded, CollectorMode};
 use proptest::prelude::*;
 use workload::{Experiment, Mix};
 
@@ -43,12 +40,13 @@ fn ledger_for(
     out: &kem::RunOutput,
     advice: &[u8],
     iso: kvstore::IsolationLevel,
-    opts: AuditOptions,
+    point: common::Point,
 ) -> obs::CostLedger {
-    let obs = Obs::enabled();
-    audit_encoded_with_obs(program, &out.trace, advice, iso, opts, &obs)
+    let auditor = point.auditor();
+    auditor
+        .audit(program, &out.trace, advice, iso)
         .expect("honest advice must be accepted");
-    obs.snapshot().ledger
+    auditor.obs.snapshot().ledger
 }
 
 #[test]
@@ -56,8 +54,7 @@ fn ledger_bit_identical_across_threads_bytecode() {
     let (program, out, advice, iso) = wiki_run();
     let mut reference: Option<obs::CostLedger> = None;
     for point in common::matrix().into_iter().filter(|p| p.obs) {
-        let opts = point.opts;
-        let ledger = ledger_for(&program, &out, &advice, iso, opts);
+        let ledger = ledger_for(&program, &out, &advice, iso, point);
         assert!(!ledger.groups.is_empty(), "wiki audit must record groups");
         // Rows arrive in ascending group order in every
         // configuration (shards are absorbed in merge order).
@@ -87,7 +84,7 @@ fn ledger_bit_identical_across_threads_bytecode() {
                     .collect();
                 let ref_keys: Vec<[u64; 13]> =
                     r.groups.iter().map(|g| g.deterministic_key()).collect();
-                assert_eq!(ref_keys, keys, "ledger diverged at {opts:?}");
+                assert_eq!(ref_keys, keys, "ledger diverged at {point:?}");
                 // Totals over the deterministic columns agree
                 // too (fuel, ops, fused windows, feeds, var accesses).
                 let (rt, lt) = (r.totals(), ledger.totals());

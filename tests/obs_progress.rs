@@ -6,8 +6,8 @@
 
 use apps::App;
 use karousos::{
-    audit_encoded_with_obs, audit_forensic, run_instrumented_server,
-    run_instrumented_server_encoded, AuditOptions, CollectorMode, Limits, Mutator,
+    run_instrumented_server, run_instrumented_server_encoded, Auditor, CollectorMode, Limits,
+    Mutator,
 };
 use obs::{CounterId, GroupCost, Layer, Obs};
 use workload::{Experiment, Mix};
@@ -61,15 +61,14 @@ fn progress_is_monotone_and_reaches_done() {
         snaps
     });
 
-    audit_encoded_with_obs(
-        &program,
-        &out.trace,
-        &advice,
-        iso,
-        AuditOptions::with_threads(2),
-        &obs,
-    )
-    .expect("honest advice must be accepted");
+    let auditor = Auditor {
+        threads: 2,
+        obs: obs.clone(),
+        ..Auditor::default()
+    };
+    auditor
+        .audit(&program, &out.trace, &advice, iso)
+        .expect("honest advice must be accepted");
     done.store(true, std::sync::atomic::Ordering::Relaxed);
     let snaps = watcher.join().expect("watcher thread joins");
 
@@ -148,29 +147,21 @@ fn rejected_audit_attaches_cost_attribution() {
             let m = Mutator::ReorderHandlerLog.apply(&advice, seed)?;
             // Only keep a swap the cycle check (not an earlier replay
             // check) rejects, so replay completes first.
-            match audit_encoded_with_obs(
-                &program,
-                &out.trace,
-                &m.bytes,
-                iso,
-                AuditOptions::default(),
-                &Obs::noop(),
-            ) {
+            let verdict = Auditor::default().audit(&program, &out.trace, &m.bytes, iso);
+            match verdict.map_err(|f| f.reason) {
                 Err(karousos::RejectReason::CycleInG) => Some(m),
                 _ => None,
             }
         })
         .expect("some reorder seed must induce a cycle");
     let obs = Obs::enabled();
-    let failure = audit_forensic(
-        &program,
-        &out.trace,
-        &m.bytes,
-        iso,
-        AuditOptions::default(),
-        &obs,
-    )
-    .expect_err("reordered handler log must be rejected");
+    let auditor = Auditor {
+        obs: obs.clone(),
+        ..Auditor::default()
+    };
+    let failure = auditor
+        .audit(&program, &out.trace, &m.bytes, iso)
+        .expect_err("reordered handler log must be rejected");
     assert_eq!(obs.progress_snapshot().phase, Layer::Rejected);
     assert_eq!(failure.diagnostics.phase, Layer::CycleCheck);
     let attribution = failure
@@ -198,12 +189,13 @@ fn heartbeat_ends_on_rejected_for_every_exit() {
     let rejects = |what: &str, advice_bytes: &[u8], limits: Limits, panic_in: i64, kind: &str| {
         karousos::verifier::inject_group_panic_for_tests(panic_in);
         let obs = Obs::enabled();
-        let opts = AuditOptions {
+        let auditor = Auditor {
             limits,
-            ..AuditOptions::default()
+            obs: obs.clone(),
+            ..Auditor::default()
         };
-        let verdict = audit_encoded_with_obs(&program, &out.trace, advice_bytes, iso, opts, &obs);
-        let reason = verdict.expect_err(what);
+        let verdict = auditor.audit(&program, &out.trace, advice_bytes, iso);
+        let reason = verdict.expect_err(what).reason;
         assert_eq!(reason.kind(), kind, "{what}: {reason}");
         assert_eq!(obs.progress_snapshot().phase, Layer::Rejected, "{what}");
     };
@@ -225,15 +217,13 @@ fn heartbeat_ends_on_rejected_for_every_exit() {
     rejects("worker panic", &bytes, roomy, 0, "VerifierInternal");
     // And the honest bytes end on `done`.
     let obs = Obs::enabled();
-    audit_encoded_with_obs(
-        &program,
-        &out.trace,
-        &bytes,
-        iso,
-        AuditOptions::default(),
-        &obs,
-    )
-    .expect("honest advice must be accepted");
+    let auditor = Auditor {
+        obs: obs.clone(),
+        ..Auditor::default()
+    };
+    auditor
+        .audit(&program, &out.trace, &bytes, iso)
+        .expect("honest advice must be accepted");
     assert_eq!(obs.progress_snapshot().phase, Layer::Done);
 }
 

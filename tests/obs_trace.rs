@@ -5,9 +5,7 @@
 //! order, the same discipline as the verifier's edge fragments).
 
 use apps::App;
-use karousos::{
-    audit_encoded_with_obs, run_instrumented_server_encoded, AuditOptions, CollectorMode,
-};
+use karousos::{run_instrumented_server_encoded, Auditor, CollectorMode};
 use obs::{CounterId, GaugeId, HistogramId, Layer, Obs};
 use workload::{Experiment, Mix};
 
@@ -35,14 +33,12 @@ fn wiki_run() -> (
 fn chrome_trace_is_valid_json_with_expected_spans() {
     let (program, out, advice, iso) = wiki_run();
     let obs = Obs::enabled();
-    audit_encoded_with_obs(
-        &program,
-        &out.trace,
-        &advice,
-        iso,
-        AuditOptions::with_threads(4),
-        &obs,
-    )
+    Auditor {
+        threads: 4,
+        obs: obs.clone(),
+        ..Auditor::default()
+    }
+    .audit(&program, &out.trace, &advice, iso)
     .expect("honest advice must be accepted");
 
     let snap = obs.snapshot();
@@ -92,14 +88,12 @@ fn overflowing_span_ring_counts_drops_in_metrics() {
     // Two span slots cannot hold the audit's span set; the overflow
     // must be counted, not silently discarded.
     let obs = Obs::with_capacity(2);
-    audit_encoded_with_obs(
-        &program,
-        &out.trace,
-        &advice,
-        iso,
-        AuditOptions::with_threads(4),
-        &obs,
-    )
+    Auditor {
+        threads: 4,
+        obs: obs.clone(),
+        ..Auditor::default()
+    }
+    .audit(&program, &out.trace, &advice, iso)
     .expect("honest advice must be accepted");
     let snap = obs.snapshot();
     assert!(snap.spans.len() <= 2);
@@ -117,14 +111,12 @@ fn overflowing_span_ring_counts_drops_in_metrics() {
 fn span_timestamps_are_monotone_per_lane() {
     let (program, out, advice, iso) = wiki_run();
     let obs = Obs::enabled();
-    audit_encoded_with_obs(
-        &program,
-        &out.trace,
-        &advice,
-        iso,
-        AuditOptions::with_threads(4),
-        &obs,
-    )
+    Auditor {
+        threads: 4,
+        obs: obs.clone(),
+        ..Auditor::default()
+    }
+    .audit(&program, &out.trace, &advice, iso)
     .expect("honest advice must be accepted");
 
     let snap = obs.snapshot();
@@ -158,14 +150,12 @@ fn metrics_are_deterministic_across_thread_counts() {
     let (program, out, advice, iso) = wiki_run();
     let snapshot = |threads: usize| {
         let obs = Obs::enabled();
-        audit_encoded_with_obs(
-            &program,
-            &out.trace,
-            &advice,
-            iso,
-            AuditOptions::with_threads(threads),
-            &obs,
-        )
+        Auditor {
+            threads,
+            obs: obs.clone(),
+            ..Auditor::default()
+        }
+        .audit(&program, &out.trace, &advice, iso)
         .expect("honest advice must be accepted");
         obs.snapshot().metrics
     };

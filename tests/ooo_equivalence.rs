@@ -4,8 +4,8 @@
 
 use apps::App;
 use karousos::{
-    audit, encode_advice, ooo_audit, run_instrumented_server, Advice, AuditOptions, AuditReport,
-    CollectorMode, Limits, RejectReason, ReplaySchedule, ResourceKind,
+    encode_advice, run_instrumented_server, Advice, AuditReport, Auditor, CollectorMode, Limits,
+    RejectReason, ReplaySchedule, ResourceKind,
 };
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
@@ -32,6 +32,17 @@ fn honest(
     (program, out.trace, advice)
 }
 
+/// `Audit` of `a`'s encoding.
+fn audit(
+    p: &kem::Program,
+    t: &kem::Trace,
+    a: &Advice,
+    isolation: IsolationLevel,
+) -> Result<AuditReport, RejectReason> {
+    let audited = Auditor::default().audit(p, t, &encode_advice(a), isolation);
+    audited.map_err(|failure| failure.reason)
+}
+
 /// `OOOAudit` of `a`'s encoding, draining its queue in `schedule` order.
 fn ooo_of(
     p: &kem::Program,
@@ -39,11 +50,12 @@ fn ooo_of(
     a: &Advice,
     schedule: ReplaySchedule,
 ) -> Result<AuditReport, RejectReason> {
-    let opts = AuditOptions {
+    let auditor = Auditor {
         schedule,
-        ..AuditOptions::default()
+        ..Auditor::default()
     };
-    ooo_audit(p, t, &encode_advice(a), SER, opts)
+    let audited = auditor.ooo_audit(p, t, &encode_advice(a), SER);
+    audited.map_err(|failure| failure.reason)
 }
 
 #[test]
@@ -148,11 +160,11 @@ fn ooo_audit_decodes_under_the_budgets() {
         (few_bytes, ResourceKind::DecodeBytes),
         (few_nodes, ResourceKind::DecodeNodes),
     ] {
-        let opts = AuditOptions {
+        let auditor = Auditor {
             limits,
-            ..AuditOptions::default()
+            ..Auditor::default()
         };
-        match ooo_audit(&p, &t, &bytes, SER, opts) {
+        match auditor.ooo_audit(&p, &t, &bytes, SER).map_err(|f| f.reason) {
             Err(RejectReason::ResourceExhausted { resource, .. }) => assert_eq!(resource, tripped),
             other => panic!("expected {tripped:?} exhaustion, got {other:?}"),
         }
@@ -176,22 +188,24 @@ fn ooo_audit_meters_the_whole_run_once() {
         })
     };
     for (fuel, ooo_spent, group_spent) in [(1, 26, 2), (100, 2501, 101)] {
-        let opts = AuditOptions {
+        let auditor = Auditor {
             limits: Limits {
                 replay_fuel: fuel,
                 ..Limits::default()
             },
-            ..AuditOptions::default()
+            ..Auditor::default()
         };
         assert_eq!(
-            ooo_audit(&p, &t, &bytes, SER, opts).err(),
+            auditor
+                .ooo_audit(&p, &t, &bytes, SER)
+                .err()
+                .map(|f| f.reason),
             exhausted(None, ooo_spent, fuel * 25),
             "OOOAudit at replay_fuel {fuel}"
         );
-        let grouped =
-            karousos::audit_encoded_with_obs(&p, &t, &bytes, SER, opts, &obs::Obs::noop());
+        let grouped = auditor.audit(&p, &t, &bytes, SER);
         assert_eq!(
-            grouped.err(),
+            grouped.err().map(|f| f.reason),
             exhausted(Some(0), group_spent, fuel),
             "batched audit at replay_fuel {fuel}"
         );

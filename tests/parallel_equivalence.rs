@@ -19,8 +19,7 @@ mod common;
 use apps::App;
 use common::{audit_at, audit_points, matrix_with, Point};
 use karousos::{
-    audit_encoded_with_obs, encode_advice, run_instrumented_server, AuditOptions, CollectorMode,
-    Limits, Mutator, WireMutator,
+    encode_advice, run_instrumented_server, Auditor, CollectorMode, Limits, Mutator, WireMutator,
 };
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
@@ -86,7 +85,7 @@ fn hostile_audits_agree_across_thread_counts() {
     // The thread axis, and one telemetry-on point.
     const SEEDS: u64 = 6;
     let mut points = points();
-    points.retain(|p| !p.obs || p.opts.threads == 4);
+    points.retain(|p| !p.obs || p.threads == 4);
     let mut checked = 0usize;
     let mut rejected = 0usize;
     let runs = App::ALL.iter().zip(IsolationLevel::ALL).enumerate();
@@ -137,7 +136,8 @@ fn auto_thread_count_resolves_and_agrees() {
     let (program, trace, advice) = honest_run(App::Stacks, IsolationLevel::Serializable, 7, 16);
     let at = |threads| {
         let point = Point {
-            opts: AuditOptions::with_threads(threads),
+            threads,
+            limits: Limits::default(),
             obs: false,
         };
         audit_at(
@@ -170,11 +170,13 @@ fn phase_timings_never_exceed_the_audit() {
     .expect("wiki runs cleanly");
     let bytes = encode_advice(&advice);
     for threads in [1, 4] {
-        let opts = AuditOptions::with_threads(threads);
-        let obs = obs::Obs::enabled();
+        let auditor = Auditor {
+            threads,
+            obs: obs::Obs::enabled(),
+            ..Auditor::default()
+        };
         let start = std::time::Instant::now();
-        let report =
-            audit_encoded_with_obs(&program, &out.trace, &bytes, exp.isolation, opts, &obs);
+        let report = auditor.audit(&program, &out.trace, &bytes, exp.isolation);
         let wall = start.elapsed();
         let timing = report.expect("honest wiki advice is accepted").timing;
         assert!(
@@ -185,7 +187,7 @@ fn phase_timings_never_exceed_the_audit() {
         // One list of layers: what the report times, the snapshot
         // holds, the Chrome trace names and the heartbeat ends on are
         // the same `Layer`s under the same names.
-        let snap = obs.snapshot();
+        let snap = auditor.obs.snapshot();
         assert_eq!(snap.layers, timing);
         assert_eq!(snap.progress.phase, obs::Layer::Done);
         let (trace, json) = (snap.to_chrome_trace(), timing.to_json());

@@ -2,7 +2,7 @@
 //! configurations (app, mix, seed, concurrency, isolation, mode).
 
 use apps::App;
-use karousos::{audit_encoded, encode_advice, run_instrumented_server, CollectorMode};
+use karousos::{encode_advice, run_instrumented_server, Auditor, CollectorMode};
 use kvstore::IsolationLevel;
 use proptest::prelude::*;
 use workload::{Experiment, Mix};
@@ -38,7 +38,7 @@ proptest! {
 
         // Audit through the wire form, exercising codec + verifier.
         let bytes = encode_advice(&advice);
-        let report = audit_encoded(&program, &out.trace, &bytes, isolation);
+        let report = Auditor::default().audit(&program, &out.trace, &bytes, isolation);
         prop_assert!(
             report.is_ok(),
             "rejected honest run: {} {} c={} seed={} iso={} {:?}: {}",

@@ -7,11 +7,7 @@
 //! statistics) and for tampered advice (all schedules REJECT).
 
 use apps::App;
-use karousos::{
-    audit_encoded_with_obs, run_instrumented_server_encoded, AuditOptions, CollectorMode,
-    ReplaySchedule,
-};
-use obs::Obs;
+use karousos::{run_instrumented_server_encoded, Auditor, CollectorMode, ReplaySchedule};
 use proptest::prelude::*;
 use workload::{Experiment, Mix};
 
@@ -45,9 +41,8 @@ proptest! {
 
         let mut verdicts = Vec::new();
         for schedule in SCHEDULES {
-            let opts = AuditOptions { schedule, ..AuditOptions::default() };
-            let noop = Obs::noop();
-            match audit_encoded_with_obs(&program, &out.trace, &advice, exp.isolation, opts, &noop) {
+            let auditor = Auditor { schedule, ..Auditor::default() };
+            match auditor.audit(&program, &out.trace, &advice, exp.isolation) {
                 Ok(report) => verdicts.push((
                     true,
                     report.reexec.groups,
@@ -88,11 +83,9 @@ proptest! {
             *output = kem::Value::str("forged");
         }
         for schedule in SCHEDULES {
-            let opts = AuditOptions { schedule, ..AuditOptions::default() };
-            let noop = Obs::noop();
+            let auditor = Auditor { schedule, ..Auditor::default() };
             prop_assert!(
-                audit_encoded_with_obs(&program, &out.trace, &advice, exp.isolation, opts, &noop)
-                    .is_err(),
+                auditor.audit(&program, &out.trace, &advice, exp.isolation).is_err(),
                 "schedule {schedule:?} accepted a forged trace"
             );
         }

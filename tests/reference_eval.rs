@@ -13,8 +13,8 @@
 //! and reference must agree on every response, or on the error the run
 //! stopped with, and on scheduler steps, activations and fuel. A run that
 //! completes is then audited: the grouped audit (multivalue VM) must
-//! ACCEPT, and so must `ooo_audit` (Lemma 3; singleton groups, so the
-//! same VM on single values), at the reference's step count.
+//! ACCEPT, and so must `Auditor::ooo_audit` (Lemma 3; singleton groups,
+//! so the same VM on single values), at the reference's step count.
 
 mod common;
 
@@ -22,9 +22,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use common::{bin, Rng};
 
-use karousos::{
-    audit, encode_advice, ooo_audit, run_instrumented_server, AuditOptions, CollectorMode,
-};
+use karousos::{encode_advice, run_instrumented_server, Auditor, CollectorMode};
 use kem::dsl::*;
 use kem::{
     BinOp, ExecHooks, Expr, FunctionId, HandlerId, OpRef, Program, ProgramBuilder, RequestId,
@@ -604,11 +602,13 @@ fn check(
         .expect("the run completed without the collector");
     prop_assert_eq!(&run.trace, &out.trace);
     prop_assert_eq!(&advice.nondet, &probe.nondet);
-    let grouped = audit(&program, &run.trace, &advice, Serializable);
+    let (auditor, bytes) = (Auditor::default(), encode_advice(&advice));
+    let grouped = auditor.audit(&program, &run.trace, &bytes, Serializable);
     prop_assert!(grouped.is_ok(), "honest run rejected: {:?}", grouped.err());
-    let (bytes, opts) = (encode_advice(&advice), AuditOptions::default());
-    let ooo = ooo_audit(&program, &run.trace, &bytes, Serializable, opts);
-    let fuel = ooo.map(|report| report.reexec.fuel_spent);
+    let ooo = auditor.ooo_audit(&program, &run.trace, &bytes, Serializable);
+    let fuel = ooo
+        .map(|report| report.reexec.fuel_spent)
+        .map_err(|f| f.reason);
     prop_assert_eq!(fuel, Ok(probe.fuel), "OOOAudit on an honest run");
     Ok(())
 }

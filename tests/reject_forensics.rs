@@ -5,10 +5,9 @@
 
 use apps::App;
 use karousos::{
-    audit_encoded, audit_forensic, decode_advice, encode_advice, run_instrumented_server,
-    AuditOptions, CollectorMode, EdgeKind, Limits, Mutator, RejectReason,
+    decode_advice, encode_advice, run_instrumented_server, Auditor, CollectorMode, EdgeKind,
+    Limits, Mutator, RejectReason,
 };
-use obs::Obs;
 use workload::{Experiment, Mix};
 
 fn honest() -> (
@@ -96,23 +95,17 @@ fn cycle_forensics_name_the_mutated_operations() {
     let (seed, mutation) = (0..200u64)
         .find_map(|seed| {
             let m = Mutator::ReorderHandlerLog.apply(&advice, seed)?;
-            match audit_encoded(&program, &out.trace, &m.bytes, iso) {
+            let verdict = Auditor::default().audit(&program, &out.trace, &m.bytes, iso);
+            match verdict.map_err(|f| f.reason) {
                 Err(RejectReason::CycleInG) => Some((seed, m)),
                 _ => None,
             }
         })
         .expect("some reorder seed must induce a cycle");
-    let failure = audit_forensic(
-        &program,
-        &out.trace,
-        &mutation.bytes,
-        iso,
-        AuditOptions::default(),
-        &Obs::noop(),
-    )
-    .expect_err("the cyclic advice must be rejected");
+    let failure = Auditor::default()
+        .audit(&program, &out.trace, &mutation.bytes, iso)
+        .expect_err("the cyclic advice must be rejected");
 
-    // The forensic entry point agrees with the plain one.
     assert_eq!(failure.reason, RejectReason::CycleInG);
     let d = &failure.diagnostics;
     assert_eq!(d.kind, "CycleInG");
@@ -163,15 +156,9 @@ fn cycle_forensics_name_the_mutated_operations() {
     assert!(json.contains("handler-log"));
 
     // Determinism: the same mutation yields the same minimal cycle.
-    let again = audit_forensic(
-        &program,
-        &out.trace,
-        &mutation.bytes,
-        iso,
-        AuditOptions::default(),
-        &Obs::noop(),
-    )
-    .expect_err("still rejected");
+    let again = Auditor::default()
+        .audit(&program, &out.trace, &mutation.bytes, iso)
+        .expect_err("still rejected");
     assert_eq!(again.diagnostics, failure.diagnostics);
 }
 
@@ -181,15 +168,9 @@ fn non_cycle_rejections_carry_diagnostics_without_a_cycle() {
     let m = Mutator::CorruptOpcount
         .apply(&advice, 1)
         .expect("wiki advice has opcounts to corrupt");
-    let failure = audit_forensic(
-        &program,
-        &out.trace,
-        &m.bytes,
-        iso,
-        AuditOptions::default(),
-        &Obs::noop(),
-    )
-    .expect_err("corrupted opcounts must be rejected");
+    let failure = Auditor::default()
+        .audit(&program, &out.trace, &m.bytes, iso)
+        .expect_err("corrupted opcounts must be rejected");
     assert!(failure.diagnostics.cycle.is_none());
     assert_eq!(failure.diagnostics.kind, failure.reason.kind());
     assert!(failure.to_string().contains("audit rejected"));
@@ -214,11 +195,12 @@ fn decode_rejections_carry_diagnostics() {
         ),
         (&bytes[..], few_bytes, "ResourceExhausted"),
     ] {
-        let opts = AuditOptions {
+        let auditor = Auditor {
             limits,
-            ..AuditOptions::default()
+            ..Auditor::default()
         };
-        let failure = audit_forensic(&program, &out.trace, bytes, iso, opts, &Obs::noop())
+        let failure = auditor
+            .audit(&program, &out.trace, bytes, iso)
             .expect_err("the decoder must reject");
         assert_eq!(failure.diagnostics.kind, kind);
         assert_eq!(failure.diagnostics.phase, obs::Layer::Decode);

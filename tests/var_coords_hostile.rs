@@ -30,8 +30,8 @@
 //!
 //! Every verdict — [`RejectReason::kind`] and message, or the ACCEPT
 //! fingerprint — is compared, at `threads ∈ {1, 4}` and under
-//! `ooo_audit`, with `tests/var_coords_hostile.tsv`. The table is data:
-//! it was produced by the `OpRef`-keyed variable state, and the
+//! `Auditor::ooo_audit`, with `tests/var_coords_hostile.tsv`. The table
+//! is data: it was produced by the `OpRef`-keyed variable state, and the
 //! coordinate-indexed one has to reproduce it. To regenerate after a
 //! change that is *meant* to move a verdict, replace it with the
 //! `var_coords_hostile.actual.tsv` the failing run writes to
@@ -41,9 +41,8 @@ mod common;
 
 use apps::App;
 use karousos::{
-    audit_encoded_with_obs, decode_advice_view, encode_advice, ooo_audit, run_instrumented_server,
-    AccessType, Advice, AdviceViewExt, AuditOptions, AuditReport, CollectorMode, KTxId,
-    RejectReason, TxOpContents, TxPos, VarLogEntry,
+    decode_advice_view, encode_advice, run_instrumented_server, AccessType, Advice, AdviceViewExt,
+    AuditFailure, AuditReport, Auditor, CollectorMode, KTxId, TxOpContents, TxPos, VarLogEntry,
 };
 use kem::{init_handler_id, FunctionId, HandlerId, OpRef, RequestId, Value, VarId};
 use workload::{Experiment, Mix};
@@ -51,16 +50,16 @@ use workload::{Experiment, Mix};
 const WORKLOAD_SEED: u64 = 5;
 const REQUESTS: usize = 12;
 
-fn render(result: Result<AuditReport, RejectReason>) -> String {
+fn render(result: Result<AuditReport, Box<AuditFailure>>) -> String {
     match result {
         Ok(report) => format!(
             "ACCEPT groups={} fuel={} nodes={} edges={}",
             report.reexec.groups, report.reexec.fuel_spent, report.graph_nodes, report.graph_edges
         ),
-        Err(reason) => format!(
+        Err(failure) => format!(
             "{} {}",
-            reason.kind(),
-            reason.to_string().replace(['\n', '\t'], " ")
+            failure.reason.kind(),
+            failure.reason.to_string().replace(['\n', '\t'], " ")
         ),
     }
 }
@@ -102,27 +101,15 @@ impl Fixture {
     /// The three verdicts of one advice: grouped on one and on four
     /// threads, and ungrouped.
     fn verdicts(&self, bytes: &[u8]) -> [(&'static str, String); 3] {
+        let (program, trace, isolation) = (&self.program, &self.trace, self.isolation);
         let grouped = |threads| {
-            let opts = AuditOptions {
+            let auditor = Auditor {
                 threads,
-                ..AuditOptions::default()
+                ..Auditor::default()
             };
-            render(audit_encoded_with_obs(
-                &self.program,
-                &self.trace,
-                bytes,
-                self.isolation,
-                opts,
-                &obs::Obs::noop(),
-            ))
+            render(auditor.audit(program, trace, bytes, isolation))
         };
-        let ooo = render(ooo_audit(
-            &self.program,
-            &self.trace,
-            bytes,
-            self.isolation,
-            AuditOptions::default(),
-        ));
+        let ooo = render(Auditor::default().ooo_audit(program, trace, bytes, isolation));
         [("t1", grouped(1)), ("t4", grouped(4)), ("ooo", ooo)]
     }
 

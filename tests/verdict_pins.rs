@@ -20,8 +20,8 @@ mod common;
 
 use apps::App;
 use karousos::{
-    audit_encoded_with_obs, encode_advice, run_instrumented_server, AuditOptions, CollectorMode,
-    ExhaustMutator, Limits, Mutation, Mutator, PoolMutator, TableMutator, WireMutator,
+    encode_advice, run_instrumented_server, Auditor, CollectorMode, ExhaustMutator, Limits,
+    Mutation, Mutator, PoolMutator, TableMutator, WireMutator,
 };
 use workload::{Experiment, Mix};
 
@@ -51,11 +51,11 @@ fn verdict_columns(
     isolation: kvstore::IsolationLevel,
     limits: Limits,
 ) -> String {
-    let opts = AuditOptions {
+    let auditor = Auditor {
         limits,
-        ..AuditOptions::default()
+        ..Auditor::default()
     };
-    let report = audit_encoded_with_obs(program, trace, bytes, isolation, opts, &obs::Obs::noop());
+    let report = auditor.audit(program, trace, bytes, isolation);
     common::verdict_columns(&common::comparable(report))
 }
 

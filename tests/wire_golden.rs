@@ -24,9 +24,9 @@
 
 use apps::App;
 use karousos::{
-    audit_encoded, decode_advice, decode_advice_view_bounded, encode_advice,
-    run_instrumented_server, run_instrumented_server_encoded, Advice, AdviceViewExt,
-    BoundedDecodeError, CollectorMode,
+    decode_advice, decode_advice_view_bounded, encode_advice, run_instrumented_server,
+    run_instrumented_server_encoded, Advice, AdviceViewExt, Auditor, BoundedDecodeError,
+    CollectorMode,
 };
 use workload::{Experiment, Mix};
 
@@ -74,7 +74,8 @@ fn motd_advice_encodes_to_the_committed_bytes() {
     let (view, stats) = decode_advice_view_bounded(golden, u64::MAX).expect("the fixture decodes");
     assert_eq!(view.encode(), golden);
     assert!(stats.pool_nodes > 0 && stats.pool_refs > stats.pool_nodes);
-    audit_encoded(&program, &trace, golden, exp.isolation).expect("the fixture is accepted");
+    let audited = Auditor::default().audit(&program, &trace, golden, exp.isolation);
+    audited.expect("the fixture is accepted");
 }
 
 /// `decode_max_nodes` means what it meant before the pool. The numbers

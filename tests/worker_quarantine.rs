@@ -10,10 +10,7 @@
 //! matrix inside one `#[test]` serialises every audit that might
 //! observe it.
 
-use karousos::{
-    audit_encoded_with_obs, encode_advice, run_instrumented_server, AuditOptions, CollectorMode,
-    Limits, RejectReason,
-};
+use karousos::{encode_advice, run_instrumented_server, Auditor, CollectorMode, RejectReason};
 use kem::dsl::*;
 use kem::{Program, ProgramBuilder, SchedPolicy, ServerConfig, Value};
 use kvstore::IsolationLevel;
@@ -56,20 +53,13 @@ fn panicking_worker_ends_the_audit_at_its_group() {
     for threads in [1, 4] {
         // Arm the one-shot latch: the worker replaying group 0 panics.
         karousos::verifier::inject_group_panic_for_tests(0);
-        let obs = Obs::enabled();
-        let opts = AuditOptions {
-            limits: Limits::default(),
-            ..AuditOptions::with_threads(threads)
+        let auditor = Auditor {
+            threads,
+            obs: Obs::enabled(),
+            ..Auditor::default()
         };
-        let verdict = audit_encoded_with_obs(
-            &program,
-            &out.trace,
-            &bytes,
-            IsolationLevel::Serializable,
-            opts,
-            &obs,
-        );
-        match verdict {
+        let verdict = auditor.audit(&program, &out.trace, &bytes, IsolationLevel::Serializable);
+        match verdict.map_err(|failure| failure.reason) {
             Err(RejectReason::VerifierInternal { ref what }) => {
                 assert!(
                     what.contains("injected"),
@@ -80,7 +70,7 @@ fn panicking_worker_ends_the_audit_at_its_group() {
         }
         // The merge stopped at group 0: no group's replay was merged
         // and the audit formed no report.
-        let shard = obs.snapshot().metrics;
+        let shard = auditor.obs.snapshot().metrics;
         assert_eq!(
             shard.histogram_count(HistogramId::GroupFuelSpent),
             0,
@@ -95,14 +85,11 @@ fn panicking_worker_ends_the_audit_at_its_group() {
 
     // The latch is spent: an un-armed audit over the same advice still
     // accepts, proving injection leaves no residue.
-    let opts = AuditOptions::with_threads(2);
-    audit_encoded_with_obs(
-        &program,
-        &out.trace,
-        &bytes,
-        IsolationLevel::Serializable,
-        opts,
-        &Obs::noop(),
-    )
-    .expect("honest advice must accept once the injected panic is consumed");
+    let auditor = Auditor {
+        threads: 2,
+        ..Auditor::default()
+    };
+    auditor
+        .audit(&program, &out.trace, &bytes, IsolationLevel::Serializable)
+        .expect("honest advice must accept once the injected panic is consumed");
 }
