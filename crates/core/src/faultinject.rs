@@ -873,6 +873,16 @@ pub enum PoolMutator {
     /// is untouched and no shape is owed: must ACCEPT. Needs a container
     /// of 241 entries; smaller advice has no target.
     RecutTall,
+    /// In a logged map write that adds one key to another logged
+    /// version, swap a root child off the new key's path for a copy of
+    /// the same shape, every node new, with one value changed → the
+    /// logged value is not what re-execution writes: `VarLogMismatch`.
+    /// Needs a map past one leaf; smaller advice has no target.
+    ForgeOffPath,
+    /// In such a write, change the new key's value, copying only the
+    /// nodes on its path: every other node is the honest one, shared by
+    /// reference → `VarLogMismatch`.
+    ForgeAtKey,
 }
 
 /// A reference in a value position of the log sections: where its
@@ -1027,6 +1037,8 @@ impl PoolMutator {
         PoolMutator::SwapRef,
         PoolMutator::TallTree,
         PoolMutator::RecutTall,
+        PoolMutator::ForgeOffPath,
+        PoolMutator::ForgeAtKey,
     ];
 
     /// The mutator's name, for reporting.
@@ -1040,6 +1052,8 @@ impl PoolMutator {
             PoolMutator::SwapRef => "pool-swap-ref",
             PoolMutator::TallTree => "pool-tall-tree",
             PoolMutator::RecutTall => "pool-recut-tall",
+            PoolMutator::ForgeOffPath => "pool-forge-off-path",
+            PoolMutator::ForgeAtKey => "pool-forge-at-key",
         }
     }
 
@@ -1169,7 +1183,7 @@ impl PoolMutator {
                 let entries: Vec<&[u8]> = entries.iter().map(Vec::as_slice).collect();
                 let tree = TreeWriter::tall(is_map, &entries, next, height, entries.len() - 1)?;
                 (
-                    with_tree(bytes, &view, &tree, &target.span)?,
+                    with_tree(bytes, &view, &tree.nodes, &target.span)?,
                     format!(
                         "pointed the reference at byte {} at a {height}-level tree with a full path",
                         target.span.start
@@ -1207,12 +1221,62 @@ impl PoolMutator {
                 let is_map = matches!(view.pool.get(target.id)?, Value::Map(_));
                 let tree = TreeWriter::tall(is_map, &entries, next, height, at)?;
                 (
-                    with_tree(bytes, &view, &tree, &target.span)?,
+                    with_tree(bytes, &view, &tree.nodes, &target.span)?,
                     format!(
                         "re-cut node {}, {} entries, as a {height}-level tree with a full path to entry {at}",
                         target.id,
                         entries.len()
                     ),
+                )
+            }
+            PoolMutator::ForgeOffPath | PoolMutator::ForgeAtKey => {
+                let refs = logged_refs(bytes, &view);
+                let off_path = self == PoolMutator::ForgeOffPath;
+                // Logged maps one key past another logged version, with
+                // where that key sits; off the path needs a branch root.
+                let targets: Vec<(&LoggedRef, usize)> = refs
+                    .iter()
+                    .filter_map(|r| {
+                        let v = view.pool.get(r.id)?;
+                        if off_path && v.as_map()?.root().entries().is_some() {
+                            return None;
+                        }
+                        let at = refs
+                            .iter()
+                            .find_map(|w| new_key_at(view.pool.get(w.id)?.as_map()?, v))?;
+                        Some((r, at))
+                    })
+                    .collect();
+                let (target, at) = *targets.get(rng.below(targets.len().max(1)))?;
+                let mut forger = Forger {
+                    pool: view.pool_bytes,
+                    spans: pool_node_spans(view.pool_bytes)?,
+                    sizes: &view.pool,
+                    next,
+                    nodes: Vec::new(),
+                };
+                let description = if off_path {
+                    let mut ids = forger.children(target.id)?;
+                    let path = forger.child_at(&ids, at)?.0;
+                    let off: Vec<usize> = (0..ids.len()).filter(|&i| i != path).collect();
+                    let slot = *off.get(rng.below(off.len().max(1)))?;
+                    let entry = rng.below(forger.len(ids[slot])?.max(1));
+                    ids[slot] = forger.rewrite(ids[slot], Some(entry), true)?;
+                    forger.branch_like(target.id, &ids)?;
+                    format!(
+                        "copied child {slot} of node {}, off the new key's path, with entry {entry} changed",
+                        target.id
+                    )
+                } else {
+                    forger.rewrite(target.id as u64, Some(at), false)?;
+                    format!(
+                        "changed entry {at} of node {}, the new key, copying only its path",
+                        target.id
+                    )
+                };
+                (
+                    with_tree(bytes, &view, &forger.nodes, &target.span)?,
+                    description,
                 )
             }
         };
@@ -1441,16 +1505,16 @@ fn new_key_at(m: &kem::PMap, next: &Value) -> Option<usize> {
     n.keys().skip(at + 1).eq(m.keys().skip(at)).then_some(at)
 }
 
-/// `bytes` with the nodes of `tree` appended to the pool and the
+/// `bytes` with the nodes `tree` appended to the pool and the
 /// reference at `span` — in the logs, so after the pool — naming the
 /// last of them.
 fn with_tree(
     bytes: &[u8],
     view: &AdviceView<'_>,
-    tree: &TreeWriter<'_>,
+    tree: &[Vec<u8>],
     span: &std::ops::Range<usize>,
 ) -> Option<Vec<u8>> {
-    let nodes: Vec<&[u8]> = tree.nodes.iter().map(Vec::as_slice).collect();
+    let nodes: Vec<&[u8]> = tree.iter().map(Vec::as_slice).collect();
     let grown = with_nodes(bytes, view, &nodes)?;
     let shift = grown.len() - bytes.len();
     let root = view.pool.len() + nodes.len() - 1;
@@ -1509,6 +1573,113 @@ fn entries_under<'a>(
         at = end;
     }
     Some(())
+}
+
+/// Writes copies of pool map nodes with one leaf value changed; the
+/// last node written is the copy of the node the rewrite started at.
+struct Forger<'p> {
+    pool: &'p [u8],
+    spans: Vec<std::ops::Range<usize>>,
+    /// The pool, built: what each node's subtree holds.
+    sizes: &'p [Value],
+    /// The id the first node written gets.
+    next: u64,
+    nodes: Vec<Vec<u8>>,
+}
+
+impl Forger<'_> {
+    /// Entries under map node `id`.
+    fn len(&self, id: u64) -> Option<usize> {
+        self.sizes.get(id as usize)?.as_map().map(kem::PMap::len)
+    }
+
+    /// A map branch's child ids; `None` for anything else.
+    fn children(&self, id: usize) -> Option<Vec<u64>> {
+        let span = self.spans.get(id)?;
+        let (kind, width) = (*self.pool.get(span.start)?, *self.pool.get(span.start + 1)?);
+        if kind != 1 {
+            return None;
+        }
+        let mut at = span.start + 2;
+        let mut ids = Vec::with_capacity(width as usize);
+        for _ in 0..width {
+            let (id, end) = uvar_at(self.pool, at)?;
+            ids.push(id as u64);
+            at = end;
+        }
+        Some(ids)
+    }
+
+    /// The child holding entry `at` of its parent, and `at` within it.
+    fn child_at(&self, children: &[u64], mut at: usize) -> Option<(usize, usize)> {
+        for (i, &child) in children.iter().enumerate() {
+            let len = self.len(child)?;
+            if at < len {
+                return Some((i, at));
+            }
+            at -= len;
+        }
+        None
+    }
+
+    fn push(&mut self, node: Vec<u8>) -> u64 {
+        self.nodes.push(node);
+        self.next + self.nodes.len() as u64 - 1
+    }
+
+    /// A branch of node `id`'s kind over `ids`.
+    fn branch_like(&mut self, id: usize, ids: &[u64]) -> Option<u64> {
+        let kind = *self.pool.get(self.spans.get(id)?.start)?;
+        let mut node = vec![kind, ids.len() as u8];
+        for id in ids {
+            put_uvar(&mut node, *id);
+        }
+        Some(self.push(node))
+    }
+
+    /// A copy of map node `id` with entry `at` of its subtree, if any,
+    /// holding another value: the nodes on the path to it are copied,
+    /// and with `whole` every other node under `id` too, else they are
+    /// shared.
+    fn rewrite(&mut self, id: u64, at: Option<usize>, whole: bool) -> Option<u64> {
+        let id = id as usize;
+        if let Some(children) = self.children(id) {
+            let path = match at {
+                Some(at) => Some(self.child_at(&children, at)?),
+                None => None,
+            };
+            let mut ids = Vec::with_capacity(children.len());
+            for (i, &child) in children.iter().enumerate() {
+                ids.push(match path {
+                    Some((p, inner)) if p == i => self.rewrite(child, Some(inner), whole)?,
+                    _ if whole => self.rewrite(child, None, whole)?,
+                    _ => child,
+                });
+            }
+            return self.branch_like(id, &ids);
+        }
+        let span = self.spans.get(id)?.clone();
+        let (kind, width) = (*self.pool.get(span.start)?, *self.pool.get(span.start + 1)?);
+        if kind != 0 {
+            return None;
+        }
+        let mut node = vec![kind, width];
+        let mut from = span.start + 2;
+        for i in 0..width as usize {
+            let value = uvar_at(self.pool, from)?.1;
+            let end = entry_end(self.pool, kind, from)?;
+            node.extend_from_slice(self.pool.get(from..value)?);
+            let was = self.pool.get(value..end)?;
+            match Some(i) == at {
+                // Null, or `true` where it was null.
+                true if was == [0] => node.extend_from_slice(&[1, 1]),
+                true => node.push(0),
+                false => node.extend_from_slice(was),
+            }
+            from = end;
+        }
+        Some(self.push(node))
+    }
 }
 
 /// Writes pool nodes for a tree over encoded `entries`; the root is the
@@ -1816,11 +1987,14 @@ mod tests {
         let bytes = encode_advice(&a);
         for m in PoolMutator::ALL {
             for seed in 0..4 {
-                if *m == PoolMutator::RecutTall {
-                    assert!(
-                        m.apply(&bytes, seed).is_none(),
-                        "nothing this big to re-cut"
-                    );
+                // Nothing this big to re-cut, and every version is one
+                // leaf, met once, so written inline: no pooled map
+                // version to forge.
+                if matches!(
+                    m,
+                    PoolMutator::RecutTall | PoolMutator::ForgeOffPath | PoolMutator::ForgeAtKey
+                ) {
+                    assert!(m.apply(&bytes, seed).is_none(), "{}", m.name());
                     continue;
                 }
                 let mutation = m
@@ -1837,7 +2011,9 @@ mod tests {
                         Ok(d) => assert!(d != a && mutation.description.contains("a 16-level")),
                         Err(e) => assert_eq!(e.what, "pool node tree too deep"),
                     },
-                    PoolMutator::RecutTall => unreachable!(),
+                    PoolMutator::RecutTall
+                    | PoolMutator::ForgeOffPath
+                    | PoolMutator::ForgeAtKey => unreachable!(),
                     _ => {
                         let e = decoded.expect_err(m.name());
                         assert!(e.what.starts_with("pool "), "{}: {e}", m.name());
@@ -1927,6 +2103,59 @@ mod tests {
             let grown = Value::Map(recut.insert(key.clone(), value.clone()));
             assert_eq!(height(&grown), MAX_CHECKED_HEIGHT + 1);
             assert_eq!(grown.as_map(), Some(next));
+        }
+    }
+
+    #[test]
+    fn a_forged_map_differs_in_one_value_where_designed() {
+        // Versions of a growing map, each one key past the one before;
+        // from the second leaf on, each version's root is pooled.
+        let mut a = sample_advice();
+        let hid = HandlerId::root(FunctionId(0));
+        let mut m = kem::PMap::new();
+        for i in 0..40u32 {
+            let key = format!("{:03}", i.wrapping_mul(7919) % 1000);
+            m = m.insert(key.into(), Value::map([("n", Value::int(i as i64))]));
+            a.var_logs.entry(VarId(0)).or_default().insert(
+                OpRef::new(RequestId(1), hid.clone(), i + 1),
+                crate::advice::VarLogEntry {
+                    access: crate::advice::AccessType::Write,
+                    value: Some(Value::Map(m.clone())),
+                    prec: None,
+                },
+            );
+        }
+        let bytes = encode_advice(&a);
+        let honest = decode_advice_view(&bytes).expect("decodes").pool.len();
+        for m in [PoolMutator::ForgeOffPath, PoolMutator::ForgeAtKey] {
+            for seed in 0..6 {
+                let mutation = m.apply(&bytes, seed).expect("targets");
+                let view = decode_advice_view(&mutation.bytes).expect("decodes");
+                let forged = view.pool.last().and_then(Value::as_map).expect("a map");
+                // The one logged value that changed is the forged one.
+                let was = view.pool[..honest]
+                    .iter()
+                    .filter_map(Value::as_map)
+                    .find(|h| h.keys().eq(forged.keys()) && *h != forged)
+                    .expect("one value changed");
+                let changed = was.iter().zip(forged.iter()).filter(|(x, y)| x != y);
+                assert_eq!(changed.count(), 1, "{}", mutation.description);
+                // Off the path, the root child that changed shares no
+                // node with the honest tree; at the key, every node off
+                // the path is the honest one.
+                let shared = |r: kem::pvalue::MapNodeRef<'_>| {
+                    let honest: Vec<usize> = was.root().children().map(|c| c.addr()).collect();
+                    r.children().filter(|c| honest.contains(&c.addr())).count()
+                };
+                let width = forged.root().children().len();
+                if width > 0 {
+                    assert_eq!(shared(forged.root()), width - 1, "{}", mutation.description);
+                }
+                assert_ne!(
+                    crate::wire::decode_advice(&mutation.bytes).ok(),
+                    Some(a.clone())
+                );
+            }
         }
     }
 

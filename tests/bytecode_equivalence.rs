@@ -759,7 +759,9 @@ fn integer_runs_run_out_of_fuel_at_the_plain_ops_unit() {
         vec![respond(local("mw_acc"))],
     ));
     let inputs = [Value::map([("op", Value::str("get"))])];
-    fuel_sweep(Pins::new("int-runs-fuel"), &program, &inputs);
+    let mut pins = Pins::new("int-runs-fuel");
+    fuel_sweep(&mut pins, &program, &inputs);
+    pins.check();
 }
 
 #[test]
@@ -772,18 +774,16 @@ fn nested_integer_runs_run_out_of_fuel_at_the_plain_ops_unit() {
         ("c", Value::int(16)),
         ("i0", Value::int(0)),
     ])];
-    fuel_sweep(
-        Pins::new("int-runs-fuel-nested"),
-        &nested_runs_program(),
-        &inputs,
-    );
+    let mut pins = Pins::new("int-runs-fuel-nested");
+    fuel_sweep(&mut pins, &nested_runs_program(), &inputs);
+    pins.check();
 }
 
 /// Every budget from nothing to past the whole bill, on the server
 /// (`fuel_limit`, the one request `inputs` holds) and in replay
 /// (`replay_fuel`, one group of two of it): the verdict, the spend and
-/// the op counts at each.
-fn fuel_sweep(mut pins: Pins, program: &Program, inputs: &[Value; 1]) {
+/// the op counts at each. Returns the bill.
+fn fuel_sweep(pins: &mut Pins, program: &Program, inputs: &[Value; 1]) -> u64 {
     let (out, bytes) = pins
         .serve("unmetered", program, inputs, &ServerConfig::default())
         .expect("the program completes");
@@ -802,14 +802,105 @@ fn fuel_sweep(mut pins: Pins, program: &Program, inputs: &[Value; 1]) {
     let (out, bytes) = pins
         .serve("twins", program, &twins, &ServerConfig::default())
         .expect("the program completes");
+    replay_sweep(pins, "", program, &out.trace, &bytes, bill);
+    bill
+}
+
+/// The audit of `trace` against `bytes` at every replay budget from
+/// nothing to one past `bill`, each case named by the budget after
+/// `prefix`, if any.
+fn replay_sweep(
+    pins: &mut Pins,
+    prefix: &str,
+    program: &Program,
+    trace: &Trace,
+    bytes: &[u8],
+    bill: u64,
+) {
     for replay_fuel in 0..=bill + 1 {
         let limits = Limits {
             replay_fuel,
             ..Limits::default()
         };
-        let case = format!("replay_fuel={replay_fuel}");
+        let case = match prefix {
+            "" => format!("replay_fuel={replay_fuel}"),
+            _ => format!("{prefix} replay_fuel={replay_fuel}"),
+        };
         let points = matrix_with(&[1], limits);
-        let _ = pins.audit_at(&case, program, &out.trace, &bytes, Serializable, &points);
+        let _ = pins.audit_at(&case, program, trace, bytes, Serializable, &points);
+    }
+}
+
+// ---------------------------------------------------------------------
+// Map edits written straight to a shared variable: `swrite(x,
+// map_insert(..))` and `swrite(x, map_remove(..))`, the shape every
+// map update of the paper applications has. A base read from the
+// variable, a base each member builds from its request, a key that is
+// absent, and a variable that is not loggable (which each request
+// sets before it edits it, as replay gives each member its own copy);
+// one member's key that
+// is not a string, and one member's base that is not a map. Every
+// budget, on the server and in replay, and the op counts at each.
+// ---------------------------------------------------------------------
+
+fn map_edit_program() -> Program {
+    let mut b = ProgramBuilder::new();
+    b.shared_var("m", Value::map([("x", Value::int(0))]), true);
+    b.shared_var("n", Value::map(Vec::<(String, Value)>::new()), false);
+    let (k, v) = (|| field(payload(), "k"), || field(payload(), "v"));
+    b.function(
+        "handle",
+        vec![
+            swrite("m", map_insert(sread("m"), k(), v())),
+            swrite("m", map_insert(field(payload(), "base"), k(), lit(2i64))),
+            swrite("m", map_remove(sread("m"), k())),
+            swrite("m", map_remove(sread("m"), lit("absent"))),
+            // Per-member operands, one result for every member.
+            swrite("m", map_remove(mapv(vec![("y", v())]), lit("y"))),
+            swrite("m", map_insert(mapv(vec![("x", v())]), lit("x"), lit(0i64))),
+            swrite("m", map_insert(sread("m"), k(), v())),
+            // Each request's own copy: what it wrote first.
+            swrite("n", mapv(vec![("x", lit(0i64))])),
+            swrite("n", map_insert(sread("n"), k(), v())),
+            swrite("n", map_remove(sread("n"), lit("x"))),
+            respond(listv(vec![sread("m"), sread("n")])),
+        ],
+    );
+    b.request_handler("handle");
+    b.build().expect("program builds")
+}
+
+#[test]
+fn map_edits_written_to_a_variable_run_out_of_fuel_at_the_plain_ops_unit() {
+    let mut pins = Pins::new("map-edit-fuel");
+    let program = map_edit_program();
+    let input = |k: Value, v: i64, base: Value| {
+        Value::map([("k", k), ("v", Value::int(v)), ("base", base)])
+    };
+    let base = |n: i64| Value::map([("b", Value::int(n)), ("x", Value::int(n))]);
+    let bill = fuel_sweep(&mut pins, &program, &[input(Value::str("a"), 1, base(1))]);
+    // Two members whose keys, values and bases differ.
+    let per = [
+        input(Value::str("a"), 1, base(1)),
+        input(Value::str("b"), 2, base(2)),
+    ];
+    let cfg = ServerConfig::default();
+    let (out, bytes) = pins
+        .serve("per-member", &program, &per, &cfg)
+        .expect("completes");
+    let verdict = pins.audit("per-member", &program, &out.trace, &bytes);
+    assert!(verdict.is_ok(), "{verdict:?}");
+    replay_sweep(&mut pins, "per-member", &program, &out.trace, &bytes, bill);
+    // The honest advice, against a second request whose key is not a
+    // string, or whose base is not a map.
+    for (case, odd) in [
+        ("int key", input(Value::int(7), 2, base(2))),
+        ("list base", input(Value::str("b"), 2, Value::list(vec![]))),
+    ] {
+        let served = pins.serve(case, &program, &[per[0].clone(), odd.clone()], &cfg);
+        assert!(served.is_err(), "{case}");
+        let trace = with_inputs(&out.trace, &[per[0].clone(), odd]);
+        replay_sweep(&mut pins, case, &program, &trace, &bytes, bill);
     }
     pins.check();
 }

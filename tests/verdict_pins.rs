@@ -11,6 +11,11 @@
 //! message names the coordinate a rejection reports, so "same class,
 //! different operation" is caught too.
 //!
+//! Maps in a 12-request fixture fit in one leaf, so the two mutators
+//! that forge a map write off or at the new key's path also run on a
+//! larger MOTD and wiki fixture, at 1 and 4 threads; those rows come
+//! last and name the fixture's size and the thread count.
+//!
 //! The table is data, not expectation: when a change is *meant* to move
 //! a verdict, run the suite, read the diff it prints, and replace the
 //! table with the `verdict_pins.actual.tsv` it writes to
@@ -51,8 +56,20 @@ fn verdict_columns(
     isolation: kvstore::IsolationLevel,
     limits: Limits,
 ) -> String {
+    verdict_columns_at(program, trace, bytes, isolation, limits, 1)
+}
+
+fn verdict_columns_at(
+    program: &kem::Program,
+    trace: &kem::Trace,
+    bytes: &[u8],
+    isolation: kvstore::IsolationLevel,
+    limits: Limits,
+    threads: usize,
+) -> String {
     let auditor = Auditor {
         limits,
+        threads,
         ..Auditor::default()
     };
     let report = auditor.audit(program, trace, bytes, isolation);
@@ -130,7 +147,50 @@ fn actual_table() -> String {
             }
         }
     }
-    out + &pool_rows + &table_rows
+    out + &pool_rows + &table_rows + &forged_rows()
+}
+
+/// The map-forging pool mutators on fixtures whose maps outgrow a leaf.
+fn forged_rows() -> String {
+    let mut out = String::new();
+    for (app, mix, requests) in [
+        (App::Motd, Mix::WriteHeavy, 40),
+        (App::Wiki, Mix::Wiki, 100),
+    ] {
+        let wseed = WORKLOAD_SEEDS[0];
+        let mut exp = Experiment::paper_default(app, mix, 4, wseed);
+        exp.requests = requests;
+        let program = app.program();
+        let (run, advice) = run_instrumented_server(
+            &program,
+            &exp.inputs(),
+            &exp.server_config(),
+            CollectorMode::Karousos,
+        )
+        .expect("apps run cleanly");
+        let honest = encode_advice(&advice);
+        for m in [PoolMutator::ForgeOffPath, PoolMutator::ForgeAtKey] {
+            for mseed in 0..WIRE_SEEDS {
+                let mutation = m.apply(&honest, mseed).expect("a map past one leaf");
+                for threads in [1, 4] {
+                    out.push_str(&format!(
+                        "{}/{requests}\t{wseed}\t{}\t{mseed}\tthreads={threads}\t{}\n",
+                        app.name(),
+                        mutation.mutator,
+                        verdict_columns_at(
+                            &program,
+                            &run.trace,
+                            &mutation.bytes,
+                            exp.isolation,
+                            Limits::default(),
+                            threads
+                        )
+                    ));
+                }
+            }
+        }
+    }
+    out
 }
 
 #[test]
