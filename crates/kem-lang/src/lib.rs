@@ -44,7 +44,7 @@ pub use ids::{
 };
 pub use ops::{
     eval_binop, eval_contains, eval_digest, eval_index, eval_keys, eval_len, eval_list_push,
-    eval_map_insert, eval_map_remove, eval_to_str, int_binop, Scalar,
+    eval_map_insert, eval_map_remove, eval_to_str, int_binop, MapEdit, Scalar,
 };
 pub use pvalue::{PList, PMap};
 pub use trace::{Exchange, Trace, TraceEvent};

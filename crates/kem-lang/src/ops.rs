@@ -12,6 +12,7 @@
 
 use crate::ast::BinOp;
 use crate::error::RuntimeError;
+use crate::pvalue::PMap;
 use crate::value::Value;
 use std::sync::Arc;
 
@@ -144,24 +145,80 @@ pub fn eval_contains(a: &Value, b: &Value) -> Result<Value, RuntimeError> {
 /// subtree with `m`. The key's `Arc<str>` is reused, so no string is
 /// copied either.
 pub fn eval_map_insert(m: &Value, k: &Value, v: &Value) -> Result<Value, RuntimeError> {
-    let Value::Map(map) = m else {
-        return Err(RuntimeError::type_error("map-insert", m));
-    };
-    let Value::Str(key) = k else {
-        return Err(RuntimeError::type_error("map-insert key", k));
-    };
-    Ok(Value::Map(map.insert(Arc::clone(key), v.clone())))
+    MapEdit::insert(m, k, v).map(MapEdit::build)
 }
 
 /// Functional map remove: O(log n) path copy like [`eval_map_insert`].
 pub fn eval_map_remove(m: &Value, k: &Value) -> Result<Value, RuntimeError> {
-    let Value::Map(map) = m else {
-        return Err(RuntimeError::type_error("map-remove", m));
-    };
-    let Some(key) = k.as_str() else {
-        return Err(RuntimeError::type_error("map-remove key", k));
-    };
-    Ok(Value::Map(map.remove(key)))
+    MapEdit::remove(m, k).map(MapEdit::build)
+}
+
+/// A map insert or remove whose operands have been type-checked, not
+/// yet applied: what [`eval_map_insert`] and [`eval_map_remove`] build,
+/// and what a verifier can compare with a logged map without building
+/// it ([`MapEdit::eq_built`]).
+#[derive(Debug, Clone, Copy)]
+pub enum MapEdit<'a> {
+    /// `map` with `key` bound to `value`.
+    Insert {
+        /// The map edited.
+        map: &'a PMap,
+        /// The key bound.
+        key: &'a Arc<str>,
+        /// The value bound to it.
+        value: &'a Value,
+    },
+    /// `map` without `key`.
+    Remove {
+        /// The map edited.
+        map: &'a PMap,
+        /// The key removed.
+        key: &'a str,
+    },
+}
+
+impl<'a> MapEdit<'a> {
+    /// `map_insert(m, k, v)`, or its type error.
+    pub fn insert(m: &'a Value, k: &'a Value, v: &'a Value) -> Result<Self, RuntimeError> {
+        let Value::Map(map) = m else {
+            return Err(RuntimeError::type_error("map-insert", m));
+        };
+        let Value::Str(key) = k else {
+            return Err(RuntimeError::type_error("map-insert key", k));
+        };
+        Ok(MapEdit::Insert { map, key, value: v })
+    }
+
+    /// `map_remove(m, k)`, or its type error.
+    pub fn remove(m: &'a Value, k: &'a Value) -> Result<Self, RuntimeError> {
+        let Value::Map(map) = m else {
+            return Err(RuntimeError::type_error("map-remove", m));
+        };
+        let Some(key) = k.as_str() else {
+            return Err(RuntimeError::type_error("map-remove key", k));
+        };
+        Ok(MapEdit::Remove { map, key })
+    }
+
+    /// The edited map, built: a path copy.
+    pub fn build(self) -> Value {
+        Value::Map(match self {
+            MapEdit::Insert { map, key, value } => map.insert(Arc::clone(key), value.clone()),
+            MapEdit::Remove { map, key } => map.remove(key),
+        })
+    }
+
+    /// Whether `v` equals [`MapEdit::build`]'s map, decided without
+    /// building it ([`PMap::eq_inserted`], [`PMap::eq_removed`]).
+    pub fn eq_built(self, v: &Value) -> bool {
+        let Value::Map(logged) = v else {
+            return false;
+        };
+        match self {
+            MapEdit::Insert { map, key, value } => logged.eq_inserted(map, key, value),
+            MapEdit::Remove { map, key } => logged.eq_removed(map, key),
+        }
+    }
 }
 
 /// Functional list push: copies only the rightmost spine of the

@@ -332,18 +332,7 @@ impl PMap {
 
     /// Looks up a key.
     pub fn get(&self, key: &str) -> Option<&Value> {
-        let mut node = &self.root;
-        loop {
-            match node {
-                MapTree::Leaf(es) => {
-                    return es
-                        .binary_search_by(|(k, _)| k.as_ref().cmp(key))
-                        .ok()
-                        .map(|i| &es[i].1);
-                }
-                MapTree::Branch(b) => node = &b.children[child_for(&b.children, key)].1,
-            }
-        }
+        tree_get(&self.root, key)
     }
 
     /// Whether the key is present.
@@ -379,6 +368,22 @@ impl PMap {
             root = next;
         }
         PMap { root }
+    }
+
+    /// Whether this map equals `base.insert(key, value)`: exactly that
+    /// `==`, decided without building the insert, so allocation-free.
+    /// Where this map's node boundaries line up with the insert's, a
+    /// subtree `base` shares is equal without being read, so a version
+    /// made by that insert is checked in one root-to-leaf walk
+    /// ("Checking an edit in place" below).
+    pub fn eq_inserted(&self, base: &PMap, key: &str, value: &Value) -> bool {
+        edited_eq(&self.root, &base.root, key, Some(value))
+    }
+
+    /// Whether this map equals `base.remove(key)`: [`PMap::eq_inserted`]
+    /// for a remove.
+    pub fn eq_removed(&self, base: &PMap, key: &str) -> bool {
+        edited_eq(&self.root, &base.root, key, None)
     }
 
     /// Iterates entries in ascending key order. Allocation-free: the
@@ -544,6 +549,21 @@ impl<'a> MapNodeRef<'a> {
             MapTree::Branch(b) => &b.children,
         };
         children.iter().map(|(_, child)| MapNodeRef(child))
+    }
+}
+
+/// The value under `key` in the subtree `node`.
+fn tree_get<'t>(mut node: &'t MapTree, key: &str) -> Option<&'t Value> {
+    loop {
+        match node {
+            MapTree::Leaf(es) => {
+                return es
+                    .binary_search_by(|(k, _)| k.as_ref().cmp(key))
+                    .ok()
+                    .map(|i| &es[i].1);
+            }
+            MapTree::Branch(b) => node = &b.children[child_for(&b.children, key)].1,
+        }
     }
 }
 
@@ -734,6 +754,305 @@ fn map_nodes_eq(a: &MapTree, b: &MapTree) -> bool {
                 count_compare();
                 ka == kb && va == vb
             }),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Checking an edit in place
+// ---------------------------------------------------------------------------
+//
+// Simulate-and-check compares a logged map with what replay's insert or
+// remove makes of the map it read. The logged version was made by that
+// same edit of an equal map, and the advice pool shares every node off
+// the edited key's path with the base, so building the edit only to
+// compare it and drop it reads one path and copies it twice.
+// `edited_eq` follows the key's path instead. Where the two trees' node
+// boundaries line up around it — each child's count equal, the edited
+// child's off by what the edit adds or takes — the other children are
+// compared as `==` compares them (one pointer test when shared), the
+// edited child is descended into, and at the leaf the two entry slices
+// are compared around the key's slot. Where they do not line up (a
+// split, a merge, a re-cut or forged tree), `walk` compares the two
+// entry sequences, the logged tree's and the base's with the edit
+// spliced in, a subtree at a time: two subtrees of one count at one
+// offset are skipped when they are one node and the edit is not
+// inside, else opened together; of two counts the longer is opened
+// alone, down to entries. A leaf or root split keeps that walk on the
+// edited path too; any other shape is compared entry by entry, and the
+// answer is the same.
+
+/// A functional update of one key, not applied.
+#[derive(Clone, Copy)]
+struct Edit<'a> {
+    key: &'a str,
+    /// The value bound to `key`; `None` removes it.
+    value: Option<&'a Value>,
+    /// Entries the edit adds to, and takes from, the subtree holding
+    /// `key`: an insert of a new key adds one, a remove of a present
+    /// key takes one, a replace does neither.
+    added: usize,
+    removed: usize,
+}
+
+impl Edit<'_> {
+    /// Entries of a subtree of `len` that holds the key, once edited.
+    fn len(&self, len: usize) -> usize {
+        (len + self.added).saturating_sub(self.removed)
+    }
+}
+
+/// What a [`Side`] of [`walk`] holds next.
+#[derive(Clone, Copy)]
+enum Item<'a> {
+    /// A subtree, its entry count (the edit applied, if inside it), and
+    /// whether the edit is inside it.
+    Tree(&'a MapTree, usize, bool),
+    Entry(&'a str, &'a Value),
+}
+
+/// One side of [`walk`]: its frames root to current, like
+/// [`MapIter`]'s, and the edit until it is passed.
+struct Side<'a> {
+    stack: [(&'a MapTree, usize); MAX_DEPTH],
+    depth: usize,
+    edit: Option<Edit<'a>>,
+    /// The frames below this depth lie on the edited key's path.
+    path: usize,
+    /// Where the key lies in the deepest of them: the child it routes
+    /// to, or the entry it sorts before.
+    at: usize,
+    /// Whether the item last peeked is the edit's inserted entry.
+    inserted: bool,
+}
+
+impl<'a> Side<'a> {
+    fn new(root: &'a MapTree, edit: Option<Edit<'a>>) -> Self {
+        let mut side = Side {
+            stack: [(root, 0); MAX_DEPTH],
+            depth: 1,
+            edit,
+            path: 1,
+            at: 0,
+            inserted: false,
+        };
+        side.locate();
+        side
+    }
+
+    /// Finds the key in the frame on top, which is on its path.
+    fn locate(&mut self) {
+        let Some(edit) = self.edit else {
+            return;
+        };
+        self.at = match self.stack[self.depth - 1].0 {
+            MapTree::Branch(b) => child_for(&b.children, edit.key),
+            MapTree::Leaf(es) => es.partition_point(|(k, _)| k.as_ref() < edit.key),
+        };
+    }
+
+    /// The next item, or `None` past the last.
+    fn peek(&mut self) -> Option<Item<'a>> {
+        loop {
+            let top = self.depth.checked_sub(1)?;
+            let (node, idx) = self.stack[top];
+            let edit = self
+                .edit
+                .filter(|_| self.path == self.depth && idx == self.at);
+            self.inserted = false;
+            match (node, edit) {
+                (MapTree::Branch(b), edit) => {
+                    let Some((_, child)) = b.children.get(idx) else {
+                        self.depth = top;
+                        continue;
+                    };
+                    let Some(edit) = edit else {
+                        return Some(Item::Tree(child, child.len(), false));
+                    };
+                    let len = edit.len(child.len());
+                    if len == 0 {
+                        // The remove empties the child: pass both.
+                        self.stack[top].1 += 1;
+                        self.edit = None;
+                        continue;
+                    }
+                    return Some(Item::Tree(child, len, true));
+                }
+                (
+                    MapTree::Leaf(_),
+                    Some(Edit {
+                        key,
+                        value: Some(v),
+                        ..
+                    }),
+                ) => {
+                    self.inserted = true;
+                    return Some(Item::Entry(key, v));
+                }
+                (MapTree::Leaf(_), Some(_)) => {
+                    // The removed entry: pass it.
+                    self.stack[top].1 += 1;
+                    self.edit = None;
+                }
+                (MapTree::Leaf(es), None) => match es.get(idx) {
+                    Some((k, v)) => return Some(Item::Entry(k, v)),
+                    None => self.depth = top,
+                },
+            }
+        }
+    }
+
+    /// Passes the item last peeked.
+    fn skip(&mut self) {
+        let Some(top) = self.depth.checked_sub(1) else {
+            return;
+        };
+        let (node, idx) = &mut self.stack[top];
+        if std::mem::take(&mut self.inserted) {
+            // The inserted entry; a replace passes the one it replaces.
+            let key = self.edit.take().map(|e| e.key);
+            let replaced = match node {
+                MapTree::Leaf(es) => es.get(*idx).is_some_and(|(k, _)| Some(k.as_ref()) == key),
+                MapTree::Branch(_) => false,
+            };
+            *idx += usize::from(replaced);
+            return;
+        }
+        *idx += 1;
+    }
+
+    /// Opens the subtree last peeked, `tree`, which holds the edit when
+    /// `edited`.
+    fn open(&mut self, tree: &'a MapTree, edited: bool) {
+        self.skip();
+        let d = self.depth;
+        assert!(d < MAX_DEPTH, "persistent map deeper than MAX_DEPTH");
+        self.stack[d] = (tree, 0);
+        self.depth = d + 1;
+        if edited {
+            self.path = self.depth;
+            self.locate();
+        }
+    }
+}
+
+/// Whether `a` holds exactly the entries of `b` with `key` bound to
+/// `value`, or with `key` removed where `value` is `None`.
+fn edited_eq(a: &MapTree, b: &MapTree, key: &str, value: Option<&Value>) -> bool {
+    // An insert adds at most one entry, a remove takes at most one.
+    let (more, fewer) = match value {
+        Some(_) => (a, b),
+        None => (b, a),
+    };
+    if !(more.len() == fewer.len() || more.len() == fewer.len() + 1) {
+        return false;
+    }
+    match (a, b) {
+        (MapTree::Branch(x), MapTree::Branch(y)) if x.children.len() == y.children.len() => {
+            let at = child_for(&y.children, key);
+            let pairs = || x.children.iter().zip(&y.children).enumerate();
+            let lined_up = pairs().all(|(i, ((_, c), (_, d)))| match i == at {
+                true => c.len() + b.len() == d.len() + a.len(),
+                false => c.len() == d.len(),
+            });
+            if lined_up {
+                return pairs().all(|(i, ((_, c), (_, d)))| match i == at {
+                    true => edited_eq(c, d, key, value),
+                    false => map_nodes_eq(c, d),
+                });
+            }
+        }
+        (MapTree::Leaf(x), MapTree::Leaf(y)) => return leaf_edited_eq(x, y, key, value),
+        _ => {}
+    }
+    let present = tree_get(b, key).is_some();
+    if value.is_none() && !present {
+        return map_nodes_eq(a, b);
+    }
+    walk(
+        a,
+        b,
+        Edit {
+            key,
+            value,
+            added: usize::from(value.is_some() && !present),
+            removed: usize::from(value.is_none()),
+        },
+    )
+}
+
+/// [`edited_eq`] of two leaves: `x` must be `y`'s entries before the
+/// key's slot, the key bound to `value` (none for a remove), then
+/// `y`'s entries after the slot.
+fn leaf_edited_eq(x: &Entries, y: &Entries, key: &str, value: Option<&Value>) -> bool {
+    let at = y.partition_point(|(k, _)| k.as_ref() < key);
+    let present = y.get(at).is_some_and(|(k, _)| k.as_ref() == key);
+    let after = at + usize::from(present);
+    let from = at + usize::from(value.is_some());
+    let slot = match value {
+        Some(v) => x.get(at).is_some_and(|(k, w)| k.as_ref() == key && w == v),
+        None => true,
+    };
+    slot && entries_eq(x.get(..at), y.get(..at)) && entries_eq(x.get(from..), y.get(after..))
+}
+
+/// A leaf's entries.
+type Entries = [(Arc<str>, Value)];
+
+/// Two runs of entries, equal one for one; `None` is a run that does not
+/// exist.
+fn entries_eq(x: Option<&Entries>, y: Option<&Entries>) -> bool {
+    let (Some(x), Some(y)) = (x, y) else {
+        return false;
+    };
+    x.len() == y.len()
+        && x.iter().zip(y).all(|((k, v), (l, w))| {
+            count_compare();
+            // Keys are mostly one interned string: pointers first.
+            (Arc::ptr_eq(k, l) || k == l) && v == w
+        })
+}
+
+/// Whether `a` holds exactly the entries of `b` with `edit` applied,
+/// whatever the two shapes: one entry sequence against the other, a
+/// subtree at a time.
+fn walk(a: &MapTree, b: &MapTree, edit: Edit<'_>) -> bool {
+    if a.len() != edit.len(b.len()) {
+        return false;
+    }
+    let (mut x, mut y) = (Side::new(a, None), Side::new(b, Some(edit)));
+    loop {
+        let (p, q) = match (x.peek(), y.peek()) {
+            (None, None) => return true,
+            (Some(p), Some(q)) => (p, q),
+            _ => return false,
+        };
+        match (p, q) {
+            (Item::Entry(k, v), Item::Entry(l, w)) => {
+                count_compare();
+                // Keys are mostly one interned string: pointers first.
+                if (!std::ptr::eq(k, l) && k != l) || v != w {
+                    return false;
+                }
+                x.skip();
+                y.skip();
+            }
+            (Item::Tree(s, m, _), Item::Tree(t, n, edited)) if m == n => {
+                if !edited && s.addr() == t.addr() {
+                    x.skip();
+                    y.skip();
+                } else {
+                    x.open(s, false);
+                    y.open(t, edited);
+                }
+            }
+            // Of two counts, the longer is opened.
+            (Item::Tree(s, m, _), Item::Tree(t, n, edited)) => match m > n {
+                true => x.open(s, false),
+                false => y.open(t, edited),
+            },
+            (Item::Tree(s, ..), Item::Entry(..)) => x.open(s, false),
+            (Item::Entry(..), Item::Tree(t, _, edited)) => y.open(t, edited),
+        }
     }
 }
 
@@ -1427,6 +1746,31 @@ mod tests {
         let (equal, n) = compares(|| a == b);
         assert!(equal);
         assert!((1..=budget).contains(&n), "{n} element comparisons");
+    }
+
+    #[test]
+    fn an_edit_check_reads_the_edited_path() {
+        // MOTD's shape again, grown one insert at a time: each version
+        // checked against the insert that made it reads the edited
+        // leaf, a split's two leaves included, and no more.
+        let mut base = PMap::new();
+        for i in 0..600 {
+            let key = k(&format!("day-{:03}", (i * 7919) % 1000));
+            let next = base.insert(Arc::clone(&key), Value::int(i));
+            let (equal, n) = compares(|| next.eq_inserted(&base, &key, &Value::int(i)));
+            assert!(equal);
+            assert!(n <= CHUNK as u64 + 1, "insert {i}: {n} entry comparisons");
+            let (equal, n) = compares(|| base.eq_removed(&next, &key));
+            assert!(equal);
+            assert!(n <= CHUNK as u64 + 1, "remove {i}: {n} entry comparisons");
+            // A forged value off the path is found, wherever it is.
+            let far = next.keys().next().cloned().expect("an entry");
+            if far != key {
+                let forged = next.insert(far, Value::Null);
+                assert!(!forged.eq_inserted(&base, &key, &Value::int(i)));
+            }
+            base = next;
+        }
     }
 
     #[test]

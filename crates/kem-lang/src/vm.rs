@@ -23,7 +23,7 @@ use crate::error::RuntimeError;
 use crate::ids::{FunctionId, Sym, VarId};
 use crate::ops::{
     eval_binop, eval_contains, eval_digest, eval_index, eval_keys, eval_len, eval_list_push,
-    eval_map_insert, eval_map_remove, eval_to_str, int_binop, Scalar,
+    eval_map_insert, eval_map_remove, eval_to_str, int_binop, MapEdit, Scalar,
 };
 use crate::pvalue::{PList, PMap};
 use crate::value::Value;
@@ -169,6 +169,88 @@ impl Operand for Value {
     }
 }
 
+/// What a `SharedWrite` hands the machine: the operand written, or, for
+/// a `MapInsert` / `MapRemove` directly before it, the map edit that
+/// makes it, not yet applied. The loop hands over an edit only when
+/// every member's operands have the edit's types, so
+/// [`Write::build`] is what the plain ops would have pushed and
+/// [`Write::edit`] is every member's [`MapEdit`]. A machine that keeps
+/// the written value builds it; one that only checks it against a
+/// logged value need not.
+#[derive(Debug, Clone)]
+pub enum Write<O> {
+    /// The operand written.
+    Value(O),
+    /// `map_insert(map, key, value)`.
+    Insert {
+        /// The map edited.
+        map: O,
+        /// The key bound.
+        key: O,
+        /// The value bound to it.
+        value: O,
+    },
+    /// `map_remove(map, key)`.
+    Remove {
+        /// The map edited.
+        map: O,
+        /// The key removed.
+        key: O,
+    },
+}
+
+impl<O: Operand> Write<O> {
+    /// The operand written, for `n` members: an edit is built as the
+    /// `MapInsert` / `MapRemove` op builds it, once when every operand
+    /// is uniform.
+    pub fn build(self, n: usize) -> Result<O, RuntimeError> {
+        match self {
+            Write::Value(v) => Ok(v),
+            Write::Insert { map, key, value } => {
+                let items = [map, key, value];
+                let [map, key, value] = &items;
+                O::gather(&items, n, |i| {
+                    eval_map_insert(map.member(i), key.member(i), value.member(i))
+                })
+            }
+            Write::Remove { map, key } => {
+                let items = [map, key];
+                let [map, key] = &items;
+                O::gather(&items, n, |i| eval_map_remove(map.member(i), key.member(i)))
+            }
+        }
+    }
+
+    /// Member `i`'s edit, or the type error the op would have raised;
+    /// `None` for a plain value.
+    pub fn edit(&self, i: usize) -> Option<Result<MapEdit<'_>, RuntimeError>> {
+        Some(match self {
+            Write::Value(_) => return None,
+            Write::Insert { map, key, value } => {
+                MapEdit::insert(map.member(i), key.member(i), value.member(i))
+            }
+            Write::Remove { map, key } => MapEdit::remove(map.member(i), key.member(i)),
+        })
+    }
+
+    /// Whether every operand is one value for all members, so that the
+    /// value written is too.
+    pub fn uniform(&self) -> bool {
+        let one = |o: &O| o.uniform().is_some();
+        match self {
+            Write::Value(v) => one(v),
+            Write::Insert { map, key, value } => one(map) && one(key) && one(value),
+            Write::Remove { map, key } => one(map) && one(key),
+        }
+    }
+
+    /// Whether every one of `n` members' operands has the edit's types.
+    fn typed(&self, n: usize) -> bool {
+        let members = if self.uniform() { n.min(1) } else { n };
+        (0..members).all(|i| self.edit(i).is_none_or(|e| e.is_ok()))
+    }
+}
+
 /// A failure of the loop itself. Each executor maps it to its own
 /// error type, with its own wording ([`Machine::Error`]). A read of an
 /// unbound local is the one failure the executor words from the running
@@ -263,12 +345,13 @@ pub trait Machine {
 
     /// `SharedRead`.
     fn shared_read(&mut self, var: VarId, loggable: bool) -> Result<Self::Operand, Self::Error>;
-    /// `SharedWrite`.
+    /// `SharedWrite`, or a map edit and the `SharedWrite` after it
+    /// ([`Write`]).
     fn shared_write(
         &mut self,
         var: VarId,
         loggable: bool,
-        v: Self::Operand,
+        w: Write<Self::Operand>,
     ) -> Result<(), Self::Error>;
     /// `Emit`.
     fn emit(&mut self, event: Sym, payload: Self::Operand) -> Result<(), Self::Error>;
@@ -549,14 +632,19 @@ impl<O: Operand> Vm<O> {
                     })?;
                 }
                 Op::MapInsert => {
-                    let (v, k, map) = (self.pop()?, self.pop()?, self.pop()?);
-                    let items = [map, k, v];
-                    let [map, k, v] = &items;
-                    self.push(O::gather(&items, n, |i| {
-                        eval_map_insert(map.member(i), k.member(i), v.member(i))
-                    }))?;
+                    let (value, key, map) = (self.pop()?, self.pop()?, self.pop()?);
+                    if self.map_edit(m, code, pc, Write::Insert { map, key, value })? {
+                        pc += 2;
+                        continue;
+                    }
                 }
-                Op::MapRemove => self.binary(n, eval_map_remove)?,
+                Op::MapRemove => {
+                    let (key, map) = (self.pop()?, self.pop()?);
+                    if self.map_edit(m, code, pc, Write::Remove { map, key })? {
+                        pc += 2;
+                        continue;
+                    }
+                }
                 Op::ListPush => self.binary(n, eval_list_push)?,
                 Op::Keys => self.unary(eval_keys)?,
                 Op::Digest => self.unary(|v| Ok(eval_digest(v)))?,
@@ -567,7 +655,7 @@ impl<O: Operand> Vm<O> {
                 }
                 Op::SharedWrite { var, loggable } => {
                     let v = self.pop()?;
-                    m.shared_write(var, loggable, v)?;
+                    m.shared_write(var, loggable, Write::Value(v))?;
                 }
                 Op::Branch { else_target } => {
                     let c = self.pop()?;
@@ -663,6 +751,38 @@ impl<O: Operand> Vm<O> {
             }
             pc += 1;
         }
+    }
+
+    /// The `MapInsert` or `MapRemove` at `pc`, its operands popped into
+    /// `edit`. When the next op is a `SharedWrite` and every member's
+    /// operands have the edit's types, the two ops run as one: the
+    /// `SharedWrite`'s charge and count are made as the loop would have
+    /// made them, the machine gets the edit unbuilt, and this returns
+    /// `true`. Otherwise the plain op builds the map, or fails, and
+    /// pushes it. Kept out of line: the dispatch loop stays the size it
+    /// was for the ops that run far more often.
+    #[inline(never)]
+    fn map_edit<M: Machine<Operand = O>>(
+        &mut self,
+        m: &mut M,
+        code: &FuncCode,
+        pc: usize,
+        edit: Write<O>,
+    ) -> Result<bool, M::Error> {
+        let n = m.width();
+        if let Some(&Op::SharedWrite { var, loggable }) = code.ops.get(pc + 1) {
+            if edit.typed(n) {
+                let units = code.charges[pc + 1];
+                if units > 0 {
+                    m.charge(u64::from(units))?;
+                }
+                self.ops += 1;
+                m.shared_write(var, loggable, edit)?;
+                return Ok(true);
+            }
+        }
+        self.push(edit.build(n))?;
+        Ok(false)
     }
 
     /// Runs the integer run that holds `window`, from that window on, and
@@ -812,7 +932,7 @@ mod tests {
         fn shared_read(&mut self, _: VarId, _: bool) -> Result<Value, RuntimeError> {
             Err(RuntimeError::new("effect"))
         }
-        fn shared_write(&mut self, _: VarId, _: bool, _: Value) -> Result<(), RuntimeError> {
+        fn shared_write(&mut self, _: VarId, _: bool, _: Write<Value>) -> Result<(), RuntimeError> {
             Err(RuntimeError::new("effect"))
         }
         fn emit(&mut self, _: Sym, _: Value) -> Result<(), RuntimeError> {

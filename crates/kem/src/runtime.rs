@@ -28,7 +28,7 @@ use rand::{Rng, SeedableRng};
 
 use crate::bytecode::CodeSet;
 use crate::hooks::{ExecHooks, TxOpRecord};
-use crate::vm::{Machine, Vm, LOOP_LIMIT};
+use crate::vm::{Machine, Vm, Write, LOOP_LIMIT};
 use crate::{
     init_handler_id, tx_payload_keys, FunctionId, HandlerId, NondetKind, Program, RequestId,
     RuntimeError, Sym, Trace, TxOpKind, Value, VarId,
@@ -539,7 +539,14 @@ impl<H: ExecHooks> Machine for ServerMachine<'_, '_, H> {
         Ok(v)
     }
 
-    fn shared_write(&mut self, var: VarId, loggable: bool, v: Value) -> Result<(), RuntimeError> {
+    /// A map edit is built here, as its op would have built it.
+    fn shared_write(
+        &mut self,
+        var: VarId,
+        loggable: bool,
+        w: Write<Value>,
+    ) -> Result<(), RuntimeError> {
+        let v = w.build(1)?;
         if loggable {
             let op = self.next_op();
             self.hooks.on_var_write(var, self.rid, &self.hid, op, &v);

@@ -37,7 +37,7 @@ pub use reexec::inject_group_panic_for_tests;
 pub use reexec::{ReExecutor, ReexecStats, ReexecTiming, ReplaySchedule};
 pub use reject::{RejectReason, ResourceKind};
 pub use var_index::{Coordinate, VarIndex};
-pub use vars::{FeedCounters, VarStates};
+pub use vars::{Candidate, FeedCounters, VarStates};
 
 use kem_lang::{init_handler_id, OpRef, Program, RequestId, Trace, VarId};
 use obs::{CounterId, GaugeId, HistogramId, Layer, LayerClock, Obs};

@@ -51,7 +51,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-use kem_lang::vm::{Machine, Vm, VmError};
+use kem_lang::vm::{Machine, Vm, VmError, Write};
 use kem_lang::{
     tx_payload_keys, Exchange, FunctionId, HandlerId, NondetKind, OpRef, Program, RequestId, Sym,
     Trace, TxOpKind, Value, VarId,
@@ -68,7 +68,7 @@ use crate::verifier::pool;
 use crate::verifier::preprocess::{OpMapEntry, Preprocessed};
 use crate::verifier::reject::{RejectReason, ResourceKind};
 use crate::verifier::var_index::VarLog;
-use crate::verifier::vars::{GroupAccesses, GroupVars, VarStates};
+use crate::verifier::vars::{Candidate, GroupAccesses, GroupVars, VarStates};
 use crate::wire::{HandlerLogEntryView, HandlerOpView};
 
 /// Fuel units between wall-clock polls of the group deadline: frequent
@@ -993,8 +993,8 @@ impl<'a> Worker<'a> {
         self.pre.var_index.log(&self.advice.var_logs, var)
     }
 
-    fn note_dedup(&mut self, mv: &MultiValue) {
-        if mv.is_uniform() {
+    fn note_dedup(&mut self, uniform: bool) {
+        if uniform {
             self.stats.uniform_ops += 1;
         } else {
             self.stats.expanded_ops += 1;
@@ -1260,22 +1260,24 @@ impl Machine for Replay<'_, '_> {
         let (ex, frame) = (&mut *self.ex, &*self.frame);
         let log = ex.var_log(var);
         let mv = MultiValue::collect(g.n(), |i| ex.vars.on_read(var, frame.node(i)?, &log))?;
-        ex.note_dedup(&mv);
+        ex.note_dedup(mv.is_uniform());
         Ok(mv)
     }
 
-    /// A write of `v` by every member: to the loggable variable's state
+    /// A write by every member: to the loggable variable's state
     /// (Fig. 21), or to each member's copy of a non-loggable one. That
     /// table grows to the program's variables and the worker's
-    /// members, both trusted sizes.
+    /// members, both trusted sizes. A map edit is built only for the
+    /// copies; the loggable variable's state checks it against the log.
     fn shared_write(
         &mut self,
         var: VarId,
         loggable: bool,
-        v: MultiValue,
+        w: Write<MultiValue>,
     ) -> Result<(), RejectReason> {
         let n = self.g.n();
         if !loggable {
+            let v = w.build(n).map_err(VmError::Op)?;
             let (nonlog, first) = (&mut self.ex.nonlog, self.g.nonlog_slot);
             let slot = var.0 as usize;
             if slot >= nonlog.len() {
@@ -1292,12 +1294,49 @@ impl Machine for Replay<'_, '_> {
         }
         self.bump()?;
         let (ex, frame) = (&mut *self.ex, &*self.frame);
-        ex.note_dedup(&v);
         let log = ex.var_log(var);
-        for (i, val) in v.iter(n).enumerate() {
-            ex.vars.on_write(var, frame.node(i)?, val.clone(), &log)?;
+        if let Write::Value(v) = &w {
+            ex.note_dedup(v.is_uniform());
+            for (i, val) in v.iter(n).enumerate() {
+                ex.vars.on_write(var, frame.node(i)?, val.clone(), &log)?;
+            }
+            return Ok(());
         }
-        Ok(())
+        // A map edit. It counts as uniform exactly when the built values
+        // would have collapsed: every operand uniform, or every member's
+        // value the first's — which, once each member's write resolved,
+        // is its resolved value (a checked write's equals what it would
+        // have built). A refusal resolves no value, so there the values
+        // are built to be counted.
+        let uniform = w.uniform();
+        let (mut first, mut same) = (None, true);
+        let mut checked = Ok(());
+        for i in 0..n {
+            let Some(edit) = w.edit(i) else { break };
+            let resolved = edit.map_err(|e| VmError::Op(e).into()).and_then(|edit| {
+                let node = frame.node(i)?;
+                ex.vars.write(var, node, Candidate::Edit(edit), &log)
+            });
+            match resolved {
+                Ok(_) if uniform || !same => {}
+                Ok(v) => match &first {
+                    None => first = Some(v),
+                    Some(f) => same = *f == v,
+                },
+                Err(e) => {
+                    checked = Err(e);
+                    break;
+                }
+            }
+        }
+        let counted = match checked {
+            Ok(()) => Some(uniform || same),
+            Err(_) => w.build(n).ok().map(|v| v.is_uniform()),
+        };
+        if let Some(uniform) = counted {
+            ex.note_dedup(uniform);
+        }
+        checked
     }
 
     fn emit(&mut self, event: Sym, payload: MultiValue) -> Result<(), RejectReason> {
@@ -1372,7 +1411,7 @@ impl Machine for Replay<'_, '_> {
     ) -> Result<(), RejectReason> {
         self.bump()?;
         if let Some(k) = &key_v {
-            self.ex.note_dedup(k);
+            self.ex.note_dedup(k.is_uniform());
         }
         let mut payloads = Vec::with_capacity(self.g.n());
         let advice = self.ex.advice;

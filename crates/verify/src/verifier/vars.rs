@@ -33,12 +33,15 @@
 //!
 //! A write that passes simulate-and-check keeps the log entry's value,
 //! which the advice holds anyway, not the re-executed copy proved equal
-//! to it: a later compare against it is a pointer compare.
+//! to it: a later compare against it is a pointer compare. A write of a
+//! map edit ([`Candidate::Edit`]) is checked against the logged map
+//! without being built at all (DESIGN.md §19); only a write the log does
+//! not hold builds its value.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use kem_lang::{OpRef, Value, VarId};
+use kem_lang::{MapEdit, OpRef, Value, VarId};
 
 use crate::advice::AccessType;
 use crate::advice_ref::{VarLogRef, VecMap};
@@ -61,6 +64,40 @@ const OVERWRITTEN_TWICE: RejectReason = RejectReason::VarChainBroken {
 const FIRST_TWICE: RejectReason = RejectReason::VarChainBroken {
     why: "two writes claim to be the first",
 };
+
+/// What a re-executed write produced, as simulate-and-check takes it:
+/// its value, or the map edit that makes it, not yet applied.
+#[derive(Debug, Clone)]
+pub enum Candidate<'v> {
+    /// The value written.
+    Built(Value),
+    /// A `map_insert` / `map_remove` of the variable's new value.
+    Edit(MapEdit<'v>),
+}
+
+impl From<Value> for Candidate<'_> {
+    fn from(v: Value) -> Self {
+        Candidate::Built(v)
+    }
+}
+
+impl Candidate<'_> {
+    /// Whether `logged` is the value written.
+    fn matches(&self, logged: &Value) -> bool {
+        match self {
+            Candidate::Built(v) => logged == v,
+            Candidate::Edit(edit) => edit.eq_built(logged),
+        }
+    }
+
+    /// The value written.
+    fn build(self) -> Value {
+        match self {
+            Candidate::Built(v) => v,
+            Candidate::Edit(edit) => edit.build(),
+        }
+    }
+}
 
 /// One variable's writes that ran where its accesses are resolved.
 #[derive(Debug, Default)]
@@ -312,13 +349,25 @@ impl GroupVars {
 
     /// [`VarStates::on_write`] as far as this group decides it, with the
     /// checks of [`VarStates::apply_write`] on the group's own writes.
-    pub fn on_write<K>(
+    pub fn on_write<'v, K>(
         &mut self,
         var: VarId,
         node: u32,
-        value: Value,
+        value: impl Into<Candidate<'v>>,
         log: &VarLog<'_, K>,
     ) -> Result<(), RejectReason> {
+        self.write(var, node, value.into(), log).map(drop)
+    }
+
+    /// [`GroupVars::on_write`], returning the value the write resolved
+    /// to: the logged value it was checked against, or its own.
+    pub(crate) fn write<K>(
+        &mut self,
+        var: VarId,
+        node: u32,
+        value: Candidate<'_>,
+        log: &VarLog<'_, K>,
+    ) -> Result<Value, RejectReason> {
         let resolved = Ran::of(&self.written, &self.init, var).resolve_write(var, node, value, log);
         let initialized = init_of(&self.init, var).is_some();
         let written = written_mut(&mut self.written, var);
@@ -336,7 +385,7 @@ impl GroupVars {
                 None if initialized || written.first => return Err(FIRST_TWICE),
                 None => written.first = true,
             }
-            Ok(((), VarEvent::Write(event)))
+            Ok((event.value.clone(), VarEvent::Write(event)))
         });
         self.record(stepped)
     }
@@ -538,7 +587,8 @@ impl VarStates {
         log: &VarLog<'_, K>,
     ) -> Result<(), RejectReason> {
         self.bound()?;
-        let event = Ran::of(&self.written, &self.init, var).resolve_write(var, node, value, log)?;
+        let event =
+            Ran::of(&self.written, &self.init, var).resolve_write(var, node, value.into(), log)?;
         let written = written_mut(&mut self.written, var);
         written
             .values
@@ -722,7 +772,7 @@ impl<'s> Ran<'s> {
         self,
         var: VarId,
         node: u32,
-        value: Value,
+        value: Candidate<'_>,
         log: &VarLog<'_, K>,
     ) -> Result<WriteEvent, RejectReason> {
         let (value, logged_prec) = match log.entry_at(node) {
@@ -732,14 +782,16 @@ impl<'s> Ran<'s> {
                 }
                 // Simulate-and-check: the re-executed value must equal
                 // the logged one, validating whatever fed or will feed
-                // logged reads (§4.3). The logged value is kept.
-                let Some(logged) = entry.value.as_ref().filter(|logged| **logged == value) else {
+                // logged reads (§4.3). The logged value is kept, and a
+                // map edit is checked against it without being built.
+                let Some(logged) = entry.value.as_ref().filter(|logged| value.matches(logged))
+                else {
                     return Err(log.mismatch(node, "logged write value differs from re-execution"));
                 };
                 let prec = Some(log.prec(position).0).filter(|prec| *prec != NONE);
                 (logged.clone(), prec)
             }
-            None => (value, None),
+            None => (value.build(), None),
         };
         // An unlogged write, and a backfilled one (logged lazily, so
         // the log doesn't say what it overwrote), overwrote the nearest

@@ -581,26 +581,28 @@ fn motd_write_heavy_audit_allocation_scaling() {
     // beyond linear). With one block per persistent node, built in
     // place: 3946 and 8318 (2.11x, 426 beyond linear). With the advice's
     // coordinates as path ranks: 3918 and 8257 (2.11x, 421 beyond
-    // linear). The pins are those plus 5 %; the one beyond linear stays
-    // at 447.
+    // linear). With a logged map write checked against the edit of the
+    // map it read, not built and dropped: 3217 and 6464 (2.01x, 30
+    // beyond linear) — what was beyond linear was the copied path's
+    // third level. The pins are those plus 5 %.
     assert!(
-        at_200 <= 4_113,
+        at_200 <= 3_377,
         "motd write-heavy audit exceeded its allocation budget at 200 \
-         requests: {at_200} events (budget 4113; measured 3918, 5769 with two \
-         blocks per node)"
+         requests: {at_200} events (budget 3377; measured 3217, 3918 with every \
+         map write built)"
     );
     assert!(
-        at_400 <= 8_669,
+        at_400 <= 6_787,
         "motd write-heavy audit exceeded its allocation budget at 400 \
-         requests: {at_400} events (budget 8669; measured 8257, 12572 with two \
-         blocks per node)"
+         requests: {at_400} events (budget 6787; measured 6464, 8257 with every \
+         map write built)"
     );
     assert!(
-        beyond_linear <= 447,
+        beyond_linear <= 31,
         "motd write-heavy audit allocations grow like the number of logged \
          map nodes again: {at_200} -> {at_400}, {beyond_linear} events beyond \
-         twice the count at 200 (pin <= 447; measured 426, 1034 with two blocks \
-         per node)"
+         twice the count at 200 (pin <= 31; measured 30, 421 with every map \
+         write built)"
     );
 }
 
@@ -723,16 +725,18 @@ fn wiki_audit_allocation_budget() {
     // for every logged value read back: 34 562 events, 15 236 308 B.
     // With the advice's coordinates as 16-byte path-rank triples, not
     // 24-byte `OpRef`s (34 355 events, 15 158 300 B before): 34 346
-    // events, 14 924 324 B. The pins are those plus 5 %.
+    // events, 14 924 324 B. With a logged map write checked against the
+    // edit of the map it read, not built and dropped: 28 962 events,
+    // 13 465 596 B. The pins are those plus 5 %.
     assert!(
-        events <= 36_063,
-        "wiki audit exceeded its allocation budget: {events} events (budget 36063; \
-         measured 34346, 50486 with two blocks per persistent node)"
+        events <= 30_410,
+        "wiki audit exceeded its allocation budget: {events} events (budget 30410; \
+         measured 28962, 34346 with every map write built)"
     );
     assert!(
-        requested <= 15_670_540,
-        "wiki audit exceeded its byte budget: {requested} B requested (budget 15670540; \
-         measured 14924324, 16401612 with two blocks per persistent node)"
+        requested <= 14_138_875,
+        "wiki audit exceeded its byte budget: {requested} B requested (budget 14138875; \
+         measured 13465596, 14924324 with every map write built)"
     );
 }
 
@@ -1042,6 +1046,46 @@ fn path_copies_allocate_one_block_per_node() {
     let list = PList::from_exact(vec![Value::Null; CHUNK - 1]);
     let (pushed, events) = count_allocs(|| list.push(Value::int(1)));
     assert_eq!((pushed.len(), events), (CHUNK, 1), "a one-leaf list's push");
+}
+
+/// Replay's simulate-and-check of a map write compares the logged map
+/// with the edit of the base it read, without building the edit: no
+/// allocation whatever the answer — an honest version, one whose insert
+/// split a leaf or the root, a forged value, a re-cut copy — where
+/// building it would path-copy a block per level.
+#[test]
+fn checking_a_map_edit_allocates_nothing() {
+    let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
+    use kem::pvalue::PMap;
+    use std::sync::Arc;
+
+    let key = |i: u64| -> Arc<str> { Arc::from(format!("day-{:04}", i.wrapping_mul(7919) % 1000)) };
+    let mut base = PMap::new();
+    let mut events = 0;
+    let mut checks = 0;
+    for i in 0..600 {
+        let (k, v) = (key(i), Value::int(i as i64));
+        let next = base.insert(Arc::clone(&k), v.clone());
+        let forged = next.insert(key(i / 2), Value::Null);
+        let recut = PMap::from_pairs(next.iter().map(|(k, v)| (Arc::clone(k), v.clone())));
+        let gone = next.remove(&k);
+        let (answers, n) = count_allocs(|| {
+            [
+                next.eq_inserted(&base, &k, &v),
+                recut.eq_inserted(&base, &k, &v),
+                forged.eq_inserted(&base, &k, &v),
+                gone.eq_removed(&next, &k),
+                base.eq_removed(&next, &k),
+            ]
+        });
+        assert_eq!(answers[..3], [true, true, forged == next], "insert {i}");
+        assert_eq!(answers[3..], [true, base == gone], "remove {i}");
+        events += n;
+        checks += answers.len();
+        base = next;
+    }
+    eprintln!("{checks} map edit checks: {events} allocation events");
+    assert_eq!(events, 0, "checking a map edit allocated");
 }
 
 /// A handler that builds a map literal of `keys` entries from a value
