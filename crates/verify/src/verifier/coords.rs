@@ -325,11 +325,16 @@ impl Coords {
     /// operations or its end node); `None` for a request-boundary node
     /// and past the last node.
     pub(crate) fn activation_of(&self, id: u32) -> Option<&Activation> {
+        self.acts.get(self.act_of(id)? as usize)
+    }
+
+    /// [`Coords::activation_of`], as an activation index.
+    pub(crate) fn act_of(&self, id: u32) -> Option<u32> {
         if id >= self.nodes {
             return None;
         }
         let before = self.starts.partition_point(|start| *start <= id);
-        self.acts.get(before.checked_sub(1)?)
+        u32::try_from(before.checked_sub(1)?).ok()
     }
 
     /// Decodes a node id.
@@ -389,11 +394,18 @@ pub(crate) struct RequestRun {
 impl RequestRun {
     /// Node id of the advice's operation `op` ([`Coords::op_node`]).
     pub(crate) fn op_node(&mut self, coords: &Coords, op: &OpAt) -> Option<u32> {
+        self.op_at(coords, op).map(|(node, _)| node)
+    }
+
+    /// Node id of the advice's operation `op` and the index of the
+    /// activation that owns it.
+    pub(crate) fn op_at(&mut self, coords: &Coords, op: &OpAt) -> Option<(u32, u32)> {
         if self.rid != Some(op.rid) {
             self.rid = Some(op.rid);
             self.within = coords.activations_of(op.rid);
         }
-        coords.find_in(&self.within, op.path)?.op(op.opnum)
+        let act = coords.act_in(&self.within, op.path)?;
+        Some((coords.acts.get(act as usize)?.op(op.opnum)?, act))
     }
 }
 

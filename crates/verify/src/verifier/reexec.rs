@@ -49,6 +49,7 @@
 use std::collections::VecDeque;
 use std::ops::Range;
 use std::sync::atomic::{AtomicI64, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use kem_lang::vm::{Machine, Vm, VmError, Write};
@@ -68,7 +69,7 @@ use crate::verifier::pool;
 use crate::verifier::preprocess::{OpMapEntry, Preprocessed};
 use crate::verifier::reject::{RejectReason, ResourceKind};
 use crate::verifier::var_index::VarLog;
-use crate::verifier::vars::{Candidate, GroupAccesses, GroupVars, VarStates};
+use crate::verifier::vars::{Candidate, GroupAccesses, GroupVars, VarStates, Written};
 use crate::wire::{HandlerLogEntryView, HandlerOpView};
 
 /// Fuel units between wall-clock polls of the group deadline: frequent
@@ -343,8 +344,13 @@ impl Frame {
     /// [`Replay::bump`] accepted `idx` for every member, so the
     /// error is a verifier bug, not bad advice.
     fn node(&self, i: usize) -> Result<u32, RejectReason> {
+        self.at(i).map(|(node, _)| node)
+    }
+
+    /// [`Frame::node`], with the index of the activation that owns it.
+    fn at(&self, i: usize) -> Result<(u32, u32), RejectReason> {
         match self.slots.get(i).copied().flatten() {
-            Some(slot) if self.idx <= slot.count => Ok(slot.start + self.idx),
+            Some(slot) if self.idx <= slot.count => Ok((slot.start + self.idx, slot.act)),
             _ => Err(RejectReason::VerifierInternal {
                 what: "operation outside its activation".into(),
             }),
@@ -520,6 +526,21 @@ impl<'a> ReExecutor<'a> {
         // What each group's local state starts from: the trusted
         // initialization writes, shared and not copied.
         let init_vars: GroupVars = self.global.group_vars();
+        // Each pool lane's variable store, handed from group to group:
+        // the calling thread's, and the spawned lanes'. A lock only
+        // swaps a whole store in or out, so a poisoned one still holds
+        // a valid store.
+        let home = Mutex::<Written>::default();
+        let spawned: Vec<Mutex<Written>> = (1..threads.min(ngroups))
+            .map(|_| Mutex::default())
+            .collect();
+        let store = |lane: u32| {
+            let store = match lane.checked_sub(1) {
+                None => &home,
+                Some(spawned_lane) => spawned.get(spawned_lane as usize)?,
+            };
+            Some(store.lock().unwrap_or_else(PoisonError::into_inner))
+        };
 
         // Smallest group index known to have failed: the pool skips
         // groups strictly beyond it (the merge stops there), but never
@@ -548,14 +569,18 @@ impl<'a> ReExecutor<'a> {
                 0
             };
             let t_group = shard.span_start();
-            let vars = init_vars.fresh(pre.var_index.entries_of(rids));
+            let written = store(lane).map(|mut store| std::mem::take(&mut *store));
+            let vars = init_vars.fresh(pre.var_index.entries_of(rids), written.unwrap_or_default());
             let meter = Meter::arm(&self.limits, Some(gidx as u64), 1);
             let mut worker = Worker::new(program, advice, pre, self.schedule, vars, meter);
             let error = worker
                 .run_group(Group::new(rids.to_vec(), advice, &pre.coords), exchanges)
                 .err();
             let vm = (worker.vm.ops, worker.vm.fused_ops, worker.vm.fused_fuel);
-            let mut unit = worker.finish(error, shard);
+            let (mut unit, written) = worker.finish(error, shard);
+            if let Some(mut store) = store(lane) {
+                *store = written;
+            }
             let fuel = unit.stats.fuel_spent;
             if unit.obs.is_enabled() {
                 // The group's handler-tree digest is its control-flow
@@ -648,14 +673,14 @@ impl<'a> ReExecutor<'a> {
             .collect();
         let init_vars = self.global.group_vars();
         let replay = |_| {
-            let vars = init_vars.fresh(pre.var_index.entries_of(&order));
+            let vars = init_vars.fresh(pre.var_index.entries_of(&order), Written::default());
             // One pass does every request's work, so its one meter is
             // scaled by the request count (the grouped path budgets per
             // group).
             let meter = Meter::arm(&self.limits, None, order.len() as u64);
             let mut worker = Worker::new(program, advice, pre, self.schedule, vars, meter);
             let error = worker.run_interleaved(&groups, &exchanges).err();
-            Ok(worker.finish(error, ObsShard::disabled()))
+            Ok(worker.finish(error, ObsShard::disabled()).0)
         };
         let merge = Merge::new(
             self.global,
@@ -783,10 +808,11 @@ impl<'a> Worker<'a> {
 
     /// Ends the unit's replay — `error` is how it failed, if it did —
     /// and hands what the merge applies over, with `obs`, the shard the
-    /// unit's telemetry goes to.
-    fn finish(self, error: Option<RejectReason>, obs: ObsShard) -> GroupRun {
-        GroupRun {
-            accesses: self.vars.finish(),
+    /// unit's telemetry goes to, and the variable store back, cleared.
+    fn finish(self, error: Option<RejectReason>, obs: ObsShard) -> (GroupRun, Written) {
+        let (accesses, written) = self.vars.finish_keeping();
+        let run = GroupRun {
+            accesses,
             error,
             executed: self.executed,
             consumed: self.consumed,
@@ -797,7 +823,8 @@ impl<'a> Worker<'a> {
                 ..self.stats
             },
             obs,
-        }
+        };
+        (run, written)
     }
 
     /// Draws the next handler from an active queue per the schedule.
@@ -1259,7 +1286,10 @@ impl Machine for Replay<'_, '_> {
         self.bump()?;
         let (ex, frame) = (&mut *self.ex, &*self.frame);
         let log = ex.var_log(var);
-        let mv = MultiValue::collect(g.n(), |i| ex.vars.on_read(var, frame.node(i)?, &log))?;
+        let mv = MultiValue::collect(g.n(), |i| {
+            let (node, act) = frame.at(i)?;
+            ex.vars.read(var, node, act, &log)
+        })?;
         ex.note_dedup(mv.is_uniform());
         Ok(mv)
     }
@@ -1298,7 +1328,9 @@ impl Machine for Replay<'_, '_> {
         if let Write::Value(v) = &w {
             ex.note_dedup(v.is_uniform());
             for (i, val) in v.iter(n).enumerate() {
-                ex.vars.on_write(var, frame.node(i)?, val.clone(), &log)?;
+                let (node, act) = frame.at(i)?;
+                ex.vars
+                    .write(var, node, act, Candidate::Built(val.clone()), &log)?;
             }
             return Ok(());
         }
@@ -1314,8 +1346,8 @@ impl Machine for Replay<'_, '_> {
         for i in 0..n {
             let Some(edit) = w.edit(i) else { break };
             let resolved = edit.map_err(|e| VmError::Op(e).into()).and_then(|edit| {
-                let node = frame.node(i)?;
-                ex.vars.write(var, node, Candidate::Edit(edit), &log)
+                let (node, act) = frame.at(i)?;
+                ex.vars.write(var, node, act, Candidate::Edit(edit), &log)
             });
             match resolved {
                 Ok(_) if uniform || !same => {}

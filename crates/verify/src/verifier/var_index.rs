@@ -18,11 +18,17 @@
 //!   chain checks to reach the verdicts they reach on `OpRef`s; it just
 //!   never becomes an endpoint in `G`.
 //!
-//! Per entry the index keeps the id of its `prec` and the position of
-//! the entry that `prec` is the key of, per log the entries' own ids in
-//! ascending order, and per request its entry count — sixteen bytes an
-//! entry, nothing per node. Lookups are per variable: the same
-//! coordinate keyed in two variables' logs is two entries in two tables.
+//! The index is dense over the activations ([`act_of`]): a log keys an
+//! activation's operations in one run of entries, in operation order,
+//! so `head` gives each activation the newest log's run, the runs of
+//! other logs are chained (`next`), and "is this operation logged" is a
+//! search of the ids of one activation's run. An id past the nodes is
+//! an activation of its own, whose run is its one entry. Per entry the
+//! index keeps the chain link, the id of its key, and the id of its
+//! `prec` with the activation that id belongs to, and per request its
+//! entry count: four bytes an activation and sixteen an entry. A
+//! coordinate keyed in two variables' logs is two entries, one per log,
+//! on one chain.
 //!
 //! Resolution walks each log in key order. A coordinate of the advice
 //! carries its handler's path rank ([`crate::OpAt`]), so it resolves by
@@ -37,7 +43,7 @@ use std::sync::Arc;
 
 use kem_lang::{OpRef, RequestId, VarId};
 
-use crate::advice::{AccessType, OpAt, VarLogEntry};
+use crate::advice::{OpAt, VarLogEntry};
 use crate::advice_ref::{VarLogRef, VecMap};
 use crate::hids::HidTable;
 use crate::verifier::coords::{Coords, RequestRun};
@@ -86,12 +92,11 @@ pub(crate) const NONE: u32 = u32::MAX;
 /// One variable log's columns.
 #[derive(Debug)]
 struct LogIndex {
-    /// Id of an entry's key → the entry's position.
-    by_id: VecMap<u32, u32>,
-    /// Per entry: the id of its `prec` and, for a read entry, the
-    /// position of the entry keyed by that coordinate — the dictating
-    /// write, what `log.get(prec)` finds. [`NONE`] for an absent `prec`
-    /// and for one no entry is keyed by. Parallel to the entries.
+    /// The number of the log's first entry: entries are numbered across
+    /// the logs, one log after another.
+    base: u32,
+    /// Per entry: the id of its `prec` and the activation that id
+    /// belongs to ([`act_of`]); [`NONE`] twice for none.
     prec: Vec<(u32, u32)>,
 }
 
@@ -100,6 +105,16 @@ struct LogIndex {
 #[derive(Debug)]
 pub struct VarIndex<K = OpAt> {
     coords: Arc<Coords>,
+    /// By activation ([`act_of`]): the number of the first entry of the
+    /// newest log's run of entries keyed in it, [`NONE`] for none. As
+    /// long as the activations a log keys, and the ids past the nodes.
+    head: Vec<u32>,
+    /// By entry number, at the first entry of a run: the run of the same
+    /// activation in the log before, [`NONE`] ending the chain. Numbers
+    /// ascend with the logs, so a chain descends through them.
+    next: Vec<u32>,
+    /// By entry number: the id of the entry's key. A run's ascend.
+    ids: Vec<u32>,
     /// One per entry of the `var_logs` the index was built from, in the
     /// same order.
     logs: Vec<LogIndex>,
@@ -109,10 +124,32 @@ pub struct VarIndex<K = OpAt> {
     keyed: Vec<(RequestId, u32)>,
 }
 
+/// The activation an id belongs to in variable state: the one that owns
+/// a node, and for an id past the nodes one of its own past the
+/// activations, which no handler runs. [`NONE`] for no operation's node.
+pub(crate) fn act_of(coords: &Coords, id: u32) -> u32 {
+    match id.checked_sub(coords.node_count() as u32) {
+        Some(past) => (coords.activations().len() as u32).saturating_add(past),
+        None => coords.act_of(id).unwrap_or(NONE),
+    }
+}
+
+/// The graph-node resource verdict, for an index whose ids or entries
+/// would reach [`NONE`].
+fn exhausted(spent: u64) -> RejectReason {
+    RejectReason::ResourceExhausted {
+        resource: ResourceKind::GraphNodes,
+        group: None,
+        spent,
+        limit: u64::from(u32::MAX),
+    }
+}
+
 impl<K: Coordinate> VarIndex<K> {
     /// Indexes `var_logs` over `coords`. Fails, with the graph-node
     /// resource verdict, only if the logs name so many coordinates
-    /// outside `opcounts` that the ids no longer fit a `u32`. Preprocess
+    /// outside `opcounts`, or hold so many entries, that the ids or the
+    /// entry numbers no longer fit a `u32`. Preprocess
     /// builds the audit's index (`Preprocessed::var_index`); public for
     /// the tests that drive [`VarStates`](crate::verifier::VarStates)
     /// directly.
@@ -121,39 +158,55 @@ impl<K: Coordinate> VarIndex<K> {
         coords: Arc<Coords>,
         var_logs: &VecMap<VarId, VarLogRef<K>>,
     ) -> Result<VarIndex<K>, RejectReason> {
+        // Entries are numbered below `NONE`, like ids.
+        let entries: usize = var_logs.values().map(VecMap::len).sum();
+        if entries >= NONE as usize {
+            return Err(exhausted(entries as u64 + 1));
+        }
         let mut index = VarIndex {
             coords,
+            head: Vec::new(),
+            next: Vec::with_capacity(entries),
+            ids: Vec::with_capacity(entries),
             logs: Vec::with_capacity(var_logs.len()),
             outside: BTreeMap::new(),
             keyed: Vec::new(),
         };
         for log in var_logs.values() {
             let entries = log.as_slice();
-            let mut by_id = Vec::with_capacity(entries.len());
+            let base = index.next.len() as u32;
             let mut prec = Vec::with_capacity(entries.len());
             let (mut keys, mut precs) = (RequestRun::default(), RequestRun::default());
-            for ((key, entry), position) in entries.iter().zip(0u32..) {
+            let mut run = NONE;
+            for (key, entry) in entries {
                 // Keys ascend, so a request's keys are one run.
                 match index.keyed.last_mut() {
                     Some((rid, n)) if *rid == key.rid() => *n = n.saturating_add(1),
                     _ => index.keyed.push((key.rid(), 1)),
                 }
-                by_id.push((index.resolve(key, &mut keys)?, position));
+                // Until every log is read, a run's first entry holds its
+                // activation and the others `NONE`.
+                let (id, act) = index.resolve(key, &mut keys)?;
+                index.ids.push(id);
+                index.next.push(if act == run { NONE } else { act });
+                run = act;
                 prec.push(match &entry.prec {
-                    Some(p) => (index.resolve(p, &mut precs)?, NONE),
+                    Some(p) => index.resolve(p, &mut precs)?,
                     None => (NONE, NONE),
                 });
             }
-            // Node ids ascend with the keys, so this sorts only a log
-            // that keys ids past the nodes.
-            let by_id = VecMap::from_wire(by_id);
-            // Only a read is fed from the entry its `prec` names.
-            for ((id, dictating), (_, entry)) in prec.iter_mut().zip(entries) {
-                if *id != NONE && entry.access == AccessType::Read {
-                    *dictating = by_id.get(id).copied().unwrap_or(NONE);
-                }
+            index.logs.push(LogIndex { base, prec });
+        }
+        // Chain the runs, now that the activations past the nodes are
+        // known.
+        let acts = index.coords.activations().len() + index.outside.len();
+        if !index.next.is_empty() {
+            index.head = vec![NONE; acts];
+        }
+        for (number, next) in (0u32..).zip(&mut index.next) {
+            if let Some(head) = index.head.get_mut(*next as usize) {
+                *next = std::mem::replace(head, number);
             }
-            index.logs.push(LogIndex { by_id, prec });
         }
         index.keyed.sort_unstable_by_key(|(rid, _)| *rid);
         index.keyed.dedup_by(|(rid, n), (kept, total)| {
@@ -166,28 +219,27 @@ impl<K: Coordinate> VarIndex<K> {
         Ok(index)
     }
 
-    /// The id of `op`: its node, or the id it has (or now gets) as a
-    /// coordinate outside `opcounts`.
-    fn resolve(&mut self, op: &K, run: &mut RequestRun) -> Result<u32, RejectReason> {
-        if let Some(node) = self.node_of(op, run) {
-            return Ok(node);
+    /// The id of `op` — its node, or the id it has (or now gets) as a
+    /// coordinate outside `opcounts` — and the activation it belongs to
+    /// ([`act_of`]).
+    fn resolve(&mut self, op: &K, run: &mut RequestRun) -> Result<(u32, u32), RejectReason> {
+        if let Some(at) = self.node_of(op, run) {
+            return Ok(at);
         }
-        if let Some(id) = self.outside.get(op) {
-            return Ok(*id);
-        }
-        let id = self.id_space();
-        // `id_space()` itself stays below `NONE` too: it is the id of
-        // an initialization write no log names.
-        if id >= u64::from(NONE - 1) {
-            return Err(RejectReason::ResourceExhausted {
-                resource: ResourceKind::GraphNodes,
-                group: None,
-                spent: id + 2,
-                limit: u64::from(u32::MAX),
-            });
-        }
-        self.outside.insert(op.clone(), id as u32);
-        Ok(id as u32)
+        let id = match self.outside.get(op) {
+            Some(id) => *id,
+            None => {
+                let id = self.id_space();
+                // `id_space()` itself stays below `NONE` too: it is the
+                // id of an initialization write no log names.
+                if id >= u64::from(NONE - 1) {
+                    return Err(exhausted(id + 2));
+                }
+                self.outside.insert(op.clone(), id as u32);
+                id as u32
+            }
+        };
+        Ok((id, act_of(&self.coords, id)))
     }
 
     /// Ids handed out so far: the nodes and the outside coordinates.
@@ -200,13 +252,14 @@ impl<K: Coordinate> VarIndex<K> {
     pub(crate) fn id_of(&self, op: &OpRef) -> Option<u32> {
         let op = K::of(op, self.coords.paths())?;
         let node = self.node_of(&op, &mut RequestRun::default());
-        node.or_else(|| self.outside.get(&op).copied())
+        node.map(|(node, _)| node)
+            .or_else(|| self.outside.get(&op).copied())
     }
 
-    /// The node of `op`, if `opcounts` covers it; `run` holds the
-    /// activations of the request last resolved.
-    fn node_of(&self, op: &K, run: &mut RequestRun) -> Option<u32> {
-        run.op_node(&self.coords, &op.at(self.coords.paths())?)
+    /// The node of `op` and its activation, if `opcounts` covers it;
+    /// `run` holds the activations of the request last resolved.
+    fn node_of(&self, op: &K, run: &mut RequestRun) -> Option<(u32, u32)> {
+        run.op_at(&self.coords, &op.at(self.coords.paths())?)
     }
 
     /// An id no log names and no node has. A variable's initialization
@@ -216,6 +269,11 @@ impl<K: Coordinate> VarIndex<K> {
     pub(crate) fn unnamed_id(&self) -> u32 {
         // `resolve` keeps the id space below `NONE - 1`.
         u32::try_from(self.id_space()).unwrap_or(NONE - 1)
+    }
+
+    /// The activation `id` belongs to in variable state ([`act_of`]).
+    pub(crate) fn act_of(&self, id: u32) -> u32 {
+        act_of(&self.coords, id)
     }
 
     /// How many entries the logs key at coordinates of `rids`.
@@ -242,7 +300,11 @@ impl<K: Coordinate> VarIndex<K> {
         });
         VarLog {
             coords: &self.coords,
-            index: found.map(|(index, _)| index),
+            head: &self.head,
+            next: &self.next,
+            ids: &self.ids,
+            base: found.map_or(0, |(index, _)| index.base),
+            prec: found.map_or(&[], |(index, _)| &index.prec),
             entries: found.map_or(&[], |(_, entries)| entries),
         }
     }
@@ -254,9 +316,22 @@ impl<K: Coordinate> VarIndex<K> {
 #[derive(Debug)]
 pub struct VarLog<'a, K = OpAt> {
     coords: &'a Coords,
-    index: Option<&'a LogIndex>,
+    head: &'a [u32],
+    next: &'a [u32],
+    ids: &'a [u32],
+    /// The number of the log's first entry.
+    base: u32,
+    prec: &'a [(u32, u32)],
     entries: &'a [(K, VarLogEntry<K>)],
 }
+
+impl<K> Clone for VarLog<'_, K> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<K> Copy for VarLog<'_, K> {}
 
 impl<'a, K> VarLog<'a, K> {
     /// The coordinates the ids belong to.
@@ -264,10 +339,34 @@ impl<'a, K> VarLog<'a, K> {
         self.coords
     }
 
-    /// The entry keyed by `id`, with its position.
-    pub(crate) fn entry_at(&self, id: u32) -> Option<(u32, &'a VarLogEntry<K>)> {
-        let position = *self.index?.by_id.get(&id)?;
-        Some((position, self.entry(position)?))
+    /// The entry keyed by `id`, of activation `act` ([`act_of`]), with
+    /// its position: the activation's chain, followed down to this log's
+    /// run, and a search of the run's ids.
+    pub(crate) fn entry_at(&self, id: u32, act: u32) -> Option<(u32, &'a VarLogEntry<K>)> {
+        let end = self.base + self.entries.len() as u32;
+        let mut number = *self.head.get(act as usize)?;
+        // A chain descends through the logs: past this log's first
+        // number, no run is this log's.
+        while number != NONE && number >= self.base {
+            if number < end {
+                // A run's ids lie in its activation's operations; an id
+                // past the nodes is a run of one.
+                let (first, count) = match self.coords.activations().get(act as usize) {
+                    Some(activation) => (activation.start, activation.count),
+                    None => (id.saturating_sub(1), 1),
+                };
+                let run = self.ids.get(number as usize..end as usize)?;
+                let run = run.get(..run.len().min(count as usize))?;
+                let at = run.partition_point(|key| *key > first && *key < id);
+                if run.get(at) != Some(&id) {
+                    return None;
+                }
+                let position = number - self.base + at as u32;
+                return Some((position, self.entry(position)?));
+            }
+            number = *self.next.get(number as usize)?;
+        }
+        None
     }
 
     /// The entry at `position`.
@@ -275,14 +374,11 @@ impl<'a, K> VarLog<'a, K> {
         self.entries.get(position as usize).map(|(_, entry)| entry)
     }
 
-    /// The `prec` of the entry at `position`: its id and, if the entry
-    /// is a read, the position of the entry it is the key of ([`NONE`]
-    /// where there is none).
+    /// The `prec` of the entry at `position`: its id and the activation
+    /// it belongs to ([`act_of`]), [`NONE`] twice for none.
     pub(crate) fn prec(&self, position: u32) -> (u32, u32) {
-        self.index
-            .and_then(|index| index.prec.get(position as usize))
-            .copied()
-            .unwrap_or((NONE, NONE))
+        let prec = self.prec.get(position as usize);
+        prec.copied().unwrap_or((NONE, NONE))
     }
 
     /// The rejection for a re-executed access at `node` that its log

@@ -15,13 +15,13 @@
 //! one group, and each half has its own store (DESIGN.md §19):
 //!
 //! * **resolve** ([`Ran`]) consults the log and the writes that ran
-//!   where the access is resolved — per variable an ordered map
-//!   ([`Written`]) for `FindNearestRPrecedingWrite` to range-query — and
-//!   decides what the access is fed and which write it observed or
-//!   overwrote. A group resolves against its own writes: the log is the
-//!   same everywhere, and the nearest preceding write is one of the
-//!   access's own request (a group replays whole requests) or the
-//!   initialization.
+//!   where the access is resolved — per variable and activation a span
+//!   in node order ([`Written`]) for `FindNearestRPrecedingWrite` to
+//!   search — and decides what the access is fed and which write it
+//!   observed or overwrote. A group resolves against its own writes:
+//!   the log is the same everywhere, and the nearest preceding write is
+//!   one of the access's own request (a group replays whole requests)
+//!   or the initialization.
 //! * **apply** ([`VarStates::apply_read`], [`VarStates::apply_write`])
 //!   records the outcome in the whole-audit [`WriteTable`] and runs the
 //!   checks another group can fail. Every replay unit — a group, or the
@@ -38,23 +38,31 @@
 //! without being built at all (DESIGN.md §19); only a write the log does
 //! not hold builds its value.
 
-use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use kem_lang::{MapEdit, OpRef, Value, VarId};
 
 use crate::advice::AccessType;
 use crate::advice_ref::{VarLogRef, VecMap};
-use crate::verifier::coords::Coords;
+use crate::verifier::coords::Activation;
 use crate::verifier::graph::{EdgeKind, Graph};
 use crate::verifier::pool;
 use crate::verifier::reject::RejectReason;
-use crate::verifier::var_index::{Coordinate, VarIndex, VarLog, NONE};
+use crate::verifier::var_index::{act_of, Coordinate, VarIndex, VarLog, NONE};
 
-/// By variable: the id and value of its trusted initialization write.
-type Inits = Vec<Option<(u32, Value)>>;
+/// A variable's trusted initialization write.
+#[derive(Debug, Clone)]
+struct Init {
+    id: u32,
+    /// The activation `id` belongs to ([`act_of`]).
+    act: u32,
+    value: Value,
+}
 
-fn init_of(init: &Inits, var: VarId) -> Option<&(u32, Value)> {
+/// By variable.
+type Inits = Vec<Option<Init>>;
+
+fn init_of(init: &Inits, var: VarId) -> Option<&Init> {
     init.get(var.0 as usize)?.as_ref()
 }
 
@@ -99,25 +107,163 @@ impl Candidate<'_> {
     }
 }
 
-/// One variable's writes that ran where its accesses are resolved.
+/// The resolve half's store: a run per `(variable, activation)` of the
+/// writes that ran where the accesses are resolved. A worker hands it
+/// from group to group; [`Written::clear`] costs what the last group
+/// touched, and the buffers stay.
 #[derive(Debug, Default)]
-struct Written {
-    /// Their values, by node. An activation's operations are
-    /// consecutive ids, so "the last write of a handler before an
-    /// operation" is the last key of a range.
-    values: BTreeMap<u32, Value>,
-    /// A group's own chain step: the writes its writes overwrote, and
-    /// whether one of them claimed to be the first.
-    overwritten: BTreeSet<u32>,
-    first: bool,
+pub(crate) struct Written {
+    /// By activation, one up ([`bucket`]): its newest run, [`NONE`] for
+    /// none.
+    at: Vec<u32>,
+    runs: Vec<Run>,
+    /// The runs' writes, by node. A handler runs its operations in
+    /// order, so a write is a push; a node written again keeps its
+    /// first value.
+    values: Vec<(u32, Value)>,
+    /// The runs' ids that the unit's writes overwrote — its own chain
+    /// step — and, in a variable's run of no activation, [`NONE`] once
+    /// one of them claimed to be the first.
+    overwritten: Vec<(u32, ())>,
 }
 
-fn written_mut(written: &mut Vec<Written>, var: VarId) -> &mut Written {
-    let i = var.0 as usize;
-    if i >= written.len() {
-        written.resize_with(i + 1, Written::default);
+/// One variable's writes in one activation ([`act_of`]), and the ids of
+/// that activation its writes overwrote: spans of the store's buffers.
+#[derive(Debug)]
+struct Run {
+    var: VarId,
+    act: u32,
+    /// The activation's run for another variable; [`NONE`] ends them.
+    next: u32,
+    values: Span,
+    overwritten: Span,
+}
+
+/// The slot of activation `act` in [`Written::at`]: [`NONE`], no
+/// operation's, takes slot 0.
+fn bucket(act: u32) -> usize {
+    act.wrapping_add(1) as usize
+}
+
+/// `len` elements of a buffer from `start`, ascending by id without
+/// repeats, with room for the next power of two of them.
+#[derive(Debug, Default, Clone, Copy)]
+struct Span {
+    start: u32,
+    len: u32,
+}
+
+impl Span {
+    fn of<V>(self, buffer: &[(u32, V)]) -> &[(u32, V)] {
+        let start = self.start as usize;
+        buffer.get(start..start + self.len as usize).unwrap_or(&[])
     }
-    &mut written[i]
+
+    /// Puts `id` in the span of `buffer` with the value `make` builds,
+    /// unless it is there; whether it went in. A full span grows in
+    /// place at the buffer's end, and elsewhere moves there with twice
+    /// the room; what it leaves is reclaimed at the clear.
+    fn put<V: Default>(
+        &mut self,
+        buffer: &mut Vec<(u32, V)>,
+        id: u32,
+        make: impl FnOnce() -> V,
+    ) -> bool {
+        let at = match self.of(buffer) {
+            [.., (last, _)] if *last < id => self.len as usize,
+            [] => 0,
+            items => match items.binary_search_by_key(&id, |(id, _)| *id) {
+                Ok(_) => return false,
+                Err(at) => at,
+            },
+        };
+        if self.len == 0 || self.len.is_power_of_two() {
+            let (end, room) = (buffer.len(), self.len.saturating_mul(2).max(1));
+            if (self.start + self.len) as usize != end {
+                buffer.resize_with(end + self.len as usize, Default::default);
+                let moved = self.start as usize..(self.start + self.len) as usize;
+                moved
+                    .zip(end..)
+                    .for_each(|(from, to)| buffer.swap(from, to));
+                self.start = end as u32;
+            }
+            buffer.resize_with((self.start + room) as usize, Default::default);
+        }
+        let (start, end) = (self.start as usize, (self.start + self.len) as usize);
+        buffer[end] = (id, make());
+        buffer[start + at..=end].rotate_right(1);
+        self.len += 1;
+        true
+    }
+}
+
+impl Written {
+    /// The position of the run of `(var, act)`, if the unit has one.
+    fn find(&self, var: VarId, act: u32) -> Option<usize> {
+        let mut at = *self.at.get(bucket(act))? as usize;
+        while let Some(run) = self.runs.get(at) {
+            if run.var == var {
+                return Some(at);
+            }
+            at = run.next as usize;
+        }
+        None
+    }
+
+    /// The position of the run of `(var, act)`, made on first touch.
+    fn touch(&mut self, var: VarId, act: u32) -> usize {
+        if let Some(at) = self.find(var, act) {
+            return at;
+        }
+        let slot = bucket(act);
+        if slot >= self.at.len() {
+            self.at.resize(slot + 1, NONE);
+        }
+        let next = std::mem::replace(&mut self.at[slot], self.runs.len() as u32);
+        let (values, overwritten) = Default::default();
+        let run = Run {
+            var,
+            act,
+            next,
+            values,
+            overwritten,
+        };
+        self.runs.push(run);
+        self.runs.len() - 1
+    }
+
+    /// The writes of `var` in `act`, by node.
+    fn values(&self, var: VarId, act: u32) -> &[(u32, Value)] {
+        let run = self.find(var, act).and_then(|at| self.runs.get(at));
+        run.map_or(&[], |run| run.values.of(&self.values))
+    }
+
+    /// Records the write at `node`, of activation `act`.
+    fn write(&mut self, var: VarId, act: u32, node: u32, value: impl FnOnce() -> Value) {
+        let at = self.touch(var, act);
+        self.runs[at].values.put(&mut self.values, node, value);
+    }
+
+    /// Marks `id`, of activation `act`, overwritten by a write of `var`;
+    /// `false` if a write of the unit already had.
+    fn overwrite(&mut self, var: VarId, act: u32, id: u32) -> bool {
+        let at = self.touch(var, act);
+        self.runs[at]
+            .overwritten
+            .put(&mut self.overwritten, id, || ())
+    }
+
+    /// Forgets the unit's writes.
+    pub(crate) fn clear(&mut self) {
+        for run in &self.runs {
+            if let Some(head) = self.at.get_mut(bucket(run.act)) {
+                *head = NONE;
+            }
+        }
+        self.runs.clear();
+        self.values.clear();
+        self.overwritten.clear();
+    }
 }
 
 /// The apply half's store: a record per `(variable, id)` the merge met,
@@ -242,8 +388,8 @@ pub struct VarStates {
     unbound: Vec<(VarId, OpRef, Value)>,
     /// Shared with every group's state, not copied.
     init: Arc<Inits>,
-    /// By variable: filled only by [`VarStates::on_write`].
-    written: Vec<Written>,
+    /// Filled only by [`VarStates::on_write`].
+    written: Written,
     table: WriteTable,
     feeds: FeedCounters,
 }
@@ -313,7 +459,7 @@ enum VarEvent {
 #[derive(Debug)]
 pub struct GroupVars {
     init: Arc<Inits>,
-    written: Vec<Written>,
+    written: Written,
     /// Accesses in group program order.
     events: Vec<VarEvent>,
 }
@@ -326,12 +472,12 @@ pub struct GroupVars {
 pub struct GroupAccesses(Vec<VarEvent>);
 
 impl GroupVars {
-    /// An empty state for another group of the same audit, its stream
-    /// reserved for `events` accesses.
-    pub(crate) fn fresh(&self, events: usize) -> GroupVars {
+    /// A state for another group of the same audit over `written`, a
+    /// cleared store, its stream reserved for `events` accesses.
+    pub(crate) fn fresh(&self, events: usize, written: Written) -> GroupVars {
         GroupVars {
             init: Arc::clone(&self.init),
-            written: Vec::new(),
+            written,
             events: Vec::with_capacity(events),
         }
     }
@@ -343,7 +489,19 @@ impl GroupVars {
         node: u32,
         log: &VarLog<'_, K>,
     ) -> Result<Value, RejectReason> {
-        let resolved = Ran::of(&self.written, &self.init, var).resolve_read(var, node, log);
+        self.read(var, node, act_of(log.coords(), node), log)
+    }
+
+    /// [`GroupVars::on_read`] of the operation at `node` of activation
+    /// `act`.
+    pub(crate) fn read<K>(
+        &mut self,
+        var: VarId,
+        node: u32,
+        act: u32,
+        log: &VarLog<'_, K>,
+    ) -> Result<Value, RejectReason> {
+        let resolved = Ran::of(&self.written, &self.init, var).resolve_read(node, act, log);
         self.record(resolved.map(|(value, event)| (value, VarEvent::Read(event))))
     }
 
@@ -356,34 +514,34 @@ impl GroupVars {
         value: impl Into<Candidate<'v>>,
         log: &VarLog<'_, K>,
     ) -> Result<(), RejectReason> {
-        self.write(var, node, value.into(), log).map(drop)
+        let act = act_of(log.coords(), node);
+        self.write(var, node, act, value.into(), log).map(drop)
     }
 
-    /// [`GroupVars::on_write`], returning the value the write resolved
-    /// to: the logged value it was checked against, or its own.
+    /// [`GroupVars::on_write`] of the operation at `node` of activation
+    /// `act`, returning the value the write resolved to: the logged
+    /// value it was checked against, or its own.
     pub(crate) fn write<K>(
         &mut self,
         var: VarId,
         node: u32,
+        act: u32,
         value: Candidate<'_>,
         log: &VarLog<'_, K>,
     ) -> Result<Value, RejectReason> {
-        let resolved = Ran::of(&self.written, &self.init, var).resolve_write(var, node, value, log);
+        let resolved = Ran::of(&self.written, &self.init, var).resolve_write(node, act, value, log);
         let initialized = init_of(&self.init, var).is_some();
-        let written = written_mut(&mut self.written, var);
-        let stepped = resolved.and_then(|event| {
-            written
-                .values
-                .entry(node)
-                .or_insert_with(|| event.value.clone());
+        let written = &mut self.written;
+        let stepped = resolved.and_then(|(event, prec_act)| {
+            written.write(var, act, node, || event.value.clone());
             match event.prec {
-                Some(prec) => {
-                    if !written.overwritten.insert(prec) {
-                        return Err(OVERWRITTEN_TWICE);
-                    }
+                Some(prec) if !written.overwrite(var, prec_act, prec) => {
+                    return Err(OVERWRITTEN_TWICE)
                 }
-                None if initialized || written.first => return Err(FIRST_TWICE),
-                None => written.first = true,
+                None if initialized || !written.overwrite(var, NONE, NONE) => {
+                    return Err(FIRST_TWICE)
+                }
+                Some(_) | None => {}
             }
             Ok((event.value.clone(), VarEvent::Write(event)))
         });
@@ -410,6 +568,14 @@ impl GroupVars {
     /// Ends the group's replay: its accesses go to the merge.
     pub fn finish(self) -> GroupAccesses {
         GroupAccesses(self.events)
+    }
+
+    /// [`GroupVars::finish`], handing back the store, cleared for the
+    /// next group.
+    pub(crate) fn finish_keeping(self) -> (GroupAccesses, Written) {
+        let mut written = self.written;
+        written.clear();
+        (GroupAccesses(self.events), written)
     }
 }
 
@@ -480,7 +646,8 @@ impl VarStates {
             if slot >= init.len() {
                 init.resize(slot + 1, None);
             }
-            init[slot] = Some((id, value));
+            let act = index.act_of(id);
+            init[slot] = Some(Init { id, act, value });
         }
     }
 
@@ -489,7 +656,7 @@ impl VarStates {
     pub fn group_vars(&self) -> GroupVars {
         GroupVars {
             init: Arc::clone(&self.init),
-            written: Vec::new(),
+            written: Written::default(),
             events: Vec::new(),
         }
     }
@@ -508,7 +675,7 @@ impl VarStates {
         self.bound()?;
         for event in accesses.0 {
             match event {
-                VarEvent::Read(read) => self.apply_read(&read, &index.log(var_logs, read.var))?,
+                VarEvent::Read(read) => self.apply_read(&read, || index.log(var_logs, read.var))?,
                 VarEvent::Write(write) => self.apply_write(write)?,
                 VarEvent::Refused(e) => return Err(e),
             }
@@ -540,25 +707,29 @@ impl VarStates {
         log: &VarLog<'_, K>,
     ) -> Result<Value, RejectReason> {
         self.bound()?;
+        let act = act_of(log.coords(), node);
         let (value, event) =
-            Ran::of(&self.written, &self.init, var).resolve_read(var, node, log)?;
-        self.apply_read(&event, log)?;
+            Ran::of(&self.written, &self.init, var).resolve_read(node, act, log)?;
+        self.apply_read(&event, || *log)?;
         Ok(value)
     }
 
     /// The half of `OnRead` that needs every group before it: counts
     /// the feed, compares a logged value against a dictating write the
-    /// resolving state had not seen run, and records the reader.
-    fn apply_read<K>(
+    /// resolving state had not seen run, and records the reader. `log`
+    /// is the read variable's, wanted only for that compare.
+    fn apply_read<'l, K: 'l>(
         &mut self,
         event: &ReadEvent,
-        log: &VarLog<'_, K>,
+        log: impl FnOnce() -> VarLog<'l, K>,
     ) -> Result<(), RejectReason> {
         self.feeds.count(event.fed);
         if let Fed::LogUnchecked(dictating) = event.fed {
-            let init = Ran::of(&[], &self.init, event.var).value_of(event.from);
+            let init = init_of(&self.init, event.var).filter(|init| init.id == event.from);
             let ran = self.table.find(event.var, event.from);
-            let actual = ran.and_then(|(_, record)| record.value.as_ref()).or(init);
+            let actual = ran.and_then(|(_, record)| record.value.as_ref());
+            let actual = actual.or(init.map(|init| &init.value));
+            let log = log();
             let logged = log.entry(dictating).and_then(|w| w.value.as_ref());
             if actual.is_some_and(|actual| logged != Some(actual)) {
                 return Err(log.mismatch(
@@ -587,13 +758,11 @@ impl VarStates {
         log: &VarLog<'_, K>,
     ) -> Result<(), RejectReason> {
         self.bound()?;
-        let event =
-            Ran::of(&self.written, &self.init, var).resolve_write(var, node, value.into(), log)?;
-        let written = written_mut(&mut self.written, var);
-        written
-            .values
-            .entry(node)
-            .or_insert_with(|| event.value.clone());
+        let act = act_of(log.coords(), node);
+        let (event, _) =
+            Ran::of(&self.written, &self.init, var).resolve_write(node, act, value.into(), log)?;
+        let value = || event.value.clone();
+        self.written.write(var, act, node, value);
         self.apply_write(event)
     }
 
@@ -637,7 +806,7 @@ impl VarStates {
         let readers = self.table.readers();
         let fragment = |var: usize| {
             let init = self.init.get(var).and_then(Option::as_ref);
-            let init = init.map(|(id, _)| *id);
+            let init = init.map(|init| init.id);
             var_fragment(&self.table, &readers, VarId(var as u32), init, nodes)
         };
         // A variable the merge never met has an empty fragment.
@@ -658,74 +827,90 @@ impl VarStates {
 /// access is resolved, and the initialization.
 #[derive(Clone, Copy)]
 struct Ran<'s> {
-    written: Option<&'s BTreeMap<u32, Value>>,
-    init: Option<&'s (u32, Value)>,
+    written: &'s Written,
+    var: VarId,
+    init: Option<&'s Init>,
 }
 
 impl<'s> Ran<'s> {
-    fn of(written: &'s [Written], init: &'s Inits, var: VarId) -> Self {
+    fn of(written: &'s Written, init: &'s Inits, var: VarId) -> Self {
         Ran {
-            written: written.get(var.0 as usize).map(|w| &w.values),
+            written,
+            var,
             init: init_of(init, var),
         }
     }
 
-    /// The value the write `id` produced, if it ran here (the trusted
-    /// initialization always has).
-    fn value_of(self, id: u32) -> Option<&'s Value> {
-        let executed = self.written.and_then(|written| written.get(&id));
-        executed.or_else(|| self.init.filter(|(init, _)| *init == id).map(|(_, v)| v))
+    /// The value the write `id`, of activation `act`, produced, if it
+    /// ran here (the trusted initialization always has).
+    fn value_of(self, id: u32, act: u32) -> Option<&'s Value> {
+        let values = self.written.values(self.var, act);
+        let executed = values.binary_search_by_key(&id, |(node, _)| *node).ok();
+        let executed = executed
+            .and_then(|at| values.get(at))
+            .map(|(_, value)| value);
+        executed.or_else(|| {
+            self.init
+                .filter(|init| init.id == id)
+                .map(|init| &init.value)
+        })
     }
 
     /// `FindNearestRPrecedingWrite`: the latest write (under `<_R`)
-    /// that precedes the operation at `node` — the last write of its
-    /// own handler below it, else the last write of the nearest
-    /// ancestor that wrote at all (an ancestor ran to completion before
-    /// its descendants started, so all of its operations R-precede),
-    /// else the initialization, everyone's ancestor. Ancestors are
+    /// that precedes the operation at `node` of activation `act` — the
+    /// last write of its own handler below it, else the last write of
+    /// the nearest ancestor that wrote at all (an ancestor ran to
+    /// completion before its descendants started, so all of its
+    /// operations R-precede), else the initialization, everyone's
+    /// ancestor — with the activation it belongs to. Ancestors are
     /// followed through `Activation::parent`, which reaches every
     /// ancestor that can have written (DESIGN.md §19, and
     /// `unlinked_activations_never_ran_so_the_ancestor_walk_misses_nothing`).
-    fn nearest_preceding(self, node: u32, coords: &Coords) -> Option<(u32, &'s Value)> {
-        if let Some(written) = self.written.filter(|written| !written.is_empty()) {
-            let acts = coords.activations();
-            // The handler being searched and the node its search stops
-            // below: the operation itself, then each ancestor's end.
-            let mut scope = coords.activation_of(node).map(|act| (act, node));
-            while let Some((act, below)) = scope {
-                let first_op = act.start.saturating_add(1);
-                if first_op < below {
-                    if let Some((id, value)) = written.range(first_op..below).next_back() {
-                        return Some((*id, value));
-                    }
-                }
-                scope = act
-                    .parent()
-                    .and_then(|parent| acts.get(parent as usize))
-                    .map(|parent| (parent, parent.end()));
+    fn nearest_preceding(
+        self,
+        node: u32,
+        act: u32,
+        acts: &[Activation],
+    ) -> Option<(u32, u32, &'s Value)> {
+        // The handler being searched and the node its search stops
+        // below: the operation itself, then each ancestor's end.
+        let mut scope = acts
+            .get(act as usize)
+            .map(|activation| (act, activation, node));
+        while let Some((act, activation, below)) = scope {
+            let values = self.written.values(self.var, act);
+            let before = values.partition_point(|(node, _)| *node < below);
+            let last = before.checked_sub(1).and_then(|last| values.get(last));
+            if let Some((id, value)) = last.filter(|(id, _)| *id > activation.start) {
+                return Some((*id, act, value));
             }
+            scope = activation.parent().and_then(|parent| {
+                let activation = acts.get(parent as usize)?;
+                Some((parent, activation, activation.end()))
+            });
         }
-        self.init.map(|(id, value)| (*id, value))
+        self.init.map(|init| (init.id, init.act, &init.value))
     }
 
     /// The half of `OnRead` that one group decides: the value to feed
     /// and the write the read observed.
     fn resolve_read<K>(
         self,
-        var: VarId,
         node: u32,
+        act: u32,
         log: &VarLog<'_, K>,
     ) -> Result<(Value, ReadEvent), RejectReason> {
         let event = |from, fed| ReadEvent {
-            var,
+            var: self.var,
             node,
             from,
             fed,
         };
-        let Some((position, entry)) = log.entry_at(node) else {
+        let Some((position, entry)) = log.entry_at(node, act) else {
             // Unlogged read: it was R-ordered with its dictating write,
             // which has therefore run; find it.
-            let Some((from, value)) = self.nearest_preceding(node, log.coords()) else {
+            let acts = log.coords().activations();
+            let Some((from, _, value)) = self.nearest_preceding(node, act, acts) else {
                 return Err(RejectReason::VarChainBroken {
                     why: "unlogged read has no R-preceding write",
                 });
@@ -737,11 +922,11 @@ impl<'s> Ran<'s> {
         if entry.access != AccessType::Read {
             return Err(log.mismatch(node, "re-executed read logged as write"));
         }
-        let (from, dictating) = log.prec(position);
+        let (from, from_act) = log.prec(position);
         if from == NONE {
             return Err(log.mismatch(node, "logged read lacks dictating write"));
         }
-        let Some(w) = log.entry(dictating) else {
+        let Some((dictating, w)) = log.entry_at(from, from_act) else {
             return Err(log.mismatch(node, "dictating write not in log"));
         };
         if w.access != AccessType::Write {
@@ -753,7 +938,7 @@ impl<'s> Ran<'s> {
         // A dictating write that has run (the initialization always
         // has) must have logged what it produced — otherwise the server
         // could park poisoned values where replay never validates them.
-        let fed = match self.value_of(from) {
+        let fed = match self.value_of(from, from_act) {
             Some(actual) if actual != value => {
                 return Err(log.mismatch(
                     node,
@@ -767,15 +952,16 @@ impl<'s> Ran<'s> {
     }
 
     /// The half of `OnWrite` that one group decides: simulate-and-check
-    /// against the log, and the write this one overwrote.
+    /// against the log, and the write this one overwrote with the
+    /// activation it belongs to ([`NONE`] for none).
     fn resolve_write<K>(
         self,
-        var: VarId,
         node: u32,
+        act: u32,
         value: Candidate<'_>,
         log: &VarLog<'_, K>,
-    ) -> Result<WriteEvent, RejectReason> {
-        let (value, logged_prec) = match log.entry_at(node) {
+    ) -> Result<(WriteEvent, u32), RejectReason> {
+        let (value, logged_prec) = match log.entry_at(node, act) {
             Some((position, entry)) => {
                 if entry.access != AccessType::Write {
                     return Err(log.mismatch(node, "re-executed write logged as read"));
@@ -788,7 +974,7 @@ impl<'s> Ran<'s> {
                 else {
                     return Err(log.mismatch(node, "logged write value differs from re-execution"));
                 };
-                let prec = Some(log.prec(position).0).filter(|prec| *prec != NONE);
+                let prec = Some(log.prec(position)).filter(|(prec, _)| *prec != NONE);
                 (logged.clone(), prec)
             }
             None => (value.build(), None),
@@ -796,14 +982,18 @@ impl<'s> Ran<'s> {
         // An unlogged write, and a backfilled one (logged lazily, so
         // the log doesn't say what it overwrote), overwrote the nearest
         // R-preceding write: find it so the chain stays connected.
-        let prec =
-            logged_prec.or_else(|| self.nearest_preceding(node, log.coords()).map(|(id, _)| id));
-        Ok(WriteEvent {
-            var,
+        let prec = logged_prec.or_else(|| {
+            let acts = log.coords().activations();
+            let (id, act, _) = self.nearest_preceding(node, act, acts)?;
+            Some((id, act))
+        });
+        let event = WriteEvent {
+            var: self.var,
             node,
             value,
-            prec,
-        })
+            prec: prec.map(|(id, _)| id),
+        };
+        Ok((event, prec.map_or(NONE, |(_, act)| act)))
     }
 }
 
@@ -900,10 +1090,15 @@ fn var_fragment(
 
 #[cfg(test)]
 #[allow(clippy::unwrap_used, clippy::expect_used)]
+mod store_model;
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
     use crate::advice::VarLogEntry;
     use crate::advice_ref::{VarLogRef, VecMap};
+    use crate::verifier::coords::Coords;
     use kem_lang::{init_handler_id, FunctionId, HandlerId, PMap, RequestId};
 
     fn init_op() -> OpRef {
@@ -1115,6 +1310,37 @@ mod tests {
             assert_eq!(fx.read(0, kid, 3).unwrap(), Value::int(value));
         }
         fx.edges().unwrap();
+    }
+
+    #[test]
+    fn a_write_behind_its_handlers_last_is_put_in_order() {
+        // Advice that runs a handler twice makes a group write below its
+        // last write: the write is put in place, and a read between the
+        // two is fed the one below it. The writes name distinct ghost
+        // writes as overwritten, so the group's chain step passes.
+        let h = HandlerId::root(FunctionId(0));
+        let ghost = |opnum| op(0, &HandlerId::child(&h, FunctionId(9), 1), opnum);
+        let mut log = VarLogRef::new();
+        log.insert(op(0, &h, 1), write_entry(10, Some(ghost(1))));
+        log.insert(op(0, &h, 3), write_entry(30, Some(ghost(2))));
+        let fx = Fixture::new(&[(0, &h, 4)], log, Some(0));
+        let log = fx.index.log(&fx.logs, var());
+        let mut group = fx.vs.group_vars();
+        let node = |opnum| fx.node(0, &h, opnum);
+        group
+            .on_write(var(), node(3), Value::int(30), &log)
+            .unwrap();
+        group
+            .on_write(var(), node(1), Value::int(10), &log)
+            .unwrap();
+        let act = fx.coords.act_of(node(1)).unwrap();
+        let written = group.written.values(var(), act);
+        assert_eq!(
+            written.iter().map(|(node, _)| *node).collect::<Vec<_>>(),
+            [node(1), node(3)]
+        );
+        assert_eq!(group.on_read(var(), node(2), &log).unwrap(), Value::int(10));
+        assert_eq!(group.on_read(var(), node(4), &log).unwrap(), Value::int(30));
     }
 
     #[test]
@@ -1419,6 +1645,7 @@ mod tests {
             }
         ));
         // A variable the advice has no log for reads as unlogged.
-        assert!(index.log(&logs, VarId(2)).entry_at(node).is_none());
+        let act = coords.act_of(node).unwrap();
+        assert!(index.log(&logs, VarId(2)).entry_at(node, act).is_none());
     }
 }

@@ -262,14 +262,15 @@ fn stacks_group_replay_allocation_budget() {
     // their entry buffer straight into the leaf. `MultiValue::map` / `zip`
     // stay collapsed until the first divergent member (every tx
     // continuation reads `payload.ok`, per member in, one `Bool` out).
-    // Measured: 1206, 2.949/op. 1302 (3.183/op) while `MakeList` and
-    // `MakeMap` moved their operands into a vector of their own, and
-    // with a two-block node (an `Arc` header over a `Vec` of entries)
-    // 1770, 4.328/op. The pin is 1206 plus 5 %.
+    // Measured: 1168, 2.856/op. 1206 (2.949/op) while a group's
+    // variable state built ordered maps of its writes, 1302 (3.183/op)
+    // while `MakeList` and `MakeMap` moved their operands into a vector
+    // of their own, and with a two-block node (an `Arc` header over a
+    // `Vec` of entries) 1770, 4.328/op. The pin is 1168 plus 5 %.
     assert!(
-        allocs <= 1267,
+        allocs <= 1226,
         "stacks replay exceeded the allocation budget: {allocs} allocs, \
-         {per_op:.3}/op (budget 1267; measured 1206, 2.949/op, 1770 with two blocks \
+         {per_op:.3}/op (budget 1226; measured 1168, 2.856/op, 1770 with two blocks \
          per node)"
     );
 }
@@ -328,8 +329,10 @@ fn stacks_read_heavy_audit_allocation_scaling() {
          (+{growth}); audit {audit_400} and {audit_800}"
     );
 
-    // Measured: preprocess 177 and 192 (+15), audit 5 201 and 10 166;
-    // 5 209 and 10 175 while the advice's coordinates held handler ids.
+    // Measured: preprocess 177 and 192 (+15), audit 5 082 and 9 910;
+    // 5 201 and 10 166 while a group's variable state built ordered maps
+    // of its writes, 5 209 and 10 175 while the advice's coordinates
+    // held handler ids.
     // While a coordinate was found by hints with a handler-id search
     // behind them, which built a handler id per missed emit hint, and
     // `MakeList` / `MakeMap` moved their operands into a vector:
@@ -358,15 +361,15 @@ fn stacks_read_heavy_audit_allocation_scaling() {
          15, 482 with a handler-id search behind hints, 2872 with a shard per request)"
     );
     assert!(
-        audit_400 <= 5_461,
+        audit_400 <= 5_336,
         "stacks read-heavy audit exceeded its allocation budget at 400 requests: \
-         {audit_400} events (budget 5461; measured 5201, 7791 with two blocks per \
+         {audit_400} events (budget 5336; measured 5082, 7791 with two blocks per \
          node, 10083 with a preprocess shard per request)"
     );
     assert!(
-        audit_800 <= 10_674,
+        audit_800 <= 10_405,
         "stacks read-heavy audit exceeded its allocation budget at 800 requests: \
-         {audit_800} events (budget 10674; measured 10166, 15838 with two blocks per \
+         {audit_800} events (budget 10405; measured 9910, 15838 with two blocks per \
          node, 20520 with a preprocess shard per request)"
     );
 }
@@ -584,25 +587,28 @@ fn motd_write_heavy_audit_allocation_scaling() {
     // linear). With a logged map write checked against the edit of the
     // map it read, not built and dropped: 3217 and 6464 (2.01x, 30
     // beyond linear) — what was beyond linear was the copied path's
-    // third level. The pins are those plus 5 %.
+    // third level. With a group's writes in a worker's store, not in
+    // ordered maps built per group: 3058 and 6135 (2.01x, 19 beyond
+    // linear; a debug build reads 3051 and 6127, 25 beyond linear). The
+    // pins are those plus 5 %, the larger reading's where they differ.
     assert!(
-        at_200 <= 3_377,
+        at_200 <= 3_210,
         "motd write-heavy audit exceeded its allocation budget at 200 \
-         requests: {at_200} events (budget 3377; measured 3217, 3918 with every \
+         requests: {at_200} events (budget 3210; measured 3058, 3918 with every \
          map write built)"
     );
     assert!(
-        at_400 <= 6_787,
+        at_400 <= 6_441,
         "motd write-heavy audit exceeded its allocation budget at 400 \
-         requests: {at_400} events (budget 6787; measured 6464, 8257 with every \
+         requests: {at_400} events (budget 6441; measured 6135, 8257 with every \
          map write built)"
     );
     assert!(
-        beyond_linear <= 31,
+        beyond_linear <= 26,
         "motd write-heavy audit allocations grow like the number of logged \
          map nodes again: {at_200} -> {at_400}, {beyond_linear} events beyond \
-         twice the count at 200 (pin <= 31; measured 30, 421 with every map \
-         write built)"
+         twice the count at 200 (pin <= 26; measured 19, 25 in a debug build, 421 \
+         with every map write built)"
     );
 }
 
@@ -727,11 +733,15 @@ fn wiki_audit_allocation_budget() {
     // 24-byte `OpRef`s (34 355 events, 15 158 300 B before): 34 346
     // events, 14 924 324 B. With a logged map write checked against the
     // edit of the map it read, not built and dropped: 28 962 events,
-    // 13 465 596 B. The pins are those plus 5 %.
+    // 13 465 596 B; the byte pin is that plus 5 %. With variable state
+    // resolving on ids — a `head` over the activations in the variable
+    // index, a group's writes in its worker's store, not in ordered maps
+    // built per group: 27 355 events, 13 603 580 B. The event pin is that
+    // plus 5 %.
     assert!(
-        events <= 30_410,
-        "wiki audit exceeded its allocation budget: {events} events (budget 30410; \
-         measured 28962, 34346 with every map write built)"
+        events <= 28_722,
+        "wiki audit exceeded its allocation budget: {events} events (budget 28722; \
+         measured 27355, 34346 with every map write built)"
     );
     assert!(
         requested <= 14_138_875,
@@ -740,14 +750,15 @@ fn wiki_audit_allocation_budget() {
     );
 }
 
-/// The merge's write table is indexed by id, and the advice decides how
-/// many ids there are: every coordinate outside `opcounts` that a
-/// variable log names gets one. So an audit's requested bytes must grow
-/// linearly with what the advice names. Honest wiki advice gets one
-/// logged write's `prec` pointed at a coordinate outside `opcounts` —
-/// rejected only once every group has merged and the chains are walked
-/// — plus K, then 4K, entries keyed at and pointing to further outside
-/// coordinates.
+/// The merge's write table is indexed by id, and the variable index's
+/// `head` by activation, each id past the nodes one of its own; the
+/// advice decides how many there are: every coordinate outside
+/// `opcounts` that a variable log names gets an id. So an audit's
+/// requested bytes, and the index's own — its `head` and the chain over
+/// the entries — must grow linearly with what the advice names. Honest wiki advice gets one logged write's `prec`
+/// pointed at a coordinate outside `opcounts` — rejected only once every
+/// group has merged and the chains are walked — plus K, then 4K, entries
+/// keyed at and pointing to further outside coordinates.
 #[test]
 fn write_table_grows_linearly_with_what_the_advice_names() {
     let _guard = SERIAL.lock().unwrap_or_else(|e| e.into_inner());
@@ -800,15 +811,24 @@ fn write_table_grows_linearly_with_what_the_advice_names() {
         };
         let _ = audit();
         let (failure, _, requested) = count_allocs_and_bytes(audit);
-        (failure.reason, requested)
+        let view = karousos::decode_advice_view(&bytes).expect("own encoding decodes");
+        let advice = karousos::AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
+        let pre =
+            karousos::verifier::preprocess_staged(&program, &out.trace, &advice, exp.isolation, 1)
+                .expect("preprocess leaves the chains to the merge")
+                .pre;
+        let index = || karousos::verifier::VarIndex::build(pre.coords.clone(), &advice.var_logs);
+        let (_, _, index_bytes) = count_allocs_and_bytes(index);
+        (failure.reason, requested, index_bytes)
     };
     const K: u32 = 4_000;
-    let (small, at_k) = audit(K);
-    let (large, at_4k) = audit(4 * K);
+    let (small, at_k, index_k) = audit(K);
+    let (large, at_4k, index_4k) = audit(4 * K);
     let growth = at_4k as f64 / at_k as f64;
+    let per_name = index_4k.saturating_sub(index_k) as f64 / f64::from(3 * K);
     eprintln!(
         "wiki audit naming {K} / {} outside coordinate pairs: {at_k} B / {at_4k} B requested \
-         ({growth:.2}x)",
+         ({growth:.2}x); the index alone {index_k} B / {index_4k} B ({per_name:.1} B a pair)",
         4 * K
     );
     let uncovered = RejectReason::VarChainBroken {
@@ -819,6 +839,18 @@ fn write_table_grows_linearly_with_what_the_advice_names() {
         growth <= 4.5,
         "audit bytes grow faster than the ids the advice names: {at_k} B at {K} pairs, \
          {at_4k} B at {} ({growth:.2}x, bound 4.5x)",
+        4 * K
+    );
+    // Measured: 105.9 B a named pair (447 376 B at K) — a slot of
+    // `head` for the keyed outside id, an entry of the chain, of the key
+    // ids and of the `prec` column, and two coordinates in the ordered
+    // map of outside ids, with the doublings' copies. 113.9 B (478 512 B
+    // at K) with a sorted `(id, position)` table per log. The pin is the
+    // measured figure plus 5 %.
+    assert!(
+        per_name <= 111.2,
+        "the variable index grows faster than the ids the advice names: {index_k} B at {K} \
+         pairs, {index_4k} B at {} ({per_name:.1} B a pair; pin 111.2, measured 105.9)",
         4 * K
     );
 }
