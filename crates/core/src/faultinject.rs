@@ -903,13 +903,13 @@ fn logged_refs(bytes: &[u8], view: &AdviceView<'_>) -> Vec<LoggedRef> {
     let writes = view
         .var_logs
         .iter()
-        .flat_map(|(_, log)| log.iter().filter_map(|(_, e)| e.value));
+        .flat_map(|(_, log)| log.iter().filter_map(|(_, e)| e.value.as_ref()));
     let puts = view
         .tx_logs
         .iter()
         .flat_map(|(_, log)| log.iter())
         .filter_map(|e| match &e.contents {
-            TxOpContentsView::Put { value } => Some(*value),
+            TxOpContentsView::Put { value } => Some(value),
             _ => None,
         });
     let mut refs = Vec::new();

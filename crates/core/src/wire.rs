@@ -437,7 +437,7 @@ impl<'e> Encoder<'e> {
     }
 
     /// An already-encoded value, verbatim.
-    fn raw(&mut self, v: RawValue<'_>) {
+    fn raw(&mut self, v: &RawValue<'_>) {
         self.buf.extend_from_slice(v.bytes());
     }
 
@@ -1013,7 +1013,7 @@ pub fn advice_sizes(a: &Advice) -> AdviceSizes {
 /// and the structural mutators edit: the view decode, then
 /// [`AdviceViewExt::to_advice`].
 pub fn decode_advice(bytes: &[u8]) -> Result<Advice, WireError> {
-    decode_advice_view(bytes)?.to_advice()
+    Ok(decode_advice_view(bytes)?.to_advice())
 }
 
 /// What the server side does with a decoded [`AdviceView`].
@@ -1021,9 +1021,8 @@ pub trait AdviceViewExt {
     /// Converts to an owned [`Advice`]. Sections are inserted in wire
     /// order, so duplicate keys resolve later-wins — as
     /// [`crate::VecMap::from_wire`] resolves them for the audit — and
-    /// every value span is read back against this view's tables and
-    /// pool ([`RawValue::to_value`]).
-    fn to_advice(&self) -> Result<Advice, WireError>;
+    /// every logged value is a clone of the one the decode built.
+    fn to_advice(&self) -> Advice;
 
     /// Re-serializes the view. Sections are written in stored (wire)
     /// order, and the tables start as the ones the view was decoded
@@ -1034,7 +1033,7 @@ pub trait AdviceViewExt {
 }
 
 impl AdviceViewExt for AdviceView<'_> {
-    fn to_advice(&self) -> Result<Advice, WireError> {
+    fn to_advice(&self) -> Advice {
         let (mut a, paths) = (Advice::default(), &self.paths);
         for (rid, tag) in &self.tags {
             a.tags.insert(*rid, *tag);
@@ -1069,13 +1068,13 @@ impl AdviceViewExt for AdviceView<'_> {
             tx: paths.tx_id(tx),
             index: *index,
         };
-        let mut reader = self.reader();
+        let value = |raw: &RawValue<'_>| raw.value().clone();
         for (var, log) in &self.var_logs {
             let mut entries = BTreeMap::new();
             for (op, e) in log {
                 let entry = VarLogEntry {
                     access: e.access,
-                    value: e.value.map(|v| reader.read(v)).transpose()?,
+                    value: e.value.as_ref().map(value),
                     prec: e.prec.map(|prec| paths.op_ref(&prec)),
                 };
                 entries.insert(paths.op_ref(op), entry);
@@ -1092,9 +1091,9 @@ impl AdviceViewExt for AdviceView<'_> {
                     key: e.key.map(str::to_string),
                     contents: match &e.contents {
                         TxOpContentsView::None => TxOpContents::None,
-                        TxOpContentsView::Put { value } => TxOpContents::Put {
-                            value: reader.read(*value)?,
-                        },
+                        TxOpContentsView::Put { value: raw } => {
+                            TxOpContents::Put { value: value(raw) }
+                        }
                         TxOpContentsView::Get { from } => TxOpContents::Get {
                             from: from.as_ref().map(txpos),
                         },
@@ -1112,9 +1111,9 @@ impl AdviceViewExt for AdviceView<'_> {
             a.opcounts.insert((*rid, paths.hid(*path)), *count);
         }
         for (op, v) in &self.nondet {
-            a.nondet.insert(paths.op_ref(op), reader.read(*v)?);
+            a.nondet.insert(paths.op_ref(op), value(v));
         }
-        Ok(a)
+        a
     }
 
     fn encode(&self) -> Vec<u8> {
@@ -1148,7 +1147,7 @@ impl AdviceViewExt for AdviceView<'_> {
             for (op, entry) in log {
                 e.op_at(paths, op);
                 e.u8(entry.access as u8);
-                e.opt(entry.value, Encoder::raw);
+                e.opt(entry.value.as_ref(), Encoder::raw);
                 e.opt(entry.prec.as_ref(), |e, prec| e.op_at(paths, prec));
             }
         }
@@ -1163,7 +1162,7 @@ impl AdviceViewExt for AdviceView<'_> {
                     TxOpContentsView::None => e.u8(0),
                     TxOpContentsView::Put { value } => {
                         e.u8(1);
-                        e.raw(*value);
+                        e.raw(value);
                     }
                     TxOpContentsView::Get { from } => {
                         e.u8(2);
@@ -1191,7 +1190,7 @@ impl AdviceViewExt for AdviceView<'_> {
         e.uvar(self.nondet.len() as u64);
         for (op, v) in &self.nondet {
             e.op_at(paths, op);
-            e.raw(*v);
+            e.raw(v);
         }
         e.finish()
     }
@@ -1387,11 +1386,7 @@ mod tests {
         let bytes = encode_advice(&a);
         let (view, stats) = decode_advice_view_bounded(&bytes, u64::MAX).unwrap();
         assert_eq!(view.encode(), bytes, "view re-encode is byte-identical");
-        assert_eq!(
-            view.to_advice(),
-            Ok(a),
-            "view conversion is the advice encoded"
-        );
+        assert_eq!(view.to_advice(), a, "view conversion is the advice encoded");
         // Each string and handler id once, however often named.
         assert_eq!((stats.strings, stats.hids), (2, 2));
         assert_eq!(view.strings, ["e", "repeated-payload"]);
@@ -1443,7 +1438,7 @@ mod tests {
         let advice = writes(&values);
         let bytes = encode_advice(&advice);
         let (view, stats) = decode_advice_view_bounded(&bytes, u64::MAX).unwrap();
-        assert_eq!(view.to_advice(), Ok(advice));
+        assert_eq!(view.to_advice(), advice);
         assert_eq!(view.encode(), bytes);
         // Written out in full, version k costs its k entries: 820
         // entries of some 40 bytes each. The pool holds each of the 40
@@ -1472,7 +1467,7 @@ mod tests {
         let decoded: Vec<Value> = view.var_logs[0]
             .1
             .iter()
-            .filter_map(|(_, e)| e.value.map(|raw| raw.to_value(&view).unwrap()))
+            .filter_map(|(_, e)| e.value.as_ref().map(|raw| raw.value().clone()))
             .collect();
         assert_eq!(decoded, grown_maps(80));
         // Successive versions differ in one child of the root at most
@@ -1500,15 +1495,15 @@ mod tests {
         let bytes = encode_advice(&advice);
         let (view, stats) = decode_advice_view_bounded(&bytes, u64::MAX).unwrap();
         assert_eq!((stats.pool_nodes, stats.pool_refs), (1, 3));
-        assert_eq!(view.to_advice(), Ok(advice));
-        let value = |i: usize| view.var_logs[0].1[i].1.value.unwrap().to_value(&view);
-        let (Ok(Value::Map(first)), Some(Value::Map(nested))) = (
+        assert_eq!(view.to_advice(), advice);
+        let value = |i: usize| view.var_logs[0].1[i].1.value.as_ref().map(RawValue::value);
+        let (Some(Value::Map(first)), Some(Value::Map(nested))) = (
             value(0),
-            value(2).unwrap().as_list().and_then(|l| l.get(0).cloned()),
+            value(2).and_then(Value::as_list).and_then(|l| l.get(0)),
         ) else {
             panic!("maps");
         };
-        assert!(first.ptr_eq(&nested));
+        assert!(first.ptr_eq(nested));
     }
 
     #[test]
@@ -1565,7 +1560,7 @@ mod tests {
 
     fn decode(bytes: &[u8], max_nodes: u64) -> Result<Advice, BoundedDecodeError> {
         let (view, _) = decode_advice_view_bounded(bytes, max_nodes)?;
-        view.to_advice().map_err(BoundedDecodeError::Malformed)
+        Ok(view.to_advice())
     }
 
     fn malformed(bytes: &[u8]) -> (usize, &'static str, Option<u32>) {

@@ -316,23 +316,22 @@ proptest! {
         let bytes = encode_advice(&a);
         let view = decode_advice_view(&bytes).expect("own encoding decodes as view");
         prop_assert_eq!(view.encode(), bytes.clone());
-        prop_assert_eq!(view.to_advice(), Ok(a));
+        prop_assert_eq!(view.to_advice(), a);
     }
 }
 
 // ---------------------------------------------------------------------
-// Value-path equivalence. The borrowed decoder keeps a logged value as
-// the bytes a validating skip walked (`RawValue`), copying the strings
-// it names, and the verifier reads it back later sharing those copies
-// (`to_value`). Both must be perfect stand-ins for the one-walk value
-// path (`decode_value_bounded`): the same acceptance, the same
-// positioned error or budget exhaustion, and for accepted bytes the
-// same `Value` — also through a `Materializer`, whether its interner
-// has met the table's strings before or not.
+// The value path. The view decoder builds each logged value in the walk
+// that validates it, and keeps it beside the bytes it occupies
+// (`RawValue`). Logged in a view, a value must be what the one-walk
+// oracle over the lone value (`decode_value_bounded`) makes of the same
+// bytes: the same acceptance, the same `Value`, and the same positioned
+// error or budget exhaustion.
 // (These read values against a fixed string table and an empty pool;
 // the tables and the pool have their own section below.)
 
-use karousos::{decode_value_bounded, AdviceView, BoundedDecodeError, Materializer, RawValue};
+use karousos::wire::NODE_BUDGET_LABEL;
+use karousos::{decode_value_bounded, BoundedDecodeError};
 
 /// The string table the values of this section name entries of.
 const TABLE: [&str; 4] = ["a", "b", "ab", "c"];
@@ -431,39 +430,62 @@ fn arb_wire_value() -> impl Strategy<Value = WireValue> {
     })
 }
 
-/// The skip and the owned value path on the same bytes and budget,
-/// against [`TABLE`]: equal outcomes, and for accepted bytes equal
-/// values through every way of reading the span back. `warm` carries
-/// whatever earlier calls taught its interner.
-fn check_value_paths(
-    bytes: &[u8],
-    max_nodes: u64,
-    warm: &mut Materializer<'static>,
-) -> Result<(), TestCaseError> {
-    match (
-        RawValue::validate(bytes, &TABLE, max_nodes),
-        decode_value_bounded(bytes, &TABLE, max_nodes),
-    ) {
-        (Ok(raw), Ok((owned, consumed))) => {
-            prop_assert_eq!(raw.bytes(), &bytes[..consumed]);
-            // What a view's decode keeps: the copy of every entry.
-            let mut interned = kem::ValueInterner::new();
-            (0..TABLE.len()).for_each(|id| _ = interned.intern(&TABLE, id));
-            let table = AdviceView {
-                interned,
-                ..AdviceView::default()
-            };
-            prop_assert_eq!(&raw.to_value(&table), &Ok(owned.clone()));
-            prop_assert_eq!(&Materializer::new(&TABLE).value(raw), &Ok(owned.clone()));
-            prop_assert_eq!(&warm.value(raw), &Ok(owned.clone()));
-            prop_assert_eq!(&warm.value(raw), &Ok(owned));
+/// Advice whose one record is the value `bytes` encode — the
+/// nondeterminism log's, at `(0, h0, 1)` — over [`TABLE`], and where
+/// the value starts in it. Every other section is empty.
+fn logging(bytes: &[u8]) -> (Vec<u8>, usize) {
+    let mut advice = vec![0, TABLE.len() as u8];
+    for s in TABLE {
+        advice.push(s.len() as u8);
+        advice.extend_from_slice(s.as_bytes());
+    }
+    // The handler-id table `h0`, seven empty sections, one record.
+    advice.extend_from_slice(&[1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1, 0, 0, 1]);
+    let start = advice.len();
+    advice.extend_from_slice(bytes);
+    (advice, start)
+}
+
+/// Where a bounded decode stopped, and why.
+fn stop(e: BoundedDecodeError) -> (usize, &'static str) {
+    match e {
+        BoundedDecodeError::Malformed(e) => (e.offset, e.what),
+        BoundedDecodeError::NodesExhausted { offset, .. } => (offset, NODE_BUDGET_LABEL),
+    }
+}
+
+/// The view decode of `bytes` logged ([`logging`]) against the oracle
+/// on `bytes` alone, under `max_nodes`: the same value and span, or a
+/// stop at the same offset for the same reason. The record's count and
+/// handler id cost the view two nodes ahead of the value, and what the
+/// oracle leaves after the value is the view's trailing bytes. A view's
+/// tables are five entries (four strings and `h0`), held against the
+/// same budget apart from the nodes, so `max_nodes` must be at least
+/// three; and an empty value is the record count's error, not the
+/// value's.
+fn check_value_path(bytes: &[u8], max_nodes: u64) -> Result<(), TestCaseError> {
+    let (advice, start) = logging(bytes);
+    let view = decode_advice_view_bounded(&advice, max_nodes.saturating_add(2))
+        .map(|(view, _)| view.nondet[0].1.clone())
+        .map_err(stop);
+    let oracle = match decode_value_bounded(bytes, &TABLE, max_nodes) {
+        Ok((value, n)) if n == bytes.len() => Ok(value),
+        Ok((_, n)) => Err((n, "trailing bytes")),
+        Err(e) => Err(stop(e)),
+    };
+    match (view, oracle) {
+        (Ok(raw), Ok(value)) => {
+            prop_assert_eq!(raw.bytes(), bytes);
+            prop_assert_eq!(raw.value(), &value);
         }
-        (Err(skip), Err(owned)) => prop_assert_eq!(skip, owned),
-        (skip, owned) => prop_assert!(
+        (Err((at, what)), Err((offset, expected))) => {
+            prop_assert_eq!((at.checked_sub(start), what), (Some(offset), expected));
+        }
+        (view, oracle) => prop_assert!(
             false,
-            "skip {:?} vs owned {:?} disagree on acceptance",
-            skip.map(|r| r.bytes().len()),
-            owned.map(|(_, n)| n)
+            "view {:?} vs oracle {:?} disagree on acceptance",
+            view.map(|raw| raw.bytes().len()),
+            oracle
         ),
     }
     Ok(())
@@ -473,60 +495,55 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
-    fn skip_and_materialize_match_owned_on_canonical_values(
+    fn view_values_match_the_oracle_on_canonical_values(
         values in prop::collection::vec(arb_value(), 1..5),
     ) {
         // Canonical bytes: what the encoder writes for a nondet value.
-        let advices: Vec<Vec<u8>> = values
-            .iter()
-            .map(|v| {
-                let mut a = Advice::default();
-                let op = OpRef::new(RequestId(0), HandlerId::root(FunctionId(0)), 1);
-                a.nondet.insert(op, v.clone());
-                encode_advice(&a)
-            })
-            .collect();
-        let views: Vec<_> = advices
-            .iter()
-            .map(|b| decode_advice_view(b).expect("own encoding decodes as view"))
-            .collect();
-        for (view, v) in views.iter().zip(&values) {
-            // A lone value shares nothing, so it is inline.
-            prop_assert!(view.pool.is_empty());
-            prop_assert_eq!(&view.nondet[0].1.to_value(view), &Ok(v.clone()));
-        }
-    }
-
-    #[test]
-    fn skip_and_materialize_match_owned_on_hostile_values(
-        values in prop::collection::vec(arb_wire_value(), 1..4),
-        max_nodes in prop_oneof![Just(u64::MAX), 0u64..12],
-    ) {
-        // Duplicate and unsorted keys, strings past the table,
-        // non-boolean booleans, references into a pool that is not
-        // there, under a node budget that may trip mid-value, and
-        // truncated at every cut.
-        let encoded: Vec<Vec<u8>> = values.iter().map(WireValue::bytes).collect();
-        let mut warm = Materializer::new(&TABLE);
-        for bytes in &encoded {
-            for cut in 0..=bytes.len() {
-                check_value_paths(&bytes[..cut], max_nodes, &mut warm)?;
+        for v in &values {
+            let mut a = Advice::default();
+            let op = OpRef::new(RequestId(0), HandlerId::root(FunctionId(0)), 1);
+            a.nondet.insert(op, v.clone());
+            let bytes = encode_advice(&a);
+            let view = decode_advice_view(&bytes).expect("own encoding decodes as view");
+            let raw = &view.nondet[0].1;
+            prop_assert_eq!(raw.value(), v);
+            // A container that occurs twice in the value goes to the
+            // pool, which the oracle does not read; the rest is inline.
+            if view.pool.is_empty() {
+                let oracle = decode_value_bounded(raw.bytes(), &view.strings, u64::MAX);
+                prop_assert_eq!(oracle, Ok((v.clone(), raw.bytes().len())));
             }
         }
     }
 
     #[test]
-    fn skip_matches_owned_on_arbitrary_bytes(
-        bytes in prop::collection::vec(prop_oneof![3 => 0u8..8, 1 => any::<u8>()], 0..64),
-        max_nodes in prop_oneof![Just(u64::MAX), 0u64..6],
+    fn view_values_match_the_oracle_on_hostile_values(
+        values in prop::collection::vec(arb_wire_value(), 1..4),
+        max_nodes in prop_oneof![Just(u64::MAX), 3u64..15],
+    ) {
+        // Duplicate and unsorted keys, strings past the table,
+        // non-boolean booleans, references into a pool that is not
+        // there, under a node budget that may trip mid-value, and
+        // truncated at every cut.
+        for bytes in values.iter().map(WireValue::bytes) {
+            for cut in 1..=bytes.len() {
+                check_value_path(&bytes[..cut], max_nodes)?;
+            }
+        }
+    }
+
+    #[test]
+    fn view_values_match_the_oracle_on_arbitrary_bytes(
+        bytes in prop::collection::vec(prop_oneof![3 => 0u8..8, 1 => any::<u8>()], 1..64),
+        max_nodes in prop_oneof![Just(u64::MAX), 3u64..9],
     ) {
         // Low bytes are tags and small lengths, so random input nests.
-        check_value_paths(&bytes, max_nodes, &mut Materializer::new(&TABLE))?;
+        check_value_path(&bytes, max_nodes)?;
     }
 }
 
-/// The nesting guard: 65 levels are one too many for the skip exactly
-/// as for the owned path, 64 are fine for both and for the memo.
+/// The nesting guard: 65 levels are one too many, 64 are fine, in a
+/// view as for the oracle.
 #[test]
 fn nesting_guard_trips_identically() {
     let nest = |depth: usize| {
@@ -537,33 +554,25 @@ fn nesting_guard_trips_identically() {
         v.bytes()
     };
     let ok = nest(64);
-    let raw = RawValue::validate(&ok, &[], u64::MAX).expect("64 levels are allowed");
-    let (owned, _) = decode_value_bounded(&ok, &[], u64::MAX).expect("64 levels are allowed");
-    assert_eq!(Materializer::new(&[]).value(raw), Ok(owned));
+    decode_value_bounded(&ok, &TABLE, u64::MAX).expect("64 levels are allowed");
+    check_value_path(&ok, u64::MAX).expect("the view reads 64 levels as the oracle does");
 
     let too_deep = nest(65);
-    let skip = RawValue::validate(&too_deep, &[], u64::MAX).expect_err("65 levels");
-    let owned = decode_value_bounded(&too_deep, &[], u64::MAX).expect_err("65 levels");
-    assert_eq!(skip, owned);
-    let BoundedDecodeError::Malformed(e) = skip else {
+    let Err(BoundedDecodeError::Malformed(e)) = decode_value_bounded(&too_deep, &TABLE, u64::MAX)
+    else {
         panic!("a nesting error is malformation, not exhaustion");
     };
     assert_eq!(e.what, "value nesting too deep");
+    check_value_path(&too_deep, u64::MAX).expect("the view stops at 65 levels as the oracle does");
     // The budget tripping before the guard is exhaustion on both.
     assert_eq!(
-        RawValue::validate(&too_deep, &[], 10),
+        decode_value_bounded(&too_deep, &TABLE, 10).map(|(v, _)| v),
         Err(BoundedDecodeError::NodesExhausted {
             offset: 21,
             limit: 10
         })
     );
-    assert_eq!(
-        decode_value_bounded(&too_deep, &[], 10).map(|(v, _)| v),
-        Err(BoundedDecodeError::NodesExhausted {
-            offset: 21,
-            limit: 10
-        })
-    );
+    check_value_path(&too_deep, 10).expect("the view runs out where the oracle does");
 }
 
 // ---------------------------------------------------------------------
@@ -574,7 +583,7 @@ fn nesting_guard_trips_identically() {
 // node budget is charged, which must be what the flat form of the same
 // values would have declared.
 
-use karousos::{decode_advice_view_bounded, DecodeStats};
+use karousos::{decode_advice_view_bounded, AdviceView, DecodeStats};
 use kem::pvalue::PMap;
 use std::sync::Arc;
 
@@ -810,7 +819,7 @@ fn check_pooled(bytes: &[u8]) -> Result<(), TestCaseError> {
     match decode_advice_view_bounded(bytes, u64::MAX) {
         Ok((view, stats)) => {
             // Small pools: comparing the values out in full is cheap.
-            let owned = view.to_advice().expect("a decoded view reads back");
+            let owned = view.to_advice();
             let mut interner = kem::ValueInterner::new();
             let working = karousos::AdviceRef::from_view(&view, &mut interner);
             prop_assert!(working.nondet.values().eq(owned.nondet.values()));

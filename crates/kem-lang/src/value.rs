@@ -323,8 +323,6 @@ pub struct ValueInterner {
     /// String bytes copied out of the source into owned storage
     /// (first uses only).
     pub bytes_copied: u64,
-    /// String materializations avoided: uses served as `Arc` clones.
-    pub hits: u64,
 }
 
 impl ValueInterner {
@@ -342,9 +340,8 @@ impl ValueInterner {
             self.strings.resize(table.len(), None);
         }
         let slot = self.strings.get_mut(id)?;
-        match slot {
-            Some(_) => self.hits += 1,
-            None => self.bytes_copied += s.len() as u64,
+        if slot.is_none() {
+            self.bytes_copied += s.len() as u64;
         }
         Some(slot.get_or_insert_with(|| Arc::from(s)))
     }
@@ -533,10 +530,9 @@ mod more_tests {
         let b = i.intern(&table, 3).unwrap();
         assert!(Arc::ptr_eq(&a, b));
         assert_eq!(i.bytes_copied, 3);
-        assert_eq!(i.hits, 1);
         assert_eq!(i.intern(&table, 0).map(|s| &**s), Some("x"));
         assert!(Arc::ptr_eq(i.get(3).unwrap(), &a));
-        assert_eq!((i.bytes_copied, i.hits), (4, 1));
+        assert_eq!(i.bytes_copied, 4);
         assert_eq!(i.intern(&table, 4), None);
         assert_eq!(i.get(1), None);
     }

@@ -2,18 +2,16 @@
 //!
 //! The wire layer decodes advice into a zero-copy [`AdviceView`]: every
 //! section a `Vec` in wire order, strings borrowing the input buffer,
-//! logged values left as the validated bytes they occupy
+//! logged values built in the walk that validated them
 //! ([`crate::RawValue`]). [`AdviceRef`] is the *logical map* form the
 //! verifier audits over, and [`AdviceRef::from_view`] is the one way to
 //! make one: strings stay `&str` slices of the wire buffer, handler
-//! logs borrow the view's entry vectors outright, and the only owned
-//! copies are the [`Value`]s replay
-//! actually retains — each built from its span exactly once
-//! ([`RawValue::to_value`]), sharing the string copies the view's
-//! decode made ([`AdviceView::interned`]) and the containers of the
-//! view's value pool, so repeated content (MOTD's whole-map logs) costs
-//! an `Arc` bump. Owned advice (the `karousos` crate's `Advice`) gets
-//! here the way the server's does: encoded, then decoded.
+//! logs borrow the view's entry vectors outright, and the [`Value`]s
+//! replay retains are clones of the view's — a string or container
+//! costs an `Arc` bump, so repeated content (MOTD's whole-map logs,
+//! shared through the view's value pool) is never copied. Owned advice
+//! (the `karousos` crate's `Advice`) gets here the way the server's
+//! does: encoded, then decoded.
 //!
 //! Lookups go through [`VecMap`], a sorted-unique `Vec` with a
 //! `BTreeMap`-shaped read API. **Duplicate-key semantics**: the wire
@@ -34,7 +32,7 @@ use kem_lang::{OpRef, RequestId, TxOpKind, Value, ValueInterner, VarId};
 
 use crate::advice::{OpAt, VarLogEntry};
 use crate::hids::HidTable;
-use crate::wire::{AdviceView, HandlerLogEntryView, RawValue, TxOpContentsView, WireError};
+use crate::wire::{AdviceView, HandlerLogEntryView, RawValue, TxOpContentsView};
 
 /// A sorted-unique `Vec<(K, V)>` exposing the read-side `BTreeMap` API
 /// the verifier uses (`get`, `contains_key`, ascending iteration).
@@ -225,26 +223,16 @@ pub struct AdviceRef<'a> {
     /// The distinct handler paths, ranked: every path rank above indexes
     /// it.
     pub paths: Arc<HidTable>,
-    /// The first logged value that did not read back (a view built by
-    /// hand): it reads as null above, and the audit root refuses it.
-    pub malformed: Option<WireError>,
 }
 
 impl<'a> AdviceRef<'a> {
     /// Builds the verifier form from a decoded [`AdviceView`]. Strings
     /// stay borrowed; handler logs are borrowed wholesale; var-log /
-    /// tx-log / nondet values are read from their spans (the copies
-    /// replay retains, sharing the view's strings and pool). `_interner`
-    /// is read by nothing; the frozen benchmark adapter passes one.
+    /// tx-log / nondet values are clones of the ones the view's decode
+    /// built. `_interner` is read by nothing; the frozen benchmark
+    /// adapter passes one.
     pub fn from_view(view: &'a AdviceView<'a>, _interner: &mut ValueInterner) -> AdviceRef<'a> {
-        let mut malformed = None;
-        let mut reader = view.reader();
-        let mut value = |raw: RawValue<'a>| {
-            reader.read(raw).unwrap_or_else(|e| {
-                malformed.get_or_insert(e);
-                Value::Null
-            })
-        };
+        let value = |raw: &RawValue<'_>| raw.value().clone();
         let tags = VecMap::from_wire(view.tags.clone());
         let handler_logs = VecMap::from_wire(
             view.handler_logs
@@ -263,7 +251,7 @@ impl<'a> AdviceRef<'a> {
                                 *op,
                                 VarLogEntry {
                                     access: e.access,
-                                    value: e.value.map(&mut value),
+                                    value: e.value.as_ref().map(value),
                                     prec: e.prec,
                                 },
                             )
@@ -295,7 +283,7 @@ impl<'a> AdviceRef<'a> {
                             contents: match &e.contents {
                                 TxOpContentsView::None => TxContentsRef::None,
                                 TxOpContentsView::Put { value: raw } => {
-                                    TxContentsRef::Put { value: value(*raw) }
+                                    TxContentsRef::Put { value: value(raw) }
                                 }
                                 TxOpContentsView::Get { from } => TxContentsRef::Get {
                                     from: from.as_ref().map(at),
@@ -307,8 +295,7 @@ impl<'a> AdviceRef<'a> {
                 })
                 .collect(),
         );
-        let nondet =
-            VecMap::from_wire(view.nondet.iter().map(|(op, v)| (*op, value(*v))).collect());
+        let nondet = VecMap::from_wire(view.nondet.iter().map(|(op, v)| (*op, value(v))).collect());
         AdviceRef {
             tags,
             handler_logs,
@@ -319,7 +306,6 @@ impl<'a> AdviceRef<'a> {
             opcounts: VecMap::from_wire(view.opcounts.clone()),
             nondet,
             paths: Arc::clone(&view.paths),
-            malformed,
         }
     }
 

@@ -48,4 +48,4 @@ pub use wire::{
 };
 // What `tests/prop_wire.rs` pins the value path with.
 #[doc(hidden)]
-pub use wire::{decode_value_bounded, Materializer};
+pub use wire::decode_value_bounded;

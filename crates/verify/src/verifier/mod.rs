@@ -327,10 +327,6 @@ fn audit_bytes(
             ],
         );
         let advice = AdviceRef::from_view(&view, &mut kem_lang::ValueInterner::new());
-        if let Some(e) = &advice.malformed {
-            let what = e.to_string();
-            return Err(RejectReason::MalformedAdvice { what }.into());
-        }
         let copied = decode_stats.bytes_copied;
         obs.count(CounterId::BytesDecoded, bytes.len() as u64);
         obs.count(CounterId::DecodeBytesCopied, copied);

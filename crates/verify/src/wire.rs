@@ -39,21 +39,22 @@
 //! the input, a handler path is built once in a [`HidTable`], whichever
 //! entries write it — and a reference is a bounds-checked index. A
 //! handler-id reference is read as its path's rank there, a `u32`, so
-//! the view's coordinates are plain integers ([`OpAt`]). A logged value
-//! stays the validated bytes it occupies ([`RawValue`]), and the pool is
-//! built once, through the checked constructors of [`kem_lang::pvalue`].
-//! The view converts to the verifier's working form
-//! ([`crate::AdviceRef::from_view`]); the server side also converts it
-//! to owned advice, and back to bytes, borrowing each handler id from
-//! the table.
+//! the view's coordinates are plain integers ([`OpAt`]). The pool is
+//! built once, through the checked constructors of [`kem_lang::pvalue`],
+//! and each logged value is built in the walk that validates it: the
+//! view keeps the [`Value`] beside the bytes it occupies ([`RawValue`]),
+//! which a re-encode of the view copies back verbatim. The view
+//! converts to the verifier's working form
+//! ([`crate::AdviceRef::from_view`]) by cloning those values; the server
+//! side also converts it to owned advice, and back to bytes, borrowing
+//! each handler id from the table.
 //!
-//! Values have **one** reader, `Decoder::walk_value`, driven by a
-//! `ValueSink` that checks each string reference: the view decoder's
-//! builds only a copy of each table string a value names, once, in the
-//! view's [`ValueInterner`]; [`Materializer`] builds the pool; and
-//! [`RawValue::to_value`] — how [`crate::AdviceRef::from_view`] turns
-//! spans into the values replay retains — shares those copies and the
-//! pool's nodes, where a reference is one `Arc` bump. The node budget
+//! Values have **one** reader, `Decoder::walk_value`, and one builder,
+//! the decode's `Materializer`: a string or map key is the copy of its
+//! table entry made at its first use, once per decode, in the
+//! materializer's [`ValueInterner`]; an inline container is built off
+//! one scratch kept for the whole decode; a pool reference is a clone
+//! of the node the pool section built — one `Arc` bump. The node budget
 //! charges a reference what it would have cost written out in place — a
 //! pool reference its container's elements (`Decoder::charge`), a
 //! handler-id reference its path's steps, a string reference nothing —
@@ -173,10 +174,6 @@ pub struct Decoder<'a> {
     node: Option<u32>,
     /// Deepest value nesting reached since last reset.
     deepest: u32,
-    /// Rereading a span the validating walk accepted: pool references
-    /// were checked and charged then, against a pool this decoder has
-    /// not read.
-    validated: bool,
     counts: ValueCounts,
     /// The handler-id table read so far: each entry's path rank in
     /// `paths`.
@@ -212,7 +209,6 @@ impl<'a> Decoder<'a> {
             pool: Vec::new(),
             node: None,
             deepest: 0,
-            validated: false,
             counts: ValueCounts::default(),
             hids: Vec::new(),
             paths: HidTable::default(),
@@ -403,7 +399,7 @@ impl<'a> Decoder<'a> {
     }
 
     /// A section's reference into `table`: a handler id, an event or a
-    /// row key. (In a value, the sink checks it: [`ValueSink::str`].)
+    /// row key. (In a value, the materializer checks it.)
     fn entry<'t, T>(&mut self, table: &'t [T], what: &'static str) -> Result<&'t T, WireError> {
         let at = self.pos;
         let id = self.uvar(what)? as usize;
@@ -411,27 +407,30 @@ impl<'a> Decoder<'a> {
     }
 
     /// A map key, in a value or a pool leaf.
-    fn key<S: ValueSink>(&mut self, sink: &mut S) -> Result<S::Key, WireError> {
+    fn key(&mut self, m: &mut Materializer<'_>) -> Result<Arc<str>, WireError> {
         let at = self.pos;
         let id = self.uvar("map key")? as usize;
-        sink.key(id).ok_or_else(|| self.err_at(at, "map key"))
+        m.string(id).ok_or_else(|| self.err_at(at, "map key"))
     }
 
-    /// Validates one value, building only `skip`'s string copies, and
-    /// returns the bytes it occupies: the borrowed decoder's value path.
-    fn raw_value(&mut self, skip: &mut Skip<'_>) -> Result<RawValue<'a>, WireError> {
+    /// Reads one logged value: the value built, and the bytes it
+    /// occupies.
+    fn raw_value(&mut self, m: &mut Materializer<'_>) -> Result<RawValue<'a>, WireError> {
         let start = self.pos;
-        self.walk_value(skip, 0)?;
-        Ok(RawValue(&self.buf[start..self.pos]))
+        let value = self.walk_value(m, 0)?;
+        Ok(RawValue {
+            bytes: &self.buf[start..self.pos],
+            value,
+        })
     }
 
-    /// The one recursive walk over an encoded value. Every reader of
-    /// value bytes — owned decode, validating skip, materialization —
-    /// is this function with a different `ValueSink`, so they all
-    /// read the same primitives in the same order: the same
-    /// `Decoder::len` budget charges, the same reference checks, and
-    /// on bad bytes the same positioned [`WireError`].
-    fn walk_value<S: ValueSink>(&mut self, sink: &mut S, depth: u32) -> Result<S::Out, WireError> {
+    /// The one recursive walk over an encoded value, building it with
+    /// `m` as it validates it: every value on the wire — a pool leaf's
+    /// entries, a logged value, the oracle [`decode_value_bounded`] — is
+    /// read by this function, with the same `Decoder::len` budget
+    /// charges, the same reference checks, and on bad bytes the same
+    /// positioned [`WireError`].
+    fn walk_value(&mut self, m: &mut Materializer<'_>, depth: u32) -> Result<Value, WireError> {
         if depth > MAX_VALUE_DEPTH {
             return Err(self.err("value nesting too deep"));
         }
@@ -439,55 +438,55 @@ impl<'a> Decoder<'a> {
         let start = self.pos;
         let tag = self.u8("value tag")?;
         match tag {
-            NULL => Ok(sink.leaf(Value::Null)),
-            BOOL => Ok(sink.leaf(Value::Bool(self.u8("bool")? != 0))),
-            INT => Ok(sink.leaf(Value::Int(self.i64("int")?))),
+            NULL => Ok(Value::Null),
+            BOOL => Ok(Value::Bool(self.u8("bool")? != 0)),
+            INT => Ok(Value::Int(self.i64("int")?)),
             STR => {
                 let id = self.uvar("str")? as usize;
-                sink.str(id).ok_or_else(|| self.err_at(start + 1, "str"))
+                m.string(id)
+                    .map(Value::Str)
+                    .ok_or_else(|| self.err_at(start + 1, "str"))
             }
             LIST => {
                 // Every element is at least one tag byte.
                 let n = self.inline_len("list len", 1)?;
                 for _ in 0..n {
-                    let item = self.walk_value(sink, depth + 1)?;
-                    sink.item(item);
+                    let item = self.walk_value(m, depth + 1)?;
+                    m.items.push(item);
                 }
-                Ok(sink.list(n))
+                let from = m.items.len().saturating_sub(n);
+                Ok(Value::List(PList::from_exact(m.items.drain(from..))))
             }
             MAP => {
                 // Every entry is at least a key byte + value tag.
-                // Duplicate wire keys resolve later-wins in every sink
-                // that builds a map, exactly as a `BTreeMap::insert`
-                // loop would.
+                // Duplicate wire keys resolve later-wins, exactly as a
+                // `BTreeMap::insert` loop would.
                 let n = self.inline_len("map len", 2)?;
                 for _ in 0..n {
-                    let k = self.key(sink)?;
-                    let v = self.walk_value(sink, depth + 1)?;
-                    sink.entry(k, v);
+                    let k = self.key(m)?;
+                    let v = self.walk_value(m, depth + 1)?;
+                    m.entries.push((k, v));
                 }
-                Ok(sink.map(n))
+                let from = m.entries.len().saturating_sub(n);
+                Ok(Value::Map(PMap::take_pairs(&mut m.entries, from)))
             }
             REF => {
                 let id = self.uvar("pool ref")? as usize;
-                if !self.validated {
-                    // A node may be named only after it was read: no
-                    // dangling, forward or self reference, so no cycle.
-                    let Some(&meta) = self.pool.get(id) else {
-                        return Err(self.err_at(start, "pool ref"));
-                    };
-                    if depth + meta.depth > MAX_VALUE_DEPTH {
-                        return Err(self.err_at(start, "value nesting too deep"));
-                    }
-                    self.deepest = self.deepest.max(depth + meta.depth);
-                    self.charge(meta.logical, start)?;
-                    self.counts.refs += 1;
-                    if self.node.is_none() {
-                        self.counts.referred = self.counts.referred.saturating_add(meta.logical);
-                    }
+                // A node may be named only after it was read: no
+                // dangling, forward or self reference, so no cycle.
+                let (Some(&meta), Some(node)) = (self.pool.get(id), m.pool.get(id)) else {
+                    return Err(self.err_at(start, "pool ref"));
+                };
+                if depth + meta.depth > MAX_VALUE_DEPTH {
+                    return Err(self.err_at(start, "value nesting too deep"));
                 }
-                sink.pooled(id)
-                    .ok_or_else(|| self.err_at(start, "pool ref"))
+                self.deepest = self.deepest.max(depth + meta.depth);
+                self.charge(meta.logical, start)?;
+                self.counts.refs += 1;
+                if self.node.is_none() {
+                    self.counts.referred = self.counts.referred.saturating_add(meta.logical);
+                }
+                Ok(node.clone())
             }
             _ => Err(self.err("value tag")),
         }
@@ -510,20 +509,20 @@ impl<'a> Decoder<'a> {
         Ok(n)
     }
 
-    /// Reads the pool section into `sink`'s pool, building each node
-    /// through `sink` and the checked node constructors.
-    fn pool_section(&mut self, sink: &mut Materializer<'_>) -> Result<(), WireError> {
+    /// Reads the pool section into `m`'s pool, building each node
+    /// through `m` and the checked node constructors.
+    fn pool_section(&mut self, m: &mut Materializer<'_>) -> Result<(), WireError> {
         let start = self.pos;
         // Every node is at least a kind, a width and one entry.
         let n = self.count("pool len", 3)?;
         self.pool_wire(n as u64, start)?;
         self.pool.reserve(n);
-        sink.pool.reserve(n);
+        m.pool.reserve(n);
         for id in 0..n {
             self.node = Some(u32::try_from(id).unwrap_or(u32::MAX));
-            let (node, meta) = self.pool_node(sink)?;
+            let (node, meta) = self.pool_node(m)?;
             self.pool.push(meta);
-            sink.pool.push(node);
+            m.pool.push(node);
         }
         self.node = None;
         Ok(())
@@ -532,7 +531,7 @@ impl<'a> Decoder<'a> {
     /// Reads one pool node. Its logical size is what its entries charge
     /// the node budget while they are read — kept apart from the
     /// advice's own count, which pays per reference instead.
-    fn pool_node(&mut self, sink: &mut Materializer<'_>) -> Result<(Value, PoolMeta), WireError> {
+    fn pool_node(&mut self, m: &mut Materializer<'_>) -> Result<(Value, PoolMeta), WireError> {
         let start = self.pos;
         let kind = self.u8("pool node kind")?;
         if kind > LIST_BRANCH {
@@ -551,42 +550,42 @@ impl<'a> Decoder<'a> {
             // straight into the node.
             if kind == MAP_LEAF {
                 for _ in 0..width {
-                    let k = self.key(sink)?;
-                    let v = self.walk_value(sink, 1)?;
-                    sink.entry(k, v);
+                    let k = self.key(m)?;
+                    let v = self.walk_value(m, 1)?;
+                    m.entries.push((k, v));
                 }
-                let entries = &mut sink.scratch.entries;
+                let entries = &mut m.entries;
                 let from = entries.len().saturating_sub(width);
                 PMap::checked_leaf(entries.drain(from..)).map(Value::Map)
             } else {
                 for _ in 0..width {
-                    let item = self.walk_value(sink, 1)?;
-                    sink.item(item);
+                    let item = self.walk_value(m, 1)?;
+                    m.items.push(item);
                 }
-                let items = &mut sink.scratch.items;
+                let items = &mut m.items;
                 let from = items.len().saturating_sub(width);
                 PList::checked_leaf(items.drain(from..)).map(Value::List)
             }
         } else if kind == MAP_BRANCH {
-            sink.maps.clear();
+            m.maps.clear();
             for _ in 0..width {
-                let child = self.pool_child(&sink.pool, |c| match c {
-                    Value::Map(m) => Some(m.clone()),
+                let child = self.pool_child(&m.pool, |c| match c {
+                    Value::Map(map) => Some(map.clone()),
                     _ => None,
                 })?;
-                sink.maps.push(child);
+                m.maps.push(child);
             }
-            PMap::checked_branch(&sink.maps).map(Value::Map)
+            PMap::checked_branch(&m.maps).map(Value::Map)
         } else {
-            sink.lists.clear();
+            m.lists.clear();
             for _ in 0..width {
-                let child = self.pool_child(&sink.pool, |c| match c {
-                    Value::List(l) => Some(l.clone()),
+                let child = self.pool_child(&m.pool, |c| match c {
+                    Value::List(list) => Some(list.clone()),
                     _ => None,
                 })?;
-                sink.lists.push(child);
+                m.lists.push(child);
             }
-            PList::checked_branch(&sink.lists).map(Value::List)
+            PList::checked_branch(&m.lists).map(Value::List)
         };
         let node = node.map_err(|e| self.err_at(start, e.what()))?;
         let logical = std::mem::replace(&mut self.nodes, advice_nodes);
@@ -645,190 +644,31 @@ impl<'a> Decoder<'a> {
     }
 }
 
-/// What `Decoder::walk_value` hands the parts of a value to. `Out`
-/// is what a value becomes and `Key` what a map key becomes. A sink
-/// holds the string table its string references name, and checks them
-/// against it; one that builds values holds the pool they refer to.
-trait ValueSink {
-    type Out;
-    type Key;
-    /// A null, boolean or integer.
-    fn leaf(&mut self, v: Value) -> Self::Out;
-    /// String `id` of the table, if this sink's table has one.
-    fn str(&mut self, id: usize) -> Option<Self::Out>;
-    /// String `id` of the table as a map key, if the table has one.
-    fn key(&mut self, id: usize) -> Option<Self::Key>;
-    /// Holds a list element until its list is done.
-    fn item(&mut self, v: Self::Out);
-    /// Holds a map entry until its map is done.
-    fn entry(&mut self, k: Self::Key, v: Self::Out);
-    /// The list of the last `n` elements held, which it takes.
-    fn list(&mut self, n: usize) -> Self::Out;
-    /// The map of the last `n` entries held, which it takes.
-    fn map(&mut self, n: usize) -> Self::Out;
-    /// The container rooted at pool node `id`, if this sink's pool has
-    /// one.
-    fn pooled(&mut self, id: usize) -> Option<Self::Out>;
+/// One logged value as the decoder read it: the [`Value`] it builds,
+/// and the bytes it occupies, which a re-encode of the view copies back
+/// verbatim. Only the decoder makes one.
+#[derive(Debug, Clone, PartialEq)]
+pub struct RawValue<'a> {
+    bytes: &'a [u8],
+    value: Value,
 }
-
-/// Validates, building only a copy of each table string it meets, once,
-/// in `interner`. Every `Vec` the walk fills is of zero-sized items; a
-/// pool reference is the decoder's to check ([`PoolMeta`]).
-struct Skip<'s> {
-    strings: &'s [&'s str],
-    interner: &'s mut ValueInterner,
-}
-
-impl ValueSink for Skip<'_> {
-    type Out = ();
-    type Key = ();
-    fn leaf(&mut self, _: Value) {}
-    fn str(&mut self, id: usize) -> Option<()> {
-        self.interner.intern(self.strings, id).map(|_| ())
-    }
-    fn key(&mut self, id: usize) -> Option<()> {
-        self.str(id)
-    }
-    fn item(&mut self, _: ()) {}
-    fn entry(&mut self, _: (), _: ()) {}
-    fn list(&mut self, _: usize) {}
-    fn map(&mut self, _: usize) {}
-    fn pooled(&mut self, _: usize) -> Option<()> {
-        Some(())
-    }
-}
-
-/// The elements and entries of the containers a value sink is reading,
-/// innermost last. A container takes its own off the top when it is
-/// done, collected straight into its nodes (one allocation per leaf),
-/// and the buffers keep their capacity for the next: one scratch per
-/// walk, not a `Vec` per container.
-#[derive(Default)]
-struct Scratch {
-    items: Vec<Value>,
-    entries: Vec<(Arc<str>, Value)>,
-}
-
-impl Scratch {
-    fn list(&mut self, n: usize) -> Value {
-        let from = self.items.len().saturating_sub(n);
-        Value::List(PList::from_exact(self.items.drain(from..)))
-    }
-
-    /// Duplicate keys resolve later-wins, as a `BTreeMap::insert` loop
-    /// would.
-    fn map(&mut self, n: usize) -> Value {
-        let from = self.entries.len().saturating_sub(n);
-        Value::Map(PMap::take_pairs(&mut self.entries, from))
-    }
-}
-
-/// Reads logged values back against the view they came from
-/// ([`AdviceView::reader`]): a string is the copy the view's decode made
-/// of it, a pooled container the node it names — one `Arc` bump each —
-/// and an inline container is built off one scratch kept for every
-/// value read.
-pub struct ViewReader<'v> {
-    strings: &'v ValueInterner,
-    pool: &'v [Value],
-    scratch: Scratch,
-}
-
-impl ViewReader<'_> {
-    /// The value `raw` encodes. `raw` must come from this reader's view;
-    /// against another, a string or node it names that is not there is a
-    /// [`WireError`].
-    pub fn read(&mut self, raw: RawValue<'_>) -> Result<Value, WireError> {
-        Decoder::validated(raw.0).walk_value(self, 0)
-    }
-}
-
-impl ValueSink for ViewReader<'_> {
-    type Out = Value;
-    type Key = Arc<str>;
-    fn leaf(&mut self, v: Value) -> Value {
-        v
-    }
-    fn str(&mut self, id: usize) -> Option<Value> {
-        self.key(id).map(Value::Str)
-    }
-    fn key(&mut self, id: usize) -> Option<Arc<str>> {
-        self.strings.get(id).cloned()
-    }
-    fn item(&mut self, v: Value) {
-        self.scratch.items.push(v);
-    }
-    fn entry(&mut self, k: Arc<str>, v: Value) {
-        self.scratch.entries.push((k, v));
-    }
-    fn list(&mut self, n: usize) -> Value {
-        self.scratch.list(n)
-    }
-    fn map(&mut self, n: usize) -> Value {
-        self.scratch.map(n)
-    }
-    fn pooled(&mut self, id: usize) -> Option<Value> {
-        self.pool.get(id).cloned()
-    }
-}
-
-/// The validated bytes of one encoded value: what the borrowed decoder
-/// keeps of a logged value. Only the validating walk makes one, so
-/// reading it back ([`RawValue::to_value`]) against the view it was
-/// validated into does not fail; against another view, a string or
-/// node it names that is not there is a [`WireError`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct RawValue<'a>(&'a [u8]);
 
 impl<'a> RawValue<'a> {
-    /// Validates the value encoded at the start of `bytes`, against the
-    /// string table `strings` and an empty pool — the walk, budget
-    /// charges and errors of [`decode_value_bounded`], building nothing
-    /// — and returns the bytes it occupies. For tests: the decoder is
-    /// the only product code that makes a `RawValue`.
-    #[doc(hidden)]
-    pub fn validate(
-        bytes: &'a [u8],
-        strings: &[&str],
-        max_nodes: u64,
-    ) -> Result<RawValue<'a>, BoundedDecodeError> {
-        let mut d = Decoder::new(bytes);
-        d.node_budget = max_nodes;
-        let interner = &mut ValueInterner::new();
-        d.raw_value(&mut Skip { strings, interner })
-            .map_err(|e| bounded(e, max_nodes))
-    }
-
     /// The encoded bytes.
-    #[doc(hidden)]
     pub fn bytes(&self) -> &'a [u8] {
-        self.0
+        self.bytes
     }
 
-    /// Decodes into a [`Value`] against `view`, the view this value came
-    /// from: a string is the copy its decode made
-    /// ([`AdviceView::interned`]), a reference a clone of the pool node
-    /// it names.
-    pub fn to_value(&self, view: &AdviceView<'_>) -> Result<Value, WireError> {
-        view.reader().read(*self)
-    }
-}
-
-impl<'a> Decoder<'a> {
-    /// A decoder for reading a [`RawValue`]'s bytes back.
-    fn validated(buf: &'a [u8]) -> Self {
-        Decoder {
-            validated: true,
-            ..Decoder::new(buf)
-        }
+    /// The value the bytes build.
+    pub fn value(&self) -> &Value {
+        &self.value
     }
 }
 
 /// Decodes the value encoded at the start of `bytes` in one walk,
 /// against the string table `strings` and an empty pool and under a
 /// node budget, returning it and the number of bytes it occupied. The
-/// oracle [`RawValue::validate`] and [`Materializer::value`] are tested
-/// against.
+/// oracle a view's logged values are tested against.
 #[doc(hidden)]
 pub fn decode_value_bounded(
     bytes: &[u8],
@@ -843,17 +683,21 @@ pub fn decode_value_bounded(
     }
 }
 
-/// Builds [`Value`]s over one string table: a string or map key is the
-/// copy of its table entry the materializer's own interner made at its
-/// first use, and a reference is a clone of the node its pool holds —
-/// one `Arc` bump, whatever the container holds. The view decoder
-/// builds the pool with one (`Decoder::pool_section`) and keeps its
-/// interner for the logged values ([`AdviceView::interned`]).
-pub struct Materializer<'i> {
+/// Builds the [`Value`]s of one decode over one string table: a string
+/// or map key is the copy of its table entry made at its first use, and
+/// a reference is a clone of the node its pool holds — one `Arc` bump,
+/// whatever the container holds. A container under construction keeps
+/// its elements on `items` or `entries`, innermost last, and takes its
+/// own off the top when it is done, collected straight into its nodes
+/// (one allocation per leaf); the buffers keep their capacity for the
+/// next container, so a decode has one scratch, not a `Vec` per
+/// container.
+struct Materializer<'i> {
     strings: &'i [&'i str],
     interner: ValueInterner,
     pool: Vec<Value>,
-    scratch: Scratch,
+    items: Vec<Value>,
+    entries: Vec<(Arc<str>, Value)>,
     /// A pool branch's children, while it is read.
     maps: Vec<PMap>,
     lists: Vec<PList>,
@@ -862,50 +706,21 @@ pub struct Materializer<'i> {
 impl<'i> Materializer<'i> {
     /// A materializer over the string table `strings`, with an empty
     /// pool.
-    pub fn new(strings: &'i [&'i str]) -> Self {
+    fn new(strings: &'i [&'i str]) -> Self {
         Materializer {
             strings,
             interner: ValueInterner::new(),
             pool: Vec::new(),
-            scratch: Scratch::default(),
+            items: Vec::new(),
+            entries: Vec::new(),
             maps: Vec::new(),
             lists: Vec::new(),
         }
     }
 
-    /// The value `raw` encodes, read against this materializer's table
-    /// and pool.
-    pub fn value(&mut self, raw: RawValue<'_>) -> Result<Value, WireError> {
-        Decoder::validated(raw.0).walk_value(self, 0)
-    }
-}
-
-impl ValueSink for Materializer<'_> {
-    type Out = Value;
-    type Key = Arc<str>;
-    fn leaf(&mut self, v: Value) -> Value {
-        v
-    }
-    fn str(&mut self, id: usize) -> Option<Value> {
-        self.key(id).map(Value::Str)
-    }
-    fn key(&mut self, id: usize) -> Option<Arc<str>> {
+    /// The copy of string `id` of the table, if the table has one.
+    fn string(&mut self, id: usize) -> Option<Arc<str>> {
         self.interner.intern(self.strings, id).cloned()
-    }
-    fn item(&mut self, v: Value) {
-        self.scratch.items.push(v);
-    }
-    fn entry(&mut self, k: Arc<str>, v: Value) {
-        self.scratch.entries.push((k, v));
-    }
-    fn list(&mut self, n: usize) -> Value {
-        self.scratch.list(n)
-    }
-    fn map(&mut self, n: usize) -> Value {
-        self.scratch.map(n)
-    }
-    fn pooled(&mut self, id: usize) -> Option<Value> {
-        self.pool.get(id).cloned()
     }
 }
 
@@ -950,7 +765,7 @@ pub struct HandlerLogEntryView<'a> {
 }
 
 /// Borrowed mirror of [`crate::advice::VarLogEntry`].
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VarLogEntryView<'a> {
     /// Read or write.
     pub access: AccessType,
@@ -994,10 +809,10 @@ pub struct TxLogEntryView<'a> {
 }
 
 /// A zero-copy view of decoded advice: every section is a `Vec` in wire
-/// order, strings borrow the input buffer, values are the validated
-/// spans they occupy ([`RawValue`]), every handler-id reference is its
-/// path's rank in `paths`, read once by the decoder, and the things
-/// built are the handler paths and the value pool the spans refer to.
+/// order, strings borrow the input buffer, every handler-id reference
+/// is its path's rank in `paths`, read once by the decoder, and the
+/// things built are the handler paths, the value pool and the logged
+/// values, each beside the span it was read from ([`RawValue`]).
 /// A [`HandlerId`](kem_lang::HandlerId) is borrowed from `paths` only
 /// to render one, or to re-encode the view. Produced by
 /// [`decode_advice_view`].
@@ -1018,11 +833,8 @@ pub struct AdviceView<'a> {
     pub handler_logs: Vec<(RequestId, Vec<HandlerLogEntryView<'a>>)>,
     /// The value pool, built: `pool[id]` is the container rooted at
     /// pool node `id`, sharing its subtrees with every other node that
-    /// names them.
+    /// names them — and with every logged value that refers to it.
     pub pool: Vec<Value>,
-    /// A copy of each table string the pool or a logged value names,
-    /// made once: what every value read back shares.
-    pub interned: ValueInterner,
     /// The pool section's bytes, for a re-encode of the view.
     pub pool_bytes: &'a [u8],
     /// Variable logs.
@@ -1039,25 +851,13 @@ pub struct AdviceView<'a> {
     pub nondet: Vec<(OpAt, RawValue<'a>)>,
 }
 
-impl AdviceView<'_> {
-    /// A reader of this view's logged values.
-    pub fn reader(&self) -> ViewReader<'_> {
-        ViewReader {
-            strings: &self.interned,
-            pool: &self.pool,
-            scratch: Scratch::default(),
-        }
-    }
-}
-
 /// What a borrowed decode materialized and met — the observable half
 /// of the zero-copy claim (the `decode_bytes_copied` metric reads
 /// `bytes_copied`) and of the value pool's.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DecodeStats {
     /// String bytes the view decode copied out of the wire buffer: each
-    /// table string the pool or a logged value names, once
-    /// ([`AdviceView::interned`]).
+    /// table string the pool or a logged value names, once.
     pub bytes_copied: u64,
     /// Entries in the string table.
     pub strings: u64,
@@ -1141,18 +941,12 @@ fn decode_advice_view_inner(
         a.handler_logs.push((rid, log));
     }
 
-    // One interner copies the strings the pool names, then those the
-    // logged values name; the view keeps it for reading them back.
+    // One materializer builds the pool, then every logged value, which
+    // shares the pool's nodes and the string copies made for it.
     let pool_start = d.pos;
-    let mut pool = Materializer::new(strings);
-    d.pool_section(&mut pool)?;
-    let Materializer { pool, interner, .. } = pool;
-    (a.pool, a.interned) = (pool, interner);
+    let values = &mut Materializer::new(strings);
+    d.pool_section(values)?;
     a.pool_bytes = &bytes[pool_start..d.pos];
-    let skip = &mut Skip {
-        strings,
-        interner: &mut a.interned,
-    };
 
     let n = d.len("var logs len", 2)?;
     a.var_logs.reserve(n);
@@ -1169,7 +963,7 @@ fn decode_advice_view_inner(
                 _ => return Err(d.err("access tag")),
             };
             let value = match d.u8("value opt")? {
-                1 => Some(d.raw_value(skip)?),
+                1 => Some(d.raw_value(values)?),
                 _ => None,
             };
             let prec = match d.u8("prec opt")? {
@@ -1213,7 +1007,7 @@ fn decode_advice_view_inner(
             let contents = match d.u8("contents tag")? {
                 0 => TxOpContentsView::None,
                 1 => TxOpContentsView::Put {
-                    value: d.raw_value(skip)?,
+                    value: d.raw_value(values)?,
                 },
                 2 => TxOpContentsView::Get {
                     from: match d.u8("from opt")? {
@@ -1264,7 +1058,7 @@ fn decode_advice_view_inner(
     a.nondet.reserve(n);
     for _ in 0..n {
         let op = d.op_at("opnum")?;
-        let v = d.raw_value(skip)?;
+        let v = d.raw_value(values)?;
         a.nondet.push((op, v));
     }
 
@@ -1272,8 +1066,9 @@ fn decode_advice_view_inner(
         return Err(d.err("trailing bytes"));
     }
     (a.hids, a.paths) = (d.hids, Arc::new(d.paths));
+    a.pool = std::mem::take(&mut values.pool);
     let stats = DecodeStats {
-        bytes_copied: a.interned.bytes_copied,
+        bytes_copied: values.interner.bytes_copied,
         strings: a.strings.len() as u64,
         hids: a.hids.len() as u64,
         pool_nodes: a.pool.len() as u64,

@@ -20,10 +20,10 @@ mod common;
 use apps::App;
 use common::{audit_points, comparable, matrix, Outcome, Point};
 use karousos::{
-    decode_advice, decode_advice_view, encode_advice, AdviceSource, AdviceView, AdviceViewExt,
-    AuditOptions, Auditor, Limits, Mutator, RawValue, RejectReason, WireMutator,
+    decode_advice, decode_advice_view, encode_advice, Advice, AdviceSource, AdviceView,
+    AdviceViewExt, AuditOptions, Auditor, Limits, Mutator, RawValue, RejectReason, WireMutator,
 };
-use kem::{Program, Trace};
+use kem::{FunctionId, HandlerId, OpRef, Program, RequestId, Trace, Value};
 use kvstore::IsolationLevel;
 use obs::Obs;
 use workload::{Experiment, Mix};
@@ -140,6 +140,20 @@ fn duplicate_first<T: Clone>(section: &mut Vec<T>, forge: fn(&mut T), forged_las
     true
 }
 
+/// A null as the decoder reads one: the record of advice that logs one
+/// nondeterministic null and nothing else.
+fn decoded_null() -> RawValue<'static> {
+    static BYTES: std::sync::OnceLock<Vec<u8>> = std::sync::OnceLock::new();
+    let bytes = BYTES.get_or_init(|| {
+        let mut advice = Advice::default();
+        let op = OpRef::new(RequestId(0), HandlerId::root(FunctionId(0)), 1);
+        advice.nondet.insert(op, Value::Null);
+        encode_advice(&advice)
+    });
+    let view = decode_advice_view(bytes).expect("a null decodes");
+    view.nondet[0].1.clone()
+}
+
 /// What `WireMutator` rarely produces and owned advice cannot hold: a
 /// key twice in one section. The later entry wins, in the wire bytes
 /// and in their canonical re-encoding alike — so the advice is honest
@@ -167,9 +181,7 @@ fn duplicated_keys_verdict_identically() {
             duplicate_first(&mut v.opcounts, |e| e.1 += 1, last)
         }),
         ("nondet", |v, last| {
-            let null = |e: &mut (_, RawValue<'_>)| {
-                e.1 = RawValue::validate(&[0], &[], u64::MAX).expect("null is a value")
-            };
+            let null = |e: &mut (_, RawValue<'_>)| e.1 = decoded_null();
             duplicate_first(&mut v.nondet, null, last)
         }),
     ];

@@ -166,7 +166,9 @@ fn candidates(truth: &PMap, base: &PMap, k: &str, rng: &mut Rng) -> Vec<PMap> {
 /// the leaf there, removes merge nothing, and every node off that path
 /// is still `map`'s.
 fn reshaped(map: &PMap, after: &str) -> PMap {
-    let run: Vec<Arc<str>> = (0..CHUNK).map(|i| Arc::from(format!("{after}~{i:02}"))).collect();
+    let run: Vec<Arc<str>> = (0..CHUNK)
+        .map(|i| Arc::from(format!("{after}~{i:02}")))
+        .collect();
     let mut m = map.clone();
     for k in &run {
         m = m.insert(Arc::clone(k), Value::Null);
