@@ -1018,14 +1018,14 @@ pub fn decode_advice(bytes: &[u8]) -> Result<Advice, WireError> {
 
 /// What the server side does with a decoded [`AdviceView`].
 pub trait AdviceViewExt {
-    /// Converts to an owned [`Advice`]. Sections are inserted in wire
-    /// order, so duplicate keys resolve later-wins — as
-    /// [`crate::VecMap::from_wire`] resolves them for the audit — and
-    /// every logged value is a clone of the one the decode built.
+    /// Converts to an owned [`Advice`]: the view's sections, each key
+    /// once as the decoder left it, with every logged value a clone of
+    /// the one the decode built.
     fn to_advice(&self) -> Advice;
 
-    /// Re-serializes the view. Sections are written in stored (wire)
-    /// order, and the tables start as the ones the view was decoded
+    /// Re-serializes the view. Sections are written in stored order —
+    /// a view edited to repeat a key or put keys out of order writes
+    /// them so — and the tables start as the ones the view was decoded
     /// from — what a string or handler id not in them names is appended
     /// — so a view decoded from [`encode_advice`] output re-encodes
     /// byte-identically: the round-trip the proptests pin.
@@ -1818,9 +1818,9 @@ mod tests {
         e.value(&Value::Int(i64::MAX));
         let mut bytes = &e.finish()[..];
         for expect in [i64::MIN, -1, i64::MAX] {
-            let (v, len) = decode_value_bounded(bytes, &[], u64::MAX).unwrap();
-            assert_eq!(v, Value::Int(expect));
-            bytes = &bytes[len..];
+            let raw = decode_value_bounded(bytes, &[], u64::MAX).unwrap();
+            assert_eq!(raw.value(), &Value::Int(expect));
+            bytes = &bytes[raw.bytes().len()..];
         }
     }
 }

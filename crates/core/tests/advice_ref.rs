@@ -1,45 +1,17 @@
 //! `AdviceRef`, the verifier's working form, built from advice the
-//! encoder wrote: `VecMap`'s wire semantics, `from_view`'s logical maps,
-//! and duplicate sections resolving like their canonical re-encoding;
-//! and built from a handler-id table no encoder writes, whose path
-//! ranks still order and collapse every section as the paths do.
+//! encoder wrote: `from_view`'s logical maps, and duplicate or
+//! out-of-order keys, which the decoder resolves, reading like their
+//! canonical re-encoding; and built from a handler-id table no encoder
+//! writes, whose path ranks still order and collapse every section as
+//! the paths do.
 
 use karousos::advice::{AccessType, HandlerLogEntry, TxLogEntry, VarLog, VarLogEntry};
 use karousos::wire::put_uvar;
 use karousos::{decode_advice, decode_advice_view, encode_advice, AdviceViewExt};
-use karousos::{Advice, AdviceRef, HandlerOp, KTxId, OpAt, TxAt, TxOpContents, TxPos, VecMap};
+use karousos::{Advice, AdviceRef, AdviceView, HandlerOp, KTxId, OpAt, TxOpContents, TxPos};
+use karousos::{RawValue, TxOpContentsView, VarLogEntryView};
 use kem::{FunctionId, HandlerId, OpRef, RequestId, TxOpKind, Value, ValueInterner, VarId};
 use proptest::prelude::*;
-
-#[test]
-fn vecmap_from_wire_keeps_last_duplicate() {
-    let m = VecMap::from_wire(vec![(2, "b"), (1, "a"), (2, "c"), (1, "d")]);
-    assert_eq!(m.get(&1), Some(&"d"));
-    assert_eq!(m.get(&2), Some(&"c"));
-    assert_eq!(m.len(), 2);
-    let keys: Vec<_> = m.keys().copied().collect();
-    assert_eq!(keys, vec![1, 2]);
-}
-
-#[test]
-fn vecmap_ascending_input_is_preserved() {
-    let m = VecMap::from_wire(vec![(1, "a"), (2, "b"), (3, "c")]);
-    assert_eq!(m.len(), 3);
-    assert!(m.contains_key(&2));
-    assert!(!m.contains_key(&4));
-    let pairs: Vec<_> = (&m).into_iter().map(|(k, v)| (*k, *v)).collect();
-    assert_eq!(pairs, vec![(1, "a"), (2, "b"), (3, "c")]);
-}
-
-#[test]
-fn vecmap_insert_replaces_and_orders() {
-    let mut m = VecMap::new();
-    m.insert(5, "e");
-    m.insert(1, "a");
-    m.insert(5, "E");
-    assert_eq!(m.get(&5), Some(&"E"));
-    assert_eq!(m.keys().copied().collect::<Vec<_>>(), vec![1, 5]);
-}
 
 fn sample_advice() -> Advice {
     let mut a = Advice::default();
@@ -113,25 +85,62 @@ fn from_view_builds_the_logical_maps() {
     assert_eq!(r.handler_log_entries(), 1);
     assert_eq!(r.tx_log_entries(), 2);
     assert!(r
-        .tx_entry(r.write_order[0])
+        .tx_entry(&r.write_order[0])
         .is_some_and(|e| e.optype == TxOpKind::Put && e.key == Some("row")));
-    assert_eq!(r.nondet.values().next(), Some(&Value::str("rand")));
+    let nondet = r.nondet.values().next().map(RawValue::value);
+    assert_eq!(nondet, Some(&Value::str("rand")));
     let order = [RequestId(1), RequestId(0), RequestId(9)];
     assert_eq!(r.groups(&order), a.groups(&order));
 }
 
-/// Duplicate outer keys in the wire sections resolve later-wins, and
-/// to the same working form as the canonical re-encoding of the
-/// decoded advice (`to_advice`'s `BTreeMap::insert`, then
-/// `encode_advice`), which holds each key once.
+/// Whether every keyed section of `view`, and every variable log, is
+/// strictly ascending by key.
+fn keyed_sections_ascend(view: &AdviceView<'_>) -> bool {
+    fn ascend<K: Ord, V>(section: &[(K, V)]) -> bool {
+        section.windows(2).all(|w| w[0].0 < w[1].0)
+    }
+    ascend(&view.tags)
+        && ascend(&view.handler_logs)
+        && ascend(&view.var_logs)
+        && view.var_logs.iter().all(|(_, log)| ascend(log))
+        && ascend(&view.tx_logs)
+        && ascend(&view.response_emitted_by)
+        && ascend(&view.opcounts)
+        && ascend(&view.nondet)
+}
+
+/// Repeated and out-of-order keys in the wire sections: the decoder
+/// leaves every keyed section ascending, each key with its last value
+/// on the wire — the sections the canonical re-encoding of the decoded
+/// advice (`to_advice`, then `encode_advice`), which holds each key
+/// once, decodes to.
 #[test]
 fn duplicate_sections_resolve_like_their_canonical_reencoding() {
     let bytes = encode_advice(&sample_advice());
     let mut view = decode_advice_view(&bytes).unwrap();
-    // Forge a duplicate tag (later wins) and a duplicate opcount.
+    // A repeated tag (later wins) and a repeated opcount.
     view.tags.push((RequestId(0), 99));
     let dup_opcount = view.opcounts[0];
     view.opcounts.insert(0, (dup_opcount.0, 1234));
+    // A variable log whose write is keyed twice, a read of it first,
+    // behind a key out of order; a decoy log of the same variable
+    // before it.
+    let (var, log) = view.var_logs[0].clone();
+    let (at, write) = log[0].clone();
+    let later = OpAt::new(at.rid, at.path, at.opnum + 5);
+    let read = VarLogEntryView {
+        access: AccessType::Read,
+        value: None,
+        prec: Some(at),
+    };
+    let forged = vec![(later, write.clone()), (at, read), (at, write.clone())];
+    view.var_logs = vec![(var, log), (var, forged)];
+    // A repeated transaction log, the empty one first, and a repeated
+    // nondet record, the variable's value first.
+    let (tx, _) = view.tx_logs[0].clone();
+    view.tx_logs.insert(0, (tx, Vec::new()));
+    let (op, _) = view.nondet[0].clone();
+    view.nondet.insert(0, (op, write.value.clone().unwrap()));
     let hostile = view.encode();
     let canonical = encode_advice(&decode_advice(&hostile).unwrap());
     assert_ne!(hostile, canonical);
@@ -139,11 +148,26 @@ fn duplicate_sections_resolve_like_their_canonical_reencoding() {
         decode_advice_view(&hostile).unwrap(),
         decode_advice_view(&canonical).unwrap(),
     );
+    assert!(keyed_sections_ascend(&hostile));
+    assert_eq!(hostile.tags, canonical.tags);
+    assert_eq!(hostile.handler_logs, canonical.handler_logs);
+    assert_eq!(hostile.var_logs, canonical.var_logs);
+    assert_eq!(hostile.tx_logs, canonical.tx_logs);
+    assert_eq!(hostile.response_emitted_by, canonical.response_emitted_by);
+    assert_eq!(hostile.opcounts, canonical.opcounts);
+    assert_eq!(hostile.nondet, canonical.nondet);
     let (mut i1, mut i2) = (ValueInterner::new(), ValueInterner::new());
     let from_wire = AdviceRef::from_view(&hostile, &mut i1);
     assert_eq!(from_wire, AdviceRef::from_view(&canonical, &mut i2));
     assert_eq!(from_wire.tags.get(&RequestId(0)), Some(&99));
     assert_eq!(from_wire.opcounts.get(&dup_opcount.0), Some(&dup_opcount.1));
+    assert_eq!(
+        from_wire.var_logs.get(&var),
+        Some(&vec![(at, write.clone()), (later, write)])
+    );
+    assert_eq!(from_wire.tx_log_entries(), 2);
+    let nondet = from_wire.nondet.values().map(RawValue::value);
+    assert!(nondet.eq([&Value::str("rand")]));
 }
 
 /// A coordinate as generated: request, handler-id table entry (picked
@@ -348,9 +372,9 @@ proptest! {
         let r = AdviceRef::from_view(&view, &mut ValueInterner::new());
         let paths = &r.paths;
         let op = |at: &OpAt| paths.op_ref(at);
-        let tx_at = |at: &TxAt| {
-            let tx = at.tx.map(|rank| paths.tx_id(&r.tx_logs.as_slice()[rank as usize].0));
-            (tx, at.index)
+        let tx_at = |(tx, index): &(OpAt, u32)| {
+            let tx = r.tx_logs.contains_key(tx).then(|| paths.tx_id(tx));
+            (tx, *index)
         };
         let owned_at = |pos: &TxPos| {
             let tx = owned.tx_logs.contains_key(&pos.tx).then(|| pos.tx.clone());
@@ -365,7 +389,7 @@ proptest! {
             .map(|(rid, (p, opnum))| (*rid, (paths.hid(*p), *opnum)))
             .collect();
         prop_assert_eq!(rendered, owned.response_emitted_by.clone().into_iter().collect::<Vec<_>>());
-        let rendered: Vec<_> = r.nondet.iter().map(|(at, v)| (op(at), v.clone())).collect();
+        let rendered: Vec<_> = r.nondet.iter().map(|(at, v)| (op(at), v.value().clone())).collect();
         prop_assert_eq!(rendered, owned.nondet.clone().into_iter().collect::<Vec<_>>());
         let rendered: Vec<_> = r
             .handler_logs
@@ -382,7 +406,10 @@ proptest! {
             prop_assert_eq!(var, owned_var);
             let rendered: Vec<_> = log
                 .iter()
-                .map(|(at, e)| (op(at), e.access, e.value.clone(), e.prec.as_ref().map(op)))
+                .map(|(at, e)| {
+                    let value = e.value.as_ref().map(|v| v.value().clone());
+                    (op(at), e.access, value, e.prec.as_ref().map(op))
+                })
                 .collect();
             let expected: Vec<_> = owned_log
                 .iter()
@@ -399,7 +426,7 @@ proptest! {
                     .iter()
                     .map(|e| {
                         let from = match &e.contents {
-                            karousos::TxContentsRef::Get { from } => from.as_ref().map(tx_at),
+                            TxOpContentsView::Get { from } => from.as_ref().map(tx_at),
                             _ => None,
                         };
                         (paths.hid(e.path), e.opnum, from)

@@ -10,7 +10,8 @@
 use std::sync::Arc;
 
 use karousos::verifier::{Coords, VarIndex, VarStates};
-use karousos::{r_concurrent, r_ordered, r_precedes, VarLogRef, VecMap};
+use karousos::{decode_advice_view, encode_advice, Advice, AdviceRef};
+use karousos::{r_concurrent, r_ordered, r_precedes};
 use kem::{init_handler_id, FunctionId, HandlerId, OpRef, RequestId, Value, VarId};
 use proptest::prelude::*;
 
@@ -119,17 +120,19 @@ proptest! {
         // coordinates: every generated handler is reported with room
         // for the write opnums (1..4) and the read (9), and nothing is
         // logged.
-        let opcounts: VecMap<(RequestId, HandlerId), u32> = hids
-            .iter()
-            .map(|(rid, hid)| ((*rid, hid.clone()), 9))
-            .collect();
+        let owned = Advice {
+            opcounts: hids.iter().map(|(rid, hid)| ((*rid, hid.clone()), 9)).collect(),
+            ..Advice::default()
+        };
+        let bytes = encode_advice(&owned);
+        let view = decode_advice_view(&bytes).unwrap();
+        let advice = AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
         let mut trace: Vec<RequestId> = hids.iter().map(|(rid, _)| *rid).collect();
         trace.sort();
         trace.dedup();
-        let coords = Arc::new(Coords::build(&trace, &opcounts).unwrap());
-        let logs: VecMap<VarId, VarLogRef> = VecMap::new();
-        let index = VarIndex::build(coords.clone(), &logs).unwrap();
-        let log = index.log(&logs, var);
+        let coords = Arc::new(Coords::build(&trace, &advice).unwrap());
+        let index = VarIndex::build(coords.clone(), &advice.var_logs).unwrap();
+        let log = index.log(&advice.var_logs, var);
         let node = |op: &OpRef| coords.op_node(op).expect("every handler is reported");
         let mut vs = VarStates::new();
         let init = OpRef::new(RequestId::INIT, init_handler_id(), 1);

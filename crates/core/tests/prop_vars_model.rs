@@ -32,7 +32,10 @@
 use std::sync::Arc;
 
 use karousos::verifier::{Coords, Graph, RejectReason, VarIndex, VarStates};
-use karousos::{r_concurrent, AccessType, FeedCounters, VarLogEntry, VarLogRef, VecMap};
+use karousos::{
+    decode_advice_view, encode_advice, r_concurrent, AccessType, Advice, AdviceRef, FeedCounters,
+    VarLog, VarLogEntry,
+};
 use kem::{init_handler_id, FunctionId, HandlerId, OpRef, RequestId, Value, VarId};
 use proptest::prelude::*;
 
@@ -43,7 +46,7 @@ mod model {
     use std::collections::{BTreeMap, HashMap, HashSet};
 
     use karousos::verifier::{Coords, EdgeKind, Graph, RejectReason};
-    use karousos::{AccessType, FeedCounters, VarLogRef};
+    use karousos::{AccessType, FeedCounters, VarLog};
     use kem::{HandlerId, OpRef, RequestId, Value, VarId};
 
     /// Per-variable verifier state.
@@ -197,7 +200,7 @@ mod model {
             &mut self,
             var: VarId,
             op: OpRef,
-            log: Option<&VarLogRef>,
+            log: Option<&VarLog>,
         ) -> Result<Value, RejectReason> {
             let logged = log.and_then(|l| l.get(&op));
             if logged.is_some() {
@@ -282,7 +285,7 @@ mod model {
             var: VarId,
             op: OpRef,
             value: Value,
-            log: Option<&VarLogRef>,
+            log: Option<&VarLog>,
         ) -> Result<(), RejectReason> {
             let state = self.state_mut(var);
             dict_insert(
@@ -501,8 +504,8 @@ fn ghost(of: &HandlerId) -> HandlerId {
 /// in that order (Fig. 13): an access R-concurrent with the variable's
 /// last write is logged with that write as its `prec`, and the write is
 /// backfilled if it has no entry yet.
-fn honest_logs(accesses: &[Access]) -> Vec<VarLogRef> {
-    let mut logs: Vec<VarLogRef> = (0..VARS).map(|_| VarLogRef::new()).collect();
+fn honest_logs(accesses: &[Access]) -> Vec<VarLog> {
+    let mut logs: Vec<VarLog> = (0..VARS).map(|_| VarLog::new()).collect();
     let mut last: Vec<(OpRef, i64)> = (0..VARS).map(|v| (init_op(VarId(v)), -1)).collect();
     for a in accesses {
         let v = a.var.0 as usize;
@@ -541,7 +544,7 @@ fn honest_logs(accesses: &[Access]) -> Vec<VarLogRef> {
 
 /// Applies one hostile edit to the logs (a no-op when the logs offer
 /// nothing to apply it to).
-fn apply_edit(logs: &mut [VarLogRef], edit: &Edit, accesses: &[Access]) {
+fn apply_edit(logs: &mut [VarLog], edit: &Edit, accesses: &[Access]) {
     let (pick, what, other) = edit;
     let logged: Vec<(usize, OpRef)> = logs
         .iter()
@@ -555,19 +558,11 @@ fn apply_edit(logs: &mut [VarLogRef], edit: &Edit, accesses: &[Access]) {
     let Some(entry) = logs[v].get(&key).cloned() else {
         return;
     };
-    // `VecMap` has no removal: rebuild the log without `key`.
-    let without = |log: &VarLogRef| -> VarLogRef {
-        log.iter()
-            .filter(|(k, _)| **k != key)
-            .map(|(k, e)| (k.clone(), e.clone()))
-            .collect()
+    let rekey = |logs: &mut [VarLog], to: OpRef| {
+        logs[v].remove(&key);
+        logs[v].insert(to, entry.clone());
     };
-    let rekey = |logs: &mut [VarLogRef], to: OpRef| {
-        let mut log = without(&logs[v]);
-        log.insert(to, entry.clone());
-        logs[v] = log;
-    };
-    let reprec = |logs: &mut [VarLogRef], to: Option<OpRef>| {
+    let reprec = |logs: &mut [VarLog], to: Option<OpRef>| {
         let mut e = entry.clone();
         e.prec = to;
         logs[v].insert(key.clone(), e);
@@ -628,7 +623,9 @@ fn apply_edit(logs: &mut [VarLogRef], edit: &Edit, accesses: &[Access]) {
             e.value = Some(Value::int(77));
             logs[v].insert(key.clone(), e);
         }
-        12 => logs[v] = without(&logs[v]),
+        12 => {
+            logs[v].remove(&key);
+        }
         _ => reprec(logs, Some(any_access)),
     }
 }
@@ -668,23 +665,29 @@ proptest! {
         for edit in &edits {
             apply_edit(&mut logs, edit, &executed);
         }
-        let var_logs: VecMap<VarId, VarLogRef> = logs
-            .into_iter()
-            .zip(0u32..)
-            .filter(|(log, _)| !log.is_empty())
-            .map(|(log, v)| (VarId(v), log))
-            .collect();
-
-        // The audit's coordinates: every generated handler reported,
-        // requests traced in ascending order.
-        let opcounts: VecMap<(RequestId, HandlerId), u32> = handlers
-            .iter()
-            .map(|(rid, hid)| ((*rid, hid.clone()), COUNT))
-            .collect();
+        // The advice, as the audit reads it: every generated handler
+        // reported, requests traced in ascending order.
+        let owned = Advice {
+            var_logs: logs
+                .into_iter()
+                .zip(0u32..)
+                .filter(|(log, _)| !log.is_empty())
+                .map(|(log, v)| (VarId(v), log))
+                .collect(),
+            opcounts: handlers
+                .iter()
+                .map(|(rid, hid)| ((*rid, hid.clone()), COUNT))
+                .collect(),
+            ..Advice::default()
+        };
+        let bytes = encode_advice(&owned);
+        let view = decode_advice_view(&bytes).unwrap();
+        let advice = AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
+        let var_logs = advice.var_logs;
         let mut trace: Vec<RequestId> = handlers.iter().map(|(rid, _)| *rid).collect();
         trace.sort();
         trace.dedup();
-        let coords = Arc::new(Coords::build(&trace, &opcounts).unwrap());
+        let coords = Arc::new(Coords::build(&trace, &advice).unwrap());
         let index = VarIndex::build(coords.clone(), &var_logs).unwrap();
 
         let fresh = || {
@@ -711,7 +714,7 @@ proptest! {
         replay.sort_by_key(|a| a.at.rid);
         let mut expected: Vec<Result<Option<Value>, RejectReason>> = Vec::new();
         for a in &replay {
-            let log = var_logs.get(&a.var);
+            let log = owned.var_logs.get(&a.var);
             expected.push(match a.write {
                 Some(value) => old.on_write(a.var, a.at.clone(), Value::int(value), log).map(|()| None),
                 None => old.on_read(a.var, a.at.clone(), log).map(Some),

@@ -331,7 +331,7 @@ proptest! {
 // the tables and the pool have their own section below.)
 
 use karousos::wire::NODE_BUDGET_LABEL;
-use karousos::{decode_value_bounded, BoundedDecodeError};
+use karousos::{decode_value_bounded, BoundedDecodeError, RawValue};
 
 /// The string table the values of this section name entries of.
 const TABLE: [&str; 4] = ["a", "b", "ab", "c"];
@@ -469,15 +469,12 @@ fn check_value_path(bytes: &[u8], max_nodes: u64) -> Result<(), TestCaseError> {
         .map(|(view, _)| view.nondet[0].1.clone())
         .map_err(stop);
     let oracle = match decode_value_bounded(bytes, &TABLE, max_nodes) {
-        Ok((value, n)) if n == bytes.len() => Ok(value),
-        Ok((_, n)) => Err((n, "trailing bytes")),
+        Ok(raw) if raw.bytes().len() == bytes.len() => Ok(raw),
+        Ok(raw) => Err((raw.bytes().len(), "trailing bytes")),
         Err(e) => Err(stop(e)),
     };
     match (view, oracle) {
-        (Ok(raw), Ok(value)) => {
-            prop_assert_eq!(raw.bytes(), bytes);
-            prop_assert_eq!(raw.value(), &value);
-        }
+        (Ok(raw), Ok(oracle)) => prop_assert_eq!(raw, oracle),
         (Err((at, what)), Err((offset, expected))) => {
             prop_assert_eq!((at.checked_sub(start), what), (Some(offset), expected));
         }
@@ -511,7 +508,7 @@ proptest! {
             // pool, which the oracle does not read; the rest is inline.
             if view.pool.is_empty() {
                 let oracle = decode_value_bounded(raw.bytes(), &view.strings, u64::MAX);
-                prop_assert_eq!(oracle, Ok((v.clone(), raw.bytes().len())));
+                prop_assert_eq!(oracle.as_ref(), Ok(raw));
             }
         }
     }
@@ -566,7 +563,7 @@ fn nesting_guard_trips_identically() {
     check_value_path(&too_deep, u64::MAX).expect("the view stops at 65 levels as the oracle does");
     // The budget tripping before the guard is exhaustion on both.
     assert_eq!(
-        decode_value_bounded(&too_deep, &TABLE, 10).map(|(v, _)| v),
+        decode_value_bounded(&too_deep, &TABLE, 10),
         Err(BoundedDecodeError::NodesExhausted {
             offset: 21,
             limit: 10
@@ -683,7 +680,10 @@ proptest! {
         let mut interner = kem::ValueInterner::new();
         let advice = karousos::AdviceRef::from_view(&view, &mut interner);
         let log = advice.var_logs.get(&VarId(0)).expect("the log");
-        let decoded: Vec<&Value> = log.values().filter_map(|e| e.value.as_ref()).collect();
+        let decoded: Vec<&Value> = log
+            .iter()
+            .filter_map(|(_, e)| e.value.as_ref().map(RawValue::value))
+            .collect();
         prop_assert_eq!(decoded.len(), values.len());
         for (before, after) in values.windows(2).zip(decoded.windows(2)) {
             let (Value::Map(b0), Value::Map(b1)) = (&before[0], &before[1]) else { unreachable!() };
@@ -822,7 +822,8 @@ fn check_pooled(bytes: &[u8]) -> Result<(), TestCaseError> {
             let owned = view.to_advice();
             let mut interner = kem::ValueInterner::new();
             let working = karousos::AdviceRef::from_view(&view, &mut interner);
-            prop_assert!(working.nondet.values().eq(owned.nondet.values()));
+            let values = working.nondet.values().map(RawValue::value);
+            prop_assert!(values.eq(owned.nondet.values()));
             prop_assert_eq!(view.encode(), bytes);
             // The charge is the flat form's: the nondet section and its
             // hid path, then every element a walk of the value visits

@@ -43,8 +43,8 @@ layers! {
     /// The byte budget and the bounded view decode of the wire-form
     /// advice.
     Decode => "decode",
-    /// The `AdviceRef` build over the view: each distinct logged value
-    /// built once.
+    /// The `AdviceRef` over the view: a borrow of its sections, which
+    /// allocates nothing.
     AdviceRef => "advice_ref",
     /// Volume budgets, advice checks, OpMap and base-graph
     /// construction, isolation verification, trusted initialization.

@@ -125,22 +125,22 @@ pub enum AccessType {
     Write,
 }
 
-/// One variable-log entry (Fig. 13), its `prec` a coordinate `P`: an
-/// [`OpRef`] in owned advice, an [`OpAt`] in the verifier's.
+/// One variable-log entry (Fig. 13) of owned advice. The verifier reads
+/// the decoded form, [`crate::wire::VarLogEntryView`].
 ///
 /// `READ` entries reference the write they observed; `WRITE` entries
 /// carry the value written and reference the write they overwrote
 /// (`None` for backfilled entries, logged lazily when a later
 /// R-concurrent access observed them).
 #[derive(Debug, Clone, PartialEq)]
-pub struct VarLogEntry<P = OpRef> {
+pub struct VarLogEntry {
     /// Read or write.
     pub access: AccessType,
     /// `Write`: the value written. `Read`: unused (`None`).
     pub value: Option<Value>,
     /// The preceding operation: dictating write (reads) or overwritten
     /// write (writes).
-    pub prec: Option<P>,
+    pub prec: Option<OpRef>,
 }
 
 /// The variable log of one loggable variable: entries keyed by the

@@ -1,89 +1,52 @@
 //! Borrowed, index-backed advice: the verifier's working form.
 //!
 //! The wire layer decodes advice into a zero-copy [`AdviceView`]: every
-//! section a `Vec` in wire order, strings borrowing the input buffer,
-//! logged values built in the walk that validated them
-//! ([`crate::RawValue`]). [`AdviceRef`] is the *logical map* form the
-//! verifier audits over, and [`AdviceRef::from_view`] is the one way to
-//! make one: strings stay `&str` slices of the wire buffer, handler
-//! logs borrow the view's entry vectors outright, and the [`Value`]s
-//! replay retains are clones of the view's — a string or container
-//! costs an `Arc` bump, so repeated content (MOTD's whole-map logs,
-//! shared through the view's value pool) is never copied. Owned advice
+//! keyed section a `Vec` in ascending key order, each key once — the
+//! decoder applies the duplicate-key rule, later wins, in one place —
+//! strings borrowing the input buffer, logged values built in the walk
+//! that validated them ([`crate::RawValue`]). [`AdviceRef`] is that view
+//! read as *logical maps*, and [`AdviceRef::from_view`] is the one way
+//! to make one: it borrows every section of the view and copies none,
+//! so the verifier reads the view's own entries ([`VarLogEntryView`],
+//! [`TxLogEntryView`]) and each logged value is held once. Owned advice
 //! (the `karousos` crate's `Advice`) gets here the way the server's
 //! does: encoded, then decoded.
 //!
-//! Lookups go through [`VecMap`], a sorted-unique `Vec` with a
-//! `BTreeMap`-shaped read API. **Duplicate-key semantics**: the wire
-//! sections of hostile advice may repeat keys; the later entry wins
-//! ([`VecMap::from_wire`]: stable sort by key, keep the last occurrence
-//! of each run), which is what inserting the entries into a `BTreeMap`
-//! in wire order does — and the server side's `to_advice` does exactly
-//! that, so advice decoded, edited and encoded again means what its
-//! bytes meant. Keys name handlers by path rank, as the view does
-//! ([`OpAt`]): ranks ascend in [`HandlerId`](kem_lang::HandlerId) order
-//! and one path has one rank, so the integers sort and collapse exactly
-//! as the paths would.
+//! Lookups go through [`VecMap`], a sorted-unique slice with a
+//! `BTreeMap`-shaped read API. Keys name handlers by path rank, as the
+//! view does ([`OpAt`]): ranks ascend in
+//! [`HandlerId`](kem_lang::HandlerId) order and one path has one rank,
+//! so the integers sort and collapse exactly as the paths would.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use kem_lang::{OpRef, RequestId, TxOpKind, Value, ValueInterner, VarId};
+use kem_lang::{RequestId, ValueInterner, VarId};
 
-use crate::advice::{OpAt, VarLogEntry};
+use crate::advice::OpAt;
 use crate::hids::HidTable;
-use crate::wire::{AdviceView, HandlerLogEntryView, RawValue, TxOpContentsView};
+use crate::wire::{AdviceView, HandlerLogEntryView, RawValue, TxLogEntryView, VarLogEntryView};
 
-/// A sorted-unique `Vec<(K, V)>` exposing the read-side `BTreeMap` API
-/// the verifier uses (`get`, `contains_key`, ascending iteration).
-///
-/// Lookups are binary searches; construction from wire order is
-/// [`VecMap::from_wire`] (later duplicate wins, like map insertion).
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct VecMap<K, V>(Vec<(K, V)>);
+/// A sorted-unique slice of `(K, V)` — a section of the decoded view —
+/// exposing the read-side `BTreeMap` API the verifier uses (`get`,
+/// `contains_key`, ascending iteration). Lookups are binary searches.
+#[derive(Debug, PartialEq)]
+pub struct VecMap<'a, K, V>(&'a [(K, V)]);
 
-impl<K: Ord, V> VecMap<K, V> {
-    /// Creates an empty map.
-    pub fn new() -> Self {
-        VecMap(Vec::new())
+impl<K, V> Clone for VecMap<'_, K, V> {
+    fn clone(&self) -> Self {
+        *self
     }
+}
 
-    /// Builds from entries in wire order. Already-ascending input (the
-    /// honest encoder always produces it) is taken as-is with no extra
-    /// work; otherwise the entries are stable-sorted by key and each
-    /// run of equal keys collapses to its **last** occurrence —
-    /// `BTreeMap::insert` semantics, which the server side's `to_advice` has.
-    pub fn from_wire(mut entries: Vec<(K, V)>) -> Self {
-        let ascending = entries.windows(2).all(|w| w[0].0 < w[1].0);
-        if !ascending {
-            entries.sort_by(|a, b| a.0.cmp(&b.0));
-            let mut out: Vec<(K, V)> = Vec::with_capacity(entries.len());
-            for e in entries {
-                match out.last_mut() {
-                    Some(last) if last.0 == e.0 => *last = e,
-                    _ => out.push(e),
-                }
-            }
-            entries = out;
-        }
-        VecMap(entries)
-    }
+impl<K, V> Copy for VecMap<'_, K, V> {}
 
-    /// Inserts or replaces, keeping the ascending invariant.
-    pub fn insert(&mut self, key: K, value: V) {
-        match self.0.binary_search_by(|(k, _)| k.cmp(&key)) {
-            Ok(i) => self.0[i].1 = value,
-            Err(i) => self.0.insert(i, (key, value)),
-        }
-    }
-
-    /// Looks up by key.
+impl<'a, K: Ord, V> VecMap<'a, K, V> {
+    /// The entry with `key`, if any.
     #[inline]
-    pub fn get(&self, key: &K) -> Option<&V> {
-        self.0
-            .binary_search_by(|(k, _)| k.cmp(key))
-            .ok()
-            .map(|i| &self.0[i].1)
+    pub fn get(&self, key: &K) -> Option<&'a V> {
+        let i = self.position(key)?;
+        self.0.get(i).map(|(_, v)| v)
     }
 
     /// The rank of `key` among the keys, ascending from zero.
@@ -95,28 +58,28 @@ impl<K: Ord, V> VecMap<K, V> {
     /// The entries, ascending by key: the entry at index `i` is the one
     /// whose key has [`VecMap::position`] `i`.
     #[inline]
-    pub fn as_slice(&self) -> &[(K, V)] {
-        &self.0
+    pub fn as_slice(&self) -> &'a [(K, V)] {
+        self.0
     }
 
     /// Whether the key is present.
     #[inline]
     pub fn contains_key(&self, key: &K) -> bool {
-        self.0.binary_search_by(|(k, _)| k.cmp(key)).is_ok()
+        self.position(key).is_some()
     }
 
     /// Keys, ascending.
-    pub fn keys(&self) -> impl Iterator<Item = &K> {
+    pub fn keys(&self) -> impl Iterator<Item = &'a K> {
         self.0.iter().map(|(k, _)| k)
     }
 
     /// Values, in ascending-key order.
-    pub fn values(&self) -> impl Iterator<Item = &V> {
+    pub fn values(&self) -> impl Iterator<Item = &'a V> {
         self.0.iter().map(|(_, v)| v)
     }
 
     /// `(key, value)` pairs, ascending.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, &V)> {
+    pub fn iter(&self) -> impl Iterator<Item = (&'a K, &'a V)> {
         self.0.iter().map(|(k, v)| (k, v))
     }
 
@@ -133,178 +96,51 @@ impl<K: Ord, V> VecMap<K, V> {
     }
 }
 
-impl<K: Ord, V> FromIterator<(K, V)> for VecMap<K, V> {
-    fn from_iter<I: IntoIterator<Item = (K, V)>>(iter: I) -> Self {
-        VecMap::from_wire(iter.into_iter().collect())
-    }
-}
-
-impl<'m, K: Ord, V> IntoIterator for &'m VecMap<K, V> {
-    type Item = (&'m K, &'m V);
-    type IntoIter = std::iter::Map<std::slice::Iter<'m, (K, V)>, fn(&'m (K, V)) -> (&'m K, &'m V)>;
-    fn into_iter(self) -> Self::IntoIter {
-        self.0.iter().map(|(k, v)| (k, v))
-    }
-}
-
-/// One variable's log in verifier form: sorted by coordinate, entries
-/// own the values replay retains. The audit's are keyed by [`OpAt`];
-/// a log built by hand for a test may key by [`OpRef`].
-pub type VarLogRef<K = OpRef> = VecMap<K, VarLogEntry<K>>;
-
-/// Contents of a borrowed transaction-log entry: like
-/// [`crate::advice::TxOpContents`], but `PUT` values are interned [`Value`]s (a copy
-/// replay retains) while everything else stays borrowed/shared.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TxContentsRef {
-    /// No contents (`tx_start`, `tx_commit`, `tx_abort`).
-    None,
-    /// `PUT`: the value written.
-    Put {
-        /// The written value.
-        value: Value,
-    },
-    /// `GET`: the position of the dictating `PUT`.
-    Get {
-        /// Dictating write position.
-        from: Option<TxAt>,
-    },
-}
-
-/// A transaction position ([`crate::TxPos`]) resolved once, when the
-/// advice is built: its transaction by rank in [`AdviceRef::tx_logs`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct TxAt {
-    /// The transaction's rank; `None` when `tx_logs` has no log for it.
-    pub tx: Option<u32>,
-    /// Zero-based index into its log.
-    pub index: u32,
-}
-
-/// A borrowed transaction-log entry: the key is a slice of the advice
-/// bytes, the rest is shared or retained.
-#[derive(Debug, Clone, PartialEq)]
-pub struct TxEntryRef<'a> {
-    /// Issuing handler, by path rank.
-    pub path: u32,
-    /// Operation number within the handler.
-    pub opnum: u32,
-    /// Operation type as logged.
-    pub optype: TxOpKind,
-    /// Row key (`GET`/`PUT`), borrowing the advice bytes.
-    pub key: Option<&'a str>,
-    /// Operation contents.
-    pub contents: TxContentsRef,
-}
-
-/// The advice in the verifier's working form: logical maps over
-/// borrowed or shared storage. See the module docs for the
-/// duplicate-key argument.
+/// The advice in the verifier's working form: the sections of one
+/// decoded [`AdviceView`], borrowed (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 pub struct AdviceRef<'a> {
     /// Control-flow tag per request (§4.1).
-    pub tags: VecMap<RequestId, u64>,
-    /// Handler logs per request, borrowed straight from the view.
-    pub handler_logs: VecMap<RequestId, &'a [HandlerLogEntryView<'a>]>,
-    /// Variable logs per loggable variable.
-    pub var_logs: VecMap<VarId, VarLogRef<OpAt>>,
-    /// Transaction logs, each keyed by its `tx_start`.
-    pub tx_logs: VecMap<OpAt, Vec<TxEntryRef<'a>>>,
-    /// Alleged global order of committed final writes.
-    pub write_order: Vec<TxAt>,
+    pub tags: VecMap<'a, RequestId, u64>,
+    /// Handler logs per request.
+    pub handler_logs: VecMap<'a, RequestId, Vec<HandlerLogEntryView<'a>>>,
+    /// Variable logs per loggable variable, each ascending by key.
+    pub var_logs: VecMap<'a, VarId, Vec<(OpAt, VarLogEntryView<'a>)>>,
+    /// Transaction logs, each keyed by its `tx_start`. A transaction
+    /// position names one by key; the audit numbers them by rank here.
+    pub tx_logs: VecMap<'a, OpAt, Vec<TxLogEntryView<'a>>>,
+    /// Alleged global order of committed final writes: transaction and
+    /// log index.
+    pub write_order: &'a [(OpAt, u32)],
     /// For each request: the path rank of the handler that sent the
     /// response and the number of operations it had issued beforehand.
-    pub response_emitted_by: VecMap<RequestId, (u32, u32)>,
+    pub response_emitted_by: VecMap<'a, RequestId, (u32, u32)>,
     /// Total operations issued by each executed handler, keyed by
     /// request and path rank.
-    pub opcounts: VecMap<(RequestId, u32), u32>,
+    pub opcounts: VecMap<'a, (RequestId, u32), u32>,
     /// Recorded nondeterministic values.
-    pub nondet: VecMap<OpAt, Value>,
+    pub nondet: VecMap<'a, OpAt, RawValue<'a>>,
     /// The distinct handler paths, ranked: every path rank above indexes
     /// it.
     pub paths: Arc<HidTable>,
 }
 
 impl<'a> AdviceRef<'a> {
-    /// Builds the verifier form from a decoded [`AdviceView`]. Strings
-    /// stay borrowed; handler logs are borrowed wholesale; var-log /
-    /// tx-log / nondet values are clones of the ones the view's decode
-    /// built. `_interner` is read by nothing; the frozen benchmark
+    /// Reads a decoded [`AdviceView`] as the verifier's working form,
+    /// borrowing every section: the view's keyed sections are in the
+    /// order the decoder leaves them, and a view built by hand keeps
+    /// that order. `_interner` is read by nothing; the frozen benchmark
     /// adapter passes one.
     pub fn from_view(view: &'a AdviceView<'a>, _interner: &mut ValueInterner) -> AdviceRef<'a> {
-        let value = |raw: &RawValue<'_>| raw.value().clone();
-        let tags = VecMap::from_wire(view.tags.clone());
-        let handler_logs = VecMap::from_wire(
-            view.handler_logs
-                .iter()
-                .map(|(rid, log)| (*rid, log.as_slice()))
-                .collect(),
-        );
-        let var_logs = VecMap::from_wire(
-            view.var_logs
-                .iter()
-                .map(|(var, log)| {
-                    let entries = log
-                        .iter()
-                        .map(|(op, e)| {
-                            (
-                                *op,
-                                VarLogEntry {
-                                    access: e.access,
-                                    value: e.value.as_ref().map(value),
-                                    prec: e.prec,
-                                },
-                            )
-                        })
-                        .collect();
-                    (*var, VecMap::from_wire(entries))
-                })
-                .collect(),
-        );
-        // A transaction position by rank: `tx_logs` holds each key once.
-        let mut keys: Vec<OpAt> = view.tx_logs.iter().map(|(tx, _)| *tx).collect();
-        keys.sort_unstable();
-        keys.dedup();
-        let at = |(tx, index): &(OpAt, u32)| TxAt {
-            tx: keys.binary_search(tx).ok().map(|rank| rank as u32),
-            index: *index,
-        };
-        let tx_logs = VecMap::from_wire(
-            view.tx_logs
-                .iter()
-                .map(|(tx, log)| {
-                    let entries: Vec<TxEntryRef<'a>> = log
-                        .iter()
-                        .map(|e| TxEntryRef {
-                            path: e.path,
-                            opnum: e.opnum,
-                            optype: e.optype,
-                            key: e.key,
-                            contents: match &e.contents {
-                                TxOpContentsView::None => TxContentsRef::None,
-                                TxOpContentsView::Put { value: raw } => {
-                                    TxContentsRef::Put { value: value(raw) }
-                                }
-                                TxOpContentsView::Get { from } => TxContentsRef::Get {
-                                    from: from.as_ref().map(at),
-                                },
-                            },
-                        })
-                        .collect();
-                    (*tx, entries)
-                })
-                .collect(),
-        );
-        let nondet = VecMap::from_wire(view.nondet.iter().map(|(op, v)| (*op, value(v))).collect());
         AdviceRef {
-            tags,
-            handler_logs,
-            var_logs,
-            tx_logs,
-            write_order: view.write_order.iter().map(at).collect(),
-            response_emitted_by: VecMap::from_wire(view.response_emitted_by.clone()),
-            opcounts: VecMap::from_wire(view.opcounts.clone()),
-            nondet,
+            tags: VecMap(&view.tags),
+            handler_logs: VecMap(&view.handler_logs),
+            var_logs: VecMap(&view.var_logs),
+            tx_logs: VecMap(&view.tx_logs),
+            write_order: &view.write_order,
+            response_emitted_by: VecMap(&view.response_emitted_by),
+            opcounts: VecMap(&view.opcounts),
+            nondet: VecMap(&view.nondet),
             paths: Arc::clone(&view.paths),
         }
     }
@@ -329,24 +165,133 @@ impl<'a> AdviceRef<'a> {
             .collect()
     }
 
-    /// The transaction-log entry at a position.
-    pub fn tx_entry(&self, at: TxAt) -> Option<&TxEntryRef<'a>> {
-        let (_, log) = self.tx_logs.as_slice().get(at.tx? as usize)?;
-        log.get(at.index as usize)
+    /// The transaction-log entry at a position: its transaction's key
+    /// and its index in that log.
+    pub fn tx_entry(&self, (tx, index): &(OpAt, u32)) -> Option<&'a TxLogEntryView<'a>> {
+        self.tx_logs.get(tx)?.get(*index as usize)
     }
 
     /// Total number of variable-log entries (all variables).
     pub fn var_log_entries(&self) -> usize {
-        self.var_logs.values().map(VecMap::len).sum()
+        self.var_logs.values().map(Vec::len).sum()
     }
 
     /// Total number of handler-log entries (all requests).
     pub fn handler_log_entries(&self) -> usize {
-        self.handler_logs.values().map(|l| l.len()).sum()
+        self.handler_logs.values().map(Vec::len).sum()
     }
 
     /// Total number of transaction-log entries.
     pub fn tx_log_entries(&self) -> usize {
         self.tx_logs.values().map(Vec::len).sum()
+    }
+}
+
+#[cfg(test)]
+pub(crate) use tests::by_hand;
+
+#[cfg(test)]
+#[allow(clippy::expect_used)]
+mod tests {
+    /// Views built by hand, for the crate's tests: sections given as owned
+    /// advice holds them, keyed by [`OpRef`](kem_lang::OpRef), over a
+    /// handler-id table of every path they name.
+    pub(crate) mod by_hand {
+        use std::collections::BTreeMap;
+        use std::sync::Arc;
+
+        use kem_lang::{HandlerId, OpRef, RequestId, Value, ValueInterner, VarId};
+
+        use crate::advice::{OpAt, VarLog};
+        use crate::advice_ref::AdviceRef;
+        use crate::hids::HidTable;
+        use crate::wire::{self, decode_value_bounded, AdviceView, RawValue, VarLogEntryView};
+
+        /// The advice of `opcounts` and `var_logs`, read from a view that
+        /// holds both in ascending key order, as the decoder leaves them,
+        /// and is leaked for the advice to borrow.
+        pub(crate) fn advice(
+            opcounts: &BTreeMap<(RequestId, HandlerId), u32>,
+            var_logs: &BTreeMap<VarId, VarLog>,
+        ) -> AdviceRef<'static> {
+            let entries = var_logs.values().flatten();
+            let named = entries.flat_map(|(op, e)| std::iter::once(op).chain(&e.prec));
+            let hids = opcounts.keys().map(|(_, hid)| hid);
+            let paths = HidTable::of(hids.chain(named.map(|op| &op.hid)));
+            let rank = |hid: &HandlerId| paths.rank(hid).expect("the table holds every path");
+            let at = |op: &OpRef| OpAt::new(op.rid, rank(&op.hid), op.opnum);
+            let log = |log: &VarLog| {
+                let entry = |e: &crate::advice::VarLogEntry| VarLogEntryView {
+                    access: e.access,
+                    value: e.value.as_ref().map(raw),
+                    prec: e.prec.as_ref().map(at),
+                };
+                log.iter().map(|(op, e)| (at(op), entry(e))).collect()
+            };
+            let view = AdviceView {
+                opcounts: opcounts
+                    .iter()
+                    .map(|((rid, hid), count)| ((*rid, rank(hid)), *count))
+                    .collect(),
+                var_logs: var_logs.iter().map(|(var, l)| (*var, log(l))).collect(),
+                paths: Arc::new(paths),
+                ..AdviceView::default()
+            };
+            AdviceRef::from_view(Box::leak(Box::new(view)), &mut ValueInterner::new())
+        }
+
+        /// `value` as a logged value: encoded, its bytes leaked for the
+        /// view to borrow, and decoded.
+        pub(crate) fn raw(value: &Value) -> RawValue<'static> {
+            let (mut strings, mut bytes) = (Vec::new(), Vec::new());
+            encode(value, &mut strings, &mut bytes);
+            let bytes: &'static [u8] = Box::leak(bytes.into_boxed_slice());
+            let strings: Vec<&str> = strings.iter().map(|s: &Arc<str>| &**s).collect();
+            decode_value_bounded(bytes, &strings, u64::MAX)
+                .expect("a value encoded by hand decodes")
+        }
+
+        fn uvar(out: &mut Vec<u8>, mut v: u64) {
+            while v >= 0x80 {
+                out.push(v as u8 | 0x80);
+                v >>= 7;
+            }
+            out.push(v as u8);
+        }
+
+        /// Writes `value` inline, its strings appended to `strings`.
+        fn encode(value: &Value, strings: &mut Vec<Arc<str>>, out: &mut Vec<u8>) {
+            let string = |s: &Arc<str>, strings: &mut Vec<Arc<str>>, out: &mut Vec<u8>| {
+                strings.push(Arc::clone(s));
+                uvar(out, strings.len() as u64 - 1);
+            };
+            match value {
+                Value::Null => out.push(wire::NULL),
+                Value::Bool(b) => out.extend([wire::BOOL, u8::from(*b)]),
+                Value::Int(i) => {
+                    out.push(wire::INT);
+                    uvar(out, ((i << 1) ^ (i >> 63)) as u64);
+                }
+                Value::Str(s) => {
+                    out.push(wire::STR);
+                    string(s, strings, out);
+                }
+                Value::List(list) => {
+                    out.push(wire::LIST);
+                    uvar(out, list.len() as u64);
+                    for v in list.iter() {
+                        encode(v, strings, out);
+                    }
+                }
+                Value::Map(map) => {
+                    out.push(wire::MAP);
+                    uvar(out, map.len() as u64);
+                    for (k, v) in map.iter() {
+                        string(k, strings, out);
+                        encode(v, strings, out);
+                    }
+                }
+            }
+        }
     }
 }

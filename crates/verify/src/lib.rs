@@ -33,7 +33,7 @@ pub use advice::{
     AccessType, HandlerLogEntry, HandlerOp, KTxId, OpAt, TxLogEntry, TxOpContents, TxPos, VarLog,
     VarLogEntry,
 };
-pub use advice_ref::{AdviceRef, TxAt, TxContentsRef, TxEntryRef, VarLogRef, VecMap};
+pub use advice_ref::{AdviceRef, VecMap};
 pub use config::Limits;
 pub use hids::HidTable;
 pub use multivalue::{MultiValue, MultiValueIter};
@@ -44,7 +44,7 @@ pub use verifier::{
 };
 pub use wire::{
     decode_advice_view, decode_advice_view_bounded, AdviceView, BoundedDecodeError, DecodeStats,
-    RawValue,
+    RawValue, TxLogEntryView, TxOpContentsView, VarLogEntryView,
 };
 // What `tests/prop_wire.rs` pins the value path with.
 #[doc(hidden)]

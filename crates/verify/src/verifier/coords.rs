@@ -41,7 +41,7 @@ use std::sync::Arc;
 use kem_lang::{FunctionId, HandlerId, OpRef, RequestId};
 
 use crate::advice::OpAt;
-use crate::advice_ref::VecMap;
+use crate::advice_ref::AdviceRef;
 use crate::hids::HidTable;
 use crate::verifier::reject::{RejectReason, ResourceKind};
 
@@ -155,28 +155,14 @@ pub struct Coords {
 
 impl Coords {
     /// Builds the coordinates of a trace (request ids in arrival order)
-    /// and `opcounts` built by hand, over a table of the `opcounts`
-    /// handlers' own paths. Fails, with the graph-node resource verdict,
-    /// only when the declared node total does not fit a `u32`.
+    /// over the advice's handler-id table and `opcounts`. Fails, with
+    /// the graph-node resource verdict, only when the declared node
+    /// total does not fit a `u32`.
     pub fn build(
         trace_order: &[RequestId],
-        opcounts: &VecMap<(RequestId, HandlerId), u32>,
+        advice: &AdviceRef<'_>,
     ) -> Result<Coords, RejectReason> {
-        let paths = HidTable::of(opcounts.keys().map(|(_, hid)| hid));
-        let ranked = opcounts
-            .iter()
-            .filter_map(|((rid, hid), count)| Some(((*rid, paths.rank(hid)?), *count)))
-            .collect();
-        Coords::build_over(Arc::new(paths), trace_order, &ranked)
-    }
-
-    /// [`Coords::build`] over `paths`, from `opcounts` keyed by path
-    /// rank in it: the advice's own table and `opcounts`.
-    pub(crate) fn build_over(
-        paths: Arc<HidTable>,
-        trace_order: &[RequestId],
-        opcounts: &VecMap<(RequestId, u32), u32>,
-    ) -> Result<Coords, RejectReason> {
+        let (paths, opcounts) = (Arc::clone(&advice.paths), advice.opcounts);
         let mut acts: Vec<Activation> = Vec::with_capacity(opcounts.len());
         let mut first_act: Vec<(RequestId, u32)> = Vec::with_capacity(trace_order.len());
         // The next free node id; `None` once the declared total no
@@ -184,7 +170,7 @@ impl Coords {
         let mut next = u32::try_from(trace_order.len())
             .ok()
             .and_then(|r| r.checked_mul(2));
-        for (&(rid, path), count) in opcounts {
+        for (&(rid, path), count) in opcounts.iter() {
             let Some(start) = next else { break };
             if first_act.last().is_none_or(|(last, _)| *last != rid) {
                 // At most `u32::MAX / 2` activations fit the node total.
@@ -608,8 +594,10 @@ impl<T> NodeLists<T> {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::advice_ref::by_hand;
     use kem_lang::FunctionId;
     use proptest::prelude::*;
+    use std::collections::BTreeMap;
 
     /// One generated request: its id, whether the trace contains it,
     /// and a handler tree as `(parent pick, function, opnum, count)`
@@ -634,7 +622,7 @@ mod tests {
 
     /// The trace order (requests flagged as traced, in generation
     /// order — not ascending) and the `opcounts` of generated requests.
-    fn build(requests: &[GenRequest]) -> (Vec<RequestId>, VecMap<(RequestId, HandlerId), u32>) {
+    fn build(requests: &[GenRequest]) -> (Vec<RequestId>, BTreeMap<(RequestId, HandlerId), u32>) {
         let mut trace: Vec<RequestId> = Vec::new();
         let mut opcounts: Vec<((RequestId, HandlerId), u32)> = Vec::new();
         for (rid, traced, root_count, steps) in requests {
@@ -654,6 +642,14 @@ mod tests {
         (trace, opcounts.into_iter().collect())
     }
 
+    /// The coordinates of `trace` over advice reporting `opcounts`.
+    fn coords(
+        trace: &[RequestId],
+        opcounts: &BTreeMap<(RequestId, HandlerId), u32>,
+    ) -> Result<Coords, RejectReason> {
+        Coords::build(trace, &by_hand::advice(opcounts, &BTreeMap::new()))
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -663,7 +659,7 @@ mod tests {
         #[test]
         fn ids_round_trip_and_ascend(requests in arb_requests()) {
             let (trace, opcounts) = build(&requests);
-            let c = Coords::build(&trace, &opcounts).unwrap();
+            let c = coords(&trace, &opcounts).unwrap();
             for (rank, rid) in trace.iter().enumerate() {
                 let (start, end) = (c.request_start(*rid).unwrap(), c.request_end(*rid).unwrap());
                 prop_assert_eq!((start, end), (2 * rank as u32, 2 * rank as u32 + 1));
@@ -705,7 +701,7 @@ mod tests {
             covered in prop::collection::vec(any::<bool>(), 0..64),
         ) {
             let (trace, opcounts) = build(&requests);
-            let c = Coords::build(&trace, &opcounts).unwrap();
+            let c = coords(&trace, &opcounts).unwrap();
             let ops: Vec<(OpRef, u32)> = (0..c.node_count() as u32)
                 .filter_map(|id| Some((c.op_ref(id)?, id)))
                 .collect();
@@ -727,7 +723,7 @@ mod tests {
         #[test]
         fn lookups_match_a_scan(requests in arb_requests()) {
             let (trace, opcounts) = build(&requests);
-            let c = Coords::build(&trace, &opcounts).unwrap();
+            let c = coords(&trace, &opcounts).unwrap();
             let acts = c.activations();
             let scan = |within: &Range<u32>, hid: &HandlerId| {
                 within.clone().find(|i| c.hid(&acts[*i as usize]) == Some(hid))
@@ -777,7 +773,7 @@ mod tests {
             .into_iter()
             .map(|rid| ((rid, hid.clone()), u32::MAX - 2))
             .collect();
-        let err = Coords::build(&[RequestId(0), RequestId(1)], &opcounts).unwrap_err();
+        let err = coords(&[RequestId(0), RequestId(1)], &opcounts).unwrap_err();
         assert!(
             matches!(
                 err,
@@ -792,7 +788,7 @@ mod tests {
         );
         // The largest total that fits is accepted without wrapping.
         let opcounts = [((RequestId(0), hid), u32::MAX - 4)].into_iter().collect();
-        let c = Coords::build(&[RequestId(0)], &opcounts).unwrap();
+        let c = coords(&[RequestId(0)], &opcounts).unwrap();
         assert_eq!(c.node_count(), u32::MAX as usize);
         assert_eq!(c.activations()[0].end(), u32::MAX - 1);
     }

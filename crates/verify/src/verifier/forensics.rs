@@ -318,6 +318,7 @@ fn var_name(var: Option<VarId>) -> String {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::advice_ref::by_hand;
     use crate::verifier::coords::Coords;
     use kem_lang::{FunctionId, HandlerId, OpRef, RequestId};
 
@@ -327,7 +328,8 @@ mod tests {
         let hid = HandlerId::root(FunctionId(0));
         let trace = [RequestId(0), RequestId(1)];
         let opcounts = trace.iter().map(|r| ((*r, hid.clone()), 1)).collect();
-        let coords = std::sync::Arc::new(Coords::build(&trace, &opcounts).unwrap());
+        let advice = by_hand::advice(&opcounts, &Default::default());
+        let coords = std::sync::Arc::new(Coords::build(&trace, &advice).unwrap());
         let op = |r: &RequestId| coords.op_node(&OpRef::new(*r, hid.clone(), 1)).unwrap();
         let (a, b) = (op(&trace[0]), op(&trace[1]));
         (Graph::new(coords), a, b)

@@ -408,6 +408,7 @@ impl Graph {
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::advice_ref::by_hand;
     use kem_lang::{FunctionId, HandlerId, OpRef, RequestId};
 
     fn hid() -> HandlerId {
@@ -419,7 +420,8 @@ mod tests {
     fn coords(requests: u64, count: u32) -> Arc<Coords> {
         let trace: Vec<RequestId> = (0..requests).map(RequestId).collect();
         let opcounts = trace.iter().map(|r| ((*r, hid()), count)).collect();
-        Arc::new(Coords::build(&trace, &opcounts).unwrap())
+        let advice = by_hand::advice(&opcounts, &Default::default());
+        Arc::new(Coords::build(&trace, &advice).unwrap())
     }
 
     /// Node id of the `opnum`-th operation of request `rid`.

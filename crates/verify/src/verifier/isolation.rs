@@ -13,8 +13,10 @@
 //! modification" is that mark on a committed transaction and the
 //! expected length of the write order is their count.
 
-use crate::advice_ref::{AdviceRef, TxAt, TxContentsRef};
+use crate::advice::OpAt;
+use crate::advice_ref::AdviceRef;
 use crate::verifier::reject::RejectReason;
+use crate::wire::TxOpContentsView;
 use kem_lang::TxOpKind;
 
 /// How much isolation work an audit had: the size of the alleged
@@ -74,12 +76,12 @@ pub fn verify_isolation(
         }));
     }
     // A position's rank, place in `op_of`, and log entry.
-    let locate = |pos: &TxAt| {
-        let rank = pos.tx? as usize;
-        let entry = logs.get(rank)?.1.get(pos.index as usize)?;
-        Some((rank, log_starts.get(rank)? + pos.index as usize, entry))
+    let locate = |(tx, index): &(OpAt, u32)| {
+        let rank = advice.tx_logs.position(tx)?;
+        let entry = logs.get(rank)?.1.get(*index as usize)?;
+        Some((rank, log_starts.get(rank)? + *index as usize, entry))
     };
-    let translate = |pos: &TxAt| {
+    let translate = |pos: &(OpAt, u32)| {
         let (rank, at, _) = locate(pos)?;
         let index = *op_of.get(at).filter(|index| **index != NOT_AN_OP)?;
         Some((adya::TxnId(rank as u64), index))
@@ -103,7 +105,7 @@ pub fn verify_isolation(
             let from = match (&entry.contents, entry.optype) {
                 (_, TxOpKind::Start | TxOpKind::Commit | TxOpKind::Abort) => continue,
                 (_, TxOpKind::Put) => None,
-                (TxContentsRef::Get { from }, TxOpKind::Get) => from.as_ref().map(translate),
+                (TxOpContentsView::Get { from }, TxOpKind::Get) => from.as_ref().map(translate),
                 (_, TxOpKind::Get) => {
                     untranslatable.get_or_insert_with(|| malformed("GET with non-GET contents"));
                     None

@@ -55,14 +55,14 @@ use std::sync::{Arc, Mutex};
 use kem_lang::{Program, RequestId, Trace, TraceEvent, TxOpKind};
 
 use crate::advice::OpAt;
-use crate::advice_ref::{AdviceRef, TxAt, TxContentsRef, TxEntryRef, VecMap};
+use crate::advice_ref::AdviceRef;
 use crate::verifier::coords::{Activation, Coords, NodeLists, NodeRows, NodeTable, RequestRun};
 use crate::verifier::graph::{Edge, EdgeKind, Graph};
 use crate::verifier::isolation::{verify_isolation, IsolationStats};
 use crate::verifier::pool;
 use crate::verifier::reject::RejectReason;
 use crate::verifier::var_index::VarIndex;
-use crate::wire::{HandlerLogEntryView, HandlerOpView};
+use crate::wire::{HandlerLogEntryView, HandlerOpView, TxLogEntryView, TxOpContentsView};
 
 /// Where a re-executed operation's log entry lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,8 +107,8 @@ pub struct Preprocessed {
     /// at, and which write each entry points at.
     pub var_index: VarIndex,
     /// Operation node → position in `advice.nondet` of the value
-    /// recorded there.
-    pub nondet: VecMap<u32, u32>,
+    /// recorded there, ascending by node.
+    pub nondet: Vec<(u32, u32)>,
 }
 
 /// Preprocess edge batches not yet merged into `G`: one per range of
@@ -227,7 +227,7 @@ impl<'c, 'x> ShardCtx<'c, 'x> {
     }
 
     /// The transactions of the ranks `txs`.
-    fn txs(&self, txs: Range<u32>) -> &'x [(OpAt, Vec<TxEntryRef<'x>>)] {
+    fn txs(&self, txs: Range<u32>) -> &'x [(OpAt, Vec<TxLogEntryView<'x>>)] {
         let all = self.advice.tx_logs.as_slice();
         all.get(txs.start as usize..txs.end as usize).unwrap_or(&[])
     }
@@ -250,8 +250,7 @@ pub fn preprocess_staged<'a>(
         return Err(RejectReason::UnbalancedTrace);
     }
     let trace_order = trace.request_ids();
-    let paths = Arc::clone(&advice.paths);
-    let coords = Arc::new(Coords::build_over(paths, &trace_order, &advice.opcounts)?);
+    let coords = Arc::new(Coords::build(&trace_order, advice)?);
 
     // Time precedence stays on the calling thread: it is a single cheap
     // chronological chain over the trusted trace.
@@ -351,16 +350,16 @@ pub fn preprocess_staged<'a>(
 
 /// `advice.nondet` by the node of each entry's coordinate. Replay asks
 /// only about operations it executes, so an entry at a coordinate
-/// `opcounts` does not cover is left out: nothing can ask for it.
-fn nondet_by_node(advice: &AdviceRef<'_>, coords: &Coords) -> VecMap<u32, u32> {
+/// `opcounts` does not cover is left out: nothing can ask for it. Node
+/// ids ascend with the coordinates, so the table ascends with `nondet`.
+fn nondet_by_node(advice: &AdviceRef<'_>, coords: &Coords) -> Vec<(u32, u32)> {
     let mut run = RequestRun::default();
-    let by_node = advice
+    advice
         .nondet
         .keys()
         .zip(0u32..)
         .filter_map(|(op, position)| Some((run.op_node(coords, op)?, position)))
-        .collect();
-    VecMap::from_wire(by_node)
+        .collect()
 }
 
 /// The shard universe — every request the advice mentions plus every
@@ -391,7 +390,7 @@ fn shard_work<'x>(advice: &'x AdviceRef<'x>, coords: &Coords) -> Vec<RidWork<'x>
         let handler_log = match logs.get(l) {
             Some((r, log)) if *r == rid => {
                 l += 1;
-                Some(*log)
+                Some(log.as_slice())
             }
             _ => None,
         };
@@ -756,13 +755,11 @@ fn section_external<'x>(
                     let Some(key) = entry.key else {
                         return Err(malformed("GET without key"));
                     };
-                    let TxContentsRef::Get { from } = &entry.contents else {
+                    let TxOpContentsView::Get { from } = &entry.contents else {
                         return Err(malformed("GET with non-GET contents"));
                     };
-                    if let Some(pos) = from {
-                        let owner = pos.tx.and_then(|tx| ctx.txs(tx..tx + 1).first());
-                        let opw = owner.and_then(|(_, log)| log.get(pos.index as usize));
-                        let (Some((wtx, _)), Some(opw)) = (owner, opw) else {
+                    if let Some(pos @ (wtx, _)) = from {
+                        let Some(opw) = ctx.advice.tx_entry(pos) else {
                             return Err(RejectReason::BadDictatingWrite { at: at() });
                         };
                         if opw.optype != TxOpKind::Put || opw.key != Some(key) {
@@ -778,10 +775,10 @@ fn section_external<'x>(
                         shard.edge(writer, node, EdgeKind::ExternalWr);
                     }
                     // Transactions observe their own writes.
-                    let own = |p: &TxAt| p.tx == Some(rank);
+                    let own = from.filter(|(from_tx, _)| from_tx == tx).map(|(_, i)| i);
                     let self_read_ok = match shard.my_writes.get(key) {
-                        Some(&w_idx) => from.as_ref().is_some_and(|p| own(p) && p.index == w_idx),
-                        None => !from.as_ref().is_some_and(own),
+                        Some(&w_idx) => own == Some(w_idx),
+                        None => own.is_none(),
                     };
                     if !self_read_ok {
                         return Err(RejectReason::SelfReadNotLastModification { at: at() });
@@ -791,13 +788,13 @@ fn section_external<'x>(
                     let Some(key) = entry.key else {
                         return Err(malformed("PUT without key"));
                     };
-                    if !matches!(entry.contents, TxContentsRef::Put { .. }) {
+                    if !matches!(entry.contents, TxOpContentsView::Put { .. }) {
                         return Err(malformed("PUT with non-PUT contents"));
                     }
                     shard.my_writes.insert(key, index);
                 }
                 TxOpKind::Start | TxOpKind::Commit | TxOpKind::Abort => {
-                    if !matches!(entry.contents, TxContentsRef::None) {
+                    if !matches!(entry.contents, TxOpContentsView::None) {
                         return Err(malformed("control entry with contents"));
                     }
                 }

@@ -61,7 +61,7 @@ use kem_lang::{
 use obs::{CounterId, HistogramId, Obs, ObsShard};
 
 use crate::advice::OpAt;
-use crate::advice_ref::{AdviceRef, TxContentsRef, TxEntryRef};
+use crate::advice_ref::AdviceRef;
 use crate::config::Limits;
 use crate::multivalue::MultiValue;
 use crate::verifier::coords::Coords;
@@ -70,7 +70,7 @@ use crate::verifier::preprocess::{OpMapEntry, Preprocessed};
 use crate::verifier::reject::{RejectReason, ResourceKind};
 use crate::verifier::var_index::VarLog;
 use crate::verifier::vars::{Candidate, GroupAccesses, GroupVars, VarStates, Written};
-use crate::wire::{HandlerLogEntryView, HandlerOpView};
+use crate::wire::{HandlerLogEntryView, HandlerOpView, TxLogEntryView, TxOpContentsView};
 
 /// Fuel units between wall-clock polls of the group deadline: frequent
 /// enough that an over-deadline group is caught within microseconds of
@@ -381,7 +381,7 @@ impl<'a> Group<'a> {
         let slices = rids.iter().map(|r| coords.activations_of(*r)).collect();
         let handler_logs = rids
             .iter()
-            .map(|r| advice.handler_logs.get(r).copied().unwrap_or(&[]))
+            .map(|r| advice.handler_logs.get(r).map_or(&[][..], Vec::as_slice))
             .collect();
         Group {
             rids,
@@ -1135,7 +1135,7 @@ impl<'a> Replay<'_, 'a> {
         i: usize,
         tx: Option<u32>,
         txnum: u32,
-    ) -> Result<(u32, &'a TxEntryRef<'a>), RejectReason> {
+    ) -> Result<(u32, &'a TxLogEntryView<'a>), RejectReason> {
         let node = self.frame.node(i)?;
         let found = match self.ex.pre.op_map.get(node) {
             Some(OpMapEntry::TxLog { tx: t, index })
@@ -1499,11 +1499,11 @@ impl Machine for Replay<'_, '_> {
             }
             let mut read = None;
             match (requested, &entry.contents) {
-                (TxOpKind::Get, TxContentsRef::Get { from }) => {
+                (TxOpKind::Get, TxOpContentsView::Get { from }) => {
                     let value = match from {
                         None => None,
-                        Some(pos) => match advice.tx_entry(*pos).map(|w| &w.contents) {
-                            Some(TxContentsRef::Put { value }) => Some(value.clone()),
+                        Some(pos) => match advice.tx_entry(pos).map(|w| &w.contents) {
+                            Some(TxOpContentsView::Put { value }) => Some(value.value().clone()),
                             Some(_) => return malformed("dictating write is not a PUT"),
                             None => {
                                 return malformed("dictating write outside any transaction log")
@@ -1513,13 +1513,13 @@ impl Machine for Replay<'_, '_> {
                     read = Some((value.is_some(), value.unwrap_or(Value::Null)));
                 }
                 (TxOpKind::Get, _) => return malformed("GET with non-GET contents"),
-                (TxOpKind::Put, TxContentsRef::Put { value: logged }) => {
+                (TxOpKind::Put, TxOpContentsView::Put { value: logged }) => {
                     // Simulate-and-check for external state: the
                     // re-executed PUT must produce the logged value.
                     let vv = value_v
                         .as_ref()
                         .ok_or_else(|| internal("PUT re-executed without a value expression"))?;
-                    if logged != vv.get(i) {
+                    if logged.value() != vv.get(i) {
                         return mismatch("logged PUT value differs from re-execution");
                     }
                 }
@@ -1556,11 +1556,11 @@ impl Machine for Replay<'_, '_> {
         self.bump()?;
         let (pre, advice) = (self.ex.pre, self.ex.advice);
         MultiValue::collect(self.g.n(), |i| {
-            let recorded = pre
-                .nondet
-                .get(&self.frame.node(i)?)
-                .and_then(|position| advice.nondet.as_slice().get(*position as usize));
-            let Some((_, v)) = recorded else {
+            let node = self.frame.node(i)?;
+            let at = pre.nondet.binary_search_by_key(&node, |(node, _)| *node);
+            let position = at.ok().and_then(|at| pre.nondet.get(at));
+            let recorded = position.and_then(|(_, p)| advice.nondet.as_slice().get(*p as usize));
+            let Some(v) = recorded.map(|(_, raw)| raw.value()) else {
                 return Err(RejectReason::MissingNondet { at: self.at(i) });
             };
             // Basic well-formedness of recorded nondeterminism (§5):
@@ -1779,6 +1779,7 @@ fn final_checks(
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
+    use crate::advice_ref::by_hand;
     use kem_lang::FunctionId;
 
     /// A hostile group: members whose activation ranges differ in
@@ -1801,9 +1802,8 @@ mod tests {
             .zip(trees)
             .flat_map(|(rid, tree)| tree.iter().map(|hid| ((*rid, hid.clone()), 1)))
             .collect();
-        let coords = Coords::build(&rids, &opcounts).unwrap();
-        let view = crate::wire::AdviceView::default();
-        let advice = AdviceRef::from_view(&view, &mut kem_lang::ValueInterner::new());
+        let advice = by_hand::advice(&opcounts, &Default::default());
+        let coords = Coords::build(&rids, &advice).unwrap();
         let g = Group::new(rids, &advice, &coords);
 
         let acts = |slots: &[Option<Slot>]| -> Vec<Option<u32>> {

@@ -34,56 +34,18 @@
 //! carries its handler's path rank ([`crate::OpAt`]), so it resolves by
 //! searching integers ([`Coords::find_in`]); keys, and in an honest log
 //! most `prec`s, come in runs of one request, whose activations are
-//! looked up once per run ([`RequestRun`]). The index is generic over
-//! the coordinate only so that tests can key logs built by hand by
-//! [`OpRef`] ([`Coordinate`]).
+//! looked up once per run ([`RequestRun`]).
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use kem_lang::{OpRef, RequestId, VarId};
 
-use crate::advice::{OpAt, VarLogEntry};
-use crate::advice_ref::{VarLogRef, VecMap};
-use crate::hids::HidTable;
+use crate::advice::OpAt;
+use crate::advice_ref::VecMap;
 use crate::verifier::coords::{Coords, RequestRun};
 use crate::verifier::reject::{RejectReason, ResourceKind};
-
-/// What a variable log is keyed by: the advice's coordinates
-/// ([`OpAt`]), or, in a log a test builds by hand, [`OpRef`]s.
-pub trait Coordinate: Ord + Clone {
-    /// The request.
-    fn rid(&self) -> RequestId;
-    /// This coordinate with its handler as a path rank in `paths`, if
-    /// the table holds the path.
-    fn at(&self, paths: &HidTable) -> Option<OpAt>;
-    /// `op` as this kind of coordinate over `paths`, if it can be one.
-    fn of(op: &OpRef, paths: &HidTable) -> Option<Self>;
-}
-
-impl Coordinate for OpAt {
-    fn rid(&self) -> RequestId {
-        self.rid
-    }
-    fn at(&self, _: &HidTable) -> Option<OpAt> {
-        Some(*self)
-    }
-    fn of(op: &OpRef, paths: &HidTable) -> Option<Self> {
-        Some(OpAt::new(op.rid, paths.rank(&op.hid)?, op.opnum))
-    }
-}
-
-impl Coordinate for OpRef {
-    fn rid(&self) -> RequestId {
-        self.rid
-    }
-    fn at(&self, paths: &HidTable) -> Option<OpAt> {
-        OpAt::of(self, paths)
-    }
-    fn of(op: &OpRef, _: &HidTable) -> Option<Self> {
-        Some(op.clone())
-    }
-}
+use crate::wire::VarLogEntryView;
 
 /// "No such id / no such entry" in the index's `u32` columns. The build
 /// refuses an id space that would reach it.
@@ -103,7 +65,7 @@ struct LogIndex {
 /// Every variable log of one audit's advice, indexed by id (see the
 /// module docs).
 #[derive(Debug)]
-pub struct VarIndex<K = OpAt> {
+pub struct VarIndex {
     coords: Arc<Coords>,
     /// By activation ([`act_of`]): the number of the first entry of the
     /// newest log's run of entries keyed in it, [`NONE`] for none. As
@@ -119,7 +81,7 @@ pub struct VarIndex<K = OpAt> {
     /// same order.
     logs: Vec<LogIndex>,
     /// The coordinates outside `opcounts` that some log names.
-    outside: BTreeMap<K, u32>,
+    outside: BTreeMap<OpAt, u32>,
     /// By request, ascending: the entries keyed at its coordinates.
     keyed: Vec<(RequestId, u32)>,
 }
@@ -145,7 +107,7 @@ fn exhausted(spent: u64) -> RejectReason {
     }
 }
 
-impl<K: Coordinate> VarIndex<K> {
+impl VarIndex {
     /// Indexes `var_logs` over `coords`. Fails, with the graph-node
     /// resource verdict, only if the logs name so many coordinates
     /// outside `opcounts`, or hold so many entries, that the ids or the
@@ -156,10 +118,10 @@ impl<K: Coordinate> VarIndex<K> {
     #[doc(hidden)]
     pub fn build(
         coords: Arc<Coords>,
-        var_logs: &VecMap<VarId, VarLogRef<K>>,
-    ) -> Result<VarIndex<K>, RejectReason> {
+        var_logs: &VecMap<'_, VarId, Vec<(OpAt, VarLogEntryView<'_>)>>,
+    ) -> Result<VarIndex, RejectReason> {
         // Entries are numbered below `NONE`, like ids.
-        let entries: usize = var_logs.values().map(VecMap::len).sum();
+        let entries: usize = var_logs.values().map(Vec::len).sum();
         if entries >= NONE as usize {
             return Err(exhausted(entries as u64 + 1));
         }
@@ -172,8 +134,7 @@ impl<K: Coordinate> VarIndex<K> {
             outside: BTreeMap::new(),
             keyed: Vec::new(),
         };
-        for log in var_logs.values() {
-            let entries = log.as_slice();
+        for entries in var_logs.values() {
             let base = index.next.len() as u32;
             let mut prec = Vec::with_capacity(entries.len());
             let (mut keys, mut precs) = (RequestRun::default(), RequestRun::default());
@@ -181,8 +142,8 @@ impl<K: Coordinate> VarIndex<K> {
             for (key, entry) in entries {
                 // Keys ascend, so a request's keys are one run.
                 match index.keyed.last_mut() {
-                    Some((rid, n)) if *rid == key.rid() => *n = n.saturating_add(1),
-                    _ => index.keyed.push((key.rid(), 1)),
+                    Some((rid, n)) if *rid == key.rid => *n = n.saturating_add(1),
+                    _ => index.keyed.push((key.rid, 1)),
                 }
                 // Until every log is read, a run's first entry holds its
                 // activation and the others `NONE`.
@@ -222,8 +183,8 @@ impl<K: Coordinate> VarIndex<K> {
     /// The id of `op` — its node, or the id it has (or now gets) as a
     /// coordinate outside `opcounts` — and the activation it belongs to
     /// ([`act_of`]).
-    fn resolve(&mut self, op: &K, run: &mut RequestRun) -> Result<(u32, u32), RejectReason> {
-        if let Some(at) = self.node_of(op, run) {
+    fn resolve(&mut self, op: &OpAt, run: &mut RequestRun) -> Result<(u32, u32), RejectReason> {
+        if let Some(at) = run.op_at(&self.coords, op) {
             return Ok(at);
         }
         let id = match self.outside.get(op) {
@@ -235,7 +196,7 @@ impl<K: Coordinate> VarIndex<K> {
                 if id >= u64::from(NONE - 1) {
                     return Err(exhausted(id + 2));
                 }
-                self.outside.insert(op.clone(), id as u32);
+                self.outside.insert(*op, id as u32);
                 id as u32
             }
         };
@@ -250,16 +211,10 @@ impl<K: Coordinate> VarIndex<K> {
     /// The id the logs know `op` by, if they name it or `opcounts`
     /// covers it.
     pub(crate) fn id_of(&self, op: &OpRef) -> Option<u32> {
-        let op = K::of(op, self.coords.paths())?;
-        let node = self.node_of(&op, &mut RequestRun::default());
+        let op = OpAt::new(op.rid, self.coords.paths().rank(&op.hid)?, op.opnum);
+        let node = RequestRun::default().op_at(&self.coords, &op);
         node.map(|(node, _)| node)
             .or_else(|| self.outside.get(&op).copied())
-    }
-
-    /// The node of `op` and its activation, if `opcounts` covers it;
-    /// `run` holds the activations of the request last resolved.
-    fn node_of(&self, op: &K, run: &mut RequestRun) -> Option<(u32, u32)> {
-        run.op_at(&self.coords, &op.at(self.coords.paths())?)
     }
 
     /// An id no log names and no node has. A variable's initialization
@@ -291,9 +246,9 @@ impl<K: Coordinate> VarIndex<K> {
     #[doc(hidden)]
     pub fn log<'a>(
         &'a self,
-        var_logs: &'a VecMap<VarId, VarLogRef<K>>,
+        var_logs: &VecMap<'a, VarId, Vec<(OpAt, VarLogEntryView<'a>)>>,
         var: VarId,
-    ) -> VarLog<'a, K> {
+    ) -> VarLog<'a> {
         let found = var_logs.position(&var).and_then(|i| {
             let (_, log) = var_logs.as_slice().get(i)?;
             Some((self.logs.get(i)?, log.as_slice()))
@@ -313,8 +268,8 @@ impl<K: Coordinate> VarIndex<K> {
 /// One variable's log, read by id: empty when the advice has no log for
 /// the variable.
 #[doc(hidden)]
-#[derive(Debug)]
-pub struct VarLog<'a, K = OpAt> {
+#[derive(Debug, Clone, Copy)]
+pub struct VarLog<'a> {
     coords: &'a Coords,
     head: &'a [u32],
     next: &'a [u32],
@@ -322,18 +277,10 @@ pub struct VarLog<'a, K = OpAt> {
     /// The number of the log's first entry.
     base: u32,
     prec: &'a [(u32, u32)],
-    entries: &'a [(K, VarLogEntry<K>)],
+    entries: &'a [(OpAt, VarLogEntryView<'a>)],
 }
 
-impl<K> Clone for VarLog<'_, K> {
-    fn clone(&self) -> Self {
-        *self
-    }
-}
-
-impl<K> Copy for VarLog<'_, K> {}
-
-impl<'a, K> VarLog<'a, K> {
+impl<'a> VarLog<'a> {
     /// The coordinates the ids belong to.
     pub(crate) fn coords(&self) -> &'a Coords {
         self.coords
@@ -342,7 +289,7 @@ impl<'a, K> VarLog<'a, K> {
     /// The entry keyed by `id`, of activation `act` ([`act_of`]), with
     /// its position: the activation's chain, followed down to this log's
     /// run, and a search of the run's ids.
-    pub(crate) fn entry_at(&self, id: u32, act: u32) -> Option<(u32, &'a VarLogEntry<K>)> {
+    pub(crate) fn entry_at(&self, id: u32, act: u32) -> Option<(u32, &'a VarLogEntryView<'a>)> {
         let end = self.base + self.entries.len() as u32;
         let mut number = *self.head.get(act as usize)?;
         // A chain descends through the logs: past this log's first
@@ -370,7 +317,7 @@ impl<'a, K> VarLog<'a, K> {
     }
 
     /// The entry at `position`.
-    pub(crate) fn entry(&self, position: u32) -> Option<&'a VarLogEntry<K>> {
+    pub(crate) fn entry(&self, position: u32) -> Option<&'a VarLogEntryView<'a>> {
         self.entries.get(position as usize).map(|(_, entry)| entry)
     }
 

@@ -42,13 +42,14 @@ use std::sync::Arc;
 
 use kem_lang::{MapEdit, OpRef, Value, VarId};
 
-use crate::advice::AccessType;
-use crate::advice_ref::{VarLogRef, VecMap};
+use crate::advice::{AccessType, OpAt};
+use crate::advice_ref::VecMap;
 use crate::verifier::coords::Activation;
 use crate::verifier::graph::{EdgeKind, Graph};
 use crate::verifier::pool;
 use crate::verifier::reject::RejectReason;
-use crate::verifier::var_index::{act_of, Coordinate, VarIndex, VarLog, NONE};
+use crate::verifier::var_index::{act_of, VarIndex, VarLog, NONE};
+use crate::wire::{RawValue, VarLogEntryView};
 
 /// A variable's trusted initialization write.
 #[derive(Debug, Clone)]
@@ -483,23 +484,23 @@ impl GroupVars {
     }
 
     /// [`VarStates::on_read`] as far as this group decides it.
-    pub fn on_read<K>(
+    pub fn on_read(
         &mut self,
         var: VarId,
         node: u32,
-        log: &VarLog<'_, K>,
+        log: &VarLog<'_>,
     ) -> Result<Value, RejectReason> {
         self.read(var, node, act_of(log.coords(), node), log)
     }
 
     /// [`GroupVars::on_read`] of the operation at `node` of activation
     /// `act`.
-    pub(crate) fn read<K>(
+    pub(crate) fn read(
         &mut self,
         var: VarId,
         node: u32,
         act: u32,
-        log: &VarLog<'_, K>,
+        log: &VarLog<'_>,
     ) -> Result<Value, RejectReason> {
         let resolved = Ran::of(&self.written, &self.init, var).resolve_read(node, act, log);
         self.record(resolved.map(|(value, event)| (value, VarEvent::Read(event))))
@@ -507,12 +508,12 @@ impl GroupVars {
 
     /// [`VarStates::on_write`] as far as this group decides it, with the
     /// checks of [`VarStates::apply_write`] on the group's own writes.
-    pub fn on_write<'v, K>(
+    pub fn on_write<'v>(
         &mut self,
         var: VarId,
         node: u32,
         value: impl Into<Candidate<'v>>,
-        log: &VarLog<'_, K>,
+        log: &VarLog<'_>,
     ) -> Result<(), RejectReason> {
         let act = act_of(log.coords(), node);
         self.write(var, node, act, value.into(), log).map(drop)
@@ -521,13 +522,13 @@ impl GroupVars {
     /// [`GroupVars::on_write`] of the operation at `node` of activation
     /// `act`, returning the value the write resolved to: the logged
     /// value it was checked against, or its own.
-    pub(crate) fn write<K>(
+    pub(crate) fn write(
         &mut self,
         var: VarId,
         node: u32,
         act: u32,
         value: Candidate<'_>,
-        log: &VarLog<'_, K>,
+        log: &VarLog<'_>,
     ) -> Result<Value, RejectReason> {
         let resolved = Ran::of(&self.written, &self.init, var).resolve_write(node, act, value, log);
         let initialized = init_of(&self.init, var).is_some();
@@ -634,7 +635,7 @@ impl VarStates {
     /// `index`, and the write table its id space. `ReExecutor::new` does
     /// this; an access on a state with unbound writes is refused.
     #[doc(hidden)]
-    pub fn bind<K: Coordinate>(&mut self, index: &VarIndex<K>) {
+    pub fn bind(&mut self, index: &VarIndex) {
         self.table.ids = index.unnamed_id() as usize + 1;
         if self.unbound.is_empty() {
             return;
@@ -666,11 +667,11 @@ impl VarStates {
     /// fail — or the one the group itself refused — is the verdict.
     /// `index` and `var_logs` are what the group resolved against.
     #[doc(hidden)]
-    pub fn merge_group<K: Coordinate>(
+    pub fn merge_group(
         &mut self,
         accesses: GroupAccesses,
-        index: &VarIndex<K>,
-        var_logs: &VecMap<VarId, VarLogRef<K>>,
+        index: &VarIndex,
+        var_logs: &VecMap<'_, VarId, Vec<(OpAt, VarLogEntryView<'_>)>>,
     ) -> Result<(), RejectReason> {
         self.bound()?;
         for event in accesses.0 {
@@ -700,11 +701,11 @@ impl VarStates {
     /// [`VarIndex::log`] of `var`. Replay records through
     /// `GroupVars::on_read` instead; the tests check that split
     /// against this.
-    pub fn on_read<K>(
+    pub fn on_read(
         &mut self,
         var: VarId,
         node: u32,
-        log: &VarLog<'_, K>,
+        log: &VarLog<'_>,
     ) -> Result<Value, RejectReason> {
         self.bound()?;
         let act = act_of(log.coords(), node);
@@ -718,10 +719,10 @@ impl VarStates {
     /// the feed, compares a logged value against a dictating write the
     /// resolving state had not seen run, and records the reader. `log`
     /// is the read variable's, wanted only for that compare.
-    fn apply_read<'l, K: 'l>(
+    fn apply_read<'l>(
         &mut self,
         event: &ReadEvent,
-        log: impl FnOnce() -> VarLog<'l, K>,
+        log: impl FnOnce() -> VarLog<'l>,
     ) -> Result<(), RejectReason> {
         self.feeds.count(event.fed);
         if let Fed::LogUnchecked(dictating) = event.fed {
@@ -731,6 +732,7 @@ impl VarStates {
             let actual = actual.or(init.map(|init| &init.value));
             let log = log();
             let logged = log.entry(dictating).and_then(|w| w.value.as_ref());
+            let logged = logged.map(RawValue::value);
             if actual.is_some_and(|actual| logged != Some(actual)) {
                 return Err(log.mismatch(
                     event.node,
@@ -750,12 +752,12 @@ impl VarStates {
     /// dictionary entry, and maintain the write chain. Replay records
     /// through `GroupVars::on_write` instead; the tests check that
     /// split against this.
-    pub fn on_write<K>(
+    pub fn on_write(
         &mut self,
         var: VarId,
         node: u32,
         value: Value,
-        log: &VarLog<'_, K>,
+        log: &VarLog<'_>,
     ) -> Result<(), RejectReason> {
         self.bound()?;
         let act = act_of(log.coords(), node);
@@ -894,11 +896,11 @@ impl<'s> Ran<'s> {
 
     /// The half of `OnRead` that one group decides: the value to feed
     /// and the write the read observed.
-    fn resolve_read<K>(
+    fn resolve_read(
         self,
         node: u32,
         act: u32,
-        log: &VarLog<'_, K>,
+        log: &VarLog<'_>,
     ) -> Result<(Value, ReadEvent), RejectReason> {
         let event = |from, fed| ReadEvent {
             var: self.var,
@@ -932,7 +934,7 @@ impl<'s> Ran<'s> {
         if w.access != AccessType::Write {
             return Err(log.mismatch(node, "dictating entry is not a write"));
         }
-        let Some(value) = &w.value else {
+        let Some(value) = w.value.as_ref().map(RawValue::value) else {
             return Err(log.mismatch(node, "dictating write has no value"));
         };
         // A dictating write that has run (the initialization always
@@ -954,12 +956,12 @@ impl<'s> Ran<'s> {
     /// The half of `OnWrite` that one group decides: simulate-and-check
     /// against the log, and the write this one overwrote with the
     /// activation it belongs to ([`NONE`] for none).
-    fn resolve_write<K>(
+    fn resolve_write(
         self,
         node: u32,
         act: u32,
         value: Candidate<'_>,
-        log: &VarLog<'_, K>,
+        log: &VarLog<'_>,
     ) -> Result<(WriteEvent, u32), RejectReason> {
         let (value, logged_prec) = match log.entry_at(node, act) {
             Some((position, entry)) => {
@@ -970,8 +972,8 @@ impl<'s> Ran<'s> {
                 // the logged one, validating whatever fed or will feed
                 // logged reads (§4.3). The logged value is kept, and a
                 // map edit is checked against it without being built.
-                let Some(logged) = entry.value.as_ref().filter(|logged| value.matches(logged))
-                else {
+                let logged = entry.value.as_ref().map(RawValue::value);
+                let Some(logged) = logged.filter(|logged| value.matches(logged)) else {
                     return Err(log.mismatch(node, "logged write value differs from re-execution"));
                 };
                 let prec = Some(log.prec(position)).filter(|(prec, _)| *prec != NONE);
@@ -1096,8 +1098,8 @@ mod store_model;
 #[allow(clippy::unwrap_used, clippy::expect_used)]
 mod tests {
     use super::*;
-    use crate::advice::VarLogEntry;
-    use crate::advice_ref::{VarLogRef, VecMap};
+    use crate::advice::{self, VarLogEntry};
+    use crate::advice_ref::{by_hand, AdviceRef};
     use crate::verifier::coords::Coords;
     use kem_lang::{init_handler_id, FunctionId, HandlerId, PMap, RequestId};
 
@@ -1113,8 +1115,8 @@ mod tests {
     /// [`var`], and a state bound to both.
     struct Fixture {
         coords: Arc<Coords>,
-        logs: VecMap<VarId, VarLogRef>,
-        index: VarIndex<OpRef>,
+        advice: AdviceRef<'static>,
+        index: VarIndex,
         vs: VarStates,
     }
 
@@ -1122,16 +1124,17 @@ mod tests {
         /// `acts` are `(rid, hid, opcount)`; requests are traced in
         /// ascending id order. `init` is the value of the trusted
         /// initialization write, if the variable has one.
-        fn new(acts: &[(u64, &HandlerId, u32)], log: VarLogRef, init: Option<i64>) -> Self {
-            let opcounts: VecMap<(RequestId, HandlerId), u32> = acts
+        fn new(acts: &[(u64, &HandlerId, u32)], log: advice::VarLog, init: Option<i64>) -> Self {
+            let opcounts = acts
                 .iter()
                 .map(|(rid, hid, count)| ((RequestId(*rid), (*hid).clone()), *count))
                 .collect();
-            let mut trace: Vec<RequestId> = opcounts.keys().map(|(rid, _)| *rid).collect();
+            let advice = by_hand::advice(&opcounts, &[(var(), log)].into());
+            let mut trace: Vec<RequestId> = acts.iter().map(|(rid, ..)| RequestId(*rid)).collect();
+            trace.sort();
             trace.dedup();
-            let coords = Arc::new(Coords::build(&trace, &opcounts).unwrap());
-            let logs: VecMap<VarId, VarLogRef> = [(var(), log)].into_iter().collect();
-            let index = VarIndex::build(coords.clone(), &logs).unwrap();
+            let coords = Arc::new(Coords::build(&trace, &advice).unwrap());
+            let index = VarIndex::build(coords.clone(), &advice.var_logs).unwrap();
             let mut vs = VarStates::new();
             if let Some(value) = init {
                 vs.on_initialize(var(), init_op(), Value::int(value));
@@ -1139,7 +1142,7 @@ mod tests {
             vs.bind(&index);
             Fixture {
                 coords,
-                logs,
+                advice,
                 index,
                 vs,
             }
@@ -1154,7 +1157,7 @@ mod tests {
         fn read(&mut self, rid: u64, hid: &HandlerId, opnum: u32) -> Result<Value, RejectReason> {
             let node = self.node(rid, hid, opnum);
             self.vs
-                .on_read(var(), node, &self.index.log(&self.logs, var()))
+                .on_read(var(), node, &self.index.log(&self.advice.var_logs, var()))
         }
 
         fn write(
@@ -1165,7 +1168,7 @@ mod tests {
             value: i64,
         ) -> Result<(), RejectReason> {
             let node = self.node(rid, hid, opnum);
-            let log = self.index.log(&self.logs, var());
+            let log = self.index.log(&self.advice.var_logs, var());
             self.vs.on_write(var(), node, Value::int(value), &log)
         }
 
@@ -1199,7 +1202,7 @@ mod tests {
     #[test]
     fn unlogged_read_fed_from_init() {
         let h = HandlerId::root(FunctionId(0));
-        let mut fx = Fixture::new(&[(0, &h, 1)], VarLogRef::new(), Some(5));
+        let mut fx = Fixture::new(&[(0, &h, 1)], advice::VarLog::new(), Some(5));
         assert_eq!(fx.read(0, &h, 1).unwrap(), Value::int(5));
     }
 
@@ -1208,14 +1211,18 @@ mod tests {
         // A state whose initialization writes have no ids yet would
         // answer as if the program initialized nothing; it refuses.
         let h = HandlerId::root(FunctionId(0));
-        let mut fx = Fixture::new(&[(0, &h, 2)], VarLogRef::new(), None);
+        let mut fx = Fixture::new(&[(0, &h, 2)], advice::VarLog::new(), None);
         fx.vs.on_initialize(var(), init_op(), Value::int(5));
         let internal =
             |r: Result<(), RejectReason>| matches!(r, Err(RejectReason::VerifierInternal { .. }));
         assert!(internal(fx.read(0, &h, 1).map(|_| ())));
         assert!(internal(fx.write(0, &h, 1, 9)));
         let group = fx.vs.group_vars().finish();
-        assert!(internal(fx.vs.merge_group(group, &fx.index, &fx.logs)));
+        assert!(internal(fx.vs.merge_group(
+            group,
+            &fx.index,
+            &fx.advice.var_logs
+        )));
         fx.vs.bind(&fx.index);
         assert_eq!(fx.read(0, &h, 1).unwrap(), Value::int(5));
     }
@@ -1223,7 +1230,7 @@ mod tests {
     #[test]
     fn unlogged_read_prefers_same_handler_write() {
         let h = HandlerId::root(FunctionId(0));
-        let mut fx = Fixture::new(&[(0, &h, 2)], VarLogRef::new(), Some(5));
+        let mut fx = Fixture::new(&[(0, &h, 2)], advice::VarLog::new(), Some(5));
         fx.write(0, &h, 1, 9).unwrap();
         assert_eq!(fx.read(0, &h, 2).unwrap(), Value::int(9));
     }
@@ -1240,7 +1247,7 @@ mod tests {
         let root_a = HandlerId::root(FunctionId(0));
         let root_b = HandlerId::root(FunctionId(1));
         let child = HandlerId::child(&root_a, FunctionId(2), 2);
-        let mut log = VarLogRef::new();
+        let mut log = advice::VarLog::new();
         log.insert(op(1, &root_b, 1), write_entry(3, Some(op(0, &root_a, 1))));
         let mut fx = Fixture::new(
             &[(0, &root_a, 2), (0, &child, 1), (1, &root_b, 1)],
@@ -1259,7 +1266,7 @@ mod tests {
         // the dictating one is the *latest* with opnum strictly below
         // the read — never the read's own opnum, never a later write.
         let h = HandlerId::root(FunctionId(0));
-        let mut fx = Fixture::new(&[(0, &h, 10)], VarLogRef::new(), Some(0));
+        let mut fx = Fixture::new(&[(0, &h, 10)], advice::VarLog::new(), Some(0));
         for (opnum, val) in [(2, 20), (5, 50), (9, 90)] {
             fx.write(0, &h, opnum, val).unwrap();
         }
@@ -1289,7 +1296,7 @@ mod tests {
             .collect();
         let values = [10, 20, 30];
         let newest_first = [2usize, 1, 0];
-        let mut log = VarLogRef::new();
+        let mut log = advice::VarLog::new();
         let mut overwritten = op(0, &root, 4);
         for k in newest_first {
             let at = op(0, &kids[k], 2);
@@ -1320,11 +1327,11 @@ mod tests {
         // writes as overwritten, so the group's chain step passes.
         let h = HandlerId::root(FunctionId(0));
         let ghost = |opnum| op(0, &HandlerId::child(&h, FunctionId(9), 1), opnum);
-        let mut log = VarLogRef::new();
+        let mut log = advice::VarLog::new();
         log.insert(op(0, &h, 1), write_entry(10, Some(ghost(1))));
         log.insert(op(0, &h, 3), write_entry(30, Some(ghost(2))));
         let fx = Fixture::new(&[(0, &h, 4)], log, Some(0));
-        let log = fx.index.log(&fx.logs, var());
+        let log = fx.index.log(&fx.advice.var_logs, var());
         let mut group = fx.vs.group_vars();
         let node = |opnum| fx.node(0, &h, opnum);
         group
@@ -1359,7 +1366,7 @@ mod tests {
         let linked = HandlerId::child(&root, FunctionId(1), 1);
         let mut fx = Fixture::new(
             &[(0, &root, 1), (0, &linked, 1), (0, &orphan, 1)],
-            VarLogRef::new(),
+            advice::VarLog::new(),
             Some(0),
         );
         let acts = fx.coords.activations();
@@ -1384,7 +1391,7 @@ mod tests {
     #[test]
     fn logged_read_fed_from_log() {
         let h = HandlerId::root(FunctionId(0));
-        let mut log = VarLogRef::new();
+        let mut log = advice::VarLog::new();
         log.insert(op(1, &h, 1), write_entry(42, None));
         log.insert(op(0, &h, 1), read_entry(op(1, &h, 1)));
         let mut fx = Fixture::new(&[(0, &h, 1), (1, &h, 1)], log, Some(0));
@@ -1406,7 +1413,7 @@ mod tests {
         // that same map — on one state, and in a group and its merge.
         let h = HandlerId::root(FunctionId(0));
         let map = || Value::map([("k", Value::int(1))]);
-        let mut log = VarLogRef::new();
+        let mut log = advice::VarLog::new();
         let entry = VarLogEntry {
             access: AccessType::Write,
             value: Some(map()),
@@ -1414,8 +1421,12 @@ mod tests {
         };
         log.insert(op(0, &h, 1), entry);
         let logged = |fx: &Fixture| {
-            let entry = fx.logs.get(&var()).and_then(|log| log.get(&op(0, &h, 1)));
-            match entry.and_then(|e| e.value.as_ref()) {
+            // The log's one entry.
+            let entry = fx.advice.var_logs.get(&var()).and_then(|log| log.first());
+            match entry
+                .and_then(|(_, e)| e.value.as_ref())
+                .map(RawValue::value)
+            {
                 Some(Value::Map(m)) => Some(m.clone()),
                 _ => None,
             }
@@ -1431,7 +1442,7 @@ mod tests {
 
         let mut fx = Fixture::new(&[(0, &h, 2)], log.clone(), Some(0));
         let (write, read) = (fx.node(0, &h, 1), fx.node(0, &h, 2));
-        let log0 = fx.index.log(&fx.logs, var());
+        let log0 = fx.index.log(&fx.advice.var_logs, var());
         fx.vs.on_write(var(), write, map(), &log0).unwrap();
         assert!(!shared(Some(&map()), logged(&fx)), "a fresh map is a copy");
         assert!(kept(&fx, write));
@@ -1439,13 +1450,13 @@ mod tests {
         assert!(shared(Some(&fed), logged(&fx)));
 
         let mut fx = Fixture::new(&[(0, &h, 2)], log, Some(0));
-        let log0 = fx.index.log(&fx.logs, var());
+        let log0 = fx.index.log(&fx.advice.var_logs, var());
         let mut group = fx.vs.group_vars();
         group.on_write(var(), write, map(), &log0).unwrap();
         let fed = group.on_read(var(), read, &log0).unwrap();
         assert!(shared(Some(&fed), logged(&fx)));
         fx.vs
-            .merge_group(group.finish(), &fx.index, &fx.logs)
+            .merge_group(group.finish(), &fx.index, &fx.advice.var_logs)
             .unwrap();
         assert!(kept(&fx, write));
     }
@@ -1455,7 +1466,7 @@ mod tests {
         // The dictating write is a coordinate of a request the advice
         // reports no handler for, and has no entry of its own.
         let h = HandlerId::root(FunctionId(0));
-        let mut log = VarLogRef::new();
+        let mut log = advice::VarLog::new();
         log.insert(op(0, &h, 1), read_entry(op(9, &h, 1)));
         let mut fx = Fixture::new(&[(0, &h, 1)], log, None);
         let err = fx.read(0, &h, 1).unwrap_err();
@@ -1472,7 +1483,7 @@ mod tests {
     #[test]
     fn simulate_and_check_rejects_wrong_logged_value() {
         let h = HandlerId::root(FunctionId(0));
-        let mut log = VarLogRef::new();
+        let mut log = advice::VarLog::new();
         log.insert(op(0, &h, 1), write_entry(999, Some(init_op()))); // forged
         let mut fx = Fixture::new(&[(0, &h, 1)], log, Some(0));
         let err = fx.write(0, &h, 1, 1).unwrap_err();
@@ -1489,7 +1500,7 @@ mod tests {
     fn double_overwrite_rejected() {
         let h0 = HandlerId::root(FunctionId(0));
         let h1 = HandlerId::root(FunctionId(1));
-        let mut log = VarLogRef::new();
+        let mut log = advice::VarLog::new();
         for (rid, h) in [(0, &h0), (1, &h1)] {
             // Both claim to overwrite init.
             log.insert(op(rid, h, 1), write_entry(1, Some(init_op())));
@@ -1511,12 +1522,12 @@ mod tests {
         // not only at the merge: it would otherwise replay on and bill
         // fuel the sequential audit never spends.
         let h = HandlerId::root(FunctionId(0));
-        let mut log = VarLogRef::new();
+        let mut log = advice::VarLog::new();
         for opnum in [1, 2] {
             log.insert(op(0, &h, opnum), write_entry(1, Some(init_op())));
         }
         let fx = Fixture::new(&[(0, &h, 2)], log, Some(0));
-        let log = fx.index.log(&fx.logs, var());
+        let log = fx.index.log(&fx.advice.var_logs, var());
         let mut group = fx.vs.group_vars();
         group
             .on_write(var(), fx.node(0, &h, 1), Value::int(1), &log)
@@ -1528,8 +1539,8 @@ mod tests {
         // initialized: each claims to be the first.
         let kids = [1, 2].map(|k| HandlerId::child(&h, FunctionId(k), k));
         let acts = [(0, &h, 1), (0, &kids[0], 1), (0, &kids[1], 1)];
-        let fx = Fixture::new(&acts, VarLogRef::new(), None);
-        let log = fx.index.log(&fx.logs, var());
+        let fx = Fixture::new(&acts, advice::VarLog::new(), None);
+        let log = fx.index.log(&fx.advice.var_logs, var());
         let mut group = fx.vs.group_vars();
         let mut write = |kid| group.on_write(var(), fx.node(0, kid, 1), Value::int(1), &log);
         assert_eq!(write(&kids[0]), Ok(()));
@@ -1542,7 +1553,7 @@ mod tests {
         // and a backfilled write of another request that also found
         // nothing before it cannot open it again.
         let h = HandlerId::root(FunctionId(0));
-        let mut log = VarLogRef::new();
+        let mut log = advice::VarLog::new();
         log.insert(op(1, &h, 1), write_entry(2, None));
         let mut fx = Fixture::new(&[(0, &h, 1), (1, &h, 1)], log, None);
         fx.write(0, &h, 1, 1).unwrap();
@@ -1559,7 +1570,7 @@ mod tests {
     fn chain_edges_and_coverage() {
         let h0 = HandlerId::root(FunctionId(0));
         let h1 = HandlerId::root(FunctionId(1));
-        let mut log = VarLogRef::new();
+        let mut log = advice::VarLog::new();
         log.insert(op(0, &h0, 1), write_entry(1, Some(init_op())));
         log.insert(op(1, &h1, 1), read_entry(op(0, &h0, 1)));
         let mut fx = Fixture::new(&[(0, &h0, 1), (1, &h1, 1)], log, Some(0));
@@ -1575,7 +1586,7 @@ mod tests {
         // coverage must fail.
         let h = HandlerId::root(FunctionId(0));
         let phantom = op(7, &h, 3);
-        let mut log = VarLogRef::new();
+        let mut log = advice::VarLog::new();
         log.insert(phantom.clone(), write_entry(66, None));
         log.insert(op(0, &h, 1), read_entry(phantom));
         let mut fx = Fixture::new(&[(0, &h, 1)], log, Some(0));
@@ -1599,7 +1610,7 @@ mod tests {
         // write were covered — here the write itself is not.
         let h = HandlerId::root(FunctionId(0));
         let ghost = op(0, &HandlerId::child(&h, FunctionId(9), 1), 1);
-        let mut log = VarLogRef::new();
+        let mut log = advice::VarLog::new();
         log.insert(op(0, &h, 1), write_entry(1, Some(ghost)));
         let mut fx = Fixture::new(&[(0, &h, 1)], log, Some(0));
         fx.write(0, &h, 1, 1).unwrap();
@@ -1619,14 +1630,14 @@ mod tests {
         // Each variable sees its own entry.
         let h = HandlerId::root(FunctionId(0));
         let other = VarId(1);
-        let mut log0 = VarLogRef::new();
+        let mut log0 = advice::VarLog::new();
         log0.insert(op(0, &h, 1), write_entry(1, Some(init_op())));
-        let mut log1 = VarLogRef::new();
+        let mut log1 = advice::VarLog::new();
         log1.insert(op(0, &h, 1), read_entry(op(0, &h, 1)));
-        let opcounts: VecMap<(RequestId, HandlerId), u32> =
-            [((RequestId(0), h.clone()), 1)].into_iter().collect();
-        let coords = Arc::new(Coords::build(&[RequestId(0)], &opcounts).unwrap());
-        let logs: VecMap<VarId, VarLogRef> = [(var(), log0), (other, log1)].into_iter().collect();
+        let opcounts = [((RequestId(0), h.clone()), 1)].into();
+        let advice = by_hand::advice(&opcounts, &[(var(), log0), (other, log1)].into());
+        let coords = Arc::new(Coords::build(&[RequestId(0)], &advice).unwrap());
+        let logs = advice.var_logs;
         let index = VarIndex::build(coords.clone(), &logs).unwrap();
         let mut vs = VarStates::new();
         vs.on_initialize(var(), init_op(), Value::int(0));

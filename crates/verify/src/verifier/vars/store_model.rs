@@ -17,7 +17,7 @@ use kem_lang::{FunctionId, HandlerId, RequestId, Value, VarId};
 use proptest::prelude::*;
 
 use super::{Init, Inits, Ran, RejectReason, Written};
-use crate::advice_ref::VecMap;
+use crate::advice_ref::by_hand;
 use crate::verifier::coords::{Activation, Coords};
 use crate::verifier::var_index::act_of;
 
@@ -35,14 +35,15 @@ fn coords() -> Result<Coords, RejectReason> {
     let d = HandlerId::child(&c, FunctionId(4), 5);
     let ghost = HandlerId::child(&b, FunctionId(5), 3);
     let orphan = HandlerId::child(&ghost, FunctionId(6), 1);
-    let opcounts: VecMap<(RequestId, HandlerId), u32> = [0, 1]
+    let opcounts = [0, 1]
         .into_iter()
         .flat_map(|rid| {
             let hids = [&root, &a, &b, &c, &d, &orphan];
             hids.map(|hid| ((RequestId(rid), hid.clone()), COUNT))
         })
         .collect();
-    Coords::build(&[RequestId(0), RequestId(1)], &opcounts)
+    let advice = by_hand::advice(&opcounts, &BTreeMap::new());
+    Coords::build(&[RequestId(0), RequestId(1)], &advice)
 }
 
 /// The model's `FindNearestRPrecedingWrite`: the last write of the

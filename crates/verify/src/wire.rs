@@ -43,11 +43,12 @@
 //! built once, through the checked constructors of [`kem_lang::pvalue`],
 //! and each logged value is built in the walk that validates it: the
 //! view keeps the [`Value`] beside the bytes it occupies ([`RawValue`]),
-//! which a re-encode of the view copies back verbatim. The view
-//! converts to the verifier's working form
-//! ([`crate::AdviceRef::from_view`]) by cloning those values; the server
-//! side also converts it to owned advice, and back to bytes, borrowing
-//! each handler id from the table.
+//! which a re-encode of the view copies back verbatim. The decode also
+//! settles what a keyed section means: it leaves each in ascending key
+//! order, a repeated key keeping its last occurrence (`by_key`). The
+//! verifier's working form ([`crate::AdviceRef::from_view`]) borrows
+//! the view as it is; the server side also converts it to owned advice,
+//! and back to bytes, borrowing each handler id from the table.
 //!
 //! Values have **one** reader, `Decoder::walk_value`, and one builder,
 //! the decode's `Materializer`: a string or map key is the copy of its
@@ -646,7 +647,8 @@ impl<'a> Decoder<'a> {
 
 /// One logged value as the decoder read it: the [`Value`] it builds,
 /// and the bytes it occupies, which a re-encode of the view copies back
-/// verbatim. Only the decoder makes one.
+/// verbatim. Only the decoder makes one ([`decode_value_bounded`]
+/// outside a whole decode), so the two always agree.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RawValue<'a> {
     bytes: &'a [u8],
@@ -667,20 +669,19 @@ impl<'a> RawValue<'a> {
 
 /// Decodes the value encoded at the start of `bytes` in one walk,
 /// against the string table `strings` and an empty pool and under a
-/// node budget, returning it and the number of bytes it occupied. The
-/// oracle a view's logged values are tested against.
+/// node budget: the value and the bytes it occupied. The oracle a
+/// view's logged values are tested against, and the one way to make a
+/// logged value outside a whole decode.
 #[doc(hidden)]
-pub fn decode_value_bounded(
-    bytes: &[u8],
+pub fn decode_value_bounded<'a>(
+    bytes: &'a [u8],
     strings: &[&str],
     max_nodes: u64,
-) -> Result<(Value, usize), BoundedDecodeError> {
+) -> Result<RawValue<'a>, BoundedDecodeError> {
     let mut d = Decoder::new(bytes);
     d.node_budget = max_nodes;
-    match d.walk_value(&mut Materializer::new(strings), 0) {
-        Ok(v) => Ok((v, d.pos)),
-        Err(e) => Err(bounded(e, max_nodes)),
-    }
+    d.raw_value(&mut Materializer::new(strings))
+        .map_err(|e| bounded(e, max_nodes))
 }
 
 /// Builds the [`Value`]s of one decode over one string table: a string
@@ -808,8 +809,10 @@ pub struct TxLogEntryView<'a> {
     pub contents: TxOpContentsView<'a>,
 }
 
-/// A zero-copy view of decoded advice: every section is a `Vec` in wire
-/// order, strings borrow the input buffer, every handler-id reference
+/// A zero-copy view of decoded advice: every keyed section is a `Vec`
+/// in ascending key order, each key once (`by_key`), the entries of a
+/// handler or transaction log and the write order stay in wire order,
+/// strings borrow the input buffer, every handler-id reference
 /// is its path's rank in `paths`, read once by the decoder, and the
 /// things built are the handler paths, the value pool and the logged
 /// values, each beside the span it was read from ([`RawValue`]).
@@ -837,7 +840,7 @@ pub struct AdviceView<'a> {
     pub pool: Vec<Value>,
     /// The pool section's bytes, for a re-encode of the view.
     pub pool_bytes: &'a [u8],
-    /// Variable logs.
+    /// Variable logs, each in ascending key order too.
     pub var_logs: Vec<(VarId, Vec<(OpAt, VarLogEntryView<'a>)>)>,
     /// Transaction logs, each keyed by its `tx_start`.
     pub tx_logs: Vec<(OpAt, Vec<TxLogEntryView<'a>>)>,
@@ -904,6 +907,7 @@ fn decode_advice_view_inner(
         let tag = d.uvar("tag")?;
         a.tags.push((rid, tag));
     }
+    by_key(&mut a.tags);
 
     a.strings = d.strings_table()?;
     d.hids_table()?;
@@ -940,6 +944,7 @@ fn decode_advice_view_inner(
         }
         a.handler_logs.push((rid, log));
     }
+    by_key(&mut a.handler_logs);
 
     // One materializer builds the pool, then every logged value, which
     // shares the pool's nodes and the string copies made for it.
@@ -979,8 +984,10 @@ fn decode_advice_view_inner(
                 },
             ));
         }
+        by_key(&mut log);
         a.var_logs.push((var, log));
     }
+    by_key(&mut a.var_logs);
 
     let n = d.len("tx logs len", 2)?;
     a.tx_logs.reserve(n);
@@ -1027,6 +1034,7 @@ fn decode_advice_view_inner(
         }
         a.tx_logs.push((tx, log));
     }
+    by_key(&mut a.tx_logs);
 
     // Every txpos is a ktx (≥3 bytes) plus an index byte.
     let n = d.len("write order len", 4)?;
@@ -1043,6 +1051,7 @@ fn decode_advice_view_inner(
         let opnum = d.u32v("reb opnum")?;
         a.response_emitted_by.push((rid, (path, opnum)));
     }
+    by_key(&mut a.response_emitted_by);
 
     let n = d.len("opcounts len", 3)?;
     a.opcounts.reserve(n);
@@ -1052,6 +1061,7 @@ fn decode_advice_view_inner(
         let count = d.u32v("opcount")?;
         a.opcounts.push(((rid, path), count));
     }
+    by_key(&mut a.opcounts);
 
     // Every record is an opref (≥3 bytes) and a value.
     let n = d.len("nondet len", 4)?;
@@ -1061,6 +1071,7 @@ fn decode_advice_view_inner(
         let v = d.raw_value(values)?;
         a.nondet.push((op, v));
     }
+    by_key(&mut a.nondet);
 
     if !d.done() {
         return Err(d.err("trailing bytes"));
@@ -1082,6 +1093,25 @@ fn decode_advice_view_inner(
         pool_wire_nodes: d.counts.pool_wire,
     };
     Ok((a, stats))
+}
+
+/// Leaves a keyed section in ascending key order, each key once: a
+/// repeated key keeps its last occurrence, as inserting the entries
+/// into a map in wire order does — the one place the advice's
+/// duplicate-key rule is applied. Honest advice is already ascending,
+/// which costs one comparison per entry.
+fn by_key<K: Ord, V>(section: &mut Vec<(K, V)>) {
+    if section.windows(2).all(|w| w[0].0 < w[1].0) {
+        return;
+    }
+    section.sort_by(|a, b| a.0.cmp(&b.0));
+    section.dedup_by(|later, kept| {
+        let same = later.0 == kept.0;
+        if same {
+            std::mem::swap(later, kept);
+        }
+        same
+    });
 }
 
 /// How a bounded decode failed: structurally malformed bytes, or

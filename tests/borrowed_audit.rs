@@ -5,10 +5,10 @@
 //! tampered corpus of `benchmark/` — decodes them to an owned `Advice`
 //! and encodes that again. The two are different byte strings whenever
 //! the original was not canonical (a duplicated key, sections out of
-//! order), and they resolve duplicates with different code:
-//! `VecMap::from_wire` keeps the later entry of the wire bytes,
-//! `AdviceView::to_advice` inserts into `BTreeMap`s in wire order and
-//! `encode_advice` writes each key once. For every point of the shared
+//! order): the decoder keeps the later entry of the wire bytes and
+//! sorts each keyed section, and `encode_advice` of what
+//! `AdviceView::to_advice` makes of that writes each key once. For every
+//! point of the shared
 //! matrix (`tests/common`), on honest advice, across the hostile wire
 //! mutation corpus and on a duplicated key in each keyed section, both
 //! must produce the same verdict, statistics, and fuel bill. And the

@@ -14,8 +14,8 @@
 //!   coordinate outside `opcounts` that has a forged write entry and at
 //!   one that has none;
 //! * the same coordinate keyed in two variables' logs;
-//! * a duplicated key on the wire (the later entry wins,
-//!   `VecMap::from_wire`).
+//! * a duplicated key on the wire (the later entry wins: the decoder
+//!   keeps each key's last occurrence).
 //!
 //! Rows appended later edit the other coordinates a log can name:
 //!
