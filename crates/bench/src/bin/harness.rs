@@ -510,7 +510,7 @@ fn errorbars(o: &Opts) {
 /// each quantified against the log-everything / sequence-tag / expanded
 /// alternative.
 fn ablations(o: &Opts) {
-    use karousos::{advice_sizes, Auditor};
+    use karousos::{advice_sizes, singleton_tags, Auditor};
     println!("== ablations ({} requests, concurrency 8) ==", o.requests);
     for (app, mix) in [
         (App::Motd, Mix::Mixed),
@@ -556,26 +556,26 @@ fn ablations(o: &Opts) {
             "    graph     : {} nodes, {} edges, acyclic",
             report_k.graph_nodes, report_k.graph_edges
         );
-        // What batching buys: the same verifier with grouping disabled
+        // What batching buys: the same audit of the same bytes with
+        // every request tagged on its own, so every group is a singleton
         // (the paper's OOOExec, Fig. 22).
-        let [batched, ooo] = bench::time_interleaved(
+        let singletons = singleton_tags(&p.karousos_bytes, &p.trace).expect("honest tags parse");
+        let [batched, singles] = bench::time_interleaved(
             o.iters,
             [
                 &mut || {
                     audit(&p.karousos_bytes);
                 },
                 &mut || {
-                    auditor
-                        .ooo_audit(&p.program, &p.trace, &p.karousos_bytes, p.exp.isolation)
-                        .unwrap();
+                    audit(&singletons);
                 },
             ],
         );
-        let speedup = bench::median_ratio(&ooo, &batched);
+        let speedup = bench::median_ratio(&singles, &batched);
         println!(
-            "    batching  : {} ms batched vs {} ms ungrouped (OOOExec) — {:.2}x",
+            "    batching  : {} ms batched vs {} ms singleton groups — {:.2}x",
             ms(bench::median(batched)),
-            ms(bench::median(ooo)),
+            ms(bench::median(singles)),
             speedup
         );
     }

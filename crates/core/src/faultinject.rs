@@ -955,13 +955,42 @@ fn uvar_at(bytes: &[u8], at: usize) -> Option<(usize, usize)> {
     Some((read_uvar(rest)? as usize, at + skip_uvar(rest)?))
 }
 
-/// The string table's spans, then the handler-id table's: each opens
-/// with its count's, then one per entry.
-fn table_spans(bytes: &[u8]) -> Option<[Vec<std::ops::Range<usize>>; 2]> {
+/// Where the tags section — the wire's first: a count, then `(rid,
+/// tag)` pairs — ends.
+fn tags_end(bytes: &[u8]) -> Option<usize> {
     let (tags, mut at) = uvar_at(bytes, 0)?;
     for _ in 0..tags.checked_mul(2)? {
         at = uvar_at(bytes, at)?.1;
     }
+    Some(at)
+}
+
+/// `bytes` with the tags section rewritten to give every request of
+/// `trace` a tag of its own, and every later byte copied unchanged.
+/// Audited, these are Lemma 3's ungrouped side (`OOOAudit`, Fig. 22):
+/// every request replays as a singleton group, whatever the server
+/// tagged. `None` when the tags section does not parse. A decode
+/// error's offset past the tags section shifts by the rewrite's change
+/// in length.
+pub fn singleton_tags(bytes: &[u8], trace: &Trace) -> Option<Vec<u8>> {
+    let end = tags_end(bytes)?;
+    let mut rids: Vec<u64> = trace.request_ids().iter().map(|rid| rid.0).collect();
+    rids.sort_unstable();
+    rids.dedup();
+    let mut out = Vec::with_capacity(bytes.len());
+    put_uvar(&mut out, rids.len() as u64);
+    for (tag, rid) in rids.iter().enumerate() {
+        put_uvar(&mut out, *rid);
+        put_uvar(&mut out, tag as u64);
+    }
+    out.extend_from_slice(&bytes[end..]);
+    Some(out)
+}
+
+/// The string table's spans, then the handler-id table's: each opens
+/// with its count's, then one per entry.
+fn table_spans(bytes: &[u8]) -> Option<[Vec<std::ops::Range<usize>>; 2]> {
+    let mut at = tags_end(bytes)?;
     let mut tables = [Vec::new(), Vec::new()];
     for (strings, spans) in [true, false].into_iter().zip(&mut tables) {
         let (n, entries) = uvar_at(bytes, at)?;
@@ -2157,6 +2186,30 @@ mod tests {
                 );
             }
         }
+    }
+
+    #[test]
+    fn singleton_tags_give_each_traced_request_its_own_tag() {
+        let honest = encode_advice(&sample_advice());
+        // Requests 0 and 1 share a tag; request 2 has none.
+        let mut trace = Trace::new();
+        for rid in [2, 0, 1] {
+            trace.push_request(RequestId(rid), Value::Null);
+        }
+        let bytes = singleton_tags(&honest, &trace).expect("the tags section parses");
+        let (want, mut got) = (
+            decode_advice_view(&honest).unwrap(),
+            decode_advice_view(&bytes).unwrap(),
+        );
+        let rids: Vec<RequestId> = got.tags.iter().map(|(rid, _)| *rid).collect();
+        assert_eq!(rids, [RequestId(0), RequestId(1), RequestId(2)]);
+        let mut tags: Vec<u64> = got.tags.iter().map(|(_, tag)| *tag).collect();
+        tags.sort_unstable();
+        tags.dedup();
+        assert_eq!(tags.len(), 3, "one tag per traced request: {:?}", got.tags);
+        got.tags = want.tags.clone();
+        assert_eq!(got, want, "only the tags section changed");
+        assert_eq!(singleton_tags(&[0x80], &trace), None);
     }
 
     #[test]

@@ -41,8 +41,8 @@ pub use collector::{
 #[doc(hidden)]
 pub use compat::{audit_encoded_with_obs, audit_source_with_obs, AdviceSource, AuditOptions};
 pub use faultinject::{
-    honest_must_accept, ExhaustMutator, Mutation, MutationClass, MutationOutcome, Mutator,
-    PoolMutator, TableMutator, WireMutator,
+    honest_must_accept, singleton_tags, ExhaustMutator, Mutation, MutationClass, MutationOutcome,
+    Mutator, PoolMutator, TableMutator, WireMutator,
 };
 pub use karousos_verify::*;
 pub use rorder::{r_concurrent, r_ordered, r_precedes};

@@ -20,8 +20,8 @@
 //! `(from, to, kind)` edges in the same order.
 //!
 //! The new state runs twice. Once with both halves of every access back
-//! to back on one state, as the ungrouped replay calls it and as the
-//! model works. Once the way a grouped audit does: each request is a
+//! to back on one state (`VarStates::on_read` / `on_write`), as the
+//! model works. Once the way the audit does: each request is a
 //! group whose accesses are resolved against the group's own state and
 //! recorded, and the records are merged into the whole-audit state in
 //! request order — where a group has run ahead of a failure only the

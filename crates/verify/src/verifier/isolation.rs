@@ -128,13 +128,20 @@ pub fn verify_isolation(
             builder.commit(id);
         }
     }
-    // An entry that names no history operation cannot pass the checks
-    // below, so it never reaches the Adya check: any id no transaction
-    // has stands in for it.
-    let nowhere = (adya::TxnId(u64::MAX), 0);
-    let version_order = advice.write_order.iter().map(|pos| {
-        let (txn, index) = translate(pos).unwrap_or(nowhere);
-        adya::OpRef { txn, index }
+    // Each write-order position is resolved once, here: to its
+    // transaction and its history operation, `NOT_AN_OP` for a log entry
+    // that is none, and to an id no transaction has for a position in no
+    // log. Neither of those can pass the checks below, so neither
+    // reaches the Adya check; the checks read the resolution back.
+    let version_order = advice.write_order.iter().map(|pos| match locate(pos) {
+        Some((rank, at, _)) => adya::OpRef {
+            txn: adya::TxnId(rank as u64),
+            index: op_of.get(at).copied().unwrap_or(NOT_AN_OP),
+        },
+        None => adya::OpRef {
+            txn: adya::TxnId(u64::MAX),
+            index: NOT_AN_OP,
+        },
     });
     builder.set_version_order(version_order.collect());
     let history = builder.finish();
@@ -145,10 +152,13 @@ pub fn verify_isolation(
         return Err(mismatch("length differs from last-modification count"));
     }
     let mut seen = vec![false; entries];
-    for (pos, write) in advice.write_order.iter().zip(history.version_order()) {
-        let Some((_, at, entry)) = locate(pos) else {
+    for ((_, index), write) in advice.write_order.iter().zip(history.version_order()) {
+        let rank = usize::try_from(write.txn.0).unwrap_or(usize::MAX);
+        let entry = logs.get(rank).and_then(|(_, log)| log.get(*index as usize));
+        let (Some(start), Some(entry)) = (log_starts.get(rank), entry) else {
             return Err(mismatch("entry not in any log"));
         };
+        let at = start + *index as usize;
         // `at` lies inside its log, so inside `seen`.
         if std::mem::replace(&mut seen[at], true) {
             return Err(mismatch("duplicate entry"));

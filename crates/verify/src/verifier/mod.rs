@@ -99,24 +99,7 @@ impl Auditor {
         bytes: &[u8],
         isolation: adya::IsolationLevel,
     ) -> Result<AuditReport, Box<AuditFailure>> {
-        audit_bytes(self, program, trace, bytes, isolation, Mode::Grouped)
-    }
-
-    /// `OOOAudit` (Fig. 22): audits with *ungrouped*, out-of-order
-    /// re-execution — the executor the paper's Completeness/Soundness
-    /// proofs are stated over. Slower than [`Auditor::audit`] (no
-    /// batching), but it ignores the control-flow tags entirely, and
-    /// Lemma 3 says the two must agree on every honest input. Replay
-    /// itself is serial; `threads` parallelizes the preprocess sections
-    /// and the per-variable graph assembly.
-    pub fn ooo_audit(
-        &self,
-        program: &Program,
-        trace: &Trace,
-        bytes: &[u8],
-        isolation: adya::IsolationLevel,
-    ) -> Result<AuditReport, Box<AuditFailure>> {
-        audit_bytes(self, program, trace, bytes, isolation, Mode::Ungrouped)
+        audit_bytes(self, program, trace, bytes, isolation)
     }
 
     /// The concrete thread count (`0` resolved to the core count).
@@ -239,23 +222,11 @@ fn check_graph_volume(nodes: usize, edges: usize, limits: &Limits) -> Result<(),
     Ok(())
 }
 
-/// How the one root re-executes: the only thing [`Auditor::audit`] and
-/// [`Auditor::ooo_audit`] (Lemma 3's two sides) do differently.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Mode {
-    /// Re-execution batched by control-flow tag (Fig. 18), groups
-    /// spread over the threads: the production audit.
-    Grouped,
-    /// `OOOExec` (Fig. 22): every request on its own, tags ignored,
-    /// one queue on the calling thread.
-    Ungrouped,
-}
-
-/// The one audit, from wire bytes to verdict: both of [`Auditor`]'s
-/// methods are a call to this. It owns the one [`LayerClock`], the byte
-/// and node budgets in front of the decoder, the `catch_unwind` backstop
-/// and the one [`conclude`], so no audit reaches `preprocess_staged`
-/// without all four (DESIGN.md §4).
+/// The one audit, from wire bytes to verdict: [`Auditor::audit`] is a
+/// call to this. It owns the one [`LayerClock`], the byte and node
+/// budgets in front of the decoder, the `catch_unwind` backstop and the
+/// one [`conclude`], so no audit reaches `preprocess_staged` without all
+/// four (DESIGN.md §4).
 ///
 /// The advice is attacker-controlled and a panic in the verifier would
 /// be a denial-of-audit, so any residual panic is converted into
@@ -272,7 +243,6 @@ fn audit_bytes(
     trace: &Trace,
     bytes: &[u8],
     isolation: adya::IsolationLevel,
-    mode: Mode,
 ) -> Result<AuditReport, Box<AuditFailure>> {
     let (limits, obs) = (&auditor.limits, &auditor.obs);
     let mut clock = LayerClock::start(obs, Layer::Decode);
@@ -338,9 +308,7 @@ fn audit_bytes(
                 ("inline_containers", decode_stats.inline_containers),
             ],
         );
-        audit_decoded(
-            auditor, program, trace, &advice, isolation, &mut clock, mode,
-        )
+        audit_decoded(auditor, program, trace, &advice, isolation, &mut clock)
         // The view, the interner and the advice drop here, in the layer
         // the audit left the clock in: teardown on ACCEPT.
     }))
@@ -392,7 +360,6 @@ fn audit_decoded<'a>(
     advice: &'a AdviceRef<'a>,
     isolation: adya::IsolationLevel,
     clock: &mut LayerClock<'_>,
-    mode: Mode,
 ) -> Result<AuditReport, Box<AuditFailure>> {
     let (limits, obs) = (&auditor.limits, clock.obs());
     let threads = auditor.effective_threads();
@@ -437,10 +404,9 @@ fn audit_decoded<'a>(
     init_vars(program, &mut vars);
 
     // ReExec. The calling thread merges the deferred preprocess edges
-    // into `G` while replay runs (replay never reads the graph).
-    // Grouped, each group is replayed whole and its unit streams into
-    // the global state in ascending order as it lands; ungrouped, the
-    // whole run is one unit, merged the same way.
+    // into `G` while replay runs (replay never reads the graph). Each
+    // group is replayed whole and its unit streams into the global
+    // state in ascending order as it lands.
     clock.enter(Layer::Replay, &[]);
     let mut graph = std::mem::take(&mut pre.graph);
     let executor = ReExecutor::new(program, trace, advice, &pre, &mut vars)
@@ -456,10 +422,7 @@ fn audit_decoded<'a>(
             obs.record_span("edge-merge", 0, espan, &[("edges", edges)]);
         }
     };
-    let (reexec, timing) = match mode {
-        Mode::Grouped => executor.run_pipelined(threads, merge_edges),
-        Mode::Ungrouped => executor.run_ungrouped(merge_edges),
-    }?;
+    let (reexec, timing) = executor.run_pipelined(threads, merge_edges)?;
     clock.carve(Layer::StateMerge, timing.state_merge);
 
     obs.count(CounterId::GroupsFormed, reexec.groups as u64);

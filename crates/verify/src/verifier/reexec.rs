@@ -33,13 +33,16 @@
 //! merge.
 //!
 //! [`ReExecutor`] holds only what the audit hands replay; a private
-//! `Worker` owns one replay unit — its variable state, tables, meter
-//! and VM buffers — and `Worker::finish` turns it into the unit the merge
-//! applies. Both paths build units that way: a group each in
-//! [`ReExecutor::run_pipelined`], and the whole run as one unit in
-//! [`ReExecutor::run_ungrouped`] (`OOOAudit`, every request a singleton
-//! on one queue). Every unit records its shared-variable accesses
+//! `Worker` owns one group's replay — its variable state, tables, meter
+//! and VM buffers — and `Worker::finish` turns it into the unit the
+//! merge applies. Every unit records its shared-variable accesses
 //! (`GroupVars`); none writes the global state while it replays.
+//!
+//! There is one replay mode. The paper's ungrouped `OOOExec` (Fig. 22),
+//! which Lemma 3 shows the batched replay equivalent to, is this same
+//! replay over advice whose tags put every request in a group of its
+//! own (`faultinject::singleton_tags` in the `karousos` crate writes
+//! those bytes).
 //!
 //! A unit that fails — a check, a budget, or a panic the pool caught —
 //! is merged like any other: its recorded accesses first, then its
@@ -195,9 +198,8 @@ struct GroupRun {
     obs: ObsShard,
 }
 
-/// The re-executor: what the audit hands replay. Each replay unit — a
-/// control-flow group, or for the ungrouped replay every traced request
-/// at once — is replayed by a worker of its own, and the units are
+/// The re-executor: what the audit hands replay. Each control-flow
+/// group is replayed by a worker of its own, and the groups' units are
 /// merged into `global` in order.
 pub struct ReExecutor<'a> {
     program: &'a Program,
@@ -216,11 +218,10 @@ pub struct ReExecutor<'a> {
     obs: Obs,
 }
 
-/// A replay unit's fuel/deadline meter (DESIGN.md §10), armed when its
-/// worker is built: fuel `spent` against `limit` (`limits.replay_fuel`,
-/// scaled), the wall clock polled at `next_poll` against `deadline`
-/// (`deadline_ms` long; forensics), and the width cap. `group` is
-/// `None` for the ungrouped replay.
+/// A group's fuel/deadline meter (DESIGN.md §10), armed when its worker
+/// is built: fuel `spent` against `limit` (`limits.replay_fuel`), the
+/// wall clock polled at `next_poll` against `deadline` (`deadline_ms`
+/// long; forensics), and the width cap.
 struct Meter {
     spent: u64,
     limit: u64,
@@ -228,11 +229,10 @@ struct Meter {
     deadline: Option<Instant>,
     deadline_ms: u64,
     next_poll: u64,
-    group: Option<u64>,
+    group: u64,
 }
 
-/// One replay unit's worker: the state a group's replay — or the
-/// ungrouped replay's, over every request — owns, consumed by
+/// One group's worker: the state its replay owns, consumed by
 /// [`Worker::finish`] into the unit the merge applies.
 struct Worker<'a> {
     program: &'a Program,
@@ -245,9 +245,8 @@ struct Worker<'a> {
     rng: rand::rngs::SmallRng,
     /// Per-request copies of non-loggable shared variables (assumed
     /// R-ordered, §5 — effectively request-local or init-constant): by
-    /// variable, then by the request's [`Group::nonlog_slot`]. A
-    /// variable's row appears with its first write and is as long as
-    /// the members this worker replays.
+    /// variable, then by group member. A variable's row appears with
+    /// its first write and is as long as the group.
     nonlog: Vec<Vec<Option<Value>>>,
     /// Transaction-token table: token integer → transaction and how
     /// far into its log re-execution has got.
@@ -369,10 +368,6 @@ struct Group<'a> {
     slices: Vec<Range<u32>>,
     /// Each member's handler log (empty when the advice has none).
     handler_logs: Vec<&'a [HandlerLogEntryView<'a>]>,
-    /// Where member 0's copies of the non-loggable variables sit in the
-    /// worker's table; member `i`'s sit `i` further. `0` when the
-    /// worker replays this group only.
-    nonlog_slot: usize,
 }
 
 impl<'a> Group<'a> {
@@ -388,7 +383,6 @@ impl<'a> Group<'a> {
             ranks,
             slices,
             handler_logs,
-            nonlog_slot: 0,
         }
     }
 
@@ -473,10 +467,8 @@ impl<'a> ReExecutor<'a> {
         self
     }
 
-    /// Installs resource budgets (DESIGN.md §10). Grouped runs arm a
-    /// fresh per-group fuel/deadline meter from these for every group;
-    /// the ungrouped single-pass replay arms one meter scaled by the
-    /// request count (its one pass does every request's work).
+    /// Installs resource budgets (DESIGN.md §10): every group's worker
+    /// arms a fresh fuel/deadline meter from these.
     pub fn with_limits(mut self, limits: Limits) -> Self {
         self.limits = limits;
         self
@@ -571,7 +563,7 @@ impl<'a> ReExecutor<'a> {
             let t_group = shard.span_start();
             let written = store(lane).map(|mut store| std::mem::take(&mut *store));
             let vars = init_vars.fresh(pre.var_index.entries_of(rids), written.unwrap_or_default());
-            let meter = Meter::arm(&self.limits, Some(gidx as u64), 1);
+            let meter = Meter::arm(&self.limits, gidx as u64);
             let mut worker = Worker::new(program, advice, pre, self.schedule, vars, meter);
             let error = worker
                 .run_group(Group::new(rids.to_vec(), advice, &pre.coords), exchanges)
@@ -639,78 +631,20 @@ impl<'a> ReExecutor<'a> {
         let (stats, state_merge) = merged?;
         Ok((stats, ReexecTiming::split(t_section, state_merge)))
     }
-
-    /// `OOOExec` (Fig. 22): out-of-order re-execution *without*
-    /// grouping — every request is its own singleton group and all
-    /// requests' handler activations share one global queue, drained in
-    /// any well-formed order. This is the executor the paper's proofs
-    /// reason about; [`ReExecutor::run_pipelined`] is the batched
-    /// production variant shown equivalent to it by Lemma 3.
-    ///
-    /// The whole run is one replay unit on the calling thread, after
-    /// `overlap`: it records its accesses like a group and meets the
-    /// same merge. Control-flow tags are ignored (OOOAudit does not
-    /// group), so this also audits advice from servers that decline to
-    /// tag.
-    pub fn run_ungrouped<F: FnOnce()>(
-        self,
-        overlap: F,
-    ) -> Result<(ReexecStats, ReexecTiming), RejectReason> {
-        let t_section = Instant::now();
-        overlap();
-        let (program, advice, pre) = (self.program, self.advice, self.pre);
-        let order = self.trace.request_ids();
-        let exchanges = self.trace.exchanges();
-        // One worker replays every singleton group, so each gets its
-        // own slot of the non-loggable table: its place in the trace.
-        let groups: Vec<Group<'a>> = order
-            .iter()
-            .enumerate()
-            .map(|(nonlog_slot, rid)| Group {
-                nonlog_slot,
-                ..Group::new(vec![*rid], advice, &pre.coords)
-            })
-            .collect();
-        let init_vars = self.global.group_vars();
-        let replay = |_| {
-            let vars = init_vars.fresh(pre.var_index.entries_of(&order), Written::default());
-            // One pass does every request's work, so its one meter is
-            // scaled by the request count (the grouped path budgets per
-            // group).
-            let meter = Meter::arm(&self.limits, None, order.len() as u64);
-            let mut worker = Worker::new(program, advice, pre, self.schedule, vars, meter);
-            let error = worker.run_interleaved(&groups, &exchanges).err();
-            Ok(worker.finish(error, ObsShard::disabled()).0)
-        };
-        let merge = Merge::new(
-            self.global,
-            advice,
-            pre,
-            &self.obs,
-            order.len(),
-            order.len(),
-        );
-        let (stats, state_merge) = merge.run(1, &exchanges, replay)?;
-        Ok((stats, ReexecTiming::split(t_section, state_merge)))
-    }
 }
 
 impl Meter {
-    /// A meter armed from `limits` for `group`. `scale` is `1` for a
-    /// group and the request count for the ungrouped replay.
-    fn arm(limits: &Limits, group: Option<u64>, scale: u64) -> Self {
-        let scale = scale.max(1);
+    /// A meter armed from `limits` for `group`.
+    fn arm(limits: &Limits, group: u64) -> Self {
         Meter {
             spent: 0,
-            limit: limits.replay_fuel.saturating_mul(scale),
+            limit: limits.replay_fuel,
             max_group_width: limits.max_group_width,
             // `u64::MAX` (or an Instant overflow) disables the deadline.
             deadline: if limits.group_deadline_ms == u64::MAX {
                 None
             } else {
-                Instant::now().checked_add(Duration::from_millis(
-                    limits.group_deadline_ms.saturating_mul(scale),
-                ))
+                Instant::now().checked_add(Duration::from_millis(limits.group_deadline_ms))
             },
             deadline_ms: limits.group_deadline_ms,
             next_poll: DEADLINE_POLL_INTERVAL,
@@ -734,7 +668,7 @@ impl Meter {
             self.spent = self.limit.saturating_add(1);
             return Err(RejectReason::ResourceExhausted {
                 resource: ResourceKind::ReplayFuel,
-                group: self.group,
+                group: Some(self.group),
                 spent: self.spent,
                 limit: self.limit,
             });
@@ -757,7 +691,7 @@ impl Meter {
             let over = now.duration_since(deadline).as_millis() as u64;
             return Err(RejectReason::ResourceExhausted {
                 resource: ResourceKind::GroupDeadline,
-                group: self.group,
+                group: Some(self.group),
                 spent: self.deadline_ms.saturating_add(over),
                 limit: self.deadline_ms,
             });
@@ -767,10 +701,10 @@ impl Meter {
 }
 
 impl<'a> Worker<'a> {
-    /// A worker for one unit over `vars`, metered by `meter`. A `Random`
-    /// schedule draws from an RNG seeded by the schedule's seed and, for
-    /// a group, its index, so draw sequences never depend on how groups
-    /// are distributed over workers.
+    /// A worker for one group over `vars`, metered by `meter`. A `Random`
+    /// schedule draws from an RNG seeded by the schedule's seed and the
+    /// group's index, so draw sequences never depend on how groups are
+    /// distributed over workers.
     fn new(
         program: &'a Program,
         advice: &'a AdviceRef<'a>,
@@ -779,11 +713,10 @@ impl<'a> Worker<'a> {
         vars: GroupVars,
         meter: Meter,
     ) -> Self {
-        let seed = match (schedule, meter.group) {
-            (ReplaySchedule::Random { seed }, Some(g)) => {
-                seed ^ (g + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        let seed = match schedule {
+            ReplaySchedule::Random { seed } => {
+                seed ^ (meter.group + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)
             }
-            (ReplaySchedule::Random { seed }, None) => seed,
             _ => 0,
         };
         Worker {
@@ -806,7 +739,7 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// Ends the unit's replay — `error` is how it failed, if it did —
+    /// Ends the group's replay — `error` is how it failed, if it did —
     /// and hands what the merge applies over, with `obs`, the shard the
     /// unit's telemetry goes to, and the variable store back, cleared.
     fn finish(self, error: Option<RejectReason>, obs: ObsShard) -> (GroupRun, Written) {
@@ -827,8 +760,8 @@ impl<'a> Worker<'a> {
         (run, written)
     }
 
-    /// Draws the next handler from an active queue per the schedule.
-    fn next_active<T>(&mut self, active: &mut VecDeque<T>) -> Option<T> {
+    /// Draws the next handler from the group's queue per the schedule.
+    fn next_active(&mut self, active: &mut Queue) -> Option<Pending> {
         match self.schedule {
             ReplaySchedule::Fifo => active.pop_front(),
             ReplaySchedule::Lifo => active.pop_back(),
@@ -843,31 +776,6 @@ impl<'a> Worker<'a> {
         }
     }
 
-    /// `OOOExec`'s replay: the singleton `groups`, in trace order, their
-    /// handler activations on one global queue drained with the
-    /// schedule. Children go back into the same queue, so requests'
-    /// handlers interleave freely.
-    fn run_interleaved(
-        &mut self,
-        groups: &[Group<'a>],
-        trace: &[Exchange<'_>],
-    ) -> Result<(), RejectReason> {
-        // One global queue of (singleton group, activated handler).
-        let mut active: VecDeque<(usize, Pending)> = VecDeque::new();
-        for (gi, (x, g)) in trace.iter().zip(groups).enumerate() {
-            let mut roots = Queue::new();
-            self.enqueue_roots(g, &mut roots, &MultiValue::uniform(x.input.clone()))?;
-            active.extend(roots.into_iter().map(|root| (gi, root)));
-        }
-        while let Some((gi, pending)) = self.next_active(&mut active) {
-            let Some(g) = groups.get(gi) else { continue };
-            let mut children = Queue::new();
-            self.exec_handler(g, &mut children, pending)?;
-            active.extend(children.into_iter().map(|child| (gi, child)));
-        }
-        Ok(())
-    }
-
     fn run_group(&mut self, g: Group<'a>, trace: &[Exchange<'_>]) -> Result<(), RejectReason> {
         // Width cap: a forged control-flow tag that collapses many
         // requests into one group multiplies every MultiValue by the
@@ -876,7 +784,7 @@ impl<'a> Worker<'a> {
         if (g.n() as u64) > self.meter.max_group_width {
             return Err(RejectReason::ResourceExhausted {
                 resource: ResourceKind::GroupWidth,
-                group: self.meter.group,
+                group: Some(self.meter.group),
                 spent: g.n() as u64,
                 limit: self.meter.max_group_width,
             });
@@ -1279,8 +1187,7 @@ impl Machine for Replay<'_, '_> {
         if !loggable {
             let init = &ex.program.var(var).init;
             let row = ex.nonlog.get(var.0 as usize).map_or(&[][..], Vec::as_slice);
-            let copies = row.get(g.nonlog_slot..).unwrap_or(&[]);
-            let copy = |i: usize| copies.get(i).and_then(Option::as_ref).unwrap_or(init);
+            let copy = |i: usize| row.get(i).and_then(Option::as_ref).unwrap_or(init);
             return MultiValue::collect(g.n(), |i| Ok(copy(i).clone()));
         }
         self.bump()?;
@@ -1308,16 +1215,15 @@ impl Machine for Replay<'_, '_> {
         let n = self.g.n();
         if !loggable {
             let v = w.build(n).map_err(VmError::Op)?;
-            let (nonlog, first) = (&mut self.ex.nonlog, self.g.nonlog_slot);
-            let slot = var.0 as usize;
+            let (nonlog, slot) = (&mut self.ex.nonlog, var.0 as usize);
             if slot >= nonlog.len() {
                 nonlog.resize_with(slot + 1, Vec::new);
             }
             let row = &mut nonlog[slot];
-            if row.len() < first + n {
-                row.resize(first + n, None);
+            if row.len() < n {
+                row.resize(n, None);
             }
-            for (copy, val) in row[first..first + n].iter_mut().zip(v.iter(n)) {
+            for (copy, val) in row.iter_mut().zip(v.iter(n)) {
                 *copy = Some(val.clone());
             }
             return Ok(());

@@ -24,9 +24,8 @@
 //!   or the initialization.
 //! * **apply** ([`VarStates::apply_read`], [`VarStates::apply_write`])
 //!   records the outcome in the whole-audit [`WriteTable`] and runs the
-//!   checks another group can fail. Every replay unit — a group, or the
-//!   ungrouped replay's one unit — resolves into a [`GroupVars`], and
-//!   the merge applies each unit's stream in order
+//!   checks another group can fail. Every group resolves into a
+//!   [`GroupVars`], and the merge applies each group's stream in order
 //!   ([`VarStates::merge_group`]). [`VarStates::on_read`] /
 //!   [`VarStates::on_write`] run the halves back to back, as
 //!   Figs. 20–21 print them: the reference the tests hold the split to.
@@ -451,11 +450,10 @@ enum VarEvent {
     Refused(RejectReason),
 }
 
-/// The variable state of one replay unit (a group, or the ungrouped
-/// replay's every request): the shared initialization writes, the
-/// writes the unit re-executes, and its accesses. A chain conflict
-/// between two of the unit's own writes stops the unit where the
-/// sequential audit stops.
+/// The variable state of one group's replay: the shared initialization
+/// writes, the writes the group re-executes, and its accesses. A chain
+/// conflict between two of the group's own writes stops the group where
+/// the sequential audit stops.
 #[doc(hidden)]
 #[derive(Debug)]
 pub struct GroupVars {

@@ -1,11 +1,15 @@
 //! Lemma 3 in practice: batched `Audit` and ungrouped `OOOAudit`
 //! (Fig. 22) agree — on honest runs (both ACCEPT) and on forgeries
 //! (both REJECT) — across apps, schedules, and seeds.
+//!
+//! `OOOAudit` is the one audit over the same bytes with every traced
+//! request given a tag of its own (`singleton_tags`): every request
+//! replays as a group of one, whatever the server tagged.
 
 use apps::App;
 use karousos::{
-    encode_advice, run_instrumented_server, Advice, AuditReport, Auditor, CollectorMode, Limits,
-    RejectReason, ReplaySchedule, ResourceKind,
+    encode_advice, run_instrumented_server, singleton_tags, Advice, AuditReport, Auditor,
+    CollectorMode, Limits, RejectReason, ReplaySchedule, ResourceKind,
 };
 use kvstore::IsolationLevel;
 use workload::{Experiment, Mix};
@@ -43,7 +47,8 @@ fn audit(
     audited.map_err(|failure| failure.reason)
 }
 
-/// `OOOAudit` of `a`'s encoding, draining its queue in `schedule` order.
+/// `OOOAudit` of `a`'s encoding: its singleton-tag rewrite audited,
+/// each group's queue drained in `schedule` order.
 fn ooo_of(
     p: &kem::Program,
     t: &kem::Trace,
@@ -54,7 +59,8 @@ fn ooo_of(
         schedule,
         ..Auditor::default()
     };
-    let audited = auditor.ooo_audit(p, t, &encode_advice(a), SER);
+    let bytes = singleton_tags(&encode_advice(a), t).expect("honest tags parse");
+    let audited = auditor.audit(p, t, &bytes, SER);
     audited.map_err(|failure| failure.reason)
 }
 
@@ -140,54 +146,15 @@ fn ooo_audit_ignores_tags_entirely() {
     ooo_of(&p, &t, &a, ReplaySchedule::Fifo).expect("OOOAudit succeeds without tags");
 }
 
-/// `OOOAudit` starts at the bytes like every audit, so the decoder's
-/// budgets stand in front of it too.
+/// The batched audit arms a fresh meter per group, so `OOOAudit`'s
+/// singleton groups are metered one request at a time. Either way the
+/// first over-budget group stops its meter at `limit + 1`.
 #[test]
-fn ooo_audit_decodes_under_the_budgets() {
+fn ooo_audit_meters_each_group() {
     let (p, t, a) = honest(App::Wiki, Mix::Wiki, 25, 4, 1);
     let bytes = encode_advice(&a);
-    let (few_bytes, few_nodes) = (
-        Limits {
-            decode_max_bytes: 16,
-            ..Limits::default()
-        },
-        Limits {
-            decode_max_nodes: 8,
-            ..Limits::default()
-        },
-    );
-    for (limits, tripped) in [
-        (few_bytes, ResourceKind::DecodeBytes),
-        (few_nodes, ResourceKind::DecodeNodes),
-    ] {
-        let auditor = Auditor {
-            limits,
-            ..Auditor::default()
-        };
-        match auditor.ooo_audit(&p, &t, &bytes, SER).map_err(|f| f.reason) {
-            Err(RejectReason::ResourceExhausted { resource, .. }) => assert_eq!(resource, tripped),
-            other => panic!("expected {tripped:?} exhaustion, got {other:?}"),
-        }
-    }
-}
-
-/// `OOOAudit` replays every request on one meter, armed once and scaled
-/// by the request count; the batched audit arms a fresh meter per group.
-/// Either way the first over-budget unit stops the meter at
-/// `limit + 1`.
-#[test]
-fn ooo_audit_meters_the_whole_run_once() {
-    let (p, t, a) = honest(App::Wiki, Mix::Wiki, 25, 4, 1);
-    let bytes = encode_advice(&a);
-    let exhausted = |group, spent, limit| {
-        Some(RejectReason::ResourceExhausted {
-            resource: ResourceKind::ReplayFuel,
-            group,
-            spent,
-            limit,
-        })
-    };
-    for (fuel, ooo_spent, group_spent) in [(1, 26, 2), (100, 2501, 101)] {
+    let singletons = singleton_tags(&bytes, &t).unwrap();
+    for (fuel, group_spent) in [(1, 2), (100, 101)] {
         let auditor = Auditor {
             limits: Limits {
                 replay_fuel: fuel,
@@ -195,19 +162,17 @@ fn ooo_audit_meters_the_whole_run_once() {
             },
             ..Auditor::default()
         };
-        assert_eq!(
-            auditor
-                .ooo_audit(&p, &t, &bytes, SER)
-                .err()
-                .map(|f| f.reason),
-            exhausted(None, ooo_spent, fuel * 25),
-            "OOOAudit at replay_fuel {fuel}"
-        );
-        let grouped = auditor.audit(&p, &t, &bytes, SER);
-        assert_eq!(
-            grouped.err().map(|f| f.reason),
-            exhausted(Some(0), group_spent, fuel),
-            "batched audit at replay_fuel {fuel}"
-        );
+        for (audit, advice) in [("batched audit", &bytes), ("OOOAudit", &singletons)] {
+            assert_eq!(
+                auditor.audit(&p, &t, advice, SER).err().map(|f| f.reason),
+                Some(RejectReason::ResourceExhausted {
+                    resource: ResourceKind::ReplayFuel,
+                    group: Some(0),
+                    spent: group_spent,
+                    limit: fuel,
+                }),
+                "{audit} at replay_fuel {fuel}"
+            );
+        }
     }
 }

@@ -1,8 +1,10 @@
 //! Randomized Completeness: honest runs accept across randomly drawn
-//! configurations (app, mix, seed, concurrency, isolation, mode).
+//! configurations (app, mix, seed, concurrency, isolation, mode) — and
+//! so does Lemma 3's ungrouped side, the same bytes with every request
+//! tagged on its own, with the same execution graph.
 
 use apps::App;
-use karousos::{encode_advice, run_instrumented_server, Auditor, CollectorMode};
+use karousos::{encode_advice, run_instrumented_server, singleton_tags, Auditor, CollectorMode};
 use kvstore::IsolationLevel;
 use proptest::prelude::*;
 use workload::{Experiment, Mix};
@@ -38,12 +40,32 @@ proptest! {
 
         // Audit through the wire form, exercising codec + verifier.
         let bytes = encode_advice(&advice);
-        let report = Auditor::default().audit(&program, &out.trace, &bytes, isolation);
+        let run = format!(
+            "{} {} c={} seed={} iso={} {:?}",
+            app.name(), mix.name(), concurrency, seed, isolation, mode
+        );
+        let report = Auditor::default()
+            .audit(&program, &out.trace, &bytes, isolation)
+            .map_err(|e| TestCaseError::fail(format!("rejected honest run: {run}: {e}")))?;
+
+        // Lemma 3: every request a group of its own agrees with the
+        // batched audit.
+        let singletons = singleton_tags(&bytes, &out.trace).expect("honest tags parse");
+        let ooo = Auditor::default()
+            .audit(&program, &out.trace, &singletons, isolation)
+            .map_err(|e| TestCaseError::fail(format!("OOOAudit rejected {run}: {e}")))?;
+        prop_assert_eq!(report.graph_nodes, ooo.graph_nodes, "{}", run);
+        prop_assert_eq!(report.graph_edges, ooo.graph_edges, "{}", run);
+        prop_assert_eq!(
+            report.reexec.activations_covered,
+            ooo.reexec.activations_covered,
+            "{}",
+            run
+        );
         prop_assert!(
-            report.is_ok(),
-            "rejected honest run: {} {} c={} seed={} iso={} {:?}: {}",
-            app.name(), mix.name(), concurrency, seed, isolation, mode,
-            report.unwrap_err()
+            report.reexec.handlers_executed <= ooo.reexec.handlers_executed,
+            "{}",
+            run
         );
     }
 }

@@ -13,8 +13,9 @@
 //! and reference must agree on every response, or on the error the run
 //! stopped with, and on scheduler steps, activations and fuel. A run that
 //! completes is then audited: the grouped audit (multivalue VM) must
-//! ACCEPT, and so must `Auditor::ooo_audit` (Lemma 3; singleton groups,
-//! so the same VM on single values), at the reference's step count.
+//! ACCEPT, and so must the same bytes with every request tagged on its
+//! own (`singleton_tags`; Lemma 3's ungrouped side, so the same VM on
+//! single values), at the reference's fuel.
 
 mod common;
 
@@ -22,7 +23,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use common::{bin, Rng};
 
-use karousos::{encode_advice, run_instrumented_server, Auditor, CollectorMode};
+use karousos::{encode_advice, run_instrumented_server, singleton_tags, Auditor, CollectorMode};
 use kem::dsl::*;
 use kem::{
     BinOp, ExecHooks, Expr, FunctionId, HandlerId, OpRef, Program, ProgramBuilder, RequestId,
@@ -605,7 +606,8 @@ fn check(
     let (auditor, bytes) = (Auditor::default(), encode_advice(&advice));
     let grouped = auditor.audit(&program, &run.trace, &bytes, Serializable);
     prop_assert!(grouped.is_ok(), "honest run rejected: {:?}", grouped.err());
-    let ooo = auditor.ooo_audit(&program, &run.trace, &bytes, Serializable);
+    let singletons = singleton_tags(&bytes, &run.trace).expect("honest tags parse");
+    let ooo = auditor.audit(&program, &run.trace, &singletons, Serializable);
     let fuel = ooo
         .map(|report| report.reexec.fuel_spent)
         .map_err(|f| f.reason);

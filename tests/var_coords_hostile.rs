@@ -29,9 +29,12 @@
 //!   log they name.
 //!
 //! Every verdict — [`RejectReason::kind`] and message, or the ACCEPT
-//! fingerprint — is compared, at `threads ∈ {1, 4}` and under
-//! `Auditor::ooo_audit`, with `tests/var_coords_hostile.tsv`. The table
-//! is data: it was produced by the `OpRef`-keyed variable state, and the
+//! fingerprint — is compared, at `threads ∈ {1, 4}` and under Lemma 3's
+//! ungrouped audit, with `tests/var_coords_hostile.tsv`. That audit, the
+//! `ooo` column, is the one audit on one thread over the same bytes
+//! with every traced request given a tag of its own
+//! (`singleton_tags`): every request replays as a group of one. The
+//! table is data: it was produced by the `OpRef`-keyed variable state, and the
 //! coordinate-indexed one has to reproduce it. To regenerate after a
 //! change that is *meant* to move a verdict, replace it with the
 //! `var_coords_hostile.actual.tsv` the failing run writes to
@@ -99,7 +102,7 @@ impl Fixture {
     }
 
     /// The three verdicts of one advice: grouped on one and on four
-    /// threads, and ungrouped.
+    /// threads, and every request a group of its own.
     fn verdicts(&self, bytes: &[u8]) -> [(&'static str, String); 3] {
         let (program, trace, isolation) = (&self.program, &self.trace, self.isolation);
         let grouped = |threads| {
@@ -109,7 +112,8 @@ impl Fixture {
             };
             render(auditor.audit(program, trace, bytes, isolation))
         };
-        let ooo = render(Auditor::default().ooo_audit(program, trace, bytes, isolation));
+        let singletons = karousos::singleton_tags(bytes, trace).expect("the tags section parses");
+        let ooo = render(Auditor::default().audit(program, trace, &singletons, isolation));
         [("t1", grouped(1)), ("t4", grouped(4)), ("ooo", ooo)]
     }
 
