@@ -299,6 +299,15 @@ impl Coords {
         self.acts.get(i as usize)
     }
 
+    /// Node id of the operation that activated `act`: the `opnum` of
+    /// its handler id, within its parent activation. `None` for a
+    /// request handler, and where the advice reports no such parent or
+    /// operation.
+    pub(crate) fn activator(&self, act: &Activation) -> Option<u32> {
+        let parent = self.acts.get(act.parent()? as usize)?;
+        parent.op(self.hid(act)?.opnum())
+    }
+
     /// Node id of the operation `op`, built by hand, if the advice
     /// reports its handler and the opnum is within the reported count.
     pub fn op_node(&self, op: &OpRef) -> Option<u32> {
@@ -520,11 +529,6 @@ impl<T> NodeRows<'_, T> {
             }
             _ => false,
         }
-    }
-
-    /// Nodes in the range.
-    pub(crate) fn nodes(&self) -> usize {
-        self.slots.len()
     }
 
     /// Room for `entries` more entries.
