@@ -905,7 +905,10 @@ mod tests {
         let entries = view.var_logs.iter().flat_map(|(_, log)| log.iter());
         entries
             .map(|(op, e)| {
-                let value = e.value.as_ref().map(|v| v.value().clone());
+                let value = e
+                    .value
+                    .and_then(|id| view.value(id))
+                    .map(|v| v.value().clone());
                 let prec = e.prec.map(|prec| view.paths.op_ref(&prec));
                 (view.paths.op_ref(op), e.access, value, prec)
             })

@@ -900,20 +900,8 @@ fn offset_in(bytes: &[u8], part: &[u8]) -> usize {
 /// The references in logged write values (var-log writes and
 /// transactional `PUT`s), at any depth.
 fn logged_refs(bytes: &[u8], view: &AdviceView<'_>) -> Vec<LoggedRef> {
-    let writes = view
-        .var_logs
-        .iter()
-        .flat_map(|(_, log)| log.iter().filter_map(|(_, e)| e.value.as_ref()));
-    let puts = view
-        .tx_logs
-        .iter()
-        .flat_map(|(_, log)| log.iter())
-        .filter_map(|e| match &e.contents {
-            TxOpContentsView::Put { value } => Some(value),
-            _ => None,
-        });
     let mut refs = Vec::new();
-    for raw in writes.chain(puts) {
+    for raw in &view.values {
         let at = offset_in(bytes, raw.bytes());
         // The view validated these bytes, so the scan reaches the end.
         let _ = refs_in(bytes, at, &mut refs);
@@ -1495,23 +1483,21 @@ fn reranked(view: &mut AdviceView<'_>, paths: HidTable) -> Option<()> {
     let re = |rank: &mut u32| *rank = map[*rank as usize];
     let at = |at: &mut OpAt| re(&mut at.path);
     view.hids.iter_mut().for_each(re);
-    for entry in view.handler_logs.iter_mut().flat_map(|(_, log)| log) {
+    for entry in &mut view.handler_logs.entries {
         re(&mut entry.path);
     }
     for (op, entry) in view.var_logs.iter_mut().flat_map(|(_, log)| log) {
         at(op);
         entry.prec.as_mut().map(at);
     }
-    for (tx, log) in &mut view.tx_logs {
-        at(tx);
-        for entry in log {
-            re(&mut entry.path);
-            if let TxOpContentsView::Get {
-                from: Some((tx, _)),
-            } = &mut entry.contents
-            {
-                at(tx);
-            }
+    view.tx_logs.index.iter_mut().for_each(|(tx, _)| at(tx));
+    for entry in &mut view.tx_logs.entries {
+        re(&mut entry.path);
+        if let TxOpContentsView::Get {
+            from: Some((tx, _)),
+        } = &mut entry.contents
+        {
+            at(tx);
         }
     }
     view.write_order.iter_mut().for_each(|(tx, _)| at(tx));

@@ -441,6 +441,15 @@ impl<'e> Encoder<'e> {
         self.buf.extend_from_slice(v.bytes());
     }
 
+    /// A logged value of a view, verbatim; a null for an index the
+    /// view's value table lacks, which only a view edited by hand holds.
+    fn logged(&mut self, v: Option<&RawValue<'_>>) {
+        match v {
+            Some(v) => self.raw(v),
+            None => self.u8(NULL),
+        }
+    }
+
     fn rid(&mut self, r: RequestId) {
         self.uvar(r.0);
     }
@@ -1020,7 +1029,8 @@ pub fn decode_advice(bytes: &[u8]) -> Result<Advice, WireError> {
 pub trait AdviceViewExt {
     /// Converts to an owned [`Advice`]: the view's sections, each key
     /// once as the decoder left it, with every logged value a clone of
-    /// the one the decode built.
+    /// the one the decode built (a null for an index the view's value
+    /// table lacks).
     fn to_advice(&self) -> Advice;
 
     /// Re-serializes the view. Sections are written in stored order —
@@ -1038,7 +1048,7 @@ impl AdviceViewExt for AdviceView<'_> {
         for (rid, tag) in &self.tags {
             a.tags.insert(*rid, *tag);
         }
-        for (rid, log) in &self.handler_logs {
+        for (rid, log) in self.handler_logs.iter() {
             let entries = log
                 .iter()
                 .map(|e| HandlerLogEntry {
@@ -1069,19 +1079,20 @@ impl AdviceViewExt for AdviceView<'_> {
             index: *index,
         };
         let value = |raw: &RawValue<'_>| raw.value().clone();
+        let logged = |id: u32| self.value(id).map_or(Value::Null, value);
         for (var, log) in &self.var_logs {
             let mut entries = BTreeMap::new();
             for (op, e) in log {
                 let entry = VarLogEntry {
                     access: e.access,
-                    value: e.value.as_ref().map(value),
+                    value: e.value.map(logged),
                     prec: e.prec.map(|prec| paths.op_ref(&prec)),
                 };
                 entries.insert(paths.op_ref(op), entry);
             }
             a.var_logs.insert(*var, entries);
         }
-        for (tx, log) in &self.tx_logs {
+        for (tx, log) in self.tx_logs.iter() {
             let mut entries = Vec::with_capacity(log.len());
             for e in log {
                 entries.push(TxLogEntry {
@@ -1091,9 +1102,9 @@ impl AdviceViewExt for AdviceView<'_> {
                     key: e.key.map(str::to_string),
                     contents: match &e.contents {
                         TxOpContentsView::None => TxOpContents::None,
-                        TxOpContentsView::Put { value: raw } => {
-                            TxOpContents::Put { value: value(raw) }
-                        }
+                        TxOpContentsView::Put { value } => TxOpContents::Put {
+                            value: logged(*value),
+                        },
                         TxOpContentsView::Get { from } => TxOpContents::Get {
                             from: from.as_ref().map(txpos),
                         },
@@ -1125,8 +1136,8 @@ impl AdviceViewExt for AdviceView<'_> {
         }
         e.tables_here();
         e.tables_of(self);
-        e.uvar(self.handler_logs.len() as u64);
-        for (rid, log) in &self.handler_logs {
+        e.uvar(self.handler_logs.index.len() as u64);
+        for (rid, log) in self.handler_logs.iter() {
             e.rid(*rid);
             e.uvar(log.len() as u64);
             for entry in log {
@@ -1147,12 +1158,13 @@ impl AdviceViewExt for AdviceView<'_> {
             for (op, entry) in log {
                 e.op_at(paths, op);
                 e.u8(entry.access as u8);
-                e.opt(entry.value.as_ref(), Encoder::raw);
+                let value = entry.value.map(|id| self.value(id));
+                e.opt(value.as_ref(), |e, value| e.logged(*value));
                 e.opt(entry.prec.as_ref(), |e, prec| e.op_at(paths, prec));
             }
         }
-        e.uvar(self.tx_logs.len() as u64);
-        for (tx, log) in &self.tx_logs {
+        e.uvar(self.tx_logs.index.len() as u64);
+        for (tx, log) in self.tx_logs.iter() {
             e.op_at(paths, tx);
             e.uvar(log.len() as u64);
             for entry in log {
@@ -1162,7 +1174,7 @@ impl AdviceViewExt for AdviceView<'_> {
                     TxOpContentsView::None => e.u8(0),
                     TxOpContentsView::Put { value } => {
                         e.u8(1);
-                        e.raw(value);
+                        e.logged(self.value(*value));
                     }
                     TxOpContentsView::Get { from } => {
                         e.u8(2);
@@ -1467,7 +1479,7 @@ mod tests {
         let decoded: Vec<Value> = view.var_logs[0]
             .1
             .iter()
-            .filter_map(|(_, e)| e.value.as_ref().map(|raw| raw.value().clone()))
+            .filter_map(|(_, e)| view.value(e.value?).map(|raw| raw.value().clone()))
             .collect();
         assert_eq!(decoded, grown_maps(80));
         // Successive versions differ in one child of the root at most
@@ -1496,7 +1508,10 @@ mod tests {
         let (view, stats) = decode_advice_view_bounded(&bytes, u64::MAX).unwrap();
         assert_eq!((stats.pool_nodes, stats.pool_refs), (1, 3));
         assert_eq!(view.to_advice(), advice);
-        let value = |i: usize| view.var_logs[0].1[i].1.value.as_ref().map(RawValue::value);
+        let value = |i: usize| {
+            view.value(view.var_logs[0].1[i].1.value?)
+                .map(RawValue::value)
+        };
         let (Some(Value::Map(first)), Some(Value::Map(nested))) = (
             value(0),
             value(2).and_then(Value::as_list).and_then(|l| l.get(0)),

@@ -132,7 +132,7 @@ proptest! {
         trace.dedup();
         let coords = Arc::new(Coords::build(&trace, &advice).unwrap());
         let index = VarIndex::build(coords.clone(), &advice.var_logs).unwrap();
-        let log = index.log(&advice.var_logs, var);
+        let log = index.log(&advice, var);
         let node = |op: &OpRef| coords.op_node(op).expect("every handler is reported");
         let mut vs = VarStates::new();
         let init = OpRef::new(RequestId::INIT, init_handler_id(), 1);

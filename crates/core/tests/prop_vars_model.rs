@@ -683,12 +683,11 @@ proptest! {
         let bytes = encode_advice(&owned);
         let view = decode_advice_view(&bytes).unwrap();
         let advice = AdviceRef::from_view(&view, &mut kem::ValueInterner::new());
-        let var_logs = advice.var_logs;
         let mut trace: Vec<RequestId> = handlers.iter().map(|(rid, _)| *rid).collect();
         trace.sort();
         trace.dedup();
         let coords = Arc::new(Coords::build(&trace, &advice).unwrap());
-        let index = VarIndex::build(coords.clone(), &var_logs).unwrap();
+        let index = VarIndex::build(coords.clone(), &advice.var_logs).unwrap();
 
         let fresh = || {
             let mut vs = VarStates::new();
@@ -729,7 +728,7 @@ proptest! {
         let mut one = fresh();
         for (a, expected) in replay.iter().zip(&expected) {
             let node = coords.op_node(&a.at).unwrap();
-            let log = index.log(&var_logs, a.var);
+            let log = index.log(&advice, a.var);
             let got = match a.write {
                 Some(value) => one.on_write(a.var, node, Value::int(value), &log).map(|()| None),
                 None => one.on_read(a.var, node, &log).map(Some),
@@ -747,7 +746,7 @@ proptest! {
             let mut vars = merged.group_vars();
             for (i, a) in group.iter().enumerate() {
                 let node = coords.op_node(&a.at).unwrap();
-                let log = index.log(&var_logs, a.var);
+                let log = index.log(&advice, a.var);
                 let got = match a.write {
                     Some(value) => vars.on_write(a.var, node, Value::int(value), &log).map(|()| None),
                     None => vars.on_read(a.var, node, &log).map(Some),
@@ -765,7 +764,7 @@ proptest! {
                 }
             }
             done += group.len();
-            if let Err(e) = merged.merge_group(vars.finish(), &index, &var_logs) {
+            if let Err(e) = merged.merge_group(vars.finish(), &index, &advice) {
                 merge_rejection = Some(e);
                 break;
             }

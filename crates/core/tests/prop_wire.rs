@@ -682,7 +682,7 @@ proptest! {
         let log = advice.var_logs.get(&VarId(0)).expect("the log");
         let decoded: Vec<&Value> = log
             .iter()
-            .filter_map(|(_, e)| e.value.as_ref().map(RawValue::value))
+            .filter_map(|(_, e)| advice.value(e.value?))
             .collect();
         prop_assert_eq!(decoded.len(), values.len());
         for (before, after) in values.windows(2).zip(decoded.windows(2)) {

@@ -1,31 +1,37 @@
 //! Borrowed, index-backed advice: the verifier's working form.
 //!
 //! The wire layer decodes advice into a zero-copy [`AdviceView`]: every
-//! keyed section a `Vec` in ascending key order, each key once — the
-//! decoder applies the duplicate-key rule, later wins, in one place —
-//! strings borrowing the input buffer, logged values built in the walk
-//! that validated them ([`crate::RawValue`]). [`AdviceRef`] is that view
-//! read as *logical maps*, and [`AdviceRef::from_view`] is the one way
-//! to make one: it borrows every section of the view and copies none,
-//! so the verifier reads the view's own entries ([`VarLogEntryView`],
+//! keyed section in ascending key order, each key once — the decoder
+//! applies the duplicate-key rule, later wins, in one place — the
+//! handler and transaction logs flat, one entry array per section
+//! behind an index of each log's range ([`LogSection`]), strings
+//! borrowing the input buffer, and logged values built in the walk that
+//! validated them, in one table the entries index
+//! ([`crate::RawValue`]). [`AdviceRef`] is that view read as *logical
+//! maps*, and [`AdviceRef::from_view`] is the one way to make one: it
+//! borrows every section of the view and copies none, so the verifier
+//! reads the view's own entries ([`VarLogEntryView`],
 //! [`TxLogEntryView`]) and each logged value is held once. Owned advice
 //! (the `karousos` crate's `Advice`) gets here the way the server's
 //! does: encoded, then decoded.
 //!
 //! Lookups go through [`VecMap`], a sorted-unique slice with a
-//! `BTreeMap`-shaped read API. Keys name handlers by path rank, as the
-//! view does ([`OpAt`]): ranks ascend in
+//! `BTreeMap`-shaped read API, and [`LogMap`], the same over a flat
+//! section, whose values are slices of its entries. Keys name handlers
+//! by path rank, as the view does ([`OpAt`]): ranks ascend in
 //! [`HandlerId`](kem_lang::HandlerId) order and one path has one rank,
 //! so the integers sort and collapse exactly as the paths would.
 
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::Arc;
 
-use kem_lang::{RequestId, ValueInterner, VarId};
+use kem_lang::{RequestId, Value, ValueInterner, VarId};
 
 use crate::advice::OpAt;
 use crate::hids::HidTable;
-use crate::wire::{AdviceView, HandlerLogEntryView, RawValue, TxLogEntryView, VarLogEntryView};
+use crate::wire::VarLogEntryView;
+use crate::wire::{self, AdviceView, HandlerLogEntryView, LogSection, RawValue, TxLogEntryView};
 
 /// A sorted-unique slice of `(K, V)` — a section of the decoded view —
 /// exposing the read-side `BTreeMap` API the verifier uses (`get`,
@@ -96,6 +102,117 @@ impl<'a, K: Ord, V> VecMap<'a, K, V> {
     }
 }
 
+/// A flat [`LogSection`] of the decoded view read as a map from key to
+/// log: [`VecMap`]'s read API over its sorted-unique index, each value
+/// the slice of the section's entries that is the key's log. A log is
+/// also named by its rank, the position of its key.
+#[derive(Debug, PartialEq)]
+pub struct LogMap<'a, K, E> {
+    index: &'a [(K, Range<u32>)],
+    entries: &'a [E],
+}
+
+impl<K, E> Clone for LogMap<'_, K, E> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<K, E> Copy for LogMap<'_, K, E> {}
+
+impl<'a, K: Ord, E> LogMap<'a, K, E> {
+    fn of(section: &'a LogSection<K, E>) -> Self {
+        LogMap {
+            index: &section.index,
+            entries: &section.entries,
+        }
+    }
+
+    /// The log keyed `key`, if any.
+    #[inline]
+    pub fn get(&self, key: &K) -> Option<&'a [E]> {
+        self.log(self.position(key)?)
+    }
+
+    /// The rank of `key` among the keys, ascending from zero.
+    #[inline]
+    pub fn position(&self, key: &K) -> Option<usize> {
+        self.index.binary_search_by(|(k, _)| k.cmp(key)).ok()
+    }
+
+    /// The key of rank `rank`.
+    #[inline]
+    pub fn key(&self, rank: usize) -> Option<&'a K> {
+        self.index.get(rank).map(|(k, _)| k)
+    }
+
+    /// The log of rank `rank`.
+    #[inline]
+    pub fn log(&self, rank: usize) -> Option<&'a [E]> {
+        let (_, range) = self.index.get(rank)?;
+        Some(wire::span(self.entries, range))
+    }
+
+    /// Each log's key and its range of [`LogMap::entries`], ascending:
+    /// a log's entry `i` is entry `range.start + i` there.
+    #[inline]
+    pub fn index(&self) -> &'a [(K, Range<u32>)] {
+        self.index
+    }
+
+    /// The entries of every log: the decoder leaves them the
+    /// concatenation of the logs in ascending key order.
+    #[inline]
+    pub fn entries(&self) -> &'a [E] {
+        self.entries
+    }
+
+    /// The logs of the ranks `ranks`, as a map of their own.
+    pub fn ranks(&self, ranks: Range<usize>) -> Self {
+        LogMap {
+            index: self.index.get(ranks).unwrap_or(&[]),
+            entries: self.entries,
+        }
+    }
+
+    /// Whether the key is present.
+    #[inline]
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.position(key).is_some()
+    }
+
+    /// Keys, ascending.
+    pub fn keys(&self) -> impl Iterator<Item = &'a K> {
+        self.index.iter().map(|(k, _)| k)
+    }
+
+    /// Logs, in ascending-key order.
+    pub fn values(&self) -> impl Iterator<Item = &'a [E]> {
+        let entries = self.entries;
+        self.index.iter().map(move |(_, r)| wire::span(entries, r))
+    }
+
+    /// `(key, log)` pairs, ascending.
+    pub fn iter(&self) -> impl Iterator<Item = (&'a K, &'a [E])> {
+        let entries = self.entries;
+        self.index
+            .iter()
+            .map(move |(k, r)| (k, wire::span(entries, r)))
+    }
+
+    /// Log count.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.index.len()
+    }
+
+    /// Whether the map is empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.index.is_empty()
+    }
+}
+
 /// The advice in the verifier's working form: the sections of one
 /// decoded [`AdviceView`], borrowed (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
@@ -103,12 +220,15 @@ pub struct AdviceRef<'a> {
     /// Control-flow tag per request (§4.1).
     pub tags: VecMap<'a, RequestId, u64>,
     /// Handler logs per request.
-    pub handler_logs: VecMap<'a, RequestId, Vec<HandlerLogEntryView<'a>>>,
+    pub handler_logs: LogMap<'a, RequestId, HandlerLogEntryView<'a>>,
     /// Variable logs per loggable variable, each ascending by key.
-    pub var_logs: VecMap<'a, VarId, Vec<(OpAt, VarLogEntryView<'a>)>>,
+    pub var_logs: VecMap<'a, VarId, Vec<(OpAt, VarLogEntryView)>>,
     /// Transaction logs, each keyed by its `tx_start`. A transaction
     /// position names one by key; the audit numbers them by rank here.
-    pub tx_logs: VecMap<'a, OpAt, Vec<TxLogEntryView<'a>>>,
+    pub tx_logs: LogMap<'a, OpAt, TxLogEntryView<'a>>,
+    /// The logged values the variable logs and `PUT`s name by index
+    /// ([`AdviceRef::value`]).
+    pub values: &'a [RawValue<'a>],
     /// Alleged global order of committed final writes: transaction and
     /// log index.
     pub write_order: &'a [(OpAt, u32)],
@@ -134,9 +254,10 @@ impl<'a> AdviceRef<'a> {
     pub fn from_view(view: &'a AdviceView<'a>, _interner: &mut ValueInterner) -> AdviceRef<'a> {
         AdviceRef {
             tags: VecMap(&view.tags),
-            handler_logs: VecMap(&view.handler_logs),
+            handler_logs: LogMap::of(&view.handler_logs),
             var_logs: VecMap(&view.var_logs),
-            tx_logs: VecMap(&view.tx_logs),
+            tx_logs: LogMap::of(&view.tx_logs),
+            values: &view.values,
             write_order: &view.write_order,
             response_emitted_by: VecMap(&view.response_emitted_by),
             opcounts: VecMap(&view.opcounts),
@@ -171,6 +292,12 @@ impl<'a> AdviceRef<'a> {
         self.tx_logs.get(tx)?.get(*index as usize)
     }
 
+    /// The logged value a variable-log or `PUT` entry names by `id`.
+    #[inline]
+    pub fn value(&self, id: u32) -> Option<&'a Value> {
+        self.values.get(id as usize).map(RawValue::value)
+    }
+
     /// Total number of variable-log entries (all variables).
     pub fn var_log_entries(&self) -> usize {
         self.var_logs.values().map(Vec::len).sum()
@@ -178,12 +305,12 @@ impl<'a> AdviceRef<'a> {
 
     /// Total number of handler-log entries (all requests).
     pub fn handler_log_entries(&self) -> usize {
-        self.handler_logs.values().map(Vec::len).sum()
+        self.handler_logs.values().map(<[_]>::len).sum()
     }
 
     /// Total number of transaction-log entries.
     pub fn tx_log_entries(&self) -> usize {
-        self.tx_logs.values().map(Vec::len).sum()
+        self.tx_logs.values().map(<[_]>::len).sum()
     }
 }
 
@@ -220,20 +347,26 @@ mod tests {
             let paths = HidTable::of(hids.chain(named.map(|op| &op.hid)));
             let rank = |hid: &HandlerId| paths.rank(hid).expect("the table holds every path");
             let at = |op: &OpRef| OpAt::new(op.rid, rank(&op.hid), op.opnum);
-            let log = |log: &VarLog| {
-                let entry = |e: &crate::advice::VarLogEntry| VarLogEntryView {
+            let mut values = Vec::new();
+            let mut log = |log: &VarLog| {
+                let mut entry = |e: &crate::advice::VarLogEntry| VarLogEntryView {
                     access: e.access,
-                    value: e.value.as_ref().map(raw),
+                    value: e.value.as_ref().map(|v| {
+                        values.push(raw(v));
+                        values.len() as u32 - 1
+                    }),
                     prec: e.prec.as_ref().map(at),
                 };
                 log.iter().map(|(op, e)| (at(op), entry(e))).collect()
             };
+            let var_logs = var_logs.iter().map(|(var, l)| (*var, log(l))).collect();
             let view = AdviceView {
                 opcounts: opcounts
                     .iter()
                     .map(|((rid, hid), count)| ((*rid, rank(hid)), *count))
                     .collect(),
-                var_logs: var_logs.iter().map(|(var, l)| (*var, log(l))).collect(),
+                var_logs,
+                values,
                 paths: Arc::new(paths),
                 ..AdviceView::default()
             };

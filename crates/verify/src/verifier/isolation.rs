@@ -16,7 +16,7 @@
 use crate::advice::OpAt;
 use crate::advice_ref::AdviceRef;
 use crate::verifier::reject::RejectReason;
-use crate::wire::TxOpContentsView;
+use crate::wire::{span, TxOpContentsView};
 use kem_lang::TxOpKind;
 
 /// How much isolation work an audit had: the size of the alleged
@@ -51,7 +51,7 @@ pub fn verify_isolation(
     committed: &[bool],
     isolation: adya::IsolationLevel,
 ) -> Result<IsolationStats, RejectReason> {
-    let logs = advice.tx_logs.as_slice();
+    let (logs, arena) = (advice.tx_logs.index(), advice.tx_logs.entries());
     let mismatch = |why| RejectReason::WriteOrderMismatch { why };
     if logs.is_empty() && advice.write_order.is_empty() {
         // An audit without transactions builds no table.
@@ -59,27 +59,33 @@ pub fn verify_isolation(
     }
 
     // Only keyed PUT/GET entries become history operations: `op_of`,
-    // over all log entries (transaction `rank`'s start at
-    // `log_starts[rank]`), keeps TxPos references aligned.
-    let entries: usize = logs.iter().map(|(_, log)| log.len()).sum();
-    let mut log_starts = Vec::with_capacity(logs.len());
-    let mut op_of: Vec<u32> = Vec::with_capacity(entries);
-    for (_, log) in logs {
-        log_starts.push(op_of.len());
+    // over the section's entries, numbers them within their log, so a
+    // log entry is found at its log's offset plus its index there.
+    let mut op_of: Vec<u32> = vec![NOT_AN_OP; arena.len()];
+    for (_, range) in logs {
+        let slots = op_of.get_mut(range.start as usize..range.end as usize);
         let mut next = 0u32;
-        op_of.extend(log.iter().map(|entry| {
-            if !matches!(entry.optype, TxOpKind::Put | TxOpKind::Get) || entry.key.is_none() {
-                return NOT_AN_OP;
+        for (slot, entry) in slots.into_iter().flatten().zip(span(arena, range)) {
+            if matches!(entry.optype, TxOpKind::Put | TxOpKind::Get) && entry.key.is_some() {
+                (*slot, next) = (next, next + 1);
             }
-            next += 1;
-            next - 1
-        }));
+        }
     }
-    // A position's rank, place in `op_of`, and log entry.
+    // The place in the entries of entry `index` of log `rank`, and the
+    // entry.
+    let entry_at = |rank: usize, index: u32| {
+        let (_, range) = logs.get(rank)?;
+        let at = range
+            .start
+            .checked_add(index)
+            .filter(|at| *at < range.end)? as usize;
+        Some((at, arena.get(at)?))
+    };
+    // A position's rank, place in the entries, and log entry.
     let locate = |(tx, index): &(OpAt, u32)| {
         let rank = advice.tx_logs.position(tx)?;
-        let entry = logs.get(rank)?.1.get(*index as usize)?;
-        Some((rank, log_starts.get(rank)? + *index as usize, entry))
+        let (at, entry) = entry_at(rank, *index)?;
+        Some((rank, at, entry))
     };
     let translate = |pos: &(OpAt, u32)| {
         let (rank, at, _) = locate(pos)?;
@@ -93,8 +99,8 @@ pub fn verify_isolation(
     // and the entry fed without its dictating write or, having no key,
     // skipped.
     let mut untranslatable: Option<RejectReason> = None;
-    let mut builder = adya::HistoryBuilder::with_capacity(logs.len(), entries);
-    for (rank, (tx, log)) in logs.iter().enumerate() {
+    let mut builder = adya::HistoryBuilder::with_capacity(logs.len(), arena.len());
+    for (rank, (tx, log)) in advice.tx_logs.iter().enumerate() {
         let id = adya::TxnId(rank as u64);
         builder.touch(id);
         let malformed = |why| RejectReason::TxLogMalformed {
@@ -151,16 +157,17 @@ pub fn verify_isolation(
     if advice.write_order.len() != history.final_write_count() {
         return Err(mismatch("length differs from last-modification count"));
     }
-    let mut seen = vec![false; entries];
+    let mut seen = vec![false; arena.len()];
     for ((_, index), write) in advice.write_order.iter().zip(history.version_order()) {
         let rank = usize::try_from(write.txn.0).unwrap_or(usize::MAX);
-        let entry = logs.get(rank).and_then(|(_, log)| log.get(*index as usize));
-        let (Some(start), Some(entry)) = (log_starts.get(rank), entry) else {
+        let Some((at, entry)) = entry_at(rank, *index) else {
             return Err(mismatch("entry not in any log"));
         };
-        let at = start + *index as usize;
-        // `at` lies inside its log, so inside `seen`.
-        if std::mem::replace(&mut seen[at], true) {
+        // `at` is an entry's, so inside `seen`.
+        if seen
+            .get_mut(at)
+            .is_some_and(|seen| std::mem::replace(seen, true))
+        {
             return Err(mismatch("duplicate entry"));
         }
         if entry.optype != TxOpKind::Put {

@@ -56,7 +56,7 @@ use std::sync::{Arc, Mutex};
 use kem_lang::{Program, RequestId, Trace, TraceEvent, TxOpKind};
 
 use crate::advice::OpAt;
-use crate::advice_ref::AdviceRef;
+use crate::advice_ref::{AdviceRef, LogMap};
 use crate::verifier::coords::{Activation, Coords, NodeLists, NodeRows, NodeTable, RequestRun};
 use crate::verifier::graph::{Edge, EdgeKind, Graph};
 use crate::verifier::isolation::{verify_isolation, IsolationStats};
@@ -228,9 +228,10 @@ impl<'c, 'x> ShardCtx<'c, 'x> {
     }
 
     /// The transactions of the ranks `txs`.
-    fn txs(&self, txs: Range<u32>) -> &'x [(OpAt, Vec<TxLogEntryView<'x>>)] {
-        let all = self.advice.tx_logs.as_slice();
-        all.get(txs.start as usize..txs.end as usize).unwrap_or(&[])
+    fn txs(&self, txs: Range<u32>) -> LogMap<'x, OpAt, TxLogEntryView<'x>> {
+        self.advice
+            .tx_logs
+            .ranks(txs.start as usize..txs.end as usize)
     }
 }
 
@@ -369,16 +370,15 @@ fn nondet_by_node(advice: &AdviceRef<'_>, coords: &Coords) -> Vec<(u32, u32)> {
 /// per list merges them.
 fn shard_work<'x>(advice: &'x AdviceRef<'x>, coords: &Coords) -> Vec<RidWork<'x>> {
     let acts = coords.activations();
-    let logs = advice.handler_logs.as_slice();
-    let txs = advice.tx_logs.as_slice();
+    let (logs, txs) = (advice.handler_logs, advice.tx_logs);
     let traced = coords.traced();
     let (mut a, mut l, mut t, mut r) = (0usize, 0usize, 0usize, 0usize);
     let mut work = Vec::with_capacity(traced.len());
     loop {
         let heads = [
             acts.get(a).map(|act| act.rid),
-            logs.get(l).map(|(rid, _)| *rid),
-            txs.get(t).map(|(tx, _)| tx.rid),
+            logs.key(l).copied(),
+            txs.key(t).map(|tx| tx.rid),
             traced.get(r).map(|(rid, _)| *rid),
         ];
         let Some(rid) = heads.into_iter().flatten().min() else {
@@ -388,15 +388,15 @@ fn shard_work<'x>(advice: &'x AdviceRef<'x>, coords: &Coords) -> Vec<RidWork<'x>
         while acts.get(a).is_some_and(|act| act.rid == rid) {
             a += 1;
         }
-        let handler_log = match logs.get(l) {
-            Some((r, log)) if *r == rid => {
+        let handler_log = match logs.key(l) {
+            Some(r) if *r == rid => {
                 l += 1;
-                Some(log.as_slice())
+                logs.log(l - 1)
             }
             _ => None,
         };
         let t0 = t;
-        while txs.get(t).is_some_and(|(tx, _)| tx.rid == rid) {
+        while txs.key(t).is_some_and(|tx| tx.rid == rid) {
             t += 1;
         }
         let boundary = match traced.get(r) {
@@ -432,7 +432,7 @@ fn run_range<'x, 't>(
     // request handler and two response edges, and every log entry adds
     // at most one edge and one `OpMap` entry.
     let logged = |w: &RidWork<'_>| {
-        let txs = ctx.txs(w.txs.clone()).iter().map(|(_, log)| log.len());
+        let txs = ctx.txs(w.txs.clone()).values().map(<[_]>::len);
         w.handler_log.map_or(0, <[_]>::len) + txs.sum::<usize>()
     };
     let entries: usize = range.iter().map(logged).sum();
@@ -696,7 +696,7 @@ fn section_external<'x>(
     ctx: &ShardCtx<'_, 'x>,
     work: &RidWork<'x>,
 ) -> Result<(), RejectReason> {
-    for (rank, (tx, log)) in (work.txs.start..).zip(ctx.txs(work.txs.clone())) {
+    for (rank, (tx, log)) in (work.txs.start..).zip(ctx.txs(work.txs.clone()).iter()) {
         if work.boundary.is_none() {
             return Err(RejectReason::UnknownRequest { rid: tx.rid });
         }

@@ -376,7 +376,7 @@ impl<'a> Group<'a> {
         let slices = rids.iter().map(|r| coords.activations_of(*r)).collect();
         let handler_logs = rids
             .iter()
-            .map(|r| advice.handler_logs.get(r).map_or(&[][..], Vec::as_slice))
+            .map(|r| advice.handler_logs.get(r).unwrap_or_default())
             .collect();
         Group {
             rids,
@@ -925,7 +925,7 @@ impl<'a> Worker<'a> {
 
     /// The log of `var`, read by node id.
     fn var_log(&self, var: VarId) -> VarLog<'a> {
-        self.pre.var_index.log(&self.advice.var_logs, var)
+        self.pre.var_index.log(self.advice, var)
     }
 
     fn note_dedup(&mut self, uniform: bool) {
@@ -1062,9 +1062,8 @@ impl<'a> Replay<'_, 'a> {
             .ex
             .advice
             .tx_logs
-            .as_slice()
-            .get(found as usize)
-            .and_then(|(_, log)| log.get(txnum as usize))
+            .log(found as usize)
+            .and_then(|log| log.get(txnum as usize))
             .ok_or_else(|| RejectReason::MalformedAdviceAt {
                 at: self.at(i),
                 what: "transaction log position out of range",
@@ -1361,8 +1360,8 @@ impl Machine for Replay<'_, '_> {
                 .ok_or_else(|| RejectReason::ReexecError {
                     message: "invalid transaction token".into(),
                 })?;
-            let owner = advice.tx_logs.as_slice().get(token.tx as usize);
-            if owner.is_none_or(|(ktx, _)| ktx.rid != *rid) {
+            let owner = advice.tx_logs.key(token.tx as usize);
+            if owner.is_none_or(|ktx| ktx.rid != *rid) {
                 return Err(RejectReason::StateOpMismatch {
                     at: self.at(i),
                     why: "transaction belongs to a different request",
@@ -1409,7 +1408,7 @@ impl Machine for Replay<'_, '_> {
                     let value = match from {
                         None => None,
                         Some(pos) => match advice.tx_entry(pos).map(|w| &w.contents) {
-                            Some(TxOpContentsView::Put { value }) => Some(value.value().clone()),
+                            Some(TxOpContentsView::Put { value }) => advice.value(*value).cloned(),
                             Some(_) => return malformed("dictating write is not a PUT"),
                             None => {
                                 return malformed("dictating write outside any transaction log")
@@ -1425,7 +1424,7 @@ impl Machine for Replay<'_, '_> {
                     let vv = value_v
                         .as_ref()
                         .ok_or_else(|| internal("PUT re-executed without a value expression"))?;
-                    if logged.value() != vv.get(i) {
+                    if advice.value(*logged) != Some(vv.get(i)) {
                         return mismatch("logged PUT value differs from re-execution");
                     }
                 }
@@ -1572,7 +1571,7 @@ impl<'m> Merge<'m> {
     /// kind — then fold its statistics and coverage lists.
     fn merge_unit(&mut self, unit: GroupRun) -> Result<(), RejectReason> {
         self.global
-            .merge_group(unit.accesses, &self.pre.var_index, &self.advice.var_logs)?;
+            .merge_group(unit.accesses, &self.pre.var_index, self.advice)?;
         // Absorbed before the error check so a failing group's replay span
         // still appears in the exported trace.
         self.obs.absorb(unit.obs);

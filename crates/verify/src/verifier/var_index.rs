@@ -39,13 +39,13 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use kem_lang::{OpRef, RequestId, VarId};
+use kem_lang::{OpRef, RequestId, Value, VarId};
 
 use crate::advice::OpAt;
-use crate::advice_ref::VecMap;
+use crate::advice_ref::{AdviceRef, VecMap};
 use crate::verifier::coords::{Coords, RequestRun};
 use crate::verifier::reject::{RejectReason, ResourceKind};
-use crate::wire::VarLogEntryView;
+use crate::wire::{RawValue, VarLogEntryView};
 
 /// "No such id / no such entry" in the index's `u32` columns. The build
 /// refuses an id space that would reach it.
@@ -118,7 +118,7 @@ impl VarIndex {
     #[doc(hidden)]
     pub fn build(
         coords: Arc<Coords>,
-        var_logs: &VecMap<'_, VarId, Vec<(OpAt, VarLogEntryView<'_>)>>,
+        var_logs: &VecMap<'_, VarId, Vec<(OpAt, VarLogEntryView)>>,
     ) -> Result<VarIndex, RejectReason> {
         // Entries are numbered below `NONE`, like ids.
         let entries: usize = var_logs.values().map(Vec::len).sum();
@@ -241,14 +241,11 @@ impl VarIndex {
         rids.iter().map(keyed).sum()
     }
 
-    /// The log of `var`, as re-execution reads it. `var_logs` must be
+    /// The log of `var`, as re-execution reads it. `advice` must hold
     /// the logs this index was built from.
     #[doc(hidden)]
-    pub fn log<'a>(
-        &'a self,
-        var_logs: &VecMap<'a, VarId, Vec<(OpAt, VarLogEntryView<'a>)>>,
-        var: VarId,
-    ) -> VarLog<'a> {
+    pub fn log<'a>(&'a self, advice: &AdviceRef<'a>, var: VarId) -> VarLog<'a> {
+        let var_logs = advice.var_logs;
         let found = var_logs.position(&var).and_then(|i| {
             let (_, log) = var_logs.as_slice().get(i)?;
             Some((self.logs.get(i)?, log.as_slice()))
@@ -261,6 +258,7 @@ impl VarIndex {
             base: found.map_or(0, |(index, _)| index.base),
             prec: found.map_or(&[], |(index, _)| &index.prec),
             entries: found.map_or(&[], |(_, entries)| entries),
+            values: advice.values,
         }
     }
 }
@@ -277,7 +275,9 @@ pub struct VarLog<'a> {
     /// The number of the log's first entry.
     base: u32,
     prec: &'a [(u32, u32)],
-    entries: &'a [(OpAt, VarLogEntryView<'a>)],
+    entries: &'a [(OpAt, VarLogEntryView)],
+    /// The logged values the entries name.
+    values: &'a [RawValue<'a>],
 }
 
 impl<'a> VarLog<'a> {
@@ -289,7 +289,7 @@ impl<'a> VarLog<'a> {
     /// The entry keyed by `id`, of activation `act` ([`act_of`]), with
     /// its position: the activation's chain, followed down to this log's
     /// run, and a search of the run's ids.
-    pub(crate) fn entry_at(&self, id: u32, act: u32) -> Option<(u32, &'a VarLogEntryView<'a>)> {
+    pub(crate) fn entry_at(&self, id: u32, act: u32) -> Option<(u32, &'a VarLogEntryView)> {
         let end = self.base + self.entries.len() as u32;
         let mut number = *self.head.get(act as usize)?;
         // A chain descends through the logs: past this log's first
@@ -317,8 +317,14 @@ impl<'a> VarLog<'a> {
     }
 
     /// The entry at `position`.
-    pub(crate) fn entry(&self, position: u32) -> Option<&'a VarLogEntryView<'a>> {
+    pub(crate) fn entry(&self, position: u32) -> Option<&'a VarLogEntryView> {
         self.entries.get(position as usize).map(|(_, entry)| entry)
+    }
+
+    /// The value the entry at `position` logs, if any.
+    pub(crate) fn value(&self, position: u32) -> Option<&'a Value> {
+        let id = self.entry(position)?.value?;
+        self.values.get(id as usize).map(RawValue::value)
     }
 
     /// The `prec` of the entry at `position`: its id and the activation

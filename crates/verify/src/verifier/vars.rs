@@ -41,14 +41,13 @@ use std::sync::Arc;
 
 use kem_lang::{MapEdit, OpRef, Value, VarId};
 
-use crate::advice::{AccessType, OpAt};
-use crate::advice_ref::VecMap;
+use crate::advice::AccessType;
+use crate::advice_ref::AdviceRef;
 use crate::verifier::coords::Activation;
 use crate::verifier::graph::{EdgeKind, Graph};
 use crate::verifier::pool;
 use crate::verifier::reject::RejectReason;
 use crate::verifier::var_index::{act_of, VarIndex, VarLog, NONE};
-use crate::wire::{RawValue, VarLogEntryView};
 
 /// A variable's trusted initialization write.
 #[derive(Debug, Clone)]
@@ -663,18 +662,18 @@ impl VarStates {
     /// Applies one group's accesses to this, the whole-audit state, in
     /// the order the group made them; the first one another group makes
     /// fail — or the one the group itself refused — is the verdict.
-    /// `index` and `var_logs` are what the group resolved against.
+    /// `index` and `advice` are what the group resolved against.
     #[doc(hidden)]
     pub fn merge_group(
         &mut self,
         accesses: GroupAccesses,
         index: &VarIndex,
-        var_logs: &VecMap<'_, VarId, Vec<(OpAt, VarLogEntryView<'_>)>>,
+        advice: &AdviceRef<'_>,
     ) -> Result<(), RejectReason> {
         self.bound()?;
         for event in accesses.0 {
             match event {
-                VarEvent::Read(read) => self.apply_read(&read, || index.log(var_logs, read.var))?,
+                VarEvent::Read(read) => self.apply_read(&read, || index.log(advice, read.var))?,
                 VarEvent::Write(write) => self.apply_write(write)?,
                 VarEvent::Refused(e) => return Err(e),
             }
@@ -729,8 +728,7 @@ impl VarStates {
             let actual = ran.and_then(|(_, record)| record.value.as_ref());
             let actual = actual.or(init.map(|init| &init.value));
             let log = log();
-            let logged = log.entry(dictating).and_then(|w| w.value.as_ref());
-            let logged = logged.map(RawValue::value);
+            let logged = log.value(dictating);
             if actual.is_some_and(|actual| logged != Some(actual)) {
                 return Err(log.mismatch(
                     event.node,
@@ -932,7 +930,7 @@ impl<'s> Ran<'s> {
         if w.access != AccessType::Write {
             return Err(log.mismatch(node, "dictating entry is not a write"));
         }
-        let Some(value) = w.value.as_ref().map(RawValue::value) else {
+        let Some(value) = log.value(dictating) else {
             return Err(log.mismatch(node, "dictating write has no value"));
         };
         // A dictating write that has run (the initialization always
@@ -970,7 +968,7 @@ impl<'s> Ran<'s> {
                 // the logged one, validating whatever fed or will feed
                 // logged reads (§4.3). The logged value is kept, and a
                 // map edit is checked against it without being built.
-                let logged = entry.value.as_ref().map(RawValue::value);
+                let logged = log.value(position);
                 let Some(logged) = logged.filter(|logged| value.matches(logged)) else {
                     return Err(log.mismatch(node, "logged write value differs from re-execution"));
                 };
@@ -1155,7 +1153,7 @@ mod tests {
         fn read(&mut self, rid: u64, hid: &HandlerId, opnum: u32) -> Result<Value, RejectReason> {
             let node = self.node(rid, hid, opnum);
             self.vs
-                .on_read(var(), node, &self.index.log(&self.advice.var_logs, var()))
+                .on_read(var(), node, &self.index.log(&self.advice, var()))
         }
 
         fn write(
@@ -1166,7 +1164,7 @@ mod tests {
             value: i64,
         ) -> Result<(), RejectReason> {
             let node = self.node(rid, hid, opnum);
-            let log = self.index.log(&self.advice.var_logs, var());
+            let log = self.index.log(&self.advice, var());
             self.vs.on_write(var(), node, Value::int(value), &log)
         }
 
@@ -1216,11 +1214,7 @@ mod tests {
         assert!(internal(fx.read(0, &h, 1).map(|_| ())));
         assert!(internal(fx.write(0, &h, 1, 9)));
         let group = fx.vs.group_vars().finish();
-        assert!(internal(fx.vs.merge_group(
-            group,
-            &fx.index,
-            &fx.advice.var_logs
-        )));
+        assert!(internal(fx.vs.merge_group(group, &fx.index, &fx.advice)));
         fx.vs.bind(&fx.index);
         assert_eq!(fx.read(0, &h, 1).unwrap(), Value::int(5));
     }
@@ -1329,7 +1323,7 @@ mod tests {
         log.insert(op(0, &h, 1), write_entry(10, Some(ghost(1))));
         log.insert(op(0, &h, 3), write_entry(30, Some(ghost(2))));
         let fx = Fixture::new(&[(0, &h, 4)], log, Some(0));
-        let log = fx.index.log(&fx.advice.var_logs, var());
+        let log = fx.index.log(&fx.advice, var());
         let mut group = fx.vs.group_vars();
         let node = |opnum| fx.node(0, &h, opnum);
         group
@@ -1421,10 +1415,7 @@ mod tests {
         let logged = |fx: &Fixture| {
             // The log's one entry.
             let entry = fx.advice.var_logs.get(&var()).and_then(|log| log.first());
-            match entry
-                .and_then(|(_, e)| e.value.as_ref())
-                .map(RawValue::value)
-            {
+            match entry.and_then(|(_, e)| fx.advice.value(e.value?)) {
                 Some(Value::Map(m)) => Some(m.clone()),
                 _ => None,
             }
@@ -1440,7 +1431,7 @@ mod tests {
 
         let mut fx = Fixture::new(&[(0, &h, 2)], log.clone(), Some(0));
         let (write, read) = (fx.node(0, &h, 1), fx.node(0, &h, 2));
-        let log0 = fx.index.log(&fx.advice.var_logs, var());
+        let log0 = fx.index.log(&fx.advice, var());
         fx.vs.on_write(var(), write, map(), &log0).unwrap();
         assert!(!shared(Some(&map()), logged(&fx)), "a fresh map is a copy");
         assert!(kept(&fx, write));
@@ -1448,13 +1439,13 @@ mod tests {
         assert!(shared(Some(&fed), logged(&fx)));
 
         let mut fx = Fixture::new(&[(0, &h, 2)], log, Some(0));
-        let log0 = fx.index.log(&fx.advice.var_logs, var());
+        let log0 = fx.index.log(&fx.advice, var());
         let mut group = fx.vs.group_vars();
         group.on_write(var(), write, map(), &log0).unwrap();
         let fed = group.on_read(var(), read, &log0).unwrap();
         assert!(shared(Some(&fed), logged(&fx)));
         fx.vs
-            .merge_group(group.finish(), &fx.index, &fx.advice.var_logs)
+            .merge_group(group.finish(), &fx.index, &fx.advice)
             .unwrap();
         assert!(kept(&fx, write));
     }
@@ -1525,7 +1516,7 @@ mod tests {
             log.insert(op(0, &h, opnum), write_entry(1, Some(init_op())));
         }
         let fx = Fixture::new(&[(0, &h, 2)], log, Some(0));
-        let log = fx.index.log(&fx.advice.var_logs, var());
+        let log = fx.index.log(&fx.advice, var());
         let mut group = fx.vs.group_vars();
         group
             .on_write(var(), fx.node(0, &h, 1), Value::int(1), &log)
@@ -1538,7 +1529,7 @@ mod tests {
         let kids = [1, 2].map(|k| HandlerId::child(&h, FunctionId(k), k));
         let acts = [(0, &h, 1), (0, &kids[0], 1), (0, &kids[1], 1)];
         let fx = Fixture::new(&acts, advice::VarLog::new(), None);
-        let log = fx.index.log(&fx.advice.var_logs, var());
+        let log = fx.index.log(&fx.advice, var());
         let mut group = fx.vs.group_vars();
         let mut write = |kid| group.on_write(var(), fx.node(0, kid, 1), Value::int(1), &log);
         assert_eq!(write(&kids[0]), Ok(()));
@@ -1635,16 +1626,15 @@ mod tests {
         let opcounts = [((RequestId(0), h.clone()), 1)].into();
         let advice = by_hand::advice(&opcounts, &[(var(), log0), (other, log1)].into());
         let coords = Arc::new(Coords::build(&[RequestId(0)], &advice).unwrap());
-        let logs = advice.var_logs;
-        let index = VarIndex::build(coords.clone(), &logs).unwrap();
+        let index = VarIndex::build(coords.clone(), &advice.var_logs).unwrap();
         let mut vs = VarStates::new();
         vs.on_initialize(var(), init_op(), Value::int(0));
         vs.bind(&index);
         let node = coords.op_node(&op(0, &h, 1)).unwrap();
-        vs.on_write(var(), node, Value::int(1), &index.log(&logs, var()))
+        vs.on_write(var(), node, Value::int(1), &index.log(&advice, var()))
             .unwrap();
         let err = vs
-            .on_write(other, node, Value::int(1), &index.log(&logs, other))
+            .on_write(other, node, Value::int(1), &index.log(&advice, other))
             .unwrap_err();
         assert!(matches!(
             err,
@@ -1655,6 +1645,6 @@ mod tests {
         ));
         // A variable the advice has no log for reads as unlogged.
         let act = coords.act_of(node).unwrap();
-        assert!(index.log(&logs, VarId(2)).entry_at(node, act).is_none());
+        assert!(index.log(&advice, VarId(2)).entry_at(node, act).is_none());
     }
 }

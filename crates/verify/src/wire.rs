@@ -43,9 +43,12 @@
 //! built once, through the checked constructors of [`kem_lang::pvalue`],
 //! and each logged value is built in the walk that validates it: the
 //! view keeps the [`Value`] beside the bytes it occupies ([`RawValue`]),
-//! which a re-encode of the view copies back verbatim. The decode also
-//! settles what a keyed section means: it leaves each in ascending key
-//! order, a repeated key keeping its last occurrence (`by_key`). The
+//! which a re-encode of the view copies back verbatim, in one table
+//! that the entries logging values index. The decode also settles what
+//! a keyed section means: it leaves each in ascending key order, a
+//! repeated key keeping its last occurrence (`by_key`), and the handler
+//! and transaction logs flat, each section's entries one array exactly
+//! the concatenation of its logs ([`LogSection`]). The
 //! verifier's working form ([`crate::AdviceRef::from_view`]) borrows
 //! the view as it is; the server side also converts it to owned advice,
 //! and back to bytes, borrowing each handler id from the table.
@@ -63,6 +66,7 @@
 //! section themselves declare is held against the same budget apart from
 //! them (`Decoder::table_len`, `Decoder::pool_wire`).
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use kem_lang::pvalue::{PList, PMap, CHUNK};
@@ -643,6 +647,57 @@ impl<'a> Decoder<'a> {
     fn txpos(&mut self) -> Result<(OpAt, u32), WireError> {
         Ok((self.op_at("tx opnum")?, self.u32v("tx index")?))
     }
+
+    /// Reads one logged value into `values`, returning its index there.
+    /// The table is sized by what the bytes since `from`, where the
+    /// sections that log values start, extrapolate to over the input.
+    fn logged(
+        &mut self,
+        m: &mut Materializer<'_>,
+        values: &mut Vec<RawValue<'a>>,
+        from: usize,
+    ) -> Result<u32, WireError> {
+        let id = u32::try_from(values.len()).map_err(|_| self.err("logged values"))?;
+        if values.len() < 64 {
+            // Too few to extrapolate from.
+            values.reserve(1);
+        } else {
+            let read = (self.pos - from, self.buf.len() - from);
+            // A `PUT` with its value is at least six bytes.
+            self.room(values, 1, read, 6);
+        }
+        values.push(self.raw_value(m)?);
+        Ok(id)
+    }
+
+    /// Makes room for `more` elements in `v`, an array a whole section
+    /// fills: as many as the part read so far — `done` of `total`, in
+    /// logs or bytes — extrapolates to, so that advice whose logs are
+    /// alike sizes it once or twice; at least a quarter more than it
+    /// held, so that no advice makes its growth less than geometric; at
+    /// most what the rest of the input holds at `min_elem_bytes` an
+    /// element. The decode leaves the array exact-sized at its end.
+    fn room<E>(
+        &self,
+        v: &mut Vec<E>,
+        more: usize,
+        (done, total): (usize, usize),
+        min_elem_bytes: usize,
+    ) {
+        let need = v.len().saturating_add(more);
+        if need <= v.capacity() {
+            return;
+        }
+        let guess = need.saturating_mul(total) / done.max(1);
+        let most = need.saturating_add(self.remaining() / min_elem_bytes.max(1));
+        let grown = v.capacity().saturating_add(v.capacity() / 4);
+        v.reserve_exact(guess.min(most).max(grown).max(need) - v.len());
+    }
+
+    /// Where the next log of a flat section starts in its `entries`.
+    fn log_offset<E>(&self, entries: &[E]) -> Result<u32, WireError> {
+        u32::try_from(entries.len()).map_err(|_| self.err("log entries"))
+    }
 }
 
 /// One logged value as the decoder read it: the [`Value`] it builds,
@@ -766,25 +821,25 @@ pub struct HandlerLogEntryView<'a> {
 }
 
 /// Borrowed mirror of [`crate::advice::VarLogEntry`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct VarLogEntryView<'a> {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct VarLogEntryView {
     /// Read or write.
     pub access: AccessType,
-    /// The logged value, if any.
-    pub value: Option<RawValue<'a>>,
+    /// The logged value, if any: its index in [`AdviceView::values`].
+    pub value: Option<u32>,
     /// The alleged preceding write, if any.
     pub prec: Option<OpAt>,
 }
 
 /// Borrowed mirror of [`crate::advice::TxOpContents`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum TxOpContentsView<'a> {
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum TxOpContentsView {
     /// Control entries carry nothing.
     None,
     /// A `PUT`'s written value.
     Put {
-        /// The value.
-        value: RawValue<'a>,
+        /// The value: its index in [`AdviceView::values`].
+        value: u32,
     },
     /// A `GET`'s dictating write.
     Get {
@@ -795,7 +850,7 @@ pub enum TxOpContentsView<'a> {
 }
 
 /// Borrowed mirror of [`crate::advice::TxLogEntry`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TxLogEntryView<'a> {
     /// The handler that performed the operation, by path rank.
     pub path: u32,
@@ -806,19 +861,94 @@ pub struct TxLogEntryView<'a> {
     /// The key, for `GET`/`PUT`.
     pub key: Option<&'a str>,
     /// Type-specific contents.
-    pub contents: TxOpContentsView<'a>,
+    pub contents: TxOpContentsView,
 }
 
-/// A zero-copy view of decoded advice: every keyed section is a `Vec`
-/// in ascending key order, each key once (`by_key`), the entries of a
-/// handler or transaction log and the write order stay in wire order,
-/// strings borrow the input buffer, every handler-id reference
-/// is its path's rank in `paths`, read once by the decoder, and the
-/// things built are the handler paths, the value pool and the logged
-/// values, each beside the span it was read from ([`RawValue`]).
-/// A [`HandlerId`](kem_lang::HandlerId) is borrowed from `paths` only
-/// to render one, or to re-encode the view. Produced by
-/// [`decode_advice_view`].
+/// A keyed section of logs, stored flat: the entries of every log in
+/// one array, and an index of each log's key and its range of that
+/// array. The decoder leaves the index in ascending key order, each key
+/// once (`by_key`), and `entries` exactly the concatenation of the
+/// index's logs in that order, with no spare capacity. A view edited by
+/// hand may hold any index — keys repeated or out of order, ranges
+/// anywhere in `entries` — and re-encodes it in stored order.
+#[derive(Debug, Clone, PartialEq)]
+pub struct LogSection<K, E> {
+    /// Each log's key, and the range of `entries` that is its log.
+    pub index: Vec<(K, Range<u32>)>,
+    /// The entries of every log.
+    pub entries: Vec<E>,
+}
+
+impl<K, E> Default for LogSection<K, E> {
+    fn default() -> Self {
+        LogSection {
+            index: Vec::new(),
+            entries: Vec::new(),
+        }
+    }
+}
+
+impl<K, E> LogSection<K, E> {
+    /// Appends a log keyed `key` whose entries are `log`.
+    pub fn push(&mut self, key: K, log: impl IntoIterator<Item = E>) {
+        let start = self.entries.len() as u32;
+        self.entries.extend(log);
+        self.index.push((key, start..self.entries.len() as u32));
+    }
+
+    /// Each log with its key, in stored order. A range outside
+    /// `entries` reads as an empty log.
+    pub fn iter(&self) -> impl Iterator<Item = (&K, &[E])> {
+        self.index
+            .iter()
+            .map(|(key, range)| (key, span(&self.entries, range)))
+    }
+
+    /// Leaves the section as `by_key` leaves a keyed one — ascending,
+    /// a repeated key keeping its last log — with `entries` exactly the
+    /// concatenation of the logs in that order and no spare capacity,
+    /// so nothing can reach an entry no log holds. Honest advice is
+    /// already ascending and moves nothing; other advice is rebuilt
+    /// once. Whether anything moved.
+    fn settle(&mut self) -> bool
+    where
+        K: Ord,
+        E: Clone,
+    {
+        let moved = by_key(&mut self.index);
+        if moved {
+            let len = self.index.iter().map(|(_, r)| r.len()).sum();
+            let mut entries = Vec::with_capacity(len);
+            for (_, range) in &mut self.index {
+                let start = entries.len() as u32;
+                entries.extend_from_slice(span(&self.entries, range));
+                *range = start..entries.len() as u32;
+            }
+            self.entries = entries;
+        }
+        self.entries.shrink_to_fit();
+        moved
+    }
+}
+
+/// The entries of `range`, empty for a range outside them.
+pub(crate) fn span<'s, E>(entries: &'s [E], range: &Range<u32>) -> &'s [E] {
+    let range = range.start as usize..range.end as usize;
+    entries.get(range).unwrap_or(&[])
+}
+
+/// A zero-copy view of decoded advice: every keyed section in ascending
+/// key order, each key once (`by_key`) — a `Vec` of `(key, value)`, or
+/// for the handler and transaction logs a flat [`LogSection`] — with
+/// the entries of a handler or transaction log and the write order in
+/// wire order. Strings borrow the input buffer, every handler-id
+/// reference is its path's rank in `paths`, read once by the decoder,
+/// and the things built are the handler paths, the value pool and the
+/// logged values: a variable-log or `PUT` entry names its value by
+/// index in `values`, and each value sits beside the span it was read
+/// from ([`RawValue`]). A [`HandlerId`](kem_lang::HandlerId) is
+/// borrowed from `paths` only to render one, or to re-encode the view.
+/// Produced by [`decode_advice_view`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct AdviceView<'a> {
     /// Control-flow tags.
@@ -833,7 +963,7 @@ pub struct AdviceView<'a> {
     /// in the view indexes it.
     pub paths: Arc<HidTable>,
     /// Handler logs.
-    pub handler_logs: Vec<(RequestId, Vec<HandlerLogEntryView<'a>>)>,
+    pub handler_logs: LogSection<RequestId, HandlerLogEntryView<'a>>,
     /// The value pool, built: `pool[id]` is the container rooted at
     /// pool node `id`, sharing its subtrees with every other node that
     /// names them — and with every logged value that refers to it.
@@ -841,9 +971,12 @@ pub struct AdviceView<'a> {
     /// The pool section's bytes, for a re-encode of the view.
     pub pool_bytes: &'a [u8],
     /// Variable logs, each in ascending key order too.
-    pub var_logs: Vec<(VarId, Vec<(OpAt, VarLogEntryView<'a>)>)>,
+    pub var_logs: Vec<(VarId, Vec<(OpAt, VarLogEntryView)>)>,
     /// Transaction logs, each keyed by its `tx_start`.
-    pub tx_logs: Vec<(OpAt, Vec<TxLogEntryView<'a>>)>,
+    pub tx_logs: LogSection<OpAt, TxLogEntryView<'a>>,
+    /// The values the variable logs and `PUT`s log, in the order the
+    /// sections name them, each once, with no spare capacity.
+    pub values: Vec<RawValue<'a>>,
     /// The alleged whole-run write order: transaction and log index.
     pub write_order: Vec<(OpAt, u32)>,
     /// `responseEmittedBy`: the emitter's path rank, and its opnum.
@@ -852,6 +985,13 @@ pub struct AdviceView<'a> {
     pub opcounts: Vec<((RequestId, u32), u32)>,
     /// Nondeterminism log.
     pub nondet: Vec<(OpAt, RawValue<'a>)>,
+}
+
+impl<'a> AdviceView<'a> {
+    /// The logged value an entry names by `id`, if `values` holds it.
+    pub fn value(&self, id: u32) -> Option<&RawValue<'a>> {
+        self.values.get(id as usize)
+    }
 }
 
 /// What a borrowed decode materialized and met — the observable half
@@ -914,12 +1054,14 @@ fn decode_advice_view_inner(
     let strings = &a.strings;
 
     let n = d.len("handler logs len", 2)?;
-    a.handler_logs.reserve(n);
-    for _ in 0..n {
+    let logs = &mut a.handler_logs;
+    logs.index.reserve_exact(n);
+    for k in 1..=n {
         let rid = d.rid()?;
         // Every entry carries a hid, an opnum, an op tag and an event.
         let m = d.len("handler log len", 4)?;
-        let mut log = Vec::with_capacity(m);
+        let start = d.log_offset(&logs.entries)?;
+        d.room(&mut logs.entries, m, (k, n), 4);
         for _ in 0..m {
             let path = d.hid()?;
             let opnum = d.u32v("hl opnum")?;
@@ -940,11 +1082,11 @@ fn decode_advice_view_inner(
                 2 => HandlerOpView::Emit { event },
                 _ => HandlerOpView::Check { event },
             };
-            log.push(HandlerLogEntryView { path, opnum, op });
+            logs.entries.push(HandlerLogEntryView { path, opnum, op });
         }
-        a.handler_logs.push((rid, log));
+        logs.index.push((rid, start..d.log_offset(&logs.entries)?));
     }
-    by_key(&mut a.handler_logs);
+    logs.settle();
 
     // One materializer builds the pool, then every logged value, which
     // shares the pool's nodes and the string copies made for it.
@@ -953,6 +1095,9 @@ fn decode_advice_view_inner(
     d.pool_section(values)?;
     a.pool_bytes = &bytes[pool_start..d.pos];
 
+    // Whether a section moved a logged value out of the order the
+    // sections name them.
+    let (mut moved, logged_from) = (false, d.pos);
     let n = d.len("var logs len", 2)?;
     a.var_logs.reserve(n);
     for _ in 0..n {
@@ -968,7 +1113,7 @@ fn decode_advice_view_inner(
                 _ => return Err(d.err("access tag")),
             };
             let value = match d.u8("value opt")? {
-                1 => Some(d.raw_value(values)?),
+                1 => Some(d.logged(values, &mut a.values, logged_from)?),
                 _ => None,
             };
             let prec = match d.u8("prec opt")? {
@@ -984,18 +1129,20 @@ fn decode_advice_view_inner(
                 },
             ));
         }
-        by_key(&mut log);
+        moved |= by_key(&mut log);
         a.var_logs.push((var, log));
     }
-    by_key(&mut a.var_logs);
+    moved |= by_key(&mut a.var_logs);
 
     let n = d.len("tx logs len", 2)?;
-    a.tx_logs.reserve(n);
-    for _ in 0..n {
+    let logs = &mut a.tx_logs;
+    logs.index.reserve_exact(n);
+    for k in 1..=n {
         let tx = d.op_at("tx opnum")?;
         // Every entry carries a hid, an opnum and three tag bytes.
         let m = d.len("tx log len", 5)?;
-        let mut log = Vec::with_capacity(m);
+        let start = d.log_offset(&logs.entries)?;
+        d.room(&mut logs.entries, m, (k, n), 5);
         for _ in 0..m {
             let path = d.hid()?;
             let opnum = d.u32v("txl opnum")?;
@@ -1014,7 +1161,7 @@ fn decode_advice_view_inner(
             let contents = match d.u8("contents tag")? {
                 0 => TxOpContentsView::None,
                 1 => TxOpContentsView::Put {
-                    value: d.raw_value(values)?,
+                    value: d.logged(values, &mut a.values, logged_from)?,
                 },
                 2 => TxOpContentsView::Get {
                     from: match d.u8("from opt")? {
@@ -1024,7 +1171,7 @@ fn decode_advice_view_inner(
                 },
                 _ => return Err(d.err("contents tag")),
             };
-            log.push(TxLogEntryView {
+            logs.entries.push(TxLogEntryView {
                 path,
                 opnum,
                 optype,
@@ -1032,9 +1179,9 @@ fn decode_advice_view_inner(
                 contents,
             });
         }
-        a.tx_logs.push((tx, log));
+        logs.index.push((tx, start..d.log_offset(&logs.entries)?));
     }
-    by_key(&mut a.tx_logs);
+    moved |= logs.settle();
 
     // Every txpos is a ktx (≥3 bytes) plus an index byte.
     let n = d.len("write order len", 4)?;
@@ -1092,6 +1239,10 @@ fn decode_advice_view_inner(
             .saturating_add(d.counts.pool_wire),
         pool_wire_nodes: d.counts.pool_wire,
     };
+    if moved {
+        renumber_values(&mut a);
+    }
+    a.values.shrink_to_fit();
     Ok((a, stats))
 }
 
@@ -1099,10 +1250,10 @@ fn decode_advice_view_inner(
 /// repeated key keeps its last occurrence, as inserting the entries
 /// into a map in wire order does — the one place the advice's
 /// duplicate-key rule is applied. Honest advice is already ascending,
-/// which costs one comparison per entry.
-fn by_key<K: Ord, V>(section: &mut Vec<(K, V)>) {
+/// which costs one comparison per entry. Whether anything moved.
+fn by_key<K: Ord, V>(section: &mut Vec<(K, V)>) -> bool {
     if section.windows(2).all(|w| w[0].0 < w[1].0) {
-        return;
+        return false;
     }
     section.sort_by(|a, b| a.0.cmp(&b.0));
     section.dedup_by(|later, kept| {
@@ -1112,6 +1263,31 @@ fn by_key<K: Ord, V>(section: &mut Vec<(K, V)>) {
         }
         same
     });
+    true
+}
+
+/// Numbers the logged values afresh in the order the settled sections
+/// name them — the variable logs', then the `PUT`s' — as the canonical
+/// re-encoding of the advice would, dropping the values of entries the
+/// duplicate-key rule dropped. Only advice whose sections moved pays.
+fn renumber_values(a: &mut AdviceView<'_>) {
+    let old = std::mem::take(&mut a.values);
+    let values = &mut a.values;
+    let mut renumber = |id: &mut u32| {
+        if let Some(value) = old.get(*id as usize) {
+            *id = values.len() as u32;
+            values.push(value.clone());
+        }
+    };
+    let logged = a.var_logs.iter_mut().flat_map(|(_, log)| log);
+    logged
+        .filter_map(|(_, e)| e.value.as_mut())
+        .for_each(&mut renumber);
+    for e in &mut a.tx_logs.entries {
+        if let TxOpContentsView::Put { value } = &mut e.contents {
+            renumber(value);
+        }
+    }
 }
 
 /// How a bounded decode failed: structurally malformed bytes, or

@@ -300,13 +300,15 @@ fn stacks_group_replay_allocation_budget() {
     );
 }
 
-/// Preprocess and the whole `threads = 1` audit of stacks read-heavy
-/// at 400 and 800 requests, wire bytes to verdict: allocation events.
-/// Preprocess runs the requests in about four ranges per thread, each
-/// with one set of buffers reused from request to request, so what it
-/// allocates grows with the advice's entries and not by a buffer per
-/// request: the growth between the sizes is pinned too, where one
-/// allocation per request put back costs 400 events. The
+/// Preprocess, the view decode and the whole `threads = 1` audit of
+/// stacks read-heavy at 400 and 800 requests, wire bytes to verdict:
+/// allocation events. Preprocess runs the requests in about four ranges
+/// per thread, each with one set of buffers reused from request to
+/// request, and the decode keeps every handler and transaction log of
+/// a section in one array, so what either allocates grows with the
+/// advice's entries and not by a buffer per request: the growth between
+/// the sizes is pinned too, where one allocation per request put back
+/// costs 400 events. The
 /// machine-stable companion to the `stacks-read-heavy` timing in
 /// `benchmark/`.
 #[test]
@@ -338,6 +340,8 @@ fn stacks_read_heavy_audit_allocation_scaling() {
         };
         let _ = preprocess();
         let (_, preprocess) = count_allocs(preprocess);
+        let decode = || karousos::decode_advice_view(&bytes).expect("own encoding decodes");
+        let (_, decode) = count_allocs(decode);
         // `Auditor::default()`: one thread, a noop handle.
         let audit = || {
             karousos::Auditor::default()
@@ -345,16 +349,24 @@ fn stacks_read_heavy_audit_allocation_scaling() {
                 .expect("honest advice is accepted")
         };
         let _ = audit();
-        (preprocess, count_allocs(audit).1)
+        (preprocess, decode, count_allocs(audit).1)
     };
-    let ((pre_400, audit_400), (pre_800, audit_800)) = (allocs(400), allocs(800));
+    let ((pre_400, decode_400, audit_400), (pre_800, decode_800, audit_800)) =
+        (allocs(400), allocs(800));
     let growth = pre_800.saturating_sub(pre_400);
+    let decode_growth = decode_800.saturating_sub(decode_400);
     eprintln!(
         "stacks read-heavy allocs: preprocess {pre_400} at 400 requests, {pre_800} at 800 \
-         (+{growth}); audit {audit_400} and {audit_800}"
+         (+{growth}); decode {decode_400} and {decode_800} (+{decode_growth}); audit \
+         {audit_400} and {audit_800}"
     );
 
-    // Measured: preprocess 178 and 193 (+15), audit 4 673 and 9 101 in
+    // Measured: preprocess 177 and 192 (+15), decode 78 and 108 (+30),
+    // audit 3 884 and 7 512 in both profiles, with the handler and
+    // transaction logs in one array per section; with a vector per log,
+    // decode 866 and 1 696 (+830), audit 4 673 and 9 101. The pins are
+    // these figures plus 5 %.
+    // Before: preprocess 178 and 193 (+15), audit 4 673 and 9 101 in
     // both profiles, with `AdviceRef::from_view` borrowing the view's
     // sections; 5 083 and 9 911 while it copied them.
     // Before: preprocess 177 and 192 (+15), audit 5 082 and 9 910;
@@ -389,18 +401,30 @@ fn stacks_read_heavy_audit_allocation_scaling() {
          15, 482 with a handler-id search behind hints, 2872 with a shard per request)"
     );
     assert!(
-        audit_400 <= 4_906,
-        "stacks read-heavy audit exceeded its allocation budget at 400 requests: \
-         {audit_400} events (budget 4906; measured 4673, 5083 with the advice's \
-         sections copied, 7791 with two blocks per node, 10083 with a preprocess \
-         shard per request)"
+        decode_400 <= 81 && decode_800 <= 113,
+        "stacks read-heavy decode exceeded its allocation budget: {decode_400} and \
+         {decode_800} events at 400 and 800 requests (budgets 81 and 113; measured 78 and \
+         108, 866 and 1696 with a vector per log)"
     );
     assert!(
-        audit_800 <= 9_556,
+        decode_growth <= 31,
+        "stacks read-heavy decode allocates per request again: {decode_400} -> \
+         {decode_800}, +{decode_growth} events for 400 more requests (pin <= 31; \
+         measured 30, 830 with a vector per handler and transaction log)"
+    );
+    assert!(
+        audit_400 <= 4_078,
+        "stacks read-heavy audit exceeded its allocation budget at 400 requests: \
+         {audit_400} events (budget 4078; measured 3884, 4673 with a vector per log, \
+         5083 with the advice's sections copied, 7791 with two blocks per node, 10083 \
+         with a preprocess shard per request)"
+    );
+    assert!(
+        audit_800 <= 7_887,
         "stacks read-heavy audit exceeded its allocation budget at 800 requests: \
-         {audit_800} events (budget 9556; measured 9101, 9911 with the advice's \
-         sections copied, 15838 with two blocks per node, 20520 with a preprocess \
-         shard per request)"
+         {audit_800} events (budget 7887; measured 7512, 9101 with a vector per log, \
+         9911 with the advice's sections copied, 15838 with two blocks per node, 20520 \
+         with a preprocess shard per request)"
     );
 }
 
@@ -540,11 +564,13 @@ fn decode_phase_allocation_budget() {
     // hundred-odd builds from `from_view` into the view decode.
     // With `from_view` borrowing every section of the view: view 864,
     // view + AdviceRef 864 in both profiles; the whole phase's pin is
-    // that plus 5 %.
+    // that plus 5 %. With the handler and transaction logs in one array
+    // per section and the logged values in one table: view 747, view +
+    // AdviceRef 747 in both profiles; both pins are that plus 5 %.
     assert!(
-        view_allocs <= 907,
-        "zero-copy view decode regressed: {view_allocs} allocs (pin: <= 907; measured 864, \
-         335 while it built no logged value)"
+        view_allocs <= 784,
+        "zero-copy view decode regressed: {view_allocs} allocs (pin: <= 784; measured 747, \
+         864 with a vector per log, 335 while it built no logged value)"
     );
     let from_view = borrowed_allocs.saturating_sub(view_allocs);
     assert!(
@@ -553,9 +579,9 @@ fn decode_phase_allocation_budget() {
          77 while it copied the sections, 609 while it built every logged value)"
     );
     assert!(
-        borrowed_allocs <= 907,
-        "borrowed decode phase regressed: {borrowed_allocs} allocs (pin: <= 907; \
-         measured 864, 941 while `from_view` copied the sections)"
+        borrowed_allocs <= 784,
+        "borrowed decode phase regressed: {borrowed_allocs} allocs (pin: <= 784; \
+         measured 747, 864 with a vector per log, 941 while `from_view` copied the sections)"
     );
 }
 
@@ -593,7 +619,10 @@ fn held_advice_bytes_per_var_log_entry() {
     // an entry, in both profiles. The parent tree's `from_view` copied
     // every section into vectors of its own, every variable-log entry
     // into a second entry type: AdviceRef 215 092 B more, 581.0 B an
-    // entry. The pin is the measured figure plus 5 %.
+    // entry. With the handler and transaction logs flat and each logged
+    // value in one table, entries carrying its index (no 40-byte slot
+    // whether or not they log one): view 235 240 B, 283.1 B an entry, in
+    // both profiles. The pin is the measured figure plus 5 %.
     let per_entry = (view_live + advice_live) as f64 / entries as f64;
     eprintln!(
         "stacks read-heavy n=400: view {view_live} B + AdviceRef {advice_live} B held \
@@ -601,9 +630,10 @@ fn held_advice_bytes_per_var_log_entry() {
         bytes.len()
     );
     assert!(
-        per_entry <= 338.2,
+        per_entry <= 297.3,
         "the decoded advice holds more than one copy of its logs: {per_entry:.1} B a \
-         var-log entry (pin 338.2; measured 322.1, 581.0 with the sections copied)"
+         var-log entry (pin 297.3; measured 283.1, 322.1 with a value slot in every entry \
+         and a vector per log, 581.0 with the sections copied)"
     );
 }
 
@@ -858,11 +888,16 @@ fn wiki_audit_allocation_budget() {
     // 13 866 364 B on the parent tree); the event pin is that plus 5 %.
     // With `G` computing its program and activation edges instead of
     // storing them: the same events, 11 531 532 B; the byte pin is that
-    // plus 5 %.
+    // plus 5 %. With the handler and transaction logs in one array per
+    // section and the logged values in one table: 25 549 events,
+    // 12 023 244 B in both profiles; the event pin is that plus 5 %, the
+    // byte pin stays. The bytes rose: each array is sized by an
+    // estimate and trimmed when the section ends, so its bytes are
+    // requested about twice where a vector per log requested them once.
     assert!(
-        events <= 28_075,
-        "wiki audit exceeded its allocation budget: {events} events (budget 28075; \
-         measured 26739, 34346 with every map write built)"
+        events <= 26_826,
+        "wiki audit exceeded its allocation budget: {events} events (budget 26826; \
+         measured 25549, 26739 with a vector per log, 34346 with every map write built)"
     );
     assert!(
         requested <= 12_108_109,
@@ -1067,7 +1102,9 @@ fn end_to_end_borrowed_audit_allocation_budget() {
     let (_, allocs) = count_allocs(audit);
     eprintln!("end-to-end audit allocs at {n} requests: {allocs}");
 
-    // Measured: 830 in both profiles; pinned at measured + 5 %. 834
+    // Measured: 231 in both profiles, with each section's handler logs
+    // in one array; pinned at measured + 5 %. 830 with a `Vec` per
+    // request's handler log. 834
     // while `AdviceRef::from_view` copied the advice's sections, 835
     // while the advice's
     // coordinates held handler ids, 926 while coordinates
@@ -1084,9 +1121,10 @@ fn end_to_end_borrowed_audit_allocation_budget() {
     // (every audit starts at the bytes); the gap was the per-entry
     // String/BTreeMap traffic of materializing `Advice`.
     assert!(
-        allocs <= 871,
-        "handler-heavy audit exceeded its allocation budget: {allocs} events (budget 871; \
-         measured 830, 6212 with a preprocess shard per request)"
+        allocs <= 242,
+        "handler-heavy audit exceeded its allocation budget: {allocs} events (budget 242; \
+         measured 231, 830 with a vector per handler log, 6212 with a preprocess shard per \
+         request)"
     );
 }
 

@@ -166,13 +166,13 @@ fn duplicated_keys_verdict_identically() {
             duplicate_first(&mut v.tags, |e| e.1 += 1, last)
         }),
         ("handler_logs", |v, last| {
-            duplicate_first(&mut v.handler_logs, |e| e.1.clear(), last)
+            duplicate_first(&mut v.handler_logs.index, |e| e.1 = 0..0, last)
         }),
         ("var_logs", |v, last| {
             duplicate_first(&mut v.var_logs, |e| e.1.clear(), last)
         }),
         ("tx_logs", |v, last| {
-            duplicate_first(&mut v.tx_logs, |e| e.1.clear(), last)
+            duplicate_first(&mut v.tx_logs.index, |e| e.1 = 0..0, last)
         }),
         ("response_emitted_by", |v, last| {
             duplicate_first(&mut v.response_emitted_by, |e| e.1 .1 += 1, last)

@@ -305,8 +305,8 @@ fn duplicate_key_on_the_wire(fx: &Fixture, t: &Target, forged_last: bool) -> Vec
         .iter()
         .position(|(key, _)| paths.op_ref(key) == t.key)
         .expect("the target is in its log");
-    let (key, honest_entry) = log[at].clone();
-    let mut forged = honest_entry.clone();
+    let (key, honest_entry) = log[at];
+    let mut forged = honest_entry;
     forged.prec = Some(key);
     if forged_last {
         log.push((key, forged));
